@@ -1142,12 +1142,7 @@ impl CachedLabeler {
         let mut out = DisclosureLabel::bottom();
         let mut seen: HashMap<QueryId, DisclosureLabel> = HashMap::new();
         for query in queries {
-            match intern_within_budget(
-                &self.interner,
-                &self.tables.implicit_interns,
-                self.capacity,
-                query,
-            ) {
+            match self.intern_within_budget(query) {
                 Some(id) => {
                     if let Some(label) = seen.get(&id) {
                         out.combine_in_place(label);
@@ -1168,13 +1163,24 @@ impl CachedLabeler {
         out
     }
 
-    /// The canonical interned identity of `query` **if its shape is already
-    /// known** — a read-locked lookup that never interns and never charges
-    /// the arena budget.  The service's batch staging uses this to key its
-    /// dedup map for plain (un-interned) admissions; `None` simply means
-    /// "no cheap identity, don't dedup this one".
-    pub fn batch_identity(&self, query: &ConjunctiveQuery) -> Option<QueryId> {
-        self.read_interner().lookup(query)
+    /// Resolves `query` to its interned id through the **budgeted** intern
+    /// [`label_query`](QueryLabeler::label_query) performs: known shapes
+    /// (alpha-variants included) answer under the interner's read lock,
+    /// unknown ones are interned while the implicit-intern arena budget
+    /// ([`capacity_limit`](Self::capacity_limit)) has room.  `None` means
+    /// the budget is spent and the shape was never seen: it has no id and
+    /// must not get one (the arena bound would be lost) — label it with
+    /// [`label_packed`](Self::label_packed), which serves it uncached.
+    ///
+    /// This is the service's front door: an admission resolves its operand
+    /// once here, then labels, dedups and records by id.
+    pub fn intern_within_budget(&self, query: &ConjunctiveQuery) -> Option<QueryId> {
+        intern_within_budget(
+            &self.interner,
+            &self.tables.implicit_interns,
+            self.capacity,
+            query,
+        )
     }
 
     /// Credits one batch-level dedup hit: the caller answered a duplicate
@@ -1628,6 +1634,18 @@ impl LabelerSnapshot {
             .contains(id)
     }
 
+    /// [`CachedLabeler::intern_within_budget`] against the arena budget
+    /// this snapshot **shares** with its parent — how pool workers resolve
+    /// a staged plain admission to the id they hand back.
+    pub fn intern_within_budget(&self, query: &ConjunctiveQuery) -> Option<QueryId> {
+        intern_within_budget(
+            &self.interner,
+            &self.base.implicit_interns,
+            self.capacity,
+            query,
+        )
+    }
+
     /// Counters accumulated by this snapshot since it was taken (or last
     /// retired); entry gauges report the private overlay lanes' **newly
     /// admitted** slots only (refreshes of slots still occupied in the
@@ -1850,12 +1868,7 @@ impl LabelerSnapshot {
     /// overlay lane — the entry point pool tasks use with their
     /// [`lane_for`](Self::lane_for) lane.
     pub fn label_query_in(&self, lane: usize, query: &ConjunctiveQuery) -> DisclosureLabel {
-        match intern_within_budget(
-            &self.interner,
-            &self.base.implicit_interns,
-            self.capacity,
-            query,
-        ) {
+        match self.intern_within_budget(query) {
             Some(id) => self.label_interned_in(lane, id),
             None => {
                 self.misses.fetch_add(1, Ordering::Relaxed);
@@ -1930,12 +1943,7 @@ impl QueryLabeler for CachedLabeler {
     /// (identical labels, counted as misses), so an adversarial stream of
     /// never-repeating shapes cannot grow the arena without bound.
     fn label_query(&self, query: &ConjunctiveQuery) -> DisclosureLabel {
-        match intern_within_budget(
-            &self.interner,
-            &self.tables.implicit_interns,
-            self.capacity,
-            query,
-        ) {
+        match self.intern_within_budget(query) {
             Some(id) => self.label_interned(id),
             None => {
                 // Arena budget exhausted: serve without interning.

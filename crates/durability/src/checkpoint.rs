@@ -12,12 +12,19 @@
 //!
 //! ```text
 //! magic    b"FDCCKPT1"       8 bytes
-//! version  u32 LE  (= 1)     4 bytes
+//! version  u32 LE  (= 2)     4 bytes
 //! seq      u64 LE            8 bytes   (last WAL seq the payload covers)
 //! len      u64 LE            8 bytes   (payload length)
 //! payload                    len bytes
 //! crc      u32 LE            4 bytes   (CRC-32 of everything above)
 //! ```
+//!
+//! The version numbers the *payload's* layout, which this crate never
+//! looks inside.  Version 2 is the disclosure service's image whose audit
+//! history holds interned query ids resolved against the interner section
+//! of the same image (version 1 stored every recorded query in full).
+//! There is one reader: a file of any other version fails the version
+//! check like any other invalid file.
 //!
 //! # Atomicity
 //!
@@ -43,8 +50,8 @@ use crate::vfs::{StdVfs, Vfs};
 
 /// Checkpoint file magic: "FDC checkpoint format 1".
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"FDCCKPT1";
-/// Checkpoint format version.
-pub const CHECKPOINT_VERSION: u32 = 1;
+/// Checkpoint format version (see the module docs for what 2 changed).
+pub const CHECKPOINT_VERSION: u32 = 2;
 /// Fixed bytes before the payload.
 pub const CHECKPOINT_HEADER_LEN: usize = 28;
 
@@ -280,6 +287,25 @@ mod tests {
         fs::write(&newer, &bytes[..bytes.len() / 2]).unwrap();
         let (seq, _) = latest_checkpoint(&dir).unwrap().unwrap();
         assert_eq!(seq, 3);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_version_1_image_is_refused() {
+        let dir = temp_dir("version_1");
+        let path = write_checkpoint(&dir, 6, b"v1 payload", false).unwrap();
+        // Rewrite the header's version field to 1 and re-seal the CRC, so
+        // the version check is the only thing left to refuse the file.
+        let mut bytes = fs::read(&path).unwrap();
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        let body_end = bytes.len() - 4;
+        let crc = crc32(&bytes[..body_end]);
+        bytes[body_end..].copy_from_slice(&crc.to_le_bytes());
+        fs::write(&path, &bytes).unwrap();
+        let err = load_checkpoint(&StdVfs, &path).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("unsupported checkpoint version"));
+        assert!(latest_checkpoint(&dir).unwrap().is_none());
         fs::remove_dir_all(&dir).unwrap();
     }
 

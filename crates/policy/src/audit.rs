@@ -103,20 +103,42 @@ pub fn requested_views(
 /// answer that atom.  A query is *uncovered* if some atom's `ℓ⁺` contains no
 /// requested permission at all (the app cannot run that query with what it
 /// asked for).
+///
+/// Labels every query of the boxed workload and hands the labels to
+/// [`audit_labels`], the core the audit shares with callers that keep
+/// their workload in another form.
 pub fn audit_app<L, I>(labeler: &L, requested: I, workload: &[ConjunctiveQuery]) -> AuditReport
 where
     L: QueryLabeler,
     I: IntoIterator<Item = SecurityViewId>,
 {
-    let registry = labeler.security_views();
+    audit_labels(
+        labeler.security_views(),
+        requested,
+        workload.iter().map(|query| labeler.label_query(query)),
+    )
+}
+
+/// The audit proper, over the workload's disclosure *labels* in workload
+/// order ([`AuditReport::uncovered_queries`] indexes into that order).
+///
+/// Section 2.2's audit reads nothing of a query but its label, so a caller
+/// that can label its workload without materializing the queries — the
+/// disclosure service keeps each principal's history as interned ids and
+/// labels them by id — feeds this directly; [`audit_app`] is the wrapper
+/// for boxed workloads.
+pub fn audit_labels<I, W>(registry: &SecurityViews, requested: I, workload: W) -> AuditReport
+where
+    I: IntoIterator<Item = SecurityViewId>,
+    W: IntoIterator<Item = DisclosureLabel>,
+{
     let requested: BTreeSet<SecurityViewId> = requested.into_iter().collect();
     let requested_partition =
         PolicyPartition::from_views("requested", registry, requested.iter().copied());
 
     let mut used: BTreeSet<SecurityViewId> = BTreeSet::new();
     let mut uncovered_queries = Vec::new();
-    for (index, query) in workload.iter().enumerate() {
-        let label: DisclosureLabel = labeler.label_query(query);
+    for (index, label) in workload.into_iter().enumerate() {
         if !requested_partition.allows(&label) {
             uncovered_queries.push(index);
         }

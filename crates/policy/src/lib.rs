@@ -42,7 +42,7 @@ pub mod shard;
 pub mod store;
 pub mod wire;
 
-pub use audit::{audit_app, requested_views, AuditReport};
+pub use audit::{audit_app, audit_labels, requested_views, AuditReport};
 pub use compiled::{
     initial_consistency_word, CompiledPartition, CompiledPolicy, PolicyArena, MAX_PARTITIONS,
 };

@@ -724,6 +724,136 @@ mod tests {
         );
     }
 
+    #[test]
+    fn over_budget_submits_are_audited_without_growing_the_arena() {
+        use fdc_core::CachedLabeler;
+        use fdc_policy::{audit_app, requested_views};
+        // An arena budget of two implicit interns: the first two shapes get
+        // ids, every never-seen shape after them must be served — and
+        // recorded — without one, while known shapes keep resolving.
+        let texts = [
+            "Q(y) :- Meetings(x, y)",
+            "Q(z) :- Contacts(x, y, z)",
+            "Q(x, z) :- Contacts(x, y, z)",
+            "Q(x) :- Meetings(x, 'Cathy')",
+            "Q2(x) :- Meetings(x, y), Contacts(y, w, 'Intern')",
+            "Q(a, c) :- Contacts(a, b, c)",
+            "Q(x, y) :- Meetings(x, y)",
+            "Q(b) :- Meetings(a, b)",
+        ];
+        let registry = SecurityViews::paper_example();
+        let reference = BitVectorLabeler::new(registry.clone());
+        type Executor = fn(&mut DisclosureService, &[Operation]) -> Vec<Response>;
+        let executors: [(&str, Executor); 3] = [
+            ("apply", |s, ops| ops.iter().map(|op| s.apply(op)).collect()),
+            ("run_batch", |s, ops| s.run_batch(ops)),
+            ("run_pipelined", |s, ops| s.run_pipelined(ops)),
+        ];
+        for (name, execute) in executors {
+            for workers in [1, 4] {
+                let config = ServiceConfig {
+                    num_shards: 1,
+                    workers,
+                    parallel_threshold: 0,
+                    ..ServiceConfig::default()
+                };
+                let mut service = DisclosureService::with_labeler(
+                    CachedLabeler::with_capacity_limit(registry.clone(), 2),
+                    config,
+                );
+                let v2 = registry.id_by_name("V2").unwrap();
+                let times = PolicyPartition::from_views("times", &registry, [v2]);
+                let p = service.register_principal(SecurityPolicy::stateless(times));
+                let workload: Vec<ConjunctiveQuery> =
+                    texts.iter().map(|text| q(&service, text)).collect();
+                let submit = |query: &ConjunctiveQuery| Operation::Submit {
+                    principal: p,
+                    query: query.clone(),
+                };
+                let ops: Vec<Operation> = workload.iter().map(submit).collect();
+                let arena_len = |s: &DisclosureService| s.interner().read().unwrap().len();
+                execute(&mut service, &ops[..2]);
+                let spent = arena_len(&service);
+                let responses = execute(&mut service, &ops[2..]);
+                assert!(responses.iter().all(|r| r.decision().is_some()));
+                let what = format!("{name} x{workers}");
+                assert_eq!(arena_len(&service), spent, "{what}: the arena grew");
+                let has_id = [true, true, false, false, false, false, true, true];
+                for (i, query) in workload.iter().enumerate() {
+                    let id = service.interner().read().unwrap().lookup(query);
+                    assert_eq!(id.is_some(), has_id[i], "{what}: {}", texts[i]);
+                }
+                let expected = audit_app(
+                    &reference,
+                    requested_views(service.store().policy(p), &registry),
+                    &workload,
+                );
+                assert!(!expected.uncovered_queries.is_empty());
+                assert_eq!(service.audit_app(p).unwrap(), expected, "{what}");
+                // The boxed entries travel through the checkpoint image.
+                let image = service.freeze(0, true).encode();
+                let mut recovered = DisclosureService::decode_state(&image, config).unwrap();
+                assert_eq!(
+                    recovered.audit_app(p).unwrap(),
+                    expected,
+                    "{what}, recovered"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn checkpoint_images_reject_corrupt_history_entries() {
+        use fdc_durability::codec::CodecError;
+        let mut service = service(2);
+        let meetings = q(&service, "Q(x) :- Meetings(x, y)");
+        service.submit(PrincipalId(0), &meetings).unwrap();
+        service.submit(PrincipalId(1), &meetings).unwrap();
+        let config = service.config();
+        let image = service.freeze(0, true).encode();
+        assert!(DisclosureService::decode_state(&image, config).is_ok());
+        // The image ends with principal 1's ring: an entry count, then one
+        // entry — the id tag and a four-byte query id.
+        let entry = image.len() - 5;
+        let decode = |patch: &dyn Fn(&mut Vec<u8>)| {
+            let mut bytes = image.clone();
+            patch(&mut bytes);
+            DisclosureService::decode_state(&bytes, config).map(|_| ())
+        };
+        let arena_len = service.interner().read().unwrap().len() as u32;
+        // An id one past the decoded interner, and a wild one.
+        for id in [arena_len, u32::MAX] {
+            let err = decode(&|b| b[entry + 1..].copy_from_slice(&id.to_le_bytes())).unwrap_err();
+            assert!(
+                matches!(&err, CodecError::Invalid { offset, what }
+                    if *offset == entry && what.contains("history query id")),
+                "{err}"
+            );
+        }
+        // The last id the interner does hold still decodes.
+        assert!(
+            decode(&|b| b[entry + 1..].copy_from_slice(&(arena_len - 1).to_le_bytes())).is_ok()
+        );
+        let err = decode(&|b| b[entry] = 7).unwrap_err();
+        assert!(
+            matches!(&err, CodecError::Invalid { offset, what }
+                if *offset == entry && what.contains("unknown history entry tag 7")),
+            "{err}"
+        );
+        // A hostile entry count is refused before anything is allocated.
+        let count = entry - 8;
+        let err = decode(&|b| b[count..entry].copy_from_slice(&u64::MAX.to_le_bytes()));
+        assert!(matches!(err, Err(CodecError::Invalid { offset, .. }) if offset == count));
+        // Truncation anywhere in the history section, and trailing bytes.
+        for cut in count - 8..image.len() {
+            assert!(
+                DisclosureService::decode_state(&image[..cut], config).is_err(),
+                "cut {cut}"
+            );
+        }
+        assert!(decode(&|b| b.push(0)).is_err());
+    }
+
     /// A unique scratch directory for durable-service tests.
     fn temp_dir(tag: &str) -> std::path::PathBuf {
         let dir =

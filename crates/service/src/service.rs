@@ -6,20 +6,20 @@ use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
 use fdc_core::{
-    CachedLabeler, PackedLabel, PendingBatch, QueryLabeler, SecurityViews, SharedQueryInterner,
-    WorkerPool, DEFAULT_CACHE_CAPACITY, MAX_PACKED_VIEWS_PER_RELATION,
+    CachedLabeler, DisclosureLabel, PackedLabel, PendingBatch, QueryLabeler, SecurityViews,
+    SharedQueryInterner, WorkerPool, DEFAULT_CACHE_CAPACITY, MAX_PACKED_VIEWS_PER_RELATION,
     SMALL_BATCH_SEQUENTIAL_THRESHOLD,
 };
 use fdc_cq::intern::{QueryId, QueryInterner};
 use fdc_cq::{ConjunctiveQuery, RelId};
-use fdc_durability::codec::{put_len, CodecError, Cursor};
+use fdc_durability::codec::{put_len, put_u32, put_u8, CodecError, Cursor};
 use fdc_durability::{
     checkpoint_seqs_in, latest_checkpoint_in, prune_checkpoints_in, prune_segments_in, read_log_in,
     sweep_stale_temps_in, write_checkpoint_in, Clock, DurabilityConfig, StdVfs, SystemClock, Vfs,
     WalStats, WalWriter,
 };
 use fdc_policy::{
-    audit_app, requested_views, AuditReport, Decision, PrincipalId, SecurityPolicy,
+    audit_labels, requested_views, AuditReport, Decision, PrincipalId, SecurityPolicy,
     ShardedPolicyStore, MAX_PARTITIONS,
 };
 
@@ -70,9 +70,9 @@ pub struct ServiceConfig {
     /// calling thread with no pool at all.
     pub workers: usize,
     /// Per-principal cap on the observed-workload history that backs
-    /// `AuditApp` (a bounded FIFO of recently submitted queries).  `0`
-    /// disables history recording — and with it auditing — for
-    /// memory-critical deployments.
+    /// `AuditApp` (a bounded ring of the interned ids of recently submitted
+    /// queries).  `0` disables history recording — and with it auditing —
+    /// for memory-critical deployments.
     pub history_cap: usize,
     /// Cache-invalidation strategy; see [`InvalidationMode`].
     pub invalidation: InvalidationMode,
@@ -213,10 +213,12 @@ pub struct DisclosureService {
     /// validates them at admission time.
     interner: SharedQueryInterner,
     store: ShardedPolicyStore,
-    /// Per-principal FIFO of recently submitted queries (capped at
+    /// Per-principal ring of recently submitted queries (capped at
     /// `config.history_cap`), the observed workload `AuditApp` audits
-    /// against.  Empty vectors when history is disabled.
-    history: Vec<VecDeque<ConjunctiveQuery>>,
+    /// against — held as the interned ids the admissions resolved to, so
+    /// recording a submit copies four bytes and an audit labels by id.
+    /// Empty rings when history is disabled.
+    history: Vec<VecDeque<OwnedQuery>>,
     config: ServiceConfig,
     stats: ServiceStats,
     /// The write-ahead log, present only on services opened with
@@ -241,12 +243,71 @@ struct ParallelPlane {
     snapshots_reclaimed: u64,
 }
 
-/// The query operand of one admission, as carried through the request loop:
-/// a borrowed boxed query or a pre-interned id.
+/// The query operand of one admission: a borrowed boxed query or an
+/// interned id.  Operations arrive in either form; the front door
+/// ([`DisclosureService::resolve`]) turns every operand it can into
+/// `Interned`, and everything after it — labeling, batch dedup, the audit
+/// history — works by id.  Past the front door `Plain` is the one shape
+/// that has no id: a never-seen query arriving after the labeler's arena
+/// budget is spent, which must not be interned or the arena bound is lost.
 #[derive(Clone, Copy)]
 enum AdmissionQuery<'a> {
     Plain(&'a ConjunctiveQuery),
     Interned(QueryId),
+}
+
+impl AdmissionQuery<'_> {
+    /// The operand by value, for what outlives the request: a history
+    /// entry, or the hand-off to a pool worker's `'static` task.
+    fn into_owned(self) -> OwnedQuery {
+        match self {
+            AdmissionQuery::Plain(query) => OwnedQuery::Plain(Box::new(query.clone())),
+            AdmissionQuery::Interned(id) => OwnedQuery::Interned(id),
+        }
+    }
+}
+
+/// [`AdmissionQuery`] by value.  The query is boxed so that an id — nearly
+/// every entry of an audit ring — costs the ring 16 bytes, not a query's
+/// width.
+#[derive(Debug, Clone)]
+enum OwnedQuery {
+    Plain(Box<ConjunctiveQuery>),
+    Interned(QueryId),
+}
+
+/// Splits an admission operation into its principal, its operand as
+/// submitted, and whether the decision commits (`Submit*`) or only probes
+/// (`Check*`); `None` for every other operation.
+fn admission(op: &Operation) -> Option<(PrincipalId, AdmissionQuery<'_>, bool)> {
+    match op {
+        Operation::Submit { principal, query } => {
+            Some((*principal, AdmissionQuery::Plain(query), true))
+        }
+        Operation::Check { principal, query } => {
+            Some((*principal, AdmissionQuery::Plain(query), false))
+        }
+        Operation::SubmitInterned { principal, query } => {
+            Some((*principal, AdmissionQuery::Interned(*query), true))
+        }
+        Operation::CheckInterned { principal, query } => {
+            Some((*principal, AdmissionQuery::Interned(*query), false))
+        }
+        _ => None,
+    }
+}
+
+/// One admission past the front door — validated, its operand resolved —
+/// waiting in an executor's pending run for its decision.
+struct PendingAdmission<'a> {
+    /// Index of the operation in the batch (and of its response slot).
+    index: usize,
+    principal: PrincipalId,
+    query: AdmissionQuery<'a>,
+    /// True for `Submit` / `SubmitInterned` (the decision commits).
+    commit: bool,
+    /// The operand's packed label; empty until the run is labeled.
+    packed: Vec<PackedLabel>,
 }
 
 impl DisclosureService {
@@ -269,6 +330,13 @@ impl DisclosureService {
                 views.catalog().name(relation)
             );
         }
+        Self::with_labeler(CachedLabeler::new(views), config)
+    }
+
+    /// [`new`](Self::new) over a caller-built labeling stage (the unit
+    /// tests size the labeler's arena budget down to reach the
+    /// over-budget admission path).
+    pub(crate) fn with_labeler(labeler: CachedLabeler, config: ServiceConfig) -> Self {
         let num_shards = if config.num_shards == 0 {
             available_threads()
         } else {
@@ -279,7 +347,6 @@ impl DisclosureService {
         } else {
             config.workers
         };
-        let labeler = CachedLabeler::new(views);
         let interner = labeler.interner();
         let mut store = ShardedPolicyStore::new(num_shards);
         store.set_parallel_threshold(config.parallel_threshold);
@@ -516,24 +583,45 @@ impl DisclosureService {
         }
     }
 
-    fn validate_query_id(&self, query: QueryId) -> Result<(), ServiceError> {
-        let known = self
-            .interner
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .contains(query);
-        if known {
-            Ok(())
-        } else {
-            Err(ServiceError::UnknownQuery(query))
+    /// The front door of every admission: validates the principal and
+    /// resolves the operand to the id everything downstream works by.  A
+    /// plain query goes through the labeler's budgeted intern — the one
+    /// canonicalisation of the admission — and stays `Plain` only when it
+    /// has no id and may not get one (see [`AdmissionQuery`]); an interned
+    /// operand is checked against the interner.
+    fn resolve<'a>(
+        &self,
+        principal: PrincipalId,
+        query: AdmissionQuery<'a>,
+    ) -> Result<AdmissionQuery<'a>, ServiceError> {
+        self.validate_principal(principal)?;
+        match query {
+            AdmissionQuery::Plain(q) => Ok(self
+                .labeler
+                .intern_within_budget(q)
+                .map_or(query, AdmissionQuery::Interned)),
+            AdmissionQuery::Interned(id) => {
+                let interner = self.interner.read().unwrap_or_else(|e| e.into_inner());
+                if interner.contains(id) {
+                    Ok(query)
+                } else {
+                    Err(ServiceError::UnknownQuery(id))
+                }
+            }
+        }
+    }
+
+    /// Labels a resolved operand through the live labeler.
+    fn label_live(&self, query: AdmissionQuery<'_>) -> Vec<PackedLabel> {
+        match query {
+            AdmissionQuery::Plain(q) => self.labeler.label_packed(q),
+            AdmissionQuery::Interned(id) => self.labeler.label_packed_interned(id),
         }
     }
 
     /// True when the observed-workload history — and with it auditing — is
     /// enabled.  The single home of the `history_cap == 0` convention,
-    /// shared by [`record`](Self::record),
-    /// [`record_interned`](Self::record_interned) and
-    /// [`audit_app`](Self::audit_app).
+    /// shared by [`record`](Self::record) and [`audit`](Self::audit).
     fn history_enabled(&self) -> bool {
         self.config.history_cap != 0
     }
@@ -541,31 +629,19 @@ impl DisclosureService {
     /// Records a submitted query into the principal's observed workload,
     /// evicting from the **front** until the cap holds: at exactly-cap the
     /// oldest entry ages out and the newest submission always lands in the
-    /// audited workload (regression-tested at cap and cap + 1).
-    fn record(&mut self, principal: PrincipalId, query: &ConjunctiveQuery) {
+    /// audited workload (regression-tested at cap and cap + 1).  The
+    /// operand is already resolved, so this pushes an id; only the
+    /// over-budget shape clones its query, keeping the ring bounded by
+    /// `history_cap` entries whatever arrives.
+    fn record(&mut self, principal: PrincipalId, query: AdmissionQuery<'_>) {
         if !self.history_enabled() {
             return;
         }
-        let log = &mut self.history[principal.index()];
-        while log.len() >= self.config.history_cap {
-            log.pop_front();
+        let ring = &mut self.history[principal.index()];
+        while ring.len() >= self.config.history_cap {
+            ring.pop_front();
         }
-        log.push_back(query.clone());
-    }
-
-    /// Records an interned submission: the id resolves back through the
-    /// interner (only when history is enabled — the hot fig7 configuration
-    /// disables it and pays nothing here).
-    fn record_interned(&mut self, principal: PrincipalId, query: QueryId) {
-        if !self.history_enabled() {
-            return;
-        }
-        let resolved = self
-            .interner
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .to_query(query);
-        self.record(principal, &resolved);
+        ring.push_back(query.into_owned());
     }
 
     /// Appends one record to the write-ahead log and commits it (flush
@@ -733,21 +809,27 @@ impl DisclosureService {
             durable::encode_submit(principal, query, &mut payload);
             let _ = self.log_now(&payload);
         }
-        self.submit_unlogged(principal, query)
+        self.admit(principal, AdmissionQuery::Plain(query), true)
     }
 
-    /// [`submit`](Self::submit) without the WAL hook — the shared
-    /// application step, also the replay entry point.
-    fn submit_unlogged(
+    /// Serves one admission against the live state — the application step
+    /// behind [`submit`](Self::submit), [`check`](Self::check), their
+    /// interned forms, sequential [`apply`](Self::apply) and WAL replay
+    /// (never logs): front door, label by id, decide, and record a
+    /// committed submission.
+    fn admit(
         &mut self,
         principal: PrincipalId,
-        query: &ConjunctiveQuery,
+        query: AdmissionQuery<'_>,
+        commit: bool,
     ) -> Result<Decision, ServiceError> {
-        self.validate_principal(principal)?;
+        let query = self.resolve(principal, query)?;
         self.stats.admissions += 1;
-        let packed = self.labeler.label_packed(query);
-        let decision = self.store.submit_packed(principal, &packed);
-        self.record(principal, query);
+        let packed = self.label_live(query);
+        let decision = self.store.decide_packed(principal, &packed, commit);
+        if commit {
+            self.record(principal, query);
+        }
         Ok(decision)
     }
 
@@ -757,10 +839,7 @@ impl DisclosureService {
         principal: PrincipalId,
         query: &ConjunctiveQuery,
     ) -> Result<Decision, ServiceError> {
-        self.validate_principal(principal)?;
-        self.stats.admissions += 1;
-        let packed = self.labeler.label_packed(query);
-        Ok(self.store.check_packed(principal, &packed))
+        self.admit(principal, AdmissionQuery::Plain(query), false)
     }
 
     /// [`submit`](Self::submit) by pre-interned query id: the label comes
@@ -786,23 +865,7 @@ impl DisclosureService {
                 let _ = self.log_now(&payload);
             }
         }
-        self.submit_interned_unlogged(principal, query)
-    }
-
-    /// [`submit_interned`](Self::submit_interned) without the WAL hook —
-    /// the shared application step.
-    fn submit_interned_unlogged(
-        &mut self,
-        principal: PrincipalId,
-        query: QueryId,
-    ) -> Result<Decision, ServiceError> {
-        self.validate_principal(principal)?;
-        self.validate_query_id(query)?;
-        self.stats.admissions += 1;
-        let packed = self.labeler.label_packed_interned(query);
-        let decision = self.store.submit_packed(principal, &packed);
-        self.record_interned(principal, query);
-        Ok(decision)
+        self.admit(principal, AdmissionQuery::Interned(query), true)
     }
 
     /// [`check`](Self::check) by pre-interned query id; never commits.
@@ -811,11 +874,7 @@ impl DisclosureService {
         principal: PrincipalId,
         query: QueryId,
     ) -> Result<Decision, ServiceError> {
-        self.validate_principal(principal)?;
-        self.validate_query_id(query)?;
-        self.stats.admissions += 1;
-        let packed = self.labeler.label_packed_interned(query);
-        Ok(self.store.check_packed(principal, &packed))
+        self.admit(principal, AdmissionQuery::Interned(query), false)
     }
 
     /// Grants a security view (by name) to a principal.  Refused with
@@ -915,15 +974,38 @@ impl DisclosureService {
     /// Audits a principal: its requested permissions (the union of its
     /// policy's permitted views, live) against its observed workload.
     pub fn audit_app(&mut self, principal: PrincipalId) -> Result<AuditReport, ServiceError> {
+        self.audit(principal, None)
+    }
+
+    /// The audit behind [`audit_app`](Self::audit_app) and `AuditApp`
+    /// operations: labels the principal's ring by id — cache hits for a
+    /// workload the service has just served, no query materialized — and
+    /// hands the labels to `fdc_policy::audit_labels`.  In-segment audits
+    /// of the pipelined executor pass the serving snapshot, whose frozen
+    /// registry is the registry at the op's stream position; everyone else
+    /// passes `None` and reads the live labeler, which is at the same state.
+    fn audit(
+        &mut self,
+        principal: PrincipalId,
+        serving: Option<&ServiceSnapshot>,
+    ) -> Result<AuditReport, ServiceError> {
         self.validate_principal(principal)?;
         if !self.history_enabled() {
             return Err(ServiceError::AuditingDisabled);
         }
         self.stats.audits += 1;
-        let requested = requested_views(self.store.policy(principal), self.registry());
-        let workload: Vec<ConjunctiveQuery> =
-            self.history[principal.index()].iter().cloned().collect();
-        Ok(audit_app(&self.labeler, requested, &workload))
+        let policy = self.store.policy(principal);
+        let ring = &self.history[principal.index()];
+        Ok(match serving {
+            Some(snapshot) => {
+                let labeler = snapshot.labeler();
+                audit_ring(labeler, |id| labeler.label_interned(id), policy, ring)
+            }
+            None => {
+                let labeler = &self.labeler;
+                audit_ring(labeler, |id| labeler.label_interned(id), policy, ring)
+            }
+        })
     }
 
     /// Opens (or creates) a durable service homed in `dir`, recovering
@@ -1120,19 +1202,27 @@ impl DisclosureService {
             None => durable.last_seq,
         };
         let healthy = durable.writer.is_some();
+        Ok(self.freeze(seq, healthy))
+    }
+
+    /// Freezes the state a checkpoint image serializes: the append-only
+    /// interner pre-encoded, structural clones of the registry and the
+    /// store, and the id rings copied as they are (the image stores ids
+    /// too, resolved against that same interner).
+    pub(crate) fn freeze(&self, seq: u64, healthy: bool) -> PendingCheckpoint {
         let mut interner = Vec::new();
         self.interner
             .read()
             .unwrap_or_else(|e| e.into_inner())
             .encode_into(&mut interner);
-        Ok(PendingCheckpoint {
+        PendingCheckpoint {
             seq,
             healthy,
             views: self.labeler.security_views().clone(),
             interner,
             store: self.store.clone(),
             history: self.history.clone(),
-        })
+        }
     }
 
     /// Second half of a [`checkpoint`](Self::checkpoint): writes the
@@ -1256,7 +1346,7 @@ impl DisclosureService {
                 self.register_principal_unlogged(policy);
             }
             WalOp::Submit { principal, query } => {
-                let _ = self.submit_unlogged(principal, &query);
+                let _ = self.admit(principal, AdmissionQuery::Plain(&query), true);
             }
             WalOp::GrantView { principal, view } => {
                 self.apply_mutation(&Operation::GrantView { principal, view }, None);
@@ -1283,13 +1373,31 @@ impl DisclosureService {
     /// index and cross-structure invariant is validated — a corrupt or
     /// truncated payload yields an error, never a panic or a
     /// half-consistent service.
-    fn decode_state(payload: &[u8], config: ServiceConfig) -> Result<Self, CodecError> {
+    ///
+    /// The history section (image version 2) is one ring per principal,
+    /// each entry a tag byte and its operand: [`HISTORY_ID`] and a `u32`
+    /// query id, which must lie inside the interner decoded from the same
+    /// image, or [`HISTORY_BOXED`] and a wire-encoded query (the
+    /// over-budget shape that never got an id), which must fit the catalog.
+    pub(crate) fn decode_state(payload: &[u8], config: ServiceConfig) -> Result<Self, CodecError> {
         let mut cursor = Cursor::new(payload);
         let views = SecurityViews::decode_from(&mut cursor)?;
+        let at = cursor.pos();
         let interner = QueryInterner::decode_from(&mut cursor)?;
+        // History ids — and interned admissions — label straight out of the
+        // arena, so its queries must fit the catalog like any decoded query.
+        for index in 0..interner.len() {
+            let query = interner.resolve(QueryId(index as u32));
+            if (0..query.num_atoms()).any(|a| query.relation(a).index() >= views.catalog().len()) {
+                return Err(CodecError::invalid(
+                    at,
+                    format!("interned query {index} references a relation outside the catalog"),
+                ));
+            }
+        }
         let mut store = ShardedPolicyStore::decode_from(&mut cursor)?;
         let at = cursor.pos();
-        let num_principals = cursor.count(1)?;
+        let num_principals = cursor.count(8)?;
         if num_principals != store.len() {
             return Err(CodecError::invalid(
                 at,
@@ -1298,15 +1406,39 @@ impl DisclosureService {
         }
         let mut history = Vec::with_capacity(num_principals);
         for _ in 0..num_principals {
-            let entries = cursor.count(1)?;
-            let mut log = VecDeque::with_capacity(entries);
+            let entries = cursor.count(5)?;
+            let mut ring = VecDeque::with_capacity(entries);
             for _ in 0..entries {
                 let at = cursor.pos();
-                let query = fdc_cq::wire::decode_query(&mut cursor)?;
-                durable::validate_query(views.catalog(), &query, at)?;
-                log.push_back(query);
+                ring.push_back(match cursor.u8()? {
+                    HISTORY_ID => {
+                        let id = QueryId(cursor.u32()?);
+                        if !interner.contains(id) {
+                            return Err(CodecError::invalid(
+                                at,
+                                format!(
+                                    "history query id {} outside the {}-query interner",
+                                    id.0,
+                                    interner.len()
+                                ),
+                            ));
+                        }
+                        OwnedQuery::Interned(id)
+                    }
+                    HISTORY_BOXED => {
+                        let query = fdc_cq::wire::decode_query(&mut cursor)?;
+                        durable::validate_query(views.catalog(), &query, at)?;
+                        OwnedQuery::Plain(Box::new(query))
+                    }
+                    tag => {
+                        return Err(CodecError::invalid(
+                            at,
+                            format!("unknown history entry tag {tag}"),
+                        ))
+                    }
+                });
             }
-            history.push(log);
+            history.push(ring);
         }
         cursor.expect_end()?;
         // The packed-budget invariant `new` asserts, as a decode error.
@@ -1388,34 +1520,16 @@ impl DisclosureService {
     }
 
     /// [`apply`](Self::apply) without the WAL hook: admissions route to
-    /// their unlogged twins, everything else to the unified
+    /// [`admit`](Self::admit), everything else to the unified
     /// [`apply_mutation`](Self::apply_mutation).  The batch executors
     /// call this after pre-logging the whole batch.
     fn apply_unlogged(&mut self, op: &Operation) -> Response {
-        match op {
-            Operation::Submit { principal, query } => {
-                match self.submit_unlogged(*principal, query) {
-                    Ok(decision) => Response::Decision(decision),
-                    Err(err) => Response::Rejected(err),
-                }
-            }
-            Operation::Check { principal, query } => match self.check(*principal, query) {
+        match admission(op) {
+            Some((principal, query, commit)) => match self.admit(principal, query, commit) {
                 Ok(decision) => Response::Decision(decision),
                 Err(err) => Response::Rejected(err),
             },
-            Operation::SubmitInterned { principal, query } => {
-                match self.submit_interned_unlogged(*principal, *query) {
-                    Ok(decision) => Response::Decision(decision),
-                    Err(err) => Response::Rejected(err),
-                }
-            }
-            Operation::CheckInterned { principal, query } => {
-                match self.check_interned(*principal, *query) {
-                    Ok(decision) => Response::Decision(decision),
-                    Err(err) => Response::Rejected(err),
-                }
-            }
-            _ => self.apply_mutation(op, None),
+            None => self.apply_mutation(op, None),
         }
     }
 
@@ -1445,7 +1559,10 @@ impl DisclosureService {
                     Err(err) => Response::Rejected(err),
                 }
             }
-            Operation::AuditApp { principal } => self.apply_audit(*principal, serving),
+            Operation::AuditApp { principal } => match self.audit(*principal, serving) {
+                Ok(report) => Response::Audit(report),
+                Err(err) => Response::Rejected(err),
+            },
             _ => unreachable!("apply_mutation requires a non-admission operation"),
         }
     }
@@ -1466,23 +1583,17 @@ impl DisclosureService {
         let durable_prefix = self.log_operations(ops);
         let coverage = self.batch_coverage(ops, durable_prefix);
         let mut responses: Vec<Option<Response>> = vec![None; ops.len()];
-        // (op index, principal, query, commit) of the pending admission run.
-        let mut run: Vec<(usize, PrincipalId, AdmissionQuery<'_>, bool)> = Vec::new();
+        let mut run: Vec<PendingAdmission<'_>> = Vec::new();
         for (i, op) in ops.iter().enumerate() {
-            match op {
-                Operation::Submit { principal, query } => {
-                    run.push((i, *principal, AdmissionQuery::Plain(query), true));
-                }
-                Operation::Check { principal, query } => {
-                    run.push((i, *principal, AdmissionQuery::Plain(query), false));
-                }
-                Operation::SubmitInterned { principal, query } => {
-                    run.push((i, *principal, AdmissionQuery::Interned(*query), true));
-                }
-                Operation::CheckInterned { principal, query } => {
-                    run.push((i, *principal, AdmissionQuery::Interned(*query), false));
-                }
-                _ => {
+            match admission(op) {
+                Some((principal, query, commit)) => run.push(PendingAdmission {
+                    index: i,
+                    principal,
+                    query,
+                    commit,
+                    packed: Vec::new(),
+                }),
+                None => {
                     self.flush_run(&mut run, &mut responses);
                     let covered = coverage.as_ref().is_none_or(|c| c[i]);
                     responses[i] = Some(self.apply_covered(op, covered));
@@ -1496,110 +1607,67 @@ impl DisclosureService {
             .collect()
     }
 
-    /// Executes one pending admission run on the parallel path (sequentially
-    /// below [`ServiceConfig::parallel_threshold`]).
+    /// Executes one pending admission run of [`run_batch`](Self::run_batch):
+    /// front door, labeling on the parallel path (sequentially below
+    /// [`ServiceConfig::parallel_threshold`]), then the decisions.
     fn flush_run(
         &mut self,
-        run: &mut Vec<(usize, PrincipalId, AdmissionQuery<'_>, bool)>,
+        run: &mut Vec<PendingAdmission<'_>>,
         responses: &mut [Option<Response>],
     ) {
-        if run.is_empty() {
-            return;
-        }
         // Unknown principals and foreign query ids answer immediately and
-        // drop out of the batch.
-        let mut valid: Vec<(usize, PrincipalId, AdmissionQuery<'_>, bool)> =
-            Vec::with_capacity(run.len());
-        for &(i, principal, query, commit) in run.iter() {
-            let checked = self
-                .validate_principal(principal)
-                .and_then(|()| match query {
-                    AdmissionQuery::Plain(_) => Ok(()),
-                    AdmissionQuery::Interned(id) => self.validate_query_id(id),
-                });
-            match checked {
-                Ok(()) => valid.push((i, principal, query, commit)),
-                Err(err) => responses[i] = Some(Response::Rejected(err)),
-            }
-        }
-        self.stats.admissions += valid.len() as u64;
-        // Batch-level dedup on canonical identity: admissions that resolve
+        // drop out of the batch; every other operand resolves to its id.
+        run.retain_mut(
+            |admission| match self.resolve(admission.principal, admission.query) {
+                Ok(query) => {
+                    admission.query = query;
+                    true
+                }
+                Err(err) => {
+                    responses[admission.index] = Some(Response::Rejected(err));
+                    false
+                }
+            },
+        );
+        self.stats.admissions += run.len() as u64;
+        // Batch-level dedup on canonical identity: admissions that resolved
         // to the same QueryId label once, and the label fans out to every
-        // duplicate slot.  Interned admissions carry their identity; plain
-        // ones get a read-only interner lookup (an unknown shape has no
-        // cheap identity and simply is not deduped).  Duplicates are
-        // credited on the live labeler's `batch_dedup_hits` counter.
-        let mut slot_of: Vec<usize> = Vec::with_capacity(valid.len());
+        // duplicate slot (an operand without an id is not deduped).
+        // Duplicates are credited on the live labeler's `batch_dedup_hits`
+        // counter.
+        let mut slot_of: Vec<usize> = Vec::with_capacity(run.len());
         let mut first_slot: HashMap<QueryId, usize> = HashMap::new();
-        let mut unique: Vec<AdmissionQuery<'_>> = Vec::with_capacity(valid.len());
-        for &(_, _, query, _) in valid.iter() {
-            let identity = match query {
-                AdmissionQuery::Interned(id) => Some(id),
-                AdmissionQuery::Plain(q) => self.labeler.batch_identity(q),
+        let mut unique: Vec<AdmissionQuery<'_>> = Vec::with_capacity(run.len());
+        for admission in run.iter() {
+            let fresh = unique.len();
+            let slot = match admission.query {
+                AdmissionQuery::Interned(id) => *first_slot.entry(id).or_insert(fresh),
+                AdmissionQuery::Plain(_) => fresh,
             };
-            match identity.and_then(|id| first_slot.get(&id).copied()) {
-                Some(slot) => {
-                    slot_of.push(slot);
-                    self.labeler.note_batch_dedup_hit();
-                }
-                None => {
-                    let slot = unique.len();
-                    if let Some(id) = identity {
-                        first_slot.insert(id, slot);
-                    }
-                    slot_of.push(slot);
-                    unique.push(query);
-                }
+            if slot == fresh {
+                unique.push(admission.query);
+            } else {
+                self.labeler.note_batch_dedup_hit();
             }
+            slot_of.push(slot);
         }
-        // Stage 1: label every *distinct* query through the shared cache —
-        // interned admissions index the slot cache directly, plain ones
-        // intern on first sight.  Runs at or above the parallel threshold
-        // (counted after dedup, which is the labeling work actually left)
-        // hand off to the persistent worker pool against a per-run labeler
-        // snapshot (no run contains a mutation, so the snapshot is the
-        // live labeler at every position of the run); shorter runs label
-        // inline.
+        // Label every *distinct* operand through the shared cache.  Runs at
+        // or above the parallel threshold (counted after dedup, which is
+        // the labeling work actually left) hand off to the persistent
+        // worker pool against a per-run labeler snapshot (no run contains a
+        // mutation, so the snapshot is the live labeler at every position
+        // of the run); shorter runs label inline.
         let pooled =
             self.config.workers > 1 && unique.len() >= self.config.parallel_threshold.max(2);
         let unique_packed: Vec<Vec<PackedLabel>> = if pooled {
-            let staged: Vec<StagedQuery> = unique
-                .iter()
-                .map(|&query| StagedQuery::from_admission(query))
-                .collect();
-            self.pooled_label_run(staged)
+            self.pooled_label_run(unique.iter().map(|query| query.into_owned()).collect())
         } else {
-            unique
-                .iter()
-                .map(|&query| match query {
-                    AdmissionQuery::Plain(q) => self.labeler.label_packed(q),
-                    AdmissionQuery::Interned(id) => self.labeler.label_packed_interned(id),
-                })
-                .collect()
+            unique.iter().map(|&query| self.label_live(query)).collect()
         };
-        let packed: Vec<Vec<PackedLabel>> = slot_of
-            .iter()
-            .map(|&slot| unique_packed[slot].clone())
-            .collect();
-        // Stage 2: decide the mixed submit/check batch, sharded by
-        // principal on the same pool.
-        let batch: Vec<(PrincipalId, &[PackedLabel], bool)> = valid
-            .iter()
-            .zip(&packed)
-            .map(|(&(_, principal, _, commit), label)| (principal, label.as_slice(), commit))
-            .collect();
-        let pool = Arc::clone(self.worker_pool());
-        let decisions = self.store.decide_batch_on(&pool, &batch);
-        for (&(i, principal, query, commit), decision) in valid.iter().zip(decisions) {
-            if commit {
-                match query {
-                    AdmissionQuery::Plain(q) => self.record(principal, q),
-                    AdmissionQuery::Interned(id) => self.record_interned(principal, id),
-                }
-            }
-            responses[i] = Some(Response::Decision(decision));
+        for (admission, &slot) in run.iter_mut().zip(&slot_of) {
+            admission.packed = unique_packed[slot].clone();
         }
-        run.clear();
+        self.flush_decisions(run, responses);
     }
 
     /// Labels one admission run on the worker pool: freeze a labeler
@@ -1608,7 +1676,7 @@ impl DisclosureService {
     /// fresh epoch, and drain the snapshot's cache work back into the
     /// live labeler once the batch completes — at which point every task
     /// of the epoch has unpinned, so the reclamation is immediate.
-    fn pooled_label_run(&mut self, staged: Vec<StagedQuery>) -> Vec<Vec<PackedLabel>> {
+    fn pooled_label_run(&mut self, staged: Vec<OwnedQuery>) -> Vec<Vec<PackedLabel>> {
         let pool = Arc::clone(self.worker_pool());
         // One private overlay lane per pool worker (plus the coordinator's
         // lane 0): workers write their cache work contention-free and the
@@ -1627,8 +1695,8 @@ impl DisclosureService {
             chunk
                 .into_iter()
                 .map(|query| match query {
-                    StagedQuery::Plain(q) => shared.label_packed_in(lane, &q),
-                    StagedQuery::Interned(id) => shared.label_packed_interned_in(lane, id),
+                    OwnedQuery::Plain(q) => shared.label_packed_in(lane, &q),
+                    OwnedQuery::Interned(id) => shared.label_packed_interned_in(lane, id),
                 })
                 .collect::<Vec<_>>()
         });
@@ -1706,10 +1774,12 @@ impl DisclosureService {
     /// supported workflow — validates exactly as under sequential
     /// [`apply`](Self::apply).  The one under-specified corner is an
     /// interned op referencing an id that is first *minted by a plain
-    /// admission inside the same batch*: sequential processing judges it at
-    /// its stream position, `run_batch` rejects it if the mint happens in
-    /// the same admission run, and the threaded pipeline may resolve it
-    /// either way depending on worker-chunk timing.  No supported producer
+    /// admission inside the same batch*: sequential processing and
+    /// `run_batch` (whose front door resolves a run's operands in stream
+    /// order) judge it at its stream position, and the threaded pipeline
+    /// may resolve it either way depending on worker-chunk timing (a
+    /// durable service never logs it: the batch is logged before any of it
+    /// runs).  No supported producer
     /// emits such streams (generators intern through the service before
     /// constructing operations).
     pub fn run_pipelined(&mut self, ops: &[Operation]) -> Vec<Response> {
@@ -1907,59 +1977,15 @@ impl DisclosureService {
         segments
     }
 
-    /// Validates and labels one admission through the **live** labeler —
-    /// the fused labeling step of the degenerate single-worker pipeline.
-    /// Equivalent to [`label_segment`] against a snapshot taken at the
-    /// segment's start: nothing mutates the registry inside a segment, so
-    /// the live registry is the segment's registry at every position.
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-admission operations.
-    #[allow(clippy::type_complexity)]
-    fn label_admission_live<'a>(
-        &self,
-        op: &'a Operation,
-    ) -> (
-        PrincipalId,
-        AdmissionQuery<'a>,
-        bool,
-        Result<Vec<PackedLabel>, ServiceError>,
-    ) {
-        let (principal, query, commit) = match op {
-            Operation::Submit { principal, query } => {
-                (*principal, AdmissionQuery::Plain(query), true)
-            }
-            Operation::Check { principal, query } => {
-                (*principal, AdmissionQuery::Plain(query), false)
-            }
-            Operation::SubmitInterned { principal, query } => {
-                (*principal, AdmissionQuery::Interned(*query), true)
-            }
-            Operation::CheckInterned { principal, query } => {
-                (*principal, AdmissionQuery::Interned(*query), false)
-            }
-            _ => unreachable!("label_admission_live requires an admission operation"),
-        };
-        let outcome = self
-            .validate_principal(principal)
-            .and_then(|()| match query {
-                AdmissionQuery::Plain(q) => Ok(self.labeler.label_packed(q)),
-                AdmissionQuery::Interned(id) => {
-                    self.validate_query_id(id)?;
-                    Ok(self.labeler.label_packed_interned(id))
-                }
-            });
-        (principal, query, commit, outcome)
-    }
-
     /// Walks one segment's ops in stream order on the calling thread:
     /// consecutive labeled admissions accumulate into decision runs that
     /// fan out per policy shard, and in-segment policy mutations / audits
     /// apply at their position against the serving snapshot's frozen
     /// registry.  On the degenerate single-worker path both options are
-    /// `None`: the live registry *is* the segment's registry, and each
-    /// admission labels right here instead of from a staged worker result.
+    /// `None`: the live registry *is* the segment's registry (nothing
+    /// mutates it inside a segment), and each admission goes through the
+    /// front door and the live labeler right here instead of arriving
+    /// resolved and labeled from a pool worker.
     /// `coverage` (absolute-indexed, from
     /// [`batch_coverage`](Self::batch_coverage)) refuses in-segment
     /// mutations whose WAL records are not durable.
@@ -1973,86 +1999,61 @@ impl DisclosureService {
         responses: &mut [Option<Response>],
     ) {
         let mut labeled = labels.map(Vec::into_iter);
-        // (op index, principal, query, commit, packed label) of the pending
-        // decision run.
-        let mut run: Vec<(
-            usize,
-            PrincipalId,
-            AdmissionQuery<'_>,
-            bool,
-            Vec<PackedLabel>,
-        )> = Vec::with_capacity(range.len());
+        let mut run: Vec<PendingAdmission<'_>> = Vec::with_capacity(range.len());
         for i in range {
             let op = &ops[i];
-            match op {
-                Operation::Submit { .. }
-                | Operation::Check { .. }
-                | Operation::SubmitInterned { .. }
-                | Operation::CheckInterned { .. } => {
-                    let (principal, query, commit, outcome) = match labeled.as_mut() {
-                        Some(staged) => {
-                            let admission = staged.next().expect("one labeled entry per admission");
-                            debug_assert_eq!(admission.index, i, "labels arrive in stream order");
-                            (
-                                admission.principal,
-                                admission_query(op),
-                                admission.commit,
-                                admission.outcome,
-                            )
-                        }
-                        None => self.label_admission_live(op),
-                    };
-                    match outcome {
-                        Ok(packed) => {
-                            self.stats.admissions += 1;
-                            run.push((i, principal, query, commit, packed));
-                        }
-                        Err(err) => responses[i] = Some(Response::Rejected(err)),
+            if let Some((principal, query, commit)) = admission(op) {
+                let outcome = match labeled.as_mut() {
+                    Some(staged) => {
+                        let worker = staged.next().expect("one labeled entry per admission");
+                        debug_assert_eq!(worker.index, i, "labels arrive in stream order");
+                        worker.outcome.map(|(id, packed)| {
+                            (id.map_or(query, AdmissionQuery::Interned), packed)
+                        })
                     }
+                    None => self
+                        .resolve(principal, query)
+                        .map(|query| (query, self.label_live(query))),
+                };
+                match outcome {
+                    Ok((query, packed)) => {
+                        self.stats.admissions += 1;
+                        run.push(PendingAdmission {
+                            index: i,
+                            principal,
+                            query,
+                            commit,
+                            packed,
+                        });
+                    }
+                    Err(err) => responses[i] = Some(Response::Rejected(err)),
                 }
-                Operation::GrantView { principal, .. }
-                | Operation::RevokeView { principal, .. }
-                | Operation::AuditApp { principal } => {
-                    self.flush_decisions_for(*principal, &mut run, responses);
-                    let covered = coverage.is_none_or(|c| c[i]);
-                    responses[i] = Some(if op.is_mutation() && !covered {
-                        Response::Rejected(ServiceError::DurabilityUnavailable)
-                    } else {
-                        self.apply_mutation(op, serving)
-                    });
-                }
-                Operation::AddSecurityView { .. } => {
-                    unreachable!(
-                        "AddSecurityView ops are segment boundaries, never segment members"
-                    )
-                }
+                continue;
             }
+            let (Operation::GrantView { principal, .. }
+            | Operation::RevokeView { principal, .. }
+            | Operation::AuditApp { principal }) = op
+            else {
+                unreachable!("AddSecurityView ops are segment boundaries, never segment members")
+            };
+            // A grant, revoke or audit touches exactly one principal's
+            // state, and policy decisions read exactly their own
+            // principal's state, so pending decisions for *other*
+            // principals commute with it — the run keeps accumulating
+            // across it, which is what lets the pipelined pass decide a
+            // whole segment in (usually) one fan-out where `run_batch`
+            // splits at every mutation.
+            if run.iter().any(|pending| pending.principal == *principal) {
+                self.flush_decisions(&mut run, responses);
+            }
+            let covered = coverage.is_none_or(|c| c[i]);
+            responses[i] = Some(if op.is_mutation() && !covered {
+                Response::Rejected(ServiceError::DurabilityUnavailable)
+            } else {
+                self.apply_mutation(op, serving)
+            });
         }
         self.flush_decisions(&mut run, responses);
-    }
-
-    /// Flushes the pending decision run only if `principal` has a decision
-    /// in it.  A grant, revoke or audit touches exactly one principal's
-    /// state, and policy decisions read exactly their own principal's
-    /// state, so pending decisions for *other* principals commute with the
-    /// mutation — the run keeps accumulating across it, which is what lets
-    /// the pipelined pass decide a whole segment in (usually) one fan-out
-    /// where `run_batch` splits at every mutation.
-    fn flush_decisions_for(
-        &mut self,
-        principal: PrincipalId,
-        run: &mut Vec<(
-            usize,
-            PrincipalId,
-            AdmissionQuery<'_>,
-            bool,
-            Vec<PackedLabel>,
-        )>,
-        responses: &mut [Option<Response>],
-    ) {
-        if run.iter().any(|&(_, p, _, _, _)| p == principal) {
-            self.flush_decisions(run, responses);
-        }
     }
 
     /// Decides one pending run of labeled admissions (shard requests
@@ -2060,50 +2061,32 @@ impl DisclosureService {
     /// recording committed submissions into the observed workload.
     fn flush_decisions(
         &mut self,
-        run: &mut Vec<(
-            usize,
-            PrincipalId,
-            AdmissionQuery<'_>,
-            bool,
-            Vec<PackedLabel>,
-        )>,
+        run: &mut Vec<PendingAdmission<'_>>,
         responses: &mut [Option<Response>],
     ) {
         if run.is_empty() {
             return;
         }
-        if self.store.num_shards() == 1 {
+        let decisions = if self.store.num_shards() == 1 {
             // Single-shard fast path: decide in place, no intermediate
-            // batch / decision vectors, no worker fan-out to skip.
-            for &(i, principal, query, commit, ref packed) in run.iter() {
-                let decision = self.store.decide_packed(principal, packed, commit);
-                if commit {
-                    match query {
-                        AdmissionQuery::Plain(q) => self.record(principal, q),
-                        AdmissionQuery::Interned(id) => self.record_interned(principal, id),
-                    }
-                }
-                responses[i] = Some(Response::Decision(decision));
+            // batch vector, no worker fan-out to skip.
+            run.iter()
+                .map(|a| self.store.decide_packed(a.principal, &a.packed, a.commit))
+                .collect()
+        } else {
+            let batch: Vec<(PrincipalId, &[PackedLabel], bool)> = run
+                .iter()
+                .map(|a| (a.principal, a.packed.as_slice(), a.commit))
+                .collect();
+            let pool = Arc::clone(self.worker_pool());
+            self.store.decide_batch_on(&pool, &batch)
+        };
+        for (admission, decision) in run.drain(..).zip(decisions) {
+            if admission.commit {
+                self.record(admission.principal, admission.query);
             }
-            run.clear();
-            return;
+            responses[admission.index] = Some(Response::Decision(decision));
         }
-        let batch: Vec<(PrincipalId, &[PackedLabel], bool)> = run
-            .iter()
-            .map(|&(_, principal, _, commit, ref packed)| (principal, packed.as_slice(), commit))
-            .collect();
-        let pool = Arc::clone(self.worker_pool());
-        let decisions = self.store.decide_batch_on(&pool, &batch);
-        for (&(i, principal, query, commit, _), decision) in run.iter().zip(decisions) {
-            if commit {
-                match query {
-                    AdmissionQuery::Plain(q) => self.record(principal, q),
-                    AdmissionQuery::Interned(id) => self.record_interned(principal, id),
-                }
-            }
-            responses[i] = Some(Response::Decision(decision));
-        }
-        run.clear();
     }
 
     /// Applies an in-segment grant or revoke, resolving the view name
@@ -2136,34 +2119,24 @@ impl DisclosureService {
         self.after_mutation();
         Response::PolicyUpdated
     }
+}
 
-    /// Applies an in-segment audit, relabeling the observed workload
-    /// through the serving snapshot (the registry state at the op's stream
-    /// position); the degenerate single-worker path (`None`) audits through
-    /// the live labeler, which is at the same registry state.
-    fn apply_audit(
-        &mut self,
-        principal: PrincipalId,
-        serving: Option<&ServiceSnapshot>,
-    ) -> Response {
-        let Some(snapshot) = serving else {
-            return match self.audit_app(principal) {
-                Ok(report) => Response::Audit(report),
-                Err(err) => Response::Rejected(err),
-            };
-        };
-        if let Err(err) = self.validate_principal(principal) {
-            return Response::Rejected(err);
-        }
-        if !self.history_enabled() {
-            return Response::Rejected(ServiceError::AuditingDisabled);
-        }
-        self.stats.audits += 1;
-        let requested = requested_views(self.store.policy(principal), snapshot.security_views());
-        let workload: Vec<ConjunctiveQuery> =
-            self.history[principal.index()].iter().cloned().collect();
-        Response::Audit(audit_app(snapshot.labeler(), requested, &workload))
-    }
+/// Audits one principal's ring through `labeler`: ids label through
+/// `by_id` — the labeler's `label_interned`, an inherent method of the live
+/// labeler and of its snapshots rather than part of [`QueryLabeler`] — and
+/// the rare boxed entry through `label_query`.
+fn audit_ring<L: QueryLabeler>(
+    labeler: &L,
+    by_id: impl Fn(QueryId) -> DisclosureLabel,
+    policy: &SecurityPolicy,
+    ring: &VecDeque<OwnedQuery>,
+) -> AuditReport {
+    let registry = labeler.security_views();
+    let labels = ring.iter().map(|entry| match entry {
+        OwnedQuery::Interned(id) => by_id(*id),
+        OwnedQuery::Plain(query) => labeler.label_query(query),
+    });
+    audit_labels(registry, requested_views(policy, registry), labels)
 }
 
 /// One segment of a pipelined batch: a run of non-boundary ops plus the
@@ -2178,101 +2151,46 @@ struct Segment {
 /// wide-query chunks sheds the tail to idle siblings through stealing.
 const CHUNKS_PER_WORKER: usize = 4;
 
-/// The owned query operand of a staged admission — cloned out of the
-/// request stream so the worker pool's `'static` tasks can carry it
-/// (interned admissions, the hot serving path, stage as 8-byte copies).
-#[derive(Clone)]
-enum StagedQuery {
-    Plain(ConjunctiveQuery),
-    Interned(QueryId),
-}
-
-impl StagedQuery {
-    /// Clones the borrowed request-loop operand into its owned form.
-    fn from_admission(query: AdmissionQuery<'_>) -> Self {
-        match query {
-            AdmissionQuery::Plain(q) => StagedQuery::Plain(q.clone()),
-            AdmissionQuery::Interned(id) => StagedQuery::Interned(id),
-        }
-    }
-}
-
 /// One admission cloned out of a segment for the pool hand-off.
-#[derive(Clone)]
 struct StagedAdmission {
     /// Absolute index of the admission in the batch.
     index: usize,
     principal: PrincipalId,
-    /// True for `Submit` / `SubmitInterned` (the decision commits).
-    commit: bool,
-    query: StagedQuery,
+    query: OwnedQuery,
 }
 
-/// One admission of a segment, labeled by the worker fan-out: the packed
-/// label on success, the validation error otherwise.
+/// One admission of a segment as a pool worker hands it back: the id its
+/// operand resolved to (`None` for the over-budget shape that has none)
+/// and the packed label on success, the validation error otherwise.
 struct LabeledAdmission {
     /// Absolute index of the admission in the batch.
     index: usize,
-    principal: PrincipalId,
-    /// True for `Submit` / `SubmitInterned` (the decision commits).
-    commit: bool,
-    outcome: Result<Vec<PackedLabel>, ServiceError>,
-}
-
-/// The admission operand of an admission operation.
-///
-/// # Panics
-///
-/// Panics on non-admission operations.
-fn admission_query(op: &Operation) -> AdmissionQuery<'_> {
-    match op {
-        Operation::Submit { query, .. } | Operation::Check { query, .. } => {
-            AdmissionQuery::Plain(query)
-        }
-        Operation::SubmitInterned { query, .. } | Operation::CheckInterned { query, .. } => {
-            AdmissionQuery::Interned(*query)
-        }
-        _ => unreachable!("admission_query requires an admission operation"),
-    }
+    outcome: Result<(Option<QueryId>, Vec<PackedLabel>), ServiceError>,
 }
 
 /// Clones every admission of one segment out of the op stream into owned
 /// [`StagedAdmission`]s, in stream order — the hand-off unit the worker
 /// pool's `'static` tasks can carry.  On the hot serving path admissions
-/// arrive interned, so the clone is an 8-byte id copy.
+/// arrive interned, so the clone is a four-byte id copy.
 fn stage_admissions(ops: &[Operation], base: usize) -> Vec<StagedAdmission> {
     ops.iter()
         .enumerate()
         .filter_map(|(i, op)| {
-            let (principal, query, commit) = match op {
-                Operation::Submit { principal, query } => {
-                    (*principal, StagedQuery::Plain(query.clone()), true)
-                }
-                Operation::Check { principal, query } => {
-                    (*principal, StagedQuery::Plain(query.clone()), false)
-                }
-                Operation::SubmitInterned { principal, query } => {
-                    (*principal, StagedQuery::Interned(*query), true)
-                }
-                Operation::CheckInterned { principal, query } => {
-                    (*principal, StagedQuery::Interned(*query), false)
-                }
-                _ => return None,
-            };
+            let (principal, query, _) = admission(op)?;
             Some(StagedAdmission {
                 index: base + i,
                 principal,
-                commit,
-                query,
+                query: query.into_owned(),
             })
         })
         .collect()
 }
 
-/// Labels one staged admission against a frozen snapshot, writing cache
-/// work into the caller's private overlay `lane`.  Validation — unknown
-/// principals, foreign interned ids — happens here too, at the op's
-/// stream position.
+/// The front door on a pool worker: validates one staged admission at its
+/// stream position — unknown principals, foreign interned ids — resolves
+/// its operand against the frozen snapshot (sharing the live labeler's
+/// arena budget) and labels it by id, writing cache work into the caller's
+/// private overlay `lane`.
 fn label_staged(
     snapshot: &ServiceSnapshot,
     lane: usize,
@@ -2282,26 +2200,22 @@ fn label_staged(
     let StagedAdmission {
         index,
         principal,
-        commit,
         query,
     } = admission;
+    let by_id = |id| (Some(id), snapshot.label_packed_interned_in(lane, id));
     let outcome = if principal.index() >= num_principals {
         Err(ServiceError::UnknownPrincipal(principal))
     } else {
         match query {
-            StagedQuery::Plain(q) => Ok(snapshot.label_packed_in(lane, &q)),
-            StagedQuery::Interned(id) if snapshot.contains(id) => {
-                Ok(snapshot.label_packed_interned_in(lane, id))
-            }
-            StagedQuery::Interned(id) => Err(ServiceError::UnknownQuery(id)),
+            OwnedQuery::Plain(q) => Ok(match snapshot.labeler().intern_within_budget(&q) {
+                Some(id) => by_id(id),
+                None => (None, snapshot.label_packed_in(lane, &q)),
+            }),
+            OwnedQuery::Interned(id) if snapshot.contains(id) => Ok(by_id(id)),
+            OwnedQuery::Interned(id) => Err(ServiceError::UnknownQuery(id)),
         }
     };
-    LabeledAdmission {
-        index,
-        principal,
-        commit,
-        outcome,
-    }
+    LabeledAdmission { index, outcome }
 }
 
 /// Splits an owned vector into chunks of (at most) `chunk_len` without
@@ -2423,7 +2337,7 @@ pub struct PendingCheckpoint {
     /// are fixed eagerly instead of racing concurrent interning.
     interner: Vec<u8>,
     store: ShardedPolicyStore,
-    history: Vec<VecDeque<ConjunctiveQuery>>,
+    history: Vec<VecDeque<OwnedQuery>>,
 }
 
 impl PendingCheckpoint {
@@ -2448,25 +2362,44 @@ impl PendingCheckpoint {
     }
 }
 
+/// History entry tag of the checkpoint image: an interned query id (`u32`).
+const HISTORY_ID: u8 = 0;
+/// History entry tag of the checkpoint image: a wire-encoded boxed query.
+const HISTORY_BOXED: u8 = 1;
+
 /// Serializes one frozen service state — the checkpoint payload, the
 /// inverse of `DisclosureService::decode_state`.  Free function so the
 /// off-lock [`PendingCheckpoint::encode`] and any future callers produce
 /// byte-identical images.
+///
+/// Layout: registry, interner, policy store, then the audit history — a
+/// principal count, and per principal an entry count and the ring oldest
+/// first, each entry [`HISTORY_ID`] + `u32` id into the interner section
+/// or [`HISTORY_BOXED`] + query.
 fn encode_state_parts(
     views: &SecurityViews,
     interner_bytes: &[u8],
     store: &ShardedPolicyStore,
-    history: &[VecDeque<ConjunctiveQuery>],
+    history: &[VecDeque<OwnedQuery>],
     out: &mut Vec<u8>,
 ) {
     views.encode_into(out);
     out.extend_from_slice(interner_bytes);
     store.encode_into(out);
     put_len(out, history.len());
-    for log in history {
-        put_len(out, log.len());
-        for query in log {
-            fdc_cq::wire::encode_query(query, out);
+    for ring in history {
+        put_len(out, ring.len());
+        for entry in ring {
+            match entry {
+                OwnedQuery::Interned(id) => {
+                    put_u8(out, HISTORY_ID);
+                    put_u32(out, id.0);
+                }
+                OwnedQuery::Plain(query) => {
+                    put_u8(out, HISTORY_BOXED);
+                    fdc_cq::wire::encode_query(query, out);
+                }
+            }
         }
     }
 }
