@@ -423,13 +423,15 @@ fn intern_within_budget(
         None if budget.load(Ordering::Relaxed) >= capacity => None,
         None => {
             drop(guard);
-            budget.fetch_add(1, Ordering::Relaxed);
-            Some(
-                interner
-                    .write()
-                    .unwrap_or_else(|e| e.into_inner())
-                    .intern(query),
-            )
+            let mut guard = interner.write().unwrap_or_else(|e| e.into_inner());
+            let before = guard.len();
+            let id = guard.intern(query);
+            // Another thread may have interned the shape between the two
+            // locks; only the one that grew the arena is charged.
+            if guard.len() > before {
+                budget.fetch_add(1, Ordering::Relaxed);
+            }
+            Some(id)
         }
     }
 }

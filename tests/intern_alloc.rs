@@ -1,0 +1,175 @@
+//! Pinned: recognising a known query allocates nothing.
+//!
+//! The front door asks the interner "have I seen this query?" once per
+//! admission, so the hit path of `QueryInterner::lookup` / `intern` hashes
+//! and compares the operand in place.  This binary installs a counting
+//! global allocator (which is why it is a test binary of its own) and
+//! asserts the count around each call:
+//!
+//! * **0** allocations for a known shape whose variables fit the on-stack
+//!   numbering (64 slots) — a 1-atom query, a 2-atom `User` join with string
+//!   and integer constants, and a query with exactly 64 variables;
+//! * **at most 1** for a known shape one variable past that capacity (the
+//!   heap fallback of the numbering).
+//!
+//! Counts are per thread, so the harness running tests in parallel does not
+//! disturb them.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::hint::black_box;
+
+use fdc::cq::intern::QueryInterner;
+use fdc::cq::{Atom, ConjunctiveQuery, Term};
+use fdc::ecosystem::facebook_catalog;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAllocator;
+
+fn count_one() {
+    // `try_with`: the allocator also runs while a thread's locals are torn
+    // down, when the counter is gone and nobody reads it anyway.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the only addition is a thread-local
+// counter bump that neither allocates nor unwinds.
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller's obligations are passed through as given.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: as above.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        // SAFETY: as above.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: as above.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// Allocations this thread performs while running `f`.
+fn allocations(f: impl FnOnce()) -> u64 {
+    let before = ALLOCATIONS.with(Cell::get);
+    f();
+    ALLOCATIONS.with(Cell::get) - before
+}
+
+/// `User(u, x1, …, x33), User(u, y1, …, y_fresh, 'c', 7, 'c', 7, …)`: a
+/// self-join on `uid` whose second atom has `fresh` variables of its own and
+/// constants in its remaining columns — `34 + fresh` variables in all.
+fn user_join(fresh: usize) -> ConjunctiveQuery {
+    let schema = facebook_catalog();
+    let user = schema.user();
+    let arity = schema.catalog.arity(user);
+    assert_eq!(arity, 34);
+    let first: Vec<Term> = (0..arity as u32)
+        .map(|v| {
+            if v % 2 == 0 {
+                Term::dist(v)
+            } else {
+                Term::exist(v)
+            }
+        })
+        .collect();
+    let mut second = vec![Term::dist(0)];
+    for column in 1..arity {
+        second.push(if column <= fresh {
+            Term::exist((arity + column - 1) as u32)
+        } else if column % 2 == 0 {
+            Term::constant("a constant longer than one hash word")
+        } else {
+            Term::constant(7)
+        });
+    }
+    let query = ConjunctiveQuery::from_atoms(vec![Atom::new(user, first), Atom::new(user, second)])
+        .unwrap();
+    assert_eq!(query.num_vars(), arity + fresh);
+    query
+}
+
+/// Interns `query`, then counts what recognising it again costs.
+fn hit_path_allocations(query: &ConjunctiveQuery) -> (u64, u64) {
+    let mut interner = QueryInterner::new();
+    // A few other shapes first, so the probe has neighbours to step over.
+    for fresh in [1, 2, 3] {
+        interner.intern(&user_join(fresh));
+    }
+    let id = interner.intern(query);
+    let shapes = interner.len();
+    let lookup = allocations(|| {
+        assert_eq!(black_box(interner.lookup(black_box(query))), Some(id));
+    });
+    let intern = allocations(|| {
+        assert_eq!(black_box(interner.intern(black_box(query))), id);
+    });
+    assert_eq!(interner.len(), shapes);
+    (lookup, intern)
+}
+
+#[test]
+fn the_counter_counts() {
+    assert_eq!(allocations(|| drop(black_box(Box::new(1u64)))), 1);
+    assert!(allocations(|| drop(black_box(vec![1u32; 100]))) >= 1);
+    assert_eq!(allocations(|| ()), 0);
+}
+
+#[test]
+fn a_known_single_atom_query_is_recognised_without_allocating() {
+    let user = facebook_catalog().user();
+    let terms = (0..34u32)
+        .map(|v| match v {
+            0 => Term::dist(0),
+            5 => Term::constant("Cathy"),
+            9 => Term::constant(1984),
+            _ => Term::exist(if v < 5 {
+                v
+            } else if v < 9 {
+                v - 1
+            } else {
+                v - 2
+            }),
+        })
+        .collect();
+    let query = ConjunctiveQuery::from_atoms(vec![Atom::new(user, terms)]).unwrap();
+    assert_eq!(hit_path_allocations(&query), (0, 0));
+}
+
+#[test]
+fn a_known_user_join_is_recognised_without_allocating() {
+    assert_eq!(hit_path_allocations(&user_join(10)), (0, 0));
+}
+
+#[test]
+fn a_query_at_the_inline_numbering_capacity_is_recognised_without_allocating() {
+    let query = user_join(30);
+    assert_eq!(query.num_vars(), 64);
+    assert_eq!(hit_path_allocations(&query), (0, 0));
+}
+
+#[test]
+fn one_variable_past_the_capacity_costs_at_most_the_fallback_allocation() {
+    let query = user_join(31);
+    assert_eq!(query.num_vars(), 65);
+    let (lookup, intern) = hit_path_allocations(&query);
+    assert!(lookup <= 1, "lookup allocated {lookup} times");
+    assert!(intern <= 1, "intern allocated {intern} times");
+}

@@ -21,7 +21,8 @@ use fdc::cq::canonical::{rename_canonical, structurally_identical};
 use fdc::cq::containment::equivalent;
 use fdc::cq::intern::QueryInterner;
 use fdc::cq::parser::parse_query;
-use fdc::cq::{Catalog, ConjunctiveQuery};
+use fdc::cq::{Atom, Catalog, ConjunctiveQuery, Constant, RelId, Term, VarId, VarKind};
+use fdc::durability::codec::Cursor;
 use fdc::ecosystem::{Ecosystem, WorkloadConfig};
 use proptest::prelude::*;
 
@@ -232,4 +233,316 @@ proptest! {
             prop_assert_eq!(natural.shape_class(a), expected, "on {}", text);
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Identity under the in-place lookup: the hash/probe/compare walk must
+// discriminate exactly like `structurally_identical`, whatever the operand's
+// own variable ids, constants, tags, atom boundaries or size.
+// ---------------------------------------------------------------------
+
+/// A query shape before variable ids are chosen: terms name variables by
+/// pool index, `kinds[p]` is pool variable `p`'s tag.
+#[derive(Clone, Debug)]
+struct Shape {
+    atoms: Vec<(RelId, Vec<ShapeTerm>)>,
+    kinds: Vec<VarKind>,
+}
+
+#[derive(Clone, Debug, PartialEq)]
+enum ShapeTerm {
+    Var(usize),
+    Const(Constant),
+}
+
+fn next(state: &mut u64) -> u64 {
+    *state ^= *state >> 12;
+    *state ^= *state << 25;
+    *state ^= *state >> 27;
+    state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+}
+
+/// Renders a shape with its variables assigned `VarId`s by a seeded
+/// permutation: two renderings of one shape are alpha-variants whose ids
+/// generally disagree.
+fn render(shape: &Shape, state: &mut u64) -> ConjunctiveQuery {
+    let mut used: Vec<usize> = Vec::new();
+    for (_, terms) in &shape.atoms {
+        for term in terms {
+            if let ShapeTerm::Var(p) = term {
+                if !used.contains(p) {
+                    used.push(*p);
+                }
+            }
+        }
+    }
+    let mut ids: Vec<u32> = (0..used.len() as u32).collect();
+    for i in (1..ids.len()).rev() {
+        ids.swap(i, (next(state) % (i as u64 + 1)) as usize);
+    }
+    let atoms = shape
+        .atoms
+        .iter()
+        .map(|(relation, terms)| {
+            let terms = terms
+                .iter()
+                .map(|term| match term {
+                    ShapeTerm::Var(p) => {
+                        let position = used.iter().position(|u| u == p).unwrap();
+                        Term::Var(VarId(ids[position]), shape.kinds[*p])
+                    }
+                    ShapeTerm::Const(c) => Term::Const(c.clone()),
+                })
+                .collect();
+            Atom::new(*relation, terms)
+        })
+        .collect();
+    ConjunctiveQuery::from_atoms(atoms).unwrap()
+}
+
+const POOL_VARS: usize = 5;
+
+fn constant_pool() -> [Constant; 6] {
+    [
+        Constant::int(1),
+        Constant::str("1"),
+        Constant::int(2),
+        Constant::str(""),
+        // Longer than one 8-byte hash word, differing only in the last byte.
+        Constant::str("a shared prefix, then 1"),
+        Constant::str("a shared prefix, then 2"),
+    ]
+}
+
+fn random_shape(state: &mut u64) -> Shape {
+    let constants = constant_pool();
+    let atoms = (0..1 + next(state) % 3)
+        .map(|_| {
+            let relation = RelId((next(state) % 2) as u32);
+            let terms = (0..1 + next(state) % 4)
+                .map(|_| {
+                    if next(state).is_multiple_of(3) {
+                        let c = (next(state) % constants.len() as u64) as usize;
+                        ShapeTerm::Const(constants[c].clone())
+                    } else {
+                        ShapeTerm::Var((next(state) % POOL_VARS as u64) as usize)
+                    }
+                })
+                .collect();
+            (relation, terms)
+        })
+        .collect();
+    let kinds = (0..POOL_VARS)
+        .map(|_| {
+            if next(state).is_multiple_of(2) {
+                VarKind::Distinguished
+            } else {
+                VarKind::Existential
+            }
+        })
+        .collect();
+    Shape { atoms, kinds }
+}
+
+/// One wide atom over `vars` distinct variables (every third one
+/// distinguished) — beyond the interner's on-stack numbering when
+/// `vars > 64`.
+fn wide_shape(vars: usize) -> Shape {
+    Shape {
+        atoms: vec![(RelId(0), (0..vars).map(ShapeTerm::Var).collect())],
+        kinds: (0..vars)
+            .map(|v| {
+                if v % 3 == 0 {
+                    VarKind::Distinguished
+                } else {
+                    VarKind::Existential
+                }
+            })
+            .collect(),
+    }
+}
+
+/// The near-misses of a shape: each differs from it in exactly the one
+/// respect a sloppy hash or compare would overlook (or, when the shape has
+/// nothing of that kind to change, is the shape again — the oracle decides).
+fn near_misses(shape: &Shape) -> Vec<Shape> {
+    let mut out = Vec::new();
+    let map_constants = |f: &dyn Fn(&Constant) -> Constant| {
+        let mut variant = shape.clone();
+        for (_, terms) in &mut variant.atoms {
+            for term in terms {
+                if let ShapeTerm::Const(c) = term {
+                    *c = f(c);
+                }
+            }
+        }
+        variant
+    };
+    // `Int(1)` <-> `Str("1")`.
+    out.push(map_constants(&|c| match c {
+        Constant::Int(i) => Constant::Str(i.to_string()),
+        Constant::Str(s) => s.parse().map_or_else(|_| c.clone(), Constant::Int),
+    }));
+    // Constants differing only in the last byte.
+    out.push(map_constants(&|c| match c {
+        Constant::Str(s) if !s.is_empty() => {
+            let mut s = s.clone();
+            let last = s.pop().unwrap();
+            s.push(if last == '2' { '1' } else { '2' });
+            Constant::Str(s)
+        }
+        other => other.clone(),
+    }));
+    // Same terms, one variable's distinguished/existential tag flipped.
+    for p in [0, shape.kinds.len() - 1] {
+        let mut variant = shape.clone();
+        variant.kinds[p] = match variant.kinds[p] {
+            VarKind::Distinguished => VarKind::Existential,
+            VarKind::Existential => VarKind::Distinguished,
+        };
+        out.push(variant);
+    }
+    // Same flat term sequence under one relation, split at other arities.
+    let relation = shape.atoms[0].0;
+    let flat: Vec<ShapeTerm> = shape.atoms.iter().flat_map(|(_, t)| t.clone()).collect();
+    for cut in [0, 1, flat.len() / 2] {
+        let (head, tail) = flat.split_at(cut);
+        let atoms = [head, tail]
+            .into_iter()
+            .filter(|part| !part.is_empty())
+            .map(|part| (relation, part.to_vec()))
+            .collect();
+        out.push(Shape {
+            atoms,
+            kinds: shape.kinds.clone(),
+        });
+    }
+    // The last term replaced by a repeat of the first variable (changes the
+    // equality pattern and, for wide shapes, the variable count).
+    let mut variant = shape.clone();
+    if let Some(first) = flat.iter().find(|t| matches!(t, ShapeTerm::Var(_))) {
+        *variant.atoms.last_mut().unwrap().1.last_mut().unwrap() = first.clone();
+    }
+    out.push(variant);
+    out
+}
+
+/// The whole arena as bytes — equal images mean nothing was minted, not a
+/// query and not a constant.
+fn image(interner: &QueryInterner) -> Vec<u8> {
+    let mut bytes = Vec::new();
+    interner.encode_into(&mut bytes);
+    bytes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// Id equality ⇔ structural identity over a seeded mix of alpha-variants
+    /// and near-misses, and the ids survive a checkpoint round trip.
+    #[test]
+    fn ids_discriminate_exactly_like_structural_identity(seed in 0u64..1_000_000) {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
+        // Hand-picked shapes that have every feature the near-misses vary,
+        // the inline numbering capacity and its two neighbours, then random
+        // ones.
+        let constants = constant_pool();
+        let mut bases = vec![
+            Shape {
+                atoms: vec![
+                    (RelId(0), vec![
+                        ShapeTerm::Var(0),
+                        ShapeTerm::Const(constants[0].clone()),
+                        ShapeTerm::Var(1),
+                    ]),
+                    (RelId(1), vec![
+                        ShapeTerm::Var(1),
+                        ShapeTerm::Const(constants[4].clone()),
+                        ShapeTerm::Var(0),
+                        ShapeTerm::Var(2),
+                    ]),
+                ],
+                kinds: vec![VarKind::Distinguished, VarKind::Existential, VarKind::Existential],
+            },
+            wide_shape(63),
+            wide_shape(64),
+            wide_shape(65),
+            wide_shape(130),
+        ];
+        bases.extend((0..8).map(|_| random_shape(&mut state)));
+        let mut queries = Vec::new();
+        for base in &bases {
+            // Two renderings: alpha-variants with permuted `VarId`s.
+            queries.push(render(base, &mut state));
+            queries.push(render(base, &mut state));
+            for variant in near_misses(base) {
+                queries.push(render(&variant, &mut state));
+            }
+        }
+
+        let mut interner = QueryInterner::new();
+        let ids: Vec<_> = queries.iter().map(|q| interner.intern(q)).collect();
+        let mut equal_pairs = 0usize;
+        for (i, (qa, ia)) in queries.iter().zip(&ids).enumerate() {
+            prop_assert_eq!(interner.lookup(qa), Some(*ia));
+            for (qb, ib) in queries.iter().zip(&ids).skip(i + 1) {
+                let identical = structurally_identical(qa, qb);
+                equal_pairs += usize::from(identical);
+                prop_assert_eq!(
+                    ia == ib,
+                    identical,
+                    "id equality diverged from structural identity on {:?} vs {:?}",
+                    qa,
+                    qb
+                );
+            }
+        }
+        // The mix is not vacuous: every base has its alpha-variant, and the
+        // near-misses of the hand-picked shapes are all genuinely different.
+        prop_assert!(equal_pairs >= bases.len());
+        prop_assert!(interner.len() >= bases.len() + 8);
+
+        // Checkpoint round trip: the rebuilt index finds every query at its
+        // old id, so re-interning mints nothing.
+        let bytes = image(&interner);
+        let mut cursor = Cursor::new(&bytes);
+        let mut back = QueryInterner::decode_from(&mut cursor).unwrap();
+        cursor.expect_end().unwrap();
+        for (query, id) in queries.iter().zip(&ids) {
+            prop_assert_eq!(back.lookup(query), Some(*id));
+            prop_assert_eq!(back.intern(query), *id);
+        }
+        prop_assert_eq!(back.len(), interner.len());
+        prop_assert_eq!(image(&back), bytes);
+    }
+}
+
+/// `lookup` of something never seen — a new shape over known constants, a
+/// known shape with a new constant, a new constant that shares a long prefix
+/// with a known one — answers `None` and mints nothing: not an id, not a
+/// constant.
+#[test]
+fn lookup_of_the_unknown_leaves_no_trace() {
+    let catalog = Catalog::paper_example();
+    let q = |text: &str| parse_query(&catalog, text).unwrap();
+    let mut interner = QueryInterner::new();
+    let known = interner.intern(&q("Q(x) :- Meetings(x, 'Cathy the intern')"));
+    interner.intern(&q("Q(x) :- Meetings(x, y), Contacts(y, w, 9)"));
+    let before = image(&interner);
+    for text in [
+        "Q(x, y) :- Meetings(x, y)",
+        "Q() :- Meetings(9, 'Cathy the intern')",
+        "Q(x) :- Meetings(x, 'Jim')",
+        "Q(x) :- Meetings(x, 'Cathy the interm')",
+        "Q(x) :- Meetings(x, 10)",
+        "Q(x) :- Meetings(x, y), Contacts(y, w, '9')",
+    ] {
+        assert_eq!(interner.lookup(&q(text)), None, "{text}");
+        assert_eq!(interner.len(), 2, "{text}");
+    }
+    assert_eq!(image(&interner), before, "a lookup minted something");
+    assert_eq!(
+        interner.lookup(&q("Q(a) :- Meetings(a, 'Cathy the intern')")),
+        Some(known)
+    );
 }
