@@ -5,12 +5,17 @@
 //! pipeline (query folding is NP-hard; the implementation is a brute-force
 //! search).  This ablation separates the dissection cost from the per-atom
 //! `ℓ⁺` computation, and shows how redundancy in the input query (duplicate
-//! atoms that folding must remove) affects it.
+//! atoms that folding must remove) affects it — for the boxed reference
+//! (`dissect_only`) and for what the service runs when it first sees a shape
+//! (`interned_first_sight`: intern + GYO classification + the rigidity fold +
+//! single-pass `dissect_interned`, into an interner that has never seen the
+//! shape).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use fdc_bench::labeling_workload;
-use fdc_core::dissect::dissect;
+use fdc_core::dissect::{dissect, dissect_interned};
 use fdc_core::QueryLabeler;
+use fdc_cq::intern::QueryInterner;
 use fdc_cq::{Atom, ConjunctiveQuery};
 use std::hint::black_box;
 use std::time::Duration;
@@ -56,6 +61,19 @@ fn ablation(c: &mut Criterion) {
                 b.iter(|| {
                     for q in queries {
                         black_box(dissect(q));
+                    }
+                })
+            },
+        );
+        group.bench_with_input(
+            BenchmarkId::new("interned_first_sight", format!("{copies}x_redundant")),
+            &queries,
+            |b, queries| {
+                b.iter(|| {
+                    let mut interner = QueryInterner::new();
+                    for q in queries {
+                        let id = interner.intern(q);
+                        black_box(dissect_interned(&mut interner, id));
                     }
                 })
             },

@@ -101,82 +101,79 @@ fn single_atom_query(
 /// those of [`dissect`] on the equivalent boxed query; the property tests
 /// assert the resulting labels agree.
 pub fn dissect_interned(interner: &mut QueryInterner, id: QueryId) -> Vec<(QueryId, RelId)> {
+    let query = interner.resolve(id);
+    if query.is_single_atom() {
+        // A single-atom query is its own only part, already canonical.
+        return vec![(id, query.relation(0))];
+    }
     // The fold comes from the interner's structural side table: it is
     // computed (and memoized) on the first dissection of each shape, so
     // re-dissections replay the core instead of re-running the NP-hard
     // search.
-    let kept_indices: Vec<u32> = interner.core_atom_indices(id).to_vec();
-    // Phase 1 (read-only): assemble each part's flat terms/kinds into owned
-    // scratch buffers.
-    let parts: Vec<(RelId, Vec<ITerm>, Vec<VarKind>)> = {
-        let query = interner.resolve(id);
-        let kept: Vec<fdc_cq::intern::IAtom> = kept_indices
-            .iter()
-            .map(|&i| query.atoms[i as usize])
-            .collect();
-        let num_vars = query.num_vars();
+    let num_parts = interner.core_atom_indices(id).len();
+    let query = interner.resolve(id);
+    let num_vars = query.num_vars();
 
-        // Existential variables occurring in ≥ 2 surviving atoms become
-        // distinguished.
-        let mut promoted = vec![false; num_vars];
-        if kept.len() > 1 {
-            let mut counts = vec![0u32; num_vars];
-            let mut seen = vec![false; num_vars];
-            for atom in &kept {
-                seen.iter_mut().for_each(|s| *s = false);
-                for term in atom.terms(query.terms) {
-                    if let Some(v) = term.var_index() {
-                        if !seen[v as usize] {
-                            seen[v as usize] = true;
-                            counts[v as usize] += 1;
-                        }
-                    }
-                }
-            }
-            for v in 0..num_vars {
-                promoted[v] = query.kinds[v].is_existential() && counts[v] >= 2;
+    // `atoms_with[v]`: in how many surviving atoms `v` occurs — an
+    // existential variable occurring in ≥ 2 of them becomes distinguished.
+    // `local[v]` is `v`'s index within the part being assembled; an atom
+    // sets it for its own variables and clears exactly those when done, so
+    // neither table is ever refilled.
+    const UNSEEN: u32 = u32::MAX;
+    let mut atoms_with = vec![0u32; num_vars];
+    let mut local = vec![UNSEEN; num_vars];
+    for &i in interner.cached_core(id).expect("computed above") {
+        let terms = query.atom_terms(i as usize);
+        for v in terms.iter().filter_map(|t| t.var_index()) {
+            if local[v as usize] == UNSEEN {
+                local[v as usize] = 0;
+                atoms_with[v as usize] += 1;
             }
         }
+        for v in terms.iter().filter_map(|t| t.var_index()) {
+            local[v as usize] = UNSEEN;
+        }
+    }
 
-        kept.iter()
-            .map(|atom| {
-                const UNMAPPED: u32 = u32::MAX;
-                let mut mapping = vec![UNMAPPED; num_vars];
-                let mut kinds: Vec<VarKind> = Vec::new();
-                let terms: Vec<ITerm> = atom
-                    .terms(query.terms)
-                    .iter()
-                    .map(|term| match *term {
-                        ITerm::Var(v, _) => {
-                            let kind = if promoted[v as usize] {
-                                VarKind::Distinguished
-                            } else {
-                                query.kinds[v as usize]
-                            };
-                            let slot = &mut mapping[v as usize];
-                            if *slot == UNMAPPED {
-                                *slot = kinds.len() as u32;
-                                kinds.push(kind);
-                            }
-                            ITerm::Var(*slot, kind)
-                        }
-                        ITerm::Const(c) => ITerm::Const(c),
-                    })
-                    .collect();
-                (atom.relation, terms, kinds)
-            })
-            .collect()
-    };
-    // Phase 2 (mutating): intern each part.
+    // One part at a time: assemble its terms and kinds in the two reused
+    // buffers (reading the arena), then intern it (growing the arena).
+    let widest = query.atoms.iter().map(|a| a.arity()).max().unwrap_or(0);
+    let mut parts = Vec::with_capacity(num_parts);
+    let mut terms: Vec<ITerm> = Vec::with_capacity(widest);
+    let mut kinds: Vec<VarKind> = Vec::with_capacity(widest);
+    for k in 0..num_parts {
+        let query = interner.resolve(id);
+        let atom = interner.cached_core(id).expect("computed above")[k] as usize;
+        terms.clear();
+        kinds.clear();
+        for term in query.atom_terms(atom) {
+            terms.push(match *term {
+                ITerm::Var(v, kind) => {
+                    let kind = if atoms_with[v as usize] >= 2 {
+                        VarKind::Distinguished
+                    } else {
+                        kind
+                    };
+                    let slot = &mut local[v as usize];
+                    if *slot == UNSEEN {
+                        *slot = kinds.len() as u32;
+                        kinds.push(kind);
+                    }
+                    ITerm::Var(*slot, kind)
+                }
+                constant => constant,
+            });
+        }
+        for v in query.atom_terms(atom).iter().filter_map(|t| t.var_index()) {
+            local[v as usize] = UNSEEN;
+        }
+        let relation = query.relation(atom);
+        parts.push((
+            interner.intern_single_atom(relation, &terms, &kinds),
+            relation,
+        ));
+    }
     parts
-        .into_iter()
-        .map(|(relation, terms, kinds)| {
-            (
-                interner.intern_single_atom(relation, &terms, &kinds),
-                relation,
-            )
-        })
-        .collect()
 }
 
 #[cfg(test)]

@@ -37,6 +37,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 
+use fdc_cq::folding::fold_interned_indices;
 use fdc_cq::intern::{ITerm, QueryId, QueryInterner};
 use fdc_cq::rewriting::{interned_rewritable_from_single, rewritable_from_single};
 use fdc_cq::{ConjunctiveQuery, RelId, Term, VarKind};
@@ -386,10 +387,25 @@ fn interned_atom_mask(
 }
 
 /// Dissects an interned query into its single-atom parts, returning each
-/// part's interned id, dense single-atom ordinal and relation.  Takes the
-/// interner's write lock once (dissection may mint part ids).
+/// part's interned id, dense single-atom ordinal and relation.
+///
+/// A shape whose fold is not on record yet is folded under the **read**
+/// lock — the fold is a pure function of the resolved view, and one hard
+/// shape must not stall every other worker's front-door lookup — and the
+/// write lock is taken only to record the result (idempotent, should
+/// another worker have recorded it in between) and to mint part ids.
 fn dissect_part_ids(interner: &SharedQueryInterner, id: QueryId) -> Vec<(QueryId, u32, RelId)> {
+    let core = {
+        let interner = interner.read().unwrap_or_else(|e| e.into_inner());
+        match interner.cached_core(id) {
+            Some(_) => None,
+            None => Some(fold_interned_indices(interner.resolve(id))),
+        }
+    };
     let mut interner = interner.write().unwrap_or_else(|e| e.into_inner());
+    if let Some(kept) = core {
+        interner.record_core(id, &kept);
+    }
     dissect_interned(&mut interner, id)
         .into_iter()
         .map(|(atom, relation)| {

@@ -304,49 +304,28 @@ fn term_allowed(
 /// it): constants are compared by interned id.  When `from` carries its GYO
 /// ear ordering (an acyclic query resolved from the interner) the question
 /// is answered by the polynomial semi-join pass of
-/// [`structure`](crate::structure); otherwise the generic backtracking
-/// search runs.  Both paths return identical verdicts — the dispatch is a
-/// pure fast path.
+/// [`structure`](crate::structure); cyclic sources and temporaries without
+/// an ear ordering fall back to
+/// [`interned_homomorphism_exists_generic`].  Both paths return identical
+/// verdicts — the dispatch is a pure fast path.
+///
+/// The target is always the whole body of `to` (containment, equivalence,
+/// rewriting).  Folding, the one caller that searches into a *subset* of a
+/// query's own atoms, has its own pre-bound entry into the backtracking
+/// search (see [`folding`](crate::folding)).
 pub fn interned_homomorphism_exists(
     from: QueryRef<'_>,
     to: QueryRef<'_>,
     policy: HeadPolicy,
 ) -> bool {
-    interned_homomorphism_into(from, to.atoms, to, policy)
-}
-
-/// Like [`interned_homomorphism_exists`] with an explicit target atom set
-/// interpreted in `to`'s term/variable space — what interned folding needs
-/// (the target is a subset of the source's own atoms).
-///
-/// Whole-body questions (`target_atoms` is all of `to` — containment,
-/// equivalence, rewriting) dispatch acyclic sources to the semi-join fast
-/// path (see [`structure`](crate::structure)), with cyclic sources and
-/// temporaries without an ear ordering falling back to
-/// [`interned_homomorphism_into_generic`].  Subset targets (folding's
-/// remove-one-atom checks) always run the generic search: those instances
-/// are small and usually fail, and the indexed backtracking's fail-fast
-/// beats the semi-join pass's up-front candidate construction there.
-pub fn interned_homomorphism_into(
-    from: QueryRef<'_>,
-    target_atoms: &[IAtom],
-    to: QueryRef<'_>,
-    policy: HeadPolicy,
-) -> bool {
-    if crate::structure::dispatch_enabled() && target_atoms.len() == to.atoms.len() {
+    if crate::structure::dispatch_enabled() {
         if let Some(ears) = from.ears {
             crate::structure::note_structural_check();
-            return crate::structure::semi_join_homomorphism_into(
-                from,
-                ears,
-                target_atoms,
-                to,
-                policy,
-            );
+            return crate::structure::semi_join_homomorphism_into(from, ears, to.atoms, to, policy);
         }
         crate::structure::note_backtrack_fallback();
     }
-    interned_homomorphism_into_generic(from, target_atoms, to, policy)
+    interned_homomorphism_exists_generic(from, to, policy)
 }
 
 /// [`interned_homomorphism_exists`] restricted to the generic backtracking
@@ -357,85 +336,129 @@ pub fn interned_homomorphism_exists_generic(
     to: QueryRef<'_>,
     policy: HeadPolicy,
 ) -> bool {
-    interned_homomorphism_into_generic(from, to.atoms, to, policy)
-}
-
-/// [`interned_homomorphism_into`] restricted to the generic backtracking
-/// search (never the semi-join fast path).
-pub fn interned_homomorphism_into_generic(
-    from: QueryRef<'_>,
-    target_atoms: &[IAtom],
-    to: QueryRef<'_>,
-    policy: HeadPolicy,
-) -> bool {
     // Most-constrained-first atom order, as in the boxed search.
     let mut order: Vec<u32> = (0..from.atoms.len() as u32).collect();
     order.sort_by_key(|&i| {
         let relation = from.atoms[i as usize].relation;
-        target_atoms
-            .iter()
-            .filter(|a| a.relation == relation)
-            .count()
+        to.atoms.iter().filter(|a| a.relation == relation).count()
     });
     let mut subst: Vec<Option<ITerm>> = vec![None; from.num_vars()];
-    interned_search(from, &order, 0, target_atoms, to, policy, &mut subst)
+    interned_search(
+        from,
+        &order,
+        to.atoms,
+        to.terms,
+        policy,
+        &mut subst,
+        &mut Vec::new(),
+    )
 }
 
-#[allow(clippy::too_many_arguments)]
-fn interned_search(
-    from: QueryRef<'_>,
+/// The backtracking search with the caller's bindings already in place:
+/// true if the atoms of `query` listed in `order` map into `targets` (spans
+/// into `query`'s own term buffer) under [`HeadPolicy::Identity`], extending
+/// `subst` without contradicting what it already binds.
+///
+/// This is folding's entry: it pre-binds every variable it has proved fixed
+/// and lists only the atoms that can move.  On `false`, `subst` is back to
+/// what the caller passed; on `true` it additionally holds the witness, and
+/// `trail` (which must come in empty) names the variables the search bound,
+/// so [`unbind`] restores the caller's bindings.
+pub(crate) fn interned_search_prebound(
+    query: QueryRef<'_>,
     order: &[u32],
-    depth: usize,
-    target_atoms: &[IAtom],
-    to: QueryRef<'_>,
+    targets: &[IAtom],
+    subst: &mut [Option<ITerm>],
+    trail: &mut Vec<u32>,
+) -> bool {
+    debug_assert!(trail.is_empty());
+    interned_search(
+        query,
+        order,
+        targets,
+        query.terms,
+        HeadPolicy::Identity,
+        subst,
+        trail,
+    )
+}
+
+/// Maps the source atom's terms onto the target atom's, term for term:
+/// constants equal, head policy respected, every variable bound consistently
+/// with `subst` (and with itself, when it repeats).  Variables bound on the
+/// way are pushed on `trail` — also when the match fails half-way, so the
+/// caller [`unbind`]s back to its mark either way.
+#[inline]
+pub(crate) fn bind_atom(
+    source_terms: &[ITerm],
+    target_terms: &[ITerm],
     policy: HeadPolicy,
     subst: &mut [Option<ITerm>],
+    trail: &mut Vec<u32>,
 ) -> bool {
-    let Some(&atom_idx) = order.get(depth) else {
-        return true;
-    };
-    let atom = from.atoms[atom_idx as usize];
-    let source_terms = atom.terms(from.terms);
-    for target in target_atoms {
-        if target.relation != atom.relation || target.term_len != atom.term_len {
-            continue;
-        }
-        let target_terms = target.terms(to.terms);
-        let mut newly_bound: Vec<u32> = Vec::new();
-        let mut ok = true;
-        for (src, dst) in source_terms.iter().zip(target_terms.iter()) {
-            match *src {
-                ITerm::Const(c) => {
-                    if *dst != ITerm::Const(c) {
-                        ok = false;
-                        break;
-                    }
+    for (src, dst) in source_terms.iter().zip(target_terms.iter()) {
+        match *src {
+            ITerm::Const(c) => {
+                if *dst != ITerm::Const(c) {
+                    return false;
                 }
-                ITerm::Var(v, kind) => {
-                    if !interned_term_allowed(kind, *dst, v, policy) {
-                        ok = false;
-                        break;
-                    }
-                    match subst[v as usize] {
-                        Some(bound) if bound != *dst => {
-                            ok = false;
-                            break;
-                        }
-                        Some(_) => {}
-                        None => {
-                            subst[v as usize] = Some(*dst);
-                            newly_bound.push(v);
-                        }
+            }
+            ITerm::Var(v, kind) => {
+                if !interned_term_allowed(kind, *dst, v, policy) {
+                    return false;
+                }
+                match subst[v as usize] {
+                    Some(bound) if bound != *dst => return false,
+                    Some(_) => {}
+                    None => {
+                        subst[v as usize] = Some(*dst);
+                        trail.push(v);
                     }
                 }
             }
         }
-        if ok && interned_search(from, order, depth + 1, target_atoms, to, policy, subst) {
+    }
+    true
+}
+
+/// Undoes every binding recorded on `trail` past `mark`.
+#[inline]
+pub(crate) fn unbind(subst: &mut [Option<ITerm>], trail: &mut Vec<u32>, mark: usize) {
+    for v in trail.drain(mark..) {
+        subst[v as usize] = None;
+    }
+}
+
+fn interned_search(
+    from: QueryRef<'_>,
+    order: &[u32],
+    target_atoms: &[IAtom],
+    target_terms: &[ITerm],
+    policy: HeadPolicy,
+    subst: &mut [Option<ITerm>],
+    trail: &mut Vec<u32>,
+) -> bool {
+    let Some((&atom_idx, rest)) = order.split_first() else {
+        return true;
+    };
+    let atom = from.atoms[atom_idx as usize];
+    let source_terms = atom.terms(from.terms);
+    let mark = trail.len();
+    for target in target_atoms {
+        if target.relation != atom.relation || target.term_len != atom.term_len {
+            continue;
+        }
+        if bind_atom(
+            source_terms,
+            target.terms(target_terms),
+            policy,
+            subst,
+            trail,
+        ) && interned_search(from, rest, target_atoms, target_terms, policy, subst, trail)
+        {
             return true;
         }
-        for v in newly_bound {
-            subst[v as usize] = None;
-        }
+        unbind(subst, trail, mark);
     }
     false
 }

@@ -190,7 +190,7 @@ pub struct QueryRef<'a> {
     /// acyclic — attached by [`QueryInterner::resolve`] from the structural
     /// side table, `None` for cyclic queries and for temporary views
     /// assembled over local buffers.  Homomorphism dispatch
-    /// ([`interned_homomorphism_into`](crate::homomorphism::interned_homomorphism_into))
+    /// ([`interned_homomorphism_exists`](crate::homomorphism::interned_homomorphism_exists))
     /// takes the semi-join fast path exactly when this is present.
     pub ears: Option<&'a [EarStep]>,
 }
@@ -244,16 +244,13 @@ struct QuerySpan {
 
 /// Structural facts about one interned query, derived once when the query
 /// enters the arena (and rebuilt on decode): its [`ShapeClass`], the span of
-/// its GYO ear ordering within the `ears` arena, the span of its
-/// per-relation atom counts within the `rel_counts` arena, and the span of
-/// its lazily computed fold (core) within the `fold_atoms` arena.
+/// its GYO ear ordering within the `ears` arena, and the span of its lazily
+/// computed fold (core) within the `fold_atoms` arena.
 #[derive(Debug, Clone, Copy)]
 struct ShapeInfo {
     class: ShapeClass,
     ear_start: u32,
     ear_len: u32,
-    rel_start: u32,
-    rel_len: u32,
     fold_start: u32,
     fold_len: u32,
     fold_cached: bool,
@@ -487,12 +484,10 @@ pub struct QueryInterner {
     /// bound of the ordinal space).
     num_single_atom: u32,
     /// Structural side table, indexed by `QueryId`: shape class plus spans
-    /// into the `ears`, `rel_counts` and `fold_atoms` arenas below.
+    /// into the `ears` and `fold_atoms` arenas below.
     shapes: Vec<ShapeInfo>,
     /// Arena of GYO ear orderings (join trees) of the acyclic queries.
     ears: Vec<EarStep>,
-    /// Arena of per-relation atom counts, sorted by relation id per query.
-    rel_counts: Vec<(RelId, u32)>,
     /// Arena of fold (core) results: indices of the surviving atoms, filled
     /// lazily by [`core_atom_indices`](Self::core_atom_indices).
     fold_atoms: Vec<u32>,
@@ -749,41 +744,35 @@ impl QueryInterner {
         }
     }
 
-    /// Derives the structural side-table entry of query `index` — shape
-    /// class via GYO reduction, the ear ordering for acyclic shapes, and the
-    /// per-relation atom counts.  Called once per query, right after its
-    /// span is appended (and again per query on decode); the fold span
-    /// starts empty and is filled lazily.
+    /// Derives the structural side-table entry of query `index`: shape
+    /// class via GYO reduction, with the ear ordering of an acyclic shape
+    /// written straight into the `ears` arena.  Called once per query, right
+    /// after its span is appended (and again per query on decode); the fold
+    /// span starts empty and is filled lazily.
     fn classify(&mut self, index: usize) {
         debug_assert_eq!(self.shapes.len(), index, "classification is in id order");
-        let query = self.span_ref(self.queries[index]);
-        let mut rels: Vec<(RelId, u32)> = Vec::new();
-        for atom in query.atoms {
-            match rels.iter_mut().find(|(r, _)| *r == atom.relation) {
-                Some(entry) => entry.1 += 1,
-                None => rels.push((atom.relation, 1)),
-            }
-        }
-        rels.sort_unstable_by_key(|&(relation, _)| relation);
-        let (class, steps) = match crate::structure::gyo_reduce(query) {
-            Some(steps) => (ShapeClass::Acyclic, steps),
-            None => (ShapeClass::Cyclic, Vec::new()),
+        let span = self.queries[index];
+        // Borrowed field by field (not through `span_ref`): the reduction
+        // appends to `self.ears` while it reads the query.
+        let query = QueryRef {
+            atoms: &self.atoms
+                [span.atom_start as usize..(span.atom_start + span.atom_len) as usize],
+            terms: &self.terms,
+            kinds: &self.kinds
+                [span.kind_start as usize..(span.kind_start + span.num_vars) as usize],
+            ears: None,
         };
-        if class == ShapeClass::Acyclic {
-            self.num_acyclic += 1;
-        }
         let ear_start = self.ears.len() as u32;
-        let ear_len = steps.len() as u32;
-        self.ears.extend(steps);
-        let rel_start = self.rel_counts.len() as u32;
-        let rel_len = rels.len() as u32;
-        self.rel_counts.extend(rels);
+        let class = if crate::structure::gyo_reduce_into(query, &mut self.ears) {
+            self.num_acyclic += 1;
+            ShapeClass::Acyclic
+        } else {
+            ShapeClass::Cyclic
+        };
         self.shapes.push(ShapeInfo {
             class,
             ear_start,
-            ear_len,
-            rel_start,
-            rel_len,
+            ear_len: self.ears.len() as u32 - ear_start,
             fold_start: 0,
             fold_len: 0,
             fold_cached: false,
@@ -893,18 +882,6 @@ impl QueryInterner {
         self.num_acyclic as usize
     }
 
-    /// Per-relation atom counts of query `id`, sorted by relation id — the
-    /// profile folding's sibling pre-check and capacity planning consult
-    /// without rescanning the atom list.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id was not issued by this interner.
-    pub fn relation_profile(&self, id: QueryId) -> &[(RelId, u32)] {
-        let shape = self.shapes[id.index()];
-        &self.rel_counts[shape.rel_start as usize..(shape.rel_start + shape.rel_len) as usize]
-    }
-
     /// Indices of the atoms surviving folding — the query's core, in
     /// original atom order.
     ///
@@ -913,33 +890,64 @@ impl QueryInterner {
     /// repeated dissections of one shape pay the search exactly once per
     /// interner lifetime.
     ///
+    /// Callers sharing the interner behind a lock should not pay for the
+    /// search under the write lock: check [`cached_core`](Self::cached_core)
+    /// and run [`fold_interned_indices`](crate::folding::fold_interned_indices)
+    /// under the read lock, then [`record_core`](Self::record_core).
+    ///
     /// # Panics
     ///
     /// Panics if the id was not issued by this interner.
     pub fn core_atom_indices(&mut self, id: QueryId) -> &[u32] {
         if !self.shapes[id.index()].fold_cached {
             let kept = crate::folding::fold_interned_indices(self.resolve(id));
-            let fold_start = self.fold_atoms.len() as u32;
-            let fold_len = kept.len() as u32;
-            self.fold_atoms.extend(kept);
-            let shape = &mut self.shapes[id.index()];
-            shape.fold_start = fold_start;
-            shape.fold_len = fold_len;
-            shape.fold_cached = true;
+            self.record_core(id, &kept);
         }
-        let shape = self.shapes[id.index()];
-        &self.fold_atoms[shape.fold_start as usize..(shape.fold_start + shape.fold_len) as usize]
+        self.cached_core(id).expect("the core was just recorded")
     }
 
-    /// Number of atoms in the query's core (its fold result) — computes and
-    /// caches the fold on first use, like
-    /// [`core_atom_indices`](Self::core_atom_indices).
+    /// The query's core if its fold has already been computed and recorded,
+    /// `None` before the first [`core_atom_indices`](Self::core_atom_indices)
+    /// or [`record_core`](Self::record_core) for `id`.
     ///
     /// # Panics
     ///
     /// Panics if the id was not issued by this interner.
-    pub fn core_size(&mut self, id: QueryId) -> usize {
-        self.core_atom_indices(id).len()
+    pub fn cached_core(&self, id: QueryId) -> Option<&[u32]> {
+        let shape = self.shapes[id.index()];
+        shape.fold_cached.then(|| {
+            &self.fold_atoms
+                [shape.fold_start as usize..(shape.fold_start + shape.fold_len) as usize]
+        })
+    }
+
+    /// Records `kept` — the result of
+    /// [`fold_interned_indices`](crate::folding::fold_interned_indices) on
+    /// `resolve(id)` — as the query's core.  Idempotent: the fold is a pure
+    /// function of the query, so once a core is on record (this caller's or
+    /// another thread's, computed between two locks) later calls change
+    /// nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id was not issued by this interner or `kept` is not a
+    /// strictly increasing list of the query's atom indices.
+    pub fn record_core(&mut self, id: QueryId, kept: &[u32]) {
+        let num_atoms = self.queries[id.index()].atom_len;
+        assert!(
+            kept.windows(2).all(|pair| pair[0] < pair[1])
+                && kept.last().map_or(num_atoms == 0, |&last| last < num_atoms),
+            "a core lists atom indices of its query in increasing order"
+        );
+        let fold_start = self.fold_atoms.len() as u32;
+        let shape = &mut self.shapes[id.index()];
+        if shape.fold_cached {
+            return;
+        }
+        shape.fold_start = fold_start;
+        shape.fold_len = kept.len() as u32;
+        shape.fold_cached = true;
+        self.fold_atoms.extend_from_slice(kept);
     }
 
     /// Reconstructs an interned query as a boxed [`ConjunctiveQuery`].
@@ -1142,7 +1150,6 @@ impl QueryInterner {
             num_single_atom: 0,
             shapes: Vec::with_capacity(num_queries),
             ears: Vec::new(),
-            rel_counts: Vec::new(),
             fold_atoms: Vec::new(),
             num_acyclic: 0,
         };
@@ -1571,5 +1578,74 @@ mod tests {
         let again = interner.intern_single_atom(meetings, &terms, &kinds);
         assert_eq!(again, id);
         assert_eq!(interner.len(), 1);
+    }
+
+    #[test]
+    fn a_core_is_recorded_once_however_often_and_by_whomever_it_is_offered() {
+        use crate::folding::fold_interned_indices;
+        use std::sync::{mpsc, RwLock};
+
+        let c = catalog();
+        let mut interner = QueryInterner::new();
+        let id = interner.intern(&q(
+            &c,
+            "Q(x) :- Meetings(x, y), Meetings(x, z), Contacts(y, w, 'Intern')",
+        ));
+        let other = interner.intern(&q(&c, "Q() :- Meetings(a, b), Meetings(c, d)"));
+        assert_eq!(interner.cached_core(id), None);
+
+        // Recording the same core twice leaves one span.
+        let kept = fold_interned_indices(interner.resolve(id));
+        assert_eq!(kept, vec![0, 2]);
+        interner.record_core(id, &kept);
+        interner.record_core(id, &kept);
+        assert_eq!(interner.fold_atoms, kept);
+        assert_eq!(interner.cached_core(id), Some(&kept[..]));
+        assert_eq!(interner.core_atom_indices(id), &kept[..]);
+        assert_eq!(interner.fold_atoms, kept);
+
+        // Two threads fold the same shape under the read lock; the second
+        // to reach the write lock finds the first one's record and adds
+        // nothing.  The channels force that order: the main thread folds,
+        // lets the helper fold *and* record, and only then records itself.
+        let shared = RwLock::new(interner);
+        let (folded_tx, folded_rx) = mpsc::channel::<()>();
+        let (recorded_tx, recorded_rx) = mpsc::channel::<()>();
+        let shared_ref = &shared;
+        std::thread::scope(|scope| {
+            scope.spawn(move || {
+                let shared = shared_ref;
+                folded_rx.recv().expect("main thread folds first");
+                let mine = {
+                    let guard = shared.read().unwrap();
+                    assert_eq!(guard.cached_core(other), None);
+                    fold_interned_indices(guard.resolve(other))
+                };
+                shared.write().unwrap().record_core(other, &mine);
+                recorded_tx.send(()).unwrap();
+            });
+            let mine = {
+                let guard = shared.read().unwrap();
+                assert_eq!(guard.cached_core(other), None);
+                fold_interned_indices(guard.resolve(other))
+            };
+            folded_tx.send(()).unwrap();
+            recorded_rx.recv().expect("helper records in between");
+            let mut guard = shared.write().unwrap();
+            assert_eq!(guard.cached_core(other), Some(&[1u32][..]));
+            guard.record_core(other, &mine);
+        });
+        let interner = shared.into_inner().unwrap();
+        assert_eq!(interner.fold_atoms, vec![0, 2, 1]);
+        assert_eq!(interner.cached_core(other), Some(&[1u32][..]));
+    }
+
+    #[test]
+    #[should_panic(expected = "increasing order")]
+    fn a_core_that_is_not_a_list_of_the_querys_atoms_is_refused() {
+        let c = catalog();
+        let mut interner = QueryInterner::new();
+        let id = interner.intern(&q(&c, "Q(x) :- Meetings(x, y), Meetings(x, z)"));
+        interner.record_core(id, &[1, 2]);
     }
 }

@@ -45,7 +45,7 @@
 //! so they fold into candidate generation.
 //!
 //! Dispatch lives in
-//! [`interned_homomorphism_into`](crate::homomorphism::interned_homomorphism_into):
+//! [`interned_homomorphism_exists`](crate::homomorphism::interned_homomorphism_exists):
 //! acyclic sources (a [`QueryRef`] resolved from the interner with its ear
 //! ordering attached) take the semi-join path, everything else falls back to
 //! backtracking.  The process-wide [`counters`] record which path ran, and
@@ -94,49 +94,82 @@ pub struct EarStep {
 /// the query is α-acyclic, `None` if it is cyclic.  Queries with zero or one
 /// atom are trivially acyclic.
 pub fn gyo_reduce(query: QueryRef<'_>) -> Option<Vec<EarStep>> {
+    let mut steps = Vec::with_capacity(query.num_atoms());
+    gyo_reduce_into(query, &mut steps).then_some(steps)
+}
+
+/// [`gyo_reduce`] appending the ear-removal order to `steps` (the
+/// interner's ear arena); returns false, with `steps` as it was, if the
+/// query is cyclic.
+///
+/// Only a variable occurring in at least two atoms can keep an atom from
+/// being an ear, so the reduction looks at each atom's *shared* variables
+/// alone, laid out once in a flat buffer.  At every step the ear and its
+/// witness are the first pair `(e, f)` in index order that qualifies — the
+/// order is part of the contract, the semi-join pass replays it.
+pub(crate) fn gyo_reduce_into(query: QueryRef<'_>, steps: &mut Vec<EarStep>) -> bool {
     let n = query.num_atoms();
-    let mut steps = Vec::with_capacity(n);
-    if n == 0 {
-        return Some(steps);
+    if n <= 1 {
+        // Nothing to reduce: a lone atom (every dissected part) is the root.
+        steps.extend((0..n as u32).map(|atom| EarStep {
+            atom,
+            parent: NO_PARENT,
+        }));
+        return true;
     }
-    let vars = distinct_vars(query);
-    // Occurrence counts over the *remaining* edges: a variable with count 1
-    // is private to its edge and never constrains ear removal.
+    // `occ[v]`: in how many of the *remaining* atoms `v` occurs.  A count
+    // of 1 makes `v` private to its atom, where it constrains nothing.
+    // `stamp[v]` is the last (pass, atom) that looked at `v`, so a repeated
+    // variable counts once per atom.
     let mut occ = vec![0u32; query.num_vars()];
-    for vs in &vars {
-        for &v in vs {
-            occ[v as usize] += 1;
+    let mut stamp = vec![0u32; query.num_vars()];
+    for i in 0..n {
+        for v in query.atom_terms(i).iter().filter_map(|t| t.var_index()) {
+            if stamp[v as usize] != i as u32 + 1 {
+                stamp[v as usize] = i as u32 + 1;
+                occ[v as usize] += 1;
+            }
         }
     }
-    let mut alive = vec![true; n];
-    let mut remaining = n;
-    while remaining > 1 {
-        let mut found = None;
-        'scan: for e in 0..n {
-            if !alive[e] {
-                continue;
-            }
-            for f in 0..n {
-                if f == e || !alive[f] {
-                    continue;
-                }
-                let is_ear = vars[e]
-                    .iter()
-                    .all(|&v| occ[v as usize] == 1 || vars[f].contains(&v));
-                if is_ear {
-                    found = Some((e, f));
-                    break 'scan;
-                }
+    // Atom `i`'s shared variables are `shared[starts[i]..starts[i + 1]]`.
+    let mut shared: Vec<u32> = Vec::new();
+    let mut starts: Vec<usize> = Vec::with_capacity(n + 1);
+    for i in 0..n {
+        starts.push(shared.len());
+        let seen = (n + i) as u32 + 1;
+        for v in query.atom_terms(i).iter().filter_map(|t| t.var_index()) {
+            if occ[v as usize] >= 2 && stamp[v as usize] != seen {
+                stamp[v as usize] = seen;
+                shared.push(v);
             }
         }
-        let (e, f) = found?;
+    }
+    starts.push(shared.len());
+    let vars_of = |i: usize| &shared[starts[i]..starts[i + 1]];
+
+    let first_step = steps.len();
+    let mut alive = vec![true; n];
+    for _ in 1..n {
+        let ear = (0..n).filter(|&e| alive[e]).find_map(|e| {
+            (0..n)
+                .filter(|&f| f != e && alive[f])
+                .find(|&f| {
+                    vars_of(e)
+                        .iter()
+                        .all(|v| occ[*v as usize] == 1 || vars_of(f).contains(v))
+                })
+                .map(|f| (e, f))
+        });
+        let Some((e, f)) = ear else {
+            steps.truncate(first_step);
+            return false;
+        };
         steps.push(EarStep {
             atom: e as u32,
             parent: f as u32,
         });
         alive[e] = false;
-        remaining -= 1;
-        for &v in &vars[e] {
+        for &v in vars_of(e) {
             occ[v as usize] -= 1;
         }
     }
@@ -145,24 +178,7 @@ pub fn gyo_reduce(query: QueryRef<'_>) -> Option<Vec<EarStep>> {
         atom: root as u32,
         parent: NO_PARENT,
     });
-    Some(steps)
-}
-
-/// The distinct variables of each atom, in first-occurrence order.
-fn distinct_vars(query: QueryRef<'_>) -> Vec<Vec<u32>> {
-    (0..query.num_atoms())
-        .map(|i| {
-            let mut vs: Vec<u32> = Vec::new();
-            for term in query.atom_terms(i) {
-                if let Some(v) = term.var_index() {
-                    if !vs.contains(&v) {
-                        vs.push(v);
-                    }
-                }
-            }
-            vs
-        })
-        .collect()
+    true
 }
 
 /// Decides existence of a homomorphism from the acyclic query `from` into
@@ -171,9 +187,9 @@ fn distinct_vars(query: QueryRef<'_>) -> Vec<Vec<u32>> {
 ///
 /// `ears` must be the [`gyo_reduce`] certificate of `from` (the interner's
 /// side table provides it).  The verdict is exactly that of
-/// [`interned_homomorphism_into_generic`](crate::homomorphism::interned_homomorphism_into_generic)
-/// on the same inputs, for every [`HeadPolicy`]; the property suite pins the
-/// two against each other.
+/// [`interned_homomorphism_exists_generic`](crate::homomorphism::interned_homomorphism_exists_generic)
+/// on the same inputs (with `target_atoms` the whole body of `to`), for
+/// every [`HeadPolicy`]; the property suite pins the two against each other.
 pub fn semi_join_homomorphism_into(
     from: QueryRef<'_>,
     ears: &[EarStep],
@@ -434,6 +450,144 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The reduction as it was before it learned to look at shared
+    /// variables only: every atom's full variable list in a `Vec` of its
+    /// own, every pair rescanned at every step.  Kept as the oracle — the
+    /// ear *order* feeds the semi-join pass, so the fast version must
+    /// reproduce it step for step, not just agree on acyclicity.
+    fn gyo_reduce_oracle(query: QueryRef<'_>) -> Option<Vec<EarStep>> {
+        let n = query.num_atoms();
+        let mut steps = Vec::with_capacity(n);
+        if n == 0 {
+            return Some(steps);
+        }
+        let vars: Vec<Vec<u32>> = (0..n)
+            .map(|i| {
+                let mut vs: Vec<u32> = Vec::new();
+                for term in query.atom_terms(i) {
+                    if let Some(v) = term.var_index() {
+                        if !vs.contains(&v) {
+                            vs.push(v);
+                        }
+                    }
+                }
+                vs
+            })
+            .collect();
+        let mut occ = vec![0u32; query.num_vars()];
+        for vs in &vars {
+            for &v in vs {
+                occ[v as usize] += 1;
+            }
+        }
+        let mut alive = vec![true; n];
+        let mut remaining = n;
+        while remaining > 1 {
+            let mut found = None;
+            'scan: for e in 0..n {
+                if !alive[e] {
+                    continue;
+                }
+                for f in 0..n {
+                    if f == e || !alive[f] {
+                        continue;
+                    }
+                    let is_ear = vars[e]
+                        .iter()
+                        .all(|&v| occ[v as usize] == 1 || vars[f].contains(&v));
+                    if is_ear {
+                        found = Some((e, f));
+                        break 'scan;
+                    }
+                }
+            }
+            let (e, f) = found?;
+            steps.push(EarStep {
+                atom: e as u32,
+                parent: f as u32,
+            });
+            alive[e] = false;
+            remaining -= 1;
+            for &v in &vars[e] {
+                occ[v as usize] -= 1;
+            }
+        }
+        let root = alive.iter().position(|&a| a).expect("one atom remains");
+        steps.push(EarStep {
+            atom: root as u32,
+            parent: NO_PARENT,
+        });
+        Some(steps)
+    }
+
+    /// SplitMix64: a seeded stream for the generated shapes below.
+    fn next(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    #[test]
+    fn the_reduction_replays_the_oracles_ear_order_step_for_step() {
+        use crate::intern::ConstId;
+        use crate::term::VarKind;
+        let mut state = 0xFDC_2013u64;
+        let (mut acyclic, mut cyclic) = (0, 0);
+        for round in 0..4_000 {
+            // 1–9 atoms of arity 1–5 over a pool of 2–12 variables: small
+            // pools make dense, mostly cyclic hypergraphs, large ones sparse
+            // forests; repeated variables and constants ride along.
+            let num_atoms = 1 + next(&mut state) % 9;
+            let pool = 2 + next(&mut state) % 11;
+            let mut terms = Vec::new();
+            let mut atoms = Vec::new();
+            for _ in 0..num_atoms {
+                let term_start = terms.len() as u32;
+                let arity = 1 + next(&mut state) % 5;
+                for _ in 0..arity {
+                    terms.push(if next(&mut state).is_multiple_of(6) {
+                        ITerm::Const(ConstId(0))
+                    } else {
+                        ITerm::Var((next(&mut state) % pool) as u32, VarKind::Existential)
+                    });
+                }
+                atoms.push(IAtom {
+                    relation: crate::catalog::RelId((next(&mut state) % 3) as u32),
+                    term_start,
+                    term_len: arity as u32,
+                });
+            }
+            let kinds = vec![VarKind::Existential; pool as usize];
+            let query = QueryRef {
+                atoms: &atoms,
+                terms: &terms,
+                kinds: &kinds,
+                ears: None,
+            };
+            let expected = gyo_reduce_oracle(query);
+            assert_eq!(
+                gyo_reduce(query),
+                expected,
+                "round {round}: {atoms:?} {terms:?}"
+            );
+            // Appending to a non-empty arena leaves what was there alone,
+            // whatever the verdict.
+            let sentinel = EarStep { atom: 7, parent: 7 };
+            let mut arena = vec![sentinel];
+            assert_eq!(gyo_reduce_into(query, &mut arena), expected.is_some());
+            assert_eq!(arena[0], sentinel);
+            assert_eq!(arena[1..], expected.clone().unwrap_or_default()[..]);
+            match expected {
+                Some(_) => acyclic += 1,
+                None => cyclic += 1,
+            }
+        }
+        assert!(acyclic > 500, "only {acyclic} acyclic shapes");
+        assert!(cyclic > 500, "only {cyclic} cyclic shapes");
     }
 
     #[test]

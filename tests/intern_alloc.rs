@@ -12,6 +12,11 @@
 //! * **at most 1** for a known shape one variable past that capacity (the
 //!   heap fallback of the numbering).
 //!
+//! `Dissect` over the flat representation is pinned the same way: once a
+//! shape's parts are known, dissecting it again costs a fixed handful of
+//! scratch allocations — two per-variable tables, two part buffers, the
+//! result — however many atoms or variables the shape has.
+//!
 //! Counts are per thread, so the harness running tests in parallel does not
 //! disturb them.
 
@@ -19,6 +24,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::hint::black_box;
 
+use fdc::core::dissect::dissect_interned;
 use fdc::cq::intern::QueryInterner;
 use fdc::cq::{Atom, ConjunctiveQuery, Term};
 use fdc::ecosystem::facebook_catalog;
@@ -172,4 +178,58 @@ fn one_variable_past_the_capacity_costs_at_most_the_fallback_allocation() {
     let (lookup, intern) = hit_path_allocations(&query);
     assert!(lookup <= 1, "lookup allocated {lookup} times");
     assert!(intern <= 1, "intern allocated {intern} times");
+}
+
+/// What `dissect_interned` allocates on a shape whose parts are all interned
+/// already (by a first dissection), with the number of parts.
+fn redissection_allocations(query: &ConjunctiveQuery) -> (usize, u64) {
+    let mut interner = QueryInterner::new();
+    let id = interner.intern(query);
+    let first = dissect_interned(&mut interner, id);
+    let shapes = interner.len();
+    let mut again = Vec::new();
+    let count = allocations(|| {
+        again = black_box(dissect_interned(&mut interner, black_box(id)));
+    });
+    assert_eq!(again, first);
+    assert_eq!(interner.len(), shapes);
+    (first.len(), count)
+}
+
+/// The scratch of one dissection: `atoms_with`, `local`, `terms`, `kinds`
+/// and the returned parts.
+const DISSECT_SCRATCH: u64 = 5;
+
+#[test]
+fn dissecting_a_65_variable_shape_again_allocates_only_its_scratch() {
+    let query = user_join(31);
+    assert_eq!(query.num_vars(), 65);
+    let (parts, count) = redissection_allocations(&query);
+    assert_eq!(parts, 2);
+    assert!(count <= DISSECT_SCRATCH, "{count} allocations");
+}
+
+#[test]
+fn dissection_scratch_does_not_grow_with_the_number_of_parts() {
+    // Twelve `User` atoms joined on `uid`, told apart by a constant: none
+    // folds, every one contributes 32 variables of its own.
+    let schema = facebook_catalog();
+    let user = schema.user();
+    let arity = schema.catalog.arity(user) as u32;
+    let atom = |i: u32| {
+        let mut terms = vec![Term::dist(0), Term::constant(i64::from(i))];
+        terms.extend((2..arity).map(|column| Term::exist(i * (arity - 2) + column - 1)));
+        Atom::new(user, terms)
+    };
+    let query = ConjunctiveQuery::from_atoms((0..12).map(atom).collect()).unwrap();
+    assert!(query.num_vars() > 300);
+    let (parts, count) = redissection_allocations(&query);
+    assert_eq!(parts, 12);
+    assert!(count <= DISSECT_SCRATCH, "{count} allocations");
+
+    // A single-atom query is its own only part: just the result vector.
+    let single = ConjunctiveQuery::from_atoms(vec![atom(0)]).unwrap();
+    let (parts, count) = redissection_allocations(&single);
+    assert_eq!(parts, 1);
+    assert!(count <= 1, "{count} allocations");
 }
