@@ -87,15 +87,6 @@ fn fig5(c: &mut Criterion) {
                 }
             });
         });
-
-        // Series 6 (beyond the paper): cache + parallel batch sharding.
-        group.bench_with_input(
-            BenchmarkId::new("cached_parallel_batch", max_atoms),
-            &workload,
-            |b, w| {
-                b.iter(|| black_box(w.ecosystem.cached.label_queries_batch(&w.queries)));
-            },
-        );
     }
     group.finish();
 }

@@ -307,7 +307,7 @@ fn check_fig5(path: &str, smoke: bool) -> Result<(), String> {
         let series = point
             .get("queries_per_sec")
             .ok_or_else(|| format!("`{path}`: sweep point without `queries_per_sec`"))?;
-        for required in ["baseline", "cached_parallel_batch", "interned"] {
+        for required in ["baseline", "cached_sequential", "interned"] {
             if series.get(required).and_then(Json::as_number).is_none() {
                 return Err(format!(
                     "`{path}`: series `{required}` missing from a sweep point"
@@ -883,7 +883,7 @@ mod tests {
   }},
   "sweep": [
     {{"max_atoms": 3, "queries_per_sec": {{"baseline": 100000.0,
-      "cached_parallel_batch": 400000.0, "interned": 900000.0}}}}
+      "cached_sequential": 400000.0, "interned": 900000.0}}}}
   ]
 }}"#
             )

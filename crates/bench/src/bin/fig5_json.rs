@@ -1,13 +1,12 @@
 //! Figure 5, machine-readable: side-by-side throughput of every labeler.
 //!
 //! Measures the labeler variants — baseline, hash-partitioned, bit-vector,
-//! canonical-form cached (sequential and parallel batch), and the
-//! **interned** serving path (pre-interned dense `QueryId`s straight into
-//! the sharded slot cache: no parsing, no canonical hashing, no label
-//! clone) — on the Figure 5 workload at `BATCH_SIZE` queries per batch, for
-//! each of the paper's max-atoms settings, and writes the queries/second
-//! trajectory to `BENCH_fig5.json` (or the path given as the first
-//! argument).
+//! canonical-form cached, and the **interned** serving path (pre-interned
+//! dense `QueryId`s straight into the sharded slot cache: no parsing, no
+//! canonical hashing, no label clone) — on the Figure 5 workload at
+//! `BATCH_SIZE` queries per batch, for each of the paper's max-atoms
+//! settings, and writes the queries/second trajectory to `BENCH_fig5.json`
+//! (or the path given as the first argument).
 //!
 //! ```text
 //! cargo run --release -p fdc-bench --bin fig5_json            # full run
@@ -66,35 +65,28 @@ fn main() {
 
     println!("fig5_json: batch={BATCH_SIZE} repeats={repeats} threads={threads} smoke={smoke}");
     println!(
-        "{:>9} | {:>12} | {:>12} | {:>12} | {:>12} | {:>14} | {:>12}",
-        "max_atoms", "baseline", "hashing", "bitvec", "cached_seq", "cached_par", "interned"
+        "{:>9} | {:>12} | {:>12} | {:>12} | {:>12} | {:>12}",
+        "max_atoms", "baseline", "hashing", "bitvec", "cached_seq", "interned"
     );
 
     let mut points = Vec::new();
-    // Whole-query labelings answered by batch-level dedup across the sweep:
-    // the stress workload repeats shapes within a batch, so the batch entry
-    // points label each distinct canonical id once and serve the repeats
-    // from the batch-local result.
-    let mut batch_dedup_hits = 0u64;
     for &max_atoms in sweep {
         let workload = labeling_workload(max_atoms, BATCH_SIZE);
         let results = measure_point(&workload, repeats);
-        batch_dedup_hits += workload.ecosystem.cached.stats().batch_dedup_hits;
         println!(
-            "{:>9} | {:>12.0} | {:>12.0} | {:>12.0} | {:>12.0} | {:>14.0} | {:>12.0}",
+            "{:>9} | {:>12.0} | {:>12.0} | {:>12.0} | {:>12.0} | {:>12.0}",
             max_atoms,
             results[0].queries_per_sec,
             results[1].queries_per_sec,
             results[2].queries_per_sec,
             results[3].queries_per_sec,
             results[4].queries_per_sec,
-            results[5].queries_per_sec,
         );
         points.push(SweepPoint { max_atoms, results });
     }
 
-    let speedup = overall_speedup(&points, "cached_parallel_batch", "baseline");
-    println!("\ncached parallel batch vs baseline: {speedup:.1}x (worst point across the sweep)");
+    let speedup = overall_speedup(&points, "cached_sequential", "baseline");
+    println!("\ncached vs baseline: {speedup:.1}x (worst point across the sweep)");
     let interned_speedup = overall_speedup(&points, "interned", "cached_sequential");
     println!(
         "interned vs cached (QueryKey-free slot lookup): {interned_speedup:.1}x \
@@ -190,15 +182,7 @@ fn main() {
         acyclic_queries,
         counters,
     };
-    let json = render_json(
-        &points,
-        threads,
-        smoke,
-        speedup,
-        interned_speedup,
-        batch_dedup_hits,
-        &high,
-    );
+    let json = render_json(&points, threads, smoke, speedup, interned_speedup, &high);
     std::fs::write(&out_path, json).expect("failed to write the benchmark JSON");
     println!("wrote {out_path}");
 }
@@ -388,7 +372,7 @@ fn measure_point(workload: &LabelingWorkload, repeats: usize) -> Vec<Measurement
     let interned = &workload.interned;
     // Warm the canonical-form cache so the cached series measures the
     // steady state of a long-running server rather than a cold start.
-    eco.cached.label_queries_batch(queries);
+    eco.cached.label_queries(queries);
     vec![
         Measurement {
             name: "baseline",
@@ -412,12 +396,6 @@ fn measure_point(workload: &LabelingWorkload, repeats: usize) -> Vec<Measurement
             name: "cached_sequential",
             queries_per_sec: best_qps(repeats, queries.len(), || {
                 std::hint::black_box(eco.cached.label_queries(queries));
-            }),
-        },
-        Measurement {
-            name: "cached_parallel_batch",
-            queries_per_sec: best_qps(repeats, queries.len(), || {
-                std::hint::black_box(eco.cached.label_queries_batch(queries));
             }),
         },
         // The interned serving path: the batch was interned once at setup
@@ -476,7 +454,6 @@ fn render_json(
     smoke: bool,
     speedup: f64,
     interned_speedup: f64,
-    batch_dedup_hits: u64,
     high: &HighAtomsSection,
 ) -> String {
     let mut out = String::new();
@@ -486,9 +463,8 @@ fn render_json(
     out.push_str(&format!("  \"batch_size\": {BATCH_SIZE},\n"));
     out.push_str(&format!("  \"threads\": {threads},\n"));
     out.push_str(&format!("  \"smoke\": {smoke},\n"));
-    out.push_str(&format!("  \"batch_dedup_hits\": {batch_dedup_hits},\n"));
     out.push_str(&format!(
-        "  \"min_speedup_cached_parallel_vs_baseline\": {speedup:.2},\n"
+        "  \"min_speedup_cached_vs_baseline\": {speedup:.2},\n"
     ));
     out.push_str(&format!(
         "  \"min_speedup_interned_vs_cached\": {interned_speedup:.2},\n"

@@ -112,8 +112,8 @@ pub fn fig6_policy_config(
 /// given maximum partitions (1 or 5) and maximum elements per partition
 /// (5–50), plus a batch of labeled queries to push through the checker.
 ///
-/// Labels are produced by the cached batch labeler on all cores (the
-/// serving path), so workload setup no longer dominates smoke runs.
+/// Labels are produced by the caching labeler (the serving path), so
+/// workload setup does not dominate smoke runs.
 pub fn policy_workload(
     num_principals: usize,
     max_partitions: usize,
@@ -127,7 +127,7 @@ pub fn policy_workload(
     ));
     let store = policies.build_store(&ecosystem.views, num_principals);
     let mut generator = ecosystem.workload(WorkloadConfig::base(0xF16F));
-    let labels = ecosystem.label_batch_parallel(&generator.batch(label_batch));
+    let labels = ecosystem.label_batch_cached(&generator.batch(label_batch));
     let packed = labels.iter().map(DisclosureLabel::pack).collect();
     PolicyWorkload {
         store,

@@ -157,6 +157,14 @@ impl DisclosureLabel {
         DisclosureLabel { atoms: Vec::new() }
     }
 
+    /// ⊥ with room for `atoms` atom labels, for a label that is kept: it
+    /// is allocated once, at (at most) the size it ends up with.
+    pub(crate) fn with_capacity(atoms: usize) -> Self {
+        DisclosureLabel {
+            atoms: Vec::with_capacity(atoms),
+        }
+    }
+
     /// Builds a label from per-atom labels.
     pub fn from_atoms(atoms: Vec<AtomLabel>) -> Self {
         let mut label = DisclosureLabel { atoms: Vec::new() };

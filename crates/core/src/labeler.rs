@@ -23,12 +23,12 @@
 //!   dense canonical [`QueryId`]s, so the whole-query cache is a sharded
 //!   slot vector (a hit skips folding, dissection and labeling entirely —
 //!   and for pre-interned callers, hashing too) and the per-atom `ℓ⁺` cache
-//!   is a plain indexed table over the ids `dissect_interned` emits.
-//!   Combined with the sharded batch entry point [`label_queries_parallel`]
-//!   this is the high-throughput serving path.  The caches are versioned
-//!   with the registry's per-relation epochs, so the view universe can
-//!   change online ([`CachedLabeler::add_view`]) without flushing: stale
-//!   entries re-derive just their stale atoms.
+//!   is a plain indexed table over the ids `dissect_interned` emits.  The
+//!   caches are versioned with the registry's per-relation epochs, so the
+//!   view universe can change online ([`CachedLabeler::add_view`]) without
+//!   flushing: stale entries re-derive just their stale atoms.  Concurrent
+//!   readers label through the private lanes of a [`LabelerSnapshot`]; the
+//!   lookup algorithm exists once and is described there.
 //!
 //! All variants produce identical [`DisclosureLabel`]s; the equivalence is
 //! asserted by the test suite and exercised again by the Figure 5 benchmark.
@@ -45,7 +45,7 @@ use fdc_cq::{ConjunctiveQuery, RelId, Term, VarKind};
 use crate::dissect::{dissect, dissect_interned};
 use crate::error::Result;
 use crate::label::{AtomLabel, DisclosureLabel, PackedLabel, ViewMask};
-use crate::pool::{WorkerContext, WorkerPool};
+use crate::pool::WorkerContext;
 use crate::security_views::{SecurityViewId, SecurityViews};
 
 /// The shared handle to a [`QueryInterner`]: one interner per serving stack,
@@ -417,41 +417,6 @@ fn dissect_part_ids(interner: &SharedQueryInterner, id: QueryId) -> Vec<(QueryId
         .collect()
 }
 
-/// Interns `query` if the implicit-intern budget still has room, returning
-/// its id; `None` once `budget` has reached `capacity` and the shape is
-/// unknown (the caller serves it through the uncached pipeline).  Shared by
-/// [`CachedLabeler::label_query`] and [`LabelerSnapshot::label_query`] so
-/// the live labeler and its snapshots draw on one arena budget.
-fn intern_within_budget(
-    interner: &SharedQueryInterner,
-    budget: &AtomicUsize,
-    capacity: usize,
-    query: &ConjunctiveQuery,
-) -> Option<QueryId> {
-    // The arena budget counts the shapes the implicit path has interned —
-    // dissected parts, view definitions and explicitly interned pools do
-    // not consume it (they are bounded by the shapes that carry them).
-    // The unsynchronized load can overshoot by a few entries under
-    // concurrent first sightings; the bound stays O(capacity).
-    let guard = interner.read().unwrap_or_else(|e| e.into_inner());
-    match guard.lookup(query) {
-        Some(id) => Some(id),
-        None if budget.load(Ordering::Relaxed) >= capacity => None,
-        None => {
-            drop(guard);
-            let mut guard = interner.write().unwrap_or_else(|e| e.into_inner());
-            let before = guard.len();
-            let id = guard.intern(query);
-            // Another thread may have interned the shape between the two
-            // locks; only the one that grew the arena is charged.
-            if guard.len() > before {
-                budget.fetch_add(1, Ordering::Relaxed);
-            }
-            Some(id)
-        }
-    }
-}
-
 impl QueryLabeler for BitVectorLabeler {
     fn label_query(&self, query: &ConjunctiveQuery) -> DisclosureLabel {
         let mut label = DisclosureLabel::bottom();
@@ -469,7 +434,7 @@ impl QueryLabeler for BitVectorLabeler {
 }
 
 // ---------------------------------------------------------------------------
-// Cached: canonical-form memoization of the per-atom ℓ⁺ step.
+// Cached: id-keyed memoization of whole-query labels and per-atom ℓ⁺ masks.
 // ---------------------------------------------------------------------------
 
 /// Hit/miss/invalidation counters of a [`CachedLabeler`].
@@ -516,6 +481,67 @@ impl CacheStats {
             self.hits as f64 / total as f64
         }
     }
+}
+
+/// The counters behind [`CacheStats`].  A labeler and each of its snapshots
+/// own one block; retiring a snapshot folds its block into the labeler's.
+#[derive(Debug, Default)]
+struct LabelCounters {
+    hits: AtomicU64,
+    misses: AtomicU64,
+    atom_hits: AtomicU64,
+    atom_misses: AtomicU64,
+    query_refreshes: AtomicU64,
+    atom_refreshes: AtomicU64,
+    invalidations: AtomicU64,
+    batch_dedup_hits: AtomicU64,
+}
+
+impl LabelCounters {
+    fn all(&self) -> [&AtomicU64; 8] {
+        [
+            &self.hits,
+            &self.misses,
+            &self.atom_hits,
+            &self.atom_misses,
+            &self.query_refreshes,
+            &self.atom_refreshes,
+            &self.invalidations,
+            &self.batch_dedup_hits,
+        ]
+    }
+
+    fn stats(&self, entries: usize, atom_entries: usize) -> CacheStats {
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+            entries,
+            atom_hits: self.atom_hits.load(Ordering::Relaxed),
+            atom_misses: self.atom_misses.load(Ordering::Relaxed),
+            atom_entries,
+            query_refreshes: self.query_refreshes.load(Ordering::Relaxed),
+            atom_refreshes: self.atom_refreshes.load(Ordering::Relaxed),
+            invalidations: self.invalidations.load(Ordering::Relaxed),
+            batch_dedup_hits: self.batch_dedup_hits.load(Ordering::Relaxed),
+        }
+    }
+
+    fn reset(&self) {
+        for counter in self.all() {
+            counter.store(0, Ordering::Relaxed);
+        }
+    }
+
+    /// Moves every count into `into`, leaving this block at zero.
+    fn drain_into(&self, into: &LabelCounters) {
+        for (mine, theirs) in self.all().into_iter().zip(into.all()) {
+            theirs.fetch_add(mine.swap(0, Ordering::Relaxed), Ordering::Relaxed);
+        }
+    }
+}
+
+fn bump(counter: &AtomicU64) {
+    counter.fetch_add(1, Ordering::Relaxed);
 }
 
 /// An atom-cache entry: the memoized `ℓ⁺` mask plus the epoch of the atom's
@@ -574,16 +600,12 @@ struct QueryCacheShard {
     slots: Vec<Option<QueryEntry>>,
 }
 
-/// The striped cache tables of a [`CachedLabeler`]: the query-level slot
-/// stripes, the ordinal-indexed atom table, and the occupancy / arena-budget
-/// gauges.
+/// One set of cache tables: the query-level slot stripes, the
+/// ordinal-indexed atom table and their occupancy gauges.
 ///
-/// The tables live behind an `Arc` so a [`LabelerSnapshot`] can hold a
-/// **read-only** handle onto the live labeler's warm state while serving
-/// against a frozen epoch vector: the snapshot never writes here (its own
-/// computations land in a private overlay) until it is retired through
-/// [`CachedLabeler::retire_snapshot`], which publishes the overlay back so
-/// warm state survives epochs.
+/// A [`CachedLabeler`] owns one **shared** set behind an `Arc`; every lane
+/// of a [`LabelerSnapshot`] owns a private set layered over a read-only
+/// handle onto the shared one.
 #[derive(Debug)]
 struct LabelTables {
     query_shards: Vec<RwLock<QueryCacheShard>>,
@@ -594,10 +616,6 @@ struct LabelTables {
     atom_cache: RwLock<Vec<Option<AtomEntry>>>,
     /// Occupied atom slots (capacity accounting).
     atom_entries: AtomicUsize,
-    /// Shapes interned by the implicit `label_query` path — the arena
-    /// budget (explicit `intern` calls are exempt, as are the dissected
-    /// parts and view definitions that ride along with admitted shapes).
-    implicit_interns: AtomicUsize,
 }
 
 impl LabelTables {
@@ -609,7 +627,6 @@ impl LabelTables {
             query_entries: AtomicUsize::new(0),
             atom_cache: RwLock::new(Vec::new()),
             atom_entries: AtomicUsize::new(0),
-            implicit_interns: AtomicUsize::new(0),
         }
     }
 
@@ -629,32 +646,22 @@ impl LabelTables {
         self.atom_cache.read().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Inserts (or refreshes) a query-cache entry, growing the stripe's slot
-    /// vector only when actually admitting, and keeping the occupancy gauge
-    /// exact (incremented only when an empty slot fills — under the stripe's
-    /// write lock, so no double counting).
-    fn store_query(&self, shard_idx: usize, slot: usize, entry: QueryEntry) {
-        self.store_query_counted(shard_idx, slot, entry, true);
+    fn write_atoms(&self) -> std::sync::RwLockWriteGuard<'_, Vec<Option<AtomEntry>>> {
+        self.atom_cache.write().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// [`store_query`](Self::store_query) with explicit gauge control:
-    /// `count_new: false` fills the slot without charging the occupancy
-    /// gauge — used by snapshot overlays storing a *refresh* of an entry
-    /// that still occupies the same slot in the shared base table (the
-    /// distinct-slot count across base + overlay is unchanged, so charging
-    /// it would double-count against the capacity).
-    fn store_query_counted(
-        &self,
-        shard_idx: usize,
-        slot: usize,
-        entry: QueryEntry,
-        count_new: bool,
-    ) {
+    /// Fills a query slot, growing the stripe's slot vector to cover it.
+    /// With `charge` the occupancy gauge counts the slot if it was empty —
+    /// decided under the stripe's write lock, so two racing first sightings
+    /// count once.  A refresh passes `false`: its slot is already occupied,
+    /// here or in the base the lane reads through to, so the number of
+    /// distinct slots the capacity bounds is unchanged.
+    fn store_query(&self, shard_idx: usize, slot: usize, entry: QueryEntry, charge: bool) {
         let mut shard = self.write_shard(shard_idx);
         if slot >= shard.slots.len() {
             shard.slots.resize_with(slot + 1, || None);
         }
-        if count_new && shard.slots[slot].is_none() {
+        if charge && shard.slots[slot].is_none() {
             self.query_entries.fetch_add(1, Ordering::Relaxed);
         }
         shard.slots[slot] = Some(entry);
@@ -667,24 +674,17 @@ impl LabelTables {
         self.read_atoms().get(slot).copied().flatten()
     }
 
-    /// Inserts (or refreshes) an atom-cache entry, growing the table to
-    /// cover the ordinal.  Growth happens under the write lock and is
-    /// re-checked there: an ordinal minted after the table was sized (the
-    /// interner grows between `dissect_interned` and the cache write) simply
-    /// extends the table — it can neither index out of bounds nor be
-    /// silently dropped.
-    fn store_atom(&self, slot: usize, entry: AtomEntry) {
-        self.store_atom_counted(slot, entry, true);
-    }
-
-    /// [`store_atom`](Self::store_atom) with explicit gauge control — see
-    /// [`store_query_counted`](Self::store_query_counted).
-    fn store_atom_counted(&self, slot: usize, entry: AtomEntry, count_new: bool) {
-        let mut cache = self.atom_cache.write().unwrap_or_else(|e| e.into_inner());
+    /// Fills an atom slot, growing the table under the write lock to cover
+    /// an ordinal minted after the table was sized (the interner grows
+    /// between `dissect_interned` and the cache write) — asserted by
+    /// `atom_ordinals_minted_mid_batch_grow_the_table`.  `charge` as in
+    /// [`store_query`](Self::store_query).
+    fn store_atom(&self, slot: usize, entry: AtomEntry, charge: bool) {
+        let mut cache = self.write_atoms();
         if slot >= cache.len() {
             cache.resize_with(slot + 1, || None);
         }
-        if count_new && cache[slot].is_none() {
+        if charge && cache[slot].is_none() {
             self.atom_entries.fetch_add(1, Ordering::Relaxed);
         }
         cache[slot] = Some(entry);
@@ -697,11 +697,494 @@ impl LabelTables {
             self.write_shard(shard).slots.clear();
         }
         self.query_entries.store(0, Ordering::Relaxed);
-        self.atom_cache
-            .write()
-            .unwrap_or_else(|e| e.into_inner())
-            .clear();
+        self.write_atoms().clear();
         self.atom_entries.store(0, Ordering::Relaxed);
+    }
+
+    /// Moves every entry into `into`, leaving these tables empty.  Slots
+    /// `into` did not hold yet are charged to its gauges.
+    fn drain_into(&self, into: &LabelTables) {
+        for shard_idx in 0..QUERY_CACHE_SHARDS {
+            let drained = std::mem::take(&mut *self.write_shard(shard_idx));
+            for (slot, entry) in drained.slots.into_iter().enumerate() {
+                if let Some(entry) = entry {
+                    into.store_query(shard_idx, slot, entry, true);
+                }
+            }
+        }
+        self.query_entries.store(0, Ordering::Relaxed);
+        let drained = std::mem::take(&mut *self.write_atoms());
+        for (slot, entry) in drained.into_iter().enumerate() {
+            if let Some(entry) = entry {
+                into.store_atom(slot, entry, true);
+            }
+        }
+        self.atom_entries.store(0, Ordering::Relaxed);
+    }
+
+    /// A copy of these tables taken under every stripe's read lock and the
+    /// atom table's read lock **at once** — one consistent cut, its gauges
+    /// recounted from the copied slots rather than read from atomics a
+    /// concurrent insertion may be moving.  (Stripes lock in index order;
+    /// no writer ever holds two.)
+    fn consistent_copy(&self) -> LabelTables {
+        let stripes: Vec<_> = (0..QUERY_CACHE_SHARDS)
+            .map(|shard| self.read_shard(shard))
+            .collect();
+        let atoms = self.read_atoms();
+        let query_entries = stripes
+            .iter()
+            .flat_map(|stripe| &stripe.slots)
+            .filter(|slot| slot.is_some())
+            .count();
+        LabelTables {
+            query_entries: AtomicUsize::new(query_entries),
+            query_shards: stripes
+                .iter()
+                .map(|stripe| RwLock::new(QueryCacheShard::clone(stripe)))
+                .collect(),
+            atom_entries: AtomicUsize::new(atoms.iter().filter(|slot| slot.is_some()).count()),
+            atom_cache: RwLock::new(atoms.clone()),
+        }
+    }
+}
+
+/// Sums one occupancy gauge over a set of tables.
+fn gauge_sum(tables: &[LabelTables], gauge: impl Fn(&LabelTables) -> &AtomicUsize) -> usize {
+    tables
+        .iter()
+        .map(|tables| gauge(tables).load(Ordering::Relaxed))
+        .sum()
+}
+
+/// Where one labeling call reads and writes.
+///
+/// Lookups consult the write table first and then the base; whatever the
+/// call derives or refreshes is stored in the write table.  The capacity
+/// limit bounds the distinct slots of the base plus **every** write table
+/// of the labeler, so sibling lanes share one budget.
+#[derive(Clone, Copy)]
+struct Lane<'a> {
+    /// Every table calls on this labeler write into.
+    writes: &'a [LabelTables],
+    /// Index into `writes` of the table this call writes.
+    index: usize,
+    /// The read-only tables beneath the write tables, if any.
+    base: Option<&'a LabelTables>,
+}
+
+impl<'a> Lane<'a> {
+    fn write(self) -> &'a LabelTables {
+        &self.writes[self.index]
+    }
+
+    fn reads(self) -> impl Iterator<Item = &'a LabelTables> {
+        std::iter::once(self.write()).chain(self.base)
+    }
+
+    fn occupied(self, gauge: impl Fn(&LabelTables) -> &AtomicUsize) -> usize {
+        self.base
+            .map_or(0, |base| gauge(base).load(Ordering::Relaxed))
+            + gauge_sum(self.writes, gauge)
+    }
+}
+
+/// Outcome of a query-cache lookup: a fresh hit (already handed to the
+/// caller), the parts of a stale entry to refresh, or no entry at all.
+enum QueryLookup<R> {
+    Fresh(R),
+    Stale(Vec<QueryPart>),
+    Absent,
+}
+
+/// The state every labeling call needs whichever tables it runs against:
+/// the view universe, the id authority, the capacity and the counters.
+///
+/// This is where the cache algorithm lives — once.  [`label_with`] and
+/// [`cached_atom_mask`] take the [`Lane`] to run against as an argument.
+///
+/// [`label_with`]: LabelCore::label_with
+/// [`cached_atom_mask`]: LabelCore::cached_atom_mask
+#[derive(Debug)]
+struct LabelCore {
+    /// The registry (with its per-relation epoch vector) and the compiled
+    /// per-relation candidate lists.
+    inner: BitVectorLabeler,
+    /// Interned definition of every registered security view, indexed by
+    /// [`SecurityViewId`] — the right-hand operand of the interned
+    /// rewriting fallback.
+    view_qids: Vec<QueryId>,
+    /// The query interner — the id authority every table is keyed by; see
+    /// [`SharedQueryInterner`].
+    interner: SharedQueryInterner,
+    /// Shapes interned by the implicit `label_query` path — the arena
+    /// budget (explicit `intern` calls are exempt, as are the dissected
+    /// parts and view definitions that ride along with admitted shapes).
+    /// A labeler and its snapshots draw on one budget.
+    implicit_interns: Arc<AtomicUsize>,
+    capacity: usize,
+    counters: LabelCounters,
+}
+
+impl LabelCore {
+    /// The epoch of a relation's view universe.  Epochs only change under
+    /// `&mut CachedLabeler`, so they are stable for the duration of any
+    /// labeling call.
+    #[inline]
+    fn epoch_of(&self, relation: RelId) -> u64 {
+        self.inner.views.epoch(relation)
+    }
+
+    fn read_interner(&self) -> std::sync::RwLockReadGuard<'_, QueryInterner> {
+        self.interner.read().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// A copy of the view universe as it stands, sharing the interner and
+    /// the arena budget, with counters at zero.
+    fn frozen(&self) -> LabelCore {
+        LabelCore {
+            inner: self.inner.clone(),
+            view_qids: self.view_qids.clone(),
+            interner: Arc::clone(&self.interner),
+            implicit_interns: Arc::clone(&self.implicit_interns),
+            capacity: self.capacity,
+            counters: LabelCounters::default(),
+        }
+    }
+
+    /// Interns `query` if the implicit-intern budget still has room,
+    /// returning its id; `None` once the budget has reached the capacity
+    /// and the shape is unknown (the caller serves it through the uncached
+    /// pipeline).
+    fn intern_within_budget(&self, query: &ConjunctiveQuery) -> Option<QueryId> {
+        // The arena budget counts the shapes the implicit path has interned —
+        // dissected parts, view definitions and explicitly interned pools do
+        // not consume it (they are bounded by the shapes that carry them).
+        // The unsynchronized load can overshoot by a few entries under
+        // concurrent first sightings; the bound stays O(capacity).
+        let guard = self.read_interner();
+        match guard.lookup(query) {
+            Some(id) => Some(id),
+            None if self.implicit_interns.load(Ordering::Relaxed) >= self.capacity => None,
+            None => {
+                drop(guard);
+                let mut guard = self.interner.write().unwrap_or_else(|e| e.into_inner());
+                let before = guard.len();
+                let id = guard.intern(query);
+                // Another thread may have interned the shape between the two
+                // locks; only the one that grew the arena is charged.
+                if guard.len() > before {
+                    self.implicit_interns.fetch_add(1, Ordering::Relaxed);
+                }
+                Some(id)
+            }
+        }
+    }
+
+    /// `ℓ⁺` of one dissected single-atom query (by interned id), through the
+    /// epoch-checked atom tables of `lane`.  `ordinal` is the atom's dense
+    /// single-atom ordinal — the tables' slot index.
+    fn cached_atom_mask(
+        &self,
+        lane: Lane<'_>,
+        atom: QueryId,
+        ordinal: u32,
+        relation: RelId,
+    ) -> ViewMask {
+        let current = self.epoch_of(relation);
+        let slot = ordinal as usize;
+        let cached = lane.reads().find_map(|tables| tables.get_atom(slot));
+        if let Some(entry) = cached {
+            if entry.epoch == current {
+                bump(&self.counters.atom_hits);
+                return entry.mask;
+            }
+        }
+        let stale = cached.is_some();
+        let mask = interned_atom_mask(
+            &self.inner,
+            &self.view_qids,
+            &self.read_interner(),
+            atom,
+            relation,
+        );
+        bump(if stale {
+            &self.counters.atom_refreshes
+        } else {
+            &self.counters.atom_misses
+        });
+        // A stale slot is occupied already, so refreshing it is always
+        // admitted; a brand-new atom needs room under the capacity.
+        if stale || lane.occupied(|t| &t.atom_entries) < self.capacity {
+            let entry = AtomEntry {
+                mask,
+                epoch: current,
+            };
+            lane.write().store_atom(slot, entry, !stale);
+        }
+        mask
+    }
+
+    /// Labels an interned query through `lane` and hands the label to
+    /// `use_label` — by reference, so a caller that clones, packs or folds
+    /// pays for exactly that.
+    ///
+    /// A **fresh** entry is a hit: `use_label` reads it under the stripe's
+    /// read lock.  A **stale** entry re-derives only the parts whose
+    /// relation epoch advanced — folding and dissection are skipped, the
+    /// dissected part ids are stored — and is written back without
+    /// charging the occupancy gauge.  An **absent** id runs the pipeline
+    /// ([`dissect_interned`] + the atom tables) and is stored, charged, if
+    /// the capacity has room; if not, the label the cache did not keep is
+    /// returned next to the result (always `None` otherwise).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` was not issued by the shared interner, or if the
+    /// lane's index is out of range.
+    fn label_with<R>(
+        &self,
+        lane: Lane<'_>,
+        id: QueryId,
+        mut use_label: impl FnMut(&DisclosureLabel) -> R,
+    ) -> (R, Option<DisclosureLabel>) {
+        let (shard_idx, slot) = (
+            id.index() % QUERY_CACHE_SHARDS,
+            id.index() / QUERY_CACHE_SHARDS,
+        );
+        let lookup = 'found: {
+            for tables in lane.reads() {
+                let shard = tables.read_shard(shard_idx);
+                if let Some(entry) = shard.slots.get(slot).and_then(Option::as_ref) {
+                    let fresh = entry
+                        .parts
+                        .iter()
+                        .all(|part| part.epoch == self.epoch_of(part.relation));
+                    break 'found if fresh {
+                        QueryLookup::Fresh(use_label(&entry.label))
+                    } else {
+                        QueryLookup::Stale(entry.parts.clone())
+                    };
+                }
+            }
+            QueryLookup::Absent
+        };
+        let (parts, absent) = match lookup {
+            QueryLookup::Fresh(out) => {
+                bump(&self.counters.hits);
+                return (out, None);
+            }
+            QueryLookup::Stale(mut parts) => {
+                for part in &mut parts {
+                    let current = self.epoch_of(part.relation);
+                    if part.epoch != current {
+                        part.mask =
+                            self.cached_atom_mask(lane, part.atom, part.ordinal, part.relation);
+                        part.epoch = current;
+                    }
+                }
+                bump(&self.counters.query_refreshes);
+                (parts, false)
+            }
+            QueryLookup::Absent => {
+                let parts = dissect_part_ids(&self.interner, id)
+                    .into_iter()
+                    .map(|(atom, ordinal, relation)| QueryPart {
+                        atom,
+                        ordinal,
+                        relation,
+                        epoch: self.epoch_of(relation),
+                        mask: self.cached_atom_mask(lane, atom, ordinal, relation),
+                    })
+                    .collect();
+                bump(&self.counters.misses);
+                (parts, true)
+            }
+        };
+        let mut label = DisclosureLabel::with_capacity(parts.len());
+        for part in &parts {
+            label.push(AtomLabel::new(part.relation, part.mask));
+        }
+        let out = use_label(&label);
+        if absent && lane.occupied(|t| &t.query_entries) >= self.capacity {
+            return (out, Some(label));
+        }
+        lane.write()
+            .store_query(shard_idx, slot, QueryEntry { label, parts }, absent);
+        (out, None)
+    }
+
+    /// The boxed door: interns `query` within the arena budget and labels
+    /// it by id; past the budget an unknown shape is **not** interned and
+    /// labels through the uncached [`BitVectorLabeler`] pipeline instead
+    /// (identical label, counted as a miss), so an adversarial stream of
+    /// never-repeating shapes cannot grow the arena without bound.
+    fn label_query_with<R>(
+        &self,
+        lane: Lane<'_>,
+        query: &ConjunctiveQuery,
+        mut use_label: impl FnMut(&DisclosureLabel) -> R,
+    ) -> R {
+        match self.intern_within_budget(query) {
+            Some(id) => self.label_with(lane, id, use_label).0,
+            None => {
+                bump(&self.counters.misses);
+                use_label(&self.inner.label_query(query))
+            }
+        }
+    }
+}
+
+/// An immutable, concurrently servable labeler at one per-relation epoch
+/// vector: a copy of a [`CachedLabeler`]'s view universe frozen by
+/// [`CachedLabeler::snapshot`] — the labeling half of the service layer's
+/// `ServiceSnapshot` (see `fdc-service`) — or the live labeler itself for
+/// as long as it is borrowed ([`CachedLabeler::as_snapshot`]; epochs only
+/// move under `&mut`).  Every `label_*` entry point of the cached plane is
+/// implemented here.
+///
+/// # The algorithm, and what a lane is
+///
+/// A query-level lookup by interned id finds a *fresh* entry (a hit: a
+/// lock-striped `Vec` index straight to the finished label), a *stale* one
+/// (some part's relation epoch moved: exactly those parts re-derive their
+/// mask, folding and dissection are skipped) or *none* (the pipeline runs:
+/// `dissect_interned`, then the per-atom table, which is epoch-checked the
+/// same way).  That routine exists once, in the private `LabelCore`, and is
+/// told where to read and write:
+///
+/// * the live labeler ([`CachedLabeler::as_snapshot`]) has **no lanes**:
+///   it reads and writes the shared striped tables directly (the `lane`
+///   argument of the `_in` methods is ignored);
+/// * a frozen snapshot holds the shared tables **read-only** as its base
+///   and owns `lanes` private overlay tables.  A call through lane `i`
+///   looks in overlay `i`, then in the base, and stores what it derives or
+///   refreshes in overlay `i` — so concurrent readers that each take their
+///   own lane ([`lane_for`](Self::lane_for)) never contend on a write
+///   lock, and a sibling's concurrent derivation of the same slot yields
+///   the identical entry (same frozen base, same frozen epochs).  The
+///   overlays flow back into the shared tables, counters included, when
+///   the snapshot is retired through [`CachedLabeler::retire_snapshot`].
+///
+/// Occupancy is counted over the base plus every overlay, and only a
+/// lookup that found *nothing* charges it, so a snapshot refreshing entries
+/// the base already holds consumes no capacity.
+///
+/// Every label produced equals what a fresh [`BitVectorLabeler`] over the
+/// snapshot's registry computes (property-tested); only *which epoch*
+/// answers is pinned, never *what* the answer is.
+#[derive(Debug)]
+pub struct LabelerSnapshot {
+    core: LabelCore,
+    /// The labeler's shared tables.
+    base: Arc<LabelTables>,
+    /// One private table per lane (lane 0 = coordinator/inline); empty on
+    /// the live labeler, which writes `base` itself.
+    overlays: Vec<LabelTables>,
+}
+
+impl LabelerSnapshot {
+    fn lane(&self, lane: usize) -> Lane<'_> {
+        if self.overlays.is_empty() {
+            Lane {
+                writes: std::slice::from_ref(&*self.base),
+                index: 0,
+                base: None,
+            }
+        } else {
+            Lane {
+                writes: &self.overlays,
+                index: lane,
+                base: Some(&self.base),
+            }
+        }
+    }
+
+    /// The shared query-interner handle (see [`CachedLabeler::interner`]).
+    pub fn interner(&self) -> SharedQueryInterner {
+        Arc::clone(&self.core.interner)
+    }
+
+    /// True if `id` was issued by the shared interner — the validity check
+    /// behind interned admissions.
+    pub fn contains(&self, id: QueryId) -> bool {
+        self.core.read_interner().contains(id)
+    }
+
+    /// [`CachedLabeler::intern_within_budget`] against the arena budget a
+    /// snapshot **shares** with its labeler — how pool workers resolve a
+    /// staged plain admission to the id they hand back.
+    pub fn intern_within_budget(&self, query: &ConjunctiveQuery) -> Option<QueryId> {
+        self.core.intern_within_budget(query)
+    }
+
+    /// Counters accumulated since the snapshot was taken (or last retired).
+    /// The entry gauges cover the tables this snapshot writes: the private
+    /// lanes' **newly admitted** slots for a frozen snapshot (refreshes of
+    /// slots the base holds are stored but not charged), the shared tables
+    /// for the live labeler.
+    pub fn stats(&self) -> CacheStats {
+        let writes = self.lane(0).writes;
+        self.core.counters.stats(
+            gauge_sum(writes, |t| &t.query_entries),
+            gauge_sum(writes, |t| &t.atom_entries),
+        )
+    }
+
+    /// The lane a pool task should label through: lane 0 for the
+    /// coordinator and inline tasks, lanes `1..` for pool workers (wrapped
+    /// modulo the lane count, so a snapshot taken with fewer lanes than
+    /// the pool has workers still works — wrapped lanes merely share a
+    /// lane's stripe locks again).
+    pub fn lane_for(&self, ctx: &WorkerContext<'_>) -> usize {
+        match ctx.worker_index() {
+            Some(index) if self.overlays.len() > 1 => 1 + index % (self.overlays.len() - 1),
+            _ => 0,
+        }
+    }
+
+    /// Labels an already-interned query through lane `lane`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` was not issued by the shared interner, or if `lane`
+    /// is not one of a frozen snapshot's lanes.
+    pub fn label_interned_in(&self, lane: usize, id: QueryId) -> DisclosureLabel {
+        let lane = self.lane(lane);
+        self.core.label_with(lane, id, DisclosureLabel::clone).0
+    }
+
+    /// Labels one pre-interned query through lane `lane` and returns the
+    /// packed 64-bit representation (Section 6.1) — the form the policy
+    /// stores consume directly, so a cache hit is one pack under the
+    /// stripe's read lock.
+    pub fn label_packed_interned_in(&self, lane: usize, id: QueryId) -> Vec<PackedLabel> {
+        let lane = self.lane(lane);
+        self.core.label_with(lane, id, DisclosureLabel::pack).0
+    }
+
+    /// Labels one boxed query through lane `lane`, packed: interned within
+    /// the arena budget and labeled by id, or — past the budget — served
+    /// through the uncached pipeline.
+    pub fn label_packed_in(&self, lane: usize, query: &ConjunctiveQuery) -> Vec<PackedLabel> {
+        let lane = self.lane(lane);
+        self.core
+            .label_query_with(lane, query, DisclosureLabel::pack)
+    }
+}
+
+impl QueryLabeler for LabelerSnapshot {
+    /// The boxed door through lane 0: interns the query (a read-locked
+    /// lookup for known shapes, including alpha-variants; new shapes draw
+    /// on the arena budget) and labels it by id.
+    fn label_query(&self, query: &ConjunctiveQuery) -> DisclosureLabel {
+        self.core
+            .label_query_with(self.lane(0), query, DisclosureLabel::clone)
+    }
+
+    /// The registry, with the epoch vector the snapshot serves at.
+    fn security_views(&self) -> &SecurityViews {
+        &self.core.inner.views
     }
 }
 
@@ -711,16 +1194,18 @@ impl LabelTables {
 /// renaming — the atoms, the constants, the variable-equality pattern and
 /// the distinguished/existential tags.  The [`QueryInterner`] canonicalizes
 /// exactly that, so `QueryId` equality *is* canonical-form equality and the
-/// **query-level** cache becomes a sharded slot vector
-/// indexed by id: a hit is a lock-striped `Vec` index straight to a finished
-/// [`DisclosureLabel`], skipping the whole pipeline including the NP-hard
-/// folding step of `Dissect`.  (This replaces the seed's single
-/// `RwLock<HashMap<QueryKey, _>>`, whose every lookup allocated one key
-/// vector per atom and serialized on one lock.)  Query-level misses run the
-/// pipeline with a second, **atom-level** cache — a plain indexed table over
-/// the ids [`dissect_interned`] emits — memoizing the per-atom `ℓ⁺` masks
-/// that recur across distinct query shapes (e.g. the `Friend` join atoms the
+/// **query-level** cache is a sharded slot vector indexed by id: a hit
+/// skips the whole pipeline including the NP-hard folding step of
+/// `Dissect`.  Query-level misses run the pipeline with a second,
+/// **atom-level** cache — a plain indexed table over the ids
+/// [`dissect_interned`] emits — memoizing the per-atom `ℓ⁺` masks that
+/// recur across distinct query shapes (e.g. the `Friend` join atoms the
 /// Section 7.2 workload attaches to every friends-audience query).
+///
+/// The labeler is a [`LabelerSnapshot`] with no lanes
+/// ([`as_snapshot`](Self::as_snapshot)) plus what only the owner may do:
+/// change the view universe, flush, take frozen snapshots and retire them.
+/// The lookup algorithm is described on [`LabelerSnapshot`].
 ///
 /// Queries arriving as boxed [`ConjunctiveQuery`]s are interned on first
 /// sight ([`intern`](Self::intern) / [`label_query`](QueryLabeler::label_query));
@@ -736,22 +1221,15 @@ impl LabelTables {
 /// the property tests).
 ///
 /// Both caches are internally synchronized: labeling takes `&self`, so one
-/// `CachedLabeler` can be shared across worker threads — see
-/// [`label_queries_parallel`] for the batch entry point.
+/// `CachedLabeler` can be shared across threads.
 ///
 /// Memory is bounded: each cache stops admitting new entries once it holds
 /// [`capacity_limit`](Self::capacity_limit) canonical forms (lookups and
 /// the computed results are unaffected — over-limit shapes are simply
-/// recomputed), so a high-cardinality or adversarial stream of
-/// never-repeating shapes cannot grow the tables without bound.  The
-/// interner is bounded by the same limit on the implicit path: once
-/// [`label_query`](QueryLabeler::label_query) has interned `capacity_limit`
-/// distinct shapes, it stops interning unknown ones and falls back to the
-/// uncached [`BitVectorLabeler`] pipeline (identical labels, counted as
-/// misses).
-/// Explicit [`intern`](Self::intern) calls are exempt — a caller asking for
-/// an id is sizing its own pool and gets one unconditionally (dissected
-/// atom parts of admitted shapes ride along the same exemption).
+/// recomputed), and the implicit path stops interning unknown shapes at
+/// the same limit ([`intern_within_budget`](Self::intern_within_budget)),
+/// so a high-cardinality or adversarial stream of never-repeating shapes
+/// cannot grow the tables or the arena without bound.
 ///
 /// The labeler is **epoch-aware**: every cached mask and label records the
 /// per-relation epoch of the [`SecurityViews`] registry it was computed
@@ -764,28 +1242,7 @@ impl LabelTables {
 /// policy/view churn without flushing (and re-warming) the whole cache.
 #[derive(Debug)]
 pub struct CachedLabeler {
-    inner: BitVectorLabeler,
-    /// The query interner — the id authority every cache below is keyed by.
-    /// Shared (`Arc`) so the service front door and workload generators can
-    /// intern into the same id space; see [`SharedQueryInterner`].
-    interner: SharedQueryInterner,
-    /// Interned definition of every registered security view, indexed by
-    /// [`SecurityViewId`] — the right-hand operand of the interned
-    /// rewriting fallback.  Mutated only under `&mut self` (`add_view`).
-    view_qids: Vec<QueryId>,
-    /// The striped query/atom cache tables, `Arc`-shared so that
-    /// [`snapshot`](Self::snapshot)s can keep answering warmed shapes while
-    /// the live labeler moves on to newer epochs.
-    tables: Arc<LabelTables>,
-    capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    atom_hits: AtomicU64,
-    atom_misses: AtomicU64,
-    query_refreshes: AtomicU64,
-    atom_refreshes: AtomicU64,
-    invalidations: AtomicU64,
-    batch_dedup_hits: AtomicU64,
+    live: LabelerSnapshot,
 }
 
 /// Default per-cache entry limit of a [`CachedLabeler`].
@@ -797,61 +1254,30 @@ pub struct CachedLabeler {
 pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 20;
 
 impl Clone for CachedLabeler {
-    /// Cloning snapshots the cached entries and resets the counters.  The
+    /// Cloning copies the cached entries and resets the counters.  The
     /// interner handle is **shared**, not copied — it only grows, so ids
     /// stay aligned between the original and the clone (which is what lets
-    /// a snapshot keep answering warmed shapes).
+    /// a clone keep answering warmed shapes).
     ///
-    /// The snapshot is **consistent**: every query stripe's read lock and
-    /// the atom table's read lock are held simultaneously while copying, so
-    /// a clone taken while other threads label through the original can
-    /// never capture one stripe before a concurrent insertion and another
-    /// after it with a drifted occupancy gauge — the clone's `entries` /
-    /// `atom_entries` gauges are recomputed from the copied slots, not
-    /// copied from the racing atomics.  (Epoch bumps require `&mut self`
-    /// and therefore cannot overlap a clone at all; concurrently inserted
+    /// The copy is one **consistent** cut of the tables, so a clone taken
+    /// while other threads label through the original can never disagree
+    /// with its own occupancy gauges.  (Epoch bumps require `&mut self` and
+    /// therefore cannot overlap a clone at all; concurrently inserted
     /// entries carry honest epoch tags either way, so a stale-tagged entry
     /// is always re-derived on lookup, never served — asserted by
     /// `concurrent_clones_are_internally_consistent`.)
     fn clone(&self) -> Self {
-        // Take every stripe lock first (in index order, matching no writer
-        // that ever holds two), then the atom lock: one consistent cut.
-        let stripe_guards: Vec<_> = (0..QUERY_CACHE_SHARDS)
-            .map(|shard| self.tables.read_shard(shard))
-            .collect();
-        let atom_guard = self.tables.read_atoms();
-        let tables = LabelTables::new();
-        let mut query_entries = 0usize;
-        for (shard, guard) in stripe_guards.iter().enumerate() {
-            query_entries += guard.slots.iter().filter(|slot| slot.is_some()).count();
-            *tables.query_shards[shard]
-                .write()
-                .unwrap_or_else(|e| e.into_inner()) = (**guard).clone();
-        }
-        tables.query_entries.store(query_entries, Ordering::Relaxed);
-        let atom_entries = atom_guard.iter().filter(|slot| slot.is_some()).count();
-        *tables.atom_cache.write().unwrap_or_else(|e| e.into_inner()) = atom_guard.clone();
-        tables.atom_entries.store(atom_entries, Ordering::Relaxed);
-        tables.implicit_interns.store(
-            self.tables.implicit_interns.load(Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
-        drop(atom_guard);
-        drop(stripe_guards);
+        let core = &self.live.core;
+        let budget = core.implicit_interns.load(Ordering::Relaxed);
         CachedLabeler {
-            inner: self.inner.clone(),
-            interner: Arc::clone(&self.interner),
-            view_qids: self.view_qids.clone(),
-            tables: Arc::new(tables),
-            capacity: self.capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            atom_hits: AtomicU64::new(0),
-            atom_misses: AtomicU64::new(0),
-            query_refreshes: AtomicU64::new(0),
-            atom_refreshes: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-            batch_dedup_hits: AtomicU64::new(0),
+            live: LabelerSnapshot {
+                core: LabelCore {
+                    implicit_interns: Arc::new(AtomicUsize::new(budget)),
+                    ..core.frozen()
+                },
+                base: Arc::new(self.live.base.consistent_copy()),
+                overlays: Vec::new(),
+            },
         }
     }
 }
@@ -865,43 +1291,20 @@ impl CachedLabeler {
 
     /// Builds a caching labeler whose query- and atom-level caches each
     /// admit at most `capacity` entries (at least 1).
-    ///
-    /// Every registered security view is interned up front, so the interned
-    /// rewriting fallback never has to intern mid-labeling.
     pub fn with_capacity_limit(views: SecurityViews, capacity: usize) -> Self {
-        let mut interner = QueryInterner::new();
-        let mut view_qids = Vec::with_capacity(views.len());
-        for (id, view) in views.iter() {
-            debug_assert_eq!(id.index(), view_qids.len(), "view ids are dense");
-            view_qids.push(interner.intern(&view.query));
-        }
-        CachedLabeler {
-            inner: BitVectorLabeler::new(views),
-            interner: Arc::new(RwLock::new(interner)),
-            view_qids,
-            tables: Arc::new(LabelTables::new()),
-            capacity: capacity.max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            atom_hits: AtomicU64::new(0),
-            atom_misses: AtomicU64::new(0),
-            query_refreshes: AtomicU64::new(0),
-            atom_refreshes: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-            batch_dedup_hits: AtomicU64::new(0),
-        }
+        Self::with_interner(views, QueryInterner::new(), capacity)
     }
 
-    /// Builds a caching labeler over a view registry with a
-    /// **pre-populated** interner — the recovery constructor.
+    /// Builds a caching labeler over a view registry and an interner that
+    /// may be **pre-populated** — the recovery constructor.
     ///
-    /// Where [`with_capacity_limit`](Self::with_capacity_limit) starts
-    /// from an empty interner and interns the view queries as ids
-    /// `0, 1, …`, this takes an interner restored from a checkpoint
-    /// (`QueryInterner::decode_from`) that already holds those shapes:
-    /// interning a view query again finds its existing id, so every
-    /// `QueryId` minted before the checkpoint stays valid — the property
-    /// that makes interned admissions replayable across restarts.
+    /// Every registered security view is interned up front, so the interned
+    /// rewriting fallback never has to intern mid-labeling.  An empty
+    /// interner hands the view queries ids `0, 1, …`; one restored from a
+    /// checkpoint (`QueryInterner::decode_from`) already holds those
+    /// shapes, interning them again finds their ids, and every `QueryId`
+    /// minted before the checkpoint stays valid — the property that makes
+    /// interned admissions replayable across restarts.
     pub fn with_interner(
         views: SecurityViews,
         mut interner: QueryInterner,
@@ -913,25 +1316,32 @@ impl CachedLabeler {
             view_qids.push(interner.intern(&view.query));
         }
         CachedLabeler {
-            inner: BitVectorLabeler::new(views),
-            interner: Arc::new(RwLock::new(interner)),
-            view_qids,
-            tables: Arc::new(LabelTables::new()),
-            capacity: capacity.max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            atom_hits: AtomicU64::new(0),
-            atom_misses: AtomicU64::new(0),
-            query_refreshes: AtomicU64::new(0),
-            atom_refreshes: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-            batch_dedup_hits: AtomicU64::new(0),
+            live: LabelerSnapshot {
+                core: LabelCore {
+                    inner: BitVectorLabeler::new(views),
+                    view_qids,
+                    interner: Arc::new(RwLock::new(interner)),
+                    implicit_interns: Arc::default(),
+                    capacity: capacity.max(1),
+                    counters: LabelCounters::default(),
+                },
+                base: Arc::new(LabelTables::new()),
+                overlays: Vec::new(),
+            },
         }
+    }
+
+    /// This labeler as a [`LabelerSnapshot`] with no lanes: while the
+    /// borrow lasts nothing can move its epochs, and what it derives is
+    /// written straight into the shared tables.  For callers that serve
+    /// either the live labeler or a frozen snapshot through one code path.
+    pub fn as_snapshot(&self) -> &LabelerSnapshot {
+        &self.live
     }
 
     /// The per-cache entry limit.
     pub fn capacity_limit(&self) -> usize {
-        self.capacity
+        self.live.core.capacity
     }
 
     /// The shared query-interner handle.
@@ -940,7 +1350,7 @@ impl CachedLabeler {
     /// space (see `fdc_ecosystem::ChurnGenerator::attach_interner`), or
     /// lock it read-only to resolve ids back to queries.
     pub fn interner(&self) -> SharedQueryInterner {
-        Arc::clone(&self.interner)
+        self.live.interner()
     }
 
     /// Interns a query into this labeler's id space, returning its dense
@@ -955,84 +1365,14 @@ impl CachedLabeler {
     /// caller asking for an id is sizing its own pool and gets one
     /// unconditionally.
     pub fn intern(&self, query: &ConjunctiveQuery) -> QueryId {
-        if let Some(id) = self.read_interner().lookup(query) {
+        let core = &self.live.core;
+        if let Some(id) = core.read_interner().lookup(query) {
             return id;
         }
-        self.interner
+        core.interner
             .write()
             .unwrap_or_else(|e| e.into_inner())
             .intern(query)
-    }
-
-    fn read_interner(&self) -> std::sync::RwLockReadGuard<'_, QueryInterner> {
-        self.interner.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    #[inline]
-    fn shard_and_slot(id: QueryId) -> (usize, usize) {
-        (
-            id.index() % QUERY_CACHE_SHARDS,
-            id.index() / QUERY_CACHE_SHARDS,
-        )
-    }
-
-    fn read_query_shard(&self, shard: usize) -> std::sync::RwLockReadGuard<'_, QueryCacheShard> {
-        self.tables.read_shard(shard)
-    }
-
-    /// The current epoch of a relation's view universe (delegated to the
-    /// owned registry).  Epochs only change under `&mut self`, so they are
-    /// stable for the duration of any `&self` labeling call.
-    #[inline]
-    fn epoch_of(&self, relation: RelId) -> u64 {
-        self.inner.views.epoch(relation)
-    }
-
-    /// `ℓ⁺` of one dissected single-atom query (by interned id), through the
-    /// epoch-checked indexed atom table.  `ordinal` is the atom's dense
-    /// single-atom ordinal — the table's slot index.
-    ///
-    /// The ordinal may lie past the table's current length (the interner
-    /// mints ordinals faster than the table grows when distinct atoms keep
-    /// arriving): the read treats out-of-range slots as a plain miss and the
-    /// write path ([`LabelTables::store_atom`]) extends the table under the
-    /// write lock, so a mid-batch interner growth between `dissect_interned`
-    /// and the cache write can neither index out of bounds nor lose the
-    /// entry — asserted by `atom_ordinals_minted_mid_batch_grow_the_table`.
-    fn cached_atom_mask(&self, atom: QueryId, ordinal: u32, relation: RelId) -> ViewMask {
-        let current = self.epoch_of(relation);
-        let slot = ordinal as usize;
-        let mut stale = false;
-        if let Some(entry) = self.tables.get_atom(slot) {
-            if entry.epoch == current {
-                self.atom_hits.fetch_add(1, Ordering::Relaxed);
-                return entry.mask;
-            }
-            stale = true;
-        }
-        let mask = {
-            let interner = self.read_interner();
-            interned_atom_mask(&self.inner, &self.view_qids, &interner, atom, relation)
-        };
-        let counter = if stale {
-            &self.atom_refreshes
-        } else {
-            &self.atom_misses
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        // Refreshing an existing slot never grows the table, so stale
-        // entries are always re-admitted; brand-new atoms respect the
-        // capacity (the slot vector only grows for admitted entries).
-        if stale || self.tables.atom_entries.load(Ordering::Relaxed) < self.capacity {
-            self.tables.store_atom(
-                slot,
-                AtomEntry {
-                    mask,
-                    epoch: current,
-                },
-            );
-        }
-        mask
     }
 
     /// Registers one more security view online.
@@ -1043,15 +1383,16 @@ impl CachedLabeler {
     /// their stale atoms.  This is the incremental-relabeling path a
     /// dynamic service uses for `AddSecurityView` operations.
     pub fn add_view(&mut self, name: &str, query: ConjunctiveQuery) -> Result<SecurityViewId> {
-        let view_qid = self
+        let core = &mut self.live.core;
+        let view_qid = core
             .interner
             .write()
             .unwrap_or_else(|e| e.into_inner())
             .intern(&query);
-        let id = self.inner.add_view(name, query)?;
-        debug_assert_eq!(id.index(), self.view_qids.len(), "view ids are dense");
-        self.view_qids.push(view_qid);
-        *self.invalidations.get_mut() += 1;
+        let id = core.inner.add_view(name, query)?;
+        debug_assert_eq!(id.index(), core.view_qids.len(), "view ids are dense");
+        core.view_qids.push(view_qid);
+        *core.counters.invalidations.get_mut() += 1;
         Ok(id)
     }
 
@@ -1062,24 +1403,14 @@ impl CachedLabeler {
     /// stale atoms) on next lookup.  Use this when a view definition changed
     /// out of band; [`add_view`](Self::add_view) invalidates automatically.
     pub fn invalidate_relation(&mut self, relation: RelId) {
-        self.inner.views.bump_epoch(relation);
-        *self.invalidations.get_mut() += 1;
+        let core = &mut self.live.core;
+        core.inner.views.bump_epoch(relation);
+        *core.counters.invalidations.get_mut() += 1;
     }
 
     /// Current hit/miss/invalidation counters and cache sizes.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.tables.query_entries.load(Ordering::Relaxed),
-            atom_hits: self.atom_hits.load(Ordering::Relaxed),
-            atom_misses: self.atom_misses.load(Ordering::Relaxed),
-            atom_entries: self.tables.atom_entries.load(Ordering::Relaxed),
-            query_refreshes: self.query_refreshes.load(Ordering::Relaxed),
-            atom_refreshes: self.atom_refreshes.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            batch_dedup_hits: self.batch_dedup_hits.load(Ordering::Relaxed),
-        }
+        self.live.stats()
     }
 
     /// Drops every cached entry while keeping the hit/miss/refresh
@@ -1089,7 +1420,7 @@ impl CachedLabeler {
     /// the counters cumulative is what makes the baseline's cost visible:
     /// every post-flush relabeling still counts as a miss.
     pub fn clear_entries(&self) {
-        self.tables.clear();
+        self.live.base.clear();
     }
 
     /// Drops every cached entry **and** resets the counters (e.g. to
@@ -1098,87 +1429,7 @@ impl CachedLabeler {
     /// cumulative statistics.
     pub fn clear(&self) {
         self.clear_entries();
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-        self.atom_hits.store(0, Ordering::Relaxed);
-        self.atom_misses.store(0, Ordering::Relaxed);
-        self.query_refreshes.store(0, Ordering::Relaxed);
-        self.atom_refreshes.store(0, Ordering::Relaxed);
-        self.invalidations.store(0, Ordering::Relaxed);
-        self.batch_dedup_hits.store(0, Ordering::Relaxed);
-    }
-
-    /// Labels a batch in parallel and folds the results into the cumulative
-    /// disclosure label, using the process-wide [`WorkerPool`].
-    ///
-    /// Equivalent to [`QueryLabeler::label_queries`] (asserted by the test
-    /// suite — the label lattice LUB is idempotent, so deduplicating
-    /// repeats cannot change the fold).  Batches of at least
-    /// [`POOLED_BATCH_THRESHOLD`] queries on a multi-core host are handed
-    /// to the persistent workers as queue pushes (no thread spawns): the
-    /// batch labels through a one-off [`LabelerSnapshot`] whose cache work
-    /// — entries, counters, capacity charges — is drained back into this
-    /// labeler when the batch completes, so the pooled path warms the
-    /// cache exactly like the sequential one.  Smaller batches (and
-    /// single-core hosts) label sequentially on the calling thread with
-    /// batch-level dedup on canonical identity
-    /// ([`label_queries_deduped`](Self::label_queries_deduped)).
-    pub fn label_queries_batch(&self, queries: &[ConjunctiveQuery]) -> DisclosureLabel {
-        // Length check first: small batches must not spin up the global
-        // pool just to decide they don't need it.
-        if queries.len() < POOLED_BATCH_THRESHOLD {
-            return self.label_queries_deduped(queries);
-        }
-        let pool = WorkerPool::global();
-        if pool.workers() <= 1 {
-            return self.label_queries_deduped(queries);
-        }
-        let partials = self.pooled_batch(pool, queries, |snapshot, lane, chunk| {
-            snapshot.label_queries_in(lane, &chunk)
-        });
-        let mut out = DisclosureLabel::bottom();
-        for partial in &partials {
-            out.combine_in_place(partial);
-        }
-        out
-    }
-
-    /// Labels a boxed batch sequentially with **batch-level dedup keyed on
-    /// canonical identity**: each query is interned once (alpha-variants
-    /// collapse to one [`QueryId`]) and every later duplicate in the batch
-    /// reuses the label computed for its first occurrence — credited as a
-    /// [`hit`](CacheStats::hits) plus a
-    /// [`batch_dedup_hit`](CacheStats::batch_dedup_hits), never re-entering
-    /// the labeling pipeline.  Queries past the implicit-intern arena
-    /// budget have no cheap identity and label through the uncached
-    /// pipeline, exactly like [`label_query`](QueryLabeler::label_query).
-    ///
-    /// The fold equals the plain [`QueryLabeler::label_queries`] result
-    /// because the label lattice LUB is idempotent; the equivalence suite
-    /// asserts it.
-    pub fn label_queries_deduped(&self, queries: &[ConjunctiveQuery]) -> DisclosureLabel {
-        let mut out = DisclosureLabel::bottom();
-        let mut seen: HashMap<QueryId, DisclosureLabel> = HashMap::new();
-        for query in queries {
-            match self.intern_within_budget(query) {
-                Some(id) => {
-                    if let Some(label) = seen.get(&id) {
-                        out.combine_in_place(label);
-                        self.note_batch_dedup_hit();
-                    } else {
-                        let label = self.label_interned(id);
-                        out.combine_in_place(&label);
-                        seen.insert(id, label);
-                    }
-                }
-                None => {
-                    // Arena budget exhausted: serve without interning.
-                    self.misses.fetch_add(1, Ordering::Relaxed);
-                    out.combine_in_place(&self.inner.label_query(query));
-                }
-            }
-        }
-        out
+        self.live.core.counters.reset();
     }
 
     /// Resolves `query` to its interned id through the **budgeted** intern
@@ -1193,12 +1444,7 @@ impl CachedLabeler {
     /// This is the service's front door: an admission resolves its operand
     /// once here, then labels, dedups and records by id.
     pub fn intern_within_budget(&self, query: &ConjunctiveQuery) -> Option<QueryId> {
-        intern_within_budget(
-            &self.interner,
-            &self.tables.implicit_interns,
-            self.capacity,
-            query,
-        )
+        self.live.intern_within_budget(query)
     }
 
     /// Credits one batch-level dedup hit: the caller answered a duplicate
@@ -1207,69 +1453,8 @@ impl CachedLabeler {
     /// other [`CacheStats`] column matches what labeling the duplicate
     /// would have reported.
     pub fn note_batch_dedup_hit(&self) {
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        self.batch_dedup_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Labels each query of a batch in parallel, preserving order.
-    ///
-    /// The per-query counterpart of
-    /// [`label_queries_batch`](Self::label_queries_batch) for callers that
-    /// need individual labels (e.g. to feed a policy store); same pooled
-    /// execution, same sequential fallback.
-    pub fn label_batch(&self, queries: &[ConjunctiveQuery]) -> Vec<DisclosureLabel> {
-        if queries.len() < POOLED_BATCH_THRESHOLD {
-            return queries.iter().map(|q| self.label_query(q)).collect();
-        }
-        let pool = WorkerPool::global();
-        if pool.workers() <= 1 {
-            return queries.iter().map(|q| self.label_query(q)).collect();
-        }
-        self.pooled_batch(pool, queries, |snapshot, lane, chunk| {
-            chunk
-                .iter()
-                .map(|q| snapshot.label_query_in(lane, q))
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
-    }
-
-    /// Runs one batch on the worker pool: chunks the queries, labels every
-    /// chunk through a shared one-off [`LabelerSnapshot`] pinned to a fresh
-    /// pool epoch — each task writing its private overlay lane — and
-    /// retires the snapshot once the batch completes, publishing its cache
-    /// work (entries, counters, capacity charges) back into this labeler.
-    /// Returns the per-chunk results in chunk order.
-    fn pooled_batch<R, F>(
-        &self,
-        pool: &WorkerPool,
-        queries: &[ConjunctiveQuery],
-        label_chunk: F,
-    ) -> Vec<R>
-    where
-        R: Send + 'static,
-        F: Fn(&LabelerSnapshot, usize, Vec<ConjunctiveQuery>) -> R + Send + Sync + 'static,
-    {
-        let snapshot = Arc::new(self.snapshot_with_lanes(pool.workers() + 1));
-        let epoch = pool.advance_epoch();
-        // More chunks than workers so a skewed chunk can be stolen around.
-        let chunk_len = queries
-            .len()
-            .div_ceil(pool.workers() * POOLED_CHUNKS_PER_WORKER)
-            .max(1);
-        let inputs: Vec<Vec<ConjunctiveQuery>> =
-            queries.chunks(chunk_len).map(<[_]>::to_vec).collect();
-        let shared = Arc::clone(&snapshot);
-        let results = pool.run(inputs, move |chunk, ctx| {
-            let _pin = ctx.pin(epoch);
-            label_chunk(&shared, shared.lane_for(ctx), chunk)
-        });
-        // `run` returned, so every task (and its epoch pin and snapshot
-        // handle) is gone: the snapshot's overlay can drain back.
-        self.retire_snapshot(&snapshot);
-        results
+        bump(&self.live.core.counters.hits);
+        bump(&self.live.core.counters.batch_dedup_hits);
     }
 
     /// Labels one query and returns the packed 64-bit representation
@@ -1277,133 +1462,26 @@ impl CachedLabeler {
     /// `submit_packed`, so a cache hit plus a pack is the whole labeling
     /// stage of the admission path.
     pub fn label_packed(&self, query: &ConjunctiveQuery) -> Vec<PackedLabel> {
-        self.label_query(query).pack()
-    }
-
-    /// Labels each query of a batch in parallel, preserving order, and
-    /// returns the packed representation of every label.
-    ///
-    /// The packed counterpart of [`label_batch`](Self::label_batch) for
-    /// callers that feed a policy store: the labels never leave the 64-bit
-    /// form between the labeling and enforcement stages.
-    pub fn label_batch_packed(&self, queries: &[ConjunctiveQuery]) -> Vec<Vec<PackedLabel>> {
-        if queries.len() < POOLED_BATCH_THRESHOLD {
-            return queries.iter().map(|q| self.label_packed(q)).collect();
-        }
-        let pool = WorkerPool::global();
-        if pool.workers() <= 1 {
-            return queries.iter().map(|q| self.label_packed(q)).collect();
-        }
-        self.pooled_batch(pool, queries, |snapshot, lane, chunk| {
-            chunk
-                .iter()
-                .map(|q| snapshot.label_query_in(lane, q).pack())
-                .collect::<Vec<_>>()
-        })
-        .into_iter()
-        .flatten()
-        .collect()
+        self.live.label_packed_in(0, query)
     }
 
     /// Labels an already-interned query — the hot path for callers that
     /// hold dense [`QueryId`]s (the service's admission loop, pre-interned
-    /// workload pools).
-    ///
-    /// A warm lookup is a lock-striped `Vec` index: no canonical hashing, no
-    /// key allocation.  Misses run the interned pipeline
-    /// ([`dissect_interned`] + the indexed atom table); stale entries
-    /// re-derive just their stale atoms, exactly like the boxed path.
+    /// workload pools).  A warm lookup is a lock-striped `Vec` index: no
+    /// canonical hashing, no key allocation.
     ///
     /// # Panics
     ///
     /// Panics if `id` was not issued by this labeler's
     /// [`interner`](Self::interner).
     pub fn label_interned(&self, id: QueryId) -> DisclosureLabel {
-        let (shard_idx, slot) = Self::shard_and_slot(id);
-        let lookup = {
-            let shard = self.read_query_shard(shard_idx);
-            match shard.slots.get(slot).and_then(Option::as_ref) {
-                Some(entry) => {
-                    let fresh = entry
-                        .parts
-                        .iter()
-                        .all(|part| part.epoch == self.epoch_of(part.relation));
-                    if fresh {
-                        QueryLookup::Fresh(entry.label.clone())
-                    } else {
-                        QueryLookup::Stale(entry.clone())
-                    }
-                }
-                None => QueryLookup::Absent,
-            }
-        };
-        match lookup {
-            QueryLookup::Fresh(label) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                label
-            }
-            QueryLookup::Stale(entry) => {
-                // Re-derive only the parts whose relation epoch advanced;
-                // fresh parts keep their masks, and folding/dissection are
-                // skipped entirely (the dissected part ids are stored).
-                let mut label = DisclosureLabel::bottom();
-                let mut parts = Vec::with_capacity(entry.parts.len());
-                for part in entry.parts {
-                    let current = self.epoch_of(part.relation);
-                    let mask = if part.epoch == current {
-                        part.mask
-                    } else {
-                        self.cached_atom_mask(part.atom, part.ordinal, part.relation)
-                    };
-                    label.push(AtomLabel::new(part.relation, mask));
-                    parts.push(QueryPart {
-                        atom: part.atom,
-                        ordinal: part.ordinal,
-                        relation: part.relation,
-                        epoch: current,
-                        mask,
-                    });
-                }
-                self.query_refreshes.fetch_add(1, Ordering::Relaxed);
-                let entry = QueryEntry {
-                    label: label.clone(),
-                    parts,
-                };
-                self.store_entry(shard_idx, slot, entry);
-                label
-            }
-            QueryLookup::Absent => {
-                let part_ids = dissect_part_ids(&self.interner, id);
-                let mut label = DisclosureLabel::bottom();
-                let mut parts = Vec::with_capacity(part_ids.len());
-                for (atom, ordinal, relation) in part_ids {
-                    let mask = self.cached_atom_mask(atom, ordinal, relation);
-                    label.push(AtomLabel::new(relation, mask));
-                    parts.push(QueryPart {
-                        atom,
-                        ordinal,
-                        relation,
-                        epoch: self.epoch_of(relation),
-                        mask,
-                    });
-                }
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                if self.tables.query_entries.load(Ordering::Relaxed) < self.capacity {
-                    let entry = QueryEntry {
-                        label: label.clone(),
-                        parts,
-                    };
-                    self.store_entry(shard_idx, slot, entry);
-                }
-                label
-            }
-        }
+        self.live.label_interned_in(0, id)
     }
 
-    /// Inserts (or refreshes) a query-cache entry, growing the shard's slot
-    /// vector only when actually admitting.
-    fn store_entry(&self, shard_idx: usize, slot: usize, entry: QueryEntry) {
-        self.tables.store_query(shard_idx, slot, entry);
+    /// Labels one pre-interned query and returns the packed 64-bit
+    /// representation — the form the policy stores consume directly.
+    pub fn label_packed_interned(&self, id: QueryId) -> Vec<PackedLabel> {
+        self.live.label_packed_interned_in(0, id)
     }
 
     /// Folds a pre-interned batch into the cumulative disclosure label of
@@ -1416,115 +1494,69 @@ impl CachedLabeler {
     /// lattice fold per query — no hashing, no label clone.
     ///
     /// Within one batch each distinct id runs the labeling pipeline at most
-    /// once: a repeated id that cannot be served from the cache (e.g. the
-    /// cache is at capacity and its first occurrence was not admitted)
-    /// reuses the label computed earlier in the batch and is credited as a
-    /// [`hit`](CacheStats::hits) plus a
-    /// [`batch_dedup_hit`](CacheStats::batch_dedup_hits).  Warm batches
-    /// never touch the dedup list, so the steady state is unchanged.
+    /// once, even when the cache is at capacity and does not admit it: a
+    /// repeat of such an id reuses the label computed earlier in the batch
+    /// and is credited as a [`hit`](CacheStats::hits) plus a
+    /// [`batch_dedup_hit`](CacheStats::batch_dedup_hits).
     pub fn label_queries_interned(&self, ids: &[QueryId]) -> DisclosureLabel {
         let mut out = DisclosureLabel::bottom();
-        // Ids that missed the cache earlier in this batch, with the label
-        // each resolved to.  Kept as a linear list: it only ever holds
-        // cold-path ids, and a batch's distinct cold ids are few.
-        let mut missed: Vec<(QueryId, DisclosureLabel)> = Vec::new();
+        // Labels the full cache did not keep, by id.  An admitted id is a
+        // fresh hit next time, so below capacity this stays empty and a
+        // lookup in it costs nothing.
+        let mut unkept: HashMap<QueryId, DisclosureLabel> = HashMap::new();
+        let core = &self.live.core;
         for &id in ids {
-            if self.combine_fresh_hit(id, &mut out) {
-                continue;
-            }
-            if let Some((_, label)) = missed.iter().find(|(seen, _)| *seen == id) {
+            if let Some(label) = unkept.get(&id) {
                 out.combine_in_place(label);
                 self.note_batch_dedup_hit();
                 continue;
             }
-            let label = self.label_interned(id);
-            out.combine_in_place(&label);
-            missed.push((id, label));
+            let fold = |label: &DisclosureLabel| out.combine_in_place(label);
+            if let ((), Some(label)) = core.label_with(self.live.lane(0), id, fold) {
+                unkept.insert(id, label);
+            }
         }
         out
     }
 
-    /// Labels each pre-interned query of a batch, preserving order — the
-    /// interned counterpart of [`label_batch`](Self::label_batch).
-    pub fn label_batch_interned(&self, ids: &[QueryId]) -> Vec<DisclosureLabel> {
-        ids.iter().map(|&id| self.label_interned(id)).collect()
-    }
-
-    /// Labels one pre-interned query and returns the packed 64-bit
-    /// representation — the form the policy stores consume directly.
-    pub fn label_packed_interned(&self, id: QueryId) -> Vec<PackedLabel> {
-        self.label_interned(id).pack()
-    }
-
-    /// Combines a fresh cached entry for `id` into `out` without cloning the
-    /// label; returns false on a miss or stale entry (the caller falls back
-    /// to [`label_interned`](Self::label_interned)).
-    fn combine_fresh_hit(&self, id: QueryId, out: &mut DisclosureLabel) -> bool {
-        let (shard_idx, slot) = Self::shard_and_slot(id);
-        let shard = self.read_query_shard(shard_idx);
-        if let Some(entry) = shard.slots.get(slot).and_then(Option::as_ref) {
-            let fresh = entry
-                .parts
-                .iter()
-                .all(|part| part.epoch == self.epoch_of(part.relation));
-            if fresh {
-                out.combine_in_place(&entry.label);
-                drop(shard);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Freezes this labeler into an immutable [`LabelerSnapshot`].
+    /// Freezes this labeler into an immutable [`LabelerSnapshot`] with one
+    /// lane.
     ///
     /// The snapshot pins the view universe (registry, compiled candidate
     /// lists and per-relation epochs) **by value** and takes a read-only
-    /// handle onto the live striped query/atom caches, so it keeps labeling
-    /// at the frozen epoch vector — concurrently and without locks against
-    /// the live labeler — while the live side absorbs further mutations.
-    /// Everything the snapshot computes lands in a private overlay; hand it
-    /// back through [`retire_snapshot`](Self::retire_snapshot) so the warm
-    /// state survives the epoch.
+    /// handle onto the shared striped query/atom tables, so it keeps
+    /// labeling at the frozen epoch vector — concurrently and without
+    /// locks against the live labeler — while the live side absorbs
+    /// further mutations.  Everything the snapshot computes lands in its
+    /// private lane; hand it back through
+    /// [`retire_snapshot`](Self::retire_snapshot) so the warm state
+    /// survives the epoch.
     pub fn snapshot(&self) -> LabelerSnapshot {
         self.snapshot_with_lanes(1)
     }
 
-    /// [`snapshot`](Self::snapshot) with `lanes` private overlay lanes —
-    /// one per concurrent reader, so pool workers labeling sibling chunks
-    /// of one snapshot never contend on a shared overlay's stripe locks.
-    /// Lane 0 belongs to the coordinator (and any task running inline on
-    /// the submitting thread); lanes `1..` map to pool workers through
-    /// [`LabelerSnapshot::lane_for`].  All lanes drain back at
-    /// [`retire_snapshot`](Self::retire_snapshot).
+    /// [`snapshot`](Self::snapshot) with `lanes` private lanes (at least
+    /// one) — one per concurrent reader.  Lane 0 belongs to the coordinator
+    /// (and any task running inline on the submitting thread); lanes `1..`
+    /// map to pool workers through [`LabelerSnapshot::lane_for`].
     pub fn snapshot_with_lanes(&self, lanes: usize) -> LabelerSnapshot {
         LabelerSnapshot {
-            inner: self.inner.clone(),
-            view_qids: self.view_qids.clone(),
-            interner: Arc::clone(&self.interner),
-            base: Arc::clone(&self.tables),
+            core: self.live.core.frozen(),
+            base: Arc::clone(&self.live.base),
             overlays: (0..lanes.max(1)).map(|_| LabelTables::new()).collect(),
-            capacity: self.capacity,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            atom_hits: AtomicU64::new(0),
-            atom_misses: AtomicU64::new(0),
-            query_refreshes: AtomicU64::new(0),
-            atom_refreshes: AtomicU64::new(0),
         }
     }
 
     /// Retires a [`snapshot`](Self::snapshot) of this labeler: drains every
-    /// overlay lane — every entry the snapshot computed or refreshed while
-    /// serving, on any worker — into the shared striped tables, and folds
-    /// its hit/miss/refresh counters into this labeler's, so cache state
-    /// *and* accounting survive the epoch handover.  Entries carry the
-    /// epoch tags they were computed under; if the live registry has moved
-    /// past them they are honestly stale and re-derive on next lookup.
-    /// Two lanes that derived the same slot wrote identical entries (both
-    /// read the same frozen base at the same frozen epochs), so the merge
-    /// absorbs the duplicate — last store wins, content is equal.
+    /// lane — every entry the snapshot computed or refreshed while serving,
+    /// on any worker — into the shared striped tables, and folds its
+    /// counters into this labeler's, so cache state *and* accounting
+    /// survive the epoch handover.  Entries carry the epoch tags they were
+    /// computed under; if the live registry has moved past them they are
+    /// honestly stale and re-derive on next lookup.  Two lanes that derived
+    /// the same slot wrote identical entries, so the merge absorbs the
+    /// duplicate — last store wins, content is equal, the slot is charged
+    /// once.
     ///
     /// Retire snapshots in the order they were taken (the pipelined service
     /// executor does); anything the snapshot computes after retirement is
@@ -1532,552 +1564,34 @@ impl CachedLabeler {
     ///
     /// # Panics
     ///
-    /// Debug builds assert that the snapshot was taken from this labeler
-    /// (the shared tables must be the same allocation).
+    /// Panics if the snapshot was taken from another labeler: its entries
+    /// are keyed by that labeler's ids and derived from that labeler's
+    /// views, and stored here they would be served as this labeler's.
     pub fn retire_snapshot(&self, snapshot: &LabelerSnapshot) {
-        debug_assert!(
-            Arc::ptr_eq(&self.tables, &snapshot.base),
+        assert!(
+            Arc::ptr_eq(&self.live.base, &snapshot.base),
             "a snapshot must be retired into the labeler it was taken from"
         );
         for overlay in &snapshot.overlays {
-            for shard_idx in 0..QUERY_CACHE_SHARDS {
-                let drained = std::mem::take(
-                    &mut *overlay.query_shards[shard_idx]
-                        .write()
-                        .unwrap_or_else(|e| e.into_inner()),
-                );
-                for (slot, entry) in drained.slots.into_iter().enumerate() {
-                    if let Some(entry) = entry {
-                        self.tables.store_query(shard_idx, slot, entry);
-                    }
-                }
-            }
-            overlay.query_entries.store(0, Ordering::Relaxed);
-            let drained_atoms = std::mem::take(
-                &mut *overlay
-                    .atom_cache
-                    .write()
-                    .unwrap_or_else(|e| e.into_inner()),
-            );
-            for (slot, entry) in drained_atoms.into_iter().enumerate() {
-                if let Some(entry) = entry {
-                    self.tables.store_atom(slot, entry);
-                }
-            }
-            overlay.atom_entries.store(0, Ordering::Relaxed);
+            overlay.drain_into(&self.live.base);
         }
-        for (mine, theirs) in [
-            (&self.hits, &snapshot.hits),
-            (&self.misses, &snapshot.misses),
-            (&self.atom_hits, &snapshot.atom_hits),
-            (&self.atom_misses, &snapshot.atom_misses),
-            (&self.query_refreshes, &snapshot.query_refreshes),
-            (&self.atom_refreshes, &snapshot.atom_refreshes),
-        ] {
-            mine.fetch_add(theirs.swap(0, Ordering::Relaxed), Ordering::Relaxed);
-        }
+        snapshot.core.counters.drain_into(&self.live.core.counters);
     }
-}
-
-/// An immutable, concurrently-servable view of a [`CachedLabeler`] at a
-/// frozen per-relation epoch vector — the labeling half of the service
-/// layer's `ServiceSnapshot` (see `fdc-service`).
-///
-/// A snapshot owns a copy of the view universe (registry, compiled
-/// candidate lists, interned view definitions) exactly as it stood when
-/// [`CachedLabeler::snapshot`] ran, shares the parent's [`QueryInterner`]
-/// (ids stay aligned) and holds a **read-only** handle onto the parent's
-/// striped query/atom cache tables: warm shapes keep hitting across the
-/// handover.  Labels the snapshot computes or refreshes itself accumulate
-/// in private overlay **lanes** — one per concurrent reader, selected via
-/// [`lane_for`](Self::lane_for), each checked before the shared tables on
-/// that reader's lookups — and flow back into the shared tables when the
-/// snapshot is retired through [`CachedLabeler::retire_snapshot`].  A
-/// pipelined executor can thus label a read run against the previous epoch
-/// while the live labeler already serves the next one, with sibling pool
-/// workers never contending on overlay stripe locks, and without losing
-/// the run's cache work.
-///
-/// Every label a snapshot produces equals what a fresh [`BitVectorLabeler`]
-/// over the frozen registry computes (property-tested); only *which epoch*
-/// answers is pinned, never *what* the answer is.
-#[derive(Debug)]
-pub struct LabelerSnapshot {
-    /// The frozen view universe: registry (with its epoch vector), compiled
-    /// per-relation candidates.
-    inner: BitVectorLabeler,
-    /// Interned view definitions, frozen with the registry.
-    view_qids: Vec<QueryId>,
-    /// The parent's interner — shared, so ids issued on either side agree.
-    interner: SharedQueryInterner,
-    /// Read-only handle onto the parent's shared cache tables.
-    base: Arc<LabelTables>,
-    /// Entries this snapshot computed or refreshed, one private lane per
-    /// concurrent reader (lane 0 = coordinator/inline); all lanes drain
-    /// back into `base` at retirement.
-    overlays: Vec<LabelTables>,
-    capacity: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    atom_hits: AtomicU64,
-    atom_misses: AtomicU64,
-    query_refreshes: AtomicU64,
-    atom_refreshes: AtomicU64,
-}
-
-impl LabelerSnapshot {
-    /// The frozen epoch of a relation's view universe.
-    #[inline]
-    fn epoch_of(&self, relation: RelId) -> u64 {
-        self.inner.views.epoch(relation)
-    }
-
-    /// The frozen security-view registry (with the epoch vector the
-    /// snapshot serves at).
-    pub fn security_views(&self) -> &SecurityViews {
-        &self.inner.views
-    }
-
-    /// The shared query-interner handle (see [`CachedLabeler::interner`]).
-    pub fn interner(&self) -> SharedQueryInterner {
-        Arc::clone(&self.interner)
-    }
-
-    /// True if `id` was issued by the shared interner — the validity check
-    /// behind interned admissions.
-    pub fn contains(&self, id: QueryId) -> bool {
-        self.interner
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .contains(id)
-    }
-
-    /// [`CachedLabeler::intern_within_budget`] against the arena budget
-    /// this snapshot **shares** with its parent — how pool workers resolve
-    /// a staged plain admission to the id they hand back.
-    pub fn intern_within_budget(&self, query: &ConjunctiveQuery) -> Option<QueryId> {
-        intern_within_budget(
-            &self.interner,
-            &self.base.implicit_interns,
-            self.capacity,
-            query,
-        )
-    }
-
-    /// Counters accumulated by this snapshot since it was taken (or last
-    /// retired); entry gauges report the private overlay lanes' **newly
-    /// admitted** slots only (refreshes of slots still occupied in the
-    /// shared base table are stored but not charged — the distinct-slot
-    /// count across base and overlays is what the capacity bounds).
-    pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self.overlay_gauge(|o| &o.query_entries),
-            atom_hits: self.atom_hits.load(Ordering::Relaxed),
-            atom_misses: self.atom_misses.load(Ordering::Relaxed),
-            atom_entries: self.overlay_gauge(|o| &o.atom_entries),
-            query_refreshes: self.query_refreshes.load(Ordering::Relaxed),
-            atom_refreshes: self.atom_refreshes.load(Ordering::Relaxed),
-            invalidations: 0,
-            // Snapshots label chunk-by-chunk without batch context, so
-            // they never dedup within a batch.
-            batch_dedup_hits: 0,
-        }
-    }
-
-    /// The number of private overlay lanes this snapshot was taken with.
-    pub fn lanes(&self) -> usize {
-        self.overlays.len()
-    }
-
-    /// The overlay lane a pool task should write through: lane 0 for the
-    /// coordinator and inline tasks, lanes `1..` for pool workers (wrapped
-    /// modulo the lane count, so a snapshot taken with fewer lanes than
-    /// the pool has workers still works — wrapped lanes merely share a
-    /// lane's stripe locks again).
-    pub fn lane_for(&self, ctx: &WorkerContext<'_>) -> usize {
-        match ctx.worker_index() {
-            Some(index) if self.overlays.len() > 1 => 1 + index % (self.overlays.len() - 1),
-            _ => 0,
-        }
-    }
-
-    /// Sums one entry gauge across every overlay lane.
-    fn overlay_gauge(&self, gauge: impl Fn(&LabelTables) -> &AtomicUsize) -> usize {
-        self.overlays
-            .iter()
-            .map(|overlay| gauge(overlay).load(Ordering::Relaxed))
-            .sum()
-    }
-
-    /// Looks `id` up in the reader's own overlay lane first, then the
-    /// shared tables.  Sibling lanes are deliberately not consulted: a
-    /// slot another worker derived concurrently re-derives here to the
-    /// identical entry (same frozen base, same frozen epochs), and the
-    /// retirement merge absorbs the duplicate.
-    fn lookup(&self, lane: usize, shard_idx: usize, slot: usize) -> QueryLookup {
-        for tables in [&self.overlays[lane], &*self.base] {
-            let shard = tables.read_shard(shard_idx);
-            if let Some(entry) = shard.slots.get(slot).and_then(Option::as_ref) {
-                let fresh = entry
-                    .parts
-                    .iter()
-                    .all(|part| part.epoch == self.epoch_of(part.relation));
-                return if fresh {
-                    QueryLookup::Fresh(entry.label.clone())
-                } else {
-                    QueryLookup::Stale(entry.clone())
-                };
-            }
-        }
-        QueryLookup::Absent
-    }
-
-    /// [`CachedLabeler::cached_atom_mask`] against the lane-over-shared
-    /// tables, at the frozen epochs.
-    fn cached_atom_mask(
-        &self,
-        lane: usize,
-        atom: QueryId,
-        ordinal: u32,
-        relation: RelId,
-    ) -> ViewMask {
-        let current = self.epoch_of(relation);
-        let slot = ordinal as usize;
-        let mut stale = false;
-        if let Some(entry) = self.overlays[lane]
-            .get_atom(slot)
-            .or_else(|| self.base.get_atom(slot))
-        {
-            if entry.epoch == current {
-                self.atom_hits.fetch_add(1, Ordering::Relaxed);
-                return entry.mask;
-            }
-            stale = true;
-        }
-        let mask = {
-            let interner = self.interner.read().unwrap_or_else(|e| e.into_inner());
-            interned_atom_mask(&self.inner, &self.view_qids, &interner, atom, relation)
-        };
-        let counter = if stale {
-            &self.atom_refreshes
-        } else {
-            &self.atom_misses
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-        // Stale entries always re-admit without charging the gauge (their
-        // slot is already occupied in the shared base table, so the
-        // distinct-slot count is unchanged — overlay entries are never
-        // stale within one snapshot, epochs are frozen); brand-new atoms
-        // respect the capacity shared with the parent (base occupancy +
-        // overlay-only additions across every lane).
-        let occupied = self.base.atom_entries.load(Ordering::Relaxed)
-            + self.overlay_gauge(|o| &o.atom_entries);
-        if stale || occupied < self.capacity {
-            self.overlays[lane].store_atom_counted(
-                slot,
-                AtomEntry {
-                    mask,
-                    epoch: current,
-                },
-                !stale,
-            );
-        }
-        mask
-    }
-
-    /// Labels an already-interned query at the frozen epoch vector — the
-    /// snapshot counterpart of [`CachedLabeler::label_interned`].  Writes
-    /// through overlay lane 0 (the coordinator's lane); pool tasks use
-    /// [`label_interned_in`](Self::label_interned_in) with their
-    /// [`lane_for`](Self::lane_for) lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was not issued by the shared interner.
-    pub fn label_interned(&self, id: QueryId) -> DisclosureLabel {
-        self.label_interned_in(0, id)
-    }
-
-    /// [`label_interned`](Self::label_interned) through the given private
-    /// overlay lane.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` was not issued by the shared interner, or if `lane`
-    /// is out of range for this snapshot's [`lanes`](Self::lanes).
-    pub fn label_interned_in(&self, lane: usize, id: QueryId) -> DisclosureLabel {
-        let (shard_idx, slot) = CachedLabeler::shard_and_slot(id);
-        match self.lookup(lane, shard_idx, slot) {
-            QueryLookup::Fresh(label) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                label
-            }
-            QueryLookup::Stale(entry) => {
-                let mut label = DisclosureLabel::bottom();
-                let mut parts = Vec::with_capacity(entry.parts.len());
-                for part in entry.parts {
-                    let current = self.epoch_of(part.relation);
-                    let mask = if part.epoch == current {
-                        part.mask
-                    } else {
-                        self.cached_atom_mask(lane, part.atom, part.ordinal, part.relation)
-                    };
-                    label.push(AtomLabel::new(part.relation, mask));
-                    parts.push(QueryPart {
-                        atom: part.atom,
-                        ordinal: part.ordinal,
-                        relation: part.relation,
-                        epoch: current,
-                        mask,
-                    });
-                }
-                self.query_refreshes.fetch_add(1, Ordering::Relaxed);
-                // A refresh re-admits without charging the gauge: the slot
-                // is still occupied in the shared base table (overlay
-                // entries are never stale — epochs are frozen), so the
-                // distinct-slot count across base + overlays is unchanged.
-                self.overlays[lane].store_query_counted(
-                    shard_idx,
-                    slot,
-                    QueryEntry {
-                        label: label.clone(),
-                        parts,
-                    },
-                    false,
-                );
-                label
-            }
-            QueryLookup::Absent => {
-                let part_ids = dissect_part_ids(&self.interner, id);
-                let mut label = DisclosureLabel::bottom();
-                let mut parts = Vec::with_capacity(part_ids.len());
-                for (atom, ordinal, relation) in part_ids {
-                    let mask = self.cached_atom_mask(lane, atom, ordinal, relation);
-                    label.push(AtomLabel::new(relation, mask));
-                    parts.push(QueryPart {
-                        atom,
-                        ordinal,
-                        relation,
-                        epoch: self.epoch_of(relation),
-                        mask,
-                    });
-                }
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                let occupied = self.base.query_entries.load(Ordering::Relaxed)
-                    + self.overlay_gauge(|o| &o.query_entries);
-                if occupied < self.capacity {
-                    self.overlays[lane].store_query(
-                        shard_idx,
-                        slot,
-                        QueryEntry {
-                            label: label.clone(),
-                            parts,
-                        },
-                    );
-                }
-                label
-            }
-        }
-    }
-
-    /// [`label_query`](QueryLabeler::label_query) through the given private
-    /// overlay lane — the entry point pool tasks use with their
-    /// [`lane_for`](Self::lane_for) lane.
-    pub fn label_query_in(&self, lane: usize, query: &ConjunctiveQuery) -> DisclosureLabel {
-        match self.intern_within_budget(query) {
-            Some(id) => self.label_interned_in(lane, id),
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.inner.label_query(query)
-            }
-        }
-    }
-
-    /// Folds a batch through the given private overlay lane — the
-    /// lane-aware counterpart of [`label_queries`](QueryLabeler::label_queries).
-    pub fn label_queries_in(&self, lane: usize, queries: &[ConjunctiveQuery]) -> DisclosureLabel {
-        let mut out = DisclosureLabel::bottom();
-        for query in queries {
-            out.combine_in_place(&self.label_query_in(lane, query));
-        }
-        out
-    }
-
-    /// Labels one query and returns the packed 64-bit representation.
-    pub fn label_packed(&self, query: &ConjunctiveQuery) -> Vec<PackedLabel> {
-        self.label_query(query).pack()
-    }
-
-    /// [`label_packed`](Self::label_packed) through the given private
-    /// overlay lane.
-    pub fn label_packed_in(&self, lane: usize, query: &ConjunctiveQuery) -> Vec<PackedLabel> {
-        self.label_query_in(lane, query).pack()
-    }
-
-    /// Labels one pre-interned query and returns the packed representation.
-    pub fn label_packed_interned(&self, id: QueryId) -> Vec<PackedLabel> {
-        self.label_interned(id).pack()
-    }
-
-    /// [`label_packed_interned`](Self::label_packed_interned) through the
-    /// given private overlay lane.
-    pub fn label_packed_interned_in(&self, lane: usize, id: QueryId) -> Vec<PackedLabel> {
-        self.label_interned_in(lane, id).pack()
-    }
-}
-
-impl QueryLabeler for LabelerSnapshot {
-    /// Interns the query (drawing on the implicit-intern budget **shared**
-    /// with the parent labeler) and labels it at the frozen epoch vector
-    /// through overlay lane 0; past the budget, unknown shapes serve
-    /// through the frozen uncached pipeline, exactly like
-    /// [`CachedLabeler::label_query`].
-    fn label_query(&self, query: &ConjunctiveQuery) -> DisclosureLabel {
-        self.label_query_in(0, query)
-    }
-
-    fn security_views(&self) -> &SecurityViews {
-        &self.inner.views
-    }
-}
-
-/// Outcome of a query-cache lookup: fresh hit, stale entry to refresh, or
-/// no entry at all.
-enum QueryLookup {
-    Fresh(DisclosureLabel),
-    Stale(QueryEntry),
-    Absent,
 }
 
 impl QueryLabeler for CachedLabeler {
     /// Interns the query (a read-locked lookup for known shapes, including
-    /// alpha-variants) and labels it through the id-keyed caches.
-    ///
-    /// Once this path has interned [`capacity_limit`](Self::capacity_limit)
-    /// distinct shapes, further unknown shapes are **not** interned: they
-    /// label through the uncached [`BitVectorLabeler`] pipeline instead
-    /// (identical labels, counted as misses), so an adversarial stream of
-    /// never-repeating shapes cannot grow the arena without bound.
+    /// alpha-variants) and labels it through the id-keyed caches; see
+    /// [`intern_within_budget`](Self::intern_within_budget) for what
+    /// happens once [`capacity_limit`](Self::capacity_limit) distinct
+    /// shapes have been interned this way.
     fn label_query(&self, query: &ConjunctiveQuery) -> DisclosureLabel {
-        match self.intern_within_budget(query) {
-            Some(id) => self.label_interned(id),
-            None => {
-                // Arena budget exhausted: serve without interning.
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.inner.label_query(query)
-            }
-        }
+        self.live.label_query(query)
     }
 
     fn security_views(&self) -> &SecurityViews {
-        self.inner.security_views()
+        self.live.security_views()
     }
-}
-
-/// Labels a batch of queries in parallel with any thread-safe labeler and
-/// folds the per-query labels into the cumulative disclosure label of the
-/// whole batch (the label of answering every query).
-///
-/// The batch is sharded into `threads` contiguous chunks, each labeled on a
-/// scoped worker thread with the plain sequential
-/// [`label_queries`](QueryLabeler::label_queries), and the partial labels
-/// are folded with [`DisclosureLabel::combine_in_place`].  Folding is
-/// order-insensitive (the label lattice LUB is associative and commutative),
-/// so the result equals the sequential one; the test suite asserts this.
-pub fn label_queries_parallel<L>(
-    labeler: &L,
-    queries: &[ConjunctiveQuery],
-    threads: usize,
-) -> DisclosureLabel
-where
-    L: QueryLabeler + Sync,
-{
-    let partials = map_chunks_parallel(queries, threads, |chunk| labeler.label_queries(chunk));
-    let mut out = DisclosureLabel::bottom();
-    for partial in &partials {
-        out.combine_in_place(partial);
-    }
-    out
-}
-
-/// Batches shorter than this run on the calling thread even when multiple
-/// worker threads are requested: for tiny batches, spawning scoped threads
-/// costs more than the work they would parallelize (the crossover is
-/// asserted by the `small_batches_run_on_the_calling_thread` test).  Entry
-/// points that need a different crossover use
-/// [`map_chunks_parallel_with_threshold`]; the policy layer exposes the
-/// analogous knob as `ShardedPolicyStore::set_parallel_threshold`.
-pub const SMALL_BATCH_SEQUENTIAL_THRESHOLD: usize = 32;
-
-/// Batches shorter than this run sequentially instead of through the
-/// persistent [`WorkerPool`] on the boxed-query batch entry points
-/// ([`CachedLabeler::label_queries_batch`] / `label_batch` /
-/// `label_batch_packed`).  The pooled path pays one labeler snapshot and
-/// one owned copy of the batch up front; both amortize across a few hundred
-/// queries, so the crossover sits well below the benchmark batch size of
-/// 500 — on a multi-core host the parallel series engages (and wins) at
-/// every Figure 5 sweep point, and on a single-core host the pool is
-/// inline-only and the sequential path is taken regardless.
-pub const POOLED_BATCH_THRESHOLD: usize = 256;
-
-/// Chunks handed to the pool per worker on the pooled batch path: more
-/// chunks than workers, so a skewed chunk leaves stealable work behind it.
-const POOLED_CHUNKS_PER_WORKER: usize = 4;
-
-/// Splits `items` into up to `threads` contiguous chunks and maps `f`
-/// over them on scoped worker threads, returning the per-chunk results in
-/// chunk order.  One chunk (or an empty input) runs on the calling thread,
-/// and batches below [`SMALL_BATCH_SEQUENTIAL_THRESHOLD`] run sequentially
-/// regardless of `threads`.
-///
-/// This is the one scoped-thread fan-out shared by every batch entry point
-/// — the labelers' parallel paths here and the service's request loop —
-/// so chunk sizing, the small-batch fallback and panic propagation live in
-/// a single place.
-pub fn map_chunks_parallel<I, T, F>(items: &[I], threads: usize, f: F) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(&[I]) -> T + Sync,
-{
-    map_chunks_parallel_with_threshold(items, threads, SMALL_BATCH_SEQUENTIAL_THRESHOLD, f)
-}
-
-/// [`map_chunks_parallel`] with an explicit sequential-fallback threshold:
-/// batches shorter than `min_parallel_len` run as one chunk on the calling
-/// thread.  `0` (or `1`) disables the fallback entirely.
-pub fn map_chunks_parallel_with_threshold<I, T, F>(
-    items: &[I],
-    threads: usize,
-    min_parallel_len: usize,
-    f: F,
-) -> Vec<T>
-where
-    I: Sync,
-    T: Send,
-    F: Fn(&[I]) -> T + Sync,
-{
-    if items.is_empty() {
-        return Vec::new();
-    }
-    let threads = threads.clamp(1, items.len());
-    if threads <= 1 || items.len() < min_parallel_len {
-        return vec![f(items)];
-    }
-    let chunk = items.len().div_ceil(threads);
-    let f = &f;
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|ck| scope.spawn(move || f(ck)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("chunk worker panicked"))
-            .collect()
-    })
 }
 
 #[cfg(test)]
@@ -2358,80 +1872,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_batch_labeling_matches_sequential() {
-        let (c, baseline, _, _) = paper_labelers();
-        let cached = CachedLabeler::new(SecurityViews::paper_example());
-        let texts = [
-            "Q1(x) :- Meetings(x, 'Cathy')",
-            "Q2(x) :- Meetings(x, y), Contacts(y, w, 'Intern')",
-            "Q(x) :- Meetings(x, y)",
-            "Q(x, y, z) :- Contacts(x, y, z)",
-            "Q() :- Meetings(x, x)",
-        ];
-        let queries: Vec<ConjunctiveQuery> =
-            (0..50).map(|i| q(&c, texts[i % texts.len()])).collect();
-        let sequential = baseline.label_queries(&queries);
-        assert_eq!(cached.label_queries_batch(&queries), sequential);
-        // The generic parallel helper agrees for every labeler and any
-        // thread count, including degenerate ones.
-        for threads in [1, 2, 3, 64] {
-            assert_eq!(
-                label_queries_parallel(&baseline, &queries, threads),
-                sequential
-            );
-            assert_eq!(
-                label_queries_parallel(&cached, &queries, threads),
-                sequential
-            );
-        }
-        assert!(label_queries_parallel(&cached, &[], 4).is_bottom());
-    }
-
-    #[test]
-    fn parallel_per_query_labels_preserve_order() {
-        let (c, baseline, _, _) = paper_labelers();
-        let cached = CachedLabeler::new(SecurityViews::paper_example());
-        let queries: Vec<ConjunctiveQuery> = (0..17)
-            .map(|i| {
-                if i % 2 == 0 {
-                    q(&c, "Q(x) :- Meetings(x, y)")
-                } else {
-                    q(&c, "Q(x, y, z) :- Contacts(x, y, z)")
-                }
-            })
-            .collect();
-        let expected: Vec<DisclosureLabel> = queries
-            .iter()
-            .map(|query| baseline.label_query(query))
-            .collect();
-        assert_eq!(cached.label_batch(&queries), expected);
-        assert!(cached.label_batch(&[]).is_empty());
-    }
-
-    #[test]
-    fn packed_batch_labels_match_per_query_packing() {
-        let (c, baseline, _, _) = paper_labelers();
-        let cached = CachedLabeler::new(SecurityViews::paper_example());
-        let queries: Vec<ConjunctiveQuery> = [
-            "Q(x) :- Meetings(x, y)",
-            "Q(x, y, z) :- Contacts(x, y, z)",
-            "Q2(x) :- Meetings(x, y), Contacts(y, w, 'Intern')",
-        ]
-        .iter()
-        .cycle()
-        .take(20)
-        .map(|t| q(&c, t))
-        .collect();
-        let expected: Vec<Vec<PackedLabel>> = queries
-            .iter()
-            .map(|query| baseline.label_query(query).pack())
-            .collect();
-        assert_eq!(cached.label_batch_packed(&queries), expected);
-        assert_eq!(cached.label_packed(&queries[0]), expected[0]);
-        assert!(cached.label_batch_packed(&[]).is_empty());
-    }
-
-    #[test]
     fn add_view_invalidates_only_the_affected_relation() {
         let mut cached = CachedLabeler::new(SecurityViews::paper_example());
         let c = cached.security_views().catalog().clone();
@@ -2619,12 +2059,6 @@ mod tests {
         let after = cached.stats();
         assert_eq!(after.misses, warm.misses, "warm pass must not miss");
         assert_eq!(after.hits, warm.hits + ids.len() as u64);
-        // Per-query interned labels line up positionally.
-        let per_query: Vec<DisclosureLabel> = queries
-            .iter()
-            .map(|query| baseline.label_query(query))
-            .collect();
-        assert_eq!(cached.label_batch_interned(&ids), per_query);
         assert!(cached.label_queries_interned(&[]).is_bottom());
     }
 
@@ -2702,55 +2136,6 @@ mod tests {
         assert_eq!(cached.intern(&q(&c, "Q(p, r) :- Meetings(p, r)")), late);
         let handle = cached.interner();
         assert!(handle.read().unwrap().contains(late));
-    }
-
-    #[test]
-    fn small_batches_run_on_the_calling_thread() {
-        let caller = std::thread::current().id();
-        let items: Vec<u32> = (0..10).collect();
-        // Below the threshold the single chunk runs on the caller.
-        let threads_used = map_chunks_parallel(&items, 8, |chunk| {
-            (std::thread::current().id(), chunk.len())
-        });
-        assert_eq!(threads_used.len(), 1);
-        assert_eq!(threads_used[0], (caller, items.len()));
-        // At or past the threshold the batch fans out again.
-        let big: Vec<u32> = (0..SMALL_BATCH_SEQUENTIAL_THRESHOLD as u32).collect();
-        let fanned =
-            map_chunks_parallel(&big, 4, |chunk| (std::thread::current().id(), chunk.len()));
-        assert_eq!(fanned.len(), 4);
-        assert!(fanned.iter().all(|(id, _)| *id != caller));
-        assert_eq!(fanned.iter().map(|(_, n)| n).sum::<usize>(), big.len());
-        // The explicit-threshold variant honors a custom crossover, and a
-        // zero threshold disables the fallback.
-        let custom = map_chunks_parallel_with_threshold(&items, 8, 11, |chunk| {
-            (std::thread::current().id(), chunk.len())
-        });
-        assert_eq!(custom.len(), 1);
-        assert_eq!(custom[0].0, caller);
-        let forced = map_chunks_parallel_with_threshold(&items, 2, 0, |chunk| {
-            (std::thread::current().id(), chunk.len())
-        });
-        assert_eq!(forced.len(), 2);
-        assert!(forced.iter().all(|(id, _)| *id != caller));
-        // Labeling results are unaffected on either side of the crossover.
-        let (c, baseline, _, _) = paper_labelers();
-        let cached = CachedLabeler::new(SecurityViews::paper_example());
-        for batch in [8usize, SMALL_BATCH_SEQUENTIAL_THRESHOLD + 8] {
-            let queries: Vec<ConjunctiveQuery> = (0..batch)
-                .map(|i| {
-                    if i % 2 == 0 {
-                        q(&c, "Q(x) :- Meetings(x, y)")
-                    } else {
-                        q(&c, "Q(x, y, z) :- Contacts(x, y, z)")
-                    }
-                })
-                .collect();
-            assert_eq!(
-                label_queries_parallel(&cached, &queries, 4),
-                baseline.label_queries(&queries)
-            );
-        }
     }
 
     #[test]
@@ -2906,7 +2291,11 @@ mod tests {
             .unwrap();
         let after = cached.label_interned(id);
         assert_ne!(before, after, "the new view must change the live label");
-        assert_eq!(snapshot.label_interned(id), before, "snapshot is frozen");
+        assert_eq!(
+            snapshot.label_interned_in(0, id),
+            before,
+            "snapshot is frozen"
+        );
         assert_eq!(
             snapshot.label_query(&q(&c, "Q(a) :- Meetings(a, b)")),
             before,
@@ -2985,6 +2374,55 @@ mod tests {
         cached.retire_snapshot(&snapshot);
         assert_eq!(cached.stats().misses, 2);
         assert_eq!(cached.stats().entries, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "retired into the labeler it was taken from")]
+    fn retiring_a_snapshot_into_another_labeler_panics() {
+        // In every build profile: the snapshot's entries are keyed by its
+        // own labeler's ids, so merging them elsewhere would serve wrong
+        // labels from cache.
+        let a = CachedLabeler::new(SecurityViews::paper_example());
+        let b = CachedLabeler::new(SecurityViews::paper_example());
+        let c = a.security_views().catalog().clone();
+        let snapshot = a.snapshot();
+        snapshot.label_query(&q(&c, "Q(x) :- Meetings(x, y)"));
+        b.retire_snapshot(&snapshot);
+    }
+
+    #[test]
+    fn a_full_cache_dedups_repeats_within_a_batch() {
+        let (c, baseline, _, _) = paper_labelers();
+        let texts = [
+            "Q(x) :- Meetings(x, y)",
+            "Q(x, y) :- Meetings(x, y)",
+            "Q(x, y, z) :- Contacts(x, y, z)",
+        ];
+        let queries: Vec<ConjunctiveQuery> = texts.iter().map(|t| q(&c, t)).collect();
+        let expected = baseline.label_queries(&queries);
+        // Capacity 1: the first shape is admitted, the other two are not,
+        // so their repeats can only be answered from the batch itself.
+        let tiny = CachedLabeler::with_capacity_limit(SecurityViews::paper_example(), 1);
+        let ids: Vec<_> = queries.iter().map(|query| tiny.intern(query)).collect();
+        let batch = [ids[0], ids[1], ids[2], ids[1], ids[0], ids[2], ids[1]];
+        assert_eq!(tiny.label_queries_interned(&batch), expected);
+        let stats = tiny.stats();
+        assert_eq!(stats.misses, 3, "each distinct id ran the pipeline once");
+        assert_eq!(stats.batch_dedup_hits, 3);
+        assert_eq!(stats.hits, 4, "one fresh hit plus the three dedup hits");
+        assert_eq!(stats.entries, 1);
+        // The list does not outlive the batch: the next one misses again.
+        tiny.label_queries_interned(&[ids[1]]);
+        assert_eq!(tiny.stats().misses, 4);
+        // With room for every shape a cold batch admits each id at first
+        // sight, and every repeat is an ordinary hit.
+        let roomy = CachedLabeler::new(SecurityViews::paper_example());
+        let ids: Vec<_> = queries.iter().map(|query| roomy.intern(query)).collect();
+        let batch = [ids[0], ids[1], ids[2], ids[1], ids[0], ids[2], ids[1]];
+        assert_eq!(roomy.label_queries_interned(&batch), expected);
+        let stats = roomy.stats();
+        assert_eq!((stats.misses, stats.hits), (3, 4));
+        assert_eq!(stats.batch_dedup_hits, 0);
     }
 
     #[test]

@@ -35,10 +35,11 @@
 //! shared [`QueryInterner`](fdc_cq::intern::QueryInterner) and memoizes both
 //! the whole-query and the per-atom `ℓ⁺` step by dense interned
 //! [`QueryId`](fdc_cq::intern::QueryId) (sharded slot vectors instead of
-//! hash maps), and pairs with the parallel batch entry point
-//! [`label_queries_parallel`] for high-throughput serving.  Callers holding
-//! pre-interned ids label through `CachedLabeler::label_interned` /
-//! `label_queries_interned` without touching a hash function at all.
+//! hash maps).  Callers holding pre-interned ids label through
+//! `CachedLabeler::label_interned` / `label_queries_interned` without
+//! touching a hash function at all; concurrent readers take a
+//! [`LabelerSnapshot`] and label through its private lanes on a
+//! [`WorkerPool`] of their own.
 //!
 //! The GLB machinery of Section 5.1 ([`unify::gen_mgu`],
 //! [`unify::glb_singleton`]) and the generic labeling procedures of
@@ -62,10 +63,8 @@ pub mod unify;
 pub use error::{LabelError, Result};
 pub use label::{AtomLabel, DisclosureLabel, PackedLabel, ViewMask};
 pub use labeler::{
-    label_queries_parallel, map_chunks_parallel, map_chunks_parallel_with_threshold,
     BaselineLabeler, BitVectorLabeler, CacheStats, CachedLabeler, HashPartitionedLabeler,
     LabelerSnapshot, QueryLabeler, SharedQueryInterner, DEFAULT_CACHE_CAPACITY,
-    POOLED_BATCH_THRESHOLD, SMALL_BATCH_SEQUENTIAL_THRESHOLD,
 };
 pub use pool::{
     EpochPin, PendingBatch, PoolStats, WorkerContext, WorkerPool, WORKER_QUEUE_CAPACITY,

@@ -1,12 +1,11 @@
 //! The persistent thread-per-core worker runtime.
 //!
-//! Every parallel batch entry point of the system used to fork scoped
-//! worker threads per batch (`std::thread::scope` in
-//! [`map_chunks_parallel`](crate::map_chunks_parallel), the policy store's
-//! per-shard workers, the pipelined executor's segment labelers).  Spawning
-//! an OS thread costs tens of microseconds — more than labeling an entire
-//! warm segment — so the fork/join machinery could never win on real
-//! hardware.  A [`WorkerPool`] replaces it with **persistent workers**:
+//! Forking scoped worker threads per batch costs tens of microseconds per
+//! thread — more than labeling an entire warm segment — so every parallel
+//! path of the system (the service's admission labeling, the policy
+//! store's per-shard decisions, the pipelined executor's segment labelers)
+//! runs on a [`WorkerPool`] of **persistent workers** instead.  Whoever
+//! needs one builds it and passes it down; there is no process-wide pool.
 //!
 //! * one long-lived worker thread per requested core, each owning a bounded
 //!   task queue (`fdc-worker-{i}`);
@@ -37,7 +36,7 @@
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 
 /// Bound of each worker's task queue.  A full queue spills the push to the
@@ -49,10 +48,6 @@ pub const WORKER_QUEUE_CAPACITY: usize = 256;
 /// Sentinel published by a worker that is not currently reading any epoch
 /// snapshot.
 const EPOCH_IDLE: u64 = u64::MAX;
-
-/// Backing cell of [`WorkerPool::global`], hoisted to module scope so
-/// [`WorkerPool::global_initialized`] can observe whether it was ever hit.
-static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
 
 /// A queued unit of work.  Boxed `FnOnce` receiving the executing worker's
 /// context (for epoch pinning).
@@ -264,33 +259,6 @@ impl WorkerPool {
             })
             .collect();
         WorkerPool { shared, handles }
-    }
-
-    /// Builds a pool sized to the host's available parallelism.
-    pub fn with_available_parallelism() -> WorkerPool {
-        WorkerPool::new(std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get))
-    }
-
-    /// The process-wide shared pool, sized to the host's available
-    /// parallelism and spawned on first use — the fallback worker plane of
-    /// the *standalone* batch labeling entry points.  It lives for the
-    /// life of the process (workers park when idle).
-    ///
-    /// Code that owns a pool (the disclosure service, the sharded store's
-    /// `_on` entry points) must pass it explicitly rather than fall back
-    /// here: a process should never run two pools side by side.
-    /// [`global_initialized`](Self::global_initialized) lets tests assert
-    /// that invariant.
-    pub fn global() -> &'static WorkerPool {
-        GLOBAL.get_or_init(WorkerPool::with_available_parallelism)
-    }
-
-    /// Whether [`global`](Self::global) has ever been called in this
-    /// process.  The single-pool invariant test uses this to prove the
-    /// service plane never silently spins up a second process-global pool
-    /// next to the service-owned one.
-    pub fn global_initialized() -> bool {
-        GLOBAL.get().is_some()
     }
 
     /// Parallel width of the pool: its worker-thread count, or 1 for an

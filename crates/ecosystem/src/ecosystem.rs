@@ -71,17 +71,20 @@ impl Ecosystem {
         queries.iter().map(|q| self.label(q)).collect()
     }
 
-    /// Labels a batch of queries on all cores through the caching labeler,
-    /// returning one label per query in input order.
-    pub fn label_batch_parallel(&self, queries: &[ConjunctiveQuery]) -> Vec<DisclosureLabel> {
-        self.cached.label_batch(queries)
+    /// Labels a batch of queries through the caching labeler, returning
+    /// one label per query in input order.
+    pub fn label_batch_cached(&self, queries: &[ConjunctiveQuery]) -> Vec<DisclosureLabel> {
+        queries.iter().map(|q| self.cached.label_query(q)).collect()
     }
 
-    /// Labels a batch of queries on all cores and returns the packed 64-bit
-    /// representation of every label — the form the policy stores consume
-    /// directly.
+    /// Labels a batch of queries through the caching labeler and returns
+    /// the packed 64-bit representation of every label — the form the
+    /// policy stores consume directly.
     pub fn label_batch_packed(&self, queries: &[ConjunctiveQuery]) -> Vec<Vec<PackedLabel>> {
-        self.cached.label_batch_packed(queries)
+        queries
+            .iter()
+            .map(|q| self.cached.label_packed(q))
+            .collect()
     }
 
     /// Builds a [`DisclosureService`] — the dynamic front door of the
@@ -162,10 +165,7 @@ mod tests {
         let eco = Ecosystem::new();
         let mut workload = eco.workload(WorkloadConfig::stress(3, 23));
         let queries = workload.batch(200);
-        assert_eq!(
-            eco.label_batch_parallel(&queries),
-            eco.label_batch(&queries)
-        );
+        assert_eq!(eco.label_batch_cached(&queries), eco.label_batch(&queries));
     }
 
     #[test]

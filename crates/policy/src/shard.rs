@@ -30,8 +30,9 @@ use crate::store::{PolicyStore, PrincipalId};
 /// by default: for tiny batches, even the pool hand-off (cloning the packed
 /// labels into owned per-shard requests, a queue push per busy shard) costs
 /// more than the handful of bit-mask decisions being parallelized.  Tune per
-/// store with [`ShardedPolicyStore::set_parallel_threshold`] (mirroring
-/// `fdc_core::SMALL_BATCH_SEQUENTIAL_THRESHOLD` on the labeling side).
+/// store with [`ShardedPolicyStore::set_parallel_threshold`] (a
+/// `DisclosureService` passes its `ServiceConfig::parallel_threshold`, the
+/// crossover it also applies to its labeling fan-out).
 pub const DEFAULT_PARALLEL_THRESHOLD: usize = 32;
 
 /// One shard's slice of a fanned-out batch: `(request index, shard-local

@@ -597,8 +597,8 @@ mod tests {
             })
             .decision();
         service.grant_view(p, "Vsnap").unwrap();
-        assert_eq!(snapshot.label_packed(&times), before);
-        assert_eq!(snapshot.label_packed_interned(id), before);
+        assert_eq!(snapshot.label_packed_in(0, &times), before);
+        assert_eq!(snapshot.label_packed_interned_in(0, id), before);
         assert_eq!(
             snapshot.epoch(meetings) + 1,
             service.registry().epoch(meetings)

@@ -6,9 +6,8 @@ use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
 use fdc_core::{
-    CachedLabeler, DisclosureLabel, PackedLabel, PendingBatch, QueryLabeler, SecurityViews,
+    CachedLabeler, LabelerSnapshot, PackedLabel, PendingBatch, QueryLabeler, SecurityViews,
     SharedQueryInterner, WorkerPool, DEFAULT_CACHE_CAPACITY, MAX_PACKED_VIEWS_PER_RELATION,
-    SMALL_BATCH_SEQUENTIAL_THRESHOLD,
 };
 use fdc_cq::intern::{QueryId, QueryInterner};
 use fdc_cq::{ConjunctiveQuery, RelId};
@@ -97,7 +96,7 @@ impl Default for ServiceConfig {
             workers: 0,
             history_cap: 1024,
             invalidation: InvalidationMode::Incremental,
-            parallel_threshold: SMALL_BATCH_SEQUENTIAL_THRESHOLD,
+            parallel_threshold: 32,
             durability: DurabilityConfig::default(),
         }
     }
@@ -480,8 +479,7 @@ impl DisclosureService {
     /// checkpoint encoding).  Callers that run work on the service's
     /// behalf while not holding the service lock (see
     /// [`BackgroundCheckpointer`](crate::BackgroundCheckpointer)) clone
-    /// this handle instead of spinning up a pool of their own; the
-    /// process-wide [`WorkerPool::global`] fallback stays untouched.
+    /// this handle instead of spinning up a pool of their own.
     pub fn pool_handle(&self) -> Arc<WorkerPool> {
         Arc::clone(self.worker_pool())
     }
@@ -978,12 +976,10 @@ impl DisclosureService {
     }
 
     /// The audit behind [`audit_app`](Self::audit_app) and `AuditApp`
-    /// operations: labels the principal's ring by id — cache hits for a
-    /// workload the service has just served, no query materialized — and
-    /// hands the labels to `fdc_policy::audit_labels`.  In-segment audits
-    /// of the pipelined executor pass the serving snapshot, whose frozen
-    /// registry is the registry at the op's stream position; everyone else
-    /// passes `None` and reads the live labeler, which is at the same state.
+    /// operations.  In-segment audits of the pipelined executor pass the
+    /// serving snapshot, whose frozen registry is the registry at the op's
+    /// stream position; everyone else passes `None` and reads the live
+    /// labeler, which is at the same state.
     fn audit(
         &mut self,
         principal: PrincipalId,
@@ -996,16 +992,8 @@ impl DisclosureService {
         self.stats.audits += 1;
         let policy = self.store.policy(principal);
         let ring = &self.history[principal.index()];
-        Ok(match serving {
-            Some(snapshot) => {
-                let labeler = snapshot.labeler();
-                audit_ring(labeler, |id| labeler.label_interned(id), policy, ring)
-            }
-            None => {
-                let labeler = &self.labeler;
-                audit_ring(labeler, |id| labeler.label_interned(id), policy, ring)
-            }
-        })
+        let labeler = serving.map_or(self.labeler.as_snapshot(), ServiceSnapshot::labeler);
+        Ok(audit_ring(labeler, policy, ring))
     }
 
     /// Opens (or creates) a durable service homed in `dir`, recovering
@@ -2121,19 +2109,17 @@ impl DisclosureService {
     }
 }
 
-/// Audits one principal's ring through `labeler`: ids label through
-/// `by_id` — the labeler's `label_interned`, an inherent method of the live
-/// labeler and of its snapshots rather than part of [`QueryLabeler`] — and
-/// the rare boxed entry through `label_query`.
-fn audit_ring<L: QueryLabeler>(
-    labeler: &L,
-    by_id: impl Fn(QueryId) -> DisclosureLabel,
+/// Audits one principal's ring through `labeler`: ids label by id — cache
+/// hits for a workload the service has just served, no query materialized
+/// — and the rare boxed entry through `label_query`.
+fn audit_ring(
+    labeler: &LabelerSnapshot,
     policy: &SecurityPolicy,
     ring: &VecDeque<OwnedQuery>,
 ) -> AuditReport {
     let registry = labeler.security_views();
     let labels = ring.iter().map(|entry| match entry {
-        OwnedQuery::Interned(id) => by_id(*id),
+        OwnedQuery::Interned(id) => labeler.label_interned_in(0, *id),
         OwnedQuery::Plain(query) => labeler.label_query(query),
     });
     audit_labels(registry, requested_views(policy, registry), labels)

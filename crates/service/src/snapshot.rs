@@ -28,7 +28,7 @@
 
 use std::sync::Arc;
 
-use fdc_core::{LabelerSnapshot, PackedLabel, SecurityViews, WorkerContext};
+use fdc_core::{LabelerSnapshot, PackedLabel, QueryLabeler, SecurityViews, WorkerContext};
 use fdc_cq::intern::QueryId;
 use fdc_cq::{ConjunctiveQuery, RelId};
 use fdc_policy::PolicyArena;
@@ -101,18 +101,6 @@ impl ServiceSnapshot {
         self.labeler.contains(id)
     }
 
-    /// Labels a query at the frozen epoch vector, packed.  Cache work
-    /// lands in the coordinator's overlay lane 0.
-    pub fn label_packed(&self, query: &ConjunctiveQuery) -> Vec<PackedLabel> {
-        self.labeler.label_packed(query)
-    }
-
-    /// Labels a pre-interned query at the frozen epoch vector, packed.
-    /// Cache work lands in the coordinator's overlay lane 0.
-    pub fn label_packed_interned(&self, id: QueryId) -> Vec<PackedLabel> {
-        self.labeler.label_packed_interned(id)
-    }
-
     /// The private overlay lane a pool worker should write through — lane
     /// 0 (the coordinator's) for inline execution, a per-worker lane on
     /// multi-lane snapshots (see
@@ -121,15 +109,14 @@ impl ServiceSnapshot {
         self.labeler.lane_for(ctx)
     }
 
-    /// [`label_packed`](Self::label_packed) writing cache work into
-    /// overlay lane `lane` instead of the coordinator's lane 0.
+    /// Labels a query at the frozen epoch vector, packed, writing cache
+    /// work into overlay lane `lane`.
     pub fn label_packed_in(&self, lane: usize, query: &ConjunctiveQuery) -> Vec<PackedLabel> {
         self.labeler.label_packed_in(lane, query)
     }
 
-    /// [`label_packed_interned`](Self::label_packed_interned) writing
-    /// cache work into overlay lane `lane` instead of the coordinator's
-    /// lane 0.
+    /// Labels a pre-interned query at the frozen epoch vector, packed,
+    /// writing cache work into overlay lane `lane`.
     pub fn label_packed_interned_in(&self, lane: usize, id: QueryId) -> Vec<PackedLabel> {
         self.labeler.label_packed_interned_in(lane, id)
     }

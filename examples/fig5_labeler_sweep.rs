@@ -49,7 +49,7 @@ fn main() {
 
         // The four labelers on the same batch (the cached labeler is warmed
         // with one pass so the column reports its serving steady state).
-        ecosystem.cached.label_queries_batch(&queries);
+        ecosystem.cached.label_queries(&queries);
         let mut times = Vec::new();
         for labeler in [
             &ecosystem.baseline as &dyn QueryLabeler,

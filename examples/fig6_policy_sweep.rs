@@ -32,9 +32,9 @@ fn main() {
     };
 
     // Pre-label one batch of base-workload queries (1-3 atoms, as in the
-    // paper), through the cached batch labeler so setup stays cheap.
+    // paper), through the caching labeler so setup stays cheap.
     let mut generator = ecosystem.workload(WorkloadConfig::base(0xF16F));
-    let labels = ecosystem.label_batch_parallel(&generator.batch(label_batch.min(50_000)));
+    let labels = ecosystem.label_batch_cached(&generator.batch(label_batch.min(50_000)));
 
     println!("Figure 6 — policy checker performance");
     println!("(seconds to analyze one million disclosure labels, extrapolated)\n");

@@ -2,17 +2,25 @@
 //!
 //! The paper's Figure 5 variants (`BaselineLabeler`, `HashPartitionedLabeler`,
 //! `BitVectorLabeler`) and the caching labeler added on top (`CachedLabeler`
-//! — sequential, parallel batch, and the fully interned `label_interned` /
+//! — the boxed door and the fully interned `label_interned` /
 //! `label_queries_interned` paths over pre-interned `QueryId`s) are
 //! different *engineering* of the same function; this test drives all of
 //! them over randomly generated workloads — both the structural query
 //! generator of the property suite and the paper's Section 7.2 ecosystem
 //! generator — and asserts label equality everywhere.
+//!
+//! The cached plane runs one lookup algorithm against different tables —
+//! the live labeler's shared ones, or a snapshot lane over them — so a
+//! seeded differential additionally labels one stream with interleaved
+//! view additions live, through a 1-lane snapshot and through a 3-lane
+//! snapshot, against a fresh `BitVectorLabeler` at every position.
 
 use fdc::core::{
-    label_queries_parallel, BaselineLabeler, BitVectorLabeler, CachedLabeler,
-    HashPartitionedLabeler, QueryLabeler, SecurityViews,
+    BaselineLabeler, BitVectorLabeler, CacheStats, CachedLabeler, HashPartitionedLabeler,
+    LabelerSnapshot, QueryLabeler, SecurityViews,
 };
+use fdc::cq::{ConjunctiveQuery, RelId};
+use fdc::ecosystem::views::projection_view;
 use fdc::ecosystem::{Ecosystem, WorkloadConfig};
 use proptest::prelude::*;
 
@@ -46,25 +54,11 @@ proptest! {
         // including the fully interned batch entry point.
         let cumulative = eco.baseline.label_queries(&queries);
         prop_assert_eq!(&cumulative, &eco.hashed.label_queries(&queries));
-        prop_assert_eq!(&cumulative, &eco.cached.label_queries_batch(&queries));
+        prop_assert_eq!(&cumulative, &eco.cached.label_queries(&queries));
         let ids: Vec<_> = queries.iter().map(|q| eco.cached.intern(q)).collect();
         prop_assert_eq!(&cumulative, &eco.cached.label_queries_interned(&ids));
-        prop_assert_eq!(
-            eco.cached.label_batch_interned(&ids),
-            queries.iter().map(|q| eco.baseline.label_query(q)).collect::<Vec<_>>()
-        );
-        for threads in [1usize, 2, 7] {
-            prop_assert_eq!(
-                &cumulative,
-                &label_queries_parallel(&eco.bitvec, &queries, threads)
-            );
-            prop_assert_eq!(
-                &cumulative,
-                &label_queries_parallel(&eco.cached, &queries, threads)
-            );
-        }
-        // Per-query parallel labels line up positionally.
-        prop_assert_eq!(eco.label_batch_parallel(&queries), eco.label_batch(&queries));
+        // Per-query labels through the cache line up positionally.
+        prop_assert_eq!(eco.label_batch_cached(&queries), eco.label_batch(&queries));
     }
 
     /// Paper-schema registries: agreement also holds for registries with
@@ -167,4 +161,155 @@ fn tricky_registry() -> SecurityViews {
         )
         .unwrap();
     registry
+}
+
+/// One labeler of the differential below, with the snapshot it currently
+/// serves through (`lanes == 0`: none, it labels live).
+struct Side {
+    labeler: CachedLabeler,
+    lanes: usize,
+    snapshot: Option<LabelerSnapshot>,
+}
+
+impl Side {
+    fn new(views: &SecurityViews, capacity: usize, lanes: usize) -> Side {
+        let labeler = CachedLabeler::with_capacity_limit(views.clone(), capacity);
+        let snapshot = (lanes > 0).then(|| labeler.snapshot_with_lanes(lanes));
+        Side {
+            labeler,
+            lanes,
+            snapshot,
+        }
+    }
+
+    /// What position `i` of the stream reads through, and the lane it
+    /// takes (round-robin over the snapshot's lanes).
+    fn reader(&self, i: usize) -> (&LabelerSnapshot, usize) {
+        match &self.snapshot {
+            Some(snapshot) => (snapshot, i % self.lanes),
+            None => (self.labeler.as_snapshot(), 0),
+        }
+    }
+
+    /// Retires the serving snapshot and registers the view — in either
+    /// order: an overlay merged after the registry moved on carries
+    /// honestly stale tags — then takes the next snapshot.
+    fn add_view(&mut self, name: &str, view: &ConjunctiveQuery, retire_first: bool) {
+        let retiring = self.snapshot.take();
+        if retire_first {
+            retiring
+                .iter()
+                .for_each(|s| self.labeler.retire_snapshot(s));
+        }
+        self.labeler.add_view(name, view.clone()).unwrap();
+        if !retire_first {
+            retiring
+                .iter()
+                .for_each(|s| self.labeler.retire_snapshot(s));
+        }
+        let entries = self.labeler.stats().entries;
+        assert!(
+            entries <= self.labeler.capacity_limit(),
+            "{entries} entries after a retire"
+        );
+        if self.lanes > 0 {
+            self.snapshot = Some(self.labeler.snapshot_with_lanes(self.lanes));
+        }
+    }
+
+    /// Cumulative query-plane counters: the labeler's own plus those the
+    /// serving snapshot has not handed back yet.
+    fn query_plane(&self) -> (u64, u64, u64, usize) {
+        let live = self.labeler.stats();
+        let pending = self
+            .snapshot
+            .as_ref()
+            .map_or_else(CacheStats::default, LabelerSnapshot::stats);
+        (
+            live.hits + pending.hits,
+            live.misses + pending.misses,
+            live.query_refreshes + pending.query_refreshes,
+            live.entries + pending.entries,
+        )
+    }
+}
+
+/// The live labeler, a 1-lane snapshot and a 3-lane snapshot with lanes
+/// taken round-robin run the same lookup algorithm against different
+/// tables.  On a stream drawn from a pool of stress-workload shapes (so
+/// shapes repeat: hits, and stale refreshes after every addition), with
+/// snapshots retired and retaken at every `add_view`, each must give at
+/// every position the label of a fresh `BitVectorLabeler` over the registry
+/// as it stands — by id and through the boxed door, unpacked and packed —
+/// and the live and 1-lane sides must agree on the cumulative query-plane
+/// counters.  Run with room for everything and with room for 8 entries.
+#[test]
+fn live_and_lane_labeling_agree_across_view_additions() {
+    let eco = Ecosystem::new();
+    for (seed, capacity) in [(11u64, 1 << 20), (12, 1 << 20), (13, 8), (14, 8)] {
+        let pool = eco.workload(WorkloadConfig::stress(3, seed)).batch(60);
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move |bound: usize| {
+            state ^= state >> 12;
+            state ^= state << 25;
+            state ^= state >> 27;
+            (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as usize % bound
+        };
+        let mut sides = [
+            Side::new(&eco.views, capacity, 0),
+            Side::new(&eco.views, capacity, 1),
+            Side::new(&eco.views, capacity, 3),
+        ];
+        let mut reference = BitVectorLabeler::new(eco.views.clone());
+        let mut views_added = 0;
+        for i in 0..600 {
+            if i % 41 == 40 {
+                // A random projection view over a random relation, keeping
+                // the anchors every registry view exposes.
+                let relation = RelId(next(eco.schema.catalog.len()) as u32);
+                let info = eco.schema.info(relation);
+                let attributes = &eco.schema.catalog.relation(relation).attributes;
+                let exposed: Vec<&str> = (0..attributes.len())
+                    .filter(|&col| {
+                        col == info.uid_column || col == info.is_friend_column || next(3) == 0
+                    })
+                    .map(|col| attributes[col].as_str())
+                    .collect();
+                let view = projection_view(&eco.schema, relation, &exposed);
+                let name = format!("differential_view_{views_added}");
+                for side in &mut sides {
+                    side.add_view(&name, &view, views_added % 2 == 0);
+                }
+                views_added += 1;
+                reference = BitVectorLabeler::new(sides[0].labeler.security_views().clone());
+            }
+            let query = &pool[next(pool.len())];
+            let expected = reference.label_query(query);
+            for (s, side) in sides.iter().enumerate() {
+                let (reader, lane) = side.reader(i);
+                let at = format!("seed {seed}, position {i}, side {s}");
+                if i % 2 == 0 {
+                    let id = side.labeler.intern(query);
+                    assert_eq!(reader.label_interned_in(lane, id), expected, "{at}");
+                    assert_eq!(
+                        reader.label_packed_interned_in(lane, id),
+                        expected.pack(),
+                        "{at}"
+                    );
+                } else {
+                    // The boxed door (which interns for itself while the
+                    // arena budget lasts); its unpacked form is lane 0's.
+                    assert_eq!(reader.label_query(query), expected, "{at}");
+                    assert_eq!(reader.label_packed_in(lane, query), expected.pack(), "{at}");
+                }
+            }
+            assert_eq!(
+                sides[0].query_plane(),
+                sides[1].query_plane(),
+                "seed {seed}, position {i}: (hits, misses, query_refreshes, entries)"
+            );
+        }
+        let (hits, _, refreshes, _) = sides[0].query_plane();
+        assert!(hits > 0 && refreshes > 0, "the stream must repeat shapes");
+    }
 }

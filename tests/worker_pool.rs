@@ -176,53 +176,6 @@ fn seeded_interleavings_match_sequential_apply() {
 }
 
 #[test]
-fn the_service_plane_never_touches_the_global_pool() {
-    // `WorkerPool::global()` is a convenience fallback for pool-less
-    // callers (the `CachedLabeler::label_batch` family).  Everything a
-    // `DisclosureService` runs — pooled admission labeling, pipelined
-    // segments, per-shard decision fan-outs — must execute on the
-    // service's own pool, never spin up a second process-global one.
-    // This test binary never calls the conveniences, so the global must
-    // still be uninitialized after a full pooled workout.
-    let registry = SecurityViews::paper_example();
-    let catalog = registry.catalog().clone();
-    let mut service = DisclosureService::new(
-        registry.clone(),
-        ServiceConfig {
-            num_shards: 4,
-            workers: 4,
-            // Force the parallel path for every non-trivial run, so both
-            // executors genuinely fan out.
-            parallel_threshold: 0,
-            ..ServiceConfig::default()
-        },
-    );
-    let v1 = registry.id_by_name("V1").unwrap();
-    let v2 = registry.id_by_name("V2").unwrap();
-    for i in 0..NUM_PRINCIPALS {
-        service.register_principal(SecurityPolicy::stateless(PolicyPartition::from_views(
-            format!("p{i}"),
-            &registry,
-            [v1, v2],
-        )));
-    }
-    let ops = seeded_stream(&catalog, 99, 256);
-    let batch_responses = service.run_batch(&ops);
-    let pipelined_responses = service.run_pipelined(&ops);
-    assert_eq!(batch_responses.len(), ops.len());
-    assert_eq!(pipelined_responses.len(), ops.len());
-    let parallel = service.stats().parallel;
-    assert!(
-        parallel.segments_labeled > 0,
-        "the pooled paths must have engaged"
-    );
-    assert!(
-        !WorkerPool::global_initialized(),
-        "service work leaked onto the process-global fallback pool"
-    );
-}
-
-#[test]
 fn dropping_a_pool_joins_workers_after_draining() {
     let ran = Arc::new(AtomicU64::new(0));
     let pool = WorkerPool::new(4);
