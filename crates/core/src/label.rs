@@ -245,6 +245,13 @@ impl DisclosureLabel {
         self.atoms.iter().map(AtomLabel::pack).collect()
     }
 
+    /// [`pack`](Self::pack), appended to a buffer the caller owns — a
+    /// request packs all its labels into one arena instead of one vector
+    /// per label.
+    pub fn pack_into(&self, out: &mut Vec<PackedLabel>) {
+        out.extend(self.atoms.iter().map(AtomLabel::pack));
+    }
+
     /// Renders the label as the set of security-view names it requires, one
     /// alternative set per atom (the views of one atom's `ℓ⁺` are
     /// interchangeable).

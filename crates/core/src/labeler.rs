@@ -28,7 +28,13 @@
 //!   view universe can change online ([`CachedLabeler::add_view`]) without
 //!   flushing: stale entries re-derive just their stale atoms.  Concurrent
 //!   readers label through the private lanes of a [`LabelerSnapshot`]; the
-//!   lookup algorithm exists once and is described there.
+//!   lookup algorithm exists once and is described there.  The packed
+//!   entry points **append** to a buffer the caller owns
+//!   ([`LabelerSnapshot::append_packed_interned_in`]): a hit packs the
+//!   cached label under its stripe's read lock straight onto the end of a
+//!   request's label arena (diagram: `fdc_service::service`), so labeling
+//!   a batch allocates per batch, not per label; the `label_packed*`
+//!   forms are the same call into a vector of their own.
 //!
 //! All variants produce identical [`DisclosureLabel`]s; the equivalence is
 //! asserted by the test suite and exercised again by the Figure 5 benchmark.
@@ -1154,22 +1160,45 @@ impl LabelerSnapshot {
         self.core.label_with(lane, id, DisclosureLabel::clone).0
     }
 
-    /// Labels one pre-interned query through lane `lane` and returns the
-    /// packed 64-bit representation (Section 6.1) — the form the policy
-    /// stores consume directly, so a cache hit is one pack under the
-    /// stripe's read lock.
-    pub fn label_packed_interned_in(&self, lane: usize, id: QueryId) -> Vec<PackedLabel> {
+    /// Labels one pre-interned query through lane `lane` and **appends**
+    /// the packed 64-bit representation (Section 6.1) — the form the policy
+    /// stores consume directly — to `out`.  A cache hit is one pack under
+    /// the stripe's read lock, straight from the cached label into the
+    /// caller's buffer: a request that labels all its admissions into one
+    /// arena allocates nothing per label.
+    pub fn append_packed_interned_in(&self, lane: usize, id: QueryId, out: &mut Vec<PackedLabel>) {
         let lane = self.lane(lane);
-        self.core.label_with(lane, id, DisclosureLabel::pack).0
+        self.core.label_with(lane, id, |label| label.pack_into(out));
     }
 
-    /// Labels one boxed query through lane `lane`, packed: interned within
-    /// the arena budget and labeled by id, or — past the budget — served
-    /// through the uncached pipeline.
-    pub fn label_packed_in(&self, lane: usize, query: &ConjunctiveQuery) -> Vec<PackedLabel> {
+    /// [`append_packed_interned_in`](Self::append_packed_interned_in) for
+    /// one boxed query: interned within the arena budget and labeled by id,
+    /// or — past the budget — served through the uncached pipeline.
+    pub fn append_packed_in(
+        &self,
+        lane: usize,
+        query: &ConjunctiveQuery,
+        out: &mut Vec<PackedLabel>,
+    ) {
         let lane = self.lane(lane);
         self.core
-            .label_query_with(lane, query, DisclosureLabel::pack)
+            .label_query_with(lane, query, |label| label.pack_into(out));
+    }
+
+    /// [`append_packed_interned_in`](Self::append_packed_interned_in) into
+    /// a vector of its own.
+    pub fn label_packed_interned_in(&self, lane: usize, id: QueryId) -> Vec<PackedLabel> {
+        let mut packed = Vec::new();
+        self.append_packed_interned_in(lane, id, &mut packed);
+        packed
+    }
+
+    /// [`append_packed_in`](Self::append_packed_in) into a vector of its
+    /// own.
+    pub fn label_packed_in(&self, lane: usize, query: &ConjunctiveQuery) -> Vec<PackedLabel> {
+        let mut packed = Vec::new();
+        self.append_packed_in(lane, query, &mut packed);
+        packed
     }
 }
 

@@ -6,7 +6,7 @@
 
 use fdc_core::{
     BaselineLabeler, BitVectorLabeler, CachedLabeler, DisclosureLabel, HashPartitionedLabeler,
-    PackedLabel, QueryLabeler, SecurityViews,
+    QueryLabeler, SecurityViews,
 };
 use fdc_cq::ConjunctiveQuery;
 use fdc_service::{DisclosureService, ServiceConfig};
@@ -75,16 +75,6 @@ impl Ecosystem {
     /// one label per query in input order.
     pub fn label_batch_cached(&self, queries: &[ConjunctiveQuery]) -> Vec<DisclosureLabel> {
         queries.iter().map(|q| self.cached.label_query(q)).collect()
-    }
-
-    /// Labels a batch of queries through the caching labeler and returns
-    /// the packed 64-bit representation of every label — the form the
-    /// policy stores consume directly.
-    pub fn label_batch_packed(&self, queries: &[ConjunctiveQuery]) -> Vec<Vec<PackedLabel>> {
-        queries
-            .iter()
-            .map(|q| self.cached.label_packed(q))
-            .collect()
     }
 
     /// Builds a [`DisclosureService`] — the dynamic front door of the
@@ -208,19 +198,6 @@ mod tests {
         // Random policies should neither allow nor deny everything.
         assert!(allowed > 0);
         assert!(denied > 0);
-    }
-
-    #[test]
-    fn packed_batch_labels_pack_the_unpacked_ones() {
-        let eco = Ecosystem::new();
-        let mut workload = eco.workload(WorkloadConfig::base(9));
-        let queries = workload.batch(60);
-        let unpacked = eco.label_batch(&queries);
-        let packed = eco.label_batch_packed(&queries);
-        assert_eq!(packed.len(), unpacked.len());
-        for (p, u) in packed.iter().zip(&unpacked) {
-            assert_eq!(p, &u.pack());
-        }
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //! No locks, no atomics on the decision path: a batch is split by shard,
 //! each busy shard is **moved** into a task on a caller-supplied persistent
 //! [`WorkerPool`] — queue pushes, not thread spawns —
-//! and moved back with its decisions, which are scattered into request
-//! order ([`submit_batch_on`](ShardedPolicyStore::submit_batch_on),
-//! [`decide_batch_on`](ShardedPolicyStore::decide_batch_on)).  The store
+//! and moved back with its decisions, each of which is handed to the
+//! caller's sink with its request index
+//! ([`decide_batch_on`](ShardedPolicyStore::decide_batch_on);
+//! [`submit_batch_on`](ShardedPolicyStore::submit_batch_on) collects them
+//! into request order).  The store
 //! never owns or spins up a pool itself, so an embedding service runs
 //! exactly one worker plane.
 //!
@@ -215,38 +217,36 @@ impl ShardedPolicyStore {
     }
 
     /// Submits a batch of packed requests with one pool task per busy
-    /// shard, returning the decisions in request order.
-    ///
-    /// Requests are partitioned by owning shard; each shard is moved into
-    /// its task (and back out afterwards), so it is owned exclusively for
-    /// the duration of the batch and no synchronization is needed on the
-    /// decision path.  Within a shard, requests are processed in batch
-    /// order; requests for *different* principals never interact, so the
-    /// decisions (and all per-principal state) equal the sequential
-    /// [`submit_batch`](Self::submit_batch) — asserted by the property
+    /// shard, returning the decisions in request order — the all-commit,
+    /// collected form of [`decide_batch_on`](Self::decide_batch_on), whose
+    /// decisions (and per-principal state) equal the sequential
+    /// [`submit_batch`](Self::submit_batch); asserted by the property
     /// tests.
-    ///
-    /// The pool is always supplied by the caller: the store owns no
-    /// threads of its own and never falls back to a process-global pool,
-    /// so a service embedding this store runs exactly one worker plane.
     pub fn submit_batch_on(
         &mut self,
         pool: &WorkerPool,
         batch: &[(PrincipalId, &[PackedLabel])],
     ) -> Vec<Decision> {
-        if self.shards.len() <= 1
-            || batch.len() <= 1
-            || batch.len() < self.parallel_threshold
-            || pool.workers() <= 1
-        {
-            return self.submit_batch(batch);
-        }
-        let by_shard = self.partition(batch.iter().map(|&(principal, label)| {
-            (principal, label, true) // submits always commit
-        }));
-        self.fan_out(pool, by_shard, batch.len(), |shard, local, label, _| {
-            shard.submit_packed(local, label)
-        })
+        let mut decisions = vec![Decision::Deny; batch.len()];
+        self.decide_batch_on(
+            pool,
+            batch
+                .iter()
+                .map(|&(principal, label)| (principal, label, true)),
+            |i, decision| decisions[i] = decision,
+        );
+        decisions
+    }
+
+    /// The one place that chooses between deciding a batch inline and
+    /// fanning it out per shard: a fan-out needs more than one shard, more
+    /// than one pool worker and at least
+    /// [`parallel_threshold`](Self::parallel_threshold) (and two) requests.
+    fn fans_out(&self, pool: &WorkerPool, batch_len: usize) -> bool {
+        self.shards.len() > 1
+            && pool.workers() > 1
+            && batch_len > 1
+            && batch_len >= self.parallel_threshold
     }
 
     /// Partitions a batch into owned per-shard request lists (cloning each
@@ -265,23 +265,16 @@ impl ShardedPolicyStore {
         by_shard
     }
 
-    /// The move-in/move-out fan-out shared by the parallel batch entry
-    /// points: every shard with pending requests is moved into a pool task
-    /// together with its request list, decides them in batch order, and is
-    /// moved back; the decisions are scattered into request order.
-    fn fan_out<F>(
+    /// The move-in/move-out fan-out: every shard with pending requests is
+    /// moved into a pool task together with its request list, decides them
+    /// in batch order, and is moved back; each decision is handed to `sink`
+    /// with its request index, shard by shard.
+    fn fan_out(
         &mut self,
         pool: &WorkerPool,
         by_shard: Vec<ShardRequests>,
-        batch_len: usize,
-        decide: F,
-    ) -> Vec<Decision>
-    where
-        F: Fn(&mut PolicyStore, PrincipalId, &[PackedLabel], bool) -> Decision
-            + Send
-            + Sync
-            + 'static,
-    {
+        mut sink: impl FnMut(usize, Decision),
+    ) {
         let mut slots: Vec<Option<PolicyStore>> = self.shards.drain(..).map(Some).collect();
         let mut inputs: Vec<(usize, PolicyStore, ShardRequests)> = Vec::new();
         for (shard_idx, requests) in by_shard.into_iter().enumerate() {
@@ -293,22 +286,20 @@ impl ShardedPolicyStore {
         let outputs = pool.run(inputs, move |(shard_idx, mut shard, requests), _ctx| {
             let decided: Vec<(usize, Decision)> = requests
                 .into_iter()
-                .map(|(i, local, label, commit)| (i, decide(&mut shard, local, &label, commit)))
+                .map(|(i, local, label, commit)| (i, shard.decide_packed(local, &label, commit)))
                 .collect();
             (shard_idx, shard, decided)
         });
-        let mut decisions = vec![Decision::Deny; batch_len];
         for (shard_idx, shard, decided) in outputs {
             slots[shard_idx] = Some(shard);
             for (i, decision) in decided {
-                decisions[i] = decision;
+                sink(i, decision);
             }
         }
         self.shards = slots
             .into_iter()
             .map(|slot| slot.expect("each shard moved back once"))
             .collect();
-        decisions
     }
 
     /// Serializes the sharded store — shard count, principal count,
@@ -380,38 +371,39 @@ impl ShardedPolicyStore {
     }
 
     /// Decides a mixed batch of packed submits (`commit = true`) and checks
-    /// (`commit = false`) with one pool task per busy shard, returning the
-    /// decisions in request order.
+    /// (`commit = false`), handing each decision to `sink` together with
+    /// its request's index in `batch` — no request vector comes in and no
+    /// decision vector goes out, so a caller that keeps its labels in one
+    /// arena and its answers in response slots decides a batch without
+    /// allocating.
     ///
-    /// The generalization of [`submit_batch_on`](Self::submit_batch_on)
-    /// the service's request loop runs on: within a shard, requests are
-    /// processed in batch order, so a check between two submits for the
-    /// same principal observes exactly the state it would under sequential
-    /// processing.  The caller supplies the pool — the service's executors
-    /// pass theirs, so decision application shares the service's worker
-    /// plane (and its counters) with the labeling stage.
-    pub fn decide_batch_on(
+    /// Small batches (and single-shard or single-worker set-ups — see
+    /// `fans_out`, the only place that rule lives) are decided inline on
+    /// the calling thread, `sink` running in request order; larger ones
+    /// take one pool task per busy shard, and `sink` runs shard by shard
+    /// once the tasks are back.  Either way the requests of one principal
+    /// are decided — and reach `sink` — in batch order, so a check between
+    /// two submits for the same principal observes exactly the state it
+    /// would under sequential processing, and a sink that keeps
+    /// per-principal state sees it in stream order.
+    ///
+    /// The pool is always supplied by the caller: the store owns no
+    /// threads of its own and never falls back to a process-global pool,
+    /// so a service embedding this store runs exactly one worker plane.
+    pub fn decide_batch_on<'a>(
         &mut self,
         pool: &WorkerPool,
-        batch: &[(PrincipalId, &[PackedLabel], bool)],
-    ) -> Vec<Decision> {
-        if self.shards.len() <= 1
-            || batch.len() <= 1
-            || batch.len() < self.parallel_threshold
-            || pool.workers() <= 1
-        {
-            return batch
-                .iter()
-                .map(|(principal, label, commit)| self.decide_packed(*principal, label, *commit))
-                .collect();
+        batch: impl ExactSizeIterator<Item = (PrincipalId, &'a [PackedLabel], bool)>,
+        mut sink: impl FnMut(usize, Decision),
+    ) {
+        if self.fans_out(pool, batch.len()) {
+            let by_shard = self.partition(batch);
+            self.fan_out(pool, by_shard, sink);
+        } else {
+            for (i, (principal, label, commit)) in batch.enumerate() {
+                sink(i, self.decide_packed(principal, label, commit));
+            }
         }
-        let by_shard = self.partition(batch.iter().copied());
-        self.fan_out(
-            pool,
-            by_shard,
-            batch.len(),
-            |shard, local, label, commit| shard.decide_packed(local, label, commit),
-        )
     }
 
     /// `(answered, refused)` counters for a principal.
@@ -463,6 +455,20 @@ mod tests {
     fn label(labeler: &BaselineLabeler, text: &str) -> DisclosureLabel {
         let catalog = labeler.security_views().catalog();
         labeler.label_query(&parse_query(catalog, text).unwrap())
+    }
+
+    /// `decide_batch_on`, with the sink's decisions collected into request
+    /// order (every slot must be answered exactly once).
+    fn decide_collected(
+        store: &mut ShardedPolicyStore,
+        pool: &WorkerPool,
+        batch: &[(PrincipalId, &[PackedLabel], bool)],
+    ) -> Vec<Decision> {
+        let mut decisions = vec![None; batch.len()];
+        store.decide_batch_on(pool, batch.iter().copied(), |i, decision| {
+            assert!(decisions[i].replace(decision).is_none(), "slot {i} twice");
+        });
+        decisions.into_iter().map(Option::unwrap).collect()
     }
 
     fn wall(registry: &SecurityViews) -> SecurityPolicy {
@@ -634,7 +640,7 @@ mod tests {
             .map(|(p, l, commit)| sequential.decide_packed(*p, l, *commit))
             .collect();
         let pool = WorkerPool::new(4);
-        assert_eq!(parallel.decide_batch_on(&pool, &batch), expected);
+        assert_eq!(decide_collected(&mut parallel, &pool, &batch), expected);
         assert_eq!(parallel.totals(), sequential.totals());
         for i in 0..9 {
             let p = PrincipalId(i);
@@ -727,8 +733,8 @@ mod tests {
             .iter()
             .map(|(p, l, commit)| sequential.decide_packed(*p, l, *commit))
             .collect();
-        assert_eq!(raised.decide_batch_on(&pool, &mixed), expected_mixed);
-        assert_eq!(forced.decide_batch_on(&pool, &mixed), expected_mixed);
+        assert_eq!(decide_collected(&mut raised, &pool, &mixed), expected_mixed);
+        assert_eq!(decide_collected(&mut forced, &pool, &mixed), expected_mixed);
         for i in 0..11 {
             let p = PrincipalId(i);
             assert_eq!(raised.stats(p), sequential.stats(p));

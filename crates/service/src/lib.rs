@@ -31,6 +31,7 @@
 
 pub mod durable;
 pub mod health;
+mod history;
 pub mod maintenance;
 pub mod ops;
 pub mod service;
@@ -597,8 +598,8 @@ mod tests {
             })
             .decision();
         service.grant_view(p, "Vsnap").unwrap();
-        assert_eq!(snapshot.label_packed_in(0, &times), before);
-        assert_eq!(snapshot.label_packed_interned_in(0, id), before);
+        assert_eq!(snapshot.labeler().label_packed_in(0, &times), before);
+        assert_eq!(snapshot.labeler().label_packed_interned_in(0, id), before);
         assert_eq!(
             snapshot.epoch(meetings) + 1,
             service.registry().epoch(meetings)

@@ -1,7 +1,26 @@
 //! The concurrent disclosure-control front door.
+//!
+//! A request — one `apply`, one `run_batch` or `run_pipelined` call — owns
+//! three buffers, and a warm admission allocates nothing beyond them:
+//!
+//! ```text
+//!  responses    [ D ][ D ][ P ][ · ][ D ] …   one slot per operation,
+//!                 ▲              ▲             answered in place
+//!  pending run  {index, principal, query id, commit, label ─┐} …
+//!                                                           ▼
+//!  label arena  ▒▒▒│▒│▒▒▒▒│▒▒│ …   every label packed end to end, copied
+//!               from the cache under its stripe lock (`label_into`)
+//! ```
+//!
+//! `flush_decisions` hands a run to the policy store, which decides it
+//! inline or per shard and calls back once per decision: the response slot
+//! is written, and a committed submission becomes one 8-byte append to the
+//! audit history's log (see the `history` module).  The arena belongs to
+//! the service between requests, so a warm one reuses its capacity.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::io;
+use std::ops::Range;
 use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
@@ -11,7 +30,7 @@ use fdc_core::{
 };
 use fdc_cq::intern::{QueryId, QueryInterner};
 use fdc_cq::{ConjunctiveQuery, RelId};
-use fdc_durability::codec::{put_len, put_u32, put_u8, CodecError, Cursor};
+use fdc_durability::codec::{CodecError, Cursor};
 use fdc_durability::{
     checkpoint_seqs_in, latest_checkpoint_in, prune_checkpoints_in, prune_segments_in, read_log_in,
     sweep_stale_temps_in, write_checkpoint_in, Clock, DurabilityConfig, StdVfs, SystemClock, Vfs,
@@ -24,6 +43,7 @@ use fdc_policy::{
 
 use crate::durable::{self, DurableState, RecoveryReport, WalOp};
 use crate::health::{DurabilityHealth, ServiceMode};
+use crate::history::History;
 use crate::ops::{Operation, Response, ServiceError};
 use crate::snapshot::ServiceSnapshot;
 
@@ -71,7 +91,10 @@ pub struct ServiceConfig {
     /// Per-principal cap on the observed-workload history that backs
     /// `AuditApp` (a bounded ring of the interned ids of recently submitted
     /// queries).  `0` disables history recording — and with it auditing —
-    /// for memory-critical deployments.
+    /// for memory-critical deployments.  All rings share one log with
+    /// 32-bit links, so `principals × history_cap` must stay below 2³²: a
+    /// record that would not fit panics instead of wrapping a link (8 bytes
+    /// an entry, that is 32 GiB of history first).
     pub history_cap: usize,
     /// Cache-invalidation strategy; see [`InvalidationMode`].
     pub invalidation: InvalidationMode,
@@ -214,10 +237,13 @@ pub struct DisclosureService {
     store: ShardedPolicyStore,
     /// Per-principal ring of recently submitted queries (capped at
     /// `config.history_cap`), the observed workload `AuditApp` audits
-    /// against — held as the interned ids the admissions resolved to, so
-    /// recording a submit copies four bytes and an audit labels by id.
-    /// Empty rings when history is disabled.
-    history: Vec<VecDeque<OwnedQuery>>,
+    /// against — held as the interned ids the admissions resolved to, in
+    /// one append-only log (see [`History`]).  Empty rings when history is
+    /// disabled.
+    history: History,
+    /// The label arena of the request being served (see the module docs);
+    /// an executor takes it for the duration of its call and puts it back.
+    arena: Vec<PackedLabel>,
     config: ServiceConfig,
     stats: ServiceStats,
     /// The write-ahead log, present only on services opened with
@@ -250,29 +276,25 @@ struct ParallelPlane {
 /// that has no id: a never-seen query arriving after the labeler's arena
 /// budget is spent, which must not be interned or the arena bound is lost.
 #[derive(Clone, Copy)]
-enum AdmissionQuery<'a> {
+pub(crate) enum AdmissionQuery<'a> {
     Plain(&'a ConjunctiveQuery),
     Interned(QueryId),
 }
 
-impl AdmissionQuery<'_> {
-    /// The operand by value, for what outlives the request: a history
-    /// entry, or the hand-off to a pool worker's `'static` task.
-    fn into_owned(self) -> OwnedQuery {
-        match self {
-            AdmissionQuery::Plain(query) => OwnedQuery::Plain(Box::new(query.clone())),
-            AdmissionQuery::Interned(id) => OwnedQuery::Interned(id),
-        }
-    }
-}
-
-/// [`AdmissionQuery`] by value.  The query is boxed so that an id — nearly
-/// every entry of an audit ring — costs the ring 16 bytes, not a query's
-/// width.
-#[derive(Debug, Clone)]
+/// [`AdmissionQuery`] by value: what a staged admission carries to a pool
+/// worker's `'static` task.
 enum OwnedQuery {
     Plain(Box<ConjunctiveQuery>),
     Interned(QueryId),
+}
+
+impl OwnedQuery {
+    fn borrowed(&self) -> AdmissionQuery<'_> {
+        match self {
+            OwnedQuery::Plain(query) => AdmissionQuery::Plain(query),
+            OwnedQuery::Interned(id) => AdmissionQuery::Interned(*id),
+        }
+    }
 }
 
 /// Splits an admission operation into its principal, its operand as
@@ -305,8 +327,24 @@ struct PendingAdmission<'a> {
     query: AdmissionQuery<'a>,
     /// True for `Submit` / `SubmitInterned` (the decision commits).
     commit: bool,
-    /// The operand's packed label; empty until the run is labeled.
-    packed: Vec<PackedLabel>,
+    /// The operand's packed label, as a range of the request's arena.
+    label: Range<usize>,
+}
+
+/// Labels a resolved operand through lane `lane` of `labeler` onto the end
+/// of `arena` — the one label entry point of every admission.
+fn label_into(
+    labeler: &LabelerSnapshot,
+    lane: usize,
+    query: AdmissionQuery<'_>,
+    arena: &mut Vec<PackedLabel>,
+) -> Range<usize> {
+    let start = arena.len();
+    match query {
+        AdmissionQuery::Plain(q) => labeler.append_packed_in(lane, q, arena),
+        AdmissionQuery::Interned(id) => labeler.append_packed_interned_in(lane, id, arena),
+    }
+    start..arena.len()
 }
 
 impl DisclosureService {
@@ -353,7 +391,8 @@ impl DisclosureService {
             labeler,
             interner,
             store,
-            history: Vec::new(),
+            history: History::new(config.history_cap),
+            arena: Vec::new(),
             config: ServiceConfig {
                 num_shards,
                 workers,
@@ -413,7 +452,7 @@ impl DisclosureService {
     /// hook — the shared application step, also the replay entry point.
     fn register_principal_unlogged(&mut self, policy: SecurityPolicy) -> PrincipalId {
         let id = self.store.register(policy);
-        self.history.push(VecDeque::new());
+        self.history.register();
         id
     }
 
@@ -609,39 +648,6 @@ impl DisclosureService {
         }
     }
 
-    /// Labels a resolved operand through the live labeler.
-    fn label_live(&self, query: AdmissionQuery<'_>) -> Vec<PackedLabel> {
-        match query {
-            AdmissionQuery::Plain(q) => self.labeler.label_packed(q),
-            AdmissionQuery::Interned(id) => self.labeler.label_packed_interned(id),
-        }
-    }
-
-    /// True when the observed-workload history — and with it auditing — is
-    /// enabled.  The single home of the `history_cap == 0` convention,
-    /// shared by [`record`](Self::record) and [`audit`](Self::audit).
-    fn history_enabled(&self) -> bool {
-        self.config.history_cap != 0
-    }
-
-    /// Records a submitted query into the principal's observed workload,
-    /// evicting from the **front** until the cap holds: at exactly-cap the
-    /// oldest entry ages out and the newest submission always lands in the
-    /// audited workload (regression-tested at cap and cap + 1).  The
-    /// operand is already resolved, so this pushes an id; only the
-    /// over-budget shape clones its query, keeping the ring bounded by
-    /// `history_cap` entries whatever arrives.
-    fn record(&mut self, principal: PrincipalId, query: AdmissionQuery<'_>) {
-        if !self.history_enabled() {
-            return;
-        }
-        let ring = &mut self.history[principal.index()];
-        while ring.len() >= self.config.history_cap {
-            ring.pop_front();
-        }
-        ring.push_back(query.into_owned());
-    }
-
     /// Appends one record to the write-ahead log and commits it (flush
     /// plus, if configured, fsync) immediately — the write-ahead step of
     /// every *single* state-changing entry point.  The batch executors
@@ -823,10 +829,13 @@ impl DisclosureService {
     ) -> Result<Decision, ServiceError> {
         let query = self.resolve(principal, query)?;
         self.stats.admissions += 1;
-        let packed = self.label_live(query);
-        let decision = self.store.decide_packed(principal, &packed, commit);
+        self.arena.clear();
+        let label = label_into(self.labeler.as_snapshot(), 0, query, &mut self.arena);
+        let decision = self
+            .store
+            .decide_packed(principal, &self.arena[label], commit);
         if commit {
-            self.record(principal, query);
+            self.history.record(principal, query);
         }
         Ok(decision)
     }
@@ -986,14 +995,29 @@ impl DisclosureService {
         serving: Option<&ServiceSnapshot>,
     ) -> Result<AuditReport, ServiceError> {
         self.validate_principal(principal)?;
-        if !self.history_enabled() {
+        if !self.history.enabled() {
             return Err(ServiceError::AuditingDisabled);
         }
         self.stats.audits += 1;
         let policy = self.store.policy(principal);
-        let ring = &self.history[principal.index()];
         let labeler = serving.map_or(self.labeler.as_snapshot(), ServiceSnapshot::labeler);
-        Ok(audit_ring(labeler, policy, ring))
+        // Ids label by id — cache hits for a workload the service has just
+        // served, no query materialized — and the rare boxed entry through
+        // `label_query`.
+        let labels = self
+            .history
+            .workload(principal)
+            .into_iter()
+            .map(|entry| match entry {
+                AdmissionQuery::Interned(id) => labeler.label_interned_in(0, id),
+                AdmissionQuery::Plain(query) => labeler.label_query(query),
+            });
+        let registry = labeler.security_views();
+        Ok(audit_labels(
+            registry,
+            requested_views(policy, registry),
+            labels,
+        ))
     }
 
     /// Opens (or creates) a durable service homed in `dir`, recovering
@@ -1195,8 +1219,9 @@ impl DisclosureService {
 
     /// Freezes the state a checkpoint image serializes: the append-only
     /// interner pre-encoded, structural clones of the registry and the
-    /// store, and the id rings copied as they are (the image stores ids
-    /// too, resolved against that same interner).
+    /// store, and the history log copied as it is — three flat vectors,
+    /// however many principals there are (the image stores ids too,
+    /// resolved against that same interner).
     pub(crate) fn freeze(&self, seq: u64, healthy: bool) -> PendingCheckpoint {
         let mut interner = Vec::new();
         self.interner
@@ -1363,10 +1388,10 @@ impl DisclosureService {
     /// half-consistent service.
     ///
     /// The history section (image version 2) is one ring per principal,
-    /// each entry a tag byte and its operand: [`HISTORY_ID`] and a `u32`
-    /// query id, which must lie inside the interner decoded from the same
-    /// image, or [`HISTORY_BOXED`] and a wire-encoded query (the
-    /// over-budget shape that never got an id), which must fit the catalog.
+    /// each entry a tag byte and its operand: a `u32` query id, which must
+    /// lie inside the interner decoded from the same image, or a
+    /// wire-encoded query (the over-budget shape that never got an id),
+    /// which must fit the catalog; see `History::decode_from`.
     pub(crate) fn decode_state(payload: &[u8], config: ServiceConfig) -> Result<Self, CodecError> {
         let mut cursor = Cursor::new(payload);
         let views = SecurityViews::decode_from(&mut cursor)?;
@@ -1384,50 +1409,14 @@ impl DisclosureService {
             }
         }
         let mut store = ShardedPolicyStore::decode_from(&mut cursor)?;
-        let at = cursor.pos();
-        let num_principals = cursor.count(8)?;
-        if num_principals != store.len() {
-            return Err(CodecError::invalid(
-                at,
-                "history length differs from the principal count",
-            ));
-        }
-        let mut history = Vec::with_capacity(num_principals);
-        for _ in 0..num_principals {
-            let entries = cursor.count(5)?;
-            let mut ring = VecDeque::with_capacity(entries);
-            for _ in 0..entries {
-                let at = cursor.pos();
-                ring.push_back(match cursor.u8()? {
-                    HISTORY_ID => {
-                        let id = QueryId(cursor.u32()?);
-                        if !interner.contains(id) {
-                            return Err(CodecError::invalid(
-                                at,
-                                format!(
-                                    "history query id {} outside the {}-query interner",
-                                    id.0,
-                                    interner.len()
-                                ),
-                            ));
-                        }
-                        OwnedQuery::Interned(id)
-                    }
-                    HISTORY_BOXED => {
-                        let query = fdc_cq::wire::decode_query(&mut cursor)?;
-                        durable::validate_query(views.catalog(), &query, at)?;
-                        OwnedQuery::Plain(Box::new(query))
-                    }
-                    tag => {
-                        return Err(CodecError::invalid(
-                            at,
-                            format!("unknown history entry tag {tag}"),
-                        ))
-                    }
-                });
-            }
-            history.push(ring);
-        }
+        // The recovered history obeys the *current* cap.
+        let history = History::decode_from(
+            &mut cursor,
+            store.len(),
+            config.history_cap,
+            &interner,
+            views.catalog(),
+        )?;
         cursor.expect_end()?;
         // The packed-budget invariant `new` asserts, as a decode error.
         for r in 0..views.catalog().len() {
@@ -1440,18 +1429,6 @@ impl DisclosureService {
                         views.catalog().name(relation)
                     ),
                 ));
-            }
-        }
-        // The recovered history obeys the *current* cap.
-        if config.history_cap == 0 {
-            for log in &mut history {
-                log.clear();
-            }
-        } else {
-            for log in &mut history {
-                while log.len() > config.history_cap {
-                    log.pop_front();
-                }
             }
         }
         // The shard count is part of the on-disk layout (round-robin
@@ -1472,6 +1449,7 @@ impl DisclosureService {
             interner,
             store,
             history,
+            arena: Vec::new(),
             config: ServiceConfig {
                 num_shards,
                 workers,
@@ -1571,6 +1549,7 @@ impl DisclosureService {
         let durable_prefix = self.log_operations(ops);
         let coverage = self.batch_coverage(ops, durable_prefix);
         let mut responses: Vec<Option<Response>> = vec![None; ops.len()];
+        let mut arena = std::mem::take(&mut self.arena);
         let mut run: Vec<PendingAdmission<'_>> = Vec::new();
         for (i, op) in ops.iter().enumerate() {
             match admission(op) {
@@ -1579,20 +1558,18 @@ impl DisclosureService {
                     principal,
                     query,
                     commit,
-                    packed: Vec::new(),
+                    label: 0..0,
                 }),
                 None => {
-                    self.flush_run(&mut run, &mut responses);
+                    self.flush_run(&mut run, &mut arena, &mut responses);
                     let covered = coverage.as_ref().is_none_or(|c| c[i]);
                     responses[i] = Some(self.apply_covered(op, covered));
                 }
             }
         }
-        self.flush_run(&mut run, &mut responses);
-        responses
-            .into_iter()
-            .map(|r| r.expect("every operation answered"))
-            .collect()
+        self.flush_run(&mut run, &mut arena, &mut responses);
+        self.arena = arena;
+        answered(responses)
     }
 
     /// Executes one pending admission run of [`run_batch`](Self::run_batch):
@@ -1601,6 +1578,7 @@ impl DisclosureService {
     fn flush_run(
         &mut self,
         run: &mut Vec<PendingAdmission<'_>>,
+        arena: &mut Vec<PackedLabel>,
         responses: &mut [Option<Response>],
     ) {
         // Unknown principals and foreign query ids answer immediately and
@@ -1619,13 +1597,14 @@ impl DisclosureService {
         );
         self.stats.admissions += run.len() as u64;
         // Batch-level dedup on canonical identity: admissions that resolved
-        // to the same QueryId label once, and the label fans out to every
-        // duplicate slot (an operand without an id is not deduped).
-        // Duplicates are credited on the live labeler's `batch_dedup_hits`
-        // counter.
+        // to the same QueryId label once, and every duplicate shares the
+        // first one's range of the arena (an operand without an id is not
+        // deduped).  Duplicates are credited on the live labeler's
+        // `batch_dedup_hits` counter.
+        arena.clear();
         let mut slot_of: Vec<usize> = Vec::with_capacity(run.len());
         let mut first_slot: HashMap<QueryId, usize> = HashMap::new();
-        let mut unique: Vec<AdmissionQuery<'_>> = Vec::with_capacity(run.len());
+        let mut unique: Vec<&PendingAdmission<'_>> = Vec::with_capacity(run.len());
         for admission in run.iter() {
             let fresh = unique.len();
             let slot = match admission.query {
@@ -1633,7 +1612,7 @@ impl DisclosureService {
                 AdmissionQuery::Plain(_) => fresh,
             };
             if slot == fresh {
-                unique.push(admission.query);
+                unique.push(admission);
             } else {
                 self.labeler.note_batch_dedup_hit();
             }
@@ -1647,24 +1626,36 @@ impl DisclosureService {
         // of the run); shorter runs label inline.
         let pooled =
             self.config.workers > 1 && unique.len() >= self.config.parallel_threshold.max(2);
-        let unique_packed: Vec<Vec<PackedLabel>> = if pooled {
-            self.pooled_label_run(unique.iter().map(|query| query.into_owned()).collect())
+        let unique_labels: Vec<Range<usize>> = if pooled {
+            let staged = unique
+                .iter()
+                .map(|a| StagedAdmission::new(a.index, a.principal, a.query))
+                .collect();
+            self.pooled_label_run(staged, arena)
         } else {
-            unique.iter().map(|&query| self.label_live(query)).collect()
+            let live = self.labeler.as_snapshot();
+            unique
+                .iter()
+                .map(|a| label_into(live, 0, a.query, arena))
+                .collect()
         };
         for (admission, &slot) in run.iter_mut().zip(&slot_of) {
-            admission.packed = unique_packed[slot].clone();
+            admission.label = unique_labels[slot].clone();
         }
-        self.flush_decisions(run, responses);
+        self.flush_decisions(run, arena, responses);
     }
 
     /// Labels one admission run on the worker pool: freeze a labeler
-    /// snapshot, chunk the staged queries across the workers (more chunks
-    /// than workers, so stealing levels skew), pin each chunk's task to a
-    /// fresh epoch, and drain the snapshot's cache work back into the
-    /// live labeler once the batch completes — at which point every task
-    /// of the epoch has unpinned, so the reclamation is immediate.
-    fn pooled_label_run(&mut self, staged: Vec<OwnedQuery>) -> Vec<Vec<PackedLabel>> {
+    /// snapshot, chunk the staged admissions across the workers (more
+    /// chunks than workers, so stealing levels skew), pin each chunk's task
+    /// to a fresh epoch, and drain the snapshot's cache work back into the
+    /// live labeler once the batch completes (every task of the epoch has
+    /// unpinned by then).  The labels land on `arena`, in staging order.
+    fn pooled_label_run(
+        &mut self,
+        staged: Vec<StagedAdmission>,
+        arena: &mut Vec<PackedLabel>,
+    ) -> Vec<Range<usize>> {
         let pool = Arc::clone(self.worker_pool());
         // One private overlay lane per pool worker (plus the coordinator's
         // lane 0): workers write their cache work contention-free and the
@@ -1677,21 +1668,23 @@ impl DisclosureService {
             .max(1);
         let inputs = chunk_owned(staged, chunk_len);
         let shared = Arc::clone(&snapshot);
-        let results = pool.run(inputs, move |chunk, ctx| {
+        let num_principals = self.store.len();
+        let chunks = pool.run(inputs, move |chunk, ctx| {
             let _pin = ctx.pin(epoch);
-            let lane = shared.lane_for(ctx);
-            chunk
-                .into_iter()
-                .map(|query| match query {
-                    OwnedQuery::Plain(q) => shared.label_packed_in(lane, &q),
-                    OwnedQuery::Interned(id) => shared.label_packed_interned_in(lane, id),
-                })
-                .collect::<Vec<_>>()
+            label_chunk(&shared, shared.lane_for(ctx), chunk, num_principals)
         });
         self.labeler.retire_snapshot(&snapshot);
         self.parallel.segments_labeled += 1;
         self.parallel.snapshots_reclaimed += 1;
-        results.into_iter().flatten().collect()
+        splice_chunks(chunks, arena)
+            .into_iter()
+            .map(|labeled| {
+                let (_, label) = labeled
+                    .outcome
+                    .expect("the run's front door admitted every staged operand");
+                label
+            })
+            .collect()
     }
 
     /// Freezes the service's read plane into a [`ServiceSnapshot`]: the
@@ -1783,6 +1776,7 @@ impl DisclosureService {
         let threshold = self.config.parallel_threshold;
         let num_principals = self.store.len();
         let mut responses: Vec<Option<Response>> = vec![None; ops.len()];
+        let mut arena = std::mem::take(&mut self.arena);
         if workers <= 1 {
             // Degenerate single-worker pipeline: same segmentation, but no
             // snapshot, no worker thread and no label staging — which a
@@ -1792,12 +1786,13 @@ impl DisclosureService {
             // boundaries mutate), so this path does strictly less work per
             // op than `run_batch` while keeping identical responses.
             for segment in &segments {
+                arena.clear();
                 self.pass_segment(
                     ops,
                     segment.range.clone(),
                     None,
-                    None,
                     coverage.as_deref(),
+                    &mut arena,
                     &mut responses,
                 );
                 if let Some(b) = segment.boundary {
@@ -1805,10 +1800,8 @@ impl DisclosureService {
                     responses[b] = Some(self.apply_covered(&ops[b], covered));
                 }
             }
-            return responses
-                .into_iter()
-                .map(|r| r.expect("every operation answered"))
-                .collect();
+            self.arena = arena;
+            return answered(responses);
         }
         let pool = Arc::clone(self.worker_pool());
         // Stages one segment's admissions onto the pool against a frozen
@@ -1821,8 +1814,8 @@ impl DisclosureService {
         // stage as a single chunk, which the pool runs inline.
         let spawn_segment = |pool: &Arc<WorkerPool>,
                              snap: &Arc<ServiceSnapshot>,
-                             range: std::ops::Range<usize>|
-         -> (u64, PendingBatch<Vec<LabeledAdmission>>) {
+                             range: Range<usize>|
+         -> (u64, PendingBatch<LabeledChunk>) {
             let epoch = pool.advance_epoch();
             let staged = stage_admissions(&ops[range.clone()], range.start);
             let chunk_len = if staged.len() < threshold {
@@ -1837,11 +1830,7 @@ impl DisclosureService {
             let snap = Arc::clone(snap);
             let pending = pool.submit(inputs, move |chunk, ctx| {
                 let _pin = ctx.pin(epoch);
-                let lane = snap.lane_for(ctx);
-                chunk
-                    .into_iter()
-                    .map(|admission| label_staged(&snap, lane, admission, num_principals))
-                    .collect::<Vec<_>>()
+                label_chunk(snap.labeler(), snap.lane_for(ctx), chunk, num_principals)
             });
             (epoch, pending)
         };
@@ -1856,7 +1845,8 @@ impl DisclosureService {
         let mut inflight = Some(spawn_segment(&pool, &snap, segments[0].range.clone()));
         for s in 0..segments.len() {
             let (epoch, pending) = inflight.take().expect("one labeling batch per segment");
-            let labels: Vec<LabeledAdmission> = pending.wait().into_iter().flatten().collect();
+            arena.clear();
+            let labels = splice_chunks(pending.wait(), &mut arena);
             // This segment's tasks have all unpinned `epoch`; queue its
             // snapshot for reclamation and drain whichever retired
             // snapshots the workers have provably moved past.
@@ -1884,9 +1874,9 @@ impl DisclosureService {
             self.pass_segment(
                 ops,
                 segments[s].range.clone(),
-                Some(&serving),
-                Some(labels),
+                Some((&serving, labels)),
                 coverage.as_deref(),
+                &mut arena,
                 &mut responses,
             );
             if let Some(b) = boundary {
@@ -1906,10 +1896,8 @@ impl DisclosureService {
         }
         self.parallel.segments_labeled += segments.len() as u64;
         self.reclaim_retired(&pool, &mut retired, true);
-        responses
-            .into_iter()
-            .map(|r| r.expect("every operation answered"))
-            .collect()
+        self.arena = arena;
+        answered(responses)
     }
 
     /// Drains retired serving snapshots back into the live labeler,
@@ -1969,23 +1957,24 @@ impl DisclosureService {
     /// consecutive labeled admissions accumulate into decision runs that
     /// fan out per policy shard, and in-segment policy mutations / audits
     /// apply at their position against the serving snapshot's frozen
-    /// registry.  On the degenerate single-worker path both options are
-    /// `None`: the live registry *is* the segment's registry (nothing
-    /// mutates it inside a segment), and each admission goes through the
-    /// front door and the live labeler right here instead of arriving
-    /// resolved and labeled from a pool worker.
+    /// registry (`pooled`: that snapshot and the labels the workers handed
+    /// back).  On the degenerate single-worker path `pooled` is `None`: the
+    /// live registry *is* the segment's registry (nothing mutates it inside
+    /// a segment), and each admission goes through the front door and the
+    /// live labeler right here.
     /// `coverage` (absolute-indexed, from
     /// [`batch_coverage`](Self::batch_coverage)) refuses in-segment
     /// mutations whose WAL records are not durable.
     fn pass_segment(
         &mut self,
         ops: &[Operation],
-        range: std::ops::Range<usize>,
-        serving: Option<&ServiceSnapshot>,
-        labels: Option<Vec<LabeledAdmission>>,
+        range: Range<usize>,
+        pooled: Option<(&ServiceSnapshot, Vec<LabeledAdmission>)>,
         coverage: Option<&[bool]>,
+        arena: &mut Vec<PackedLabel>,
         responses: &mut [Option<Response>],
     ) {
+        let (serving, labels) = pooled.unzip();
         let mut labeled = labels.map(Vec::into_iter);
         let mut run: Vec<PendingAdmission<'_>> = Vec::with_capacity(range.len());
         for i in range {
@@ -1995,23 +1984,24 @@ impl DisclosureService {
                     Some(staged) => {
                         let worker = staged.next().expect("one labeled entry per admission");
                         debug_assert_eq!(worker.index, i, "labels arrive in stream order");
-                        worker.outcome.map(|(id, packed)| {
-                            (id.map_or(query, AdmissionQuery::Interned), packed)
-                        })
+                        worker
+                            .outcome
+                            .map(|(id, label)| (id.map_or(query, AdmissionQuery::Interned), label))
                     }
-                    None => self
-                        .resolve(principal, query)
-                        .map(|query| (query, self.label_live(query))),
+                    None => self.resolve(principal, query).map(|query| {
+                        let live = self.labeler.as_snapshot();
+                        (query, label_into(live, 0, query, arena))
+                    }),
                 };
                 match outcome {
-                    Ok((query, packed)) => {
+                    Ok((query, label)) => {
                         self.stats.admissions += 1;
                         run.push(PendingAdmission {
                             index: i,
                             principal,
                             query,
                             commit,
-                            packed,
+                            label,
                         });
                     }
                     Err(err) => responses[i] = Some(Response::Rejected(err)),
@@ -2032,7 +2022,7 @@ impl DisclosureService {
             // whole segment in (usually) one fan-out where `run_batch`
             // splits at every mutation.
             if run.iter().any(|pending| pending.principal == *principal) {
-                self.flush_decisions(&mut run, responses);
+                self.flush_decisions(&mut run, arena, responses);
             }
             let covered = coverage.is_none_or(|c| c[i]);
             responses[i] = Some(if op.is_mutation() && !covered {
@@ -2041,40 +2031,36 @@ impl DisclosureService {
                 self.apply_mutation(op, serving)
             });
         }
-        self.flush_decisions(&mut run, responses);
+        self.flush_decisions(&mut run, arena, responses);
     }
 
-    /// Decides one pending run of labeled admissions (shard requests
-    /// fanned out on the worker pool through `decide_batch_on`),
-    /// recording committed submissions into the observed workload.
+    /// Decides one pending run of labeled admissions (the store chooses
+    /// between inline and the per-shard fan-out on the worker pool),
+    /// answering each in place.
     fn flush_decisions(
         &mut self,
         run: &mut Vec<PendingAdmission<'_>>,
+        arena: &[PackedLabel],
         responses: &mut [Option<Response>],
     ) {
         if run.is_empty() {
             return;
         }
-        let decisions = if self.store.num_shards() == 1 {
-            // Single-shard fast path: decide in place, no intermediate
-            // batch vector, no worker fan-out to skip.
+        let pool = Arc::clone(self.worker_pool());
+        let history = &mut self.history;
+        self.store.decide_batch_on(
+            &pool,
             run.iter()
-                .map(|a| self.store.decide_packed(a.principal, &a.packed, a.commit))
-                .collect()
-        } else {
-            let batch: Vec<(PrincipalId, &[PackedLabel], bool)> = run
-                .iter()
-                .map(|a| (a.principal, a.packed.as_slice(), a.commit))
-                .collect();
-            let pool = Arc::clone(self.worker_pool());
-            self.store.decide_batch_on(&pool, &batch)
-        };
-        for (admission, decision) in run.drain(..).zip(decisions) {
-            if admission.commit {
-                self.record(admission.principal, admission.query);
-            }
-            responses[admission.index] = Some(Response::Decision(decision));
-        }
+                .map(|a| (a.principal, &arena[a.label.clone()], a.commit)),
+            |i, decision| {
+                let admission = &run[i];
+                if admission.commit {
+                    history.record(admission.principal, admission.query);
+                }
+                responses[admission.index] = Some(Response::Decision(decision));
+            },
+        );
+        run.clear();
     }
 
     /// Applies an in-segment grant or revoke, resolving the view name
@@ -2109,26 +2095,10 @@ impl DisclosureService {
     }
 }
 
-/// Audits one principal's ring through `labeler`: ids label by id — cache
-/// hits for a workload the service has just served, no query materialized
-/// — and the rare boxed entry through `label_query`.
-fn audit_ring(
-    labeler: &LabelerSnapshot,
-    policy: &SecurityPolicy,
-    ring: &VecDeque<OwnedQuery>,
-) -> AuditReport {
-    let registry = labeler.security_views();
-    let labels = ring.iter().map(|entry| match entry {
-        OwnedQuery::Interned(id) => labeler.label_interned_in(0, *id),
-        OwnedQuery::Plain(query) => labeler.label_query(query),
-    });
-    audit_labels(registry, requested_views(policy, registry), labels)
-}
-
 /// One segment of a pipelined batch: a run of non-boundary ops plus the
 /// boundary op (if any) that terminates it.
 struct Segment {
-    range: std::ops::Range<usize>,
+    range: Range<usize>,
     boundary: Option<usize>,
 }
 
@@ -2137,7 +2107,7 @@ struct Segment {
 /// wide-query chunks sheds the tail to idle siblings through stealing.
 const CHUNKS_PER_WORKER: usize = 4;
 
-/// One admission cloned out of a segment for the pool hand-off.
+/// One admission cloned out of a run or segment for the pool hand-off.
 struct StagedAdmission {
     /// Absolute index of the admission in the batch.
     index: usize,
@@ -2145,13 +2115,34 @@ struct StagedAdmission {
     query: OwnedQuery,
 }
 
-/// One admission of a segment as a pool worker hands it back: the id its
-/// operand resolved to (`None` for the over-budget shape that has none)
-/// and the packed label on success, the validation error otherwise.
+impl StagedAdmission {
+    fn new(index: usize, principal: PrincipalId, query: AdmissionQuery<'_>) -> Self {
+        let query = match query {
+            AdmissionQuery::Plain(query) => OwnedQuery::Plain(Box::new(query.clone())),
+            AdmissionQuery::Interned(id) => OwnedQuery::Interned(id),
+        };
+        StagedAdmission {
+            index,
+            principal,
+            query,
+        }
+    }
+}
+
+/// One admission as a pool worker hands it back: the id its operand
+/// resolved to (`None` for the over-budget shape that has none) and the
+/// packed label as a range of a label arena on success, the validation
+/// error otherwise.
 struct LabeledAdmission {
     /// Absolute index of the admission in the batch.
     index: usize,
-    outcome: Result<(Option<QueryId>, Vec<PackedLabel>), ServiceError>,
+    outcome: Result<(Option<QueryId>, Range<usize>), ServiceError>,
+}
+
+/// One chunk of staged admissions, labeled into an arena of its own.
+struct LabeledChunk {
+    arena: Vec<PackedLabel>,
+    admissions: Vec<LabeledAdmission>,
 }
 
 /// Clones every admission of one segment out of the op stream into owned
@@ -2163,45 +2154,65 @@ fn stage_admissions(ops: &[Operation], base: usize) -> Vec<StagedAdmission> {
         .enumerate()
         .filter_map(|(i, op)| {
             let (principal, query, _) = admission(op)?;
-            Some(StagedAdmission {
-                index: base + i,
-                principal,
-                query: query.into_owned(),
-            })
+            Some(StagedAdmission::new(base + i, principal, query))
         })
         .collect()
 }
 
-/// The front door on a pool worker: validates one staged admission at its
-/// stream position — unknown principals, foreign interned ids — resolves
-/// its operand against the frozen snapshot (sharing the live labeler's
-/// arena budget) and labels it by id, writing cache work into the caller's
-/// private overlay `lane`.
-fn label_staged(
-    snapshot: &ServiceSnapshot,
+/// The front door on a pool worker, for one chunk: validates each staged
+/// admission at its stream position — unknown principals, foreign interned
+/// ids — resolves its operand against the frozen snapshot (sharing the live
+/// labeler's arena budget) and labels it by id into the chunk's arena,
+/// writing cache work into the caller's private overlay `lane`.
+fn label_chunk(
+    labeler: &LabelerSnapshot,
     lane: usize,
-    admission: StagedAdmission,
+    chunk: Vec<StagedAdmission>,
     num_principals: usize,
-) -> LabeledAdmission {
-    let StagedAdmission {
-        index,
-        principal,
-        query,
-    } = admission;
-    let by_id = |id| (Some(id), snapshot.label_packed_interned_in(lane, id));
-    let outcome = if principal.index() >= num_principals {
-        Err(ServiceError::UnknownPrincipal(principal))
-    } else {
-        match query {
-            OwnedQuery::Plain(q) => Ok(match snapshot.labeler().intern_within_budget(&q) {
-                Some(id) => by_id(id),
-                None => (None, snapshot.label_packed_in(lane, &q)),
-            }),
-            OwnedQuery::Interned(id) if snapshot.contains(id) => Ok(by_id(id)),
-            OwnedQuery::Interned(id) => Err(ServiceError::UnknownQuery(id)),
-        }
-    };
-    LabeledAdmission { index, outcome }
+) -> LabeledChunk {
+    let mut arena = Vec::new();
+    let admissions = chunk
+        .into_iter()
+        .map(|staged| {
+            let query = staged.query.borrowed();
+            let resolved = if staged.principal.index() >= num_principals {
+                Err(ServiceError::UnknownPrincipal(staged.principal))
+            } else {
+                match query {
+                    AdmissionQuery::Plain(q) => Ok(labeler.intern_within_budget(q)),
+                    AdmissionQuery::Interned(id) if labeler.contains(id) => Ok(Some(id)),
+                    AdmissionQuery::Interned(id) => Err(ServiceError::UnknownQuery(id)),
+                }
+            };
+            let outcome = resolved.map(|id| {
+                let query = id.map_or(query, AdmissionQuery::Interned);
+                (id, label_into(labeler, lane, query, &mut arena))
+            });
+            LabeledAdmission {
+                index: staged.index,
+                outcome,
+            }
+        })
+        .collect();
+    LabeledChunk { arena, admissions }
+}
+
+/// Splices the workers' chunk arenas onto the request's arena, in chunk
+/// (= stream) order, rebasing each admission's label range — after which a
+/// pooled admission is indistinguishable from one labeled inline.
+fn splice_chunks(chunks: Vec<LabeledChunk>, arena: &mut Vec<PackedLabel>) -> Vec<LabeledAdmission> {
+    let mut labeled = Vec::with_capacity(chunks.iter().map(|c| c.admissions.len()).sum());
+    for chunk in chunks {
+        let base = arena.len();
+        arena.extend_from_slice(&chunk.arena);
+        labeled.extend(chunk.admissions.into_iter().map(|mut admission| {
+            if let Ok((_, label)) = &mut admission.outcome {
+                *label = label.start + base..label.end + base;
+            }
+            admission
+        }));
+    }
+    labeled
 }
 
 /// Splits an owned vector into chunks of (at most) `chunk_len` without
@@ -2217,6 +2228,14 @@ fn chunk_owned<T>(items: Vec<T>, chunk_len: usize) -> Vec<Vec<T>> {
         inputs.push(chunk);
     }
     inputs
+}
+
+/// Unwraps a request's response slots once every operation has answered.
+fn answered(responses: Vec<Option<Response>>) -> Vec<Response> {
+    responses
+        .into_iter()
+        .map(|r| r.expect("every operation answered"))
+        .collect()
 }
 
 /// The host's available parallelism, with a serial fallback.
@@ -2323,7 +2342,7 @@ pub struct PendingCheckpoint {
     /// are fixed eagerly instead of racing concurrent interning.
     interner: Vec<u8>,
     store: ShardedPolicyStore,
-    history: Vec<VecDeque<OwnedQuery>>,
+    history: History,
 }
 
 impl PendingCheckpoint {
@@ -2334,58 +2353,17 @@ impl PendingCheckpoint {
 
     /// Serializes the frozen state into the checkpoint payload — the
     /// expensive half of a checkpoint, safe to run without the service
-    /// lock.
+    /// lock, and the inverse of `DisclosureService::decode_state`.
+    ///
+    /// Layout: registry, interner, policy store, then the audit history
+    /// (`History::encode_into`: the rings oldest first, ids into the
+    /// interner section).
     pub fn encode(&self) -> Vec<u8> {
         let mut payload = Vec::new();
-        encode_state_parts(
-            &self.views,
-            &self.interner,
-            &self.store,
-            &self.history,
-            &mut payload,
-        );
+        self.views.encode_into(&mut payload);
+        payload.extend_from_slice(&self.interner);
+        self.store.encode_into(&mut payload);
+        self.history.encode_into(&mut payload);
         payload
-    }
-}
-
-/// History entry tag of the checkpoint image: an interned query id (`u32`).
-const HISTORY_ID: u8 = 0;
-/// History entry tag of the checkpoint image: a wire-encoded boxed query.
-const HISTORY_BOXED: u8 = 1;
-
-/// Serializes one frozen service state — the checkpoint payload, the
-/// inverse of `DisclosureService::decode_state`.  Free function so the
-/// off-lock [`PendingCheckpoint::encode`] and any future callers produce
-/// byte-identical images.
-///
-/// Layout: registry, interner, policy store, then the audit history — a
-/// principal count, and per principal an entry count and the ring oldest
-/// first, each entry [`HISTORY_ID`] + `u32` id into the interner section
-/// or [`HISTORY_BOXED`] + query.
-fn encode_state_parts(
-    views: &SecurityViews,
-    interner_bytes: &[u8],
-    store: &ShardedPolicyStore,
-    history: &[VecDeque<OwnedQuery>],
-    out: &mut Vec<u8>,
-) {
-    views.encode_into(out);
-    out.extend_from_slice(interner_bytes);
-    store.encode_into(out);
-    put_len(out, history.len());
-    for ring in history {
-        put_len(out, ring.len());
-        for entry in ring {
-            match entry {
-                OwnedQuery::Interned(id) => {
-                    put_u8(out, HISTORY_ID);
-                    put_u32(out, id.0);
-                }
-                OwnedQuery::Plain(query) => {
-                    put_u8(out, HISTORY_BOXED);
-                    fdc_cq::wire::encode_query(query, out);
-                }
-            }
-        }
     }
 }

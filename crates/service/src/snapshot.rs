@@ -28,9 +28,9 @@
 
 use std::sync::Arc;
 
-use fdc_core::{LabelerSnapshot, PackedLabel, QueryLabeler, SecurityViews, WorkerContext};
+use fdc_core::{LabelerSnapshot, QueryLabeler, SecurityViews, WorkerContext};
 use fdc_cq::intern::QueryId;
-use fdc_cq::{ConjunctiveQuery, RelId};
+use fdc_cq::RelId;
 use fdc_policy::PolicyArena;
 
 /// An immutable view of a [`DisclosureService`](crate::DisclosureService)'s
@@ -107,17 +107,5 @@ impl ServiceSnapshot {
     /// [`LabelerSnapshot::lane_for`]).
     pub fn lane_for(&self, ctx: &WorkerContext<'_>) -> usize {
         self.labeler.lane_for(ctx)
-    }
-
-    /// Labels a query at the frozen epoch vector, packed, writing cache
-    /// work into overlay lane `lane`.
-    pub fn label_packed_in(&self, lane: usize, query: &ConjunctiveQuery) -> Vec<PackedLabel> {
-        self.labeler.label_packed_in(lane, query)
-    }
-
-    /// Labels a pre-interned query at the frozen epoch vector, packed,
-    /// writing cache work into overlay lane `lane`.
-    pub fn label_packed_interned_in(&self, lane: usize, id: QueryId) -> Vec<PackedLabel> {
-        self.labeler.label_packed_interned_in(lane, id)
     }
 }

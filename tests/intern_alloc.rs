@@ -20,8 +20,6 @@
 //! Counts are per thread, so the harness running tests in parallel does not
 //! disturb them.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
 use std::hint::black_box;
 
 use fdc::core::dissect::dissect_interned;
@@ -29,55 +27,9 @@ use fdc::cq::intern::QueryInterner;
 use fdc::cq::{Atom, ConjunctiveQuery, Term};
 use fdc::ecosystem::facebook_catalog;
 
-thread_local! {
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct CountingAllocator;
-
-fn count_one() {
-    // `try_with`: the allocator also runs while a thread's locals are torn
-    // down, when the counter is gone and nobody reads it anyway.
-    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the only addition is a thread-local
-// counter bump that neither allocates nor unwinds.
-unsafe impl GlobalAlloc for CountingAllocator {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        // SAFETY: the caller's obligations are passed through as given.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
-        // SAFETY: as above.
-        unsafe { System.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
-        // SAFETY: as above.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: as above.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: CountingAllocator = CountingAllocator;
-
-/// Allocations this thread performs while running `f`.
-fn allocations(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.with(Cell::get);
-    f();
-    ALLOCATIONS.with(Cell::get) - before
-}
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
+use counting_alloc::allocations;
 
 /// `User(u, x1, …, x33), User(u, y1, …, y_fresh, 'c', 7, 'c', 7, …)`: a
 /// self-join on `uid` whose second atom has `fresh` variables of its own and
