@@ -6,22 +6,17 @@
 //! extension: a [`DisclosureService`] serves a mixed operation stream —
 //! admissions plus `GrantView` / `RevokeView` / `AddSecurityView` mutations
 //! — at 100K principals, swept over mutation:query ratios
-//! {0, 0.1%, 1%, 10%}.  Three strategies are measured on identical streams:
+//! {0, 0.1%, 1%, 10%}.  Two strategies are measured on identical streams,
+//! both through the service's one batch executor (`run_pipelined`):
 //!
-//! * `incremental` — per-relation epoch versioning through the batch
-//!   executor (`run_batch`): a view-universe change bumps one relation's
-//!   epoch and cached labels lazily re-derive just their stale atoms;
-//!   policy grants/revokes never touch the label cache but still split the
-//!   executor's parallel admission runs.
+//! * `incremental` — per-relation epoch versioning: a view-universe change
+//!   bumps one relation's epoch and cached labels lazily re-derive just
+//!   their stale atoms; policy grants/revokes never touch the label cache,
+//!   so the stream splits only at `AddSecurityView` boundaries.
 //! * `flush_on_mutation` — the conservative baseline a service without
 //!   dependency tracking must adopt: every mutation flushes the whole label
 //!   cache, so each flush forces the full labeling pipeline to re-run per
 //!   distinct query shape until the cache re-warms.
-//! * `pipelined` — epoch versioning through the epoch-snapshot pipelined
-//!   executor (`run_pipelined`): the stream splits only at
-//!   `AddSecurityView` boundaries (grants/revokes never interrupt the
-//!   labeling plane), each segment labels against the previous snapshot,
-//!   and snapshot cache work is published back at retirement.
 //!
 //! ```text
 //! cargo run --release -p fdc-bench --bin fig7_json            # full run
@@ -32,12 +27,11 @@
 //! the per-strategy cache counters (`CachedLabeler::stats()`), the
 //! worker-plane counters (`ServiceStats::parallel` — per-worker task
 //! counts, steals, queue stalls, snapshots reclaimed), a `thread_scaling`
-//! block (the pipelined executor at 1% churn with the worker pool pinned
-//! to 1, 2 and 4 workers), and the headlines: `speedup_at_1pct`
-//! (incremental vs flush, acceptance ≥ 2×) and `pipelined_vs_incremental`
-//! per swept ratio (acceptance: ≥ 1 at 0.1% and 1%, ≥ parity at 10% —
-//! enforced by the `bench_check` binary in CI, which also floors
-//! `pipelined_x4` at 1.8× `pipelined_x1` on multi-core committed runs).
+//! block (the incremental strategy at 1% churn with the worker pool pinned
+//! to 1, 2 and 4 workers), and the headline `speedup_at_1pct` (incremental
+//! vs flush, acceptance ≥ 2× — enforced by the `bench_check` binary in CI,
+//! which also floors `pipelined_x4` at 1.8× `pipelined_x1` on multi-core
+//! committed runs).
 
 use std::time::Instant;
 
@@ -49,22 +43,12 @@ use fdc_service::{DisclosureService, InvalidationMode, Operation, ServiceStats};
 const RATIOS: [f64; 4] = [0.0, 0.001, 0.01, 0.1];
 
 /// The worker-pool widths of the `thread_scaling` series, measured on the
-/// pipelined executor at [`SCALING_RATIO`].
+/// incremental strategy at [`SCALING_RATIO`].
 const SCALING_WORKERS: [usize; 3] = [1, 2, 4];
 
 /// The mutation ratio the `thread_scaling` series is measured at: 1%
 /// churn, the headline regime (large segments, realistic mutation mix).
 const SCALING_RATIO: f64 = 0.01;
-
-/// Which request-loop executor a strategy measures.
-#[derive(Clone, Copy)]
-enum Executor {
-    /// `DisclosureService::run_batch` — runs split at every mutation.
-    Batch,
-    /// `DisclosureService::run_pipelined` — epoch-snapshot segments split
-    /// only at label-affecting boundaries.
-    Pipelined,
-}
 
 /// One strategy's measurement at one ratio.
 struct Measurement {
@@ -111,42 +95,21 @@ fn main() {
         "ratio", "incremental", "flush_on_mutation", "speedup"
     );
 
-    let strategies: [(InvalidationMode, Executor, &'static str); 3] = [
-        (
-            InvalidationMode::Incremental,
-            Executor::Batch,
-            "incremental",
-        ),
-        (
-            InvalidationMode::FlushOnMutation,
-            Executor::Batch,
-            "flush_on_mutation",
-        ),
-        (
-            InvalidationMode::Incremental,
-            Executor::Pipelined,
-            "pipelined",
-        ),
+    let strategies: [(InvalidationMode, &'static str); 2] = [
+        (InvalidationMode::Incremental, "incremental"),
+        (InvalidationMode::FlushOnMutation, "flush_on_mutation"),
     ];
     let mut points = Vec::new();
     for &ratio in &RATIOS {
         let (warmup, stream) = fig7_streams(num_principals, ratio, warmup_ops, stream_ops);
-        // Round-robin the repeats across the strategies (A B C, A B C, …)
+        // Round-robin the repeats across the strategies (A B, A B, …)
         // instead of exhausting one strategy's repeats before the next:
         // machine-speed drift over the sweep then hits every strategy's
         // k-th repeat alike, so the best-of comparison stays fair.
         let mut best: Vec<Option<(f64, CacheStats, ServiceStats)>> = vec![None; strategies.len()];
         for _ in 0..repeats.max(1) {
-            for (slot, &(mode, executor, _)) in strategies.iter().enumerate() {
-                let sample = measure_once(
-                    num_principals,
-                    mode,
-                    executor,
-                    0,
-                    &warmup,
-                    &stream,
-                    batch_ops,
-                );
+            for (slot, &(mode, _)) in strategies.iter().enumerate() {
+                let sample = measure_once(num_principals, mode, 0, &warmup, &stream, batch_ops);
                 if best[slot].as_ref().is_none_or(|(b, _, _)| sample.0 > *b) {
                     best[slot] = Some(sample);
                 }
@@ -155,7 +118,7 @@ fn main() {
         let results: Vec<Measurement> = strategies
             .iter()
             .zip(best)
-            .map(|(&(_, _, name), sample)| {
+            .map(|(&(_, name), sample)| {
                 let (ops_per_sec, cache, service) = sample.expect("at least one repeat");
                 Measurement {
                     mode: name,
@@ -166,15 +129,9 @@ fn main() {
             })
             .collect();
         let speedup = results[0].ops_per_sec / results[1].ops_per_sec;
-        let pipelined_ratio = results[2].ops_per_sec / results[0].ops_per_sec;
         println!(
-            "{:>10} | {:>14.0} | {:>18.0} | {:>7.1}x | pipelined {:>12.0} ({:.2}x inc)",
-            ratio,
-            results[0].ops_per_sec,
-            results[1].ops_per_sec,
-            speedup,
-            results[2].ops_per_sec,
-            pipelined_ratio
+            "{:>10} | {:>14.0} | {:>18.0} | {:>7.1}x",
+            ratio, results[0].ops_per_sec, results[1].ops_per_sec, speedup
         );
         points.push(SweepPoint {
             mutation_ratio: ratio,
@@ -188,7 +145,7 @@ fn main() {
          (acceptance: >= 2x)"
     );
 
-    // The thread-scaling series: the pipelined executor at 1% churn with
+    // The thread-scaling series: the incremental strategy at 1% churn with
     // the worker pool pinned to 1, 2 and 4 workers on identical streams.
     // Recorded at every host width (bench_check only floors the x4:x1
     // ratio when the committed run had real cores to scale onto).
@@ -200,7 +157,6 @@ fn main() {
             let (ops_per_sec, _, _) = measure_once(
                 num_principals,
                 InvalidationMode::Incremental,
-                Executor::Pipelined,
                 workers,
                 &scaling_warmup,
                 &scaling_stream,
@@ -233,33 +189,24 @@ fn main() {
 fn measure_once(
     num_principals: usize,
     mode: InvalidationMode,
-    executor: Executor,
     workers: usize,
     warmup: &[Operation],
     stream: &[Operation],
     batch_ops: usize,
 ) -> (f64, CacheStats, ServiceStats) {
     let mut service = fig7_service_with_workers(num_principals, mode, workers);
-    run_in_batches(&mut service, executor, warmup, batch_ops);
+    run_in_batches(&mut service, warmup, batch_ops);
     let start = Instant::now();
-    run_in_batches(&mut service, executor, stream, batch_ops);
+    run_in_batches(&mut service, stream, batch_ops);
     let elapsed = start.elapsed().as_secs_f64().max(f64::MIN_POSITIVE);
     let ops_per_sec = stream.len() as f64 / elapsed;
     (ops_per_sec, service.labeler().stats(), service.stats())
 }
 
-/// Feeds the stream to the service in serving-sized request-loop calls.
-fn run_in_batches(
-    service: &mut DisclosureService,
-    executor: Executor,
-    ops: &[Operation],
-    batch_ops: usize,
-) {
+/// Feeds the stream to the service in serving-sized batches.
+fn run_in_batches(service: &mut DisclosureService, ops: &[Operation], batch_ops: usize) {
     for chunk in ops.chunks(batch_ops) {
-        match executor {
-            Executor::Batch => std::hint::black_box(service.run_batch(chunk)),
-            Executor::Pipelined => std::hint::black_box(service.run_pipelined(chunk)),
-        };
+        std::hint::black_box(service.run_pipelined(chunk));
     }
 }
 
@@ -310,34 +257,7 @@ fn render_json(
     // hashing), compressing the incremental:flush gap at every ratio; the
     // floor tracks the honest gap over the current pipeline.
     out.push_str("  \"min_speedup_required\": 2.0,\n");
-    // The pipelined:incremental throughput ratio per swept point — the
-    // series the `bench_check` acceptance floors read.
-    out.push_str("  \"pipelined_vs_incremental\": [\n");
-    for (i, point) in points.iter().enumerate() {
-        let incremental = point
-            .results
-            .iter()
-            .find(|m| m.mode == "incremental")
-            .map_or(f64::NAN, |m| m.ops_per_sec);
-        let pipelined = point
-            .results
-            .iter()
-            .find(|m| m.mode == "pipelined")
-            .map_or(f64::NAN, |m| m.ops_per_sec);
-        let ratio = pipelined / incremental;
-        out.push_str(&format!(
-            "    {{\"mutation_ratio\": {}, \"ratio\": {}}}{}\n",
-            point.mutation_ratio,
-            if ratio.is_finite() {
-                format!("{ratio:.3}")
-            } else {
-                "null".to_owned()
-            },
-            if i + 1 == points.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("  ],\n");
-    // The pipelined executor at the scaling ratio with the worker pool
+    // The incremental strategy at the scaling ratio with the worker pool
     // pinned to each width — the series behind the bench_check scaling
     // floor (pipelined_x4 vs pipelined_x1, multi-core committed runs).
     out.push_str("  \"thread_scaling\": {\n");

@@ -10,7 +10,7 @@
 //!
 //! * `rebuild` — the pre-durability path: re-generate every policy from the
 //!   deterministic generator, register each principal, and re-apply the
-//!   churn slice through `run_batch`.
+//!   churn slice through `run_pipelined`.
 //! * `bulkload` — `DisclosureService::open_durable` against a directory
 //!   holding a fresh checkpoint: one sequential read, one whole-file CRC,
 //!   arena-level decodes of the registry / interner / sharded store, zero
@@ -76,7 +76,7 @@ fn main() {
             .expect("failed to open the durable scratch directory");
     register_population(&ecosystem, &mut service, num_principals);
     for chunk in stream.chunks(BATCH_OPS) {
-        std::hint::black_box(service.run_batch(chunk));
+        std::hint::black_box(service.run_pipelined(chunk));
     }
     let wal_records = service.checkpoint().expect("checkpoint failed");
     let reference = state_digest(&service);
@@ -100,7 +100,7 @@ fn main() {
         let mut rebuilt = DisclosureService::new(ecosystem.views.clone(), volatile_config());
         register_population(&ecosystem, &mut rebuilt, num_principals);
         for chunk in stream.chunks(BATCH_OPS) {
-            std::hint::black_box(rebuilt.run_batch(chunk));
+            std::hint::black_box(rebuilt.run_pipelined(chunk));
         }
         rebuild_ms = rebuild_ms.min(start.elapsed().as_secs_f64() * 1e3);
         assert_eq!(

@@ -317,17 +317,17 @@ mod tests {
         assert!(stream.iter().any(|op| op.is_mutation()));
         let mut service = fig7_service(50, InvalidationMode::Incremental);
         assert_eq!(service.num_principals(), 50);
-        for response in service.run_batch(&warmup) {
+        for response in service.run_pipelined(&warmup) {
             assert!(!response.is_rejected());
         }
-        for response in service.run_batch(&stream) {
+        for response in service.run_pipelined(&stream) {
             assert!(!response.is_rejected());
         }
         assert!(service.stats().mutations > 0);
         // Identical streams drive the flush baseline to identical decisions.
         let mut flush = fig7_service(50, InvalidationMode::FlushOnMutation);
-        flush.run_batch(&warmup);
-        flush.run_batch(&stream);
+        flush.run_pipelined(&warmup);
+        flush.run_pipelined(&stream);
         assert_eq!(flush.totals(), service.totals());
         assert!(flush.stats().flushes > 0);
     }

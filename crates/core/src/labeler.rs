@@ -1043,8 +1043,8 @@ impl LabelCore {
 
 /// An immutable, concurrently servable labeler at one per-relation epoch
 /// vector: a copy of a [`CachedLabeler`]'s view universe frozen by
-/// [`CachedLabeler::snapshot`] — the labeling half of the service layer's
-/// `ServiceSnapshot` (see `fdc-service`) — or the live labeler itself for
+/// [`CachedLabeler::snapshot`] — the read plane `fdc-service`'s batch
+/// executor labels a segment through — or the live labeler itself for
 /// as long as it is borrowed ([`CachedLabeler::as_snapshot`]; epochs only
 /// move under `&mut`).  Every `label_*` entry point of the cached plane is
 /// implemented here.
@@ -1476,16 +1476,6 @@ impl CachedLabeler {
         self.live.intern_within_budget(query)
     }
 
-    /// Credits one batch-level dedup hit: the caller answered a duplicate
-    /// query in a batch by fanning out a label computed earlier in that
-    /// same batch.  Counted as a regular cache hit *as well*, so every
-    /// other [`CacheStats`] column matches what labeling the duplicate
-    /// would have reported.
-    pub fn note_batch_dedup_hit(&self) {
-        bump(&self.live.core.counters.hits);
-        bump(&self.live.core.counters.batch_dedup_hits);
-    }
-
     /// Labels one query and returns the packed 64-bit representation
     /// (Section 6.1) — the form the policy stores consume directly via
     /// `submit_packed`, so a cache hit plus a pack is the whole labeling
@@ -1537,7 +1527,10 @@ impl CachedLabeler {
         for &id in ids {
             if let Some(label) = unkept.get(&id) {
                 out.combine_in_place(label);
-                self.note_batch_dedup_hit();
+                // Counted as a regular hit *as well*, so every other
+                // column matches what labeling the repeat would report.
+                bump(&core.counters.hits);
+                bump(&core.counters.batch_dedup_hits);
                 continue;
             }
             let fold = |label: &DisclosureLabel| out.combine_in_place(label);

@@ -413,7 +413,7 @@ mod tests {
         );
         let mut service = build_service(&registry, 20);
         let ops = churn.ops(1_000);
-        let responses = service.run_batch(&ops);
+        let responses = service.run_pipelined(&ops);
         assert_eq!(responses.len(), ops.len());
         // Every operation of a well-formed stream is accepted: grants and
         // revokes only name views that exist by their stream position, and
@@ -425,11 +425,11 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_execution_matches_batched_execution_on_churn_streams() {
-        // The wiring behind the fig7 `pipelined` series: identical generated
-        // streams through `run_batch` and `run_pipelined` must produce
-        // identical responses and per-principal state, across mutation
-        // ratios (including heavy churn) and for interned streams.
+    fn pipelined_execution_matches_sequential_apply_on_churn_streams() {
+        // The wiring behind the fig7 series: identical generated streams
+        // through the batch executor and through op-by-op `apply` must
+        // produce identical responses and per-principal state, across
+        // mutation ratios (including heavy churn) and for interned streams.
         use fdc_ecosystem_service_smoke::build_service;
         let schema = facebook_catalog();
         let registry = facebook_security_views(&schema);
@@ -442,27 +442,28 @@ mod tests {
                 num_principals: 12,
                 ..ChurnConfig::default()
             };
-            let mut batched_churn = ChurnGenerator::new(schema.clone(), &registry, config);
+            let mut sequential_churn = ChurnGenerator::new(schema.clone(), &registry, config);
             let mut pipelined_churn = ChurnGenerator::new(schema.clone(), &registry, config);
-            let mut batched = build_service(&registry, 12);
+            let mut sequential = build_service(&registry, 12);
             let mut pipelined = build_service(&registry, 12);
             pipelined_churn.attach_interner(pipelined.interner());
-            batched_churn.attach_interner(batched.interner());
-            let ops = batched_churn.ops(700);
+            sequential_churn.attach_interner(sequential.interner());
+            let ops = sequential_churn.ops(700);
             let pipelined_ops = pipelined_churn.ops(700);
+            let sequential_responses: Vec<_> = ops.iter().map(|op| sequential.apply(op)).collect();
             assert_eq!(
-                batched.run_batch(&ops),
+                sequential_responses,
                 pipelined.run_pipelined(&pipelined_ops),
                 "at mutation ratio {mutation_ratio}"
             );
-            assert_eq!(batched.totals(), pipelined.totals());
+            assert_eq!(sequential.totals(), pipelined.totals());
             for i in 0..12 {
                 let p = fdc_policy::PrincipalId(i);
                 assert_eq!(
-                    batched.store().consistency_bits(p),
+                    sequential.store().consistency_bits(p),
                     pipelined.store().consistency_bits(p)
                 );
-                assert_eq!(batched.store().stats(p), pipelined.store().stats(p));
+                assert_eq!(sequential.store().stats(p), pipelined.store().stats(p));
             }
         }
     }
@@ -484,7 +485,7 @@ mod tests {
         let mut boxed_churn = ChurnGenerator::new(schema.clone(), &registry, config);
         let mut boxed_service = build_service(&registry, 15);
         let boxed_ops = boxed_churn.ops(600);
-        let boxed_responses = boxed_service.run_batch(&boxed_ops);
+        let boxed_responses = boxed_service.run_pipelined(&boxed_ops);
         // Same seed, but attached to the target service's interner: the
         // pool is interned once and admissions stream as 8-byte ids.
         let mut interned_churn = ChurnGenerator::new(schema, &registry, config);
@@ -497,7 +498,7 @@ mod tests {
         assert!(interned_ops
             .iter()
             .any(|op| matches!(op, Operation::SubmitInterned { .. })));
-        let interned_responses = interned_service.run_batch(&interned_ops);
+        let interned_responses = interned_service.run_pipelined(&interned_ops);
         assert_eq!(boxed_responses, interned_responses);
         assert_eq!(boxed_service.totals(), interned_service.totals());
         // Attaching mid-stream interns the already-seeded pool exactly once.
@@ -516,8 +517,8 @@ mod tests {
         let boxed_more = boxed_churn.ops(150);
         let interned_more = interned_churn.ops(150);
         assert_eq!(
-            boxed_third.run_batch(&boxed_more),
-            interned_third.run_batch(&interned_more)
+            boxed_third.run_pipelined(&boxed_more),
+            interned_third.run_pipelined(&interned_more)
         );
         assert_eq!(boxed_third.totals(), interned_third.totals());
     }

@@ -228,7 +228,7 @@ mod tests {
                 query: query.clone(),
             })
             .collect();
-        let responses = service.run_batch(&ops);
+        let responses = service.run_pipelined(&ops);
         for (i, (query, response)) in queries.iter().zip(&responses).enumerate() {
             let p = PrincipalId((i % num_principals) as u32);
             let expected = flat.submit(p, &eco.label(query));

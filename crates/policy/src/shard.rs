@@ -426,13 +426,6 @@ impl ShardedPolicyStore {
         self.shards.iter().map(PolicyStore::unique_policies).sum()
     }
 
-    /// One copy-on-write arena handle per shard, in shard order — the
-    /// compiled-policy universe pinned as it stands right now (see
-    /// [`PolicyStore::arena_handle`]).
-    pub fn arena_handles(&self) -> Vec<std::sync::Arc<crate::compiled::PolicyArena>> {
-        self.shards.iter().map(PolicyStore::arena_handle).collect()
-    }
-
     /// Bytes of per-principal state summed over the shards.
     pub fn state_bytes(&self) -> usize {
         self.shards.iter().map(PolicyStore::state_bytes).sum()

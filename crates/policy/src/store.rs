@@ -62,13 +62,13 @@ struct PrincipalState {
 /// A policy checker for many principals, backed by an interning
 /// [`PolicyArena`].
 ///
-/// The arena lives behind an `Arc` so that read planes — the service
-/// layer's epoch snapshots — can pin the compiled-policy universe at a
-/// point in time ([`arena_handle`](Self::arena_handle)) without copying it.
-/// Mutations go copy-on-write: the steady-state churn outcome (a grant or
-/// revoke landing on a structurally known compiled form) resolves through
-/// the read-only interning index and never clones; only a genuinely new
-/// compiled form clones the arena while a snapshot is outstanding.
+/// The arena lives behind an `Arc` so that cloning a store — what a
+/// checkpoint's freeze does under the service lock — pins the
+/// compiled-policy universe without copying it.  Mutations go
+/// copy-on-write: the steady-state churn outcome (a grant or revoke landing
+/// on a structurally known compiled form) resolves through the read-only
+/// interning index and never clones; only a genuinely new compiled form
+/// clones the arena, and only while a clone of the store is outstanding.
 #[derive(Debug, Clone, Default)]
 pub struct PolicyStore {
     arena: std::sync::Arc<PolicyArena>,
@@ -147,9 +147,9 @@ impl PolicyStore {
     }
 
     /// Interns a policy through the shared arena: structurally known forms
-    /// resolve read-only (no copy-on-write even with
-    /// [`arena_handle`](Self::arena_handle) snapshots outstanding); new
-    /// forms take the mutable path, cloning the arena only if it is shared.
+    /// resolve read-only (no copy-on-write even while a clone of this
+    /// store is outstanding); new forms take the mutable path, cloning the
+    /// arena only if it is shared.
     fn intern_policy(&mut self, policy: SecurityPolicy) -> u32 {
         if let Some(index) = self.arena.lookup_interned(&policy) {
             self.arena.record_hit();
@@ -227,19 +227,6 @@ impl PolicyStore {
     /// The interning arena backing this store.
     pub fn arena(&self) -> &PolicyArena {
         &self.arena
-    }
-
-    /// A shared handle onto the interning arena, pinning the compiled
-    /// policy universe as it stands right now.
-    ///
-    /// The handle is copy-on-write: later store mutations that intern a
-    /// genuinely new compiled form leave the handle's view untouched (the
-    /// store clones the arena for itself), while the common churn outcome —
-    /// re-interning a known form — mutates nothing.  The service layer's
-    /// `ServiceSnapshot` bundles one handle per shard so a pipelined read
-    /// run can introspect the exact arena its decisions were made against.
-    pub fn arena_handle(&self) -> std::sync::Arc<PolicyArena> {
-        std::sync::Arc::clone(&self.arena)
     }
 
     /// Number of distinct compiled policies across all principals.

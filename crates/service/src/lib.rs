@@ -19,9 +19,11 @@
 //! * the policy stores re-intern a principal's compiled policy on
 //!   grant/revoke while preserving its consistency word and counters.
 //!
-//! The service multiplexes all of it behind one [`Operation`] stream and a
-//! request loop served by a persistent thread-per-core worker pool
-//! ([`run_batch`](DisclosureService::run_batch)).  The Figure 7 benchmark
+//! The service multiplexes all of it behind one [`Operation`] stream:
+//! [`apply`](DisclosureService::apply) serves one operation,
+//! [`run_pipelined`](DisclosureService::run_pipelined) a batch (labeling on
+//! a persistent worker pool when `workers > 1`), and both answer exactly
+//! like op-by-op processing.  The Figure 7 benchmark
 //! (`fig7_json`) measures the payoff: at realistic mutation:query ratios,
 //! incremental relabeling sustains a large multiple of the throughput of
 //! the flush-on-mutation baseline ([`InvalidationMode::FlushOnMutation`]).
@@ -35,7 +37,6 @@ mod history;
 pub mod maintenance;
 pub mod ops;
 pub mod service;
-pub mod snapshot;
 
 pub use durable::{RecoveryReport, WalOp};
 pub use fdc_durability::DurabilityConfig;
@@ -46,7 +47,6 @@ pub use service::{
     DisclosureService, InvalidationMode, ParallelStats, PendingCheckpoint, ServiceConfig,
     ServiceStats,
 };
-pub use snapshot::ServiceSnapshot;
 
 #[cfg(test)]
 mod tests {
@@ -126,7 +126,7 @@ mod tests {
                 query: full.clone(),
             },
         ];
-        let responses = service.run_batch(&ops);
+        let responses = service.run_pipelined(&ops);
         let decisions: Vec<Option<Decision>> = responses.iter().map(Response::decision).collect();
         assert_eq!(
             decisions,
@@ -243,7 +243,7 @@ mod tests {
             Err(ServiceError::UnknownView("nonsense".into()))
         );
         // Batch path answers the rejection in position without panicking.
-        let responses = service.run_batch(&[
+        let responses = service.run_pipelined(&[
             Operation::Submit {
                 principal: ghost,
                 query: query.clone(),
@@ -333,55 +333,6 @@ mod tests {
     }
 
     #[test]
-    fn batched_and_sequential_processing_agree() {
-        let registry = SecurityViews::paper_example();
-        let texts = [
-            "Q(x, y) :- Meetings(x, y)",
-            "Q(x, y, z) :- Contacts(x, y, z)",
-            "Q(x) :- Meetings(x, y)",
-            "Q(x, z) :- Contacts(x, y, z)",
-        ];
-        let catalog = registry.catalog().clone();
-        let mut ops = Vec::new();
-        for i in 0..60 {
-            let principal = PrincipalId((i % 5) as u32);
-            let query = parse_query(&catalog, texts[i % texts.len()]).unwrap();
-            ops.push(if i % 7 == 3 {
-                Operation::Check { principal, query }
-            } else {
-                Operation::Submit { principal, query }
-            });
-            if i % 13 == 6 {
-                ops.push(Operation::GrantView {
-                    principal,
-                    view: "V2".into(),
-                });
-            }
-            if i % 17 == 9 {
-                ops.push(Operation::RevokeView {
-                    principal,
-                    view: "V1".into(),
-                });
-            }
-        }
-        let mut batched = service(5);
-        let mut sequential = service(5);
-        let batch_responses = batched.run_batch(&ops);
-        let sequential_responses: Vec<Response> =
-            ops.iter().map(|op| sequential.apply(op)).collect();
-        assert_eq!(batch_responses, sequential_responses);
-        assert_eq!(batched.totals(), sequential.totals());
-        for i in 0..5 {
-            let p = PrincipalId(i);
-            assert_eq!(
-                batched.store().consistency_bits(p),
-                sequential.store().consistency_bits(p)
-            );
-            assert_eq!(batched.store().stats(p), sequential.store().stats(p));
-        }
-    }
-
-    #[test]
     fn flush_mode_decides_identically_but_flushes() {
         let registry = SecurityViews::paper_example();
         let mut incremental = DisclosureService::new(
@@ -418,7 +369,10 @@ mod tests {
                 });
             }
         }
-        assert_eq!(incremental.run_batch(&ops), flushing.run_batch(&ops));
+        assert_eq!(
+            incremental.run_pipelined(&ops),
+            flushing.run_pipelined(&ops)
+        );
         assert_eq!(incremental.stats().flushes, 0);
         assert_eq!(flushing.stats().flushes, 1);
         // The incremental service kept its cache across the mutation.
@@ -479,99 +433,76 @@ mod tests {
         ops
     }
 
-    #[test]
-    fn pipelined_and_batched_processing_agree() {
+    /// Five-principal services at the given pool width and shard count.
+    fn service_with(config: ServiceConfig) -> DisclosureService {
         let registry = SecurityViews::paper_example();
-        let ops = mixed_stream(registry.catalog(), true);
-        let mut batched = service(5);
-        let mut pipelined = service(5);
-        let batch_responses = batched.run_batch(&ops);
-        let pipelined_responses = pipelined.run_pipelined(&ops);
-        assert_eq!(batch_responses, pipelined_responses);
-        assert_eq!(batched.totals(), pipelined.totals());
-        assert_eq!(batched.stats(), pipelined.stats());
-        for i in 0..5 {
-            let p = PrincipalId(i);
-            assert_eq!(
-                batched.store().consistency_bits(p),
-                pipelined.store().consistency_bits(p)
-            );
-            assert_eq!(batched.store().stats(p), pipelined.store().stats(p));
-            assert_eq!(batched.store().policy(p), pipelined.store().policy(p));
+        let mut service = DisclosureService::new(registry.clone(), config);
+        for _ in 0..5 {
+            service.register_principal(wall(&registry));
         }
-        // The registry evolved identically (same views, same epochs).
-        assert_eq!(batched.registry().len(), pipelined.registry().len());
-        for r in 0..batched.registry().catalog().len() {
-            let rel = fdc_cq::RelId(r as u32);
-            assert_eq!(
-                batched.registry().epoch(rel),
-                pipelined.registry().epoch(rel)
-            );
-        }
-        // And both equal strictly sequential processing.
-        let mut sequential = service(5);
-        let sequential_responses: Vec<Response> =
-            ops.iter().map(|op| sequential.apply(op)).collect();
-        assert_eq!(pipelined_responses, sequential_responses);
-        assert_eq!(pipelined.totals(), sequential.totals());
+        service
     }
 
     #[test]
-    fn pipelined_cache_stats_match_the_batch_executor() {
-        // With a single worker both executors label sequentially in stream
-        // order over the same (shared, snapshot-published) tables, so the
-        // cumulative cache counters must agree exactly.  Audits are
-        // excluded: the pipelined executor serves them from the retiring
-        // snapshot, whose post-retirement cache work is discarded.
-        let registry = SecurityViews::paper_example();
-        let config = ServiceConfig {
-            num_shards: 1,
-            workers: 1,
-            ..ServiceConfig::default()
-        };
-        let build = |registry: &SecurityViews| {
-            let mut s = DisclosureService::new(registry.clone(), config);
-            for _ in 0..5 {
-                s.register_principal(wall(registry));
+    fn batched_and_sequential_processing_agree() {
+        // The oracle is a service driven op by op through `apply`; the batch
+        // executor must match it inline and pooled, on one shard and many.
+        let ops = mixed_stream(SecurityViews::paper_example().catalog(), true);
+        let mut sequential = service(5);
+        let sequential_responses: Vec<Response> =
+            ops.iter().map(|op| sequential.apply(op)).collect();
+        for (workers, num_shards) in [(1, 1), (4, 1), (1, 4), (4, 4)] {
+            let what = format!("workers {workers}, shards {num_shards}");
+            let mut batched = service_with(ServiceConfig {
+                workers,
+                num_shards,
+                ..ServiceConfig::default()
+            });
+            assert_eq!(batched.run_pipelined(&ops), sequential_responses, "{what}");
+            assert_eq!(batched.totals(), sequential.totals(), "{what}");
+            assert_eq!(batched.stats(), sequential.stats(), "{what}");
+            if workers == 1 {
+                // One worker labels in stream order through the live
+                // labeler, exactly as `apply` does: the cumulative cache
+                // counters agree in every column, audits included.
+                assert_eq!(batched.labeler().stats(), sequential.labeler().stats());
             }
-            s
-        };
-        let ops = mixed_stream(registry.catalog(), false);
-        let mut batched = build(&registry);
-        let mut pipelined = build(&registry);
-        assert_eq!(batched.run_batch(&ops), pipelined.run_pipelined(&ops));
-        // The batch executor's staging dedups duplicate admissions within a
-        // run; the pipelined executor segments the stream differently and
-        // does not dedup.  Every other counter must still agree exactly
-        // (dedup hits are also counted as plain hits), so only the dedup
-        // column is normalized away.
-        let mut batched_stats = batched.labeler().stats();
-        let mut pipelined_stats = pipelined.labeler().stats();
-        batched_stats.batch_dedup_hits = 0;
-        pipelined_stats.batch_dedup_hits = 0;
-        assert_eq!(batched_stats, pipelined_stats);
+            for i in 0..5 {
+                let p = PrincipalId(i);
+                assert_eq!(
+                    batched.store().consistency_bits(p),
+                    sequential.store().consistency_bits(p),
+                    "{what}"
+                );
+                assert_eq!(batched.store().stats(p), sequential.store().stats(p));
+                assert_eq!(batched.store().policy(p), sequential.store().policy(p));
+            }
+            // The registry evolved identically (same views, same epochs).
+            assert_eq!(batched.registry().len(), sequential.registry().len());
+            for r in 0..batched.registry().catalog().len() {
+                let rel = fdc_cq::RelId(r as u32);
+                assert_eq!(
+                    batched.registry().epoch(rel),
+                    sequential.registry().epoch(rel)
+                );
+            }
+        }
     }
 
     #[test]
     fn pipelined_flush_mode_decides_identically() {
-        let registry = SecurityViews::paper_example();
-        let ops = mixed_stream(registry.catalog(), true);
+        let ops = mixed_stream(SecurityViews::paper_example().catalog(), true);
         let flush_config = ServiceConfig {
             invalidation: InvalidationMode::FlushOnMutation,
             ..ServiceConfig::default()
         };
-        let build = || {
-            let mut s = DisclosureService::new(registry.clone(), flush_config);
-            for _ in 0..5 {
-                s.register_principal(wall(&registry));
-            }
-            s
-        };
-        let mut batched = build();
-        let mut pipelined = build();
-        assert_eq!(batched.run_batch(&ops), pipelined.run_pipelined(&ops));
-        assert_eq!(batched.totals(), pipelined.totals());
-        assert_eq!(batched.stats().flushes, pipelined.stats().flushes);
+        let mut sequential = service_with(flush_config);
+        let mut pipelined = service_with(flush_config);
+        let sequential_responses: Vec<Response> =
+            ops.iter().map(|op| sequential.apply(op)).collect();
+        assert_eq!(pipelined.run_pipelined(&ops), sequential_responses);
+        assert_eq!(sequential.totals(), pipelined.totals());
+        assert_eq!(sequential.stats().flushes, pipelined.stats().flushes);
         assert!(pipelined.stats().flushes > 0);
     }
 
@@ -583,14 +514,13 @@ mod tests {
         let id = service.intern(&times);
         let before = service.labeler().label_packed(&times);
         let snapshot = service.snapshot();
-        assert_eq!(snapshot.num_policy_shards(), service.config().num_shards);
         assert!(snapshot.contains(id));
         let meetings = service.registry().catalog().resolve("Meetings").unwrap();
-        assert_eq!(snapshot.epoch(meetings), service.registry().epoch(meetings));
-        let arena_len = snapshot.arena(0).len();
+        let frozen_epoch = snapshot.security_views().epoch(meetings);
+        assert_eq!(frozen_epoch, service.registry().epoch(meetings));
 
-        // The live service mutates: a new Meetings view, a structurally new
-        // policy via grant.  The snapshot's labels and arena stay frozen.
+        // The live service mutates: a new Meetings view, granted.  The
+        // snapshot's labels and epochs stay frozen.
         service
             .apply(&Operation::AddSecurityView {
                 name: "Vsnap".into(),
@@ -598,13 +528,10 @@ mod tests {
             })
             .decision();
         service.grant_view(p, "Vsnap").unwrap();
-        assert_eq!(snapshot.labeler().label_packed_in(0, &times), before);
-        assert_eq!(snapshot.labeler().label_packed_interned_in(0, id), before);
-        assert_eq!(
-            snapshot.epoch(meetings) + 1,
-            service.registry().epoch(meetings)
-        );
-        assert_eq!(snapshot.arena(0).len(), arena_len);
+        assert_eq!(snapshot.label_packed_in(0, &times), before);
+        assert_eq!(snapshot.label_packed_interned_in(0, id), before);
+        assert_eq!(snapshot.security_views().epoch(meetings), frozen_epoch);
+        assert_eq!(frozen_epoch + 1, service.registry().epoch(meetings));
         assert_ne!(service.labeler().label_packed(&times), before);
     }
 
@@ -700,7 +627,7 @@ mod tests {
                 query: contacts.clone(),
             },
         ];
-        let responses = service.run_batch(&ops);
+        let responses = service.run_pipelined(&ops);
         assert_eq!(responses[0], responses[1]);
         assert_eq!(responses[2], responses[3]);
 
@@ -715,7 +642,7 @@ mod tests {
             service.submit_interned(p0, bogus),
             Err(ServiceError::UnknownQuery(bogus))
         );
-        let rejected = service.run_batch(&[Operation::CheckInterned {
+        let rejected = service.run_pipelined(&[Operation::CheckInterned {
             principal: p0,
             query: bogus,
         }]);
@@ -745,9 +672,8 @@ mod tests {
         let registry = SecurityViews::paper_example();
         let reference = BitVectorLabeler::new(registry.clone());
         type Executor = fn(&mut DisclosureService, &[Operation]) -> Vec<Response>;
-        let executors: [(&str, Executor); 3] = [
+        let executors: [(&str, Executor); 2] = [
             ("apply", |s, ops| ops.iter().map(|op| s.apply(op)).collect()),
-            ("run_batch", |s, ops| s.run_batch(ops)),
             ("run_pipelined", |s, ops| s.run_pipelined(ops)),
         ];
         for (name, execute) in executors {

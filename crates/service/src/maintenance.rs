@@ -6,8 +6,8 @@
 //! [`checkpoint`](crate::DisclosureService::checkpoint).  The
 //! [`BackgroundCheckpointer`] is that someone: a thread that, on an
 //! interval, begins a checkpoint under the service lock, encodes the
-//! image **off the lock** on the service's worker pool, and completes it
-//! under the lock again — failures are counted in
+//! image **off the lock** on its own thread, and completes it under the
+//! lock again — failures are counted in
 //! [`DurabilityHealth::checkpoint_failures`](crate::DurabilityHealth::checkpoint_failures)
 //! and retried next tick.  Because
 //! [`checkpoint`](crate::DisclosureService::checkpoint) is also the
@@ -39,13 +39,13 @@ const STOP_POLL: Duration = Duration::from_millis(20);
 /// (WAL commit + state freeze) and
 /// [`complete_checkpoint`](DisclosureService::complete_checkpoint) (image
 /// write + log retirement) — while the expensive payload serialization
-/// runs *between* them as a task on the service's own worker pool, with
-/// the lock released: admissions and mutations proceed concurrently, and
-/// their WAL records past the frozen sequence number survive the
-/// completion's pruning.  Degraded services checkpoint synchronously
-/// under the lock (mutations are refused then anyway, and promotion
-/// replaces the log wholesale).  Dropping the handle stops the thread
-/// (signal + join), as does the explicit [`stop`](Self::stop).
+/// runs *between* them on this thread, with the lock released:
+/// admissions and mutations proceed concurrently, and their WAL records
+/// past the frozen sequence number survive the completion's pruning.
+/// Degraded services checkpoint synchronously under the lock (mutations
+/// are refused then anyway, and promotion replaces the log wholesale).
+/// Dropping the handle stops the thread (signal + join), as does the
+/// explicit [`stop`](Self::stop).
 ///
 /// ```no_run
 /// use std::sync::{Arc, Mutex};
@@ -100,17 +100,12 @@ impl BackgroundCheckpointer {
                 let _ = guard.checkpoint();
             } else if let Ok(pending) = guard.begin_checkpoint() {
                 // Healthy: freeze the cheap state under the lock, then
-                // release it and serialize the image as a task on the
-                // service's own worker pool, so admissions and mutations
-                // proceed concurrently with the encode.  The `Err` arm is
-                // a non-durable service: nothing to checkpoint, ever.
-                let pool = guard.pool_handle();
+                // release it and serialize the image right here, so
+                // admissions and mutations proceed concurrently with the
+                // encode.  The `Err` arm is a non-durable service: nothing
+                // to checkpoint, ever.
                 drop(guard);
-                let mut encoded = pool.run(vec![pending], |pending, _ctx| {
-                    let payload = pending.encode();
-                    (pending, payload)
-                });
-                let (pending, payload) = encoded.pop().expect("one encode task");
+                let payload = pending.encode();
                 let mut guard = service.lock().unwrap_or_else(|e| e.into_inner());
                 let _ = guard.complete_checkpoint(&pending, &payload);
             }

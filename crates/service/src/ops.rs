@@ -87,8 +87,7 @@ pub enum Operation {
 
 impl Operation {
     /// True for the admission operations (`Submit` / `Check` and their
-    /// interned forms) that the request loop batches onto the sharded
-    /// parallel path.
+    /// interned forms), which a batch labels on the worker pool.
     pub fn is_admission(&self) -> bool {
         matches!(
             self,

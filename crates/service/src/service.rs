@@ -1,7 +1,7 @@
 //! The concurrent disclosure-control front door.
 //!
-//! A request — one `apply`, one `run_batch` or `run_pipelined` call — owns
-//! three buffers, and a warm admission allocates nothing beyond them:
+//! A request — one `apply` or one `run_pipelined` call — owns three
+//! buffers, and a warm admission allocates nothing beyond them:
 //!
 //! ```text
 //!  responses    [ D ][ D ][ P ][ · ][ D ] …   one slot per operation,
@@ -18,7 +18,6 @@
 //! audit history's log (see the `history` module).  The arena belongs to
 //! the service between requests, so a warm one reuses its capacity.
 
-use std::collections::HashMap;
 use std::io;
 use std::ops::Range;
 use std::path::Path;
@@ -45,7 +44,6 @@ use crate::durable::{self, DurableState, RecoveryReport, WalOp};
 use crate::health::{DurabilityHealth, ServiceMode};
 use crate::history::History;
 use crate::ops::{Operation, Response, ServiceError};
-use crate::snapshot::ServiceSnapshot;
 
 /// Checkpoints retained on disk after
 /// [`DisclosureService::checkpoint`] prunes: the newest plus one
@@ -82,8 +80,7 @@ pub struct ServiceConfig {
     pub num_shards: usize,
     /// Number of persistent worker threads in the service's
     /// [`WorkerPool`] — the labeling fan-out width of
-    /// [`run_batch`](DisclosureService::run_batch) and
-    /// [`run_pipelined`](DisclosureService::run_pipelined), and the
+    /// [`run_pipelined`](DisclosureService::run_pipelined) and the
     /// execution plane of the per-shard decision fan-out.  `0` means "the
     /// host's available parallelism"; `1` serves every batch inline on the
     /// calling thread with no pool at all.
@@ -161,9 +158,9 @@ pub struct ParallelStats {
 /// mutations, flushes, audits and durability health.  The
 /// [`parallel`](Self::parallel) block describes *how* the work was executed
 /// (worker tasks, steals, stalls, reclamations), which legitimately differs
-/// between executors serving identical streams, so it is excluded from
-/// `==` (the property suite asserts batch/pipelined stats equality across
-/// executors with different worker planes).
+/// between services serving identical streams at different worker widths,
+/// so it is excluded from `==` (the property suite asserts stats equality
+/// between sequential `apply` and the batch executor at 1 and 4 workers).
 #[derive(Debug, Clone, Default)]
 pub struct ServiceStats {
     /// Admissions served (submits + checks that reached a decision).
@@ -204,9 +201,9 @@ impl Eq for ServiceStats {}
 ///
 /// * **Admissions** (`Submit` / `Check`) run the fused hot path: canonical
 ///   cache hit → packed label → bit-mask decision.
-///   [`run_batch`](Self::run_batch) executes maximal admission runs on the
-///   service's persistent [`WorkerPool`] — labeling sharded over the shared
-///   cache, decisions sharded by principal.
+///   [`run_pipelined`](Self::run_pipelined) labels a batch's admissions on
+///   the service's persistent [`WorkerPool`] — labeling sharded over the
+///   shared cache, decisions sharded by principal.
 /// * **Policy mutations** (`GrantView` / `RevokeView`) re-intern the
 ///   principal's compiled policy while preserving its consistency word and
 ///   counters; the label caches are untouched (labels do not depend on
@@ -223,7 +220,7 @@ impl Eq for ServiceStats {}
 ///
 /// Mutations take effect at their position in the stream: a grant between
 /// two submits is observed by the second and not the first, which is what
-/// makes the request loop's run-splitting equivalent to strictly sequential
+/// makes the batch executor's segmenting equivalent to strictly sequential
 /// processing (asserted by the property tests).
 #[derive(Debug)]
 pub struct DisclosureService {
@@ -270,11 +267,11 @@ struct ParallelPlane {
 
 /// The query operand of one admission: a borrowed boxed query or an
 /// interned id.  Operations arrive in either form; the front door
-/// ([`DisclosureService::resolve`]) turns every operand it can into
-/// `Interned`, and everything after it — labeling, batch dedup, the audit
-/// history — works by id.  Past the front door `Plain` is the one shape
-/// that has no id: a never-seen query arriving after the labeler's arena
-/// budget is spent, which must not be interned or the arena bound is lost.
+/// ([`resolve`]) turns every operand it can into `Interned`, and
+/// everything after it — labeling, the audit history — works by id.  Past
+/// the front door `Plain` is the one shape that has no id: a never-seen
+/// query arriving after the labeler's arena budget is spent, which must
+/// not be interned or the arena bound is lost.
 #[derive(Clone, Copy)]
 pub(crate) enum AdmissionQuery<'a> {
     Plain(&'a ConjunctiveQuery),
@@ -297,24 +294,68 @@ impl OwnedQuery {
     }
 }
 
-/// Splits an admission operation into its principal, its operand as
-/// submitted, and whether the decision commits (`Submit*`) or only probes
-/// (`Check*`); `None` for every other operation.
-fn admission(op: &Operation) -> Option<(PrincipalId, AdmissionQuery<'_>, bool)> {
-    match op {
-        Operation::Submit { principal, query } => {
-            Some((*principal, AdmissionQuery::Plain(query), true))
+/// One operation in borrowed form — what an [`Operation`] of a batch and
+/// the operands of a typed method (`submit`, `grant_view`, …) both reduce
+/// to, so that logging and execution exist once, over this type.
+#[derive(Clone, Copy)]
+enum Request<'a> {
+    /// An admission: the operand as submitted, and whether the decision
+    /// commits (`Submit*`) or only probes (`Check*`).
+    Admit {
+        principal: PrincipalId,
+        query: AdmissionQuery<'a>,
+        commit: bool,
+    },
+    /// A `GrantView` (`grant`) or `RevokeView`.
+    SetView {
+        principal: PrincipalId,
+        view: &'a str,
+        grant: bool,
+    },
+    AddView {
+        name: &'a str,
+        query: &'a ConjunctiveQuery,
+    },
+    Audit {
+        principal: PrincipalId,
+    },
+}
+
+impl<'a> From<&'a Operation> for Request<'a> {
+    fn from(op: &'a Operation) -> Self {
+        let admit = |principal, query, commit| Request::Admit {
+            principal,
+            query,
+            commit,
+        };
+        match op {
+            Operation::Submit { principal, query } => {
+                admit(*principal, AdmissionQuery::Plain(query), true)
+            }
+            Operation::Check { principal, query } => {
+                admit(*principal, AdmissionQuery::Plain(query), false)
+            }
+            Operation::SubmitInterned { principal, query } => {
+                admit(*principal, AdmissionQuery::Interned(*query), true)
+            }
+            Operation::CheckInterned { principal, query } => {
+                admit(*principal, AdmissionQuery::Interned(*query), false)
+            }
+            Operation::GrantView { principal, view } => Request::SetView {
+                principal: *principal,
+                view,
+                grant: true,
+            },
+            Operation::RevokeView { principal, view } => Request::SetView {
+                principal: *principal,
+                view,
+                grant: false,
+            },
+            Operation::AddSecurityView { name, query } => Request::AddView { name, query },
+            Operation::AuditApp { principal } => Request::Audit {
+                principal: *principal,
+            },
         }
-        Operation::Check { principal, query } => {
-            Some((*principal, AdmissionQuery::Plain(query), false))
-        }
-        Operation::SubmitInterned { principal, query } => {
-            Some((*principal, AdmissionQuery::Interned(*query), true))
-        }
-        Operation::CheckInterned { principal, query } => {
-            Some((*principal, AdmissionQuery::Interned(*query), false))
-        }
-        _ => None,
     }
 }
 
@@ -329,6 +370,30 @@ struct PendingAdmission<'a> {
     commit: bool,
     /// The operand's packed label, as a range of the request's arena.
     label: Range<usize>,
+}
+
+/// The front door of every admission, on the calling thread or on a pool
+/// worker: validates the principal and resolves the operand to the id
+/// everything downstream works by.  A plain query goes through the
+/// labeler's budgeted intern — the one canonicalisation of the admission —
+/// and stays `Plain` only when it has no id and may not get one (see
+/// [`AdmissionQuery`]); an interned operand is checked against the interner.
+fn resolve<'a>(
+    labeler: &LabelerSnapshot,
+    num_principals: usize,
+    principal: PrincipalId,
+    query: AdmissionQuery<'a>,
+) -> Result<AdmissionQuery<'a>, ServiceError> {
+    if principal.index() >= num_principals {
+        return Err(ServiceError::UnknownPrincipal(principal));
+    }
+    match query {
+        AdmissionQuery::Plain(q) => Ok(labeler
+            .intern_within_budget(q)
+            .map_or(query, AdmissionQuery::Interned)),
+        AdmissionQuery::Interned(id) if labeler.contains(id) => Ok(query),
+        AdmissionQuery::Interned(id) => Err(ServiceError::UnknownQuery(id)),
+    }
 }
 
 /// Labels a resolved operand through lane `lane` of `labeler` onto the end
@@ -374,30 +439,32 @@ impl DisclosureService {
     /// tests size the labeler's arena budget down to reach the
     /// over-budget admission path).
     pub(crate) fn with_labeler(labeler: CachedLabeler, config: ServiceConfig) -> Self {
-        let num_shards = if config.num_shards == 0 {
-            available_threads()
-        } else {
-            config.num_shards
-        };
-        let workers = if config.workers == 0 {
-            available_threads()
-        } else {
-            config.workers
-        };
-        let interner = labeler.interner();
-        let mut store = ShardedPolicyStore::new(num_shards);
+        let store = ShardedPolicyStore::new(width_or_host(config.num_shards));
+        Self::assemble(labeler, store, History::new(config.history_cap), config)
+    }
+
+    /// Puts a service together from its stateful parts, fresh or decoded.
+    /// The store's shard count is the effective one (it is part of a
+    /// checkpoint's layout); the worker width and the parallel threshold
+    /// are pure tuning and come from `config`.
+    fn assemble(
+        labeler: CachedLabeler,
+        mut store: ShardedPolicyStore,
+        history: History,
+        config: ServiceConfig,
+    ) -> Self {
         store.set_parallel_threshold(config.parallel_threshold);
         DisclosureService {
+            interner: labeler.interner(),
             labeler,
-            interner,
-            store,
-            history: History::new(config.history_cap),
-            arena: Vec::new(),
             config: ServiceConfig {
-                num_shards,
-                workers,
+                num_shards: store.num_shards(),
+                workers: width_or_host(config.workers),
                 ..config
             },
+            store,
+            history,
+            arena: Vec::new(),
             stats: ServiceStats::default(),
             durable: None,
             parallel: ParallelPlane::default(),
@@ -436,24 +503,15 @@ impl DisclosureService {
         &mut self,
         policy: SecurityPolicy,
     ) -> Result<PrincipalId, ServiceError> {
-        self.guard_mutation()?;
         // An over-wide policy panics in the store below *without* having
         // been logged: a record for an operation that never applied must
         // not reach the log.
-        if self.durable.is_some() && policy.len() <= MAX_PARTITIONS {
-            let mut payload = Vec::new();
-            durable::encode_register(&policy, &mut payload);
-            self.log_now(&payload)?;
+        if policy.len() <= MAX_PARTITIONS {
+            self.log_record(|out| durable::encode_register(&policy, out))?;
         }
-        Ok(self.register_principal_unlogged(policy))
-    }
-
-    /// [`register_principal`](Self::register_principal) without the WAL
-    /// hook — the shared application step, also the replay entry point.
-    fn register_principal_unlogged(&mut self, policy: SecurityPolicy) -> PrincipalId {
         let id = self.store.register(policy);
         self.history.register();
-        id
+        Ok(id)
     }
 
     /// The security-view registry (owned by the labeling stage).
@@ -510,17 +568,6 @@ impl DisclosureService {
         self.parallel
             .pool
             .get_or_init(|| Arc::new(WorkerPool::new(self.config.workers)))
-    }
-
-    /// A shared handle to the service's worker pool — the *single*
-    /// execution plane every parallel path of this service runs on
-    /// (labeling fan-outs, per-shard decision fan-outs, off-lock
-    /// checkpoint encoding).  Callers that run work on the service's
-    /// behalf while not holding the service lock (see
-    /// [`BackgroundCheckpointer`](crate::BackgroundCheckpointer)) clone
-    /// this handle instead of spinning up a pool of their own.
-    pub fn pool_handle(&self) -> Arc<WorkerPool> {
-        Arc::clone(self.worker_pool())
     }
 
     /// Materializes the worker-plane block of [`stats`](Self::stats) from
@@ -591,17 +638,6 @@ impl DisclosureService {
         }
     }
 
-    /// The typed refusal every state-changing entry point leads with on
-    /// a degraded service: a durable service must never acknowledge a
-    /// mutation it cannot make durable.
-    fn guard_mutation(&self) -> Result<(), ServiceError> {
-        if self.is_degraded() {
-            Err(ServiceError::DurabilityUnavailable)
-        } else {
-            Ok(())
-        }
-    }
-
     /// Number of registered principals.
     pub fn num_principals(&self) -> usize {
         self.store.len()
@@ -620,166 +656,82 @@ impl DisclosureService {
         }
     }
 
-    /// The front door of every admission: validates the principal and
-    /// resolves the operand to the id everything downstream works by.  A
-    /// plain query goes through the labeler's budgeted intern — the one
-    /// canonicalisation of the admission — and stays `Plain` only when it
-    /// has no id and may not get one (see [`AdmissionQuery`]); an interned
-    /// operand is checked against the interner.
-    fn resolve<'a>(
-        &self,
-        principal: PrincipalId,
-        query: AdmissionQuery<'a>,
-    ) -> Result<AdmissionQuery<'a>, ServiceError> {
-        self.validate_principal(principal)?;
-        match query {
-            AdmissionQuery::Plain(q) => Ok(self
-                .labeler
-                .intern_within_budget(q)
-                .map_or(query, AdmissionQuery::Interned)),
-            AdmissionQuery::Interned(id) => {
-                let interner = self.interner.read().unwrap_or_else(|e| e.into_inner());
-                if interner.contains(id) {
-                    Ok(query)
-                } else {
-                    Err(ServiceError::UnknownQuery(id))
-                }
-            }
-        }
-    }
-
-    /// Appends one record to the write-ahead log and commits it (flush
-    /// plus, if configured, fsync) immediately — the write-ahead step of
-    /// every *single* state-changing entry point.  The batch executors
-    /// log through [`log_operations`](Self::log_operations) instead,
-    /// which commits once per batch (group commit).
+    /// The write-ahead step: the one place records reach the log, for
+    /// every entry point.  Encodes and appends the record of each loggable
+    /// item of a request of `len` items, in stream order — `encode(i, out)`
+    /// writes item `i`'s record and says whether it has one — and commits
+    /// once at the end (the writer's `group_commit` trigger may commit a
+    /// prefix earlier).  Logging a request before executing any of it
+    /// preserves the write-ahead invariant: the log's readable prefix is
+    /// always a prefix of the applied operation stream.
     ///
-    /// A commit failure past the writer's retry budget does **not**
-    /// panic: the record is dropped (the poisoned writer sheds its
-    /// buffer and truncates torn bytes), the service degrades to
-    /// read-only serving, and the caller gets
-    /// [`ServiceError::DurabilityUnavailable`] to decide with —
-    /// mutations refuse, admissions keep serving from memory.
-    fn log_now(&mut self, payload: &[u8]) -> Result<(), ServiceError> {
-        let durable = self
-            .durable
-            .as_mut()
-            .expect("log_now is only called on durable services");
+    /// Returns the request's **cut**: the position of the first item whose
+    /// record is not durable, `len` when there is none (always, on an
+    /// in-memory service and during replay, where this is a no-op).  What
+    /// an executor does with an item at or past the cut is
+    /// [`execute`](Self::execute)'s rule.  A failure past the writer's
+    /// retry budget does **not** panic: the poisoned writer sheds its
+    /// buffer and truncates torn bytes, the service degrades to read-only
+    /// serving, and the cut falls at the first shed record.  An already
+    /// degraded service logs nothing and cuts at 0.
+    fn write_ahead(
+        durable: &mut Option<DurableState>,
+        len: usize,
+        mut encode: impl FnMut(usize, &mut Vec<u8>) -> bool,
+    ) -> usize {
+        let Some(durable) = durable else {
+            return len;
+        };
         let Some(writer) = durable.writer.as_mut() else {
-            return Err(ServiceError::DurabilityUnavailable);
+            return 0;
         };
-        match writer
-            .append(payload)
-            .and_then(|seq| writer.commit().map(|()| seq))
-        {
-            Ok(seq) => {
-                durable.last_seq = seq;
-                Ok(())
-            }
-            Err(_) => {
-                durable.degrade();
-                Err(ServiceError::DurabilityUnavailable)
-            }
-        }
-    }
-
-    /// Logs every state-changing operation of a batch up front, with one
-    /// commit for the whole batch — the group-commit fast path of
-    /// [`run_batch`](Self::run_batch) and
-    /// [`run_pipelined`](Self::run_pipelined).  Logging the batch before
-    /// executing any of it preserves the write-ahead invariant: the
-    /// log's readable prefix is always a prefix of the applied operation
-    /// stream (here the whole batch is ahead of all of it).
-    ///
-    /// Returns `None` when the batch is unrestricted (fully logged, or
-    /// the service is non-durable), and `Some(k)` when the log failed
-    /// with only the first `k` loggable records of this batch durable —
-    /// the service is degraded on return, and the executor must refuse
-    /// every mutation past that durable prefix
-    /// ([`batch_coverage`](Self::batch_coverage)).  `Some(0)` is also
-    /// the already-degraded answer: nothing of the batch is durable.
-    fn log_operations(&mut self, ops: &[Operation]) -> Option<usize> {
-        let durable = self.durable.as_mut()?;
-        if durable.writer.is_none() {
-            return Some(0);
-        }
-        let interner = &self.interner;
+        let committed_before = writer.stats().records_committed;
         let mut payload = Vec::new();
-        let (base_committed, mut failed, logged) = {
-            let writer = durable.writer.as_mut().expect("checked above");
-            let base = writer.stats().records_committed;
-            let mut failed = false;
-            let mut logged = false;
-            for op in ops {
+        let landed = (0..len)
+            .try_for_each(|i| {
                 payload.clear();
-                if encode_loggable(op, interner, &mut payload) {
-                    match writer.append(&payload) {
-                        Ok(_) => logged = true,
-                        Err(_) => {
-                            failed = true;
-                            break;
-                        }
-                    }
+                if encode(i, &mut payload) {
+                    writer.append(&payload)?;
                 }
-            }
-            (base, failed, logged)
-        };
-        if !failed && logged {
-            let writer = durable.writer.as_mut().expect("checked above");
-            failed = writer.commit().is_err();
+                Ok(())
+            })
+            .and_then(|()| writer.commit());
+        if landed.is_ok() {
+            durable.last_seq = writer.next_seq() - 1;
+            return len;
         }
-        if failed {
-            // Group commits are all-or-nothing, so the committed-record
-            // delta is exactly how many of this batch's records made it
-            // to disk before the failure.  Those operations will replay;
-            // everything after must not be acknowledged as applied.
-            let durable_now = {
-                let writer = durable.writer.as_ref().expect("still present on failure");
-                (writer.stats().records_committed - base_committed) as usize
-            };
-            durable.last_seq += durable_now as u64;
-            durable.degrade();
-            Some(durable_now)
-        } else {
-            if let Some(writer) = durable.writer.as_ref() {
-                durable.last_seq = writer.next_seq().saturating_sub(1);
+        // Records land in stream order and a commit is all-or-nothing, so
+        // the committed-record delta is how many of this request's records
+        // are durable — those operations will replay.  The cut is the
+        // position of the next loggable item, found with `encode` itself.
+        let mut durable_records = (writer.stats().records_committed - committed_before) as usize;
+        durable.last_seq += durable_records as u64;
+        durable.degrade();
+        for i in 0..len {
+            payload.clear();
+            if encode(i, &mut payload) {
+                if durable_records == 0 {
+                    return i;
+                }
+                durable_records -= 1;
             }
-            None
         }
+        len
     }
 
-    /// Expands [`log_operations`](Self::log_operations)' durable-prefix
-    /// answer into per-op coverage: `covered[i]` is true when op `i` may
-    /// execute normally, false when it is a mutation whose WAL record is
-    /// not durable and must be refused.  `None` means unrestricted.
-    fn batch_coverage(
-        &self,
-        ops: &[Operation],
-        durable_prefix: Option<usize>,
-    ) -> Option<Vec<bool>> {
-        let cut = durable_prefix?;
-        let mut covered = vec![true; ops.len()];
-        let mut ordinal = 0usize;
-        for (i, op) in ops.iter().enumerate() {
-            if is_loggable(op, &self.interner) {
-                covered[i] = ordinal < cut;
-                ordinal += 1;
-            }
+    /// [`write_ahead`](Self::write_ahead) for the two mutations that are
+    /// not [`Operation`]s (registration, policy replacement): one record,
+    /// refused with [`ServiceError::DurabilityUnavailable`] if it did not
+    /// land.
+    fn log_record(&mut self, encode: impl Fn(&mut Vec<u8>)) -> Result<(), ServiceError> {
+        let cut = Self::write_ahead(&mut self.durable, 1, |_, out| {
+            encode(out);
+            true
+        });
+        if cut == 0 {
+            return Err(ServiceError::DurabilityUnavailable);
         }
-        Some(covered)
-    }
-
-    /// Applies one op of a pre-logged batch under its coverage verdict:
-    /// an uncovered mutation answers
-    /// [`ServiceError::DurabilityUnavailable`] without touching state
-    /// (its record never reached disk), everything else — admissions,
-    /// checks, audits, and mutations whose records *are* durable —
-    /// executes normally.
-    fn apply_covered(&mut self, op: &Operation, covered: bool) -> Response {
-        if !covered && op.is_mutation() {
-            return Response::Rejected(ServiceError::DurabilityUnavailable);
-        }
-        self.apply_unlogged(op)
+        Ok(())
     }
 
     /// Flushes the label cache if the service runs in
@@ -796,48 +748,18 @@ impl DisclosureService {
 
     /// Admits (and commits) one query on behalf of a principal.
     ///
-    /// On a degraded durable service the submission is served from
-    /// memory (and not logged): admission counters move, and become
-    /// durable again with the next successful checkpoint.  A WAL
-    /// failure on this very record likewise degrades the service and
-    /// serves the decision from memory rather than erroring — the
-    /// admission's record was shed with the dead writer, so recovery
-    /// stays a prefix of what was acknowledged.
+    /// On a degraded service the submission is served from memory (and
+    /// not logged): admission counters move, and reach disk again with
+    /// the next successful checkpoint.  A WAL failure on this very record
+    /// likewise degrades the service and serves the decision from memory
+    /// rather than erroring — the admission's record was shed with the
+    /// dead writer, so recovery stays a prefix of what was acknowledged.
     pub fn submit(
         &mut self,
         principal: PrincipalId,
         query: &ConjunctiveQuery,
     ) -> Result<Decision, ServiceError> {
-        if self.durable.is_some() && !self.is_degraded() {
-            let mut payload = Vec::new();
-            durable::encode_submit(principal, query, &mut payload);
-            let _ = self.log_now(&payload);
-        }
-        self.admit(principal, AdmissionQuery::Plain(query), true)
-    }
-
-    /// Serves one admission against the live state — the application step
-    /// behind [`submit`](Self::submit), [`check`](Self::check), their
-    /// interned forms, sequential [`apply`](Self::apply) and WAL replay
-    /// (never logs): front door, label by id, decide, and record a
-    /// committed submission.
-    fn admit(
-        &mut self,
-        principal: PrincipalId,
-        query: AdmissionQuery<'_>,
-        commit: bool,
-    ) -> Result<Decision, ServiceError> {
-        let query = self.resolve(principal, query)?;
-        self.stats.admissions += 1;
-        self.arena.clear();
-        let label = label_into(self.labeler.as_snapshot(), 0, query, &mut self.arena);
-        let decision = self
-            .store
-            .decide_packed(principal, &self.arena[label], commit);
-        if commit {
-            self.history.record(principal, query);
-        }
-        Ok(decision)
+        self.decide(principal, AdmissionQuery::Plain(query), true)
     }
 
     /// Pure check: would this query be admitted right now?
@@ -846,33 +768,22 @@ impl DisclosureService {
         principal: PrincipalId,
         query: &ConjunctiveQuery,
     ) -> Result<Decision, ServiceError> {
-        self.admit(principal, AdmissionQuery::Plain(query), false)
+        self.decide(principal, AdmissionQuery::Plain(query), false)
     }
 
     /// [`submit`](Self::submit) by pre-interned query id: the label comes
     /// straight out of the id-indexed slot cache — no parsing, no hashing,
     /// no query clone on the wire.
     ///
-    /// On a durable service the submission is logged as its resolved
-    /// canonical query, so the log replays without depending on the
-    /// (volatile) id assignment.
+    /// A service with a write-ahead log records the submission as its
+    /// resolved canonical query, so the log replays without depending on
+    /// the (volatile) id assignment.
     pub fn submit_interned(
         &mut self,
         principal: PrincipalId,
         query: QueryId,
     ) -> Result<Decision, ServiceError> {
-        if self.durable.is_some() && !self.is_degraded() {
-            let mut payload = Vec::new();
-            if encode_loggable(
-                &Operation::SubmitInterned { principal, query },
-                &self.interner,
-                &mut payload,
-            ) {
-                // Degraded-submit semantics on failure, as in `submit`.
-                let _ = self.log_now(&payload);
-            }
-        }
-        self.admit(principal, AdmissionQuery::Interned(query), true)
+        self.decide(principal, AdmissionQuery::Interned(query), true)
     }
 
     /// [`check`](Self::check) by pre-interned query id; never commits.
@@ -881,69 +792,84 @@ impl DisclosureService {
         principal: PrincipalId,
         query: QueryId,
     ) -> Result<Decision, ServiceError> {
-        self.admit(principal, AdmissionQuery::Interned(query), false)
+        self.decide(principal, AdmissionQuery::Interned(query), false)
+    }
+
+    /// One typed admission, as a request of one.
+    fn decide(
+        &mut self,
+        principal: PrincipalId,
+        query: AdmissionQuery<'_>,
+        commit: bool,
+    ) -> Result<Decision, ServiceError> {
+        let request = Request::Admit {
+            principal,
+            query,
+            commit,
+        };
+        match self.serve(request)? {
+            Response::Decision(decision) => Ok(decision),
+            other => unreachable!("an admission answers with a decision, got {other:?}"),
+        }
     }
 
     /// Grants a security view (by name) to a principal.  Refused with
-    /// [`ServiceError::DurabilityUnavailable`] while the durable
-    /// service serves degraded.
+    /// [`ServiceError::DurabilityUnavailable`] while the service serves
+    /// degraded.
     pub fn grant_view(&mut self, principal: PrincipalId, view: &str) -> Result<(), ServiceError> {
-        self.guard_mutation()?;
-        if self.durable.is_some() {
-            let mut payload = Vec::new();
-            durable::encode_grant(principal, view, &mut payload);
-            self.log_now(&payload)?;
-        }
-        into_unit(self.apply_policy_mutation(principal, view, true, None))
+        self.set_view(principal, view, true)
     }
 
     /// Revokes a security view (by name) from a principal.  Refused
-    /// with [`ServiceError::DurabilityUnavailable`] while the durable
-    /// service serves degraded.
+    /// with [`ServiceError::DurabilityUnavailable`] while the service
+    /// serves degraded.
     pub fn revoke_view(&mut self, principal: PrincipalId, view: &str) -> Result<(), ServiceError> {
-        self.guard_mutation()?;
-        if self.durable.is_some() {
-            let mut payload = Vec::new();
-            durable::encode_revoke(principal, view, &mut payload);
-            self.log_now(&payload)?;
+        self.set_view(principal, view, false)
+    }
+
+    /// One typed grant or revoke, as a request of one.
+    fn set_view(
+        &mut self,
+        principal: PrincipalId,
+        view: &str,
+        grant: bool,
+    ) -> Result<(), ServiceError> {
+        let request = Request::SetView {
+            principal,
+            view,
+            grant,
+        };
+        match self.serve(request)? {
+            Response::PolicyUpdated => Ok(()),
+            other => unreachable!("a policy mutation answers PolicyUpdated, got {other:?}"),
         }
-        into_unit(self.apply_policy_mutation(principal, view, false, None))
     }
 
     /// Replaces a principal's policy wholesale, preserving its
     /// consistency word and counters — the bulk counterpart of a
     /// grant/revoke sequence, logged as a single WAL record on durable
-    /// services.
+    /// services.  Refused with [`ServiceError::DurabilityUnavailable`]
+    /// when that record cannot be made durable.
     ///
     /// # Panics
     ///
     /// Panics if the replacement changes the partition count (the
     /// consistency word's partition bits would be meaningless — see
-    /// [`ShardedPolicyStore::replace_policy`]), or if the write-ahead
-    /// log cannot be written.
+    /// [`ShardedPolicyStore::replace_policy`]).
     pub fn replace_policy(
         &mut self,
         principal: PrincipalId,
         policy: SecurityPolicy,
     ) -> Result<(), ServiceError> {
         self.validate_principal(principal)?;
-        self.guard_mutation()?;
         // A partition-count mismatch panics in the store below without
         // having been logged (the record must not outlive the panic).
-        if self.durable.is_some() && policy.len() == self.store.policy(principal).len() {
-            let mut payload = Vec::new();
-            durable::encode_replace_policy(principal, &policy, &mut payload);
-            self.log_now(&payload)?;
+        if policy.len() == self.store.policy(principal).len() {
+            self.log_record(|out| durable::encode_replace_policy(principal, &policy, out))?;
         }
-        self.replace_policy_unlogged(principal, policy);
-        Ok(())
-    }
-
-    /// [`replace_policy`](Self::replace_policy) without the validation
-    /// and WAL hook — the shared application step.
-    fn replace_policy_unlogged(&mut self, principal: PrincipalId, policy: SecurityPolicy) {
         self.store.replace_policy(principal, policy);
         self.after_mutation();
+        Ok(())
     }
 
     /// Registers a new security view online.
@@ -957,42 +883,138 @@ impl DisclosureService {
         name: &str,
         query: ConjunctiveQuery,
     ) -> Result<fdc_core::SecurityViewId, ServiceError> {
-        self.guard_mutation()?;
-        if self.durable.is_some() {
-            let mut payload = Vec::new();
-            durable::encode_add_view(name, &query, &mut payload);
-            self.log_now(&payload)?;
+        let request = Request::AddView {
+            name,
+            query: &query,
+        };
+        match self.serve(request)? {
+            Response::ViewAdded(id) => Ok(id),
+            other => unreachable!("a view addition answers ViewAdded, got {other:?}"),
         }
-        self.add_security_view_unlogged(name, query)
-    }
-
-    /// [`add_security_view`](Self::add_security_view) without the WAL
-    /// hook — the shared application step.
-    fn add_security_view_unlogged(
-        &mut self,
-        name: &str,
-        query: ConjunctiveQuery,
-    ) -> Result<fdc_core::SecurityViewId, ServiceError> {
-        let id = self.labeler.add_view(name, query)?;
-        self.after_mutation();
-        Ok(id)
     }
 
     /// Audits a principal: its requested permissions (the union of its
     /// policy's permitted views, live) against its observed workload.
     pub fn audit_app(&mut self, principal: PrincipalId) -> Result<AuditReport, ServiceError> {
-        self.audit(principal, None)
+        match self.serve(Request::Audit { principal })? {
+            Response::Audit(report) => Ok(report),
+            other => unreachable!("an audit answers with a report, got {other:?}"),
+        }
+    }
+
+    /// Applies one operation sequentially.
+    ///
+    /// On a degraded durable service, mutations answer
+    /// [`Response::Rejected`] with
+    /// [`ServiceError::DurabilityUnavailable`]; admissions, checks and
+    /// audits keep serving from memory.  A WAL failure on the
+    /// operation's own record degrades the service mid-call and the
+    /// same contract applies to it.
+    pub fn apply(&mut self, op: &Operation) -> Response {
+        self.serve(op.into()).unwrap_or_else(Response::Rejected)
+    }
+
+    /// The single-operation path behind [`apply`](Self::apply), every typed
+    /// method and WAL replay: a request of one through the write-ahead
+    /// step, then executed against the live state.  `Err` is a rejection.
+    fn serve(&mut self, request: Request<'_>) -> Result<Response, ServiceError> {
+        let cut = Self::write_ahead(&mut self.durable, 1, |_, out| {
+            encode_loggable(request, &self.interner, out)
+        });
+        self.execute(request, cut > 0, None)
+    }
+
+    /// Executes one operation at its stream position, after the write-ahead
+    /// step; `logged` says whether the operation lies before its request's
+    /// cut.  In-segment callers of the batch executor pass the serving
+    /// snapshot so view-name resolution and audit relabeling read the frozen
+    /// registry — which equals the live registry at the op's stream
+    /// position, because the only registry mutations are segment
+    /// boundaries; everyone else passes `None` and reads the live one.
+    ///
+    /// This is where the service's durability rule lives, once: **a
+    /// mutation whose record is not durable answers
+    /// [`ServiceError::DurabilityUnavailable`] and changes nothing;
+    /// admissions, checks and audits always serve** (from memory — a
+    /// submission whose record was shed is simply absent after recovery,
+    /// which keeps the recovered state a prefix of what was acknowledged).
+    fn execute(
+        &mut self,
+        request: Request<'_>,
+        logged: bool,
+        serving: Option<&LabelerSnapshot>,
+    ) -> Result<Response, ServiceError> {
+        match request {
+            Request::Admit {
+                principal,
+                query,
+                commit,
+            } => self.admit(principal, query, commit).map(Response::Decision),
+            Request::SetView { .. } | Request::AddView { .. } if !logged => {
+                Err(ServiceError::DurabilityUnavailable)
+            }
+            Request::SetView {
+                principal,
+                view,
+                grant,
+            } => {
+                self.validate_principal(principal)?;
+                let registry = serving
+                    .unwrap_or(self.labeler.as_snapshot())
+                    .security_views();
+                let id = registry
+                    .id_by_name(view)
+                    .ok_or_else(|| ServiceError::UnknownView(view.to_owned()))?;
+                if grant {
+                    self.store.grant_view(principal, registry, id);
+                } else {
+                    self.store.revoke_view(principal, registry, id);
+                }
+                self.after_mutation();
+                Ok(Response::PolicyUpdated)
+            }
+            Request::AddView { name, query } => {
+                let id = self.labeler.add_view(name, query.clone())?;
+                self.after_mutation();
+                Ok(Response::ViewAdded(id))
+            }
+            Request::Audit { principal } => self.audit(principal, serving).map(Response::Audit),
+        }
+    }
+
+    /// Serves one admission against the live state: front door, label by
+    /// id, decide, and record a committed submission.
+    fn admit(
+        &mut self,
+        principal: PrincipalId,
+        query: AdmissionQuery<'_>,
+        commit: bool,
+    ) -> Result<Decision, ServiceError> {
+        let query = resolve(
+            self.labeler.as_snapshot(),
+            self.store.len(),
+            principal,
+            query,
+        )?;
+        self.stats.admissions += 1;
+        self.arena.clear();
+        let label = label_into(self.labeler.as_snapshot(), 0, query, &mut self.arena);
+        let decision = self
+            .store
+            .decide_packed(principal, &self.arena[label], commit);
+        if commit {
+            self.history.record(principal, query);
+        }
+        Ok(decision)
     }
 
     /// The audit behind [`audit_app`](Self::audit_app) and `AuditApp`
-    /// operations.  In-segment audits of the pipelined executor pass the
-    /// serving snapshot, whose frozen registry is the registry at the op's
-    /// stream position; everyone else passes `None` and reads the live
-    /// labeler, which is at the same state.
+    /// operations, relabeling through `serving` as
+    /// [`execute`](Self::execute) describes.
     fn audit(
         &mut self,
         principal: PrincipalId,
-        serving: Option<&ServiceSnapshot>,
+        serving: Option<&LabelerSnapshot>,
     ) -> Result<AuditReport, ServiceError> {
         self.validate_principal(principal)?;
         if !self.history.enabled() {
@@ -1000,7 +1022,7 @@ impl DisclosureService {
         }
         self.stats.audits += 1;
         let policy = self.store.policy(principal);
-        let labeler = serving.map_or(self.labeler.as_snapshot(), ServiceSnapshot::labeler);
+        let labeler = serving.unwrap_or(self.labeler.as_snapshot());
         // Ids label by id — cache hits for a workload the service has just
         // served, no query materialized — and the rare boxed entry through
         // `label_query`.
@@ -1347,28 +1369,29 @@ impl DisclosureService {
         Ok(())
     }
 
-    /// Applies one decoded WAL record during recovery, through the same
-    /// unlogged application paths the live executors use.  Rejections
-    /// (unknown principal, duplicate view name, …) are deliberately
-    /// ignored: the live service logged the operation before validating
-    /// it, and a rejected operation changed no state then either.
+    /// Applies one decoded WAL record during recovery, through the entry
+    /// points live traffic uses — with no log attached, their write-ahead
+    /// step is a no-op.  Rejections (unknown principal, duplicate view
+    /// name, …) are deliberately ignored: the live service logged the
+    /// operation before validating it, and a rejected operation changed no
+    /// state then either.
     fn replay(&mut self, op: WalOp) {
         debug_assert!(self.durable.is_none(), "replay must never re-log");
         match op {
             WalOp::RegisterPrincipal { policy } => {
-                self.register_principal_unlogged(policy);
+                self.register_principal(policy);
             }
             WalOp::Submit { principal, query } => {
-                let _ = self.admit(principal, AdmissionQuery::Plain(&query), true);
+                let _ = self.submit(principal, &query);
             }
             WalOp::GrantView { principal, view } => {
-                self.apply_mutation(&Operation::GrantView { principal, view }, None);
+                let _ = self.grant_view(principal, &view);
             }
             WalOp::RevokeView { principal, view } => {
-                self.apply_mutation(&Operation::RevokeView { principal, view }, None);
+                let _ = self.revoke_view(principal, &view);
             }
             WalOp::AddSecurityView { name, query } => {
-                self.apply_mutation(&Operation::AddSecurityView { name, query }, None);
+                let _ = self.add_security_view(&name, query);
             }
             WalOp::ReplacePolicy { principal, policy } => {
                 // Logged replacements were validated before logging; the
@@ -1376,7 +1399,7 @@ impl DisclosureService {
                 if principal.index() < self.store.len()
                     && policy.len() == self.store.policy(principal).len()
                 {
-                    self.replace_policy_unlogged(principal, policy);
+                    let _ = self.replace_policy(principal, policy);
                 }
             }
         }
@@ -1408,7 +1431,7 @@ impl DisclosureService {
                 ));
             }
         }
-        let mut store = ShardedPolicyStore::decode_from(&mut cursor)?;
+        let store = ShardedPolicyStore::decode_from(&mut cursor)?;
         // The recovered history obeys the *current* cap.
         let history = History::decode_from(
             &mut cursor,
@@ -1431,300 +1454,52 @@ impl DisclosureService {
                 ));
             }
         }
-        // The shard count is part of the on-disk layout (round-robin
-        // placement): the checkpoint's count wins over the config's.
-        // The parallel threshold and worker width are pure tuning: the
-        // config's win.
-        let num_shards = store.num_shards();
-        let workers = if config.workers == 0 {
-            available_threads()
-        } else {
-            config.workers
-        };
-        store.set_parallel_threshold(config.parallel_threshold);
+        // The checkpoint's shard count wins over the config's (see
+        // `assemble`).
         let labeler = CachedLabeler::with_interner(views, interner, DEFAULT_CACHE_CAPACITY);
-        let interner = labeler.interner();
-        Ok(DisclosureService {
-            labeler,
-            interner,
-            store,
-            history,
-            arena: Vec::new(),
-            config: ServiceConfig {
-                num_shards,
-                workers,
-                ..config
-            },
-            stats: ServiceStats::default(),
-            durable: None,
-            parallel: ParallelPlane::default(),
-        })
+        Ok(Self::assemble(labeler, store, history, config))
     }
 
-    /// Applies one operation sequentially.
+    /// Freezes the service's read plane into a [`LabelerSnapshot`]: the
+    /// registry at its current epoch vector plus a read-only handle onto
+    /// the striped label caches — everything a **read** (an admission's
+    /// labeling, an audit's workload relabeling) depends on.  Any number of
+    /// threads label through it while the live service keeps mutating;
+    /// grants, revokes and even new security views never disturb it.
     ///
-    /// On a degraded durable service, mutations answer
-    /// [`Response::Rejected`] with
-    /// [`ServiceError::DurabilityUnavailable`]; admissions, checks and
-    /// audits keep serving from memory.  A WAL failure on the
-    /// operation's own record degrades the service mid-call and the
-    /// same contract applies to it.
-    pub fn apply(&mut self, op: &Operation) -> Response {
-        if self.durable.is_some() {
-            let mut covered = true;
-            if self.is_degraded() {
-                covered = false;
-            } else {
-                let mut payload = Vec::new();
-                if encode_loggable(op, &self.interner, &mut payload) {
-                    covered = self.log_now(&payload).is_ok();
-                }
-            }
-            return self.apply_covered(op, covered);
-        }
-        self.apply_unlogged(op)
-    }
-
-    /// [`apply`](Self::apply) without the WAL hook: admissions route to
-    /// [`admit`](Self::admit), everything else to the unified
-    /// [`apply_mutation`](Self::apply_mutation).  The batch executors
-    /// call this after pre-logging the whole batch.
-    fn apply_unlogged(&mut self, op: &Operation) -> Response {
-        match admission(op) {
-            Some((principal, query, commit)) => match self.admit(principal, query, commit) {
-                Ok(decision) => Response::Decision(decision),
-                Err(err) => Response::Rejected(err),
-            },
-            None => self.apply_mutation(op, None),
-        }
-    }
-
-    /// Applies one non-admission operation (policy mutation,
-    /// view-universe mutation, audit) — the single application entry
-    /// point shared by sequential [`apply`](Self::apply), both batch
-    /// executors' segment passes and WAL replay.  In-segment callers
-    /// pass the serving snapshot so view-name resolution and audit
-    /// relabeling read the frozen registry; everyone else passes `None`
-    /// and reads the live one.
-    ///
-    /// # Panics
-    ///
-    /// Panics on admission operations — those carry per-executor
-    /// labeling strategies and never route through here.
-    fn apply_mutation(&mut self, op: &Operation, serving: Option<&ServiceSnapshot>) -> Response {
-        match op {
-            Operation::GrantView { principal, view } => {
-                self.apply_policy_mutation(*principal, view, true, serving)
-            }
-            Operation::RevokeView { principal, view } => {
-                self.apply_policy_mutation(*principal, view, false, serving)
-            }
-            Operation::AddSecurityView { name, query } => {
-                match self.add_security_view_unlogged(name, query.clone()) {
-                    Ok(id) => Response::ViewAdded(id),
-                    Err(err) => Response::Rejected(err),
-                }
-            }
-            Operation::AuditApp { principal } => match self.audit(*principal, serving) {
-                Ok(report) => Response::Audit(report),
-                Err(err) => Response::Rejected(err),
-            },
-            _ => unreachable!("apply_mutation requires a non-admission operation"),
-        }
-    }
-
-    /// Serves a batch of operations, returning one response per operation
-    /// in request order.
-    ///
-    /// This is the service's request loop: maximal runs of admissions
-    /// (`Submit` / `Check`) execute on the persistent worker pool —
-    /// labeling fans out in stealable chunks over workers sharing the
-    /// epoch-aware cache, decisions fan out one pool task per policy shard
-    /// — and mutations / audits apply sequentially at their position,
-    /// splitting the runs.
-    /// The responses (and all per-principal state) equal strictly
-    /// sequential [`apply`](Self::apply) processing; the test suite and the
-    /// `incremental_relabel` property test assert this.
-    pub fn run_batch(&mut self, ops: &[Operation]) -> Vec<Response> {
-        let durable_prefix = self.log_operations(ops);
-        let coverage = self.batch_coverage(ops, durable_prefix);
-        let mut responses: Vec<Option<Response>> = vec![None; ops.len()];
-        let mut arena = std::mem::take(&mut self.arena);
-        let mut run: Vec<PendingAdmission<'_>> = Vec::new();
-        for (i, op) in ops.iter().enumerate() {
-            match admission(op) {
-                Some((principal, query, commit)) => run.push(PendingAdmission {
-                    index: i,
-                    principal,
-                    query,
-                    commit,
-                    label: 0..0,
-                }),
-                None => {
-                    self.flush_run(&mut run, &mut arena, &mut responses);
-                    let covered = coverage.as_ref().is_none_or(|c| c[i]);
-                    responses[i] = Some(self.apply_covered(op, covered));
-                }
-            }
-        }
-        self.flush_run(&mut run, &mut arena, &mut responses);
-        self.arena = arena;
-        answered(responses)
-    }
-
-    /// Executes one pending admission run of [`run_batch`](Self::run_batch):
-    /// front door, labeling on the parallel path (sequentially below
-    /// [`ServiceConfig::parallel_threshold`]), then the decisions.
-    fn flush_run(
-        &mut self,
-        run: &mut Vec<PendingAdmission<'_>>,
-        arena: &mut Vec<PackedLabel>,
-        responses: &mut [Option<Response>],
-    ) {
-        // Unknown principals and foreign query ids answer immediately and
-        // drop out of the batch; every other operand resolves to its id.
-        run.retain_mut(
-            |admission| match self.resolve(admission.principal, admission.query) {
-                Ok(query) => {
-                    admission.query = query;
-                    true
-                }
-                Err(err) => {
-                    responses[admission.index] = Some(Response::Rejected(err));
-                    false
-                }
-            },
-        );
-        self.stats.admissions += run.len() as u64;
-        // Batch-level dedup on canonical identity: admissions that resolved
-        // to the same QueryId label once, and every duplicate shares the
-        // first one's range of the arena (an operand without an id is not
-        // deduped).  Duplicates are credited on the live labeler's
-        // `batch_dedup_hits` counter.
-        arena.clear();
-        let mut slot_of: Vec<usize> = Vec::with_capacity(run.len());
-        let mut first_slot: HashMap<QueryId, usize> = HashMap::new();
-        let mut unique: Vec<&PendingAdmission<'_>> = Vec::with_capacity(run.len());
-        for admission in run.iter() {
-            let fresh = unique.len();
-            let slot = match admission.query {
-                AdmissionQuery::Interned(id) => *first_slot.entry(id).or_insert(fresh),
-                AdmissionQuery::Plain(_) => fresh,
-            };
-            if slot == fresh {
-                unique.push(admission);
-            } else {
-                self.labeler.note_batch_dedup_hit();
-            }
-            slot_of.push(slot);
-        }
-        // Label every *distinct* operand through the shared cache.  Runs at
-        // or above the parallel threshold (counted after dedup, which is
-        // the labeling work actually left) hand off to the persistent
-        // worker pool against a per-run labeler snapshot (no run contains a
-        // mutation, so the snapshot is the live labeler at every position
-        // of the run); shorter runs label inline.
-        let pooled =
-            self.config.workers > 1 && unique.len() >= self.config.parallel_threshold.max(2);
-        let unique_labels: Vec<Range<usize>> = if pooled {
-            let staged = unique
-                .iter()
-                .map(|a| StagedAdmission::new(a.index, a.principal, a.query))
-                .collect();
-            self.pooled_label_run(staged, arena)
-        } else {
-            let live = self.labeler.as_snapshot();
-            unique
-                .iter()
-                .map(|a| label_into(live, 0, a.query, arena))
-                .collect()
-        };
-        for (admission, &slot) in run.iter_mut().zip(&slot_of) {
-            admission.label = unique_labels[slot].clone();
-        }
-        self.flush_decisions(run, arena, responses);
-    }
-
-    /// Labels one admission run on the worker pool: freeze a labeler
-    /// snapshot, chunk the staged admissions across the workers (more
-    /// chunks than workers, so stealing levels skew), pin each chunk's task
-    /// to a fresh epoch, and drain the snapshot's cache work back into the
-    /// live labeler once the batch completes (every task of the epoch has
-    /// unpinned by then).  The labels land on `arena`, in staging order.
-    fn pooled_label_run(
-        &mut self,
-        staged: Vec<StagedAdmission>,
-        arena: &mut Vec<PackedLabel>,
-    ) -> Vec<Range<usize>> {
-        let pool = Arc::clone(self.worker_pool());
-        // One private overlay lane per pool worker (plus the coordinator's
-        // lane 0): workers write their cache work contention-free and the
-        // retire below merges every lane back into the striped tables.
-        let snapshot = Arc::new(self.labeler.snapshot_with_lanes(pool.workers() + 1));
-        let epoch = pool.advance_epoch();
-        let chunk_len = staged
-            .len()
-            .div_ceil(pool.workers() * CHUNKS_PER_WORKER)
-            .max(1);
-        let inputs = chunk_owned(staged, chunk_len);
-        let shared = Arc::clone(&snapshot);
-        let num_principals = self.store.len();
-        let chunks = pool.run(inputs, move |chunk, ctx| {
-            let _pin = ctx.pin(epoch);
-            label_chunk(&shared, shared.lane_for(ctx), chunk, num_principals)
-        });
-        self.labeler.retire_snapshot(&snapshot);
-        self.parallel.segments_labeled += 1;
-        self.parallel.snapshots_reclaimed += 1;
-        splice_chunks(chunks, arena)
-            .into_iter()
-            .map(|labeled| {
-                let (_, label) = labeled
-                    .outcome
-                    .expect("the run's front door admitted every staged operand");
-                label
-            })
-            .collect()
-    }
-
-    /// Freezes the service's read plane into a [`ServiceSnapshot`]: the
-    /// registry at its current epoch vector, a read-only handle onto the
-    /// striped label caches, and one copy-on-write policy-arena handle per
-    /// shard.  See the [`snapshot`](crate::snapshot) module for the
-    /// build → serve → retire lifecycle.
-    pub fn snapshot(&self) -> ServiceSnapshot {
-        ServiceSnapshot::new(self.labeler.snapshot(), self.store.arena_handles())
+    /// What a snapshot deliberately does **not** freeze is per-principal
+    /// enforcement state (policies, consistency words, counters,
+    /// histories): decisions are order-sensitive, so
+    /// [`run_pipelined`](Self::run_pipelined) keeps applying them to the
+    /// live store at their stream position.  The split works because labels
+    /// depend only on the view universe — never on policies.
+    pub fn snapshot(&self) -> LabelerSnapshot {
+        self.labeler.snapshot()
     }
 
     /// [`snapshot`](Self::snapshot) with one private overlay lane per pool
-    /// worker (plus the coordinator's lane 0) — the form the pipelined
-    /// executor stages segments through, so concurrent workers never
-    /// contend on a shared overlay stripe lock.
-    fn serving_snapshot(&self) -> ServiceSnapshot {
-        ServiceSnapshot::new(
-            self.labeler.snapshot_with_lanes(self.config.workers + 1),
-            self.store.arena_handles(),
-        )
+    /// worker (plus the coordinator's lane 0) — the form the batch executor
+    /// stages segments through, so concurrent workers never contend on a
+    /// shared overlay stripe lock.
+    fn serving_snapshot(&self) -> LabelerSnapshot {
+        self.labeler.snapshot_with_lanes(self.config.workers + 1)
     }
 
-    /// Serves a batch of operations with the **epoch-snapshot pipelined
-    /// executor**, returning one response per operation in request order —
-    /// extensionally equal to [`run_batch`](Self::run_batch) and to
-    /// sequential [`apply`](Self::apply) processing (property-tested), but
-    /// with the labeling stage decoupled from the mutation stream.
+    /// Serves a batch of operations, returning one response per operation
+    /// in request order — the service's batch executor, extensionally equal
+    /// to sequential [`apply`](Self::apply) processing (property-tested),
+    /// but with the labeling stage decoupled from the mutation stream.
     ///
-    /// [`run_batch`](Self::run_batch) splits its parallel admission runs at
-    /// **every** mutation, so at realistic churn ratios the runs shrink
-    /// until the fan-out (or even the sequential fallback) dominates.  This
-    /// executor instead partitions the stream only at *label-affecting*
-    /// boundaries — `AddSecurityView` in
-    /// [`InvalidationMode::Incremental`] (grants and revokes never change a
-    /// label), every mutation in
-    /// [`InvalidationMode::FlushOnMutation`] — and pipelines the segments:
+    /// The whole batch goes through the write-ahead step first; then the
+    /// stream is partitioned only at *label-affecting* boundaries —
+    /// `AddSecurityView` in [`InvalidationMode::Incremental`] (grants and
+    /// revokes never change a label), every mutation in
+    /// [`InvalidationMode::FlushOnMutation`] — and the segments are
+    /// pipelined:
     ///
     /// * each segment's admissions are labeled **concurrently** on the
     ///   persistent [`WorkerPool`] against the *previous*
-    ///   [`ServiceSnapshot`] (which is exactly the registry state at every
+    ///   [`LabelerSnapshot`] (which is exactly the registry state at every
     ///   position of the segment), while the main thread still walks the
     ///   previous segment's decisions, policy mutations and audits in
     ///   stream order;
@@ -1739,38 +1514,32 @@ impl DisclosureService {
     ///   and once every worker has published past a snapshot's epoch its
     ///   cache work is drained back into the shared striped tables
     ///   (`CachedLabeler::retire_snapshot`), so warm state survives epochs
-    ///   without the coordinator blocking at the boundary.  On the
-    ///   single-worker path (and on audit-free streams generally) the
-    ///   cumulative [`CacheStats`](fdc_core::CacheStats) match the batch
-    ///   executor's exactly; with multiple workers the counters are racy in
-    ///   the same way `run_batch`'s are, and cache work an audit performs
-    ///   through an already-reclaimed snapshot is discarded with it.
+    ///   without the coordinator blocking at the boundary.  With one worker
+    ///   no snapshot is built at all and the cumulative
+    ///   [`CacheStats`](fdc_core::CacheStats) match sequential
+    ///   [`apply`](Self::apply)'s exactly; with multiple workers the
+    ///   counters are racy, and cache work an audit performs through an
+    ///   already-reclaimed snapshot is discarded with it.
     ///
-    /// Audits and grant/revoke name resolution use the serving snapshot's
-    /// *frozen* registry, which equals the live registry at their stream
-    /// position (the only registry mutations are the boundaries
-    /// themselves).  Interned-id validity is judged against the shared
-    /// interner, which only grows: every id obtained through
-    /// [`intern`](Self::intern) / [`interner`](Self::interner) — the
-    /// supported workflow — validates exactly as under sequential
-    /// [`apply`](Self::apply).  The one under-specified corner is an
-    /// interned op referencing an id that is first *minted by a plain
-    /// admission inside the same batch*: sequential processing and
-    /// `run_batch` (whose front door resolves a run's operands in stream
-    /// order) judge it at its stream position, and the threaded pipeline
-    /// may resolve it either way depending on worker-chunk timing (a
-    /// durable service never logs it: the batch is logged before any of it
-    /// runs).  No supported producer
-    /// emits such streams (generators intern through the service before
-    /// constructing operations).
+    /// Interned-id validity is judged against the shared interner, which
+    /// only grows: every id obtained through [`intern`](Self::intern) /
+    /// [`interner`](Self::interner) — the supported workflow — validates
+    /// exactly as under sequential [`apply`](Self::apply).  The one
+    /// under-specified corner is an interned op referencing an id that is
+    /// first *minted by a plain admission inside the same batch*:
+    /// sequential processing judges it at its stream position, and the
+    /// threaded pipeline may resolve it either way depending on
+    /// worker-chunk timing (a durable service never logs it: the batch is
+    /// logged before any of it runs).  No supported producer emits such
+    /// streams (generators intern through the service before constructing
+    /// operations).
     pub fn run_pipelined(&mut self, ops: &[Operation]) -> Vec<Response> {
         if ops.is_empty() {
             return Vec::new();
         }
-        let durable_prefix = self.log_operations(ops);
-        let coverage = self.batch_coverage(ops, durable_prefix);
-        let covered_at =
-            |coverage: &Option<Vec<bool>>, i: usize| coverage.as_ref().is_none_or(|c| c[i]);
+        let cut = Self::write_ahead(&mut self.durable, ops.len(), |i, out| {
+            encode_loggable((&ops[i]).into(), &self.interner, out)
+        });
         let segments = self.segment_ops(ops);
         let workers = self.config.workers;
         let threshold = self.config.parallel_threshold;
@@ -1783,21 +1552,19 @@ impl DisclosureService {
             // single-core host could only pay for, never profit from.
             // Labeling fuses straight into the pass (each admission labels
             // through the live labeler at its stream position, which only
-            // boundaries mutate), so this path does strictly less work per
-            // op than `run_batch` while keeping identical responses.
+            // boundaries mutate).
             for segment in &segments {
                 arena.clear();
                 self.pass_segment(
                     ops,
                     segment.range.clone(),
                     None,
-                    coverage.as_deref(),
+                    cut,
                     &mut arena,
                     &mut responses,
                 );
                 if let Some(b) = segment.boundary {
-                    let covered = covered_at(&coverage, b);
-                    responses[b] = Some(self.apply_covered(&ops[b], covered));
+                    responses[b] = Some(self.execute_at(ops, b, cut, None));
                 }
             }
             self.arena = arena;
@@ -1813,7 +1580,7 @@ impl DisclosureService {
         // last reader is gone.  Segments below the parallel threshold
         // stage as a single chunk, which the pool runs inline.
         let spawn_segment = |pool: &Arc<WorkerPool>,
-                             snap: &Arc<ServiceSnapshot>,
+                             snap: &Arc<LabelerSnapshot>,
                              range: Range<usize>|
          -> (u64, PendingBatch<LabeledChunk>) {
             let epoch = pool.advance_epoch();
@@ -1830,7 +1597,7 @@ impl DisclosureService {
             let snap = Arc::clone(snap);
             let pending = pool.submit(inputs, move |chunk, ctx| {
                 let _pin = ctx.pin(epoch);
-                label_chunk(snap.labeler(), snap.lane_for(ctx), chunk, num_principals)
+                label_chunk(&snap, snap.lane_for(ctx), chunk, num_principals)
             });
             (epoch, pending)
         };
@@ -1840,7 +1607,7 @@ impl DisclosureService {
         // (replacing the eager retire-after-join of the scoped-thread
         // executor), with an unconditional drain at end of run — every
         // batch has been waited on by then, so no worker still reads one.
-        let mut retired: Vec<(u64, Arc<ServiceSnapshot>)> = Vec::new();
+        let mut retired: Vec<(u64, Arc<LabelerSnapshot>)> = Vec::new();
         let mut snap = Arc::new(self.serving_snapshot());
         let mut inflight = Some(spawn_segment(&pool, &snap, segments[0].range.clone()));
         for s in 0..segments.len() {
@@ -1862,7 +1629,7 @@ impl DisclosureService {
             // the new view) overlap this segment's pass.
             let pre_applied = boundary
                 .filter(|&b| matches!(ops[b], Operation::AddSecurityView { .. }))
-                .map(|b| self.apply_covered(&ops[b], covered_at(&coverage, b)));
+                .map(|b| self.execute_at(ops, b, cut, None));
             let serving = Arc::clone(&snap);
             let overlap = pre_applied.is_some() || boundary.is_none();
             if overlap {
@@ -1875,7 +1642,7 @@ impl DisclosureService {
                 ops,
                 segments[s].range.clone(),
                 Some((&serving, labels)),
-                coverage.as_deref(),
+                cut,
                 &mut arena,
                 &mut responses,
             );
@@ -1883,8 +1650,7 @@ impl DisclosureService {
                 // Policy-mutating boundaries (grants/revokes in
                 // flush-on-mutation mode) must apply *after* the pass —
                 // the pipeline stalls for one snapshot build here.
-                let response = pre_applied
-                    .unwrap_or_else(|| self.apply_covered(&ops[b], covered_at(&coverage, b)));
+                let response = pre_applied.unwrap_or_else(|| self.execute_at(ops, b, cut, None));
                 responses[b] = Some(response);
                 if !overlap {
                     if let Some(next) = segments.get(s + 1) {
@@ -1910,7 +1676,7 @@ impl DisclosureService {
     fn reclaim_retired(
         &mut self,
         pool: &WorkerPool,
-        retired: &mut Vec<(u64, Arc<ServiceSnapshot>)>,
+        retired: &mut Vec<(u64, Arc<LabelerSnapshot>)>,
         force: bool,
     ) {
         let min = pool.min_published_epoch();
@@ -1920,7 +1686,7 @@ impl DisclosureService {
                 break;
             }
             let (_, snap) = retired.remove(0);
-            self.labeler.retire_snapshot(snap.labeler());
+            self.labeler.retire_snapshot(&snap);
             self.parallel.snapshots_reclaimed += 1;
         }
     }
@@ -1961,16 +1727,13 @@ impl DisclosureService {
     /// back).  On the degenerate single-worker path `pooled` is `None`: the
     /// live registry *is* the segment's registry (nothing mutates it inside
     /// a segment), and each admission goes through the front door and the
-    /// live labeler right here.
-    /// `coverage` (absolute-indexed, from
-    /// [`batch_coverage`](Self::batch_coverage)) refuses in-segment
-    /// mutations whose WAL records are not durable.
+    /// live labeler right here.  `cut` is the batch's write-ahead cut.
     fn pass_segment(
         &mut self,
         ops: &[Operation],
         range: Range<usize>,
-        pooled: Option<(&ServiceSnapshot, Vec<LabeledAdmission>)>,
-        coverage: Option<&[bool]>,
+        pooled: Option<(&LabelerSnapshot, Vec<LabeledAdmission>)>,
+        cut: usize,
         arena: &mut Vec<PackedLabel>,
         responses: &mut [Option<Response>],
     ) {
@@ -1978,58 +1741,56 @@ impl DisclosureService {
         let mut labeled = labels.map(Vec::into_iter);
         let mut run: Vec<PendingAdmission<'_>> = Vec::with_capacity(range.len());
         for i in range {
-            let op = &ops[i];
-            if let Some((principal, query, commit)) = admission(op) {
-                let outcome = match labeled.as_mut() {
-                    Some(staged) => {
-                        let worker = staged.next().expect("one labeled entry per admission");
-                        debug_assert_eq!(worker.index, i, "labels arrive in stream order");
-                        worker
-                            .outcome
-                            .map(|(id, label)| (id.map_or(query, AdmissionQuery::Interned), label))
+            let (principal, query, commit) = match (&ops[i]).into() {
+                Request::Admit {
+                    principal,
+                    query,
+                    commit,
+                } => (principal, query, commit),
+                Request::SetView { principal, .. } | Request::Audit { principal } => {
+                    // A grant, revoke or audit touches exactly one
+                    // principal's state, and policy decisions read exactly
+                    // their own principal's state, so pending decisions for
+                    // *other* principals commute with it — the run keeps
+                    // accumulating across it, which is what lets the pass
+                    // decide a whole segment in (usually) one fan-out.
+                    if run.iter().any(|pending| pending.principal == principal) {
+                        self.flush_decisions(&mut run, arena, responses);
                     }
-                    None => self.resolve(principal, query).map(|query| {
-                        let live = self.labeler.as_snapshot();
-                        (query, label_into(live, 0, query, arena))
-                    }),
-                };
-                match outcome {
-                    Ok((query, label)) => {
-                        self.stats.admissions += 1;
-                        run.push(PendingAdmission {
-                            index: i,
-                            principal,
-                            query,
-                            commit,
-                            label,
-                        });
-                    }
-                    Err(err) => responses[i] = Some(Response::Rejected(err)),
+                    responses[i] = Some(self.execute_at(ops, i, cut, serving));
+                    continue;
                 }
-                continue;
-            }
-            let (Operation::GrantView { principal, .. }
-            | Operation::RevokeView { principal, .. }
-            | Operation::AuditApp { principal }) = op
-            else {
-                unreachable!("AddSecurityView ops are segment boundaries, never segment members")
+                Request::AddView { .. } => unreachable!(
+                    "AddSecurityView ops are segment boundaries, never segment members"
+                ),
             };
-            // A grant, revoke or audit touches exactly one principal's
-            // state, and policy decisions read exactly their own
-            // principal's state, so pending decisions for *other*
-            // principals commute with it — the run keeps accumulating
-            // across it, which is what lets the pipelined pass decide a
-            // whole segment in (usually) one fan-out where `run_batch`
-            // splits at every mutation.
-            if run.iter().any(|pending| pending.principal == *principal) {
-                self.flush_decisions(&mut run, arena, responses);
+            let outcome = match labeled.as_mut() {
+                Some(staged) => {
+                    let worker = staged.next().expect("one labeled entry per admission");
+                    debug_assert_eq!(worker.index, i, "labels arrive in stream order");
+                    worker
+                        .outcome
+                        .map(|(id, label)| (id.map_or(query, AdmissionQuery::Interned), label))
+                }
+                None => {
+                    let live = self.labeler.as_snapshot();
+                    resolve(live, self.store.len(), principal, query)
+                        .map(|query| (query, label_into(live, 0, query, arena)))
+                }
+            };
+            match outcome {
+                Ok((query, label)) => {
+                    self.stats.admissions += 1;
+                    run.push(PendingAdmission {
+                        index: i,
+                        principal,
+                        query,
+                        commit,
+                        label,
+                    });
+                }
+                Err(err) => responses[i] = Some(Response::Rejected(err)),
             }
-            let covered = coverage.is_none_or(|c| c[i]);
-            responses[i] = Some(if op.is_mutation() && !covered {
-                Response::Rejected(ServiceError::DurabilityUnavailable)
-            } else {
-                self.apply_mutation(op, serving)
-            });
         }
         self.flush_decisions(&mut run, arena, responses);
     }
@@ -2063,35 +1824,17 @@ impl DisclosureService {
         run.clear();
     }
 
-    /// Applies an in-segment grant or revoke, resolving the view name
-    /// against the serving snapshot's frozen registry — which equals the
-    /// live registry at the op's stream position, because the only registry
-    /// mutations are segment boundaries.  On the degenerate single-worker
-    /// path (`serving` is `None`) the live registry is used directly.
-    fn apply_policy_mutation(
+    /// [`execute`](Self::execute) for op `i` of a batch whose write-ahead
+    /// cut is `cut`, answered as a [`Response`].
+    fn execute_at(
         &mut self,
-        principal: PrincipalId,
-        view: &str,
-        grant: bool,
-        serving: Option<&ServiceSnapshot>,
+        ops: &[Operation],
+        i: usize,
+        cut: usize,
+        serving: Option<&LabelerSnapshot>,
     ) -> Response {
-        if let Err(err) = self.validate_principal(principal) {
-            return Response::Rejected(err);
-        }
-        let registry = match serving {
-            Some(snapshot) => snapshot.security_views(),
-            None => self.labeler.security_views(),
-        };
-        let Some(id) = registry.id_by_name(view) else {
-            return Response::Rejected(ServiceError::UnknownView(view.to_owned()));
-        };
-        if grant {
-            self.store.grant_view(principal, registry, id);
-        } else {
-            self.store.revoke_view(principal, registry, id);
-        }
-        self.after_mutation();
-        Response::PolicyUpdated
+        self.execute((&ops[i]).into(), i < cut, serving)
+            .unwrap_or_else(Response::Rejected)
     }
 }
 
@@ -2107,26 +1850,12 @@ struct Segment {
 /// wide-query chunks sheds the tail to idle siblings through stealing.
 const CHUNKS_PER_WORKER: usize = 4;
 
-/// One admission cloned out of a run or segment for the pool hand-off.
+/// One admission cloned out of a segment for the pool hand-off.
 struct StagedAdmission {
     /// Absolute index of the admission in the batch.
     index: usize,
     principal: PrincipalId,
     query: OwnedQuery,
-}
-
-impl StagedAdmission {
-    fn new(index: usize, principal: PrincipalId, query: AdmissionQuery<'_>) -> Self {
-        let query = match query {
-            AdmissionQuery::Plain(query) => OwnedQuery::Plain(Box::new(query.clone())),
-            AdmissionQuery::Interned(id) => OwnedQuery::Interned(id),
-        };
-        StagedAdmission {
-            index,
-            principal,
-            query,
-        }
-    }
 }
 
 /// One admission as a pool worker hands it back: the id its operand
@@ -2153,17 +1882,29 @@ fn stage_admissions(ops: &[Operation], base: usize) -> Vec<StagedAdmission> {
     ops.iter()
         .enumerate()
         .filter_map(|(i, op)| {
-            let (principal, query, _) = admission(op)?;
-            Some(StagedAdmission::new(base + i, principal, query))
+            let Request::Admit {
+                principal, query, ..
+            } = op.into()
+            else {
+                return None;
+            };
+            let query = match query {
+                AdmissionQuery::Plain(query) => OwnedQuery::Plain(Box::new(query.clone())),
+                AdmissionQuery::Interned(id) => OwnedQuery::Interned(id),
+            };
+            Some(StagedAdmission {
+                index: base + i,
+                principal,
+                query,
+            })
         })
         .collect()
 }
 
-/// The front door on a pool worker, for one chunk: validates each staged
-/// admission at its stream position — unknown principals, foreign interned
-/// ids — resolves its operand against the frozen snapshot (sharing the live
-/// labeler's arena budget) and labels it by id into the chunk's arena,
-/// writing cache work into the caller's private overlay `lane`.
+/// The front door on a pool worker, for one chunk: resolves each staged
+/// admission at its stream position against the frozen snapshot (sharing
+/// the live labeler's arena budget) and labels it by id into the chunk's
+/// arena, writing cache work into the caller's private overlay `lane`.
 fn label_chunk(
     labeler: &LabelerSnapshot,
     lane: usize,
@@ -2175,17 +1916,11 @@ fn label_chunk(
         .into_iter()
         .map(|staged| {
             let query = staged.query.borrowed();
-            let resolved = if staged.principal.index() >= num_principals {
-                Err(ServiceError::UnknownPrincipal(staged.principal))
-            } else {
-                match query {
-                    AdmissionQuery::Plain(q) => Ok(labeler.intern_within_budget(q)),
-                    AdmissionQuery::Interned(id) if labeler.contains(id) => Ok(Some(id)),
-                    AdmissionQuery::Interned(id) => Err(ServiceError::UnknownQuery(id)),
-                }
-            };
-            let outcome = resolved.map(|id| {
-                let query = id.map_or(query, AdmissionQuery::Interned);
+            let outcome = resolve(labeler, num_principals, staged.principal, query).map(|query| {
+                let id = match query {
+                    AdmissionQuery::Interned(id) => Some(id),
+                    AdmissionQuery::Plain(_) => None,
+                };
                 (id, label_into(labeler, lane, query, &mut arena))
             });
             LabeledAdmission {
@@ -2238,79 +1973,57 @@ fn answered(responses: Vec<Option<Response>>) -> Vec<Response> {
         .collect()
 }
 
-/// The host's available parallelism, with a serial fallback.
-fn available_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-}
-
-/// Collapses a policy-mutation [`Response`] back to the `Result` the
-/// direct mutator methods return.
-fn into_unit(response: Response) -> Result<(), ServiceError> {
-    match response {
-        Response::PolicyUpdated => Ok(()),
-        Response::Rejected(err) => Err(err),
-        other => unreachable!("policy mutations answer PolicyUpdated or Rejected, got {other:?}"),
+/// A configured width, `0` meaning the host's available parallelism (with
+/// a serial fallback).
+fn width_or_host(configured: usize) -> usize {
+    match configured {
+        0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
+        width => width,
     }
 }
 
-/// Encodes the WAL record for `op` into `out`, returning whether the
+/// Encodes the WAL record for `request` into `out`, returning whether the
 /// operation is loggable at all.  Checks and audits are read-only —
 /// nothing to recover — and an interned submit whose id the interner does
 /// not know changes no state either (admission will reject it), so none
 /// of those produce a record.  Known interned submits are logged as their
 /// resolved canonical query: replay re-interns the same canonical form,
-/// so recovered ids stay stable.
-fn encode_loggable(op: &Operation, interner: &SharedQueryInterner, out: &mut Vec<u8>) -> bool {
-    match op {
-        Operation::Submit { principal, query } => {
-            durable::encode_submit(*principal, query, out);
-            true
-        }
-        Operation::SubmitInterned { principal, query } => {
+/// so recovered ids stay stable.  Every mutation is loggable, which is what
+/// lets one cut index stand for a request's coverage.
+fn encode_loggable(
+    request: Request<'_>,
+    interner: &SharedQueryInterner,
+    out: &mut Vec<u8>,
+) -> bool {
+    match request {
+        Request::Admit { commit: false, .. } | Request::Audit { .. } => return false,
+        Request::Admit {
+            principal,
+            query: AdmissionQuery::Plain(query),
+            ..
+        } => durable::encode_submit(principal, query, out),
+        Request::Admit {
+            principal,
+            query: AdmissionQuery::Interned(id),
+            ..
+        } => {
             let guard = interner.read().unwrap_or_else(|e| e.into_inner());
-            if !guard.contains(*query) {
+            if !guard.contains(id) {
                 return false;
             }
-            let resolved = guard.to_query(*query);
-            durable::encode_submit(*principal, &resolved, out);
-            true
+            durable::encode_submit(principal, &guard.to_query(id), out);
         }
-        Operation::GrantView { principal, view } => {
-            durable::encode_grant(*principal, view, out);
-            true
-        }
-        Operation::RevokeView { principal, view } => {
-            durable::encode_revoke(*principal, view, out);
-            true
-        }
-        Operation::AddSecurityView { name, query } => {
-            durable::encode_add_view(name, query, out);
-            true
-        }
-        Operation::Check { .. } | Operation::CheckInterned { .. } | Operation::AuditApp { .. } => {
-            false
-        }
+        Request::SetView {
+            principal,
+            view,
+            grant: true,
+        } => durable::encode_grant(principal, view, out),
+        Request::SetView {
+            principal, view, ..
+        } => durable::encode_revoke(principal, view, out),
+        Request::AddView { name, query } => durable::encode_add_view(name, query, out),
     }
-}
-
-/// Whether [`encode_loggable`] would produce a record for `op`, without
-/// encoding anything — the coverage pre-pass uses this to map a durable
-/// record count back onto batch positions, so the two MUST agree
-/// exactly (the round-trip is unit-tested).
-fn is_loggable(op: &Operation, interner: &SharedQueryInterner) -> bool {
-    match op {
-        Operation::Submit { .. }
-        | Operation::GrantView { .. }
-        | Operation::RevokeView { .. }
-        | Operation::AddSecurityView { .. } => true,
-        Operation::SubmitInterned { query, .. } => interner
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .contains(*query),
-        Operation::Check { .. } | Operation::CheckInterned { .. } | Operation::AuditApp { .. } => {
-            false
-        }
-    }
+    true
 }
 
 /// Wraps a checkpoint/WAL decode error as the `InvalidData` I/O error

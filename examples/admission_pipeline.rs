@@ -62,7 +62,7 @@ fn main() {
 
     println!("Admitting {batch_size} requests (label → packed check, all cores)…");
     let start = Instant::now();
-    let responses = service.run_batch(&ops);
+    let responses = service.run_pipelined(&ops);
     let elapsed = start.elapsed();
 
     let allowed = responses
@@ -82,7 +82,7 @@ fn main() {
     // The second pass is the serving steady state: every query shape is a
     // label-cache hit, every decision a handful of bit-mask operations.
     let start = Instant::now();
-    let _ = service.run_batch(&ops);
+    let _ = service.run_pipelined(&ops);
     let warm = start.elapsed();
     let stats = service.labeler().stats();
     println!(
@@ -106,7 +106,7 @@ fn main() {
         .collect();
     let distinct = service.interner().read().unwrap().len();
     let start = Instant::now();
-    let interned_responses = service.run_batch(&interned_ops);
+    let interned_responses = service.run_pipelined(&interned_ops);
     let interned = start.elapsed();
     assert_eq!(interned_responses.len(), batch_size);
     println!(

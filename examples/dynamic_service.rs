@@ -62,11 +62,11 @@ fn main() {
         let mut churn = ecosystem.churn(churn_config);
         let warmup = churn.admissions(warmup_ops);
         let stream = churn.ops(stream_ops);
-        service.run_batch(&warmup);
+        service.run_pipelined(&warmup);
 
         let start = Instant::now();
         for chunk in stream.chunks(1_024) {
-            service.run_batch(chunk);
+            service.run_pipelined(chunk);
         }
         let elapsed = start.elapsed().as_secs_f64();
         let cache = service.labeler().stats();

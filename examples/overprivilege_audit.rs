@@ -107,7 +107,7 @@ fn main() {
         workload: WorkloadConfig::base(0xA0D18),
         ..ChurnConfig::default()
     });
-    service.run_batch(&churn.ops(3_000));
+    service.run_pipelined(&churn.ops(3_000));
 
     println!("\nservice-driven audit of {num_apps} apps over a generated workload:");
     let mut overprivileged = 0;

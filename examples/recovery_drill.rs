@@ -83,7 +83,7 @@ fn main() -> ExitCode {
     let mut images: Vec<(usize, PathBuf)> = Vec::new();
     let mut applied = 0usize;
     for chunk in stream.chunks(64) {
-        service.run_batch(chunk);
+        service.run_pipelined(chunk);
         applied += chunk.len();
         if CRASH_POINTS.contains(&applied) {
             let image = scratch_dir(&format!("image_{applied}"));
@@ -119,7 +119,7 @@ fn main() -> ExitCode {
             if is_logged(op) {
                 logged += 1;
             }
-            reference.run_batch(std::slice::from_ref(op));
+            reference.apply(op);
         }
         let got = fingerprint(&mut recovered, &probes);
         let want = fingerprint(&mut reference, &probes);

@@ -14,8 +14,8 @@
 //! principal in a plain capped deque, tracks policies in a policy store of
 //! its own and the registry by hand, and audits through a fresh
 //! [`BitVectorLabeler`].  Each `Response::Audit` must equal the model's
-//! report — `uncovered_queries` indices included — under `apply`,
-//! `run_batch` and `run_pipelined` at `workers` 1 and 4; the final audit of
+//! report — `uncovered_queries` indices included — under `apply` and
+//! `run_pipelined` at `workers` 1 and 4; the final audit of
 //! every principal must also survive `checkpoint` → `close` →
 //! `open_durable`, and a WAL-only replay.
 
@@ -351,12 +351,6 @@ fn id_ring_audits_equal_the_boxed_audit_under_every_executor() {
         assert_final_audits("apply", seed, &mut sequential, &model);
 
         for workers in [1, 4] {
-            let mut batched = build_service(&registry, workers);
-            assert_eq!(intern_pool(&batched, &catalog), ids);
-            let responses = batched.run_batch(&ops);
-            assert_audits(&format!("run_batch x{workers}"), seed, &responses, &reports);
-            assert_final_audits("run_batch", seed, &mut batched, &model);
-
             let mut pipelined = build_service(&registry, workers);
             assert_eq!(intern_pool(&pipelined, &catalog), ids);
             // Several calls, so rings carry over between batches.

@@ -414,7 +414,7 @@ fn interned_query_ids_stay_stable_across_checkpointed_recovery() {
             .any(|op| matches!(op, Operation::SubmitInterned { .. })),
         "the stream must carry interned admissions"
     );
-    let responses = durable.run_batch(&ops);
+    let responses = durable.run_pipelined(&ops);
     assert_eq!(responses.len(), ops.len());
     durable.checkpoint().unwrap();
     // Record every pooled query and its id from the live interner.
@@ -460,7 +460,7 @@ fn interned_query_ids_stay_stable_across_checkpointed_recovery() {
     assert!(!checks.is_empty(), "the stream must carry interned checks");
     // Every recovered check must reach a decision, never an UnknownQuery
     // rejection — the ids survived the restart.
-    for response in recovered.run_batch(&checks) {
+    for response in recovered.run_pipelined(&checks) {
         assert!(
             matches!(response, Response::Decision(_)),
             "interned check must decide after recovery, got {response:?}"

@@ -25,6 +25,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use fdc::core::SecurityViews;
+use fdc::cq::intern::QueryId;
 use fdc::cq::RelId;
 use fdc::durability::{FaultSchedule, FaultVfs, InstantClock};
 use fdc::ecosystem::churn::{ChurnConfig, ChurnGenerator};
@@ -98,12 +99,21 @@ fn policies(registry: &SecurityViews) -> Vec<fdc::policy::SecurityPolicy> {
         .collect()
 }
 
+/// A query id no interner of these tests ever issues.
+const NEVER_MINTED: QueryId = QueryId(u32::MAX);
+
 /// Whether `op` produces a WAL record (the write-ahead set: everything
-/// but reads).
+/// but reads and submits the front door is bound to reject).
 fn is_logged(op: &Operation) -> bool {
     !matches!(
         op,
-        Operation::Check { .. } | Operation::CheckInterned { .. } | Operation::AuditApp { .. }
+        Operation::Check { .. }
+            | Operation::CheckInterned { .. }
+            | Operation::AuditApp { .. }
+            | Operation::SubmitInterned {
+                query: NEVER_MINTED,
+                ..
+            }
     )
 }
 
@@ -167,34 +177,76 @@ fn probe_queries() -> Vec<fdc::cq::ConjunctiveQuery> {
 /// clock, so retry backoff costs no wall time.
 fn open_faulted(
     registry: &SecurityViews,
+    config: ServiceConfig,
     dir: &std::path::Path,
     vfs: &FaultVfs,
 ) -> std::io::Result<(DisclosureService, fdc::service::RecoveryReport)> {
     DisclosureService::open_durable_in(
         registry.clone(),
-        config(),
+        config,
         dir,
         Arc::new(vfs.clone()),
         Arc::new(InstantClock::new()),
     )
 }
 
-/// One fault-schedule run of the write-ahead-invariant property:
-/// register quietly, arm `schedule`, drive the churn stream op-by-op,
-/// mirror exactly the durably-committed operations into an in-memory
-/// reference, then crash, heal, recover, and demand the recovered
-/// service equals the reference.
+/// How a request reaches the durable service.
+type Drive = fn(&mut DisclosureService, &[Operation]) -> Vec<Response>;
+
+/// Op by op through sequential `apply`.
+fn apply_each(service: &mut DisclosureService, ops: &[Operation]) -> Vec<Response> {
+    ops.iter().map(|op| service.apply(op)).collect()
+}
+
+/// One op through the typed method of its kind, answered as `apply` would.
+fn typed(service: &mut DisclosureService, op: &Operation) -> Response {
+    match op {
+        Operation::Submit { principal, query } => {
+            service.submit(*principal, query).map(Response::Decision)
+        }
+        Operation::Check { principal, query } => {
+            service.check(*principal, query).map(Response::Decision)
+        }
+        Operation::GrantView { principal, view } => service
+            .grant_view(*principal, view)
+            .map(|()| Response::PolicyUpdated),
+        Operation::RevokeView { principal, view } => service
+            .revoke_view(*principal, view)
+            .map(|()| Response::PolicyUpdated),
+        Operation::AddSecurityView { name, query } => service
+            .add_security_view(name, query.clone())
+            .map(Response::ViewAdded),
+        other => unreachable!("the churn stream carries no {other:?}"),
+    }
+    .unwrap_or_else(Response::Rejected)
+}
+
+/// One fault-schedule run of the write-ahead-invariant property through
+/// one entry point: register quietly, arm `schedule`, serve `ops` in
+/// `chunk`-sized requests through `drive`, mirror exactly the operations
+/// whose records landed into an in-memory reference, then crash, heal,
+/// recover, and demand the recovered service equals the reference.
 ///
-/// Returns whether the run ended degraded (so the sweep can assert it
-/// exercised both outcomes).
-fn acked_mutations_survive(tag: &str, schedule: FaultSchedule) -> bool {
+/// Returns whether the run ended degraded (so a sweep can assert it
+/// exercised both outcomes), and whether in a request that shed records
+/// some durable mutation sat at a position at or past the request's durable
+/// *record count* — the case that tells a cut in op positions from one in
+/// record ordinals.
+fn acked_mutations_survive(
+    tag: &str,
+    ops: &[Operation],
+    chunk: usize,
+    group_commit: usize,
+    schedule: FaultSchedule,
+    drive: Drive,
+) -> (bool, bool) {
     let registry = facebook_security_views(&facebook_catalog());
-    let ops = churn_ops(&registry, schedule.seed ^ 0xC0FFEE, OPS);
     let probes = probe_queries();
     let dir = temp_dir(tag);
     let vfs = FaultVfs::over_std(FaultSchedule::quiet(schedule.seed));
-
-    let (mut durable, _) = open_faulted(&registry, &dir, &vfs).unwrap();
+    let mut durable_config = config();
+    durable_config.durability.group_commit = group_commit;
+    let (mut durable, _) = open_faulted(&registry, durable_config, &dir, &vfs).unwrap();
     let mut reference = DisclosureService::new(registry.clone(), config());
     for policy in policies(&registry) {
         durable.register_principal(policy.clone());
@@ -202,26 +254,38 @@ fn acked_mutations_survive(tag: &str, schedule: FaultSchedule) -> bool {
     }
 
     vfs.set_schedule(schedule);
-    for (i, op) in ops.iter().enumerate() {
+    let mut positions_matter = false;
+    for request in ops.chunks(chunk) {
         let before = durable.stats().durability.wal_records_committed;
-        let response = durable.apply(op);
-        let committed = durable.stats().durability.wal_records_committed - before;
-        assert!(committed <= 1, "one op commits at most one record");
-        let unavailable = response == Response::Rejected(ServiceError::DurabilityUnavailable);
-        if op.is_mutation() {
-            // The write-ahead invariant, op by op: an acknowledged
-            // mutation has its record on disk, a mutation whose record
-            // is not on disk was rejected as unavailable.
-            assert_eq!(
-                committed == 0,
-                unavailable,
-                "op {i} ({op:?}): committed={committed}, response={response:?}"
-            );
-        } else {
-            assert!(!unavailable, "op {i}: reads and admissions always serve");
-        }
-        if committed == 1 {
-            reference.apply(op);
+        let responses = drive(&mut durable, request);
+        let committed = (durable.stats().durability.wal_records_committed - before) as usize;
+        // Commits are all-or-nothing and records land in stream order, so
+        // `committed` is the request's durable prefix over its *loggable*
+        // operations.
+        let loggable = request.iter().filter(|op| is_logged(op)).count();
+        assert!(
+            committed <= loggable,
+            "a request commits only its own records"
+        );
+        let mut ordinal = 0usize;
+        for (i, (op, response)) in request.iter().zip(&responses).enumerate() {
+            let durable_op = is_logged(op) && {
+                ordinal += 1;
+                ordinal <= committed
+            };
+            let unavailable = *response == Response::Rejected(ServiceError::DurabilityUnavailable);
+            if op.is_mutation() {
+                // The write-ahead invariant, op by op: an acknowledged
+                // mutation has its record on disk, a mutation whose record
+                // is not on disk was rejected as unavailable.
+                assert_eq!(!durable_op, unavailable, "{tag}: {op:?} vs {response:?}");
+                positions_matter |= committed < loggable && durable_op && i >= committed;
+            } else {
+                assert!(!unavailable, "{tag}: reads and admissions always serve");
+            }
+            if durable_op {
+                reference.apply(op);
+            }
         }
     }
     let degraded = durable.is_degraded();
@@ -231,15 +295,15 @@ fn acked_mutations_survive(tag: &str, schedule: FaultSchedule) -> bool {
     // Storage comes back; recovery sees exactly the committed records.
     vfs.heal();
     vfs.set_schedule(FaultSchedule::quiet(schedule.seed));
-    let (mut recovered, report) = open_faulted(&registry, &dir, &vfs).unwrap();
+    let (mut recovered, report) = open_faulted(&registry, config(), &dir, &vfs).unwrap();
     assert_eq!(
         fingerprint(&mut recovered, &probes),
         fingerprint(&mut reference, &probes),
-        "recovered state diverged from the acknowledged stream \
+        "{tag}: recovered state diverged from the acknowledged stream \
          (schedule {schedule:?}, faults {faults:?}, report {report:?})"
     );
     fs::remove_dir_all(&dir).unwrap();
-    degraded
+    (degraded, positions_matter)
 }
 
 #[test]
@@ -285,6 +349,8 @@ fn no_acknowledged_mutation_is_lost_under_any_fault_schedule() {
             },
         ),
     ];
+    let registry = facebook_security_views(&facebook_catalog());
+    let group_commit = config().durability.group_commit;
     let mut survived = 0u32;
     let mut degraded = 0u32;
     for (name, base) in schedules {
@@ -294,7 +360,8 @@ fn no_acknowledged_mutation_is_lost_under_any_fault_schedule() {
                 ..*base
             };
             let tag = format!("prop_{name}_{round}");
-            if acked_mutations_survive(&tag, schedule) {
+            let ops = churn_ops(&registry, schedule.seed ^ 0xC0FFEE, OPS);
+            if acked_mutations_survive(&tag, &ops, 1, group_commit, schedule, apply_each).0 {
                 degraded += 1;
             } else {
                 survived += 1;
@@ -311,63 +378,67 @@ fn no_acknowledged_mutation_is_lost_under_any_fault_schedule() {
 fn batched_mutations_respect_the_durable_prefix() {
     let registry = facebook_security_views(&facebook_catalog());
     let ops = churn_ops(&registry, 0xBA7C4, OPS);
-    let probes = probe_queries();
-    let dir = temp_dir("batch_prefix");
-    let vfs = FaultVfs::over_std(FaultSchedule::quiet(9));
-
-    let (mut durable, _) = open_faulted(&registry, &dir, &vfs).unwrap();
-    let mut reference = DisclosureService::new(registry.clone(), config());
-    for policy in policies(&registry) {
-        durable.register_principal(policy.clone());
-        reference.register_principal(policy);
-    }
-    vfs.set_schedule(FaultSchedule {
-        torn_write_per_mille: 60,
-        enospc_per_mille: 40,
-        fsync_failure_per_mille: 60,
-        ..FaultSchedule::quiet(9)
-    });
-
-    for batch in ops.chunks(8) {
-        let before = durable.stats().durability.wal_records_committed;
-        let responses = durable.run_batch(batch);
-        let committed = (durable.stats().durability.wal_records_committed - before) as usize;
-        // Group commits are all-or-nothing per `commit`, so `committed`
-        // is the batch's durable prefix over its *loggable* operations.
-        let mut ordinal = 0usize;
-        let durable_flags: Vec<bool> = batch
-            .iter()
-            .map(|op| {
-                is_logged(op) && {
-                    let mine = ordinal < committed;
-                    ordinal += 1;
-                    mine
-                }
-            })
-            .collect();
-        for ((op, response), durable_op) in batch.iter().zip(&responses).zip(durable_flags) {
-            let unavailable = *response == Response::Rejected(ServiceError::DurabilityUnavailable);
-            if op.is_mutation() {
-                assert_eq!(!durable_op, unavailable, "{op:?} vs {response:?}");
-            } else {
-                assert!(!unavailable, "reads and admissions always serve");
-            }
-            if durable_op {
-                reference.apply(op);
-            }
+    // Ops that never produce a record on both sides of every cut, served
+    // with a commit per record so a request's durable prefix can end
+    // mid-request: a cut counted in records instead of op positions refuses
+    // a durable mutation there.
+    let probe = probe_queries().remove(0);
+    let mixed: Vec<Operation> = ops
+        .iter()
+        .enumerate()
+        .flat_map(|(i, op)| {
+            let principal = PrincipalId((i % PRINCIPALS) as u32);
+            let unlogged = match i % 3 {
+                0 => Operation::AuditApp { principal },
+                1 => Operation::SubmitInterned {
+                    principal,
+                    query: NEVER_MINTED,
+                },
+                _ => Operation::Check {
+                    principal,
+                    query: probe.clone(),
+                },
+            };
+            [unlogged, op.clone()]
+        })
+        .collect();
+    // One input under the schedule seeds: the suite's original 9 (under
+    // which a batch of 8 with one commit never loses a record) plus two
+    // under which the batches do and the mixed stream's cut lands
+    // mid-request.  Answers whether op positions mattered under any of them.
+    let sweep = |input: &str, ops: &[Operation], chunk, group_commit, drive: Drive| {
+        let mut degraded = false;
+        let mut positions_matter = false;
+        for seed in [9, 17, 19] {
+            let schedule = FaultSchedule {
+                torn_write_per_mille: 60,
+                enospc_per_mille: 40,
+                fsync_failure_per_mille: 60,
+                ..FaultSchedule::quiet(seed)
+            };
+            let tag = format!("prefix_{input}_{seed}");
+            let (d, p) = acked_mutations_survive(&tag, ops, chunk, group_commit, schedule, drive);
+            degraded |= d;
+            positions_matter |= p;
         }
-    }
-    drop(durable);
-
-    vfs.heal();
-    vfs.set_schedule(FaultSchedule::quiet(9));
-    let (mut recovered, _) = open_faulted(&registry, &dir, &vfs).unwrap();
-    assert_eq!(
-        fingerprint(&mut recovered, &probes),
-        fingerprint(&mut reference, &probes),
-        "batched recovery diverged from the durable prefix"
+        assert!(
+            degraded,
+            "{input}: no request shed a record — schedule too cold"
+        );
+        positions_matter
+    };
+    let group_commit = config().durability.group_commit;
+    sweep("batch", &ops, 8, group_commit, |s, ops| {
+        s.run_pipelined(ops)
+    });
+    sweep("apply", &ops, 1, group_commit, apply_each);
+    sweep("typed", &ops, 1, group_commit, |s, ops| {
+        ops.iter().map(|op| typed(s, op)).collect()
+    });
+    assert!(
+        sweep("mixed", &mixed, 8, 1, |s, ops| s.run_pipelined(ops)),
+        "no durable mutation sat past its request's record count"
     );
-    fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -376,7 +447,7 @@ fn permanent_failure_degrades_to_read_only_instead_of_panicking() {
     let ops = churn_ops(&registry, 0xDEAD, OPS);
     let dir = temp_dir("degrade");
     let vfs = FaultVfs::over_std(FaultSchedule::quiet(11));
-    let (mut service, _) = open_faulted(&registry, &dir, &vfs).unwrap();
+    let (mut service, _) = open_faulted(&registry, config(), &dir, &vfs).unwrap();
     for policy in policies(&registry) {
         service.register_principal(policy);
     }
@@ -434,7 +505,7 @@ fn checkpoint_on_dead_storage_fails_cleanly_and_keeps_serving() {
     let ops = churn_ops(&registry, 0x5EED, 32);
     let dir = temp_dir("dead_checkpoint");
     let vfs = FaultVfs::over_std(FaultSchedule::quiet(13));
-    let (mut service, _) = open_faulted(&registry, &dir, &vfs).unwrap();
+    let (mut service, _) = open_faulted(&registry, config(), &dir, &vfs).unwrap();
     for policy in policies(&registry) {
         service.register_principal(policy);
     }
@@ -467,7 +538,7 @@ fn successful_checkpoint_promotes_degraded_service_back_to_healthy() {
     let probes = probe_queries();
     let dir = temp_dir("promote");
     let vfs = FaultVfs::over_std(FaultSchedule::quiet(17));
-    let (mut service, _) = open_faulted(&registry, &dir, &vfs).unwrap();
+    let (mut service, _) = open_faulted(&registry, config(), &dir, &vfs).unwrap();
     let mut reference = DisclosureService::new(registry.clone(), config());
     for policy in policies(&registry) {
         service.register_principal(policy.clone());
@@ -518,7 +589,7 @@ fn successful_checkpoint_promotes_degraded_service_back_to_healthy() {
     // degraded window's admissions) plus the fresh log reproduce the
     // full acknowledged stream.
     drop(service);
-    let (mut recovered, report) = open_faulted(&registry, &dir, &vfs).unwrap();
+    let (mut recovered, report) = open_faulted(&registry, config(), &dir, &vfs).unwrap();
     assert_eq!(report.checkpoint_seq, seq);
     assert_eq!(
         fingerprint(&mut recovered, &probes),
@@ -534,7 +605,7 @@ fn background_checkpointer_promotes_a_degraded_service() {
     let ops = churn_ops(&registry, 0xB66, 32);
     let dir = temp_dir("bg_promote");
     let vfs = FaultVfs::over_std(FaultSchedule::quiet(23));
-    let (mut service, _) = open_faulted(&registry, &dir, &vfs).unwrap();
+    let (mut service, _) = open_faulted(&registry, config(), &dir, &vfs).unwrap();
     for policy in policies(&registry) {
         service.register_principal(policy);
     }

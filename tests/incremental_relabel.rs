@@ -169,27 +169,29 @@ proptest! {
     fn pipelined_relabel_equals_the_batched_and_rebuilt_service(
         steps in proptest::collection::vec((0u8..4, 0usize..16, 0usize..16), 1..40)
     ) {
-        // The pipelined-mode extension of the harness below: the same
+        // The batch-mode extension of the harness below: the same
         // interleavings, replayed as one operation stream through the
-        // epoch-snapshot executor, must match the batch executor response
-        // for response — and the pipelined service's refreshed cache must
+        // batch executor, must match op-by-op `apply` response for
+        // response — and the pipelined service's refreshed cache must
         // still agree with a from-scratch rebuild of the final registry.
-        let mut batched = build_service();
+        let mut sequential = build_service();
         let mut pipelined = build_service();
-        let registry = batched.registry().clone();
+        let registry = sequential.registry().clone();
         let ops: Vec<Operation> = steps
             .iter()
             .flat_map(|&(kind, a, b)| step_to_ops(&registry, kind, a, b))
             .collect();
-        prop_assert_eq!(batched.run_batch(&ops), pipelined.run_pipelined(&ops));
-        prop_assert_eq!(batched.totals(), pipelined.totals());
+        let sequential_responses: Vec<Response> =
+            ops.iter().map(|op| sequential.apply(op)).collect();
+        prop_assert_eq!(sequential_responses, pipelined.run_pipelined(&ops));
+        prop_assert_eq!(sequential.totals(), pipelined.totals());
         for i in 0..NUM_PRINCIPALS {
             let p = PrincipalId(i as u32);
             prop_assert_eq!(
-                batched.store().consistency_bits(p),
+                sequential.store().consistency_bits(p),
                 pipelined.store().consistency_bits(p)
             );
-            prop_assert_eq!(batched.store().stats(p), pipelined.store().stats(p));
+            prop_assert_eq!(sequential.store().stats(p), pipelined.store().stats(p));
         }
         let final_registry = pipelined.registry().clone();
         let fresh_bitvec = BitVectorLabeler::new(final_registry.clone());

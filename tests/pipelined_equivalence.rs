@@ -1,5 +1,5 @@
-//! Property test: the epoch-snapshot pipelined executor is extensionally
-//! equal to the batch executor and to a from-scratch rebuild.
+//! Property test: the batch executor is extensionally equal to sequential
+//! `apply` and to a from-scratch rebuild.
 //!
 //! Random mixed churn streams — plain and **interned** admissions
 //! (submits and checks), `GrantView` / `RevokeView` / `AddSecurityView`
@@ -7,13 +7,11 @@
 //! never-minted query ids, unknown and duplicate view names) — are served
 //! by [`DisclosureService::run_pipelined`] and compared against:
 //!
-//! * the same stream through [`DisclosureService::run_batch`] on an
-//!   identically built service: **every response**, the totals, each
-//!   principal's consistency word and counters, the final registry epochs,
-//!   and — on the single-shard (deterministic) configuration — the
-//!   **cumulative [`CacheStats`]**, shard for shard of the cache life cycle
-//!   (the pipelined snapshots publish their overlay work back on
-//!   retirement, so nothing the batch executor would have cached is lost);
+//! * the same stream op by op through [`DisclosureService::apply`] on an
+//!   identically built service — the oracle: **every response**, the
+//!   totals, each principal's consistency word and counters, the final
+//!   registry epochs, and — on the single-worker (deterministic)
+//!   configuration — the **cumulative `CacheStats`**, every column;
 //! * a **from-scratch rebuild** from the final registry and final
 //!   policies: probe labels (against a fresh [`BitVectorLabeler`]) and a
 //!   shared post-stream submit sequence (decisions, consistency words,
@@ -22,12 +20,14 @@
 //! A multi-shard pipelined service runs the same stream too — built with
 //! `workers: 4`, it exercises the full pooled executor (persistent worker
 //! pool, chunk stealing, epoch-based snapshot reclamation) whatever the
-//! host's core count; its counters are racy by design, but responses and
-//! state must still agree exactly.  A fourth, single-shard service with
-//! the same worker width covers the pooled labeling plane over the
-//! in-place decision fast path.
+//! host's core count; its cache counters are racy by design (the snapshots
+//! publish their overlay work back on retirement), but responses and
+//! state must still agree exactly.  A single-shard service with the same
+//! worker width covers the pooled labeling plane over the in-place
+//! decision fast path, and a single-worker four-shard one the inline
+//! labeling plane over the sharded store.
 
-use fdc::core::{BitVectorLabeler, CacheStats, QueryLabeler, SecurityViews};
+use fdc::core::{BitVectorLabeler, QueryLabeler, SecurityViews};
 use fdc::cq::intern::QueryId;
 use fdc::cq::parser::parse_query;
 use fdc::cq::ConjunctiveQuery;
@@ -165,86 +165,52 @@ proptest! {
 
         // Identically built services; the pool interns to the same ids in
         // each because it is interned first and in the same order.  The
-        // single-worker services take the deterministic sequential paths;
+        // single-worker services take the deterministic inline paths;
         // `sharded` and `pooled` force a four-worker pool so the pooled
         // executor (stealing, epoch reclamation) runs on any host.
-        let mut batched = build_service(&registry, 1, 1);
+        let mut sequential = build_service(&registry, 1, 1);
         let mut pipelined = build_service(&registry, 1, 1);
+        let mut inline_sharded = build_service(&registry, 4, 1);
         let mut sharded = build_service(&registry, 4, 4);
         let mut pooled = build_service(&registry, 1, 4);
-        let pool = intern_pool(&batched, &catalog);
-        prop_assert_eq!(&intern_pool(&pipelined, &catalog), &pool);
-        prop_assert_eq!(&intern_pool(&sharded, &catalog), &pool);
-        prop_assert_eq!(&intern_pool(&pooled, &catalog), &pool);
+        let pool = intern_pool(&sequential, &catalog);
+        for service in [&pipelined, &inline_sharded, &sharded, &pooled] {
+            prop_assert_eq!(&intern_pool(service, &catalog), &pool);
+        }
 
         let ops: Vec<Operation> = steps
             .iter()
             .map(|&(kind, a, b)| step_op(&catalog, &pool, kind, a, b))
             .collect();
 
-        // 1. Responses: pipelined == batch == from-scratch sequential
-        //    processing, on one shard and on many.
-        let batch_responses = batched.run_batch(&ops);
-        let pipelined_responses = pipelined.run_pipelined(&ops);
-        prop_assert_eq!(&batch_responses, &pipelined_responses);
-        prop_assert_eq!(&sharded.run_pipelined(&ops), &batch_responses);
-        prop_assert_eq!(&pooled.run_pipelined(&ops), &batch_responses);
-        let mut sequential = build_service(&registry, 1, 1);
-        prop_assert_eq!(&intern_pool(&sequential, &catalog), &pool);
+        // 1. Responses: the batch executor == sequential processing, at one
+        //    worker and four, on one shard and on four.
         let sequential_responses: Vec<Response> =
             ops.iter().map(|op| sequential.apply(op)).collect();
-        prop_assert_eq!(&sequential_responses, &pipelined_responses);
+        prop_assert_eq!(&pipelined.run_pipelined(&ops), &sequential_responses);
+        prop_assert_eq!(&inline_sharded.run_pipelined(&ops), &sequential_responses);
+        prop_assert_eq!(&sharded.run_pipelined(&ops), &sequential_responses);
+        prop_assert_eq!(&pooled.run_pipelined(&ops), &sequential_responses);
 
         // 2. State: totals, consistency words, per-principal counters and
-        //    service counters all agree — against the batch executor and
-        //    against the from-scratch sequential baseline.
-        prop_assert_eq!(batched.totals(), pipelined.totals());
-        prop_assert_eq!(batched.totals(), sharded.totals());
-        prop_assert_eq!(batched.totals(), pooled.totals());
-        prop_assert_eq!(sequential.totals(), pipelined.totals());
-        prop_assert_eq!(batched.stats(), pipelined.stats());
-        prop_assert_eq!(batched.stats(), sharded.stats());
-        prop_assert_eq!(batched.stats(), pooled.stats());
-        prop_assert_eq!(sequential.stats(), pipelined.stats());
-        for i in 0..NUM_PRINCIPALS {
-            let p = PrincipalId(i as u32);
-            prop_assert_eq!(
-                batched.store().consistency_bits(p),
-                pipelined.store().consistency_bits(p)
-            );
-            prop_assert_eq!(
-                batched.store().consistency_bits(p),
-                sharded.store().consistency_bits(p)
-            );
-            prop_assert_eq!(
-                batched.store().consistency_bits(p),
-                pooled.store().consistency_bits(p)
-            );
-            prop_assert_eq!(
-                sequential.store().consistency_bits(p),
-                pipelined.store().consistency_bits(p)
-            );
-            prop_assert_eq!(batched.store().stats(p), pipelined.store().stats(p));
-            prop_assert_eq!(sequential.store().stats(p), pipelined.store().stats(p));
+        //    service counters all agree with the sequential oracle.
+        for service in [&pipelined, &inline_sharded, &sharded, &pooled] {
+            prop_assert_eq!(sequential.totals(), service.totals());
+            prop_assert_eq!(sequential.stats(), service.stats());
+            for i in 0..NUM_PRINCIPALS {
+                let p = PrincipalId(i as u32);
+                prop_assert_eq!(
+                    sequential.store().consistency_bits(p),
+                    service.store().consistency_bits(p)
+                );
+                prop_assert_eq!(sequential.store().stats(p), service.store().stats(p));
+            }
         }
 
-        // 3. Cumulative cache stats: the single-shard executors label
-        //    sequentially in stream order over snapshot-published tables,
-        //    so hit/miss/refresh/entry accounting matches exactly — the
-        //    pipelined snapshots lose nothing at retirement.  The one
-        //    executor-dependent column is `batch_dedup_hits`: the batch
-        //    executor dedups duplicate admissions within a run while the
-        //    pipelined and sequential executors see different (or no)
-        //    batch boundaries, so it is normalized to zero on every side
-        //    before comparing — dedup hits are also counted as plain
-        //    hits, which keeps all other columns in exact agreement.
-        let normalized = |mut stats: CacheStats| {
-            stats.batch_dedup_hits = 0;
-            stats
-        };
-        let pipelined_cache: CacheStats = normalized(pipelined.labeler().stats());
-        prop_assert_eq!(normalized(batched.labeler().stats()), pipelined_cache);
-        prop_assert_eq!(normalized(sequential.labeler().stats()), pipelined_cache);
+        // 3. Cumulative cache stats: at one worker the batch executor
+        //    labels in stream order through the live labeler, as `apply`
+        //    does, so every column matches exactly.
+        prop_assert_eq!(sequential.labeler().stats(), pipelined.labeler().stats());
 
         // 4. Labels: the pipelined service's post-stream cache agrees with
         //    labelers built fresh from the final registry — the rebuild
@@ -253,7 +219,7 @@ proptest! {
         for r in 0..catalog.len() {
             let rel = fdc::cq::RelId(r as u32);
             prop_assert_eq!(
-                batched.registry().epoch(rel),
+                sequential.registry().epoch(rel),
                 pipelined.registry().epoch(rel)
             );
         }
@@ -272,8 +238,8 @@ proptest! {
         //    registry and final policies decides a shared *post-stream*
         //    submit sequence exactly like each churned service — their
         //    consistency words evolved identically, so the same future is
-        //    admitted (compared between the two churned executors, whose
-        //    whole state must coincide; the fresh service provides the
+        //    admitted (compared between the oracle and the batch executor,
+        //    whose whole state must coincide; the fresh service provides the
         //    labels' ground truth through its own pipeline).
         let mut rebuilt = DisclosureService::with_defaults(final_registry.clone());
         for i in 0..NUM_PRINCIPALS {
@@ -283,9 +249,9 @@ proptest! {
         for (i, text) in PROBES.iter().cycle().take(16).enumerate() {
             let p = PrincipalId((i % NUM_PRINCIPALS) as u32);
             let query = parse_query(&catalog, text).unwrap();
-            let batch_decision = batched.submit(p, &query).unwrap();
+            let sequential_decision = sequential.submit(p, &query).unwrap();
             let pipe_decision = pipelined.submit(p, &query).unwrap();
-            prop_assert_eq!(batch_decision, pipe_decision, "future diverged on {}", text);
+            prop_assert_eq!(sequential_decision, pipe_decision, "future diverged on {}", text);
             // The rebuilt service labels through a cold cache over the same
             // final registry; its packed labels must match the churned
             // service's for every probe (the decision itself depends on the
