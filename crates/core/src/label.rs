@@ -165,6 +165,12 @@ impl DisclosureLabel {
         }
     }
 
+    /// Back to ⊥, keeping the buffer — for a cached label that is rebuilt
+    /// where it lies.
+    pub(crate) fn clear(&mut self) {
+        self.atoms.clear();
+    }
+
     /// Builds a label from per-atom labels.
     pub fn from_atoms(atoms: Vec<AtomLabel>) -> Self {
         let mut label = DisclosureLabel { atoms: Vec::new() };

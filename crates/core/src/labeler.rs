@@ -26,7 +26,8 @@
 //!   is a plain indexed table over the ids `dissect_interned` emits.  The
 //!   caches are versioned with the registry's per-relation epochs, so the
 //!   view universe can change online ([`CachedLabeler::add_view`]) without
-//!   flushing: stale entries re-derive just their stale atoms.  Concurrent
+//!   flushing: a stale entry is patched where it lies, its stale atoms'
+//!   masks extended by the views added since.  Concurrent
 //!   readers label through the private lanes of a [`LabelerSnapshot`]; the
 //!   lookup algorithm exists once and is described there.  The packed
 //!   entry points **append** to a buffer the caller owns
@@ -343,11 +344,17 @@ fn interned_atom_needs(terms: &[ITerm]) -> Option<u64> {
         return None;
     }
     let mut needed = 0u64;
+    // Variables met so far.  Canonical indices are first-occurrence
+    // ordinals, so an atom of at most 64 terms numbers its variables below
+    // 64; one that does not is left to the general check.
+    let mut seen = 0u64;
     for (i, term) in terms.iter().enumerate() {
         if let Some(v) = term.var_index() {
-            if terms[i + 1..].iter().any(|t| t.var_index() == Some(v)) {
+            let bit = 1u64.checked_shl(v)?;
+            if seen & bit != 0 {
                 return None;
             }
+            seen |= bit;
         }
         match term {
             ITerm::Var(_, VarKind::Distinguished) | ITerm::Const(_) => needed |= 1u64 << i,
@@ -357,36 +364,33 @@ fn interned_atom_needs(terms: &[ITerm]) -> Option<u64> {
     Some(needed)
 }
 
-/// Computes `ℓ⁺` of one interned single-atom query against the compiled
-/// per-relation candidates — the interned counterpart of
-/// [`BitVectorLabeler::atom_mask`], and guaranteed to compute the same
-/// mask: the projection fast path tests the same bit sets, and the
-/// fallback runs the interned rewriting check against the interned view
-/// definition.  Shared by the live [`CachedLabeler`] and its
-/// [`LabelerSnapshot`]s, which differ only in where the result is cached.
+/// The `ℓ⁺` bits `candidates` contribute for one interned single-atom
+/// query — the interned counterpart of [`BitVectorLabeler::atom_mask`], and
+/// guaranteed to compute the same bits: the projection fast path tests the
+/// same bit sets, and the fallback runs the interned rewriting check
+/// against the interned view definition.  Over a relation's whole candidate
+/// list this is the atom's mask; over the tail appended since a cached mask
+/// was computed it is what that mask lacks.
 fn interned_atom_mask(
-    inner: &BitVectorLabeler,
     view_qids: &[QueryId],
     interner: &QueryInterner,
     atom: QueryId,
-    relation: RelId,
+    candidates: &[CompiledView],
 ) -> ViewMask {
     let atom_ref = interner.resolve(atom);
     debug_assert!(atom_ref.is_single_atom(), "dissected parts are single-atom");
     let needs = interned_atom_needs(atom_ref.atom_terms(0));
     let mut mask: ViewMask = 0;
-    if let Some(candidates) = inner.by_relation.get(&relation) {
-        for compiled in candidates {
-            let answers = match (needs, compiled.exposed_positions) {
-                (Some(needed), Some(exposed)) => needed & !exposed == 0,
-                _ => interned_rewritable_from_single(
-                    atom_ref,
-                    interner.resolve(view_qids[compiled.id.index()]),
-                ),
-            };
-            if answers {
-                mask |= 1u64 << compiled.bit;
-            }
+    for compiled in candidates {
+        let answers = match (needs, compiled.exposed_positions) {
+            (Some(needed), Some(exposed)) => needed & !exposed == 0,
+            _ => interned_rewritable_from_single(
+                atom_ref,
+                interner.resolve(view_qids[compiled.id.index()]),
+            ),
+        };
+        if answers {
+            mask |= 1u64 << compiled.bit;
         }
     }
     mask
@@ -460,11 +464,13 @@ pub struct CacheStats {
     /// Number of distinct canonical atom forms currently cached.
     pub atom_entries: usize,
     /// Query-cache entries refreshed in place because some atom's relation
-    /// epoch had advanced — only the stale atoms were re-derived, folding
-    /// and dissection were skipped.
+    /// epoch had advanced — only the stale parts took a new mask (from the
+    /// atom cache), the label was rebuilt in its own buffer if one of them
+    /// changed, folding and dissection were skipped.
     pub query_refreshes: u64,
-    /// Atom-cache entries recomputed because their relation epoch had
-    /// advanced.
+    /// Atom-cache entries brought up to date because their relation epoch
+    /// had advanced: extended by the views registered since, or recomputed
+    /// (see [`LabelerSnapshot`]).
     pub atom_refreshes: u64,
     /// View-universe invalidations applied to this labeler
     /// ([`CachedLabeler::add_view`] / [`CachedLabeler::invalidate_relation`]).
@@ -550,13 +556,44 @@ fn bump(counter: &AtomicU64) {
     counter.fetch_add(1, Ordering::Relaxed);
 }
 
-/// An atom-cache entry: the memoized `ℓ⁺` mask plus the epoch of the atom's
-/// relation at computation time.  A lookup whose stored epoch trails the
-/// registry's current epoch is stale and recomputes in place.
+/// An atom-cache entry: the memoized `ℓ⁺` mask, the epoch of the atom's
+/// relation at computation time, and how much of the relation's candidate
+/// list the mask accounts for.  A lookup whose stored epoch differs from
+/// the registry's is stale and is brought up to date in place —
+/// **extended** if nothing but registrations happened since, recomputed
+/// otherwise ([`AtomEntry::standing`]).
 #[derive(Debug, Clone, Copy)]
 struct AtomEntry {
     mask: ViewMask,
     epoch: u64,
+    /// Length of the relation's candidate list when the mask was computed:
+    /// the mask has decided candidates `..covered` and none after.
+    covered: u32,
+}
+
+impl AtomEntry {
+    /// What of this entry still stands for a relation now at epoch `current`
+    /// with `candidates` registered views: the bits its mask has decided
+    /// and where the candidates it has not seen begin — if the mask can be
+    /// extended rather than recomputed.
+    ///
+    /// A relation's candidate list only ever grows at its end, one epoch
+    /// per registration, and a registered view's bit and definition never
+    /// change.  So if the epoch moved exactly as far as the list grew, every
+    /// step in between was a registration: the bits decided so far stand and
+    /// only the tail is undecided.  A longer epoch distance means an
+    /// out-of-band [`CachedLabeler::invalidate_relation`] asked for the
+    /// mask to be distrusted.  The subtractions are checked because a
+    /// frozen snapshot reads entries its live labeler has refreshed since —
+    /// tagged with a **newer** epoch and a longer list than the snapshot's
+    /// own, carrying bits of views the snapshot does not have.
+    fn standing(&self, current: u64, candidates: usize) -> Option<(ViewMask, usize)> {
+        let covered = self.covered as usize;
+        let bumps = current.checked_sub(self.epoch)?;
+        let added = candidates.checked_sub(covered)? as u64;
+        debug_assert!(added <= bumps, "a candidate list grows one epoch at a time");
+        (bumps == added).then_some((self.mask, covered))
+    }
 }
 
 /// One dissected part of a cached query entry.
@@ -567,7 +604,8 @@ struct AtomEntry {
 /// cached shape.  The relation, epoch and mask are stored per part — NOT
 /// read back from the finished label — because [`DisclosureLabel::push`]
 /// absorbs redundant atom labels, so the label's atoms are not 1:1 with the
-/// dissected parts.
+/// dissected parts.  A refresh overwrites `epoch` and `mask` where the part
+/// lies and rebuilds the entry's label from the parts.
 #[derive(Debug, Clone, Copy)]
 struct QueryPart {
     /// Interned id of the dissected single-atom query.
@@ -604,6 +642,16 @@ const QUERY_CACHE_SHARDS: usize = 16;
 #[derive(Debug, Clone, Default)]
 struct QueryCacheShard {
     slots: Vec<Option<QueryEntry>>,
+}
+
+impl QueryCacheShard {
+    /// The cell of `slot`, growing the slot vector to cover it.
+    fn slot_mut(&mut self, slot: usize) -> &mut Option<QueryEntry> {
+        if slot >= self.slots.len() {
+            self.slots.resize_with(slot + 1, || None);
+        }
+        &mut self.slots[slot]
+    }
 }
 
 /// One set of cache tables: the query-level slot stripes, the
@@ -656,21 +704,16 @@ impl LabelTables {
         self.atom_cache.write().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Fills a query slot, growing the stripe's slot vector to cover it.
-    /// With `charge` the occupancy gauge counts the slot if it was empty —
-    /// decided under the stripe's write lock, so two racing first sightings
-    /// count once.  A refresh passes `false`: its slot is already occupied,
-    /// here or in the base the lane reads through to, so the number of
-    /// distinct slots the capacity bounds is unchanged.
-    fn store_query(&self, shard_idx: usize, slot: usize, entry: QueryEntry, charge: bool) {
+    /// Fills a query slot, growing the stripe's slot vector to cover it,
+    /// and counts it in the occupancy gauge if it was empty — decided under
+    /// the stripe's write lock, so two racing first sightings count once.
+    fn store_query(&self, shard_idx: usize, slot: usize, entry: QueryEntry) {
         let mut shard = self.write_shard(shard_idx);
-        if slot >= shard.slots.len() {
-            shard.slots.resize_with(slot + 1, || None);
-        }
-        if charge && shard.slots[slot].is_none() {
+        let cell = shard.slot_mut(slot);
+        if cell.is_none() {
             self.query_entries.fetch_add(1, Ordering::Relaxed);
         }
-        shard.slots[slot] = Some(entry);
+        *cell = Some(entry);
     }
 
     /// The cached atom entry at `slot`, if any.  `slot` is a dense
@@ -683,8 +726,11 @@ impl LabelTables {
     /// Fills an atom slot, growing the table under the write lock to cover
     /// an ordinal minted after the table was sized (the interner grows
     /// between `dissect_interned` and the cache write) — asserted by
-    /// `atom_ordinals_minted_mid_batch_grow_the_table`.  `charge` as in
-    /// [`store_query`](Self::store_query).
+    /// `atom_ordinals_minted_mid_batch_grow_the_table`.  With `charge` the
+    /// occupancy gauge counts the slot if it was empty.  A refresh passes
+    /// `false`: its slot is already occupied, here or in the base the lane
+    /// reads through to, so the number of distinct slots the capacity
+    /// bounds is unchanged.
     fn store_atom(&self, slot: usize, entry: AtomEntry, charge: bool) {
         let mut cache = self.write_atoms();
         if slot >= cache.len() {
@@ -714,7 +760,7 @@ impl LabelTables {
             let drained = std::mem::take(&mut *self.write_shard(shard_idx));
             for (slot, entry) in drained.slots.into_iter().enumerate() {
                 if let Some(entry) = entry {
-                    into.store_query(shard_idx, slot, entry, true);
+                    into.store_query(shard_idx, slot, entry);
                 }
             }
         }
@@ -731,8 +777,16 @@ impl LabelTables {
     /// A copy of these tables taken under every stripe's read lock and the
     /// atom table's read lock **at once** — one consistent cut, its gauges
     /// recounted from the copied slots rather than read from atomics a
-    /// concurrent insertion may be moving.  (Stripes lock in index order;
-    /// no writer ever holds two.)
+    /// concurrent insertion may be moving.
+    ///
+    /// **Lock order**, for every path through these tables: a query stripe,
+    /// then the atom table, then the interner (read).  Stripes lock in index
+    /// order and no writer ever holds two; a refresh holds its one stripe's
+    /// write lock while it reads and writes the atom table and resolves the
+    /// atom through the interner (`LabelCore::refresh_in_place`); nothing
+    /// holds the atom table or the interner while asking for a stripe, and
+    /// the interner's write lock (`dissect_part_ids`) is taken with no
+    /// table lock held.
     fn consistent_copy(&self) -> LabelTables {
         let stripes: Vec<_> = (0..QUERY_CACHE_SHARDS)
             .map(|shard| self.read_shard(shard))
@@ -793,14 +847,6 @@ impl<'a> Lane<'a> {
             .map_or(0, |base| gauge(base).load(Ordering::Relaxed))
             + gauge_sum(self.writes, gauge)
     }
-}
-
-/// Outcome of a query-cache lookup: a fresh hit (already handed to the
-/// caller), the parts of a stale entry to refresh, or no entry at all.
-enum QueryLookup<R> {
-    Fresh(R),
-    Stale(Vec<QueryPart>),
-    Absent,
 }
 
 /// The state every labeling call needs whichever tables it runs against:
@@ -890,6 +936,11 @@ impl LabelCore {
     /// `ℓ⁺` of one dissected single-atom query (by interned id), through the
     /// epoch-checked atom tables of `lane`.  `ordinal` is the atom's dense
     /// single-atom ordinal — the tables' slot index.
+    ///
+    /// A stale entry is **extended** where it can be — the bits of the
+    /// candidates registered since it was computed are ORed in — and
+    /// recomputed over the whole candidate list where it cannot
+    /// ([`AtomEntry::standing`]).
     fn cached_atom_mask(
         &self,
         lane: Lane<'_>,
@@ -906,14 +957,22 @@ impl LabelCore {
                 return entry.mask;
             }
         }
+        let candidates = self
+            .inner
+            .by_relation
+            .get(&relation)
+            .map_or(&[][..], Vec::as_slice);
+        let (decided, undecided) = cached
+            .and_then(|entry| entry.standing(current, candidates.len()))
+            .unwrap_or((0, 0));
+        let mask = decided
+            | interned_atom_mask(
+                &self.view_qids,
+                &self.read_interner(),
+                atom,
+                &candidates[undecided..],
+            );
         let stale = cached.is_some();
-        let mask = interned_atom_mask(
-            &self.inner,
-            &self.view_qids,
-            &self.read_interner(),
-            atom,
-            relation,
-        );
         bump(if stale {
             &self.counters.atom_refreshes
         } else {
@@ -925,10 +984,73 @@ impl LabelCore {
             let entry = AtomEntry {
                 mask,
                 epoch: current,
+                covered: candidates.len() as u32,
             };
             lane.write().store_atom(slot, entry, !stale);
         }
         mask
+    }
+
+    /// Brings `entry` up to the current epoch vector where it lies: each
+    /// part whose relation epoch moved takes its mask and epoch from the
+    /// atom tables, and the label is rebuilt into its own buffer if some
+    /// mask changed — from all the parts, because
+    /// [`push`](DisclosureLabel::push) absorbs redundancy.  Folding and
+    /// dissection are skipped (the part ids are stored) and nothing is
+    /// allocated.  Returns whether any part was stale.
+    fn refresh_entry(&self, lane: Lane<'_>, entry: &mut QueryEntry) -> bool {
+        let (mut stale, mut changed) = (false, false);
+        for part in &mut entry.parts {
+            let current = self.epoch_of(part.relation);
+            if part.epoch != current {
+                let mask = self.cached_atom_mask(lane, part.atom, part.ordinal, part.relation);
+                changed |= mask != part.mask;
+                part.mask = mask;
+                part.epoch = current;
+                stale = true;
+            }
+        }
+        if changed {
+            entry.label.clear();
+            for part in &entry.parts {
+                entry.label.push(AtomLabel::new(part.relation, part.mask));
+            }
+        }
+        stale
+    }
+
+    /// The stale branch of [`label_with`](Self::label_with): refreshes the
+    /// entry of `slot` in the table the lane writes, under that stripe's
+    /// write lock, and hands its label to `use_label` there.  `from_base`
+    /// is the stale entry as a snapshot's read-only base holds it, for a
+    /// slot the lane's overlay does not hold yet; it is refreshed as the
+    /// overlay's copy (not charged: the base already counts the slot).
+    /// `None` if the lane's own entry is gone — flushed between the two
+    /// locks — and the caller has to derive it anew.
+    ///
+    /// The stripe's write lock is held across the atom tables and the
+    /// interner's read lock; see `LabelTables::consistent_copy` for the
+    /// order.
+    fn refresh_in_place<R>(
+        &self,
+        lane: Lane<'_>,
+        shard_idx: usize,
+        slot: usize,
+        from_base: Option<QueryEntry>,
+        use_label: impl FnOnce(&DisclosureLabel) -> R,
+    ) -> Option<R> {
+        let mut shard = lane.write().write_shard(shard_idx);
+        let entry = match from_base {
+            Some(copy) => shard.slot_mut(slot).get_or_insert(copy),
+            None => shard.slots.get_mut(slot)?.as_mut()?,
+        };
+        // Another caller may have refreshed the entry between the two locks.
+        bump(if self.refresh_entry(lane, entry) {
+            &self.counters.query_refreshes
+        } else {
+            &self.counters.hits
+        });
+        Some(use_label(&entry.label))
     }
 
     /// Labels an interned query through `lane` and hands the label to
@@ -936,10 +1058,9 @@ impl LabelCore {
     /// pays for exactly that.
     ///
     /// A **fresh** entry is a hit: `use_label` reads it under the stripe's
-    /// read lock.  A **stale** entry re-derives only the parts whose
-    /// relation epoch advanced — folding and dissection are skipped, the
-    /// dissected part ids are stored — and is written back without
-    /// charging the occupancy gauge.  An **absent** id runs the pipeline
+    /// read lock.  A **stale** entry is refreshed where it lies
+    /// ([`refresh_in_place`](Self::refresh_in_place)) and read under the
+    /// stripe's write lock.  An **absent** id runs the pipeline
     /// ([`dissect_interned`] + the atom tables) and is stored, charged, if
     /// the capacity has room; if not, the label the cache did not keep is
     /// returned next to the result (always `None` otherwise).
@@ -958,65 +1079,49 @@ impl LabelCore {
             id.index() % QUERY_CACHE_SHARDS,
             id.index() / QUERY_CACHE_SHARDS,
         );
-        let lookup = 'found: {
-            for tables in lane.reads() {
-                let shard = tables.read_shard(shard_idx);
-                if let Some(entry) = shard.slots.get(slot).and_then(Option::as_ref) {
-                    let fresh = entry
-                        .parts
-                        .iter()
-                        .all(|part| part.epoch == self.epoch_of(part.relation));
-                    break 'found if fresh {
-                        QueryLookup::Fresh(use_label(&entry.label))
-                    } else {
-                        QueryLookup::Stale(entry.parts.clone())
-                    };
-                }
-            }
-            QueryLookup::Absent
-        };
-        let (parts, absent) = match lookup {
-            QueryLookup::Fresh(out) => {
+        for (depth, tables) in lane.reads().enumerate() {
+            let shard = tables.read_shard(shard_idx);
+            let Some(entry) = shard.slots.get(slot).and_then(Option::as_ref) else {
+                continue;
+            };
+            let fresh = entry
+                .parts
+                .iter()
+                .all(|part| part.epoch == self.epoch_of(part.relation));
+            if fresh {
                 bump(&self.counters.hits);
-                return (out, None);
+                return (use_label(&entry.label), None);
             }
-            QueryLookup::Stale(mut parts) => {
-                for part in &mut parts {
-                    let current = self.epoch_of(part.relation);
-                    if part.epoch != current {
-                        part.mask =
-                            self.cached_atom_mask(lane, part.atom, part.ordinal, part.relation);
-                        part.epoch = current;
-                    }
-                }
-                bump(&self.counters.query_refreshes);
-                (parts, false)
+            // The lane's own entry is patched where it lies; the base is
+            // read-only, so its entry is copied out for the overlay.
+            let from_base = (depth > 0).then(|| entry.clone());
+            drop(shard);
+            match self.refresh_in_place(lane, shard_idx, slot, from_base, &mut use_label) {
+                Some(out) => return (out, None),
+                None => break,
             }
-            QueryLookup::Absent => {
-                let parts = dissect_part_ids(&self.interner, id)
-                    .into_iter()
-                    .map(|(atom, ordinal, relation)| QueryPart {
-                        atom,
-                        ordinal,
-                        relation,
-                        epoch: self.epoch_of(relation),
-                        mask: self.cached_atom_mask(lane, atom, ordinal, relation),
-                    })
-                    .collect();
-                bump(&self.counters.misses);
-                (parts, true)
-            }
-        };
+        }
+        let parts: Vec<QueryPart> = dissect_part_ids(&self.interner, id)
+            .into_iter()
+            .map(|(atom, ordinal, relation)| QueryPart {
+                atom,
+                ordinal,
+                relation,
+                epoch: self.epoch_of(relation),
+                mask: self.cached_atom_mask(lane, atom, ordinal, relation),
+            })
+            .collect();
+        bump(&self.counters.misses);
         let mut label = DisclosureLabel::with_capacity(parts.len());
         for part in &parts {
             label.push(AtomLabel::new(part.relation, part.mask));
         }
         let out = use_label(&label);
-        if absent && lane.occupied(|t| &t.query_entries) >= self.capacity {
+        if lane.occupied(|t| &t.query_entries) >= self.capacity {
             return (out, Some(label));
         }
         lane.write()
-            .store_query(shard_idx, slot, QueryEntry { label, parts }, absent);
+            .store_query(shard_idx, slot, QueryEntry { label, parts });
         (out, None)
     }
 
@@ -1052,12 +1157,45 @@ impl LabelCore {
 /// # The algorithm, and what a lane is
 ///
 /// A query-level lookup by interned id finds a *fresh* entry (a hit: a
-/// lock-striped `Vec` index straight to the finished label), a *stale* one
-/// (some part's relation epoch moved: exactly those parts re-derive their
-/// mask, folding and dissection are skipped) or *none* (the pipeline runs:
+/// lock-striped `Vec` index straight to the finished label, one array read
+/// of the registry's epoch vector per part to know it is fresh), a *stale*
+/// one (some part's relation epoch moved) or *none* (the pipeline runs:
 /// `dissect_interned`, then the per-atom table, which is epoch-checked the
-/// same way).  That routine exists once, in the private `LabelCore`, and is
-/// told where to read and write:
+/// same way).
+///
+/// **The stale branch** keeps the entry and brings it up to date where it
+/// lies, so a refresh costs what changed and allocates nothing.  Under the
+/// write lock of the entry's stripe — in the table the lane *writes* —
+/// each part whose relation epoch moved takes its new mask and epoch from
+/// the atom table; if some mask actually changed, the label is rebuilt
+/// into its own buffer from all the parts; and the caller reads the label
+/// there.  Folding and dissection are skipped: the dissected part ids are
+/// stored with the entry.  A stale entry found in a snapshot's read-only
+/// base is first copied into the lane's overlay and refreshed as that copy,
+/// by the same routine.
+///
+/// **A stale atom mask is extended where it can be, recomputed where it
+/// cannot.**  Views are only ever appended to a relation's candidate list,
+/// one epoch each, and a registered view's bit and definition never change.
+/// An atom entry records how many candidates its mask has decided; if the
+/// relation's epoch moved exactly as far as the list grew since, nothing but
+/// registrations happened in between and the mask only takes the bits of
+/// the candidates added since (usually one).  In every other case it is
+/// recomputed over the whole list: after an out-of-band
+/// [`CachedLabeler::invalidate_relation`] (the epoch moved further than the
+/// list grew), and for an entry tagged with a **newer** epoch than the
+/// reader's own — a frozen snapshot reading what its live labeler refreshed
+/// after the snapshot was taken, which carries bits of views the snapshot
+/// does not have.
+///
+/// **Lock order:** a query stripe, then the atom table, then the interner
+/// (read).  The refresh holds its stripe's write lock across the other two;
+/// nothing asks for a stripe while holding either of them, and the
+/// interner's write lock (first sight of a shape) is taken with no table
+/// lock held.
+///
+/// The routine exists once, in the private `LabelCore`, and is told where
+/// to read and write:
 ///
 /// * the live labeler ([`CachedLabeler::as_snapshot`]) has **no lanes**:
 ///   it reads and writes the shared striped tables directly (the `lane`
@@ -1973,6 +2111,127 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "rel#999 is not in the catalog")]
+    fn invalidating_a_relation_outside_the_catalog_panics() {
+        // Regression: this used to record an epoch no checkpoint could be
+        // read back with (see `SecurityViews::bump_epoch`).
+        CachedLabeler::new(SecurityViews::paper_example()).invalidate_relation(RelId(999));
+    }
+
+    #[test]
+    fn a_mask_is_extended_only_across_registrations() {
+        let entry = AtomEntry {
+            mask: 0b01,
+            epoch: 5,
+            covered: 2,
+        };
+        // One epoch per appended candidate: the tail begins at `covered`.
+        assert_eq!(entry.standing(6, 3), Some((0b01, 2)));
+        assert_eq!(entry.standing(8, 5), Some((0b01, 2)));
+        // An out-of-band bump somewhere in between.
+        assert_eq!(entry.standing(6, 2), None);
+        assert_eq!(entry.standing(8, 4), None);
+        // An entry a frozen snapshot reads from its live labeler's future:
+        // newer epoch, longer list, or both.
+        assert_eq!(entry.standing(4, 1), None);
+        assert_eq!(entry.standing(4, 2), None);
+        assert_eq!(entry.standing(5, 1), None);
+    }
+
+    /// The one occupied slot of a labeler that has seen a single atom.
+    fn only_atom_entry(cached: &CachedLabeler) -> (usize, AtomEntry) {
+        let atoms = cached.live.base.read_atoms();
+        let mut occupied = atoms
+            .iter()
+            .enumerate()
+            .filter_map(|(slot, entry)| Some((slot, (*entry)?)));
+        let found = occupied.next().expect("one atom was labeled");
+        assert!(occupied.next().is_none());
+        found
+    }
+
+    #[test]
+    fn a_refreshed_mask_covers_the_whole_candidate_list() {
+        let mut cached = CachedLabeler::new(SecurityViews::paper_example());
+        let c = cached.security_views().catalog().clone();
+        let id = cached.intern(&q(&c, "Q(x) :- Meetings(x, y)"));
+        cached.label_interned(id);
+        assert_eq!(only_atom_entry(&cached).1.covered, 2);
+        // Extended (a registration), recomputed (an out-of-band bump) and
+        // extended again: the count follows the list every time, so the
+        // next registration finds a tail of one.
+        cached
+            .add_view("W0", q(&c, "W0(x) :- Meetings(x, y)"))
+            .unwrap();
+        cached.label_interned(id);
+        let (_, entry) = only_atom_entry(&cached);
+        assert_eq!((entry.covered, entry.mask), (3, 0b111));
+        cached.invalidate_relation(c.resolve("Meetings").unwrap());
+        cached.label_interned(id);
+        assert_eq!(only_atom_entry(&cached).1.covered, 3);
+        cached
+            .add_view("W1", q(&c, "W1(y) :- Meetings(x, y)"))
+            .unwrap();
+        cached.label_interned(id);
+        let (_, entry) = only_atom_entry(&cached);
+        assert_eq!((entry.covered, entry.mask), (4, 0b0111));
+        assert_eq!(entry.standing(entry.epoch + 1, 5), Some((0b0111, 4)));
+    }
+
+    #[test]
+    fn an_out_of_band_bump_recomputes_the_mask_in_full() {
+        // `invalidate_relation` says "distrust what was derived": a mask
+        // that is wrong — planted here, a changed definition in the field —
+        // must not survive it.  (An extension would keep its bits.)
+        let mut cached = CachedLabeler::new(SecurityViews::paper_example());
+        let c = cached.security_views().catalog().clone();
+        let query = q(&c, "Q(x) :- Meetings(x, y)");
+        let id = cached.intern(&query);
+        let honest = cached.label_interned(id);
+        let (slot, entry) = only_atom_entry(&cached);
+        let planted = AtomEntry {
+            mask: entry.mask ^ 0b11,
+            ..entry
+        };
+        cached.live.base.store_atom(slot, planted, false);
+        cached.invalidate_relation(c.resolve("Meetings").unwrap());
+        assert_eq!(cached.label_interned(id), honest);
+        assert_eq!(only_atom_entry(&cached).1.mask, entry.mask);
+        assert_eq!(cached.stats().atom_refreshes, 1);
+    }
+
+    #[test]
+    fn interned_needs_agree_with_the_boxed_analysis() {
+        let mut catalog = Catalog::paper_example();
+        catalog.add_relation_with_arity("Wide", 40).unwrap();
+        let distinct: Vec<String> = (0..40).map(|i| format!("v{i}")).collect();
+        let mut repeated = distinct.clone();
+        repeated[39] = "v0".into();
+        let mut late_repeat = distinct.clone();
+        late_repeat[38] = "v37".into();
+        let texts = [
+            "Q(x) :- Meetings(x, y)".to_owned(),
+            "Q(x) :- Meetings(x, 'Cathy')".to_owned(),
+            "Q(x) :- Meetings(x, x)".to_owned(),
+            "Q() :- Contacts(x, y, x)".to_owned(),
+            "Q(y) :- Contacts(x, y, 'Intern')".to_owned(),
+            format!("Q(v0, v7) :- Wide({})", distinct.join(", ")),
+            format!("Q(v3) :- Wide({})", repeated.join(", ")),
+            format!("Q() :- Wide({})", late_repeat.join(", ")),
+        ];
+        let mut interner = QueryInterner::new();
+        for text in &texts {
+            let query = q(&catalog, text);
+            let id = interner.intern(&query);
+            assert_eq!(
+                interned_atom_needs(interner.resolve(id).atom_terms(0)),
+                atom_needs(&query),
+                "{text}"
+            );
+        }
+    }
+
+    #[test]
     fn online_additions_respect_the_packed_view_budget() {
         use crate::security_views::MAX_PACKED_VIEWS_PER_RELATION;
         // Regression: the packed serving path carries 32 view bits per
@@ -2272,6 +2531,65 @@ mod tests {
                 "clone gauge disagrees with its captured entries: {stats:?} then {after:?}"
             );
             assert_eq!(after.query_refreshes, 0, "no stale entries were served");
+        }
+    }
+
+    #[test]
+    fn racing_refreshes_of_the_same_entries_agree() {
+        // Every thread finds the same entries stale at once and refreshes
+        // them where they lie, while the main thread takes consistent
+        // copies across all stripes: each entry is refreshed at least once,
+        // a caller that lost the race to the write lock reads a hit, and
+        // every label is the fresh labeler's.
+        let mut cached = CachedLabeler::new(SecurityViews::paper_example());
+        let c = cached.security_views().catalog().clone();
+        let texts = [
+            "Q(x) :- Meetings(x, y)",
+            "Q(x, y) :- Meetings(x, y)",
+            "Q(x) :- Meetings(x, 'Cathy')",
+            "Q(x) :- Meetings(x, x)",
+            "Q2(x) :- Meetings(x, y), Contacts(y, w, 'Intern')",
+            "Q(x, z) :- Meetings(x, y), Meetings(y, z)",
+        ];
+        let queries: Vec<ConjunctiveQuery> = texts.iter().map(|t| q(&c, t)).collect();
+        let ids: Vec<QueryId> = queries.iter().map(|query| cached.intern(query)).collect();
+        const THREADS: usize = 4;
+        for round in 0..20 {
+            for &id in &ids {
+                cached.label_interned(id);
+            }
+            let view = ["W(x) :- Meetings(x, y)", "W(x) :- Meetings(x, x)"][round % 2];
+            cached.add_view(&format!("W{round}"), q(&c, view)).unwrap();
+            let fresh = BitVectorLabeler::new(cached.security_views().clone());
+            let expected: Vec<DisclosureLabel> = queries
+                .iter()
+                .map(|query| fresh.label_query(query))
+                .collect();
+            let before = cached.stats();
+            let start = std::sync::Barrier::new(THREADS + 1);
+            std::thread::scope(|scope| {
+                for _ in 0..THREADS {
+                    scope.spawn(|| {
+                        start.wait();
+                        for (&id, expected) in ids.iter().zip(&expected) {
+                            assert_eq!(&cached.label_interned(id), expected);
+                        }
+                    });
+                }
+                start.wait();
+                for _ in 0..4 {
+                    let copy = cached.clone();
+                    for (&id, expected) in ids.iter().zip(&expected) {
+                        assert_eq!(&copy.label_interned(id), expected);
+                    }
+                }
+            });
+            let after = cached.stats();
+            let refreshes = after.query_refreshes - before.query_refreshes;
+            let hits = after.hits - before.hits;
+            assert_eq!(refreshes + hits, (THREADS * ids.len()) as u64);
+            assert!(refreshes >= ids.len() as u64, "{refreshes} refreshes");
+            assert_eq!(after.misses, before.misses);
         }
     }
 

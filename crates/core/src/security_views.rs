@@ -90,9 +90,9 @@ pub struct SecurityViews {
     views: Vec<SecurityView>,
     by_name: HashMap<String, SecurityViewId>,
     by_relation: HashMap<RelId, Vec<SecurityViewId>>,
-    /// Per-relation version counter of the view universe.  Relations absent
-    /// from the map are at epoch 0.  See [`epoch`](Self::epoch).
-    epochs: HashMap<RelId, u64>,
+    /// Per-relation version counter of the view universe, indexed by
+    /// [`RelId`] and sized to the catalog.  See [`epoch`](Self::epoch).
+    epochs: Vec<u64>,
 }
 
 impl SecurityViews {
@@ -106,7 +106,7 @@ impl SecurityViews {
             views: Vec::new(),
             by_name: HashMap::new(),
             by_relation: HashMap::new(),
-            epochs: HashMap::new(),
+            epochs: vec![0; catalog.len()],
         }
     }
 
@@ -162,9 +162,13 @@ impl SecurityViews {
     /// the epoch they were computed under and compare it against the current
     /// one to detect staleness, so a mutation to one relation never touches
     /// cached work for the others.
+    ///
+    /// The comparison runs once per cached part on every label lookup, so
+    /// this is an array read, not a hash probe.  A relation outside the
+    /// catalog has no view universe to version and answers 0.
     #[inline]
     pub fn epoch(&self, relation: RelId) -> u64 {
-        self.epochs.get(&relation).copied().unwrap_or(0)
+        self.epochs.get(relation.index()).copied().unwrap_or(0)
     }
 
     /// Advances the epoch of a relation's view universe, marking every label
@@ -173,8 +177,19 @@ impl SecurityViews {
     /// Called automatically by [`add`](Self::add); exposed for callers that
     /// invalidate a relation for external reasons (e.g. a changed view
     /// definition).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `relation` is not in the catalog: an epoch recorded for it
+    /// would be written by [`encode_into`](Self::encode_into) and refused
+    /// by [`decode_from`](Self::decode_from) — a checkpoint that can never
+    /// be read back.
     pub fn bump_epoch(&mut self, relation: RelId) {
-        *self.epochs.entry(relation).or_insert(0) += 1;
+        let epoch = self
+            .epochs
+            .get_mut(relation.index())
+            .unwrap_or_else(|| panic!("bump_epoch: relation {relation} is not in the catalog"));
+        *epoch += 1;
     }
 
     /// Registers several views parsed from a datalog program
@@ -263,13 +278,14 @@ impl SecurityViews {
             fdc_durability::codec::put_str(out, &view.name);
             fdc_cq::wire::encode_query(&view.query, out);
         }
-        // Epochs in sorted relation order, for a deterministic encoding.
-        let mut epochs: Vec<(RelId, u64)> = self.epochs.iter().map(|(r, e)| (*r, *e)).collect();
-        epochs.sort();
-        put_len(out, epochs.len());
-        for (relation, epoch) in epochs {
-            put_u32(out, relation.0);
-            put_u64(out, epoch);
+        // The relations that ever moved, in relation order (the bytes the
+        // sorted epoch map of earlier versions wrote).
+        put_len(out, self.epochs.iter().filter(|epoch| **epoch != 0).count());
+        for (relation, epoch) in self.epochs.iter().enumerate() {
+            if *epoch != 0 {
+                put_u32(out, relation as u32);
+                put_u64(out, *epoch);
+            }
         }
     }
 
@@ -299,16 +315,17 @@ impl SecurityViews {
             let at = cursor.pos();
             let relation = RelId(cursor.u32()?);
             let epoch = cursor.u64()?;
-            if relation.index() >= catalog.len() {
+            // The vector is sized by the decoded catalog, never by this id.
+            let Some(current) = views.epochs.get_mut(relation.index()) else {
                 return Err(CodecError::invalid(at, "epoch for unknown relation"));
-            }
-            if epoch < views.epoch(relation) {
+            };
+            if epoch < *current {
                 return Err(CodecError::invalid(
                     at,
                     "stored epoch below registration count",
                 ));
             }
-            views.epochs.insert(relation, epoch);
+            *current = epoch;
         }
         Ok(views)
     }
@@ -434,6 +451,9 @@ mod tests {
         let mut views = SecurityViews::new(&catalog);
         assert_eq!(views.epoch(meetings), 0);
         assert_eq!(views.epoch(contacts), 0);
+        // A relation outside the catalog has no universe to version.
+        assert_eq!(views.epoch(RelId(catalog.len() as u32)), 0);
+        assert_eq!(views.epoch(RelId(u32::MAX)), 0);
 
         views
             .add(
@@ -530,6 +550,108 @@ mod tests {
         }
     }
 
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xCBF2_9CE4_8422_2325, |hash, &byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
+    }
+
+    /// Views on two relations and one out-of-band bump encode to the bytes
+    /// the sorted epoch *map* wrote (length and hash taken from that build
+    /// by running this body there): the epoch vector changed how an epoch
+    /// is read, not what a checkpoint holds.
+    #[test]
+    fn the_encoding_of_a_fixed_registry_is_unchanged() {
+        let mut views = SecurityViews::paper_example();
+        let contacts = views.catalog().resolve("Contacts").unwrap();
+        views.bump_epoch(contacts);
+        let mut bytes = Vec::new();
+        views.encode_into(&mut bytes);
+        assert_eq!(
+            (bytes.len(), fnv1a(&bytes)),
+            (384, 11_135_036_594_058_683_268)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "rel#999 is not in the catalog")]
+    fn bumping_a_relation_outside_the_catalog_panics() {
+        // Regression: the epoch map accepted any id and `encode_into` wrote
+        // it, producing bytes `decode_from` refuses ("epoch for unknown
+        // relation") — a checkpoint that could never be read back.
+        SecurityViews::paper_example().bump_epoch(RelId(999));
+    }
+
+    /// Whatever `encode_into` writes, `decode_from` reads — over seeded
+    /// sequences of registrations (accepted and refused) and out-of-band
+    /// bumps on a three-relation catalog, one relation never touched.
+    #[test]
+    fn every_encoded_registry_decodes_to_itself() {
+        let mut catalog = Catalog::new();
+        for (name, arity) in [("A", 2), ("B", 3), ("Idle", 1), ("C", 1)] {
+            catalog.add_relation_with_arity(name, arity).unwrap();
+        }
+        let definitions = [
+            "V(x, y) :- A(x, y)",
+            "V(x) :- A(x, x)",
+            "V(x) :- A(x, 'k')",
+            "V(x, z) :- B(x, y, z)",
+            "V() :- B(x, y, 'k')",
+            "V(x) :- C(x)",
+        ];
+        let (mut bumped, mut refused) = (0, 0);
+        for seed in 1..=64u64 {
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            let mut next = move |bound: usize| {
+                state ^= state >> 12;
+                state ^= state << 25;
+                state ^= state >> 27;
+                (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as usize % bound
+            };
+            let mut views = SecurityViews::new(&catalog);
+            for step in 0..next(24) {
+                if next(3) == 0 {
+                    // `Idle` (relation 2) is never bumped or viewed.
+                    views.bump_epoch(RelId([0, 1, 3][next(3)]));
+                    bumped += 1;
+                } else {
+                    // A name drawn from a small range: some are duplicates
+                    // and refused, leaving the registry as it was.
+                    let text = definitions[next(definitions.len())];
+                    let name = format!("v{}", next(step + 2));
+                    let added = views.add(&name, parse_query(&catalog, text).unwrap());
+                    refused += usize::from(added.is_err());
+                }
+            }
+            let mut bytes = Vec::new();
+            views.encode_into(&mut bytes);
+            let mut cursor = fdc_durability::codec::Cursor::new(&bytes);
+            let back = SecurityViews::decode_from(&mut cursor)
+                .unwrap_or_else(|err| panic!("seed {seed}: {err:?}"));
+            cursor.expect_end().unwrap();
+            assert_eq!(back.len(), views.len(), "seed {seed}");
+            for (id, view) in views.iter() {
+                let restored = back.view(id);
+                assert_eq!(
+                    (&restored.name, restored.relation, restored.bit),
+                    (&view.name, view.relation, view.bit),
+                    "seed {seed}"
+                );
+                assert_eq!(restored.query, view.query, "seed {seed}");
+            }
+            for (relation, _) in catalog.iter() {
+                assert_eq!(back.epoch(relation), views.epoch(relation), "seed {seed}");
+            }
+            let mut again = Vec::new();
+            back.encode_into(&mut again);
+            assert_eq!(again, bytes, "seed {seed}");
+        }
+        assert!(
+            bumped > 0 && refused > 0,
+            "{bumped} bumps, {refused} refusals"
+        );
+    }
+
     #[test]
     fn decode_rejects_truncation_and_backward_epochs() {
         let views = SecurityViews::paper_example();
@@ -548,6 +670,12 @@ mod tests {
         bytes[len - 8..].copy_from_slice(&0u64.to_le_bytes());
         let mut cursor = fdc_durability::codec::Cursor::new(&bytes);
         assert!(SecurityViews::decode_from(&mut cursor).is_err());
+        // The four bytes before it are that entry's relation id; nothing
+        // may be sized by one a hostile image chose.
+        bytes[len - 12..len - 8].copy_from_slice(&u32::MAX.to_le_bytes());
+        let mut cursor = fdc_durability::codec::Cursor::new(&bytes);
+        let err = SecurityViews::decode_from(&mut cursor).unwrap_err();
+        assert!(format!("{err:?}").contains("epoch for unknown relation"));
     }
 
     #[test]

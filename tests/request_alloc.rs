@@ -14,6 +14,12 @@
 //! * a warm `apply(Submit)` performs **none**, except when the history log
 //!   grows (amortised: a doubling while the rings fill, one compaction per
 //!   `live + principals` records once they are full);
+//! * a stale label costs the heap nothing either: a batch served right
+//!   after an `AddSecurityView` on the relation every one of its shapes
+//!   reads (so every admission refreshes its cached label) performs the
+//!   same number of allocations as the same batch served again fresh, and
+//!   a warm `apply(Submit)` of a stale shape performs none — the entry is
+//!   patched where it lies;
 //! * a batch whose segments contain grants, revokes, audits and an
 //!   `AddSecurityView` still answers exactly like sequential `apply`.
 //!
@@ -161,6 +167,80 @@ fn a_warm_submit_allocates_only_when_the_history_log_grows() {
         paying <= submits / (principals * cap + principals) + 1,
         "{paying} of {submits} submits allocated: {counts:?}"
     );
+}
+
+/// `n` distinct shapes over `Meetings` alone (one selection constant each),
+/// so one added `Meetings` view stales every one of them.
+fn meetings_shapes(service: &DisclosureService, n: usize) -> Vec<ConjunctiveQuery> {
+    let catalog = service.registry().catalog();
+    (0..n)
+        .map(|i| parse_query(catalog, &format!("Q(x) :- Meetings(x, 'room{i}')")).unwrap())
+        .collect()
+}
+
+#[test]
+fn a_stale_batch_allocates_like_a_fresh_one() {
+    let principals = 64;
+    let (mut service, _) = build(principals, ServiceConfig::default().history_cap);
+    // 256 admissions, 256 shapes: after a view addition each is a refresh.
+    let shapes = meetings_shapes(&service, 256);
+    let batch = admissions(&shapes, principals, shapes.len());
+    for _ in 0..16 {
+        service.run_pipelined(&batch);
+    }
+    let view = parse_query(service.registry().catalog(), "A(y) :- Meetings(x, y)").unwrap();
+    let (mut stale, mut fresh) = (Vec::new(), Vec::new());
+    for round in 0..3 {
+        service
+            .add_security_view(&format!("A{round}"), view.clone())
+            .unwrap();
+        let before = service.labeler().stats().query_refreshes;
+        for counts in [&mut stale, &mut fresh] {
+            counts.push(allocations(|| drop(service.run_pipelined(&batch))));
+        }
+        // The first pass refreshed every shape, the second none.
+        let refreshed = service.labeler().stats().query_refreshes - before;
+        assert_eq!(refreshed, shapes.len() as u64);
+    }
+    assert_eq!(
+        stale.iter().min(),
+        fresh.iter().min(),
+        "stale: {stale:?}, fresh: {fresh:?}"
+    );
+}
+
+#[test]
+fn a_warm_submit_of_a_stale_shape_does_not_allocate() {
+    let principals = 64;
+    let (mut service, _) = build(principals, ServiceConfig::default().history_cap);
+    let shapes = meetings_shapes(&service, 64);
+    // Submits only, and more of them recorded than measured below, so the
+    // history log doubles at most once while the counts are taken.
+    let stream: Vec<Operation> = admissions(&shapes, principals, shapes.len())
+        .into_iter()
+        .filter(|op| matches!(op, Operation::Submit { .. }))
+        .collect();
+    for _ in 0..8 {
+        for op in &stream {
+            service.apply(op);
+        }
+    }
+    let view = parse_query(service.registry().catalog(), "A(y) :- Meetings(x, y)").unwrap();
+    let mut counts = Vec::new();
+    for round in 0..3 {
+        service
+            .add_security_view(&format!("A{round}"), view.clone())
+            .unwrap();
+        let before = service.labeler().stats().query_refreshes;
+        counts.extend(
+            stream
+                .iter()
+                .map(|op| allocations(|| drop(service.apply(op)))),
+        );
+        let refreshed = service.labeler().stats().query_refreshes - before;
+        assert_eq!(refreshed, stream.len() as u64, "every submit was stale");
+    }
+    assert!(counts.iter().sum::<u64>() <= 1, "{counts:?}");
 }
 
 #[test]
