@@ -1,31 +1,47 @@
-//! Compiled policies and the interning arena — the shared hot-path
-//! representation of the enforcement layer.
+//! The compiled policy form and its interning arena.
 //!
-//! Section 6.2's decision procedure only ever asks one question per policy
-//! partition: "does every atom of this label intersect the permitted views
-//! of its relation?"  Answering it needs none of the [`PolicyPartition`]
-//! bookkeeping (names, hash maps, the registry) — just the permitted
-//! [`ViewMask`] per relation.  A [`CompiledPolicy`] is that distilled form:
-//! per partition, a flat `(RelId, ViewMask)` array sorted by relation id, so
-//! the per-atom test is a binary search over a couple of cache lines plus
-//! one AND.  Both [`ReferenceMonitor`](crate::ReferenceMonitor) (one
-//! principal) and [`PolicyStore`](crate::PolicyStore) (millions of
-//! principals) decide against this one representation.
+//! Section 6.2's decision procedure asks one question per policy partition:
+//! "does every atom of this label intersect the permitted views of its
+//! relation?"  Answering it needs none of a
+//! [`PolicyPartition`](crate::PolicyPartition)'s bookkeeping (names, hash
+//! maps, the registry) — just the permitted [`ViewMask`] per relation and
+//! partition.  [`compile`] distils a
+//! [`SecurityPolicy`] into exactly that, as one **span** of `u64` words:
 //!
-//! At multi-principal scale the compiled form is also *interned*: real app
-//! ecosystems draw policies from a bounded space of permission presets, so
-//! the [`PolicyArena`] stores each distinct compiled policy once and hands
-//! out dense `u32` indices.  Per-principal state then shrinks to an arena
-//! index plus a consistency word and two counters — cache-line sized — which
-//! is what makes the paper's 1,000,000-principal axis (Figure 6) cheap
-//! enough to run by default.
+//! ```text
+//! span[0]               table_len << 32 | k      (k = number of partitions)
+//! span[1 + r * k + i]   the views partition i permits on relation r,
+//!                       for r < table_len — zero where it permits none
+//! ```
+//!
+//! `table_len` is one past the highest relation some partition permits a
+//! view on, so equal policies compile to equal spans, and a span holds no
+//! offset into anything: it can be hashed, compared and copied as a unit.
+//! Partition *names* are dropped (they play no role in decisions, and
+//! dropping them lets policies that differ only in labeling share a span);
+//! partition *order* is kept, because bit `i` of a consistency word means
+//! partition `i`.
+//!
+//! This is the only compiled form.  The [`PolicyArena`] keeps every
+//! distinct span once, end to end in one `Vec<u64>`, and hands out dense
+//! `u32` ids — real app ecosystems draw policies from a bounded space of
+//! permission presets — so per-principal state is an id, a consistency word
+//! and two counters, which is what makes the paper's 1,000,000-principal
+//! axis (Figure 6) cheap enough to run by default.  Every decision of
+//! [`PolicyStore`](crate::PolicyStore) and
+//! [`ShardedPolicyStore`](crate::ShardedPolicyStore) is one call of
+//! `PolicyArena::surviving_bits`, the crate's single decide loop;
+//! [`ReferenceMonitor`](crate::ReferenceMonitor) deliberately does *not*
+//! use it — it is the uncompiled specification the loop is tested against.
 
 use std::collections::HashMap;
+use std::hash::BuildHasher;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
-use fdc_core::{DisclosureLabel, PackedLabel, ViewMask};
+use fdc_core::ViewMask;
 use fdc_cq::RelId;
 
-use crate::partition::PolicyPartition;
 use crate::policy::SecurityPolicy;
 
 /// Maximum number of partitions per policy supported by the one-word
@@ -52,258 +68,74 @@ pub fn initial_consistency_word(num_partitions: usize) -> u64 {
     }
 }
 
-/// One policy partition compiled for the hot path: the permitted view masks
-/// as a flat array sorted by relation id.
+/// Compiles `policy` into its span — the layout in the [module docs](self).
 ///
-/// Policies permit views over a handful of relations, so a binary search
-/// over a short contiguous array beats a hash lookup and keeps the whole
-/// compiled partition in one or two cache lines.  Partition *names* are
-/// deliberately dropped: they play no role in decisions, and excluding them
-/// lets the arena intern policies that differ only in labeling.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct CompiledPartition {
-    permitted: Vec<(RelId, ViewMask)>,
-}
-
-impl CompiledPartition {
-    /// Compiles one partition.
-    pub fn compile(partition: &PolicyPartition) -> Self {
-        let mut permitted: Vec<(RelId, ViewMask)> = partition
-            .relations()
-            .map(|relation| (relation, partition.permitted_mask(relation)))
-            .collect();
-        permitted.sort_unstable_by_key(|(relation, _)| *relation);
-        CompiledPartition { permitted }
-    }
-
-    /// The permitted mask for a relation (0 when nothing is permitted).
-    #[inline]
-    pub fn mask_for(&self, relation: RelId) -> ViewMask {
-        self.permitted
-            .binary_search_by_key(&relation, |(r, _)| *r)
-            .map_or(0, |i| self.permitted[i].1)
-    }
-
-    /// Every atom of the label must intersect the permitted views of its
-    /// relation (`ℓ⁺(atom) ∩ permitted(relation) ≠ ∅`).
-    #[inline]
-    pub fn allows(&self, label: &DisclosureLabel) -> bool {
-        label
-            .atoms()
-            .iter()
-            .all(|atom| atom.mask & self.mask_for(atom.relation) != 0)
-    }
-
-    /// Same check on the packed 64-bit representation.
-    #[inline]
-    pub fn allows_packed(&self, label: &[PackedLabel]) -> bool {
-        label
-            .iter()
-            .all(|packed| u64::from(packed.mask()) & self.mask_for(packed.relation()) != 0)
-    }
-}
-
-/// A whole security policy compiled for the hot path, in an *atom-major*
-/// layout: a flat table indexed by relation id holding, per relation, the
-/// union of the permitted view masks plus the per-partition permitted
-/// masks, contiguously.
+/// The span is sized by
+/// [`relation_bound`](SecurityPolicy::relation_bound): a caller holding a
+/// policy that came from outside the program checks that bound against its
+/// catalog first.
 ///
-/// The decision question "which partitions allow this label?" then becomes,
-/// per atom, **one** indexed load (the relation row), one AND against the
-/// union mask — which settles the common deny outright — and, only when the
-/// atom intersects some partition, a short branchless loop over the
-/// policy's `k ≤ 64` (typically ≤ 5) per-partition masks.  The whole policy
-/// is two flat arrays (no nested `Vec` pointer chasing, no hashing), so a
-/// decision touches a handful of contiguous cache lines.
+/// # Panics
 ///
-/// Partition declaration order is preserved (not canonicalized away) so
-/// that the consistency bit at index `i` means the same thing it does for a
-/// [`ReferenceMonitor`](crate::ReferenceMonitor) built from the original
-/// [`SecurityPolicy`] — the store/monitor equivalence tests rely on it.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct CompiledPolicy {
-    /// Indexed directly by relation id (catalogs assign ids densely from
-    /// zero, so this is a small flat table): `(offset into partition_masks,
-    /// union of the permitted view masks across all partitions)`.  Relations
-    /// beyond the table or with an empty union permit nothing.
-    rel_index: Vec<(u32, ViewMask)>,
-    /// Per covered relation, `num_partitions` consecutive entries: the
-    /// permitted view mask of each partition for that relation.
-    partition_masks: Vec<ViewMask>,
-    num_partitions: u32,
-}
-
-impl CompiledPolicy {
-    /// Compiles a policy.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the policy has more than [`MAX_PARTITIONS`] partitions (the
-    /// consistency bit vector is a single `u64`).
-    pub fn compile(policy: &SecurityPolicy) -> Self {
-        assert!(
-            policy.len() <= MAX_PARTITIONS,
-            "policies are limited to {MAX_PARTITIONS} partitions"
-        );
-        let k = policy.len();
-        let mut per_relation: std::collections::BTreeMap<RelId, Vec<ViewMask>> =
-            std::collections::BTreeMap::new();
-        for (i, partition) in policy.partitions().iter().enumerate() {
-            for relation in partition.relations() {
-                per_relation.entry(relation).or_insert_with(|| vec![0; k])[i] =
-                    partition.permitted_mask(relation);
-            }
-        }
-        let table_len = per_relation
-            .keys()
-            .last()
-            .map_or(0, |relation| relation.0 as usize + 1);
-        let mut rel_index = vec![(0u32, 0u64); table_len];
-        let mut partition_masks = Vec::with_capacity(per_relation.len() * k);
-        for (relation, masks) in per_relation {
-            let union = masks.iter().fold(0, |acc, mask| acc | mask);
-            let offset = u32::try_from(partition_masks.len()).expect("compiled policy too large");
-            rel_index[relation.0 as usize] = (offset, union);
-            partition_masks.extend(masks);
-        }
-        CompiledPolicy {
-            rel_index,
-            partition_masks,
-            num_partitions: k as u32,
+/// Panics if the policy has more than [`MAX_PARTITIONS`] partitions (the
+/// consistency bit vector is a single `u64`).
+pub fn compile(policy: &SecurityPolicy) -> Vec<u64> {
+    let k = policy.len();
+    assert!(
+        k <= MAX_PARTITIONS,
+        "policies are limited to {MAX_PARTITIONS} partitions"
+    );
+    let table_len = policy.relation_bound();
+    let mut span = vec![0; 1 + table_len * k];
+    span[0] = (table_len as u64) << 32 | k as u64;
+    for (i, partition) in policy.partitions().iter().enumerate() {
+        for relation in partition.relations() {
+            span[1 + relation.index() * k + i] = partition.permitted_mask(relation);
         }
     }
-
-    /// Number of partitions.
-    pub fn num_partitions(&self) -> usize {
-        self.num_partitions as usize
-    }
-
-    /// The initial consistency word for this policy.
-    #[inline]
-    pub fn initial_word(&self) -> u64 {
-        initial_consistency_word(self.num_partitions())
-    }
-
-    /// The bitmask of partitions with at least one permitted view able to
-    /// answer an atom labeled `(relation, mask)` — i.e. the partitions `Wi`
-    /// with `mask ∩ permitted_i(relation) ≠ ∅`.
-    #[inline]
-    pub fn partitions_allowing(&self, relation: RelId, mask: ViewMask) -> u64 {
-        let Some(&(offset, union)) = self.rel_index.get(relation.0 as usize) else {
-            return 0;
-        };
-        if mask & union == 0 {
-            return 0;
-        }
-        // Stateless (single-partition) policies: the union *is* the only
-        // partition's mask, already tested above.
-        if self.num_partitions == 1 {
-            return 1;
-        }
-        let start = offset as usize;
-        let masks = &self.partition_masks[start..start + self.num_partitions as usize];
-        let mut allowing = 0u64;
-        for (i, &partition_mask) in masks.iter().enumerate() {
-            allowing |= u64::from(mask & partition_mask != 0) << i;
-        }
-        allowing
-    }
-
-    /// The partitions that would remain consistent if `label` were added to
-    /// a history whose current consistency word is `consistent`:
-    /// currently-consistent partitions that also allow every atom of the new
-    /// label.  (Cumulative consistency of `Wi` is the conjunction of the
-    /// per-query checks, by Definition 3.1 (b).)
-    #[inline]
-    pub fn surviving_bits(&self, consistent: u64, label: &DisclosureLabel) -> u64 {
-        let mut surviving = consistent;
-        for atom in label.atoms() {
-            surviving &= self.partitions_allowing(atom.relation, atom.mask);
-            if surviving == 0 {
-                break;
-            }
-        }
-        surviving
-    }
-
-    /// [`surviving_bits`](Self::surviving_bits) on packed labels.
-    #[inline]
-    pub fn surviving_bits_packed(&self, consistent: u64, label: &[PackedLabel]) -> u64 {
-        let mut surviving = consistent;
-        for packed in label {
-            surviving &= self.partitions_allowing(packed.relation(), u64::from(packed.mask()));
-            if surviving == 0 {
-                break;
-            }
-        }
-        surviving
-    }
-}
-
-/// Inline descriptor of one flattened policy in the arena's shared word
-/// buffer: 12 bytes, loaded straight out of the descriptor array with no
-/// pointer chase.
-#[derive(Debug, Clone, Copy, Default)]
-struct FlatPolicy {
-    /// First word of the policy's relation table in the shared buffer.
-    base: u32,
-    /// Number of relation rows (indexable relation ids).
-    table_len: u32,
-    /// Number of partitions.
-    num_partitions: u32,
+    span
 }
 
 /// An interning arena of compiled policies.
 ///
-/// [`intern`](Self::intern) compiles a policy, deduplicates it against every
-/// previously interned one (by the compiled form, i.e. up to partition names)
-/// and returns a dense `u32` index.  The arena keeps one source
-/// [`SecurityPolicy`] per distinct compiled form so callers can still
-/// inspect the policy behind an index.
+/// [`intern`](Self::intern) compiles a policy, resolves the span against
+/// every span already held and returns a dense `u32` id; only a span never
+/// seen before is appended.  The arena also keeps one source
+/// [`SecurityPolicy`] per id — the first policy that compiled to the span —
+/// so callers can still inspect (and a checkpoint can still name) the
+/// policy behind an id.
 ///
-/// Under online policy churn (`PolicyStore::grant_view` / `revoke_view`)
-/// mutated policies are **re-interned** through the same entry point:
-/// a grant/revoke that lands on a previously seen compiled form reuses its
-/// entry, and only genuinely new forms append.  Entries are never removed —
-/// real ecosystems draw policies from a bounded preset space, so the arena
-/// converges to the (small) set of forms in circulation rather than growing
-/// with the mutation count; the interning hit counter
-/// ([`hits`](Self::hits)) makes this observable.
-///
-/// Besides the per-policy [`CompiledPolicy`] values, the arena maintains a
-/// *flattened* mirror of every interned policy in one shared `Vec<u64>`:
-/// per relation id `r`, `words[base + 2r]` is the union of the permitted
-/// view masks and `words[base + 2r + 1]` the buffer offset of the
-/// `num_partitions` per-partition masks.  The multi-principal stores decide
-/// against this mirror ([`surviving_bits`](Self::surviving_bits) /
-/// [`surviving_bits_packed`](Self::surviving_bits_packed)): one descriptor
-/// load plus lookups in a single hot buffer shared by all policies, the
-/// cache-friendliest form of the decision loop.
+/// Online policy churn (`PolicyStore::grant_view` / `revoke_view`) goes
+/// through the same entry point: a grant or revoke that lands on a known
+/// span reuses its id.  Entries are never removed — real ecosystems draw
+/// policies from a bounded preset space, so the arena converges to the
+/// (small) set of forms in circulation rather than growing with the
+/// mutation count; [`hits`](Self::hits) makes this observable.
 #[derive(Debug, Default)]
 pub struct PolicyArena {
-    compiled: Vec<CompiledPolicy>,
-    sources: Vec<SecurityPolicy>,
-    index: HashMap<Vec<CompiledPartition>, u32>,
-    /// Interning hits.  Atomic so that a **hit** — the steady-state outcome
-    /// of online churn over a bounded preset space — can be recorded
-    /// through a shared (`Arc`'d) arena without copy-on-write cloning it;
-    /// see [`PolicyStore`](crate::PolicyStore), which snapshots its arena
-    /// behind an `Arc` for the service layer's epoch snapshots.
-    hits: std::sync::atomic::AtomicU64,
-    /// Flattened mirror: inline descriptors plus the shared word buffer.
-    flat: Vec<FlatPolicy>,
+    /// Where each policy's span starts in `words`; it ends where the next
+    /// one starts.
+    spans: Vec<u32>,
     words: Vec<u64>,
+    /// A span's hash → its id.  The hash only picks where to look: a
+    /// candidate is confirmed by comparing spans in `words`, and a span
+    /// whose slot is taken by a different one goes under the next free key.
+    index: HashMap<u64, u32>,
+    sources: Vec<SecurityPolicy>,
+    /// Interning hits.  Atomic so that a **hit** — the steady-state outcome
+    /// of online churn over a bounded preset space — is recorded through a
+    /// shared (`Arc`'d) arena without copy-on-write cloning it.
+    hits: AtomicU64,
 }
 
 impl Clone for PolicyArena {
     fn clone(&self) -> Self {
         PolicyArena {
-            compiled: self.compiled.clone(),
-            sources: self.sources.clone(),
-            index: self.index.clone(),
-            hits: std::sync::atomic::AtomicU64::new(self.hits()),
-            flat: self.flat.clone(),
+            spans: self.spans.clone(),
             words: self.words.clone(),
+            index: self.index.clone(),
+            sources: self.sources.clone(),
+            hits: AtomicU64::new(self.hits()),
         }
     }
 }
@@ -314,89 +146,94 @@ impl PolicyArena {
         PolicyArena::default()
     }
 
-    /// The interning fingerprint of a policy: its compiled partitions, in
-    /// declaration order (names excluded).
-    fn fingerprint(policy: &SecurityPolicy) -> Vec<CompiledPartition> {
-        policy
-            .partitions()
-            .iter()
-            .map(CompiledPartition::compile)
-            .collect()
-    }
-
-    /// Interns a policy, returning its arena index.
-    ///
-    /// A policy whose compiled form was seen before returns the existing
-    /// index (and the passed policy is dropped); otherwise the policy is
-    /// compiled, stored and assigned the next index.
+    /// Interns a policy, returning its id: the policy is compiled once,
+    /// and a span the arena already holds answers with the existing id
+    /// (the passed policy is dropped) through the shared pointer — the
+    /// arena is copied only to append a new span, and only while another
+    /// handle to it is outstanding.
     ///
     /// # Panics
     ///
     /// Panics if the policy has more than [`MAX_PARTITIONS`] partitions, or
-    /// if the arena exceeds `u32::MAX` distinct policies.
-    pub fn intern(&mut self, policy: SecurityPolicy) -> u32 {
-        let fingerprint = Self::fingerprint(&policy);
-        if let Some(&id) = self.index.get(&fingerprint) {
-            self.record_hit();
-            return id;
+    /// if the arena exceeds `u32::MAX` distinct policies or words.
+    pub fn intern(this: &mut Arc<Self>, policy: SecurityPolicy) -> u32 {
+        let span = compile(&policy);
+        match this.probe(&span) {
+            Ok(id) => {
+                this.hits.fetch_add(1, Ordering::Relaxed);
+                id
+            }
+            Err(key) => {
+                let arena = Arc::make_mut(this);
+                let id =
+                    u32::try_from(arena.spans.len()).expect("more than u32::MAX distinct policies");
+                let start =
+                    u32::try_from(arena.words.len()).expect("policy arena buffer too large");
+                arena.spans.push(start);
+                arena.words.extend_from_slice(&span);
+                arena.index.insert(key, id);
+                arena.sources.push(policy);
+                id
+            }
         }
-        let compiled = CompiledPolicy::compile(&policy);
-        let id = u32::try_from(self.compiled.len()).expect("more than u32::MAX distinct policies");
-        self.index.insert(fingerprint, id);
-        self.flatten(&compiled);
-        self.compiled.push(compiled);
-        self.sources.push(policy);
-        id
     }
 
-    /// The arena index of a policy whose compiled form was interned before,
-    /// without interning — the read-only fast path of
-    /// [`intern`](Self::intern).  Callers holding the arena behind a shared
-    /// pointer use this (plus [`record_hit`](Self::record_hit)) to resolve
-    /// structurally known policies without cloning the arena; only a
-    /// genuinely new compiled form needs the mutable interning path.
-    pub fn lookup_interned(&self, policy: &SecurityPolicy) -> Option<u32> {
-        self.index.get(&Self::fingerprint(policy)).copied()
-    }
-
-    /// Records an interning hit resolved through
-    /// [`lookup_interned`](Self::lookup_interned).
-    pub fn record_hit(&self) {
-        self.hits.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-    }
-
-    /// Appends a policy's flattened mirror to the shared buffer.
-    fn flatten(&mut self, compiled: &CompiledPolicy) {
-        let k = compiled.num_partitions as usize;
-        let table_len = compiled.rel_index.len();
-        let base = u32::try_from(self.words.len()).expect("policy arena buffer too large");
-        // Relation table: (union, absolute masks offset) word pairs.
-        let masks_base = self.words.len() + 2 * table_len;
-        for &(offset, union) in &compiled.rel_index {
-            self.words.push(union);
-            self.words.push((masks_base + offset as usize) as u64);
+    /// The id whose span equals `span`, or else the index key free to take
+    /// it.  Keys are never removed, so walking up from the hash visits
+    /// every span that was ever displaced from it.
+    fn probe(&self, span: &[u64]) -> Result<u32, u64> {
+        let mut key = self.index.hasher().hash_one(span);
+        loop {
+            match self.index.get(&key) {
+                None => return Err(key),
+                Some(&id) if self.span(id) == span => return Ok(id),
+                Some(_) => key = key.wrapping_add(1),
+            }
         }
-        debug_assert_eq!(self.words.len(), masks_base);
-        self.words.extend_from_slice(&compiled.partition_masks);
-        self.flat.push(FlatPolicy {
-            base,
-            table_len: table_len as u32,
-            num_partitions: k as u32,
-        });
     }
 
-    /// [`CompiledPolicy::surviving_bits`] evaluated on the arena's flattened
-    /// mirror of policy `id`.
+    /// The compiled span of policy `id`.
+    fn span(&self, id: u32) -> &[u64] {
+        let start = self.spans[id as usize] as usize;
+        let end = self
+            .spans
+            .get(id as usize + 1)
+            .map_or(self.words.len(), |&next| next as usize);
+        &self.words[start..end]
+    }
+
+    /// The decide loop (Section 6.2, Example 6.3): the partitions of policy
+    /// `id` that would remain consistent if a label with these
+    /// `(relation, ℓ⁺ mask)` atoms were added to a history whose
+    /// consistency word is `consistent` — the currently consistent
+    /// partitions `Wi` with `mask ∩ permitted_i(relation) ≠ ∅` for every
+    /// atom.  (Cumulative consistency of `Wi` is the conjunction of the
+    /// per-query checks, by Definition 3.1 (b).)
     ///
     /// # Panics
     ///
-    /// Panics if the index was not issued by this arena.
+    /// Panics if the id was not issued by this arena.
     #[inline]
-    pub fn surviving_bits(&self, id: u32, consistent: u64, label: &DisclosureLabel) -> u64 {
-        let policy = self.flat[id as usize];
+    pub(crate) fn surviving_bits(
+        &self,
+        id: u32,
+        consistent: u64,
+        atoms: impl IntoIterator<Item = (RelId, ViewMask)>,
+    ) -> u64 {
+        let start = self.spans[id as usize] as usize;
+        let header = self.words[start];
+        let (table_len, k) = ((header >> 32) as usize, header as u32 as usize);
         let mut surviving = consistent;
-        for atom in label.atoms() {
-            surviving &= self.partitions_allowing_flat(policy, atom.relation, atom.mask);
+        for (relation, mask) in atoms {
+            if relation.index() >= table_len {
+                return 0;
+            }
+            let row = start + 1 + relation.index() * k;
+            let mut allowing = 0u64;
+            for (i, &permitted) in self.words[row..row + k].iter().enumerate() {
+                allowing |= u64::from(mask & permitted != 0) << i;
+            }
+            surviving &= allowing;
             if surviving == 0 {
                 break;
             }
@@ -404,91 +241,47 @@ impl PolicyArena {
         surviving
     }
 
-    /// [`CompiledPolicy::surviving_bits_packed`] evaluated on the arena's
-    /// flattened mirror of policy `id`.
+    /// Number of partitions of the policy behind an id.
     ///
     /// # Panics
     ///
-    /// Panics if the index was not issued by this arena.
+    /// Panics if the id was not issued by this arena.
     #[inline]
-    pub fn surviving_bits_packed(&self, id: u32, consistent: u64, label: &[PackedLabel]) -> u64 {
-        let policy = self.flat[id as usize];
-        let mut surviving = consistent;
-        for packed in label {
-            surviving &=
-                self.partitions_allowing_flat(policy, packed.relation(), u64::from(packed.mask()));
-            if surviving == 0 {
-                break;
-            }
-        }
-        surviving
+    pub fn num_partitions(&self, id: u32) -> usize {
+        self.words[self.spans[id as usize] as usize] as u32 as usize
     }
 
-    /// [`CompiledPolicy::partitions_allowing`] on the flattened mirror.
-    #[inline]
-    fn partitions_allowing_flat(&self, policy: FlatPolicy, relation: RelId, mask: ViewMask) -> u64 {
-        if relation.0 >= policy.table_len {
-            return 0;
-        }
-        let row = policy.base as usize + 2 * relation.0 as usize;
-        let union = self.words[row];
-        if mask & union == 0 {
-            return 0;
-        }
-        // Stateless (single-partition) policies: the union *is* the only
-        // partition's mask, already tested above.
-        if policy.num_partitions == 1 {
-            return 1;
-        }
-        let masks_at = self.words[row + 1] as usize;
-        let masks = &self.words[masks_at..masks_at + policy.num_partitions as usize];
-        let mut allowing = 0u64;
-        for (i, &partition_mask) in masks.iter().enumerate() {
-            allowing |= u64::from(mask & partition_mask != 0) << i;
-        }
-        allowing
-    }
-
-    /// The compiled policy behind an index.
+    /// The source policy behind an id (the first-registered representative
+    /// of its compiled form).
     ///
     /// # Panics
     ///
-    /// Panics if the index was not issued by this arena.
-    #[inline]
-    pub fn compiled(&self, id: u32) -> &CompiledPolicy {
-        &self.compiled[id as usize]
-    }
-
-    /// The source policy behind an index (the first-registered
-    /// representative of its compiled form).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index was not issued by this arena.
+    /// Panics if the id was not issued by this arena.
     pub fn source(&self, id: u32) -> &SecurityPolicy {
         &self.sources[id as usize]
     }
 
     /// Number of distinct compiled policies.
     pub fn len(&self) -> usize {
-        self.compiled.len()
+        self.spans.len()
     }
 
     /// True if nothing has been interned.
     pub fn is_empty(&self) -> bool {
-        self.compiled.is_empty()
+        self.spans.is_empty()
     }
 
     /// Number of [`intern`](Self::intern) calls answered by an existing
     /// entry — the interning hit count.
     pub fn hits(&self) -> u64 {
-        self.hits.load(std::sync::atomic::Ordering::Relaxed)
+        self.hits.load(Ordering::Relaxed)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::PolicyPartition;
     use fdc_core::SecurityViews;
 
     fn registry() -> SecurityViews {
@@ -523,35 +316,74 @@ mod tests {
         let registry = registry();
         let v1 = registry.id_by_name("V1").unwrap();
         let v2 = registry.id_by_name("V2").unwrap();
-        let partition = PolicyPartition::from_views("p", &registry, [v1, v2]);
-        let compiled = CompiledPartition::compile(&partition);
-        let meetings = registry.catalog().resolve("Meetings").unwrap();
-        let contacts = registry.catalog().resolve("Contacts").unwrap();
-        assert_eq!(
-            compiled.mask_for(meetings),
-            partition.permitted_mask(meetings)
-        );
-        assert_eq!(compiled.mask_for(contacts), 0);
+        let v3 = registry.id_by_name("V3").unwrap();
+        let policy = SecurityPolicy::chinese_wall([
+            PolicyPartition::from_views("meetings", &registry, [v1, v2]),
+            PolicyPartition::from_views("both", &registry, [v2, v3]),
+            PolicyPartition::new("nothing"),
+        ]);
+        let span = compile(&policy);
+        let (table_len, k) = (policy.relation_bound(), policy.len());
+        assert_eq!(table_len, registry.catalog().len());
+        assert_eq!(span[0], (table_len as u64) << 32 | k as u64);
+        assert_eq!(span.len(), 1 + table_len * k);
+        for r in 0..table_len {
+            for (i, partition) in policy.partitions().iter().enumerate() {
+                assert_eq!(
+                    span[1 + r * k + i],
+                    partition.permitted_mask(RelId(r as u32)),
+                    "relation {r}, partition {i}"
+                );
+            }
+        }
+        // Nothing permitted, nothing tabled — whatever the partition count.
+        assert_eq!(compile(&SecurityPolicy::new()), [0]);
+        let nothing = SecurityPolicy::stateless(PolicyPartition::new("nothing"));
+        assert_eq!(compile(&nothing), [1]);
     }
 
     #[test]
     fn interning_dedupes_up_to_partition_names() {
         let registry = registry();
-        let mut arena = PolicyArena::new();
-        let a = arena.intern(wall(&registry, ["meetings", "contacts"]));
+        let mut arena = Arc::new(PolicyArena::new());
+        let a = PolicyArena::intern(&mut arena, wall(&registry, ["meetings", "contacts"]));
         // Same structure, different partition names: same arena entry.
-        let b = arena.intern(wall(&registry, ["left", "right"]));
+        let b = PolicyArena::intern(&mut arena, wall(&registry, ["left", "right"]));
         assert_eq!(a, b);
         assert_eq!(arena.len(), 1);
         assert_eq!(arena.hits(), 1);
         // A structurally different policy gets a fresh entry.
-        let c = arena.intern(SecurityPolicy::allow_all(&registry));
+        let c = PolicyArena::intern(&mut arena, SecurityPolicy::allow_all(&registry));
         assert_ne!(a, c);
         assert_eq!(arena.len(), 2);
         // Source lookup returns the first representative.
         assert_eq!(arena.source(a).partitions()[0].name, "meetings");
-        assert_eq!(arena.compiled(a).num_partitions(), 2);
+        assert_eq!(arena.num_partitions(a), 2);
+        assert_eq!(arena.num_partitions(c), 1);
         assert!(!arena.is_empty());
+    }
+
+    #[test]
+    fn spans_that_collide_in_the_index_are_told_apart_by_their_words() {
+        let registry = registry();
+        let mut arena = Arc::new(PolicyArena::new());
+        let first = PolicyArena::intern(&mut arena, wall(&registry, ["meetings", "contacts"]));
+        // Make the second policy's hash point at the first one's entry, as
+        // a 64-bit collision would.
+        let second = SecurityPolicy::allow_all(&registry);
+        let key = arena.index.hasher().hash_one(&compile(&second)[..]);
+        Arc::get_mut(&mut arena).unwrap().index.insert(key, first);
+        // The words disagree, so it is a new policy, filed under the next
+        // key — where later lookups of it walk to.
+        let id = PolicyArena::intern(&mut arena, second.clone());
+        assert_ne!(id, first);
+        assert_eq!(arena.index.get(&key.wrapping_add(1)), Some(&id));
+        assert_eq!(PolicyArena::intern(&mut arena, second), id);
+        assert_eq!(
+            PolicyArena::intern(&mut arena, wall(&registry, ["meetings", "contacts"])),
+            first
+        );
+        assert_eq!((arena.len(), arena.hits()), (2, 2));
     }
 
     #[test]
@@ -559,12 +391,8 @@ mod tests {
         use fdc_core::{AtomLabel, DisclosureLabel};
         let registry = registry();
         let policy = wall(&registry, ["meetings", "contacts"]);
-        let compiled = CompiledPolicy::compile(&policy);
-        let partitions: Vec<CompiledPartition> = policy
-            .partitions()
-            .iter()
-            .map(CompiledPartition::compile)
-            .collect();
+        let mut arena = Arc::new(PolicyArena::new());
+        let id = PolicyArena::intern(&mut arena, policy.clone());
         let meetings = registry.catalog().resolve("Meetings").unwrap();
         let contacts = registry.catalog().resolve("Contacts").unwrap();
         // Sweep all small labels over the two relations and all consistency
@@ -581,23 +409,23 @@ mod tests {
                 let label = DisclosureLabel::from_atoms(atoms);
                 for consistent in 0u64..4 {
                     let mut expected = 0u64;
-                    for (i, partition) in partitions.iter().enumerate() {
+                    for (i, partition) in policy.partitions().iter().enumerate() {
                         if consistent & (1 << i) != 0 && partition.allows(&label) {
                             expected |= 1 << i;
                         }
                     }
+                    let atoms = label.atoms().iter().map(|atom| (atom.relation, atom.mask));
                     assert_eq!(
-                        compiled.surviving_bits(consistent, &label),
+                        arena.surviving_bits(id, consistent, atoms),
                         expected,
                         "m={m_mask:#b} c={c_mask:#b} consistent={consistent:#b}"
-                    );
-                    assert_eq!(
-                        compiled.surviving_bits_packed(consistent, &label.pack()),
-                        expected
                     );
                 }
             }
         }
+        // A relation past the policy's table is permitted by no partition.
+        let beyond = RelId(policy.relation_bound() as u32);
+        assert_eq!(arena.surviving_bits(id, 0b11, [(beyond, u64::MAX)]), 0);
     }
 
     #[test]
@@ -616,8 +444,11 @@ mod tests {
             PolicyPartition::from_views("b", &registry, [v3]),
             PolicyPartition::from_views("a", &registry, [v1]),
         ]);
-        let mut arena = PolicyArena::new();
-        assert_ne!(arena.intern(ab), arena.intern(ba));
+        let mut arena = Arc::new(PolicyArena::new());
+        assert_ne!(
+            PolicyArena::intern(&mut arena, ab),
+            PolicyArena::intern(&mut arena, ba)
+        );
         assert_eq!(arena.len(), 2);
     }
 }

@@ -20,14 +20,15 @@
 //!   operations per query.  This is the representation benchmarked in the
 //!   paper's Figure 6.
 //!
-//! The compact representation is further *compiled and interned*
-//! ([`compiled`]): every enforcement surface — the single-principal
-//! [`ReferenceMonitor`], the flat multi-principal [`PolicyStore`] and the
-//! multi-core [`ShardedPolicyStore`] —
-//! decides against one shared [`CompiledPolicy`]
-//! form, deduplicated across principals by the
-//! [`PolicyArena`] so per-principal state is 24
-//! bytes and the paper's million-principal axis runs by default.
+//! The stores that serve traffic — the flat multi-principal
+//! [`PolicyStore`] and the [`ShardedPolicyStore`] over it — further
+//! *compile and intern* the compact representation ([`compiled`]): a policy
+//! becomes one flat span of words, the only compiled form there is,
+//! deduplicated across principals by the [`PolicyArena`] so per-principal
+//! state is 24 bytes and the paper's million-principal axis runs by
+//! default, and every decision is one loop over that span.  The
+//! single-principal [`ReferenceMonitor`] compiles nothing: it is Section
+//! 6.2 as written, the specification that loop is tested against.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -43,9 +44,7 @@ pub mod store;
 pub mod wire;
 
 pub use audit::{audit_app, audit_labels, requested_views, AuditReport};
-pub use compiled::{
-    initial_consistency_word, CompiledPartition, CompiledPolicy, PolicyArena, MAX_PARTITIONS,
-};
+pub use compiled::{initial_consistency_word, PolicyArena, MAX_PARTITIONS};
 pub use monitor::{Decision, ReferenceMonitor};
 pub use partition::PolicyPartition;
 pub use policy::SecurityPolicy;

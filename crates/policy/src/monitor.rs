@@ -1,4 +1,4 @@
-//! The reference monitor (Sections 3.4 and 6.2).
+//! The reference monitor (Sections 3.4 and 6.2) — the specification.
 //!
 //! The monitor inspects each incoming query's disclosure label and accepts
 //! or refuses the query so that the security policy is never violated, even
@@ -7,21 +7,20 @@
 //! answered so far still below `Wi`?") and updates those bits only when a
 //! query is answered — Example 6.3's `⟨1, 1⟩ → ⟨1, 0⟩ → …` walk-through.
 //!
-//! On construction the monitor *compiles* the policy into a
-//! [`CompiledPolicy`] — per partition, a flat array of per-relation
-//! permitted [`ViewMask`](fdc_core::ViewMask)s sorted by relation id — so
-//! the per-atom test "is some permitted view able to answer this atom?" is
-//! a binary search plus one AND, no hash lookups on the hot path.  The same
-//! compiled form serves [`ReferenceMonitor::check_packed`] /
-//! [`ReferenceMonitor::submit_packed`], which consume the labeler's packed
-//! 64-bit labels (Section 6.1) directly, and — via the interning arena of
-//! [`crate::compiled`] — the multi-principal
-//! [`PolicyStore`](crate::PolicyStore): the monitor is a thin single
-//! principal view over the exact representation the store decides with.
+//! [`ReferenceMonitor`] is that paragraph and nothing more: one principal,
+//! the [`SecurityPolicy`] as it was written, and
+//! [`PolicyPartition::allows`](crate::PolicyPartition::allows) asked of
+//! every partition whose bit is still set.  No served request reaches it —
+//! the service decides through [`PolicyStore`](crate::PolicyStore), which
+//! compiles policies and runs the decide loop of [`crate::compiled`] — and
+//! it shares no code with that loop on purpose: it is what the compiled
+//! form is checked against (`tests/store_equivalence.rs` drives both
+//! through the same random submits, checks, grants and revokes), and what
+//! the examples use to show the paper's semantics in the open.
 
-use fdc_core::{DisclosureLabel, PackedLabel};
+use fdc_core::DisclosureLabel;
 
-use crate::compiled::CompiledPolicy;
+use crate::compiled::initial_consistency_word;
 use crate::policy::SecurityPolicy;
 
 pub use crate::compiled::MAX_PARTITIONS;
@@ -78,9 +77,6 @@ impl Decision {
 #[derive(Debug, Clone)]
 pub struct ReferenceMonitor {
     policy: SecurityPolicy,
-    /// The policy compiled for the hot path (shared representation with
-    /// [`PolicyStore`](crate::PolicyStore)).
-    compiled: CompiledPolicy,
     /// Bit `i` set ⇔ the queries answered so far are below partition `i`.
     consistent: u64,
     answered: u64,
@@ -94,12 +90,9 @@ impl ReferenceMonitor {
     ///
     /// Panics if the policy has more than [`MAX_PARTITIONS`] partitions.
     pub fn new(policy: SecurityPolicy) -> Self {
-        let compiled = CompiledPolicy::compile(&policy);
-        let consistent = compiled.initial_word();
         ReferenceMonitor {
+            consistent: initial_consistency_word(policy.len()),
             policy,
-            compiled,
-            consistent,
             answered: 0,
             refused: 0,
         }
@@ -108,6 +101,25 @@ impl ReferenceMonitor {
     /// The policy being enforced.
     pub fn policy(&self) -> &SecurityPolicy {
         &self.policy
+    }
+
+    /// Replaces the policy, keeping the consistency bits and counters —
+    /// the specification of
+    /// [`PolicyStore::replace_policy`](crate::PolicyStore::replace_policy),
+    /// and through it of a grant or revoke: only *future* queries are
+    /// judged by the new partitions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the partition count changes (bit `i` must keep meaning
+    /// partition `i`).
+    pub fn replace_policy(&mut self, policy: SecurityPolicy) {
+        assert_eq!(
+            policy.len(),
+            self.policy.len(),
+            "replace_policy must preserve the partition count"
+        );
+        self.policy = policy;
     }
 
     /// The consistency bit vector (Example 6.3): bit `i` is set when the
@@ -126,11 +138,24 @@ impl ReferenceMonitor {
         self.refused
     }
 
+    /// The bit vector after answering a query with this label: the
+    /// partitions that are consistent with the history so far and also
+    /// allow the label.
+    fn surviving(&self, label: &DisclosureLabel) -> u64 {
+        let mut surviving = 0;
+        for (i, partition) in self.policy.partitions().iter().enumerate() {
+            if self.consistent & (1 << i) != 0 && partition.allows(label) {
+                surviving |= 1 << i;
+            }
+        }
+        surviving
+    }
+
     /// Would answering a query with this label keep the policy satisfied?
     ///
     /// Pure check: does not update the monitor state.
     pub fn check(&self, label: &DisclosureLabel) -> Decision {
-        if label.is_bottom() || self.compiled.surviving_bits(self.consistent, label) != 0 {
+        if label.is_bottom() || self.surviving(label) != 0 {
             Decision::Allow
         } else {
             Decision::Deny
@@ -145,37 +170,7 @@ impl ReferenceMonitor {
             self.answered += 1;
             return Decision::Allow;
         }
-        let surviving = self.compiled.surviving_bits(self.consistent, label);
-        self.apply(surviving)
-    }
-
-    /// [`check`](Self::check) on the packed 64-bit label representation
-    /// (Section 6.1), e.g. the output of
-    /// [`BitVectorLabeler::label_packed`](fdc_core::BitVectorLabeler::label_packed).
-    ///
-    /// Packed atom labels carry 32-bit view masks, so this path applies to
-    /// registries with at most 32 views per relation (the paper's layout;
-    /// wider registries must use the unpacked [`check`](Self::check)).
-    pub fn check_packed(&self, label: &[PackedLabel]) -> Decision {
-        if label.is_empty() || self.compiled.surviving_bits_packed(self.consistent, label) != 0 {
-            Decision::Allow
-        } else {
-            Decision::Deny
-        }
-    }
-
-    /// [`submit`](Self::submit) on the packed 64-bit label representation.
-    pub fn submit_packed(&mut self, label: &[PackedLabel]) -> Decision {
-        if label.is_empty() {
-            self.answered += 1;
-            return Decision::Allow;
-        }
-        let surviving = self.compiled.surviving_bits_packed(self.consistent, label);
-        self.apply(surviving)
-    }
-
-    /// Commits a submit decision given the surviving partition bits.
-    fn apply(&mut self, surviving: u64) -> Decision {
+        let surviving = self.surviving(label);
         if surviving != 0 {
             self.consistent = surviving;
             self.answered += 1;
@@ -188,7 +183,7 @@ impl ReferenceMonitor {
 
     /// Resets the history (e.g. when the principal's session ends).
     pub fn reset(&mut self) {
-        self.consistent = self.compiled.initial_word();
+        self.consistent = initial_consistency_word(self.policy.len());
         self.answered = 0;
         self.refused = 0;
     }
@@ -343,53 +338,6 @@ mod tests {
             .submit(&fx.label("Q(x, y) :- Meetings(x, y)"))
             .is_allow());
         assert_eq!(monitor.consistency_bits(), 0b01);
-    }
-
-    #[test]
-    fn packed_decisions_agree_with_unpacked_ones() {
-        let fx = Fixture::new();
-        let queries = [
-            "Q(x, y) :- Contacts(x, y, z)",
-            "Q(x) :- Meetings(x, y)",
-            "Q(x, y) :- Meetings(x, y)",
-            "Q(x, z) :- Contacts(x, y, z)",
-            "Q(x) :- Meetings(x, y), Contacts(y, w, 'Intern')",
-        ];
-        let mut unpacked = ReferenceMonitor::new(fx.chinese_wall());
-        let mut packed = ReferenceMonitor::new(fx.chinese_wall());
-        for text in queries {
-            let label = fx.label(text);
-            let packed_label = label.pack();
-            // Pure checks agree before any state change...
-            assert_eq!(
-                unpacked.check(&label),
-                packed.check_packed(&packed_label),
-                "check disagrees on {text}"
-            );
-            // ...and submits walk the two monitors through identical states.
-            assert_eq!(
-                unpacked.submit(&label),
-                packed.submit_packed(&packed_label),
-                "submit disagrees on {text}"
-            );
-            assert_eq!(unpacked.consistency_bits(), packed.consistency_bits());
-        }
-        assert_eq!(unpacked.answered(), packed.answered());
-        assert_eq!(unpacked.refused(), packed.refused());
-    }
-
-    #[test]
-    fn packed_bottom_labels_are_always_allowed() {
-        let fx = Fixture::new();
-        let mut monitor = ReferenceMonitor::new(fx.chinese_wall());
-        assert!(monitor.check_packed(&[]).is_allow());
-        assert!(monitor.submit_packed(&[]).is_allow());
-        assert_eq!(monitor.answered(), 1);
-        // An empty policy refuses every non-bottom packed label.
-        let mut empty = ReferenceMonitor::new(SecurityPolicy::new());
-        let label = fx.label("Q(x) :- Meetings(x, y)").pack();
-        assert!(!empty.check_packed(&label).is_allow());
-        assert!(!empty.submit_packed(&label).is_allow());
     }
 
     #[test]

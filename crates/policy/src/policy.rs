@@ -82,6 +82,20 @@ impl SecurityPolicy {
         self.partitions.len() <= 1
     }
 
+    /// One past the highest relation id some partition permits a view on
+    /// (0 when nothing is permitted): every relation the policy names is
+    /// below it.  A policy fits a catalog of `n` relations exactly when
+    /// this is at most `n`; it is also the number of relation rows the
+    /// policy [compiles](crate::compiled::compile) to.
+    pub fn relation_bound(&self) -> usize {
+        self.partitions
+            .iter()
+            .flat_map(PolicyPartition::relations)
+            .map(|relation| relation.index() + 1)
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Does some partition allow this (cumulative) label?
     pub fn allows(&self, label: &DisclosureLabel) -> bool {
         if label.is_bottom() {

@@ -322,9 +322,11 @@ impl ShardedPolicyStore {
 
     /// Deserializes a store written by [`encode_into`](Self::encode_into),
     /// validating that the per-shard principal counts reproduce the
-    /// round-robin placement exactly.
+    /// round-robin placement exactly and that every policy fits `catalog`
+    /// (see [`PolicyStore::decode_from`]).
     pub fn decode_from(
         cursor: &mut fdc_durability::codec::Cursor<'_>,
+        catalog: &fdc_cq::Catalog,
     ) -> std::result::Result<Self, fdc_durability::codec::CodecError> {
         use fdc_durability::codec::CodecError;
         let at = cursor.pos();
@@ -332,12 +334,15 @@ impl ShardedPolicyStore {
         if num_shards == 0 {
             return Err(CodecError::invalid(at, "zero shards"));
         }
-        let num_principals = cursor.u64()? as usize;
+        // Every principal is a 20-byte record further on, which bounds the
+        // count by the input and keeps the placement arithmetic below in
+        // range.
+        let num_principals = cursor.count(20)?;
         let parallel_threshold = cursor.u64()? as usize;
         let mut shards = Vec::with_capacity(num_shards);
         for index in 0..num_shards {
             let at = cursor.pos();
-            let shard = PolicyStore::decode_from(cursor)?;
+            let shard = PolicyStore::decode_from(cursor, catalog)?;
             // Round-robin placement: shard i holds principals i, i+n, ...
             let expected = (num_principals + num_shards - 1 - index) / num_shards;
             if shard.len() != expected {
@@ -488,7 +493,7 @@ mod tests {
         let mut bytes = Vec::new();
         store.encode_into(&mut bytes);
         let mut cursor = fdc_durability::codec::Cursor::new(&bytes);
-        let mut back = ShardedPolicyStore::decode_from(&mut cursor).unwrap();
+        let mut back = ShardedPolicyStore::decode_from(&mut cursor, registry.catalog()).unwrap();
         cursor.expect_end().unwrap();
         assert_eq!(back.num_shards(), 3);
         assert_eq!(back.len(), store.len());
@@ -517,9 +522,19 @@ mod tests {
         store.encode_into(&mut bytes);
         // Claim one fewer principal than the shards actually hold: the
         // round-robin check must reject the mismatch.
-        bytes[8..16].copy_from_slice(&4u64.to_le_bytes());
-        let mut cursor = fdc_durability::codec::Cursor::new(&bytes);
-        assert!(ShardedPolicyStore::decode_from(&mut cursor).is_err());
+        let mut decode = |claimed: u64| {
+            bytes[8..16].copy_from_slice(&claimed.to_le_bytes());
+            let mut cursor = fdc_durability::codec::Cursor::new(&bytes);
+            ShardedPolicyStore::decode_from(&mut cursor, registry.catalog())
+        };
+        assert!(decode(5).is_ok());
+        assert!(decode(4).is_err());
+        // Regression: a count no input could hold used to overflow the
+        // placement arithmetic (a panic in a debug build).
+        for claimed in [u64::MAX, u64::MAX - 1, 1 << 63] {
+            let err = decode(claimed).unwrap_err().to_string();
+            assert!(err.contains("element count"), "{claimed}: {err}");
+        }
     }
 
     #[test]

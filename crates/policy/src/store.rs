@@ -7,29 +7,32 @@
 //! policy.  [`PolicyStore`] is that generalization, engineered for the full
 //! million-principal axis:
 //!
-//! * **Compile once, intern everywhere.**  Policies are compiled into the
-//!   shared [`CompiledPolicy`](crate::compiled::CompiledPolicy) form (the
-//!   representation the [`ReferenceMonitor`](crate::ReferenceMonitor)
-//!   decides with) and interned in a [`PolicyArena`]: each distinct policy
-//!   is stored once, however many principals share it.
+//! * **Compile once, intern everywhere.**  A policy is compiled into one
+//!   flat word span ([`crate::compiled`], the only compiled form) and
+//!   interned in a [`PolicyArena`]: each distinct policy is stored once,
+//!   however many principals share it, and registration, `replace_policy`,
+//!   grants and revokes all take that one path.
 //! * **Cache-line-sized principals.**  Per-principal state is a 24-byte
 //!   record — a `u32` arena index, a `u64` consistency word and two `u32`
 //!   counters — in one dense `Vec`, so a policy decision touches the
 //!   principal's record plus a (hot, shared) compiled policy and nothing
 //!   else.
-//! * **Packed end-to-end.**  [`submit_packed`](PolicyStore::submit_packed) /
-//!   [`check_packed`](PolicyStore::check_packed) /
-//!   [`submit_batch`](PolicyStore::submit_batch) consume the labeler's
-//!   packed 64-bit labels (Section 6.1) directly, so labeler output flows to
-//!   a decision without unpacking.
+//! * **One decide loop.**  Every entry point — `submit`, `check`, their
+//!   packed forms, `decide_packed` — hands its label's `(relation, mask)`
+//!   atoms to the arena's `surviving_bits` and commits, or does not, what
+//!   comes back; the packed forms read the labeler's 64-bit labels
+//!   (Section 6.1) as they are, so labeler output flows to a decision
+//!   without unpacking.  What the loop must compute is written down,
+//!   uncompiled, in [`ReferenceMonitor`](crate::ReferenceMonitor).
 //!
 //! For multi-core enforcement see
 //! [`ShardedPolicyStore`](crate::ShardedPolicyStore), which partitions
 //! principals across per-worker stores.
 
-use fdc_core::{DisclosureLabel, PackedLabel, SecurityViewId, SecurityViews};
+use fdc_core::{DisclosureLabel, PackedLabel, SecurityViewId, SecurityViews, ViewMask};
+use fdc_cq::{Catalog, RelId};
 
-use crate::compiled::PolicyArena;
+use crate::compiled::{initial_consistency_word, PolicyArena};
 use crate::monitor::Decision;
 use crate::policy::SecurityPolicy;
 
@@ -65,9 +68,9 @@ struct PrincipalState {
 /// The arena lives behind an `Arc` so that cloning a store — what a
 /// checkpoint's freeze does under the service lock — pins the
 /// compiled-policy universe without copying it.  Mutations go
-/// copy-on-write: the steady-state churn outcome (a grant or revoke landing
-/// on a structurally known compiled form) resolves through the read-only
-/// interning index and never clones; only a genuinely new compiled form
+/// copy-on-write ([`PolicyArena::intern`]): the steady-state churn outcome
+/// (a grant or revoke landing on a known compiled form) resolves through
+/// the shared pointer and never clones; only a genuinely new compiled form
 /// clones the arena, and only while a clone of the store is outstanding.
 #[derive(Debug, Clone, Default)]
 pub struct PolicyStore {
@@ -96,10 +99,9 @@ impl PolicyStore {
     /// [`ReferenceMonitor::new`](crate::ReferenceMonitor::new).
     pub fn register(&mut self, policy: SecurityPolicy) -> PrincipalId {
         let id = PrincipalId(self.states.len() as u32);
-        let index = self.intern_policy(policy);
-        let consistent = self.arena.compiled(index).initial_word();
+        let consistent = initial_consistency_word(policy.len());
         self.states.push(PrincipalState {
-            policy: index,
+            policy: PolicyArena::intern(&mut self.arena, policy),
             answered: 0,
             refused: 0,
             consistent,
@@ -132,30 +134,14 @@ impl PolicyStore {
     /// changes, or if the policy exceeds
     /// [`MAX_PARTITIONS`](crate::MAX_PARTITIONS).
     pub fn replace_policy(&mut self, principal: PrincipalId, policy: SecurityPolicy) {
-        let old_partitions = self
-            .arena
-            .compiled(self.states[principal.index()].policy)
-            .num_partitions();
+        let state = &mut self.states[principal.index()];
         assert_eq!(
             policy.len(),
-            old_partitions,
+            self.arena.num_partitions(state.policy),
             "replace_policy must preserve the partition count \
              (the consistency word is carried over bit for bit)"
         );
-        let index = self.intern_policy(policy);
-        self.states[principal.index()].policy = index;
-    }
-
-    /// Interns a policy through the shared arena: structurally known forms
-    /// resolve read-only (no copy-on-write even while a clone of this
-    /// store is outstanding); new forms take the mutable path, cloning the
-    /// arena only if it is shared.
-    fn intern_policy(&mut self, policy: SecurityPolicy) -> u32 {
-        if let Some(index) = self.arena.lookup_interned(&policy) {
-            self.arena.record_hit();
-            return index;
-        }
-        std::sync::Arc::make_mut(&mut self.arena).intern(policy)
+        state.policy = PolicyArena::intern(&mut self.arena, policy);
     }
 
     /// Grants one more security view to a principal: every partition of its
@@ -249,95 +235,73 @@ impl PolicyStore {
         self.states[principal.index()].consistent
     }
 
+    /// Judges one label — its atoms as `(relation, ℓ⁺ mask)` pairs —
+    /// against the principal's policy and consistency word: the word the
+    /// principal would carry after the label is answered, or `None` if it
+    /// must be refused.  Every decision this store makes is this call.
+    #[inline]
+    fn judge(
+        &self,
+        principal: PrincipalId,
+        atoms: impl ExactSizeIterator<Item = (RelId, ViewMask)>,
+    ) -> Option<u64> {
+        let state = &self.states[principal.index()];
+        // ⊥ discloses nothing: it is answerable under every policy, the
+        // empty one (whose word is 0) included, and survives as the word
+        // it found.
+        let bottom = atoms.len() == 0;
+        let surviving = self
+            .arena
+            .surviving_bits(state.policy, state.consistent, atoms);
+        (bottom || surviving != 0).then_some(surviving)
+    }
+
+    /// Commits a submit's verdict (see [`judge`](Self::judge)).
+    #[inline]
+    fn commit(&mut self, principal: PrincipalId, verdict: Option<u64>) -> Decision {
+        let state = &mut self.states[principal.index()];
+        match verdict {
+            Some(consistent) => {
+                state.consistent = consistent;
+                state.answered += 1;
+                self.answered_total += 1;
+                Decision::Allow
+            }
+            None => {
+                state.refused += 1;
+                self.refused_total += 1;
+                Decision::Deny
+            }
+        }
+    }
+
     /// Submits a query label on behalf of a principal, updating that
     /// principal's cumulative state exactly like
     /// [`ReferenceMonitor::submit`](crate::ReferenceMonitor::submit).
     pub fn submit(&mut self, principal: PrincipalId, label: &DisclosureLabel) -> Decision {
-        let state = &mut self.states[principal.index()];
-        if label.is_bottom() {
-            state.answered += 1;
-            self.answered_total += 1;
-            return Decision::Allow;
-        }
-        let surviving = self
-            .arena
-            .surviving_bits(state.policy, state.consistent, label);
-        Self::apply(
-            state,
-            surviving,
-            &mut self.answered_total,
-            &mut self.refused_total,
-        )
+        let verdict = self.judge(principal, unpacked(label));
+        self.commit(principal, verdict)
     }
 
     /// [`submit`](Self::submit) on the packed 64-bit label representation
     /// (Section 6.1) — the store side of the packed end-to-end path.
+    ///
+    /// Packed atom labels carry 32-bit view masks, so the packed entry
+    /// points apply to registries with at most 32 views per relation (the
+    /// paper's layout).
     pub fn submit_packed(&mut self, principal: PrincipalId, label: &[PackedLabel]) -> Decision {
-        let state = &mut self.states[principal.index()];
-        if label.is_empty() {
-            state.answered += 1;
-            self.answered_total += 1;
-            return Decision::Allow;
-        }
-        let surviving = self
-            .arena
-            .surviving_bits_packed(state.policy, state.consistent, label);
-        Self::apply(
-            state,
-            surviving,
-            &mut self.answered_total,
-            &mut self.refused_total,
-        )
-    }
-
-    /// Commits a submit decision given the surviving partition bits.
-    #[inline]
-    fn apply(
-        state: &mut PrincipalState,
-        surviving: u64,
-        answered_total: &mut u64,
-        refused_total: &mut u64,
-    ) -> Decision {
-        if surviving != 0 {
-            state.consistent = surviving;
-            state.answered += 1;
-            *answered_total += 1;
-            Decision::Allow
-        } else {
-            state.refused += 1;
-            *refused_total += 1;
-            Decision::Deny
-        }
+        let verdict = self.judge(principal, packed(label));
+        self.commit(principal, verdict)
     }
 
     /// Pure check (no state update) for a principal.
     pub fn check(&self, principal: PrincipalId, label: &DisclosureLabel) -> Decision {
-        let state = &self.states[principal.index()];
-        if label.is_bottom()
-            || self
-                .arena
-                .surviving_bits(state.policy, state.consistent, label)
-                != 0
-        {
-            Decision::Allow
-        } else {
-            Decision::Deny
-        }
+        answer(self.judge(principal, unpacked(label)))
     }
 
     /// [`check`](Self::check) on the packed 64-bit label representation.
     pub fn check_packed(&self, principal: PrincipalId, label: &[PackedLabel]) -> Decision {
-        let state = &self.states[principal.index()];
-        if label.is_empty()
-            || self
-                .arena
-                .surviving_bits_packed(state.policy, state.consistent, label)
-                != 0
-        {
-            Decision::Allow
-        } else {
-            Decision::Deny
-        }
+        answer(self.judge(principal, packed(label)))
     }
 
     /// Decides one packed request, committing the state change only when
@@ -371,10 +335,9 @@ impl PolicyStore {
     /// order, the raw 24-byte principal records, the store totals — into
     /// `out` (one shard's slice of a checkpoint).
     ///
-    /// The arena's compiled buffers are *not* written: `PolicyArena::intern`
+    /// The arena's compiled spans are *not* written: [`PolicyArena::intern`]
     /// is deterministic over the source policies in order, so decoding
-    /// re-interns them and reproduces the identical flattened buffer,
-    /// interning index and arena indices.
+    /// re-interns them and reproduces the identical spans and arena ids.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         use fdc_durability::codec::{put_len, put_u32, put_u64};
         put_len(out, self.arena.len());
@@ -400,8 +363,17 @@ impl PolicyStore {
     /// clone, compile or interning-index probe, which is what makes a
     /// 100K–1M-principal cold start near-instant compared to re-running
     /// the registration workload.
+    ///
+    /// Every policy must fit `catalog` (a policy compiles to a table with
+    /// one row per relation id up to the highest it names, so a relation id
+    /// from hostile bytes would size an allocation); like every other
+    /// defect of the input, one that does not is a [`CodecError`] carrying
+    /// its offset, never a panic.
+    ///
+    /// [`CodecError`]: fdc_durability::codec::CodecError
     pub fn decode_from(
         cursor: &mut fdc_durability::codec::Cursor<'_>,
+        catalog: &Catalog,
     ) -> std::result::Result<Self, fdc_durability::codec::CodecError> {
         use fdc_durability::codec::CodecError;
         let num_policies = cursor.count(8)?;
@@ -412,7 +384,13 @@ impl PolicyStore {
             if policy.len() > crate::MAX_PARTITIONS {
                 return Err(CodecError::invalid(at, "policy exceeds MAX_PARTITIONS"));
             }
-            let index = store.intern_policy(policy);
+            if policy.relation_bound() > catalog.len() {
+                return Err(CodecError::invalid(
+                    at,
+                    "policy names a relation outside the catalog",
+                ));
+            }
+            let index = PolicyArena::intern(&mut store.arena, policy);
             if index as usize != expected {
                 return Err(CodecError::invalid(
                     at,
@@ -458,6 +436,30 @@ impl PolicyStore {
     /// recomputed by walking the principal table.
     pub fn totals(&self) -> (u64, u64) {
         (self.answered_total, self.refused_total)
+    }
+}
+
+/// The atoms of an unpacked label, as the decide loop takes them.
+#[inline]
+fn unpacked(label: &DisclosureLabel) -> impl ExactSizeIterator<Item = (RelId, ViewMask)> + '_ {
+    label.atoms().iter().map(|atom| (atom.relation, atom.mask))
+}
+
+/// The atoms of a packed label, as the decide loop takes them.
+#[inline]
+fn packed(label: &[PackedLabel]) -> impl ExactSizeIterator<Item = (RelId, ViewMask)> + '_ {
+    label
+        .iter()
+        .map(|atom| (atom.relation(), ViewMask::from(atom.mask())))
+}
+
+/// A verdict (see `PolicyStore::judge`) as a decision.
+#[inline]
+fn answer(verdict: Option<u64>) -> Decision {
+    if verdict.is_some() {
+        Decision::Allow
+    } else {
+        Decision::Deny
     }
 }
 
@@ -544,6 +546,13 @@ mod tests {
         assert!(!store.submit(p, &meetings).is_allow());
         assert!(store.submit(p, &DisclosureLabel::bottom()).is_allow());
         assert_eq!(store.stats(p), (1, 1));
+        // The packed entry points draw the same line.
+        assert!(!store.check_packed(p, &meetings.pack()).is_allow());
+        assert!(!store.submit_packed(p, &meetings.pack()).is_allow());
+        assert!(store.check_packed(p, &[]).is_allow());
+        assert!(store.submit_packed(p, &[]).is_allow());
+        assert_eq!(store.stats(p), (2, 2));
+        assert_eq!(store.consistency_bits(p), 0);
     }
 
     #[test]
@@ -751,7 +760,7 @@ mod tests {
         let mut bytes = Vec::new();
         store.encode_into(&mut bytes);
         let mut cursor = fdc_durability::codec::Cursor::new(&bytes);
-        let back = PolicyStore::decode_from(&mut cursor).unwrap();
+        let back = PolicyStore::decode_from(&mut cursor, registry.catalog()).unwrap();
         cursor.expect_end().unwrap();
 
         assert_eq!(back.len(), store.len());
@@ -786,8 +795,91 @@ mod tests {
         store.encode_into(&mut bytes);
         for cut in 0..bytes.len() {
             let mut cursor = fdc_durability::codec::Cursor::new(&bytes[..cut]);
-            assert!(PolicyStore::decode_from(&mut cursor).is_err(), "cut {cut}");
+            assert!(
+                PolicyStore::decode_from(&mut cursor, registry.catalog()).is_err(),
+                "cut {cut}"
+            );
         }
+    }
+
+    #[test]
+    fn decode_refuses_a_policy_naming_a_relation_outside_the_catalog() {
+        // Regression: the compiled table is sized by the highest relation
+        // id, so this image used to abort the process on a 32 GiB
+        // allocation instead of failing to decode.
+        let (registry, _) = setup();
+        let v1 = registry.id_by_name("V1").unwrap();
+        let mut store = PolicyStore::new();
+        store.register(SecurityPolicy::stateless(PolicyPartition::from_views(
+            "p",
+            &registry,
+            [v1],
+        )));
+        let mut bytes = Vec::new();
+        store.encode_into(&mut bytes);
+        // Policy count, partition count, the name "p", the mask count: the
+        // first (relation, mask) pair follows.
+        let relation_at = 8 + 8 + (8 + 1) + 8;
+        let meetings = registry.catalog().resolve("Meetings").unwrap();
+        assert_eq!(
+            bytes[relation_at..relation_at + 4],
+            meetings.0.to_le_bytes()
+        );
+        let decode = |bytes: &[u8]| {
+            let mut cursor = fdc_durability::codec::Cursor::new(bytes);
+            PolicyStore::decode_from(&mut cursor, registry.catalog())
+        };
+        assert!(decode(&bytes).is_ok());
+        // One past the catalog is already outside it.
+        for hostile in [registry.catalog().len() as u32, 0x7FFF_FFFF, u32::MAX] {
+            bytes[relation_at..relation_at + 4].copy_from_slice(&hostile.to_le_bytes());
+            // …and is reported at the offset of the policy that names it.
+            let err = decode(&bytes).unwrap_err().to_string();
+            assert_eq!(
+                err, "policy names a relation outside the catalog at byte 8",
+                "{hostile:#x}"
+            );
+        }
+    }
+
+    #[test]
+    fn known_forms_never_copy_an_arena_a_clone_still_holds() {
+        let (registry, _) = setup();
+        let v1 = registry.id_by_name("V1").unwrap();
+        let v2 = registry.id_by_name("V2").unwrap();
+        let v3 = registry.id_by_name("V3").unwrap();
+        let wall = SecurityPolicy::chinese_wall([
+            PolicyPartition::from_views("meetings", &registry, [v1]),
+            PolicyPartition::from_views("contacts", &registry, [v3]),
+        ]);
+        let mut store = PolicyStore::new();
+        let p = store.register(wall.clone());
+        store.grant_view(p, &registry, v2);
+        store.revoke_view(p, &registry, v2);
+        assert_eq!(store.unique_policies(), 2);
+
+        // A checkpoint's freeze: the clone shares the arena.
+        let frozen = store.clone();
+        let hits = frozen.arena().hits();
+        assert!(std::ptr::eq(store.arena(), frozen.arena()));
+        // Registering a shared preset and a grant/revoke round trip only
+        // land on known forms: same arena, hits counted through it.
+        store.register(wall.clone());
+        store.grant_view(p, &registry, v2);
+        store.revoke_view(p, &registry, v2);
+        assert!(std::ptr::eq(store.arena(), frozen.arena()));
+        assert_eq!(frozen.arena().hits(), hits + 3);
+        assert_eq!(store.unique_policies(), 2);
+        // A form never seen copies the arena away from the frozen one.
+        store.grant_view(p, &registry, v1);
+        assert!(!std::ptr::eq(store.arena(), frozen.arena()));
+        assert_eq!((frozen.unique_policies(), frozen.len()), (2, 1));
+        assert_eq!(store.unique_policies(), 3);
+        // The copy finds every form where the original filed it.
+        let q = store.register(wall);
+        store.grant_view(q, &registry, v2);
+        assert_eq!(store.unique_policies(), 3);
+        assert_eq!(store.arena().hits(), frozen.arena().hits() + 2);
     }
 
     #[test]

@@ -878,6 +878,118 @@ mod tests {
         service.close().unwrap();
     }
 
+    /// A two-partition policy whose second partition names relation `id`.
+    fn wall_naming(registry: &SecurityViews, id: u32) -> SecurityPolicy {
+        let v1 = registry.id_by_name("V1").unwrap();
+        SecurityPolicy::chinese_wall([
+            PolicyPartition::from_views("meetings", registry, [v1]),
+            PolicyPartition::from_masks("elsewhere", [(fdc_cq::RelId(id), 1)]),
+        ])
+    }
+
+    #[test]
+    fn a_policy_outside_the_catalog_is_refused_before_it_is_logged() {
+        let dir = temp_dir("hostile_policy_live");
+        let registry = SecurityViews::paper_example();
+        let relations = registry.catalog().len();
+        let (mut service, _) =
+            DisclosureService::open_durable(registry.clone(), durable_config(), &dir).unwrap();
+        let p = service.register_principal(wall(&registry));
+        // One past the catalog, and the id that used to size a 32 GiB table.
+        for id in [relations as u32, 0x7FFF_FFFF] {
+            let hostile = wall_naming(&registry, id);
+            assert_eq!(
+                service.try_register_principal(hostile.clone()),
+                Err(ServiceError::InvalidPolicy { relations })
+            );
+            assert_eq!(
+                service.replace_policy(p, hostile),
+                Err(ServiceError::InvalidPolicy { relations })
+            );
+        }
+        // The last relation of the catalog is inside it.
+        let inside = wall_naming(&registry, relations as u32 - 1);
+        assert_eq!(service.replace_policy(p, inside), Ok(()));
+        assert_eq!(service.store().len(), 1);
+        service.close().unwrap();
+        // Only the registration and the accepted replacement were logged.
+        let (recovered, report) =
+            DisclosureService::open_durable(registry, durable_config(), &dir).unwrap();
+        assert_eq!(report.records_replayed, 2);
+        assert_eq!(recovered.store().len(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn replay_skips_a_logged_policy_outside_the_catalog() {
+        // No live service writes such a record; a hand-damaged log may hold
+        // one, and recovery must neither die on it nor apply it.
+        let dir = temp_dir("hostile_policy_replay");
+        let registry = SecurityViews::paper_example();
+        let hostile = wall_naming(&registry, 0x7FFF_FFFF);
+        let mut log =
+            fdc_durability::WalWriter::create(&dir, durable_config().durability, 1).unwrap();
+        let mut payload = Vec::new();
+        for record in 0..3 {
+            payload.clear();
+            match record {
+                0 => durable::encode_register(&hostile, &mut payload),
+                1 => durable::encode_register(&wall(&registry), &mut payload),
+                _ => durable::encode_replace_policy(PrincipalId(0), &hostile, &mut payload),
+            }
+            log.append(&payload).unwrap();
+        }
+        log.commit().unwrap();
+        drop(log);
+        let (mut recovered, report) =
+            DisclosureService::open_durable(registry.clone(), durable_config(), &dir).unwrap();
+        assert_eq!(report.records_replayed, 3);
+        assert_eq!(recovered.store().len(), 1);
+        assert_eq!(recovered.store().policy(PrincipalId(0)), &wall(&registry));
+        let meetings = q(&recovered, "Q(x, y) :- Meetings(x, y)");
+        assert_eq!(
+            recovered.submit(PrincipalId(0), &meetings),
+            Ok(Decision::Allow)
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn checkpoint_images_reject_a_policy_outside_the_catalog() {
+        use fdc_durability::codec::CodecError;
+        let registry = SecurityViews::paper_example();
+        let mut service = DisclosureService::with_defaults(registry.clone());
+        let v3 = registry.id_by_name("V3").unwrap();
+        service.register_principal(SecurityPolicy::stateless(PolicyPartition::from_views(
+            "the-only-contacts-partition",
+            &registry,
+            [v3],
+        )));
+        let config = service.config();
+        let mut image = service.freeze(0, true).encode();
+        assert!(DisclosureService::decode_state(&image, config).is_ok());
+        // The partition's name, its mask count, then its one relation id.
+        let name = b"the-only-contacts-partition";
+        let name_at = image.windows(name.len()).position(|w| w == name).unwrap();
+        let relation_at = name_at + name.len() + 8;
+        let contacts = registry.catalog().resolve("Contacts").unwrap();
+        assert_eq!(
+            image[relation_at..relation_at + 4],
+            contacts.0.to_le_bytes()
+        );
+        // Regression: this patch used to abort recovery on a 32 GiB
+        // allocation (the compiled table is sized by the relation id).
+        image[relation_at..relation_at + 4].copy_from_slice(&0x7FFF_FFFFu32.to_le_bytes());
+        let err = DisclosureService::decode_state(&image, config)
+            .map(|_| ())
+            .unwrap_err();
+        assert!(
+            matches!(&err, CodecError::Invalid { offset, what }
+                if *offset < name_at && what.contains("outside the catalog")),
+            "{err}"
+        );
+    }
+
     #[test]
     fn replace_policy_swaps_partitions_and_survives_recovery() {
         let dir = temp_dir("replace_policy");

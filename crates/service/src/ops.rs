@@ -153,6 +153,13 @@ pub enum ServiceError {
     /// definition, invalid query, or the relation's 32-view packed-mask
     /// budget — see `fdc_core::MAX_PACKED_VIEWS_PER_RELATION`).
     InvalidView(LabelError),
+    /// The policy names a relation outside the service's catalog (of
+    /// `relations` relations), so no view of the registry could have put it
+    /// there.
+    InvalidPolicy {
+        /// Number of relations in the catalog.
+        relations: usize,
+    },
     /// Auditing is disabled (the service was configured with a zero
     /// observed-workload history).
     AuditingDisabled,
@@ -177,6 +184,10 @@ impl fmt::Display for ServiceError {
                 write!(f, "no security view named `{name}` is registered")
             }
             ServiceError::InvalidView(err) => write!(f, "invalid security view: {err}"),
+            ServiceError::InvalidPolicy { relations } => write!(
+                f,
+                "the policy names a relation outside the {relations}-relation catalog"
+            ),
             ServiceError::AuditingDisabled => {
                 write!(f, "auditing is disabled (history_cap is 0)")
             }

@@ -492,7 +492,9 @@ impl DisclosureService {
 
     /// [`register_principal`](Self::register_principal), answering
     /// degraded-mode refusals as
-    /// [`ServiceError::DurabilityUnavailable`] instead of panicking.
+    /// [`ServiceError::DurabilityUnavailable`] — and a policy naming a
+    /// relation outside the catalog as [`ServiceError::InvalidPolicy`] —
+    /// instead of panicking.
     /// Registration is a mutation: a durable service must not
     /// acknowledge one it cannot make durable.
     ///
@@ -503,6 +505,7 @@ impl DisclosureService {
         &mut self,
         policy: SecurityPolicy,
     ) -> Result<PrincipalId, ServiceError> {
+        self.validate_policy(&policy)?;
         // An over-wide policy panics in the store below *without* having
         // been logged: a record for an operation that never applied must
         // not reach the log.
@@ -646,6 +649,18 @@ impl DisclosureService {
     /// Total `(answered, refused)` across all principals.
     pub fn totals(&self) -> (u64, u64) {
         self.store.totals()
+    }
+
+    /// A policy from outside must fit the catalog before it is logged or
+    /// compiled: the compiled form has a row per relation id up to the
+    /// highest one named.
+    fn validate_policy(&self, policy: &SecurityPolicy) -> Result<(), ServiceError> {
+        let relations = self.registry().catalog().len();
+        if policy.relation_bound() <= relations {
+            Ok(())
+        } else {
+            Err(ServiceError::InvalidPolicy { relations })
+        }
     }
 
     fn validate_principal(&self, principal: PrincipalId) -> Result<(), ServiceError> {
@@ -862,6 +877,7 @@ impl DisclosureService {
         policy: SecurityPolicy,
     ) -> Result<(), ServiceError> {
         self.validate_principal(principal)?;
+        self.validate_policy(&policy)?;
         // A partition-count mismatch panics in the store below without
         // having been logged (the record must not outlive the panic).
         if policy.len() == self.store.policy(principal).len() {
@@ -1379,7 +1395,10 @@ impl DisclosureService {
         debug_assert!(self.durable.is_none(), "replay must never re-log");
         match op {
             WalOp::RegisterPrincipal { policy } => {
-                self.register_principal(policy);
+                // A policy the catalog cannot hold is refused before it is
+                // logged, so only a hand-damaged log carries one: skipped,
+                // like the replacements below.
+                let _ = self.try_register_principal(policy);
             }
             WalOp::Submit { principal, query } => {
                 let _ = self.submit(principal, &query);
@@ -1431,7 +1450,7 @@ impl DisclosureService {
                 ));
             }
         }
-        let store = ShardedPolicyStore::decode_from(&mut cursor)?;
+        let store = ShardedPolicyStore::decode_from(&mut cursor, views.catalog())?;
         // The recovered history obeys the *current* cap.
         let history = History::decode_from(
             &mut cursor,

@@ -2,21 +2,28 @@
 //!
 //! Random multi-principal workloads — random policies (including empty and
 //! single-partition ones) over the paper's security views, random disclosure
-//! labels, random interleavings of submits and pure checks — are driven
-//! simultaneously through:
+//! labels, random interleavings of submits, pure checks, grants, revokes and
+//! whole-policy replacements — are driven simultaneously through:
 //!
 //! * a flat [`PolicyStore`] on unpacked labels,
 //! * a second [`PolicyStore`] on the packed 64-bit path,
 //! * a [`ShardedPolicyStore`] on unpacked labels,
 //! * a second [`ShardedPolicyStore`] on the packed path,
-//! * and one [`ReferenceMonitor`] per principal (the single-principal
-//!   specification the stores generalize).
+//! * and one [`ReferenceMonitor`] per principal — the specification: it
+//!   holds the policy as written, decides with [`PolicyPartition::allows`]
+//!   and takes a grant or revoke as [`PolicyPartition::permit`] /
+//!   [`PolicyPartition::revoke`] on that policy, sharing neither the
+//!   compiled form nor the decide loop of the stores.
 //!
-//! Every decision, every consistency bit vector and every counter must agree
-//! at every step; at the end, a parallel sharded batch replay of the same
-//! submissions must reproduce the same decisions and state.
+//! Every decision, every consistency bit vector, every counter and every
+//! principal's policy must agree at every step; between mutations, a
+//! parallel sharded batch replay of the same submissions must reproduce the
+//! same decisions and state.  A second property pins the identity the
+//! stores' interning arena gives a policy.
 
-use fdc::core::{AtomLabel, DisclosureLabel, PackedLabel, SecurityViews, WorkerPool};
+use fdc::core::{
+    AtomLabel, DisclosureLabel, PackedLabel, SecurityViewId, SecurityViews, ViewMask, WorkerPool,
+};
 use fdc::cq::RelId;
 use fdc::policy::{
     Decision, PolicyPartition, PolicyStore, PrincipalId, ReferenceMonitor, SecurityPolicy,
@@ -39,18 +46,59 @@ fn label_strategy() -> impl Strategy<Value = Vec<(u32, u64)>> {
     proptest::collection::vec((0u32..9, 1u64..0x1_0000), 1..=3)
 }
 
-/// Strategy: one workload op — a principal index, a label, and whether the
-/// op is a stateful submit (vs a pure check).
-fn op_strategy() -> impl Strategy<Value = (usize, Vec<(u32, u64)>, bool)> {
+/// One workload op; `who` is a principal index (taken modulo the number of
+/// principals), `view` an index into the registry's view list.
+#[derive(Debug, Clone)]
+enum Op {
+    Submit {
+        who: usize,
+        label: Vec<(u32, u64)>,
+    },
+    Check {
+        who: usize,
+        label: Vec<(u32, u64)>,
+    },
+    Grant {
+        who: usize,
+        view: usize,
+    },
+    Revoke {
+        who: usize,
+        view: usize,
+    },
+    /// Replace the policy by this one, cut or padded (with partitions that
+    /// permit nothing) to the principal's partition count.
+    Replace {
+        who: usize,
+        raw: Vec<Vec<usize>>,
+    },
+}
+
+/// Strategy: submits half of the time, checks a fifth, the three mutations
+/// a tenth each.
+fn op_strategy() -> impl Strategy<Value = Op> {
     (
+        0u8..10,
         0usize..64,
         label_strategy(),
-        (0u8..4).prop_map(|b| b != 0), // submit 3/4 of the time
+        0usize..37,
+        policy_strategy(),
     )
+        .prop_map(|(kind, who, label, view, raw)| match kind {
+            0..=4 => Op::Submit { who, label },
+            5..=6 => Op::Check { who, label },
+            7 => Op::Grant { who, view },
+            8 => Op::Revoke { who, view },
+            _ => Op::Replace { who, raw },
+        })
+}
+
+fn view_ids(registry: &SecurityViews) -> Vec<SecurityViewId> {
+    registry.iter().map(|(id, _)| id).collect()
 }
 
 fn build_policy(registry: &SecurityViews, raw: &[Vec<usize>]) -> SecurityPolicy {
-    let views: Vec<_> = registry.iter().map(|(id, _)| id).collect();
+    let views = view_ids(registry);
     let mut policy = SecurityPolicy::new();
     for (p, indices) in raw.iter().enumerate() {
         let mut partition = PolicyPartition::new(format!("partition-{p}"));
@@ -70,6 +118,17 @@ fn build_label(raw: &[(u32, u64)]) -> DisclosureLabel {
     )
 }
 
+/// What a policy *is* to the enforcement layer: per partition, in
+/// declaration order, the sorted `(relation, permitted mask)` list — names
+/// dropped.
+fn mask_lists(policy: &SecurityPolicy) -> Vec<Vec<(RelId, ViewMask)>> {
+    policy
+        .partitions()
+        .iter()
+        .map(PolicyPartition::masks)
+        .collect()
+}
+
 fn registry() -> SecurityViews {
     // The ecosystem's 37-view registry: 16 views on User, 3 on each of the
     // other seven relations — enough mask diversity for meaningful walls.
@@ -86,6 +145,7 @@ proptest! {
         num_shards in 1usize..6,
     ) {
         let registry = registry();
+        let views = view_ids(&registry);
         let mut flat = PolicyStore::new();
         let mut flat_packed = PolicyStore::new();
         let mut sharded = ShardedPolicyStore::new(num_shards);
@@ -102,35 +162,107 @@ proptest! {
             monitors.push(ReferenceMonitor::new(policy));
         }
 
-        let mut submissions: Vec<(PrincipalId, Vec<PackedLabel>)> = Vec::new();
-        let mut expected_decisions: Vec<Decision> = Vec::new();
-        for (who, raw_label, is_submit) in &ops {
+        // Submissions since the last mutation, replayed on `replay` as one
+        // parallel sharded batch before the next one (and at the end).
+        let pool = WorkerPool::new(num_shards);
+        let mut pending: Vec<(PrincipalId, Vec<PackedLabel>)> = Vec::new();
+        let mut pending_decisions: Vec<Decision> = Vec::new();
+        macro_rules! replay_pending {
+            () => {
+                let batch: Vec<(PrincipalId, &[PackedLabel])> = pending
+                    .iter()
+                    .map(|(p, packed)| (*p, packed.as_slice()))
+                    .collect();
+                prop_assert_eq!(&replay.submit_batch_on(&pool, &batch), &pending_decisions);
+                pending.clear();
+                pending_decisions.clear();
+            };
+        }
+
+        for op in &ops {
+            let (Op::Submit { who, .. }
+            | Op::Check { who, .. }
+            | Op::Grant { who, .. }
+            | Op::Revoke { who, .. }
+            | Op::Replace { who, .. }) = op;
             let p = PrincipalId((who % policies.len()) as u32);
-            let label = build_label(raw_label);
-            let packed = label.pack();
             let monitor = &mut monitors[p.index()];
-            if *is_submit {
-                let expected = monitor.submit(&label);
-                prop_assert_eq!(flat.submit(p, &label), expected);
-                prop_assert_eq!(flat_packed.submit_packed(p, &packed), expected);
-                prop_assert_eq!(sharded.submit(p, &label), expected);
-                prop_assert_eq!(sharded_packed.submit_packed(p, &packed), expected);
-                submissions.push((p, packed));
-                expected_decisions.push(expected);
-            } else {
-                let expected = monitor.check(&label);
-                prop_assert_eq!(flat.check(p, &label), expected);
-                prop_assert_eq!(flat_packed.check_packed(p, &packed), expected);
-                prop_assert_eq!(sharded.check(p, &label), expected);
-                prop_assert_eq!(sharded_packed.check_packed(p, &packed), expected);
+            match op {
+                Op::Submit { label, .. } => {
+                    let label = build_label(label);
+                    let packed = label.pack();
+                    let expected = monitor.submit(&label);
+                    prop_assert_eq!(flat.submit(p, &label), expected);
+                    prop_assert_eq!(flat_packed.submit_packed(p, &packed), expected);
+                    prop_assert_eq!(sharded.submit(p, &label), expected);
+                    prop_assert_eq!(sharded_packed.submit_packed(p, &packed), expected);
+                    pending.push((p, packed));
+                    pending_decisions.push(expected);
+                }
+                Op::Check { label, .. } => {
+                    let label = build_label(label);
+                    let packed = label.pack();
+                    let expected = monitor.check(&label);
+                    prop_assert_eq!(flat.check(p, &label), expected);
+                    prop_assert_eq!(flat_packed.check_packed(p, &packed), expected);
+                    prop_assert_eq!(sharded.check(p, &label), expected);
+                    prop_assert_eq!(sharded_packed.check_packed(p, &packed), expected);
+                }
+                Op::Grant { view, .. } | Op::Revoke { view, .. } => {
+                    replay_pending!();
+                    let view = views[view % views.len()];
+                    let grant = matches!(op, Op::Grant { .. });
+                    // The specification of a grant / revoke: the view joins
+                    // / leaves every partition of the policy as written.
+                    let mut policy = monitor.policy().clone();
+                    for partition in policy.partitions_mut() {
+                        if grant {
+                            partition.permit(&registry, view);
+                        } else {
+                            partition.revoke(&registry, view);
+                        }
+                    }
+                    monitor.replace_policy(policy);
+                    if grant {
+                        flat.grant_view(p, &registry, view);
+                        flat_packed.grant_view(p, &registry, view);
+                        sharded.grant_view(p, &registry, view);
+                        sharded_packed.grant_view(p, &registry, view);
+                        replay.grant_view(p, &registry, view);
+                    } else {
+                        flat.revoke_view(p, &registry, view);
+                        flat_packed.revoke_view(p, &registry, view);
+                        sharded.revoke_view(p, &registry, view);
+                        sharded_packed.revoke_view(p, &registry, view);
+                        replay.revoke_view(p, &registry, view);
+                    }
+                }
+                Op::Replace { raw, .. } => {
+                    replay_pending!();
+                    let parts: Vec<Vec<usize>> = (0..monitor.policy().len())
+                        .map(|i| raw.get(i).cloned().unwrap_or_default())
+                        .collect();
+                    let policy = build_policy(&registry, &parts);
+                    flat.replace_policy(p, policy.clone());
+                    flat_packed.replace_policy(p, policy.clone());
+                    sharded.replace_policy(p, policy.clone());
+                    sharded_packed.replace_policy(p, policy.clone());
+                    replay.replace_policy(p, policy.clone());
+                    monitor.replace_policy(policy);
+                }
             }
-            // Consistency bits agree after every op, mutating or not.
+            // Consistency bits and the policy itself agree after every op,
+            // mutating or not.
             let bits = monitor.consistency_bits();
             prop_assert_eq!(flat.consistency_bits(p), bits);
             prop_assert_eq!(flat_packed.consistency_bits(p), bits);
             prop_assert_eq!(sharded.consistency_bits(p), bits);
             prop_assert_eq!(sharded_packed.consistency_bits(p), bits);
+            let masks = mask_lists(monitor.policy());
+            prop_assert_eq!(mask_lists(flat.policy(p)), masks.clone());
+            prop_assert_eq!(mask_lists(sharded_packed.policy(p)), masks);
         }
+        replay_pending!();
 
         // Per-principal counters and O(1) totals match the monitors.
         let mut answered = 0u64;
@@ -142,26 +274,14 @@ proptest! {
             prop_assert_eq!(flat_packed.stats(p), expected);
             prop_assert_eq!(sharded.stats(p), expected);
             prop_assert_eq!(sharded_packed.stats(p), expected);
+            prop_assert_eq!(replay.stats(p), expected);
+            prop_assert_eq!(replay.consistency_bits(p), monitor.consistency_bits());
             answered += expected.0;
             refused += expected.1;
         }
         prop_assert_eq!(flat.totals(), (answered, refused));
         prop_assert_eq!(sharded.totals(), (answered, refused));
-
-        // Replaying every submission as one parallel sharded batch yields
-        // the same decisions and the same final state.
-        let batch: Vec<(PrincipalId, &[PackedLabel])> = submissions
-            .iter()
-            .map(|(p, packed)| (*p, packed.as_slice()))
-            .collect();
-        let pool = WorkerPool::new(num_shards);
-        let decisions = replay.submit_batch_on(&pool, &batch);
-        prop_assert_eq!(&decisions, &expected_decisions);
         prop_assert_eq!(replay.totals(), (answered, refused));
-        for (i, monitor) in monitors.iter().enumerate() {
-            let p = PrincipalId(i as u32);
-            prop_assert_eq!(replay.consistency_bits(p), monitor.consistency_bits());
-        }
     }
 
     #[test]
@@ -185,6 +305,78 @@ proptest! {
             for &p in &principals {
                 prop_assert_eq!(store.submit(p, &label), expected);
                 prop_assert_eq!(store.consistency_bits(p), monitor.consistency_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn an_arena_id_is_the_mask_lists_and_nothing_else(
+        raw_policies in proptest::collection::vec(policy_strategy(), 1..=8),
+    ) {
+        // `PolicyStore::policy` hands out the arena's one source policy per
+        // id, so two principals share an id exactly when it hands both the
+        // same reference.
+        let registry = registry();
+        let views = view_ids(&registry);
+        let mut store = PolicyStore::new();
+        let mut principals = Vec::new();
+        for raw in &raw_policies {
+            // Each policy twice, the second time under other partition
+            // names and with a partition's views listed in another order.
+            let policy = build_policy(&registry, raw);
+            let mut renamed = SecurityPolicy::new();
+            for (i, indices) in raw.iter().enumerate() {
+                let ids = indices.iter().rev().map(|&v| views[v % views.len()]);
+                renamed.push(PolicyPartition::from_views(format!("other-{i}"), &registry, ids));
+            }
+            for policy in [policy, renamed] {
+                principals.push((store.register(policy.clone()), mask_lists(&policy)));
+            }
+        }
+        let mut distinct: Vec<&Vec<Vec<(RelId, ViewMask)>>> =
+            principals.iter().map(|(_, masks)| masks).collect();
+        distinct.sort();
+        distinct.dedup();
+        prop_assert_eq!(store.unique_policies(), distinct.len());
+        for (a, masks_a) in &principals {
+            for (b, masks_b) in &principals {
+                prop_assert_eq!(
+                    std::ptr::eq(store.policy(*a), store.policy(*b)),
+                    masks_a == masks_b
+                );
+            }
+        }
+
+        // Granting a view no partition holds and revoking it again is the
+        // policy that never had it: the principal lands back on its id and
+        // the revoke adds no form.  The compiled form is sized by the
+        // highest relation a policy names, and the registry's last views
+        // sit on its highest relations, so this covers the grant that grows
+        // the table and the revoke that must shrink it back.
+        for (p, _) in &principals {
+            // Appending moves the arena's policies, so the id a principal
+            // started on is witnessed by a twin that stays on it.
+            let policy = store.policy(*p).clone();
+            let twin = store.register(policy.clone());
+            for &view in &views {
+                let (relation, bit) = (registry.view(view).relation, registry.view(view).bit);
+                if policy
+                    .partitions()
+                    .iter()
+                    .any(|partition| partition.permitted_mask(relation) >> bit & 1 != 0)
+                {
+                    continue;
+                }
+                store.grant_view(*p, &registry, view);
+                prop_assert_eq!(
+                    std::ptr::eq(store.policy(*p), store.policy(twin)),
+                    policy.is_empty(),
+                    "a grant changes every policy that has a partition"
+                );
+                let forms = store.unique_policies();
+                store.revoke_view(*p, &registry, view);
+                prop_assert!(std::ptr::eq(store.policy(*p), store.policy(twin)));
+                prop_assert_eq!(store.unique_policies(), forms);
             }
         }
     }
