@@ -23,13 +23,9 @@
 //!   semi-join containment vs generic backtracking, worst sweep point) with
 //!   the `acyclic_queries` / `structural_checks` / `backtrack_fallbacks`
 //!   classification counters all non-zero;
-//! * fig6 — `interned_packed` present at every sweep point, every pooled
-//!   `sharded_parallel_x*` series named by the `shard_counts` axis
-//!   present *and positive* at every sweep point (both modes — a zero
-//!   means the pooled fan-out never labeled), the packed headline
-//!   `min_speedup_interned_packed_vs_seed` ≥ 1.5, and — when the
-//!   committed run's `host_threads` > 1 — `sharded_parallel_x4` ≥ 1.5×
-//!   `sharded_parallel_x1` at every sweep point;
+//! * fig6 — `interned` and `interned_packed` present at every sweep point
+//!   (`seed_store` present or `null`) and the packed headline
+//!   `min_speedup_interned_packed_vs_seed` ≥ 1.5;
 //! * fig7 — `speedup_at_1pct` ≥ 2.0 (incremental vs flush-on-mutation —
 //!   PR 3's 3.0 bar predates the interned query plane, which made the
 //!   flush baseline's cold relabeling ~3x cheaper and compressed the gap)
@@ -391,39 +387,11 @@ fn check_fig5_high_atoms(doc: &Json, path: &str, smoke: bool) -> Result<(), Stri
     Ok(())
 }
 
-/// Figure 6 gate: the interned and packed series exist at every sweep
-/// point, every pooled `sharded_parallel_x*` series named by the
-/// committed `shard_counts` axis is present and positive in both modes,
-/// the packed headline clears the floor, and — when the committed run
-/// had more than one host thread — `sharded_parallel_x4` scales to at
-/// least 1.5x `sharded_parallel_x1` at every sweep point.
+/// Figure 6 gate: the three store generations exist at every sweep point
+/// and the packed headline clears the floor.
 fn check_fig6(path: &str, smoke: bool) -> Result<(), String> {
     let doc = load(path)?;
-    // The pooled sweep is self-describing: the root `shard_counts` axis
-    // names exactly which `sharded_parallel_x*` series every sweep point
-    // must carry.
-    let shard_counts: Vec<u64> = doc
-        .get("shard_counts")
-        .and_then(Json::as_array)
-        .ok_or_else(|| format!("`{path}`: missing `shard_counts` axis"))?
-        .iter()
-        .map(|count| {
-            count
-                .as_number()
-                .filter(|n| *n >= 1.0)
-                .map(|n| n as u64)
-                .ok_or_else(|| format!("`{path}`: non-numeric entry in `shard_counts`"))
-        })
-        .collect::<Result<_, _>>()?;
-    if shard_counts.is_empty() {
-        return Err(format!("`{path}`: empty `shard_counts` axis"));
-    }
-    let mut scaling: Vec<(f64, f64)> = Vec::new();
     for point in sweep(&doc, path)? {
-        let principals = point
-            .get("num_principals")
-            .and_then(Json::as_number)
-            .unwrap_or(f64::NAN);
         let series = point
             .get("labels_per_sec")
             .ok_or_else(|| format!("`{path}`: sweep point without `labels_per_sec`"))?;
@@ -433,26 +401,6 @@ fn check_fig6(path: &str, smoke: bool) -> Result<(), String> {
                     "`{path}`: series `{required}` missing from a sweep point"
                 ));
             }
-        }
-        // Presence + positivity of every pooled series, in both modes: a
-        // zero throughput means the pooled fan-out never labeled.
-        let mut pooled = HashMap::new();
-        for shards in &shard_counts {
-            let name = format!("sharded_parallel_x{shards}");
-            let throughput = series
-                .get(&name)
-                .and_then(Json::as_number)
-                .ok_or_else(|| format!("`{path}`: series `{name}` missing from a sweep point"))?;
-            if throughput <= 0.0 {
-                return Err(format!(
-                    "`{path}`: non-positive throughput in series `{name}` \
-                     at num_principals {principals}"
-                ));
-            }
-            pooled.insert(*shards, throughput);
-        }
-        if let (Some(x1), Some(x4)) = (pooled.get(&1), pooled.get(&4)) {
-            scaling.push((principals, x4 / x1));
         }
         // The seed baseline must be present but may be `null`: the
         // O(principals)-clone seed store is deliberately skipped on the
@@ -473,22 +421,6 @@ fn check_fig6(path: &str, smoke: bool) -> Result<(), String> {
                 "`{path}`: series `interned_packed` below its floor — \
                  min_speedup_interned_packed_vs_seed = {speedup:.2} < 1.5"
             ));
-        }
-        // The pooled scaling floor only engages when the committed run
-        // had real cores to scale onto: a single-core host runs every
-        // width through the same pool inline, where x4 == x1 modulo
-        // noise.
-        let host_threads = number(&doc, path, "host_threads")?;
-        if host_threads > 1.0 {
-            for (principals, scale) in scaling {
-                if scale < 1.5 {
-                    return Err(format!(
-                        "`{path}`: series `sharded_parallel_x4` below its scaling floor \
-                         at num_principals {principals} — {scale:.2}x of \
-                         `sharded_parallel_x1` < 1.5 (host_threads = {host_threads})"
-                    ));
-                }
-            }
         }
     }
     Ok(())
@@ -879,64 +811,43 @@ mod tests {
     }
 
     #[test]
-    fn fig6_pooled_series_gate_names_the_offending_series() {
+    fn fig6_gate_names_the_offending_series() {
         let dir = std::env::temp_dir().join("fdc_bench_check_fig6_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("fig6.json");
-        let render = |host_threads: usize, x4: f64| {
+        let render = |speedup: f64| {
             format!(
                 r#"{{
-  "host_threads": {host_threads},
-  "shard_counts": [1, 2, 4],
-  "min_speedup_interned_packed_vs_seed": 2.0,
+  "host_threads": 2,
+  "min_speedup_interned_packed_vs_seed": {speedup},
   "sweep": [
     {{"num_principals": 1000, "labels_per_sec": {{
-      "seed_store": 1000.0, "interned": 40000.0, "interned_packed": 90000.0,
-      "sharded_parallel_x1": 80000.0, "sharded_parallel_x2": 120000.0,
-      "sharded_parallel_x4": {x4}}}}},
+      "seed_store": 1000.0, "interned": 40000.0, "interned_packed": 90000.0}}}},
     {{"num_principals": 1000000, "labels_per_sec": {{
-      "seed_store": null, "interned": 40000.0, "interned_packed": 90000.0,
-      "sharded_parallel_x1": 80000.0, "sharded_parallel_x2": 120000.0,
-      "sharded_parallel_x4": 160000.0}}}}
+      "seed_store": null, "interned": 40000.0, "interned_packed": 90000.0}}}}
   ]
 }}"#
             )
         };
-        std::fs::write(&path, render(4, 160000.0)).unwrap();
+        std::fs::write(&path, render(2.0)).unwrap();
         assert!(check_fig6(path.to_str().unwrap(), false).is_ok());
-        // The scaling floor engages on multi-core committed runs and
-        // names the worst sweep point...
-        std::fs::write(&path, render(4, 90000.0)).unwrap();
+        // The headline floor engages on committed runs only.
+        std::fs::write(&path, render(1.2)).unwrap();
         let err = check_fig6(path.to_str().unwrap(), false).unwrap_err();
-        assert!(err.contains("`sharded_parallel_x4`"), "{err}");
-        assert!(err.contains("scaling floor"), "{err}");
-        assert!(err.contains("num_principals 1000"), "{err}");
+        assert!(err.contains("`interned_packed`"), "{err}");
+        assert!(err.contains("1.5"), "{err}");
         assert!(check_fig6(path.to_str().unwrap(), true).is_ok());
-        // ...but not on a single-core host, where every width runs the
-        // same pool inline.
-        std::fs::write(&path, render(1, 90000.0)).unwrap();
-        assert!(check_fig6(path.to_str().unwrap(), false).is_ok());
-        // A pooled series missing from one sweep point names itself,
-        // even in smoke mode.
-        let stripped =
-            render(4, 160000.0).replace("\"sharded_parallel_x2\": 120000.0,\n      ", "");
-        std::fs::write(&path, stripped).unwrap();
-        let err = check_fig6(path.to_str().unwrap(), true).unwrap_err();
-        assert!(err.contains("`sharded_parallel_x2`"), "{err}");
-        // Zero throughput in a pooled series fails in both modes: the
-        // pooled fan-out never labeled.
-        std::fs::write(&path, render(4, 0.0)).unwrap();
-        for smoke in [false, true] {
-            let err = check_fig6(path.to_str().unwrap(), smoke).unwrap_err();
-            assert!(err.contains("non-positive"), "{err}");
-            assert!(err.contains("`sharded_parallel_x4`"), "{err}");
+        // A series missing from one sweep point names itself, even in
+        // smoke mode; the seed baseline may be `null` but not absent.
+        for (cut, name) in [
+            ("\"interned\": 40000.0, ", "`interned`"),
+            (", \"interned_packed\": 90000.0", "`interned_packed`"),
+            ("\"seed_store\": null, ", "`seed_store`"),
+        ] {
+            std::fs::write(&path, render(2.0).replacen(cut, "", 1)).unwrap();
+            let err = check_fig6(path.to_str().unwrap(), true).unwrap_err();
+            assert!(err.contains(name), "{err}");
         }
-        // The shard_counts axis is the contract: without it the pooled
-        // series cannot be enumerated.
-        let stripped = render(4, 160000.0).replace("\"shard_counts\": [1, 2, 4],\n  ", "");
-        std::fs::write(&path, stripped).unwrap();
-        let err = check_fig6(path.to_str().unwrap(), true).unwrap_err();
-        assert!(err.contains("`shard_counts`"), "{err}");
     }
 
     #[test]

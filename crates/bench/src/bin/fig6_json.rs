@@ -6,7 +6,7 @@
 //! the paper's grid — {1-way, 5-way partitions} × {1K, 50K, 1M principals}
 //! × {5, 25, 50 max elements per partition} — and writes the labels/second
 //! trajectory to `BENCH_fig6.json` (or the path given as the first
-//! argument).  Four series per grid point:
+//! argument).  Three series per grid point, one per store generation:
 //!
 //! * `seed_store` — the seed revision's uncompiled, uninterned store
 //!   (cloned `SecurityPolicy` per principal, hash lookups per atom).
@@ -15,12 +15,6 @@
 //!   `FDC_FIG6_FULL`, so the point is reported as `null`.
 //! * `interned` — the compiled/interned store, unpacked labels.
 //! * `interned_packed` — the same store on the packed 64-bit path.
-//! * `sharded_parallel_x{N}` — `ShardedPolicyStore::submit_batch_on`
-//!   against an explicit persistent `WorkerPool` sized to the shard count
-//!   (queue pushes, not thread spawns — the same single execution plane the
-//!   service runs on), swept over shard counts (1, 2, 4, 8 plus the host's
-//!   available parallelism) so the trajectory records how throughput scales
-//!   with threads.  `x1` is the inline-only pool (no threads at all).
 //!
 //! ```text
 //! cargo run --release -p fdc-bench --bin fig6_json            # full run
@@ -32,19 +26,19 @@
 
 use std::time::Instant;
 
-use fdc_bench::{
-    fig6_principal_counts, policy_workload, seed_policy_store, sharded_policy_store,
-    FIG6_TEMPLATE_POOL,
-};
-use fdc_core::{PackedLabel, WorkerPool};
+use fdc_bench::{fig6_principal_counts, policy_workload, seed_policy_store, FIG6_TEMPLATE_POOL};
+use fdc_core::PackedLabel;
 use fdc_policy::PrincipalId;
+
+/// The series measured at every grid point, in column order.
+const SERIES: [&str; 3] = ["seed_store", "interned", "interned_packed"];
 
 /// Principal counts at which the seed store is still reasonable to build.
 const SEED_STORE_LIMIT: usize = 50_000;
 
 /// One store generation's measurement at one grid point.
 struct Measurement {
-    name: String,
+    name: &'static str,
     labels_per_sec: Option<f64>,
 }
 
@@ -76,26 +70,13 @@ fn main() {
     } else {
         (fig6_principal_counts(), &[5, 25, 50], 20_000, 3)
     };
-    let host_threads = available_threads();
-    let shard_counts = shard_count_sweep(host_threads, smoke);
+    let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
 
     println!(
         "fig6_json: label_batch={label_batch} repeats={repeats} host_threads={host_threads} \
-         shard_counts={shard_counts:?} template_pool={FIG6_TEMPLATE_POOL} smoke={smoke}"
+         template_pool={FIG6_TEMPLATE_POOL} smoke={smoke}"
     );
-    let series_names: Vec<String> = ["seed_store", "interned", "interned_packed"]
-        .into_iter()
-        .map(str::to_owned)
-        .chain(
-            shard_counts
-                .iter()
-                .map(|n| format!("sharded_parallel_x{n}")),
-        )
-        .collect();
-    let header: Vec<String> = series_names
-        .iter()
-        .map(|name| format!("{name:>16}"))
-        .collect();
+    let header: Vec<String> = SERIES.iter().map(|name| format!("{name:>16}")).collect();
     println!(
         "{:>10} {:>5} {:>9} | {}",
         "principals",
@@ -114,9 +95,8 @@ fn main() {
                     max_elements,
                     label_batch,
                     repeats,
-                    &shard_counts,
                 );
-                let cells: Vec<String> = series_names
+                let cells: Vec<String> = SERIES
                     .iter()
                     .map(|name| format!("{:>16}", cell(&point, name)))
                     .collect();
@@ -148,7 +128,6 @@ fn main() {
         &points,
         label_batch,
         host_threads,
-        &shard_counts,
         smoke,
         [speedup_unpacked, speedup_packed, mean_unpacked, mean_packed],
     );
@@ -169,7 +148,6 @@ fn measure_point(
     max_elements: usize,
     label_batch: usize,
     repeats: usize,
-    shard_counts: &[usize],
 ) -> SweepPoint {
     let workload = policy_workload(num_principals, max_partitions, max_elements, label_batch);
     let labels = &workload.labels;
@@ -194,11 +172,6 @@ fn measure_point(
             })
             .collect()
     };
-    let batch: Vec<(PrincipalId, &[PackedLabel])> = packed_slices
-        .iter()
-        .zip(&principals)
-        .map(|(label, principal)| (*principal, *label))
-        .collect();
 
     let mut results = Vec::new();
 
@@ -213,13 +186,13 @@ fn measure_point(
         })
     });
     results.push(Measurement {
-        name: "seed_store".to_owned(),
+        name: "seed_store",
         labels_per_sec: seed_qps,
     });
 
     let mut store = workload.store.clone();
     results.push(Measurement {
-        name: "interned".to_owned(),
+        name: "interned",
         labels_per_sec: Some(best_qps(repeats, labels.len(), || {
             for (principal, label) in principals.iter().zip(labels) {
                 std::hint::black_box(store.submit(*principal, label));
@@ -229,28 +202,13 @@ fn measure_point(
 
     let mut packed_store = workload.store.clone();
     results.push(Measurement {
-        name: "interned_packed".to_owned(),
+        name: "interned_packed",
         labels_per_sec: Some(best_qps(repeats, labels.len(), || {
             for (principal, label) in principals.iter().zip(&packed_slices) {
                 std::hint::black_box(packed_store.submit_packed(*principal, label));
             }
         })),
     });
-
-    for &num_shards in shard_counts {
-        let mut sharded =
-            sharded_policy_store(num_principals, max_partitions, max_elements, num_shards);
-        // One explicit pool per series, sized to the shard count — the same
-        // caller-owned execution plane the service uses (x1 builds an
-        // inline-only pool: no threads, pure dispatch overhead baseline).
-        let pool = WorkerPool::new(num_shards);
-        results.push(Measurement {
-            name: format!("sharded_parallel_x{num_shards}"),
-            labels_per_sec: Some(best_qps(repeats, labels.len(), || {
-                std::hint::black_box(sharded.submit_batch_on(&pool, &batch));
-            })),
-        });
-    }
 
     SweepPoint {
         num_principals,
@@ -334,46 +292,22 @@ fn mean_of(speedups: &[f64]) -> f64 {
     }
 }
 
-/// Number of worker threads the host can actually run at once.
-fn available_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// The shard counts swept for the `sharded_parallel_x{N}` series: powers of
-/// two up to 8, plus the host's own parallelism, deduplicated and sorted.
-/// The x1 point runs on an inline-only pool (no worker threads), so the
-/// series doubles as a measurement of the pool dispatch overhead.
-fn shard_count_sweep(host_threads: usize, smoke: bool) -> Vec<usize> {
-    let mut counts: Vec<usize> = if smoke { vec![1, 2] } else { vec![1, 2, 4, 8] };
-    counts.push(host_threads);
-    counts.sort_unstable();
-    counts.dedup();
-    counts
-}
-
 /// Renders the trajectory as JSON by hand (the workspace is offline, so no
 /// serde; the structure is flat enough that manual rendering stays simple).
 fn render_json(
     points: &[SweepPoint],
     label_batch: usize,
     host_threads: usize,
-    shard_counts: &[usize],
     smoke: bool,
     speedups: [f64; 4],
 ) -> String {
     let [speedup_unpacked, speedup_packed, mean_unpacked, mean_packed] = speedups;
-    let shard_list = shard_counts
-        .iter()
-        .map(usize::to_string)
-        .collect::<Vec<_>>()
-        .join(", ");
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"figure\": \"fig6_policy_throughput\",\n");
     out.push_str("  \"unit\": \"labels_per_second\",\n");
     out.push_str(&format!("  \"label_batch\": {label_batch},\n"));
     out.push_str(&format!("  \"host_threads\": {host_threads},\n"));
-    out.push_str(&format!("  \"shard_counts\": [{shard_list}],\n"));
     out.push_str(&format!("  \"template_pool\": {FIG6_TEMPLATE_POOL},\n"));
     out.push_str(&format!("  \"smoke\": {smoke},\n"));
     let finite = |v: f64| {

@@ -31,9 +31,7 @@ use std::time::Instant;
 
 use fdc_bench::{fig7_policy_config, FIG7_QUERY_POOL};
 use fdc_ecosystem::{ChurnConfig, Ecosystem, WorkloadConfig};
-use fdc_service::{
-    DisclosureService, DurabilityConfig, InvalidationMode, Operation, ServiceConfig,
-};
+use fdc_service::{DisclosureService, DurabilityConfig, Operation, ServiceConfig};
 
 /// Serving-sized request-loop batches, as in `fig7_json`.
 const BATCH_OPS: usize = 1_024;
@@ -154,7 +152,6 @@ fn main() {
 fn durable_config() -> ServiceConfig {
     ServiceConfig {
         history_cap: 0,
-        invalidation: InvalidationMode::Incremental,
         durability: DurabilityConfig {
             fsync: false,
             ..DurabilityConfig::default()
@@ -167,7 +164,6 @@ fn durable_config() -> ServiceConfig {
 fn volatile_config() -> ServiceConfig {
     ServiceConfig {
         history_cap: 0,
-        invalidation: InvalidationMode::Incremental,
         ..ServiceConfig::default()
     }
 }

@@ -22,8 +22,8 @@
 use fdc_core::{DisclosureLabel, PackedLabel};
 use fdc_ecosystem::policies::PolicyGeneratorConfig;
 use fdc_ecosystem::{ChurnConfig, Ecosystem, WorkloadConfig};
-use fdc_policy::{PolicyStore, ShardedPolicyStore};
-use fdc_service::{DisclosureService, InvalidationMode, Operation, ServiceConfig};
+use fdc_policy::PolicyStore;
+use fdc_service::{DisclosureService, Operation, Response, ServiceConfig};
 
 pub mod seed_store;
 
@@ -137,24 +137,6 @@ pub fn policy_workload(
     }
 }
 
-/// Builds the sharded counterpart of [`policy_workload`]'s store: the same
-/// seed and configuration (hence the same per-principal policies) spread
-/// over `num_shards` shards.
-pub fn sharded_policy_store(
-    num_principals: usize,
-    max_partitions: usize,
-    max_elements_per_partition: usize,
-    num_shards: usize,
-) -> ShardedPolicyStore {
-    let ecosystem = Ecosystem::new();
-    ecosystem
-        .policy_generator(fig6_policy_config(
-            max_partitions,
-            max_elements_per_partition,
-        ))
-        .build_sharded_store(&ecosystem.views, num_principals, num_shards)
-}
-
 /// Builds the seed revision's uncompiled store over the same policies as
 /// [`policy_workload`] — the baseline the fig6 trajectory is measured
 /// against.  O(num_principals) `SecurityPolicy` clones: keep the principal
@@ -185,34 +167,55 @@ pub fn fig7_policy_config() -> PolicyGeneratorConfig {
 }
 
 /// Builds the Figure 7 service under test: `num_principals` pooled random
-/// policies behind a [`DisclosureService`] in the given invalidation mode.
+/// policies behind a [`DisclosureService`].
 ///
 /// Audit history is disabled (the churn stream contains no audits), so the
 /// measured path is admissions + mutations only.
-pub fn fig7_service(num_principals: usize, invalidation: InvalidationMode) -> DisclosureService {
-    fig7_service_with_workers(num_principals, invalidation, 0)
+pub fn fig7_service(num_principals: usize) -> DisclosureService {
+    fig7_service_with_workers(num_principals, 0)
 }
 
 /// [`fig7_service`] with an explicit worker-pool width — the knob behind
 /// the `thread_scaling` series of `fig7_json` (`pipelined_x{1,2,4}`).
 /// `0` keeps the default (the host's available parallelism); `1` serves
 /// inline with no pool.
-pub fn fig7_service_with_workers(
-    num_principals: usize,
-    invalidation: InvalidationMode,
-    workers: usize,
-) -> DisclosureService {
+pub fn fig7_service_with_workers(num_principals: usize, workers: usize) -> DisclosureService {
     let ecosystem = Ecosystem::new();
     ecosystem.disclosure_service(
         fig7_policy_config(),
         num_principals,
         ServiceConfig {
             history_cap: 0,
-            invalidation,
             workers,
             ..ServiceConfig::default()
         },
     )
+}
+
+/// Figure 7's `flush_on_mutation` baseline — the conservative strategy of a
+/// service without dependency tracking ("something about disclosure control
+/// changed, recompute the world") — as a way of *driving* the service: `ops`
+/// are served through `run_pipelined` up to and including each mutation,
+/// and every mutation that applied is followed by a flush of the whole
+/// label cache.  Entries are dropped but the labeler's counters accumulate
+/// across flushes, so the re-warming cost stays visible in
+/// `labeler().stats()`.  Returns the responses, in request order, and the
+/// number of flushes.
+pub fn run_flushing_on_mutation(
+    service: &mut DisclosureService,
+    ops: &[Operation],
+) -> (Vec<Response>, u64) {
+    let mut responses = Vec::with_capacity(ops.len());
+    let mut flushes = 0;
+    for run in ops.chunk_by(|before, _| !before.is_mutation()) {
+        responses.extend(service.run_pipelined(run));
+        let applied = responses.last().is_some_and(|r| !r.is_rejected());
+        if run.last().is_some_and(Operation::is_mutation) && applied {
+            service.labeler().clear_entries();
+            flushes += 1;
+        }
+    }
+    (responses, flushes)
 }
 
 /// Query-template-pool size of the Figure 7 churn workload: admissions
@@ -315,41 +318,36 @@ mod tests {
         assert_eq!(stream.len(), 200);
         assert!(warmup.iter().all(|op| op.is_admission()));
         assert!(stream.iter().any(|op| op.is_mutation()));
-        let mut service = fig7_service(50, InvalidationMode::Incremental);
+        let mut service = fig7_service(50);
         assert_eq!(service.num_principals(), 50);
         for response in service.run_pipelined(&warmup) {
             assert!(!response.is_rejected());
         }
-        for response in service.run_pipelined(&stream) {
-            assert!(!response.is_rejected());
-        }
+        let responses = service.run_pipelined(&stream);
+        assert!(responses.iter().all(|response| !response.is_rejected()));
         assert!(service.stats().mutations > 0);
-        // Identical streams drive the flush baseline to identical decisions.
-        let mut flush = fig7_service(50, InvalidationMode::FlushOnMutation);
+        // Identical streams drive the flush baseline to identical decisions,
+        // and it does flush: once per mutation, leaving the cache to re-warm.
+        let mut flush = fig7_service(50);
         flush.run_pipelined(&warmup);
-        flush.run_pipelined(&stream);
+        let (flush_responses, flushes) = run_flushing_on_mutation(&mut flush, &stream);
+        assert_eq!(flush_responses, responses);
         assert_eq!(flush.totals(), service.totals());
-        assert!(flush.stats().flushes > 0);
+        assert_eq!(flushes, service.stats().mutations);
+        assert!(flush.labeler().stats().misses > service.labeler().stats().misses);
     }
 
     #[test]
     fn seed_and_interned_stores_decide_identically() {
         let w = policy_workload(25, 5, 10, 60);
         let mut interned = w.store.clone();
-        let mut sharded = sharded_policy_store(25, 5, 10, 3);
         let mut seed = seed_policy_store(25, 5, 10);
         assert_eq!(seed.len(), 25);
         for (i, label) in w.labels.iter().enumerate() {
             let p = PrincipalId((i % 25) as u32);
             let expected = seed.submit(p, label);
             assert_eq!(interned.submit(p, label), expected, "label {i}");
-            assert_eq!(
-                sharded.submit_packed(p, &w.packed[i]),
-                expected,
-                "label {i}"
-            );
         }
         assert_eq!(interned.totals(), seed.totals());
-        assert_eq!(sharded.totals(), seed.totals());
     }
 }

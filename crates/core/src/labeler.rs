@@ -1583,7 +1583,8 @@ impl CachedLabeler {
     /// Drops every cached entry while keeping the hit/miss/refresh
     /// counters — the flush-on-mutation strategy the epoch machinery
     /// exists to avoid, kept as the Figure 7 baseline
-    /// (`InvalidationMode::FlushOnMutation` in `fdc-service`).  Keeping
+    /// (`fdc_bench::run_flushing_on_mutation` calls this after every
+    /// mutation it serves).  Keeping
     /// the counters cumulative is what makes the baseline's cost visible:
     /// every post-flush relabeling still counts as a miss.
     pub fn clear_entries(&self) {

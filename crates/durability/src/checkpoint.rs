@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! magic    b"FDCCKPT1"       8 bytes
-//! version  u32 LE  (= 2)     4 bytes
+//! version  u32 LE  (= 3)     4 bytes
 //! seq      u64 LE            8 bytes   (last WAL seq the payload covers)
 //! len      u64 LE            8 bytes   (payload length)
 //! payload                    len bytes
@@ -20,11 +20,13 @@
 //! ```
 //!
 //! The version numbers the *payload's* layout, which this crate never
-//! looks inside.  Version 2 is the disclosure service's image whose audit
-//! history holds interned query ids resolved against the interner section
-//! of the same image (version 1 stored every recorded query in full).
-//! There is one reader: a file of any other version fails the version
-//! check like any other invalid file.
+//! looks inside.  Version 3 is the disclosure service's image whose sharded
+//! policy store is its shard count, its principal count and its shards
+//! (version 2 carried a third word between the counts and the shards, a
+//! fan-out threshold nothing reads any more; version 1 stored every
+//! recorded query of the audit history in full).  There is one reader: a
+//! file of any other version fails the version check, by number, like any
+//! other invalid file.
 //!
 //! # Atomicity
 //!
@@ -50,8 +52,8 @@ use crate::vfs::{StdVfs, Vfs};
 
 /// Checkpoint file magic: "FDC checkpoint format 1".
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"FDCCKPT1";
-/// Checkpoint format version (see the module docs for what 2 changed).
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// Checkpoint format version (see the module docs for what 3 changed).
+pub const CHECKPOINT_VERSION: u32 = 3;
 /// Fixed bytes before the payload.
 pub const CHECKPOINT_HEADER_LEN: usize = 28;
 
@@ -135,7 +137,9 @@ fn load_checkpoint(vfs: &dyn Vfs, path: &Path) -> io::Result<(u64, Vec<u8>)> {
     }
     let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
     if version != CHECKPOINT_VERSION {
-        return Err(invalid("unsupported checkpoint version"));
+        return Err(invalid(&format!(
+            "unsupported checkpoint version {version}"
+        )));
     }
     let seq = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes"));
     let len = u64::from_le_bytes(bytes[20..28].try_into().expect("8 bytes"));
@@ -290,23 +294,36 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn a_version_1_image_is_refused() {
-        let dir = temp_dir("version_1");
-        let path = write_checkpoint(&dir, 6, b"v1 payload", false).unwrap();
-        // Rewrite the header's version field to 1 and re-seal the CRC, so
-        // the version check is the only thing left to refuse the file.
+    /// Writes a checkpoint, rewrites its header's version field to
+    /// `version` and re-seals the CRC, so the version check is the only
+    /// thing left to refuse the file.
+    fn assert_version_is_refused(version: u32) {
+        let dir = temp_dir(&format!("version_{version}"));
+        let path = write_checkpoint(&dir, 6, b"old payload", false).unwrap();
         let mut bytes = fs::read(&path).unwrap();
-        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
         let body_end = bytes.len() - 4;
         let crc = crc32(&bytes[..body_end]);
         bytes[body_end..].copy_from_slice(&crc.to_le_bytes());
         fs::write(&path, &bytes).unwrap();
         let err = load_checkpoint(&StdVfs, &path).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
-        assert!(err.to_string().contains("unsupported checkpoint version"));
+        assert_eq!(
+            err.to_string(),
+            format!("unsupported checkpoint version {version}")
+        );
         assert!(latest_checkpoint(&dir).unwrap().is_none());
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_version_1_image_is_refused() {
+        assert_version_is_refused(1);
+    }
+
+    #[test]
+    fn a_version_2_image_is_refused() {
+        assert_version_is_refused(2);
     }
 
     #[test]

@@ -128,7 +128,7 @@ impl PolicyGenerator {
     }
 
     /// Builds a [`ShardedPolicyStore`] with `num_principals` randomly
-    /// generated policies over `num_shards` shards — the multi-core
+    /// generated policies over `num_shards` shards — the sharded-layout
     /// counterpart of [`build_store`](Self::build_store).  Called with the
     /// same seed and principal count, the two assign identical policies to
     /// identical principal ids.

@@ -21,8 +21,9 @@
 //!   paper's Figure 6.
 //!
 //! The stores that serve traffic — the flat multi-principal
-//! [`PolicyStore`] and the [`ShardedPolicyStore`] over it — further
-//! *compile and intern* the compact representation ([`compiled`]): a policy
+//! [`PolicyStore`] and the [`ShardedPolicyStore`] that lays principals out
+//! over several of them (the checkpoint layout; it routes, it does not fan
+//! out) — further *compile and intern* the compact representation ([`compiled`]): a policy
 //! becomes one flat span of words, the only compiled form there is,
 //! deduplicated across principals by the [`PolicyArena`] so per-principal
 //! state is 24 bytes and the paper's million-principal axis runs by
@@ -48,5 +49,5 @@ pub use compiled::{initial_consistency_word, PolicyArena, MAX_PARTITIONS};
 pub use monitor::{Decision, ReferenceMonitor};
 pub use partition::PolicyPartition;
 pub use policy::SecurityPolicy;
-pub use shard::{ShardedPolicyStore, DEFAULT_PARALLEL_THRESHOLD};
+pub use shard::ShardedPolicyStore;
 pub use store::{PolicyStore, PrincipalId};

@@ -1,45 +1,24 @@
-//! Sharded multi-principal enforcement: a [`PolicyStore`] per worker.
+//! Sharded multi-principal enforcement: a [`PolicyStore`] per shard.
 //!
-//! Policy decisions are embarrassingly parallel *across* principals — each
-//! submit touches exactly one principal's state — so the store scales by
-//! partitioning principals round-robin over N independent shards, each a
-//! complete [`PolicyStore`] owned by (at most) one worker thread at a time.
-//! No locks, no atomics on the decision path: a batch is split by shard,
-//! each busy shard is **moved** into a task on a caller-supplied persistent
-//! [`WorkerPool`] — queue pushes, not thread spawns —
-//! and moved back with its decisions, each of which is handed to the
-//! caller's sink with its request index
-//! ([`decide_batch_on`](ShardedPolicyStore::decide_batch_on);
-//! [`submit_batch_on`](ShardedPolicyStore::submit_batch_on) collects them
-//! into request order).  The store
-//! never owns or spins up a pool itself, so an embedding service runs
-//! exactly one worker plane.
-//!
-//! Sequential entry points ([`submit`](ShardedPolicyStore::submit),
-//! [`submit_packed`](ShardedPolicyStore::submit_packed), …) route single
-//! requests to the owning shard, so a sharded store can stand in wherever a
-//! flat store is used; the decision/state equivalence of the two (and of the
-//! per-principal [`ReferenceMonitor`](crate::ReferenceMonitor)) is asserted
-//! by the property tests.
+//! Principals are placed round-robin over N independent shards, each a
+//! complete [`PolicyStore`]; principal `p` lives in shard `p % N` at local
+//! slot `p / N`.  The placement is the store's **on-disk layout** — a
+//! checkpoint writes the shard count and then every shard's image, and
+//! recovery reopens the store with the checkpoint's count — and nothing
+//! more: every request is decided on the calling thread, by routing it to
+//! its shard ([`decide_packed`](ShardedPolicyStore::decide_packed) and the
+//! [`submit`](ShardedPolicyStore::submit) /
+//! [`check`](ShardedPolicyStore::check) adapters over it), so a sharded
+//! store stands in wherever a flat store is used.  The decision/state
+//! equivalence of the two (and of the per-principal
+//! [`ReferenceMonitor`](crate::ReferenceMonitor)) is asserted by the
+//! property tests.
 
-use fdc_core::{DisclosureLabel, PackedLabel, SecurityViewId, SecurityViews, WorkerPool};
+use fdc_core::{DisclosureLabel, PackedLabel, SecurityViewId, SecurityViews};
 
 use crate::monitor::Decision;
 use crate::policy::SecurityPolicy;
 use crate::store::{PolicyStore, PrincipalId};
-
-/// Batches shorter than this are decided sequentially on the calling thread
-/// by default: for tiny batches, even the pool hand-off (cloning the packed
-/// labels into owned per-shard requests, a queue push per busy shard) costs
-/// more than the handful of bit-mask decisions being parallelized.  Tune per
-/// store with [`ShardedPolicyStore::set_parallel_threshold`] (a
-/// `DisclosureService` passes its `ServiceConfig::parallel_threshold`, the
-/// crossover it also applies to its labeling fan-out).
-pub const DEFAULT_PARALLEL_THRESHOLD: usize = 32;
-
-/// One shard's slice of a fanned-out batch: `(request index, shard-local
-/// principal, packed label, commit)`.
-type ShardRequests = Vec<(usize, PrincipalId, Vec<PackedLabel>, bool)>;
 
 /// A policy store partitioned over independent shards.
 ///
@@ -51,39 +30,20 @@ type ShardRequests = Vec<(usize, PrincipalId, Vec<PackedLabel>, bool)>;
 pub struct ShardedPolicyStore {
     shards: Vec<PolicyStore>,
     num_principals: usize,
-    /// Minimum batch length for the pooled per-shard fan-out; shorter
-    /// batches fall back to the sequential path.
-    parallel_threshold: usize,
 }
 
 impl ShardedPolicyStore {
-    /// Creates an empty store with `num_shards` shards (at least 1) and the
-    /// [default small-batch threshold](DEFAULT_PARALLEL_THRESHOLD).
+    /// Creates an empty store with `num_shards` shards (at least 1).
     pub fn new(num_shards: usize) -> Self {
         ShardedPolicyStore {
             shards: (0..num_shards.max(1)).map(|_| PolicyStore::new()).collect(),
             num_principals: 0,
-            parallel_threshold: DEFAULT_PARALLEL_THRESHOLD,
         }
     }
 
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
         self.shards.len()
-    }
-
-    /// The current small-batch sequential-fallback threshold.
-    pub fn parallel_threshold(&self) -> usize {
-        self.parallel_threshold
-    }
-
-    /// Sets the minimum batch length at which
-    /// [`submit_batch_on`](Self::submit_batch_on) /
-    /// [`decide_batch_on`](Self::decide_batch_on) fan out to
-    /// the worker pool.  `0` (or `1`) forces the parallel path for every
-    /// non-trivial batch.
-    pub fn set_parallel_threshold(&mut self, threshold: usize) {
-        self.parallel_threshold = threshold;
     }
 
     /// Number of registered principals.
@@ -208,103 +168,8 @@ impl ShardedPolicyStore {
         self.shards[shard].check_packed(local, label)
     }
 
-    /// Submits a batch of packed requests sequentially, in order.
-    pub fn submit_batch(&mut self, batch: &[(PrincipalId, &[PackedLabel])]) -> Vec<Decision> {
-        batch
-            .iter()
-            .map(|(principal, label)| self.submit_packed(*principal, label))
-            .collect()
-    }
-
-    /// Submits a batch of packed requests with one pool task per busy
-    /// shard, returning the decisions in request order — the all-commit,
-    /// collected form of [`decide_batch_on`](Self::decide_batch_on), whose
-    /// decisions (and per-principal state) equal the sequential
-    /// [`submit_batch`](Self::submit_batch); asserted by the property
-    /// tests.
-    pub fn submit_batch_on(
-        &mut self,
-        pool: &WorkerPool,
-        batch: &[(PrincipalId, &[PackedLabel])],
-    ) -> Vec<Decision> {
-        let mut decisions = vec![Decision::Deny; batch.len()];
-        self.decide_batch_on(
-            pool,
-            batch
-                .iter()
-                .map(|&(principal, label)| (principal, label, true)),
-            |i, decision| decisions[i] = decision,
-        );
-        decisions
-    }
-
-    /// The one place that chooses between deciding a batch inline and
-    /// fanning it out per shard: a fan-out needs more than one shard, more
-    /// than one pool worker and at least
-    /// [`parallel_threshold`](Self::parallel_threshold) (and two) requests.
-    fn fans_out(&self, pool: &WorkerPool, batch_len: usize) -> bool {
-        self.shards.len() > 1
-            && pool.workers() > 1
-            && batch_len > 1
-            && batch_len >= self.parallel_threshold
-    }
-
-    /// Partitions a batch into owned per-shard request lists (cloning each
-    /// packed label — a handful of `u64`s — so the requests can outlive the
-    /// borrowed batch inside the pool tasks).
-    fn partition<'a>(
-        &self,
-        batch: impl Iterator<Item = (PrincipalId, &'a [PackedLabel], bool)>,
-    ) -> Vec<ShardRequests> {
-        let num_shards = self.shards.len();
-        let mut by_shard: Vec<ShardRequests> = vec![Vec::new(); num_shards];
-        for (i, (principal, label, commit)) in batch.enumerate() {
-            let local = PrincipalId((principal.index() / num_shards) as u32);
-            by_shard[principal.index() % num_shards].push((i, local, label.to_vec(), commit));
-        }
-        by_shard
-    }
-
-    /// The move-in/move-out fan-out: every shard with pending requests is
-    /// moved into a pool task together with its request list, decides them
-    /// in batch order, and is moved back; each decision is handed to `sink`
-    /// with its request index, shard by shard.
-    fn fan_out(
-        &mut self,
-        pool: &WorkerPool,
-        by_shard: Vec<ShardRequests>,
-        mut sink: impl FnMut(usize, Decision),
-    ) {
-        let mut slots: Vec<Option<PolicyStore>> = self.shards.drain(..).map(Some).collect();
-        let mut inputs: Vec<(usize, PolicyStore, ShardRequests)> = Vec::new();
-        for (shard_idx, requests) in by_shard.into_iter().enumerate() {
-            if !requests.is_empty() {
-                let shard = slots[shard_idx].take().expect("each shard moved out once");
-                inputs.push((shard_idx, shard, requests));
-            }
-        }
-        let outputs = pool.run(inputs, move |(shard_idx, mut shard, requests), _ctx| {
-            let decided: Vec<(usize, Decision)> = requests
-                .into_iter()
-                .map(|(i, local, label, commit)| (i, shard.decide_packed(local, &label, commit)))
-                .collect();
-            (shard_idx, shard, decided)
-        });
-        for (shard_idx, shard, decided) in outputs {
-            slots[shard_idx] = Some(shard);
-            for (i, decision) in decided {
-                sink(i, decision);
-            }
-        }
-        self.shards = slots
-            .into_iter()
-            .map(|slot| slot.expect("each shard moved back once"))
-            .collect();
-    }
-
-    /// Serializes the sharded store — shard count, principal count,
-    /// parallel threshold, then every shard via
-    /// [`PolicyStore::encode_into`] — into `out`.
+    /// Serializes the sharded store — shard count, principal count, then
+    /// every shard via [`PolicyStore::encode_into`] — into `out`.
     ///
     /// The per-shard layout is a function of the shard count (principal
     /// `p` lives in shard `p % num_shards`), so the count is part of the
@@ -314,7 +179,6 @@ impl ShardedPolicyStore {
         use fdc_durability::codec::{put_len, put_u64};
         put_len(out, self.shards.len());
         put_u64(out, self.num_principals as u64);
-        put_u64(out, self.parallel_threshold as u64);
         for shard in &self.shards {
             shard.encode_into(out);
         }
@@ -338,7 +202,6 @@ impl ShardedPolicyStore {
         // count by the input and keeps the placement arithmetic below in
         // range.
         let num_principals = cursor.count(20)?;
-        let parallel_threshold = cursor.u64()? as usize;
         let mut shards = Vec::with_capacity(num_shards);
         for index in 0..num_shards {
             let at = cursor.pos();
@@ -359,7 +222,6 @@ impl ShardedPolicyStore {
         Ok(ShardedPolicyStore {
             shards,
             num_principals,
-            parallel_threshold,
         })
     }
 
@@ -373,42 +235,6 @@ impl ShardedPolicyStore {
     ) -> Decision {
         let (shard, local) = self.locate(principal);
         self.shards[shard].decide_packed(local, label, commit)
-    }
-
-    /// Decides a mixed batch of packed submits (`commit = true`) and checks
-    /// (`commit = false`), handing each decision to `sink` together with
-    /// its request's index in `batch` — no request vector comes in and no
-    /// decision vector goes out, so a caller that keeps its labels in one
-    /// arena and its answers in response slots decides a batch without
-    /// allocating.
-    ///
-    /// Small batches (and single-shard or single-worker set-ups — see
-    /// `fans_out`, the only place that rule lives) are decided inline on
-    /// the calling thread, `sink` running in request order; larger ones
-    /// take one pool task per busy shard, and `sink` runs shard by shard
-    /// once the tasks are back.  Either way the requests of one principal
-    /// are decided — and reach `sink` — in batch order, so a check between
-    /// two submits for the same principal observes exactly the state it
-    /// would under sequential processing, and a sink that keeps
-    /// per-principal state sees it in stream order.
-    ///
-    /// The pool is always supplied by the caller: the store owns no
-    /// threads of its own and never falls back to a process-global pool,
-    /// so a service embedding this store runs exactly one worker plane.
-    pub fn decide_batch_on<'a>(
-        &mut self,
-        pool: &WorkerPool,
-        batch: impl ExactSizeIterator<Item = (PrincipalId, &'a [PackedLabel], bool)>,
-        mut sink: impl FnMut(usize, Decision),
-    ) {
-        if self.fans_out(pool, batch.len()) {
-            let by_shard = self.partition(batch);
-            self.fan_out(pool, by_shard, sink);
-        } else {
-            for (i, (principal, label, commit)) in batch.enumerate() {
-                sink(i, self.decide_packed(principal, label, commit));
-            }
-        }
     }
 
     /// `(answered, refused)` counters for a principal.
@@ -455,20 +281,6 @@ mod tests {
         labeler.label_query(&parse_query(catalog, text).unwrap())
     }
 
-    /// `decide_batch_on`, with the sink's decisions collected into request
-    /// order (every slot must be answered exactly once).
-    fn decide_collected(
-        store: &mut ShardedPolicyStore,
-        pool: &WorkerPool,
-        batch: &[(PrincipalId, &[PackedLabel], bool)],
-    ) -> Vec<Decision> {
-        let mut decisions = vec![None; batch.len()];
-        store.decide_batch_on(pool, batch.iter().copied(), |i, decision| {
-            assert!(decisions[i].replace(decision).is_none(), "slot {i} twice");
-        });
-        decisions.into_iter().map(Option::unwrap).collect()
-    }
-
     fn wall(registry: &SecurityViews) -> SecurityPolicy {
         let v1 = registry.id_by_name("V1").unwrap();
         let v3 = registry.id_by_name("V3").unwrap();
@@ -482,7 +294,6 @@ mod tests {
     fn encode_decode_round_trips_the_sharded_layout() {
         let (registry, labeler) = setup();
         let mut store = ShardedPolicyStore::new(3);
-        store.set_parallel_threshold(7);
         let ids: Vec<PrincipalId> = (0..10).map(|_| store.register(wall(&registry))).collect();
         let meetings = label(&labeler, "Q(x, y) :- Meetings(x, y)");
         let contacts = label(&labeler, "Q(x, y, z) :- Contacts(x, y, z)");
@@ -497,7 +308,6 @@ mod tests {
         cursor.expect_end().unwrap();
         assert_eq!(back.num_shards(), 3);
         assert_eq!(back.len(), store.len());
-        assert_eq!(back.parallel_threshold(), 7);
         assert_eq!(back.totals(), store.totals());
         for &id in &ids {
             assert_eq!(back.consistency_bits(id), store.consistency_bits(id));
@@ -579,85 +389,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_batches_match_sequential_batches() {
-        let (registry, labeler) = setup();
-        let mut sequential = ShardedPolicyStore::new(4);
-        let mut parallel = ShardedPolicyStore::new(4);
-        for _ in 0..13 {
-            sequential.register(wall(&registry));
-            parallel.register(wall(&registry));
-        }
-        let labels: Vec<Vec<_>> = [
-            "Q(x, y) :- Contacts(x, y, z)",
-            "Q(x) :- Meetings(x, y)",
-            "Q(x, y) :- Meetings(x, y)",
-            "Q(x, z) :- Contacts(x, y, z)",
-            "Q(y) :- Meetings(x, y)",
-        ]
-        .iter()
-        .cycle()
-        .take(100)
-        .map(|text| label(&labeler, text).pack())
-        .collect();
-        let batch: Vec<(PrincipalId, &[PackedLabel])> = labels
-            .iter()
-            .enumerate()
-            .map(|(i, l)| (PrincipalId((i % 13) as u32), l.as_slice()))
-            .collect();
-        let pool = WorkerPool::new(4);
-        assert_eq!(
-            parallel.submit_batch_on(&pool, &batch),
-            sequential.submit_batch(&batch)
-        );
-        assert_eq!(parallel.totals(), sequential.totals());
-        for i in 0..13 {
-            let p = PrincipalId(i);
-            assert_eq!(parallel.consistency_bits(p), sequential.consistency_bits(p));
-            assert_eq!(parallel.stats(p), sequential.stats(p));
-        }
-    }
-
-    #[test]
-    fn mixed_parallel_batches_match_sequential_decisions() {
-        let (registry, labeler) = setup();
-        let mut parallel = ShardedPolicyStore::new(4);
-        let mut sequential = ShardedPolicyStore::new(4);
-        for _ in 0..9 {
-            parallel.register(wall(&registry));
-            sequential.register(wall(&registry));
-        }
-        let labels: Vec<Vec<PackedLabel>> = [
-            "Q(x, y) :- Contacts(x, y, z)",
-            "Q(x) :- Meetings(x, y)",
-            "Q(x, y) :- Meetings(x, y)",
-            "Q(x, z) :- Contacts(x, y, z)",
-        ]
-        .iter()
-        .cycle()
-        .take(80)
-        .map(|text| label(&labeler, text).pack())
-        .collect();
-        // Interleave checks (every third request) with submits.
-        let batch: Vec<(PrincipalId, &[PackedLabel], bool)> = labels
-            .iter()
-            .enumerate()
-            .map(|(i, l)| (PrincipalId((i % 9) as u32), l.as_slice(), i % 3 != 0))
-            .collect();
-        let expected: Vec<Decision> = batch
-            .iter()
-            .map(|(p, l, commit)| sequential.decide_packed(*p, l, *commit))
-            .collect();
-        let pool = WorkerPool::new(4);
-        assert_eq!(decide_collected(&mut parallel, &pool, &batch), expected);
-        assert_eq!(parallel.totals(), sequential.totals());
-        for i in 0..9 {
-            let p = PrincipalId(i);
-            assert_eq!(parallel.consistency_bits(p), sequential.consistency_bits(p));
-            assert_eq!(parallel.stats(p), sequential.stats(p));
-        }
-    }
-
-    #[test]
     fn sharded_grants_and_revokes_match_a_flat_store() {
         let (registry, labeler) = setup();
         let v1 = registry.id_by_name("V1").unwrap();
@@ -693,75 +424,17 @@ mod tests {
     }
 
     #[test]
-    fn small_batches_fall_back_to_the_sequential_path() {
-        let (registry, labeler) = setup();
-        // A store with a raised threshold decides a 100-request batch
-        // sequentially; one with a zero threshold fans out.  Both must equal
-        // the plain sequential store on decisions and state.
-        let mut raised = ShardedPolicyStore::new(4);
-        raised.set_parallel_threshold(1_000);
-        assert_eq!(raised.parallel_threshold(), 1_000);
-        let mut forced = ShardedPolicyStore::new(4);
-        forced.set_parallel_threshold(0);
-        let mut sequential = ShardedPolicyStore::new(4);
-        assert_eq!(sequential.parallel_threshold(), DEFAULT_PARALLEL_THRESHOLD);
-        for _ in 0..11 {
-            raised.register(wall(&registry));
-            forced.register(wall(&registry));
-            sequential.register(wall(&registry));
-        }
-        let labels: Vec<Vec<PackedLabel>> = [
-            "Q(x, y) :- Contacts(x, y, z)",
-            "Q(x) :- Meetings(x, y)",
-            "Q(x, y) :- Meetings(x, y)",
-        ]
-        .iter()
-        .cycle()
-        .take(100)
-        .map(|text| label(&labeler, text).pack())
-        .collect();
-        let batch: Vec<(PrincipalId, &[PackedLabel])> = labels
-            .iter()
-            .enumerate()
-            .map(|(i, l)| (PrincipalId((i % 11) as u32), l.as_slice()))
-            .collect();
-        let pool = WorkerPool::new(4);
-        let expected = sequential.submit_batch(&batch);
-        assert_eq!(raised.submit_batch_on(&pool, &batch), expected);
-        assert_eq!(forced.submit_batch_on(&pool, &batch), expected);
-        assert_eq!(raised.totals(), sequential.totals());
-        assert_eq!(forced.totals(), sequential.totals());
-        // Same crossover on the mixed submit/check path.
-        let mixed: Vec<(PrincipalId, &[PackedLabel], bool)> = labels
-            .iter()
-            .enumerate()
-            .map(|(i, l)| (PrincipalId((i % 11) as u32), l.as_slice(), i % 2 == 0))
-            .collect();
-        let expected_mixed: Vec<Decision> = mixed
-            .iter()
-            .map(|(p, l, commit)| sequential.decide_packed(*p, l, *commit))
-            .collect();
-        assert_eq!(decide_collected(&mut raised, &pool, &mixed), expected_mixed);
-        assert_eq!(decide_collected(&mut forced, &pool, &mixed), expected_mixed);
-        for i in 0..11 {
-            let p = PrincipalId(i);
-            assert_eq!(raised.stats(p), sequential.stats(p));
-            assert_eq!(forced.stats(p), sequential.stats(p));
-        }
-    }
-
-    #[test]
     fn degenerate_shapes_fall_back_to_the_sequential_path() {
         let (registry, labeler) = setup();
-        // Zero requested shards is clamped to one.
+        // Zero requested shards is clamped to one, which decides like a
+        // flat store.
         let mut single = ShardedPolicyStore::new(0);
         assert_eq!(single.num_shards(), 1);
         let p = single.register(wall(&registry));
         let packed = label(&labeler, "Q(x) :- Meetings(x, y)").pack();
-        let batch: Vec<(PrincipalId, &[PackedLabel])> = vec![(p, packed.as_slice())];
-        let pool = WorkerPool::new(4);
-        assert_eq!(single.submit_batch_on(&pool, &batch).len(), 1);
-        assert!(single.submit_batch_on(&pool, &[]).is_empty());
+        assert!(single.decide_packed(p, &packed, false).is_allow());
+        assert_eq!(single.totals(), (0, 0));
+        assert!(single.decide_packed(p, &packed, true).is_allow());
         assert_eq!(single.totals(), (1, 0));
     }
 }

@@ -25,9 +25,9 @@
 //!   without unpacking.  What the loop must compute is written down,
 //!   uncompiled, in [`ReferenceMonitor`](crate::ReferenceMonitor).
 //!
-//! For multi-core enforcement see
-//! [`ShardedPolicyStore`](crate::ShardedPolicyStore), which partitions
-//! principals across per-worker stores.
+//! [`ShardedPolicyStore`](crate::ShardedPolicyStore) places principals
+//! round-robin over several of these stores — the layout a checkpoint
+//! writes — and routes each request to the one that holds its principal.
 
 use fdc_core::{DisclosureLabel, PackedLabel, SecurityViewId, SecurityViews, ViewMask};
 use fdc_cq::{Catalog, RelId};
@@ -322,15 +322,6 @@ impl PolicyStore {
         }
     }
 
-    /// Submits a batch of packed requests in order, returning one decision
-    /// per request.
-    pub fn submit_batch(&mut self, batch: &[(PrincipalId, &[PackedLabel])]) -> Vec<Decision> {
-        batch
-            .iter()
-            .map(|(principal, label)| self.submit_packed(*principal, label))
-            .collect()
-    }
-
     /// Serializes the store — the arena's source policies in interning
     /// order, the raw 24-byte principal records, the store totals — into
     /// `out` (one shard's slice of a checkpoint).
@@ -607,46 +598,6 @@ mod tests {
         }
         assert_eq!(unpacked.stats(a), packed.stats(b));
         assert_eq!(unpacked.totals(), packed.totals());
-    }
-
-    #[test]
-    fn batch_submission_matches_one_by_one_submission() {
-        let (registry, labeler) = setup();
-        let v1 = registry.id_by_name("V1").unwrap();
-        let v3 = registry.id_by_name("V3").unwrap();
-        let wall = SecurityPolicy::chinese_wall([
-            PolicyPartition::from_views("meetings", &registry, [v1]),
-            PolicyPartition::from_views("contacts", &registry, [v3]),
-        ]);
-        let mut batch_store = PolicyStore::new();
-        let mut loop_store = PolicyStore::new();
-        for _ in 0..3 {
-            batch_store.register(wall.clone());
-            loop_store.register(wall.clone());
-        }
-        let labels: Vec<Vec<PackedLabel>> = [
-            "Q(x, y) :- Contacts(x, y, z)",
-            "Q(x) :- Meetings(x, y)",
-            "Q(x, y) :- Meetings(x, y)",
-            "Q(x, z) :- Contacts(x, y, z)",
-            "Q(x, y, z) :- Contacts(x, y, z)",
-            "Q(y) :- Meetings(x, y)",
-        ]
-        .iter()
-        .map(|text| label(&labeler, text).pack())
-        .collect();
-        let batch: Vec<(PrincipalId, &[PackedLabel])> = labels
-            .iter()
-            .enumerate()
-            .map(|(i, l)| (PrincipalId((i % 3) as u32), l.as_slice()))
-            .collect();
-        let batched = batch_store.submit_batch(&batch);
-        let looped: Vec<Decision> = batch
-            .iter()
-            .map(|(p, l)| loop_store.submit_packed(*p, l))
-            .collect();
-        assert_eq!(batched, looped);
-        assert_eq!(batch_store.totals(), loop_store.totals());
     }
 
     #[test]

@@ -620,13 +620,10 @@ mod tests {
         })
     }
 
-    /// The checkpoint image of a fixed stream — ids and over-budget boxed
+    /// A service that has served a fixed stream — ids and over-budget boxed
     /// entries, rings below, at and past their cap, an untouched principal
-    /// — is byte for byte what the ring-per-principal service wrote (the
-    /// length and hash were taken from that build), and decoding it is the
-    /// inverse of encoding it.
-    #[test]
-    fn the_checkpoint_image_of_a_fixed_stream_is_unchanged() {
+    /// — and the configuration it was built with.
+    fn fixed_stream_service() -> (DisclosureService, ServiceConfig) {
         let registry = SecurityViews::paper_example();
         let config = ServiceConfig {
             num_shards: 2,
@@ -682,12 +679,44 @@ mod tests {
                 .collect()
         };
         assert_eq!(has_id, [true, true, true, true, true, false, false]);
+        (service, config)
+    }
+
+    /// The checkpoint image of the fixed stream is byte for byte what the
+    /// build that introduced image version 3 wrote (the length and hash
+    /// were taken from it), and decoding it is the inverse of encoding it.
+    #[test]
+    fn the_checkpoint_image_of_a_fixed_stream_is_unchanged() {
+        let (service, config) = fixed_stream_service();
         let image = service.freeze(0, true).encode();
+        assert_eq!(
+            (image.len(), fnv1a(&image)),
+            (1_243, 12_687_038_698_957_181_842)
+        );
+        let recovered = DisclosureService::decode_state(&image, config).unwrap();
+        assert_eq!(recovered.freeze(0, true).encode(), image);
+    }
+
+    /// Version 3 is version 2 minus one word and nothing else moved: the
+    /// sharded store's section used to carry a fan-out threshold (32, the
+    /// default) after its shard and principal counts, and putting it back
+    /// reproduces the version-2 image this stream was pinned to since the
+    /// ring-per-principal service wrote it.
+    #[test]
+    fn the_version_3_image_is_the_version_2_image_minus_the_threshold_word() {
+        let (service, _) = fixed_stream_service();
+        let mut image = service.freeze(0, true).encode();
+        let mut store = Vec::new();
+        service.store().encode_into(&mut store);
+        let store_at = image
+            .windows(store.len())
+            .position(|window| window == store)
+            .expect("the image holds the store's section");
+        let threshold_at = store_at + 16;
+        image.splice(threshold_at..threshold_at, 32u64.to_le_bytes());
         assert_eq!(
             (image.len(), fnv1a(&image)),
             (1_251, 13_972_289_761_036_353_554)
         );
-        let recovered = DisclosureService::decode_state(&image, config).unwrap();
-        assert_eq!(recovered.freeze(0, true).encode(), image);
     }
 }

@@ -22,11 +22,13 @@
 //! The service multiplexes all of it behind one [`Operation`] stream:
 //! [`apply`](DisclosureService::apply) serves one operation,
 //! [`run_pipelined`](DisclosureService::run_pipelined) a batch (labeling on
-//! a persistent worker pool when `workers > 1`), and both answer exactly
-//! like op-by-op processing.  The Figure 7 benchmark
-//! (`fig7_json`) measures the payoff: at realistic mutation:query ratios,
-//! incremental relabeling sustains a large multiple of the throughput of
-//! the flush-on-mutation baseline ([`InvalidationMode::FlushOnMutation`]).
+//! a persistent worker pool when `workers > 1`, decisions on the calling
+//! thread), and both answer exactly like op-by-op processing.  The Figure 7
+//! benchmark (`fig7_json`) measures the payoff: at realistic mutation:query
+//! ratios, incremental relabeling sustains a large multiple of the
+//! throughput of a flush-on-mutation baseline — which lives in the bench
+//! harness (`fdc_bench::run_flushing_on_mutation` clears the label cache
+//! after every mutation it serves), not in the service.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -42,10 +44,9 @@ pub use durable::{RecoveryReport, WalOp};
 pub use fdc_durability::DurabilityConfig;
 pub use health::{DegradedMode, DurabilityHealth, ServiceMode};
 pub use maintenance::BackgroundCheckpointer;
-pub use ops::{Operation, Response, ServiceError};
+pub use ops::{Operation, PolicyBound, Response, ServiceError};
 pub use service::{
-    DisclosureService, InvalidationMode, ParallelStats, PendingCheckpoint, ServiceConfig,
-    ServiceStats,
+    DisclosureService, ParallelStats, PendingCheckpoint, ServiceConfig, ServiceStats,
 };
 
 #[cfg(test)]
@@ -141,8 +142,8 @@ mod tests {
         );
         assert_eq!(responses[1], Response::PolicyUpdated);
         assert_eq!(service.stats().mutations, 2);
-        // Incremental mode never flushes on policy mutations.
-        assert_eq!(service.stats().flushes, 0);
+        // Policy mutations leave the label cache alone.
+        assert!(service.labeler().stats().entries > 0);
     }
 
     #[test]
@@ -332,53 +333,6 @@ mod tests {
         assert!(report.is_tight());
     }
 
-    #[test]
-    fn flush_mode_decides_identically_but_flushes() {
-        let registry = SecurityViews::paper_example();
-        let mut incremental = DisclosureService::new(
-            registry.clone(),
-            ServiceConfig {
-                num_shards: 2,
-                ..ServiceConfig::default()
-            },
-        );
-        let mut flushing = DisclosureService::new(
-            registry.clone(),
-            ServiceConfig {
-                num_shards: 2,
-                invalidation: InvalidationMode::FlushOnMutation,
-                ..ServiceConfig::default()
-            },
-        );
-        for _ in 0..3 {
-            incremental.register_principal(wall(&registry));
-            flushing.register_principal(wall(&registry));
-        }
-        let catalog = registry.catalog().clone();
-        let mut ops = Vec::new();
-        for i in 0..40 {
-            let principal = PrincipalId((i % 3) as u32);
-            ops.push(Operation::Submit {
-                principal,
-                query: parse_query(&catalog, "Q(x) :- Meetings(x, y)").unwrap(),
-            });
-            if i == 20 {
-                ops.push(Operation::GrantView {
-                    principal,
-                    view: "V2".into(),
-                });
-            }
-        }
-        assert_eq!(
-            incremental.run_pipelined(&ops),
-            flushing.run_pipelined(&ops)
-        );
-        assert_eq!(incremental.stats().flushes, 0);
-        assert_eq!(flushing.stats().flushes, 1);
-        // The incremental service kept its cache across the mutation.
-        assert!(incremental.labeler().stats().entries > 0);
-    }
-
     /// A mixed op stream covering every non-boundary shape plus
     /// `AddSecurityView` boundaries and invalid ops.
     fn mixed_stream(catalog: &fdc_cq::Catalog, with_audits: bool) -> Vec<Operation> {
@@ -487,23 +441,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn pipelined_flush_mode_decides_identically() {
-        let ops = mixed_stream(SecurityViews::paper_example().catalog(), true);
-        let flush_config = ServiceConfig {
-            invalidation: InvalidationMode::FlushOnMutation,
-            ..ServiceConfig::default()
-        };
-        let mut sequential = service_with(flush_config);
-        let mut pipelined = service_with(flush_config);
-        let sequential_responses: Vec<Response> =
-            ops.iter().map(|op| sequential.apply(op)).collect();
-        assert_eq!(pipelined.run_pipelined(&ops), sequential_responses);
-        assert_eq!(sequential.totals(), pipelined.totals());
-        assert_eq!(sequential.stats().flushes, pipelined.stats().flushes);
-        assert!(pipelined.stats().flushes > 0);
     }
 
     #[test]
@@ -681,7 +618,6 @@ mod tests {
                 let config = ServiceConfig {
                     num_shards: 1,
                     workers,
-                    parallel_threshold: 0,
                     ..ServiceConfig::default()
                 };
                 let mut service = DisclosureService::with_labeler(
@@ -887,6 +823,42 @@ mod tests {
         ])
     }
 
+    /// One partition more than a consistency word has bits.
+    fn too_wide(registry: &SecurityViews) -> SecurityPolicy {
+        let v1 = registry.id_by_name("V1").unwrap();
+        SecurityPolicy::chinese_wall(
+            (0..=fdc_policy::MAX_PARTITIONS)
+                .map(|i| PolicyPartition::from_views(format!("p{i}"), registry, [v1])),
+        )
+    }
+
+    #[test]
+    fn a_policy_with_too_many_partitions_is_refused_before_it_is_logged() {
+        let dir = temp_dir("wide_policy_live");
+        let registry = SecurityViews::paper_example();
+        let (mut service, _) =
+            DisclosureService::open_durable(registry.clone(), durable_config(), &dir).unwrap();
+        let p = service.register_principal(wall(&registry));
+        let refusal =
+            ServiceError::InvalidPolicy(PolicyBound::Partitions(fdc_policy::MAX_PARTITIONS));
+        assert_eq!(
+            service.try_register_principal(too_wide(&registry)),
+            Err(refusal.clone())
+        );
+        assert_eq!(
+            service.replace_policy(p, too_wide(&registry)),
+            Err(refusal.clone())
+        );
+        assert!(refusal.to_string().contains("64 partitions"), "{refusal}");
+        service.close().unwrap();
+        // Only the registration was logged.
+        let (recovered, report) =
+            DisclosureService::open_durable(registry, durable_config(), &dir).unwrap();
+        assert_eq!(report.records_replayed, 1);
+        assert_eq!(recovered.store().len(), 1);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
     #[test]
     fn a_policy_outside_the_catalog_is_refused_before_it_is_logged() {
         let dir = temp_dir("hostile_policy_live");
@@ -900,11 +872,15 @@ mod tests {
             let hostile = wall_naming(&registry, id);
             assert_eq!(
                 service.try_register_principal(hostile.clone()),
-                Err(ServiceError::InvalidPolicy { relations })
+                Err(ServiceError::InvalidPolicy(PolicyBound::Relations(
+                    relations
+                )))
             );
             assert_eq!(
                 service.replace_policy(p, hostile),
-                Err(ServiceError::InvalidPolicy { relations })
+                Err(ServiceError::InvalidPolicy(PolicyBound::Relations(
+                    relations
+                )))
             );
         }
         // The last relation of the catalog is inside it.
@@ -922,20 +898,35 @@ mod tests {
 
     #[test]
     fn replay_skips_a_logged_policy_outside_the_catalog() {
-        // No live service writes such a record; a hand-damaged log may hold
-        // one, and recovery must neither die on it nor apply it.
-        let dir = temp_dir("hostile_policy_replay");
         let registry = SecurityViews::paper_example();
-        let hostile = wall_naming(&registry, 0x7FFF_FFFF);
+        assert_replay_skips(
+            "hostile_policy_replay",
+            &wall_naming(&registry, 0x7FFF_FFFF),
+        );
+    }
+
+    #[test]
+    fn replay_skips_a_logged_policy_with_too_many_partitions() {
+        // Regression: this record used to panic recovery on every open.
+        let registry = SecurityViews::paper_example();
+        assert_replay_skips("wide_policy_replay", &too_wide(&registry));
+    }
+
+    /// No live service writes a record carrying `hostile`; a hand-damaged
+    /// log may hold one — CRC-valid, so the reader accepts it — and recovery
+    /// must neither die on it nor apply it.
+    fn assert_replay_skips(tag: &str, hostile: &SecurityPolicy) {
+        let dir = temp_dir(tag);
+        let registry = SecurityViews::paper_example();
         let mut log =
             fdc_durability::WalWriter::create(&dir, durable_config().durability, 1).unwrap();
         let mut payload = Vec::new();
         for record in 0..3 {
             payload.clear();
             match record {
-                0 => durable::encode_register(&hostile, &mut payload),
+                0 => durable::encode_register(hostile, &mut payload),
                 1 => durable::encode_register(&wall(&registry), &mut payload),
-                _ => durable::encode_replace_policy(PrincipalId(0), &hostile, &mut payload),
+                _ => durable::encode_replace_policy(PrincipalId(0), hostile, &mut payload),
             }
             log.append(&payload).unwrap();
         }

@@ -139,6 +139,18 @@ impl Response {
     }
 }
 
+/// The bound a refused policy exceeds, with its value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PolicyBound {
+    /// The policy names a relation outside the service's catalog of this
+    /// many relations, so no view of the registry could have put it there.
+    Relations(usize),
+    /// The policy has more partitions than this
+    /// ([`fdc_policy::MAX_PARTITIONS`]: a principal's consistency word
+    /// holds one bit per partition).
+    Partitions(usize),
+}
+
 /// Why the service rejected an operation.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServiceError {
@@ -153,13 +165,8 @@ pub enum ServiceError {
     /// definition, invalid query, or the relation's 32-view packed-mask
     /// budget — see `fdc_core::MAX_PACKED_VIEWS_PER_RELATION`).
     InvalidView(LabelError),
-    /// The policy names a relation outside the service's catalog (of
-    /// `relations` relations), so no view of the registry could have put it
-    /// there.
-    InvalidPolicy {
-        /// Number of relations in the catalog.
-        relations: usize,
-    },
+    /// The policy exceeds a bound of the service; the operand says which.
+    InvalidPolicy(PolicyBound),
     /// Auditing is disabled (the service was configured with a zero
     /// observed-workload history).
     AuditingDisabled,
@@ -184,10 +191,13 @@ impl fmt::Display for ServiceError {
                 write!(f, "no security view named `{name}` is registered")
             }
             ServiceError::InvalidView(err) => write!(f, "invalid security view: {err}"),
-            ServiceError::InvalidPolicy { relations } => write!(
+            ServiceError::InvalidPolicy(PolicyBound::Relations(relations)) => write!(
                 f,
                 "the policy names a relation outside the {relations}-relation catalog"
             ),
+            ServiceError::InvalidPolicy(PolicyBound::Partitions(partitions)) => {
+                write!(f, "policies are limited to {partitions} partitions")
+            }
             ServiceError::AuditingDisabled => {
                 write!(f, "auditing is disabled (history_cap is 0)")
             }

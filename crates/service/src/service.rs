@@ -12,11 +12,12 @@
 //!               from the cache under its stripe lock (`label_into`)
 //! ```
 //!
-//! `flush_decisions` hands a run to the policy store, which decides it
-//! inline or per shard and calls back once per decision: the response slot
-//! is written, and a committed submission becomes one 8-byte append to the
-//! audit history's log (see the `history` module).  The arena belongs to
-//! the service between requests, so a warm one reuses its capacity.
+//! `flush_decisions` walks a run in request order on the calling thread,
+//! at every worker count: the policy store decides the label where it lies
+//! in the arena, a committed submission becomes one 8-byte append to the
+//! audit history's log (see the `history` module), and the response slot
+//! is written.  The arena belongs to the service between requests, so a
+//! warm one reuses its capacity.
 
 use std::io;
 use std::ops::Range;
@@ -43,7 +44,7 @@ use fdc_policy::{
 use crate::durable::{self, DurableState, RecoveryReport, WalOp};
 use crate::health::{DurabilityHealth, ServiceMode};
 use crate::history::History;
-use crate::ops::{Operation, Response, ServiceError};
+use crate::ops::{Operation, PolicyBound, Response, ServiceError};
 
 /// Checkpoints retained on disk after
 /// [`DisclosureService::checkpoint`] prunes: the newest plus one
@@ -51,37 +52,18 @@ use crate::ops::{Operation, Response, ServiceError};
 /// bit rot) still leaves a valid older image to recover from.
 const CHECKPOINTS_KEPT: usize = 2;
 
-/// How the service reconciles its label caches with online mutations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InvalidationMode {
-    /// Per-relation epoch tracking: a view-universe change to relation `R`
-    /// bumps only `R`'s epoch, and cached labels lazily re-derive just
-    /// their stale atoms.  Policy grants/revokes never touch the label
-    /// caches at all (labels do not depend on policies).  This is the
-    /// production mode.
-    #[default]
-    Incremental,
-    /// Flush the entire label cache on **every** mutation — the
-    /// conservative strategy a service without dependency tracking must
-    /// adopt ("something about disclosure control changed, recompute the
-    /// world").  Kept as the Figure 7 baseline; every flush forces the full
-    /// labeling pipeline to re-run for each distinct query shape until the
-    /// cache re-warms.
-    FlushOnMutation,
-}
-
 /// Configuration of a [`DisclosureService`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
-    /// Number of policy shards decision application fans out across.
-    /// `0` means "the host's available parallelism".  The shard count is
-    /// part of a durable service's on-disk layout (round-robin principal
-    /// placement), so recovery keeps the checkpoint's count.
+    /// Number of shards the policy store lays principals out over
+    /// (round-robin).  `0` means "the host's available parallelism".  The
+    /// count is part of a durable service's on-disk layout and of nothing
+    /// else — decisions are made on the calling thread whatever it is — so
+    /// recovery keeps the checkpoint's count.
     pub num_shards: usize,
     /// Number of persistent worker threads in the service's
     /// [`WorkerPool`] — the labeling fan-out width of
-    /// [`run_pipelined`](DisclosureService::run_pipelined) and the
-    /// execution plane of the per-shard decision fan-out.  `0` means "the
+    /// [`run_pipelined`](DisclosureService::run_pipelined).  `0` means "the
     /// host's available parallelism"; `1` serves every batch inline on the
     /// calling thread with no pool at all.
     pub workers: usize,
@@ -93,15 +75,6 @@ pub struct ServiceConfig {
     /// record that would not fit panics instead of wrapping a link (8 bytes
     /// an entry, that is 32 GiB of history first).
     pub history_cap: usize,
-    /// Cache-invalidation strategy; see [`InvalidationMode`].
-    pub invalidation: InvalidationMode,
-    /// Minimum admission-run length for the pooled fan-out: shorter runs
-    /// are labeled and decided sequentially on the calling thread, because
-    /// even hand-off to an already-running worker costs more than the
-    /// handful of lookups being parallelized.  Applied to both stages (the
-    /// labeling fan-out and the policy store's per-shard apply).  `0`
-    /// forces the parallel path for every non-trivial run.
-    pub parallel_threshold: usize,
     /// Write-ahead-log tuning (group-commit batch, segment rotation
     /// size, fsync) for services opened with
     /// [`open_durable`](DisclosureService::open_durable).  Ignored by
@@ -115,8 +88,6 @@ impl Default for ServiceConfig {
             num_shards: 0,
             workers: 0,
             history_cap: 1024,
-            invalidation: InvalidationMode::Incremental,
-            parallel_threshold: 32,
             durability: DurabilityConfig::default(),
         }
     }
@@ -155,7 +126,7 @@ pub struct ParallelStats {
 /// [`CacheStats`](fdc_core::CacheStats).
 ///
 /// Equality compares the **extensional** counters only — admissions,
-/// mutations, flushes, audits and durability health.  The
+/// mutations, audits and durability health.  The
 /// [`parallel`](Self::parallel) block describes *how* the work was executed
 /// (worker tasks, steals, stalls, reclamations), which legitimately differs
 /// between services serving identical streams at different worker widths,
@@ -167,9 +138,6 @@ pub struct ServiceStats {
     pub admissions: u64,
     /// Mutations applied (grants + revokes + view additions).
     pub mutations: u64,
-    /// Full label-cache flushes performed (only in
-    /// [`InvalidationMode::FlushOnMutation`]).
-    pub flushes: u64,
     /// Audits served.
     pub audits: u64,
     /// Durability health (WAL, checkpoint and serving-mode counters).
@@ -183,7 +151,6 @@ impl PartialEq for ServiceStats {
     fn eq(&self, other: &Self) -> bool {
         self.admissions == other.admissions
             && self.mutations == other.mutations
-            && self.flushes == other.flushes
             && self.audits == other.audits
             && self.durability == other.durability
     }
@@ -202,8 +169,8 @@ impl Eq for ServiceStats {}
 /// * **Admissions** (`Submit` / `Check`) run the fused hot path: canonical
 ///   cache hit → packed label → bit-mask decision.
 ///   [`run_pipelined`](Self::run_pipelined) labels a batch's admissions on
-///   the service's persistent [`WorkerPool`] — labeling sharded over the
-///   shared cache, decisions sharded by principal.
+///   the service's persistent [`WorkerPool`] over the shared cache;
+///   decisions are made on the calling thread, in request order.
 /// * **Policy mutations** (`GrantView` / `RevokeView`) re-intern the
 ///   principal's compiled policy while preserving its consistency word and
 ///   counters; the label caches are untouched (labels do not depend on
@@ -212,7 +179,7 @@ impl Eq for ServiceStats {}
 /// * **View-universe mutations** (`AddSecurityView`) register the view
 ///   online and bump only the affected relation's epoch: cached labels over
 ///   other relations keep hitting, and stale entries re-derive just their
-///   stale atoms on next use ([`InvalidationMode::Incremental`]).
+///   stale atoms on next use.
 /// * **Audits** (`AuditApp`) compare a principal's requested permissions
 ///   (derived from its live policy) against its observed workload (a
 ///   bounded per-principal history of submitted queries), surfacing
@@ -445,15 +412,14 @@ impl DisclosureService {
 
     /// Puts a service together from its stateful parts, fresh or decoded.
     /// The store's shard count is the effective one (it is part of a
-    /// checkpoint's layout); the worker width and the parallel threshold
-    /// are pure tuning and come from `config`.
+    /// checkpoint's layout); the worker width is pure tuning and comes from
+    /// `config`.
     fn assemble(
         labeler: CachedLabeler,
-        mut store: ShardedPolicyStore,
+        store: ShardedPolicyStore,
         history: History,
         config: ServiceConfig,
     ) -> Self {
-        store.set_parallel_threshold(config.parallel_threshold);
         DisclosureService {
             interner: labeler.interner(),
             labeler,
@@ -480,11 +446,12 @@ impl DisclosureService {
     ///
     /// # Panics
     ///
-    /// Panics if the policy has more than [`MAX_PARTITIONS`] partitions,
-    /// or if a durable service cannot log the registration (it is
-    /// serving degraded, or the log failed on this very record — see
+    /// Panics if the policy exceeds a bound of the service (more than
+    /// [`MAX_PARTITIONS`] partitions, a relation outside the catalog), or
+    /// if a durable service cannot log the registration (it is serving
+    /// degraded, or the log failed on this very record) — see
     /// [`try_register_principal`](Self::try_register_principal) for the
-    /// non-panicking form).
+    /// non-panicking form.
     pub fn register_principal(&mut self, policy: SecurityPolicy) -> PrincipalId {
         self.try_register_principal(policy)
             .unwrap_or_else(|err| panic!("principal registration failed: {err}"))
@@ -492,26 +459,17 @@ impl DisclosureService {
 
     /// [`register_principal`](Self::register_principal), answering
     /// degraded-mode refusals as
-    /// [`ServiceError::DurabilityUnavailable`] — and a policy naming a
-    /// relation outside the catalog as [`ServiceError::InvalidPolicy`] —
-    /// instead of panicking.
+    /// [`ServiceError::DurabilityUnavailable`] — and a policy with more
+    /// than [`MAX_PARTITIONS`] partitions, or naming a relation outside the
+    /// catalog, as [`ServiceError::InvalidPolicy`] — instead of panicking.
     /// Registration is a mutation: a durable service must not
     /// acknowledge one it cannot make durable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the policy has more than [`MAX_PARTITIONS`] partitions.
     pub fn try_register_principal(
         &mut self,
         policy: SecurityPolicy,
     ) -> Result<PrincipalId, ServiceError> {
         self.validate_policy(&policy)?;
-        // An over-wide policy panics in the store below *without* having
-        // been logged: a record for an operation that never applied must
-        // not reach the log.
-        if policy.len() <= MAX_PARTITIONS {
-            self.log_record(|out| durable::encode_register(&policy, out))?;
-        }
+        self.log_record(|out| durable::encode_register(&policy, out))?;
         let id = self.store.register(policy);
         self.history.register();
         Ok(id)
@@ -651,15 +609,23 @@ impl DisclosureService {
         self.store.totals()
     }
 
-    /// A policy from outside must fit the catalog before it is logged or
-    /// compiled: the compiled form has a row per relation id up to the
-    /// highest one named.
+    /// A policy from outside must fit the store before it is logged or
+    /// compiled — a record for an operation that cannot apply must not
+    /// reach the log, and replay must not die on one that did: the
+    /// consistency word has a bit per partition, and the compiled form a
+    /// row per relation id up to the highest one named.
     fn validate_policy(&self, policy: &SecurityPolicy) -> Result<(), ServiceError> {
         let relations = self.registry().catalog().len();
-        if policy.relation_bound() <= relations {
-            Ok(())
+        if policy.len() > MAX_PARTITIONS {
+            Err(ServiceError::InvalidPolicy(PolicyBound::Partitions(
+                MAX_PARTITIONS,
+            )))
+        } else if policy.relation_bound() > relations {
+            Err(ServiceError::InvalidPolicy(PolicyBound::Relations(
+                relations,
+            )))
         } else {
-            Err(ServiceError::InvalidPolicy { relations })
+            Ok(())
         }
     }
 
@@ -747,18 +713,6 @@ impl DisclosureService {
             return Err(ServiceError::DurabilityUnavailable);
         }
         Ok(())
-    }
-
-    /// Flushes the label cache if the service runs in
-    /// [`InvalidationMode::FlushOnMutation`].  Entries are dropped but the
-    /// labeler's counters accumulate across flushes, so the baseline's
-    /// re-warming cost stays visible in `labeler().stats()`.
-    fn after_mutation(&mut self) {
-        self.stats.mutations += 1;
-        if self.config.invalidation == InvalidationMode::FlushOnMutation {
-            self.labeler.clear_entries();
-            self.stats.flushes += 1;
-        }
     }
 
     /// Admits (and commits) one query on behalf of a principal.
@@ -884,16 +838,15 @@ impl DisclosureService {
             self.log_record(|out| durable::encode_replace_policy(principal, &policy, out))?;
         }
         self.store.replace_policy(principal, policy);
-        self.after_mutation();
+        self.stats.mutations += 1;
         Ok(())
     }
 
     /// Registers a new security view online.
     ///
-    /// In [`InvalidationMode::Incremental`] only the view's relation is
-    /// invalidated; rejected registrations (duplicate name, multi-atom
-    /// definition, the relation's 32-view packed budget) leave every cache,
-    /// epoch and policy untouched.
+    /// Only the view's relation is invalidated; rejected registrations
+    /// (duplicate name, multi-atom definition, the relation's 32-view
+    /// packed budget) leave every cache, epoch and policy untouched.
     pub fn add_security_view(
         &mut self,
         name: &str,
@@ -986,12 +939,12 @@ impl DisclosureService {
                 } else {
                     self.store.revoke_view(principal, registry, id);
                 }
-                self.after_mutation();
+                self.stats.mutations += 1;
                 Ok(Response::PolicyUpdated)
             }
             Request::AddView { name, query } => {
                 let id = self.labeler.add_view(name, query.clone())?;
-                self.after_mutation();
+                self.stats.mutations += 1;
                 Ok(Response::ViewAdded(id))
             }
             Request::Audit { principal } => self.audit(principal, serving).map(Response::Audit),
@@ -1395,7 +1348,8 @@ impl DisclosureService {
         debug_assert!(self.durable.is_none(), "replay must never re-log");
         match op {
             WalOp::RegisterPrincipal { policy } => {
-                // A policy the catalog cannot hold is refused before it is
+                // A policy the store cannot hold (too many partitions, a
+                // relation outside the catalog) is refused before it is
                 // logged, so only a hand-damaged log carries one: skipped,
                 // like the replacements below.
                 let _ = self.try_register_principal(policy);
@@ -1429,7 +1383,7 @@ impl DisclosureService {
     /// truncated payload yields an error, never a panic or a
     /// half-consistent service.
     ///
-    /// The history section (image version 2) is one ring per principal,
+    /// The history section is one ring per principal,
     /// each entry a tag byte and its operand: a `u32` query id, which must
     /// lie inside the interner decoded from the same image, or a
     /// wire-encoded query (the over-budget shape that never got an id),
@@ -1511,10 +1465,8 @@ impl DisclosureService {
     ///
     /// The whole batch goes through the write-ahead step first; then the
     /// stream is partitioned only at *label-affecting* boundaries —
-    /// `AddSecurityView` in [`InvalidationMode::Incremental`] (grants and
-    /// revokes never change a label), every mutation in
-    /// [`InvalidationMode::FlushOnMutation`] — and the segments are
-    /// pipelined:
+    /// `AddSecurityView` operations (grants and revokes never change a
+    /// label) — and the segments are pipelined:
     ///
     /// * each segment's admissions are labeled **concurrently** on the
     ///   persistent [`WorkerPool`] against the *previous*
@@ -1523,11 +1475,11 @@ impl DisclosureService {
     ///   previous segment's decisions, policy mutations and audits in
     ///   stream order;
     /// * decisions, grants, revokes, history recording and audits apply to
-    ///   the live store **at their stream position**; decision runs fan out
-    ///   per policy shard and split at a policy mutation or audit only when
-    ///   the *touched principal* has a decision pending — decisions for
-    ///   other principals read none of the mutated state, so they commute
-    ///   across it and the run keeps accumulating;
+    ///   the live store **at their stream position**, on the calling thread
+    ///   at every worker count; a decision run splits at a policy mutation
+    ///   or audit only when the *touched principal* has a decision pending
+    ///   — decisions for other principals read none of the mutated state, so
+    ///   they commute across it and the run keeps accumulating;
     /// * snapshots this run has stopped labeling through are reclaimed by
     ///   **epoch**: each labeling batch pins the pool epoch it reads under,
     ///   and once every worker has published past a snapshot's epoch its
@@ -1559,9 +1511,8 @@ impl DisclosureService {
         let cut = Self::write_ahead(&mut self.durable, ops.len(), |i, out| {
             encode_loggable((&ops[i]).into(), &self.interner, out)
         });
-        let segments = self.segment_ops(ops);
+        let segments = Self::segment_ops(ops);
         let workers = self.config.workers;
-        let threshold = self.config.parallel_threshold;
         let num_principals = self.store.len();
         let mut responses: Vec<Option<Response>> = vec![None; ops.len()];
         let mut arena = std::mem::take(&mut self.arena);
@@ -1596,22 +1547,17 @@ impl DisclosureService {
         // them across the workers with more chunks than workers so
         // stealing levels skewed segments, and pin every chunk's task to
         // a fresh epoch so the coordinator can tell when the snapshot's
-        // last reader is gone.  Segments below the parallel threshold
-        // stage as a single chunk, which the pool runs inline.
+        // last reader is gone.
         let spawn_segment = |pool: &Arc<WorkerPool>,
                              snap: &Arc<LabelerSnapshot>,
                              range: Range<usize>|
          -> (u64, PendingBatch<LabeledChunk>) {
             let epoch = pool.advance_epoch();
             let staged = stage_admissions(&ops[range.clone()], range.start);
-            let chunk_len = if staged.len() < threshold {
-                staged.len().max(1)
-            } else {
-                staged
-                    .len()
-                    .div_ceil(pool.workers() * CHUNKS_PER_WORKER)
-                    .max(1)
-            };
+            let chunk_len = staged
+                .len()
+                .div_ceil(pool.workers() * CHUNKS_PER_WORKER)
+                .max(1);
             let inputs = chunk_owned(staged, chunk_len);
             let snap = Arc::clone(snap);
             let pending = pool.submit(inputs, move |chunk, ctx| {
@@ -1638,24 +1584,20 @@ impl DisclosureService {
             // snapshots the workers have provably moved past.
             retired.push((epoch, Arc::clone(&snap)));
             self.reclaim_retired(&pool, &mut retired, false);
-            let boundary = segments[s].boundary;
-            // A registry-only boundary (AddSecurityView) can apply
-            // early: nothing in the pass below reads the live registry
-            // — labels come from the snapshot, audits and view-name
-            // resolution use the snapshot's frozen registry, and the
-            // policy store does not depend on the registry.  Applying
-            // it now lets the next segment's labeling (which must see
-            // the new view) overlap this segment's pass.
-            let pre_applied = boundary
-                .filter(|&b| matches!(ops[b], Operation::AddSecurityView { .. }))
-                .map(|b| self.execute_at(ops, b, cut, None));
+            // The boundary (an AddSecurityView) applies early: nothing in
+            // the pass below reads the live registry — labels come from
+            // the snapshot, audits and view-name resolution use the
+            // snapshot's frozen registry, and the policy store does not
+            // depend on the registry.  Applying it now lets the next
+            // segment's labeling (which must see the new view) overlap
+            // this segment's pass.
+            if let Some(b) = segments[s].boundary {
+                responses[b] = Some(self.execute_at(ops, b, cut, None));
+            }
             let serving = Arc::clone(&snap);
-            let overlap = pre_applied.is_some() || boundary.is_none();
-            if overlap {
-                if let Some(next) = segments.get(s + 1) {
-                    snap = Arc::new(self.serving_snapshot());
-                    inflight = Some(spawn_segment(&pool, &snap, next.range.clone()));
-                }
+            if let Some(next) = segments.get(s + 1) {
+                snap = Arc::new(self.serving_snapshot());
+                inflight = Some(spawn_segment(&pool, &snap, next.range.clone()));
             }
             self.pass_segment(
                 ops,
@@ -1665,19 +1607,6 @@ impl DisclosureService {
                 &mut arena,
                 &mut responses,
             );
-            if let Some(b) = boundary {
-                // Policy-mutating boundaries (grants/revokes in
-                // flush-on-mutation mode) must apply *after* the pass —
-                // the pipeline stalls for one snapshot build here.
-                let response = pre_applied.unwrap_or_else(|| self.execute_at(ops, b, cut, None));
-                responses[b] = Some(response);
-                if !overlap {
-                    if let Some(next) = segments.get(s + 1) {
-                        snap = Arc::new(self.serving_snapshot());
-                        inflight = Some(spawn_segment(&pool, &snap, next.range.clone()));
-                    }
-                }
-            }
         }
         self.parallel.segments_labeled += segments.len() as u64;
         self.reclaim_retired(&pool, &mut retired, true);
@@ -1711,19 +1640,13 @@ impl DisclosureService {
     }
 
     /// Partitions the op stream at snapshot boundaries: the ops whose
-    /// application changes what a label *is* — `AddSecurityView` under
-    /// incremental invalidation (the only registry mutation), every
-    /// mutation under flush-on-mutation (a flush changes what a labeling
-    /// *costs*, which the baseline exists to measure).
-    fn segment_ops(&self, ops: &[Operation]) -> Vec<Segment> {
-        let is_boundary = |op: &Operation| match self.config.invalidation {
-            InvalidationMode::Incremental => matches!(op, Operation::AddSecurityView { .. }),
-            InvalidationMode::FlushOnMutation => op.is_mutation(),
-        };
+    /// application changes what a label *is* — `AddSecurityView`, the only
+    /// registry mutation.
+    fn segment_ops(ops: &[Operation]) -> Vec<Segment> {
         let mut segments = Vec::new();
         let mut start = 0;
         for (i, op) in ops.iter().enumerate() {
-            if is_boundary(op) {
+            if matches!(op, Operation::AddSecurityView { .. }) {
                 segments.push(Segment {
                     range: start..i,
                     boundary: Some(i),
@@ -1739,8 +1662,9 @@ impl DisclosureService {
     }
 
     /// Walks one segment's ops in stream order on the calling thread:
-    /// consecutive labeled admissions accumulate into decision runs that
-    /// fan out per policy shard, and in-segment policy mutations / audits
+    /// consecutive labeled admissions accumulate into decision runs
+    /// ([`flush_decisions`](Self::flush_decisions) decides one in a single
+    /// loop), and in-segment policy mutations / audits
     /// apply at their position against the serving snapshot's frozen
     /// registry (`pooled`: that snapshot and the labels the workers handed
     /// back).  On the degenerate single-worker path `pooled` is `None`: the
@@ -1772,7 +1696,7 @@ impl DisclosureService {
                     // their own principal's state, so pending decisions for
                     // *other* principals commute with it — the run keeps
                     // accumulating across it, which is what lets the pass
-                    // decide a whole segment in (usually) one fan-out.
+                    // decide a whole segment in (usually) one run.
                     if run.iter().any(|pending| pending.principal == principal) {
                         self.flush_decisions(&mut run, arena, responses);
                     }
@@ -1814,33 +1738,26 @@ impl DisclosureService {
         self.flush_decisions(&mut run, arena, responses);
     }
 
-    /// Decides one pending run of labeled admissions (the store chooses
-    /// between inline and the per-shard fan-out on the worker pool),
-    /// answering each in place.
+    /// Decides one pending run of labeled admissions on the calling thread,
+    /// in request order, answering each in place: the label is read where
+    /// it lies in the arena, a committed submission is recorded in the
+    /// audit history, the response slot is written.
     fn flush_decisions(
         &mut self,
         run: &mut Vec<PendingAdmission<'_>>,
         arena: &[PackedLabel],
         responses: &mut [Option<Response>],
     ) {
-        if run.is_empty() {
-            return;
+        for admission in run.drain(..) {
+            let label = &arena[admission.label];
+            let decision = self
+                .store
+                .decide_packed(admission.principal, label, admission.commit);
+            if admission.commit {
+                self.history.record(admission.principal, admission.query);
+            }
+            responses[admission.index] = Some(Response::Decision(decision));
         }
-        let pool = Arc::clone(self.worker_pool());
-        let history = &mut self.history;
-        self.store.decide_batch_on(
-            &pool,
-            run.iter()
-                .map(|a| (a.principal, &arena[a.label.clone()], a.commit)),
-            |i, decision| {
-                let admission = &run[i];
-                if admission.commit {
-                    history.record(admission.principal, admission.query);
-                }
-                responses[admission.index] = Some(Response::Decision(decision));
-            },
-        );
-        run.clear();
     }
 
     /// [`execute`](Self::execute) for op `i` of a batch whose write-ahead

@@ -107,7 +107,6 @@ fn config(workers: usize) -> ServiceConfig {
         workers,
         history_cap: HISTORY_CAP,
         // Hand even short admission runs to the pool when there is one.
-        parallel_threshold: 0,
         ..ServiceConfig::default()
     }
 }

@@ -12,9 +12,6 @@
 //! striped tables.  Asserted exactly:
 //!
 //! * **labels** — every packed label equal, in input order;
-//! * **decisions** — the labels drive two identical sharded policy
-//!   stores to the same decisions and totals (pooled `submit_batch_on`
-//!   vs sequential `submit_packed`);
 //! * **accounting** — cumulative query-plane counters (hits, misses,
 //!   entries, refreshes) equal; on the atom plane the *lookup count* is
 //!   conserved (`atom_hits + atom_misses` equal — lanes can shift the
@@ -29,13 +26,10 @@ use std::collections::HashSet;
 use std::sync::Arc;
 
 use fdc::core::{CachedLabeler, PackedLabel, WorkerPool};
-use fdc::ecosystem::policies::PolicyGeneratorConfig;
 use fdc::ecosystem::{Ecosystem, WorkloadConfig};
-use fdc::policy::{PrincipalId, ShardedPolicyStore};
 use proptest::prelude::*;
 
 const WORKERS: usize = 4;
-const PRINCIPALS: usize = 8;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
@@ -109,36 +103,5 @@ proptest! {
         prop_assert_eq!(par_warm.hits, par.hits + queries.len() as u64);
         prop_assert_eq!(seq_warm.misses, seq.misses);
         prop_assert_eq!(seq_warm.hits, seq.hits + queries.len() as u64);
-
-        // Decisions: the two label streams drive identical sharded
-        // stores — pooled per-shard fan-out vs a sequential loop — to
-        // the same decisions and totals.
-        let mut policies = eco.policy_generator(PolicyGeneratorConfig {
-            template_pool: 0,
-            seed,
-            ..PolicyGeneratorConfig::default()
-        });
-        let mut pooled_store = ShardedPolicyStore::new(3);
-        let mut seq_store = ShardedPolicyStore::new(3);
-        for _ in 0..PRINCIPALS {
-            let policy = policies.next_policy(&eco.views);
-            pooled_store.register(policy.clone());
-            seq_store.register(policy);
-        }
-        let batch: Vec<(PrincipalId, &[PackedLabel])> = packed
-            .iter()
-            .enumerate()
-            .map(|(i, label)| (PrincipalId((i % PRINCIPALS) as u32), label.as_slice()))
-            .collect();
-        let pooled_decisions = pooled_store.submit_batch_on(&pool, &batch);
-        let seq_decisions: Vec<_> = expected
-            .iter()
-            .enumerate()
-            .map(|(i, label)| {
-                seq_store.submit_packed(PrincipalId((i % PRINCIPALS) as u32), label)
-            })
-            .collect();
-        prop_assert_eq!(pooled_decisions, seq_decisions);
-        prop_assert_eq!(pooled_store.totals(), seq_store.totals());
     }
 }

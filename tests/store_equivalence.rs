@@ -16,18 +16,13 @@
 //!   compiled form nor the decide loop of the stores.
 //!
 //! Every decision, every consistency bit vector, every counter and every
-//! principal's policy must agree at every step; between mutations, a
-//! parallel sharded batch replay of the same submissions must reproduce the
-//! same decisions and state.  A second property pins the identity the
-//! stores' interning arena gives a policy.
+//! principal's policy must agree at every step.  A second property pins the
+//! identity the stores' interning arena gives a policy.
 
-use fdc::core::{
-    AtomLabel, DisclosureLabel, PackedLabel, SecurityViewId, SecurityViews, ViewMask, WorkerPool,
-};
+use fdc::core::{AtomLabel, DisclosureLabel, SecurityViewId, SecurityViews, ViewMask};
 use fdc::cq::RelId;
 use fdc::policy::{
-    Decision, PolicyPartition, PolicyStore, PrincipalId, ReferenceMonitor, SecurityPolicy,
-    ShardedPolicyStore,
+    PolicyPartition, PolicyStore, PrincipalId, ReferenceMonitor, SecurityPolicy, ShardedPolicyStore,
 };
 use proptest::prelude::*;
 
@@ -150,7 +145,6 @@ proptest! {
         let mut flat_packed = PolicyStore::new();
         let mut sharded = ShardedPolicyStore::new(num_shards);
         let mut sharded_packed = ShardedPolicyStore::new(num_shards);
-        let mut replay = ShardedPolicyStore::new(num_shards);
         let mut monitors = Vec::new();
         for raw in &policies {
             let policy = build_policy(&registry, raw);
@@ -158,25 +152,7 @@ proptest! {
             flat_packed.register(policy.clone());
             sharded.register(policy.clone());
             sharded_packed.register(policy.clone());
-            replay.register(policy.clone());
             monitors.push(ReferenceMonitor::new(policy));
-        }
-
-        // Submissions since the last mutation, replayed on `replay` as one
-        // parallel sharded batch before the next one (and at the end).
-        let pool = WorkerPool::new(num_shards);
-        let mut pending: Vec<(PrincipalId, Vec<PackedLabel>)> = Vec::new();
-        let mut pending_decisions: Vec<Decision> = Vec::new();
-        macro_rules! replay_pending {
-            () => {
-                let batch: Vec<(PrincipalId, &[PackedLabel])> = pending
-                    .iter()
-                    .map(|(p, packed)| (*p, packed.as_slice()))
-                    .collect();
-                prop_assert_eq!(&replay.submit_batch_on(&pool, &batch), &pending_decisions);
-                pending.clear();
-                pending_decisions.clear();
-            };
         }
 
         for op in &ops {
@@ -196,8 +172,6 @@ proptest! {
                     prop_assert_eq!(flat_packed.submit_packed(p, &packed), expected);
                     prop_assert_eq!(sharded.submit(p, &label), expected);
                     prop_assert_eq!(sharded_packed.submit_packed(p, &packed), expected);
-                    pending.push((p, packed));
-                    pending_decisions.push(expected);
                 }
                 Op::Check { label, .. } => {
                     let label = build_label(label);
@@ -209,7 +183,6 @@ proptest! {
                     prop_assert_eq!(sharded_packed.check_packed(p, &packed), expected);
                 }
                 Op::Grant { view, .. } | Op::Revoke { view, .. } => {
-                    replay_pending!();
                     let view = views[view % views.len()];
                     let grant = matches!(op, Op::Grant { .. });
                     // The specification of a grant / revoke: the view joins
@@ -228,17 +201,14 @@ proptest! {
                         flat_packed.grant_view(p, &registry, view);
                         sharded.grant_view(p, &registry, view);
                         sharded_packed.grant_view(p, &registry, view);
-                        replay.grant_view(p, &registry, view);
                     } else {
                         flat.revoke_view(p, &registry, view);
                         flat_packed.revoke_view(p, &registry, view);
                         sharded.revoke_view(p, &registry, view);
                         sharded_packed.revoke_view(p, &registry, view);
-                        replay.revoke_view(p, &registry, view);
                     }
                 }
                 Op::Replace { raw, .. } => {
-                    replay_pending!();
                     let parts: Vec<Vec<usize>> = (0..monitor.policy().len())
                         .map(|i| raw.get(i).cloned().unwrap_or_default())
                         .collect();
@@ -247,7 +217,6 @@ proptest! {
                     flat_packed.replace_policy(p, policy.clone());
                     sharded.replace_policy(p, policy.clone());
                     sharded_packed.replace_policy(p, policy.clone());
-                    replay.replace_policy(p, policy.clone());
                     monitor.replace_policy(policy);
                 }
             }
@@ -262,7 +231,6 @@ proptest! {
             prop_assert_eq!(mask_lists(flat.policy(p)), masks.clone());
             prop_assert_eq!(mask_lists(sharded_packed.policy(p)), masks);
         }
-        replay_pending!();
 
         // Per-principal counters and O(1) totals match the monitors.
         let mut answered = 0u64;
@@ -274,14 +242,11 @@ proptest! {
             prop_assert_eq!(flat_packed.stats(p), expected);
             prop_assert_eq!(sharded.stats(p), expected);
             prop_assert_eq!(sharded_packed.stats(p), expected);
-            prop_assert_eq!(replay.stats(p), expected);
-            prop_assert_eq!(replay.consistency_bits(p), monitor.consistency_bits());
             answered += expected.0;
             refused += expected.1;
         }
         prop_assert_eq!(flat.totals(), (answered, refused));
         prop_assert_eq!(sharded.totals(), (answered, refused));
-        prop_assert_eq!(replay.totals(), (answered, refused));
     }
 
     #[test]
