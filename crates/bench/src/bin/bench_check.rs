@@ -341,7 +341,6 @@ fn check_fig5_high_atoms(doc: &Json, path: &str, smoke: bool) -> Result<(), Stri
             })?;
         for series in [
             "interned_structural",
-            "interned_generic",
             "containment_structural",
             "containment_generic",
         ] {
@@ -757,6 +756,9 @@ mod tests {
         let dir = std::env::temp_dir().join("fdc_bench_check_fig5_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("fig5.json");
+        // The 20-atom point is what `fig5_json` writes; the 28-atom one
+        // still carries the committed file's retired `interned_generic`
+        // series, which is an extra key and not an error.
         let render = |structural_speedup: f64, fallbacks: u64, axis_28: bool| {
             let point_28 = if axis_28 {
                 r#", {"max_atoms": 28, "interned_structural": 40000.0,
@@ -774,7 +776,7 @@ mod tests {
   "high_atoms": {{
     "containment_pairs_k": 40,
     "sweep": [
-      {{"max_atoms": 20, "interned_structural": 84000.0, "interned_generic": 83000.0,
+      {{"max_atoms": 20, "interned_structural": 84000.0,
         "containment_structural": 92000.0, "containment_generic": 64000.0}}{point_28}
     ]
   }},

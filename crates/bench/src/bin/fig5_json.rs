@@ -36,14 +36,12 @@ struct SweepPoint {
 }
 
 /// The structural fast-path section at one high max-atoms setting: cold
-/// labeling throughput with the semi-join dispatch on vs. forced off, and
-/// the containment microkernel (all ordered pairs over the first
-/// `pairs_k` distinct shapes) through the dispatcher vs. the generic
-/// backtracking search.
+/// labeling throughput through the semi-join dispatch, and the containment
+/// microkernel (all ordered pairs over the first `pairs_k` distinct shapes)
+/// through the dispatcher vs. the generic backtracking search.
 struct HighAtomsPoint {
     max_atoms: usize,
     interned_structural: f64,
-    interned_generic: f64,
     containment_structural: f64,
     containment_generic: f64,
 }
@@ -112,18 +110,17 @@ fn main() {
     };
     println!("\nhigh atoms (structural dispatch): pairs_k={pairs_k} repeats={high_repeats}");
     println!(
-        "{:>9} | {:>16} | {:>16} | {:>18} | {:>18}",
-        "max_atoms", "label_structural", "label_generic", "contain_structural", "contain_generic"
+        "{:>9} | {:>16} | {:>18} | {:>18}",
+        "max_atoms", "label_structural", "contain_structural", "contain_generic"
     );
     let mut high_points = Vec::new();
     let mut acyclic_queries = 0usize;
     for &max_atoms in high_sweep {
         let (point, acyclic) = measure_high_point(max_atoms, high_repeats, pairs_k);
         println!(
-            "{:>9} | {:>16.0} | {:>16.0} | {:>18.0} | {:>18.0}",
+            "{:>9} | {:>16.0} | {:>18.0} | {:>18.0}",
             max_atoms,
             point.interned_structural,
-            point.interned_generic,
             point.containment_structural,
             point.containment_generic,
         );
@@ -198,9 +195,9 @@ struct HighAtomsSection {
 
 /// Measures the structural fast path at one high max-atoms setting.
 ///
-/// Cold labeling rebuilds the workload for every repeat of every series so
-/// each timed run starts from an empty cache (the structural win is in the
-/// cold pipeline; warm lookups never run a homomorphism).  The containment
+/// Cold labeling rebuilds the workload for every repeat so each timed run
+/// starts from an empty cache (the structural win is in the cold pipeline;
+/// warm lookups never run a homomorphism).  The containment
 /// kernel takes the first `pairs_k` distinct shapes of one workload and
 /// times all ordered containment pairs — through the dispatcher (every
 /// workload shape is acyclic, so this is the semi-join path) and through
@@ -208,7 +205,6 @@ struct HighAtomsSection {
 /// acyclic shapes the kernel workload's interner classified.
 fn measure_high_point(max_atoms: usize, repeats: usize, pairs_k: usize) -> (HighAtomsPoint, usize) {
     let mut label_structural = f64::INFINITY;
-    let mut label_generic = f64::INFINITY;
     for _ in 0..repeats.max(1) {
         let workload = labeling_workload(max_atoms, BATCH_SIZE);
         let start = Instant::now();
@@ -219,18 +215,6 @@ fn measure_high_point(max_atoms: usize, repeats: usize, pairs_k: usize) -> (High
                 .label_queries_interned(&workload.interned),
         );
         label_structural = label_structural.min(start.elapsed().as_secs_f64());
-
-        let workload = labeling_workload(max_atoms, BATCH_SIZE);
-        structure::set_dispatch_enabled(false);
-        let start = Instant::now();
-        std::hint::black_box(
-            workload
-                .ecosystem
-                .cached
-                .label_queries_interned(&workload.interned),
-        );
-        label_generic = label_generic.min(start.elapsed().as_secs_f64());
-        structure::set_dispatch_enabled(true);
     }
 
     let (interner, ids) = tree_pattern_pool(pairs_k, max_atoms, 0x5713 + max_atoms as u64);
@@ -259,7 +243,6 @@ fn measure_high_point(max_atoms: usize, repeats: usize, pairs_k: usize) -> (High
     let point = HighAtomsPoint {
         max_atoms,
         interned_structural: BATCH_SIZE as f64 / label_structural.max(f64::MIN_POSITIVE),
-        interned_generic: BATCH_SIZE as f64 / label_generic.max(f64::MIN_POSITIVE),
         containment_structural: pairs as f64 / contain_structural.max(f64::MIN_POSITIVE),
         containment_generic: pairs as f64 / contain_generic.max(f64::MIN_POSITIVE),
     };
@@ -496,10 +479,6 @@ fn render_json(
         out.push_str(&format!(
             "        \"interned_structural\": {:.1},\n",
             p.interned_structural
-        ));
-        out.push_str(&format!(
-            "        \"interned_generic\": {:.1},\n",
-            p.interned_generic
         ));
         out.push_str(&format!(
             "        \"containment_structural\": {:.1},\n",

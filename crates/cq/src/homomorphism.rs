@@ -318,13 +318,11 @@ pub fn interned_homomorphism_exists(
     to: QueryRef<'_>,
     policy: HeadPolicy,
 ) -> bool {
-    if crate::structure::dispatch_enabled() {
-        if let Some(ears) = from.ears {
-            crate::structure::note_structural_check();
-            return crate::structure::semi_join_homomorphism_into(from, ears, to.atoms, to, policy);
-        }
-        crate::structure::note_backtrack_fallback();
+    if let Some(ears) = from.ears {
+        crate::structure::note_structural_check();
+        return crate::structure::semi_join_homomorphism_into(from, ears, to.atoms, to, policy);
     }
+    crate::structure::note_backtrack_fallback();
     interned_homomorphism_exists_generic(from, to, policy)
 }
 

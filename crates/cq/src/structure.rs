@@ -48,11 +48,11 @@
 //! [`interned_homomorphism_exists`](crate::homomorphism::interned_homomorphism_exists):
 //! acyclic sources (a [`QueryRef`] resolved from the interner with its ear
 //! ordering attached) take the semi-join path, everything else falls back to
-//! backtracking.  The process-wide [`counters`] record which path ran, and
-//! [`set_dispatch_enabled`] lets benchmarks force the generic path for
-//! apples-to-apples comparisons.
+//! backtracking.  The process-wide [`counters`] record which path ran;
+//! benchmarks and the property suite reach the generic path for
+//! apples-to-apples comparisons by calling the `*_generic` entry points.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::homomorphism::{interned_term_allowed, HeadPolicy};
 use crate::intern::{IAtom, ITerm, QueryRef};
@@ -290,7 +290,6 @@ pub fn semi_join_homomorphism_into(
 
 static STRUCTURAL_CHECKS: AtomicU64 = AtomicU64::new(0);
 static BACKTRACK_FALLBACKS: AtomicU64 = AtomicU64::new(0);
-static DISPATCH_ENABLED: AtomicBool = AtomicBool::new(true);
 
 /// Process-wide, monotonically increasing dispatch counters (read them
 /// before and after a region and subtract to attribute work to it).
@@ -298,8 +297,8 @@ static DISPATCH_ENABLED: AtomicBool = AtomicBool::new(true);
 pub struct StructureCounters {
     /// Homomorphism searches answered by the semi-join fast path.
     pub structural_checks: u64,
-    /// Searches that ran the generic backtracking path while dispatch was
-    /// enabled (cyclic sources, or temporaries without an ear ordering).
+    /// Searches the dispatcher sent down the generic backtracking path
+    /// (cyclic sources, or temporaries without an ear ordering).
     pub backtrack_fallbacks: u64,
 }
 
@@ -309,21 +308,6 @@ pub fn counters() -> StructureCounters {
         structural_checks: STRUCTURAL_CHECKS.load(Ordering::Relaxed),
         backtrack_fallbacks: BACKTRACK_FALLBACKS.load(Ordering::Relaxed),
     }
-}
-
-/// True if structural dispatch is enabled (the default).
-#[inline]
-pub fn dispatch_enabled() -> bool {
-    DISPATCH_ENABLED.load(Ordering::Relaxed)
-}
-
-/// Enables or disables structural dispatch process-wide.
-///
-/// Intended for single-threaded benchmark harnesses that need the generic
-/// backtracking path on acyclic inputs for a like-for-like comparison; with
-/// dispatch disabled neither counter advances.  Leave enabled in production.
-pub fn set_dispatch_enabled(enabled: bool) {
-    DISPATCH_ENABLED.store(enabled, Ordering::Relaxed);
 }
 
 #[inline]
@@ -606,14 +590,5 @@ mod tests {
             query,
             HeadPolicy::Free
         ));
-    }
-
-    #[test]
-    fn dispatch_toggle_round_trips() {
-        assert!(dispatch_enabled());
-        set_dispatch_enabled(false);
-        assert!(!dispatch_enabled());
-        set_dispatch_enabled(true);
-        assert!(dispatch_enabled());
     }
 }

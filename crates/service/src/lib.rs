@@ -29,6 +29,11 @@
 //! throughput of a flush-on-mutation baseline — which lives in the bench
 //! harness (`fdc_bench::run_flushing_on_mutation` clears the label cache
 //! after every mutation it serves), not in the service.
+//!
+//! What "exactly like op-by-op processing" means is written down once, as
+//! code: [`ReferenceService`] is the paper's three steps over the boxed
+//! reference algorithms, sharing nothing with the serving path, and every
+//! executor, recovery and fault schedule is tested against it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,6 +43,7 @@ pub mod health;
 mod history;
 pub mod maintenance;
 pub mod ops;
+pub mod reference;
 pub mod service;
 
 pub use durable::{RecoveryReport, WalOp};
@@ -45,6 +51,7 @@ pub use fdc_durability::DurabilityConfig;
 pub use health::{DegradedMode, DurabilityHealth, ServiceMode};
 pub use maintenance::BackgroundCheckpointer;
 pub use ops::{Operation, PolicyBound, Response, ServiceError};
+pub use reference::ReferenceService;
 pub use service::{
     DisclosureService, ParallelStats, PendingCheckpoint, ServiceConfig, ServiceStats,
 };
@@ -333,122 +340,14 @@ mod tests {
         assert!(report.is_tight());
     }
 
-    /// A mixed op stream covering every non-boundary shape plus
-    /// `AddSecurityView` boundaries and invalid ops.
-    fn mixed_stream(catalog: &fdc_cq::Catalog, with_audits: bool) -> Vec<Operation> {
-        let texts = [
-            "Q(x, y) :- Meetings(x, y)",
-            "Q(x, y, z) :- Contacts(x, y, z)",
-            "Q(x) :- Meetings(x, y)",
-            "Q(x, z) :- Contacts(x, y, z)",
-        ];
-        let mut ops = Vec::new();
-        for i in 0..80 {
-            let principal = PrincipalId((i % 5) as u32);
-            let query = parse_query(catalog, texts[i % texts.len()]).unwrap();
-            ops.push(if i % 7 == 3 {
-                Operation::Check { principal, query }
-            } else {
-                Operation::Submit { principal, query }
-            });
-            if i % 13 == 6 {
-                ops.push(Operation::GrantView {
-                    principal,
-                    view: "V2".into(),
-                });
-            }
-            if i % 17 == 9 {
-                ops.push(Operation::RevokeView {
-                    principal,
-                    view: "V1".into(),
-                });
-            }
-            if i % 29 == 11 {
-                ops.push(Operation::AddSecurityView {
-                    name: format!("W{i}"),
-                    query: parse_query(catalog, "W(x) :- Meetings(x, y)").unwrap(),
-                });
-            }
-            if i % 23 == 4 {
-                // Invalid ops: a ghost principal and an unknown view.
-                ops.push(Operation::Submit {
-                    principal: PrincipalId(99),
-                    query: parse_query(catalog, texts[0]).unwrap(),
-                });
-                ops.push(Operation::GrantView {
-                    principal,
-                    view: "ghost".into(),
-                });
-            }
-            if with_audits && i % 31 == 17 {
-                ops.push(Operation::AuditApp { principal });
-            }
-        }
-        ops
-    }
-
-    /// Five-principal services at the given pool width and shard count.
-    fn service_with(config: ServiceConfig) -> DisclosureService {
-        let registry = SecurityViews::paper_example();
-        let mut service = DisclosureService::new(registry.clone(), config);
-        for _ in 0..5 {
-            service.register_principal(wall(&registry));
-        }
-        service
-    }
-
-    #[test]
-    fn batched_and_sequential_processing_agree() {
-        // The oracle is a service driven op by op through `apply`; the batch
-        // executor must match it inline and pooled, on one shard and many.
-        let ops = mixed_stream(SecurityViews::paper_example().catalog(), true);
-        let mut sequential = service(5);
-        let sequential_responses: Vec<Response> =
-            ops.iter().map(|op| sequential.apply(op)).collect();
-        for (workers, num_shards) in [(1, 1), (4, 1), (1, 4), (4, 4)] {
-            let what = format!("workers {workers}, shards {num_shards}");
-            let mut batched = service_with(ServiceConfig {
-                workers,
-                num_shards,
-                ..ServiceConfig::default()
-            });
-            assert_eq!(batched.run_pipelined(&ops), sequential_responses, "{what}");
-            assert_eq!(batched.totals(), sequential.totals(), "{what}");
-            assert_eq!(batched.stats(), sequential.stats(), "{what}");
-            if workers == 1 {
-                // One worker labels in stream order through the live
-                // labeler, exactly as `apply` does: the cumulative cache
-                // counters agree in every column, audits included.
-                assert_eq!(batched.labeler().stats(), sequential.labeler().stats());
-            }
-            for i in 0..5 {
-                let p = PrincipalId(i);
-                assert_eq!(
-                    batched.store().consistency_bits(p),
-                    sequential.store().consistency_bits(p),
-                    "{what}"
-                );
-                assert_eq!(batched.store().stats(p), sequential.store().stats(p));
-                assert_eq!(batched.store().policy(p), sequential.store().policy(p));
-            }
-            // The registry evolved identically (same views, same epochs).
-            assert_eq!(batched.registry().len(), sequential.registry().len());
-            for r in 0..batched.registry().catalog().len() {
-                let rel = fdc_cq::RelId(r as u32);
-                assert_eq!(
-                    batched.registry().epoch(rel),
-                    sequential.registry().epoch(rel)
-                );
-            }
-        }
-    }
-
     #[test]
     fn snapshots_pin_the_read_plane() {
         let mut service = service(2);
         let p = PrincipalId(0);
         let times = q(&service, "Q(x) :- Meetings(x, y)");
         let id = service.intern(&times);
+        // An alpha-variant interns to the same id through the service.
+        assert_eq!(service.intern(&q(&service, "Q(t) :- Meetings(t, who)")), id);
         let before = service.labeler().label_packed(&times);
         let snapshot = service.snapshot();
         assert!(snapshot.contains(id));
@@ -516,76 +415,6 @@ mod tests {
             over_cap.uncovered_queries,
             vec![cap - 1],
             "oldest evicted, newest retained at the window's tail"
-        );
-    }
-
-    #[test]
-    fn interned_admissions_match_boxed_admissions() {
-        use fdc_cq::intern::QueryId;
-        let mut service = service(2);
-        let p0 = PrincipalId(0);
-        let p1 = PrincipalId(1);
-        let meetings = q(&service, "Q(x, y) :- Meetings(x, y)");
-        let contacts = q(&service, "Q(x, y, z) :- Contacts(x, y, z)");
-        let m_id = service.intern(&meetings);
-        let c_id = service.intern(&contacts);
-        // An alpha-variant interns to the same id through the service.
-        assert_eq!(
-            service.intern(&q(&service, "Q(a, b) :- Meetings(a, b)")),
-            m_id
-        );
-
-        // Sequential interned admissions decide like their boxed twins on
-        // an identical second principal.
-        assert_eq!(service.check_interned(p0, m_id), Ok(Decision::Allow));
-        assert_eq!(service.submit_interned(p0, m_id), Ok(Decision::Allow));
-        assert_eq!(service.submit_interned(p0, c_id), Ok(Decision::Deny));
-        assert_eq!(service.check(p1, &meetings), Ok(Decision::Allow));
-        assert_eq!(service.submit(p1, &meetings), Ok(Decision::Allow));
-        assert_eq!(service.submit(p1, &contacts), Ok(Decision::Deny));
-
-        // Mixed batches: one principal served interned, one boxed — same
-        // responses position by position.
-        let ops = vec![
-            Operation::SubmitInterned {
-                principal: p0,
-                query: m_id,
-            },
-            Operation::Submit {
-                principal: p1,
-                query: meetings.clone(),
-            },
-            Operation::CheckInterned {
-                principal: p0,
-                query: c_id,
-            },
-            Operation::Check {
-                principal: p1,
-                query: contacts.clone(),
-            },
-        ];
-        let responses = service.run_pipelined(&ops);
-        assert_eq!(responses[0], responses[1]);
-        assert_eq!(responses[2], responses[3]);
-
-        // Interned submissions land in the audit history like boxed ones.
-        let audit0 = service.audit_app(p0).unwrap();
-        let audit1 = service.audit_app(p1).unwrap();
-        assert_eq!(audit0.used.len(), audit1.used.len());
-
-        // Foreign ids are rejected without touching any state.
-        let bogus = QueryId(u32::MAX);
-        assert_eq!(
-            service.submit_interned(p0, bogus),
-            Err(ServiceError::UnknownQuery(bogus))
-        );
-        let rejected = service.run_pipelined(&[Operation::CheckInterned {
-            principal: p0,
-            query: bogus,
-        }]);
-        assert_eq!(
-            rejected[0],
-            Response::Rejected(ServiceError::UnknownQuery(bogus))
         );
     }
 
@@ -979,6 +808,53 @@ mod tests {
                 if *offset < name_at && what.contains("outside the catalog")),
             "{err}"
         );
+    }
+
+    #[test]
+    fn a_replacement_with_another_partition_count_is_refused_before_it_is_logged() {
+        // Regression: this call passed validation, skipped logging and died
+        // in the store's `assert_eq!`.
+        let registry = SecurityViews::paper_example();
+        let v2 = registry.id_by_name("V2").unwrap();
+        let narrower =
+            SecurityPolicy::stateless(PolicyPartition::from_views("times", &registry, [v2]));
+        let refusal = ServiceError::InvalidPolicy(PolicyBound::PartitionCount(2));
+        assert!(refusal.to_string().contains("2 partitions"), "{refusal}");
+        let p = PrincipalId(0);
+
+        let mut in_memory = service(1);
+        assert_eq!(
+            in_memory.replace_policy(p, narrower.clone()),
+            Err(refusal.clone())
+        );
+        assert_eq!(in_memory.store().policy(p), &wall(&registry));
+        assert_eq!(in_memory.stats().mutations, 0);
+
+        let mut model = ReferenceService::new(registry.clone(), 8);
+        model.register_principal(wall(&registry)).unwrap();
+        assert_eq!(
+            model.replace_policy(p, narrower.clone()),
+            Err(refusal.clone())
+        );
+        assert_eq!(model.monitor(p).policy(), &wall(&registry));
+
+        let dir = temp_dir("replace_partition_count");
+        let (mut durable, _) =
+            DisclosureService::open_durable(registry.clone(), durable_config(), &dir).unwrap();
+        durable.register_principal(wall(&registry));
+        assert_eq!(durable.replace_policy(p, narrower), Err(refusal));
+        // Still serving, and only what was acknowledged reached the log.
+        let meetings = q(&durable, "Q(x, y) :- Meetings(x, y)");
+        assert_eq!(durable.submit(p, &meetings), Ok(Decision::Allow));
+        durable.close().unwrap();
+        let (recovered, report) =
+            DisclosureService::open_durable(registry.clone(), durable_config(), &dir).unwrap();
+        assert_eq!(
+            report.records_replayed, 2,
+            "the registration and the submit"
+        );
+        assert_eq!(recovered.store().policy(p), &wall(&registry));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -139,7 +139,7 @@ impl Response {
     }
 }
 
-/// The bound a refused policy exceeds, with its value.
+/// The bound a refused policy breaks, with its value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PolicyBound {
     /// The policy names a relation outside the service's catalog of this
@@ -149,6 +149,10 @@ pub enum PolicyBound {
     /// ([`fdc_policy::MAX_PARTITIONS`]: a principal's consistency word
     /// holds one bit per partition).
     Partitions(usize),
+    /// A replacement policy must keep the principal's partition count,
+    /// which is this: bit `i` of the consistency word carried over must
+    /// keep meaning partition `i`.
+    PartitionCount(usize),
 }
 
 /// Why the service rejected an operation.
@@ -165,7 +169,7 @@ pub enum ServiceError {
     /// definition, invalid query, or the relation's 32-view packed-mask
     /// budget — see `fdc_core::MAX_PACKED_VIEWS_PER_RELATION`).
     InvalidView(LabelError),
-    /// The policy exceeds a bound of the service; the operand says which.
+    /// The policy breaks a bound of the service; the operand says which.
     InvalidPolicy(PolicyBound),
     /// Auditing is disabled (the service was configured with a zero
     /// observed-workload history).
@@ -198,6 +202,10 @@ impl fmt::Display for ServiceError {
             ServiceError::InvalidPolicy(PolicyBound::Partitions(partitions)) => {
                 write!(f, "policies are limited to {partitions} partitions")
             }
+            ServiceError::InvalidPolicy(PolicyBound::PartitionCount(partitions)) => write!(
+                f,
+                "a replacement policy must keep the principal's {partitions} partitions"
+            ),
             ServiceError::AuditingDisabled => {
                 write!(f, "auditing is disabled (history_cap is 0)")
             }

@@ -818,13 +818,11 @@ impl DisclosureService {
     /// consistency word and counters — the bulk counterpart of a
     /// grant/revoke sequence, logged as a single WAL record on durable
     /// services.  Refused with [`ServiceError::DurabilityUnavailable`]
-    /// when that record cannot be made durable.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the replacement changes the partition count (the
-    /// consistency word's partition bits would be meaningless — see
-    /// [`ShardedPolicyStore::replace_policy`]).
+    /// when that record cannot be made durable, and — before anything is
+    /// logged or changed — with
+    /// [`ServiceError::InvalidPolicy`]`(`[`PolicyBound::PartitionCount`]`)`
+    /// when the replacement changes the partition count: the word is
+    /// carried over bit for bit, so bit `i` must keep meaning partition `i`.
     pub fn replace_policy(
         &mut self,
         principal: PrincipalId,
@@ -832,11 +830,13 @@ impl DisclosureService {
     ) -> Result<(), ServiceError> {
         self.validate_principal(principal)?;
         self.validate_policy(&policy)?;
-        // A partition-count mismatch panics in the store below without
-        // having been logged (the record must not outlive the panic).
-        if policy.len() == self.store.policy(principal).len() {
-            self.log_record(|out| durable::encode_replace_policy(principal, &policy, out))?;
+        let partitions = self.store.policy(principal).len();
+        if policy.len() != partitions {
+            return Err(ServiceError::InvalidPolicy(PolicyBound::PartitionCount(
+                partitions,
+            )));
         }
+        self.log_record(|out| durable::encode_replace_policy(principal, &policy, out))?;
         self.store.replace_policy(principal, policy);
         self.stats.mutations += 1;
         Ok(())
@@ -1351,7 +1351,7 @@ impl DisclosureService {
                 // A policy the store cannot hold (too many partitions, a
                 // relation outside the catalog) is refused before it is
                 // logged, so only a hand-damaged log carries one: skipped,
-                // like the replacements below.
+                // like a replacement the live call would have refused.
                 let _ = self.try_register_principal(policy);
             }
             WalOp::Submit { principal, query } => {
@@ -1367,13 +1367,7 @@ impl DisclosureService {
                 let _ = self.add_security_view(&name, query);
             }
             WalOp::ReplacePolicy { principal, policy } => {
-                // Logged replacements were validated before logging; the
-                // guards keep a hand-damaged log from panicking recovery.
-                if principal.index() < self.store.len()
-                    && policy.len() == self.store.policy(principal).len()
-                {
-                    let _ = self.replace_policy(principal, policy);
-                }
+                let _ = self.replace_policy(principal, policy);
             }
         }
     }

@@ -2,14 +2,16 @@
 //! 10,000-op churn stream while the drill repeatedly "crashes" it — by
 //! snapshotting the durability directory mid-stream, exactly as a power
 //! cut would freeze the disk — and then recovers each crash image and
-//! diffs it against an uncrashed reference.
+//! diffs it against the specification.
 //!
-//! The recovered service must equal the reference that applied precisely
-//! the operations whose WAL records survived in the image: per-principal
-//! consistency words and decision counters, store totals, the view
-//! registry's size and per-relation epochs, and the decisions of a fixed
-//! probe set.  A mid-way checkpoint makes the later images exercise
-//! checkpoint-bulkload *plus* tail replay, not just pure replay.
+//! The recovered service must be in the state of a `ReferenceService` that
+//! applied precisely the operations whose WAL records survived in the image,
+//! by the fingerprint the test suites use (`tests/support/harness.rs`):
+//! per-principal policies, consistency words and decision counters, store
+//! totals, the view registry's names and per-relation epochs, and the labels
+//! and decisions of a fixed probe set.  A mid-way checkpoint makes the later
+//! images exercise checkpoint-bulkload *plus* tail replay, not just pure
+//! replay.
 //!
 //! The drill exits nonzero on any mismatch, so CI can run it as a smoke
 //! gate: `cargo run --release --example recovery_drill`.
@@ -18,11 +20,13 @@ use std::fs;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use fdc::cq::{ConjunctiveQuery, RelId};
+#[path = "../tests/support/harness.rs"]
+mod harness;
+
 use fdc::ecosystem::policies::PolicyGeneratorConfig;
 use fdc::ecosystem::{ChurnConfig, Ecosystem, WorkloadConfig};
-use fdc::policy::PrincipalId;
-use fdc::service::{DisclosureService, DurabilityConfig, Operation, ServiceConfig};
+use fdc::service::{DisclosureService, DurabilityConfig, ServiceConfig};
+use harness::{fingerprint, is_logged, populate, Fingerprint, World};
 
 const PRINCIPALS: usize = 2_000;
 const OPS: usize = 10_000;
@@ -51,13 +55,23 @@ fn main() -> ExitCode {
             workload: WorkloadConfig::stress(2, 0xD212),
         })
         .ops(OPS);
-    let probes = ecosystem
-        .workload(WorkloadConfig::stress(2, 0xD213))
-        .batch(12);
+    let mut policies = ecosystem.policy_generator(policy_config);
+    let world = World {
+        policies: (0..PRINCIPALS)
+            .map(|_| policies.next_policy(&ecosystem.views))
+            .collect(),
+        // Probed, never submitted by id: the stream is boxed.
+        pool: ecosystem
+            .workload(WorkloadConfig::stress(2, 0xD213))
+            .batch(4),
+        ids: Vec::new(),
+        registry: ecosystem.views.clone(),
+        history_cap: 0,
+    };
 
     let live_dir = scratch_dir("live");
     let config = ServiceConfig {
-        history_cap: 0,
+        history_cap: world.history_cap,
         durability: DurabilityConfig {
             // Small commit groups so crash images cut close to the stream
             // position; fsync off (the crash is a directory snapshot, not
@@ -73,11 +87,7 @@ fn main() -> ExitCode {
     let (mut service, _) =
         DisclosureService::open_durable(ecosystem.views.clone(), config, &live_dir)
             .expect("failed to open the live durability directory");
-    let mut policies = ecosystem.policy_generator(policy_config);
-    for _ in 0..PRINCIPALS {
-        let policy = policies.next_policy(&ecosystem.views);
-        service.register_principal(policy);
-    }
+    populate(&mut service, &world);
 
     // Serve the stream, freezing a crash image at each crash point.
     let mut images: Vec<(usize, PathBuf)> = Vec::new();
@@ -97,32 +107,25 @@ fn main() -> ExitCode {
     }
     service.close().expect("close failed");
 
-    // Recover every crash image and diff it against a reference that
-    // applied exactly the operations whose records survived.
+    // Recover every crash image and diff it against the specification
+    // applied to exactly the operations whose records survived — one model,
+    // advanced from image to image (the images are in stream order).
+    let mut model = world.model();
+    let mut pending = stream.iter();
+    let mut logged = 0usize;
     let mut failures = 0usize;
     for (at, image) in &images {
         let (mut recovered, report) =
             DisclosureService::open_durable(ecosystem.views.clone(), config, image)
                 .expect("crash-image recovery failed");
         let replayed_ops = report.last_seq as usize - PRINCIPALS;
-        let mut reference = DisclosureService::new(ecosystem.views.clone(), volatile(&config));
-        let mut reference_policies = ecosystem.policy_generator(policy_config);
-        for _ in 0..PRINCIPALS {
-            let policy = reference_policies.next_policy(&ecosystem.views);
-            reference.register_principal(policy);
+        while logged < replayed_ops {
+            let op = pending.next().expect("the log holds stream records only");
+            logged += usize::from(is_logged(op));
+            model.apply(op);
         }
-        let mut logged = 0usize;
-        for op in &stream {
-            if logged == replayed_ops {
-                break;
-            }
-            if is_logged(op) {
-                logged += 1;
-            }
-            reference.apply(op);
-        }
-        let got = fingerprint(&mut recovered, &probes);
-        let want = fingerprint(&mut reference, &probes);
+        let got = fingerprint(&mut recovered, &world);
+        let want = Fingerprint::of_model(&model, &world);
         let verdict = if got == want { "OK" } else { "MISMATCH" };
         println!(
             "  crash at op {at}: checkpoint seq {}, {} records replayed, \
@@ -142,69 +145,6 @@ fn main() -> ExitCode {
     } else {
         eprintln!("{failures} crash image(s) diverged from the reference");
         ExitCode::FAILURE
-    }
-}
-
-/// The same configuration with durability stripped — the in-memory
-/// reference twin.
-fn volatile(config: &ServiceConfig) -> ServiceConfig {
-    ServiceConfig {
-        durability: DurabilityConfig::default(),
-        ..*config
-    }
-}
-
-/// Whether `op` produces a WAL record (everything but reads).
-fn is_logged(op: &Operation) -> bool {
-    !matches!(
-        op,
-        Operation::Check { .. } | Operation::CheckInterned { .. } | Operation::AuditApp { .. }
-    )
-}
-
-/// An extensional digest of everything durable two equal services must
-/// agree on.
-#[derive(PartialEq, Eq)]
-struct Fingerprint {
-    /// Per principal: consistency word + (allowed, denied) counters.
-    words: Vec<(u64, (u64, u64))>,
-    totals: (u64, u64),
-    registry_len: usize,
-    epochs: Vec<u64>,
-    /// Debug-formatted probe decisions.
-    decisions: Vec<String>,
-}
-
-fn fingerprint(service: &mut DisclosureService, probes: &[ConjunctiveQuery]) -> Fingerprint {
-    let principals = service.store().len();
-    let words = (0..principals)
-        .map(|i| {
-            let p = PrincipalId(i as u32);
-            (
-                service.store().consistency_bits(p),
-                service.store().stats(p),
-            )
-        })
-        .collect();
-    let totals = service.store().totals();
-    let registry_len = service.registry().len();
-    let epochs = (0..service.registry().catalog().len())
-        .map(|r| service.registry().epoch(RelId(r as u32)))
-        .collect();
-    let decisions = probes
-        .iter()
-        .enumerate()
-        .map(|(i, q)| {
-            let p = PrincipalId((i % principals) as u32);
-            format!("{:?}", service.check(p, q))
-        })
-        .collect();
-    Fingerprint {
-        words,
-        totals,
-        registry_len,
-        epochs,
-        decisions,
     }
 }
 

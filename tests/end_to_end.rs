@@ -5,7 +5,7 @@
 use fdc::core::QueryLabeler;
 use fdc::ecosystem::policies::PolicyGeneratorConfig;
 use fdc::ecosystem::{Ecosystem, WorkloadConfig};
-use fdc::policy::{PolicyPartition, PolicyStore, PrincipalId, ReferenceMonitor, SecurityPolicy};
+use fdc::policy::{PolicyPartition, ReferenceMonitor, SecurityPolicy};
 
 #[test]
 fn the_three_labelers_agree_across_a_large_stress_workload() {
@@ -130,46 +130,6 @@ fn cumulative_enforcement_never_exceeds_any_partition() {
             );
         }
     }
-}
-
-#[test]
-fn the_policy_store_matches_per_principal_monitors() {
-    // The multi-principal store must behave exactly like one monitor per
-    // principal.
-    let eco = Ecosystem::new();
-    let mut policies = eco.policy_generator(PolicyGeneratorConfig {
-        max_partitions: 5,
-        max_elements_per_partition: 10,
-        template_pool: 0,
-        seed: 77,
-    });
-    let num_principals = 8;
-    let per_principal: Vec<SecurityPolicy> = (0..num_principals)
-        .map(|_| policies.next_policy(&eco.views))
-        .collect();
-
-    let mut store = PolicyStore::new();
-    for p in &per_principal {
-        store.register(p.clone());
-    }
-    let mut monitors: Vec<ReferenceMonitor> = per_principal
-        .iter()
-        .map(|p| ReferenceMonitor::new(p.clone()))
-        .collect();
-
-    let mut workload = eco.workload(WorkloadConfig::base(123));
-    for (i, query) in workload.batch(400).iter().enumerate() {
-        let label = eco.label(query);
-        let principal = i % num_principals;
-        let store_decision = store.submit(PrincipalId(principal as u32), &label);
-        let monitor_decision = monitors[principal].submit(&label);
-        assert_eq!(store_decision, monitor_decision);
-    }
-    let (answered, refused) = store.totals();
-    let monitor_answered: u64 = monitors.iter().map(|m| m.answered()).sum();
-    let monitor_refused: u64 = monitors.iter().map(|m| m.refused()).sum();
-    assert_eq!(answered, monitor_answered);
-    assert_eq!(refused, monitor_refused);
 }
 
 #[test]

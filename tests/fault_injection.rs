@@ -7,7 +7,9 @@
 //! its log record is durably committed — an acknowledged mutation is
 //! never lost, and a lost mutation was always visibly rejected with
 //! [`ServiceError::DurabilityUnavailable`].  Recovering after a crash
-//! therefore reproduces exactly the durably-acknowledged stream.
+//! therefore reproduces exactly the durably-acknowledged stream: the
+//! recovered service must be in the state of the specification
+//! (`ReferenceService`, through `support/harness.rs`) applied to it.
 //!
 //! Also covered, deterministically: a permanent storage failure
 //! degrades the service to read-only instead of panicking; admissions
@@ -19,170 +21,45 @@
 //! garbage log tail is counted in the [`RecoveryReport`] rather than
 //! silently dropped.
 
+#[path = "support/harness.rs"]
+mod harness;
+
 use std::fs;
-use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use fdc::core::SecurityViews;
-use fdc::cq::intern::QueryId;
-use fdc::cq::RelId;
 use fdc::durability::{FaultSchedule, FaultVfs, InstantClock};
-use fdc::ecosystem::churn::{ChurnConfig, ChurnGenerator};
-use fdc::ecosystem::policies::PolicyGeneratorConfig;
-use fdc::ecosystem::schema::facebook_catalog;
-use fdc::ecosystem::views::facebook_security_views;
-use fdc::ecosystem::WorkloadConfig;
 use fdc::policy::PrincipalId;
 use fdc::service::{
-    BackgroundCheckpointer, DegradedMode, DisclosureService, DurabilityConfig, Operation, Response,
-    ServiceConfig, ServiceError, ServiceMode,
+    BackgroundCheckpointer, DegradedMode, DisclosureService, Operation, Response, ServiceConfig,
+    ServiceError, ServiceMode,
+};
+use harness::{
+    assert_agrees, churn_ops, is_logged, populate, serve, temp_dir, Executor, World, NEVER_MINTED,
 };
 
-const PRINCIPALS: usize = 6;
 const OPS: usize = 64;
-
-/// A unique scratch directory (removed, *not* re-created).
-fn temp_dir(tag: &str) -> PathBuf {
-    let dir =
-        std::env::temp_dir().join(format!("fdc_fault_injection_{tag}_{}", std::process::id()));
-    let _ = fs::remove_dir_all(&dir);
-    dir
-}
 
 /// Shared configuration: fsync **on**, so fsync faults actually fire
 /// (the fault filesystem is where "fsync" gets its failure semantics;
 /// no real disk flushes happen on the quiet paths of these tests
 /// beyond what the scratch tmpfs absorbs).
-fn config() -> ServiceConfig {
-    ServiceConfig {
-        num_shards: 2,
-        durability: DurabilityConfig {
-            fsync: true,
-            ..DurabilityConfig::default()
-        },
-        ..ServiceConfig::default()
-    }
-}
-
-/// The mixed churn stream: grants, revokes, view additions, submits and
-/// checks over a small pooled query set.
-fn churn_ops(registry: &SecurityViews, seed: u64, n: usize) -> Vec<Operation> {
-    let schema = facebook_catalog();
-    let mut churn = ChurnGenerator::new(
-        schema,
-        registry,
-        ChurnConfig {
-            mutation_ratio: 0.3,
-            add_view_share: 0.25,
-            check_share: 0.15,
-            query_pool: 8,
-            num_principals: PRINCIPALS,
-            seed,
-            workload: WorkloadConfig::base(seed),
-        },
-    );
-    let ops = churn.ops(n);
-    assert!(
-        ops.iter().any(|op| op.is_mutation()) && ops.iter().any(|op| op.is_admission()),
-        "the stream must be mixed"
-    );
-    ops
-}
-
-/// The per-principal policies the stream starts from.
-fn policies(registry: &SecurityViews) -> Vec<fdc::policy::SecurityPolicy> {
-    let mut generator =
-        fdc::ecosystem::Ecosystem::new().policy_generator(PolicyGeneratorConfig::default());
-    (0..PRINCIPALS)
-        .map(|_| generator.next_policy(registry))
-        .collect()
-}
-
-/// A query id no interner of these tests ever issues.
-const NEVER_MINTED: QueryId = QueryId(u32::MAX);
-
-/// Whether `op` produces a WAL record (the write-ahead set: everything
-/// but reads and submits the front door is bound to reject).
-fn is_logged(op: &Operation) -> bool {
-    !matches!(
-        op,
-        Operation::Check { .. }
-            | Operation::CheckInterned { .. }
-            | Operation::AuditApp { .. }
-            | Operation::SubmitInterned {
-                query: NEVER_MINTED,
-                ..
-            }
-    )
-}
-
-/// An extensional fingerprint of a service: everything durable that two
-/// equal services must agree on.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Fingerprint {
-    principals: usize,
-    words: Vec<(u64, (u64, u64))>,
-    store_totals: (u64, u64),
-    registry_len: usize,
-    epochs: Vec<u64>,
-    probes: Vec<Vec<String>>,
-}
-
-fn fingerprint(
-    service: &mut DisclosureService,
-    probes: &[fdc::cq::ConjunctiveQuery],
-) -> Fingerprint {
-    let principals = service.store().len();
-    let words = (0..principals)
-        .map(|i| {
-            let p = PrincipalId(i as u32);
-            (
-                service.store().consistency_bits(p),
-                service.store().stats(p),
-            )
-        })
-        .collect();
-    let store_totals = service.store().totals();
-    let registry_len = service.registry().len();
-    let epochs = (0..service.registry().catalog().len())
-        .map(|r| service.registry().epoch(RelId(r as u32)))
-        .collect();
-    let probe_results = (0..principals)
-        .map(|i| {
-            let p = PrincipalId(i as u32);
-            probes
-                .iter()
-                .map(|q| format!("{:?}", service.check(p, q)))
-                .collect()
-        })
-        .collect();
-    Fingerprint {
-        principals,
-        words,
-        store_totals,
-        registry_len,
-        epochs,
-        probes: probe_results,
-    }
-}
-
-fn probe_queries() -> Vec<fdc::cq::ConjunctiveQuery> {
-    let schema = facebook_catalog();
-    let mut workload = fdc::ecosystem::WorkloadGenerator::new(schema, WorkloadConfig::base(0xFA17));
-    workload.batch(3)
+fn config(world: &World) -> ServiceConfig {
+    let mut config = world.config(0, 2);
+    config.durability.fsync = true;
+    config
 }
 
 /// Opens a durable service over `vfs` with an instant (non-sleeping)
 /// clock, so retry backoff costs no wall time.
 fn open_faulted(
-    registry: &SecurityViews,
+    world: &World,
     config: ServiceConfig,
     dir: &std::path::Path,
     vfs: &FaultVfs,
 ) -> std::io::Result<(DisclosureService, fdc::service::RecoveryReport)> {
     DisclosureService::open_durable_in(
-        registry.clone(),
+        world.registry.clone(),
         config,
         dir,
         Arc::new(vfs.clone()),
@@ -190,42 +67,13 @@ fn open_faulted(
     )
 }
 
-/// How a request reaches the durable service.
-type Drive = fn(&mut DisclosureService, &[Operation]) -> Vec<Response>;
-
-/// Op by op through sequential `apply`.
-fn apply_each(service: &mut DisclosureService, ops: &[Operation]) -> Vec<Response> {
-    ops.iter().map(|op| service.apply(op)).collect()
-}
-
-/// One op through the typed method of its kind, answered as `apply` would.
-fn typed(service: &mut DisclosureService, op: &Operation) -> Response {
-    match op {
-        Operation::Submit { principal, query } => {
-            service.submit(*principal, query).map(Response::Decision)
-        }
-        Operation::Check { principal, query } => {
-            service.check(*principal, query).map(Response::Decision)
-        }
-        Operation::GrantView { principal, view } => service
-            .grant_view(*principal, view)
-            .map(|()| Response::PolicyUpdated),
-        Operation::RevokeView { principal, view } => service
-            .revoke_view(*principal, view)
-            .map(|()| Response::PolicyUpdated),
-        Operation::AddSecurityView { name, query } => service
-            .add_security_view(name, query.clone())
-            .map(Response::ViewAdded),
-        other => unreachable!("the churn stream carries no {other:?}"),
-    }
-    .unwrap_or_else(Response::Rejected)
-}
-
 /// One fault-schedule run of the write-ahead-invariant property through
 /// one entry point: register quietly, arm `schedule`, serve `ops` in
-/// `chunk`-sized requests through `drive`, mirror exactly the operations
-/// whose records landed into an in-memory reference, then crash, heal,
-/// recover, and demand the recovered service equals the reference.
+/// `chunk`-sized requests through `executor`, and keep two specifications:
+/// `durable` applies exactly the operations whose records landed, `live`
+/// those and every admission (which always serve, from memory).  Every
+/// served answer is `live`'s, the running service ends in `live`'s state,
+/// and after a crash, a heal and a recovery the service is in `durable`'s.
 ///
 /// Returns whether the run ended degraded (so a sweep can assert it
 /// exercised both outcomes), and whether in a request that shed records
@@ -238,27 +86,23 @@ fn acked_mutations_survive(
     chunk: usize,
     group_commit: usize,
     schedule: FaultSchedule,
-    drive: Drive,
+    executor: Executor,
 ) -> (bool, bool) {
-    let registry = facebook_security_views(&facebook_catalog());
-    let probes = probe_queries();
+    let world = World::facebook();
     let dir = temp_dir(tag);
     let vfs = FaultVfs::over_std(FaultSchedule::quiet(schedule.seed));
-    let mut durable_config = config();
+    let mut durable_config = config(&world);
     durable_config.durability.group_commit = group_commit;
-    let (mut durable, _) = open_faulted(&registry, durable_config, &dir, &vfs).unwrap();
-    let mut reference = DisclosureService::new(registry.clone(), config());
-    for policy in policies(&registry) {
-        durable.register_principal(policy.clone());
-        reference.register_principal(policy);
-    }
+    let (mut service, _) = open_faulted(&world, durable_config, &dir, &vfs).unwrap();
+    populate(&mut service, &world);
+    let (mut durable, mut live) = (world.model(), world.model());
 
     vfs.set_schedule(schedule);
     let mut positions_matter = false;
     for request in ops.chunks(chunk) {
-        let before = durable.stats().durability.wal_records_committed;
-        let responses = drive(&mut durable, request);
-        let committed = (durable.stats().durability.wal_records_committed - before) as usize;
+        let before = service.stats().durability.wal_records_committed;
+        let responses = serve(&mut service, request, executor);
+        let committed = (service.stats().durability.wal_records_committed - before) as usize;
         // Commits are all-or-nothing and records land in stream order, so
         // `committed` is the request's durable prefix over its *loggable*
         // operations.
@@ -284,24 +128,27 @@ fn acked_mutations_survive(
                 assert!(!unavailable, "{tag}: reads and admissions always serve");
             }
             if durable_op {
-                reference.apply(op);
+                durable.apply(op);
+            }
+            if durable_op || !op.is_mutation() {
+                assert_eq!(*response, live.apply(op), "{tag}: {op:?}");
             }
         }
     }
-    let degraded = durable.is_degraded();
+    assert_agrees(&format!("{tag}: running"), &mut service, &live, &world);
+    let degraded = service.is_degraded();
     let faults = vfs.counters();
-    drop(durable); // crash: no close
+    drop(service); // crash: no close
 
     // Storage comes back; recovery sees exactly the committed records.
     vfs.heal();
     vfs.set_schedule(FaultSchedule::quiet(schedule.seed));
-    let (mut recovered, report) = open_faulted(&registry, config(), &dir, &vfs).unwrap();
-    assert_eq!(
-        fingerprint(&mut recovered, &probes),
-        fingerprint(&mut reference, &probes),
+    let (mut recovered, report) = open_faulted(&world, config(&world), &dir, &vfs).unwrap();
+    let what = format!(
         "{tag}: recovered state diverged from the acknowledged stream \
          (schedule {schedule:?}, faults {faults:?}, report {report:?})"
     );
+    assert_agrees(&what, &mut recovered, &durable, &world);
     fs::remove_dir_all(&dir).unwrap();
     (degraded, positions_matter)
 }
@@ -349,8 +196,8 @@ fn no_acknowledged_mutation_is_lost_under_any_fault_schedule() {
             },
         ),
     ];
-    let registry = facebook_security_views(&facebook_catalog());
-    let group_commit = config().durability.group_commit;
+    let world = World::facebook();
+    let group_commit = config(&world).durability.group_commit;
     let mut survived = 0u32;
     let mut degraded = 0u32;
     for (name, base) in schedules {
@@ -360,8 +207,8 @@ fn no_acknowledged_mutation_is_lost_under_any_fault_schedule() {
                 ..*base
             };
             let tag = format!("prop_{name}_{round}");
-            let ops = churn_ops(&registry, schedule.seed ^ 0xC0FFEE, OPS);
-            if acked_mutations_survive(&tag, &ops, 1, group_commit, schedule, apply_each).0 {
+            let ops = churn_ops(&world, schedule.seed ^ 0xC0FFEE, OPS);
+            if acked_mutations_survive(&tag, &ops, 1, group_commit, schedule, Executor::Apply).0 {
                 degraded += 1;
             } else {
                 survived += 1;
@@ -376,18 +223,18 @@ fn no_acknowledged_mutation_is_lost_under_any_fault_schedule() {
 
 #[test]
 fn batched_mutations_respect_the_durable_prefix() {
-    let registry = facebook_security_views(&facebook_catalog());
-    let ops = churn_ops(&registry, 0xBA7C4, OPS);
+    let world = World::facebook();
+    let ops = churn_ops(&world, 0xBA7C4, OPS);
     // Ops that never produce a record on both sides of every cut, served
     // with a commit per record so a request's durable prefix can end
     // mid-request: a cut counted in records instead of op positions refuses
     // a durable mutation there.
-    let probe = probe_queries().remove(0);
+    let probe = world.pool[0].clone();
     let mixed: Vec<Operation> = ops
         .iter()
         .enumerate()
         .flat_map(|(i, op)| {
-            let principal = PrincipalId((i % PRINCIPALS) as u32);
+            let principal = PrincipalId((i % world.policies.len()) as u32);
             let unlogged = match i % 3 {
                 0 => Operation::AuditApp { principal },
                 1 => Operation::SubmitInterned {
@@ -406,7 +253,7 @@ fn batched_mutations_respect_the_durable_prefix() {
     // which a batch of 8 with one commit never loses a record) plus two
     // under which the batches do and the mixed stream's cut lands
     // mid-request.  Answers whether op positions mattered under any of them.
-    let sweep = |input: &str, ops: &[Operation], chunk, group_commit, drive: Drive| {
+    let sweep = |input: &str, ops: &[Operation], chunk, group_commit, executor| {
         let mut degraded = false;
         let mut positions_matter = false;
         for seed in [9, 17, 19] {
@@ -417,7 +264,8 @@ fn batched_mutations_respect_the_durable_prefix() {
                 ..FaultSchedule::quiet(seed)
             };
             let tag = format!("prefix_{input}_{seed}");
-            let (d, p) = acked_mutations_survive(&tag, ops, chunk, group_commit, schedule, drive);
+            let (d, p) =
+                acked_mutations_survive(&tag, ops, chunk, group_commit, schedule, executor);
             degraded |= d;
             positions_matter |= p;
         }
@@ -427,30 +275,24 @@ fn batched_mutations_respect_the_durable_prefix() {
         );
         positions_matter
     };
-    let group_commit = config().durability.group_commit;
-    sweep("batch", &ops, 8, group_commit, |s, ops| {
-        s.run_pipelined(ops)
-    });
-    sweep("apply", &ops, 1, group_commit, apply_each);
-    sweep("typed", &ops, 1, group_commit, |s, ops| {
-        ops.iter().map(|op| typed(s, op)).collect()
-    });
+    let group_commit = config(&world).durability.group_commit;
+    sweep("batch", &ops, 8, group_commit, Executor::Pipelined(8));
+    sweep("apply", &ops, 1, group_commit, Executor::Apply);
+    sweep("typed", &ops, 1, group_commit, Executor::Typed);
     assert!(
-        sweep("mixed", &mixed, 8, 1, |s, ops| s.run_pipelined(ops)),
+        sweep("mixed", &mixed, 8, 1, Executor::Pipelined(8)),
         "no durable mutation sat past its request's record count"
     );
 }
 
 #[test]
 fn permanent_failure_degrades_to_read_only_instead_of_panicking() {
-    let registry = facebook_security_views(&facebook_catalog());
-    let ops = churn_ops(&registry, 0xDEAD, OPS);
+    let world = World::facebook();
+    let ops = churn_ops(&world, 0xDEAD, OPS);
     let dir = temp_dir("degrade");
     let vfs = FaultVfs::over_std(FaultSchedule::quiet(11));
-    let (mut service, _) = open_faulted(&registry, config(), &dir, &vfs).unwrap();
-    for policy in policies(&registry) {
-        service.register_principal(policy);
-    }
+    let (mut service, _) = open_faulted(&world, config(&world), &dir, &vfs).unwrap();
+    populate(&mut service, &world);
     let healthy_ops = &ops[..16];
     for op in healthy_ops {
         service.apply(op);
@@ -478,12 +320,12 @@ fn permanent_failure_degrades_to_read_only_instead_of_panicking() {
     // Reads and admissions keep serving from memory.
     assert!(!service.apply(admission).is_rejected());
     let p = PrincipalId(0);
-    for q in probe_queries() {
-        let _ = service.check(p, &q); // must not panic or reject
+    for q in &world.pool {
+        let _ = service.check(p, q); // must not panic or reject
     }
 
     // Every mutation entry point reports the same refusal.
-    let policy = policies(&registry).remove(0);
+    let policy = world.policies[0].clone();
     assert_eq!(
         service.try_register_principal(policy),
         Err(ServiceError::DurabilityUnavailable)
@@ -501,14 +343,12 @@ fn permanent_failure_degrades_to_read_only_instead_of_panicking() {
 
 #[test]
 fn checkpoint_on_dead_storage_fails_cleanly_and_keeps_serving() {
-    let registry = facebook_security_views(&facebook_catalog());
-    let ops = churn_ops(&registry, 0x5EED, 32);
+    let world = World::facebook();
+    let ops = churn_ops(&world, 0x5EED, 32);
     let dir = temp_dir("dead_checkpoint");
     let vfs = FaultVfs::over_std(FaultSchedule::quiet(13));
-    let (mut service, _) = open_faulted(&registry, config(), &dir, &vfs).unwrap();
-    for policy in policies(&registry) {
-        service.register_principal(policy);
-    }
+    let (mut service, _) = open_faulted(&world, config(&world), &dir, &vfs).unwrap();
+    populate(&mut service, &world);
     for op in &ops[..8] {
         service.apply(op);
     }
@@ -533,23 +373,18 @@ fn checkpoint_on_dead_storage_fails_cleanly_and_keeps_serving() {
 
 #[test]
 fn successful_checkpoint_promotes_degraded_service_back_to_healthy() {
-    let registry = facebook_security_views(&facebook_catalog());
-    let ops = churn_ops(&registry, 0x90E, OPS);
-    let probes = probe_queries();
+    let world = World::facebook();
+    let ops = churn_ops(&world, 0x90E, OPS);
     let dir = temp_dir("promote");
     let vfs = FaultVfs::over_std(FaultSchedule::quiet(17));
-    let (mut service, _) = open_faulted(&registry, config(), &dir, &vfs).unwrap();
-    let mut reference = DisclosureService::new(registry.clone(), config());
-    for policy in policies(&registry) {
-        service.register_principal(policy.clone());
-        reference.register_principal(policy);
-    }
+    let (mut service, _) = open_faulted(&world, config(&world), &dir, &vfs).unwrap();
+    populate(&mut service, &world);
+    let mut model = world.model();
 
     // Healthy phase, then the disk dies and the service degrades.
     let (healthy, rest) = ops.split_at(20);
     for op in healthy {
-        service.apply(op);
-        reference.apply(op);
+        assert_eq!(service.apply(op), model.apply(op));
     }
     vfs.fail_permanently();
     let (degraded_window, tail) = rest.split_at(20);
@@ -558,8 +393,8 @@ fn successful_checkpoint_promotes_degraded_service_back_to_healthy() {
         if !response.is_rejected() {
             // Acknowledged while degraded (reads + admissions): these
             // become durable with the promotion checkpoint below, so
-            // the reference mirrors them.
-            reference.apply(op);
+            // the specification applies them.
+            assert_eq!(response, model.apply(op));
         }
     }
     assert!(service.is_degraded());
@@ -577,38 +412,32 @@ fn successful_checkpoint_promotes_degraded_service_back_to_healthy() {
     // Mutations are accepted (and logged) again.
     for op in tail {
         let response = service.apply(op);
-        assert_ne!(
+        assert_eq!(
             response,
-            Response::Rejected(ServiceError::DurabilityUnavailable),
+            model.apply(op),
             "promoted service must accept mutations"
         );
-        reference.apply(op);
     }
 
     // Crash after promotion: the checkpoint image (which covers the
     // degraded window's admissions) plus the fresh log reproduce the
     // full acknowledged stream.
     drop(service);
-    let (mut recovered, report) = open_faulted(&registry, config(), &dir, &vfs).unwrap();
+    let (mut recovered, report) = open_faulted(&world, config(&world), &dir, &vfs).unwrap();
     assert_eq!(report.checkpoint_seq, seq);
-    assert_eq!(
-        fingerprint(&mut recovered, &probes),
-        fingerprint(&mut reference, &probes),
-        "promotion lost part of the acknowledged stream"
-    );
+    let what = "promotion lost part of the acknowledged stream";
+    assert_agrees(what, &mut recovered, &model, &world);
     fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn background_checkpointer_promotes_a_degraded_service() {
-    let registry = facebook_security_views(&facebook_catalog());
-    let ops = churn_ops(&registry, 0xB66, 32);
+    let world = World::facebook();
+    let ops = churn_ops(&world, 0xB66, 32);
     let dir = temp_dir("bg_promote");
     let vfs = FaultVfs::over_std(FaultSchedule::quiet(23));
-    let (mut service, _) = open_faulted(&registry, config(), &dir, &vfs).unwrap();
-    for policy in policies(&registry) {
-        service.register_principal(policy);
-    }
+    let (mut service, _) = open_faulted(&world, config(&world), &dir, &vfs).unwrap();
+    populate(&mut service, &world);
     for op in &ops[..8] {
         service.apply(op);
     }
@@ -655,14 +484,15 @@ fn background_checkpointer_promotes_a_degraded_service() {
 
 #[test]
 fn open_durable_sweeps_orphaned_checkpoint_temporaries() {
-    let registry = facebook_security_views(&facebook_catalog());
+    let world = World::facebook();
     let dir = temp_dir("tmp_sweep");
     fs::create_dir_all(&dir).unwrap();
     // A crash between a checkpoint's temp write and its rename strands
     // the temp file; seed two of them.
     fs::write(dir.join("ckpt-00000000000000000007.tmp"), b"torn image").unwrap();
     fs::write(dir.join("ckpt-00000000000000000009.tmp"), b"").unwrap();
-    let (service, report) = DisclosureService::open_durable(registry, config(), &dir).unwrap();
+    let (service, report) =
+        DisclosureService::open_durable(world.registry.clone(), config(&world), &dir).unwrap();
     assert_eq!(report.temps_swept, 2);
     let leftovers: Vec<String> = fs::read_dir(&dir)
         .unwrap()
@@ -677,14 +507,12 @@ fn open_durable_sweeps_orphaned_checkpoint_temporaries() {
 
 #[test]
 fn recovery_report_counts_a_discarded_garbage_tail() {
-    let registry = facebook_security_views(&facebook_catalog());
-    let ops = churn_ops(&registry, 0x7A11, 24);
+    let world = World::facebook();
+    let ops = churn_ops(&world, 0x7A11, 24);
     let dir = temp_dir("garbage_tail");
     let (mut service, _) =
-        DisclosureService::open_durable(registry.clone(), config(), &dir).unwrap();
-    for policy in policies(&registry) {
-        service.register_principal(policy);
-    }
+        DisclosureService::open_durable(world.registry.clone(), config(&world), &dir).unwrap();
+    populate(&mut service, &world);
     for op in &ops {
         service.apply(op);
     }
@@ -706,7 +534,8 @@ fn recovery_report_counts_a_discarded_garbage_tail() {
     bytes.extend_from_slice(&[0xFF; 7]);
     fs::write(&segment, &bytes).unwrap();
 
-    let (service, report) = DisclosureService::open_durable(registry, config(), &dir).unwrap();
+    let (service, report) =
+        DisclosureService::open_durable(world.registry.clone(), config(&world), &dir).unwrap();
     assert_eq!(report.discarded_bytes, 7, "the garbage tail is counted");
     assert_eq!(report.discarded_records, 1, "as one residual frame");
     // The resumed writer truncated the garbage away.
