@@ -13,104 +13,13 @@
 //! ([`intern`](crate::intern)) canonicalizes with the same first-occurrence
 //! numbering and hands out dense [`QueryId`](crate::intern::QueryId)s whose
 //! equality *is* canonical-key equality, without allocating a key vector per
-//! lookup.  [`atom_key`] remains for callers that need a hashable
-//! single-atom key without an interner.
+//! lookup.
 
 use std::collections::HashMap;
 
 use crate::atom::Atom;
-use crate::catalog::RelId;
 use crate::query::ConjunctiveQuery;
-use crate::term::{Constant, Term, VarId, VarKind};
-
-/// One position of an [`AtomKey`]: a constant, or a variable renamed to its
-/// first-occurrence index with its kind.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-enum KeySlot {
-    /// The position holds this constant.
-    Const(Constant),
-    /// The position holds the `n`-th distinct variable of the atom (by
-    /// first occurrence, left to right), with the given kind.
-    Var(u32, VarKind),
-}
-
-/// A cheap, hashable canonical key for single-atom queries.
-///
-/// Two single-atom queries have equal keys **iff** they are structurally
-/// identical up to variable renaming — the same relation, the same constants
-/// in the same positions, the same variable-equality pattern, and the same
-/// distinguished/existential tags.  For the single-atom queries produced by
-/// `Dissect` this is exactly label equivalence, because per-atom `ℓ⁺` is
-/// invariant under variable renaming, which is what makes the key usable as
-/// a memo-table key for labeling.
-///
-/// Building a key is one left-to-right pass over the atom (no query
-/// construction, no string formatting), so it is far cheaper than
-/// [`rename_canonical`] while distinguishing exactly the same single-atom
-/// queries.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct AtomKey {
-    relation: RelId,
-    slots: Vec<KeySlot>,
-}
-
-impl AtomKey {
-    /// The base relation of the keyed atom.
-    pub fn relation(&self) -> RelId {
-        self.relation
-    }
-}
-
-/// Computes the canonical key of a single-atom query, or `None` if the query
-/// has more than one atom (multi-atom queries must be dissected first).
-pub fn atom_key(query: &ConjunctiveQuery) -> Option<AtomKey> {
-    if !query.is_single_atom() {
-        return None;
-    }
-    let atom = &query.atoms()[0];
-    let mut numbering = VarNumbering::new(query.num_vars());
-    Some(AtomKey {
-        relation: atom.relation,
-        slots: key_slots(atom, &mut numbering),
-    })
-}
-
-/// Dense first-occurrence renumbering of variable ids (query variable ids
-/// are dense, so a flat array beats a hash map here).
-struct VarNumbering {
-    assigned: Vec<u32>,
-    next: u32,
-}
-
-const UNASSIGNED: u32 = u32::MAX;
-
-impl VarNumbering {
-    fn new(num_vars: usize) -> Self {
-        VarNumbering {
-            assigned: vec![UNASSIGNED; num_vars],
-            next: 0,
-        }
-    }
-
-    fn number(&mut self, v: VarId) -> u32 {
-        let slot = &mut self.assigned[v.index()];
-        if *slot == UNASSIGNED {
-            *slot = self.next;
-            self.next += 1;
-        }
-        *slot
-    }
-}
-
-fn key_slots(atom: &Atom, numbering: &mut VarNumbering) -> Vec<KeySlot> {
-    atom.terms
-        .iter()
-        .map(|term| match term {
-            Term::Const(c) => KeySlot::Const(c.clone()),
-            Term::Var(v, kind) => KeySlot::Var(numbering.number(*v), *kind),
-        })
-        .collect()
-}
+use crate::term::{Term, VarId, VarKind};
 
 /// Renumbers the variables of a query by order of first occurrence in the
 /// body and gives them synthetic names `x0, x1, …`.
@@ -214,63 +123,18 @@ mod tests {
     }
 
     #[test]
-    fn atom_keys_agree_with_structural_identity_on_single_atoms() {
+    fn structural_identity_distinguishes_exactly_renamings() {
         let c = catalog();
         let pairs = [
-            // Alpha-equivalent pairs share a key.
             ("Q(x) :- Meetings(x, y)", "Q(p) :- Meetings(p, q)", true),
-            (
-                "Q(x) :- Meetings(x, 'Cathy')",
-                "Q(a) :- Meetings(a, 'Cathy')",
-                true,
-            ),
             ("Q() :- Meetings(z, z)", "Q() :- Meetings(w, w)", true),
-            // Different structure means different keys.
             ("Q(x) :- Meetings(x, y)", "Q(y) :- Meetings(x, y)", false),
-            (
-                "Q(x) :- Meetings(x, y)",
-                "Q(x) :- Meetings(x, 'Cathy')",
-                false,
-            ),
             ("Q() :- Meetings(z, z)", "Q() :- Meetings(x, y)", false),
             (
                 "Q(x) :- Meetings(x, 'Cathy')",
                 "Q(x) :- Meetings(x, 'Bob')",
                 false,
             ),
-        ];
-        for (left, right, expect_equal) in pairs {
-            let a = parse_query(&c, left).unwrap();
-            let b = parse_query(&c, right).unwrap();
-            let ka = atom_key(&a).unwrap();
-            let kb = atom_key(&b).unwrap();
-            assert_eq!(
-                ka == kb,
-                expect_equal,
-                "key comparison of {left} vs {right}"
-            );
-            assert_eq!(
-                structurally_identical(&a, &b),
-                expect_equal,
-                "structural identity of {left} vs {right}"
-            );
-        }
-    }
-
-    #[test]
-    fn atom_keys_are_single_atom_only_and_expose_the_relation() {
-        let c = catalog();
-        let single = parse_query(&c, "Q(x) :- Meetings(x, y)").unwrap();
-        let key = atom_key(&single).unwrap();
-        assert_eq!(key.relation(), c.resolve("Meetings").unwrap());
-        let multi = parse_query(&c, "Q(x) :- Meetings(x, y), Contacts(y, w, 'Intern')").unwrap();
-        assert!(atom_key(&multi).is_none());
-    }
-
-    #[test]
-    fn structural_identity_distinguishes_exactly_renamings() {
-        let c = catalog();
-        let pairs = [
             (
                 "Q(x) :- Meetings(x, y), Contacts(y, w, 'Intern')",
                 "Q(p) :- Meetings(p, q), Contacts(q, r, 'Intern')",
@@ -303,31 +167,6 @@ mod tests {
                 "structural identity of {left} vs {right}"
             );
         }
-    }
-
-    #[test]
-    fn atom_keys_collapse_renamings_and_distinguish_join_patterns() {
-        let c = catalog();
-        let a = parse_query(&c, "Q(x) :- Meetings(x, y)").unwrap();
-        let b = parse_query(&c, "Q(p) :- Meetings(p, q)").unwrap();
-        let d = parse_query(&c, "Q(x) :- Meetings(x, x)").unwrap();
-        assert!(atom_key(&a) == atom_key(&b));
-        assert!(atom_key(&a) != atom_key(&d));
-    }
-
-    #[test]
-    fn atom_keys_hash_consistently() {
-        use std::collections::HashSet;
-        let c = catalog();
-        let mut set = HashSet::new();
-        set.insert(atom_key(&parse_query(&c, "Q(x) :- Meetings(x, y)").unwrap()).unwrap());
-        // An alpha-renamed query hits the same entry.
-        assert!(!set.insert(atom_key(&parse_query(&c, "Q(a) :- Meetings(a, b)").unwrap()).unwrap()));
-        // A different shape does not.
-        assert!(
-            set.insert(atom_key(&parse_query(&c, "Q(a, b) :- Meetings(a, b)").unwrap()).unwrap())
-        );
-        assert_eq!(set.len(), 2);
     }
 
     #[test]

@@ -49,12 +49,6 @@ pub fn equivalent(q1: &ConjunctiveQuery, q2: &ConjunctiveQuery) -> bool {
     contained_in(q1, q2) && contained_in(q2, q1)
 }
 
-/// True if the boolean *body* of `q1` is at least as restrictive as `q2`'s,
-/// ignoring all head information (plain body homomorphism from `q2` to `q1`).
-pub fn body_contained_in(q1: &ConjunctiveQuery, q2: &ConjunctiveQuery) -> bool {
-    homomorphism_exists(q2, q1, HeadPolicy::Free)
-}
-
 // ---------------------------------------------------------------------------
 // The same comparisons over the interned flat representation.
 // ---------------------------------------------------------------------------
@@ -74,12 +68,6 @@ pub fn interned_equivalent_same_space(q1: QueryRef<'_>, q2: QueryRef<'_>) -> boo
 /// interned [`QueryRef`]s.
 pub fn interned_contained_in(q1: QueryRef<'_>, q2: QueryRef<'_>) -> bool {
     interned_homomorphism_exists(q2, q1, HeadPolicy::DistinguishedToDistinguished)
-}
-
-/// [`equivalent`] (information equivalence up to head permutation) over
-/// interned [`QueryRef`]s.
-pub fn interned_equivalent(q1: QueryRef<'_>, q2: QueryRef<'_>) -> bool {
-    interned_contained_in(q1, q2) && interned_contained_in(q2, q1)
 }
 
 /// [`interned_contained_in`] restricted to the generic backtracking search,
@@ -165,9 +153,10 @@ mod tests {
         let v1 = parse_query(&c, "V1(x, y) :- Meetings(x, y)").unwrap();
         // Boolean nonemptiness check: as a query its only "answer" is the
         // empty tuple, which exists whenever V1 has any answer at all.
-        // Body containment captures that; head-aware containment treats the
-        // arities as different so it is not equivalence.
-        assert!(body_contained_in(&v1, &v5));
+        // A head-free body homomorphism captures that; head-aware
+        // containment treats the arities as different so it is not
+        // equivalence.
+        assert!(homomorphism_exists(&v5, &v1, HeadPolicy::Free));
         assert!(!equivalent(&v5, &v1));
     }
 

@@ -39,16 +39,15 @@
 //! skips invalid files and falls back to the next-newest, so
 //! checkpointing can never make recovery *worse*.
 //!
-//! All I/O goes through a [`Vfs`] (the `_in` variants; the plain names
-//! bind the production [`StdVfs`]) so the fault-injection suites can
-//! exercise fsync failures and failed renames on the checkpoint path
-//! too.
+//! All I/O goes through the caller's [`Vfs`], so the fault-injection
+//! suites can exercise fsync failures and failed renames on the
+//! checkpoint path too.
 
 use std::io;
 use std::path::{Path, PathBuf};
 
 use crate::crc::{crc32, Crc32};
-use crate::vfs::{StdVfs, Vfs};
+use crate::vfs::Vfs;
 
 /// Checkpoint file magic: "FDC checkpoint format 1".
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"FDCCKPT1";
@@ -84,12 +83,7 @@ fn list_checkpoints(vfs: &dyn Vfs, dir: &Path) -> io::Result<Vec<(u64, PathBuf)>
 ///
 /// `fsync` controls whether the temp file (and, on platforms where it
 /// matters, the directory) is synced before and after the rename.
-pub fn write_checkpoint(dir: &Path, seq: u64, payload: &[u8], fsync: bool) -> io::Result<PathBuf> {
-    write_checkpoint_in(&StdVfs, dir, seq, payload, fsync)
-}
-
-/// [`write_checkpoint`] through an explicit [`Vfs`].
-pub fn write_checkpoint_in(
+pub fn write_checkpoint(
     vfs: &dyn Vfs,
     dir: &Path,
     seq: u64,
@@ -161,12 +155,7 @@ fn load_checkpoint(vfs: &dyn Vfs, path: &Path) -> io::Result<(u64, Vec<u8>)> {
 /// Invalid or half-written files are skipped, not fatal; `None` means
 /// no valid checkpoint exists and recovery must replay the log from the
 /// beginning.
-pub fn latest_checkpoint(dir: &Path) -> io::Result<Option<(u64, Vec<u8>)>> {
-    latest_checkpoint_in(&StdVfs, dir)
-}
-
-/// [`latest_checkpoint`] through an explicit [`Vfs`].
-pub fn latest_checkpoint_in(vfs: &dyn Vfs, dir: &Path) -> io::Result<Option<(u64, Vec<u8>)>> {
+pub fn latest_checkpoint(vfs: &dyn Vfs, dir: &Path) -> io::Result<Option<(u64, Vec<u8>)>> {
     if !vfs.exists(dir) {
         return Ok(None);
     }
@@ -184,12 +173,7 @@ pub fn latest_checkpoint_in(vfs: &dyn Vfs, dir: &Path) -> io::Result<Option<(u64
 /// checkpoint, so that every retained checkpoint (not just the newest)
 /// still has the log records past it, should it be the one recovery
 /// falls back to.
-pub fn checkpoint_seqs(dir: &Path) -> io::Result<Vec<u64>> {
-    checkpoint_seqs_in(&StdVfs, dir)
-}
-
-/// [`checkpoint_seqs`] through an explicit [`Vfs`].
-pub fn checkpoint_seqs_in(vfs: &dyn Vfs, dir: &Path) -> io::Result<Vec<u64>> {
+pub fn checkpoint_seqs(vfs: &dyn Vfs, dir: &Path) -> io::Result<Vec<u64>> {
     Ok(list_checkpoints(vfs, dir)?
         .into_iter()
         .map(|(seq, _)| seq)
@@ -200,12 +184,7 @@ pub fn checkpoint_seqs_in(vfs: &dyn Vfs, dir: &Path) -> io::Result<Vec<u64>> {
 /// between temp-write and rename-into-place.  They are garbage by
 /// construction — a completed checkpoint lives under its final name —
 /// so recovery deletes them on open.  Returns how many were removed.
-pub fn sweep_stale_temps(dir: &Path) -> io::Result<usize> {
-    sweep_stale_temps_in(&StdVfs, dir)
-}
-
-/// [`sweep_stale_temps`] through an explicit [`Vfs`].
-pub fn sweep_stale_temps_in(vfs: &dyn Vfs, dir: &Path) -> io::Result<usize> {
+pub fn sweep_stale_temps(vfs: &dyn Vfs, dir: &Path) -> io::Result<usize> {
     if !vfs.exists(dir) {
         return Ok(0);
     }
@@ -225,12 +204,7 @@ pub fn sweep_stale_temps_in(vfs: &dyn Vfs, dir: &Path) -> io::Result<usize> {
 /// even if the newest file is later found corrupt, its valid
 /// predecessor is still on disk.  Also sweeps stray `.tmp` files from
 /// interrupted writes.  Returns how many files were removed.
-pub fn prune_checkpoints(dir: &Path, keep: usize) -> io::Result<usize> {
-    prune_checkpoints_in(&StdVfs, dir, keep)
-}
-
-/// [`prune_checkpoints`] through an explicit [`Vfs`].
-pub fn prune_checkpoints_in(vfs: &dyn Vfs, dir: &Path, keep: usize) -> io::Result<usize> {
+pub fn prune_checkpoints(vfs: &dyn Vfs, dir: &Path, keep: usize) -> io::Result<usize> {
     let checkpoints = list_checkpoints(vfs, dir)?;
     let mut removed = 0;
     let cutoff = checkpoints.len().saturating_sub(keep.max(1));
@@ -238,7 +212,7 @@ pub fn prune_checkpoints_in(vfs: &dyn Vfs, dir: &Path, keep: usize) -> io::Resul
         vfs.remove_file(path)?;
         removed += 1;
     }
-    removed += sweep_stale_temps_in(vfs, dir)?;
+    removed += sweep_stale_temps(vfs, dir)?;
     Ok(removed)
 }
 
@@ -248,7 +222,7 @@ mod tests {
     use std::fs;
     use std::sync::Arc;
 
-    use crate::vfs::{FaultSchedule, FaultVfs};
+    use crate::vfs::{FaultSchedule, FaultVfs, StdVfs};
 
     fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("fdc_ckpt_test_{tag}_{}", std::process::id()));
@@ -260,8 +234,8 @@ mod tests {
     #[test]
     fn round_trips_payload_and_seq() {
         let dir = temp_dir("round_trip");
-        write_checkpoint(&dir, 17, b"state bytes", false).unwrap();
-        let (seq, payload) = latest_checkpoint(&dir).unwrap().unwrap();
+        write_checkpoint(&StdVfs, &dir, 17, b"state bytes", false).unwrap();
+        let (seq, payload) = latest_checkpoint(&StdVfs, &dir).unwrap().unwrap();
         assert_eq!(seq, 17);
         assert_eq!(payload, b"state bytes");
         fs::remove_dir_all(&dir).unwrap();
@@ -270,13 +244,13 @@ mod tests {
     #[test]
     fn latest_valid_wins_over_newer_corrupt() {
         let dir = temp_dir("latest_valid");
-        write_checkpoint(&dir, 5, b"old good", false).unwrap();
-        let newer = write_checkpoint(&dir, 9, b"new bad", false).unwrap();
+        write_checkpoint(&StdVfs, &dir, 5, b"old good", false).unwrap();
+        let newer = write_checkpoint(&StdVfs, &dir, 9, b"new bad", false).unwrap();
         let mut bytes = fs::read(&newer).unwrap();
         let len = bytes.len();
         bytes[len - 10] ^= 0x55;
         fs::write(&newer, &bytes).unwrap();
-        let (seq, payload) = latest_checkpoint(&dir).unwrap().unwrap();
+        let (seq, payload) = latest_checkpoint(&StdVfs, &dir).unwrap().unwrap();
         assert_eq!(seq, 5);
         assert_eq!(payload, b"old good");
         fs::remove_dir_all(&dir).unwrap();
@@ -285,11 +259,11 @@ mod tests {
     #[test]
     fn truncated_checkpoint_is_skipped() {
         let dir = temp_dir("truncated");
-        write_checkpoint(&dir, 3, b"good", false).unwrap();
-        let newer = write_checkpoint(&dir, 8, b"will be cut", false).unwrap();
+        write_checkpoint(&StdVfs, &dir, 3, b"good", false).unwrap();
+        let newer = write_checkpoint(&StdVfs, &dir, 8, b"will be cut", false).unwrap();
         let bytes = fs::read(&newer).unwrap();
         fs::write(&newer, &bytes[..bytes.len() / 2]).unwrap();
-        let (seq, _) = latest_checkpoint(&dir).unwrap().unwrap();
+        let (seq, _) = latest_checkpoint(&StdVfs, &dir).unwrap().unwrap();
         assert_eq!(seq, 3);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -299,7 +273,7 @@ mod tests {
     /// thing left to refuse the file.
     fn assert_version_is_refused(version: u32) {
         let dir = temp_dir(&format!("version_{version}"));
-        let path = write_checkpoint(&dir, 6, b"old payload", false).unwrap();
+        let path = write_checkpoint(&StdVfs, &dir, 6, b"old payload", false).unwrap();
         let mut bytes = fs::read(&path).unwrap();
         bytes[8..12].copy_from_slice(&version.to_le_bytes());
         let body_end = bytes.len() - 4;
@@ -312,7 +286,7 @@ mod tests {
             err.to_string(),
             format!("unsupported checkpoint version {version}")
         );
-        assert!(latest_checkpoint(&dir).unwrap().is_none());
+        assert!(latest_checkpoint(&StdVfs, &dir).unwrap().is_none());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -329,21 +303,21 @@ mod tests {
     #[test]
     fn empty_or_missing_directory_yields_none() {
         let dir = temp_dir("empty");
-        assert!(latest_checkpoint(&dir).unwrap().is_none());
+        assert!(latest_checkpoint(&StdVfs, &dir).unwrap().is_none());
         fs::remove_dir_all(&dir).unwrap();
-        assert!(latest_checkpoint(&dir).unwrap().is_none());
+        assert!(latest_checkpoint(&StdVfs, &dir).unwrap().is_none());
     }
 
     #[test]
     fn prune_keeps_the_newest_and_sweeps_temp_files() {
         let dir = temp_dir("prune");
         for seq in [1u64, 4, 9, 12] {
-            write_checkpoint(&dir, seq, b"x", false).unwrap();
+            write_checkpoint(&StdVfs, &dir, seq, b"x", false).unwrap();
         }
         fs::write(dir.join("ckpt-00000000000000000099.ck.tmp"), b"stray").unwrap();
-        let removed = prune_checkpoints(&dir, 2).unwrap();
+        let removed = prune_checkpoints(&StdVfs, &dir, 2).unwrap();
         assert_eq!(removed, 3);
-        let (seq, _) = latest_checkpoint(&dir).unwrap().unwrap();
+        let (seq, _) = latest_checkpoint(&StdVfs, &dir).unwrap().unwrap();
         assert_eq!(seq, 12);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -351,16 +325,20 @@ mod tests {
     #[test]
     fn sweep_removes_only_stale_temps() {
         let dir = temp_dir("sweep");
-        write_checkpoint(&dir, 7, b"keep me", false).unwrap();
+        write_checkpoint(&StdVfs, &dir, 7, b"keep me", false).unwrap();
         fs::write(dir.join("ckpt-00000000000000000003.ck.tmp"), b"stray").unwrap();
         fs::write(dir.join("ckpt-00000000000000000009.ck.tmp"), b"stray").unwrap();
         fs::write(dir.join("unrelated.txt"), b"leave me").unwrap();
-        assert_eq!(sweep_stale_temps(&dir).unwrap(), 2);
+        assert_eq!(sweep_stale_temps(&StdVfs, &dir).unwrap(), 2);
         assert!(dir.join(checkpoint_file_name(7)).exists());
         assert!(dir.join("unrelated.txt").exists());
-        assert_eq!(sweep_stale_temps(&dir).unwrap(), 0, "sweep is idempotent");
+        assert_eq!(
+            sweep_stale_temps(&StdVfs, &dir).unwrap(),
+            0,
+            "sweep is idempotent"
+        );
         // A missing directory sweeps nothing rather than erroring.
-        assert_eq!(sweep_stale_temps(&dir.join("absent")).unwrap(), 0);
+        assert_eq!(sweep_stale_temps(&StdVfs, &dir.join("absent")).unwrap(), 0);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -372,22 +350,22 @@ mod tests {
             rename_failure_per_mille: 1000,
             ..FaultSchedule::default()
         });
-        write_checkpoint_in(&vfs, &dir, 4, b"old good", false).unwrap_err();
+        write_checkpoint(&vfs, &dir, 4, b"old good", false).unwrap_err();
         // Even the first write fails its rename under this schedule, so
         // install the baseline through a quiet vfs instead.
         let quiet: Arc<dyn Vfs> = Arc::new(StdVfs);
-        write_checkpoint_in(quiet.as_ref(), &dir, 4, b"old good", false).unwrap();
-        let err = write_checkpoint_in(&vfs, &dir, 9, b"never lands", false).unwrap_err();
+        write_checkpoint(quiet.as_ref(), &dir, 4, b"old good", false).unwrap();
+        let err = write_checkpoint(&vfs, &dir, 9, b"never lands", false).unwrap_err();
         assert!(err.to_string().contains("injected rename failure"));
         // The failed install left a temp file and no ckpt-9: recovery
         // still sees the old checkpoint, and the sweep clears the stray.
         // (The quiet re-install of ckpt-4 reused — and so consumed — the
         // first failed attempt's temp file, leaving exactly one stray.)
-        let (seq, payload) = latest_checkpoint(&dir).unwrap().unwrap();
+        let (seq, payload) = latest_checkpoint(&StdVfs, &dir).unwrap().unwrap();
         assert_eq!(seq, 4);
         assert_eq!(payload, b"old good");
         assert!(dir.join("ckpt-00000000000000000009.ck.tmp").exists());
-        assert_eq!(sweep_stale_temps(&dir).unwrap(), 1);
+        assert_eq!(sweep_stale_temps(&StdVfs, &dir).unwrap(), 1);
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -7,8 +7,8 @@
 //! calls for, with **no dependencies** beyond `std`:
 //!
 //! * a **write-ahead log** ([`wal`]): length-prefixed, CRC-32-checksummed
-//!   records appended to size-rotated segment files, flushed by *group
-//!   commit* (one `fsync` per batch of appends, not per record), and read
+//!   records appended to size-rotated segment files, buffered until the
+//!   caller's `commit` (one `fsync` per request, not per record), and read
 //!   back by a torn-tail-tolerant scanner that stops cleanly at the first
 //!   truncated or corrupt record;
 //! * **checkpoints** ([`checkpoint`]): opaque binary snapshots written
@@ -57,35 +57,29 @@ pub mod vfs;
 pub mod wal;
 
 pub use checkpoint::{
-    checkpoint_seqs, checkpoint_seqs_in, latest_checkpoint, latest_checkpoint_in,
-    prune_checkpoints, prune_checkpoints_in, sweep_stale_temps, sweep_stale_temps_in,
-    write_checkpoint, write_checkpoint_in,
+    checkpoint_seqs, latest_checkpoint, prune_checkpoints, sweep_stale_temps, write_checkpoint,
 };
 pub use codec::{CodecError, Cursor};
 pub use retry::{Clock, InstantClock, RetryPolicy, SystemClock};
 pub use vfs::{FaultCounters, FaultSchedule, FaultVfs, StdVfs, Vfs, VfsFile};
 pub use wal::{
-    prune_segments, prune_segments_in, read_log, read_log_in, LogContents, TailPosition, WalRecord,
-    WalStats, WalWriter,
+    prune_segments, read_log, LogContents, TailPosition, WalRecord, WalStats, WalWriter,
 };
 
-/// Tuning knobs for the write-ahead log's group commit and segment
-/// rotation.
+/// Tuning knobs for the write-ahead log's segment rotation, syncing and
+/// retries.
 ///
 /// The defaults favour durability: every commit point syncs to disk.
 /// Benchmark harnesses that only need *replayability* (not
 /// power-loss-safety) can set `fsync: false` to skip the `File::sync_data`
-/// calls while keeping the record format and group-commit batching
-/// identical.
+/// calls while keeping the record format and the commit points identical.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DurabilityConfig {
-    /// Appends are buffered and flushed together once this many records
-    /// accumulate (or earlier, at an explicit
-    /// [`commit`](wal::WalWriter::commit)).  `0` is treated as `1`
-    /// (flush every append).
-    pub group_commit: usize,
     /// A segment file is closed and a new one started once it grows past
-    /// this many bytes.  `0` is treated as "never rotate".
+    /// this many bytes, buffered appends included — which makes this the
+    /// byte bound on what a writer buffers between
+    /// [`commit`](wal::WalWriter::commit)s.  `0` is treated as "never
+    /// rotate".
     pub segment_bytes: u64,
     /// Whether flushes call `sync_data` on the segment file.  Disable
     /// only when crash-durability across power loss is not required.
@@ -101,7 +95,6 @@ pub struct DurabilityConfig {
 impl Default for DurabilityConfig {
     fn default() -> Self {
         DurabilityConfig {
-            group_commit: 64,
             segment_bytes: 8 * 1024 * 1024,
             fsync: true,
             retry: RetryPolicy::default(),
@@ -110,11 +103,6 @@ impl Default for DurabilityConfig {
 }
 
 impl DurabilityConfig {
-    /// Effective group-commit batch size (`0` is treated as `1`).
-    pub fn batch(&self) -> usize {
-        self.group_commit.max(1)
-    }
-
     /// Effective rotation threshold, `None` meaning "never rotate".
     pub fn rotate_at(&self) -> Option<u64> {
         if self.segment_bytes == 0 {
@@ -133,19 +121,16 @@ mod tests {
     fn default_config_is_durable() {
         let config = DurabilityConfig::default();
         assert!(config.fsync);
-        assert_eq!(config.batch(), 64);
         assert_eq!(config.rotate_at(), Some(8 * 1024 * 1024));
     }
 
     #[test]
     fn zero_knobs_have_sane_meanings() {
         let config = DurabilityConfig {
-            group_commit: 0,
             segment_bytes: 0,
             fsync: false,
             ..DurabilityConfig::default()
         };
-        assert_eq!(config.batch(), 1);
         assert_eq!(config.rotate_at(), None);
     }
 }

@@ -23,8 +23,8 @@
 //!
 //! # Torn tails
 //!
-//! A crash can leave the last record half-written (or, with buffered
-//! group commit, absent entirely).  [`read_log`] accepts that: it
+//! A crash can leave the last record half-written (or, still buffered
+//! ahead of its commit, absent entirely).  [`read_log`] accepts that: it
 //! returns every record whose frame, checksum and sequence number are
 //! intact, **stopping at the first that is not**, reports where the
 //! valid prefix ends as a [`TailPosition`] so a resuming [`WalWriter`]
@@ -121,7 +121,7 @@ pub struct LogContents {
 pub struct WalStats {
     /// Records appended (buffered; not necessarily yet committed).
     pub appends: u64,
-    /// Successful group commits (write + optional fsync reached disk).
+    /// Successful commits (write + optional fsync reached disk).
     pub commits: u64,
     /// Successful `sync_data` calls on segment files.
     pub fsyncs: u64,
@@ -135,8 +135,7 @@ pub struct WalStats {
     pub segment_recoveries: u64,
     /// Records made durable by successful commits.
     pub records_committed: u64,
-    /// Largest number of records a single successful commit flushed
-    /// (the observed group-commit batch high-water mark).
+    /// Largest number of records a single successful commit flushed.
     pub max_commit_records: u64,
 }
 
@@ -284,12 +283,7 @@ fn count_residual_frames(bytes: &[u8], mut pos: usize) -> u64 {
 /// Everything past the valid prefix is accounted in
 /// [`LogContents::discarded_bytes`] and
 /// [`LogContents::discarded_records`] rather than silently dropped.
-pub fn read_log(dir: &Path) -> io::Result<LogContents> {
-    read_log_in(&StdVfs, dir)
-}
-
-/// [`read_log`] through an explicit [`Vfs`].
-pub fn read_log_in(vfs: &dyn Vfs, dir: &Path) -> io::Result<LogContents> {
+pub fn read_log(vfs: &dyn Vfs, dir: &Path) -> io::Result<LogContents> {
     let segments = list_segments(vfs, dir)?;
     let mut records = Vec::new();
     let mut tail = TailPosition {
@@ -348,12 +342,7 @@ pub fn read_log_in(vfs: &dyn Vfs, dir: &Path) -> io::Result<LogContents> {
 /// `upto_seq`: segment `i` can go once a *later* segment exists whose
 /// `first_seq <= upto_seq + 1` (every record the deleted segment holds
 /// is then both below the checkpoint and not the replay start point).
-pub fn prune_segments(dir: &Path, upto_seq: u64) -> io::Result<usize> {
-    prune_segments_in(&StdVfs, dir, upto_seq)
-}
-
-/// [`prune_segments`] through an explicit [`Vfs`].
-pub fn prune_segments_in(vfs: &dyn Vfs, dir: &Path, upto_seq: u64) -> io::Result<usize> {
+pub fn prune_segments(vfs: &dyn Vfs, dir: &Path, upto_seq: u64) -> io::Result<usize> {
     let segments = list_segments(vfs, dir)?;
     let mut removed = 0;
     for window in segments.windows(2) {
@@ -377,14 +366,15 @@ enum FlushStage {
     Sync,
 }
 
-/// The appending side of the log: group-committed, size-rotated, with
-/// bounded retry-and-rewrite recovery on transient storage failures.
+/// The appending side of the log: committed by its caller, size-rotated,
+/// with bounded retry-and-rewrite recovery on transient storage failures.
 ///
 /// Appends buffer in memory and reach the file (and, if configured, the
-/// disk) at *commit points*: automatically once
-/// [`DurabilityConfig::group_commit`] appends accumulate, or explicitly
-/// via [`commit`](WalWriter::commit).  Callers enforce the write-ahead
-/// invariant by committing before applying the logged operations.
+/// disk) at *commit points*: [`commit`](WalWriter::commit), and the
+/// rotation an append triggers once the segment — buffered bytes included
+/// — has reached [`DurabilityConfig::segment_bytes`], which is what bounds
+/// the buffer.  Callers enforce the write-ahead invariant by committing
+/// before applying the logged operations.
 ///
 /// A commit that fails past its retry budget **poisons** the writer:
 /// the buffered records are dropped (after a best-effort truncation of
@@ -436,12 +426,15 @@ impl WalWriter {
         first_seq: u64,
     ) -> io::Result<Self> {
         vfs.create_dir_all(dir)?;
-        let (file, path, segment_len, retries) =
-            Self::new_segment(vfs.as_ref(), clock.as_ref(), &config, dir, first_seq)?;
-        let stats = WalStats {
-            retries,
-            ..WalStats::default()
-        };
+        let mut stats = WalStats::default();
+        let (file, path, segment_len) = Self::new_segment(
+            vfs.as_ref(),
+            clock.as_ref(),
+            &config,
+            dir,
+            first_seq,
+            &mut stats,
+        )?;
         Ok(WalWriter {
             dir: dir.to_path_buf(),
             config,
@@ -459,34 +452,15 @@ impl WalWriter {
         })
     }
 
-    /// Resumes appending after [`read_log`] on the production
-    /// [`StdVfs`]: truncates the torn tail of the active segment (if
-    /// any), removes any unreachable later segments, and continues at
-    /// `tail.next_seq`.
+    /// Resumes appending after [`read_log`]: truncates the torn tail of
+    /// the active segment (if any), removes any unreachable later
+    /// segments, and continues at `tail.next_seq`.
     ///
     /// `min_next_seq` guards the case where every segment was pruned
     /// after a checkpoint: when the directory is empty the writer starts
     /// at `max(tail.next_seq, min_next_seq)` (callers pass
     /// `checkpoint_seq + 1`).
     pub fn resume(
-        dir: &Path,
-        config: DurabilityConfig,
-        tail: &TailPosition,
-        min_next_seq: u64,
-    ) -> io::Result<Self> {
-        Self::resume_in(
-            Arc::new(StdVfs),
-            Arc::new(SystemClock),
-            dir,
-            config,
-            tail,
-            min_next_seq,
-        )
-    }
-
-    /// [`resume`](Self::resume) through an explicit [`Vfs`] and
-    /// [`Clock`].
-    pub fn resume_in(
         vfs: Arc<dyn Vfs>,
         clock: Arc<dyn Clock>,
         dir: &Path,
@@ -529,17 +503,21 @@ impl WalWriter {
         })
     }
 
-    /// Creates the next segment file and writes its header, retrying
-    /// transient failures by re-creating (which truncates any torn
-    /// header bytes).  Returns the retry rounds taken alongside the
-    /// handle so the caller can fold them into its stats.
+    /// Creates the next segment file and writes its header — synced, if
+    /// [`DurabilityConfig::fsync`], because the caller counts the header as
+    /// committed length: fsyncgate recovery truncates back to that length,
+    /// and over a header the disk never took it would keep zeros.
+    /// Transient failures and a failed sync are retried by re-creating
+    /// (which truncates whatever the failed attempt left); retry rounds and
+    /// syncs are counted into `stats`.
     fn new_segment(
         vfs: &dyn Vfs,
         clock: &dyn Clock,
         config: &DurabilityConfig,
         dir: &Path,
         first_seq: u64,
-    ) -> io::Result<(Box<dyn VfsFile>, PathBuf, u64, u64)> {
+        stats: &mut WalStats,
+    ) -> io::Result<(Box<dyn VfsFile>, PathBuf, u64)> {
         let path = dir.join(segment_file_name(first_seq));
         let mut header = Vec::with_capacity(SEGMENT_HEADER_LEN as usize);
         header.extend_from_slice(SEGMENT_MAGIC);
@@ -547,13 +525,23 @@ impl WalWriter {
         header.extend_from_slice(&first_seq.to_le_bytes());
         let mut attempt = 0u32;
         loop {
+            let mut sync_failed = false;
             let attempted = vfs.create(&path).and_then(|mut file| {
                 file.write_all(&header)?;
+                if config.fsync {
+                    file.sync_data().inspect_err(|_| sync_failed = true)?;
+                    stats.fsyncs += 1;
+                }
                 Ok(file)
             });
+            stats.fsync_failures += u64::from(sync_failed);
             match attempted {
-                Ok(file) => return Ok((file, path, SEGMENT_HEADER_LEN, u64::from(attempt))),
-                Err(err) if is_transient(&err) && config.retry.should_retry(attempt) => {
+                Ok(file) => return Ok((file, path, SEGMENT_HEADER_LEN)),
+                Err(err)
+                    if (sync_failed || is_transient(&err))
+                        && config.retry.should_retry(attempt) =>
+                {
+                    stats.retries += 1;
                     clock.sleep(config.retry.delay_for(attempt, first_seq));
                     attempt += 1;
                 }
@@ -590,9 +578,10 @@ impl WalWriter {
         )
     }
 
-    /// Appends one record, returning its sequence number.  The record
-    /// may still be buffered when this returns; it is on disk once the
-    /// group-commit batch fills or [`commit`](WalWriter::commit) runs.
+    /// Appends one record, returning its sequence number.  The record is
+    /// buffered when this returns; it is on disk once
+    /// [`commit`](WalWriter::commit) runs (or a later append rotates the
+    /// segment, which commits first).
     pub fn append(&mut self, payload: &[u8]) -> io::Result<u64> {
         assert!(
             payload.len() as u64 <= MAX_RECORD_LEN as u64,
@@ -613,9 +602,6 @@ impl WalWriter {
         self.segment_len += (self.buf.len() - before) as u64;
         self.pending += 1;
         self.stats.appends += 1;
-        if self.pending >= self.config.batch() {
-            self.commit()?;
-        }
         Ok(seq)
     }
 
@@ -652,7 +638,7 @@ impl WalWriter {
     }
 
     /// Flushes every buffered append to the file and (if
-    /// [`DurabilityConfig::fsync`]) to disk: the group-commit point.
+    /// [`DurabilityConfig::fsync`]) to disk: the commit point.
     ///
     /// Transient failures are retried under the configured
     /// [`RetryPolicy`](crate::retry::RetryPolicy), each round truncating back to the committed
@@ -728,14 +714,14 @@ impl WalWriter {
     /// eligible for [`prune_segments`].
     pub fn rotate(&mut self) -> io::Result<()> {
         self.commit()?;
-        let (file, path, segment_len, retries) = Self::new_segment(
+        let (file, path, segment_len) = Self::new_segment(
             self.vfs.as_ref(),
             self.clock.as_ref(),
             &self.config,
             &self.dir,
             self.next_seq,
+            &mut self.stats,
         )?;
-        self.stats.retries += retries;
         self.file = file;
         self.path = path;
         self.committed_len = segment_len;
@@ -774,6 +760,18 @@ mod tests {
         }
     }
 
+    fn resume_std(dir: &Path, tail: &TailPosition, min_next_seq: u64) -> WalWriter {
+        let (vfs, clock) = (Arc::new(StdVfs), Arc::new(SystemClock));
+        WalWriter::resume(vfs, clock, dir, no_fsync(), tail, min_next_seq).unwrap()
+    }
+
+    /// Appends one record and commits it: a request of one.
+    fn append_committed(writer: &mut WalWriter, payload: &[u8]) -> io::Result<u64> {
+        let seq = writer.append(payload)?;
+        writer.commit()?;
+        Ok(seq)
+    }
+
     #[test]
     fn round_trips_records_in_order() {
         let dir = temp_dir("round_trip");
@@ -782,7 +780,7 @@ mod tests {
             assert_eq!(writer.append(&[i; 3]).unwrap(), 1 + i as u64);
         }
         writer.commit().unwrap();
-        let log = read_log(&dir).unwrap();
+        let log = read_log(&StdVfs, &dir).unwrap();
         assert_eq!(log.records.len(), 10);
         assert_eq!(log.records[4].seq, 5);
         assert_eq!(log.records[4].payload, vec![4u8; 3]);
@@ -793,30 +791,35 @@ mod tests {
     }
 
     #[test]
-    fn group_commit_buffers_until_batch_or_commit() {
-        let dir = temp_dir("group_commit");
+    fn appends_reach_the_file_at_commit_or_rotation_never_before() {
+        let dir = temp_dir("commit_points");
         let config = DurabilityConfig {
-            group_commit: 4,
+            segment_bytes: 64,
             fsync: false,
             ..DurabilityConfig::default()
         };
         let mut writer = WalWriter::create(&dir, config, 1).unwrap();
         writer.append(b"a").unwrap();
         writer.append(b"b").unwrap();
-        // Not yet at the batch size: nothing past the header on disk.
-        assert_eq!(read_log(&dir).unwrap().records.len(), 0);
-        writer.append(b"c").unwrap();
-        writer.append(b"d").unwrap();
-        // Fourth append hit the batch size: all four are on disk.
-        assert_eq!(read_log(&dir).unwrap().records.len(), 4);
-        writer.append(b"e").unwrap();
+        // Buffered: nothing past the header on disk.
+        assert_eq!(read_log(&StdVfs, &dir).unwrap().records.len(), 0);
         writer.commit().unwrap();
-        assert_eq!(read_log(&dir).unwrap().records.len(), 5);
+        assert_eq!(read_log(&StdVfs, &dir).unwrap().records.len(), 2);
+        // 20 header bytes + 17 a record: `c` takes the segment, buffer
+        // included, to 71 ≥ 64, so the next append rotates — which commits
+        // `c` and leaves `d` buffered in the fresh segment.
+        writer.append(b"c").unwrap();
+        assert_eq!(read_log(&StdVfs, &dir).unwrap().records.len(), 2);
+        writer.append(b"d").unwrap();
+        assert_eq!(read_log(&StdVfs, &dir).unwrap().records.len(), 3);
+        assert_eq!(list_segments(&StdVfs, &dir).unwrap().len(), 2);
+        writer.commit().unwrap();
+        assert_eq!(read_log(&StdVfs, &dir).unwrap().records.len(), 4);
         let stats = writer.stats();
-        assert_eq!(stats.appends, 5);
-        assert_eq!(stats.commits, 2);
-        assert_eq!(stats.records_committed, 5);
-        assert_eq!(stats.max_commit_records, 4);
+        assert_eq!(stats.appends, 4);
+        assert_eq!(stats.commits, 3);
+        assert_eq!(stats.records_committed, 4);
+        assert_eq!(stats.max_commit_records, 2);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -824,7 +827,6 @@ mod tests {
     fn rotation_splits_segments_and_reader_spans_them() {
         let dir = temp_dir("rotation");
         let config = DurabilityConfig {
-            group_commit: 1,
             segment_bytes: 64,
             fsync: false,
             ..DurabilityConfig::default()
@@ -835,7 +837,7 @@ mod tests {
         }
         writer.commit().unwrap();
         assert!(list_segments(&StdVfs, &dir).unwrap().len() > 1);
-        let log = read_log(&dir).unwrap();
+        let log = read_log(&StdVfs, &dir).unwrap();
         assert_eq!(log.records.len(), 20);
         assert_eq!(log.tail.next_seq, 21);
         fs::remove_dir_all(&dir).unwrap();
@@ -854,7 +856,7 @@ mod tests {
         let full = fs::read(&path).unwrap();
         for cut in (SEGMENT_HEADER_LEN as usize)..full.len() {
             fs::write(&path, &full[..cut]).unwrap();
-            let log = read_log(&dir).unwrap();
+            let log = read_log(&StdVfs, &dir).unwrap();
             let complete = (cut - SEGMENT_HEADER_LEN as usize) / (RECORD_HEADER_LEN + 7);
             assert_eq!(log.records.len(), complete, "cut at byte {cut}");
             assert_eq!(log.tail.next_seq, complete as u64 + 1);
@@ -881,7 +883,7 @@ mod tests {
         let offset = SEGMENT_HEADER_LEN as usize + 2 * record_len + RECORD_HEADER_LEN + 3;
         bytes[offset] ^= 0xFF;
         fs::write(&path, &bytes).unwrap();
-        let log = read_log(&dir).unwrap();
+        let log = read_log(&StdVfs, &dir).unwrap();
         assert_eq!(log.records.len(), 2);
         assert_eq!(log.tail.next_seq, 3);
         // The corrupt record and the (unreachable) intact one after it.
@@ -902,13 +904,13 @@ mod tests {
         let path = dir.join(segment_file_name(1));
         let full = fs::read(&path).unwrap();
         fs::write(&path, &full[..full.len() - 5]).unwrap();
-        let log = read_log(&dir).unwrap();
+        let log = read_log(&StdVfs, &dir).unwrap();
         assert_eq!(log.records.len(), 2);
-        let mut writer = WalWriter::resume(&dir, no_fsync(), &log.tail, 1).unwrap();
+        let mut writer = resume_std(&dir, &log.tail, 1);
         assert_eq!(writer.next_seq(), 3);
         writer.append(b"resumed").unwrap();
         writer.commit().unwrap();
-        let log = read_log(&dir).unwrap();
+        let log = read_log(&StdVfs, &dir).unwrap();
         assert_eq!(log.records.len(), 3);
         assert_eq!(log.records[2].payload, b"resumed");
         fs::remove_dir_all(&dir).unwrap();
@@ -917,9 +919,9 @@ mod tests {
     #[test]
     fn resume_on_empty_directory_honours_min_next_seq() {
         let dir = temp_dir("resume_empty");
-        let log = read_log(&dir).unwrap();
+        let log = read_log(&StdVfs, &dir).unwrap();
         assert!(log.records.is_empty());
-        let writer = WalWriter::resume(&dir, no_fsync(), &log.tail, 42).unwrap();
+        let writer = resume_std(&dir, &log.tail, 42);
         assert_eq!(writer.next_seq(), 42);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -928,7 +930,6 @@ mod tests {
     fn prune_removes_only_checkpoint_covered_segments() {
         let dir = temp_dir("prune");
         let config = DurabilityConfig {
-            group_commit: 1,
             segment_bytes: 48,
             fsync: false,
             ..DurabilityConfig::default()
@@ -941,12 +942,12 @@ mod tests {
         let before = list_segments(&StdVfs, &dir).unwrap();
         assert!(before.len() >= 3);
         // A checkpoint at the last record covers every non-final segment.
-        let removed = prune_segments(&dir, 12).unwrap();
+        let removed = prune_segments(&StdVfs, &dir, 12).unwrap();
         assert_eq!(removed, before.len() - 1);
-        let log = read_log(&dir).unwrap();
+        let log = read_log(&StdVfs, &dir).unwrap();
         assert_eq!(log.tail.next_seq, 13);
         // A checkpoint below the first surviving record removes nothing.
-        assert_eq!(prune_segments(&dir, 0).unwrap(), 0);
+        assert_eq!(prune_segments(&StdVfs, &dir, 0).unwrap(), 0);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -954,7 +955,7 @@ mod tests {
     fn wrong_directory_is_an_error_not_an_empty_log() {
         let dir = temp_dir("wrong_dir");
         fs::write(dir.join(segment_file_name(1)), b"not a wal segment at all").unwrap();
-        assert!(read_log(&dir).is_err());
+        assert!(read_log(&StdVfs, &dir).is_err());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -979,7 +980,6 @@ mod tests {
     fn transient_write_errors_are_retried_to_success() {
         let dir = temp_dir("retry_transient");
         let config = DurabilityConfig {
-            group_commit: 1,
             fsync: false,
             ..DurabilityConfig::default()
         };
@@ -990,15 +990,14 @@ mod tests {
         };
         let (mut writer, vfs, clock) = fault_writer(&dir, config, schedule);
         for i in 0..200u64 {
-            writer.append(&i.to_le_bytes()).unwrap();
+            append_committed(&mut writer, &i.to_le_bytes()).unwrap();
         }
-        writer.commit().unwrap();
         let stats = writer.stats();
         assert!(stats.retries > 0, "the schedule must have forced retries");
         assert_eq!(stats.retries, clock.sleep_count(), "each retry backs off");
         assert!(vfs.counters().transient_writes > 0);
         drop(writer);
-        let log = read_log(&dir).unwrap();
+        let log = read_log(&StdVfs, &dir).unwrap();
         assert_eq!(log.records.len(), 200, "every committed record survives");
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1007,7 +1006,6 @@ mod tests {
     fn torn_writes_recover_by_truncate_and_rewrite() {
         let dir = temp_dir("retry_torn");
         let config = DurabilityConfig {
-            group_commit: 4,
             fsync: false,
             ..DurabilityConfig::default()
         };
@@ -1019,12 +1017,14 @@ mod tests {
         let (mut writer, vfs, _clock) = fault_writer(&dir, config, schedule);
         for i in 0..200u64 {
             writer.append(&i.to_le_bytes()).unwrap();
+            if i % 4 == 3 {
+                writer.commit().unwrap();
+            }
         }
-        writer.commit().unwrap();
         assert!(vfs.counters().torn_writes > 0);
         assert!(writer.stats().segment_recoveries > 0);
         drop(writer);
-        let log = read_log(&dir).unwrap();
+        let log = read_log(&StdVfs, &dir).unwrap();
         assert_eq!(log.records.len(), 200);
         for (i, record) in log.records.iter().enumerate() {
             assert_eq!(record.payload, (i as u64).to_le_bytes());
@@ -1036,7 +1036,6 @@ mod tests {
     fn fsync_failures_recover_by_rewrite_not_refsync() {
         let dir = temp_dir("retry_fsync");
         let config = DurabilityConfig {
-            group_commit: 1,
             fsync: true,
             ..DurabilityConfig::default()
         };
@@ -1047,9 +1046,8 @@ mod tests {
         };
         let (mut writer, vfs, _clock) = fault_writer(&dir, config, schedule);
         for i in 0..100u64 {
-            writer.append(&i.to_le_bytes()).unwrap();
+            append_committed(&mut writer, &i.to_le_bytes()).unwrap();
         }
-        writer.commit().unwrap();
         let stats = writer.stats();
         assert!(stats.fsync_failures > 0, "the schedule must hit fsyncs");
         assert_eq!(stats.fsync_failures, vfs.counters().fsync_failures);
@@ -1058,7 +1056,7 @@ mod tests {
             "every failed fsync must reopen-and-rewrite, never re-fsync"
         );
         drop(writer);
-        let log = read_log(&dir).unwrap();
+        let log = read_log(&StdVfs, &dir).unwrap();
         assert_eq!(
             log.records.len(),
             100,
@@ -1068,18 +1066,46 @@ mod tests {
     }
 
     #[test]
+    fn a_fresh_segment_header_survives_a_failed_fsync() {
+        // Rotation under fsyncgate: a failed sync drops everything the
+        // disk never took.  If that could include a fresh segment's
+        // header, reopen-and-rewrite would truncate "back" to a header of
+        // zeros and every later record would sit behind a bad magic.
+        let dir = temp_dir("rotate_fsync");
+        let config = DurabilityConfig {
+            segment_bytes: 64,
+            fsync: true,
+            ..DurabilityConfig::default()
+        };
+        let schedule = FaultSchedule {
+            seed: 99,
+            fsync_failure_per_mille: 250,
+            ..FaultSchedule::default()
+        };
+        let (mut writer, vfs, _clock) = fault_writer(&dir, config, schedule);
+        for i in 0..100u64 {
+            append_committed(&mut writer, &i.to_le_bytes()).unwrap();
+        }
+        assert!(vfs.counters().fsync_failures > 0);
+        drop(writer);
+        assert!(list_segments(&StdVfs, &dir).unwrap().len() > 10);
+        let log = read_log(&StdVfs, &dir).unwrap();
+        assert_eq!(log.records.len(), 100, "no committed record is lost");
+        assert_eq!(log.discarded_bytes, 0);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn dead_disk_poisons_the_writer_and_sheds_the_buffer() {
         let dir = temp_dir("dead_disk");
         let config = DurabilityConfig {
-            group_commit: 1,
             fsync: false,
             ..DurabilityConfig::default()
         };
         let (mut writer, vfs, _clock) = fault_writer(&dir, config, FaultSchedule::quiet(1));
-        writer.append(b"acked").unwrap();
-        writer.commit().unwrap();
+        append_committed(&mut writer, b"acked").unwrap();
         vfs.fail_permanently();
-        let err = writer.append(b"doomed").unwrap_err();
+        let err = append_committed(&mut writer, b"doomed").unwrap_err();
         assert!(err.to_string().contains("injected permanent disk failure"));
         assert!(writer.is_poisoned());
         // Poisoned: even after the disk heals, this writer refuses.
@@ -1089,7 +1115,7 @@ mod tests {
         drop(writer);
         // Only the acknowledged record survives; the rejected one can
         // never resurface on replay.
-        let log = read_log(&dir).unwrap();
+        let log = read_log(&StdVfs, &dir).unwrap();
         assert_eq!(log.records.len(), 1);
         assert_eq!(log.records[0].payload, b"acked");
         fs::remove_dir_all(&dir).unwrap();
@@ -1099,7 +1125,6 @@ mod tests {
     fn enospc_is_final_not_retried() {
         let dir = temp_dir("enospc_final");
         let config = DurabilityConfig {
-            group_commit: 1,
             fsync: false,
             ..DurabilityConfig::default()
         };
@@ -1109,7 +1134,7 @@ mod tests {
             ..FaultSchedule::default()
         };
         let (mut writer, _vfs, clock) = fault_writer(&dir, config, schedule);
-        let err = writer.append(b"wont fit").unwrap_err();
+        let err = append_committed(&mut writer, b"wont fit").unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::StorageFull);
         assert_eq!(clock.sleep_count(), 0, "ENOSPC must not back off and retry");
         assert!(writer.is_poisoned());
@@ -1126,7 +1151,6 @@ mod tests {
             jitter_seed: 5,
         };
         let config = DurabilityConfig {
-            group_commit: 1,
             fsync: false,
             retry,
             ..DurabilityConfig::default()
@@ -1137,7 +1161,7 @@ mod tests {
             ..FaultSchedule::default()
         };
         let (mut writer, _vfs, clock) = fault_writer(&dir, config, schedule);
-        assert!(writer.append(b"never lands").is_err());
+        assert!(append_committed(&mut writer, b"never lands").is_err());
         assert_eq!(clock.sleep_count(), 3, "exactly max_retries backoffs");
         assert!(writer.is_poisoned());
         fs::remove_dir_all(&dir).unwrap();

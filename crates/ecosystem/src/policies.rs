@@ -11,7 +11,7 @@
 //! 50."
 
 use fdc_core::{SecurityViewId, SecurityViews};
-use fdc_policy::{PolicyPartition, PolicyStore, SecurityPolicy, ShardedPolicyStore};
+use fdc_policy::{PolicyPartition, PolicyStore, SecurityPolicy};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -126,25 +126,6 @@ impl PolicyGenerator {
         }
         store
     }
-
-    /// Builds a [`ShardedPolicyStore`] with `num_principals` randomly
-    /// generated policies over `num_shards` shards — the sharded-layout
-    /// counterpart of [`build_store`](Self::build_store).  Called with the
-    /// same seed and principal count, the two assign identical policies to
-    /// identical principal ids.
-    pub fn build_sharded_store(
-        &mut self,
-        registry: &SecurityViews,
-        num_principals: usize,
-        num_shards: usize,
-    ) -> ShardedPolicyStore {
-        let mut store = ShardedPolicyStore::new(num_shards);
-        for _ in 0..num_principals {
-            let policy = self.next_policy(registry);
-            store.register(policy);
-        }
-        store
-    }
 }
 
 #[cfg(test)]
@@ -236,26 +217,6 @@ mod tests {
                 reference.next_policy(&registry),
                 again.next_policy(&registry)
             );
-        }
-    }
-
-    #[test]
-    fn sharded_builder_assigns_the_same_policies_as_the_flat_one() {
-        let registry = registry();
-        let config = PolicyGeneratorConfig {
-            max_partitions: 5,
-            max_elements_per_partition: 10,
-            template_pool: 8,
-            seed: 21,
-        };
-        let flat = PolicyGenerator::new(&registry, config).build_store(&registry, 100);
-        let sharded =
-            PolicyGenerator::new(&registry, config).build_sharded_store(&registry, 100, 4);
-        assert_eq!(sharded.len(), flat.len());
-        assert_eq!(sharded.num_shards(), 4);
-        for i in 0..100 {
-            let p = fdc_policy::PrincipalId(i);
-            assert_eq!(sharded.policy(p), flat.policy(p), "principal {i}");
         }
     }
 

@@ -14,7 +14,7 @@
 //! `is_friend` columns so that audience-restricted queries remain
 //! answerable from the view that grants the underlying attributes.
 
-use fdc_core::{SecurityViewId, SecurityViews};
+use fdc_core::SecurityViews;
 use fdc_cq::query::QueryBuilder;
 use fdc_cq::{ConjunctiveQuery, RelId};
 
@@ -160,11 +160,6 @@ pub fn facebook_security_views(schema: &FacebookSchema) -> SecurityViews {
     registry
 }
 
-/// Convenience: the ids of every view defined over a relation.
-pub fn views_of(registry: &SecurityViews, relation: RelId) -> Vec<SecurityViewId> {
-    registry.views_for_relation(relation).to_vec()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -280,7 +275,7 @@ mod tests {
         let schema = facebook_catalog();
         let registry = facebook_security_views(&schema);
         let like = schema.catalog.resolve("Like").unwrap();
-        let ids = views_of(&registry, like);
+        let ids = registry.views_for_relation(like);
         assert_eq!(ids.len(), 3);
         let names: Vec<&str> = ids
             .iter()

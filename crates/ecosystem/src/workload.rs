@@ -16,7 +16,6 @@
 //! resulting subqueries on the `uid` attribute, which appears in every
 //! relation.
 
-use fdc_cq::intern::{QueryId, QueryInterner};
 use fdc_cq::query::{Arg, QueryBuilder};
 use fdc_cq::{ConjunctiveQuery, RelId};
 use rand::distributions::{Distribution, Uniform};
@@ -152,20 +151,6 @@ impl WorkloadGenerator {
     /// Generates a batch of queries.
     pub fn batch(&mut self, n: usize) -> Vec<ConjunctiveQuery> {
         (0..n).map(|_| self.next_query()).collect()
-    }
-
-    /// Generates a batch and interns every query in one pass, returning the
-    /// dense [`QueryId`]s — the setup step of an interned serving workload
-    /// (the `interned` series of the Figure 5 benchmark): the template pool
-    /// is interned **once**, then the hot loop streams 8-byte ids.
-    ///
-    /// Alpha-equivalent shapes intern to one id, so the returned vector may
-    /// contain repeats — exactly what a cache-hit-dominated steady state
-    /// looks like.
-    pub fn interned_batch(&mut self, n: usize, interner: &mut QueryInterner) -> Vec<QueryId> {
-        (0..n)
-            .map(|_| interner.intern(&self.next_query()))
-            .collect()
     }
 
     fn add_subquery(&mut self, builder: &mut QueryBuilder, index: usize) {

@@ -66,7 +66,8 @@ pub enum DegradedMode {
 pub struct DurabilityHealth {
     /// WAL records appended (buffered; a superset of the committed).
     pub wal_appends: u64,
-    /// Successful WAL group commits.
+    /// Successful WAL commits: one per request, plus one per segment
+    /// rotation a request crosses.
     pub wal_commits: u64,
     /// Successful `sync_data` calls on WAL segments.
     pub wal_fsyncs: u64,
@@ -80,8 +81,8 @@ pub struct DurabilityHealth {
     pub wal_segment_recoveries: u64,
     /// WAL records made durable by successful commits.
     pub wal_records_committed: u64,
-    /// Largest record count a single commit flushed (group-commit
-    /// high-water mark).
+    /// Largest record count a single commit flushed — the largest
+    /// request's, unless it crossed a segment rotation.
     pub wal_max_commit_records: u64,
     /// Serving-mode transitions (Healthy → Degraded and Degraded →
     /// Healthy each count one).

@@ -1,23 +1,23 @@
 //! The concurrent disclosure-control front door.
 //!
-//! A request — one `apply` or one `run_pipelined` call — owns three
-//! buffers, and a warm admission allocates nothing beyond them:
+//! A request — one `apply` or one `run_pipelined` call — is the unit: one
+//! write-ahead commit, then every operation answered at its stream
+//! position.  It owns two buffers, and a warm admission allocates nothing
+//! beyond them:
 //!
 //! ```text
-//!  responses    [ D ][ D ][ P ][ · ][ D ] …   one slot per operation,
-//!                 ▲              ▲             answered in place
-//!  pending run  {index, principal, query id, commit, label ─┐} …
-//!                                                           ▼
-//!  label arena  ▒▒▒│▒│▒▒▒▒│▒▒│ …   every label packed end to end, copied
-//!               from the cache under its stripe lock (`label_into`)
+//!  responses    [ D ][ D ][ P ][ V ][ D ] …   one per operation, pushed in
+//!                                             request order
+//!  label arena  ▒▒▒│▒│▒▒▒▒│▒▒│ …   a label packed end to end, copied from
+//!               the cache under its stripe lock (`label_into`)
 //! ```
 //!
-//! `flush_decisions` walks a run in request order on the calling thread,
-//! at every worker count: the policy store decides the label where it lies
-//! in the arena, a committed submission becomes one 8-byte append to the
-//! audit history's log (see the `history` module), and the response slot
-//! is written.  The arena belongs to the service between requests, so a
-//! warm one reuses its capacity.
+//! An admission is labeled into the arena, the policy store decides the
+//! label where it lies, and a committed submission becomes one 8-byte
+//! append to the audit history's log (see the `history` module) — on the
+//! calling thread, at every worker count (`admit`; `pass_segment` for the
+//! labels pool workers hand back).  The arena belongs to the service
+//! between requests, so a warm one reuses its capacity.
 
 use std::io;
 use std::ops::Range;
@@ -32,8 +32,8 @@ use fdc_cq::intern::{QueryId, QueryInterner};
 use fdc_cq::{ConjunctiveQuery, RelId};
 use fdc_durability::codec::{CodecError, Cursor};
 use fdc_durability::{
-    checkpoint_seqs_in, latest_checkpoint_in, prune_checkpoints_in, prune_segments_in, read_log_in,
-    sweep_stale_temps_in, write_checkpoint_in, Clock, DurabilityConfig, StdVfs, SystemClock, Vfs,
+    checkpoint_seqs, latest_checkpoint, prune_checkpoints, prune_segments, read_log,
+    sweep_stale_temps, write_checkpoint, Clock, DurabilityConfig, StdVfs, SystemClock, Vfs,
     WalStats, WalWriter,
 };
 use fdc_policy::{
@@ -75,8 +75,8 @@ pub struct ServiceConfig {
     /// record that would not fit panics instead of wrapping a link (8 bytes
     /// an entry, that is 32 GiB of history first).
     pub history_cap: usize,
-    /// Write-ahead-log tuning (group-commit batch, segment rotation
-    /// size, fsync) for services opened with
+    /// Write-ahead-log tuning (segment rotation size, fsync, retries)
+    /// for services opened with
     /// [`open_durable`](DisclosureService::open_durable).  Ignored by
     /// in-memory services built with [`new`](DisclosureService::new).
     pub durability: DurabilityConfig,
@@ -324,19 +324,6 @@ impl<'a> From<&'a Operation> for Request<'a> {
             },
         }
     }
-}
-
-/// One admission past the front door — validated, its operand resolved —
-/// waiting in an executor's pending run for its decision.
-struct PendingAdmission<'a> {
-    /// Index of the operation in the batch (and of its response slot).
-    index: usize,
-    principal: PrincipalId,
-    query: AdmissionQuery<'a>,
-    /// True for `Submit` / `SubmitInterned` (the decision commits).
-    commit: bool,
-    /// The operand's packed label, as a range of the request's arena.
-    label: Range<usize>,
 }
 
 /// The front door of every admission, on the calling thread or on a pool
@@ -641,10 +628,11 @@ impl DisclosureService {
     /// every entry point.  Encodes and appends the record of each loggable
     /// item of a request of `len` items, in stream order — `encode(i, out)`
     /// writes item `i`'s record and says whether it has one — and commits
-    /// once at the end (the writer's `group_commit` trigger may commit a
-    /// prefix earlier).  Logging a request before executing any of it
-    /// preserves the write-ahead invariant: the log's readable prefix is
-    /// always a prefix of the applied operation stream.
+    /// once at the end, the request's acknowledgement point (a segment
+    /// rotation is the only thing that commits a prefix earlier).  Logging
+    /// a request before executing any of it preserves the write-ahead
+    /// invariant: the log's readable prefix is always a prefix of the
+    /// applied operation stream.
     ///
     /// Returns the request's **cut**: the position of the first item whose
     /// record is not durable, `len` when there is none (always, on an
@@ -895,7 +883,7 @@ impl DisclosureService {
 
     /// Executes one operation at its stream position, after the write-ahead
     /// step; `logged` says whether the operation lies before its request's
-    /// cut.  In-segment callers of the batch executor pass the serving
+    /// cut.  The pooled batch executor's in-segment calls pass the serving
     /// snapshot so view-name resolution and audit relabeling read the frozen
     /// registry — which equals the live registry at the op's stream
     /// position, because the only registry mutations are segment
@@ -1066,15 +1054,15 @@ impl DisclosureService {
         // strands a `ckpt-*.tmp` orphan; sweep them before reading so
         // they can never accumulate (the rename-failure regression test
         // in `fdc-durability` covers the stranding itself).
-        let temps_swept = sweep_stale_temps_in(vfs.as_ref(), dir)? as u64;
-        let (mut service, checkpoint_seq) = match latest_checkpoint_in(vfs.as_ref(), dir)? {
+        let temps_swept = sweep_stale_temps(vfs.as_ref(), dir)? as u64;
+        let (mut service, checkpoint_seq) = match latest_checkpoint(vfs.as_ref(), dir)? {
             Some((seq, payload)) => (
                 Self::decode_state(&payload, config).map_err(invalid_data)?,
                 seq,
             ),
             None => (DisclosureService::new(views, config), 0),
         };
-        let contents = read_log_in(vfs.as_ref(), dir)?;
+        let contents = read_log(vfs.as_ref(), dir)?;
         let mut replayed = 0u64;
         let catalog = service.registry().catalog().clone();
         for record in &contents.records {
@@ -1088,7 +1076,7 @@ impl DisclosureService {
             service.replay(op);
             replayed += 1;
         }
-        let writer = WalWriter::resume_in(
+        let writer = WalWriter::resume(
             Arc::clone(&vfs),
             Arc::clone(&clock),
             dir,
@@ -1172,9 +1160,10 @@ impl DisclosureService {
     /// (structural clones, no serialization except the append-only
     /// interner).  The returned [`PendingCheckpoint`] owns everything the
     /// expensive [`encode`](PendingCheckpoint::encode) step needs, so the
-    /// caller can release the service lock — or hand the encode to the
-    /// worker pool, as [`BackgroundCheckpointer`](crate::BackgroundCheckpointer)
-    /// does — and keep admitting mutations while the image is serialized;
+    /// caller can release the service lock — as
+    /// [`BackgroundCheckpointer`](crate::BackgroundCheckpointer) does on
+    /// the thread it owns — and keep admitting mutations while the image
+    /// is serialized;
     /// [`complete_checkpoint`](Self::complete_checkpoint) finishes the
     /// job.  Mutations admitted between `begin` and `complete` are covered
     /// by their WAL records past the pending sequence number, which the
@@ -1259,7 +1248,7 @@ impl DisclosureService {
         })?;
         let dir = durable.dir.clone();
         let vfs = Arc::clone(&durable.vfs);
-        match write_checkpoint_in(vfs.as_ref(), &dir, seq, payload, fsync) {
+        match write_checkpoint(vfs.as_ref(), &dir, seq, payload, fsync) {
             Ok(_) => {
                 durable.checkpoints += 1;
                 durable.last_checkpoint_seq = seq;
@@ -1280,12 +1269,12 @@ impl DisclosureService {
                 durable.degrade();
                 return Ok(seq);
             }
-            prune_checkpoints_in(vfs.as_ref(), &dir, CHECKPOINTS_KEPT)?;
-            let horizon = checkpoint_seqs_in(vfs.as_ref(), &dir)?
+            prune_checkpoints(vfs.as_ref(), &dir, CHECKPOINTS_KEPT)?;
+            let horizon = checkpoint_seqs(vfs.as_ref(), &dir)?
                 .first()
                 .copied()
                 .unwrap_or(seq);
-            prune_segments_in(vfs.as_ref(), &dir, horizon)?;
+            prune_segments(vfs.as_ref(), &dir, horizon)?;
         } else if pending.healthy {
             // The service was healthy at `begin` but degraded while the
             // payload was encoded off-lock: the old segments hold
@@ -1318,7 +1307,7 @@ impl DisclosureService {
                 durable.mode = ServiceMode::Healthy;
                 durable.mode_transitions += 1;
                 // Best-effort: stale checkpoints never block promotion.
-                let _ = prune_checkpoints_in(vfs.as_ref(), &dir, CHECKPOINTS_KEPT);
+                let _ = prune_checkpoints(vfs.as_ref(), &dir, CHECKPOINTS_KEPT);
             }
         }
         Ok(seq)
@@ -1454,13 +1443,17 @@ impl DisclosureService {
 
     /// Serves a batch of operations, returning one response per operation
     /// in request order — the service's batch executor, extensionally equal
-    /// to sequential [`apply`](Self::apply) processing (property-tested),
-    /// but with the labeling stage decoupled from the mutation stream.
+    /// to sequential [`apply`](Self::apply) processing (property-tested).
     ///
-    /// The whole batch goes through the write-ahead step first; then the
-    /// stream is partitioned only at *label-affecting* boundaries —
-    /// `AddSecurityView` operations (grants and revokes never change a
-    /// label) — and the segments are pipelined:
+    /// The whole batch goes through the write-ahead step first — one
+    /// commit — and then every operation is answered at its stream
+    /// position.  With one worker that is a loop: each operation executes
+    /// against the live state as [`apply`](Self::apply) executes it, so the
+    /// cumulative [`CacheStats`](fdc_core::CacheStats) match sequential
+    /// processing's exactly.  With more, labeling is decoupled from the
+    /// mutation stream: the stream is partitioned only at *label-affecting*
+    /// boundaries — `AddSecurityView` operations (grants and revokes never
+    /// change a label) — and the segments are pipelined:
     ///
     /// * each segment's admissions are labeled **concurrently** on the
     ///   persistent [`WorkerPool`] against the *previous*
@@ -1469,22 +1462,16 @@ impl DisclosureService {
     ///   previous segment's decisions, policy mutations and audits in
     ///   stream order;
     /// * decisions, grants, revokes, history recording and audits apply to
-    ///   the live store **at their stream position**, on the calling thread
-    ///   at every worker count; a decision run splits at a policy mutation
-    ///   or audit only when the *touched principal* has a decision pending
-    ///   — decisions for other principals read none of the mutated state, so
-    ///   they commute across it and the run keeps accumulating;
+    ///   the live store **at their stream position**, on the calling
+    ///   thread;
     /// * snapshots this run has stopped labeling through are reclaimed by
     ///   **epoch**: each labeling batch pins the pool epoch it reads under,
     ///   and once every worker has published past a snapshot's epoch its
     ///   cache work is drained back into the shared striped tables
     ///   (`CachedLabeler::retire_snapshot`), so warm state survives epochs
-    ///   without the coordinator blocking at the boundary.  With one worker
-    ///   no snapshot is built at all and the cumulative
-    ///   [`CacheStats`](fdc_core::CacheStats) match sequential
-    ///   [`apply`](Self::apply)'s exactly; with multiple workers the
-    ///   counters are racy, and cache work an audit performs through an
-    ///   already-reclaimed snapshot is discarded with it.
+    ///   without the coordinator blocking at the boundary.  The cache
+    ///   counters are racy here, and cache work an audit performs through
+    ///   an already-reclaimed snapshot is discarded with it.
     ///
     /// Interned-id validity is judged against the shared interner, which
     /// only grows: every id obtained through [`intern`](Self::intern) /
@@ -1505,35 +1492,15 @@ impl DisclosureService {
         let cut = Self::write_ahead(&mut self.durable, ops.len(), |i, out| {
             encode_loggable((&ops[i]).into(), &self.interner, out)
         });
-        let segments = Self::segment_ops(ops);
-        let workers = self.config.workers;
-        let num_principals = self.store.len();
-        let mut responses: Vec<Option<Response>> = vec![None; ops.len()];
-        let mut arena = std::mem::take(&mut self.arena);
-        if workers <= 1 {
-            // Degenerate single-worker pipeline: same segmentation, but no
-            // snapshot, no worker thread and no label staging — which a
-            // single-core host could only pay for, never profit from.
-            // Labeling fuses straight into the pass (each admission labels
-            // through the live labeler at its stream position, which only
-            // boundaries mutate).
-            for segment in &segments {
-                arena.clear();
-                self.pass_segment(
-                    ops,
-                    segment.range.clone(),
-                    None,
-                    cut,
-                    &mut arena,
-                    &mut responses,
-                );
-                if let Some(b) = segment.boundary {
-                    responses[b] = Some(self.execute_at(ops, b, cut, None));
-                }
-            }
-            self.arena = arena;
-            return answered(responses);
+        if self.config.workers <= 1 {
+            return (0..ops.len())
+                .map(|i| self.execute_at(ops, i, cut, None))
+                .collect();
         }
+        let segments = Self::segment_ops(ops);
+        let num_principals = self.store.len();
+        let mut responses = Vec::with_capacity(ops.len());
+        let mut arena = std::mem::take(&mut self.arena);
         let pool = Arc::clone(self.worker_pool());
         // Stages one segment's admissions onto the pool against a frozen
         // snapshot: clone the admissions out of the stream (owned tasks —
@@ -1584,10 +1551,10 @@ impl DisclosureService {
             // snapshot's frozen registry, and the policy store does not
             // depend on the registry.  Applying it now lets the next
             // segment's labeling (which must see the new view) overlap
-            // this segment's pass.
-            if let Some(b) = segments[s].boundary {
-                responses[b] = Some(self.execute_at(ops, b, cut, None));
-            }
+            // this segment's pass; its response follows the segment's.
+            let boundary = segments[s]
+                .boundary
+                .map(|b| self.execute_at(ops, b, cut, None));
             let serving = Arc::clone(&snap);
             if let Some(next) = segments.get(s + 1) {
                 snap = Arc::new(self.serving_snapshot());
@@ -1596,16 +1563,17 @@ impl DisclosureService {
             self.pass_segment(
                 ops,
                 segments[s].range.clone(),
-                Some((&serving, labels)),
+                (&serving, labels),
                 cut,
-                &mut arena,
+                &arena,
                 &mut responses,
             );
+            responses.extend(boundary);
         }
         self.parallel.segments_labeled += segments.len() as u64;
         self.reclaim_retired(&pool, &mut retired, true);
         self.arena = arena;
-        answered(responses)
+        responses
     }
 
     /// Drains retired serving snapshots back into the live labeler,
@@ -1655,102 +1623,52 @@ impl DisclosureService {
         segments
     }
 
-    /// Walks one segment's ops in stream order on the calling thread:
-    /// consecutive labeled admissions accumulate into decision runs
-    /// ([`flush_decisions`](Self::flush_decisions) decides one in a single
-    /// loop), and in-segment policy mutations / audits
-    /// apply at their position against the serving snapshot's frozen
-    /// registry (`pooled`: that snapshot and the labels the workers handed
-    /// back).  On the degenerate single-worker path `pooled` is `None`: the
-    /// live registry *is* the segment's registry (nothing mutates it inside
-    /// a segment), and each admission goes through the front door and the
-    /// live labeler right here.  `cut` is the batch's write-ahead cut.
+    /// Walks one pooled segment's ops in stream order on the calling
+    /// thread, answering each where it stands: an admission takes the next
+    /// of the labels the workers handed back (`pooled`: the serving
+    /// snapshot and those labels, spliced into `arena`), is decided on the
+    /// live store and — committed — recorded in the audit history; a policy
+    /// mutation or audit executes against the snapshot's frozen registry.
+    /// `cut` is the batch's write-ahead cut.
     fn pass_segment(
         &mut self,
         ops: &[Operation],
         range: Range<usize>,
-        pooled: Option<(&LabelerSnapshot, Vec<LabeledAdmission>)>,
+        pooled: (&LabelerSnapshot, Vec<LabeledAdmission>),
         cut: usize,
-        arena: &mut Vec<PackedLabel>,
-        responses: &mut [Option<Response>],
-    ) {
-        let (serving, labels) = pooled.unzip();
-        let mut labeled = labels.map(Vec::into_iter);
-        let mut run: Vec<PendingAdmission<'_>> = Vec::with_capacity(range.len());
-        for i in range {
-            let (principal, query, commit) = match (&ops[i]).into() {
-                Request::Admit {
-                    principal,
-                    query,
-                    commit,
-                } => (principal, query, commit),
-                Request::SetView { principal, .. } | Request::Audit { principal } => {
-                    // A grant, revoke or audit touches exactly one
-                    // principal's state, and policy decisions read exactly
-                    // their own principal's state, so pending decisions for
-                    // *other* principals commute with it — the run keeps
-                    // accumulating across it, which is what lets the pass
-                    // decide a whole segment in (usually) one run.
-                    if run.iter().any(|pending| pending.principal == principal) {
-                        self.flush_decisions(&mut run, arena, responses);
-                    }
-                    responses[i] = Some(self.execute_at(ops, i, cut, serving));
-                    continue;
-                }
-                Request::AddView { .. } => unreachable!(
-                    "AddSecurityView ops are segment boundaries, never segment members"
-                ),
-            };
-            let outcome = match labeled.as_mut() {
-                Some(staged) => {
-                    let worker = staged.next().expect("one labeled entry per admission");
-                    debug_assert_eq!(worker.index, i, "labels arrive in stream order");
-                    worker
-                        .outcome
-                        .map(|(id, label)| (id.map_or(query, AdmissionQuery::Interned), label))
-                }
-                None => {
-                    let live = self.labeler.as_snapshot();
-                    resolve(live, self.store.len(), principal, query)
-                        .map(|query| (query, label_into(live, 0, query, arena)))
-                }
-            };
-            match outcome {
-                Ok((query, label)) => {
-                    self.stats.admissions += 1;
-                    run.push(PendingAdmission {
-                        index: i,
-                        principal,
-                        query,
-                        commit,
-                        label,
-                    });
-                }
-                Err(err) => responses[i] = Some(Response::Rejected(err)),
-            }
-        }
-        self.flush_decisions(&mut run, arena, responses);
-    }
-
-    /// Decides one pending run of labeled admissions on the calling thread,
-    /// in request order, answering each in place: the label is read where
-    /// it lies in the arena, a committed submission is recorded in the
-    /// audit history, the response slot is written.
-    fn flush_decisions(
-        &mut self,
-        run: &mut Vec<PendingAdmission<'_>>,
         arena: &[PackedLabel],
-        responses: &mut [Option<Response>],
+        responses: &mut Vec<Response>,
     ) {
-        for admission in run.drain(..) {
-            let label = &arena[admission.label];
-            let decision = self
-                .store
-                .decide_packed(admission.principal, label, admission.commit);
-            if admission.commit {
-                self.history.record(admission.principal, admission.query);
-            }
-            responses[admission.index] = Some(Response::Decision(decision));
+        let (serving, labels) = pooled;
+        let mut labels = labels.into_iter();
+        for i in range {
+            let Request::Admit {
+                principal,
+                query,
+                commit,
+            } = (&ops[i]).into()
+            else {
+                debug_assert!(
+                    !matches!(ops[i], Operation::AddSecurityView { .. }),
+                    "AddSecurityView ops are segment boundaries, never segment members"
+                );
+                responses.push(self.execute_at(ops, i, cut, Some(serving)));
+                continue;
+            };
+            let labeled = labels.next().expect("one labeled entry per admission");
+            debug_assert_eq!(labeled.index, i, "labels arrive in stream order");
+            responses.push(match labeled.outcome {
+                Ok((id, label)) => {
+                    self.stats.admissions += 1;
+                    let decision = self.store.decide_packed(principal, &arena[label], commit);
+                    if commit {
+                        let query = id.map_or(query, AdmissionQuery::Interned);
+                        self.history.record(principal, query);
+                    }
+                    Response::Decision(decision)
+                }
+                Err(err) => Response::Rejected(err),
+            });
         }
     }
 
@@ -1895,14 +1813,6 @@ fn chunk_owned<T>(items: Vec<T>, chunk_len: usize) -> Vec<Vec<T>> {
     inputs
 }
 
-/// Unwraps a request's response slots once every operation has answered.
-fn answered(responses: Vec<Option<Response>>) -> Vec<Response> {
-    responses
-        .into_iter()
-        .map(|r| r.expect("every operation answered"))
-        .collect()
-}
-
 /// A configured width, `0` meaning the host's available parallelism (with
 /// a serial fallback).
 fn width_or_host(configured: usize) -> usize {
@@ -1966,9 +1876,9 @@ fn invalid_data(err: CodecError) -> io::Error {
 /// [`DisclosureService::begin_checkpoint`] and
 /// [`DisclosureService::complete_checkpoint`]: the service state frozen at
 /// the pending sequence number, *owned*, so the expensive serialization
-/// runs without the service lock — on the caller's thread or as a worker
-/// pool task.  See [`BackgroundCheckpointer`](crate::BackgroundCheckpointer)
-/// for the intended use.
+/// runs without the service lock.  See
+/// [`BackgroundCheckpointer`](crate::BackgroundCheckpointer) for the
+/// intended use.
 #[derive(Debug)]
 pub struct PendingCheckpoint {
     /// The WAL sequence number the image will cover (last acknowledged

@@ -73,10 +73,10 @@ fn main() -> ExitCode {
     let config = ServiceConfig {
         history_cap: world.history_cap,
         durability: DurabilityConfig {
-            // Small commit groups so crash images cut close to the stream
-            // position; fsync off (the crash is a directory snapshot, not
-            // a power cut — page-cache contents are part of the image).
-            group_commit: 8,
+            // fsync off: the crash is a directory snapshot, not a power
+            // cut — page-cache contents are part of the image.  Each
+            // 64-op request commits once, so a crash image cuts exactly at
+            // its stream position.
             fsync: false,
             ..DurabilityConfig::default()
         },

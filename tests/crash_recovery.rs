@@ -29,8 +29,8 @@ use fdc::service::{
     ServiceConfig,
 };
 use harness::{
-    assert_agrees, assert_print, churn_ops, is_logged, populate, reopen, temp_dir, Fingerprint,
-    World,
+    assert_agrees, assert_print, assert_served, churn_ops, is_logged, populate, reopen, specify,
+    temp_dir, Fingerprint, World,
 };
 
 const OPS: usize = 64;
@@ -191,7 +191,6 @@ fn a_checkpoint_at_every_segment_boundary_recovers_exactly() {
     let tiny_segments = ServiceConfig {
         durability: DurabilityConfig {
             segment_bytes: 1,
-            group_commit: 1,
             ..config(&world).durability
         },
         ..config(&world)
@@ -386,5 +385,37 @@ fn pure_replay_without_any_checkpoint_rebuilds_the_full_stream() {
     // Recovery is idempotent: a second open replays to the same state.
     let (mut again, _) = reopen(&world, config(&world), &dir);
     assert_agrees("second open", &mut again, model, &world);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_request_commits_and_fsyncs_exactly_once() {
+    // The request is the acknowledgement unit: however many records it
+    // logs, they reach the disk in one commit — and once it has answered, a
+    // crash loses none of them.
+    let world = World::facebook();
+    let ops = churn_ops(&world, SEED, 1_024);
+    let records = ops.iter().filter(|op| is_logged(op)).count() as u64;
+    let mut fsynced = config(&world);
+    fsynced.durability.fsync = true;
+    let dir = temp_dir("one_commit");
+    let (mut service, _) = reopen(&world, fsynced, &dir);
+    populate(&mut service, &world);
+    let before = service.stats().durability;
+    let responses = service.run_pipelined(&ops);
+    let after = service.stats().durability;
+    assert_eq!(after.wal_commits - before.wal_commits, 1);
+    assert_eq!(after.wal_fsyncs - before.wal_fsyncs, 1);
+    assert_eq!(after.wal_appends - before.wal_appends, records);
+    assert_eq!(
+        after.wal_records_committed - before.wal_records_committed,
+        records
+    );
+    assert_eq!(after.wal_max_commit_records, records);
+    let specified = specify(&world, &ops);
+    assert_served("one commit", &mut service, &responses, &specified, &world);
+    drop(service); // crash: no close
+    let (mut recovered, _) = reopen(&world, fsynced, &dir);
+    assert_agrees("recovered", &mut recovered, &specified.model, &world);
     fs::remove_dir_all(&dir).unwrap();
 }

@@ -69,7 +69,8 @@ fn open_faulted(
 
 /// One fault-schedule run of the write-ahead-invariant property through
 /// one entry point: register quietly, arm `schedule`, serve `ops` in
-/// `chunk`-sized requests through `executor`, and keep two specifications:
+/// `chunk`-sized requests through `executor` on a service opened with
+/// `faulted`, and keep two specifications:
 /// `durable` applies exactly the operations whose records landed, `live`
 /// those and every admission (which always serve, from memory).  Every
 /// served answer is `live`'s, the running service ends in `live`'s state,
@@ -84,16 +85,14 @@ fn acked_mutations_survive(
     tag: &str,
     ops: &[Operation],
     chunk: usize,
-    group_commit: usize,
+    faulted: ServiceConfig,
     schedule: FaultSchedule,
     executor: Executor,
 ) -> (bool, bool) {
     let world = World::facebook();
     let dir = temp_dir(tag);
     let vfs = FaultVfs::over_std(FaultSchedule::quiet(schedule.seed));
-    let mut durable_config = config(&world);
-    durable_config.durability.group_commit = group_commit;
-    let (mut service, _) = open_faulted(&world, durable_config, &dir, &vfs).unwrap();
+    let (mut service, _) = open_faulted(&world, faulted, &dir, &vfs).unwrap();
     populate(&mut service, &world);
     let (mut durable, mut live) = (world.model(), world.model());
 
@@ -197,7 +196,6 @@ fn no_acknowledged_mutation_is_lost_under_any_fault_schedule() {
         ),
     ];
     let world = World::facebook();
-    let group_commit = config(&world).durability.group_commit;
     let mut survived = 0u32;
     let mut degraded = 0u32;
     for (name, base) in schedules {
@@ -208,7 +206,7 @@ fn no_acknowledged_mutation_is_lost_under_any_fault_schedule() {
             };
             let tag = format!("prop_{name}_{round}");
             let ops = churn_ops(&world, schedule.seed ^ 0xC0FFEE, OPS);
-            if acked_mutations_survive(&tag, &ops, 1, group_commit, schedule, Executor::Apply).0 {
+            if acked_mutations_survive(&tag, &ops, 1, config(&world), schedule, Executor::Apply).0 {
                 degraded += 1;
             } else {
                 survived += 1;
@@ -226,9 +224,9 @@ fn batched_mutations_respect_the_durable_prefix() {
     let world = World::facebook();
     let ops = churn_ops(&world, 0xBA7C4, OPS);
     // Ops that never produce a record on both sides of every cut, served
-    // with a commit per record so a request's durable prefix can end
-    // mid-request: a cut counted in records instead of op positions refuses
-    // a durable mutation there.
+    // over a log that rotates — and so commits — at every record, so a
+    // request's durable prefix can end mid-request: a cut counted in records
+    // instead of op positions refuses a durable mutation there.
     let probe = world.pool[0].clone();
     let mixed: Vec<Operation> = ops
         .iter()
@@ -253,7 +251,7 @@ fn batched_mutations_respect_the_durable_prefix() {
     // which a batch of 8 with one commit never loses a record) plus two
     // under which the batches do and the mixed stream's cut lands
     // mid-request.  Answers whether op positions mattered under any of them.
-    let sweep = |input: &str, ops: &[Operation], chunk, group_commit, executor| {
+    let sweep = |input: &str, ops: &[Operation], chunk, faulted, executor| {
         let mut degraded = false;
         let mut positions_matter = false;
         for seed in [9, 17, 19] {
@@ -264,8 +262,7 @@ fn batched_mutations_respect_the_durable_prefix() {
                 ..FaultSchedule::quiet(seed)
             };
             let tag = format!("prefix_{input}_{seed}");
-            let (d, p) =
-                acked_mutations_survive(&tag, ops, chunk, group_commit, schedule, executor);
+            let (d, p) = acked_mutations_survive(&tag, ops, chunk, faulted, schedule, executor);
             degraded |= d;
             positions_matter |= p;
         }
@@ -275,12 +272,14 @@ fn batched_mutations_respect_the_durable_prefix() {
         );
         positions_matter
     };
-    let group_commit = config(&world).durability.group_commit;
-    sweep("batch", &ops, 8, group_commit, Executor::Pipelined(8));
-    sweep("apply", &ops, 1, group_commit, Executor::Apply);
-    sweep("typed", &ops, 1, group_commit, Executor::Typed);
+    let one_segment = config(&world);
+    sweep("batch", &ops, 8, one_segment, Executor::Pipelined(8));
+    sweep("apply", &ops, 1, one_segment, Executor::Apply);
+    sweep("typed", &ops, 1, one_segment, Executor::Typed);
+    let mut rotating = one_segment;
+    rotating.durability.segment_bytes = 1;
     assert!(
-        sweep("mixed", &mixed, 8, 1, Executor::Pipelined(8)),
+        sweep("mixed", &mixed, 8, rotating, Executor::Pipelined(8)),
         "no durable mutation sat past its request's record count"
     );
 }

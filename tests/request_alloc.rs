@@ -3,14 +3,14 @@
 //! The admission path is "label, compare, update", and on a warm service
 //! none of the three needs the heap: a known query is found by hashing it in
 //! place, its packed label is copied from the cache onto the end of the
-//! request's label arena, the decision is written into its response slot,
+//! service's label arena, the decision is pushed onto the response vector,
 //! and a committed submission is one 8-byte append to the shared history
 //! log.  This binary installs the counting global allocator of
 //! `intern_alloc` (which is why it is a test binary of its own) and asserts:
 //!
 //! * a `run_pipelined` batch of known-shape `Submit` / `Check` operations
 //!   performs the **same** number of allocations at 256 and at 1 024
-//!   operations — the request's own buffers, nothing per operation;
+//!   operations — one, the response vector; nothing per operation;
 //! * a warm `apply(Submit)` performs **none**, except when the history log
 //!   grows (amortised: a doubling while the rings fill, one compaction per
 //!   `live + principals` records once they are full);
@@ -115,8 +115,8 @@ fn a_warm_batch_allocates_per_request_not_per_operation() {
         *large_counts.iter().min().unwrap(),
         "256 ops: {small_counts:?}, 1024 ops: {large_counts:?}"
     );
-    // The request's buffers: responses, segment list, pending run.
-    assert!(floor <= 4, "{floor} allocations for one request");
+    // The request's one buffer: the response vector.
+    assert_eq!(floor, 1, "{floor} allocations for one request");
     // Nothing but a growth of the history log ever adds to that.
     for count in small_counts.iter().chain(&large_counts) {
         assert!(
