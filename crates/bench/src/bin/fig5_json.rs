@@ -253,7 +253,8 @@ fn measure_high_point(max_atoms: usize, repeats: usize, pairs_k: usize) -> (High
 /// **broom patterns** over a single ternary `Edge` relation — a
 /// distinguished root `v0` with `max_atoms / 3` independent depth-3 chains
 /// hanging off it, so every query has roughly `max_atoms` atoms and is a
-/// tree (hence acyclic).
+/// tree (hence acyclic).  Each is classified as it is interned, so the
+/// dispatcher finds its ears.
 ///
 /// Chain `c` is `Edge(v0, x_c, 'c0'), Edge(x_c, y_c, 'c<t2>'),
 /// Edge(y_c, z_c, 'c<t3>')` with `t2, t3` drawn from two constants, so
@@ -319,7 +320,10 @@ fn tree_pattern_pool(
             .expect("string write");
         }
         let query = fdc_cq::parser::parse_query(&catalog, &text).expect("generated broom parses");
-        ids.push(interner.intern(&query));
+        let id = interner.intern(&query);
+        // Interning does not classify; the kernel wants the ears.
+        interner.classify(id);
+        ids.push(id);
     }
     (interner, ids)
 }
@@ -338,7 +342,7 @@ fn exercise_cyclic_fallback() {
     let mut interner = fdc_cq::QueryInterner::new();
     let id = interner.intern(&triangle);
     assert_eq!(
-        interner.shape_class(id),
+        interner.classify(id),
         structure::ShapeClass::Cyclic,
         "the triangle must classify as cyclic"
     );

@@ -45,7 +45,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 
 use fdc_cq::folding::fold_interned_indices;
-use fdc_cq::intern::{ITerm, QueryId, QueryInterner};
+use fdc_cq::intern::{ITerm, LocatedMiss, QueryId, QueryInterner};
 use fdc_cq::rewriting::{interned_rewritable_from_single, rewritable_from_single};
 use fdc_cq::{ConjunctiveQuery, RelId, Term, VarKind};
 
@@ -914,23 +914,29 @@ impl LabelCore {
         // not consume it (they are bounded by the shapes that carry them).
         // The unsynchronized load can overshoot by a few entries under
         // concurrent first sightings; the bound stays O(capacity).
-        let guard = self.read_interner();
-        match guard.lookup(query) {
-            Some(id) => Some(id),
-            None if self.implicit_interns.load(Ordering::Relaxed) >= self.capacity => None,
-            None => {
-                drop(guard);
-                let mut guard = self.interner.write().unwrap_or_else(|e| e.into_inner());
-                let before = guard.len();
-                let id = guard.intern(query);
-                // Another thread may have interned the shape between the two
-                // locks; only the one that grew the arena is charged.
-                if guard.len() > before {
-                    self.implicit_interns.fetch_add(1, Ordering::Relaxed);
-                }
-                Some(id)
-            }
+        let miss = match self.read_interner().locate(query) {
+            Ok(id) => return Some(id),
+            Err(miss) => miss,
+        };
+        if self.implicit_interns.load(Ordering::Relaxed) >= self.capacity {
+            return None;
         }
+        Some(self.intern_missed(miss))
+    }
+
+    /// The write-locked half of [`intern_within_budget`](Self::intern_within_budget):
+    /// inserts the shape its read-locked lookup missed, under the hash that
+    /// lookup computed.  Another thread may have interned the shape between
+    /// the two locks — the insert re-probes and returns that id — so only
+    /// the call that grew the arena is charged.
+    fn intern_missed(&self, miss: LocatedMiss<'_>) -> QueryId {
+        let mut guard = self.interner.write().unwrap_or_else(|e| e.into_inner());
+        let before = guard.len();
+        let id = guard.intern_located(miss);
+        if guard.len() > before {
+            self.implicit_interns.fetch_add(1, Ordering::Relaxed);
+        }
+        id
     }
 
     /// `ℓ⁺` of one dissected single-atom query (by interned id), through the
@@ -1533,13 +1539,14 @@ impl CachedLabeler {
     /// unconditionally.
     pub fn intern(&self, query: &ConjunctiveQuery) -> QueryId {
         let core = &self.live.core;
-        if let Some(id) = core.read_interner().lookup(query) {
-            return id;
-        }
+        let miss = match core.read_interner().locate(query) {
+            Ok(id) => return id,
+            Err(miss) => miss,
+        };
         core.interner
             .write()
             .unwrap_or_else(|e| e.into_inner())
-            .intern(query)
+            .intern_located(miss)
     }
 
     /// Registers one more security view online.
@@ -2381,6 +2388,33 @@ mod tests {
         assert_eq!(tiny.stats().misses, before.misses + 1);
         let explicit = tiny.intern(&q(&c, "Q(y, z) :- Contacts(x, y, z)"));
         assert!(tiny.interner().read().unwrap().contains(explicit));
+    }
+
+    #[test]
+    fn a_shape_interned_between_the_two_locks_is_found_not_minted_or_charged() {
+        let (c, _, _, _) = paper_labelers();
+        let cached = CachedLabeler::new(SecurityViews::paper_example());
+        let core = &cached.live.core;
+        let arena = || core.read_interner().len();
+        let charged = || core.implicit_interns.load(Ordering::Relaxed);
+        // The budgeted intern's read-locked half misses…
+        let query = q(&c, "Q(x) :- Meetings(x, y), Contacts(y, w, 'Intern')");
+        let miss = core.read_interner().locate(&query).expect_err("never seen");
+        // …another caller interns the shape (an alpha variant) before the
+        // write-locked half runs…
+        let existing = cached.intern(&q(&c, "Q(t) :- Meetings(t, p), Contacts(p, e, 'Intern')"));
+        let (len, budget) = (arena(), charged());
+        // …which finds that id under the hash the miss carried: nothing is
+        // minted and nothing is charged.
+        assert_eq!(core.intern_missed(miss), existing);
+        assert_eq!((arena(), charged()), (len, budget));
+
+        // Unraced, the same two halves mint the shape and charge it once.
+        let fresh = q(&c, "Q() :- Meetings(x, y), Meetings(y, z)");
+        let miss = core.read_interner().locate(&fresh).expect_err("never seen");
+        let id = core.intern_missed(miss);
+        assert_eq!((arena(), charged()), (len + 1, budget + 1));
+        assert_eq!(cached.intern(&fresh), id);
     }
 
     #[test]

@@ -302,10 +302,10 @@ fn term_allowed(
 /// Both views must come from the same
 /// [`QueryInterner`](crate::intern::QueryInterner) (or buffers derived from
 /// it): constants are compared by interned id.  When `from` carries its GYO
-/// ear ordering (an acyclic query resolved from the interner) the question
-/// is answered by the polynomial semi-join pass of
-/// [`structure`](crate::structure); cyclic sources and temporaries without
-/// an ear ordering fall back to
+/// ear ordering (a query classified acyclic, resolved from the interner)
+/// the question is answered by the polynomial semi-join pass of
+/// [`structure`](crate::structure); cyclic and unclassified sources and
+/// temporaries without an ear ordering fall back to
 /// [`interned_homomorphism_exists_generic`].  Both paths return identical
 /// verdicts — the dispatch is a pure fast path.
 ///

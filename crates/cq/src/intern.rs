@@ -59,7 +59,24 @@
 //! Only a miss touches anything else: `intern` then appends to the arena
 //! straight from the operand, minting [`ConstId`]s for constants it has not
 //! seen.  `intern`, `lookup` and [`QueryInterner::intern_single_atom`] are
-//! the same routine over two operand layouts (boxed and flat).
+//! the same routine over two operand layouts (boxed and flat).  A caller
+//! that looks up under a read lock and inserts under a write lock uses
+//! [`QueryInterner::locate`]: its miss carries the hash and numbering to
+//! [`QueryInterner::intern_located`], which re-probes with the known hash
+//! (another writer may have got there first) instead of hashing again.
+//!
+//! # What entering the arena does not do: classify
+//!
+//! The structural side table ([`structure`](crate::structure)'s
+//! [`ShapeClass`] and GYO ear ordering) is filled **on request**, never on
+//! the admission path: a shape of more than one atom enters the arena
+//! unclassified — [`intern`](QueryInterner::intern), `intern_single_atom`
+//! and [`decode_from`](QueryInterner::decode_from) alike — and
+//! [`QueryInterner::classify`] runs the reduction once, for a caller that
+//! wants the semi-join fast path.  Labeling never reads a multi-atom
+//! shape's ears (folding and the single-atom rewriting checks do not
+//! dispatch on them), so first sight does not pay for them.  A single atom
+//! is classified as it enters: its one-step ear is free.
 //!
 //! # Who owns the interner?
 //!
@@ -188,8 +205,8 @@ pub struct QueryRef<'a> {
     pub kinds: &'a [VarKind],
     /// The query's GYO ear ordering (join tree) when it is known to be
     /// acyclic — attached by [`QueryInterner::resolve`] from the structural
-    /// side table, `None` for cyclic queries and for temporary views
-    /// assembled over local buffers.  Homomorphism dispatch
+    /// side table, `None` for cyclic and not yet classified queries and for
+    /// temporary views assembled over local buffers.  Homomorphism dispatch
     /// ([`interned_homomorphism_exists`](crate::homomorphism::interned_homomorphism_exists))
     /// takes the semi-join fast path exactly when this is present.
     pub ears: Option<&'a [EarStep]>,
@@ -242,18 +259,30 @@ struct QuerySpan {
     num_vars: u32,
 }
 
-/// Structural facts about one interned query, derived once when the query
-/// enters the arena (and rebuilt on decode): its [`ShapeClass`], the span of
-/// its GYO ear ordering within the `ears` arena, and the span of its lazily
-/// computed fold (core) within the `fold_atoms` arena.
+/// Structural facts about one interned query: its [`ShapeClass`] and the
+/// span of its GYO ear ordering within the `ears` arena once
+/// [`QueryInterner::classify`] has run (`class` is `None` before), and the
+/// span of its lazily computed fold (core) within the `fold_atoms` arena.
 #[derive(Debug, Clone, Copy)]
 struct ShapeInfo {
-    class: ShapeClass,
+    class: Option<ShapeClass>,
     ear_start: u32,
     ear_len: u32,
     fold_start: u32,
     fold_len: u32,
     fold_cached: bool,
+}
+
+impl ShapeInfo {
+    /// The entry of a query that has just entered the arena.
+    const FRESH: ShapeInfo = ShapeInfo {
+        class: None,
+        ear_start: 0,
+        ear_len: 0,
+        fold_start: 0,
+        fold_len: 0,
+        fold_cached: false,
+    };
 }
 
 /// One operand term as the lookup sees it, whichever layout it came from.
@@ -347,6 +376,7 @@ const EMPTY_SLOT: u32 = u32::MAX;
 /// First-occurrence numbering of an operand's variables: operand variable
 /// id → canonical index.  Filled by the hash pass, read by the compare pass
 /// and the append.
+#[derive(Debug)]
 struct Numbering {
     inline: [u32; INLINE_VARS],
     /// Used instead of `inline` when the operand has more variables than
@@ -453,6 +483,18 @@ fn hash_constant(hash: u64, constant: &Constant) -> u64 {
     }
 }
 
+/// What a [`QueryInterner::locate`] that missed computed — the query's
+/// canonical hash and first-occurrence numbering — carried to
+/// [`QueryInterner::intern_located`], so a shape seen for the first time is
+/// walked for its hash once even when the lookup and the insert take
+/// different locks.
+#[derive(Debug)]
+pub struct LocatedMiss<'q> {
+    query: &'q ConjunctiveQuery,
+    numbering: Numbering,
+    hash: u64,
+}
+
 /// The interning arena for conjunctive queries.
 ///
 /// See the [module documentation](self) for the representation and the
@@ -486,12 +528,13 @@ pub struct QueryInterner {
     /// Structural side table, indexed by `QueryId`: shape class plus spans
     /// into the `ears` and `fold_atoms` arenas below.
     shapes: Vec<ShapeInfo>,
-    /// Arena of GYO ear orderings (join trees) of the acyclic queries.
+    /// Arena of GYO ear orderings (join trees) of the classified acyclic
+    /// queries.
     ears: Vec<EarStep>,
     /// Arena of fold (core) results: indices of the surviving atoms, filled
     /// lazily by [`core_atom_indices`](Self::core_atom_indices).
     fold_atoms: Vec<u32>,
-    /// Number of queries classified [`ShapeClass::Acyclic`].
+    /// Number of queries classified [`ShapeClass::Acyclic`] so far.
     num_acyclic: u32,
 }
 
@@ -627,12 +670,16 @@ impl QueryInterner {
     }
 
     /// The one lookup routine behind [`intern`](Self::intern),
-    /// [`lookup`](Self::lookup) and
+    /// [`locate`](Self::locate) and
     /// [`intern_single_atom`](Self::intern_single_atom): hash the operand in
     /// place, probe the dedup table, and compare every candidate whose
     /// stored hash matches.  Returns the hash with the verdict so a miss can
     /// be appended without hashing again.
-    fn locate<O: Operand>(&self, operand: &O, numbering: &mut Numbering) -> (u64, Option<QueryId>) {
+    fn locate_operand<O: Operand>(
+        &self,
+        operand: &O,
+        numbering: &mut Numbering,
+    ) -> (u64, Option<QueryId>) {
         let hash = self.hash_operand(operand, numbering);
         (hash, self.probe(operand, numbering, hash))
     }
@@ -657,17 +704,30 @@ impl QueryInterner {
         }
     }
 
-    /// Enters the newest query (whose hash is already in `hashes`) into the
-    /// dedup table, doubling the table first if that would fill it past half.
-    fn index_newest(&mut self) {
+    /// Enters the first query not yet indexed (the newest one, bar a
+    /// decode) into every derived index: its `hash` into the dedup table
+    /// (doubled first if that would fill it past half), its single-atom
+    /// ordinal, and a fresh structural entry.  Only a single atom is
+    /// classified on the spot — its one-step ear costs nothing; a larger
+    /// shape waits for [`classify`](Self::classify).
+    fn index_newest(&mut self, hash: u64) {
+        let id = QueryId(self.hashes.len() as u32);
+        self.hashes.push(hash);
         if self.hashes.len() * 2 > self.table.len() {
             let slots = (self.hashes.len() * 2).next_power_of_two();
             self.table = vec![EMPTY_SLOT; slots];
-            for index in 0..self.hashes.len() - 1 {
+            for index in 0..id.index() {
                 self.claim_slot(index);
             }
         }
-        self.claim_slot(self.hashes.len() - 1);
+        self.claim_slot(id.index());
+        let atom_len = self.queries[id.index()].atom_len;
+        let ordinal = self.next_ordinal(atom_len);
+        self.atom_ordinals.push(ordinal);
+        self.shapes.push(ShapeInfo::FRESH);
+        if atom_len <= 1 {
+            self.classify(id);
+        }
     }
 
     /// Puts query `index` into the first vacant slot of its probe chain.
@@ -720,38 +780,45 @@ impl QueryInterner {
                 term_len: terms.len() as u32,
             });
         }
-        let atom_len = self.atoms.len() as u32 - atom_start;
         self.queries.push(QuerySpan {
             atom_start,
-            atom_len,
+            atom_len: self.atoms.len() as u32 - atom_start,
             kind_start: kind_start as u32,
             num_vars: numbering.assigned,
         });
-        let ordinal = self.next_ordinal(atom_len);
-        self.atom_ordinals.push(ordinal);
-        self.hashes.push(hash);
-        self.index_newest();
-        self.classify(id.index());
+        self.index_newest(hash);
         id
     }
 
-    /// [`locate`](Self::locate), then [`append`](Self::append) on a miss.
+    /// [`locate_operand`](Self::locate_operand), then
+    /// [`append`](Self::append) on a miss.
     fn intern_operand<O: Operand>(&mut self, operand: &O) -> QueryId {
         let mut numbering = Numbering::new(operand.var_bound());
-        match self.locate(operand, &mut numbering) {
+        match self.locate_operand(operand, &mut numbering) {
             (_, Some(id)) => id,
             (hash, None) => self.append(operand, &numbering, hash),
         }
     }
 
-    /// Derives the structural side-table entry of query `index`: shape
-    /// class via GYO reduction, with the ear ordering of an acyclic shape
-    /// written straight into the `ears` arena.  Called once per query, right
-    /// after its span is appended (and again per query on decode); the fold
-    /// span starts empty and is filled lazily.
-    fn classify(&mut self, index: usize) {
-        debug_assert_eq!(self.shapes.len(), index, "classification is in id order");
-        let span = self.queries[index];
+    /// The structural class of interned query `id`, decided by GYO
+    /// reduction on the first call: the class and, for an acyclic shape,
+    /// its ear ordering (written straight into the `ears` arena) go into
+    /// the side table, every later call reads them back, and
+    /// [`resolve`](Self::resolve) attaches the ears from then on.
+    ///
+    /// No admission calls this — no serving path reads a multi-atom
+    /// shape's ears — so a shape pays for its reduction only when a caller
+    /// wants the semi-join fast path for it.  Single atoms are classified
+    /// as they enter the arena.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id was not issued by this interner.
+    pub fn classify(&mut self, id: QueryId) -> ShapeClass {
+        if let Some(class) = self.shapes[id.index()].class {
+            return class;
+        }
+        let span = self.queries[id.index()];
         // Borrowed field by field (not through `span_ref`): the reduction
         // appends to `self.ears` while it reads the query.
         let query = QueryRef {
@@ -769,14 +836,12 @@ impl QueryInterner {
         } else {
             ShapeClass::Cyclic
         };
-        self.shapes.push(ShapeInfo {
-            class,
-            ear_start,
-            ear_len: self.ears.len() as u32 - ear_start,
-            fold_start: 0,
-            fold_len: 0,
-            fold_cached: false,
-        });
+        let ear_len = self.ears.len() as u32 - ear_start;
+        let shape = &mut self.shapes[id.index()];
+        shape.class = Some(class);
+        shape.ear_start = ear_start;
+        shape.ear_len = ear_len;
+        class
     }
 
     /// Interns a query, returning its dense id.
@@ -793,8 +858,46 @@ impl QueryInterner {
     /// Returns the id the query *would* intern to, or `None` if its
     /// canonical form (or any of its constants) has never been interned.
     pub fn lookup(&self, query: &ConjunctiveQuery) -> Option<QueryId> {
+        self.locate(query).ok()
+    }
+
+    /// [`lookup`](Self::lookup) that, on a miss, hands back what it
+    /// computed, so [`intern_located`](Self::intern_located) can insert the
+    /// query without hashing it again — the shape of a caller that looks up
+    /// under a read lock and inserts under a write lock.
+    // The miss carries the on-stack numbering by value: boxing it would add
+    // an allocation to every first sight, and a hit writes only the id.
+    #[allow(clippy::result_large_err)]
+    pub fn locate<'q>(
+        &self,
+        query: &'q ConjunctiveQuery,
+    ) -> std::result::Result<QueryId, LocatedMiss<'q>> {
         let mut numbering = Numbering::new(query.var_bound());
-        self.locate(query, &mut numbering).1
+        match self.locate_operand(query, &mut numbering) {
+            (_, Some(id)) => Ok(id),
+            (hash, None) => Err(LocatedMiss {
+                query,
+                numbering,
+                hash,
+            }),
+        }
+    }
+
+    /// Interns the query a [`locate`](Self::locate) missed, under the hash
+    /// and numbering that lookup computed: the dedup table is probed again
+    /// with the known hash — another holder of the interner may have
+    /// interned the shape since — and only a shape still unknown is
+    /// appended.  The id is exactly what [`intern`](Self::intern) returns.
+    pub fn intern_located(&mut self, miss: LocatedMiss<'_>) -> QueryId {
+        let LocatedMiss {
+            query,
+            numbering,
+            hash,
+        } = miss;
+        match self.probe(query, &numbering, hash) {
+            Some(id) => id,
+            None => self.append(query, &numbering, hash),
+        }
     }
 
     /// Interns a single-atom query given directly in the flat representation
@@ -837,47 +940,49 @@ impl QueryInterner {
         })
     }
 
-    /// Resolves an id to its zero-copy [`QueryRef`] view.
+    /// Resolves an id to its zero-copy [`QueryRef`] view, with its ear
+    /// ordering attached if the query is classified acyclic.
     ///
     /// # Panics
     ///
     /// Panics if the id was not issued by this interner.
     #[inline]
     pub fn resolve(&self, id: QueryId) -> QueryRef<'_> {
-        let shape = self.shapes[id.index()];
         QueryRef {
-            ears: (shape.class == ShapeClass::Acyclic).then(|| {
-                &self.ears[shape.ear_start as usize..(shape.ear_start + shape.ear_len) as usize]
-            }),
+            ears: self.ear_steps(id),
             ..self.span_ref(self.queries[id.index()])
         }
     }
 
-    /// The structural class of interned query `id`, decided by GYO
-    /// reduction when the query entered the arena.
+    /// The structural class of interned query `id`, `None` until
+    /// [`classify`](Self::classify) has decided it (single atoms are
+    /// decided as they enter the arena).
     ///
     /// # Panics
     ///
     /// Panics if the id was not issued by this interner.
     #[inline]
-    pub fn shape_class(&self, id: QueryId) -> ShapeClass {
+    pub fn shape_class(&self, id: QueryId) -> Option<ShapeClass> {
         self.shapes[id.index()].class
     }
 
-    /// The GYO ear ordering (join tree, children-first) of an acyclic
-    /// query, `None` if the query is cyclic.
+    /// The GYO ear ordering (join tree, children-first) of a query
+    /// classified acyclic; `None` if it is cyclic or not classified yet.
     ///
     /// # Panics
     ///
     /// Panics if the id was not issued by this interner.
+    #[inline]
     pub fn ear_steps(&self, id: QueryId) -> Option<&[EarStep]> {
         let shape = self.shapes[id.index()];
-        (shape.class == ShapeClass::Acyclic).then(|| {
+        (shape.class == Some(ShapeClass::Acyclic)).then(|| {
             &self.ears[shape.ear_start as usize..(shape.ear_start + shape.ear_len) as usize]
         })
     }
 
-    /// Number of interned queries classified [`ShapeClass::Acyclic`].
+    /// Number of interned queries classified [`ShapeClass::Acyclic`] so
+    /// far (every single atom, and the larger shapes
+    /// [`classify`](Self::classify) found acyclic).
     pub fn num_acyclic_queries(&self) -> usize {
         self.num_acyclic as usize
     }
@@ -1022,7 +1127,9 @@ impl QueryInterner {
 
     /// Deserializes an arena written by [`encode_into`](Self::encode_into),
     /// rebuilding every derived index (constant lookup, dedup table,
-    /// single-atom ordinals, structural classification).  All spans are
+    /// single-atom ordinals, the structural side table — as
+    /// [`intern`](Self::intern) would leave it: single atoms classified,
+    /// larger shapes waiting for [`classify`](Self::classify)).  All spans are
     /// bounds-checked and every query is checked to be in canonical form
     /// (variable indices in range, tags agreeing with the kind buffer,
     /// first-occurrence numbering), so a corrupt checkpoint yields a
@@ -1154,15 +1261,8 @@ impl QueryInterner {
             num_acyclic: 0,
         };
         for index in 0..interner.queries.len() {
-            let id = QueryId(index as u32);
-            let hash = interner.hash_interned(id);
-            interner.hashes.push(hash);
-            interner.index_newest();
-            let ordinal = interner.next_ordinal(interner.queries[index].atom_len);
-            interner.atom_ordinals.push(ordinal);
-            // The structural side table is derived state: rebuild it rather
-            // than serialize it, like the dedup table and ordinals above.
-            interner.classify(index);
+            let hash = interner.hash_interned(QueryId(index as u32));
+            interner.index_newest(hash);
         }
         Ok(interner)
     }

@@ -20,8 +20,9 @@
 //! * [`intern`] — the interned query plane: an arena-backed flat CQ
 //!   representation with dense [`QueryId`]s and a zero-copy [`QueryRef`]
 //!   view that the reasoning algorithms above also operate on directly.
-//! * [`structure`] — structural classification at intern time: GYO
-//!   reduction decides α-acyclicity once per shape, and acyclic queries
+//! * [`structure`] — structural classification on request, never on the
+//!   admission path: GYO reduction decides α-acyclicity once per shape a
+//!   caller asks about ([`QueryInterner::classify`]), and acyclic queries
 //!   answer homomorphism questions with a polynomial semi-join pass over
 //!   their join tree instead of backtracking.
 //!

@@ -8,9 +8,15 @@
 //! **α-acyclic** queries a much better algorithm exists: classify the query's
 //! hypergraph once, keep the certificate (a join tree in ear-removal order),
 //! and answer every later homomorphism question with a linear pass of
-//! semi-joins over that tree.  The [`QueryInterner`](crate::intern) is the
-//! natural place to do the classification — each distinct shape is interned
-//! exactly once, so the GYO run amortizes across every reuse of the id.
+//! semi-joins over that tree.  The [`QueryInterner`](crate::intern) keeps
+//! the certificate, but runs the reduction **on request**
+//! ([`QueryInterner::classify`](crate::intern::QueryInterner::classify)),
+//! never on the admission path: labeling never reads a multi-atom shape's
+//! ears, so a shape seen once should not pay for them.  A caller that wants
+//! the fast path classifies the ids it will ask about — once per id; every
+//! later [`resolve`](crate::intern::QueryInterner::resolve) carries the
+//! ears.  Single atoms (every dissected part) are classified as they enter
+//! the arena; their one-step ear is free.
 //!
 //! # GYO reduction
 //!
@@ -47,7 +53,8 @@
 //! Dispatch lives in
 //! [`interned_homomorphism_exists`](crate::homomorphism::interned_homomorphism_exists):
 //! acyclic sources (a [`QueryRef`] resolved from the interner with its ear
-//! ordering attached) take the semi-join path, everything else falls back to
+//! ordering attached — a classified acyclic shape) take the semi-join path,
+//! everything else (cyclic, not yet classified, temporaries) falls back to
 //! backtracking.  The process-wide [`counters`] record which path ran;
 //! benchmarks and the property suite reach the generic path for
 //! apples-to-apples comparisons by calling the `*_generic` entry points.
@@ -57,7 +64,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use crate::homomorphism::{interned_term_allowed, HeadPolicy};
 use crate::intern::{IAtom, ITerm, QueryRef};
 
-/// The structural class of an interned query, decided once at intern time.
+/// The structural class of an interned query, decided once, on request
+/// ([`QueryInterner::classify`](crate::intern::QueryInterner::classify)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ShapeClass {
     /// The query's hypergraph is α-acyclic: GYO reduction succeeded and the
@@ -298,7 +306,8 @@ pub struct StructureCounters {
     /// Homomorphism searches answered by the semi-join fast path.
     pub structural_checks: u64,
     /// Searches the dispatcher sent down the generic backtracking path
-    /// (cyclic sources, or temporaries without an ear ordering).
+    /// (cyclic or unclassified sources, or temporaries without an ear
+    /// ordering).
     pub backtrack_fallbacks: u64,
 }
 

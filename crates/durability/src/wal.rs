@@ -246,6 +246,21 @@ fn scan_segment(
     }
 }
 
+/// True if `bytes` are a segment whose header never reached the disk whole
+/// and that holds no record: shorter than a header but agreeing with one
+/// as far as it goes (magic, then version), or exactly a header's worth of
+/// zeros.  That is what a creation leaves when `ENOSPC` or a dead disk cuts
+/// its header write — or a failed fsync drops it — and nothing after it was
+/// ever acknowledged.  A wrong magic or version is not torn: it is someone
+/// else's file.
+fn torn_header(bytes: &[u8]) -> bool {
+    let mut prefix = SEGMENT_MAGIC.to_vec();
+    prefix.extend_from_slice(&SEGMENT_VERSION.to_le_bytes());
+    let checked = bytes.len().min(prefix.len());
+    (bytes.len() < SEGMENT_HEADER_LEN as usize && bytes[..checked] == prefix[..checked])
+        || (bytes.len() == SEGMENT_HEADER_LEN as usize && bytes.iter().all(|&b| b == 0))
+}
+
 /// Counts record frames in the discarded region starting at `pos`:
 /// complete frames (whatever their checksum says) plus one for any
 /// trailing partial frame.  A lower bound on records lost to the tear.
@@ -275,10 +290,17 @@ fn count_residual_frames(bytes: &[u8], mut pos: usize) -> u64 {
 ///
 /// Records must be sequence-contiguous; a record whose number breaks the
 /// chain (as a mid-log corruption would produce) also stops the scan.
-/// Structural damage *before* any record — a missing header, wrong
-/// magic, an impossible version — is reported as an error rather than an
-/// empty log, so operator mistakes (pointing at the wrong directory)
-/// are not silently "recovered" from.
+/// Structural damage *before* any record — wrong magic, an impossible
+/// version — is reported as an error rather than an empty log, so operator
+/// mistakes (pointing at the wrong directory) are not silently "recovered"
+/// from — and so is a first segment cut inside its header when its name
+/// says it begins the log (`first_seq` 1): nothing ever covered what came
+/// before it.  A first segment named past 1 exists only because a
+/// checkpoint covered its predecessors and they were removed (pruning, a
+/// degraded promotion); if its header tore for good and no record follows
+/// (short or zeroed, see `torn_header`) — the promotion's fresh segment cut
+/// by `ENOSPC` — it reads as a torn tail, and recovery starts from that
+/// checkpoint.
 ///
 /// Everything past the valid prefix is accounted in
 /// [`LogContents::discarded_bytes`] and
@@ -296,7 +318,7 @@ pub fn read_log(vfs: &dyn Vfs, dir: &Path) -> io::Result<LogContents> {
     // Once the chain breaks, every later segment is unreachable: count
     // it as discarded instead of scanning it.
     let mut stopped = false;
-    for (index, (_, path)) in segments.iter().enumerate() {
+    for (index, &(first_seq, ref path)) in segments.iter().enumerate() {
         if stopped {
             discarded_bytes += vfs.file_len(path).unwrap_or(0);
             continue;
@@ -305,7 +327,11 @@ pub fn read_log(vfs: &dyn Vfs, dir: &Path) -> io::Result<LogContents> {
         let scanned = scan_segment(&bytes, expected_first, &mut records);
         let (valid_len, clean, next_seq) = match scanned {
             Ok(result) => result,
-            Err(err) if index == 0 && records.is_empty() => return Err(err),
+            Err(err)
+                if index == 0 && records.is_empty() && !(first_seq > 1 && torn_header(&bytes)) =>
+            {
+                return Err(err)
+            }
             // A later segment that does not continue the chain is
             // unreachable past the valid prefix: stop at the previous
             // tail (already recorded below).
@@ -469,17 +495,20 @@ impl WalWriter {
         min_next_seq: u64,
     ) -> io::Result<Self> {
         vfs.create_dir_all(dir)?;
-        let Some((path, valid_len)) = &tail.active_segment else {
-            return Self::create_in(vfs, clock, dir, config, tail.next_seq.max(min_next_seq));
-        };
         // Segments past the active one are unreachable (their records
-        // sit beyond a torn or corrupt region): remove them so rotation
-        // cannot collide with a stale file.
+        // sit beyond a torn or corrupt region) — with no active segment,
+        // every one is (a header torn for good): remove them so rotation
+        // cannot collide with a stale file and no later scan meets them
+        // ahead of the fresh segment.
+        let active = tail.active_segment.as_ref().map(|(path, _)| path);
         for (first_seq, other) in list_segments(vfs.as_ref(), dir)? {
-            if first_seq >= tail.next_seq && other != *path {
+            if first_seq >= tail.next_seq && active != Some(&other) {
                 vfs.remove_file(&other)?;
             }
         }
+        let Some((path, valid_len)) = &tail.active_segment else {
+            return Self::create_in(vfs, clock, dir, config, tail.next_seq.max(min_next_seq));
+        };
         let mut file = vfs.open_rw(path)?;
         file.set_len(*valid_len)?;
         file.seek_end()?;
@@ -948,6 +977,64 @@ mod tests {
         assert_eq!(log.tail.next_seq, 13);
         // A checkpoint below the first surviving record removes nothing.
         assert_eq!(prune_segments(&StdVfs, &dir, 0).unwrap(), 0);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn a_segment_whose_header_tore_for_good_is_a_torn_tail_not_a_refusal() {
+        // A degraded promotion writes a checkpoint at 7, removes every
+        // segment, then creates the fresh one at 8; `ENOSPC` on its header
+        // write leaves an empty file — the only segment recovery will see.
+        let dir = temp_dir("torn_header");
+        let schedule = FaultSchedule {
+            seed: 3,
+            enospc_per_mille: 1000,
+            ..FaultSchedule::default()
+        };
+        let vfs = Arc::new(FaultVfs::over_std(schedule));
+        let clock = Arc::new(InstantClock::new());
+        let err = WalWriter::create_in(vfs, clock, &dir, no_fsync(), 8).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::StorageFull);
+        let path = dir.join(segment_file_name(8));
+        assert_eq!(fs::read(&path).unwrap(), b"");
+        let mut header = SEGMENT_MAGIC.to_vec();
+        header.extend_from_slice(&SEGMENT_VERSION.to_le_bytes());
+        header.extend_from_slice(&8u64.to_le_bytes());
+        // Empty, cut anywhere inside the header, or zeroed: no record, so
+        // nothing acknowledged is behind it — an empty log.
+        let mut torn: Vec<Vec<u8>> = (0..header.len())
+            .map(|cut| header[..cut].to_vec())
+            .collect();
+        torn.push(vec![0; header.len()]);
+        for bytes in torn {
+            fs::write(&path, &bytes).unwrap();
+            let log = read_log(&StdVfs, &dir).unwrap_or_else(|e| panic!("{bytes:?}: {e}"));
+            assert!(log.records.is_empty());
+            assert_eq!(log.tail.active_segment, None, "{bytes:?}");
+            assert_eq!(log.discarded_bytes, bytes.len() as u64);
+            assert_eq!(log.discarded_records, 0);
+            // The writer resumes past the checkpoint the caller names and
+            // the torn file is replaced, not stitched in.
+            let mut writer = resume_std(&dir, &log.tail, 8);
+            append_committed(&mut writer, b"after").unwrap();
+            drop(writer);
+            let log = read_log(&StdVfs, &dir).unwrap();
+            assert_eq!(log.records.len(), 1, "{bytes:?}");
+            assert_eq!((log.records[0].seq, log.discarded_bytes), (8, 0));
+        }
+        // What is there must still be a header: a wrong magic or version is
+        // somebody else's file, however short.
+        let mut wrong_version = header[..12].to_vec();
+        wrong_version[8] = 2;
+        for bytes in [b"FDCWAL02".to_vec(), b"not a wal".to_vec(), wrong_version] {
+            fs::write(&path, &bytes).unwrap();
+            assert!(read_log(&StdVfs, &dir).is_err(), "{bytes:?}");
+        }
+        // The log's very first segment torn in its header is still refused:
+        // no checkpoint ever covered what came before it.
+        fs::remove_file(&path).unwrap();
+        fs::write(dir.join(segment_file_name(1)), &header[..11]).unwrap();
+        assert!(read_log(&StdVfs, &dir).is_err());
         fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -430,6 +430,70 @@ fn successful_checkpoint_promotes_degraded_service_back_to_healthy() {
 }
 
 #[test]
+fn a_promotion_cut_short_mid_header_reopens_from_its_checkpoint() {
+    // The promotion checkpoint lands and removes every segment, then
+    // `ENOSPC` cuts the fresh segment's header: an empty segment file is
+    // all the log there is.  Reopening must recover from the image, not
+    // refuse the directory.
+    let world = World::facebook();
+    let ops = churn_ops(&world, 0x4E2, 32);
+    let (healthy, degraded) = ops.split_at(16);
+    for seed in 0..64 {
+        let dir = temp_dir("torn_header");
+        let vfs = FaultVfs::over_std(FaultSchedule::quiet(seed));
+        let (mut service, _) = open_faulted(&world, config(&world), &dir, &vfs).unwrap();
+        populate(&mut service, &world);
+        let mut model = world.model();
+        for op in healthy {
+            assert_eq!(service.apply(op), model.apply(op));
+        }
+        vfs.fail_permanently();
+        for op in degraded {
+            let response = service.apply(op);
+            if !response.is_rejected() {
+                assert_eq!(response, model.apply(op));
+            }
+        }
+        vfs.heal();
+        vfs.set_schedule(FaultSchedule {
+            seed,
+            enospc_per_mille: 500,
+            ..FaultSchedule::default()
+        });
+        let landed = service.checkpoint();
+        let segments: Vec<u64> = fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap())
+            .filter(|entry| entry.file_name().to_string_lossy().starts_with("wal-"))
+            .map(|entry| entry.metadata().unwrap().len())
+            .collect();
+        // This seed's faults fell elsewhere: the image did not land, or
+        // the promotion went through.
+        if landed.is_err() || !service.is_degraded() {
+            drop(service);
+            fs::remove_dir_all(&dir).unwrap();
+            continue;
+        }
+        assert_eq!(segments, [0], "the lone segment is the header-less one");
+        let seq = landed.unwrap();
+        drop(service);
+        vfs.set_schedule(FaultSchedule::quiet(seed));
+        let (mut recovered, report) = open_faulted(&world, config(&world), &dir, &vfs)
+            .expect("an intact checkpoint behind a torn header must reopen");
+        assert_eq!((report.checkpoint_seq, report.records_replayed), (seq, 0));
+        assert_agrees(
+            "reopened behind a torn header",
+            &mut recovered,
+            &model,
+            &world,
+        );
+        fs::remove_dir_all(&dir).unwrap();
+        return;
+    }
+    panic!("no seed cut the fresh segment's header after the image landed");
+}
+
+#[test]
 fn background_checkpointer_promotes_a_degraded_service() {
     let world = World::facebook();
     let ops = churn_ops(&world, 0xB66, 32);

@@ -1,6 +1,6 @@
 //! Property test: the structural (semi-join) fast path is a pure fast path.
 //!
-//! Interning classifies every query's hypergraph with GYO reduction
+//! `QueryInterner::classify` decides a query's hypergraph with GYO reduction
 //! (`fdc_cq::structure`): α-acyclic queries keep their join tree (ear
 //! ordering) and whole-body homomorphism questions about them are answered
 //! by a polynomial semi-join pass; cyclic queries fall back to the generic
@@ -136,7 +136,7 @@ proptest! {
             .map(|i| interner.intern(&tree_query(&catalog, atoms, seed + i)))
             .collect();
         for &id in &ids {
-            prop_assert_eq!(interner.shape_class(id), ShapeClass::Acyclic);
+            prop_assert_eq!(interner.classify(id), ShapeClass::Acyclic);
             let ears = interner.ear_steps(id).expect("acyclic query keeps its ears");
             prop_assert_eq!(ears.len(), interner.resolve(id).atoms.len());
         }
@@ -155,10 +155,10 @@ proptest! {
         let catalog = edge_catalog();
         let mut interner = QueryInterner::new();
         let cycle = interner.intern(&cycle_query(&catalog, len));
-        prop_assert_eq!(interner.shape_class(cycle), ShapeClass::Cyclic);
+        prop_assert_eq!(interner.classify(cycle), ShapeClass::Cyclic);
         prop_assert!(interner.ear_steps(cycle).is_none());
         let tree = interner.intern(&tree_query(&catalog, len, seed));
-        prop_assert_eq!(interner.shape_class(tree), ShapeClass::Acyclic);
+        prop_assert_eq!(interner.classify(tree), ShapeClass::Acyclic);
         let refs = [interner.resolve(cycle), interner.resolve(tree)];
         assert_pairwise_agreement(&refs);
     }
@@ -225,8 +225,8 @@ fn dispatch_counters_track_shape_class() {
     let mut interner = QueryInterner::new();
     let cycle = interner.intern(&cycle_query(&catalog, 4));
     let tree = interner.intern(&tree_query(&catalog, 4, 0x5EED));
-    assert_eq!(interner.shape_class(cycle), ShapeClass::Cyclic);
-    assert_eq!(interner.shape_class(tree), ShapeClass::Acyclic);
+    assert_eq!(interner.classify(cycle), ShapeClass::Cyclic);
+    assert_eq!(interner.classify(tree), ShapeClass::Acyclic);
     assert_eq!(interner.num_acyclic_queries(), 1);
 
     let before = structure::counters();
