@@ -18,7 +18,7 @@
 use std::collections::HashMap;
 
 use crate::atom::Atom;
-use crate::query::ConjunctiveQuery;
+use crate::query::{ConjunctiveQuery, VarTable};
 use crate::term::{Term, VarId, VarKind};
 
 /// Renumbers the variables of a query by order of first occurrence in the
@@ -26,7 +26,6 @@ use crate::term::{Term, VarId, VarKind};
 pub fn rename_canonical(query: &ConjunctiveQuery) -> ConjunctiveQuery {
     let mut mapping: HashMap<VarId, VarId> = HashMap::new();
     let mut kinds: Vec<VarKind> = Vec::new();
-    let mut names: Vec<String> = Vec::new();
 
     let mut atoms: Vec<Atom> = Vec::with_capacity(query.num_atoms());
     for atom in query.atoms() {
@@ -38,7 +37,6 @@ pub fn rename_canonical(query: &ConjunctiveQuery) -> ConjunctiveQuery {
                     let next_id = VarId(mapping.len() as u32);
                     let new_id = *mapping.entry(*v).or_insert_with(|| {
                         kinds.push(*kind);
-                        names.push(format!("x{}", next_id.0));
                         next_id
                     });
                     Term::Var(new_id, *kind)
@@ -49,7 +47,7 @@ pub fn rename_canonical(query: &ConjunctiveQuery) -> ConjunctiveQuery {
         atoms.push(Atom::new(atom.relation, terms));
     }
 
-    ConjunctiveQuery::from_parts(atoms, kinds, names)
+    ConjunctiveQuery::from_table(atoms, VarTable::numbered(kinds))
         .expect("renaming a valid query preserves validity")
 }
 

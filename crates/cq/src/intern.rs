@@ -90,7 +90,7 @@ use std::collections::HashMap;
 use crate::atom::Atom;
 use crate::catalog::RelId;
 use crate::error::Result;
-use crate::query::ConjunctiveQuery;
+use crate::query::{ConjunctiveQuery, VarTable};
 use crate::structure::{EarStep, ShapeClass};
 use crate::term::{Constant, Term, VarId, VarKind};
 
@@ -1282,8 +1282,7 @@ impl QueryInterner {
                 Atom::new(q.relation(i), terms)
             })
             .collect();
-        let names = (0..q.num_vars()).map(|i| format!("x{i}")).collect();
-        ConjunctiveQuery::from_parts(atoms, q.kinds.to_vec(), names)
+        ConjunctiveQuery::from_table(atoms, VarTable::numbered(q.kinds.to_vec()))
     }
 }
 

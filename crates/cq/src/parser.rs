@@ -19,9 +19,8 @@
 use crate::atom::Atom;
 use crate::catalog::Catalog;
 use crate::error::{CqError, Result};
-use crate::query::ConjunctiveQuery;
-use crate::term::{Constant, Term, VarId, VarKind};
-use std::collections::HashMap;
+use crate::query::{ConjunctiveQuery, VarTable};
+use crate::term::{Constant, Term, VarKind};
 
 /// Parses a conjunctive query in datalog notation against a catalog.
 ///
@@ -236,27 +235,17 @@ impl<'a> Parser<'a> {
         self.expect(&Token::Turnstile, "`:-`")?;
 
         // ---- body -----------------------------------------------------
-        let mut names: HashMap<String, VarId> = HashMap::new();
-        let mut var_names: Vec<String> = Vec::new();
-        let mut var_kinds: Vec<VarKind> = Vec::new();
-        let declare = |name: &str,
-                       names: &mut HashMap<String, VarId>,
-                       var_names: &mut Vec<String>,
-                       var_kinds: &mut Vec<VarKind>|
-         -> VarId {
-            if let Some(&v) = names.get(name) {
-                return v;
-            }
-            let id = VarId(var_names.len() as u32);
-            let kind = if head_vars.iter().any(|h| h == name) {
-                VarKind::Distinguished
-            } else {
-                VarKind::Existential
-            };
-            var_names.push(name.to_owned());
-            var_kinds.push(kind);
-            names.insert(name.to_owned(), id);
-            id
+        let mut vars = VarTable::default();
+        let mut occurrence = |name: &str| -> Term {
+            let id = vars.find(name).unwrap_or_else(|| {
+                let kind = if head_vars.iter().any(|h| h == name) {
+                    VarKind::Distinguished
+                } else {
+                    VarKind::Existential
+                };
+                vars.push(kind, name)
+            });
+            Term::Var(id, vars.kind(id))
         };
 
         let mut atoms: Vec<Atom> = Vec::new();
@@ -271,8 +260,7 @@ impl<'a> Parser<'a> {
                 loop {
                     match self.next_token() {
                         Some(Token::Ident(v)) => {
-                            let id = declare(&v, &mut names, &mut var_names, &mut var_kinds);
-                            terms.push(Term::Var(id, var_kinds[id.index()]));
+                            terms.push(occurrence(&v));
                         }
                         Some(Token::Str(s)) => terms.push(Term::Const(Constant::Str(s))),
                         Some(Token::Int(i)) => terms.push(Term::Const(Constant::Int(i))),
@@ -303,19 +291,19 @@ impl<'a> Parser<'a> {
 
         // Every head variable must appear in the body (safety).
         for h in &head_vars {
-            if !names.contains_key(h) {
+            if vars.find(h).is_none() {
                 return Err(CqError::UnsafeHeadVariable(h.clone()));
             }
         }
 
-        ConjunctiveQuery::from_parts(atoms, var_kinds, var_names)
+        ConjunctiveQuery::from_table(atoms, vars)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::term::VarKind;
+    use crate::term::{VarId, VarKind};
 
     fn catalog() -> Catalog {
         Catalog::paper_example()

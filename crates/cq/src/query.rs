@@ -3,12 +3,18 @@
 //! Section 5 of the paper works with "a modified representation of
 //! conjunctive queries where we associate each query with a list of its body
 //! atoms and discard the head", tagging each variable as *distinguished* or
-//! *existential*.  [`ConjunctiveQuery`] is exactly that representation, plus
-//! enough bookkeeping (variable names, head order) to pretty-print queries in
-//! the familiar `Q(x) :- R(x, y)` notation.
+//! *existential*.  [`ConjunctiveQuery`] is exactly that representation — the
+//! atoms plus one kind per variable — and what every algorithm reads.
+//!
+//! Variable names are display text only, kept so a query pretty-prints in
+//! the familiar `Q(x) :- R(x, y)` notation.  No labeling, decision or
+//! interning step reads them, so they are stored packed: all names back to
+//! back in one buffer plus their end offsets.  A query's variables cost at
+//! most three heap blocks (kinds, names, offsets) however many it has, and a
+//! clone copies those three blocks.
 
 use std::collections::HashMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 use crate::atom::Atom;
 use crate::catalog::{Catalog, RelId};
@@ -23,11 +29,149 @@ use crate::term::{Constant, Term, VarId, VarKind};
 /// * each variable has exactly one kind (recorded in the query and mirrored
 ///   by the tag on every occurrence);
 /// * the body is non-empty.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// Two queries are equal when their atoms, kinds and the list of their
+/// variable names are equal; the packed name buffer and its offsets together
+/// are that list, so `["ab", "c"]` and `["a", "bc"]` differ.
+#[derive(Clone, PartialEq, Eq, Hash)]
 pub struct ConjunctiveQuery {
     atoms: Vec<Atom>,
-    var_kinds: Vec<VarKind>,
-    var_names: Vec<String>,
+    var_kinds: Box<[VarKind]>,
+    /// Every variable's name, back to back in id order.
+    var_names: Box<str>,
+    /// `name_ends[i]` is where `VarId(i)`'s name ends in `var_names`; it
+    /// starts where the previous one ends.
+    name_ends: Box<[u32]>,
+}
+
+/// The name of variable `i` in a packed name table.
+fn packed_name<'a>(names: &'a str, ends: &[u32], i: usize) -> &'a str {
+    let start = if i == 0 { 0 } else { ends[i - 1] as usize };
+    &names[start..ends[i] as usize]
+}
+
+/// A query's variables while its constructor declares them: their kinds, and
+/// their names packed back to back as the finished query stores them, so
+/// building a query allocates no string per variable.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct VarTable {
+    kinds: Vec<VarKind>,
+    names: String,
+    ends: Vec<u32>,
+}
+
+impl VarTable {
+    /// A table of variables with these kinds and no names yet; `name_bytes`
+    /// is the room [`name_next`](Self::name_next) will need.
+    pub(crate) fn unnamed(kinds: Vec<VarKind>, name_bytes: usize) -> Self {
+        VarTable {
+            names: String::with_capacity(name_bytes),
+            ends: Vec::with_capacity(kinds.len()),
+            kinds,
+        }
+    }
+
+    /// One variable per kind, in order, named `x0, x1, …` — the synthetic
+    /// names of queries built from atoms alone.
+    pub(crate) fn numbered(kinds: Vec<VarKind>) -> Self {
+        let name_bytes = (0..kinds.len())
+            .map(|i| 2 + i.checked_ilog10().unwrap_or(0) as usize)
+            .sum();
+        let mut vars = VarTable::unnamed(kinds, name_bytes);
+        for i in 0..vars.len() {
+            write!(vars.names, "x{i}").expect("writing to a String cannot fail");
+            vars.end_name();
+        }
+        vars
+    }
+
+    /// A copy of `query`'s variables, to declare more after them.
+    pub(crate) fn of(query: &ConjunctiveQuery) -> Self {
+        VarTable {
+            kinds: query.var_kinds.to_vec(),
+            names: query.var_names.to_string(),
+            ends: query.name_ends.to_vec(),
+        }
+    }
+
+    /// Declares a new variable; returns its id.
+    pub(crate) fn push(&mut self, kind: VarKind, name: &str) -> VarId {
+        self.kinds.push(kind);
+        self.name_next(name);
+        VarId(self.len() as u32 - 1)
+    }
+
+    /// Names the first variable that has no name yet.
+    pub(crate) fn name_next(&mut self, name: &str) {
+        self.names.push_str(name);
+        self.end_name();
+    }
+
+    fn end_name(&mut self) {
+        debug_assert!(
+            self.ends.len() < self.kinds.len(),
+            "more names than variables"
+        );
+        let end = u32::try_from(self.names.len()).expect("a query's variable names fit in 4 GiB");
+        self.ends.push(end);
+    }
+
+    /// Number of declared variables.
+    pub(crate) fn len(&self) -> usize {
+        self.kinds.len()
+    }
+
+    /// The kind declared for `v`.
+    pub(crate) fn kind(&self, v: VarId) -> VarKind {
+        self.kinds[v.index()]
+    }
+
+    fn name(&self, v: VarId) -> &str {
+        packed_name(&self.names, &self.ends, v.index())
+    }
+
+    /// The variable declared as `name`, if any.  A linear scan: a query has
+    /// few variables, and their names sit in one buffer.
+    pub(crate) fn find(&self, name: &str) -> Option<VarId> {
+        (0..self.len() as u32)
+            .map(VarId)
+            .find(|&v| self.name(v) == name)
+    }
+
+    /// Checks `atoms` against the table: a non-empty body whose variables
+    /// are declared with the kinds they are tagged with, and — if
+    /// `every_var_used` — no declared variable missing from the body.
+    fn check(&self, atoms: &[Atom], every_var_used: bool) -> Result<()> {
+        if atoms.is_empty() {
+            return Err(CqError::EmptyBody);
+        }
+        let mut seen = vec![false; if every_var_used { self.len() } else { 0 }];
+        for atom in atoms {
+            for term in &atom.terms {
+                if let Term::Var(v, kind) = term {
+                    let Some(expected) = self.kinds.get(v.index()) else {
+                        return Err(CqError::ConflictingVariableKind(format!(
+                            "variable {v} is out of range"
+                        )));
+                    };
+                    if expected != kind {
+                        return Err(CqError::ConflictingVariableKind(self.name(*v).to_owned()));
+                    }
+                    if every_var_used {
+                        seen[v.index()] = true;
+                    }
+                }
+            }
+        }
+        if let Some(unused) = seen.iter().position(|s| !s) {
+            // A declared distinguished variable that never occurs in the body
+            // makes the query unsafe; an unused existential variable is just
+            // a builder bug.  Both are rejected.
+            let unused = VarId(unused as u32);
+            return Err(CqError::UnsafeHeadVariable(self.name(unused).to_owned()));
+        }
+        Ok(())
+    }
 }
 
 impl ConjunctiveQuery {
@@ -39,46 +183,17 @@ impl ConjunctiveQuery {
         var_kinds: Vec<VarKind>,
         var_names: Vec<String>,
     ) -> Result<Self> {
-        if atoms.is_empty() {
-            return Err(CqError::EmptyBody);
-        }
         assert_eq!(
             var_kinds.len(),
             var_names.len(),
             "var_kinds and var_names must describe the same variables"
         );
-        let mut seen = vec![false; var_kinds.len()];
-        for atom in &atoms {
-            for term in &atom.terms {
-                if let Term::Var(v, kind) = term {
-                    let Some(expected) = var_kinds.get(v.index()) else {
-                        return Err(CqError::ConflictingVariableKind(format!(
-                            "variable {v} is out of range"
-                        )));
-                    };
-                    if *expected != *kind {
-                        return Err(CqError::ConflictingVariableKind(
-                            var_names
-                                .get(v.index())
-                                .cloned()
-                                .unwrap_or_else(|| v.to_string()),
-                        ));
-                    }
-                    seen[v.index()] = true;
-                }
-            }
+        let name_bytes = var_names.iter().map(String::len).sum();
+        let mut vars = VarTable::unnamed(var_kinds, name_bytes);
+        for name in &var_names {
+            vars.name_next(name);
         }
-        if let Some(unused) = seen.iter().position(|s| !s) {
-            // A declared distinguished variable that never occurs in the body
-            // makes the query unsafe; an unused existential variable is just
-            // a builder bug.  Both are rejected.
-            return Err(CqError::UnsafeHeadVariable(var_names[unused].clone()));
-        }
-        Ok(ConjunctiveQuery {
-            atoms,
-            var_kinds,
-            var_names,
-        })
+        ConjunctiveQuery::from_table(atoms, vars)
     }
 
     /// Builds a query from atoms alone, inferring variable kinds from the
@@ -110,16 +225,31 @@ impl ConjunctiveQuery {
         }
         let n = max_var.map_or(0, |m| m as usize + 1);
         let mut var_kinds = Vec::with_capacity(n);
-        let mut var_names = Vec::with_capacity(n);
         for i in 0..n {
             let v = VarId(i as u32);
             let kind = kinds.get(&v).copied().ok_or_else(|| {
                 CqError::ConflictingVariableKind(format!("variable {v} has a gap in numbering"))
             })?;
             var_kinds.push(kind);
-            var_names.push(format!("x{i}"));
         }
-        ConjunctiveQuery::from_parts(atoms, var_kinds, var_names)
+        ConjunctiveQuery::from_table(atoms, VarTable::numbered(var_kinds))
+    }
+
+    /// Builds a query from atoms and the table its constructor declared the
+    /// variables in, validating the invariants.
+    pub(crate) fn from_table(atoms: Vec<Atom>, vars: VarTable) -> Result<Self> {
+        vars.check(&atoms, true)?;
+        Ok(ConjunctiveQuery::freeze(atoms, vars))
+    }
+
+    fn freeze(atoms: Vec<Atom>, vars: VarTable) -> Self {
+        debug_assert_eq!(vars.ends.len(), vars.kinds.len(), "every variable is named");
+        ConjunctiveQuery {
+            atoms,
+            var_kinds: vars.kinds.into_boxed_slice(),
+            var_names: vars.names.into_boxed_str(),
+            name_ends: vars.ends.into_boxed_slice(),
+        }
     }
 
     /// The body atoms.
@@ -157,7 +287,7 @@ impl ConjunctiveQuery {
     /// Panics if the variable does not belong to this query.
     #[inline]
     pub fn var_name(&self, v: VarId) -> &str {
-        &self.var_names[v.index()]
+        packed_name(&self.var_names, &self.name_ends, v.index())
     }
 
     /// All variable kinds, indexed by variable id.
@@ -272,44 +402,17 @@ impl ConjunctiveQuery {
         out
     }
 
-    /// Builds a query from parts without requiring every declared variable to
-    /// occur in the body.
+    /// Builds a query from atoms and a variable table without requiring
+    /// every declared variable to occur in the body.
     ///
     /// Used internally by the rewriting machinery: the *expansion* of a
     /// candidate rewriting lives in the variable space of the original query
     /// plus fresh existential variables, and some of the original query's
     /// existential variables may simply not occur in it.  Kind consistency is
     /// still enforced.
-    pub(crate) fn from_parts_allowing_unused(
-        atoms: Vec<Atom>,
-        var_kinds: Vec<VarKind>,
-        var_names: Vec<String>,
-    ) -> Result<Self> {
-        if atoms.is_empty() {
-            return Err(CqError::EmptyBody);
-        }
-        for atom in &atoms {
-            for term in &atom.terms {
-                if let Term::Var(v, kind) = term {
-                    match var_kinds.get(v.index()) {
-                        Some(expected) if expected == kind => {}
-                        _ => {
-                            return Err(CqError::ConflictingVariableKind(
-                                var_names
-                                    .get(v.index())
-                                    .cloned()
-                                    .unwrap_or_else(|| v.to_string()),
-                            ))
-                        }
-                    }
-                }
-            }
-        }
-        Ok(ConjunctiveQuery {
-            atoms,
-            var_kinds,
-            var_names,
-        })
+    pub(crate) fn from_table_allowing_unused(atoms: Vec<Atom>, vars: VarTable) -> Result<Self> {
+        vars.check(&atoms, false)?;
+        Ok(ConjunctiveQuery::freeze(atoms, vars))
     }
 
     /// Returns a copy of the query with a different set of atoms but the same
@@ -321,7 +424,23 @@ impl ConjunctiveQuery {
             atoms,
             var_kinds: self.var_kinds.clone(),
             var_names: self.var_names.clone(),
+            name_ends: self.name_ends.clone(),
         }
+    }
+}
+
+/// Prints the names as a list, not as the packed buffer and its offsets:
+/// `ConjunctiveQuery { atoms: [..], var_kinds: [..], var_names: [..] }`.
+impl fmt::Debug for ConjunctiveQuery {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let names: Vec<&str> = (0..self.num_vars())
+            .map(|i| self.var_name(VarId(i as u32)))
+            .collect();
+        f.debug_struct("ConjunctiveQuery")
+            .field("atoms", &self.atoms)
+            .field("var_kinds", &self.var_kinds)
+            .field("var_names", &names)
+            .finish()
     }
 }
 
@@ -418,9 +537,10 @@ impl From<i64> for Arg {
 #[derive(Debug, Default, Clone)]
 pub struct QueryBuilder {
     atoms: Vec<Atom>,
-    var_kinds: Vec<VarKind>,
-    var_names: Vec<String>,
-    names_index: HashMap<String, VarId>,
+    vars: VarTable,
+    /// The first variable re-declared with the other kind, reported by
+    /// [`build`](Self::build).
+    conflict: Option<VarId>,
 }
 
 impl QueryBuilder {
@@ -430,20 +550,19 @@ impl QueryBuilder {
     }
 
     fn declare(&mut self, name: &str, kind: VarKind) -> VarId {
-        if let Some(&existing) = self.names_index.get(name) {
-            // Re-declaring with the same kind returns the same variable; a
-            // conflicting re-declaration is reported at build() time by
-            // recording the stricter (distinguished) kind mismatch lazily.
-            // We keep the original kind; build() validation relies on atom
-            // tags so a caller who mixes kinds for one name will get a
-            // ConflictingVariableKind error.
-            return existing;
+        match self.vars.find(name) {
+            Some(existing) => {
+                // Re-declaring with the same kind returns the same variable.
+                // A re-declaration with the other kind also returns it, keeping
+                // the original kind, and makes build() fail with
+                // ConflictingVariableKind.
+                if self.vars.kind(existing) != kind && self.conflict.is_none() {
+                    self.conflict = Some(existing);
+                }
+                existing
+            }
+            None => self.vars.push(kind, name),
         }
-        let id = VarId(self.var_kinds.len() as u32);
-        self.var_kinds.push(kind);
-        self.var_names.push(name.to_owned());
-        self.names_index.insert(name.to_owned(), id);
-        id
     }
 
     /// Declares (or returns the existing) distinguished variable `name`.
@@ -458,7 +577,7 @@ impl QueryBuilder {
 
     /// Returns the kind currently recorded for a variable.
     pub fn kind_of(&self, v: VarId) -> VarKind {
-        self.var_kinds[v.index()]
+        self.vars.kind(v)
     }
 
     /// Appends a body atom.
@@ -469,7 +588,7 @@ impl QueryBuilder {
         let terms = args
             .into_iter()
             .map(|arg| match arg {
-                Arg::Var(v) => Term::Var(v, self.var_kinds[v.index()]),
+                Arg::Var(v) => Term::Var(v, self.vars.kind(v)),
                 Arg::Const(c) => Term::Const(c),
             })
             .collect();
@@ -478,8 +597,16 @@ impl QueryBuilder {
     }
 
     /// Finalizes the query.
+    ///
+    /// Fails with [`CqError::ConflictingVariableKind`] if a name was declared
+    /// both distinguished and existential.
     pub fn build(self) -> Result<ConjunctiveQuery> {
-        ConjunctiveQuery::from_parts(self.atoms, self.var_kinds, self.var_names)
+        if let Some(v) = self.conflict {
+            return Err(CqError::ConflictingVariableKind(
+                self.vars.name(v).to_owned(),
+            ));
+        }
+        ConjunctiveQuery::from_table(self.atoms, self.vars)
     }
 }
 
@@ -528,6 +655,78 @@ mod tests {
         let q = b.build().unwrap();
         assert_eq!(q.num_vars(), 1);
         assert!(q.atoms()[0].has_repeated_vars());
+    }
+
+    #[test]
+    fn builder_rejects_a_conflicting_redeclaration() {
+        let c = catalog();
+        let m = c.resolve("Meetings").unwrap();
+        for distinguished_first in [true, false] {
+            let mut b = QueryBuilder::new();
+            let (x, again) = if distinguished_first {
+                (b.dvar("x"), b.evar("x"))
+            } else {
+                (b.evar("x"), b.dvar("x"))
+            };
+            assert_eq!(x, again);
+            let y = b.evar("y");
+            b.atom(m, [x.into(), y.into()]);
+            b.atom(m, [again.into(), y.into()]);
+            assert_eq!(
+                b.build().unwrap_err(),
+                CqError::ConflictingVariableKind("x".into())
+            );
+        }
+    }
+
+    #[test]
+    fn name_boundaries_are_part_of_identity() {
+        use std::collections::hash_map::DefaultHasher;
+        use std::hash::{Hash, Hasher};
+
+        fn hash(q: &ConjunctiveQuery) -> u64 {
+            let mut h = DefaultHasher::new();
+            q.hash(&mut h);
+            h.finish()
+        }
+        let c = catalog();
+        let m = c.resolve("Meetings").unwrap();
+        let named = |a: &str, b: &str| {
+            ConjunctiveQuery::from_parts(
+                vec![Atom::new(m, vec![Term::dist(0), Term::exist(1)])],
+                vec![VarKind::Distinguished, VarKind::Existential],
+                vec![a.to_owned(), b.to_owned()],
+            )
+            .unwrap()
+        };
+        for ((a1, b1), (a2, b2)) in [(("ab", "c"), ("a", "bc")), (("", "a"), ("a", ""))] {
+            let (p, q) = (named(a1, b1), named(a2, b2));
+            assert_ne!(p, q, "{a1:?},{b1:?} vs {a2:?},{b2:?}");
+            assert_ne!(hash(&p), hash(&q));
+            assert_eq!((p.var_name(VarId(0)), p.var_name(VarId(1))), (a1, b1));
+            for same in [p.clone(), named(a1, b1)] {
+                assert_eq!(same, p);
+                assert_eq!(hash(&same), hash(&p));
+            }
+        }
+    }
+
+    #[test]
+    fn debug_lists_the_names() {
+        let c = catalog();
+        let m = c.resolve("Meetings").unwrap();
+        let q = ConjunctiveQuery::from_parts(
+            vec![Atom::new(m, vec![Term::dist(0), Term::exist(1)])],
+            vec![VarKind::Distinguished, VarKind::Existential],
+            vec!["x".to_owned(), "né".to_owned()],
+        )
+        .unwrap();
+        let debug = format!("{q:?}");
+        assert!(debug.starts_with("ConjunctiveQuery { atoms: ["), "{debug}");
+        assert!(
+            debug.ends_with(r#"var_kinds: [Distinguished, Existential], var_names: ["x", "né"] }"#),
+            "{debug}"
+        );
     }
 
     #[test]

@@ -34,7 +34,7 @@
 use crate::atom::Atom;
 use crate::containment::{equivalent_same_space, interned_equivalent_same_space};
 use crate::intern::{IAtom, ITerm, QueryRef};
-use crate::query::ConjunctiveQuery;
+use crate::query::{ConjunctiveQuery, VarTable};
 use crate::term::{Term, VarId, VarKind};
 
 /// Can the single-atom query `query` be answered by an equivalent rewriting
@@ -113,11 +113,7 @@ pub fn rewritable_from_single(query: &ConjunctiveQuery, view: &ConjunctiveQuery)
     // check classical equivalence with the query in the query's variable
     // space (extended with fresh existential variables for the positions the
     // view projects away).
-    let mut num_vars = query.num_vars();
-    let mut var_kinds: Vec<VarKind> = query.var_kinds().to_vec();
-    let mut var_names: Vec<String> = (0..num_vars)
-        .map(|i| query.var_name(VarId(i as u32)).to_owned())
-        .collect();
+    let mut vars = VarTable::of(query);
 
     // Existential variables of the view are renamed to fresh existential
     // variables of the expansion -- one fresh variable per *view variable*
@@ -135,11 +131,8 @@ pub fn rewritable_from_single(query: &ConjunctiveQuery, view: &ConjunctiveQuery)
             }
             Term::Var(v, VarKind::Existential) => {
                 let fresh = *fresh_for_view_var[v.index()].get_or_insert_with(|| {
-                    let id = VarId(num_vars as u32);
-                    num_vars += 1;
-                    var_kinds.push(VarKind::Existential);
-                    var_names.push(format!("_fresh{}", id.0));
-                    id
+                    let id = vars.len();
+                    vars.push(VarKind::Existential, &format!("_fresh{id}"))
                 });
                 expansion_terms.push(Term::Var(fresh, VarKind::Existential));
             }
@@ -148,8 +141,7 @@ pub fn rewritable_from_single(query: &ConjunctiveQuery, view: &ConjunctiveQuery)
     }
 
     let expansion_atom = Atom::new(q_atom.relation, expansion_terms);
-    let Ok(expansion) =
-        ConjunctiveQuery::from_parts_allowing_unused(vec![expansion_atom], var_kinds, var_names)
+    let Ok(expansion) = ConjunctiveQuery::from_table_allowing_unused(vec![expansion_atom], vars)
     else {
         // The expansion failed validation (e.g. a distinguished variable of
         // the query does not occur in it); then no rewriting exists.

@@ -5,7 +5,7 @@
 //! [`fdc_durability::codec`] primitives: encoding appends to a
 //! `Vec<u8>`, decoding reads through a [`Cursor`] and reports failures
 //! as [`CodecError`]s with byte offsets instead of panicking.  Decoded
-//! queries pass through [`ConjunctiveQuery::from_parts`], so a
+//! queries pass the checks of [`ConjunctiveQuery::from_parts`], so a
 //! checkpoint (or WAL record) can never materialize a query the
 //! constructor would have rejected.
 
@@ -14,7 +14,7 @@ use fdc_durability::codec::{put_i64, put_str, put_u32, put_u8, CodecError, Curso
 
 use crate::atom::Atom;
 use crate::catalog::{Catalog, RelId};
-use crate::query::ConjunctiveQuery;
+use crate::query::{ConjunctiveQuery, VarTable};
 use crate::term::{Constant, Term, VarId, VarKind};
 
 const CONST_INT: u8 = 0;
@@ -139,8 +139,8 @@ pub fn encode_query(query: &ConjunctiveQuery, out: &mut Vec<u8>) {
     }
 }
 
-/// Decodes a [`ConjunctiveQuery`], re-validating it through
-/// [`ConjunctiveQuery::from_parts`].
+/// Decodes a [`ConjunctiveQuery`], re-validating it as
+/// [`ConjunctiveQuery::from_parts`] does.
 pub fn decode_query(cursor: &mut Cursor<'_>) -> Result<ConjunctiveQuery, CodecError> {
     let start = cursor.pos();
     let num_vars = cursor.count(1)?;
@@ -148,9 +148,19 @@ pub fn decode_query(cursor: &mut Cursor<'_>) -> Result<ConjunctiveQuery, CodecEr
     for _ in 0..num_vars {
         kinds.push(read_var_kind(cursor)?);
     }
-    let mut names = Vec::with_capacity(num_vars);
+    // The names go straight into the query's packed table, sized by a first
+    // pass over their lengths.
+    let mut lengths = cursor.clone();
+    let mut name_bytes = 0;
     for _ in 0..num_vars {
-        names.push(cursor.str()?.to_owned());
+        name_bytes += lengths.bytes()?.len();
+    }
+    if u32::try_from(name_bytes).is_err() {
+        return Err(CodecError::invalid(start, "variable names exceed 4 GiB"));
+    }
+    let mut vars = VarTable::unnamed(kinds, name_bytes);
+    for _ in 0..num_vars {
+        vars.name_next(cursor.str()?);
     }
     let num_atoms = cursor.count(12)?;
     let mut atoms = Vec::with_capacity(num_atoms);
@@ -169,7 +179,8 @@ pub fn decode_query(cursor: &mut Cursor<'_>) -> Result<ConjunctiveQuery, CodecEr
                             format!("variable index {v} out of range ({num_vars} vars)"),
                         ));
                     }
-                    terms.push(Term::Var(VarId(v as u32), kinds[v]));
+                    let v = VarId(v as u32);
+                    terms.push(Term::Var(v, vars.kind(v)));
                 }
                 TERM_CONST => terms.push(Term::Const(read_constant(cursor)?)),
                 tag => {
@@ -179,7 +190,7 @@ pub fn decode_query(cursor: &mut Cursor<'_>) -> Result<ConjunctiveQuery, CodecEr
         }
         atoms.push(Atom::new(relation, terms));
     }
-    ConjunctiveQuery::from_parts(atoms, kinds, names)
+    ConjunctiveQuery::from_table(atoms, vars)
         .map_err(|err| CodecError::invalid(start, format!("invalid query: {err}")))
 }
 
@@ -219,6 +230,34 @@ mod tests {
             let back = decode_query(&mut cursor).unwrap();
             cursor.expect_end().unwrap();
             assert_eq!(back, query, "round trip changed {text}");
+        }
+        // Names are copied byte for byte, boundaries included.
+        let meetings = catalog.resolve("Meetings").unwrap();
+        for names in [
+            ["ab", "c"],
+            ["a", "bc"],
+            ["", "a"],
+            ["a", ""],
+            ["", ""],
+            ["é", "日本"],
+        ] {
+            let query = ConjunctiveQuery::from_parts(
+                vec![Atom::new(meetings, vec![Term::dist(0), Term::exist(1)])],
+                vec![VarKind::Distinguished, VarKind::Existential],
+                names.map(str::to_owned).to_vec(),
+            )
+            .unwrap();
+            let mut out = Vec::new();
+            encode_query(&query, &mut out);
+            let mut cursor = Cursor::new(&out);
+            let back = decode_query(&mut cursor).unwrap();
+            cursor.expect_end().unwrap();
+            assert_eq!(back, query, "round trip changed {names:?}");
+            assert_eq!(
+                [back.var_name(VarId(0)), back.var_name(VarId(1))],
+                names,
+                "round trip changed {names:?}"
+            );
         }
     }
 

@@ -87,8 +87,9 @@ pub fn put_bytes(out: &mut Vec<u8>, value: &[u8]) {
     out.extend_from_slice(value);
 }
 
-/// A bounds-checked, position-tracking reader over a byte slice.
-#[derive(Debug)]
+/// A bounds-checked, position-tracking reader over a byte slice.  A clone
+/// reads ahead without moving the original.
+#[derive(Debug, Clone)]
 pub struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,

@@ -1,7 +1,7 @@
 //! The per-thread counting global allocator of the allocation-pinning test
-//! binaries (`intern_alloc`, `request_alloc`), included by `#[path]` — each
-//! binary installs it for itself, which is why those suites are binaries of
-//! their own.  Counts are per thread, so the harness running tests in
+//! binaries (`intern_alloc`, `request_alloc`, `query_alloc`), included by
+//! `#[path]` — each binary installs it for itself, which is why those suites
+//! are binaries of their own.  Counts are per thread, so the harness running tests in
 //! parallel does not disturb them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
