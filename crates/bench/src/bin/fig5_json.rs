@@ -20,8 +20,10 @@ use std::time::Instant;
 
 use fdc_bench::{labeling_workload, LabelingWorkload, BATCH_SIZE};
 use fdc_core::QueryLabeler;
-use fdc_cq::containment::{interned_contained_in, interned_contained_in_generic};
-use fdc_cq::{structure, QueryId, QueryRef};
+use fdc_cq::containment::interned_contained_in;
+use fdc_cq::homomorphism::HeadPolicy;
+use fdc_cq::structure::{gyo_reduce, semi_join_homomorphism_into, EarStep};
+use fdc_cq::{QueryId, QueryRef};
 
 /// One labeler's measurement at one max-atoms setting.
 struct Measurement {
@@ -35,10 +37,10 @@ struct SweepPoint {
     results: Vec<Measurement>,
 }
 
-/// The structural fast-path section at one high max-atoms setting: cold
-/// labeling throughput through the semi-join dispatch, and the containment
-/// microkernel (all ordered pairs over the first `pairs_k` distinct shapes)
-/// through the dispatcher vs. the generic backtracking search.
+/// The structural section at one high max-atoms setting: cold labeling
+/// throughput, and the containment microkernel (all ordered pairs over the
+/// first `pairs_k` shapes) through the join-tree semi-join vs. the
+/// backtracking search.
 struct HighAtomsPoint {
     max_atoms: usize,
     interned_structural: f64,
@@ -100,23 +102,23 @@ fn main() {
         );
     }
 
-    // Structural fast-path section: the paper's sweep stops at 15 atoms,
-    // but the semi-join dispatch is aimed exactly at the atom counts above
-    // that ceiling, so the high-atoms series extends the axis to 20 and 28.
+    // Structural section: the paper's sweep stops at 15 atoms, but the
+    // semi-join test is aimed exactly at the atom counts above that
+    // ceiling, so the high-atoms series extends the axis to 20 and 28.
     let (high_sweep, high_repeats, pairs_k): (&[usize], usize, usize) = if smoke {
         (&[20], 1, 24)
     } else {
         (&[20, 28], 3, 40)
     };
-    println!("\nhigh atoms (structural dispatch): pairs_k={pairs_k} repeats={high_repeats}");
+    println!("\nhigh atoms (semi-join vs backtracking): pairs_k={pairs_k} repeats={high_repeats}");
     println!(
         "{:>9} | {:>16} | {:>18} | {:>18}",
         "max_atoms", "label_structural", "contain_structural", "contain_generic"
     );
     let mut high_points = Vec::new();
-    let mut acyclic_queries = 0usize;
+    let mut calls = KernelCalls::default();
     for &max_atoms in high_sweep {
-        let (point, acyclic) = measure_high_point(max_atoms, high_repeats, pairs_k);
+        let point = measure_high_point(max_atoms, high_repeats, pairs_k, &mut calls);
         println!(
             "{:>9} | {:>16.0} | {:>18.0} | {:>18.0}",
             max_atoms,
@@ -124,7 +126,6 @@ fn main() {
             point.containment_structural,
             point.containment_generic,
         );
-        acyclic_queries += acyclic;
         high_points.push(point);
     }
     let structural_speedup = high_points
@@ -141,16 +142,12 @@ fn main() {
         "containment via join-tree semi-joins vs generic backtracking: \
          {structural_speedup:.1}x (worst point)"
     );
-    // One deliberately cyclic shape: GYO gets stuck on the triangle, so the
-    // dispatcher must take the backtracking fallback — which both proves
-    // the conservative path end to end and guarantees the fallback counter
-    // is non-zero for the smoke assertions below.
-    exercise_cyclic_fallback();
-    let counters = structure::counters();
+    // One deliberately cyclic shape: GYO gets stuck on the triangle, so
+    // only the backtracking search can answer for it.
+    exercise_cyclic_fallback(&mut calls);
     println!(
-        "classification counters: acyclic_queries={acyclic_queries} \
-         structural_checks={} backtrack_fallbacks={}",
-        counters.structural_checks, counters.backtrack_fallbacks
+        "kernel calls: acyclic_queries={} structural_checks={} backtrack_fallbacks={}",
+        calls.acyclic_queries, calls.structural_checks, calls.backtrack_fallbacks
     );
     if smoke {
         assert!(
@@ -158,26 +155,13 @@ fn main() {
             "structural containment must not lose to generic backtracking \
              (got {structural_speedup:.2}x)"
         );
-        assert!(
-            acyclic_queries > 0,
-            "the workload must classify acyclic shapes"
-        );
-        assert!(
-            counters.structural_checks > 0,
-            "acyclic shapes must route through the semi-join fast path"
-        );
-        assert!(
-            counters.backtrack_fallbacks > 0,
-            "cyclic shapes must route through the backtracking fallback"
-        );
     }
 
     let high = HighAtomsSection {
         points: high_points,
         pairs_k,
         structural_speedup,
-        acyclic_queries,
-        counters,
+        calls,
     };
     let json = render_json(&points, threads, smoke, speedup, interned_speedup, &high);
     std::fs::write(&out_path, json).expect("failed to write the benchmark JSON");
@@ -189,21 +173,38 @@ struct HighAtomsSection {
     points: Vec<HighAtomsPoint>,
     pairs_k: usize,
     structural_speedup: f64,
-    acyclic_queries: usize,
-    counters: structure::StructureCounters,
+    calls: KernelCalls,
 }
 
-/// Measures the structural fast path at one high max-atoms setting.
+/// What the high-atoms kernel ran, counted at its own call sites — the
+/// JSON's `counters` block.
+#[derive(Default)]
+struct KernelCalls {
+    /// Pool entries `gyo_reduce` accepted.
+    acyclic_queries: usize,
+    /// `semi_join_homomorphism_into` calls.
+    structural_checks: u64,
+    /// Backtracking containment calls (`interned_contained_in`), the
+    /// triangle's included.
+    backtrack_fallbacks: u64,
+}
+
+/// Measures one high max-atoms setting.
 ///
 /// Cold labeling rebuilds the workload for every repeat so each timed run
-/// starts from an empty cache (the structural win is in the cold pipeline;
-/// warm lookups never run a homomorphism).  The containment
-/// kernel takes the first `pairs_k` distinct shapes of one workload and
-/// times all ordered containment pairs — through the dispatcher (every
-/// workload shape is acyclic, so this is the semi-join path) and through
-/// the generic backtracking search.  Returns the point plus the number of
-/// acyclic shapes the kernel workload's interner classified.
-fn measure_high_point(max_atoms: usize, repeats: usize, pairs_k: usize) -> (HighAtomsPoint, usize) {
+/// starts from an empty cache.  It runs no semi-join: labeling asks its
+/// homomorphism questions between single atoms and inside fold, so the
+/// `interned_structural` series is the cold pipeline at high atom counts.
+/// The containment kernel reduces each of `pairs_k` broom shapes once with
+/// `gyo_reduce` and times all ordered containment pairs — through the
+/// join-tree semi-join with that certificate and through the backtracking
+/// search of `interned_contained_in`.
+fn measure_high_point(
+    max_atoms: usize,
+    repeats: usize,
+    pairs_k: usize,
+    calls: &mut KernelCalls,
+) -> HighAtomsPoint {
     let mut label_structural = f64::INFINITY;
     for _ in 0..repeats.max(1) {
         let workload = labeling_workload(max_atoms, BATCH_SIZE);
@@ -219,14 +220,26 @@ fn measure_high_point(max_atoms: usize, repeats: usize, pairs_k: usize) -> (High
 
     let (interner, ids) = tree_pattern_pool(pairs_k, max_atoms, 0x5713 + max_atoms as u64);
     let refs: Vec<QueryRef<'_>> = ids.iter().map(|&id| interner.resolve(id)).collect();
+    let ears: Vec<Vec<EarStep>> = refs
+        .iter()
+        .map(|&q| gyo_reduce(q).expect("a broom is a tree"))
+        .collect();
+    calls.acyclic_queries += ears.len();
     let pairs = refs.len() * refs.len();
     let mut contain_structural = f64::INFINITY;
     let mut contain_generic = f64::INFINITY;
     for _ in 0..repeats.max(1) {
+        // `a ⊑ b` is a homomorphism from `b` into `a`.
         let start = Instant::now();
         for &a in &refs {
-            for &b in &refs {
-                std::hint::black_box(interned_contained_in(a, b));
+            for (&b, b_ears) in refs.iter().zip(&ears) {
+                std::hint::black_box(semi_join_homomorphism_into(
+                    b,
+                    b_ears,
+                    a.atoms,
+                    a,
+                    HeadPolicy::DistinguishedToDistinguished,
+                ));
             }
         }
         contain_structural = contain_structural.min(start.elapsed().as_secs_f64());
@@ -234,27 +247,26 @@ fn measure_high_point(max_atoms: usize, repeats: usize, pairs_k: usize) -> (High
         let start = Instant::now();
         for &a in &refs {
             for &b in &refs {
-                std::hint::black_box(interned_contained_in_generic(a, b));
+                std::hint::black_box(interned_contained_in(a, b));
             }
         }
         contain_generic = contain_generic.min(start.elapsed().as_secs_f64());
+        calls.structural_checks += pairs as u64;
+        calls.backtrack_fallbacks += pairs as u64;
     }
-    let acyclic = interner.num_acyclic_queries();
-    let point = HighAtomsPoint {
+    HighAtomsPoint {
         max_atoms,
         interned_structural: BATCH_SIZE as f64 / label_structural.max(f64::MIN_POSITIVE),
         containment_structural: pairs as f64 / contain_structural.max(f64::MIN_POSITIVE),
         containment_generic: pairs as f64 / contain_generic.max(f64::MIN_POSITIVE),
-    };
-    (point, acyclic)
+    }
 }
 
 /// Builds the containment kernel's query pool: `count` deterministic
 /// **broom patterns** over a single ternary `Edge` relation — a
 /// distinguished root `v0` with `max_atoms / 3` independent depth-3 chains
 /// hanging off it, so every query has roughly `max_atoms` atoms and is a
-/// tree (hence acyclic).  Each is classified as it is interned, so the
-/// dispatcher finds its ears.
+/// tree (hence acyclic).
 ///
 /// Chain `c` is `Edge(v0, x_c, 'c0'), Edge(x_c, y_c, 'c<t2>'),
 /// Edge(y_c, z_c, 'c<t3>')` with `t2, t3` drawn from two constants, so
@@ -320,18 +332,14 @@ fn tree_pattern_pool(
             .expect("string write");
         }
         let query = fdc_cq::parser::parse_query(&catalog, &text).expect("generated broom parses");
-        let id = interner.intern(&query);
-        // Interning does not classify; the kernel wants the ears.
-        interner.classify(id);
-        ids.push(id);
+        ids.push(interner.intern(&query));
     }
     (interner, ids)
 }
 
 /// Runs one containment over a deliberately cyclic shape (the triangle):
-/// GYO reduction finds no ear, so the dispatcher takes the backtracking
-/// fallback and ticks `backtrack_fallbacks`.
-fn exercise_cyclic_fallback() {
+/// GYO reduction finds no ear, so only the backtracking search answers.
+fn exercise_cyclic_fallback(calls: &mut KernelCalls) {
     let mut catalog = fdc_cq::Catalog::new();
     catalog
         .add_relation("Edge", &["src", "dst"])
@@ -341,15 +349,10 @@ fn exercise_cyclic_fallback() {
             .expect("the triangle parses");
     let mut interner = fdc_cq::QueryInterner::new();
     let id = interner.intern(&triangle);
-    assert_eq!(
-        interner.classify(id),
-        structure::ShapeClass::Cyclic,
-        "the triangle must classify as cyclic"
-    );
-    std::hint::black_box(interned_contained_in(
-        interner.resolve(id),
-        interner.resolve(id),
-    ));
+    let triangle = interner.resolve(id);
+    assert!(gyo_reduce(triangle).is_none(), "the triangle is cyclic");
+    std::hint::black_box(interned_contained_in(triangle, triangle));
+    calls.backtrack_fallbacks += 1;
 }
 
 /// Measures every labeler on one workload; order matches the table header.
@@ -463,15 +466,15 @@ fn render_json(
     out.push_str("  \"counters\": {\n");
     out.push_str(&format!(
         "    \"acyclic_queries\": {},\n",
-        high.acyclic_queries
+        high.calls.acyclic_queries
     ));
     out.push_str(&format!(
         "    \"structural_checks\": {},\n",
-        high.counters.structural_checks
+        high.calls.structural_checks
     ));
     out.push_str(&format!(
         "    \"backtrack_fallbacks\": {}\n",
-        high.counters.backtrack_fallbacks
+        high.calls.backtrack_fallbacks
     ));
     out.push_str("  },\n");
     out.push_str("  \"high_atoms\": {\n");

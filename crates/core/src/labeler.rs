@@ -1286,7 +1286,7 @@ impl LabelerSnapshot {
     /// modulo the lane count, so a snapshot taken with fewer lanes than
     /// the pool has workers still works — wrapped lanes merely share a
     /// lane's stripe locks again).
-    pub fn lane_for(&self, ctx: &WorkerContext<'_>) -> usize {
+    pub fn lane_for(&self, ctx: &WorkerContext) -> usize {
         match ctx.worker_index() {
             Some(index) if self.overlays.len() > 1 => 1 + index % (self.overlays.len() - 1),
             _ => 0,

@@ -66,9 +66,7 @@ pub use labeler::{
     BaselineLabeler, BitVectorLabeler, CacheStats, CachedLabeler, HashPartitionedLabeler,
     LabelerSnapshot, QueryLabeler, SharedQueryInterner, DEFAULT_CACHE_CAPACITY,
 };
-pub use pool::{
-    EpochPin, PendingBatch, PoolStats, WorkerContext, WorkerPool, WORKER_QUEUE_CAPACITY,
-};
+pub use pool::{PendingBatch, PoolStats, WorkerContext, WorkerPool, WORKER_QUEUE_CAPACITY};
 pub use security_views::{
     SecurityViewId, SecurityViews, MAX_PACKED_VIEWS_PER_RELATION, MAX_VIEWS_PER_RELATION,
 };

@@ -19,14 +19,9 @@
 //! * dropping the pool drains the queues, parks no new work and joins every
 //!   worker thread.
 //!
-//! The pool also carries the **epoch plane** used for snapshot
-//! reclamation: a monotone global epoch ([`WorkerPool::advance_epoch`]) and
-//! one published-epoch slot per worker.  A task labeling through an epoch
-//! snapshot pins the snapshot's epoch ([`WorkerContext::pin`]) for its
-//! duration; a coordinator retires a superseded snapshot only once the
-//! minimum published epoch ([`WorkerPool::min_published_epoch`]) has moved
-//! past it — workers never observe a snapshot being drained out from under
-//! them.
+//! A batch's tasks are done once [`PendingBatch::wait`] returns, so a
+//! caller that hands them shared state (a labeling snapshot) may reclaim it
+//! right after the wait: the pool keeps no reader registry of its own.
 //!
 //! Everything here is safe Rust (`fdc-core` forbids `unsafe`): queues are
 //! `Mutex<VecDeque>`s, parking is a `Condvar` guarded by a generation
@@ -45,13 +40,9 @@ use std::thread::JoinHandle;
 /// backpressure instead of unbounded buffering.
 pub const WORKER_QUEUE_CAPACITY: usize = 256;
 
-/// Sentinel published by a worker that is not currently reading any epoch
-/// snapshot.
-const EPOCH_IDLE: u64 = u64::MAX;
-
 /// A queued unit of work.  Boxed `FnOnce` receiving the executing worker's
-/// context (for epoch pinning).
-type Task = Box<dyn FnOnce(&WorkerContext<'_>) + Send + 'static>;
+/// context (its lane).
+type Task = Box<dyn FnOnce(&WorkerContext) + Send + 'static>;
 
 /// Parking state: a generation counter bumped on every push (so a worker
 /// that scanned empty queues can detect a racing push before sleeping) and
@@ -65,10 +56,6 @@ struct Shared {
     queues: Vec<Mutex<VecDeque<Task>>>,
     idle: Mutex<Idle>,
     work_ready: Condvar,
-    /// The epoch plane: the current global epoch and the epoch each worker
-    /// is reading right now ([`EPOCH_IDLE`] when it is not).
-    global_epoch: AtomicU64,
-    published: Vec<AtomicU64>,
     /// Round-robin cursor distributing pushes across the queues.
     next_queue: AtomicUsize,
     tasks_run: Vec<AtomicU64>,
@@ -84,9 +71,8 @@ fn lock<'a, T>(mutex: &'a Mutex<T>) -> MutexGuard<'a, T> {
     mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// A persistent pool of thread-per-core workers with bounded queues,
-/// work-stealing and an epoch-publication plane.  See the
-/// [module docs](self) for the architecture.
+/// A persistent pool of thread-per-core workers with bounded queues and
+/// work-stealing.  See the [module docs](self) for the architecture.
 ///
 /// A pool built with `workers <= 1` spawns no threads at all: every batch
 /// runs inline on the submitting thread, so single-core hosts pay neither
@@ -124,45 +110,18 @@ pub struct PoolStats {
 }
 
 /// The executing worker's view of the pool, passed to every task: worker
-/// tasks can [`pin`](Self::pin) the epoch they are reading and learn
-/// [which worker lane](Self::worker_index) they run on.
-pub struct WorkerContext<'a> {
-    slot: Option<&'a AtomicU64>,
+/// tasks learn [which worker lane](Self::worker_index) they run on.
+pub struct WorkerContext {
     index: Option<usize>,
 }
 
-impl WorkerContext<'_> {
-    /// Publishes `epoch` as the epoch this worker is currently reading,
-    /// for the duration of the returned guard.  Tasks running inline on a
-    /// submitting thread have no published slot (the submitter reclaims
-    /// only between its own batches, so it can never race itself).
-    pub fn pin(&self, epoch: u64) -> EpochPin<'_> {
-        if let Some(slot) = self.slot {
-            slot.store(epoch, Ordering::Release);
-        }
-        EpochPin { slot: self.slot }
-    }
-
+impl WorkerContext {
     /// The index of the pool worker executing this task, or `None` when the
     /// task runs inline on the submitting thread (inline-only pools,
     /// single-task batches and full-queue backpressure).  Snapshot readers
     /// use it to select a private per-worker overlay lane.
     pub fn worker_index(&self) -> Option<usize> {
         self.index
-    }
-}
-
-/// Guard of a published epoch; dropping it returns the worker's slot to
-/// idle.  See [`WorkerContext::pin`].
-pub struct EpochPin<'a> {
-    slot: Option<&'a AtomicU64>,
-}
-
-impl Drop for EpochPin<'_> {
-    fn drop(&mut self) {
-        if let Some(slot) = self.slot {
-            slot.store(EPOCH_IDLE, Ordering::Release);
-        }
     }
 }
 
@@ -240,8 +199,6 @@ impl WorkerPool {
                 shutdown: false,
             }),
             work_ready: Condvar::new(),
-            global_epoch: AtomicU64::new(0),
-            published: (0..spawned).map(|_| AtomicU64::new(EPOCH_IDLE)).collect(),
             next_queue: AtomicUsize::new(0),
             tasks_run: (0..spawned).map(|_| AtomicU64::new(0)).collect(),
             tasks_inline: AtomicU64::new(0),
@@ -284,29 +241,6 @@ impl WorkerPool {
         }
     }
 
-    /// The current global epoch of the pool's reclamation plane.
-    pub fn current_epoch(&self) -> u64 {
-        self.shared.global_epoch.load(Ordering::Acquire)
-    }
-
-    /// Advances the global epoch and returns the new value — called by a
-    /// coordinator when it installs a new snapshot generation.
-    pub fn advance_epoch(&self) -> u64 {
-        self.shared.global_epoch.fetch_add(1, Ordering::AcqRel) + 1
-    }
-
-    /// The minimum epoch any worker is currently reading, or `None` when
-    /// every worker is idle.  A snapshot of epoch `e` is safe to reclaim
-    /// once `min_published_epoch()` either is `None` or exceeds `e`.
-    pub fn min_published_epoch(&self) -> Option<u64> {
-        self.shared
-            .published
-            .iter()
-            .map(|slot| slot.load(Ordering::Acquire))
-            .filter(|&epoch| epoch != EPOCH_IDLE)
-            .min()
-    }
-
     /// Submits one task per input and returns a [`PendingBatch`] that
     /// yields the results in input order.  `f` is shared across the tasks;
     /// each task receives one owned input plus the executing worker's
@@ -318,7 +252,7 @@ impl WorkerPool {
     where
         I: Send + 'static,
         R: Send + 'static,
-        F: Fn(I, &WorkerContext<'_>) -> R + Send + Sync + 'static,
+        F: Fn(I, &WorkerContext) -> R + Send + Sync + 'static,
     {
         let total = inputs.len();
         let shared = Arc::new(BatchShared {
@@ -330,10 +264,7 @@ impl WorkerPool {
             done: Condvar::new(),
         });
         if self.handles.is_empty() || total <= 1 {
-            let ctx = WorkerContext {
-                slot: None,
-                index: None,
-            };
+            let ctx = WorkerContext { index: None };
             for (index, input) in inputs.into_iter().enumerate() {
                 self.shared.tasks_inline.fetch_add(1, Ordering::Relaxed);
                 shared.complete(index, catch_unwind(AssertUnwindSafe(|| f(input, &ctx))));
@@ -357,7 +288,7 @@ impl WorkerPool {
     where
         I: Send + 'static,
         R: Send + 'static,
-        F: Fn(I, &WorkerContext<'_>) -> R + Send + Sync + 'static,
+        F: Fn(I, &WorkerContext) -> R + Send + Sync + 'static,
     {
         self.submit(inputs, f).wait()
     }
@@ -385,10 +316,7 @@ impl WorkerPool {
         }
         // Every queue is at capacity: the submitter absorbs the overflow.
         self.shared.tasks_inline.fetch_add(1, Ordering::Relaxed);
-        let ctx = WorkerContext {
-            slot: None,
-            index: None,
-        };
+        let ctx = WorkerContext { index: None };
         (task.take().expect("task pushed at most once"))(&ctx);
     }
 
@@ -439,10 +367,7 @@ fn find_task(shared: &Shared, me: usize) -> Option<(Task, bool)> {
 }
 
 fn worker_loop(shared: &Shared, me: usize) {
-    let ctx = WorkerContext {
-        slot: Some(&shared.published[me]),
-        index: Some(me),
-    };
+    let ctx = WorkerContext { index: Some(me) };
     loop {
         // Read the work generation *before* scanning: a push that lands
         // after the scan bumps the generation, which the park below
@@ -539,22 +464,6 @@ mod tests {
         // serves new batches afterwards.
         assert_eq!(survived.load(Ordering::Relaxed), 63);
         assert_eq!(pool.run(vec![20, 22], |i, _ctx| i + 1), vec![21, 23]);
-    }
-
-    #[test]
-    fn epoch_pins_gate_the_minimum_published_epoch() {
-        let pool = WorkerPool::new(2);
-        assert_eq!(pool.current_epoch(), 0);
-        assert_eq!(pool.advance_epoch(), 1);
-        assert_eq!(pool.min_published_epoch(), None);
-        let observed = pool.run(vec![5u64, 6, 7, 8], |epoch, ctx| {
-            let _pin = ctx.pin(epoch);
-            epoch
-        });
-        assert_eq!(observed, vec![5, 6, 7, 8]);
-        // Every pin is dropped once the batch completes.
-        assert_eq!(pool.min_published_epoch(), None);
-        assert_eq!(pool.current_epoch(), 1);
     }
 
     #[test]

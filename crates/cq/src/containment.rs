@@ -70,17 +70,6 @@ pub fn interned_contained_in(q1: QueryRef<'_>, q2: QueryRef<'_>) -> bool {
     interned_homomorphism_exists(q2, q1, HeadPolicy::DistinguishedToDistinguished)
 }
 
-/// [`interned_contained_in`] restricted to the generic backtracking search,
-/// bypassing the semi-join fast path — the baseline the structural property
-/// suite compares dispatch against.
-pub fn interned_contained_in_generic(q1: QueryRef<'_>, q2: QueryRef<'_>) -> bool {
-    crate::homomorphism::interned_homomorphism_exists_generic(
-        q2,
-        q1,
-        HeadPolicy::DistinguishedToDistinguished,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

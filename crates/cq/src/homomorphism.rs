@@ -297,39 +297,20 @@ fn term_allowed(
 
 /// True if a homomorphism exists between two interned queries under the
 /// given policy — the [`homomorphism_exists`] of the flat
-/// [`QueryRef`] representation.
+/// [`QueryRef`] representation, decided by backtracking search.
 ///
 /// Both views must come from the same
 /// [`QueryInterner`](crate::intern::QueryInterner) (or buffers derived from
-/// it): constants are compared by interned id.  When `from` carries its GYO
-/// ear ordering (a query classified acyclic, resolved from the interner)
-/// the question is answered by the polynomial semi-join pass of
-/// [`structure`](crate::structure); cyclic and unclassified sources and
-/// temporaries without an ear ordering fall back to
-/// [`interned_homomorphism_exists_generic`].  Both paths return identical
-/// verdicts — the dispatch is a pure fast path.
+/// it): constants are compared by interned id.  A caller holding an
+/// acyclic source's GYO certificate can ask
+/// [`semi_join_homomorphism_into`](crate::structure::semi_join_homomorphism_into)
+/// instead; it returns the same verdict without backtracking.
 ///
 /// The target is always the whole body of `to` (containment, equivalence,
 /// rewriting).  Folding, the one caller that searches into a *subset* of a
 /// query's own atoms, has its own pre-bound entry into the backtracking
 /// search (see [`folding`](crate::folding)).
 pub fn interned_homomorphism_exists(
-    from: QueryRef<'_>,
-    to: QueryRef<'_>,
-    policy: HeadPolicy,
-) -> bool {
-    if let Some(ears) = from.ears {
-        crate::structure::note_structural_check();
-        return crate::structure::semi_join_homomorphism_into(from, ears, to.atoms, to, policy);
-    }
-    crate::structure::note_backtrack_fallback();
-    interned_homomorphism_exists_generic(from, to, policy)
-}
-
-/// [`interned_homomorphism_exists`] restricted to the generic backtracking
-/// search, ignoring any structural certificate — the complete baseline the
-/// property suite pins the semi-join fast path against.
-pub fn interned_homomorphism_exists_generic(
     from: QueryRef<'_>,
     to: QueryRef<'_>,
     policy: HeadPolicy,

@@ -65,19 +65,6 @@
 //! [`QueryInterner::intern_located`], which re-probes with the known hash
 //! (another writer may have got there first) instead of hashing again.
 //!
-//! # What entering the arena does not do: classify
-//!
-//! The structural side table ([`structure`](crate::structure)'s
-//! [`ShapeClass`] and GYO ear ordering) is filled **on request**, never on
-//! the admission path: a shape of more than one atom enters the arena
-//! unclassified — [`intern`](QueryInterner::intern), `intern_single_atom`
-//! and [`decode_from`](QueryInterner::decode_from) alike — and
-//! [`QueryInterner::classify`] runs the reduction once, for a caller that
-//! wants the semi-join fast path.  Labeling never reads a multi-atom
-//! shape's ears (folding and the single-atom rewriting checks do not
-//! dispatch on them), so first sight does not pay for them.  A single atom
-//! is classified as it enters: its one-step ear is free.
-//!
 //! # Who owns the interner?
 //!
 //! One interner per serving stack: `fdc_core::CachedLabeler` owns a shared
@@ -91,7 +78,6 @@ use crate::atom::Atom;
 use crate::catalog::RelId;
 use crate::error::Result;
 use crate::query::{ConjunctiveQuery, VarTable};
-use crate::structure::{EarStep, ShapeClass};
 use crate::term::{Constant, Term, VarId, VarKind};
 
 /// Dense identifier of an interned query.
@@ -203,13 +189,6 @@ pub struct QueryRef<'a> {
     pub terms: &'a [ITerm],
     /// Variable kinds, indexed by canonical variable index.
     pub kinds: &'a [VarKind],
-    /// The query's GYO ear ordering (join tree) when it is known to be
-    /// acyclic — attached by [`QueryInterner::resolve`] from the structural
-    /// side table, `None` for cyclic and not yet classified queries and for
-    /// temporary views assembled over local buffers.  Homomorphism dispatch
-    /// ([`interned_homomorphism_exists`](crate::homomorphism::interned_homomorphism_exists))
-    /// takes the semi-join fast path exactly when this is present.
-    pub ears: Option<&'a [EarStep]>,
 }
 
 impl<'a> QueryRef<'a> {
@@ -259,15 +238,10 @@ struct QuerySpan {
     num_vars: u32,
 }
 
-/// Structural facts about one interned query: its [`ShapeClass`] and the
-/// span of its GYO ear ordering within the `ears` arena once
-/// [`QueryInterner::classify`] has run (`class` is `None` before), and the
-/// span of its lazily computed fold (core) within the `fold_atoms` arena.
+/// The span of one interned query's lazily computed fold (core) within the
+/// `fold_atoms` arena.
 #[derive(Debug, Clone, Copy)]
 struct ShapeInfo {
-    class: Option<ShapeClass>,
-    ear_start: u32,
-    ear_len: u32,
     fold_start: u32,
     fold_len: u32,
     fold_cached: bool,
@@ -276,9 +250,6 @@ struct ShapeInfo {
 impl ShapeInfo {
     /// The entry of a query that has just entered the arena.
     const FRESH: ShapeInfo = ShapeInfo {
-        class: None,
-        ear_start: 0,
-        ear_len: 0,
         fold_start: 0,
         fold_len: 0,
         fold_cached: false,
@@ -525,17 +496,11 @@ pub struct QueryInterner {
     /// Number of single-atom queries interned so far (= the exclusive upper
     /// bound of the ordinal space).
     num_single_atom: u32,
-    /// Structural side table, indexed by `QueryId`: shape class plus spans
-    /// into the `ears` and `fold_atoms` arenas below.
+    /// Fold side table, indexed by `QueryId`: spans into `fold_atoms`.
     shapes: Vec<ShapeInfo>,
-    /// Arena of GYO ear orderings (join trees) of the classified acyclic
-    /// queries.
-    ears: Vec<EarStep>,
     /// Arena of fold (core) results: indices of the surviving atoms, filled
     /// lazily by [`core_atom_indices`](Self::core_atom_indices).
     fold_atoms: Vec<u32>,
-    /// Number of queries classified [`ShapeClass::Acyclic`] so far.
-    num_acyclic: u32,
 }
 
 impl QueryInterner {
@@ -609,7 +574,7 @@ impl QueryInterner {
         id
     }
 
-    /// The arena view of a query span, without the structural side table.
+    /// The arena view of a query span.
     fn span_ref(&self, span: QuerySpan) -> QueryRef<'_> {
         QueryRef {
             atoms: &self.atoms
@@ -617,7 +582,6 @@ impl QueryInterner {
             terms: &self.terms,
             kinds: &self.kinds
                 [span.kind_start as usize..(span.kind_start + span.num_vars) as usize],
-            ears: None,
         }
     }
 
@@ -707,9 +671,7 @@ impl QueryInterner {
     /// Enters the first query not yet indexed (the newest one, bar a
     /// decode) into every derived index: its `hash` into the dedup table
     /// (doubled first if that would fill it past half), its single-atom
-    /// ordinal, and a fresh structural entry.  Only a single atom is
-    /// classified on the spot — its one-step ear costs nothing; a larger
-    /// shape waits for [`classify`](Self::classify).
+    /// ordinal, and a fresh fold entry.
     fn index_newest(&mut self, hash: u64) {
         let id = QueryId(self.hashes.len() as u32);
         self.hashes.push(hash);
@@ -725,9 +687,6 @@ impl QueryInterner {
         let ordinal = self.next_ordinal(atom_len);
         self.atom_ordinals.push(ordinal);
         self.shapes.push(ShapeInfo::FRESH);
-        if atom_len <= 1 {
-            self.classify(id);
-        }
     }
 
     /// Puts query `index` into the first vacant slot of its probe chain.
@@ -798,50 +757,6 @@ impl QueryInterner {
             (_, Some(id)) => id,
             (hash, None) => self.append(operand, &numbering, hash),
         }
-    }
-
-    /// The structural class of interned query `id`, decided by GYO
-    /// reduction on the first call: the class and, for an acyclic shape,
-    /// its ear ordering (written straight into the `ears` arena) go into
-    /// the side table, every later call reads them back, and
-    /// [`resolve`](Self::resolve) attaches the ears from then on.
-    ///
-    /// No admission calls this — no serving path reads a multi-atom
-    /// shape's ears — so a shape pays for its reduction only when a caller
-    /// wants the semi-join fast path for it.  Single atoms are classified
-    /// as they enter the arena.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id was not issued by this interner.
-    pub fn classify(&mut self, id: QueryId) -> ShapeClass {
-        if let Some(class) = self.shapes[id.index()].class {
-            return class;
-        }
-        let span = self.queries[id.index()];
-        // Borrowed field by field (not through `span_ref`): the reduction
-        // appends to `self.ears` while it reads the query.
-        let query = QueryRef {
-            atoms: &self.atoms
-                [span.atom_start as usize..(span.atom_start + span.atom_len) as usize],
-            terms: &self.terms,
-            kinds: &self.kinds
-                [span.kind_start as usize..(span.kind_start + span.num_vars) as usize],
-            ears: None,
-        };
-        let ear_start = self.ears.len() as u32;
-        let class = if crate::structure::gyo_reduce_into(query, &mut self.ears) {
-            self.num_acyclic += 1;
-            ShapeClass::Acyclic
-        } else {
-            ShapeClass::Cyclic
-        };
-        let ear_len = self.ears.len() as u32 - ear_start;
-        let shape = &mut self.shapes[id.index()];
-        shape.class = Some(class);
-        shape.ear_start = ear_start;
-        shape.ear_len = ear_len;
-        class
     }
 
     /// Interns a query, returning its dense id.
@@ -936,55 +851,17 @@ impl QueryInterner {
             atoms: &[atom],
             terms,
             kinds,
-            ears: None,
         })
     }
 
-    /// Resolves an id to its zero-copy [`QueryRef`] view, with its ear
-    /// ordering attached if the query is classified acyclic.
+    /// Resolves an id to its zero-copy [`QueryRef`] view.
     ///
     /// # Panics
     ///
     /// Panics if the id was not issued by this interner.
     #[inline]
     pub fn resolve(&self, id: QueryId) -> QueryRef<'_> {
-        QueryRef {
-            ears: self.ear_steps(id),
-            ..self.span_ref(self.queries[id.index()])
-        }
-    }
-
-    /// The structural class of interned query `id`, `None` until
-    /// [`classify`](Self::classify) has decided it (single atoms are
-    /// decided as they enter the arena).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id was not issued by this interner.
-    #[inline]
-    pub fn shape_class(&self, id: QueryId) -> Option<ShapeClass> {
-        self.shapes[id.index()].class
-    }
-
-    /// The GYO ear ordering (join tree, children-first) of a query
-    /// classified acyclic; `None` if it is cyclic or not classified yet.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id was not issued by this interner.
-    #[inline]
-    pub fn ear_steps(&self, id: QueryId) -> Option<&[EarStep]> {
-        let shape = self.shapes[id.index()];
-        (shape.class == Some(ShapeClass::Acyclic)).then(|| {
-            &self.ears[shape.ear_start as usize..(shape.ear_start + shape.ear_len) as usize]
-        })
-    }
-
-    /// Number of interned queries classified [`ShapeClass::Acyclic`] so
-    /// far (every single atom, and the larger shapes
-    /// [`classify`](Self::classify) found acyclic).
-    pub fn num_acyclic_queries(&self) -> usize {
-        self.num_acyclic as usize
+        self.span_ref(self.queries[id.index()])
     }
 
     /// Indices of the atoms surviving folding — the query's core, in
@@ -1080,7 +957,7 @@ impl QueryInterner {
     /// Serializes the whole arena — constants, term buffer, atom spans,
     /// kind buffer, query spans — into `out` (the `fdc-cq` slice of a
     /// checkpoint).  The derived indexes (constant lookup, dedup
-    /// table, single-atom ordinals, the structural side table) are *not*
+    /// table, single-atom ordinals, the fold side table) are *not*
     /// written; decoding rebuilds them, so the format stays minimal and
     /// cannot go out of sync with itself.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
@@ -1127,9 +1004,8 @@ impl QueryInterner {
 
     /// Deserializes an arena written by [`encode_into`](Self::encode_into),
     /// rebuilding every derived index (constant lookup, dedup table,
-    /// single-atom ordinals, the structural side table — as
-    /// [`intern`](Self::intern) would leave it: single atoms classified,
-    /// larger shapes waiting for [`classify`](Self::classify)).  All spans are
+    /// single-atom ordinals, an empty fold side table) as
+    /// [`intern`](Self::intern) would leave it.  All spans are
     /// bounds-checked and every query is checked to be in canonical form
     /// (variable indices in range, tags agreeing with the kind buffer,
     /// first-occurrence numbering), so a corrupt checkpoint yields a
@@ -1208,8 +1084,8 @@ impl QueryInterner {
                 return Err(CodecError::invalid(at, "query span out of range"));
             }
             // Only a canonical entry can be found by its own lookup (anything
-            // else would silently mint duplicates), and the structural
-            // classification indexes per-variable tables by these indices.
+            // else would silently mint duplicates), and every search over a
+            // resolved query indexes per-variable tables by these indices.
             let query_atoms =
                 &atoms[span.atom_start as usize..(span.atom_start + span.atom_len) as usize];
             let query_kinds =
@@ -1256,9 +1132,7 @@ impl QueryInterner {
             atom_ordinals: Vec::with_capacity(num_queries),
             num_single_atom: 0,
             shapes: Vec::with_capacity(num_queries),
-            ears: Vec::new(),
             fold_atoms: Vec::new(),
-            num_acyclic: 0,
         };
         for index in 0..interner.queries.len() {
             let hash = interner.hash_interned(QueryId(index as u32));

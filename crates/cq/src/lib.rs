@@ -20,11 +20,10 @@
 //! * [`intern`] — the interned query plane: an arena-backed flat CQ
 //!   representation with dense [`QueryId`]s and a zero-copy [`QueryRef`]
 //!   view that the reasoning algorithms above also operate on directly.
-//! * [`structure`] — structural classification on request, never on the
-//!   admission path: GYO reduction decides α-acyclicity once per shape a
-//!   caller asks about ([`QueryInterner::classify`]), and acyclic queries
-//!   answer homomorphism questions with a polynomial semi-join pass over
-//!   their join tree instead of backtracking.
+//! * [`structure`] — GYO reduction (α-acyclicity and its join-tree
+//!   certificate) and the polynomial semi-join homomorphism test an acyclic
+//!   query's certificate unlocks.  Nothing dispatches to it: a caller that
+//!   wants the semi-join computes the certificate and brings it.
 //!
 //! The crate has no dependencies and is deliberately self-contained so that
 //! the labeling layer (`fdc-core`) and the policy layer (`fdc-policy`) can be

@@ -236,10 +236,6 @@ pub fn interned_rewritable_from_single(query: QueryRef<'_>, view: QueryRef<'_>) 
         atoms: std::slice::from_ref(&expansion_atom),
         terms: &terms,
         kinds: &kinds,
-        // A temporary over local buffers: no structural certificate, so
-        // homomorphisms *from* the expansion use the generic search (the
-        // direction from the interned query still takes its fast path).
-        ears: None,
     };
     interned_equivalent_same_space(expansion, query)
 }

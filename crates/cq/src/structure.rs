@@ -1,22 +1,19 @@
-//! Structural classification of conjunctive queries: acyclicity via GYO
-//! reduction, and the semi-join (Yannakakis-style) homomorphism fast path
-//! it unlocks.
+//! Structural algorithms for conjunctive queries: acyclicity via GYO
+//! reduction, and the semi-join (Yannakakis-style) homomorphism test its
+//! certificate unlocks.
 //!
 //! Homomorphism search is the innermost kernel under every containment,
-//! folding and rewriting call, and the generic backtracking search of
+//! folding and rewriting call, and the backtracking search of
 //! [`homomorphism`](crate::homomorphism) is worst-case exponential.  For
-//! **α-acyclic** queries a much better algorithm exists: classify the query's
+//! **α-acyclic** queries a much better algorithm exists: reduce the query's
 //! hypergraph once, keep the certificate (a join tree in ear-removal order),
-//! and answer every later homomorphism question with a linear pass of
-//! semi-joins over that tree.  The [`QueryInterner`](crate::intern) keeps
-//! the certificate, but runs the reduction **on request**
-//! ([`QueryInterner::classify`](crate::intern::QueryInterner::classify)),
-//! never on the admission path: labeling never reads a multi-atom shape's
-//! ears, so a shape seen once should not pay for them.  A caller that wants
-//! the fast path classifies the ids it will ask about — once per id; every
-//! later [`resolve`](crate::intern::QueryInterner::resolve) carries the
-//! ears.  Single atoms (every dissected part) are classified as they enter
-//! the arena; their one-step ear is free.
+//! and answer homomorphism questions with a linear pass of semi-joins over
+//! that tree.  Nothing in the crate dispatches here: the labeler asks
+//! homomorphism questions only between single atoms (the rewriting checks,
+//! where a one-step join tree buys nothing) and inside fold (which runs its
+//! own pre-bound search), so no certificate is stored anywhere.  A caller
+//! that wants the semi-join computes the certificate with [`gyo_reduce`] and
+//! brings it to [`semi_join_homomorphism_into`].
 //!
 //! # GYO reduction
 //!
@@ -27,8 +24,8 @@
 //! private to `e` are unconstrained).  The reduction repeatedly removes an
 //! ear until either a single edge remains — the query is acyclic, and the
 //! removal order with its witnesses forms a join tree — or no ear exists,
-//! in which case the query is cyclic and the generic backtracking search
-//! remains the complete decision procedure.
+//! in which case the query is cyclic and the backtracking search remains
+//! the complete decision procedure.
 //!
 //! [`gyo_reduce`] returns the removal order as [`EarStep`]s (`atom` removed
 //! with `parent` as witness; the final surviving atom carries
@@ -37,7 +34,7 @@
 //! tree **children before parents** — exactly the order the bottom-up
 //! semi-join pass needs.
 //!
-//! # The semi-join fast path
+//! # The semi-join test
 //!
 //! [`semi_join_homomorphism_into`] decides existence of a homomorphism from
 //! an acyclic query into a target atom set without backtracking: build the
@@ -49,33 +46,9 @@
 //! of the join tree: all constraints between atoms are variable equalities
 //! along tree edges, and the per-variable head-policy constraints are unary,
 //! so they fold into candidate generation.
-//!
-//! Dispatch lives in
-//! [`interned_homomorphism_exists`](crate::homomorphism::interned_homomorphism_exists):
-//! acyclic sources (a [`QueryRef`] resolved from the interner with its ear
-//! ordering attached — a classified acyclic shape) take the semi-join path,
-//! everything else (cyclic, not yet classified, temporaries) falls back to
-//! backtracking.  The process-wide [`counters`] record which path ran;
-//! benchmarks and the property suite reach the generic path for
-//! apples-to-apples comparisons by calling the `*_generic` entry points.
-
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::homomorphism::{interned_term_allowed, HeadPolicy};
 use crate::intern::{IAtom, ITerm, QueryRef};
-
-/// The structural class of an interned query, decided once, on request
-/// ([`QueryInterner::classify`](crate::intern::QueryInterner::classify)).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ShapeClass {
-    /// The query's hypergraph is α-acyclic: GYO reduction succeeded and the
-    /// interner keeps its join tree (ear ordering) for the semi-join fast
-    /// path.
-    Acyclic,
-    /// GYO reduction got stuck: the query has a cyclic core and homomorphism
-    /// questions about it use the generic backtracking search.
-    Cyclic,
-}
 
 /// Parent marker of the join-tree root (the last atom standing after GYO
 /// reduction).
@@ -101,29 +74,24 @@ pub struct EarStep {
 /// Returns the ear-removal order (a join tree in children-first order) if
 /// the query is α-acyclic, `None` if it is cyclic.  Queries with zero or one
 /// atom are trivially acyclic.
-pub fn gyo_reduce(query: QueryRef<'_>) -> Option<Vec<EarStep>> {
-    let mut steps = Vec::with_capacity(query.num_atoms());
-    gyo_reduce_into(query, &mut steps).then_some(steps)
-}
-
-/// [`gyo_reduce`] appending the ear-removal order to `steps` (the
-/// interner's ear arena); returns false, with `steps` as it was, if the
-/// query is cyclic.
 ///
 /// Only a variable occurring in at least two atoms can keep an atom from
 /// being an ear, so the reduction looks at each atom's *shared* variables
 /// alone, laid out once in a flat buffer.  At every step the ear and its
 /// witness are the first pair `(e, f)` in index order that qualifies — the
 /// order is part of the contract, the semi-join pass replays it.
-pub(crate) fn gyo_reduce_into(query: QueryRef<'_>, steps: &mut Vec<EarStep>) -> bool {
+pub fn gyo_reduce(query: QueryRef<'_>) -> Option<Vec<EarStep>> {
     let n = query.num_atoms();
     if n <= 1 {
         // Nothing to reduce: a lone atom (every dissected part) is the root.
-        steps.extend((0..n as u32).map(|atom| EarStep {
-            atom,
-            parent: NO_PARENT,
-        }));
-        return true;
+        return Some(
+            (0..n as u32)
+                .map(|atom| EarStep {
+                    atom,
+                    parent: NO_PARENT,
+                })
+                .collect(),
+        );
     }
     // `occ[v]`: in how many of the *remaining* atoms `v` occurs.  A count
     // of 1 makes `v` private to its atom, where it constrains nothing.
@@ -155,7 +123,7 @@ pub(crate) fn gyo_reduce_into(query: QueryRef<'_>, steps: &mut Vec<EarStep>) -> 
     starts.push(shared.len());
     let vars_of = |i: usize| &shared[starts[i]..starts[i + 1]];
 
-    let first_step = steps.len();
+    let mut steps = Vec::with_capacity(n);
     let mut alive = vec![true; n];
     for _ in 1..n {
         let ear = (0..n).filter(|&e| alive[e]).find_map(|e| {
@@ -168,10 +136,7 @@ pub(crate) fn gyo_reduce_into(query: QueryRef<'_>, steps: &mut Vec<EarStep>) -> 
                 })
                 .map(|f| (e, f))
         });
-        let Some((e, f)) = ear else {
-            steps.truncate(first_step);
-            return false;
-        };
+        let (e, f) = ear?;
         steps.push(EarStep {
             atom: e as u32,
             parent: f as u32,
@@ -186,16 +151,16 @@ pub(crate) fn gyo_reduce_into(query: QueryRef<'_>, steps: &mut Vec<EarStep>) -> 
         atom: root as u32,
         parent: NO_PARENT,
     });
-    true
+    Some(steps)
 }
 
 /// Decides existence of a homomorphism from the acyclic query `from` into
 /// `target_atoms` (interpreted in `to`'s term space) by bottom-up semi-joins
 /// over `from`'s join tree.
 ///
-/// `ears` must be the [`gyo_reduce`] certificate of `from` (the interner's
-/// side table provides it).  The verdict is exactly that of
-/// [`interned_homomorphism_exists_generic`](crate::homomorphism::interned_homomorphism_exists_generic)
+/// `ears` must be the [`gyo_reduce`] certificate of `from`.  The verdict is
+/// exactly that of
+/// [`interned_homomorphism_exists`](crate::homomorphism::interned_homomorphism_exists)
 /// on the same inputs (with `target_atoms` the whole body of `to`), for
 /// every [`HeadPolicy`]; the property suite pins the two against each other.
 pub fn semi_join_homomorphism_into(
@@ -296,44 +261,11 @@ pub fn semi_join_homomorphism_into(
     true
 }
 
-static STRUCTURAL_CHECKS: AtomicU64 = AtomicU64::new(0);
-static BACKTRACK_FALLBACKS: AtomicU64 = AtomicU64::new(0);
-
-/// Process-wide, monotonically increasing dispatch counters (read them
-/// before and after a region and subtract to attribute work to it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StructureCounters {
-    /// Homomorphism searches answered by the semi-join fast path.
-    pub structural_checks: u64,
-    /// Searches the dispatcher sent down the generic backtracking path
-    /// (cyclic or unclassified sources, or temporaries without an ear
-    /// ordering).
-    pub backtrack_fallbacks: u64,
-}
-
-/// Snapshot of the process-wide dispatch [`StructureCounters`].
-pub fn counters() -> StructureCounters {
-    StructureCounters {
-        structural_checks: STRUCTURAL_CHECKS.load(Ordering::Relaxed),
-        backtrack_fallbacks: BACKTRACK_FALLBACKS.load(Ordering::Relaxed),
-    }
-}
-
-#[inline]
-pub(crate) fn note_structural_check() {
-    STRUCTURAL_CHECKS.fetch_add(1, Ordering::Relaxed);
-}
-
-#[inline]
-pub(crate) fn note_backtrack_fallback() {
-    BACKTRACK_FALLBACKS.fetch_add(1, Ordering::Relaxed);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::catalog::Catalog;
-    use crate::homomorphism::interned_homomorphism_exists_generic;
+    use crate::homomorphism::interned_homomorphism_exists;
     use crate::intern::{QueryId, QueryInterner};
     use crate::parser::parse_query;
     use crate::query::ConjunctiveQuery;
@@ -437,7 +369,7 @@ mod tests {
                     let to = raw(&interner, ib);
                     assert_eq!(
                         semi_join_homomorphism_into(from, &ears, to.atoms, to, policy),
-                        interned_homomorphism_exists_generic(from, to, policy),
+                        interned_homomorphism_exists(from, to, policy),
                         "disagreement under {policy:?} on {ia:?} -> {ib:?}"
                     );
                 }
@@ -559,7 +491,6 @@ mod tests {
                 atoms: &atoms,
                 terms: &terms,
                 kinds: &kinds,
-                ears: None,
             };
             let expected = gyo_reduce_oracle(query);
             assert_eq!(
@@ -567,13 +498,6 @@ mod tests {
                 expected,
                 "round {round}: {atoms:?} {terms:?}"
             );
-            // Appending to a non-empty arena leaves what was there alone,
-            // whatever the verdict.
-            let sentinel = EarStep { atom: 7, parent: 7 };
-            let mut arena = vec![sentinel];
-            assert_eq!(gyo_reduce_into(query, &mut arena), expected.is_some());
-            assert_eq!(arena[0], sentinel);
-            assert_eq!(arena[1..], expected.clone().unwrap_or_default()[..]);
             match expected {
                 Some(_) => acyclic += 1,
                 None => cyclic += 1,
@@ -589,7 +513,6 @@ mod tests {
             atoms: &[],
             terms: &[],
             kinds: &[],
-            ears: None,
         };
         assert_eq!(gyo_reduce(query), Some(Vec::new()));
         assert!(semi_join_homomorphism_into(

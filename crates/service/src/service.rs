@@ -117,8 +117,9 @@ pub struct ParallelStats {
     pub queue_full_stalls: u64,
     /// Times a pool worker found every queue empty and parked.
     pub queue_empty_stalls: u64,
-    /// Epoch snapshots whose cache work was drained back into the live
-    /// labeler after the minimum published epoch passed them.
+    /// Serving snapshots whose cache work was drained back into the live
+    /// labeler, one per labeled segment, as soon as the segment's labeling
+    /// batch was joined.
     pub snapshots_reclaimed: u64,
 }
 
@@ -1464,14 +1465,13 @@ impl DisclosureService {
     /// * decisions, grants, revokes, history recording and audits apply to
     ///   the live store **at their stream position**, on the calling
     ///   thread;
-    /// * snapshots this run has stopped labeling through are reclaimed by
-    ///   **epoch**: each labeling batch pins the pool epoch it reads under,
-    ///   and once every worker has published past a snapshot's epoch its
-    ///   cache work is drained back into the shared striped tables
-    ///   (`CachedLabeler::retire_snapshot`), so warm state survives epochs
-    ///   without the coordinator blocking at the boundary.  The cache
-    ///   counters are racy here, and cache work an audit performs through
-    ///   an already-reclaimed snapshot is discarded with it.
+    /// * a segment's snapshot is reclaimed as soon as its labeling batch is
+    ///   joined — no worker reads it after that — by draining its cache
+    ///   work back into the shared striped tables
+    ///   (`CachedLabeler::retire_snapshot`), so warm state survives
+    ///   segment boundaries.  The cache counters are racy here, and cache
+    ///   work an audit performs through an already-reclaimed snapshot is
+    ///   discarded with it.
     ///
     /// Interned-id validity is judged against the shared interner, which
     /// only grows: every id obtained through [`intern`](Self::intern) /
@@ -1506,14 +1506,11 @@ impl DisclosureService {
         // snapshot: clone the admissions out of the stream (owned tasks —
         // interned ids are 8-byte copies, the hot serving path), chunk
         // them across the workers with more chunks than workers so
-        // stealing levels skewed segments, and pin every chunk's task to
-        // a fresh epoch so the coordinator can tell when the snapshot's
-        // last reader is gone.
+        // stealing levels skewed segments.
         let spawn_segment = |pool: &Arc<WorkerPool>,
                              snap: &Arc<LabelerSnapshot>,
                              range: Range<usize>|
-         -> (u64, PendingBatch<LabeledChunk>) {
-            let epoch = pool.advance_epoch();
+         -> PendingBatch<LabeledChunk> {
             let staged = stage_admissions(&ops[range.clone()], range.start);
             let chunk_len = staged
                 .len()
@@ -1521,30 +1518,19 @@ impl DisclosureService {
                 .max(1);
             let inputs = chunk_owned(staged, chunk_len);
             let snap = Arc::clone(snap);
-            let pending = pool.submit(inputs, move |chunk, ctx| {
-                let _pin = ctx.pin(epoch);
+            pool.submit(inputs, move |chunk, ctx| {
                 label_chunk(&snap, snap.lane_for(ctx), chunk, num_principals)
-            });
-            (epoch, pending)
+            })
         };
-        // Serving snapshots this run has stopped labeling through, oldest
-        // first, awaiting reclamation: each is drained back into the live
-        // labeler once every pool worker has published past its epoch
-        // (replacing the eager retire-after-join of the scoped-thread
-        // executor), with an unconditional drain at end of run — every
-        // batch has been waited on by then, so no worker still reads one.
-        let mut retired: Vec<(u64, Arc<LabelerSnapshot>)> = Vec::new();
         let mut snap = Arc::new(self.serving_snapshot());
         let mut inflight = Some(spawn_segment(&pool, &snap, segments[0].range.clone()));
         for s in 0..segments.len() {
-            let (epoch, pending) = inflight.take().expect("one labeling batch per segment");
+            let pending = inflight.take().expect("one labeling batch per segment");
             arena.clear();
             let labels = splice_chunks(pending.wait(), &mut arena);
-            // This segment's tasks have all unpinned `epoch`; queue its
-            // snapshot for reclamation and drain whichever retired
-            // snapshots the workers have provably moved past.
-            retired.push((epoch, Arc::clone(&snap)));
-            self.reclaim_retired(&pool, &mut retired, false);
+            // The join: no worker reads this segment's snapshot any more.
+            self.labeler.retire_snapshot(&snap);
+            self.parallel.snapshots_reclaimed += 1;
             // The boundary (an AddSecurityView) applies early: nothing in
             // the pass below reads the live registry — labels come from
             // the snapshot, audits and view-name resolution use the
@@ -1571,34 +1557,8 @@ impl DisclosureService {
             responses.extend(boundary);
         }
         self.parallel.segments_labeled += segments.len() as u64;
-        self.reclaim_retired(&pool, &mut retired, true);
         self.arena = arena;
         responses
-    }
-
-    /// Drains retired serving snapshots back into the live labeler,
-    /// oldest first, stopping at the first snapshot some pool worker may
-    /// still be reading: a snapshot is reclaimable once the minimum
-    /// published epoch has moved past the epoch its readers pinned (no
-    /// published epoch at all means every worker is idle).  `force`
-    /// drains unconditionally — the end-of-run barrier, valid because
-    /// every labeling batch has been waited on by then.
-    fn reclaim_retired(
-        &mut self,
-        pool: &WorkerPool,
-        retired: &mut Vec<(u64, Arc<LabelerSnapshot>)>,
-        force: bool,
-    ) {
-        let min = pool.min_published_epoch();
-        while let Some((epoch, _)) = retired.first() {
-            let passed = min.is_none_or(|min| *epoch < min);
-            if !(force || passed) {
-                break;
-            }
-            let (_, snap) = retired.remove(0);
-            self.labeler.retire_snapshot(&snap);
-            self.parallel.snapshots_reclaimed += 1;
-        }
     }
 
     /// Partitions the op stream at snapshot boundaries: the ops whose

@@ -17,25 +17,17 @@
 //! a hand-written shape pool covering constants, repeated variables and
 //! self-joins.
 //!
-//! Also pinned: structural classification is a property of the canonical
-//! query, computed **on request** — no admission path (`apply`,
-//! `run_pipelined` at one and four workers, a checkpointed reopen) runs GYO
-//! on a shape of more than one atom, and `classify` agrees with
-//! `structure::gyo_reduce`.
-
-#[path = "support/harness.rs"]
-mod harness;
+//! Also pinned: a resolved query's GYO reduction (`structure::gyo_reduce`)
+//! is a property of the canonical query, not of interner history.
 
 use fdc::cq::canonical::{rename_canonical, structurally_identical};
 use fdc::cq::containment::equivalent;
-use fdc::cq::intern::{QueryId, QueryInterner};
+use fdc::cq::intern::QueryInterner;
 use fdc::cq::parser::parse_query;
-use fdc::cq::structure::{gyo_reduce, ShapeClass};
+use fdc::cq::structure::gyo_reduce;
 use fdc::cq::{Atom, Catalog, ConjunctiveQuery, Constant, RelId, Term, VarId, VarKind};
 use fdc::durability::codec::Cursor;
 use fdc::ecosystem::{Ecosystem, WorkloadConfig};
-use fdc::policy::PrincipalId;
-use fdc::service::{DisclosureService, Operation};
 use proptest::prelude::*;
 
 /// One shared soundness check: interning `query` twice (once as given, once
@@ -175,7 +167,7 @@ proptest! {
         prop_assert!(interner.len() >= texts.len() - 1);
     }
 
-    /// Structural classification (GYO shape class and ear ordering) is a
+    /// GYO reduction of a resolved query (acyclicity and ear ordering) is a
     /// property of the canonical query, not of interner history: it must
     /// not change with insertion order, re-interning the same query, or a
     /// round trip through `to_query` into a fresh interner.
@@ -216,33 +208,24 @@ proptest! {
         for (i, text) in texts.iter().enumerate() {
             let a = natural_ids[i];
             let b = shuffled_ids[i].unwrap();
+            // Re-interning is a no-op...
+            prop_assert_eq!(natural.intern(&queries[i]), a);
+            let ears = gyo_reduce(natural.resolve(a));
             prop_assert_eq!(
-                natural.classify(a),
-                shuffled.classify(b),
-                "shape class changed with insertion order on {}",
-                text
-            );
-            prop_assert_eq!(
-                natural.ear_steps(a),
-                shuffled.ear_steps(b),
+                &ears,
+                &gyo_reduce(shuffled.resolve(b)),
                 "ear ordering changed with insertion order on {}",
                 text
             );
-            // Re-interning is a no-op on the classification...
-            prop_assert_eq!(natural.intern(&queries[i]), a);
-            // ...and a round trip through `to_query` re-derives it.
+            // ...and a round trip through `to_query` re-derives the same
+            // reduction.
             let mut fresh = QueryInterner::new();
             let again = fresh.intern(&natural.to_query(a));
-            prop_assert_eq!(natural.shape_class(a), Some(fresh.classify(again)));
-            prop_assert_eq!(natural.ear_steps(a), fresh.ear_steps(again));
-            // The classes themselves are as constructed: the last two
-            // shapes are the cycles.
-            let expected = if i >= texts.len() - 2 {
-                fdc::cq::structure::ShapeClass::Cyclic
-            } else {
-                fdc::cq::structure::ShapeClass::Acyclic
-            };
-            prop_assert_eq!(natural.shape_class(a), Some(expected), "on {}", text);
+            prop_assert_eq!(&ears, &gyo_reduce(fresh.resolve(again)));
+            // The split is as constructed: the last two shapes are the
+            // cycles.
+            let cyclic = i >= texts.len() - 2;
+            prop_assert_eq!(ears.is_none(), cyclic, "on {}", text);
         }
     }
 }
@@ -557,111 +540,4 @@ fn lookup_of_the_unknown_leaves_no_trace() {
         interner.lookup(&q("Q(a) :- Meetings(a, 'Cathy the intern')")),
         Some(known)
     );
-}
-
-// ---------------------------------------------------------------------
-// Admission never classifies: GYO runs on request (`classify`), not on a
-// shape's way into the arena — whichever path carried it there.
-// ---------------------------------------------------------------------
-
-/// Multi-atom shapes outside the harness world's pool: a path, a star with
-/// a constant, and the triangle (cyclic).
-const NEVER_SEEN: [&str; 3] = [
-    "Q(x, z) :- Meetings(x, y), Meetings(y, z)",
-    "Q(x) :- Meetings(x, y), Contacts(y, w, 'Manager'), Contacts(y, u, 9)",
-    "Q() :- Meetings(x, y), Meetings(y, z), Meetings(z, x)",
-];
-
-/// Every multi-atom id of `service`'s arena is unclassified — the
-/// never-seen shapes among them, interned by admission — and `classify`
-/// then gives each exactly `gyo_reduce`'s class and ears, a second time
-/// changes nothing, and the checkpoint image never sees any of it.
-fn assert_admission_left_unclassified(what: &str, service: &DisclosureService) {
-    let catalog = service.registry().catalog();
-    let shared = service.interner();
-    let mut interner = shared.write().unwrap();
-    for text in NEVER_SEEN {
-        let query = parse_query(catalog, text).unwrap();
-        assert!(
-            interner.lookup(&query).is_some(),
-            "{what}: admission interned {text}"
-        );
-    }
-    let multi: Vec<QueryId> = (0..interner.len() as u32)
-        .map(QueryId)
-        .filter(|&id| interner.resolve(id).num_atoms() > 1)
-        .collect();
-    assert!(multi.len() >= NEVER_SEEN.len(), "{what}");
-    for &id in &multi {
-        assert_eq!(interner.shape_class(id), None, "{what}: {id:?}");
-        assert_eq!(interner.resolve(id).ears, None, "{what}: {id:?}");
-    }
-    let before = image(&interner);
-    for &id in &multi {
-        let ears = gyo_reduce(interner.resolve(id));
-        let class = match ears {
-            Some(_) => ShapeClass::Acyclic,
-            None => ShapeClass::Cyclic,
-        };
-        for call in ["first", "second"] {
-            let acyclic = interner.num_acyclic_queries();
-            assert_eq!(interner.classify(id), class, "{what}: {call} {id:?}");
-            assert_eq!(interner.shape_class(id), Some(class), "{what}: {id:?}");
-            assert_eq!(interner.ear_steps(id), ears.as_deref(), "{what}: {id:?}");
-            assert_eq!(interner.resolve(id).ears, ears.as_deref(), "{what}: {id:?}");
-            let counted = usize::from(call == "first" && class == ShapeClass::Acyclic);
-            assert_eq!(interner.num_acyclic_queries(), acyclic + counted, "{what}");
-        }
-    }
-    assert_eq!(
-        image(&interner),
-        before,
-        "{what}: classification reached the image"
-    );
-}
-
-#[test]
-fn admission_never_classifies_a_multi_atom_shape() {
-    let world = harness::World::paper(2);
-    let ops: Vec<Operation> = NEVER_SEEN
-        .iter()
-        .enumerate()
-        .flat_map(|(i, text)| {
-            let query = parse_query(world.registry.catalog(), text).unwrap();
-            let principal = PrincipalId((i % world.policies.len()) as u32);
-            [
-                Operation::Check {
-                    principal,
-                    query: query.clone(),
-                },
-                Operation::Submit { principal, query },
-            ]
-        })
-        .collect();
-
-    let mut service = harness::build_service(&world, world.config(1, 1));
-    for op in &ops {
-        service.apply(op);
-    }
-    assert_admission_left_unclassified("apply", &service);
-    for workers in [1, 4] {
-        let mut service = harness::build_service(&world, world.config(workers, 1));
-        service.run_pipelined(&ops);
-        assert_admission_left_unclassified(&format!("run_pipelined x{workers}"), &service);
-    }
-
-    let config = world.config(1, 1);
-    let dir = harness::temp_dir("admission_classify");
-    let (mut service, _) = harness::reopen(&world, config, &dir);
-    harness::populate(&mut service, &world);
-    for op in &ops {
-        service.apply(op);
-    }
-    service.checkpoint().unwrap();
-    service.close().unwrap();
-    let (recovered, report) = harness::reopen(&world, config, &dir);
-    assert_eq!(report.records_replayed, 0, "the image covers the log");
-    assert_admission_left_unclassified("checkpointed reopen", &recovered);
-    recovered.close().unwrap();
-    std::fs::remove_dir_all(&dir).unwrap();
 }

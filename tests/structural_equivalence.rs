@@ -1,26 +1,25 @@
-//! Property test: the structural (semi-join) fast path is a pure fast path.
+//! Property test: the semi-join homomorphism test is exact.
 //!
-//! `QueryInterner::classify` decides a query's hypergraph with GYO reduction
-//! (`fdc_cq::structure`): α-acyclic queries keep their join tree (ear
-//! ordering) and whole-body homomorphism questions about them are answered
-//! by a polynomial semi-join pass; cyclic queries fall back to the generic
-//! backtracking search.  The dispatch claims to be *observationally
-//! invisible* — the same verdict as the generic search on every input, for
-//! every head policy.  This suite pins that claim over the adversarial
-//! regimes where the two searches behave most differently:
+//! `fdc_cq::structure::gyo_reduce` decides a query's hypergraph with GYO
+//! reduction and returns the join tree (ear ordering) of an α-acyclic
+//! query; `semi_join_homomorphism_into` answers a whole-body homomorphism
+//! question from that query with a polynomial pass over the tree.  Nothing
+//! dispatches between the two algorithms — a caller brings the certificate
+//! — so the claim pinned here is that the semi-join returns the verdict of
+//! the backtracking search (`interned_homomorphism_exists`) on every input,
+//! for every head policy, over the regimes where the two behave most
+//! differently:
 //!
 //! 1. **Self-join-heavy trees and brooms** over a single relation, where
-//!    the generic search branches across every same-relation atom and the
-//!    semi-join pass prunes by candidate retention.
+//!    the backtracking search branches across every same-relation atom and
+//!    the semi-join pass prunes by candidate retention.
 //! 2. **Deliberately cyclic queries** (cycles of length ≥ 3), which GYO
-//!    must classify as cyclic and route to the fallback.
+//!    must reject — the backtracking search is then the only decision
+//!    procedure, and acyclic sources are still checked against them.
 //! 3. **The paper's ecosystem workloads**, the realistic mixed regime.
 //!
 //! Labels are pinned too: all four labeler variants must agree on the
-//! structural pool, since labeling folds and rewriting checks run through
-//! the same dispatcher.  The dispatch toggle is never flipped here — tests
-//! run concurrently and the toggle is process-global; the generic twins
-//! (`*_generic`) provide the baseline instead.
+//! structural pool.
 
 use std::fmt::Write as _;
 
@@ -28,14 +27,11 @@ use fdc::core::{
     BaselineLabeler, BitVectorLabeler, CachedLabeler, HashPartitionedLabeler, QueryLabeler,
     SecurityViews,
 };
-use fdc::cq::containment::{interned_contained_in, interned_contained_in_generic};
-use fdc::cq::homomorphism::{
-    interned_homomorphism_exists, interned_homomorphism_exists_generic, HeadPolicy,
-};
+use fdc::cq::homomorphism::{interned_homomorphism_exists, HeadPolicy};
 use fdc::cq::intern::{QueryInterner, QueryRef};
 use fdc::cq::parser::parse_query;
-use fdc::cq::structure::ShapeClass;
-use fdc::cq::{structure, Catalog, ConjunctiveQuery};
+use fdc::cq::structure::{gyo_reduce, semi_join_homomorphism_into};
+use fdc::cq::{Catalog, ConjunctiveQuery};
 use fdc::ecosystem::{Ecosystem, WorkloadConfig};
 use proptest::prelude::*;
 
@@ -75,8 +71,7 @@ fn tree_query(catalog: &Catalog, atoms: usize, seed: u64) -> ConjunctiveQuery {
     parse_query(catalog, &text).expect("generated tree parses")
 }
 
-/// A cycle of length `len ≥ 3`: GYO reduction finds no ear, so the query
-/// must classify as cyclic.
+/// A cycle of length `len ≥ 3`: GYO reduction finds no ear.
 fn cycle_query(catalog: &Catalog, len: usize) -> ConjunctiveQuery {
     let len = len.max(3);
     let mut text = String::from("Q(x0) :- ");
@@ -91,40 +86,37 @@ fn cycle_query(catalog: &Catalog, len: usize) -> ConjunctiveQuery {
     parse_query(catalog, &text).expect("generated cycle parses")
 }
 
-/// Asserts the dispatcher and the generic search agree on every ordered
-/// pair of the pool — containment plus plain homomorphism existence under
-/// both cross-query head policies — and on the Identity self-homomorphism.
-fn assert_pairwise_agreement(refs: &[QueryRef<'_>]) {
+/// Asserts that, from every acyclic query of the pool into every query of
+/// it, the semi-join over the source's `gyo_reduce` certificate and the
+/// backtracking search agree under all three head policies.  Returns how
+/// many sources were acyclic.
+fn assert_pairwise_agreement(refs: &[QueryRef<'_>]) -> usize {
+    let mut acyclic = 0;
     for &a in refs {
+        let Some(ears) = gyo_reduce(a) else { continue };
+        acyclic += 1;
         for &b in refs {
-            prop_assert_eq!(
-                interned_contained_in(a, b),
-                interned_contained_in_generic(a, b),
-                "containment dispatch diverged from the generic search"
-            );
-            for policy in [HeadPolicy::DistinguishedToDistinguished, HeadPolicy::Free] {
-                prop_assert_eq!(
+            for policy in [
+                HeadPolicy::Identity,
+                HeadPolicy::DistinguishedToDistinguished,
+                HeadPolicy::Free,
+            ] {
+                assert_eq!(
+                    semi_join_homomorphism_into(a, &ears, b.atoms, b, policy),
                     interned_homomorphism_exists(a, b, policy),
-                    interned_homomorphism_exists_generic(a, b, policy),
-                    "homomorphism dispatch diverged under {:?}",
-                    policy
+                    "the semi-join diverged from the backtracking search under {policy:?}"
                 );
             }
         }
-        // Identity is only meaningful within one variable space.
-        prop_assert_eq!(
-            interned_homomorphism_exists(a, a, HeadPolicy::Identity),
-            interned_homomorphism_exists_generic(a, a, HeadPolicy::Identity),
-            "identity self-homomorphism dispatch diverged"
-        );
     }
+    acyclic
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Self-join-heavy trees classify acyclic, carry an ear ordering, and
-    /// the semi-join pass agrees with the generic search on every pair.
+    /// Self-join-heavy trees are acyclic, their certificate covers every
+    /// atom, and the semi-join agrees with backtracking on every pair.
     #[test]
     fn trees_classify_acyclic_and_dispatch_agrees(
         seed in 0u64..1_000_000,
@@ -135,18 +127,16 @@ proptest! {
         let ids: Vec<_> = (0..5)
             .map(|i| interner.intern(&tree_query(&catalog, atoms, seed + i)))
             .collect();
-        for &id in &ids {
-            prop_assert_eq!(interner.classify(id), ShapeClass::Acyclic);
-            let ears = interner.ear_steps(id).expect("acyclic query keeps its ears");
-            prop_assert_eq!(ears.len(), interner.resolve(id).atoms.len());
-        }
         let refs: Vec<_> = ids.iter().map(|&id| interner.resolve(id)).collect();
-        assert_pairwise_agreement(&refs);
+        for &query in &refs {
+            let ears = gyo_reduce(query).expect("a tree is acyclic");
+            prop_assert_eq!(ears.len(), query.atoms.len());
+        }
+        prop_assert_eq!(assert_pairwise_agreement(&refs), refs.len());
     }
 
-    /// Cycles classify cyclic (no ear ordering survives) and the fallback
-    /// still agrees with the generic search — including on mixed
-    /// cyclic-vs-acyclic pairs.
+    /// Cycles have no certificate, and a tree's semi-join into a cycle
+    /// still agrees with backtracking.
     #[test]
     fn cycles_classify_cyclic_and_fallback_agrees(
         seed in 0u64..1_000_000,
@@ -155,16 +145,14 @@ proptest! {
         let catalog = edge_catalog();
         let mut interner = QueryInterner::new();
         let cycle = interner.intern(&cycle_query(&catalog, len));
-        prop_assert_eq!(interner.classify(cycle), ShapeClass::Cyclic);
-        prop_assert!(interner.ear_steps(cycle).is_none());
         let tree = interner.intern(&tree_query(&catalog, len, seed));
-        prop_assert_eq!(interner.classify(tree), ShapeClass::Acyclic);
         let refs = [interner.resolve(cycle), interner.resolve(tree)];
-        assert_pairwise_agreement(&refs);
+        prop_assert!(gyo_reduce(refs[0]).is_none());
+        prop_assert_eq!(assert_pairwise_agreement(&refs), 1);
     }
 
     /// The paper's ecosystem workloads: the realistic mixed regime the
-    /// labelers actually see must dispatch identically too.
+    /// labelers actually see.
     #[test]
     fn ecosystem_workloads_dispatch_agrees(
         seed in 0u64..1_000_000,
@@ -176,12 +164,11 @@ proptest! {
         let mut interner = QueryInterner::new();
         let ids: Vec<_> = queries.iter().map(|q| interner.intern(q)).collect();
         let refs: Vec<_> = ids.iter().map(|&id| interner.resolve(id)).collect();
-        assert_pairwise_agreement(&refs);
+        prop_assert!(assert_pairwise_agreement(&refs) > 0);
     }
 
-    /// All four labeler variants agree on the structural pool — labeling
-    /// folds and rewriting checks run through the same dispatcher, so a
-    /// divergence there would surface as a label mismatch here.
+    /// All four labeler variants agree on the structural pool: trees,
+    /// brooms and a cycle fold and dissect to the same labels.
     #[test]
     fn labelers_agree_on_structural_pool(
         seed in 0u64..1_000_000,
@@ -213,40 +200,4 @@ proptest! {
             prop_assert_eq!(&reference, &cached.label_interned(id));
         }
     }
-}
-
-/// The dispatch counters move the right way: a cyclic containment ticks
-/// `backtrack_fallbacks`, an acyclic one ticks `structural_checks`.  The
-/// counters are process-global and other tests run concurrently, so only
-/// monotonic lower bounds are asserted.
-#[test]
-fn dispatch_counters_track_shape_class() {
-    let catalog = edge_catalog();
-    let mut interner = QueryInterner::new();
-    let cycle = interner.intern(&cycle_query(&catalog, 4));
-    let tree = interner.intern(&tree_query(&catalog, 4, 0x5EED));
-    assert_eq!(interner.classify(cycle), ShapeClass::Cyclic);
-    assert_eq!(interner.classify(tree), ShapeClass::Acyclic);
-    assert_eq!(interner.num_acyclic_queries(), 1);
-
-    let before = structure::counters();
-    std::hint::black_box(interned_contained_in(
-        interner.resolve(cycle),
-        interner.resolve(cycle),
-    ));
-    let mid = structure::counters();
-    assert!(
-        mid.backtrack_fallbacks > before.backtrack_fallbacks,
-        "a cyclic containment must tick the fallback counter"
-    );
-
-    std::hint::black_box(interned_contained_in(
-        interner.resolve(tree),
-        interner.resolve(tree),
-    ));
-    let after = structure::counters();
-    assert!(
-        after.structural_checks > mid.structural_checks,
-        "an acyclic containment must tick the structural counter"
-    );
 }
