@@ -7,8 +7,8 @@
 //! `ℓ⁺` computation, and shows how redundancy in the input query (duplicate
 //! atoms that folding must remove) affects it — for the boxed reference
 //! (`dissect_only`) and for what the service runs when it first sees a shape
-//! (`interned_first_sight`: intern + GYO classification + the rigidity fold +
-//! single-pass `dissect_interned`, into an interner that has never seen the
+//! (`interned_first_sight`: intern + the rigidity fold + the single-pass
+//! `dissect_interned` visitor, into an interner that has never seen the
 //! shape).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -73,7 +73,11 @@ fn ablation(c: &mut Criterion) {
                     let mut interner = QueryInterner::new();
                     for q in queries {
                         let id = interner.intern(q);
-                        black_box(dissect_interned(&mut interner, id));
+                        interner.core_atom_indices(id);
+                        let core = interner.cached_core(id).expect("recorded above");
+                        dissect_interned(interner.resolve(id), core, |part| {
+                            black_box(part);
+                        });
                     }
                 })
             },

@@ -21,8 +21,8 @@
 //! * fig5 — `min_speedup_interned_vs_cached` ≥ 1.5, and the high-atoms
 //!   structural block: `min_speedup_structural_vs_generic` ≥ 1.3 (join-tree
 //!   semi-join containment vs generic backtracking, worst sweep point) with
-//!   the `acyclic_queries` / `structural_checks` / `backtrack_fallbacks`
-//!   classification counters all non-zero;
+//!   the kernel's `acyclic_queries` / `structural_checks` /
+//!   `backtrack_fallbacks` call counters all non-zero;
 //! * fig6 — `interned` and `interned_packed` present at every sweep point
 //!   (`seed_store` present or `null`) and the packed headline
 //!   `min_speedup_interned_packed_vs_seed` ≥ 1.5;
@@ -320,9 +320,9 @@ fn check_fig5(path: &str, smoke: bool) -> Result<(), String> {
 
 /// The high-atoms structural block of fig5: the sweep extends past the
 /// regular axis (max_atoms 20, plus 28 in committed runs), every series is
-/// present and positive, the intern-time classification counters show the
-/// dispatcher actually ran both paths, and the semi-join containment
-/// headline clears its floor (1.3x committed, parity smoke).
+/// present and positive, the kernel's call counters show it ran both the
+/// semi-join and the backtracking containment, and the semi-join
+/// containment headline clears its floor (1.3x committed, parity smoke).
 fn check_fig5_high_atoms(doc: &Json, path: &str, smoke: bool) -> Result<(), String> {
     let high = doc
         .get("high_atoms")
@@ -354,9 +354,10 @@ fn check_fig5_high_atoms(doc: &Json, path: &str, smoke: bool) -> Result<(), Stri
             }
         }
     }
-    // The classification counters prove the run exercised the dispatcher:
-    // acyclic queries were classified, the semi-join path answered checks,
-    // and at least one cyclic query took the backtracking fallback.
+    // The call counters prove the kernel ran both searches: `gyo_reduce`
+    // accepted acyclic pool queries, the semi-join answered checks, and
+    // backtracking answered at least one containment (the cyclic one among
+    // them).
     let counters = doc
         .get("counters")
         .ok_or_else(|| format!("`{path}`: missing `counters` block"))?;
@@ -371,7 +372,7 @@ fn check_fig5_high_atoms(doc: &Json, path: &str, smoke: bool) -> Result<(), Stri
             .ok_or_else(|| format!("`{path}`: missing counter `{counter}`"))?;
         if value < 1.0 {
             return Err(format!(
-                "`{path}`: counter `{counter}` = {value} — the structural dispatch never ran"
+                "`{path}`: counter `{counter}` = {value} — the kernel never ran that search"
             ));
         }
     }
@@ -800,8 +801,8 @@ mod tests {
         let err = check_fig5(path.to_str().unwrap(), false).unwrap_err();
         assert!(err.contains("max_atoms 28"), "{err}");
         assert!(check_fig5(path.to_str().unwrap(), true).is_ok());
-        // A dispatcher that never took the cyclic fallback is a dead
-        // counter — the run did not exercise both paths.
+        // A kernel that never ran the backtracking containment leaves a
+        // dead counter — the run did not exercise both searches.
         std::fs::write(&path, render(1.43, 0, true)).unwrap();
         let err = check_fig5(path.to_str().unwrap(), false).unwrap_err();
         assert!(err.contains("`backtrack_fallbacks`"), "{err}");

@@ -17,8 +17,8 @@
 //! disclosure labeler (end of Section 5.2).
 
 use fdc_cq::folding::fold;
-use fdc_cq::intern::{ITerm, QueryId, QueryInterner};
-use fdc_cq::{Atom, ConjunctiveQuery, RelId, Term, VarId, VarKind};
+use fdc_cq::intern::{IAtom, ITerm, QueryRef};
+use fdc_cq::{Atom, ConjunctiveQuery, Term, VarId, VarKind};
 
 /// Dissects a conjunctive query into single-atom queries.
 ///
@@ -84,34 +84,30 @@ fn single_atom_query(
         .expect("a single atom extracted from a valid query is valid")
 }
 
-/// [`dissect`] over the interned query plane: dissects interned query `id`
-/// and **interns every resulting single-atom query**, returning their dense
-/// ids (with the part's base relation alongside, so callers need not resolve
-/// again just to route by relation).
+/// [`dissect`] over the interned query plane: hands `visit` each part of
+/// `query`, in core order, as a single-atom [`QueryRef`] — nothing is
+/// interned and no boxed query is materialized.
 ///
-/// Runs the same pipeline as [`dissect`] — fold, split, promote join
-/// variables — but entirely on the flat [`QueryRef`](fdc_cq::QueryRef)
-/// representation, so no boxed query is materialized.  Because interning is
-/// canonical, recurring atoms (the `Friend` join atoms the Section 7.2
-/// workload attaches to every friends-audience query) dissect to the *same*
-/// atom ids across query shapes, which is what lets the labeler's atom-level
-/// cache collapse to a plain indexed table.
+/// `core` is the query's fold: the indices of its surviving atoms in
+/// increasing order, as [`fold_interned_indices`] computes them (an
+/// interner records them with `QueryInterner::record_core`).  A single-atom
+/// query is its own only part and is handed over as it lies.
 ///
-/// The output parts are structurally identical (up to variable renaming) to
-/// those of [`dissect`] on the equivalent boxed query; the property tests
-/// assert the resulting labels agree.
-pub fn dissect_interned(interner: &mut QueryInterner, id: QueryId) -> Vec<(QueryId, RelId)> {
-    let query = interner.resolve(id);
+/// Each part is assembled in two buffers reused across the parts, so
+/// dissecting a multi-atom query allocates four scratch vectors however
+/// many parts it has.
+/// A part is in canonical form — variables numbered by first occurrence,
+/// join variables promoted to distinguished — and its constants are ids of
+/// the interner `query` was resolved from; it is structurally identical (up
+/// to variable renaming) to the corresponding part [`dissect`] returns for
+/// the equivalent boxed query.
+///
+/// [`fold_interned_indices`]: fdc_cq::folding::fold_interned_indices
+pub fn dissect_interned(query: QueryRef<'_>, core: &[u32], mut visit: impl FnMut(QueryRef<'_>)) {
     if query.is_single_atom() {
-        // A single-atom query is its own only part, already canonical.
-        return vec![(id, query.relation(0))];
+        visit(query);
+        return;
     }
-    // The fold comes from the interner's structural side table: it is
-    // computed (and memoized) on the first dissection of each shape, so
-    // re-dissections replay the core instead of re-running the NP-hard
-    // search.
-    let num_parts = interner.core_atom_indices(id).len();
-    let query = interner.resolve(id);
     let num_vars = query.num_vars();
 
     // `atoms_with[v]`: in how many surviving atoms `v` occurs — an
@@ -122,7 +118,7 @@ pub fn dissect_interned(interner: &mut QueryInterner, id: QueryId) -> Vec<(Query
     const UNSEEN: u32 = u32::MAX;
     let mut atoms_with = vec![0u32; num_vars];
     let mut local = vec![UNSEEN; num_vars];
-    for &i in interner.cached_core(id).expect("computed above") {
+    for &i in core {
         let terms = query.atom_terms(i as usize);
         for v in terms.iter().filter_map(|t| t.var_index()) {
             if local[v as usize] == UNSEEN {
@@ -135,15 +131,11 @@ pub fn dissect_interned(interner: &mut QueryInterner, id: QueryId) -> Vec<(Query
         }
     }
 
-    // One part at a time: assemble its terms and kinds in the two reused
-    // buffers (reading the arena), then intern it (growing the arena).
     let widest = query.atoms.iter().map(|a| a.arity()).max().unwrap_or(0);
-    let mut parts = Vec::with_capacity(num_parts);
     let mut terms: Vec<ITerm> = Vec::with_capacity(widest);
     let mut kinds: Vec<VarKind> = Vec::with_capacity(widest);
-    for k in 0..num_parts {
-        let query = interner.resolve(id);
-        let atom = interner.cached_core(id).expect("computed above")[k] as usize;
+    for &atom in core {
+        let atom = atom as usize;
         terms.clear();
         kinds.clear();
         for term in query.atom_terms(atom) {
@@ -167,18 +159,23 @@ pub fn dissect_interned(interner: &mut QueryInterner, id: QueryId) -> Vec<(Query
         for v in query.atom_terms(atom).iter().filter_map(|t| t.var_index()) {
             local[v as usize] = UNSEEN;
         }
-        let relation = query.relation(atom);
-        parts.push((
-            interner.intern_single_atom(relation, &terms, &kinds),
-            relation,
-        ));
+        let span = [IAtom {
+            relation: query.relation(atom),
+            term_start: 0,
+            term_len: terms.len() as u32,
+        }];
+        visit(QueryRef {
+            atoms: &span,
+            terms: &terms,
+            kinds: &kinds,
+        });
     }
-    parts
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fdc_cq::intern::QueryInterner;
     use fdc_cq::{parser::parse_query, Catalog};
 
     fn catalog() -> Catalog {
@@ -303,10 +300,33 @@ mod tests {
         }
     }
 
+    /// A dissected part as a boxed query, its constants read back from the
+    /// interner the dissected query lives in.
+    fn boxed_part(interner: &QueryInterner, part: QueryRef<'_>) -> ConjunctiveQuery {
+        assert!(part.is_single_atom());
+        let terms = part
+            .atom_terms(0)
+            .iter()
+            .map(|term| match *term {
+                ITerm::Var(v, kind) => Term::Var(VarId(v), kind),
+                ITerm::Const(c) => Term::Const(interner.constant(c).clone()),
+            })
+            .collect();
+        ConjunctiveQuery::from_parts(
+            vec![Atom::new(part.relation(0), terms)],
+            part.kinds.to_vec(),
+            (0..part.num_vars()).map(|v| format!("x{v}")).collect(),
+        )
+        .expect("a dissected part is a valid single-atom query")
+    }
+
     #[test]
     fn interned_dissection_matches_boxed_dissection() {
         let c = catalog();
         let mut interner = QueryInterner::new();
+        // The visited parts are interned here, to see that a second
+        // dissection hands over the same canonical parts.
+        let mut parts = QueryInterner::new();
         let inputs = [
             "Q1(x) :- Meetings(x, 'Cathy')",
             "Q2(x) :- Meetings(x, y), Contacts(y, w, 'Intern')",
@@ -320,20 +340,31 @@ mod tests {
             let query = q(&c, text);
             let boxed = dissect(&query);
             let id = interner.intern(&query);
-            let interned = dissect_interned(&mut interner, id);
+            let core = interner.core_atom_indices(id).to_vec();
+            let mut interned = Vec::new();
+            dissect_interned(interner.resolve(id), &core, |part| {
+                interned.push(boxed_part(&interner, part));
+            });
             assert_eq!(boxed.len(), interned.len(), "part count differs on {text}");
-            for (part, (part_id, relation)) in boxed.iter().zip(&interned) {
-                let back = interner.to_query(*part_id);
-                assert_eq!(part.atoms()[0].relation, *relation, "relation on {text}");
+            for (part, back) in boxed.iter().zip(&interned) {
+                assert_eq!(
+                    part.atoms()[0].relation,
+                    back.atoms()[0].relation,
+                    "relation on {text}"
+                );
                 assert!(
-                    fdc_cq::canonical::structurally_identical(part, &back),
+                    fdc_cq::canonical::structurally_identical(part, back),
                     "part differs on {text}: {part:?} vs {back:?}"
                 );
             }
-            // Dissecting again reuses the already-interned atom ids.
-            let before = interner.len();
-            assert_eq!(dissect_interned(&mut interner, id), interned);
-            assert_eq!(interner.len(), before);
+            let ids: Vec<_> = interned.iter().map(|part| parts.intern(part)).collect();
+            let before = parts.len();
+            let mut again = Vec::new();
+            dissect_interned(interner.resolve(id), &core, |part| {
+                again.push(parts.intern(&boxed_part(&interner, part)));
+            });
+            assert_eq!(again, ids, "a second dissection differs on {text}");
+            assert_eq!(parts.len(), before);
         }
     }
 

@@ -32,10 +32,11 @@
 //!   label representation of Section 6.1.
 //!
 //! A fourth variant, [`CachedLabeler`], goes beyond the paper: it owns a
-//! shared [`QueryInterner`](fdc_cq::intern::QueryInterner) and memoizes both
-//! the whole-query and the per-atom `ℓ⁺` step by dense interned
+//! shared [`QueryInterner`](fdc_cq::intern::QueryInterner) and memoizes
+//! whole-query labels by dense interned
 //! [`QueryId`](fdc_cq::intern::QueryId) (sharded slot vectors instead of
-//! hash maps).  Callers holding pre-interned ids label through
+//! hash maps); a miss computes each dissected part's `ℓ⁺` where the part
+//! lies, and keeps what a refresh of the part needs.  Callers holding pre-interned ids label through
 //! `CachedLabeler::label_interned` / `label_queries_interned` without
 //! touching a hash function at all; concurrent readers take a
 //! [`LabelerSnapshot`] and label through its private lanes on a

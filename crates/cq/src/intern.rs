@@ -58,8 +58,8 @@
 //!
 //! Only a miss touches anything else: `intern` then appends to the arena
 //! straight from the operand, minting [`ConstId`]s for constants it has not
-//! seen.  `intern`, `lookup` and [`QueryInterner::intern_single_atom`] are
-//! the same routine over two operand layouts (boxed and flat).  A caller
+//! seen.  `intern` and `lookup` are one routine, which also hashes the
+//! arena's own flat entries when a decode rebuilds the index.  A caller
 //! that looks up under a read lock and inserts under a write lock uses
 //! [`QueryInterner::locate`]: its miss carries the hash and numbering to
 //! [`QueryInterner::intern_located`], which re-probes with the known hash
@@ -268,8 +268,7 @@ enum OpTerm<'a> {
 
 /// A query the interner can hash, compare and append in place: the boxed
 /// [`ConjunctiveQuery`] of the front door, or a flat [`QueryRef`] (the
-/// single atoms `Dissect` emits, and the arena's own entries when the index
-/// is rebuilt after a decode).
+/// arena's own entries, hashed when the index is rebuilt after a decode).
 trait Operand {
     type Term;
     /// An upper bound on the operand's variable ids (exclusive).
@@ -487,15 +486,6 @@ pub struct QueryInterner {
     /// whose hash matches are still compared structurally against the
     /// arena.
     table: Vec<u32>,
-    /// Dense ordinal of each **single-atom** query within the single-atom
-    /// sub-space (`u32::MAX` for multi-atom queries), indexed by `QueryId`.
-    /// Lets id-keyed per-atom tables stay proportional to the number of
-    /// distinct atoms instead of the whole arena; see
-    /// [`single_atom_ordinal`](Self::single_atom_ordinal).
-    atom_ordinals: Vec<u32>,
-    /// Number of single-atom queries interned so far (= the exclusive upper
-    /// bound of the ordinal space).
-    num_single_atom: u32,
     /// Fold side table, indexed by `QueryId`: spans into `fold_atoms`.
     shapes: Vec<ShapeInfo>,
     /// Arena of fold (core) results: indices of the surviving atoms, filled
@@ -528,31 +518,6 @@ impl QueryInterner {
     /// Total number of terms in the arena (a capacity/footprint metric).
     pub fn num_terms(&self) -> usize {
         self.terms.len()
-    }
-
-    /// The dense ordinal of a **single-atom** query within the single-atom
-    /// sub-space (`None` for multi-atom queries).
-    ///
-    /// Ordinals are handed out consecutively from 0 as single-atom queries
-    /// are interned, so a table indexed by ordinal — e.g. the labeler's
-    /// per-atom `ℓ⁺` cache over the ids `dissect_interned` emits — stays
-    /// proportional to the number of distinct atoms, not to the whole
-    /// arena's id space.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id was not issued by this interner.
-    #[inline]
-    pub fn single_atom_ordinal(&self, id: QueryId) -> Option<u32> {
-        let ordinal = self.atom_ordinals[id.index()];
-        (ordinal != u32::MAX).then_some(ordinal)
-    }
-
-    /// Number of single-atom queries interned so far (the exclusive upper
-    /// bound of the [`single_atom_ordinal`](Self::single_atom_ordinal)
-    /// space).
-    pub fn num_single_atom_queries(&self) -> usize {
-        self.num_single_atom as usize
     }
 
     /// The constant behind an interned [`ConstId`].
@@ -633,9 +598,8 @@ impl QueryInterner {
         })
     }
 
-    /// The one lookup routine behind [`intern`](Self::intern),
-    /// [`locate`](Self::locate) and
-    /// [`intern_single_atom`](Self::intern_single_atom): hash the operand in
+    /// The one lookup routine behind [`intern`](Self::intern) and
+    /// [`locate`](Self::locate): hash the operand in
     /// place, probe the dedup table, and compare every candidate whose
     /// stored hash matches.  Returns the hash with the verdict so a miss can
     /// be appended without hashing again.
@@ -670,8 +634,8 @@ impl QueryInterner {
 
     /// Enters the first query not yet indexed (the newest one, bar a
     /// decode) into every derived index: its `hash` into the dedup table
-    /// (doubled first if that would fill it past half), its single-atom
-    /// ordinal, and a fresh fold entry.
+    /// (doubled first if that would fill it past half) and a fresh fold
+    /// entry.
     fn index_newest(&mut self, hash: u64) {
         let id = QueryId(self.hashes.len() as u32);
         self.hashes.push(hash);
@@ -683,9 +647,6 @@ impl QueryInterner {
             }
         }
         self.claim_slot(id.index());
-        let atom_len = self.queries[id.index()].atom_len;
-        let ordinal = self.next_ordinal(atom_len);
-        self.atom_ordinals.push(ordinal);
         self.shapes.push(ShapeInfo::FRESH);
     }
 
@@ -697,16 +658,6 @@ impl QueryInterner {
             slot = (slot + 1) & mask;
         }
         self.table[slot] = index as u32;
-    }
-
-    /// The single-atom ordinal of the next query to enter the arena.
-    fn next_ordinal(&mut self, atom_len: u32) -> u32 {
-        if atom_len != 1 {
-            return u32::MAX;
-        }
-        let ordinal = self.num_single_atom;
-        self.num_single_atom += 1;
-        ordinal
     }
 
     /// Miss path: appends `operand` to the arena straight from where it
@@ -815,45 +766,6 @@ impl QueryInterner {
         }
     }
 
-    /// Interns a single-atom query given directly in the flat representation
-    /// — the entry point for `Dissect`, whose output atoms are assembled
-    /// from an already-resolved [`QueryRef`].
-    ///
-    /// `terms` may use any dense variable numbering (it is re-canonicalized
-    /// here); its constants must be ids of **this** interner.  `kinds[v]` is
-    /// the kind of variable `v` under the input numbering.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a term references a variable outside `kinds`, carries a
-    /// tag other than `kinds[v]`, or names a constant not issued by this
-    /// interner.
-    pub fn intern_single_atom(
-        &mut self,
-        relation: RelId,
-        terms: &[ITerm],
-        kinds: &[VarKind],
-    ) -> QueryId {
-        for term in terms {
-            match *term {
-                ITerm::Var(v, kind) => {
-                    assert_eq!(kinds[v as usize], kind, "term tag disagrees with kinds[]")
-                }
-                ITerm::Const(c) => assert!(c.index() < self.consts.len(), "foreign constant id"),
-            }
-        }
-        let atom = IAtom {
-            relation,
-            term_start: 0,
-            term_len: terms.len() as u32,
-        };
-        self.intern_operand(&QueryRef {
-            atoms: &[atom],
-            terms,
-            kinds,
-        })
-    }
-
     /// Resolves an id to its zero-copy [`QueryRef`] view.
     ///
     /// # Panics
@@ -957,7 +869,7 @@ impl QueryInterner {
     /// Serializes the whole arena — constants, term buffer, atom spans,
     /// kind buffer, query spans — into `out` (the `fdc-cq` slice of a
     /// checkpoint).  The derived indexes (constant lookup, dedup
-    /// table, single-atom ordinals, the fold side table) are *not*
+    /// table, the fold side table) are *not*
     /// written; decoding rebuilds them, so the format stays minimal and
     /// cannot go out of sync with itself.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
@@ -1003,8 +915,8 @@ impl QueryInterner {
     }
 
     /// Deserializes an arena written by [`encode_into`](Self::encode_into),
-    /// rebuilding every derived index (constant lookup, dedup table,
-    /// single-atom ordinals, an empty fold side table) as
+    /// rebuilding every derived index (constant lookup, dedup table, an
+    /// empty fold side table) as
     /// [`intern`](Self::intern) would leave it.  All spans are
     /// bounds-checked and every query is checked to be in canonical form
     /// (variable indices in range, tags agreeing with the kind buffer,
@@ -1129,8 +1041,6 @@ impl QueryInterner {
             const_ids,
             hashes: Vec::with_capacity(num_queries),
             table: Vec::new(),
-            atom_ordinals: Vec::with_capacity(num_queries),
-            num_single_atom: 0,
             shapes: Vec::with_capacity(num_queries),
             fold_atoms: Vec::new(),
         };
@@ -1293,24 +1203,6 @@ mod tests {
     }
 
     #[test]
-    fn single_atom_ordinals_are_dense_within_their_subspace() {
-        let c = catalog();
-        let mut interner = QueryInterner::new();
-        let s0 = interner.intern(&q(&c, "Q(x) :- Meetings(x, y)"));
-        let m0 = interner.intern(&q(&c, "Q(x) :- Meetings(x, y), Contacts(y, w, 'Intern')"));
-        let s1 = interner.intern(&q(&c, "Q(x, y) :- Meetings(x, y)"));
-        let s2 = interner.intern(&q(&c, "Q(a, b, e) :- Contacts(a, b, e)"));
-        assert_eq!(interner.single_atom_ordinal(s0), Some(0));
-        assert_eq!(interner.single_atom_ordinal(m0), None);
-        assert_eq!(interner.single_atom_ordinal(s1), Some(1));
-        assert_eq!(interner.single_atom_ordinal(s2), Some(2));
-        assert_eq!(interner.num_single_atom_queries(), 3);
-        // Re-interning does not burn ordinals.
-        interner.intern(&q(&c, "Q(p, r) :- Meetings(p, r)"));
-        assert_eq!(interner.num_single_atom_queries(), 3);
-    }
-
-    #[test]
     fn encode_decode_round_trips_ids_and_dedup() {
         let c = catalog();
         let mut interner = QueryInterner::new();
@@ -1328,10 +1220,6 @@ mod tests {
         let mut back = QueryInterner::decode_from(&mut cursor).unwrap();
         cursor.expect_end().unwrap();
         assert_eq!(back.len(), interner.len());
-        assert_eq!(
-            back.num_single_atom_queries(),
-            interner.num_single_atom_queries()
-        );
         for (text, &id) in texts.iter().zip(&ids) {
             // Lookups land on the original ids (the dedup index is back)...
             assert_eq!(back.lookup(&q(&c, text)), Some(id), "{text}");
@@ -1342,10 +1230,6 @@ mod tests {
                 &interner.to_query(id),
                 &back.to_query(id)
             ));
-            assert_eq!(
-                back.single_atom_ordinal(id),
-                interner.single_atom_ordinal(id)
-            );
         }
         assert_eq!(back.len(), texts.len());
         // The decoded interner keeps growing normally.
@@ -1532,25 +1416,6 @@ mod tests {
             assert_eq!(back.intern(&q(&c, text)), QueryId(i as u32), "{text}");
         }
         assert_eq!(back.len(), texts.len());
-    }
-
-    #[test]
-    fn intern_single_atom_agrees_with_intern() {
-        let c = catalog();
-        let mut interner = QueryInterner::new();
-        let query = q(&c, "Q(x) :- Meetings(x, y)");
-        let id = interner.intern(&query);
-        // Re-intern the same atom from its resolved flat form, with a
-        // permuted (non-canonical) variable numbering.
-        let meetings = c.resolve("Meetings").unwrap();
-        let terms = [
-            ITerm::Var(1, VarKind::Distinguished),
-            ITerm::Var(0, VarKind::Existential),
-        ];
-        let kinds = [VarKind::Existential, VarKind::Distinguished];
-        let again = interner.intern_single_atom(meetings, &terms, &kinds);
-        assert_eq!(again, id);
-        assert_eq!(interner.len(), 1);
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //!   heap fallback of the numbering).
 //!
 //! `Dissect` over the flat representation is pinned the same way: once a
-//! shape's parts are known, dissecting it again costs a fixed handful of
-//! scratch allocations — two per-variable tables, two part buffers, the
-//! result — however many atoms or variables the shape has.
+//! shape's fold is on record, visiting its parts costs a fixed handful of
+//! scratch allocations — two per-variable tables and two part buffers —
+//! however many atoms or variables the shape has, and none at all for a
+//! single-atom query.
 //!
 //! Counts are per thread, so the harness running tests in parallel does not
 //! disturb them.
@@ -132,25 +133,26 @@ fn one_variable_past_the_capacity_costs_at_most_the_fallback_allocation() {
     assert!(intern <= 1, "intern allocated {intern} times");
 }
 
-/// What `dissect_interned` allocates on a shape whose parts are all interned
-/// already (by a first dissection), with the number of parts.
+/// What one `dissect_interned` pass allocates on a shape whose fold is on
+/// record, with the number of parts it visited.
 fn redissection_allocations(query: &ConjunctiveQuery) -> (usize, u64) {
     let mut interner = QueryInterner::new();
     let id = interner.intern(query);
-    let first = dissect_interned(&mut interner, id);
-    let shapes = interner.len();
-    let mut again = Vec::new();
+    interner.core_atom_indices(id);
+    let core = interner.cached_core(id).expect("recorded above");
+    let mut parts = 0;
     let count = allocations(|| {
-        again = black_box(dissect_interned(&mut interner, black_box(id)));
+        dissect_interned(black_box(interner.resolve(id)), core, |part| {
+            black_box(part);
+            parts += 1;
+        });
     });
-    assert_eq!(again, first);
-    assert_eq!(interner.len(), shapes);
-    (first.len(), count)
+    (parts, count)
 }
 
-/// The scratch of one dissection: `atoms_with`, `local`, `terms`, `kinds`
-/// and the returned parts.
-const DISSECT_SCRATCH: u64 = 5;
+/// The scratch of one dissection: `atoms_with`, `local`, `terms` and
+/// `kinds`.
+const DISSECT_SCRATCH: u64 = 4;
 
 #[test]
 fn dissecting_a_65_variable_shape_again_allocates_only_its_scratch() {
@@ -179,9 +181,9 @@ fn dissection_scratch_does_not_grow_with_the_number_of_parts() {
     assert_eq!(parts, 12);
     assert!(count <= DISSECT_SCRATCH, "{count} allocations");
 
-    // A single-atom query is its own only part: just the result vector.
+    // A single-atom query is its own only part: nothing to assemble.
     let single = ConjunctiveQuery::from_atoms(vec![atom(0)]).unwrap();
     let (parts, count) = redissection_allocations(&single);
     assert_eq!(parts, 1);
-    assert!(count <= 1, "{count} allocations");
+    assert_eq!(count, 0, "{count} allocations");
 }
