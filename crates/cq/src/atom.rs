@@ -11,14 +11,17 @@ use crate::term::{Term, VarId};
 pub struct Atom {
     /// The relation this atom refers to.
     pub relation: RelId,
-    /// Positional arguments.
-    pub terms: Vec<Term>,
+    /// Positional arguments, in one block of exactly their length.
+    pub terms: Box<[Term]>,
 }
 
 impl Atom {
     /// Builds an atom from a relation id and its arguments.
     pub fn new(relation: RelId, terms: Vec<Term>) -> Self {
-        Atom { relation, terms }
+        Atom {
+            relation,
+            terms: terms.into_boxed_slice(),
+        }
     }
 
     /// Number of arguments.

@@ -4,7 +4,7 @@
 //! Every hot path of the disclosure-control stack — cached labeling, the
 //! service's admission loop, the benchmark workloads — repeatedly moves the
 //! *same* query shapes around.  The boxed [`ConjunctiveQuery`] representation
-//! (`Vec<Atom>` of `Vec<Term>` with owned variable names) is convenient to
+//! (a `Vec<Atom>`, each atom's terms a boxed slice) is convenient to
 //! build and display but a poor cache key: it is scattered over the heap and
 //! its variable ids are arbitrary.
 //!

@@ -72,4 +72,4 @@ pub use database::{evaluate, Database};
 pub use error::{CqError, Result};
 pub use intern::{QueryId, QueryInterner, QueryRef};
 pub use query::ConjunctiveQuery;
-pub use term::{Constant, Term, VarId, VarKind};
+pub use term::{Constant, SmallStr, Term, VarId, VarKind};

@@ -12,7 +12,11 @@
 //! * The head determines which variables are *distinguished*; every other
 //!   variable is *existential*.
 //! * Body atoms are separated by `,` or `∧` (or `&`).
-//! * Constants are single- or double-quoted strings, or integers.
+//! * Constants are single- or double-quoted strings, or integers.  A string
+//!   runs to the next occurrence of its opening quote; there are no escapes,
+//!   so a text containing `'` is written in double quotes (as a query
+//!   displays it) and a text containing both quote characters has no form
+//!   in the grammar.
 //! * Bare identifiers are variables.
 //! * Relation names are resolved against a [`Catalog`]; arities are checked.
 
@@ -62,10 +66,12 @@ pub fn parse_program(catalog: &Catalog, input: &str) -> Result<Vec<(String, Conj
     Ok(out)
 }
 
-#[derive(Debug, Clone, PartialEq)]
-enum Token {
-    Ident(String),
-    Str(String),
+/// A token borrows its text from the input, so a string constant is copied
+/// once, straight into its term.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Token<'a> {
+    Ident(&'a str),
+    Str(&'a str),
     Int(i64),
     LParen,
     RParen,
@@ -76,7 +82,7 @@ enum Token {
 
 struct Parser<'a> {
     input: &'a str,
-    tokens: Vec<Token>,
+    tokens: Vec<Token<'a>>,
     pos: usize,
 }
 
@@ -117,20 +123,11 @@ impl<'a> Parser<'a> {
                     _ => return Err(self.err(format!("expected `:-` at byte {i}"))),
                 },
                 '\'' | '"' => {
-                    let quote = c;
-                    let mut s = String::new();
-                    let mut closed = false;
-                    for (_, c2) in chars.by_ref() {
-                        if c2 == quote {
-                            closed = true;
-                            break;
-                        }
-                        s.push(c2);
-                    }
-                    if !closed {
+                    let start = i + c.len_utf8();
+                    let Some((end, _)) = chars.by_ref().find(|&(_, c2)| c2 == c) else {
                         return Err(self.err("unterminated string constant"));
-                    }
-                    self.tokens.push(Token::Str(s));
+                    };
+                    self.tokens.push(Token::Str(&self.input[start..end]));
                 }
                 c if c.is_ascii_digit() || c == '-' => {
                     let mut s = String::new();
@@ -149,17 +146,16 @@ impl<'a> Parser<'a> {
                     self.tokens.push(Token::Int(value));
                 }
                 c if c.is_alphabetic() || c == '_' => {
-                    let mut s = String::new();
-                    s.push(c);
-                    while let Some((_, c2)) = chars.peek() {
-                        if c2.is_alphanumeric() || *c2 == '_' {
-                            s.push(*c2);
+                    let mut end = i + c.len_utf8();
+                    while let Some(&(j, c2)) = chars.peek() {
+                        if c2.is_alphanumeric() || c2 == '_' {
+                            end = j + c2.len_utf8();
                             chars.next();
                         } else {
                             break;
                         }
                     }
-                    self.tokens.push(Token::Ident(s));
+                    self.tokens.push(Token::Ident(&self.input[i..end]));
                 }
                 other => return Err(self.err(format!("unexpected character `{other}`"))),
             }
@@ -167,27 +163,27 @@ impl<'a> Parser<'a> {
         Ok(())
     }
 
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos)
+    fn peek(&self) -> Option<Token<'a>> {
+        self.tokens.get(self.pos).copied()
     }
 
-    fn next_token(&mut self) -> Option<Token> {
-        let t = self.tokens.get(self.pos).cloned();
+    fn next_token(&mut self) -> Option<Token<'a>> {
+        let t = self.peek();
         if t.is_some() {
             self.pos += 1;
         }
         t
     }
 
-    fn expect(&mut self, expected: &Token, what: &str) -> Result<()> {
+    fn expect(&mut self, expected: Token<'_>, what: &str) -> Result<()> {
         match self.next_token() {
-            Some(ref t) if t == expected => Ok(()),
+            Some(t) if t == expected => Ok(()),
             Some(t) => Err(self.err(format!("expected {what}, found {t:?}"))),
             None => Err(self.err(format!("expected {what}, found end of input"))),
         }
     }
 
-    fn expect_ident(&mut self, what: &str) -> Result<String> {
+    fn expect_ident(&mut self, what: &str) -> Result<&'a str> {
         match self.next_token() {
             Some(Token::Ident(s)) => Ok(s),
             Some(t) => Err(self.err(format!("expected {what}, found {t:?}"))),
@@ -200,7 +196,7 @@ impl<'a> Parser<'a> {
     fn peek_head_name(&mut self) -> Result<String> {
         self.tokenize()?;
         match self.tokens.first() {
-            Some(Token::Ident(s)) => Ok(s.clone()),
+            Some(&Token::Ident(s)) => Ok(s.to_owned()),
             _ => Err(self.err("expected a head predicate name")),
         }
     }
@@ -210,9 +206,9 @@ impl<'a> Parser<'a> {
 
         // ---- head -----------------------------------------------------
         let _head_name = self.expect_ident("a head predicate name")?;
-        self.expect(&Token::LParen, "`(`")?;
-        let mut head_vars: Vec<String> = Vec::new();
-        if self.peek() != Some(&Token::RParen) {
+        self.expect(Token::LParen, "`(`")?;
+        let mut head_vars: Vec<&str> = Vec::new();
+        if self.peek() != Some(Token::RParen) {
             loop {
                 match self.next_token() {
                     Some(Token::Ident(v)) => head_vars.push(v),
@@ -231,14 +227,14 @@ impl<'a> Parser<'a> {
                 }
             }
         }
-        self.expect(&Token::RParen, "`)` closing the head")?;
-        self.expect(&Token::Turnstile, "`:-`")?;
+        self.expect(Token::RParen, "`)` closing the head")?;
+        self.expect(Token::Turnstile, "`:-`")?;
 
         // ---- body -----------------------------------------------------
         let mut vars = VarTable::default();
         let mut occurrence = |name: &str| -> Term {
             let id = vars.find(name).unwrap_or_else(|| {
-                let kind = if head_vars.iter().any(|h| h == name) {
+                let kind = if head_vars.contains(&name) {
                     VarKind::Distinguished
                 } else {
                     VarKind::Existential
@@ -252,17 +248,17 @@ impl<'a> Parser<'a> {
         loop {
             let rel_name = self.expect_ident("a relation name")?;
             let relation = catalog
-                .resolve(&rel_name)
-                .ok_or_else(|| CqError::UnknownRelation(rel_name.clone()))?;
-            self.expect(&Token::LParen, "`(`")?;
-            let mut terms: Vec<Term> = Vec::new();
-            if self.peek() != Some(&Token::RParen) {
+                .resolve(rel_name)
+                .ok_or_else(|| CqError::UnknownRelation(rel_name.to_owned()))?;
+            self.expect(Token::LParen, "`(`")?;
+            let mut terms: Vec<Term> = Vec::with_capacity(catalog.arity(relation));
+            if self.peek() != Some(Token::RParen) {
                 loop {
                     match self.next_token() {
                         Some(Token::Ident(v)) => {
-                            terms.push(occurrence(&v));
+                            terms.push(occurrence(v));
                         }
-                        Some(Token::Str(s)) => terms.push(Term::Const(Constant::Str(s))),
+                        Some(Token::Str(s)) => terms.push(Term::Const(Constant::str(s))),
                         Some(Token::Int(i)) => terms.push(Term::Const(Constant::Int(i))),
                         Some(t) => return Err(self.err(format!("unexpected token {t:?} in atom"))),
                         None => return Err(self.err("unterminated atom")),
@@ -275,7 +271,7 @@ impl<'a> Parser<'a> {
                     }
                 }
             }
-            self.expect(&Token::RParen, "`)` closing the atom")?;
+            self.expect(Token::RParen, "`)` closing the atom")?;
             let atom = Atom::new(relation, terms);
             atom.validate(catalog)?;
             atoms.push(atom);
@@ -290,9 +286,9 @@ impl<'a> Parser<'a> {
         }
 
         // Every head variable must appear in the body (safety).
-        for h in &head_vars {
+        for &h in &head_vars {
             if vars.find(h).is_none() {
-                return Err(CqError::UnsafeHeadVariable(h.clone()));
+                return Err(CqError::UnsafeHeadVariable(h.to_owned()));
             }
         }
 
@@ -383,6 +379,39 @@ mod tests {
         assert_eq!(q.display_with(&c).to_string(), text);
         let reparsed = parse_query(&c, &q.display_with(&c).to_string()).unwrap();
         assert_eq!(q, reparsed);
+    }
+
+    #[test]
+    fn a_displayed_string_constant_parses_back() {
+        let c = catalog();
+        let meetings = c.resolve("Meetings").unwrap();
+        for text in [
+            "O'Brien",
+            "'",
+            r#"say "hi""#,
+            "a, b",
+            "f(x)",
+            ")",
+            "it's (a, b)",
+            "",
+        ] {
+            let mut b = crate::query::QueryBuilder::new();
+            let x = b.dvar("x");
+            b.atom(meetings, [x.into(), text.into()]);
+            let q = b.build().unwrap();
+            let shown = q.display_with(&c).to_string();
+            assert_eq!(
+                parse_query(&c, &shown),
+                Ok(q),
+                "{text:?} displayed as {shown}"
+            );
+        }
+        // Text with no `'` keeps the single quotes it always had.
+        let q = parse_query(&c, r#"Q(x) :- Meetings(x, "O'Brien"), Meetings(x, "Jim")"#).unwrap();
+        assert_eq!(
+            q.display_with(&c).to_string(),
+            r#"Q(x) :- Meetings(x, "O'Brien"), Meetings(x, 'Jim')"#
+        );
     }
 
     #[test]

@@ -12,6 +12,13 @@
 //! back in one buffer plus their end offsets.  A query's variables cost at
 //! most three heap blocks (kinds, names, offsets) however many it has, and a
 //! clone copies those three blocks.
+//!
+//! The body costs one block for the atom vector and one per atom for its
+//! terms, a boxed slice of 16-byte [`Term`]s.  A string constant of at most
+//! [`SmallStr::INLINE`](crate::SmallStr::INLINE) bytes lives inside its
+//! term; a longer one adds two blocks (a thin box and its text).  So a
+//! query of `a` atoms whose string constants are all short is `1 + a`
+//! blocks plus its variables, and a clone allocates exactly that many.
 
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};

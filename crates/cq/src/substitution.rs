@@ -125,8 +125,8 @@ mod tests {
         );
         let mapped = s.apply_atom(&atom);
         assert_eq!(
-            mapped.terms,
-            vec![Term::exist(9), Term::constant("k"), Term::exist(1)]
+            *mapped.terms,
+            [Term::exist(9), Term::constant("k"), Term::exist(1)]
         );
         assert_eq!(mapped.relation, RelId(0));
     }

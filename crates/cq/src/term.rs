@@ -5,7 +5,9 @@
 //! of keeping an explicit head.  [`Term`] mirrors that representation: a term
 //! is either a tagged variable or a constant.
 
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Identifier of a variable within a single query.
 ///
@@ -64,21 +66,145 @@ impl fmt::Display for VarKind {
     }
 }
 
+/// The text of a string constant.
+///
+/// Up to [`SmallStr::INLINE`] bytes are stored in place; longer text sits
+/// behind one thin pointer to a boxed `str`.  Either way the value is 16
+/// bytes, so a [`Constant`] and a [`Term`] are 16 bytes too, and a short
+/// constant — every constant of the paper's workload — owns no heap block.
+///
+/// `Eq`, `Ord`, `Hash`, `Debug` and `Display` are those of the text, exactly
+/// as for a `String` holding it; the storage is not observable.
+#[derive(Clone, PartialEq, Eq)]
+pub struct SmallStr(Repr);
+
+/// Which representation a [`SmallStr`] uses is fixed by its length, and
+/// inline bytes past `len` are zero, so the derived `Eq` compares the text.
+#[derive(Clone, PartialEq, Eq)]
+enum Repr {
+    /// `len <= INLINE` bytes of UTF-8, zero-padded.
+    Inline {
+        len: u8,
+        bytes: [u8; SmallStr::INLINE],
+    },
+    /// Text longer than `INLINE` bytes.
+    Heap(Box<Box<str>>),
+}
+
+impl SmallStr {
+    /// The longest text, in bytes, stored without a heap block.
+    pub const INLINE: usize = 14;
+
+    /// Stores `text`, in place if it is at most [`INLINE`](Self::INLINE)
+    /// bytes long.
+    pub fn new(text: &str) -> Self {
+        if text.len() <= Self::INLINE {
+            let mut bytes = [0; Self::INLINE];
+            bytes[..text.len()].copy_from_slice(text.as_bytes());
+            SmallStr(Repr::Inline {
+                len: text.len() as u8,
+                bytes,
+            })
+        } else {
+            SmallStr(Repr::Heap(Box::new(text.into())))
+        }
+    }
+
+    /// The text.
+    pub fn as_str(&self) -> &str {
+        match &self.0 {
+            Repr::Inline { len, bytes } => std::str::from_utf8(&bytes[..usize::from(*len)])
+                .expect("inline text is copied from a str"),
+            Repr::Heap(text) => text,
+        }
+    }
+
+    /// The text's UTF-8 bytes.
+    pub fn as_bytes(&self) -> &[u8] {
+        match &self.0 {
+            Repr::Inline { len, bytes } => &bytes[..usize::from(*len)],
+            Repr::Heap(text) => text.as_bytes(),
+        }
+    }
+}
+
+impl std::ops::Deref for SmallStr {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+/// Byte order, which is `str`'s order.
+impl Ord for SmallStr {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.as_bytes().cmp(other.as_bytes())
+    }
+}
+
+impl PartialOrd for SmallStr {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Hash for SmallStr {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_str().hash(state);
+    }
+}
+
+impl fmt::Debug for SmallStr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+impl fmt::Display for SmallStr {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(self.as_str(), f)
+    }
+}
+
+impl From<&str> for SmallStr {
+    fn from(text: &str) -> Self {
+        SmallStr::new(text)
+    }
+}
+
+/// Keeps a long string's buffer instead of copying it.
+impl From<String> for SmallStr {
+    fn from(text: String) -> Self {
+        if text.len() <= Self::INLINE {
+            SmallStr::new(&text)
+        } else {
+            SmallStr(Repr::Heap(Box::new(text.into_boxed_str())))
+        }
+    }
+}
+
 /// A constant value appearing in a query.
 ///
 /// The paper's examples use string constants (`'Cathy'`, `'Intern'`) and
-/// integer constants (`9`).  Both are supported; strings are stored owned.
+/// integer constants (`9`).  Both are supported; a string's text is a
+/// [`SmallStr`], so a constant is 16 bytes and a string of at most
+/// [`SmallStr::INLINE`] bytes lives in the constant itself.
+///
+/// `Display` writes a string in the parser's notation: `'…'`, or `"…"` when
+/// the text contains a `'`.  The grammar has no escapes, so a text
+/// containing both quote characters has no written form that parses back.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Constant {
     /// An integer constant such as `9`.
     Int(i64),
     /// A string constant such as `'Cathy'`.
-    Str(String),
+    Str(SmallStr),
 }
 
 impl Constant {
     /// Builds a string constant.
-    pub fn str(s: impl Into<String>) -> Self {
+    pub fn str(s: impl Into<SmallStr>) -> Self {
         Constant::Str(s.into())
     }
 
@@ -92,6 +218,7 @@ impl fmt::Display for Constant {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Constant::Int(i) => write!(f, "{i}"),
+            Constant::Str(s) if s.contains('\'') => write!(f, "\"{s}\""),
             Constant::Str(s) => write!(f, "'{s}'"),
         }
     }
@@ -105,17 +232,18 @@ impl From<i64> for Constant {
 
 impl From<&str> for Constant {
     fn from(s: &str) -> Self {
-        Constant::Str(s.to_owned())
+        Constant::Str(s.into())
     }
 }
 
 impl From<String> for Constant {
     fn from(s: String) -> Self {
-        Constant::Str(s)
+        Constant::Str(s.into())
     }
 }
 
-/// A term in an atom: either a tagged variable or a constant.
+/// A term in an atom: either a tagged variable or a constant — 16 bytes
+/// either way.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Term {
     /// A variable together with its distinguished/existential tag.
@@ -247,9 +375,84 @@ mod tests {
         assert_eq!(Term::dist(0).to_string(), "v0d");
         assert_eq!(Term::exist(1).to_string(), "v1e");
         assert_eq!(Term::constant("Intern").to_string(), "'Intern'");
+        // Double quotes only where single ones would end the text early.
+        assert_eq!(Term::constant("O'Brien").to_string(), r#""O'Brien""#);
+        assert_eq!(Term::constant(r#"say "hi""#).to_string(), r#"'say "hi"'"#);
         assert_eq!(Term::constant(9i64).to_string(), "9");
         assert_eq!(VarKind::Distinguished.to_string(), "d");
         assert_eq!(VarKind::Existential.to_string(), "e");
+    }
+
+    /// Texts at the lengths around the inline capacity, each with a
+    /// neighbour differing in its last byte, multi-byte UTF-8 on both sides
+    /// of byte 14, and the quote characters.
+    fn model_texts() -> Vec<String> {
+        const SOURCE: &str = "abcdefghijklmnopqrstuvwxyz0123456789ABCD";
+        let mut texts = Vec::new();
+        for len in [0, 1, 13, 14, 15, 40] {
+            texts.push(SOURCE[..len].to_owned());
+            if len > 0 {
+                texts.push(format!("{}~", &SOURCE[..len - 1]));
+            }
+        }
+        // 13 ASCII bytes and `é` straddle byte 14; 12 and `é` fill it.
+        texts.push(format!("{}é", &SOURCE[..13]));
+        texts.push(format!("{}é", &SOURCE[..12]));
+        texts.push(format!("é{}", &SOURCE[..12]));
+        texts.extend(["Cathy", "O'Brien", r#"say "hi""#, "tab\tnewline\n"].map(str::to_owned));
+        texts
+    }
+
+    fn hash_of(value: &impl Hash) -> u64 {
+        let mut hasher = std::collections::hash_map::DefaultHasher::new();
+        value.hash(&mut hasher);
+        hasher.finish()
+    }
+
+    #[test]
+    fn small_str_agrees_with_a_string_model() {
+        use std::collections::{BTreeSet, HashSet};
+
+        let texts = model_texts();
+        let smalls: Vec<SmallStr> = texts.iter().map(|t| SmallStr::new(t)).collect();
+        for (text, small) in texts.iter().zip(&smalls) {
+            assert_eq!(small.as_str(), text);
+            assert_eq!(small.as_bytes(), text.as_bytes());
+            assert_eq!(&SmallStr::from(text.clone()), small);
+            assert_eq!(hash_of(small), hash_of(text), "{text:?}");
+            assert_eq!(small.to_string(), *text);
+            assert_eq!(format!("{small:>45}"), format!("{text:>45}"));
+            assert_eq!(format!("{small:?}"), format!("{text:?}"));
+            assert_eq!(
+                format!("{:?}", Constant::Str(small.clone())),
+                format!("Str({text:?})")
+            );
+        }
+        for (a, small_a) in texts.iter().zip(&smalls) {
+            for (b, small_b) in texts.iter().zip(&smalls) {
+                assert_eq!(small_a == small_b, a == b, "{a:?} vs {b:?}");
+                assert_eq!(small_a.cmp(small_b), a.cmp(b), "{a:?} vs {b:?}");
+                let (ca, cb) = (Constant::str(a.as_str()), Constant::str(b.as_str()));
+                assert_eq!(ca.cmp(&cb), a.cmp(b), "{a:?} vs {b:?}");
+            }
+        }
+        let hashed: HashSet<&SmallStr> = smalls.iter().collect();
+        assert_eq!(hashed.len(), texts.iter().collect::<HashSet<_>>().len());
+        assert!(texts.iter().all(|t| hashed.contains(&SmallStr::new(t))));
+        let ordered: Vec<&str> = smalls
+            .iter()
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .map(SmallStr::as_str)
+            .collect();
+        let model: Vec<&str> = texts
+            .iter()
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .map(String::as_str)
+            .collect();
+        assert_eq!(ordered, model);
+        assert_eq!(format!("{:?}", Constant::str("Cathy")), r#"Str("Cathy")"#);
     }
 
     #[test]

@@ -43,7 +43,7 @@ pub fn read_constant(cursor: &mut Cursor<'_>) -> Result<Constant, CodecError> {
     let at = cursor.pos();
     match cursor.u8()? {
         CONST_INT => Ok(Constant::Int(cursor.i64()?)),
-        CONST_STR => Ok(Constant::Str(cursor.str()?.to_owned())),
+        CONST_STR => Ok(Constant::Str(cursor.str()?.into())),
         tag => Err(CodecError::invalid(
             at,
             format!("unknown constant tag {tag}"),
@@ -258,6 +258,36 @@ mod tests {
                 names,
                 "round trip changed {names:?}"
             );
+        }
+    }
+
+    #[test]
+    fn constant_bytes_match_the_pinned_encoding() {
+        let cases: [(Constant, &[u8]); 4] = [
+            (
+                Constant::int(-2),
+                &[0, 0xfe, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff],
+            ),
+            (
+                Constant::str("me"),
+                &[1, 2, 0, 0, 0, 0, 0, 0, 0, b'm', b'e'],
+            ),
+            (
+                Constant::str("fourteen bytes"),
+                b"\x01\x0e\0\0\0\0\0\0\0fourteen bytes",
+            ),
+            (
+                Constant::str("fifteen bytes!!"),
+                b"\x01\x0f\0\0\0\0\0\0\0fifteen bytes!!",
+            ),
+        ];
+        for (constant, golden) in cases {
+            let mut out = Vec::new();
+            put_constant(&mut out, &constant);
+            assert_eq!(out, golden, "{constant:?}");
+            let mut cursor = Cursor::new(&out);
+            assert_eq!(read_constant(&mut cursor).unwrap(), constant);
+            cursor.expect_end().unwrap();
         }
     }
 

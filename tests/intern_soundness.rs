@@ -297,7 +297,7 @@ fn render(shape: &Shape, state: &mut u64) -> ConjunctiveQuery {
 
 const POOL_VARS: usize = 5;
 
-fn constant_pool() -> [Constant; 6] {
+fn constant_pool() -> [Constant; 8] {
     [
         Constant::int(1),
         Constant::str("1"),
@@ -306,6 +306,10 @@ fn constant_pool() -> [Constant; 6] {
         // Longer than one 8-byte hash word, differing only in the last byte.
         Constant::str("a shared prefix, then 1"),
         Constant::str("a shared prefix, then 2"),
+        // Exactly `SmallStr::INLINE` bytes, and one byte past it with the
+        // same 14-byte prefix: one is stored in place, the other is not.
+        Constant::str("fourteen bytes"),
+        Constant::str("fourteen bytes!"),
     ]
 }
 
@@ -375,17 +379,23 @@ fn near_misses(shape: &Shape) -> Vec<Shape> {
     };
     // `Int(1)` <-> `Str("1")`.
     out.push(map_constants(&|c| match c {
-        Constant::Int(i) => Constant::Str(i.to_string()),
+        Constant::Int(i) => Constant::str(i.to_string()),
         Constant::Str(s) => s.parse().map_or_else(|_| c.clone(), Constant::Int),
     }));
     // Constants differing only in the last byte.
     out.push(map_constants(&|c| match c {
         Constant::Str(s) if !s.is_empty() => {
-            let mut s = s.clone();
+            let mut s = s.to_string();
             let last = s.pop().unwrap();
             s.push(if last == '2' { '1' } else { '2' });
-            Constant::Str(s)
+            Constant::str(s)
         }
+        other => other.clone(),
+    }));
+    // Constants one byte longer: a 14-byte one crosses the inline capacity
+    // and keeps its 14-byte prefix.
+    out.push(map_constants(&|c| match c {
+        Constant::Str(s) => Constant::str(format!("{s}!")),
         other => other.clone(),
     }));
     // Same terms, one variable's distinguished/existential tag flipped.
@@ -455,6 +465,7 @@ proptest! {
                         ShapeTerm::Const(constants[4].clone()),
                         ShapeTerm::Var(0),
                         ShapeTerm::Var(2),
+                        ShapeTerm::Const(constants[6].clone()),
                     ]),
                 ],
                 kinds: vec![VarKind::Distinguished, VarKind::Existential, VarKind::Existential],

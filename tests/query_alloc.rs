@@ -1,20 +1,24 @@
-//! Pinned: a query's variables cost a constant number of heap blocks.
+//! Pinned: a query's variables cost a constant number of heap blocks, and a
+//! short string constant costs none.
 //!
 //! Variable names are display text; the paper's representation is the atoms
 //! plus one kind per variable.  A `ConjunctiveQuery` therefore keeps its
 //! names packed — one buffer of names back to back plus their end offsets —
-//! beside one block of kinds.  This binary installs the counting global
+//! beside one block of kinds.  A string constant of at most
+//! `SmallStr::INLINE` (14) bytes lives in its term; a longer one is a thin
+//! box around a boxed `str`.  This binary installs the counting global
 //! allocator of `intern_alloc` (which is why it is a test binary of its own)
 //! and asserts:
 //!
-//! * `clone()` of a query with 1, 8 and 40 variables allocates exactly
-//!   `1 + atoms + string constants + K` — the atom vector, one term vector
-//!   per atom, one buffer per string constant — with the same `K ≤ 3` at
-//!   every variable count;
+//! * `clone()` of a query with 1, 8 and 40 variables, with a short and with
+//!   a long string constant, allocates exactly `1 + atoms + 2 × long string
+//!   constants + K` — the atom vector, one term slice per atom, two blocks
+//!   per long string constant — with the same `K ≤ 3` in every case;
 //! * `wire::decode_query` of the same queries allocates the same constant on
 //!   top of those — the three blocks and the validation's scratch — so no
-//!   string per name;
-//! * a query stays 72 bytes, and an `Operation` that carries one 96.
+//!   string per name and none per short constant;
+//! * a term and a constant are 16 bytes, an atom 24, a query 72, and an
+//!   `Operation` that carries one 96.
 //!
 //! Counts are per thread, so the harness running tests in parallel does not
 //! disturb them.
@@ -24,7 +28,7 @@ use std::mem::size_of;
 
 use fdc::cq::query::QueryBuilder;
 use fdc::cq::wire::{decode_query, encode_query};
-use fdc::cq::{Catalog, ConjunctiveQuery, Constant, Term};
+use fdc::cq::{Atom, Catalog, ConjunctiveQuery, Constant, SmallStr, Term};
 use fdc::durability::codec::Cursor;
 use fdc::service::Operation;
 
@@ -34,17 +38,28 @@ use counting_alloc::allocations;
 
 const VARIABLE_COUNTS: [usize; 3] = [1, 8, 40];
 
-/// `R(var0, 'a string constant'), R(var1, 7), R(var2, 'a string constant'), …`:
-/// one atom per variable, alternating distinguished variables with string
-/// constants and existential ones with integers.
-fn query_with_vars(n: usize) -> ConjunctiveQuery {
+/// A string constant past the inline capacity, and one well within it.
+const STRING_CONSTANTS: [&str; 2] = ["a string constant", "me"];
+
+/// Every query the block counts are taken over: each variable count with
+/// each string constant.
+fn cases() -> impl Iterator<Item = (usize, &'static str)> {
+    VARIABLE_COUNTS
+        .into_iter()
+        .flat_map(|n| STRING_CONSTANTS.map(|constant| (n, constant)))
+}
+
+/// `R(var0, constant), R(var1, 7), R(var2, constant), …`: one atom per
+/// variable, alternating distinguished variables with the string constant
+/// and existential ones with integers.
+fn query_with_vars(n: usize, constant: &str) -> ConjunctiveQuery {
     let mut catalog = Catalog::new();
     let r = catalog.add_relation("R", &["a", "b"]).unwrap();
     let mut b = QueryBuilder::new();
     for i in 0..n {
         if i % 2 == 0 {
             let v = b.dvar(&format!("var{i}"));
-            b.atom(r, [v.into(), "a string constant".into()]);
+            b.atom(r, [v.into(), constant.into()]);
         } else {
             let v = b.evar(&format!("var{i}"));
             b.atom(r, [v.into(), 7.into()]);
@@ -56,22 +71,24 @@ fn query_with_vars(n: usize) -> ConjunctiveQuery {
 }
 
 /// The blocks a query owns outside its variable table: the atom vector, one
-/// term vector per atom and one buffer per string constant.
+/// term slice per atom, and two per string constant longer than
+/// `SmallStr::INLINE` bytes (its thin box and the text); a shorter one owns
+/// none.
 fn body_blocks(query: &ConjunctiveQuery) -> u64 {
-    let constants = query
+    let long_constants = query
         .atoms()
         .iter()
         .flat_map(|atom| &atom.terms)
-        .filter(|term| matches!(term, Term::Const(Constant::Str(s)) if !s.is_empty()))
+        .filter(|term| matches!(term, Term::Const(Constant::Str(s)) if s.len() > SmallStr::INLINE))
         .count();
-    (1 + query.num_atoms() + constants) as u64
+    (1 + query.num_atoms() + 2 * long_constants) as u64
 }
 
 #[test]
 fn a_clone_copies_the_variables_in_a_constant_number_of_blocks() {
     let mut variable_blocks = Vec::new();
-    for n in VARIABLE_COUNTS {
-        let query = query_with_vars(n);
+    for (n, constant) in cases() {
+        let query = query_with_vars(n, constant);
         let mut copy = None;
         let clone = allocations(|| copy = Some(black_box(&query).clone()));
         assert_eq!(copy.as_ref(), Some(&query));
@@ -81,15 +98,16 @@ fn a_clone_copies_the_variables_in_a_constant_number_of_blocks() {
         variable_blocks
             .iter()
             .all(|&k| k == variable_blocks[0] && k <= 3),
-        "variable blocks per clone at {VARIABLE_COUNTS:?} variables: {variable_blocks:?}"
+        "variable blocks per clone at {VARIABLE_COUNTS:?} variables × {STRING_CONSTANTS:?}: \
+         {variable_blocks:?}"
     );
 }
 
 #[test]
 fn decoding_allocates_no_string_per_name() {
     let mut variable_blocks = Vec::new();
-    for n in VARIABLE_COUNTS {
-        let query = query_with_vars(n);
+    for (n, constant) in cases() {
+        let query = query_with_vars(n, constant);
         let mut bytes = Vec::new();
         encode_query(&query, &mut bytes);
         let mut decoded = None;
@@ -101,7 +119,8 @@ fn decoding_allocates_no_string_per_name() {
     }
     assert!(
         variable_blocks.iter().all(|&k| k == variable_blocks[0]),
-        "blocks beyond the body per decode at {VARIABLE_COUNTS:?} variables: {variable_blocks:?}"
+        "blocks beyond the body per decode at {VARIABLE_COUNTS:?} variables × \
+         {STRING_CONSTANTS:?}: {variable_blocks:?}"
     );
     assert!(variable_blocks[0] <= 4, "{variable_blocks:?}");
 }
@@ -113,4 +132,11 @@ fn a_query_and_an_operation_do_not_grow() {
         query <= 72 && operation <= 96,
         "query {query} B, operation {operation} B"
     );
+}
+
+#[test]
+fn a_constant_lives_in_its_term() {
+    assert_eq!(size_of::<Constant>(), 16);
+    assert_eq!(size_of::<Term>(), 16);
+    assert_eq!(size_of::<Atom>(), 24);
 }
