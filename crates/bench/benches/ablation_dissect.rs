@@ -29,7 +29,7 @@ fn add_redundancy(query: &ConjunctiveQuery, copies: usize) -> ConjunctiveQuery {
     }
     ConjunctiveQuery::from_parts(
         atoms,
-        query.var_kinds().to_vec(),
+        query.var_kinds().collect(),
         (0..query.num_vars())
             .map(|i| query.var_name(fdc_cq::VarId(i as u32)).to_owned())
             .collect(),

@@ -72,10 +72,10 @@ impl Unifier {
         let n_right = right.num_vars();
         let total = n_left + n_right;
         let mut has_existential = vec![false; total];
-        for (i, kind) in left.var_kinds().iter().enumerate() {
+        for (i, kind) in left.var_kinds().enumerate() {
             has_existential[i] = kind.is_existential();
         }
-        for (i, kind) in right.var_kinds().iter().enumerate() {
+        for (i, kind) in right.var_kinds().enumerate() {
             has_existential[n_left + i] = kind.is_existential();
         }
         Unifier {

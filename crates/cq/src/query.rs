@@ -8,17 +8,20 @@
 //!
 //! Variable names are display text only, kept so a query pretty-prints in
 //! the familiar `Q(x) :- R(x, y)` notation.  No labeling, decision or
-//! interning step reads them, so they are stored packed: all names back to
-//! back in one buffer plus their end offsets.  A query's variables cost at
-//! most three heap blocks (kinds, names, offsets) however many it has, and a
-//! clone copies those three blocks.
+//! interning step reads them, so a query keeps its whole variable table in
+//! one heap block: a kind byte per variable, each name's end offset, and the
+//! names back to back.  A query's variables cost one block however many it
+//! has (none when it has no variables), and a clone copies that block.  The
+//! header holds the variable count, so the interner's front door reads the
+//! header, the atoms and their terms — a term carries its variable's kind —
+//! and never the block.
 //!
-//! The body costs one block for the atom vector and one per atom for its
-//! terms, a boxed slice of 16-byte [`Term`]s.  A string constant of at most
-//! [`SmallStr::INLINE`](crate::SmallStr::INLINE) bytes lives inside its
+//! The body costs one block for the boxed atom slice and one per atom for
+//! its terms, a boxed slice of 16-byte [`Term`]s.  A string constant of at
+//! most [`SmallStr::INLINE`](crate::SmallStr::INLINE) bytes lives inside its
 //! term; a longer one adds two blocks (a thin box and its text).  So a
 //! query of `a` atoms whose string constants are all short is `1 + a`
-//! blocks plus its variables, and a clone allocates exactly that many.
+//! blocks plus its variable block, and a clone allocates exactly that many.
 
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
@@ -38,23 +41,38 @@ use crate::term::{Constant, Term, VarId, VarKind};
 /// * the body is non-empty.
 ///
 /// Two queries are equal when their atoms, kinds and the list of their
-/// variable names are equal; the packed name buffer and its offsets together
-/// are that list, so `["ab", "c"]` and `["a", "bc"]` differ.
+/// variable names are equal.  The variable block is a function of that list
+/// — its end offsets mark where each name stops — so `["ab", "c"]` and
+/// `["a", "bc"]` differ.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct ConjunctiveQuery {
-    atoms: Vec<Atom>,
-    var_kinds: Box<[VarKind]>,
-    /// Every variable's name, back to back in id order.
-    var_names: Box<str>,
-    /// `name_ends[i]` is where `VarId(i)`'s name ends in `var_names`; it
-    /// starts where the previous one ends.
-    name_ends: Box<[u32]>,
+    atoms: Box<[Atom]>,
+    /// The variable table in one block: one kind byte per variable, then
+    /// each name's end offset (little-endian, 2 bytes or — with
+    /// `wide_offsets` — 4), then every name back to back in id order.
+    /// Variable `i`'s name starts where `i - 1`'s ends.
+    vars: Box<[u8]>,
+    num_vars: u32,
+    /// The names total more than `u16::MAX` bytes, so each end offset takes
+    /// 4 bytes instead of 2.
+    wide_offsets: bool,
 }
 
-/// The name of variable `i` in a packed name table.
-fn packed_name<'a>(names: &'a str, ends: &[u32], i: usize) -> &'a str {
-    let start = if i == 0 { 0 } else { ends[i - 1] as usize };
-    &names[start..ends[i] as usize]
+/// A variable kind as the variable block stores it.
+fn kind_byte(kind: VarKind) -> u8 {
+    match kind {
+        VarKind::Distinguished => 0,
+        VarKind::Existential => 1,
+    }
+}
+
+/// The kind a [`kind_byte`] stands for.
+fn byte_kind(byte: u8) -> VarKind {
+    if byte == 0 {
+        VarKind::Distinguished
+    } else {
+        VarKind::Existential
+    }
 }
 
 /// A query's variables while its constructor declares them: their kinds, and
@@ -95,9 +113,11 @@ impl VarTable {
     /// A copy of `query`'s variables, to declare more after them.
     pub(crate) fn of(query: &ConjunctiveQuery) -> Self {
         VarTable {
-            kinds: query.var_kinds.to_vec(),
-            names: query.var_names.to_string(),
-            ends: query.name_ends.to_vec(),
+            kinds: query.var_kinds().collect(),
+            names: query.names().to_owned(),
+            ends: (0..query.num_vars())
+                .map(|i| query.name_end(i) as u32)
+                .collect(),
         }
     }
 
@@ -134,7 +154,9 @@ impl VarTable {
     }
 
     fn name(&self, v: VarId) -> &str {
-        packed_name(&self.names, &self.ends, v.index())
+        let i = v.index();
+        let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
+        &self.names[start..self.ends[i] as usize]
     }
 
     /// The variable declared as `name`, if any.  A linear scan: a query has
@@ -185,6 +207,10 @@ impl ConjunctiveQuery {
     /// Builds a query from parts, validating the internal invariants.
     ///
     /// `var_kinds[i]` and `var_names[i]` describe variable `VarId(i)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `var_kinds` and `var_names` differ in length.
     pub fn from_parts(
         atoms: Vec<Atom>,
         var_kinds: Vec<VarKind>,
@@ -249,14 +275,65 @@ impl ConjunctiveQuery {
         Ok(ConjunctiveQuery::freeze(atoms, vars))
     }
 
+    /// Packs `vars` into the query's one variable block.
     fn freeze(atoms: Vec<Atom>, vars: VarTable) -> Self {
         debug_assert_eq!(vars.ends.len(), vars.kinds.len(), "every variable is named");
-        ConjunctiveQuery {
-            atoms,
-            var_kinds: vars.kinds.into_boxed_slice(),
-            var_names: vars.names.into_boxed_str(),
-            name_ends: vars.ends.into_boxed_slice(),
+        let num_vars = u32::try_from(vars.len()).expect("a query has at most 2^32 variables");
+        let wide_offsets = vars.names.len() > usize::from(u16::MAX);
+        let width = if wide_offsets { 4 } else { 2 };
+        let mut block = Vec::with_capacity(vars.len() * (1 + width) + vars.names.len());
+        block.extend(vars.kinds.iter().map(|&kind| kind_byte(kind)));
+        for &end in &vars.ends {
+            if wide_offsets {
+                block.extend_from_slice(&end.to_le_bytes());
+            } else {
+                let end = u16::try_from(end).expect("the names fit in u16::MAX bytes");
+                block.extend_from_slice(&end.to_le_bytes());
+            }
         }
+        block.extend_from_slice(vars.names.as_bytes());
+        ConjunctiveQuery {
+            atoms: atoms.into_boxed_slice(),
+            vars: block.into_boxed_slice(),
+            num_vars,
+            wide_offsets,
+        }
+    }
+
+    /// The variable block's kind bytes, one per variable.
+    fn kind_bytes(&self) -> &[u8] {
+        &self.vars[..self.num_vars()]
+    }
+
+    /// Bytes per end offset in the variable block.
+    fn offset_width(&self) -> usize {
+        if self.wide_offsets {
+            4
+        } else {
+            2
+        }
+    }
+
+    /// Where variable `i`'s name ends, counted from the first name's start.
+    fn name_end(&self, i: usize) -> usize {
+        let width = self.offset_width();
+        let at = self.num_vars() + i * width;
+        let bytes = &self.vars[at..at + width];
+        if self.wide_offsets {
+            u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) as usize
+        } else {
+            usize::from(u16::from_le_bytes([bytes[0], bytes[1]]))
+        }
+    }
+
+    /// The variable block's name bytes: every name, back to back in id order.
+    fn name_bytes(&self) -> &[u8] {
+        &self.vars[self.num_vars() * (1 + self.offset_width())..]
+    }
+
+    /// Every variable's name, back to back in id order.
+    fn names(&self) -> &str {
+        std::str::from_utf8(self.name_bytes()).expect("variable names are UTF-8")
     }
 
     /// The body atoms.
@@ -274,7 +351,7 @@ impl ConjunctiveQuery {
     /// Number of variables.
     #[inline]
     pub fn num_vars(&self) -> usize {
-        self.var_kinds.len()
+        self.num_vars as usize
     }
 
     /// The kind (distinguished / existential) of a variable.
@@ -284,7 +361,7 @@ impl ConjunctiveQuery {
     /// Panics if the variable does not belong to this query.
     #[inline]
     pub fn var_kind(&self, v: VarId) -> VarKind {
-        self.var_kinds[v.index()]
+        byte_kind(self.kind_bytes()[v.index()])
     }
 
     /// The name of a variable (used only for display).
@@ -294,30 +371,37 @@ impl ConjunctiveQuery {
     /// Panics if the variable does not belong to this query.
     #[inline]
     pub fn var_name(&self, v: VarId) -> &str {
-        packed_name(&self.var_names, &self.name_ends, v.index())
+        let i = v.index();
+        assert!(
+            i < self.num_vars(),
+            "variable {v} is not one of the query's {} variables",
+            self.num_vars()
+        );
+        let start = if i == 0 { 0 } else { self.name_end(i - 1) };
+        std::str::from_utf8(&self.name_bytes()[start..self.name_end(i)])
+            .expect("a variable name is UTF-8")
     }
 
-    /// All variable kinds, indexed by variable id.
+    /// All variable kinds, in variable id order.
     #[inline]
-    pub fn var_kinds(&self) -> &[VarKind] {
-        &self.var_kinds
+    pub fn var_kinds(&self) -> impl ExactSizeIterator<Item = VarKind> + '_ {
+        self.kind_bytes().iter().map(|&byte| byte_kind(byte))
     }
 
     /// Iterates over the distinguished variables in id order.
     pub fn distinguished_vars(&self) -> impl Iterator<Item = VarId> + '_ {
-        self.var_kinds
-            .iter()
-            .enumerate()
-            .filter(|(_, k)| k.is_distinguished())
-            .map(|(i, _)| VarId(i as u32))
+        self.vars_of_kind(VarKind::Distinguished)
     }
 
     /// Iterates over the existential variables in id order.
     pub fn existential_vars(&self) -> impl Iterator<Item = VarId> + '_ {
-        self.var_kinds
-            .iter()
+        self.vars_of_kind(VarKind::Existential)
+    }
+
+    fn vars_of_kind(&self, kind: VarKind) -> impl Iterator<Item = VarId> + '_ {
+        self.var_kinds()
             .enumerate()
-            .filter(|(_, k)| k.is_existential())
+            .filter(move |&(_, k)| k == kind)
             .map(|(i, _)| VarId(i as u32))
     }
 
@@ -329,7 +413,7 @@ impl ConjunctiveQuery {
 
     /// True if the query has no distinguished variables (a boolean query).
     pub fn is_boolean(&self) -> bool {
-        self.var_kinds.iter().all(|k| k.is_existential())
+        self.var_kinds().all(|k| k.is_existential())
     }
 
     /// The set of relations referenced by the body, deduplicated, in first
@@ -428,24 +512,25 @@ impl ConjunctiveQuery {
     /// still occurs in the body.
     pub(crate) fn with_atoms_unchecked(&self, atoms: Vec<Atom>) -> ConjunctiveQuery {
         ConjunctiveQuery {
-            atoms,
-            var_kinds: self.var_kinds.clone(),
-            var_names: self.var_names.clone(),
-            name_ends: self.name_ends.clone(),
+            atoms: atoms.into_boxed_slice(),
+            vars: self.vars.clone(),
+            num_vars: self.num_vars,
+            wide_offsets: self.wide_offsets,
         }
     }
 }
 
-/// Prints the names as a list, not as the packed buffer and its offsets:
+/// Prints the kinds and names as lists, not as the variable block:
 /// `ConjunctiveQuery { atoms: [..], var_kinds: [..], var_names: [..] }`.
 impl fmt::Debug for ConjunctiveQuery {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let kinds: Vec<VarKind> = self.var_kinds().collect();
         let names: Vec<&str> = (0..self.num_vars())
             .map(|i| self.var_name(VarId(i as u32)))
             .collect();
         f.debug_struct("ConjunctiveQuery")
             .field("atoms", &self.atoms)
-            .field("var_kinds", &self.var_kinds)
+            .field("var_kinds", &kinds)
             .field("var_names", &names)
             .finish()
     }
@@ -706,16 +791,100 @@ mod tests {
             )
             .unwrap()
         };
-        for ((a1, b1), (a2, b2)) in [(("ab", "c"), ("a", "bc")), (("", "a"), ("a", ""))] {
-            let (p, q) = (named(a1, b1), named(a2, b2));
-            assert_ne!(p, q, "{a1:?},{b1:?} vs {a2:?},{b2:?}");
-            assert_ne!(hash(&p), hash(&q));
-            assert_eq!((p.var_name(VarId(0)), p.var_name(VarId(1))), (a1, b1));
-            for same in [p.clone(), named(a1, b1)] {
-                assert_eq!(same, p);
-                assert_eq!(hash(&same), hash(&p));
+        // The padding takes the names past 64 KiB: both offset widths.
+        for (pad, wide) in [(String::new(), false), ("z".repeat(1 << 16), true)] {
+            for ((a1, b1), (a2, b2)) in [(("ab", "c"), ("a", "bc")), (("", "a"), ("a", ""))] {
+                let (b1, b2) = (format!("{b1}{pad}"), format!("{b2}{pad}"));
+                let (p, q) = (named(a1, &b1), named(a2, &b2));
+                assert_eq!((p.wide_offsets, q.wide_offsets), (wide, wide));
+                assert_ne!(p, q, "{a1:?},{b1:?} vs {a2:?},{b2:?}");
+                assert_ne!(hash(&p), hash(&q));
+                assert_eq!((p.var_name(VarId(0)), p.var_name(VarId(1))), (a1, &*b1));
+                for same in [p.clone(), named(a1, &b1)] {
+                    assert_eq!(same, p);
+                    assert_eq!(hash(&same), hash(&p));
+                }
             }
         }
+    }
+
+    /// Builds `Q(names[0], names[2], …) :- Meetings(names[0], names[1]),
+    /// Meetings(names[2], names[3]), …` from `from_parts`, the even
+    /// variables distinguished and the odd ones existential.
+    fn query_named(names: &[String]) -> ConjunctiveQuery {
+        let m = catalog().resolve("Meetings").unwrap();
+        let atoms = (0..names.len() as u32 / 2)
+            .map(|i| Atom::new(m, vec![Term::dist(2 * i), Term::exist(2 * i + 1)]))
+            .collect();
+        let kinds = (0..names.len())
+            .map(|i| {
+                if i % 2 == 0 {
+                    VarKind::Distinguished
+                } else {
+                    VarKind::Existential
+                }
+            })
+            .collect();
+        ConjunctiveQuery::from_parts(atoms, kinds, names.to_vec()).unwrap()
+    }
+
+    #[test]
+    fn long_and_multibyte_names_round_trip() {
+        use crate::wire::{decode_query, encode_query};
+        use fdc_durability::codec::Cursor;
+
+        let c = catalog();
+        let long = "é".repeat(20_000) + "ß";
+        let cases: [(Vec<String>, bool); 3] = [
+            (
+                vec!["né".into(), "日本".into(), "x🦀".into(), "".into()],
+                false,
+            ),
+            (
+                vec![long.clone(), "y".into(), "z".into(), long.clone()],
+                true,
+            ),
+            (vec!["a".repeat(usize::from(u16::MAX)), "".into()], false),
+        ];
+        for (names, wide) in cases {
+            let q = query_named(&names);
+            assert_eq!(q.wide_offsets, wide, "{} name bytes", q.names().len());
+            for (i, name) in names.iter().enumerate() {
+                assert_eq!(q.var_name(VarId(i as u32)), name);
+            }
+            let clone = q.clone();
+            assert_eq!(clone, q);
+            let mut bytes = Vec::new();
+            encode_query(&q, &mut bytes);
+            let mut cursor = Cursor::new(&bytes);
+            let decoded = decode_query(&mut cursor).unwrap();
+            cursor.expect_end().unwrap();
+            assert_eq!(decoded, q);
+            let atoms: Vec<String> = names
+                .chunks(2)
+                .map(|pair| format!("Meetings({}, {})", pair[0], pair[1]))
+                .collect();
+            let head: Vec<&str> = names.iter().step_by(2).map(String::as_str).collect();
+            let display = format!("Q({}) :- {}", head.join(", "), atoms.join(", "));
+            let debug = format!("var_names: {names:?} }}");
+            for copy in [&q, &clone, &decoded] {
+                assert_eq!(copy.display_with(&c).to_string(), display);
+                assert!(format!("{copy:?}").ends_with(&debug));
+            }
+        }
+    }
+
+    #[test]
+    fn a_query_without_variables_owns_no_variable_block() {
+        let mut c = Catalog::new();
+        let r = c.add_relation("R", &["a"]).unwrap();
+        let mut b = QueryBuilder::new();
+        b.atom(r, ["a".into()]);
+        let q = b.build().unwrap();
+        assert_eq!((q.num_vars(), q.var_kinds().len()), (0, 0));
+        assert!(q.vars.is_empty(), "{:?}", q.vars);
+        assert!(q.clone().vars.is_empty());
+        assert_eq!(q.display_with(&c).to_string(), "Q() :- R('a')");
     }
 
     #[test]

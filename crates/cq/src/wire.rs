@@ -115,7 +115,7 @@ pub fn decode_catalog(cursor: &mut Cursor<'_>) -> Result<Catalog, CodecError> {
 pub fn encode_query(query: &ConjunctiveQuery, out: &mut Vec<u8>) {
     put_len(out, query.num_vars());
     for kind in query.var_kinds() {
-        put_var_kind(out, *kind);
+        put_var_kind(out, kind);
     }
     for v in 0..query.num_vars() {
         put_str(out, query.var_name(VarId(v as u32)));
