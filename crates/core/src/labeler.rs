@@ -48,7 +48,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 
 use fdc_cq::folding::fold_interned_indices;
-use fdc_cq::intern::{ITerm, LocatedMiss, QueryId, QueryInterner, QueryRef};
+use fdc_cq::intern::{ITerm, QueryId, QueryInterner, QueryRef};
 use fdc_cq::rewriting::{interned_rewritable_from_single, rewritable_from_single};
 use fdc_cq::{ConjunctiveQuery, RelId, Term, VarKind};
 
@@ -835,25 +835,24 @@ impl LabelCore {
         // view definitions and explicitly interned pools do not consume it.
         // The unsynchronized load can overshoot by a few entries under
         // concurrent first sightings; the bound stays O(capacity).
-        let miss = match self.read_interner().locate(query) {
-            Ok(id) => return Some(id),
-            Err(miss) => miss,
-        };
+        if let Some(id) = self.read_interner().lookup(query) {
+            return Some(id);
+        }
         if self.implicit_interns.load(Ordering::Relaxed) >= self.capacity {
             return None;
         }
-        Some(self.intern_missed(miss))
+        Some(self.intern_missed(query))
     }
 
     /// The write-locked half of [`intern_within_budget`](Self::intern_within_budget):
-    /// inserts the shape its read-locked lookup missed, under the hash that
-    /// lookup computed.  Another thread may have interned the shape between
-    /// the two locks — the insert re-probes and returns that id — so only
-    /// the call that grew the arena is charged.
-    fn intern_missed(&self, miss: LocatedMiss<'_>) -> QueryId {
+    /// interns the shape its read-locked lookup missed.  Another thread may
+    /// have interned the shape between the two locks — `intern` re-probes
+    /// under the query's stored hash and returns that id — so only the call
+    /// that grew the arena is charged.
+    fn intern_missed(&self, query: &ConjunctiveQuery) -> QueryId {
         let mut guard = self.interner.write().unwrap_or_else(|e| e.into_inner());
         let before = guard.len();
-        let id = guard.intern_located(miss);
+        let id = guard.intern(query);
         if guard.len() > before {
             self.implicit_interns.fetch_add(1, Ordering::Relaxed);
         }
@@ -1479,14 +1478,13 @@ impl CachedLabeler {
     /// unconditionally.
     pub fn intern(&self, query: &ConjunctiveQuery) -> QueryId {
         let core = &self.live.core;
-        let miss = match core.read_interner().locate(query) {
-            Ok(id) => return id,
-            Err(miss) => miss,
-        };
+        if let Some(id) = core.read_interner().lookup(query) {
+            return id;
+        }
         core.interner
             .write()
             .unwrap_or_else(|e| e.into_inner())
-            .intern_located(miss)
+            .intern(query)
     }
 
     /// Registers one more security view online.
@@ -2340,20 +2338,20 @@ mod tests {
         let charged = || core.implicit_interns.load(Ordering::Relaxed);
         // The budgeted intern's read-locked half misses…
         let query = q(&c, "Q(x) :- Meetings(x, y), Contacts(y, w, 'Intern')");
-        let miss = core.read_interner().locate(&query).expect_err("never seen");
+        assert_eq!(core.read_interner().lookup(&query), None);
         // …another caller interns the shape (an alpha variant) before the
         // write-locked half runs…
         let existing = cached.intern(&q(&c, "Q(t) :- Meetings(t, p), Contacts(p, e, 'Intern')"));
         let (len, budget) = (arena(), charged());
-        // …which finds that id under the hash the miss carried: nothing is
+        // …which finds that id under the query's stored hash: nothing is
         // minted and nothing is charged.
-        assert_eq!(core.intern_missed(miss), existing);
+        assert_eq!(core.intern_missed(&query), existing);
         assert_eq!((arena(), charged()), (len, budget));
 
         // Unraced, the same two halves mint the shape and charge it once.
         let fresh = q(&c, "Q() :- Meetings(x, y), Meetings(y, z)");
-        let miss = core.read_interner().locate(&fresh).expect_err("never seen");
-        let id = core.intern_missed(miss);
+        assert_eq!(core.read_interner().lookup(&fresh), None);
+        let id = core.intern_missed(&fresh);
         assert_eq!((arena(), charged()), (len + 1, budget + 1));
         assert_eq!(cached.intern(&fresh), id);
     }

@@ -35,35 +35,39 @@
 //! different ids and simply occupy two cache slots.  Semantic comparisons
 //! remain the job of [`containment`](crate::containment).
 //!
-//! # Recognising a known query: hash in place, probe, compare
+//! # Recognising a known query: read the hash, probe, compare
 //!
 //! The front door asks "have I seen this query?" once per admission, so the
 //! lookup ([`QueryInterner::lookup`], and [`QueryInterner::intern`] of a known
-//! shape) walks the operand **where it lies** and allocates nothing:
+//! shape) works on the operand **where it lies** and allocates nothing:
 //!
-//! 1. **Hash pass.**  The operand's atoms are hashed under first-occurrence
-//!    variable numbering.  The numbering lives in an on-stack array of 64
-//!    slots (one heap vector only for queries with more variables than
-//!    that).  Constants are hashed by **value**, so no
-//!    constant-table lookup happens on this path.
+//! 1. **Read the hash.**  A query carries its canonical hash
+//!    ([`ConjunctiveQuery::shape_hash`]): the body hashed under
+//!    first-occurrence variable numbering, constants by **value**.  Its
+//!    constructor computed it while validating the body; a clone copies it.
+//!    So no lookup hashes a query.
 //! 2. **Probe.**  The hash indexes a flat open-addressed table of
-//!    `QueryId`s (linear probing); each interned query keeps its full
-//!    64-bit hash, so a probe rejects almost every other occupant of a
-//!    chain with one integer comparison and the key is never re-hashed.
+//!    `QueryId`s (linear probing); each interned query keeps its 32-bit
+//!    hash, so a probe rejects almost every other occupant of a chain with
+//!    one integer comparison.
 //! 3. **Compare pass.**  A candidate whose stored hash matches is compared
-//!    with the operand term by term against the arena: atom count, variable
-//!    count, each atom's relation and arity, each variable's canonical index
-//!    and kind, each constant's value.  A hash hit is never trusted on its
-//!    own — the id decides which label an admission gets.
+//!    with the operand term by term against the arena, in one walk that
+//!    numbers the operand's variables as it goes: a variable's first
+//!    occurrence takes the next canonical index, and every occurrence's
+//!    index must be the stored one.  Atom count, each atom's relation and
+//!    arity, each variable's kind, each constant's value and, at the end,
+//!    the variable count must match too.  A hash hit is never trusted on
+//!    its own — the id decides which label an admission gets — so a 32-bit
+//!    hash only changes how often a probe meets a false candidate.
 //!
 //! Only a miss touches anything else: `intern` then appends to the arena
-//! straight from the operand, minting [`ConstId`]s for constants it has not
-//! seen.  `intern` and `lookup` are one routine, which also hashes the
-//! arena's own flat entries when a decode rebuilds the index.  A caller
-//! that looks up under a read lock and inserts under a write lock uses
-//! [`QueryInterner::locate`]: its miss carries the hash and numbering to
-//! [`QueryInterner::intern_located`], which re-probes with the known hash
-//! (another writer may have got there first) instead of hashing again.
+//! straight from the operand, numbering its variables as it copies them and
+//! minting [`ConstId`]s for constants it has not seen.  A caller that looks
+//! up under a read lock and inserts under a write lock simply calls
+//! `lookup`, then `intern`: the hash travels inside the query, and `intern`
+//! re-probes with it, finding a shape another writer added in between.
+//! [`QueryInterner::shape_hash`] hashes the arena's own entries — the same
+//! hash, bit for bit — when a decode rebuilds the index.
 //!
 //! # Who owns the interner?
 //!
@@ -256,89 +260,13 @@ impl ShapeInfo {
     };
 }
 
-/// One operand term as the lookup sees it, whichever layout it came from.
-enum OpTerm<'a> {
-    /// A variable under the operand's own numbering.
-    Var(u32, VarKind),
-    /// A constant carried by value (boxed operands).
-    Value(&'a Constant),
-    /// A constant already interned here (flat operands).
-    Id(ConstId),
-}
-
-/// A query the interner can hash, compare and append in place: the boxed
-/// [`ConjunctiveQuery`] of the front door, or a flat [`QueryRef`] (the
-/// arena's own entries, hashed when the index is rebuilt after a decode).
-trait Operand {
-    type Term;
-    /// An upper bound on the operand's variable ids (exclusive).
-    fn var_bound(&self) -> usize;
-    fn num_atoms(&self) -> usize;
-    fn atom(&self, i: usize) -> (RelId, &[Self::Term]);
-    fn view(term: &Self::Term) -> OpTerm<'_>;
-}
-
-impl Operand for ConjunctiveQuery {
-    type Term = Term;
-
-    #[inline]
-    fn var_bound(&self) -> usize {
-        self.num_vars()
-    }
-
-    #[inline]
-    fn num_atoms(&self) -> usize {
-        self.atoms().len()
-    }
-
-    #[inline]
-    fn atom(&self, i: usize) -> (RelId, &[Term]) {
-        let atom = &self.atoms()[i];
-        (atom.relation, &atom.terms)
-    }
-
-    #[inline]
-    fn view(term: &Term) -> OpTerm<'_> {
-        match term {
-            Term::Var(v, kind) => OpTerm::Var(v.0, *kind),
-            Term::Const(c) => OpTerm::Value(c),
-        }
-    }
-}
-
-impl Operand for QueryRef<'_> {
-    type Term = ITerm;
-
-    #[inline]
-    fn var_bound(&self) -> usize {
-        self.kinds.len()
-    }
-
-    #[inline]
-    fn num_atoms(&self) -> usize {
-        self.atoms.len()
-    }
-
-    #[inline]
-    fn atom(&self, i: usize) -> (RelId, &[ITerm]) {
-        (self.atoms[i].relation, self.atom_terms(i))
-    }
-
-    #[inline]
-    fn view(term: &ITerm) -> OpTerm<'_> {
-        match *term {
-            ITerm::Var(v, kind) => OpTerm::Var(v, kind),
-            ITerm::Const(c) => OpTerm::Id(c),
-        }
-    }
-}
-
-/// Variables an operand may have before its numbering leaves the stack.
-/// The widest relation of the ecosystem schema (`User`) has 34 columns, so
-/// a two-atom join over it can have up to 68 variables and need not fit.
-/// Queries past 64 variables allocate the spill vector on every lookup.
-/// In `svc_bench`'s streams at seed 11 they are 1 729 of the 217 977
-/// queries of `hot_inline` (0.8 %) and 2 927 of the 40 000
+/// Variables a query may have before its first-occurrence numbering leaves
+/// the stack.  The widest relation of the ecosystem schema (`User`) has 34
+/// columns, so a two-atom join over it can have up to 68 variables and need
+/// not fit.  Past 64 variables a [`Numbering`] allocates its spill vector:
+/// once when the query is built, and once per compare pass and per append.
+/// In `svc_bench`'s streams at seed 11 such queries are 1 729 of the
+/// 217 977 queries of `hot_inline` (0.8 %) and 2 927 of the 40 000
 /// `WorkloadConfig::stress(5)` queries of `cold_shapes` (7.3 %).
 const INLINE_VARS: usize = 64;
 
@@ -347,13 +275,14 @@ const UNASSIGNED: u32 = u32::MAX;
 /// A vacant slot of the dedup table.
 const EMPTY_SLOT: u32 = u32::MAX;
 
-/// First-occurrence numbering of an operand's variables: operand variable
-/// id → canonical index.  Filled by the hash pass, read by the compare pass
-/// and the append.
-#[derive(Debug)]
-struct Numbering {
+/// First-occurrence numbering of a query's variables: query variable id →
+/// canonical index, assigned as a walk over the body meets each variable.
+/// The query's constructor numbers it to compute
+/// [`shape_hash`](ConjunctiveQuery::shape_hash); the compare pass and the
+/// append number the operand again as they go.
+pub(crate) struct Numbering {
     inline: [u32; INLINE_VARS],
-    /// Used instead of `inline` when the operand has more variables than
+    /// Used instead of `inline` when the query has more variables than
     /// fit; empty (and unallocated) otherwise.
     spill: Vec<u32>,
     /// Distinct variables numbered so far.
@@ -361,7 +290,8 @@ struct Numbering {
 }
 
 impl Numbering {
-    fn new(var_bound: usize) -> Self {
+    /// An empty numbering for variable ids below `var_bound`.
+    pub(crate) fn new(var_bound: usize) -> Self {
         Numbering {
             inline: [UNASSIGNED; INLINE_VARS],
             spill: if var_bound > INLINE_VARS {
@@ -373,10 +303,10 @@ impl Numbering {
         }
     }
 
-    /// The canonical index of operand variable `v`, assigning the next one
-    /// on first sight.
+    /// The canonical index of variable `v`, assigning the next one on first
+    /// sight.
     #[inline]
-    fn number(&mut self, v: u32) -> u32 {
+    pub(crate) fn number(&mut self, v: u32) -> u32 {
         let slots: &mut [u32] = if self.spill.is_empty() {
             &mut self.inline
         } else {
@@ -390,14 +320,21 @@ impl Numbering {
         *slot
     }
 
-    /// The canonical index of an already numbered variable.
+    /// Variable `v` has been numbered.
     #[inline]
-    fn get(&self, v: u32) -> u32 {
-        if self.spill.is_empty() {
-            self.inline[v as usize]
+    pub(crate) fn is_numbered(&self, v: u32) -> bool {
+        let slots: &[u32] = if self.spill.is_empty() {
+            &self.inline
         } else {
-            self.spill[v as usize]
-        }
+            &self.spill
+        };
+        slots[v as usize] != UNASSIGNED
+    }
+
+    /// Distinct variables numbered so far.
+    #[inline]
+    pub(crate) fn assigned(&self) -> u32 {
+        self.assigned
     }
 }
 
@@ -412,61 +349,101 @@ fn hash_step(hash: u64, value: u64) -> u64 {
     (hash.rotate_left(5) ^ value).wrapping_mul(HASH_MULTIPLIER)
 }
 
-/// Final avalanche (MurmurHash3's 64-bit finaliser), so the low bits that
-/// index the probe table depend on every input bit.
+/// Final avalanche (MurmurHash3's 64-bit finaliser), so every output bit
+/// depends on every input bit, folded to the 32 bits a query stores.
 #[inline]
-fn hash_finish(mut hash: u64) -> u64 {
+fn hash_finish(mut hash: u64) -> u32 {
     hash ^= hash >> 33;
     hash = hash.wrapping_mul(0xff51_afd7_ed55_8ccd);
     hash ^= hash >> 33;
     hash = hash.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-    hash ^ (hash >> 33)
+    hash ^= hash >> 33;
+    (hash ^ (hash >> 32)) as u32
 }
 
-#[inline]
-fn hash_var(hash: u64, index: u32, kind: VarKind) -> u64 {
-    let tag: u64 = match kind {
-        VarKind::Distinguished => 0x1_0000_0000,
-        VarKind::Existential => 0x2_0000_0000,
-    };
-    hash_step(hash, tag | u64::from(index))
-}
+/// The canonical hash of a query, fed its body in order: per atom its
+/// relation and arity, per term a variable's canonical (first-occurrence)
+/// index and kind or a constant's **value**.  Alpha-variants therefore hash
+/// alike, and a known query is recognised without consulting the constant
+/// table.  [`ConjunctiveQuery`]'s constructors and the interner's own
+/// entries ([`QueryInterner::shape_hash`]) are hashed by this one type, so
+/// the two agree bit for bit.
+pub(crate) struct ShapeHasher(u64);
 
-/// Hashes a constant by value, so `Int(1)` and `Str("1")` differ and a
-/// known query is recognised without consulting the constant table.
-#[inline]
-fn hash_constant(hash: u64, constant: &Constant) -> u64 {
-    match constant {
-        Constant::Int(i) => hash_step(hash_step(hash, 0x3_0000_0000), *i as u64),
-        Constant::Str(s) => {
-            let bytes = s.as_bytes();
-            let mut hash = hash_step(hash_step(hash, 0x4_0000_0000), bytes.len() as u64);
-            let mut chunks = bytes.chunks_exact(8);
-            for chunk in &mut chunks {
-                let word = u64::from_le_bytes(chunk.try_into().expect("chunks of eight bytes"));
-                hash = hash_step(hash, word);
+impl ShapeHasher {
+    /// Starts the hash of a body of `num_atoms` atoms.
+    #[inline]
+    pub(crate) fn new(num_atoms: usize) -> Self {
+        ShapeHasher(hash_step(HASH_SEED, num_atoms as u64))
+    }
+
+    /// Starts the next atom.
+    #[inline]
+    pub(crate) fn atom(&mut self, relation: RelId, arity: usize) {
+        self.0 = hash_step(hash_step(self.0, u64::from(relation.0)), arity as u64);
+    }
+
+    /// A variable term, by its canonical index.
+    #[inline]
+    pub(crate) fn var(&mut self, index: u32, kind: VarKind) {
+        let tag: u64 = match kind {
+            VarKind::Distinguished => 0x1_0000_0000,
+            VarKind::Existential => 0x2_0000_0000,
+        };
+        self.0 = hash_step(self.0, tag | u64::from(index));
+    }
+
+    /// A constant term, by value, so `Int(1)` and `Str("1")` differ.
+    #[inline]
+    pub(crate) fn constant(&mut self, constant: &Constant) {
+        self.0 = match constant {
+            Constant::Int(i) => hash_step(hash_step(self.0, 0x3_0000_0000), *i as u64),
+            Constant::Str(s) => {
+                let bytes = s.as_bytes();
+                let mut hash = hash_step(hash_step(self.0, 0x4_0000_0000), bytes.len() as u64);
+                let mut chunks = bytes.chunks_exact(8);
+                for chunk in &mut chunks {
+                    let word = u64::from_le_bytes(chunk.try_into().expect("chunks of eight bytes"));
+                    hash = hash_step(hash, word);
+                }
+                let rest = chunks.remainder();
+                if !rest.is_empty() {
+                    let mut word = [0u8; 8];
+                    word[..rest.len()].copy_from_slice(rest);
+                    hash = hash_step(hash, u64::from_le_bytes(word));
+                }
+                hash
             }
-            let rest = chunks.remainder();
-            if !rest.is_empty() {
-                let mut word = [0u8; 8];
-                word[..rest.len()].copy_from_slice(rest);
-                hash = hash_step(hash, u64::from_le_bytes(word));
-            }
-            hash
+        };
+    }
+
+    /// A whole term, numbering a variable on first sight.
+    #[inline]
+    pub(crate) fn term(&mut self, term: &Term, numbering: &mut Numbering) {
+        match term {
+            Term::Var(v, kind) => self.var(numbering.number(v.0), *kind),
+            Term::Const(c) => self.constant(c),
         }
+    }
+
+    /// The finished 32-bit hash.
+    #[inline]
+    pub(crate) fn finish(self) -> u32 {
+        hash_finish(self.0)
     }
 }
 
-/// What a [`QueryInterner::locate`] that missed computed — the query's
-/// canonical hash and first-occurrence numbering — carried to
-/// [`QueryInterner::intern_located`], so a shape seen for the first time is
-/// walked for its hash once even when the lookup and the insert take
-/// different locks.
-#[derive(Debug)]
-pub struct LocatedMiss<'q> {
-    query: &'q ConjunctiveQuery,
-    numbering: Numbering,
-    hash: u64,
+/// The canonical hash of `atoms`, whose variable ids lie below `var_bound`.
+pub(crate) fn shape_hash(atoms: &[Atom], var_bound: usize) -> u32 {
+    let mut numbering = Numbering::new(var_bound);
+    let mut hasher = ShapeHasher::new(atoms.len());
+    for atom in atoms {
+        hasher.atom(atom.relation, atom.terms.len());
+        for term in &atom.terms {
+            hasher.term(term, &mut numbering);
+        }
+    }
+    hasher.finish()
 }
 
 /// The interning arena for conjunctive queries.
@@ -483,7 +460,7 @@ pub struct QueryInterner {
     consts: Vec<Constant>,
     const_ids: HashMap<Constant, ConstId>,
     /// Canonical hash of each interned query, indexed by `QueryId`.
-    hashes: Vec<u64>,
+    hashes: Vec<u32>,
     /// The dedup index: an open-addressed, linearly probed table of
     /// `QueryId`s ([`EMPTY_SLOT`] where vacant), a power of two in length
     /// and at most half full.  A slot's key is `hashes[id]`; candidates
@@ -554,73 +531,50 @@ impl QueryInterner {
         }
     }
 
-    /// Hash pass: the canonical hash of `operand`, numbering its variables
-    /// by first occurrence into `numbering` on the way.
-    fn hash_operand<O: Operand>(&self, operand: &O, numbering: &mut Numbering) -> u64 {
-        let mut hash = hash_step(HASH_SEED, operand.num_atoms() as u64);
-        for i in 0..operand.num_atoms() {
-            let (relation, terms) = operand.atom(i);
-            hash = hash_step(hash, u64::from(relation.0));
-            hash = hash_step(hash, terms.len() as u64);
-            for term in terms {
-                hash = match O::view(term) {
-                    OpTerm::Var(v, kind) => hash_var(hash, numbering.number(v), kind),
-                    OpTerm::Value(constant) => hash_constant(hash, constant),
-                    OpTerm::Id(id) => hash_constant(hash, &self.consts[id.index()]),
-                };
-            }
-        }
-        hash_finish(hash)
-    }
-
-    /// Compare pass: true if `operand`, under the numbering its hash pass
-    /// produced, is term for term the interned query `id`.
-    fn equals<O: Operand>(&self, id: QueryId, operand: &O, numbering: &Numbering) -> bool {
+    /// Compare pass: true if `query` is term for term the interned query
+    /// `id`.  One walk over the operand numbers its variables as it goes —
+    /// a variable's first occurrence takes the next canonical index — and
+    /// checks atom count, each atom's relation and arity, each variable's
+    /// index and kind, each constant's value, and at the end the variable
+    /// count.
+    fn equals(&self, id: QueryId, query: &ConjunctiveQuery) -> bool {
         let span = self.queries[id.index()];
-        if span.atom_len as usize != operand.num_atoms() || span.num_vars != numbering.assigned {
+        if span.atom_len as usize != query.num_atoms() {
             return false;
         }
         let stored = self.span_ref(span);
-        stored.atoms.iter().enumerate().all(|(i, atom)| {
-            let (relation, terms) = operand.atom(i);
-            atom.relation == relation
-                && atom.arity() == terms.len()
-                && atom
-                    .terms(stored.terms)
-                    .iter()
-                    .zip(terms)
-                    .all(|(stored, term)| match (O::view(term), *stored) {
-                        (OpTerm::Var(v, kind), ITerm::Var(index, stored_kind)) => {
-                            numbering.get(v) == index && kind == stored_kind
-                        }
-                        (OpTerm::Value(constant), ITerm::Const(stored_id)) => {
-                            self.consts[stored_id.index()] == *constant
-                        }
-                        (OpTerm::Id(id), ITerm::Const(stored_id)) => id == stored_id,
-                        _ => false,
-                    })
-        })
+        let mut numbering = Numbering::new(query.num_vars());
+        let same = stored
+            .atoms
+            .iter()
+            .zip(query.atoms())
+            .all(|(atom, operand)| {
+                atom.relation == operand.relation
+                    && atom.arity() == operand.terms.len()
+                    && atom
+                        .terms(stored.terms)
+                        .iter()
+                        .zip(operand.terms.iter())
+                        .all(|(stored, term)| match (term, *stored) {
+                            (Term::Var(v, kind), ITerm::Var(index, stored_kind)) => {
+                                *kind == stored_kind && numbering.number(v.0) == index
+                            }
+                            (Term::Const(constant), ITerm::Const(stored_id)) => {
+                                self.consts[stored_id.index()] == *constant
+                            }
+                            _ => false,
+                        })
+            });
+        same && numbering.assigned() == span.num_vars
     }
 
-    /// The one lookup routine behind [`intern`](Self::intern) and
-    /// [`locate`](Self::locate): hash the operand in
-    /// place, probe the dedup table, and compare every candidate whose
-    /// stored hash matches.  Returns the hash with the verdict so a miss can
-    /// be appended without hashing again.
-    fn locate_operand<O: Operand>(
-        &self,
-        operand: &O,
-        numbering: &mut Numbering,
-    ) -> (u64, Option<QueryId>) {
-        let hash = self.hash_operand(operand, numbering);
-        (hash, self.probe(operand, numbering, hash))
-    }
-
-    /// Walks the probe chain of `hash`; a hash match alone is never a hit.
-    fn probe<O: Operand>(&self, operand: &O, numbering: &Numbering, hash: u64) -> Option<QueryId> {
+    /// Walks the probe chain of the query's stored hash; a hash match alone
+    /// is never a hit.
+    fn probe(&self, query: &ConjunctiveQuery) -> Option<QueryId> {
         if self.table.is_empty() {
             return None;
         }
+        let hash = query.shape_hash();
         let mask = self.table.len() - 1;
         let mut slot = hash as usize & mask;
         loop {
@@ -629,7 +583,7 @@ impl QueryInterner {
                 return None;
             }
             let id = QueryId(occupant);
-            if self.hashes[id.index()] == hash && self.equals(id, operand, numbering) {
+            if self.hashes[id.index()] == hash && self.equals(id, query) {
                 return Some(id);
             }
             slot = (slot + 1) & mask;
@@ -640,7 +594,7 @@ impl QueryInterner {
     /// decode) into every derived index: its `hash` into the dedup table
     /// (doubled first if that would fill it past half) and a fresh fold
     /// entry.
-    fn index_newest(&mut self, hash: u64) {
+    fn index_newest(&mut self, hash: u32) {
         let id = QueryId(self.hashes.len() as u32);
         self.hashes.push(hash);
         if self.hashes.len() * 2 > self.table.len() {
@@ -664,63 +618,64 @@ impl QueryInterner {
         self.table[slot] = index as u32;
     }
 
-    /// Miss path: appends `operand` to the arena straight from where it
-    /// lies, under the numbering and hash its lookup produced, minting ids
-    /// for constants never seen before.
-    fn append<O: Operand>(&mut self, operand: &O, numbering: &Numbering, hash: u64) -> QueryId {
+    /// Miss path: appends `query` to the arena straight from where it lies,
+    /// numbering its variables by first occurrence as it copies them and
+    /// minting ids for constants never seen before, and indexes it under
+    /// its stored hash.
+    fn append(&mut self, query: &ConjunctiveQuery) -> QueryId {
         let id = QueryId(self.queries.len() as u32);
         let atom_start = self.atoms.len() as u32;
         let kind_start = self.kinds.len();
-        for i in 0..operand.num_atoms() {
-            let (relation, terms) = operand.atom(i);
+        let mut numbering = Numbering::new(query.num_vars());
+        for atom in query.atoms() {
             let term_start = self.terms.len() as u32;
-            for term in terms {
-                let interned = match O::view(term) {
-                    OpTerm::Var(v, kind) => {
-                        let index = numbering.get(v);
+            for term in atom.terms.iter() {
+                let interned = match term {
+                    Term::Var(v, kind) => {
+                        let index = numbering.number(v.0);
                         if index as usize == self.kinds.len() - kind_start {
-                            self.kinds.push(kind);
+                            self.kinds.push(*kind);
                         }
-                        ITerm::Var(index, kind)
+                        ITerm::Var(index, *kind)
                     }
-                    OpTerm::Value(constant) => ITerm::Const(self.const_id_mut(constant)),
-                    OpTerm::Id(id) => ITerm::Const(id),
+                    Term::Const(constant) => ITerm::Const(self.const_id_mut(constant)),
                 };
                 self.terms.push(interned);
             }
             self.atoms.push(IAtom {
-                relation,
+                relation: atom.relation,
                 term_start,
-                term_len: terms.len() as u32,
+                term_len: atom.terms.len() as u32,
             });
         }
         self.queries.push(QuerySpan {
             atom_start,
-            atom_len: self.atoms.len() as u32 - atom_start,
+            atom_len: query.num_atoms() as u32,
             kind_start: kind_start as u32,
-            num_vars: numbering.assigned,
+            num_vars: numbering.assigned(),
         });
-        self.index_newest(hash);
+        debug_assert_eq!(
+            self.shape_hash(id),
+            query.shape_hash(),
+            "a query's stored hash disagrees with its arena entry's"
+        );
+        self.index_newest(query.shape_hash());
         id
-    }
-
-    /// [`locate_operand`](Self::locate_operand), then
-    /// [`append`](Self::append) on a miss.
-    fn intern_operand<O: Operand>(&mut self, operand: &O) -> QueryId {
-        let mut numbering = Numbering::new(operand.var_bound());
-        match self.locate_operand(operand, &mut numbering) {
-            (_, Some(id)) => id,
-            (hash, None) => self.append(operand, &numbering, hash),
-        }
     }
 
     /// Interns a query, returning its dense id.
     ///
     /// Alpha-equivalent queries share one id (and one copy of the flat
     /// representation).  A known shape is recognised in place, without
-    /// allocating; only a new shape is copied into the arena.
+    /// allocating; only a new shape is copied into the arena.  A caller that
+    /// [`lookup`](Self::lookup)s under a read lock and interns under a write
+    /// lock gets the same id: this probe finds a shape another holder of the
+    /// interner added in between.
     pub fn intern(&mut self, query: &ConjunctiveQuery) -> QueryId {
-        self.intern_operand(query)
+        match self.probe(query) {
+            Some(id) => id,
+            None => self.append(query),
+        }
     }
 
     /// Looks a query up without interning it.
@@ -728,46 +683,7 @@ impl QueryInterner {
     /// Returns the id the query *would* intern to, or `None` if its
     /// canonical form (or any of its constants) has never been interned.
     pub fn lookup(&self, query: &ConjunctiveQuery) -> Option<QueryId> {
-        self.locate(query).ok()
-    }
-
-    /// [`lookup`](Self::lookup) that, on a miss, hands back what it
-    /// computed, so [`intern_located`](Self::intern_located) can insert the
-    /// query without hashing it again — the shape of a caller that looks up
-    /// under a read lock and inserts under a write lock.
-    // The miss carries the on-stack numbering by value: boxing it would add
-    // an allocation to every first sight, and a hit writes only the id.
-    #[allow(clippy::result_large_err)]
-    pub fn locate<'q>(
-        &self,
-        query: &'q ConjunctiveQuery,
-    ) -> std::result::Result<QueryId, LocatedMiss<'q>> {
-        let mut numbering = Numbering::new(query.var_bound());
-        match self.locate_operand(query, &mut numbering) {
-            (_, Some(id)) => Ok(id),
-            (hash, None) => Err(LocatedMiss {
-                query,
-                numbering,
-                hash,
-            }),
-        }
-    }
-
-    /// Interns the query a [`locate`](Self::locate) missed, under the hash
-    /// and numbering that lookup computed: the dedup table is probed again
-    /// with the known hash — another holder of the interner may have
-    /// interned the shape since — and only a shape still unknown is
-    /// appended.  The id is exactly what [`intern`](Self::intern) returns.
-    pub fn intern_located(&mut self, miss: LocatedMiss<'_>) -> QueryId {
-        let LocatedMiss {
-            query,
-            numbering,
-            hash,
-        } = miss;
-        match self.probe(query, &numbering, hash) {
-            Some(id) => id,
-            None => self.append(query, &numbering, hash),
-        }
+        self.probe(query)
     }
 
     /// Resolves an id to its zero-copy [`QueryRef`] view.
@@ -862,12 +778,29 @@ impl QueryInterner {
         self.try_to_query(id).expect("interned queries are valid")
     }
 
-    /// The canonical hash of interned query `id`, computed from the arena by
-    /// the same hash pass that serves operands (used to rebuild the dedup
-    /// index after [`decode_from`](Self::decode_from)).
-    fn hash_interned(&self, id: QueryId) -> u64 {
-        let query = self.span_ref(self.queries[id.index()]);
-        self.hash_operand(&query, &mut Numbering::new(query.var_bound()))
+    /// The canonical hash of interned query `id`, computed from the arena:
+    /// the [`shape_hash`](ConjunctiveQuery::shape_hash) of every query that
+    /// interns to `id`.  Used to rebuild the dedup index after
+    /// [`decode_from`](Self::decode_from), whose entries are in canonical
+    /// form already, so no numbering is needed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id was not issued by this interner.
+    pub fn shape_hash(&self, id: QueryId) -> u32 {
+        let query = self.resolve(id);
+        let mut hasher = ShapeHasher::new(query.num_atoms());
+        for i in 0..query.num_atoms() {
+            let terms = query.atom_terms(i);
+            hasher.atom(query.relation(i), terms.len());
+            for term in terms {
+                match *term {
+                    ITerm::Var(index, kind) => hasher.var(index, kind),
+                    ITerm::Const(c) => hasher.constant(&self.consts[c.index()]),
+                }
+            }
+        }
+        hasher.finish()
     }
 
     /// Serializes the whole arena — constants, term buffer, atom spans,
@@ -1049,7 +982,7 @@ impl QueryInterner {
             fold_atoms: Vec::new(),
         };
         for index in 0..interner.queries.len() {
-            let hash = interner.hash_interned(QueryId(index as u32));
+            let hash = interner.shape_hash(QueryId(index as u32));
             interner.index_newest(hash);
         }
         Ok(interner)
@@ -1309,6 +1242,16 @@ mod tests {
         }
     }
 
+    /// Gives every interned query the stored hash `hash` and rebuilds the
+    /// dedup table: all of them share one probe chain, in id order.
+    fn forge_hashes(interner: &mut QueryInterner, hash: u32) {
+        interner.hashes.fill(hash);
+        interner.table.fill(EMPTY_SLOT);
+        for index in 0..interner.hashes.len() {
+            interner.claim_slot(index);
+        }
+    }
+
     #[test]
     fn colliding_shapes_resolve_to_their_own_ids() {
         let c = catalog();
@@ -1336,33 +1279,49 @@ mod tests {
             q(&c, "Q(x, y) :- Meetings(x, y), Meetings(y, x)"), // variable index
             raw(meetings, &[&x, &y, &x, &y]),                   // same flat terms, other arity
         ];
-        // Append them all under one forged hash: they share a probe chain
-        // and every stored hash matches, so only the compare pass can tell
-        // them apart.
-        let forged = 0xdead_beef_u64;
+        // Under one forged hash every shape shares a probe chain and every
+        // stored hash matches, so only the compare pass can tell them
+        // apart.  Each shape walks the chain of all earlier ones and misses
+        // before it is interned.
+        let forged = 0xdead_beef_u32;
         let mut interner = QueryInterner::new();
         let mut ids = Vec::new();
         for shape in &shapes {
-            let mut numbering = Numbering::new(shape.var_bound());
-            interner.hash_operand(shape, &mut numbering);
-            assert_eq!(interner.probe(shape, &numbering, forged), None);
-            ids.push(interner.append(shape, &numbering, forged));
+            forge_hashes(&mut interner, forged);
+            assert_eq!(
+                interner.lookup(&shape.clone().with_shape_hash(forged)),
+                None
+            );
+            ids.push(interner.intern(shape));
         }
+        forge_hashes(&mut interner, forged);
         assert_eq!(
             ids,
             (0..shapes.len() as u32).map(QueryId).collect::<Vec<_>>()
         );
         for (shape, &id) in shapes.iter().zip(&ids) {
-            let mut numbering = Numbering::new(shape.var_bound());
-            interner.hash_operand(shape, &mut numbering);
-            assert_eq!(interner.probe(shape, &numbering, forged), Some(id));
+            let forged_shape = shape.clone().with_shape_hash(forged);
+            assert_eq!(interner.lookup(&forged_shape), Some(id));
+            assert_eq!(interner.intern(&forged_shape), id);
             assert!(structurally_identical(shape, &interner.to_query(id)));
         }
-        // A fourth shape walks the whole chain and still misses.
-        let stranger = q(&c, "Q() :- Meetings(z, z)");
-        let mut numbering = Numbering::new(stranger.var_bound());
-        interner.hash_operand(&stranger, &mut numbering);
-        assert_eq!(interner.probe(&stranger, &numbering, forged), None);
+        assert_eq!(interner.len(), shapes.len());
+        // A stranger walks the whole chain and still misses.
+        let stranger = q(&c, "Q() :- Meetings(z, z)").with_shape_hash(forged);
+        assert_eq!(interner.lookup(&stranger), None);
+
+        // The numbering is injective both ways: two operand variables never
+        // share a stored index, and one operand variable never takes two.
+        for (stored, operand) in [
+            ("Q() :- Meetings(z, z)", "Q() :- Meetings(x, y)"),
+            ("Q() :- Meetings(x, y)", "Q() :- Meetings(x, x)"),
+        ] {
+            let mut interner = QueryInterner::new();
+            interner.intern(&q(&c, stored));
+            forge_hashes(&mut interner, forged);
+            let operand = q(&c, operand).with_shape_hash(forged);
+            assert_eq!(interner.lookup(&operand), None, "{operand:?} vs {stored}");
+        }
     }
 
     #[test]

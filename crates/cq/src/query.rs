@@ -16,6 +16,16 @@
 //! header, the atoms and their terms — a term carries its variable's kind —
 //! and never the block.
 //!
+//! A query never changes once built, so the header also carries its
+//! **canonical hash** ([`ConjunctiveQuery::shape_hash`]): the interner's hash
+//! of the body with variables numbered by first occurrence and constants
+//! hashed by value.  A validating constructor computes it in the walk that
+//! checks the body — the first-occurrence numbering is also its record of
+//! which declared variables occur — so building a query still walks the
+//! body once, and allocates nothing for it with at most 64 variables.  A
+//! clone copies the hash; the interner's front door reads it instead of
+//! hashing the query again.
+//!
 //! The body costs one block for the boxed atom slice and one per atom for
 //! its terms, a boxed slice of 16-byte [`Term`]s.  A string constant of at
 //! most [`SmallStr::INLINE`](crate::SmallStr::INLINE) bytes lives inside its
@@ -29,6 +39,7 @@ use std::fmt::{self, Write as _};
 use crate::atom::Atom;
 use crate::catalog::{Catalog, RelId};
 use crate::error::{CqError, Result};
+use crate::intern::{shape_hash, Numbering, ShapeHasher};
 use crate::term::{Constant, Term, VarId, VarKind};
 
 /// A conjunctive query: a list of body atoms with tagged variables.
@@ -43,19 +54,21 @@ use crate::term::{Constant, Term, VarId, VarKind};
 /// Two queries are equal when their atoms, kinds and the list of their
 /// variable names are equal.  The variable block is a function of that list
 /// — its end offsets mark where each name stops — so `["ab", "c"]` and
-/// `["a", "bc"]` differ.
+/// `["a", "bc"]` differ.  The stored hash is a function of the atoms, so it
+/// changes nothing about equality; it is compared first, which settles most
+/// unequal pairs in one integer comparison.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct ConjunctiveQuery {
+    /// The canonical hash of the atoms, set by every constructor.
+    shape_hash: u32,
     atoms: Box<[Atom]>,
     /// The variable table in one block: one kind byte per variable, then
-    /// each name's end offset (little-endian, 2 bytes or — with
-    /// `wide_offsets` — 4), then every name back to back in id order.
-    /// Variable `i`'s name starts where `i - 1`'s ends.
+    /// each name's end offset (little-endian, 2 bytes, or 4 once the names
+    /// total more than `u16::MAX` bytes — see
+    /// [`offset_width`](Self::offset_width)), then every name back to back
+    /// in id order.  Variable `i`'s name starts where `i - 1`'s ends.
     vars: Box<[u8]>,
     num_vars: u32,
-    /// The names total more than `u16::MAX` bytes, so each end offset takes
-    /// 4 bytes instead of 2.
-    wide_offsets: bool,
 }
 
 /// A variable kind as the variable block stores it.
@@ -170,12 +183,17 @@ impl VarTable {
     /// Checks `atoms` against the table: a non-empty body whose variables
     /// are declared with the kinds they are tagged with, and — if
     /// `every_var_used` — no declared variable missing from the body.
-    fn check(&self, atoms: &[Atom], every_var_used: bool) -> Result<()> {
+    /// Returns the body's canonical hash, computed in the same walk: the
+    /// first-occurrence numbering the hash needs is also the record of which
+    /// declared variables occur.
+    fn check(&self, atoms: &[Atom], every_var_used: bool) -> Result<u32> {
         if atoms.is_empty() {
             return Err(CqError::EmptyBody);
         }
-        let mut seen = vec![false; if every_var_used { self.len() } else { 0 }];
+        let mut numbering = Numbering::new(self.len());
+        let mut hasher = ShapeHasher::new(atoms.len());
         for atom in atoms {
+            hasher.atom(atom.relation, atom.terms.len());
             for term in &atom.terms {
                 if let Term::Var(v, kind) = term {
                     let Some(expected) = self.kinds.get(v.index()) else {
@@ -186,20 +204,21 @@ impl VarTable {
                     if expected != kind {
                         return Err(CqError::ConflictingVariableKind(self.name(*v).to_owned()));
                     }
-                    if every_var_used {
-                        seen[v.index()] = true;
-                    }
                 }
+                hasher.term(term, &mut numbering);
             }
         }
-        if let Some(unused) = seen.iter().position(|s| !s) {
+        if every_var_used && numbering.assigned() as usize != self.len() {
             // A declared distinguished variable that never occurs in the body
             // makes the query unsafe; an unused existential variable is just
             // a builder bug.  Both are rejected.
-            let unused = VarId(unused as u32);
+            let unused = (0..self.len() as u32)
+                .map(VarId)
+                .find(|v| !numbering.is_numbered(v.0))
+                .expect("fewer variables numbered than declared");
             return Err(CqError::UnsafeHeadVariable(self.name(unused).to_owned()));
         }
-        Ok(())
+        Ok(hasher.finish())
     }
 }
 
@@ -271,12 +290,13 @@ impl ConjunctiveQuery {
     /// Builds a query from atoms and the table its constructor declared the
     /// variables in, validating the invariants.
     pub(crate) fn from_table(atoms: Vec<Atom>, vars: VarTable) -> Result<Self> {
-        vars.check(&atoms, true)?;
-        Ok(ConjunctiveQuery::freeze(atoms, vars))
+        let shape_hash = vars.check(&atoms, true)?;
+        Ok(ConjunctiveQuery::freeze(atoms, vars, shape_hash))
     }
 
-    /// Packs `vars` into the query's one variable block.
-    fn freeze(atoms: Vec<Atom>, vars: VarTable) -> Self {
+    /// Packs `vars` into the query's one variable block; `shape_hash` is
+    /// the canonical hash of `atoms`.
+    fn freeze(atoms: Vec<Atom>, vars: VarTable, shape_hash: u32) -> Self {
         debug_assert_eq!(vars.ends.len(), vars.kinds.len(), "every variable is named");
         let num_vars = u32::try_from(vars.len()).expect("a query has at most 2^32 variables");
         let wide_offsets = vars.names.len() > usize::from(u16::MAX);
@@ -293,10 +313,10 @@ impl ConjunctiveQuery {
         }
         block.extend_from_slice(vars.names.as_bytes());
         ConjunctiveQuery {
+            shape_hash,
             atoms: atoms.into_boxed_slice(),
             vars: block.into_boxed_slice(),
             num_vars,
-            wide_offsets,
         }
     }
 
@@ -305,9 +325,13 @@ impl ConjunctiveQuery {
         &self.vars[..self.num_vars()]
     }
 
-    /// Bytes per end offset in the variable block.
+    /// Bytes per end offset in the variable block, which follows from the
+    /// block's length: with 2-byte offsets the block is `3 n` bytes plus the
+    /// names, which total at most `u16::MAX` bytes; with 4-byte offsets it
+    /// is `3 n` bytes plus the names plus `2 n`, and the names alone total
+    /// more than that.
     fn offset_width(&self) -> usize {
-        if self.wide_offsets {
+        if self.vars.len() - 3 * self.num_vars() > usize::from(u16::MAX) {
             4
         } else {
             2
@@ -319,7 +343,7 @@ impl ConjunctiveQuery {
         let width = self.offset_width();
         let at = self.num_vars() + i * width;
         let bytes = &self.vars[at..at + width];
-        if self.wide_offsets {
+        if width == 4 {
             u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) as usize
         } else {
             usize::from(u16::from_le_bytes([bytes[0], bytes[1]]))
@@ -352,6 +376,27 @@ impl ConjunctiveQuery {
     #[inline]
     pub fn num_vars(&self) -> usize {
         self.num_vars as usize
+    }
+
+    /// The query's canonical hash: the body hashed with its variables
+    /// numbered by first occurrence and its constants by value, so
+    /// alpha-variants hash alike.  It is what
+    /// [`QueryInterner`](crate::intern::QueryInterner) probes its dedup
+    /// table with, and equals
+    /// [`QueryInterner::shape_hash`](crate::intern::QueryInterner::shape_hash)
+    /// of the id the query interns to.  Computed once, when the query is
+    /// built; reading it costs nothing.
+    #[inline]
+    pub fn shape_hash(&self) -> u32 {
+        self.shape_hash
+    }
+
+    /// The query with its stored hash replaced by `hash`, to force probe
+    /// collisions in tests.
+    #[cfg(test)]
+    pub(crate) fn with_shape_hash(mut self, hash: u32) -> Self {
+        self.shape_hash = hash;
+        self
     }
 
     /// The kind (distinguished / existential) of a variable.
@@ -502,20 +547,20 @@ impl ConjunctiveQuery {
     /// existential variables may simply not occur in it.  Kind consistency is
     /// still enforced.
     pub(crate) fn from_table_allowing_unused(atoms: Vec<Atom>, vars: VarTable) -> Result<Self> {
-        vars.check(&atoms, false)?;
-        Ok(ConjunctiveQuery::freeze(atoms, vars))
+        let shape_hash = vars.check(&atoms, false)?;
+        Ok(ConjunctiveQuery::freeze(atoms, vars, shape_hash))
     }
 
     /// Returns a copy of the query with a different set of atoms but the same
-    /// variable table.  Intended for algorithms (folding, dissection) that
-    /// drop or alter atoms; the caller must ensure every surviving variable
-    /// still occurs in the body.
+    /// variable table, hashing the new atoms.  Intended for algorithms
+    /// (folding, dissection) that drop or alter atoms; the caller must
+    /// ensure every surviving variable still occurs in the body.
     pub(crate) fn with_atoms_unchecked(&self, atoms: Vec<Atom>) -> ConjunctiveQuery {
         ConjunctiveQuery {
+            shape_hash: shape_hash(&atoms, self.num_vars()),
             atoms: atoms.into_boxed_slice(),
             vars: self.vars.clone(),
             num_vars: self.num_vars,
-            wide_offsets: self.wide_offsets,
         }
     }
 }
@@ -792,11 +837,11 @@ mod tests {
             .unwrap()
         };
         // The padding takes the names past 64 KiB: both offset widths.
-        for (pad, wide) in [(String::new(), false), ("z".repeat(1 << 16), true)] {
+        for (pad, width) in [(String::new(), 2), ("z".repeat(1 << 16), 4)] {
             for ((a1, b1), (a2, b2)) in [(("ab", "c"), ("a", "bc")), (("", "a"), ("a", ""))] {
                 let (b1, b2) = (format!("{b1}{pad}"), format!("{b2}{pad}"));
                 let (p, q) = (named(a1, &b1), named(a2, &b2));
-                assert_eq!((p.wide_offsets, q.wide_offsets), (wide, wide));
+                assert_eq!((p.offset_width(), q.offset_width()), (width, width));
                 assert_ne!(p, q, "{a1:?},{b1:?} vs {a2:?},{b2:?}");
                 assert_ne!(hash(&p), hash(&q));
                 assert_eq!((p.var_name(VarId(0)), p.var_name(VarId(1))), (a1, &*b1));
@@ -835,20 +880,19 @@ mod tests {
 
         let c = catalog();
         let long = "é".repeat(20_000) + "ß";
-        let cases: [(Vec<String>, bool); 3] = [
-            (
-                vec!["né".into(), "日本".into(), "x🦀".into(), "".into()],
-                false,
-            ),
-            (
-                vec![long.clone(), "y".into(), "z".into(), long.clone()],
-                true,
-            ),
-            (vec!["a".repeat(usize::from(u16::MAX)), "".into()], false),
+        // The offset width follows from the block length: 2 bytes up to
+        // exactly `u16::MAX` name bytes, 4 from one byte past that.
+        let max = usize::from(u16::MAX);
+        let cases: [(Vec<String>, usize); 5] = [
+            (vec!["né".into(), "日本".into(), "x🦀".into(), "".into()], 2),
+            (vec![long.clone(), "y".into(), "z".into(), long.clone()], 4),
+            (vec!["a".repeat(max), "".into()], 2),
+            (vec!["a".repeat(max - 1), "é".into()], 4),
+            (vec!["a".repeat(max), "".into(), "".into(), "b".into()], 4),
         ];
-        for (names, wide) in cases {
+        for (names, width) in cases {
             let q = query_named(&names);
-            assert_eq!(q.wide_offsets, wide, "{} name bytes", q.names().len());
+            assert_eq!(q.offset_width(), width, "{} name bytes", q.names().len());
             for (i, name) in names.iter().enumerate() {
                 assert_eq!(q.var_name(VarId(i as u32)), name);
             }

@@ -57,13 +57,23 @@ use crate::term::{Term, VarId, VarKind};
 /// assert!(!rewritable_from_single(&q1, &v2)); // the time-only view is not enough
 /// ```
 pub fn rewritable_from_single(query: &ConjunctiveQuery, view: &ConjunctiveQuery) -> bool {
+    single_view_expansion(query, view)
+        .is_some_and(|expansion| equivalent_same_space(&expansion, query))
+}
+
+/// The expansion of the one-use candidate rewriting of `query` from `view`,
+/// in the query's variable space, or `None` when no candidate exists.
+fn single_view_expansion(
+    query: &ConjunctiveQuery,
+    view: &ConjunctiveQuery,
+) -> Option<ConjunctiveQuery> {
     if !query.is_single_atom() || !view.is_single_atom() {
-        return false;
+        return None;
     }
     let q_atom = &query.atoms()[0];
     let v_atom = &view.atoms()[0];
     if q_atom.relation != v_atom.relation || q_atom.arity() != v_atom.arity() {
-        return false;
+        return None;
     }
 
     // Step 1: build the positional assignment θ from the view's distinguished
@@ -73,7 +83,7 @@ pub fn rewritable_from_single(query: &ConjunctiveQuery, view: &ConjunctiveQuery)
     for (v_term, q_term) in v_atom.terms.iter().zip(q_atom.terms.iter()) {
         match v_term {
             Term::Var(v, VarKind::Distinguished) => match &theta[v.index()] {
-                Some(existing) if existing != q_term => return false,
+                Some(existing) if existing != q_term => return None,
                 Some(_) => {}
                 None => theta[v.index()] = Some(q_term.clone()),
             },
@@ -88,7 +98,7 @@ pub fn rewritable_from_single(query: &ConjunctiveQuery, view: &ConjunctiveQuery)
                 // contradicts the query (different constant) or is more
                 // restrictive than it (variable in the query).
                 if q_term.as_const() != Some(c) {
-                    return false;
+                    return None;
                 }
             }
         }
@@ -105,7 +115,7 @@ pub fn rewritable_from_single(query: &ConjunctiveQuery, view: &ConjunctiveQuery)
                 v_term.var_kind() == Some(VarKind::Distinguished) && q_term.var_id() == Some(q_var)
             });
         if !exposed {
-            return false;
+            return None;
         }
     }
 
@@ -141,14 +151,9 @@ pub fn rewritable_from_single(query: &ConjunctiveQuery, view: &ConjunctiveQuery)
     }
 
     let expansion_atom = Atom::new(q_atom.relation, expansion_terms);
-    let Ok(expansion) = ConjunctiveQuery::from_table_allowing_unused(vec![expansion_atom], vars)
-    else {
-        // The expansion failed validation (e.g. a distinguished variable of
-        // the query does not occur in it); then no rewriting exists.
-        return false;
-    };
-
-    equivalent_same_space(&expansion, query)
+    // The expansion fails validation when, e.g., a distinguished variable of
+    // the query does not occur in it; then no rewriting exists.
+    ConjunctiveQuery::from_table_allowing_unused(vec![expansion_atom], vars).ok()
 }
 
 /// [`rewritable_from_single`] over the interned flat representation.
@@ -499,6 +504,42 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn an_expansions_stored_hash_is_its_interned_entrys() {
+        use crate::intern::QueryInterner;
+
+        let c = catalog();
+        let texts = [
+            "V1(x, y) :- Meetings(x, y)",
+            "V15() :- Meetings(z, z)",
+            "Q(x) :- Meetings(x, 'Cathy')",
+            "V3(x, y, z) :- Contacts(x, y, z)",
+            "V6(x, y) :- Contacts(x, y, z)",
+            "V9(x) :- Contacts(x, y, z)",
+            "V12() :- Contacts(x, y, z)",
+        ];
+        let queries: Vec<_> = texts.iter().map(|t| q(&c, t)).collect();
+        let mut interner = QueryInterner::new();
+        let mut expansions = 0;
+        for query in &queries {
+            for view in &queries {
+                let Some(expansion) = single_view_expansion(query, view) else {
+                    continue;
+                };
+                // The expansion keeps the query's whole variable table, so
+                // some of its variables may not occur in its body.
+                let id = interner.intern(&expansion);
+                assert_eq!(
+                    expansion.shape_hash(),
+                    interner.shape_hash(id),
+                    "{expansion:?}"
+                );
+                expansions += 1;
+            }
+        }
+        assert!(expansions >= queries.len(), "{expansions} expansions");
     }
 
     #[test]

@@ -552,3 +552,159 @@ fn lookup_of_the_unknown_leaves_no_trace() {
         Some(known)
     );
 }
+
+// ---------------------------------------------------------------------
+// The stored hash: a query carries its canonical hash from construction,
+// and the front door probes with it instead of hashing.  It must be the
+// hash of the query's interned entry, bit for bit, however the query was
+// built.
+// ---------------------------------------------------------------------
+
+/// Interns `query` and checks its stored hash against the one the arena
+/// computes for its entry, before and after a checkpoint round trip.
+fn assert_stored_hash_is_the_entrys(interner: &mut QueryInterner, query: &ConjunctiveQuery) {
+    let id = interner.intern(query);
+    assert_eq!(query.shape_hash(), interner.shape_hash(id), "{query:?}");
+    let bytes = image(interner);
+    let back = QueryInterner::decode_from(&mut Cursor::new(&bytes)).unwrap();
+    assert_eq!(query.shape_hash(), back.shape_hash(id), "{query:?}");
+    assert_eq!(back.lookup(query), Some(id), "{query:?}");
+}
+
+/// A catalog with a 70-column relation, so one atom can carry more
+/// variables than the on-stack numbering holds.
+fn wide_catalog() -> Catalog {
+    let mut catalog = Catalog::paper_example();
+    let columns: Vec<String> = (0..70).map(|i| format!("c{i}")).collect();
+    let columns: Vec<&str> = columns.iter().map(String::as_str).collect();
+    catalog.add_relation("Wide", &columns).unwrap();
+    catalog
+}
+
+#[test]
+fn every_constructor_stores_the_hash_of_its_interned_entry() {
+    use fdc::cq::folding::fold;
+    use fdc::cq::query::QueryBuilder;
+    use fdc::cq::wire::{decode_query, encode_query};
+
+    let catalog = wide_catalog();
+    let meetings = catalog.resolve("Meetings").unwrap();
+    let contacts = catalog.resolve("Contacts").unwrap();
+    let wide = catalog.resolve("Wide").unwrap();
+    let wide_vars: Vec<String> = (0..70).map(|i| format!("v{i}")).collect();
+    let mut interner = QueryInterner::new();
+    let mut queries: Vec<ConjunctiveQuery> = Vec::new();
+
+    // Parser, including a self-join that folds and a 70-variable atom.
+    for text in [
+        "Q(x) :- Meetings(x, y), Contacts(y, w, 'Intern')",
+        "Q() :- Meetings(z, z)",
+        "Q(x) :- Meetings(x, 9), Meetings(x, y)",
+        "Q(x) :- Meetings(x, y), Meetings(x, z)",
+        "Q(x) :- Meetings(x, 'a string constant longer than one word')",
+    ] {
+        queries.push(parse_query(&catalog, text).unwrap());
+    }
+    queries.push(
+        parse_query(
+            &catalog,
+            &format!("Q(v0, v3) :- Wide({})", wide_vars.join(", ")),
+        )
+        .unwrap(),
+    );
+
+    // Builder, with variables declared out of body order.
+    let mut b = QueryBuilder::new();
+    let w = b.evar("w");
+    let y = b.evar("y");
+    let x = b.dvar("x");
+    b.atom(meetings, [x.into(), y.into()]);
+    b.atom(contacts, [y.into(), w.into(), "Intern".into()]);
+    queries.push(b.build().unwrap());
+    let mut b = QueryBuilder::new();
+    let vars: Vec<_> = (0..70)
+        .rev()
+        .map(|i| {
+            if i % 3 == 0 {
+                b.dvar(&wide_vars[i])
+            } else {
+                b.evar(&wide_vars[i])
+            }
+        })
+        .collect();
+    b.atom(wide, vars.iter().map(|&v| v.into()));
+    queries.push(b.build().unwrap());
+
+    // from_atoms and from_parts, with ids that are not first-occurrence.
+    queries.push(
+        ConjunctiveQuery::from_atoms(vec![
+            Atom::new(meetings, vec![Term::exist(1), Term::dist(0)]),
+            Atom::new(meetings, vec![Term::dist(0), Term::exist(2)]),
+        ])
+        .unwrap(),
+    );
+    queries.push(
+        ConjunctiveQuery::from_atoms(vec![Atom::new(
+            wide,
+            (0..70u32).rev().map(Term::exist).collect(),
+        )])
+        .unwrap(),
+    );
+    queries.push(
+        ConjunctiveQuery::from_parts(
+            vec![Atom::new(
+                contacts,
+                vec![Term::exist(1), Term::dist(0), Term::Const(Constant::int(7))],
+            )],
+            vec![VarKind::Distinguished, VarKind::Existential],
+            vec!["x".into(), "z".into()],
+        )
+        .unwrap(),
+    );
+
+    // Everything built so far, through the wire, folded, renamed, and back
+    // out of the arena.
+    let built = queries.len();
+    for i in 0..built {
+        let query = queries[i].clone();
+        let mut bytes = Vec::new();
+        encode_query(&query, &mut bytes);
+        queries.push(decode_query(&mut Cursor::new(&bytes)).unwrap());
+        queries.push(fold(&query));
+        queries.push(rename_canonical(&query));
+        let id = interner.intern(&query);
+        queries.push(interner.to_query(id));
+    }
+    // A fold that drops atoms leaves declared variables out of the body.
+    let folded = fold(&queries[3]);
+    assert_eq!((folded.num_atoms(), folded.num_vars()), (1, 3));
+    assert!(queries.iter().any(|q| q.num_vars() > 64));
+
+    for query in &queries {
+        assert_stored_hash_is_the_entrys(&mut interner, query);
+    }
+}
+
+#[test]
+fn random_queries_keep_their_ids_across_an_encode_and_decode() {
+    let mut state = 0x5eed_u64;
+    let mut shapes: Vec<Shape> = (0..2_000).map(|_| random_shape(&mut state)).collect();
+    shapes.extend([63, 64, 65, 130].map(wide_shape));
+    let queries: Vec<ConjunctiveQuery> = shapes.iter().map(|s| render(s, &mut state)).collect();
+    let mut interner = QueryInterner::new();
+    let ids: Vec<_> = queries.iter().map(|q| interner.intern(q)).collect();
+    for (query, &id) in queries.iter().zip(&ids) {
+        assert_eq!(query.shape_hash(), interner.shape_hash(id), "{query:?}");
+    }
+    let bytes = image(&interner);
+    let mut cursor = Cursor::new(&bytes);
+    let back = QueryInterner::decode_from(&mut cursor).unwrap();
+    cursor.expect_end().unwrap();
+    for ((query, shape), &id) in queries.iter().zip(&shapes).zip(&ids) {
+        assert_eq!(back.lookup(query), Some(id), "{query:?}");
+        // An alpha-variant rendered afresh finds the same id.
+        assert_eq!(back.lookup(&render(shape, &mut state)), Some(id));
+    }
+    assert_eq!(back.len(), interner.len());
+    assert_eq!(image(&back), bytes);
+}

@@ -16,8 +16,9 @@
 //!   query has no variables;
 //! * `wire::decode_query` of the queries with 1, 8 and 40 variables
 //!   allocates exactly `DECODE_SCRATCH_BLOCKS` more than that — the
-//!   builder's kinds, names and offsets and the validation's scratch — so no
-//!   string per name and none per short constant;
+//!   builder's kinds, names and offsets — so no string per name, none per
+//!   short constant, and none for the validation walk, whose
+//!   first-occurrence numbering stays on the stack up to 64 variables;
 //! * a term and a constant are 16 bytes, an atom 24, a query 40, and an
 //!   `Operation` that carries one 64.
 //!
@@ -40,9 +41,8 @@ use counting_alloc::allocations;
 const VARIABLE_COUNTS: [usize; 4] = [0, 1, 8, 40];
 
 /// The blocks a decode allocates and frees again on top of the query it
-/// returns: the variable table builder's kinds, names and end offsets, and
-/// the validation's one vector of seen flags.
-const DECODE_SCRATCH_BLOCKS: u64 = 4;
+/// returns: the variable table builder's kinds, names and end offsets.
+const DECODE_SCRATCH_BLOCKS: u64 = 3;
 
 /// A string constant past the inline capacity, and one well within it.
 const STRING_CONSTANTS: [&str; 2] = ["a string constant", "me"];
