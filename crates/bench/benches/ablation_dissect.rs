@@ -7,13 +7,13 @@
 //! `ℓ⁺` computation, and shows how redundancy in the input query (duplicate
 //! atoms that folding must remove) affects it — for the boxed reference
 //! (`dissect_only`) and for what the service runs when it first sees a shape
-//! (`interned_first_sight`: intern + the rigidity fold + the single-pass
-//! `dissect_interned` visitor, into an interner that has never seen the
-//! shape).
+//! (`interned_first_sight`: intern + the rigidity fold + every part's
+//! needed-position mask read off the interned query by
+//! `InternedDissection`, into an interner that has never seen the shape).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use fdc_bench::labeling_workload;
-use fdc_core::dissect::{dissect, dissect_interned};
+use fdc_core::dissect::{dissect, InternedDissection};
 use fdc_core::QueryLabeler;
 use fdc_cq::intern::QueryInterner;
 use fdc_cq::{Atom, ConjunctiveQuery};
@@ -75,9 +75,10 @@ fn ablation(c: &mut Criterion) {
                         let id = interner.intern(q);
                         interner.core_atom_indices(id);
                         let core = interner.cached_core(id).expect("recorded above");
-                        dissect_interned(interner.resolve(id), core, |part| {
-                            black_box(part);
-                        });
+                        let mut dissection = InternedDissection::new(interner.resolve(id), core);
+                        for k in 0..dissection.len() {
+                            black_box(dissection.needs(k));
+                        }
                     }
                 })
             },

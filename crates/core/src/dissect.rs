@@ -15,10 +15,17 @@
 //!
 //! The composition of `Dissect` with the single-atom labeler is itself a
 //! disclosure labeler (end of Section 5.2).
+//!
+//! [`dissect`] is the boxed reference: it materializes every part as a
+//! query of its own.  [`InternedDissection`] is what a first sight runs on
+//! an interned shape: it finds the join variables once, reads each part's
+//! needed-position mask off the core atom where it lies, and assembles a
+//! part only for a rewriting check that no bit test decides.
 
+use fdc_cq::bitset::BitSet;
 use fdc_cq::folding::fold;
 use fdc_cq::intern::{IAtom, ITerm, QueryRef};
-use fdc_cq::{Atom, ConjunctiveQuery, Term, VarId, VarKind};
+use fdc_cq::{Atom, ConjunctiveQuery, RelId, Term, VarId, VarKind};
 
 /// Dissects a conjunctive query into single-atom queries.
 ///
@@ -84,92 +91,216 @@ fn single_atom_query(
         .expect("a single atom extracted from a valid query is valid")
 }
 
-/// [`dissect`] over the interned query plane: hands `visit` each part of
-/// `query`, in core order, as a single-atom [`QueryRef`] — nothing is
-/// interned and no boxed query is materialized.
+/// [`dissect`] over the interned query plane, read where the query lies.
 ///
 /// `core` is the query's fold: the indices of its surviving atoms in
 /// increasing order, as [`fold_interned_indices`] computes them (an
-/// interner records them with `QueryInterner::record_core`).  A single-atom
-/// query is its own only part and is handed over as it lies.
+/// interner records them with `QueryInterner::record_core`).  Part `k` is
+/// core atom `core[k]`.
 ///
-/// Each part is assembled in two buffers reused across the parts, so
-/// dissecting a multi-atom query allocates four scratch vectors however
-/// many parts it has.
-/// A part is in canonical form — variables numbered by first occurrence,
-/// join variables promoted to distinguished — and its constants are ids of
-/// the interner `query` was resolved from; it is structurally identical (up
-/// to variable renaming) to the corresponding part [`dissect`] returns for
-/// the equivalent boxed query.
+/// Construction walks the core once to find the *join variables* — those
+/// occurring in at least two core atoms, which `Dissect` promotes to
+/// distinguished — and keeps them as a [`BitSet`]: one word up to 64
+/// variables, one heap block past that (with two scratch sets), as the
+/// interner's first-occurrence numbering spills.  Each part's
+/// needed-position mask ([`needs`](Self::needs)) is then read straight off
+/// its atom, so labeling a part by bit tests assembles nothing.  Only a
+/// part that no bit test decides is assembled ([`part`](Self::part)), for
+/// the rewriting check.
 ///
 /// [`fold_interned_indices`]: fdc_cq::folding::fold_interned_indices
-pub fn dissect_interned(query: QueryRef<'_>, core: &[u32], mut visit: impl FnMut(QueryRef<'_>)) {
-    if query.is_single_atom() {
-        visit(query);
-        return;
-    }
-    let num_vars = query.num_vars();
+#[derive(Debug)]
+pub struct InternedDissection<'q> {
+    query: QueryRef<'q>,
+    core: &'q [u32],
+    /// The join variables, up to 64 variables.
+    joins: u64,
+    /// Past 64 variables, three sets of `words` words each, back to back:
+    /// the join variables and two scratch sets; empty otherwise.
+    spill: Vec<u64>,
+    words: usize,
+    /// Which part `terms` and `kinds` hold, if any.
+    assembled: Option<usize>,
+    span: [IAtom; 1],
+    terms: Vec<ITerm>,
+    kinds: Vec<VarKind>,
+}
 
-    // `atoms_with[v]`: in how many surviving atoms `v` occurs — an
-    // existential variable occurring in ≥ 2 of them becomes distinguished.
-    // `local[v]` is `v`'s index within the part being assembled; an atom
-    // sets it for its own variables and clears exactly those when done, so
-    // neither table is ever refilled.
-    const UNSEEN: u32 = u32::MAX;
-    let mut atoms_with = vec![0u32; num_vars];
-    let mut local = vec![UNSEEN; num_vars];
-    for &i in core {
-        let terms = query.atom_terms(i as usize);
-        for v in terms.iter().filter_map(|t| t.var_index()) {
-            if local[v as usize] == UNSEEN {
-                local[v as usize] = 0;
-                atoms_with[v as usize] += 1;
+impl<'q> InternedDissection<'q> {
+    /// The dissection of `query` whose fold is `core`.
+    pub fn new(query: QueryRef<'q>, core: &'q [u32]) -> Self {
+        let words = query.num_vars().div_ceil(64);
+        let mut joins = 0u64;
+        let mut spill = Vec::new();
+        if words <= 1 {
+            join_variables(query, core, &mut joins, &mut 0, &mut 0);
+        } else {
+            spill = vec![0; 3 * words];
+            let (joins, scratch) = spill.split_at_mut(words);
+            let (earlier, this) = scratch.split_at_mut(words);
+            join_variables(query, core, joins, earlier, this);
+        }
+        InternedDissection {
+            query,
+            core,
+            joins,
+            spill,
+            words,
+            assembled: None,
+            span: [IAtom {
+                relation: RelId(0),
+                term_start: 0,
+                term_len: 0,
+            }],
+            terms: Vec::new(),
+            kinds: Vec::new(),
+        }
+    }
+
+    /// Number of parts: the size of the core.
+    pub fn len(&self) -> usize {
+        self.core.len()
+    }
+
+    /// True if the core is empty (a query always keeps an atom).
+    pub fn is_empty(&self) -> bool {
+        self.core.is_empty()
+    }
+
+    /// The relation of part `k`.
+    pub fn relation(&self, k: usize) -> RelId {
+        self.query.relation(self.core[k] as usize)
+    }
+
+    /// The needed-position mask of part `k`: the positions a
+    /// projection-style view must expose to answer it — those holding a
+    /// constant, a distinguished variable or a join variable.  `None` if
+    /// the part has a repeated variable or more than 64 positions: no bit
+    /// test decides it, and it takes the rewriting check.
+    ///
+    /// Constants count because a selection such as `M(x, 'Cathy')` is
+    /// answerable from a projection view exactly when the constant's column
+    /// is exposed (the rewriting applies the selection on top of the view).
+    pub fn needs(&mut self, k: usize) -> Option<u64> {
+        let terms = self.query.atom_terms(self.core[k] as usize);
+        if terms.len() > 64 {
+            return None;
+        }
+        if self.spill.is_empty() {
+            return part_needs(terms, &self.joins, &mut 0);
+        }
+        let (joins, scratch) = self.spill.split_at_mut(self.words);
+        let met = &mut scratch[..self.words];
+        met.clear();
+        part_needs(terms, &*joins, met)
+    }
+
+    /// Part `k` as a single-atom [`QueryRef`], assembled on first request
+    /// (and kept until another part is asked for).  It is in canonical
+    /// form — variables numbered by first occurrence, join variables
+    /// promoted to distinguished — and its constants are ids of the
+    /// interner the query was resolved from: structurally identical, up to
+    /// variable renaming, to part `k` of what [`dissect`] returns for the
+    /// equivalent boxed query.  A single-atom query is its own only part
+    /// and is handed over as it lies.
+    pub fn part(&mut self, k: usize) -> QueryRef<'_> {
+        if self.query.is_single_atom() {
+            return self.query;
+        }
+        if self.assembled != Some(k) {
+            let atom = self.core[k] as usize;
+            let source = self.query.atom_terms(atom);
+            self.terms.clear();
+            self.kinds.clear();
+            self.terms.reserve(source.len());
+            self.kinds.reserve(source.len());
+            for (i, term) in source.iter().enumerate() {
+                let ITerm::Var(v, kind) = *term else {
+                    self.terms.push(*term);
+                    continue;
+                };
+                // A repeated variable takes the index of its first position.
+                let term = match source[..i].iter().position(|t| t.var_index() == Some(v)) {
+                    Some(first) => self.terms[first],
+                    None => {
+                        let kind = if self.is_join(v) {
+                            VarKind::Distinguished
+                        } else {
+                            kind
+                        };
+                        self.kinds.push(kind);
+                        ITerm::Var(self.kinds.len() as u32 - 1, kind)
+                    }
+                };
+                self.terms.push(term);
+            }
+            self.span = [IAtom {
+                relation: self.query.relation(atom),
+                term_start: 0,
+                term_len: self.terms.len() as u32,
+            }];
+            self.assembled = Some(k);
+        }
+        QueryRef {
+            atoms: &self.span,
+            terms: &self.terms,
+            kinds: &self.kinds,
+        }
+    }
+
+    /// Variable `v` occurs in at least two core atoms.
+    fn is_join(&self, v: u32) -> bool {
+        if self.spill.is_empty() {
+            self.joins.contains(v as usize)
+        } else {
+            BitSet::contains(&self.spill[..self.words], v as usize)
+        }
+    }
+}
+
+/// Adds to `joins` every variable that occurs in at least two atoms of
+/// `core`; `earlier` and `this` are empty scratch sets.
+fn join_variables<S: BitSet + ?Sized>(
+    query: QueryRef<'_>,
+    core: &[u32],
+    joins: &mut S,
+    earlier: &mut S,
+    this: &mut S,
+) {
+    for &atom in core {
+        this.clear();
+        for v in query
+            .atom_terms(atom as usize)
+            .iter()
+            .filter_map(|t| t.var_index())
+        {
+            this.insert(v as usize);
+        }
+        joins.union_with_common(earlier, this);
+        earlier.union_with(this);
+    }
+}
+
+/// [`InternedDissection::needs`] of the part `terms`, with join variables
+/// `joins`; `met` is an empty scratch set.
+fn part_needs<S: BitSet + ?Sized>(terms: &[ITerm], joins: &S, met: &mut S) -> Option<u64> {
+    let mut needed = 0u64;
+    for (i, term) in terms.iter().enumerate() {
+        match *term {
+            ITerm::Const(_) => needed |= 1 << i,
+            ITerm::Var(v, kind) => {
+                let v = v as usize;
+                if met.contains(v) {
+                    return None;
+                }
+                met.insert(v);
+                if kind.is_distinguished() || joins.contains(v) {
+                    needed |= 1 << i;
+                }
             }
         }
-        for v in terms.iter().filter_map(|t| t.var_index()) {
-            local[v as usize] = UNSEEN;
-        }
     }
-
-    let widest = query.atoms.iter().map(|a| a.arity()).max().unwrap_or(0);
-    let mut terms: Vec<ITerm> = Vec::with_capacity(widest);
-    let mut kinds: Vec<VarKind> = Vec::with_capacity(widest);
-    for &atom in core {
-        let atom = atom as usize;
-        terms.clear();
-        kinds.clear();
-        for term in query.atom_terms(atom) {
-            terms.push(match *term {
-                ITerm::Var(v, kind) => {
-                    let kind = if atoms_with[v as usize] >= 2 {
-                        VarKind::Distinguished
-                    } else {
-                        kind
-                    };
-                    let slot = &mut local[v as usize];
-                    if *slot == UNSEEN {
-                        *slot = kinds.len() as u32;
-                        kinds.push(kind);
-                    }
-                    ITerm::Var(*slot, kind)
-                }
-                constant => constant,
-            });
-        }
-        for v in query.atom_terms(atom).iter().filter_map(|t| t.var_index()) {
-            local[v as usize] = UNSEEN;
-        }
-        let span = [IAtom {
-            relation: query.relation(atom),
-            term_start: 0,
-            term_len: terms.len() as u32,
-        }];
-        visit(QueryRef {
-            atoms: &span,
-            terms: &terms,
-            kinds: &kinds,
-        });
-    }
+    Some(needed)
 }
 
 #[cfg(test)]
@@ -341,10 +472,10 @@ mod tests {
             let boxed = dissect(&query);
             let id = interner.intern(&query);
             let core = interner.core_atom_indices(id).to_vec();
-            let mut interned = Vec::new();
-            dissect_interned(interner.resolve(id), &core, |part| {
-                interned.push(boxed_part(&interner, part));
-            });
+            let mut dissection = InternedDissection::new(interner.resolve(id), &core);
+            let interned: Vec<_> = (0..dissection.len())
+                .map(|k| boxed_part(&interner, dissection.part(k)))
+                .collect();
             assert_eq!(boxed.len(), interned.len(), "part count differs on {text}");
             for (part, back) in boxed.iter().zip(&interned) {
                 assert_eq!(
@@ -359,10 +490,10 @@ mod tests {
             }
             let ids: Vec<_> = interned.iter().map(|part| parts.intern(part)).collect();
             let before = parts.len();
-            let mut again = Vec::new();
-            dissect_interned(interner.resolve(id), &core, |part| {
-                again.push(parts.intern(&boxed_part(&interner, part)));
-            });
+            let mut dissection = InternedDissection::new(interner.resolve(id), &core);
+            let again: Vec<_> = (0..dissection.len())
+                .map(|k| parts.intern(&boxed_part(&interner, dissection.part(k))))
+                .collect();
             assert_eq!(again, ids, "a second dissection differs on {text}");
             assert_eq!(parts.len(), before);
         }

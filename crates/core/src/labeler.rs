@@ -23,10 +23,12 @@
 //!   intern to dense canonical [`QueryId`]s, so the whole-query cache is a
 //!   sharded slot vector (a hit skips folding, dissection and labeling
 //!   entirely — and for pre-interned callers, hashing too).  A miss
-//!   dissects the shape once and computes each part's `ℓ⁺` where
-//!   `dissect_interned` assembles it; the entry keeps, per part, what a
-//!   later refresh needs.  The cache is versioned with the registry's
-//!   per-relation epochs, so the view universe can change online
+//!   computes each core atom's `ℓ⁺` straight from the interned query
+//!   (`InternedDissection`): its needed-position mask is read off the atom
+//!   where it lies, and a part is assembled only for a view no bit test
+//!   decides.  The entry keeps, per part, what a later refresh needs.
+//!   The cache is versioned with the registry's per-relation epochs, so
+//!   the view universe can change online
 //!   ([`CachedLabeler::add_view`]) without flushing: a stale entry is
 //!   patched where it lies, its stale parts' masks extended by the views
 //!   added since.  Concurrent
@@ -48,15 +50,15 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 
 use fdc_cq::folding::fold_interned_indices;
-use fdc_cq::intern::{ITerm, QueryId, QueryInterner, QueryRef};
+use fdc_cq::intern::{QueryId, QueryInterner};
 use fdc_cq::rewriting::{interned_rewritable_from_single, rewritable_from_single};
 use fdc_cq::{ConjunctiveQuery, RelId, Term, VarKind};
 
-use crate::dissect::{dissect, dissect_interned};
+use crate::dissect::{dissect, InternedDissection};
 use crate::error::Result;
 use crate::label::{AtomLabel, DisclosureLabel, PackedLabel, ViewMask};
 use crate::pool::WorkerContext;
-use crate::security_views::{SecurityViewId, SecurityViews};
+use crate::security_views::{SecurityView, SecurityViewId, SecurityViews};
 
 /// The shared handle to a [`QueryInterner`]: one interner per serving stack,
 /// shared between the [`CachedLabeler`] that owns it, the
@@ -198,22 +200,17 @@ struct CompiledView {
 #[derive(Debug, Clone)]
 pub struct BitVectorLabeler {
     views: SecurityViews,
-    by_relation: HashMap<RelId, Vec<CompiledView>>,
+    /// The compiled candidate lists, indexed by [`RelId`]: relation ids are
+    /// dense, so finding a relation's views is an index, not a hash probe.
+    by_relation: Vec<Vec<CompiledView>>,
 }
 
 impl BitVectorLabeler {
     /// Builds a bit-vector labeler over a view registry.
     pub fn new(views: SecurityViews) -> Self {
-        let mut by_relation: HashMap<RelId, Vec<CompiledView>> = HashMap::new();
+        let mut by_relation = Vec::new();
         for (id, view) in views.iter() {
-            by_relation
-                .entry(view.relation)
-                .or_default()
-                .push(CompiledView {
-                    id,
-                    bit: view.bit,
-                    exposed_positions: projection_shape(&view.query),
-                });
+            compile(&mut by_relation, id, view);
         }
         BitVectorLabeler { views, by_relation }
     }
@@ -250,15 +247,7 @@ impl BitVectorLabeler {
             }
         }
         let id = self.views.add(name, query)?;
-        let view = self.views.view(id);
-        self.by_relation
-            .entry(view.relation)
-            .or_default()
-            .push(CompiledView {
-                id,
-                bit: view.bit,
-                exposed_positions: projection_shape(&view.query),
-            });
+        compile(&mut self.by_relation, id, self.views.view(id));
         Ok(id)
     }
 
@@ -286,13 +275,29 @@ impl BitVectorLabeler {
     /// The compiled candidate list of `relation`: its views in registration
     /// order (empty if it has none).
     fn candidates(&self, relation: RelId) -> &[CompiledView] {
-        self.by_relation.get(&relation).map_or(&[], Vec::as_slice)
+        self.by_relation
+            .get(relation.index())
+            .map_or(&[], Vec::as_slice)
     }
+}
+
+/// Appends registered view `id` to its relation's candidate list in
+/// `by_relation`, growing the index to the relation.
+fn compile(by_relation: &mut Vec<Vec<CompiledView>>, id: SecurityViewId, view: &SecurityView) {
+    let relation = view.relation.index();
+    if by_relation.len() <= relation {
+        by_relation.resize_with(relation + 1, Vec::new);
+    }
+    by_relation[relation].push(CompiledView {
+        id,
+        bit: view.bit,
+        exposed_positions: projection_shape(&view.query),
+    });
 }
 
 /// The `ℓ⁺` bits `candidates` contribute to one dissected part whose
 /// needed-position mask is `needs` ([`atom_needs`] /
-/// [`interned_atom_needs`]).  A projection-style part against a
+/// [`InternedDissection::needs`]).  A projection-style part against a
 /// projection-style view is answerable iff every needed position is exposed
 /// by the view — a bit test; every other pair asks `general`, the rewriting
 /// check, and only those.  Over a relation's whole candidate list this is
@@ -353,34 +358,6 @@ fn atom_needs(query: &ConjunctiveQuery) -> Option<u64> {
         match term {
             Term::Var(_, VarKind::Distinguished) | Term::Const(_) => needed |= 1u64 << i,
             Term::Var(_, VarKind::Existential) => {}
-        }
-    }
-    Some(needed)
-}
-
-/// [`atom_needs`] over the interned flat representation: the needed-position
-/// mask of one single-atom term slice, or `None` if the atom has repeated
-/// variables (those need the general rewriting check).
-fn interned_atom_needs(terms: &[ITerm]) -> Option<u64> {
-    if terms.len() > 64 {
-        return None;
-    }
-    let mut needed = 0u64;
-    // Variables met so far.  Canonical indices are first-occurrence
-    // ordinals, so an atom of at most 64 terms numbers its variables below
-    // 64; one that does not is left to the general check.
-    let mut seen = 0u64;
-    for (i, term) in terms.iter().enumerate() {
-        if let Some(v) = term.var_index() {
-            let bit = 1u64.checked_shl(v)?;
-            if seen & bit != 0 {
-                return None;
-            }
-            seen |= bit;
-        }
-        match term {
-            ITerm::Var(_, VarKind::Distinguished) | ITerm::Const(_) => needed |= 1u64 << i,
-            ITerm::Var(_, VarKind::Existential) => {}
         }
     }
     Some(needed)
@@ -531,7 +508,7 @@ fn bump(counter: &AtomicU64) {
 ///
 /// A part's position in [`QueryEntry::parts`] is its index in the query's
 /// core, so a refresh that needs the part itself — for the general
-/// rewriting check — re-assembles just that part from the interner's
+/// rewriting check — assembles just that part from the interner's
 /// recorded fold.  Every other refresh is bit tests on `needs`.  The
 /// relation, epoch and mask are stored per part — NOT read back from the
 /// finished label — because [`DisclosureLabel::push`] absorbs redundant
@@ -551,7 +528,7 @@ struct QueryPart {
     /// The part's `ℓ⁺` mask at that epoch.
     mask: ViewMask,
     /// The positions a projection-style view must expose to answer the
-    /// part ([`interned_atom_needs`]), or [`GENERAL`] if no bit test
+    /// part ([`InternedDissection::needs`]), or [`GENERAL`] if no bit test
     /// decides it.
     needs: u64,
 }
@@ -712,7 +689,7 @@ impl LabelTables {
     /// **Lock order**, for every path through these tables: a query stripe,
     /// then the interner (read).  Stripes lock in index order and no writer
     /// ever holds two; a refresh holds its one stripe's write lock while it
-    /// re-assembles a part through the interner's read lock
+    /// assembles a part through the interner's read lock
     /// (`LabelCore::refresh_in_place`); nothing holds the interner while
     /// asking for a stripe, and the interner's write lock (recording a new
     /// shape's fold, `LabelCore::first_sight`) is taken with no table lock
@@ -859,10 +836,11 @@ impl LabelCore {
         id
     }
 
-    /// The parts of interned query `id` — the first sight of a shape: one
-    /// pass over the parts `dissect_interned` assembles, each part's mask
-    /// computed over its relation's whole candidate list where the part
-    /// lies.  Nothing is interned.
+    /// The parts of interned query `id` — the first sight of a shape: each
+    /// core atom's mask over its relation's whole candidate list, decided
+    /// where the atom lies in the interned query ([`InternedDissection`]).
+    /// A part is assembled only for a candidate no bit test decides.
+    /// Nothing is interned.
     ///
     /// Everything is read under the interner's **read** lock, including the
     /// fold of a shape whose core is not on record yet — it is a pure
@@ -871,17 +849,17 @@ impl LabelCore {
     /// afterwards, and only to record such a fold (idempotent, should
     /// another worker have recorded it in between).
     fn first_sight(&self, id: QueryId) -> Vec<QueryPart> {
-        let mut parts = Vec::new();
-        let unrecorded = {
+        let (parts, unrecorded) = {
             let interner = self.read_interner();
             let core = core_of(&interner, id);
-            parts.reserve_exact(core.len());
-            dissect_interned(interner.resolve(id), &core, |part| {
-                parts.push(self.first_part(&interner, part));
-            });
+            let mut dissection = InternedDissection::new(interner.resolve(id), &core);
+            let parts = (0..dissection.len())
+                .map(|k| self.first_part(&interner, &mut dissection, k))
+                .collect();
+            drop(dissection);
             match core {
-                Cow::Owned(kept) => Some(kept),
-                Cow::Borrowed(_) => None,
+                Cow::Owned(kept) => (parts, Some(kept)),
+                Cow::Borrowed(_) => (parts, None),
             }
         };
         if let Some(kept) = unrecorded {
@@ -893,19 +871,23 @@ impl LabelCore {
         parts
     }
 
-    /// One part at first sight: its mask over the whole candidate list of
+    /// Part `k` at first sight: its mask over the whole candidate list of
     /// its relation, by bit tests where they decide and the interned
     /// rewriting check against the interned view definition where they do
     /// not — the same bits [`BitVectorLabeler::atom_mask`] computes.
-    fn first_part(&self, interner: &QueryInterner, part: QueryRef<'_>) -> QueryPart {
-        let relation = part.relation(0);
+    fn first_part(
+        &self,
+        interner: &QueryInterner,
+        dissection: &mut InternedDissection<'_>,
+        k: usize,
+    ) -> QueryPart {
+        let relation = dissection.relation(k);
         let candidates = self.inner.candidates(relation);
-        let needs = interned_atom_needs(part.atom_terms(0));
+        let needs = dissection.needs(k);
         let mask = part_bits(needs, candidates, |compiled| {
             let view = interner.resolve(self.view_qids[compiled.id.index()]);
-            interned_rewritable_from_single(part, view)
+            interned_rewritable_from_single(dissection.part(k), view)
         });
-        bump(&self.counters.atom_misses);
         QueryPart {
             relation,
             covered: candidates.len() as u32,
@@ -916,20 +898,15 @@ impl LabelCore {
     }
 
     /// The general rewriting check of part `k` of query `id` against one
-    /// view, for a refresh: the part is re-assembled from the interner's
+    /// view, for a refresh: the part is assembled from the interner's
     /// recorded fold (recomputed if none is on record) under the
     /// interner's read lock.
     fn general_verdict(&self, id: QueryId, k: usize, compiled: &CompiledView) -> bool {
         let interner = self.read_interner();
         let view = interner.resolve(self.view_qids[compiled.id.index()]);
-        let (mut index, mut answers) = (0, false);
-        dissect_interned(interner.resolve(id), &core_of(&interner, id), |part| {
-            if index == k {
-                answers = interned_rewritable_from_single(part, view);
-            }
-            index += 1;
-        });
-        answers
+        let core = core_of(&interner, id);
+        let mut dissection = InternedDissection::new(interner.resolve(id), &core);
+        interned_rewritable_from_single(dissection.part(k), view)
     }
 
     /// Brings the entry of query `id` up to the current epoch vector where
@@ -985,7 +962,7 @@ impl LabelCore {
     /// locks — and the caller has to derive it anew.
     ///
     /// The stripe's write lock is held across the interner's read lock
-    /// whenever a part is re-assembled; see `LabelTables::consistent_copy`
+    /// whenever a part is assembled; see `LabelTables::consistent_copy`
     /// for the order.
     fn refresh_in_place<R>(
         &self,
@@ -1056,6 +1033,9 @@ impl LabelCore {
         }
         let parts = self.first_sight(id);
         bump(&self.counters.misses);
+        self.counters
+            .atom_misses
+            .fetch_add(parts.len() as u64, Ordering::Relaxed);
         let mut label = DisclosureLabel::with_capacity(parts.len());
         for part in &parts {
             label.push(AtomLabel::new(part.relation, part.mask));
@@ -1104,10 +1084,10 @@ impl LabelCore {
 /// lock-striped `Vec` index straight to the finished label, one array read
 /// of the registry's epoch vector per part to know it is fresh), a *stale*
 /// one (some part's relation epoch moved) or *none* (the pipeline runs:
-/// `dissect_interned` hands over the parts one at a time, and each part's
-/// `ℓ⁺` mask is computed where the part lies — bit tests against the
-/// relation's projection-style views, the interned rewriting check for the
-/// rest).
+/// the shape's fold, then each core atom's `ℓ⁺` mask computed where the
+/// atom lies in the interned query — its needed-position mask against the
+/// relation's projection-style views by bit tests, and the interned
+/// rewriting check, on the part assembled for it, for the rest).
 ///
 /// **The stale branch** keeps the entry and brings it up to date where it
 /// lies, so a refresh costs what changed and allocates nothing.  Under the
@@ -1117,7 +1097,7 @@ impl LabelCore {
 /// from all the parts; and the caller reads the label there.  Folding and
 /// dissection are skipped: each part keeps its needed-position mask, so
 /// the views added since are decided by bit tests.  Only a part or a view
-/// that no bit test decides has the part re-assembled, from the fold the
+/// that no bit test decides has the part assembled, from the fold the
 /// interner recorded, for the rewriting check.  A stale entry found in a
 /// snapshot's read-only base is first copied into the lane's overlay and
 /// refreshed as that copy, by the same routine.
@@ -1310,9 +1290,11 @@ impl QueryLabeler for LabelerSnapshot {
 /// exactly that, so `QueryId` equality *is* canonical-form equality and the
 /// cache is a sharded slot vector indexed by id: a hit skips the whole
 /// pipeline including the NP-hard folding step of `Dissect`.  A miss runs
-/// the pipeline once: [`dissect_interned`] hands over each part, and the
-/// part's `ℓ⁺` mask is computed where it lies — on the Section 7.2
-/// registry a handful of bit tests per part, too cheap to memoize.
+/// the pipeline once: [`InternedDissection`] reads each core atom's
+/// needed-position mask off the interned query, and the part's `ℓ⁺` mask
+/// is computed from it — on the Section 7.2 registry a handful of bit
+/// tests per part, too cheap to memoize; no part is assembled unless a
+/// view needs the rewriting check.
 ///
 /// The labeler is a [`LabelerSnapshot`] with no lanes
 /// ([`as_snapshot`](Self::as_snapshot)) plus what only the owner may do:
@@ -1579,6 +1561,25 @@ impl CachedLabeler {
     /// [`interner`](Self::interner).
     pub fn label_interned(&self, id: QueryId) -> DisclosureLabel {
         self.live.label_interned_in(0, id)
+    }
+
+    /// The parts a first sight of query `id` computes, in core order: each
+    /// part's relation, its `ℓ⁺` mask over the relation's candidate list,
+    /// and its needed-position mask (`None` for a part only the rewriting
+    /// check decides).  The cache is neither read nor written and nothing
+    /// is counted; the fold is recorded as a first sight records it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` was not issued by this labeler's
+    /// [`interner`](Self::interner).
+    pub fn first_sight_parts(&self, id: QueryId) -> Vec<(RelId, ViewMask, Option<u64>)> {
+        self.live
+            .core
+            .first_sight(id)
+            .iter()
+            .map(|part| (part.relation, part.mask, part.needs()))
+            .collect()
     }
 
     /// Labels one pre-interned query and returns the packed 64-bit
@@ -2172,7 +2173,7 @@ mod tests {
             let query = q(&catalog, text);
             let id = interner.intern(&query);
             assert_eq!(
-                interned_atom_needs(interner.resolve(id).atom_terms(0)),
+                InternedDissection::new(interner.resolve(id), &[0]).needs(0),
                 atom_needs(&query),
                 "{text}"
             );

@@ -27,6 +27,19 @@
 //!    identical, a repeated variable sent to one term.  All variables of a
 //!    rigid atom become fixed; repeat until nothing changes.
 //!
+//!    It runs as a worklist.  Only an atom of the same *bucket* —
+//!    relation and arity — can receive another, so an atom alone in its
+//!    bucket is rigid without a bind attempted.  Whether an atom can be
+//!    received depends only on which of its own variables are fixed, so
+//!    once atoms turn rigid only the received atoms sharing a variable they
+//!    fixed are examined again.  Fixing only takes receivers away, so the
+//!    fixpoint is monotone: the worklist reaches the rigid set a
+//!    round-robin over all atoms reaches, whatever the order of
+//!    examination.  A bucket is found by comparing the atoms' relations
+//!    and arities where an atom is examined: every atom is examined at
+//!    least once, so a table built up front would cost the same scan
+//!    again.
+//!
 //!    *Soundness.*  By induction every endomorphism is the identity on the
 //!    fixed variables, so the image of an atom under it is one of the atoms
 //!    that can receive it; for a rigid atom that leaves only the atom
@@ -49,10 +62,11 @@
 //!
 //! Most first-seen shapes of the Section 7.2 workload are all-rigid and
 //! fold without a single search (27.3 k of 34.6 k at up to 15 atoms); the
-//! scratch (binding table, trail, target list) is allocated once per fold,
-//! not per check.
+//! scratch (binding table, trail, worklist, target list) is
+//! allocated once per fold, not per check.
 
 use crate::atom::Atom;
+use crate::bitset::BitSet;
 use crate::homomorphism::{
     bind_atom, find_homomorphism_into, interned_search_prebound, unbind, HeadPolicy,
 };
@@ -134,68 +148,23 @@ pub fn fold_interned_indices(query: QueryRef<'_>) -> Vec<u32> {
 }
 
 /// The fold proper.  Besides the kept indices it reports how many
-/// homomorphism searches it ran, which the unit tests pin (none on an
-/// all-rigid shape, fewer than `k` on `k` interchangeable copies).
-fn fold_movable(query: QueryRef<'_>) -> (Vec<u32>, usize) {
+/// homomorphism searches and how many single-atom bind attempts it ran,
+/// which the unit tests pin (neither on a shape whose atoms all have
+/// distinct relations, no search on an all-rigid shape, fewer than `k`
+/// searches on `k` interchangeable copies).
+fn fold_movable(query: QueryRef<'_>) -> (Vec<u32>, usize, usize) {
     let mut kept: Vec<u32> = (0..query.atoms.len() as u32).collect();
     if kept.len() <= 1 {
-        return (kept, 0);
+        return (kept, 0, 0);
     }
     // `subst` is the search's binding table and, between searches, the set
     // of fixed variables: `subst[v]` is `v` itself exactly when every
     // head-fixing endomorphism maps `v` to itself.
-    let mut subst: Vec<Option<ITerm>> = query
-        .kinds
-        .iter()
-        .enumerate()
-        .map(|(v, &kind)| {
-            kind.is_distinguished()
-                .then_some(ITerm::Var(v as u32, kind))
-        })
-        .collect();
+    let mut subst = fixed_head(query);
     let mut trail: Vec<u32> = Vec::new();
-
-    // Rigidity propagation: an atom no *other* atom can receive is its own
-    // only possible image, so its variables become fixed, which may pin
-    // further atoms.  `movable` shrinks to the atoms never proved rigid.
-    let mut movable = kept.clone();
-    loop {
-        let before = movable.len();
-        movable.retain(|&i| {
-            let atom = query.atoms[i as usize];
-            let terms = atom.terms(query.terms);
-            let received = query.atoms.iter().enumerate().any(|(j, other)| {
-                if j == i as usize
-                    || other.relation != atom.relation
-                    || other.term_len != atom.term_len
-                {
-                    return false;
-                }
-                let fits = bind_atom(
-                    terms,
-                    other.terms(query.terms),
-                    HeadPolicy::Identity,
-                    &mut subst,
-                    &mut trail,
-                );
-                unbind(&mut subst, &mut trail, 0);
-                fits
-            });
-            if !received {
-                for term in terms {
-                    if let ITerm::Var(v, _) = *term {
-                        subst[v as usize] = Some(*term);
-                    }
-                }
-            }
-            received
-        });
-        if movable.is_empty() {
-            return (kept, 0);
-        }
-        if movable.len() == before {
-            break;
-        }
+    let (mut movable, binds) = propagate_rigidity(query, &mut subst, &mut trail);
+    if movable.is_empty() {
+        return (kept, 0, binds);
     }
 
     // One pass: each movable atom is tested once, in index order, against
@@ -222,7 +191,125 @@ fn fold_movable(query: QueryRef<'_>) -> (Vec<u32>, usize) {
             next += 1;
         }
     }
-    (kept, searches)
+    (kept, searches, binds)
+}
+
+/// The binding table with only the distinguished variables fixed.
+fn fixed_head(query: QueryRef<'_>) -> Vec<Option<ITerm>> {
+    query
+        .kinds
+        .iter()
+        .enumerate()
+        .map(|(v, &kind)| {
+            kind.is_distinguished()
+                .then_some(ITerm::Var(v as u32, kind))
+        })
+        .collect()
+}
+
+/// Rigidity propagation: fixes, in `subst`, the variables of every atom
+/// proved rigid, and returns the atoms never proved rigid in index order,
+/// with the number of bind attempts it took.
+fn propagate_rigidity(
+    query: QueryRef<'_>,
+    subst: &mut [Option<ITerm>],
+    trail: &mut Vec<u32>,
+) -> (Vec<u32>, usize) {
+    // The received atoms and the worklist: a word each up to 64 atoms.
+    let words = query.atoms.len().div_ceil(64);
+    if words == 1 {
+        worklist(query, subst, trail, &mut 0u64, &mut 0u64)
+    } else {
+        let mut sets = vec![0u64; 2 * words];
+        let (received, queued) = sets.split_at_mut(words);
+        worklist(query, subst, trail, received, queued)
+    }
+}
+
+/// [`propagate_rigidity`] over the sets `received` and `queued`, empty sets
+/// over the atoms.
+///
+/// Every atom starts on a worklist, which is taken in passes, smallest
+/// index first.  Only an atom of the same bucket — (relation, arity) — can
+/// receive another, so an atom alone in its bucket is rigid without a
+/// bind.  Whether an atom is received depends only on which of its own
+/// variables are fixed, so after a pass only the received atoms sharing a
+/// variable fixed in it go back on the worklist.  Fixing variables only
+/// takes receivers away, so the fixpoint is monotone and does not depend
+/// on the order of examination: the rigid set is the one a round-robin
+/// over all atoms reaches.
+///
+/// A pass records the variables it fixes as bits `v % 64` of one word.
+/// Past 64 variables that also sends back an atom whose variable merely
+/// shares a bit with a fixed one; examining an atom again is harmless.
+fn worklist<S: BitSet + ?Sized>(
+    query: QueryRef<'_>,
+    subst: &mut [Option<ITerm>],
+    trail: &mut Vec<u32>,
+    received: &mut S,
+    queued: &mut S,
+) -> (Vec<u32>, usize) {
+    let atoms = query.atoms;
+    let n = atoms.len();
+    for i in 0..n {
+        queued.insert(i);
+    }
+    // Bits `v % 64` of the variables of `terms`.
+    let bits = |terms: &[ITerm]| {
+        terms.iter().fold(0u64, |word, term| match *term {
+            ITerm::Var(v, _) => word | 1 << (v % 64),
+            ITerm::Const(_) => word,
+        })
+    };
+    let mut binds = 0;
+    loop {
+        let mut fixed = 0u64;
+        while let Some(i) = queued.first() {
+            queued.remove(i);
+            let atom = atoms[i];
+            let terms = atom.terms(query.terms);
+            let fits_a_peer = atoms.iter().enumerate().any(|(j, peer)| {
+                if j == i || peer.relation != atom.relation || peer.term_len != atom.term_len {
+                    return false;
+                }
+                binds += 1;
+                let fits = bind_atom(
+                    terms,
+                    peer.terms(query.terms),
+                    HeadPolicy::Identity,
+                    subst,
+                    trail,
+                );
+                unbind(subst, trail, 0);
+                fits
+            });
+            if fits_a_peer {
+                received.insert(i);
+                continue;
+            }
+            // Rigid: fix its variables.  Noting which were free is kept
+            // branch-free, so it costs next to nothing beside the fixing.
+            for term in terms {
+                if let ITerm::Var(v, _) = *term {
+                    fixed |= u64::from(subst[v as usize].is_none()) << (v % 64);
+                    subst[v as usize] = Some(*term);
+                }
+            }
+        }
+        if fixed == 0 {
+            break;
+        }
+        for (m, atom) in atoms.iter().enumerate() {
+            if received.contains(m) && bits(atom.terms(query.terms)) & fixed != 0 {
+                received.remove(m);
+                queued.insert(m);
+            }
+        }
+    }
+    let movable = (0..n as u32)
+        .filter(|&i| received.contains(i as usize))
+        .collect();
+    (movable, binds)
 }
 
 #[cfg(test)]
@@ -373,8 +460,8 @@ mod tests {
     }
 
     /// Interns `text` and runs the interned fold, returning the kept indices
-    /// and the number of homomorphism searches it took.
-    fn fold_counted(c: &Catalog, text: &str) -> (Vec<u32>, usize) {
+    /// and the number of homomorphism searches and bind attempts it took.
+    fn fold_counted(c: &Catalog, text: &str) -> (Vec<u32>, usize, usize) {
         let mut interner = crate::intern::QueryInterner::new();
         let id = interner.intern(&parse_query(c, text).unwrap());
         fold_movable(interner.resolve(id))
@@ -395,18 +482,158 @@ mod tests {
             body.push(format!("Meetings(f{i}, 'Cathy')"));
         }
         let text = format!("Q({}) :- {}", head.join(", "), body.join(", "));
-        let (kept, searches) = fold_counted(&c, &text);
+        let (kept, searches, _) = fold_counted(&c, &text);
         assert_eq!(kept, (0..15).collect::<Vec<u32>>());
         assert_eq!(searches, 0);
         assert!(is_folded(&parse_query(&c, &text).unwrap()));
     }
 
     #[test]
+    fn atoms_of_distinct_relations_are_rigid_without_a_bind() {
+        // Seventy relations, one atom each, chained by their variables: every
+        // atom is alone in its bucket.
+        let mut c = Catalog::new();
+        for r in 0..70 {
+            c.add_relation(&format!("R{r}"), &["a", "b"]).unwrap();
+        }
+        let body: Vec<String> = (0..70).map(|r| format!("R{r}(x{r}, x{})", r + 1)).collect();
+        let text = format!("Q() :- {}", body.join(", "));
+        assert_eq!(fold_counted(&c, &text), ((0..70).collect(), 0, 0));
+
+        let c = catalog();
+        let text = "Q(x) :- Meetings(x, y), Contacts(y, w, p)";
+        assert_eq!(fold_counted(&c, text), (vec![0, 1], 0, 0));
+    }
+
+    #[test]
+    fn a_rigid_atom_pins_a_peer_it_shares_a_variable_with() {
+        let c = catalog();
+        // Meetings(x, u) is examined first and received by Meetings(x,
+        // 'Cathy'), `u` still being free.  Then Contacts(u, 'a', 'b') turns
+        // out rigid (no other Contacts atom has its constants) and fixes `u`,
+        // which takes that receiver away: Meetings(x, u) is examined again
+        // and is rigid too.  Every atom is rigid, so nothing is searched.
+        let text = "Q(x) :- Meetings(x, u), Meetings(x, 'Cathy'), \
+                    Contacts(u, 'a', 'b'), Contacts(z, 'c', 'd')";
+        let query = parse_query(&c, text).unwrap();
+        let (kept, searches, binds) = fold_counted(&c, text);
+        assert_eq!(kept, surviving_positions(&query, &fold(&query)));
+        assert_eq!(kept, vec![0, 1, 2, 3]);
+        assert_eq!(searches, 0);
+        // Four first examinations and one re-examination, one bind each.
+        assert_eq!(binds, 5);
+    }
+
+    /// The atoms never proved rigid by the plain round-robin: every atom not
+    /// yet rigid is examined against every other atom of its bucket, round
+    /// after round, until a round proves none rigid.
+    fn round_robin_movable(query: QueryRef<'_>) -> Vec<u32> {
+        let mut subst = fixed_head(query);
+        let mut trail = Vec::new();
+        let mut movable: Vec<u32> = (0..query.atoms.len() as u32).collect();
+        loop {
+            let before = movable.len();
+            movable.retain(|&i| {
+                let atom = query.atoms[i as usize];
+                let terms = atom.terms(query.terms);
+                let received = query.atoms.iter().enumerate().any(|(j, peer)| {
+                    let fits = j != i as usize
+                        && peer.relation == atom.relation
+                        && peer.term_len == atom.term_len
+                        && bind_atom(
+                            terms,
+                            peer.terms(query.terms),
+                            HeadPolicy::Identity,
+                            &mut subst,
+                            &mut trail,
+                        );
+                    unbind(&mut subst, &mut trail, 0);
+                    fits
+                });
+                if !received {
+                    for term in terms {
+                        if let ITerm::Var(v, _) = *term {
+                            subst[v as usize] = Some(*term);
+                        }
+                    }
+                }
+                received
+            });
+            if movable.len() == before {
+                return movable;
+            }
+        }
+    }
+
+    #[test]
+    fn the_worklist_reaches_the_round_robin_fixpoint() {
+        let c = catalog();
+        let mut interner = crate::intern::QueryInterner::new();
+        // A small linear congruential generator: the shapes are the same on
+        // every run.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |bound: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % bound
+        };
+        // Small shapes, and long shapes with more than 64 variables, where a
+        // pass's record of what it fixed is no longer exact.
+        for (shapes, max_atoms, vars) in [(3_000, 8, 6), (200, 80, 100)] {
+            for _ in 0..shapes {
+                let atoms = 1 + next(max_atoms) as usize;
+                let body: Vec<String> = (0..atoms)
+                    .map(|_| {
+                        let arity = 2 + next(2);
+                        let terms: Vec<String> = (0..arity)
+                            .map(|_| match next(8) {
+                                0 => "'a'".to_owned(),
+                                _ => format!("v{}", next(vars)),
+                            })
+                            .collect();
+                        let relation = if arity == 2 { "Meetings" } else { "Contacts" };
+                        format!("{relation}({})", terms.join(", "))
+                    })
+                    .collect();
+                let head: Vec<&str> = ["v0", "v1"]
+                    .into_iter()
+                    .filter(|v| next(2) == 0 && body.iter().any(|a| a.contains(&format!("{v},"))))
+                    .collect();
+                let text = format!("Q({}) :- {}", head.join(", "), body.join(", "));
+                let id = interner.intern(&parse_query(&c, &text).unwrap());
+                let query = interner.resolve(id);
+                let (movable, _) =
+                    propagate_rigidity(query, &mut fixed_head(query), &mut Vec::new());
+                assert_eq!(movable, round_robin_movable(query), "{text}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_pin_travels_back_through_more_than_64_atoms() {
+        let c = catalog();
+        // A path of seventy Meetings atoms whose last atom ends in the
+        // distinguished `x`.  Examined in index order, every atom but the
+        // last is first received by an earlier one; the last is rigid, and
+        // fixing its variables pins its predecessor, and so on back to the
+        // first atom — across the worklist's word boundary.
+        let mut body: Vec<String> = (0..69)
+            .map(|k| format!("Meetings(v{k}, v{})", k + 1))
+            .collect();
+        body.push("Meetings(v69, x)".to_owned());
+        let (kept, searches, binds) = fold_counted(&c, &format!("Q(x) :- {}", body.join(", ")));
+        assert_eq!(kept, (0..70).collect::<Vec<u32>>());
+        assert_eq!(searches, 0);
+        assert!(binds > 70, "{binds} binds: nothing was examined again");
+    }
+
+    #[test]
     fn interchangeable_copies_cost_at_most_one_search_each() {
         let c = catalog();
-        for k in 2..=8usize {
+        for k in (2..=8usize).chain([70]) {
             let body: Vec<String> = (0..k).map(|i| format!("Meetings(a{i}, b{i})")).collect();
-            let (kept, searches) = fold_counted(&c, &format!("Q() :- {}", body.join(", ")));
+            let (kept, searches, _) = fold_counted(&c, &format!("Q() :- {}", body.join(", ")));
             // Every copy but the last folds into a later one; the last is
             // never tested because nothing is left to receive it.
             assert_eq!(kept, vec![k as u32 - 1]);
@@ -423,14 +650,14 @@ mod tests {
         // — and the triangle is not tested again afterwards, as the
         // restarting reference would: four searches, one per atom.
         let text = "Q() :- Meetings(x, y), Meetings(y, z), Meetings(z, x), Meetings(x, p)";
-        let (kept, searches) = fold_counted(&c, text);
+        let (kept, searches, _) = fold_counted(&c, text);
         assert_eq!(kept, vec![0, 1, 2]);
         assert_eq!(searches, 4);
 
         // A rigid atom (its constant has no other home) is not tested at
         // all: two searches for the two atoms that fold into it.
         let text = "Q(x) :- Meetings(x, 'Cathy'), Meetings(x, y), Meetings(x, z)";
-        let (kept, searches) = fold_counted(&c, text);
+        let (kept, searches, _) = fold_counted(&c, text);
         assert_eq!(kept, vec![0]);
         assert_eq!(searches, 2);
     }

@@ -15,6 +15,8 @@
 //!   conjunctive queries (Chandra–Merlin), query equivalence.
 //! * [`folding`] — query folding / core computation, used by the `Dissect`
 //!   labeling algorithm.
+//! * [`bitset`] — one-word / many-word bit sets over a query's atoms or
+//!   variables, for the fold and the first-sight dissection.
 //! * [`rewriting`] — equivalent view rewriting checks for single-atom views,
 //!   the concrete disclosure order used by the paper's labelers.
 //! * [`intern`] — the interned query plane: an arena-backed flat CQ
@@ -50,6 +52,7 @@
 #![warn(missing_docs)]
 
 pub mod atom;
+pub mod bitset;
 pub mod canonical;
 pub mod catalog;
 pub mod containment;

@@ -1,11 +1,19 @@
-//! The first sight of a shape and the refreshes after it intern nothing
-//! but the shape itself.
+//! The first sight of a shape: what it computes, and that it and the
+//! refreshes after it intern nothing but the shape itself.
 //!
-//! `CachedLabeler` dissects a new shape once and computes each part's `ℓ⁺`
-//! mask where `dissect_interned` assembles it; the entry keeps, per part,
-//! the needed-position mask a later refresh decides new views with.  Pinned
-//! here:
+//! `CachedLabeler` computes each core atom's `ℓ⁺` mask straight from the
+//! interned query: the needed-position mask is read off the atom where it
+//! lies, and a part is assembled only for a view no bit test decides.  The
+//! entry keeps, per part, the needed-position mask a later refresh decides
+//! new views with.  Pinned here:
 //!
+//! * **first sight equals the boxed reference** — for every part, the
+//!   relation, the `ℓ⁺` mask and the needed-position mask equal those of the
+//!   boxed `dissect` followed by `BitVectorLabeler::atom_mask` and the
+//!   needed positions of the boxed part: on generated small-schema queries
+//!   (repeated variables, constants, single atoms), on a 65-variable `User`
+//!   join, and against registries that grow selection and diagonal views
+//!   online, so parts are assembled for the rewriting check;
 //! * **the arena holds submitted shapes and view definitions only** —
 //!   labeling N distinct Section 7.2 stress shapes grows the interner by
 //!   exactly N, and an online view registration plus a refresh of every
@@ -18,11 +26,226 @@
 
 use std::collections::HashSet;
 
-use fdc::core::{BitVectorLabeler, CachedLabeler, QueryLabeler, SecurityViews};
+use fdc::core::dissect::dissect;
+use fdc::core::{BitVectorLabeler, CachedLabeler, QueryLabeler, SecurityViews, ViewMask};
 use fdc::cq::parser::parse_query;
-use fdc::cq::{Catalog, ConjunctiveQuery};
+use fdc::cq::{Atom, Catalog, ConjunctiveQuery, RelId, Term, VarId, VarKind};
 use fdc::ecosystem::views::projection_view;
 use fdc::ecosystem::{Ecosystem, WorkloadConfig};
+use proptest::prelude::*;
+
+#[path = "support/user_join.rs"]
+mod user_join;
+use user_join::user_join;
+
+/// One part as first sight reports it: relation, `ℓ⁺` mask, needed
+/// positions (`None` for the rewriting check).
+type Part = (RelId, ViewMask, Option<u64>);
+
+/// The positions of a boxed single-atom part a projection-style view must
+/// expose: its constants and distinguished variables; `None` if no bit test
+/// decides the part (a repeated variable, more than 64 positions).
+fn reference_needs(part: &ConjunctiveQuery) -> Option<u64> {
+    let atom = &part.atoms()[0];
+    if atom.arity() > 64 || atom.has_repeated_vars() {
+        return None;
+    }
+    Some(
+        atom.terms
+            .iter()
+            .enumerate()
+            .filter(|(_, term)| term.is_const() || term.is_distinguished())
+            .fold(0, |needed, (i, _)| needed | 1 << i),
+    )
+}
+
+/// The boxed reference: `Dissect`, then each part's mask and needed
+/// positions over a fresh bit-vector labeler of the same registry.
+fn reference_parts(reference: &BitVectorLabeler, query: &ConjunctiveQuery) -> Vec<Part> {
+    dissect(query)
+        .iter()
+        .map(|part| {
+            (
+                part.atoms()[0].relation,
+                reference.atom_mask(part),
+                reference_needs(part),
+            )
+        })
+        .collect()
+}
+
+/// Asserts that the first sight of `query` in `cached` computes the
+/// reference's parts.
+fn assert_first_sight_agrees(cached: &CachedLabeler, query: &ConjunctiveQuery) {
+    let reference = BitVectorLabeler::new(cached.security_views().clone());
+    let id = cached.intern(query);
+    assert_eq!(
+        cached.first_sight_parts(id),
+        reference_parts(&reference, query),
+        "first sight differs on {query:?}"
+    );
+}
+
+// --- generated small-schema queries -----------------------------------------
+
+#[derive(Debug, Clone, Copy)]
+enum RawTerm {
+    Dist(u32),
+    Exist(u32),
+    Int(i64),
+}
+
+fn term_strategy() -> impl Strategy<Value = RawTerm> {
+    prop_oneof![
+        (0..6u32).prop_map(RawTerm::Dist),
+        (0..6u32).prop_map(RawTerm::Exist),
+        (0..3i64).prop_map(RawTerm::Int),
+    ]
+}
+
+/// Up to six atoms over the paper schema, six variables and three
+/// constants: repeated variables, constants, joins and single atoms all
+/// come up often.
+fn query_strategy() -> impl Strategy<Value = ConjunctiveQuery> {
+    let atom = (0u8..2).prop_flat_map(|rel| {
+        let arity = if rel == 0 { 2 } else { 3 };
+        (Just(rel), proptest::collection::vec(term_strategy(), arity))
+    });
+    proptest::collection::vec(atom, 1..=6).prop_map(|raw| {
+        // A variable tagged distinguished anywhere is distinguished
+        // everywhere.
+        let distinguished: Vec<u32> = raw
+            .iter()
+            .flat_map(|(_, terms)| terms)
+            .filter_map(|term| match *term {
+                RawTerm::Dist(v) => Some(v),
+                _ => None,
+            })
+            .collect();
+        let mut dense: Vec<u32> = Vec::new();
+        let atoms = raw
+            .iter()
+            .map(|(rel, terms)| {
+                let terms = terms
+                    .iter()
+                    .map(|term| match *term {
+                        RawTerm::Dist(v) | RawTerm::Exist(v) => {
+                            let id = dense.iter().position(|&w| w == v).unwrap_or_else(|| {
+                                dense.push(v);
+                                dense.len() - 1
+                            });
+                            let kind = if distinguished.contains(&v) {
+                                VarKind::Distinguished
+                            } else {
+                                VarKind::Existential
+                            };
+                            Term::Var(VarId(id as u32), kind)
+                        }
+                        RawTerm::Int(i) => Term::constant(i),
+                    })
+                    .collect();
+                Atom::new(RelId(u32::from(*rel)), terms)
+            })
+            .collect();
+        ConjunctiveQuery::from_atoms(atoms).expect("generated queries are valid")
+    })
+}
+
+/// The paper's registry plus selection and diagonal views, which no bit
+/// test decides.
+fn tricky_registry() -> SecurityViews {
+    let mut registry = SecurityViews::paper_example();
+    registry
+        .add_program(
+            r"
+            Vc(x)    :- Meetings(x, 1)
+            Vd(x)    :- Meetings(x, x)
+            Vk(x, y) :- Contacts(x, y, 2)
+            Vr(x)    :- Contacts(x, y, x)
+            ",
+        )
+        .unwrap();
+    registry
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1_000))]
+
+    #[test]
+    fn first_sight_parts_equal_the_boxed_reference(query in query_strategy()) {
+        assert_first_sight_agrees(&CachedLabeler::new(SecurityViews::paper_example()), &query);
+        assert_first_sight_agrees(&CachedLabeler::new(tricky_registry()), &query);
+    }
+}
+
+#[test]
+fn first_sight_of_a_65_variable_join_equals_the_boxed_reference() {
+    let eco = Ecosystem::new();
+    let user = eco.schema.user();
+    let mut cached = CachedLabeler::new(eco.views.clone());
+    for fresh in [10, 30, 31] {
+        assert_first_sight_agrees(&cached, &user_join(fresh));
+    }
+    // A selection and a diagonal view over `User`, added online: every
+    // part of the join now takes the rewriting check against them, on the
+    // part assembled for it.
+    let view = |third: Term| {
+        let mut terms = vec![Term::dist(0), Term::exist(1), third];
+        terms.extend((2..33).map(Term::exist));
+        ConjunctiveQuery::from_atoms(vec![Atom::new(user, terms)]).unwrap()
+    };
+    cached
+        .add_view(
+            "UserSelection",
+            view(Term::constant("a constant longer than one hash word")),
+        )
+        .unwrap();
+    cached
+        .add_view("UserDiagonal", view(Term::exist(1)))
+        .unwrap();
+    for fresh in [10, 30, 31] {
+        let query = user_join(fresh);
+        assert_first_sight_agrees(&cached, &query);
+        let fresh_labeler = BitVectorLabeler::new(cached.security_views().clone());
+        assert_eq!(
+            cached.label_query(&query),
+            fresh_labeler.label_query(&query)
+        );
+    }
+}
+
+#[test]
+fn first_sight_after_online_additions_equals_the_boxed_reference() {
+    let mut cached = CachedLabeler::new(SecurityViews::paper_example());
+    let c: Catalog = cached.security_views().catalog().clone();
+    let texts = [
+        "Q(x) :- Meetings(x, 'Cathy')",
+        "Q() :- Meetings(x, x)",
+        "Q(x) :- Meetings(x, y), Contacts(y, w, 'Intern')",
+        "Q(x) :- Meetings(x, y), Contacts(y, z, z)",
+        "Q() :- Contacts(x, w, p), Meetings(p, p), Meetings(w, 'Cathy')",
+        "Q(x, y) :- Meetings(x, y), Meetings(y, x), Contacts(x, y, y)",
+    ];
+    let queries: Vec<ConjunctiveQuery> =
+        texts.iter().map(|t| parse_query(&c, t).unwrap()).collect();
+    let views = [
+        ("W0", "W0(x) :- Meetings(x, 'Cathy')"),
+        ("W1", "W1(x) :- Meetings(x, x)"),
+        ("W2", "W2(x) :- Contacts(x, y, y)"),
+        ("W3", "W3(y) :- Contacts(x, y, 'Intern')"),
+    ];
+    for query in &queries {
+        assert_first_sight_agrees(&cached, query);
+    }
+    for (name, text) in views {
+        cached
+            .add_view(name, parse_query(&c, text).unwrap())
+            .unwrap();
+        for query in &queries {
+            assert_first_sight_agrees(&cached, query);
+        }
+    }
+}
 
 #[test]
 fn cold_labeling_grows_the_arena_by_the_shapes_alone() {
@@ -89,6 +312,11 @@ fn general_path_refreshes_equal_a_fresh_labeler() {
         "Q(x) :- Meetings(x, y), Meetings(y, y)",
         "Q(x) :- Meetings(x, 'Cathy'), Contacts(x, w, p)",
         "Q(x, y) :- Meetings(x, y)",
+        // General parts whose assembly promotes a join variable: the
+        // repeated `z` beside the promoted `y`, and a diagonal that is the
+        // middle part of three.
+        "Q(x) :- Meetings(x, y), Contacts(y, z, z)",
+        "Q() :- Contacts(x, w, p), Meetings(p, p), Meetings(w, 'Cathy')",
     ]
     .iter()
     .map(|text| parse_query(&c, text).unwrap())
@@ -119,6 +347,11 @@ fn general_path_refreshes_equal_a_fresh_labeler() {
         let before = cached.stats();
         for (query, &id) in queries.iter().zip(&ids) {
             assert_eq!(cached.label_interned(id), fresh.label_query(query));
+            assert_eq!(
+                cached.first_sight_parts(id),
+                reference_parts(&fresh, query),
+                "{query:?}"
+            );
         }
         let after = cached.stats();
         assert_eq!(after.misses, before.misses, "a refresh never dissects anew");

@@ -12,58 +12,36 @@
 //! * **at most 1** for a known shape one variable past that capacity (the
 //!   heap fallback of the numbering).
 //!
-//! `Dissect` over the flat representation is pinned the same way: once a
-//! shape's fold is on record, visiting its parts costs a fixed handful of
-//! scratch allocations — two per-variable tables and two part buffers —
-//! however many atoms or variables the shape has, and none at all for a
-//! single-atom query.
+//! The first sight of a shape is pinned the same way, once its fold is on
+//! record:
+//!
+//! * reading every part's needed-position mask off the interned query
+//!   (`InternedDissection`) allocates **nothing** up to 64 variables and
+//!   **1** block past that (the join-variable set), however many atoms the
+//!   shape has;
+//! * assembling a part for the rewriting check allocates its **2** buffers;
+//! * a first sight whose parts bit tests decide allocates **exactly its
+//!   entry** — the part vector and the label — plus that one block past 64
+//!   variables.
 //!
 //! Counts are per thread, so the harness running tests in parallel does not
 //! disturb them.
 
 use std::hint::black_box;
 
-use fdc::core::dissect::dissect_interned;
+use fdc::core::dissect::InternedDissection;
+use fdc::core::CachedLabeler;
 use fdc::cq::intern::QueryInterner;
 use fdc::cq::{Atom, ConjunctiveQuery, Term};
-use fdc::ecosystem::facebook_catalog;
+use fdc::ecosystem::{facebook_catalog, Ecosystem};
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
 use counting_alloc::allocations;
 
-/// `User(u, x1, …, x33), User(u, y1, …, y_fresh, 'c', 7, 'c', 7, …)`: a
-/// self-join on `uid` whose second atom has `fresh` variables of its own and
-/// constants in its remaining columns — `34 + fresh` variables in all.
-fn user_join(fresh: usize) -> ConjunctiveQuery {
-    let schema = facebook_catalog();
-    let user = schema.user();
-    let arity = schema.catalog.arity(user);
-    assert_eq!(arity, 34);
-    let first: Vec<Term> = (0..arity as u32)
-        .map(|v| {
-            if v % 2 == 0 {
-                Term::dist(v)
-            } else {
-                Term::exist(v)
-            }
-        })
-        .collect();
-    let mut second = vec![Term::dist(0)];
-    for column in 1..arity {
-        second.push(if column <= fresh {
-            Term::exist((arity + column - 1) as u32)
-        } else if column % 2 == 0 {
-            Term::constant("a constant longer than one hash word")
-        } else {
-            Term::constant(7)
-        });
-    }
-    let query = ConjunctiveQuery::from_atoms(vec![Atom::new(user, first), Atom::new(user, second)])
-        .unwrap();
-    assert_eq!(query.num_vars(), arity + fresh);
-    query
-}
+#[path = "support/user_join.rs"]
+mod user_join;
+use user_join::user_join;
 
 /// Interns `query`, then counts what recognising it again costs.
 fn hit_path_allocations(query: &ConjunctiveQuery) -> (u64, u64) {
@@ -133,34 +111,42 @@ fn one_variable_past_the_capacity_costs_at_most_the_fallback_allocation() {
     assert!(intern <= 1, "intern allocated {intern} times");
 }
 
-/// What one `dissect_interned` pass allocates on a shape whose fold is on
-/// record, with the number of parts it visited.
-fn redissection_allocations(query: &ConjunctiveQuery) -> (usize, u64) {
+/// What reading every part's needed-position mask of a shape whose fold
+/// is on record allocates, with the number of parts.
+fn part_mask_allocations(query: &ConjunctiveQuery) -> (usize, u64) {
     let mut interner = QueryInterner::new();
     let id = interner.intern(query);
     interner.core_atom_indices(id);
     let core = interner.cached_core(id).expect("recorded above");
     let mut parts = 0;
     let count = allocations(|| {
-        dissect_interned(black_box(interner.resolve(id)), core, |part| {
-            black_box(part);
-            parts += 1;
-        });
+        let mut dissection = InternedDissection::new(black_box(interner.resolve(id)), core);
+        parts = dissection.len();
+        for k in 0..parts {
+            black_box(dissection.needs(k));
+        }
     });
     (parts, count)
 }
-
-/// The scratch of one dissection: `atoms_with`, `local`, `terms` and
-/// `kinds`.
-const DISSECT_SCRATCH: u64 = 4;
 
 #[test]
 fn dissecting_a_65_variable_shape_again_allocates_only_its_scratch() {
     let query = user_join(31);
     assert_eq!(query.num_vars(), 65);
-    let (parts, count) = redissection_allocations(&query);
-    assert_eq!(parts, 2);
-    assert!(count <= DISSECT_SCRATCH, "{count} allocations");
+    // The join-variable set spills past 64 variables: one block.
+    assert_eq!(part_mask_allocations(&query), (2, 1));
+    assert_eq!(part_mask_allocations(&user_join(30)), (2, 0));
+
+    // Assembling a part for the rewriting check fills its two buffers.
+    let mut interner = QueryInterner::new();
+    let id = interner.intern(&query);
+    let core = interner.core_atom_indices(id).to_vec();
+    let mut dissection = InternedDissection::new(interner.resolve(id), &core);
+    let count = allocations(|| {
+        black_box(dissection.part(1));
+        black_box(dissection.part(1));
+    });
+    assert_eq!(count, 2);
 }
 
 #[test]
@@ -177,13 +163,38 @@ fn dissection_scratch_does_not_grow_with_the_number_of_parts() {
     };
     let query = ConjunctiveQuery::from_atoms((0..12).map(atom).collect()).unwrap();
     assert!(query.num_vars() > 300);
-    let (parts, count) = redissection_allocations(&query);
-    assert_eq!(parts, 12);
-    assert!(count <= DISSECT_SCRATCH, "{count} allocations");
+    assert_eq!(part_mask_allocations(&query), (12, 1));
 
-    // A single-atom query is its own only part: nothing to assemble.
+    // A single-atom query is its own only part: nothing to allocate.
     let single = ConjunctiveQuery::from_atoms(vec![atom(0)]).unwrap();
-    let (parts, count) = redissection_allocations(&single);
-    assert_eq!(parts, 1);
-    assert_eq!(count, 0, "{count} allocations");
+    assert_eq!(part_mask_allocations(&single), (1, 0));
+}
+
+/// What the first sight of `query` allocates once its fold is on record:
+/// labeled, flushed, then labeled again into a buffer with room.
+fn first_sight_allocations(query: &ConjunctiveQuery) -> u64 {
+    let labeler = CachedLabeler::new(Ecosystem::new().views);
+    let id = labeler.intern(query);
+    labeler.label_interned(id);
+    // Flushing keeps the stripe's slot vector, so storing the entry again
+    // does not grow it.
+    labeler.clear_entries();
+    let mut out = Vec::with_capacity(16);
+    let count = allocations(|| {
+        labeler
+            .as_snapshot()
+            .append_packed_interned_in(0, black_box(id), &mut out);
+    });
+    assert_eq!(labeler.stats().misses, 2);
+    count
+}
+
+#[test]
+fn a_projection_style_first_sight_allocates_exactly_its_entry() {
+    // Every part of these shapes is decided by bit tests against the
+    // Facebook views: the entry's part vector and its label, nothing else.
+    assert_eq!(first_sight_allocations(&user_join(10)), 2);
+    assert_eq!(first_sight_allocations(&user_join(30)), 2);
+    // Past 64 variables the join-variable set takes one block more.
+    assert_eq!(first_sight_allocations(&user_join(31)), 3);
 }
