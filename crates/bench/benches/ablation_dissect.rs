@@ -16,7 +16,7 @@ use fdc_bench::labeling_workload;
 use fdc_core::dissect::{dissect, InternedDissection};
 use fdc_core::QueryLabeler;
 use fdc_cq::intern::QueryInterner;
-use fdc_cq::{Atom, ConjunctiveQuery};
+use fdc_cq::{Atom, AtomRef, ConjunctiveQuery};
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -25,7 +25,7 @@ use std::time::Duration;
 fn add_redundancy(query: &ConjunctiveQuery, copies: usize) -> ConjunctiveQuery {
     let mut atoms: Vec<Atom> = Vec::new();
     for _ in 0..=copies {
-        atoms.extend_from_slice(query.atoms());
+        atoms.extend(query.atoms().map(AtomRef::to_atom));
     }
     ConjunctiveQuery::from_parts(
         atoms,

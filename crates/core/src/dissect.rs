@@ -25,7 +25,7 @@
 use fdc_cq::bitset::BitSet;
 use fdc_cq::folding::fold;
 use fdc_cq::intern::{IAtom, ITerm, QueryRef};
-use fdc_cq::{Atom, ConjunctiveQuery, RelId, Term, VarId, VarKind};
+use fdc_cq::{Atom, AtomRef, ConjunctiveQuery, RelId, Term, VarId, VarKind};
 
 /// Dissects a conjunctive query into single-atom queries.
 ///
@@ -36,7 +36,7 @@ use fdc_cq::{Atom, ConjunctiveQuery, RelId, Term, VarId, VarKind};
 pub fn dissect(query: &ConjunctiveQuery) -> Vec<ConjunctiveQuery> {
     let folded = fold(query);
     if folded.num_atoms() == 1 {
-        return vec![single_atom_query(&folded, &folded.atoms()[0], &[])];
+        return vec![single_atom_query(&folded, folded.atom(0), &[])];
     }
 
     // Count in how many atoms each variable occurs; existential variables
@@ -49,7 +49,6 @@ pub fn dissect(query: &ConjunctiveQuery) -> Vec<ConjunctiveQuery> {
 
     folded
         .atoms()
-        .iter()
         .map(|atom| single_atom_query(&folded, atom, &promoted))
         .collect()
 }
@@ -58,7 +57,7 @@ pub fn dissect(query: &ConjunctiveQuery) -> Vec<ConjunctiveQuery> {
 /// promoting the listed variables to distinguished.
 fn single_atom_query(
     source: &ConjunctiveQuery,
-    atom: &Atom,
+    atom: AtomRef<'_>,
     promoted: &[VarId],
 ) -> ConjunctiveQuery {
     let mut var_kinds: Vec<VarKind> = Vec::new();
@@ -408,8 +407,8 @@ mod tests {
             "Q(x) :- Meetings(x, y), Contacts(y, 'a@b.com', 'Intern')",
         );
         let parts = dissect(&qc);
-        assert!(parts[1].atoms()[0].has_constants());
-        assert_eq!(parts[1].atoms()[0].terms.len(), 3);
+        assert!(parts[1].atom(0).has_constants());
+        assert_eq!(parts[1].atom(0).terms.len(), 3);
     }
 
     #[test]
@@ -479,8 +478,8 @@ mod tests {
             assert_eq!(boxed.len(), interned.len(), "part count differs on {text}");
             for (part, back) in boxed.iter().zip(&interned) {
                 assert_eq!(
-                    part.atoms()[0].relation,
-                    back.atoms()[0].relation,
+                    part.atom(0).relation,
+                    back.atom(0).relation,
                     "relation on {text}"
                 );
                 assert!(

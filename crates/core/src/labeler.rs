@@ -107,7 +107,7 @@ impl QueryLabeler for BaselineLabeler {
     fn label_query(&self, query: &ConjunctiveQuery) -> DisclosureLabel {
         let mut label = DisclosureLabel::bottom();
         for atom_query in dissect(query) {
-            let relation = atom_query.atoms()[0].relation;
+            let relation = atom_query.atom(0).relation;
             let mut mask: ViewMask = 0;
             // Deliberately scan the whole registry (no partitioning): this is
             // the "baseline" curve of Figure 5.
@@ -153,7 +153,7 @@ impl QueryLabeler for HashPartitionedLabeler {
     fn label_query(&self, query: &ConjunctiveQuery) -> DisclosureLabel {
         let mut label = DisclosureLabel::bottom();
         for atom_query in dissect(query) {
-            let relation = atom_query.atoms()[0].relation;
+            let relation = atom_query.atom(0).relation;
             let mut mask: ViewMask = 0;
             if let Some(candidates) = self.by_relation.get(&relation) {
                 for id in candidates {
@@ -236,7 +236,7 @@ impl BitVectorLabeler {
     /// silently truncated out of every packed label in release builds.
     pub fn add_view(&mut self, name: &str, query: ConjunctiveQuery) -> Result<SecurityViewId> {
         use crate::security_views::MAX_PACKED_VIEWS_PER_RELATION;
-        if let Some(atom) = query.atoms().first() {
+        if let Some(atom) = query.atoms().next() {
             let existing = self.views.views_for_relation(atom.relation).len();
             if existing >= MAX_PACKED_VIEWS_PER_RELATION {
                 return Err(crate::error::LabelError::TooManyViewsForRelation {
@@ -264,7 +264,7 @@ impl BitVectorLabeler {
             atom_query.is_single_atom(),
             "atom_mask requires a dissected single-atom query"
         );
-        let relation = atom_query.atoms()[0].relation;
+        let relation = atom_query.atom(0).relation;
         part_bits(
             atom_needs(atom_query),
             self.candidates(relation),
@@ -325,7 +325,7 @@ fn part_bits(
 /// variables), returns the bit mask of positions holding distinguished
 /// variables; otherwise `None`.
 fn projection_shape(query: &ConjunctiveQuery) -> Option<u64> {
-    let atom = query.atoms().first()?;
+    let atom = query.atoms().next()?;
     if atom.arity() > 64 || atom.has_constants() || atom.has_repeated_vars() {
         return None;
     }
@@ -349,7 +349,7 @@ fn projection_shape(query: &ConjunctiveQuery) -> Option<u64> {
 /// answerable from a projection view exactly when the constant's column is
 /// exposed (the rewriting applies the selection on top of the view).
 fn atom_needs(query: &ConjunctiveQuery) -> Option<u64> {
-    let atom = query.atoms().first()?;
+    let atom = query.atoms().next()?;
     if atom.arity() > 64 || atom.has_repeated_vars() {
         return None;
     }
@@ -379,7 +379,7 @@ impl QueryLabeler for BitVectorLabeler {
     fn label_query(&self, query: &ConjunctiveQuery) -> DisclosureLabel {
         let mut label = DisclosureLabel::bottom();
         for atom_query in dissect(query) {
-            let relation = atom_query.atoms()[0].relation;
+            let relation = atom_query.atom(0).relation;
             let mask = self.atom_mask(&atom_query);
             label.push(AtomLabel::new(relation, mask));
         }

@@ -128,7 +128,7 @@ impl SecurityViews {
         query
             .validate(&self.catalog)
             .map_err(|e| LabelError::InvalidQuery(e.to_string()))?;
-        let relation = query.atoms()[0].relation;
+        let relation = query.atom(0).relation;
         let per_relation = self.by_relation.entry(relation).or_default();
         if per_relation.len() >= MAX_VIEWS_PER_RELATION {
             return Err(LabelError::TooManyViewsForRelation {

@@ -177,8 +177,8 @@ fn mgu_with_check(
     if !left.is_single_atom() || !right.is_single_atom() {
         return None;
     }
-    let l_atom = &left.atoms()[0];
-    let r_atom = &right.atoms()[0];
+    let l_atom = left.atom(0);
+    let r_atom = right.atom(0);
     if l_atom.relation != r_atom.relation || l_atom.arity() != r_atom.arity() {
         return None;
     }
@@ -387,7 +387,7 @@ mod tests {
         let v15 = q(&c, "V15() :- Meetings(z, z)");
         // The raw GenMGU exists ([M(we, we)]) ...
         let mgu = gen_mgu(&v14, &v15).expect("unification itself succeeds");
-        assert!(mgu.atoms()[0].has_repeated_vars());
+        assert!(mgu.atom(0).has_repeated_vars());
         // ... but GLBSingleton applies the corner-case check and returns ⊥.
         assert!(glb_singleton(&v14, &v15).is_bottom());
         assert!(glb_singleton(&v15, &v14).is_bottom());

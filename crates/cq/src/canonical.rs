@@ -17,8 +17,7 @@
 
 use std::collections::HashMap;
 
-use crate::atom::Atom;
-use crate::query::{ConjunctiveQuery, VarTable};
+use crate::query::{Body, ConjunctiveQuery, VarTable};
 use crate::term::{Term, VarId, VarKind};
 
 /// Renumbers the variables of a query by order of first occurrence in the
@@ -27,12 +26,10 @@ pub fn rename_canonical(query: &ConjunctiveQuery) -> ConjunctiveQuery {
     let mut mapping: HashMap<VarId, VarId> = HashMap::new();
     let mut kinds: Vec<VarKind> = Vec::new();
 
-    let mut atoms: Vec<Atom> = Vec::with_capacity(query.num_atoms());
+    let mut body = Body::with_capacity(query.num_atoms(), query.terms().len(), 0);
     for atom in query.atoms() {
-        let terms = atom
-            .terms
-            .iter()
-            .map(|t| match t {
+        for term in atom.terms {
+            body.push_term(match term {
                 Term::Var(v, kind) => {
                     let next_id = VarId(mapping.len() as u32);
                     let new_id = *mapping.entry(*v).or_insert_with(|| {
@@ -42,12 +39,12 @@ pub fn rename_canonical(query: &ConjunctiveQuery) -> ConjunctiveQuery {
                     Term::Var(new_id, *kind)
                 }
                 Term::Const(c) => Term::Const(c.clone()),
-            })
-            .collect();
-        atoms.push(Atom::new(atom.relation, terms));
+            });
+        }
+        body.end_atom(atom.relation);
     }
 
-    ConjunctiveQuery::from_table(atoms, VarTable::numbered(kinds))
+    ConjunctiveQuery::from_body(body, VarTable::numbered(kinds), true)
         .expect("renaming a valid query preserves validity")
 }
 

@@ -134,7 +134,7 @@ fn eval_rec(
     head: &[VarId],
     answers: &mut BTreeSet<Tuple>,
 ) {
-    let Some(atom) = query.atoms().get(atom_index) else {
+    let Some(atom) = (atom_index < query.num_atoms()).then(|| query.atom(atom_index)) else {
         let answer: Tuple = head
             .iter()
             .map(|v| {

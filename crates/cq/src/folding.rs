@@ -65,7 +65,7 @@
 //! scratch (binding table, trail, worklist, target list) is
 //! allocated once per fold, not per check.
 
-use crate::atom::Atom;
+use crate::atom::AtomRef;
 use crate::bitset::BitSet;
 use crate::homomorphism::{
     bind_atom, find_homomorphism_into, interned_search_prebound, unbind, HeadPolicy,
@@ -82,7 +82,7 @@ use crate::query::ConjunctiveQuery;
 /// variables (a distinguished variable always survives folding because
 /// folding homomorphisms fix it).
 pub fn fold(query: &ConjunctiveQuery) -> ConjunctiveQuery {
-    let mut atoms: Vec<Atom> = query.atoms().to_vec();
+    let mut atoms: Vec<AtomRef<'_>> = query.atoms().collect();
     if atoms.len() <= 1 {
         return query.clone();
     }
@@ -111,7 +111,14 @@ pub fn fold(query: &ConjunctiveQuery) -> ConjunctiveQuery {
             // query maps homomorphically into the reduced set while fixing
             // distinguished variables (the reverse direction is trivial
             // because the reduced set is a subset).
-            if find_homomorphism_into(query, &candidate, query, HeadPolicy::Identity).is_some() {
+            if find_homomorphism_into(
+                query,
+                candidate.iter().copied(),
+                query,
+                HeadPolicy::Identity,
+            )
+            .is_some()
+            {
                 atoms = candidate;
                 removed_any = true;
                 // Restart scanning: removing one atom can expose further
@@ -328,10 +335,11 @@ mod tests {
     /// the earlier ones first, so a surviving copy is always the last.
     fn surviving_positions(query: &ConjunctiveQuery, folded: &ConjunctiveQuery) -> Vec<u32> {
         let mut positions = Vec::new();
-        let mut end = query.atoms().len();
-        for atom in folded.atoms().iter().rev() {
-            end = query.atoms()[..end]
-                .iter()
+        let mut end = query.num_atoms();
+        for atom in folded.atoms().rev() {
+            end = query
+                .atoms()
+                .take(end)
                 .rposition(|a| a == atom)
                 .expect("folding keeps a subsequence of the atoms");
             positions.push(end as u32);
@@ -378,7 +386,7 @@ mod tests {
         let q = parse_query(&c, "Q(x) :- Meetings(x, 'Cathy'), Meetings(x, y)").unwrap();
         let folded = fold(&q);
         assert_eq!(folded.num_atoms(), 1);
-        assert!(folded.atoms()[0].has_constants());
+        assert!(folded.atom(0).has_constants());
         assert!(equivalent_same_space(&folded, &q));
     }
 
@@ -428,7 +436,7 @@ mod tests {
         let q = parse_query(&c, "Q(x) :- Meetings(x, x), Meetings(x, y)").unwrap();
         let folded = fold(&q);
         assert_eq!(folded.num_atoms(), 1);
-        assert!(folded.atoms()[0].has_repeated_vars());
+        assert!(folded.atom(0).has_repeated_vars());
     }
 
     #[test]

@@ -23,7 +23,7 @@
 
 use std::collections::HashMap;
 
-use crate::atom::Atom;
+use crate::atom::AtomRef;
 use crate::catalog::RelId;
 use crate::intern::{IAtom, ITerm, QueryRef};
 use crate::query::ConjunctiveQuery;
@@ -45,7 +45,7 @@ use crate::term::{Term, VarKind};
 /// that set (e.g. containment checks of many queries against one view).
 #[derive(Debug, Clone)]
 pub struct AtomIndex<'a> {
-    atoms: &'a [Atom],
+    atoms: Vec<AtomRef<'a>>,
     buckets: HashMap<RelId, Vec<u32>>,
     const_masks: Vec<u64>,
 }
@@ -53,7 +53,7 @@ pub struct AtomIndex<'a> {
 /// Bit `i` set iff position `i` of the atom holds a constant.  Positions
 /// beyond 63 fold onto bit 63, keeping the mask a conservative filter for
 /// very wide atoms (the check below only ever tests subset-ness).
-fn constant_mask(atom: &Atom) -> u64 {
+fn constant_mask(atom: AtomRef<'_>) -> u64 {
     let mut mask = 0u64;
     for (i, term) in atom.terms.iter().enumerate() {
         if term.is_const() {
@@ -65,10 +65,11 @@ fn constant_mask(atom: &Atom) -> u64 {
 
 impl<'a> AtomIndex<'a> {
     /// Indexes a set of target atoms by relation.
-    pub fn new(atoms: &'a [Atom]) -> Self {
+    pub fn new(atoms: impl IntoIterator<Item = AtomRef<'a>>) -> Self {
+        let atoms: Vec<AtomRef<'a>> = atoms.into_iter().collect();
         let mut buckets: HashMap<RelId, Vec<u32>> = HashMap::new();
         let mut const_masks = Vec::with_capacity(atoms.len());
-        for (i, atom) in atoms.iter().enumerate() {
+        for (i, &atom) in atoms.iter().enumerate() {
             buckets.entry(atom.relation).or_default().push(i as u32);
             const_masks.push(constant_mask(atom));
         }
@@ -80,8 +81,8 @@ impl<'a> AtomIndex<'a> {
     }
 
     /// The indexed atoms, in their original order.
-    pub fn atoms(&self) -> &'a [Atom] {
-        self.atoms
+    pub fn atoms(&self) -> &[AtomRef<'a>] {
+        &self.atoms
     }
 
     /// Indices of the target atoms over `relation` (empty if none).
@@ -105,8 +106,8 @@ impl<'a> AtomIndex<'a> {
     /// constants at source-variable positions are fine — variables may map
     /// onto constants).
     #[inline]
-    fn shape_admits(&self, source: &Atom, source_mask: u64, target_idx: u32) -> bool {
-        let target = &self.atoms[target_idx as usize];
+    fn shape_admits(&self, source: AtomRef<'_>, source_mask: u64, target_idx: u32) -> bool {
+        let target = self.atoms[target_idx as usize];
         source.arity() == target.arity()
             && source_mask & !self.const_masks[target_idx as usize] == 0
     }
@@ -142,9 +143,9 @@ pub fn find_homomorphism(
 ///
 /// This is what query folding needs: the target is a *subset* of the atoms of
 /// the source query itself.
-pub fn find_homomorphism_into(
+pub fn find_homomorphism_into<'a>(
     from: &ConjunctiveQuery,
-    target_atoms: &[Atom],
+    target_atoms: impl IntoIterator<Item = AtomRef<'a>>,
     to_space: &ConjunctiveQuery,
     policy: HeadPolicy,
 ) -> Option<Substitution> {
@@ -169,9 +170,9 @@ pub fn find_homomorphism_with_index(
     // query shapes produced by the workload generator.  Candidate counts
     // come from the index in O(1) per atom instead of a rescan of the
     // target list per atom.
-    let mut order: Vec<usize> = (0..from.atoms().len()).collect();
-    order.sort_by_key(|&i| index.candidate_count(from.atoms()[i].relation));
-    let source_masks: Vec<u64> = from.atoms().iter().map(constant_mask).collect();
+    let mut order: Vec<usize> = (0..from.num_atoms()).collect();
+    order.sort_by_key(|&i| index.candidate_count(from.atom(i).relation));
+    let source_masks: Vec<u64> = from.atoms().map(constant_mask).collect();
     if search(
         from,
         &order,
@@ -211,7 +212,7 @@ fn search(
     let Some(&atom_idx) = order.get(depth) else {
         return true;
     };
-    let atom = &from.atoms()[atom_idx];
+    let atom = from.atom(atom_idx);
     let source_mask = source_masks[atom_idx];
     // Only the target atoms over this atom's relation are candidates, and
     // the constant-mask test rejects shape-incompatible ones without
@@ -220,10 +221,10 @@ fn search(
         if !index.shape_admits(atom, source_mask, target_idx) {
             continue;
         }
-        let target = &index.atoms()[target_idx as usize];
+        let target = index.atoms()[target_idx as usize];
         let mut newly_bound = Vec::new();
         let mut ok = true;
-        for (src, dst) in atom.terms.iter().zip(target.terms.iter()) {
+        for (src, dst) in atom.terms.iter().zip(target.terms) {
             match src {
                 Term::Const(c) => {
                     if dst.as_const() != Some(c) {
@@ -558,8 +559,7 @@ mod tests {
         let c = catalog();
         // Redundant query: the second Meetings atom folds into the first.
         let q = parse_query(&c, "Q(x) :- Meetings(x, y), Meetings(x, z)").unwrap();
-        let first_atom = vec![q.atoms()[0].clone()];
-        let h = find_homomorphism_into(&q, &first_atom, &q, HeadPolicy::Identity)
+        let h = find_homomorphism_into(&q, [q.atom(0)], &q, HeadPolicy::Identity)
             .expect("redundant atom should fold away");
         // x stays fixed, z maps to y.
         let x = q.distinguished_vars().next().unwrap();
@@ -653,8 +653,8 @@ mod tests {
         let small = parse_query(&c, "Q() :- Meetings(x, 'Cathy')").unwrap();
         let big = parse_query(&c, "Q() :- Meetings(10, 'Cathy'), Meetings(12, 'Bob')").unwrap();
         let h = find_homomorphism(&small, &big, HeadPolicy::Free).unwrap();
-        let image = h.apply_atom(&small.atoms()[0]);
-        assert!(big.atoms().contains(&image));
+        let image = h.apply_atom(small.atom(0));
+        assert!(big.atoms().any(|atom| atom == image.as_atom_ref()));
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! Every hot path of the disclosure-control stack — cached labeling, the
 //! service's admission loop, the benchmark workloads — repeatedly moves the
 //! *same* query shapes around.  The boxed [`ConjunctiveQuery`] representation
-//! (a `Vec<Atom>`, each atom's terms a boxed slice) is convenient to
-//! build and display but a poor cache key: it is scattered over the heap and
-//! its variable ids are arbitrary.
+//! (one term slice and one meta block per query) is convenient to build and
+//! display but a poor cache key: every query owns its own blocks and its
+//! variable ids are arbitrary.
 //!
 //! [`QueryInterner`] fixes the representation the way `PolicyArena` fixed it
 //! for compiled policies: queries are **alpha-renamed to a canonical form**
@@ -28,7 +28,7 @@
 //! the flat representation that the reasoning algorithms
 //! ([`homomorphism`](crate::homomorphism), [`containment`](crate::containment),
 //! [`folding`](crate::folding), [`rewriting`](crate::rewriting)) operate on
-//! directly, without materializing `Vec<Atom>` again.
+//! directly, without materializing a boxed query again.
 //!
 //! Interning is deliberately **syntactic** (like the canonical keys it
 //! replaces): semantically equivalent queries with reordered atoms intern to
@@ -51,12 +51,14 @@
 //!    hash, so a probe rejects almost every other occupant of a chain with
 //!    one integer comparison.
 //! 3. **Compare pass.**  A candidate whose stored hash matches is compared
-//!    with the operand term by term against the arena, in one walk that
+//!    with the operand against the arena: first the atom count and each
+//!    atom's relation and arity (the operand's atom table), then its one
+//!    term slice against the entry's, term by term, in one walk that
 //!    numbers the operand's variables as it goes: a variable's first
 //!    occurrence takes the next canonical index, and every occurrence's
-//!    index must be the stored one.  Atom count, each atom's relation and
-//!    arity, each variable's kind, each constant's value and, at the end,
-//!    the variable count must match too.  A hash hit is never trusted on
+//!    index must be the stored one.  Each variable's kind, each constant's
+//!    value and, at the end, the variable count must match too.  A hash
+//!    hit is never trusted on
 //!    its own — the id decides which label an admission gets — so a 32-bit
 //!    hash only changes how often a probe meets a false candidate.
 //!
@@ -78,10 +80,9 @@
 
 use std::collections::HashMap;
 
-use crate::atom::Atom;
 use crate::catalog::RelId;
 use crate::error::Result;
-use crate::query::{ConjunctiveQuery, VarTable};
+use crate::query::{Body, ConjunctiveQuery, VarTable};
 use crate::term::{Constant, Term, VarId, VarKind};
 
 /// Dense identifier of an interned query.
@@ -433,19 +434,6 @@ impl ShapeHasher {
     }
 }
 
-/// The canonical hash of `atoms`, whose variable ids lie below `var_bound`.
-pub(crate) fn shape_hash(atoms: &[Atom], var_bound: usize) -> u32 {
-    let mut numbering = Numbering::new(var_bound);
-    let mut hasher = ShapeHasher::new(atoms.len());
-    for atom in atoms {
-        hasher.atom(atom.relation, atom.terms.len());
-        for term in &atom.terms {
-            hasher.term(term, &mut numbering);
-        }
-    }
-    hasher.finish()
-}
-
 /// The interning arena for conjunctive queries.
 ///
 /// See the [module documentation](self) for the representation and the
@@ -532,38 +520,46 @@ impl QueryInterner {
     }
 
     /// Compare pass: true if `query` is term for term the interned query
-    /// `id`.  One walk over the operand numbers its variables as it goes —
-    /// a variable's first occurrence takes the next canonical index — and
-    /// checks atom count, each atom's relation and arity, each variable's
-    /// index and kind, each constant's value, and at the end the variable
-    /// count.
+    /// `id`.  Checks the atom count and each atom's relation and arity,
+    /// then walks the operand's term slice once, numbering its variables as
+    /// it goes — a variable's first occurrence takes the next canonical
+    /// index — and checks each variable's index and kind, each constant's
+    /// value, and at the end the variable count.
     fn equals(&self, id: QueryId, query: &ConjunctiveQuery) -> bool {
         let span = self.queries[id.index()];
         if span.atom_len as usize != query.num_atoms() {
             return false;
         }
         let stored = self.span_ref(span);
-        let mut numbering = Numbering::new(query.num_vars());
-        let same = stored
+        // The atom tables first: relations and arities.
+        if !stored
             .atoms
             .iter()
             .zip(query.atoms())
             .all(|(atom, operand)| {
-                atom.relation == operand.relation
-                    && atom.arity() == operand.terms.len()
-                    && atom
-                        .terms(stored.terms)
-                        .iter()
-                        .zip(operand.terms.iter())
-                        .all(|(stored, term)| match (term, *stored) {
-                            (Term::Var(v, kind), ITerm::Var(index, stored_kind)) => {
-                                *kind == stored_kind && numbering.number(v.0) == index
-                            }
-                            (Term::Const(constant), ITerm::Const(stored_id)) => {
-                                self.consts[stored_id.index()] == *constant
-                            }
-                            _ => false,
-                        })
+                atom.relation == operand.relation && atom.arity() == operand.arity()
+            })
+        {
+            return false;
+        }
+        // Then one term slice against the other: a query's atoms hold
+        // consecutive spans of the arena (`append` writes them so, and a
+        // decode refuses anything else), and equal arities make the two
+        // slices equally long.
+        let first = stored.atoms[0].term_start as usize;
+        let operand = query.terms();
+        let mut numbering = Numbering::new(query.num_vars());
+        let same = stored.terms[first..first + operand.len()]
+            .iter()
+            .zip(operand)
+            .all(|(stored, term)| match (term, *stored) {
+                (Term::Var(v, kind), ITerm::Var(index, stored_kind)) => {
+                    *kind == stored_kind && numbering.number(v.0) == index
+                }
+                (Term::Const(constant), ITerm::Const(stored_id)) => {
+                    self.consts[stored_id.index()] == *constant
+                }
+                _ => false,
             });
         same && numbering.assigned() == span.num_vars
     }
@@ -627,26 +623,28 @@ impl QueryInterner {
         let atom_start = self.atoms.len() as u32;
         let kind_start = self.kinds.len();
         let mut numbering = Numbering::new(query.num_vars());
-        for atom in query.atoms() {
-            let term_start = self.terms.len() as u32;
-            for term in atom.terms.iter() {
-                let interned = match term {
-                    Term::Var(v, kind) => {
-                        let index = numbering.number(v.0);
-                        if index as usize == self.kinds.len() - kind_start {
-                            self.kinds.push(*kind);
-                        }
-                        ITerm::Var(index, *kind)
+        let mut term_start = self.terms.len() as u32;
+        for term in query.terms() {
+            let interned = match term {
+                Term::Var(v, kind) => {
+                    let index = numbering.number(v.0);
+                    if index as usize == self.kinds.len() - kind_start {
+                        self.kinds.push(*kind);
                     }
-                    Term::Const(constant) => ITerm::Const(self.const_id_mut(constant)),
-                };
-                self.terms.push(interned);
-            }
+                    ITerm::Var(index, *kind)
+                }
+                Term::Const(constant) => ITerm::Const(self.const_id_mut(constant)),
+            };
+            self.terms.push(interned);
+        }
+        for atom in query.atoms() {
+            let term_len = atom.arity() as u32;
             self.atoms.push(IAtom {
                 relation: atom.relation,
                 term_start,
-                term_len: atom.terms.len() as u32,
+                term_len,
             });
+            term_start += term_len;
         }
         self.queries.push(QuerySpan {
             atom_start,
@@ -942,6 +940,13 @@ impl QueryInterner {
             if query_atoms.is_empty() {
                 return Err(CodecError::invalid(at, "query without atoms"));
             }
+            // The compare pass reads a query's terms as one slice.
+            if query_atoms.windows(2).any(|pair| {
+                u64::from(pair[0].term_start) + u64::from(pair[0].term_len)
+                    != u64::from(pair[1].term_start)
+            }) {
+                return Err(CodecError::invalid(at, "atom term spans not consecutive"));
+            }
             let mut seen = 0u32;
             for term in query_atoms.iter().flat_map(|atom| atom.terms(&terms)) {
                 let ITerm::Var(v, kind) = *term else { continue };
@@ -990,26 +995,26 @@ impl QueryInterner {
 
     fn try_to_query(&self, id: QueryId) -> Result<ConjunctiveQuery> {
         let q = self.resolve(id);
-        let atoms: Vec<Atom> = (0..q.num_atoms())
-            .map(|i| {
-                let terms = q
-                    .atom_terms(i)
-                    .iter()
-                    .map(|term| match *term {
-                        ITerm::Var(v, kind) => Term::Var(VarId(v), kind),
-                        ITerm::Const(c) => Term::Const(self.consts[c.index()].clone()),
-                    })
-                    .collect();
-                Atom::new(q.relation(i), terms)
-            })
-            .collect();
-        ConjunctiveQuery::from_table(atoms, VarTable::numbered(q.kinds.to_vec()))
+        let vars = VarTable::numbered(q.kinds.to_vec());
+        let num_terms = q.atoms.iter().map(|atom| atom.arity()).sum();
+        let mut body = Body::with_capacity(q.num_atoms(), num_terms, vars.block_len());
+        for i in 0..q.num_atoms() {
+            for term in q.atom_terms(i) {
+                body.push_term(match *term {
+                    ITerm::Var(v, kind) => Term::Var(VarId(v), kind),
+                    ITerm::Const(c) => Term::Const(self.consts[c.index()].clone()),
+                });
+            }
+            body.end_atom(q.relation(i));
+        }
+        ConjunctiveQuery::from_body(body, vars, true)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::atom::Atom;
     use crate::canonical::structurally_identical;
     use crate::catalog::Catalog;
     use crate::parser::parse_query;
@@ -1215,7 +1220,7 @@ mod tests {
         };
         assert!(reencode(&pristine()).1.is_ok());
         type Corrupt = fn(&mut QueryInterner);
-        let cases: [(&str, Corrupt); 5] = [
+        let cases: [(&str, Corrupt); 6] = [
             ("out of range", |i| {
                 i.terms[1] = ITerm::Var(7, VarKind::Existential)
             }),
@@ -1227,6 +1232,14 @@ mod tests {
                 i.terms[1] = ITerm::Var(0, VarKind::Distinguished)
             }),
             ("without atoms", |i| i.queries[0].atom_len = 0),
+            // A second atom over the first one's terms: in range and
+            // canonical, but the compare pass reads a query's terms as one
+            // slice.
+            ("not consecutive", |i| {
+                let first = i.atoms[0];
+                i.atoms.push(first);
+                i.queries[0].atom_len = 2;
+            }),
         ];
         for (expected, corrupt) in cases {
             let mut interner = pristine();

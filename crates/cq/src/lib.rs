@@ -69,7 +69,7 @@ pub mod substitution;
 pub mod term;
 pub mod wire;
 
-pub use atom::Atom;
+pub use atom::{Atom, AtomRef};
 pub use catalog::{Catalog, RelId, RelationSchema};
 pub use database::{evaluate, Database};
 pub use error::{CqError, Result};

@@ -20,10 +20,9 @@
 //! * Bare identifiers are variables.
 //! * Relation names are resolved against a [`Catalog`]; arities are checked.
 
-use crate::atom::Atom;
 use crate::catalog::Catalog;
 use crate::error::{CqError, Result};
-use crate::query::{ConjunctiveQuery, VarTable};
+use crate::query::{Body, ConjunctiveQuery, VarTable};
 use crate::term::{Constant, Term, VarKind};
 
 /// Parses a conjunctive query in datalog notation against a catalog.
@@ -244,22 +243,21 @@ impl<'a> Parser<'a> {
             Term::Var(id, vars.kind(id))
         };
 
-        let mut atoms: Vec<Atom> = Vec::new();
+        let mut body = Body::default();
         loop {
             let rel_name = self.expect_ident("a relation name")?;
             let relation = catalog
                 .resolve(rel_name)
                 .ok_or_else(|| CqError::UnknownRelation(rel_name.to_owned()))?;
             self.expect(Token::LParen, "`(`")?;
-            let mut terms: Vec<Term> = Vec::with_capacity(catalog.arity(relation));
             if self.peek() != Some(Token::RParen) {
                 loop {
                     match self.next_token() {
                         Some(Token::Ident(v)) => {
-                            terms.push(occurrence(v));
+                            body.push_term(occurrence(v));
                         }
-                        Some(Token::Str(s)) => terms.push(Term::Const(Constant::str(s))),
-                        Some(Token::Int(i)) => terms.push(Term::Const(Constant::Int(i))),
+                        Some(Token::Str(s)) => body.push_term(Term::Const(Constant::str(s))),
+                        Some(Token::Int(i)) => body.push_term(Term::Const(Constant::Int(i))),
                         Some(t) => return Err(self.err(format!("unexpected token {t:?} in atom"))),
                         None => return Err(self.err("unterminated atom")),
                     }
@@ -272,9 +270,7 @@ impl<'a> Parser<'a> {
                 }
             }
             self.expect(Token::RParen, "`)` closing the atom")?;
-            let atom = Atom::new(relation, terms);
-            atom.validate(catalog)?;
-            atoms.push(atom);
+            body.end_atom(relation).validate(catalog)?;
 
             match self.peek() {
                 Some(Token::Comma) | Some(Token::And) => {
@@ -292,7 +288,7 @@ impl<'a> Parser<'a> {
             }
         }
 
-        ConjunctiveQuery::from_table(atoms, vars)
+        ConjunctiveQuery::from_body(body, vars, true)
     }
 }
 
@@ -317,7 +313,7 @@ mod tests {
         assert_eq!(v2.existential_vars().count(), 1);
 
         let q1 = parse_query(&c, "Q1(x) :- Meetings(x, 'Cathy')").unwrap();
-        assert!(q1.atoms()[0].has_constants());
+        assert!(q1.atom(0).has_constants());
 
         let q2 = parse_query(&c, "Q2(x) :- Meetings(x, y) ∧ Contacts(y, w, 'Intern')").unwrap();
         assert_eq!(q2.num_atoms(), 2);
@@ -340,17 +336,17 @@ mod tests {
         let v13 = parse_query(&c, "V13() :- Meetings(9, 'Jim')").unwrap();
         assert!(v13.is_boolean());
         assert_eq!(v13.num_vars(), 0);
-        assert!(v13.atoms()[0].has_constants());
+        assert!(v13.atom(0).has_constants());
 
         let neg = parse_query(&c, "V() :- Meetings(-3, y)").unwrap();
-        assert_eq!(neg.atoms()[0].terms[0], Term::Const(Constant::Int(-3)));
+        assert_eq!(neg.atom(0).terms[0], Term::Const(Constant::Int(-3)));
     }
 
     #[test]
     fn double_quotes_and_repeated_vars() {
         let c = catalog();
         let q = parse_query(&c, r#"V(x) :- Contacts(x, x, "Intern")"#).unwrap();
-        assert!(q.atoms()[0].has_repeated_vars());
+        assert!(q.atom(0).has_repeated_vars());
         assert_eq!(q.var_kind(VarId(0)), VarKind::Distinguished);
     }
 

@@ -6,15 +6,28 @@
 //! *existential*.  [`ConjunctiveQuery`] is exactly that representation — the
 //! atoms plus one kind per variable — and what every algorithm reads.
 //!
+//! A query is a 40-byte header and two heap blocks:
+//!
+//! * the **term slice**: every atom's terms back to back, 16-byte [`Term`]s
+//!   that carry their variable's kind;
+//! * the **meta block**: the atom count, then per atom its relation and the
+//!   end of its terms in the term slice (4 bytes little-endian each), then
+//!   the variable table — a kind byte per variable, each name's end offset,
+//!   and the names back to back.
+//!
+//! [`atoms`](ConjunctiveQuery::atoms) lends each atom out as an
+//! [`AtomRef`]: its relation and a slice of the term slice.  A string
+//! constant of at most [`SmallStr::INLINE`](crate::SmallStr::INLINE) bytes
+//! lives inside its term; a longer one adds two blocks (a thin box and its
+//! text).  So a query whose string constants are all short owns exactly two
+//! blocks, however many atoms and variables it has, and a clone allocates
+//! exactly those two.
+//!
 //! Variable names are display text only, kept so a query pretty-prints in
 //! the familiar `Q(x) :- R(x, y)` notation.  No labeling, decision or
-//! interning step reads them, so a query keeps its whole variable table in
-//! one heap block: a kind byte per variable, each name's end offset, and the
-//! names back to back.  A query's variables cost one block however many it
-//! has (none when it has no variables), and a clone copies that block.  The
-//! header holds the variable count, so the interner's front door reads the
-//! header, the atoms and their terms — a term carries its variable's kind —
-//! and never the block.
+//! interning step reads them.  The header holds the variable count, so the
+//! interner's front door reads the header, the atom table and the terms,
+//! and never the variable table.
 //!
 //! A query never changes once built, so the header also carries its
 //! **canonical hash** ([`ConjunctiveQuery::shape_hash`]): the interner's hash
@@ -25,22 +38,30 @@
 //! body once, and allocates nothing for it with at most 64 variables.  A
 //! clone copies the hash; the interner's front door reads it instead of
 //! hashing the query again.
-//!
-//! The body costs one block for the boxed atom slice and one per atom for
-//! its terms, a boxed slice of 16-byte [`Term`]s.  A string constant of at
-//! most [`SmallStr::INLINE`](crate::SmallStr::INLINE) bytes lives inside its
-//! term; a longer one adds two blocks (a thin box and its text).  So a
-//! query of `a` atoms whose string constants are all short is `1 + a`
-//! blocks plus its variable block, and a clone allocates exactly that many.
 
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 
-use crate::atom::Atom;
+use crate::atom::{Atom, AtomRef};
 use crate::catalog::{Catalog, RelId};
 use crate::error::{CqError, Result};
-use crate::intern::{shape_hash, Numbering, ShapeHasher};
+use crate::intern::{Numbering, ShapeHasher};
 use crate::term::{Constant, Term, VarId, VarKind};
+
+/// Bytes of the meta block's atom count.
+const COUNT_BYTES: usize = 4;
+
+/// Bytes per atom in the meta block's atom table: its relation, then the
+/// end of its terms.
+const ENTRY_BYTES: usize = 8;
+
+/// The little-endian `u32` at `at`.
+#[inline]
+fn read_u32(bytes: &[u8], at: usize) -> u32 {
+    let mut word = [0; 4];
+    word.copy_from_slice(&bytes[at..at + 4]);
+    u32::from_le_bytes(word)
+}
 
 /// A conjunctive query: a list of body atoms with tagged variables.
 ///
@@ -52,26 +73,30 @@ use crate::term::{Constant, Term, VarId, VarKind};
 /// * the body is non-empty.
 ///
 /// Two queries are equal when their atoms, kinds and the list of their
-/// variable names are equal.  The variable block is a function of that list
-/// — its end offsets mark where each name stops — so `["ab", "c"]` and
-/// `["a", "bc"]` differ.  The stored hash is a function of the atoms, so it
-/// changes nothing about equality; it is compared first, which settles most
-/// unequal pairs in one integer comparison.
+/// variable names are equal.  The meta block is a function of the atoms'
+/// relations and arities and of that list — its end offsets mark where each
+/// name stops — so `["ab", "c"]` and `["a", "bc"]` differ.  The stored hash
+/// is a function of the atoms, so it changes nothing about equality; it is
+/// compared first, which settles most unequal pairs in one integer
+/// comparison.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct ConjunctiveQuery {
     /// The canonical hash of the atoms, set by every constructor.
     shape_hash: u32,
-    atoms: Box<[Atom]>,
-    /// The variable table in one block: one kind byte per variable, then
-    /// each name's end offset (little-endian, 2 bytes, or 4 once the names
-    /// total more than `u16::MAX` bytes — see
-    /// [`offset_width`](Self::offset_width)), then every name back to back
-    /// in id order.  Variable `i`'s name starts where `i - 1`'s ends.
-    vars: Box<[u8]>,
     num_vars: u32,
+    /// The atom count, then per atom its relation and the end of its terms
+    /// in `terms` (little-endian `u32`s), then the variable table: one kind
+    /// byte per variable, then each name's end offset (little-endian, 2
+    /// bytes, or 4 once the names total more than `u16::MAX` bytes — see
+    /// [`offset_width`](Self::offset_width)), then every name back to back
+    /// in id order.  Atom `i`'s terms start where `i - 1`'s end, and so do
+    /// variable `i`'s name bytes.
+    meta: Box<[u8]>,
+    /// Every atom's terms, back to back in atom order.
+    terms: Box<[Term]>,
 }
 
-/// A variable kind as the variable block stores it.
+/// A variable kind as the variable table stores it.
 fn kind_byte(kind: VarKind) -> u8 {
     match kind {
         VarKind::Distinguished => 0,
@@ -180,45 +205,107 @@ impl VarTable {
             .find(|&v| self.name(v) == name)
     }
 
-    /// Checks `atoms` against the table: a non-empty body whose variables
-    /// are declared with the kinds they are tagged with, and — if
-    /// `every_var_used` — no declared variable missing from the body.
-    /// Returns the body's canonical hash, computed in the same walk: the
-    /// first-occurrence numbering the hash needs is also the record of which
-    /// declared variables occur.
-    fn check(&self, atoms: &[Atom], every_var_used: bool) -> Result<u32> {
-        if atoms.is_empty() {
-            return Err(CqError::EmptyBody);
+    /// Bytes per name end offset once packed: 2 while the names fit in
+    /// `u16::MAX` bytes, 4 past that.
+    fn offset_width(&self) -> usize {
+        if self.names.len() > usize::from(u16::MAX) {
+            4
+        } else {
+            2
         }
-        let mut numbering = Numbering::new(self.len());
-        let mut hasher = ShapeHasher::new(atoms.len());
-        for atom in atoms {
-            hasher.atom(atom.relation, atom.terms.len());
-            for term in &atom.terms {
-                if let Term::Var(v, kind) = term {
-                    let Some(expected) = self.kinds.get(v.index()) else {
-                        return Err(CqError::ConflictingVariableKind(format!(
-                            "variable {v} is out of range"
-                        )));
-                    };
-                    if expected != kind {
-                        return Err(CqError::ConflictingVariableKind(self.name(*v).to_owned()));
-                    }
-                }
-                hasher.term(term, &mut numbering);
+    }
+
+    /// Bytes of the packed table: [`write_block`](Self::write_block)'s
+    /// output.
+    pub(crate) fn block_len(&self) -> usize {
+        self.len() * (1 + self.offset_width()) + self.names.len()
+    }
+
+    /// Appends the table as the meta block stores it: the kind bytes, the
+    /// name end offsets, the names.
+    fn write_block(&self, out: &mut Vec<u8>) {
+        debug_assert_eq!(self.ends.len(), self.kinds.len(), "every variable is named");
+        out.extend(self.kinds.iter().map(|&kind| kind_byte(kind)));
+        let wide = self.offset_width() == 4;
+        for &end in &self.ends {
+            if wide {
+                out.extend_from_slice(&end.to_le_bytes());
+            } else {
+                let end = u16::try_from(end).expect("the names fit in u16::MAX bytes");
+                out.extend_from_slice(&end.to_le_bytes());
             }
         }
-        if every_var_used && numbering.assigned() as usize != self.len() {
-            // A declared distinguished variable that never occurs in the body
-            // makes the query unsafe; an unused existential variable is just
-            // a builder bug.  Both are rejected.
-            let unused = (0..self.len() as u32)
-                .map(VarId)
-                .find(|v| !numbering.is_numbered(v.0))
-                .expect("fewer variables numbered than declared");
-            return Err(CqError::UnsafeHeadVariable(self.name(unused).to_owned()));
+        out.extend_from_slice(self.names.as_bytes());
+    }
+}
+
+/// A query body while its constructor lays it out, already in the finished
+/// query's two blocks: every term back to back, and the head of the meta
+/// block — the atom count, then per atom its relation and term end.  Sized
+/// up front ([`with_capacity`](Self::with_capacity)), a body becomes the
+/// query's blocks without a copy.
+#[derive(Debug, Default, Clone)]
+pub(crate) struct Body {
+    terms: Vec<Term>,
+    /// Empty until the first atom ends or a capacity is given.
+    meta: Vec<u8>,
+}
+
+impl Body {
+    /// An empty body with room for `num_atoms` atoms of `num_terms` terms in
+    /// all, followed by a variable table of `var_bytes` bytes.
+    pub(crate) fn with_capacity(num_atoms: usize, num_terms: usize, var_bytes: usize) -> Self {
+        let mut meta = Vec::with_capacity(COUNT_BYTES + ENTRY_BYTES * num_atoms + var_bytes);
+        meta.extend_from_slice(&0u32.to_le_bytes());
+        Body {
+            terms: Vec::with_capacity(num_terms),
+            meta,
         }
-        Ok(hasher.finish())
+    }
+
+    /// `atoms` laid out, their terms moved rather than cloned, with room for
+    /// a variable table of `var_bytes` bytes.
+    pub(crate) fn of_atoms(atoms: Vec<Atom>, var_bytes: usize) -> Self {
+        let num_terms = atoms.iter().map(|atom| atom.terms.len()).sum();
+        let mut body = Body::with_capacity(atoms.len(), num_terms, var_bytes);
+        for atom in atoms {
+            body.terms.extend(Vec::from(atom.terms));
+            body.end_atom(atom.relation);
+        }
+        body
+    }
+
+    /// Appends a term to the atom being laid out.
+    #[inline]
+    pub(crate) fn push_term(&mut self, term: Term) {
+        self.terms.push(term);
+    }
+
+    /// Ends the atom over `relation` whose terms are those pushed since the
+    /// previous atom ended, and returns it.
+    pub(crate) fn end_atom(&mut self, relation: RelId) -> AtomRef<'_> {
+        let start = self.last_end();
+        if self.meta.is_empty() {
+            self.meta.extend_from_slice(&0u32.to_le_bytes());
+        }
+        let count = read_u32(&self.meta, 0) + 1;
+        self.meta[..COUNT_BYTES].copy_from_slice(&count.to_le_bytes());
+        let end = u32::try_from(self.terms.len()).expect("a query has at most 2^32 terms");
+        self.meta.extend_from_slice(&relation.0.to_le_bytes());
+        self.meta.extend_from_slice(&end.to_le_bytes());
+        AtomRef {
+            relation,
+            terms: &self.terms[start..],
+        }
+    }
+
+    /// Where the last atom's terms end: where the next atom's start.
+    fn last_end(&self) -> usize {
+        if self.meta.len() > COUNT_BYTES {
+            read_u32(&self.meta, self.meta.len() - 4) as usize
+        } else {
+            0
+        }
     }
 }
 
@@ -290,48 +377,110 @@ impl ConjunctiveQuery {
     /// Builds a query from atoms and the table its constructor declared the
     /// variables in, validating the invariants.
     pub(crate) fn from_table(atoms: Vec<Atom>, vars: VarTable) -> Result<Self> {
-        let shape_hash = vars.check(&atoms, true)?;
-        Ok(ConjunctiveQuery::freeze(atoms, vars, shape_hash))
+        let body = Body::of_atoms(atoms, vars.block_len());
+        ConjunctiveQuery::from_body(body, vars, true)
     }
 
-    /// Packs `vars` into the query's one variable block; `shape_hash` is
-    /// the canonical hash of `atoms`.
-    fn freeze(atoms: Vec<Atom>, vars: VarTable, shape_hash: u32) -> Self {
-        debug_assert_eq!(vars.ends.len(), vars.kinds.len(), "every variable is named");
-        let num_vars = u32::try_from(vars.len()).expect("a query has at most 2^32 variables");
-        let wide_offsets = vars.names.len() > usize::from(u16::MAX);
-        let width = if wide_offsets { 4 } else { 2 };
-        let mut block = Vec::with_capacity(vars.len() * (1 + width) + vars.names.len());
-        block.extend(vars.kinds.iter().map(|&kind| kind_byte(kind)));
-        for &end in &vars.ends {
-            if wide_offsets {
-                block.extend_from_slice(&end.to_le_bytes());
-            } else {
-                let end = u16::try_from(end).expect("the names fit in u16::MAX bytes");
-                block.extend_from_slice(&end.to_le_bytes());
+    /// Builds a query from a laid-out body and its variable table,
+    /// validating the invariants (all but "every declared variable occurs"
+    /// when `every_var_used` is false).
+    pub(crate) fn from_body(body: Body, vars: VarTable, every_var_used: bool) -> Result<Self> {
+        let mut query = ConjunctiveQuery::pack(body, vars.len(), vars.block_len(), |meta| {
+            vars.write_block(meta)
+        })?;
+        query.shape_hash = query.check(every_var_used)?;
+        Ok(query)
+    }
+
+    /// The query of `body` and a `var_len`-byte variable table of
+    /// `num_vars` variables, which `write_vars` appends to the meta block.
+    /// Its hash is not set yet.
+    fn pack(
+        body: Body,
+        num_vars: usize,
+        var_len: usize,
+        write_vars: impl FnOnce(&mut Vec<u8>),
+    ) -> Result<Self> {
+        let Body { terms, mut meta } = body;
+        if meta.is_empty() || read_u32(&meta, 0) == 0 {
+            return Err(CqError::EmptyBody);
+        }
+        meta.reserve_exact(var_len);
+        write_vars(&mut meta);
+        Ok(ConjunctiveQuery {
+            shape_hash: 0,
+            num_vars: u32::try_from(num_vars).expect("a query has at most 2^32 variables"),
+            meta: meta.into_boxed_slice(),
+            terms: terms.into_boxed_slice(),
+        })
+    }
+
+    /// Checks the body against the variable table: variables declared with
+    /// the kinds they are tagged with, and — if `every_var_used` — no
+    /// declared variable missing from the body.  Returns the body's
+    /// canonical hash, computed in the same walk: the first-occurrence
+    /// numbering the hash needs is also the record of which declared
+    /// variables occur.
+    fn check(&self, every_var_used: bool) -> Result<u32> {
+        let mut numbering = Numbering::new(self.num_vars());
+        let mut hasher = ShapeHasher::new(self.num_atoms());
+        for atom in self.atoms() {
+            hasher.atom(atom.relation, atom.arity());
+            for term in atom.terms {
+                if let Term::Var(v, kind) = term {
+                    if v.index() >= self.num_vars() {
+                        return Err(CqError::ConflictingVariableKind(format!(
+                            "variable {v} is out of range"
+                        )));
+                    }
+                    if self.var_kind(*v) != *kind {
+                        return Err(CqError::ConflictingVariableKind(
+                            self.var_name(*v).to_owned(),
+                        ));
+                    }
+                }
+                hasher.term(term, &mut numbering);
             }
         }
-        block.extend_from_slice(vars.names.as_bytes());
-        ConjunctiveQuery {
-            shape_hash,
-            atoms: atoms.into_boxed_slice(),
-            vars: block.into_boxed_slice(),
-            num_vars,
+        if every_var_used && numbering.assigned() as usize != self.num_vars() {
+            // A declared distinguished variable that never occurs in the body
+            // makes the query unsafe; an unused existential variable is just
+            // a builder bug.  Both are rejected.
+            let unused = (0..self.num_vars() as u32)
+                .map(VarId)
+                .find(|v| !numbering.is_numbered(v.0))
+                .expect("fewer variables numbered than declared");
+            return Err(CqError::UnsafeHeadVariable(
+                self.var_name(unused).to_owned(),
+            ));
         }
+        Ok(hasher.finish())
     }
 
-    /// The variable block's kind bytes, one per variable.
+    /// Where the variable table starts in the meta block: past the atom
+    /// count and the atom table.
+    #[inline]
+    fn var_start(&self) -> usize {
+        COUNT_BYTES + ENTRY_BYTES * self.num_atoms()
+    }
+
+    /// The meta block's variable table.
+    fn var_block(&self) -> &[u8] {
+        &self.meta[self.var_start()..]
+    }
+
+    /// The variable table's kind bytes, one per variable.
     fn kind_bytes(&self) -> &[u8] {
-        &self.vars[..self.num_vars()]
+        &self.var_block()[..self.num_vars()]
     }
 
-    /// Bytes per end offset in the variable block, which follows from the
-    /// block's length: with 2-byte offsets the block is `3 n` bytes plus the
+    /// Bytes per end offset in the variable table, which follows from the
+    /// table's length: with 2-byte offsets the table is `3 n` bytes plus the
     /// names, which total at most `u16::MAX` bytes; with 4-byte offsets it
     /// is `3 n` bytes plus the names plus `2 n`, and the names alone total
     /// more than that.
     fn offset_width(&self) -> usize {
-        if self.vars.len() - 3 * self.num_vars() > usize::from(u16::MAX) {
+        if self.var_block().len() - 3 * self.num_vars() > usize::from(u16::MAX) {
             4
         } else {
             2
@@ -342,7 +491,7 @@ impl ConjunctiveQuery {
     fn name_end(&self, i: usize) -> usize {
         let width = self.offset_width();
         let at = self.num_vars() + i * width;
-        let bytes = &self.vars[at..at + width];
+        let bytes = &self.var_block()[at..at + width];
         if width == 4 {
             u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) as usize
         } else {
@@ -350,9 +499,10 @@ impl ConjunctiveQuery {
         }
     }
 
-    /// The variable block's name bytes: every name, back to back in id order.
+    /// The variable table's name bytes: every name, back to back in id
+    /// order.
     fn name_bytes(&self) -> &[u8] {
-        &self.vars[self.num_vars() * (1 + self.offset_width())..]
+        &self.var_block()[self.num_vars() * (1 + self.offset_width())..]
     }
 
     /// Every variable's name, back to back in id order.
@@ -360,16 +510,50 @@ impl ConjunctiveQuery {
         std::str::from_utf8(self.name_bytes()).expect("variable names are UTF-8")
     }
 
-    /// The body atoms.
+    /// The body atoms, in order.
     #[inline]
-    pub fn atoms(&self) -> &[Atom] {
-        &self.atoms
+    pub fn atoms(&self) -> Atoms<'_> {
+        Atoms {
+            table: &self.meta[COUNT_BYTES..self.var_start()],
+            terms: &self.terms,
+            start: 0,
+        }
+    }
+
+    /// Body atom `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the query has at most `i` atoms.
+    #[inline]
+    pub fn atom(&self, i: usize) -> AtomRef<'_> {
+        assert!(
+            i < self.num_atoms(),
+            "atom {i} is not one of the query's {} atoms",
+            self.num_atoms()
+        );
+        let entry = COUNT_BYTES + ENTRY_BYTES * i;
+        let start = if i == 0 {
+            0
+        } else {
+            read_u32(&self.meta, entry - 4) as usize
+        };
+        AtomRef {
+            relation: RelId(read_u32(&self.meta, entry)),
+            terms: &self.terms[start..read_u32(&self.meta, entry + 4) as usize],
+        }
+    }
+
+    /// Every atom's terms, back to back in atom order.
+    #[inline]
+    pub fn terms(&self) -> &[Term] {
+        &self.terms
     }
 
     /// Number of body atoms.
     #[inline]
     pub fn num_atoms(&self) -> usize {
-        self.atoms.len()
+        read_u32(&self.meta, 0) as usize
     }
 
     /// Number of variables.
@@ -453,7 +637,7 @@ impl ConjunctiveQuery {
     /// True if the query has a single body atom.
     #[inline]
     pub fn is_single_atom(&self) -> bool {
-        self.atoms.len() == 1
+        self.num_atoms() == 1
     }
 
     /// True if the query has no distinguished variables (a boolean query).
@@ -465,7 +649,7 @@ impl ConjunctiveQuery {
     /// occurrence order.
     pub fn relations_used(&self) -> Vec<RelId> {
         let mut out = Vec::new();
-        for atom in &self.atoms {
+        for atom in self.atoms() {
             if !out.contains(&atom.relation) {
                 out.push(atom.relation);
             }
@@ -479,7 +663,7 @@ impl ConjunctiveQuery {
     /// appear in at least two atoms must be promoted to distinguished).
     pub fn atoms_per_variable(&self) -> Vec<u32> {
         let mut counts = vec![0u32; self.num_vars()];
-        for atom in &self.atoms {
+        for atom in self.atoms() {
             let mut seen_in_atom = vec![false; self.num_vars()];
             for v in atom.variables() {
                 if !seen_in_atom[v.index()] {
@@ -493,7 +677,7 @@ impl ConjunctiveQuery {
 
     /// Validates every atom's arity against a catalog.
     pub fn validate(&self, catalog: &Catalog) -> Result<()> {
-        for atom in &self.atoms {
+        for atom in self.atoms() {
             atom.validate(catalog)?;
         }
         Ok(())
@@ -528,7 +712,7 @@ impl ConjunctiveQuery {
     /// The distinguished variables in order of first occurrence in the body.
     pub fn head_vars(&self) -> Vec<VarId> {
         let mut out = Vec::new();
-        for atom in &self.atoms {
+        for atom in self.atoms() {
             for v in atom.variables() {
                 if self.var_kind(v).is_distinguished() && !out.contains(&v) {
                     out.push(v);
@@ -538,43 +722,104 @@ impl ConjunctiveQuery {
         out
     }
 
-    /// Builds a query from atoms and a variable table without requiring
-    /// every declared variable to occur in the body.
-    ///
-    /// Used internally by the rewriting machinery: the *expansion* of a
-    /// candidate rewriting lives in the variable space of the original query
-    /// plus fresh existential variables, and some of the original query's
-    /// existential variables may simply not occur in it.  Kind consistency is
-    /// still enforced.
-    pub(crate) fn from_table_allowing_unused(atoms: Vec<Atom>, vars: VarTable) -> Result<Self> {
-        let shape_hash = vars.check(&atoms, false)?;
-        Ok(ConjunctiveQuery::freeze(atoms, vars, shape_hash))
-    }
-
     /// Returns a copy of the query with a different set of atoms but the same
     /// variable table, hashing the new atoms.  Intended for algorithms
-    /// (folding, dissection) that drop or alter atoms; the caller must
-    /// ensure every surviving variable still occurs in the body.
-    pub(crate) fn with_atoms_unchecked(&self, atoms: Vec<Atom>) -> ConjunctiveQuery {
-        ConjunctiveQuery {
-            shape_hash: shape_hash(&atoms, self.num_vars()),
-            atoms: atoms.into_boxed_slice(),
-            vars: self.vars.clone(),
-            num_vars: self.num_vars,
+    /// (folding) that drop atoms; the caller must ensure every surviving
+    /// variable still occurs in the body.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `atoms` is empty or tags a variable with another kind than
+    /// the query's.
+    pub(crate) fn with_atoms_unchecked<'a>(
+        &self,
+        atoms: impl IntoIterator<Item = AtomRef<'a>>,
+    ) -> ConjunctiveQuery {
+        let mut body = Body::default();
+        for atom in atoms {
+            body.terms.extend_from_slice(atom.terms);
+            body.end_atom(atom.relation);
+        }
+        let vars = self.var_block();
+        let mut query = ConjunctiveQuery::pack(body, self.num_vars(), vars.len(), |meta| {
+            meta.extend_from_slice(vars)
+        })
+        .expect("a query keeps at least one atom");
+        query.shape_hash = query
+            .check(false)
+            .expect("atoms of a valid query agree with its variable table");
+        query
+    }
+}
+
+/// The body atoms of a [`ConjunctiveQuery`], in order:
+/// [`ConjunctiveQuery::atoms`].
+#[derive(Debug, Clone)]
+pub struct Atoms<'a> {
+    /// The atom table entries not yet visited.
+    table: &'a [u8],
+    terms: &'a [Term],
+    /// Where the front atom's terms start.
+    start: usize,
+}
+
+impl<'a> Atoms<'a> {
+    /// The atom of table entry `entry`, whose terms start at `start`.
+    #[inline]
+    fn atom(&self, entry: &[u8], start: usize) -> AtomRef<'a> {
+        AtomRef {
+            relation: RelId(read_u32(entry, 0)),
+            terms: &self.terms[start..read_u32(entry, 4) as usize],
         }
     }
 }
 
-/// Prints the kinds and names as lists, not as the variable block:
+impl<'a> Iterator for Atoms<'a> {
+    type Item = AtomRef<'a>;
+
+    #[inline]
+    fn next(&mut self) -> Option<AtomRef<'a>> {
+        let (entry, rest) = self.table.split_first_chunk::<ENTRY_BYTES>()?;
+        self.table = rest;
+        let atom = self.atom(entry, self.start);
+        self.start += atom.arity();
+        Some(atom)
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let len = self.table.len() / ENTRY_BYTES;
+        (len, Some(len))
+    }
+}
+
+impl DoubleEndedIterator for Atoms<'_> {
+    #[inline]
+    fn next_back(&mut self) -> Option<Self::Item> {
+        let (rest, entry) = self.table.split_last_chunk::<ENTRY_BYTES>()?;
+        self.table = rest;
+        let start = if rest.is_empty() {
+            self.start
+        } else {
+            read_u32(rest, rest.len() - 4) as usize
+        };
+        Some(self.atom(entry, start))
+    }
+}
+
+impl ExactSizeIterator for Atoms<'_> {}
+
+/// Prints the atoms, kinds and names as lists, not as the two blocks:
 /// `ConjunctiveQuery { atoms: [..], var_kinds: [..], var_names: [..] }`.
 impl fmt::Debug for ConjunctiveQuery {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let atoms: Vec<AtomRef<'_>> = self.atoms().collect();
         let kinds: Vec<VarKind> = self.var_kinds().collect();
         let names: Vec<&str> = (0..self.num_vars())
             .map(|i| self.var_name(VarId(i as u32)))
             .collect();
         f.debug_struct("ConjunctiveQuery")
-            .field("atoms", &self.atoms)
+            .field("atoms", &atoms)
             .field("var_kinds", &kinds)
             .field("var_names", &names)
             .finish()
@@ -599,7 +844,7 @@ impl fmt::Display for QueryDisplay<'_> {
             write!(f, "{}", q.var_name(*v))?;
         }
         write!(f, ") :- ")?;
-        for (i, atom) in q.atoms().iter().enumerate() {
+        for (i, atom) in q.atoms().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -673,7 +918,7 @@ impl From<i64> for Arg {
 /// ```
 #[derive(Debug, Default, Clone)]
 pub struct QueryBuilder {
-    atoms: Vec<Atom>,
+    body: Body,
     vars: VarTable,
     /// The first variable re-declared with the other kind, reported by
     /// [`build`](Self::build).
@@ -722,14 +967,13 @@ impl QueryBuilder {
     where
         I: IntoIterator<Item = Arg>,
     {
-        let terms = args
-            .into_iter()
-            .map(|arg| match arg {
+        for arg in args {
+            self.body.push_term(match arg {
                 Arg::Var(v) => Term::Var(v, self.vars.kind(v)),
                 Arg::Const(c) => Term::Const(c),
-            })
-            .collect();
-        self.atoms.push(Atom::new(relation, terms));
+            });
+        }
+        self.body.end_atom(relation);
         self
     }
 
@@ -743,7 +987,7 @@ impl QueryBuilder {
                 self.vars.name(v).to_owned(),
             ));
         }
-        ConjunctiveQuery::from_table(self.atoms, self.vars)
+        ConjunctiveQuery::from_body(self.body, self.vars, true)
     }
 }
 
@@ -791,7 +1035,7 @@ mod tests {
         b.atom(m, [x1.into(), x2.into()]);
         let q = b.build().unwrap();
         assert_eq!(q.num_vars(), 1);
-        assert!(q.atoms()[0].has_repeated_vars());
+        assert!(q.atom(0).has_repeated_vars());
     }
 
     #[test]
@@ -926,8 +1170,11 @@ mod tests {
         b.atom(r, ["a".into()]);
         let q = b.build().unwrap();
         assert_eq!((q.num_vars(), q.var_kinds().len()), (0, 0));
-        assert!(q.vars.is_empty(), "{:?}", q.vars);
-        assert!(q.clone().vars.is_empty());
+        // The meta block is the atom count and the one atom's entry.
+        for copy in [&q, &q.clone()] {
+            assert!(copy.var_block().is_empty(), "{:?}", copy.meta);
+            assert_eq!(copy.meta.len(), COUNT_BYTES + ENTRY_BYTES);
+        }
         assert_eq!(q.display_with(&c).to_string(), "Q() :- R('a')");
     }
 

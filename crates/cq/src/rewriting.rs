@@ -31,10 +31,9 @@
 //! `⇓{V2, V4}` sits strictly below `⇓{V1}`).  These two facts let the
 //! labeling layer treat [`rewritable_from_single`] as its only oracle.
 
-use crate::atom::Atom;
 use crate::containment::{equivalent_same_space, interned_equivalent_same_space};
 use crate::intern::{IAtom, ITerm, QueryRef};
-use crate::query::{ConjunctiveQuery, VarTable};
+use crate::query::{Body, ConjunctiveQuery, VarTable};
 use crate::term::{Term, VarId, VarKind};
 
 /// Can the single-atom query `query` be answered by an equivalent rewriting
@@ -70,8 +69,8 @@ fn single_view_expansion(
     if !query.is_single_atom() || !view.is_single_atom() {
         return None;
     }
-    let q_atom = &query.atoms()[0];
-    let v_atom = &view.atoms()[0];
+    let q_atom = query.atom(0);
+    let v_atom = view.atom(0);
     if q_atom.relation != v_atom.relation || q_atom.arity() != v_atom.arity() {
         return None;
     }
@@ -130,30 +129,32 @@ fn single_view_expansion(
     // (not per position), so that repeated existential variables such as the
     // body of `V15() :- M(z, z)` keep their equality constraint.
     let mut fresh_for_view_var: Vec<Option<VarId>> = vec![None; view.num_vars()];
-    let mut expansion_terms: Vec<Term> = Vec::with_capacity(v_atom.arity());
-    for v_term in &v_atom.terms {
+    let mut body = Body::default();
+    for v_term in v_atom.terms {
         match v_term {
             Term::Var(v, VarKind::Distinguished) => {
                 let bound = theta[v.index()]
                     .clone()
                     .expect("distinguished view variables occur in the view body");
-                expansion_terms.push(bound);
+                body.push_term(bound);
             }
             Term::Var(v, VarKind::Existential) => {
                 let fresh = *fresh_for_view_var[v.index()].get_or_insert_with(|| {
                     let id = vars.len();
                     vars.push(VarKind::Existential, &format!("_fresh{id}"))
                 });
-                expansion_terms.push(Term::Var(fresh, VarKind::Existential));
+                body.push_term(Term::Var(fresh, VarKind::Existential));
             }
-            Term::Const(c) => expansion_terms.push(Term::Const(c.clone())),
+            Term::Const(c) => body.push_term(Term::Const(c.clone())),
         }
     }
 
-    let expansion_atom = Atom::new(q_atom.relation, expansion_terms);
+    body.end_atom(q_atom.relation);
     // The expansion fails validation when, e.g., a distinguished variable of
-    // the query does not occur in it; then no rewriting exists.
-    ConjunctiveQuery::from_table_allowing_unused(vec![expansion_atom], vars).ok()
+    // the query does not occur in it; then no rewriting exists.  Variables
+    // of the query that it leaves out are allowed: the expansion lives in
+    // the query's variable space.
+    ConjunctiveQuery::from_body(body, vars, false).ok()
 }
 
 /// [`rewritable_from_single`] over the interned flat representation.

@@ -6,7 +6,7 @@
 
 use std::collections::HashMap;
 
-use crate::atom::Atom;
+use crate::atom::{Atom, AtomRef};
 use crate::term::{Term, VarId};
 
 /// A partial map from variables to terms.
@@ -66,7 +66,7 @@ impl Substitution {
     }
 
     /// Applies the substitution to every argument of an atom.
-    pub fn apply_atom(&self, atom: &Atom) -> Atom {
+    pub fn apply_atom(&self, atom: AtomRef<'_>) -> Atom {
         Atom::new(
             atom.relation,
             atom.terms.iter().map(|t| self.apply_term(t)).collect(),
@@ -123,7 +123,7 @@ mod tests {
             RelId(0),
             vec![Term::dist(0), Term::constant("k"), Term::exist(1)],
         );
-        let mapped = s.apply_atom(&atom);
+        let mapped = s.apply_atom(atom.as_atom_ref());
         assert_eq!(
             *mapped.terms,
             [Term::exist(9), Term::constant("k"), Term::exist(1)]

@@ -149,9 +149,12 @@ impl PartialOrd for SmallStr {
     }
 }
 
+/// Hashes as the same `str` does — its bytes, then `0xff` — straight from
+/// the bytes, without `as_str`'s UTF-8 check.
 impl Hash for SmallStr {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.as_str().hash(state);
+        state.write(self.as_bytes());
+        state.write_u8(0xff);
     }
 }
 
@@ -453,6 +456,38 @@ mod tests {
             .collect();
         assert_eq!(ordered, model);
         assert_eq!(format!("{:?}", Constant::str("Cathy")), r#"Str("Cathy")"#);
+    }
+
+    /// A hasher that records what it is fed.
+    #[derive(Default)]
+    struct Recorder(Vec<u8>);
+
+    impl Hasher for Recorder {
+        fn finish(&self) -> u64 {
+            0
+        }
+
+        fn write(&mut self, bytes: &[u8]) {
+            self.0.extend_from_slice(bytes);
+        }
+    }
+
+    fn fed(value: &impl Hash) -> Vec<u8> {
+        let mut recorder = Recorder::default();
+        value.hash(&mut recorder);
+        recorder.0
+    }
+
+    #[test]
+    fn small_str_hashes_like_the_same_str() {
+        for text in model_texts() {
+            let small = SmallStr::new(&text);
+            assert_eq!(fed(&small), fed(&text.as_str()), "{text:?}");
+            let mut bytes = text.clone().into_bytes();
+            bytes.push(0xff);
+            assert_eq!(fed(&small), bytes, "{text:?}");
+            assert_eq!(hash_of(&small), hash_of(&text.as_str()), "{text:?}");
+        }
     }
 
     #[test]

@@ -12,9 +12,8 @@
 use fdc_durability::codec::put_len;
 use fdc_durability::codec::{put_i64, put_str, put_u32, put_u8, CodecError, Cursor};
 
-use crate::atom::Atom;
 use crate::catalog::{Catalog, RelId};
-use crate::query::{ConjunctiveQuery, VarTable};
+use crate::query::{Body, ConjunctiveQuery, VarTable};
 use crate::term::{Constant, Term, VarId, VarKind};
 
 const CONST_INT: u8 = 0;
@@ -123,8 +122,8 @@ pub fn encode_query(query: &ConjunctiveQuery, out: &mut Vec<u8>) {
     put_len(out, query.num_atoms());
     for atom in query.atoms() {
         put_u32(out, atom.relation.0);
-        put_len(out, atom.terms.len());
-        for term in &atom.terms {
+        put_len(out, atom.arity());
+        for term in atom.terms {
             match term {
                 Term::Var(v, _) => {
                     put_u8(out, TERM_VAR);
@@ -139,8 +138,30 @@ pub fn encode_query(query: &ConjunctiveQuery, out: &mut Vec<u8>) {
     }
 }
 
+/// Skips one encoded term; errors as [`decode_query`] reports them.
+fn skip_term(cursor: &mut Cursor<'_>) -> Result<(), CodecError> {
+    let at = cursor.pos();
+    match cursor.u8()? {
+        TERM_VAR => cursor.u32().map(drop),
+        TERM_CONST => {
+            let at = cursor.pos();
+            match cursor.u8()? {
+                CONST_INT => cursor.i64().map(drop),
+                CONST_STR => cursor.bytes().map(drop),
+                tag => Err(CodecError::invalid(
+                    at,
+                    format!("unknown constant tag {tag}"),
+                )),
+            }
+        }
+        tag => Err(CodecError::invalid(at, format!("unknown term tag {tag}"))),
+    }
+}
+
 /// Decodes a [`ConjunctiveQuery`], re-validating it as
-/// [`ConjunctiveQuery::from_parts`] does.
+/// [`ConjunctiveQuery::from_parts`] does.  The terms and the atom table go
+/// straight into the query's two blocks, each sized by a first pass over
+/// the bytes.
 pub fn decode_query(cursor: &mut Cursor<'_>) -> Result<ConjunctiveQuery, CodecError> {
     let start = cursor.pos();
     let num_vars = cursor.count(1)?;
@@ -163,12 +184,21 @@ pub fn decode_query(cursor: &mut Cursor<'_>) -> Result<ConjunctiveQuery, CodecEr
         vars.name_next(cursor.str()?);
     }
     let num_atoms = cursor.count(12)?;
-    let mut atoms = Vec::with_capacity(num_atoms);
+    let mut sizing = cursor.clone();
+    let mut num_terms = 0;
+    for _ in 0..num_atoms {
+        sizing.u32()?;
+        let arity = sizing.count(5)?;
+        num_terms += arity;
+        for _ in 0..arity {
+            skip_term(&mut sizing)?;
+        }
+    }
+    let mut body = Body::with_capacity(num_atoms, num_terms, vars.block_len());
     for _ in 0..num_atoms {
         let relation = RelId(cursor.u32()?);
-        let num_terms = cursor.count(5)?;
-        let mut terms = Vec::with_capacity(num_terms);
-        for _ in 0..num_terms {
+        let arity = cursor.count(5)?;
+        for _ in 0..arity {
             let at = cursor.pos();
             match cursor.u8()? {
                 TERM_VAR => {
@@ -180,23 +210,24 @@ pub fn decode_query(cursor: &mut Cursor<'_>) -> Result<ConjunctiveQuery, CodecEr
                         ));
                     }
                     let v = VarId(v as u32);
-                    terms.push(Term::Var(v, vars.kind(v)));
+                    body.push_term(Term::Var(v, vars.kind(v)));
                 }
-                TERM_CONST => terms.push(Term::Const(read_constant(cursor)?)),
+                TERM_CONST => body.push_term(Term::Const(read_constant(cursor)?)),
                 tag => {
                     return Err(CodecError::invalid(at, format!("unknown term tag {tag}")));
                 }
             }
         }
-        atoms.push(Atom::new(relation, terms));
+        body.end_atom(relation);
     }
-    ConjunctiveQuery::from_table(atoms, vars)
+    ConjunctiveQuery::from_body(body, vars, true)
         .map_err(|err| CodecError::invalid(start, format!("invalid query: {err}")))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::atom::Atom;
     use crate::parser::parse_query;
 
     #[test]

@@ -194,8 +194,8 @@ mod tests {
         for (_, view) in registry.iter() {
             assert!(view.query.is_single_atom());
             assert!(view.query.validate(&schema.catalog).is_ok());
-            assert!(!view.query.atoms()[0].has_constants());
-            assert!(!view.query.atoms()[0].has_repeated_vars());
+            assert!(!view.query.atom(0).has_constants());
+            assert!(!view.query.atom(0).has_repeated_vars());
         }
     }
 

@@ -285,7 +285,7 @@ mod tests {
         let mut joins_seen = [false; 3]; // 0, 1, 2 Friend joins
         for _ in 0..300 {
             let q = generator.next_query();
-            let friend_atoms = q.atoms().iter().filter(|a| a.relation == friend).count();
+            let friend_atoms = q.atoms().filter(|a| a.relation == friend).count();
             // The anchor join for constant-audience single-subquery queries
             // also targets Friend, so clamp at 2.
             joins_seen[friend_atoms.min(2)] = true;

@@ -10,8 +10,10 @@
 //! atom labels is answerable from a permitted view, i.e. when
 //! `ℓ⁺(atom) ∩ permitted(relation) ≠ ∅` — a single AND per atom in the
 //! packed representation.
-
-use std::collections::HashMap;
+//!
+//! A partition names few relations, so it keeps its masks as one vector of
+//! `(relation, mask)` pairs sorted by relation, without zero masks: a lookup
+//! is a binary search, and the vector is already the serialized order.
 
 use fdc_core::{AtomLabel, DisclosureLabel, SecurityViewId, SecurityViews, ViewMask};
 use fdc_cq::RelId;
@@ -20,7 +22,8 @@ use fdc_cq::RelId;
 /// principal may draw on, organized per base relation.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct PolicyPartition {
-    permitted: HashMap<RelId, ViewMask>,
+    /// Sorted by relation, one pair per relation, no zero mask.
+    permitted: Vec<(RelId, ViewMask)>,
     /// Human-readable name, e.g. `"meetings-side"` for a Chinese Wall.
     pub name: String,
 }
@@ -29,7 +32,7 @@ impl PolicyPartition {
     /// Creates an empty (nothing permitted) partition.
     pub fn new(name: impl Into<String>) -> Self {
         PolicyPartition {
-            permitted: HashMap::new(),
+            permitted: Vec::new(),
             name: name.into(),
         }
     }
@@ -72,7 +75,11 @@ impl PolicyPartition {
     /// Permits one more security view.
     pub fn permit(&mut self, registry: &SecurityViews, id: SecurityViewId) {
         let view = registry.view(id);
-        *self.permitted.entry(view.relation).or_insert(0) |= 1u64 << view.bit;
+        let bit = 1u64 << view.bit;
+        match self.position(view.relation) {
+            Ok(i) => self.permitted[i].1 |= bit,
+            Err(i) => self.permitted.insert(i, (view.relation, bit)),
+        }
     }
 
     /// Withdraws a previously permitted security view (a no-op if the view
@@ -80,30 +87,35 @@ impl PolicyPartition {
     /// [`permit`](Self::permit), used by `RevokeView` operations.
     pub fn revoke(&mut self, registry: &SecurityViews, id: SecurityViewId) {
         let view = registry.view(id);
-        if let Some(mask) = self.permitted.get_mut(&view.relation) {
-            *mask &= !(1u64 << view.bit);
-            if *mask == 0 {
-                self.permitted.remove(&view.relation);
+        if let Ok(i) = self.position(view.relation) {
+            self.permitted[i].1 &= !(1u64 << view.bit);
+            if self.permitted[i].1 == 0 {
+                self.permitted.remove(i);
             }
         }
     }
 
+    /// Where `relation`'s pair is, or where it would go.
+    fn position(&self, relation: RelId) -> Result<usize, usize> {
+        self.permitted.binary_search_by_key(&relation, |&(r, _)| r)
+    }
+
     /// The mask of permitted views for a relation (0 if none).
     pub fn permitted_mask(&self, relation: RelId) -> ViewMask {
-        self.permitted.get(&relation).copied().unwrap_or(0)
+        self.position(relation).map_or(0, |i| self.permitted[i].1)
     }
 
     /// Number of permitted views across all relations.
     pub fn num_permitted(&self) -> usize {
         self.permitted
-            .values()
-            .map(|m| m.count_ones() as usize)
+            .iter()
+            .map(|(_, m)| m.count_ones() as usize)
             .sum()
     }
 
     /// True if nothing is permitted.
     pub fn is_empty(&self) -> bool {
-        self.permitted.values().all(|m| *m == 0)
+        self.permitted.is_empty()
     }
 
     /// Is a single atom label answerable under this partition?
@@ -121,39 +133,39 @@ impl PolicyPartition {
     /// relation for a deterministic order — the serialization view of
     /// the partition (see `fdc_policy::wire`).
     pub fn masks(&self) -> Vec<(RelId, ViewMask)> {
-        let mut masks: Vec<(RelId, ViewMask)> = self
-            .permitted
-            .iter()
-            .filter(|(_, m)| **m != 0)
-            .map(|(r, m)| (*r, *m))
-            .collect();
-        masks.sort();
-        masks
+        self.permitted.clone()
     }
 
     /// Rebuilds a partition from raw `(relation, permitted mask)` pairs —
     /// the inverse of [`masks`](Self::masks), used when decoding policies
     /// from a checkpoint.  Pairs with a zero mask are dropped (they are
-    /// never stored), repeated relations OR together.
+    /// never stored), repeated relations OR together.  The pairs are
+    /// collected and sorted once, so any input — hostile decoded bytes
+    /// included — costs one sort, never an insertion per pair.
     pub fn from_masks<I>(name: impl Into<String>, masks: I) -> Self
     where
         I: IntoIterator<Item = (RelId, ViewMask)>,
     {
-        let mut partition = PolicyPartition::new(name);
-        for (relation, mask) in masks {
-            if mask != 0 {
-                *partition.permitted.entry(relation).or_insert(0) |= mask;
+        let mut permitted: Vec<(RelId, ViewMask)> =
+            masks.into_iter().filter(|&(_, mask)| mask != 0).collect();
+        permitted.sort_unstable_by_key(|&(relation, _)| relation);
+        permitted.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 |= later.1;
             }
+            same
+        });
+        PolicyPartition {
+            permitted,
+            name: name.into(),
         }
-        partition
     }
 
-    /// The relations for which this partition permits at least one view.
+    /// The relations for which this partition permits at least one view,
+    /// in ascending order.
     pub fn relations(&self) -> impl Iterator<Item = RelId> + '_ {
-        self.permitted
-            .iter()
-            .filter(|(_, m)| **m != 0)
-            .map(|(r, _)| *r)
+        self.permitted.iter().map(|&(relation, _)| relation)
     }
 }
 
@@ -268,6 +280,43 @@ mod tests {
             granted.permitted_mask(meetings),
             PolicyPartition::from_views("q", &registry, [v2]).permitted_mask(meetings)
         );
+    }
+
+    #[test]
+    fn partition_from_masks_sorts_and_ors_duplicates() {
+        let (_, registry, _) = setup();
+        let (r0, r1, r2) = (RelId(0), RelId(1), RelId(2));
+        let p = PolicyPartition::from_masks(
+            "p",
+            [
+                (r2, 0b100),
+                (r0, 0),
+                (r1, 0b1),
+                (r2, 0b1),
+                (r1, 0b1),
+                (r0, 0b10),
+            ],
+        );
+        assert_eq!(p.masks(), vec![(r0, 0b10), (r1, 0b1), (r2, 0b101)]);
+        assert_eq!(p.relations().collect::<Vec<_>>(), vec![r0, r1, r2]);
+        assert_eq!(p.num_permitted(), 4);
+        assert_eq!(p.permitted_mask(r2), 0b101);
+        assert_eq!(p.permitted_mask(RelId(7)), 0);
+        assert!(PolicyPartition::from_masks("zeros", [(r1, 0), (r0, 0)]).is_empty());
+        // Permits in any order build the partition the sorted masks decode to.
+        let ids: Vec<SecurityViewId> = registry.iter().map(|(id, _)| id).collect();
+        let mut forward = PolicyPartition::new("p");
+        let mut backward = PolicyPartition::new("p");
+        for &id in &ids {
+            forward.permit(&registry, id);
+        }
+        for &id in ids.iter().rev() {
+            backward.permit(&registry, id);
+        }
+        assert_eq!(forward, backward);
+        assert_eq!(PolicyPartition::from_masks("p", forward.masks()), forward);
+        let relations: Vec<RelId> = forward.relations().collect();
+        assert!(relations.windows(2).all(|pair| pair[0] < pair[1]));
     }
 
     #[test]

@@ -291,7 +291,7 @@ mod tests {
 
         // The AuditApp operation returns the same report.
         let response = service.apply(&Operation::AuditApp { principal: p });
-        assert_eq!(response, Response::Audit(report));
+        assert_eq!(response, Response::Audit(Box::new(report)));
     }
 
     #[test]

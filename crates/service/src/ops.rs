@@ -118,8 +118,9 @@ pub enum Response {
     PolicyUpdated,
     /// An `AddSecurityView` registered this view.
     ViewAdded(SecurityViewId),
-    /// The report of an `AuditApp`.
-    Audit(AuditReport),
+    /// The report of an `AuditApp`, boxed: it is the largest response by
+    /// far, and every response is moved by value.
+    Audit(Box<AuditReport>),
     /// The operation was rejected; no state changed.
     Rejected(ServiceError),
 }
@@ -232,6 +233,17 @@ mod tests {
     use super::*;
     use fdc_cq::parser::parse_query;
     use fdc_cq::Catalog;
+
+    #[test]
+    fn a_response_is_at_most_48_bytes() {
+        // Every response is moved by value out of `execute`; the audit
+        // report, the one large payload, stays behind a box.
+        assert!(
+            std::mem::size_of::<Response>() <= 48,
+            "{} bytes",
+            std::mem::size_of::<Response>()
+        );
+    }
 
     #[test]
     fn operation_classification() {

@@ -213,7 +213,7 @@ impl ReferenceService {
     /// (unique name, one atom, valid against the catalog) come after.
     fn add_view(&mut self, name: &str, query: &ConjunctiveQuery) -> Answer {
         let mut views = self.registry().clone();
-        if let Some(atom) = query.atoms().first() {
+        if let Some(atom) = query.atoms().next() {
             let count = views.views_for_relation(atom.relation).len() + 1;
             if count > MAX_PACKED_VIEWS_PER_RELATION {
                 return Err(ServiceError::InvalidView(
@@ -243,6 +243,6 @@ impl ReferenceService {
         let requested = requested_views(policy, self.labeler.security_views());
         let workload = self.workloads[principal.index()].make_contiguous();
         let report = audit_app(&self.labeler, requested, workload);
-        Ok(Response::Audit(report))
+        Ok(Response::Audit(Box::new(report)))
     }
 }

@@ -855,7 +855,7 @@ impl DisclosureService {
     /// policy's permitted views, live) against its observed workload.
     pub fn audit_app(&mut self, principal: PrincipalId) -> Result<AuditReport, ServiceError> {
         match self.serve(Request::Audit { principal })? {
-            Response::Audit(report) => Ok(report),
+            Response::Audit(report) => Ok(*report),
             other => unreachable!("an audit answers with a report, got {other:?}"),
         }
     }
@@ -936,7 +936,9 @@ impl DisclosureService {
                 self.stats.mutations += 1;
                 Ok(Response::ViewAdded(id))
             }
-            Request::Audit { principal } => self.audit(principal, serving).map(Response::Audit),
+            Request::Audit { principal } => self
+                .audit(principal, serving)
+                .map(|report| Response::Audit(Box::new(report))),
         }
     }
 

@@ -46,7 +46,7 @@ type Part = (RelId, ViewMask, Option<u64>);
 /// expose: its constants and distinguished variables; `None` if no bit test
 /// decides the part (a repeated variable, more than 64 positions).
 fn reference_needs(part: &ConjunctiveQuery) -> Option<u64> {
-    let atom = &part.atoms()[0];
+    let atom = part.atom(0);
     if atom.arity() > 64 || atom.has_repeated_vars() {
         return None;
     }
@@ -66,7 +66,7 @@ fn reference_parts(reference: &BitVectorLabeler, query: &ConjunctiveQuery) -> Ve
         .iter()
         .map(|part| {
             (
-                part.atoms()[0].relation,
+                part.atom(0).relation,
                 reference.atom_mask(part),
                 reference_needs(part),
             )

@@ -27,10 +27,11 @@ use proptest::prelude::*;
 /// earlier ones first, so a surviving copy is always the last.
 fn surviving_positions(query: &ConjunctiveQuery, folded: &ConjunctiveQuery) -> Vec<u32> {
     let mut positions = Vec::new();
-    let mut end = query.atoms().len();
-    for atom in folded.atoms().iter().rev() {
-        end = query.atoms()[..end]
-            .iter()
+    let mut end = query.num_atoms();
+    for atom in folded.atoms().rev() {
+        end = query
+            .atoms()
+            .take(end)
             .rposition(|a| a == atom)
             .expect("folding keeps a subsequence of the atoms");
         positions.push(end as u32);

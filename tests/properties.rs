@@ -217,7 +217,7 @@ proptest! {
         // rewriting oracle, and compare with the labelers' output.
         let mut expected = fdc::core::DisclosureLabel::bottom();
         for part in fdc::core::dissect::dissect(&q) {
-            let relation = part.atoms()[0].relation;
+            let relation = part.atom(0).relation;
             let mut mask = 0u64;
             for (_, view) in registry.iter() {
                 if view.relation == relation && rewritable_from_single(&part, &view.query) {

@@ -1,24 +1,25 @@
-//! Pinned: a query's variables cost one heap block, and a short string
-//! constant costs none.
+//! Pinned: a query is two heap blocks, and a short string constant costs
+//! none.
 //!
-//! Variable names are display text; the paper's representation is the atoms
-//! plus one kind per variable.  A `ConjunctiveQuery` therefore keeps its
-//! whole variable table — kind bytes, name end offsets, the names back to
-//! back — in one block.  A string constant of at most `SmallStr::INLINE`
-//! (14) bytes lives in its term; a longer one is a thin box around a boxed
-//! `str`.  This binary installs the counting global allocator of
-//! `intern_alloc` (which is why it is a test binary of its own) and asserts:
+//! A `ConjunctiveQuery` keeps every atom's terms back to back in one term
+//! slice, and everything else — the atom count, each atom's relation and
+//! term end, the variable table (kind bytes, name end offsets, the names
+//! back to back) — in one meta block.  A string constant of at most
+//! `SmallStr::INLINE` (14) bytes lives in its term; a longer one is a thin
+//! box around a boxed `str`.  This binary installs the counting global
+//! allocator of `intern_alloc` (which is why it is a test binary of its own)
+//! and asserts:
 //!
-//! * `clone()` of a query with 0, 1, 8 and 40 variables, with a short and
-//!   with a long string constant, allocates exactly `1 + atoms + 2 × long
-//!   string constants` — the atom slice, one term slice per atom, two blocks
-//!   per long string constant — plus one variable block, or none when the
-//!   query has no variables;
+//! * `clone()` of a query with 0, 1, 8 and 40 variables (1 to 40 atoms),
+//!   with a short and with a long string constant, allocates exactly `2 + 2
+//!   × long string constants` — the term slice, the meta block, two blocks
+//!   per long string constant — however many atoms and variables it has;
 //! * `wire::decode_query` of the queries with 1, 8 and 40 variables
 //!   allocates exactly `DECODE_SCRATCH_BLOCKS` more than that — the
-//!   builder's kinds, names and offsets — so no string per name, none per
-//!   short constant, and none for the validation walk, whose
-//!   first-occurrence numbering stays on the stack up to 64 variables;
+//!   variable table builder's kinds, names and offsets — so no block per
+//!   atom, no string per name, none per short constant, and none for the
+//!   validation walk, whose first-occurrence numbering stays on the stack
+//!   up to 64 variables;
 //! * a term and a constant are 16 bytes, an atom 24, a query 40, and an
 //!   `Operation` that carries one 64.
 //!
@@ -79,23 +80,16 @@ fn query_with_vars(n: usize, constant: &str) -> ConjunctiveQuery {
     query
 }
 
-/// The blocks a query owns outside its variable table: the atom slice, one
-/// term slice per atom, and two per string constant longer than
-/// `SmallStr::INLINE` bytes (its thin box and the text); a shorter one owns
-/// none.
-fn body_blocks(query: &ConjunctiveQuery) -> u64 {
+/// The blocks a query owns: its term slice and its meta block, and two
+/// per string constant longer than `SmallStr::INLINE` bytes (its thin box
+/// and the text); a shorter one owns none.
+fn query_blocks(query: &ConjunctiveQuery) -> u64 {
     let long_constants = query
-        .atoms()
+        .terms()
         .iter()
-        .flat_map(|atom| &atom.terms)
         .filter(|term| matches!(term, Term::Const(Constant::Str(s)) if s.len() > SmallStr::INLINE))
         .count();
-    (1 + query.num_atoms() + 2 * long_constants) as u64
-}
-
-/// The variable block a query owns: one, or none without variables.
-fn variable_blocks(query: &ConjunctiveQuery) -> u64 {
-    u64::from(query.num_vars() > 0)
+    (2 + 2 * long_constants) as u64
 }
 
 #[test]
@@ -107,7 +101,7 @@ fn a_clone_copies_the_variables_in_a_constant_number_of_blocks() {
         assert_eq!(copy.as_ref(), Some(&query));
         assert_eq!(
             clone,
-            body_blocks(&query) + variable_blocks(&query),
+            query_blocks(&query),
             "blocks per clone at {n} variables with {constant:?}"
         );
     }
@@ -126,7 +120,7 @@ fn decoding_allocates_no_string_per_name() {
         assert_eq!(decoded.as_ref(), Some(&query));
         assert_eq!(
             decode,
-            body_blocks(&query) + variable_blocks(&query) + DECODE_SCRATCH_BLOCKS,
+            query_blocks(&query) + DECODE_SCRATCH_BLOCKS,
             "blocks per decode at {n} variables with {constant:?}"
         );
     }

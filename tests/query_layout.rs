@@ -1,0 +1,256 @@
+//! Property test: a query's two-block layout reads back exactly the atoms it
+//! was built from, whichever constructor built it.
+//!
+//! A `ConjunctiveQuery` keeps every atom's terms back to back in one term
+//! slice, and the atom count, each atom's relation and term end and the
+//! variable table in one meta block.  Every constructor lays those blocks
+//! out itself: the builder, the parser, the wire decoder, `from_atoms`,
+//! `from_parts`, the fold (`with_atoms_unchecked`, which keeps a subset of
+//! the atoms) and `QueryInterner::to_query`.  For random bodies — 1 to 15
+//! atoms, arities 0 to 6, repeated variables, integer, short and long
+//! string constants or none at all, names past 64 KiB — each constructor's
+//! `atoms()` (forwards and backwards), `atom(i)`, `terms()`, kinds, names
+//! and `shape_hash` must equal the owned-`Atom` model it was given.
+
+use fdc::cq::folding::fold;
+use fdc::cq::intern::QueryInterner;
+use fdc::cq::parser::parse_query;
+use fdc::cq::query::QueryBuilder;
+use fdc::cq::wire::{decode_query, encode_query};
+use fdc::cq::{Atom, AtomRef, Catalog, ConjunctiveQuery, Constant, RelId, Term, VarId, VarKind};
+use fdc::durability::codec::Cursor;
+use proptest::prelude::*;
+
+/// Arity of relation `Ri` in [`catalog`].
+const ARITIES: [usize; 6] = [0, 1, 2, 3, 4, 6];
+
+/// Relations `R0` to `R11`, their arities cycling through [`ARITIES`].
+fn catalog() -> Catalog {
+    let mut catalog = Catalog::new();
+    for i in 0..12 {
+        let attributes: Vec<String> = (0..ARITIES[i % ARITIES.len()])
+            .map(|a| format!("a{a}"))
+            .collect();
+        catalog.add_relation(&format!("R{i}"), &attributes).unwrap();
+    }
+    catalog
+}
+
+/// A splitmix64 stream: the model's choices, reproducible from the case's
+/// seed.
+struct Choices(u64);
+
+impl Choices {
+    fn below(&mut self, bound: usize) -> usize {
+        self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) % bound as u64) as usize
+    }
+}
+
+/// A query as owned atoms, variables numbered by first occurrence (so the
+/// parser, which numbers them that way, assigns the same ids).
+#[derive(Debug)]
+struct Model {
+    atoms: Vec<Atom>,
+    kinds: Vec<VarKind>,
+    names: Vec<String>,
+}
+
+impl Model {
+    fn generate(seed: u64) -> Model {
+        let mut choose = Choices(seed);
+        let num_atoms = match seed % 3 {
+            0 => 1,
+            1 => 15,
+            _ => 1 + choose.below(15),
+        };
+        let constants = seed % 4 != 1;
+        let long_name = seed % 8 == 5;
+        let (mut kinds, mut names) = (Vec::new(), Vec::new());
+        let atoms = (0..num_atoms)
+            .map(|_| {
+                let relation = choose.below(12);
+                let terms = (0..ARITIES[relation % ARITIES.len()])
+                    .map(|_| match choose.below(if constants { 6 } else { 3 }) {
+                        0 | 1 if !kinds.is_empty() => {
+                            let v = choose.below(kinds.len());
+                            Term::Var(VarId(v as u32), kinds[v])
+                        }
+                        0..=2 => {
+                            let kind = if choose.below(2) == 0 {
+                                VarKind::Distinguished
+                            } else {
+                                VarKind::Existential
+                            };
+                            let id = kinds.len();
+                            kinds.push(kind);
+                            names.push(if long_name && id == 0 {
+                                format!("w{}", "z".repeat(1 << 16))
+                            } else {
+                                format!("v{id}")
+                            });
+                            Term::Var(VarId(id as u32), kind)
+                        }
+                        3 => Term::Const(Constant::int(choose.below(1000) as i64 - 500)),
+                        4 => Term::Const(Constant::str(format!("s{}", choose.below(100)))),
+                        _ => Term::Const(Constant::str(format!(
+                            "a long string constant {}",
+                            choose.below(100)
+                        ))),
+                    })
+                    .collect();
+                Atom::new(RelId(relation as u32), terms)
+            })
+            .collect();
+        Model {
+            atoms,
+            kinds,
+            names,
+        }
+    }
+
+    fn synthetic_names(&self) -> Vec<String> {
+        (0..self.kinds.len()).map(|i| format!("x{i}")).collect()
+    }
+
+    fn parts(&self) -> ConjunctiveQuery {
+        ConjunctiveQuery::from_parts(self.atoms.clone(), self.kinds.clone(), self.names.clone())
+            .unwrap()
+    }
+
+    fn built(&self) -> ConjunctiveQuery {
+        let mut builder = QueryBuilder::new();
+        for (name, kind) in self.names.iter().zip(&self.kinds) {
+            match kind {
+                VarKind::Distinguished => builder.dvar(name),
+                VarKind::Existential => builder.evar(name),
+            };
+        }
+        for atom in &self.atoms {
+            builder.atom(
+                atom.relation,
+                atom.terms.iter().map(|term| match term {
+                    Term::Var(v, _) => (*v).into(),
+                    Term::Const(c) => c.clone().into(),
+                }),
+            );
+        }
+        builder.build().unwrap()
+    }
+}
+
+/// The canonical hash of `atoms` as the interner's arena computes it.
+fn arena_hash(atoms: &[Atom], kinds: &[VarKind]) -> u32 {
+    let query = ConjunctiveQuery::from_parts(
+        atoms.to_vec(),
+        kinds.to_vec(),
+        (0..kinds.len()).map(|i| format!("x{i}")).collect(),
+    )
+    .unwrap();
+    let mut interner = QueryInterner::new();
+    let id = interner.intern(&query);
+    interner.shape_hash(id)
+}
+
+/// Every read of `query`'s layout against the owned model.
+fn assert_layout(
+    how: &str,
+    query: &ConjunctiveQuery,
+    atoms: &[Atom],
+    kinds: &[VarKind],
+    names: &[String],
+    hash: u32,
+) {
+    let model: Vec<AtomRef<'_>> = atoms.iter().map(Atom::as_atom_ref).collect();
+    prop_assert_eq!(query.num_atoms(), atoms.len(), "{}", how);
+    prop_assert_eq!(query.atoms().len(), atoms.len(), "{}", how);
+    prop_assert_eq!(&query.atoms().collect::<Vec<_>>(), &model, "{}", how);
+    let backwards: Vec<AtomRef<'_>> = query.atoms().rev().collect();
+    prop_assert!(backwards.iter().eq(model.iter().rev()), "{}", how);
+    for (i, atom) in model.iter().enumerate() {
+        prop_assert_eq!(query.atom(i), *atom, "{} atom {}", how, i);
+        let mut rest = query.atoms();
+        rest.nth(i);
+        prop_assert_eq!(rest.len(), atoms.len() - i - 1, "{}", how);
+    }
+    let terms: Vec<Term> = atoms.iter().flat_map(|atom| atom.terms.to_vec()).collect();
+    prop_assert_eq!(query.terms(), &terms[..], "{}", how);
+    prop_assert_eq!(
+        query.var_kinds().collect::<Vec<_>>(),
+        kinds.to_vec(),
+        "{}",
+        how
+    );
+    for (i, name) in names.iter().enumerate() {
+        prop_assert_eq!(query.var_name(VarId(i as u32)), name.as_str(), "{}", how);
+    }
+    prop_assert_eq!(query.shape_hash(), hash, "{}", how);
+    let clone = query.clone();
+    prop_assert_eq!(&clone, query, "{}", how);
+    prop_assert!(clone.atoms().eq(query.atoms()), "{}", how);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn every_constructor_lays_out_the_atoms_it_was_given(seed in 0u64..u64::MAX) {
+        let catalog = catalog();
+        let model = Model::generate(seed);
+        let (atoms, kinds, names) = (&model.atoms, &model.kinds, &model.names);
+        let hash = arena_hash(atoms, kinds);
+
+        let built = model.built();
+        assert_layout("builder", &built, atoms, kinds, names, hash);
+        assert_layout("from_parts", &model.parts(), atoms, kinds, names, hash);
+        let synthetic = model.synthetic_names();
+        let from_atoms = ConjunctiveQuery::from_atoms(atoms.clone()).unwrap();
+        assert_layout("from_atoms", &from_atoms, atoms, kinds, &synthetic, hash);
+
+        let text = built.display_with(&catalog).to_string();
+        let parsed = parse_query(&catalog, &text).unwrap();
+        assert_layout("parser", &parsed, atoms, kinds, names, hash);
+        prop_assert_eq!(&parsed, &built);
+
+        let mut bytes = Vec::new();
+        encode_query(&built, &mut bytes);
+        let mut cursor = Cursor::new(&bytes);
+        let decoded = decode_query(&mut cursor).unwrap();
+        cursor.expect_end().unwrap();
+        assert_layout("wire", &decoded, atoms, kinds, names, hash);
+
+        let mut interner = QueryInterner::new();
+        let id = interner.intern(&built);
+        prop_assert_eq!(interner.shape_hash(id), hash);
+        assert_layout("to_query", &interner.to_query(id), atoms, kinds, &synthetic, hash);
+        prop_assert_eq!(interner.lookup(&decoded), Some(id));
+    }
+
+    /// The fold keeps a subset of the atoms through `with_atoms_unchecked`.
+    /// Give every atom a relation of its own and append a copy of atom `k`:
+    /// exactly the first copy folds away, so the core is the other atoms,
+    /// then atom `k`, over the unchanged variable table.
+    #[test]
+    fn a_folded_query_lays_out_the_atoms_it_kept(seed in 0u64..u64::MAX) {
+        let model = Model::generate(seed);
+        let mut atoms: Vec<Atom> = model
+            .atoms
+            .iter()
+            .enumerate()
+            .map(|(i, atom)| Atom::new(RelId(100 + i as u32), atom.terms.to_vec()))
+            .collect();
+        let k = (seed >> 8) as usize % atoms.len();
+        atoms.push(atoms[k].clone());
+        let query =
+            ConjunctiveQuery::from_parts(atoms.clone(), model.kinds.clone(), model.names.clone())
+                .unwrap();
+        let duplicate = atoms.remove(k);
+        let core = fold(&query);
+        let hash = arena_hash(&atoms, &model.kinds);
+        assert_layout("fold", &core, &atoms, &model.kinds, &model.names, hash);
+        prop_assert_eq!(atoms.last(), Some(&duplicate));
+    }
+}

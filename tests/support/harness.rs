@@ -433,7 +433,7 @@ impl Fingerprint {
                     consistency_word: monitor.consistency_bits(),
                     counters: (monitor.answered(), monitor.refused()),
                     audit: match scratch.apply(&Operation::AuditApp { principal }) {
-                        Response::Audit(report) => Ok(report),
+                        Response::Audit(report) => Ok(*report),
                         Response::Rejected(err) => Err(err),
                         other => unreachable!("an audit answered {other:?}"),
                     },
@@ -589,7 +589,9 @@ fn typed(service: &mut DisclosureService, op: &Operation) -> Response {
         Operation::AddSecurityView { name, query } => service
             .add_security_view(name, query.clone())
             .map(Response::ViewAdded),
-        Operation::AuditApp { principal } => service.audit_app(*principal).map(Response::Audit),
+        Operation::AuditApp { principal } => service
+            .audit_app(*principal)
+            .map(|report| Response::Audit(Box::new(report))),
     }
     .unwrap_or_else(Response::Rejected)
 }
