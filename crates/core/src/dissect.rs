@@ -24,7 +24,7 @@
 
 use fdc_cq::bitset::BitSet;
 use fdc_cq::folding::fold;
-use fdc_cq::intern::{IAtom, ITerm, QueryRef};
+use fdc_cq::intern::{IAtom, ITerm, ITermView, QueryRef};
 use fdc_cq::{Atom, AtomRef, ConjunctiveQuery, RelId, Term, VarId, VarKind};
 
 /// Dissects a conjunctive query into single-atom queries.
@@ -214,7 +214,7 @@ impl<'q> InternedDissection<'q> {
             self.terms.reserve(source.len());
             self.kinds.reserve(source.len());
             for (i, term) in source.iter().enumerate() {
-                let ITerm::Var(v, kind) = *term else {
+                let ITermView::Var(v, kind) = term.get() else {
                     self.terms.push(*term);
                     continue;
                 };
@@ -228,7 +228,7 @@ impl<'q> InternedDissection<'q> {
                             kind
                         };
                         self.kinds.push(kind);
-                        ITerm::Var(self.kinds.len() as u32 - 1, kind)
+                        ITerm::var(self.kinds.len() as u32 - 1, kind)
                     }
                 };
                 self.terms.push(term);
@@ -285,9 +285,9 @@ fn join_variables<S: BitSet + ?Sized>(
 fn part_needs<S: BitSet + ?Sized>(terms: &[ITerm], joins: &S, met: &mut S) -> Option<u64> {
     let mut needed = 0u64;
     for (i, term) in terms.iter().enumerate() {
-        match *term {
-            ITerm::Const(_) => needed |= 1 << i,
-            ITerm::Var(v, kind) => {
+        match term.get() {
+            ITermView::Const(_) => needed |= 1 << i,
+            ITermView::Var(v, kind) => {
                 let v = v as usize;
                 if met.contains(v) {
                     return None;
@@ -437,9 +437,9 @@ mod tests {
         let terms = part
             .atom_terms(0)
             .iter()
-            .map(|term| match *term {
-                ITerm::Var(v, kind) => Term::Var(VarId(v), kind),
-                ITerm::Const(c) => Term::Const(interner.constant(c).clone()),
+            .map(|term| match term.get() {
+                ITermView::Var(v, kind) => Term::Var(VarId(v), kind),
+                ITermView::Const(c) => Term::Const(interner.constant(c).clone()),
             })
             .collect();
         ConjunctiveQuery::from_parts(

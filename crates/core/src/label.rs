@@ -157,27 +157,9 @@ impl DisclosureLabel {
         DisclosureLabel { atoms: Vec::new() }
     }
 
-    /// ⊥ with room for `atoms` atom labels, for a label that is kept: it
-    /// is allocated once, at (at most) the size it ends up with.
-    pub(crate) fn with_capacity(atoms: usize) -> Self {
-        DisclosureLabel {
-            atoms: Vec::with_capacity(atoms),
-        }
-    }
-
-    /// Back to ⊥, keeping the buffer — for a cached label that is rebuilt
-    /// where it lies.
-    pub(crate) fn clear(&mut self) {
-        self.atoms.clear();
-    }
-
     /// Builds a label from per-atom labels.
     pub fn from_atoms(atoms: Vec<AtomLabel>) -> Self {
-        let mut label = DisclosureLabel { atoms: Vec::new() };
-        for a in atoms {
-            label.push(a);
-        }
-        label
+        atoms.into_iter().collect()
     }
 
     /// Adds one atom label, absorbing redundancy: an atom label that is
@@ -282,6 +264,17 @@ impl DisclosureLabel {
             parts.push(format!("one of {{{}}}", names.join(", ")));
         }
         parts.join(" and ")
+    }
+}
+
+impl FromIterator<AtomLabel> for DisclosureLabel {
+    /// [`push`](DisclosureLabel::push)es every atom label in order.
+    fn from_iter<I: IntoIterator<Item = AtomLabel>>(atoms: I) -> Self {
+        let mut label = DisclosureLabel::bottom();
+        for atom in atoms {
+            label.push(atom);
+        }
+        label
     }
 }
 

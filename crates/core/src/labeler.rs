@@ -36,8 +36,8 @@
 //!   lookup algorithm exists once and is described there.  The packed
 //!   entry points **append** to a buffer the caller owns
 //!   ([`LabelerSnapshot::append_packed_interned_in`]): a hit packs the
-//!   cached label under its stripe's read lock straight onto the end of a
-//!   request's label arena (diagram: `fdc_service::service`), so labeling
+//!   entry's surviving parts under its stripe's read lock straight onto the
+//!   end of a request's label arena (diagram: `fdc_service::service`), so labeling
 //!   a batch allocates per batch, not per label; the `label_packed*`
 //!   forms are the same call into a vector of their own.
 //!
@@ -414,8 +414,8 @@ pub struct CacheStats {
     /// Always 0, for the same reason as [`atom_hits`](Self::atom_hits).
     pub atom_entries: usize,
     /// Query-cache entries refreshed in place because some part's relation
-    /// epoch had advanced — only the stale parts took a new mask, the label
-    /// was rebuilt in its own buffer if one of them changed, folding and
+    /// epoch had advanced — only the stale parts took a new mask, the
+    /// survivor flags were set again if one of them changed, folding and
     /// dissection were skipped.
     pub query_refreshes: u64,
     /// Stale parts brought up to date: their masks extended by the views
@@ -503,26 +503,31 @@ fn bump(counter: &AtomicU64) {
     counter.fetch_add(1, Ordering::Relaxed);
 }
 
-/// One dissected part of a cached query entry: its `ℓ⁺` mask, and what a
-/// refresh needs to bring that mask up to date without dissecting again.
+/// One dissected part of a cached query entry: its `ℓ⁺` mask, whether the
+/// entry's label keeps it, and what a refresh needs to bring that mask up
+/// to date without dissecting again.
 ///
 /// A part's position in [`QueryEntry::parts`] is its index in the query's
 /// core, so a refresh that needs the part itself — for the general
 /// rewriting check — assembles just that part from the interner's
-/// recorded fold.  Every other refresh is bit tests on `needs`.  The
-/// relation, epoch and mask are stored per part — NOT read back from the
-/// finished label — because [`DisclosureLabel::push`] absorbs redundant
-/// atom labels, so the label's atoms are not 1:1 with the parts.  A refresh
-/// overwrites `epoch`, `covered` and `mask` where the part lies and rebuilds
-/// the entry's label from the parts.
+/// recorded fold.  Every other refresh is bit tests on `needs`.  A refresh
+/// overwrites `epoch`, `covered` and `mask` where the part lies and, if a
+/// mask changed, sets every part's `survives` flag again ([`absorb`]).
 ///
-/// 32 bytes (pinned by a test): a hit's freshness scan reads every part.
+/// 32 bytes (pinned by a test): a hit reads every part, for the freshness
+/// scan and for the label.
 #[derive(Debug, Clone, Copy)]
 struct QueryPart {
     relation: RelId,
     /// How much of the relation's candidate list the mask accounts for: it
-    /// has decided candidates `..covered` and none after.
-    covered: u32,
+    /// has decided candidates `..covered` and none after (a relation has at
+    /// most [`MAX_VIEWS_PER_RELATION`] candidates).
+    ///
+    /// [`MAX_VIEWS_PER_RELATION`]: crate::security_views::MAX_VIEWS_PER_RELATION
+    covered: u16,
+    /// The part's atom label is one of the entry's label: it was not
+    /// absorbed when the parts were pushed in order ([`absorb`]).
+    survives: bool,
     /// Epoch of the part's relation when its mask was computed.
     epoch: u64,
     /// The part's `ℓ⁺` mask at that epoch.
@@ -540,6 +545,11 @@ struct QueryPart {
 const GENERAL: u64 = u64::MAX;
 
 impl QueryPart {
+    /// The part's atom label.
+    fn label(&self) -> AtomLabel {
+        AtomLabel::new(self.relation, self.mask)
+    }
+
     /// The needed-position mask, `None` for the general check.
     fn needs(&self) -> Option<u64> {
         (self.needs != GENERAL).then_some(self.needs)
@@ -569,12 +579,53 @@ impl QueryPart {
     }
 }
 
-/// A query-cache entry: the finished label plus the dissected parts it was
-/// folded from.
+/// Sets the [`survives`](QueryPart::survives) flag of every part: which of
+/// their atom labels a label [`push`](DisclosureLabel::push)ing them in
+/// order keeps.  A part is dropped if a kept one implies it, and drops the
+/// kept ones it implies — the flags of the parts before it are the label
+/// so far.  So the flagged parts, in order, are that label's atoms.
+fn absorb(parts: &mut [QueryPart]) {
+    for k in 0..parts.len() {
+        let (before, rest) = parts.split_at_mut(k);
+        let atom = rest[0].label();
+        let implied = before
+            .iter()
+            .any(|kept| kept.survives && atom.leq(&kept.label()));
+        if !implied {
+            for kept in before.iter_mut() {
+                kept.survives &= !kept.label().leq(&atom);
+            }
+        }
+        rest[0].survives = !implied;
+    }
+}
+
+/// A query-cache entry: the dissected parts of the query's core, flagged
+/// with the ones its label keeps — one heap block, and the label is read
+/// off it ([`survivors`](Self::survivors)) rather than stored beside it.
 #[derive(Debug, Clone)]
 struct QueryEntry {
-    label: DisclosureLabel,
-    parts: Vec<QueryPart>,
+    parts: Box<[QueryPart]>,
+}
+
+impl QueryEntry {
+    /// The entry's label: its surviving parts' atom labels, in order.
+    fn survivors(&self) -> Survivors<'_> {
+        Survivors(self.parts.iter())
+    }
+}
+
+/// The atom labels of a cached entry's label, in order: what a labeling
+/// call hands its caller, to pack, fold or collect.
+struct Survivors<'a>(std::slice::Iter<'a, QueryPart>);
+
+impl Iterator for Survivors<'_> {
+    type Item = AtomLabel;
+
+    #[inline]
+    fn next(&mut self) -> Option<AtomLabel> {
+        self.0.find(|part| part.survives).map(QueryPart::label)
+    }
 }
 
 /// Number of independent locks the query-level slot cache is striped over.
@@ -595,7 +646,8 @@ fn stripe_of(id: QueryId) -> (usize, usize) {
 /// One stripe of the query-level cache: a plain slot vector indexed by
 /// `QueryId / QUERY_CACHE_SHARDS`.  Dense ids make a `Vec` strictly better
 /// than a hash map here: no hashing, no probing, and the lock is held for a
-/// bounds check plus an index.
+/// bounds check plus an index.  A slot is 16 bytes (pinned by a test): the
+/// entry's one pointer and length.
 #[derive(Debug, Clone, Default)]
 struct QueryCacheShard {
     slots: Vec<Option<QueryEntry>>,
@@ -842,20 +894,24 @@ impl LabelCore {
     /// A part is assembled only for a candidate no bit test decides.
     /// Nothing is interned.
     ///
+    /// The parts come back flagged with the ones the label keeps
+    /// ([`absorb`]), in the one block the entry stores.
+    ///
     /// Everything is read under the interner's **read** lock, including the
     /// fold of a shape whose core is not on record yet — it is a pure
     /// function of the resolved query, and one hard shape must not stall
     /// every other worker's front-door lookup.  The write lock is taken
     /// afterwards, and only to record such a fold (idempotent, should
     /// another worker have recorded it in between).
-    fn first_sight(&self, id: QueryId) -> Vec<QueryPart> {
+    fn first_sight(&self, id: QueryId) -> Box<[QueryPart]> {
         let (parts, unrecorded) = {
             let interner = self.read_interner();
             let core = core_of(&interner, id);
             let mut dissection = InternedDissection::new(interner.resolve(id), &core);
-            let parts = (0..dissection.len())
+            let mut parts: Box<[QueryPart]> = (0..dissection.len())
                 .map(|k| self.first_part(&interner, &mut dissection, k))
                 .collect();
+            absorb(&mut parts);
             drop(dissection);
             match core {
                 Cow::Owned(kept) => (parts, Some(kept)),
@@ -890,7 +946,8 @@ impl LabelCore {
         });
         QueryPart {
             relation,
-            covered: candidates.len() as u32,
+            covered: candidates.len() as u16,
+            survives: false,
             epoch: self.epoch_of(relation),
             mask,
             needs: needs.unwrap_or(GENERAL),
@@ -913,9 +970,9 @@ impl LabelCore {
     /// it lies: each part whose relation epoch moved has its mask
     /// **extended** where it can be — the bits of the candidates registered
     /// since are ORed in — and recomputed over the whole candidate list
-    /// where it cannot ([`QueryPart::standing`]).  The label is then rebuilt
-    /// into its own buffer if some mask changed — from all the parts,
-    /// because [`push`](DisclosureLabel::push) absorbs redundancy.  Folding
+    /// where it cannot ([`QueryPart::standing`]).  If some mask changed,
+    /// every part's survivor flag is set again ([`absorb`]) — over all the
+    /// parts, because the label absorbs redundancy.  Folding
     /// and dissection are skipped, and nothing is allocated, unless a part
     /// or a new view needs the general check
     /// ([`general_verdict`](Self::general_verdict)).  Returns whether any
@@ -936,7 +993,7 @@ impl LabelCore {
             bump(&self.counters.atom_refreshes);
             changed |= mask != part.mask;
             *part = QueryPart {
-                covered: candidates.len() as u32,
+                covered: candidates.len() as u16,
                 epoch: current,
                 mask,
                 ..*part
@@ -944,17 +1001,14 @@ impl LabelCore {
             stale = true;
         }
         if changed {
-            entry.label.clear();
-            for part in &entry.parts {
-                entry.label.push(AtomLabel::new(part.relation, part.mask));
-            }
+            absorb(&mut entry.parts);
         }
         stale
     }
 
     /// The stale branch of [`label_with`](Self::label_with): refreshes the
     /// entry of `id` in the table the lane writes, under that stripe's
-    /// write lock, and hands its label to `use_label` there.  `from_base`
+    /// write lock, and hands its label's atoms to `use_label` there.  `from_base`
     /// is the stale entry as a snapshot's read-only base holds it, for a
     /// slot the lane's overlay does not hold yet; it is refreshed as the
     /// overlay's copy (not charged: the base already counts the slot).
@@ -969,7 +1023,7 @@ impl LabelCore {
         lane: Lane<'_>,
         id: QueryId,
         from_base: Option<QueryEntry>,
-        use_label: impl FnOnce(&DisclosureLabel) -> R,
+        use_label: impl FnOnce(Survivors<'_>) -> R,
     ) -> Option<R> {
         let (shard_idx, slot) = stripe_of(id);
         let mut shard = lane.write().write_shard(shard_idx);
@@ -983,19 +1037,20 @@ impl LabelCore {
         } else {
             &self.counters.hits
         });
-        Some(use_label(&entry.label))
+        Some(use_label(entry.survivors()))
     }
 
-    /// Labels an interned query through `lane` and hands the label to
-    /// `use_label` — by reference, so a caller that clones, packs or folds
-    /// pays for exactly that.
+    /// Labels an interned query through `lane` and hands the label's atoms
+    /// ([`Survivors`], read off the entry) to `use_label`, so a caller that
+    /// packs, folds or collects pays for exactly that.
     ///
-    /// A **fresh** entry is a hit: `use_label` reads it under the stripe's
-    /// read lock.  A **stale** entry is refreshed where it lies
-    /// ([`refresh_in_place`](Self::refresh_in_place)) and read under the
-    /// stripe's write lock.  An **absent** id runs the pipeline
+    /// A **fresh** entry is a hit: one pass over its parts checks their
+    /// epochs, and `use_label` reads the surviving ones from the same block
+    /// under the stripe's read lock.  A **stale** entry is refreshed where
+    /// it lies ([`refresh_in_place`](Self::refresh_in_place)) and read
+    /// under the stripe's write lock.  An **absent** id runs the pipeline
     /// ([`first_sight`](Self::first_sight)) and is stored, charged, if the
-    /// capacity has room; if not, the label the cache did not keep is
+    /// capacity has room; if not, the entry the cache did not keep is
     /// returned next to the result (always `None` otherwise).
     ///
     /// # Panics
@@ -1006,8 +1061,8 @@ impl LabelCore {
         &self,
         lane: Lane<'_>,
         id: QueryId,
-        mut use_label: impl FnMut(&DisclosureLabel) -> R,
-    ) -> (R, Option<DisclosureLabel>) {
+        mut use_label: impl FnMut(Survivors<'_>) -> R,
+    ) -> (R, Option<QueryEntry>) {
         let (shard_idx, slot) = stripe_of(id);
         for (depth, tables) in lane.reads().enumerate() {
             let shard = tables.read_shard(shard_idx);
@@ -1020,7 +1075,7 @@ impl LabelCore {
                 .all(|part| part.epoch == self.epoch_of(part.relation));
             if fresh {
                 bump(&self.counters.hits);
-                return (use_label(&entry.label), None);
+                return (use_label(entry.survivors()), None);
             }
             // The lane's own entry is patched where it lies; the base is
             // read-only, so its entry is copied out for the overlay.
@@ -1031,40 +1086,37 @@ impl LabelCore {
                 None => break,
             }
         }
-        let parts = self.first_sight(id);
+        let entry = QueryEntry {
+            parts: self.first_sight(id),
+        };
         bump(&self.counters.misses);
         self.counters
             .atom_misses
-            .fetch_add(parts.len() as u64, Ordering::Relaxed);
-        let mut label = DisclosureLabel::with_capacity(parts.len());
-        for part in &parts {
-            label.push(AtomLabel::new(part.relation, part.mask));
-        }
-        let out = use_label(&label);
+            .fetch_add(entry.parts.len() as u64, Ordering::Relaxed);
+        let out = use_label(entry.survivors());
         if lane.occupied() >= self.capacity {
-            return (out, Some(label));
+            return (out, Some(entry));
         }
-        lane.write()
-            .store_query(shard_idx, slot, QueryEntry { label, parts });
+        lane.write().store_query(shard_idx, slot, entry);
         (out, None)
     }
 
     /// The boxed door: interns `query` within the arena budget and labels
     /// it by id; past the budget an unknown shape is **not** interned and
     /// labels through the uncached [`BitVectorLabeler`] pipeline instead
-    /// (identical label, counted as a miss), so an adversarial stream of
-    /// never-repeating shapes cannot grow the arena without bound.
+    /// (identical label, counted as a miss) — the `Err` — so an adversarial
+    /// stream of never-repeating shapes cannot grow the arena without bound.
     fn label_query_with<R>(
         &self,
         lane: Lane<'_>,
         query: &ConjunctiveQuery,
-        mut use_label: impl FnMut(&DisclosureLabel) -> R,
-    ) -> R {
+        use_label: impl FnMut(Survivors<'_>) -> R,
+    ) -> std::result::Result<R, DisclosureLabel> {
         match self.intern_within_budget(query) {
-            Some(id) => self.label_with(lane, id, use_label).0,
+            Some(id) => Ok(self.label_with(lane, id, use_label).0),
             None => {
                 bump(&self.counters.misses);
-                use_label(&self.inner.label_query(query))
+                Err(self.inner.label_query(query))
             }
         }
     }
@@ -1081,8 +1133,10 @@ impl LabelCore {
 /// # The algorithm, and what a lane is
 ///
 /// A query-level lookup by interned id finds a *fresh* entry (a hit: a
-/// lock-striped `Vec` index straight to the finished label, one array read
-/// of the registry's epoch vector per part to know it is fresh), a *stale*
+/// lock-striped `Vec` index to the entry's one block of parts, one array
+/// read of the registry's epoch vector per part to know it is fresh, and
+/// the parts flagged as the label's handed to the caller from the same
+/// block), a *stale*
 /// one (some part's relation epoch moved) or *none* (the pipeline runs:
 /// the shape's fold, then each core atom's `ℓ⁺` mask computed where the
 /// atom lies in the interned query — its needed-position mask against the
@@ -1093,7 +1147,7 @@ impl LabelCore {
 /// lies, so a refresh costs what changed and allocates nothing.  Under the
 /// write lock of the entry's stripe — in the table the lane *writes* —
 /// each part whose relation epoch moved takes its new mask and epoch; if
-/// some mask actually changed, the label is rebuilt into its own buffer
+/// some mask actually changed, the parts the label keeps are flagged again
 /// from all the parts; and the caller reads the label there.  Folding and
 /// dissection are skipped: each part keeps its needed-position mask, so
 /// the views added since are decided by bit tests.  Only a part or a view
@@ -1222,18 +1276,19 @@ impl LabelerSnapshot {
     /// is not one of a frozen snapshot's lanes.
     pub fn label_interned_in(&self, lane: usize, id: QueryId) -> DisclosureLabel {
         let lane = self.lane(lane);
-        self.core.label_with(lane, id, DisclosureLabel::clone).0
+        self.core.label_with(lane, id, |atoms| atoms.collect()).0
     }
 
     /// Labels one pre-interned query through lane `lane` and **appends**
     /// the packed 64-bit representation (Section 6.1) — the form the policy
-    /// stores consume directly — to `out`.  A cache hit is one pack under
-    /// the stripe's read lock, straight from the cached label into the
-    /// caller's buffer: a request that labels all its admissions into one
-    /// arena allocates nothing per label.
+    /// stores consume directly — to `out`.  A cache hit packs the entry's
+    /// surviving parts under the stripe's read lock, straight from the
+    /// cached block into the caller's buffer: a request that labels all its
+    /// admissions into one arena allocates nothing per label.
     pub fn append_packed_interned_in(&self, lane: usize, id: QueryId, out: &mut Vec<PackedLabel>) {
         let lane = self.lane(lane);
-        self.core.label_with(lane, id, |label| label.pack_into(out));
+        self.core
+            .label_with(lane, id, |atoms| out.extend(atoms.map(|atom| atom.pack())));
     }
 
     /// [`append_packed_interned_in`](Self::append_packed_interned_in) for
@@ -1246,8 +1301,10 @@ impl LabelerSnapshot {
         out: &mut Vec<PackedLabel>,
     ) {
         let lane = self.lane(lane);
-        self.core
-            .label_query_with(lane, query, |label| label.pack_into(out));
+        let pack = |atoms: Survivors<'_>| out.extend(atoms.map(|atom| atom.pack()));
+        if let Err(uncached) = self.core.label_query_with(lane, query, pack) {
+            uncached.pack_into(out);
+        }
     }
 
     /// [`append_packed_interned_in`](Self::append_packed_interned_in) into
@@ -1273,7 +1330,8 @@ impl QueryLabeler for LabelerSnapshot {
     /// on the arena budget) and labels it by id.
     fn label_query(&self, query: &ConjunctiveQuery) -> DisclosureLabel {
         self.core
-            .label_query_with(self.lane(0), query, DisclosureLabel::clone)
+            .label_query_with(self.lane(0), query, |atoms| atoms.collect())
+            .unwrap_or_else(|uncached| uncached)
     }
 
     /// The registry, with the epoch vector the snapshot serves at.
@@ -1604,23 +1662,23 @@ impl CachedLabeler {
     /// [`batch_dedup_hit`](CacheStats::batch_dedup_hits).
     pub fn label_queries_interned(&self, ids: &[QueryId]) -> DisclosureLabel {
         let mut out = DisclosureLabel::bottom();
-        // Labels the full cache did not keep, by id.  An admitted id is a
+        // Entries the full cache did not keep, by id.  An admitted id is a
         // fresh hit next time, so below capacity this stays empty and a
         // lookup in it costs nothing.
-        let mut unkept: HashMap<QueryId, DisclosureLabel> = HashMap::new();
+        let mut unkept: HashMap<QueryId, QueryEntry> = HashMap::new();
         let core = &self.live.core;
         for &id in ids {
-            if let Some(label) = unkept.get(&id) {
-                out.combine_in_place(label);
+            if let Some(entry) = unkept.get(&id) {
+                entry.survivors().for_each(|atom| out.push(atom));
                 // Counted as a regular hit *as well*, so every other
                 // column matches what labeling the repeat would report.
                 bump(&core.counters.hits);
                 bump(&core.counters.batch_dedup_hits);
                 continue;
             }
-            let fold = |label: &DisclosureLabel| out.combine_in_place(label);
-            if let ((), Some(label)) = core.label_with(self.live.lane(0), id, fold) {
-                unkept.insert(id, label);
+            let fold = |atoms: Survivors<'_>| atoms.for_each(|atom| out.push(atom));
+            if let ((), Some(entry)) = core.label_with(self.live.lane(0), id, fold) {
+                unkept.insert(id, entry);
             }
         }
         out
@@ -2066,6 +2124,7 @@ mod tests {
         let entry = QueryPart {
             relation: RelId(0),
             covered: 2,
+            survives: true,
             epoch: 5,
             mask: 0b01,
             needs: GENERAL,
@@ -2087,6 +2146,47 @@ mod tests {
     fn a_part_is_no_larger_than_32_bytes() {
         // A hit reads every part of its entry to know it is fresh.
         assert!(std::mem::size_of::<QueryPart>() <= 32);
+    }
+
+    #[test]
+    fn a_cache_slot_is_16_bytes() {
+        // The entry's one block: a pointer and a length, `None` in the
+        // pointer's niche.
+        assert_eq!(std::mem::size_of::<Option<QueryEntry>>(), 16);
+    }
+
+    #[test]
+    fn the_surviving_parts_are_the_label_their_pushes_build() {
+        // Every sequence of up to six atom labels over two relations and
+        // 3-bit masks (drawn from a fixed generator): the flagged parts, in
+        // order, are exactly what pushing every part builds.
+        let mut state = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = |bound: u64| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (state >> 33) % bound
+        };
+        for _ in 0..20_000 {
+            let len = next(7) as usize;
+            let mut parts: Vec<QueryPart> = (0..len)
+                .map(|_| QueryPart {
+                    relation: RelId(next(2) as u32),
+                    covered: 0,
+                    survives: next(2) == 0,
+                    epoch: 0,
+                    mask: next(8),
+                    needs: GENERAL,
+                })
+                .collect();
+            absorb(&mut parts);
+            let entry = QueryEntry {
+                parts: parts.into_boxed_slice(),
+            };
+            let pushed: DisclosureLabel = entry.parts.iter().map(QueryPart::label).collect();
+            let survivors: Vec<AtomLabel> = entry.survivors().collect();
+            assert_eq!(survivors, pushed.atoms(), "{:?}", entry.parts);
+        }
     }
 
     /// The one part of query `id`'s entry in the live labeler's tables.

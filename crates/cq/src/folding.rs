@@ -207,10 +207,7 @@ fn fixed_head(query: QueryRef<'_>) -> Vec<Option<ITerm>> {
         .kinds
         .iter()
         .enumerate()
-        .map(|(v, &kind)| {
-            kind.is_distinguished()
-                .then_some(ITerm::Var(v as u32, kind))
-        })
+        .map(|(v, &kind)| kind.is_distinguished().then(|| ITerm::var(v as u32, kind)))
         .collect()
 }
 
@@ -263,10 +260,12 @@ fn worklist<S: BitSet + ?Sized>(
     }
     // Bits `v % 64` of the variables of `terms`.
     let bits = |terms: &[ITerm]| {
-        terms.iter().fold(0u64, |word, term| match *term {
-            ITerm::Var(v, _) => word | 1 << (v % 64),
-            ITerm::Const(_) => word,
-        })
+        terms
+            .iter()
+            .fold(0u64, |word, term| match term.var_index() {
+                Some(v) => word | 1 << (v % 64),
+                None => word,
+            })
     };
     let mut binds = 0;
     loop {
@@ -297,7 +296,7 @@ fn worklist<S: BitSet + ?Sized>(
             // Rigid: fix its variables.  Noting which were free is kept
             // branch-free, so it costs next to nothing beside the fixing.
             for term in terms {
-                if let ITerm::Var(v, _) = *term {
+                if let Some(v) = term.var_index() {
                     fixed |= u64::from(subst[v as usize].is_none()) << (v % 64);
                     subst[v as usize] = Some(*term);
                 }
@@ -560,7 +559,7 @@ mod tests {
                 });
                 if !received {
                     for term in terms {
-                        if let ITerm::Var(v, _) = *term {
+                        if let Some(v) = term.var_index() {
                             subst[v as usize] = Some(*term);
                         }
                     }

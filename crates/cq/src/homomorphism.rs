@@ -25,7 +25,7 @@ use std::collections::HashMap;
 
 use crate::atom::AtomRef;
 use crate::catalog::RelId;
-use crate::intern::{IAtom, ITerm, QueryRef};
+use crate::intern::{IAtom, ITerm, ITermView, QueryRef};
 use crate::query::ConjunctiveQuery;
 use crate::substitution::Substitution;
 use crate::term::{Term, VarKind};
@@ -377,13 +377,13 @@ pub(crate) fn bind_atom(
     trail: &mut Vec<u32>,
 ) -> bool {
     for (src, dst) in source_terms.iter().zip(target_terms.iter()) {
-        match *src {
-            ITerm::Const(c) => {
-                if *dst != ITerm::Const(c) {
+        match src.get() {
+            ITermView::Const(_) => {
+                if dst != src {
                     return false;
                 }
             }
-            ITerm::Var(v, kind) => {
+            ITermView::Var(v, kind) => {
                 if !interned_term_allowed(kind, *dst, v, policy) {
                     return false;
                 }
@@ -455,12 +455,8 @@ pub(crate) fn interned_term_allowed(
     }
     match policy {
         HeadPolicy::Free => true,
-        HeadPolicy::Identity => {
-            matches!(dst, ITerm::Var(v, VarKind::Distinguished) if v == src_var)
-        }
-        HeadPolicy::DistinguishedToDistinguished => {
-            matches!(dst, ITerm::Var(_, VarKind::Distinguished))
-        }
+        HeadPolicy::Identity => dst.get() == ITermView::Var(src_var, VarKind::Distinguished),
+        HeadPolicy::DistinguishedToDistinguished => dst.is_distinguished(),
     }
 }
 

@@ -12,10 +12,11 @@
 //! for compiled policies: queries are **alpha-renamed to a canonical form**
 //! (variables renumbered by first occurrence in the body, exactly like the
 //! numbering of [`canonical`](crate::canonical)'s keys) and **interned
-//! into one flat arena** — a single term buffer ([`ITerm`] is one `Copy`
-//! word), a single atom-span table ([`IAtom`]), a single variable-kind
-//! buffer, and a constant table shared across all queries.  Interning hands
-//! out dense `u32` [`QueryId`]s:
+//! into one flat arena** — a single term buffer ([`ITerm`] is one `u32`),
+//! a single atom-span table ([`IAtom`]), a single variable-kind buffer,
+//! and a constant table shared across all queries (each constant stored
+//! once, found through an open-addressed index of its ids).  Interning
+//! hands out dense `u32` [`QueryId`]s:
 //!
 //! * two alpha-equivalent queries (identical up to variable renaming) intern
 //!   to the **same** id — `QueryId` equality *is* the canonical-key
@@ -78,8 +79,6 @@
 //! interned once at the front door and every layer below trades in
 //! `QueryId`s.  Ids from one interner are meaningless to another.
 
-use std::collections::HashMap;
-
 use crate::catalog::RelId;
 use crate::error::Result;
 use crate::query::{Body, ConjunctiveQuery, VarTable};
@@ -117,10 +116,21 @@ impl ConstId {
 /// One term of the flat representation: a canonical variable (index +
 /// distinguished/existential tag) or an interned constant.
 ///
-/// `ITerm` is a single `Copy` word, so term buffers pack densely and
-/// substitutions during homomorphism search are plain array writes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ITerm {
+/// `ITerm` is one `u32`, so the arena's term buffer costs 4 bytes a term
+/// and substitutions during homomorphism search are plain array writes.
+/// Bit 31 is the const bit.  A constant keeps its 31-bit [`ConstId`] in
+/// bits 0–30; a variable keeps its kind in bit 30 (set for existential)
+/// and its 30-bit canonical index in bits 0–29.  Each term has exactly one
+/// encoding, so comparing two terms is comparing two words.  [`get`]
+/// returns the [`ITermView`] to match on.
+///
+/// [`get`]: ITerm::get
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ITerm(u32);
+
+/// What an [`ITerm`] holds, to match on.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ITermView {
     /// A variable, identified by its canonical (first-occurrence) index.
     Var(u32, VarKind),
     /// A constant, identified by its id in the interner's constant table.
@@ -128,25 +138,79 @@ pub enum ITerm {
 }
 
 impl ITerm {
+    /// The largest variable index a term can hold (30 bits).
+    pub const MAX_VAR_INDEX: u32 = (1 << 30) - 1;
+    /// The largest constant id a term can hold (31 bits).
+    pub const MAX_CONST_ID: u32 = (1 << 31) - 1;
+    const CONST_BIT: u32 = 1 << 31;
+    const EXISTENTIAL_BIT: u32 = 1 << 30;
+
+    /// The variable with canonical index `index` and kind `kind`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is wider than 30 bits.
+    #[inline]
+    pub fn var(index: u32, kind: VarKind) -> Self {
+        assert!(
+            index <= Self::MAX_VAR_INDEX,
+            "variable index {index} is wider than 30 bits"
+        );
+        match kind {
+            VarKind::Distinguished => ITerm(index),
+            VarKind::Existential => ITerm(index | Self::EXISTENTIAL_BIT),
+        }
+    }
+
+    /// The constant with id `id`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is wider than 31 bits.
+    #[inline]
+    pub fn constant(id: ConstId) -> Self {
+        assert!(
+            id.0 <= Self::MAX_CONST_ID,
+            "constant id {} is wider than 31 bits",
+            id.0
+        );
+        ITerm(id.0 | Self::CONST_BIT)
+    }
+
+    /// The term as a variable or a constant.
+    #[inline]
+    pub fn get(self) -> ITermView {
+        if self.0 & Self::CONST_BIT != 0 {
+            ITermView::Const(ConstId(self.0 & Self::MAX_CONST_ID))
+        } else if self.0 & Self::EXISTENTIAL_BIT != 0 {
+            ITermView::Var(self.0 & Self::MAX_VAR_INDEX, VarKind::Existential)
+        } else {
+            ITermView::Var(self.0, VarKind::Distinguished)
+        }
+    }
+
     /// The canonical variable index, if the term is a variable.
     #[inline]
     pub fn var_index(self) -> Option<u32> {
-        match self {
-            ITerm::Var(v, _) => Some(v),
-            ITerm::Const(_) => None,
-        }
+        (!self.is_const()).then_some(self.0 & Self::MAX_VAR_INDEX)
     }
 
     /// True if the term is a constant.
     #[inline]
     pub fn is_const(self) -> bool {
-        matches!(self, ITerm::Const(_))
+        self.0 & Self::CONST_BIT != 0
     }
 
     /// True if the term is a distinguished variable.
     #[inline]
     pub fn is_distinguished(self) -> bool {
-        matches!(self, ITerm::Var(_, VarKind::Distinguished))
+        self.0 & (Self::CONST_BIT | Self::EXISTENTIAL_BIT) == 0
+    }
+}
+
+impl std::fmt::Debug for ITerm {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.get().fmt(f)
     }
 }
 
@@ -362,6 +426,37 @@ fn hash_finish(mut hash: u64) -> u32 {
     (hash ^ (hash >> 32)) as u32
 }
 
+/// The first vacant slot of `hash`'s probe chain in an open-addressed
+/// table of ids with at least one [`EMPTY_SLOT`].
+fn vacant_slot(table: &[u32], hash: u32) -> usize {
+    let mask = table.len() - 1;
+    let mut slot = hash as usize & mask;
+    while table[slot] != EMPTY_SLOT {
+        slot = (slot + 1) & mask;
+    }
+    slot
+}
+
+/// An open-addressed table of the ids `0..hashes.len()`, each under its
+/// hash: twice as many slots as ids, rounded up to a power of two.
+fn table_of(hashes: &[u32]) -> Vec<u32> {
+    let mut table = vec![EMPTY_SLOT; (hashes.len() * 2).next_power_of_two()];
+    for (id, &hash) in hashes.iter().enumerate() {
+        let slot = vacant_slot(&table, hash);
+        table[slot] = id as u32;
+    }
+    table
+}
+
+/// The key of a constant in the interner's constant index: its value
+/// hashed as [`ShapeHasher::constant`] hashes it — a multiply per eight
+/// bytes, the same on every run.
+fn constant_hash(constant: &Constant) -> u32 {
+    let mut hasher = ShapeHasher(HASH_SEED);
+    hasher.constant(constant);
+    hasher.finish()
+}
+
 /// The canonical hash of a query, fed its body in order: per atom its
 /// relation and arity, per term a variable's canonical (first-occurrence)
 /// index and kind or a constant's **value**.  Alpha-variants therefore hash
@@ -446,7 +541,14 @@ pub struct QueryInterner {
     kinds: Vec<VarKind>,
     queries: Vec<QuerySpan>,
     consts: Vec<Constant>,
-    const_ids: HashMap<Constant, ConstId>,
+    /// [`constant_hash`] of each constant, indexed by `ConstId`.
+    const_hashes: Vec<u32>,
+    /// The constant index: an open-addressed, linearly probed table of
+    /// `ConstId`s ([`EMPTY_SLOT`] where vacant), a power of two in length
+    /// and at most half full.  A slot's key is `const_hashes[id]`; it holds
+    /// no copy of a constant, so a candidate whose hash matches is compared
+    /// against `consts`.
+    const_table: Vec<u32>,
     /// Canonical hash of each interned query, indexed by `QueryId`.
     hashes: Vec<u32>,
     /// The dedup index: an open-addressed, linearly probed table of
@@ -498,14 +600,50 @@ impl QueryInterner {
         &self.consts[id.index()]
     }
 
+    /// The id of constant `c`, minted (and `c` copied into the table) on
+    /// first sight.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the 2³¹-th distinct constant: a term holds 31 bits of id.
     fn const_id_mut(&mut self, c: &Constant) -> ConstId {
-        if let Some(&id) = self.const_ids.get(c) {
-            return id;
-        }
+        let hash = constant_hash(c);
+        let slot = match self.find_const(c, hash) {
+            Ok(id) => return id,
+            Err(slot) => slot,
+        };
+        assert!(
+            self.consts.len() <= ITerm::MAX_CONST_ID as usize,
+            "the interner holds 2^31 distinct constants; a term cannot name another"
+        );
         let id = ConstId(self.consts.len() as u32);
         self.consts.push(c.clone());
-        self.const_ids.insert(c.clone(), id);
+        self.const_hashes.push(hash);
+        if self.consts.len() * 2 > self.const_table.len() {
+            self.const_table = table_of(&self.const_hashes);
+        } else {
+            self.const_table[slot] = id.0;
+        }
         id
+    }
+
+    /// Walks the probe chain of `hash`: the id of `c` if the table holds
+    /// it, else the vacant slot the chain ends at.
+    fn find_const(&self, c: &Constant, hash: u32) -> std::result::Result<ConstId, usize> {
+        if self.const_table.is_empty() {
+            return Err(0);
+        }
+        let mask = self.const_table.len() - 1;
+        let mut slot = hash as usize & mask;
+        loop {
+            match self.const_table[slot] {
+                EMPTY_SLOT => return Err(slot),
+                id if self.const_hashes[id as usize] == hash && self.consts[id as usize] == *c => {
+                    return Ok(ConstId(id))
+                }
+                _ => slot = (slot + 1) & mask,
+            }
+        }
     }
 
     /// The arena view of a query span.
@@ -552,11 +690,11 @@ impl QueryInterner {
         let same = stored.terms[first..first + operand.len()]
             .iter()
             .zip(operand)
-            .all(|(stored, term)| match (term, *stored) {
-                (Term::Var(v, kind), ITerm::Var(index, stored_kind)) => {
+            .all(|(stored, term)| match (term, stored.get()) {
+                (Term::Var(v, kind), ITermView::Var(index, stored_kind)) => {
                     *kind == stored_kind && numbering.number(v.0) == index
                 }
-                (Term::Const(constant), ITerm::Const(stored_id)) => {
+                (Term::Const(constant), ITermView::Const(stored_id)) => {
                     self.consts[stored_id.index()] == *constant
                 }
                 _ => false,
@@ -594,23 +732,16 @@ impl QueryInterner {
         let id = QueryId(self.hashes.len() as u32);
         self.hashes.push(hash);
         if self.hashes.len() * 2 > self.table.len() {
-            let slots = (self.hashes.len() * 2).next_power_of_two();
-            self.table = vec![EMPTY_SLOT; slots];
-            for index in 0..id.index() {
-                self.claim_slot(index);
-            }
+            self.table = table_of(&self.hashes);
+        } else {
+            self.claim_slot(id.index());
         }
-        self.claim_slot(id.index());
         self.shapes.push(ShapeInfo::FRESH);
     }
 
     /// Puts query `index` into the first vacant slot of its probe chain.
     fn claim_slot(&mut self, index: usize) {
-        let mask = self.table.len() - 1;
-        let mut slot = self.hashes[index] as usize & mask;
-        while self.table[slot] != EMPTY_SLOT {
-            slot = (slot + 1) & mask;
-        }
+        let slot = vacant_slot(&self.table, self.hashes[index]);
         self.table[slot] = index as u32;
     }
 
@@ -631,9 +762,9 @@ impl QueryInterner {
                     if index as usize == self.kinds.len() - kind_start {
                         self.kinds.push(*kind);
                     }
-                    ITerm::Var(index, *kind)
+                    ITerm::var(index, *kind)
                 }
-                Term::Const(constant) => ITerm::Const(self.const_id_mut(constant)),
+                Term::Const(constant) => ITerm::constant(self.const_id_mut(constant)),
             };
             self.terms.push(interned);
         }
@@ -792,9 +923,9 @@ impl QueryInterner {
             let terms = query.atom_terms(i);
             hasher.atom(query.relation(i), terms.len());
             for term in terms {
-                match *term {
-                    ITerm::Var(index, kind) => hasher.var(index, kind),
-                    ITerm::Const(c) => hasher.constant(&self.consts[c.index()]),
+                match term.get() {
+                    ITermView::Var(index, kind) => hasher.var(index, kind),
+                    ITermView::Const(c) => hasher.constant(&self.consts[c.index()]),
                 }
             }
         }
@@ -803,8 +934,8 @@ impl QueryInterner {
 
     /// Serializes the whole arena — constants, term buffer, atom spans,
     /// kind buffer, query spans — into `out` (the `fdc-cq` slice of a
-    /// checkpoint).  The derived indexes (constant lookup, dedup
-    /// table, the fold side table) are *not*
+    /// checkpoint); a term is a tag byte and a `u32`.  The derived indexes
+    /// (constant index, dedup table, the fold side table) are *not*
     /// written; decoding rebuilds them, so the format stays minimal and
     /// cannot go out of sync with itself.
     pub fn encode_into(&self, out: &mut Vec<u8>) {
@@ -815,16 +946,16 @@ impl QueryInterner {
         }
         put_len(out, self.terms.len());
         for term in &self.terms {
-            match *term {
-                ITerm::Var(v, VarKind::Distinguished) => {
+            match term.get() {
+                ITermView::Var(v, VarKind::Distinguished) => {
                     put_u8(out, 0);
                     put_u32(out, v);
                 }
-                ITerm::Var(v, VarKind::Existential) => {
+                ITermView::Var(v, VarKind::Existential) => {
                     put_u8(out, 1);
                     put_u32(out, v);
                 }
-                ITerm::Const(c) => {
+                ITermView::Const(c) => {
                     put_u8(out, 2);
                     put_u32(out, c.0);
                 }
@@ -850,9 +981,11 @@ impl QueryInterner {
     }
 
     /// Deserializes an arena written by [`encode_into`](Self::encode_into),
-    /// rebuilding every derived index (constant lookup, dedup table, an
+    /// rebuilding every derived index (constant index, dedup table, an
     /// empty fold side table) as
-    /// [`intern`](Self::intern) would leave it.  All spans are
+    /// [`intern`](Self::intern) would leave it.  A term whose variable
+    /// index or constant id is wider than an [`ITerm`] holds is refused
+    /// before it is packed, all spans are
     /// bounds-checked and every query is checked to be in canonical form
     /// (variable indices in range, tags agreeing with the kind buffer,
     /// first-occurrence numbering), so a corrupt checkpoint yields a
@@ -867,16 +1000,18 @@ impl QueryInterner {
     ) -> std::result::Result<Self, fdc_durability::codec::CodecError> {
         use fdc_durability::codec::CodecError;
         let num_consts = cursor.count(2)?;
-        let mut consts = Vec::with_capacity(num_consts);
-        let mut const_ids = HashMap::with_capacity(num_consts);
+        let mut interner = QueryInterner {
+            consts: Vec::with_capacity(num_consts),
+            const_hashes: Vec::with_capacity(num_consts),
+            ..QueryInterner::default()
+        };
         for _ in 0..num_consts {
             let at = cursor.pos();
             let constant = crate::wire::read_constant(cursor)?;
-            let id = ConstId(consts.len() as u32);
-            if const_ids.insert(constant.clone(), id).is_some() {
+            let minted = interner.consts.len();
+            if interner.const_id_mut(&constant).index() < minted {
                 return Err(CodecError::invalid(at, "duplicate constant in table"));
             }
-            consts.push(constant);
         }
         let num_terms = cursor.count(5)?;
         let mut terms = Vec::with_capacity(num_terms);
@@ -885,14 +1020,18 @@ impl QueryInterner {
             let tag = cursor.u8()?;
             let value = cursor.u32()?;
             terms.push(match tag {
-                0 => ITerm::Var(value, VarKind::Distinguished),
-                1 => ITerm::Var(value, VarKind::Existential),
-                2 => {
-                    if value as usize >= consts.len() {
-                        return Err(CodecError::invalid(at, "constant id out of range"));
-                    }
-                    ITerm::Const(ConstId(value))
+                0 | 1 if value > ITerm::MAX_VAR_INDEX => {
+                    return Err(CodecError::invalid(at, "variable index wider than 30 bits"));
                 }
+                0 => ITerm::var(value, VarKind::Distinguished),
+                1 => ITerm::var(value, VarKind::Existential),
+                2 if value > ITerm::MAX_CONST_ID => {
+                    return Err(CodecError::invalid(at, "constant id wider than 31 bits"));
+                }
+                2 if value as usize >= interner.consts.len() => {
+                    return Err(CodecError::invalid(at, "constant id out of range"));
+                }
+                2 => ITerm::constant(ConstId(value)),
                 _ => return Err(CodecError::invalid(at, format!("unknown term tag {tag}"))),
             });
         }
@@ -949,7 +1088,9 @@ impl QueryInterner {
             }
             let mut seen = 0u32;
             for term in query_atoms.iter().flat_map(|atom| atom.terms(&terms)) {
-                let ITerm::Var(v, kind) = *term else { continue };
+                let ITermView::Var(v, kind) = term.get() else {
+                    continue;
+                };
                 if v >= span.num_vars {
                     return Err(CodecError::invalid(at, "variable index out of range"));
                 }
@@ -974,18 +1115,12 @@ impl QueryInterner {
             }
             queries.push(span);
         }
-        let mut interner = QueryInterner {
-            terms,
-            atoms,
-            kinds,
-            queries,
-            consts,
-            const_ids,
-            hashes: Vec::with_capacity(num_queries),
-            table: Vec::new(),
-            shapes: Vec::with_capacity(num_queries),
-            fold_atoms: Vec::new(),
-        };
+        interner.terms = terms;
+        interner.atoms = atoms;
+        interner.kinds = kinds;
+        interner.queries = queries;
+        interner.hashes.reserve_exact(num_queries);
+        interner.shapes.reserve_exact(num_queries);
         for index in 0..interner.queries.len() {
             let hash = interner.shape_hash(QueryId(index as u32));
             interner.index_newest(hash);
@@ -1000,9 +1135,9 @@ impl QueryInterner {
         let mut body = Body::with_capacity(q.num_atoms(), num_terms, vars.block_len());
         for i in 0..q.num_atoms() {
             for term in q.atom_terms(i) {
-                body.push_term(match *term {
-                    ITerm::Var(v, kind) => Term::Var(VarId(v), kind),
-                    ITerm::Const(c) => Term::Const(self.consts[c.index()].clone()),
+                body.push_term(match term.get() {
+                    ITermView::Var(v, kind) => Term::Var(VarId(v), kind),
+                    ITermView::Const(c) => Term::Const(self.consts[c.index()].clone()),
                 });
             }
             body.end_atom(q.relation(i));
@@ -1138,7 +1273,7 @@ mod tests {
         let ca = interner.resolve(a).atom_terms(0)[1];
         let cb = interner.resolve(b).atom_terms(0)[1];
         assert_eq!(ca, cb);
-        let ITerm::Const(id) = ca else {
+        let ITermView::Const(id) = ca.get() else {
             panic!("expected a constant term");
         };
         assert_eq!(interner.constant(id), &Constant::str("Cathy"));
@@ -1200,6 +1335,160 @@ mod tests {
         assert!(QueryInterner::decode_from(&mut cursor).is_err());
     }
 
+    /// The image of `Q(x) :- Meetings(x, 'Cathy')` — terms `[x, 'Cathy']` —
+    /// with the `u32` of term `index` overwritten by `value`, and the
+    /// offset of that term (its tag byte).
+    fn image_with_term_value(index: usize, value: u32) -> (Vec<u8>, usize) {
+        let c = catalog();
+        let mut interner = QueryInterner::new();
+        interner.intern(&q(&c, "Q(x) :- Meetings(x, 'Cathy')"));
+        let mut bytes = Vec::new();
+        interner.encode_into(&mut bytes);
+        let mut constant = Vec::new();
+        crate::wire::put_constant(&mut constant, &Constant::str("Cathy"));
+        // The constant count, the constant, the term count, then five bytes
+        // a term: a tag and a u32.
+        let at = 8 + constant.len() + 8 + 5 * index;
+        bytes[at + 1..at + 5].copy_from_slice(&value.to_le_bytes());
+        (bytes, at)
+    }
+
+    fn decode_error(bytes: &[u8]) -> (usize, String) {
+        use fdc_durability::codec::CodecError;
+        match QueryInterner::decode_from(&mut fdc_durability::codec::Cursor::new(bytes)) {
+            Err(CodecError::Invalid { offset, what }) => (offset, what),
+            other => panic!("decoded to {other:?}"),
+        }
+    }
+
+    #[test]
+    fn decode_rejects_a_variable_index_wider_than_30_bits() {
+        let (mut bytes, at) = image_with_term_value(0, 1 << 30);
+        for tag in [0u8, 1] {
+            bytes[at] = tag;
+            assert_eq!(
+                decode_error(&bytes),
+                (at, "variable index wider than 30 bits".to_owned()),
+                "tag {tag}"
+            );
+        }
+        // The widest index an ITerm holds is refused only as out of range.
+        let (bytes, at) = image_with_term_value(0, ITerm::MAX_VAR_INDEX);
+        let (offset, what) = decode_error(&bytes);
+        assert!(offset != at && what.contains("out of range"), "{what}");
+    }
+
+    #[test]
+    fn decode_rejects_a_constant_id_wider_than_31_bits() {
+        let (bytes, at) = image_with_term_value(1, 1 << 31);
+        assert_eq!(bytes[at], 2, "term 1 is the constant");
+        assert_eq!(
+            decode_error(&bytes),
+            (at, "constant id wider than 31 bits".to_owned())
+        );
+        let (bytes, at) = image_with_term_value(1, ITerm::MAX_CONST_ID);
+        assert_eq!(
+            decode_error(&bytes),
+            (at, "constant id out of range".to_owned())
+        );
+    }
+
+    #[test]
+    fn a_term_is_one_u32_with_one_encoding_per_term() {
+        assert_eq!(std::mem::size_of::<ITerm>(), 4);
+        let max_var = ITerm::MAX_VAR_INDEX;
+        let max_const = ConstId(ITerm::MAX_CONST_ID);
+        for view in [
+            ITermView::Var(0, VarKind::Distinguished),
+            ITermView::Var(0, VarKind::Existential),
+            ITermView::Var(max_var, VarKind::Distinguished),
+            ITermView::Var(max_var, VarKind::Existential),
+            ITermView::Const(ConstId(0)),
+            ITermView::Const(max_const),
+        ] {
+            let term = match view {
+                ITermView::Var(index, kind) => ITerm::var(index, kind),
+                ITermView::Const(id) => ITerm::constant(id),
+            };
+            assert_eq!(term.get(), view);
+            assert_eq!(term.is_const(), matches!(view, ITermView::Const(_)));
+            assert_eq!(
+                term.is_distinguished(),
+                matches!(view, ITermView::Var(_, VarKind::Distinguished))
+            );
+            assert_eq!(
+                term.var_index(),
+                match view {
+                    ITermView::Var(index, _) => Some(index),
+                    ITermView::Const(_) => None,
+                }
+            );
+        }
+        // Equal words are equal terms: kind and const bits tell apart
+        // terms whose low bits agree.
+        let zero = [
+            ITerm::var(0, VarKind::Distinguished),
+            ITerm::var(0, VarKind::Existential),
+            ITerm::constant(ConstId(0)),
+        ];
+        for (i, a) in zero.iter().enumerate() {
+            for (j, b) in zero.iter().enumerate() {
+                assert_eq!(a == b, i == j);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "wider than 30 bits")]
+    fn a_variable_index_past_30_bits_is_refused() {
+        ITerm::var(1 << 30, VarKind::Existential);
+    }
+
+    #[test]
+    #[should_panic(expected = "wider than 31 bits")]
+    fn a_constant_id_past_31_bits_is_refused() {
+        ITerm::constant(ConstId(1 << 31));
+    }
+
+    #[test]
+    fn constants_are_stored_once_and_found_after_growth_and_decode() {
+        let c = catalog();
+        let mut interner = QueryInterner::new();
+        let texts: Vec<String> = (0..100)
+            .map(|i| {
+                format!(
+                    "Q(x) :- Meetings(x, 'c{}'), Meetings(x, {})",
+                    i % 40,
+                    i % 30
+                )
+            })
+            .collect();
+        for text in &texts {
+            interner.intern(&q(&c, text));
+        }
+        // 40 strings and 30 integers, each once.
+        assert_eq!(interner.consts.len(), 70);
+        assert!(interner.const_table.len() >= 2 * interner.consts.len());
+        let mut bytes = Vec::new();
+        interner.encode_into(&mut bytes);
+        let mut back =
+            QueryInterner::decode_from(&mut fdc_durability::codec::Cursor::new(&bytes)).unwrap();
+        for (i, constant) in interner.consts.iter().enumerate() {
+            let hash = constant_hash(constant);
+            assert_eq!(interner.find_const(constant, hash), Ok(ConstId(i as u32)));
+            assert_eq!(back.find_const(constant, hash), Ok(ConstId(i as u32)));
+        }
+        // Interning a known constant again mints nothing.
+        back.intern(&q(&c, "Q() :- Meetings(x, 'c7'), Meetings(x, 7)"));
+        assert_eq!(back.consts.len(), 70);
+        // A duplicate in the image is refused.
+        let mut twice = Vec::new();
+        fdc_durability::codec::put_len(&mut twice, 2);
+        crate::wire::put_constant(&mut twice, &Constant::Int(7));
+        crate::wire::put_constant(&mut twice, &Constant::Int(7));
+        assert!(decode_error(&twice).1.contains("duplicate constant"));
+    }
+
     #[test]
     fn decode_rejects_non_canonical_queries() {
         use fdc_durability::codec::CodecError;
@@ -1222,14 +1511,14 @@ mod tests {
         type Corrupt = fn(&mut QueryInterner);
         let cases: [(&str, Corrupt); 6] = [
             ("out of range", |i| {
-                i.terms[1] = ITerm::Var(7, VarKind::Existential)
+                i.terms[1] = ITerm::var(7, VarKind::Existential)
             }),
             ("disagrees with its kind", |i| {
-                i.terms[0] = ITerm::Var(0, VarKind::Existential)
+                i.terms[0] = ITerm::var(0, VarKind::Existential)
             }),
             ("first occurrence", |i| i.terms.swap(0, 1)),
             ("never occurs", |i| {
-                i.terms[1] = ITerm::Var(0, VarKind::Distinguished)
+                i.terms[1] = ITerm::var(0, VarKind::Distinguished)
             }),
             ("without atoms", |i| i.queries[0].atom_len = 0),
             // A second atom over the first one's terms: in range and

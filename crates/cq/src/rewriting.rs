@@ -32,7 +32,7 @@
 //! labeling layer treat [`rewritable_from_single`] as its only oracle.
 
 use crate::containment::{equivalent_same_space, interned_equivalent_same_space};
-use crate::intern::{IAtom, ITerm, QueryRef};
+use crate::intern::{IAtom, ITerm, ITermView, QueryRef};
 use crate::query::{Body, ConjunctiveQuery, VarTable};
 use crate::term::{Term, VarId, VarKind};
 
@@ -181,15 +181,15 @@ pub fn interned_rewritable_from_single(query: QueryRef<'_>, view: QueryRef<'_>) 
     // variables to query terms; fail fast on irreproducible positions.
     let mut theta: Vec<Option<ITerm>> = vec![None; view.num_vars()];
     for (v_term, q_term) in v_terms.iter().zip(q_terms.iter()) {
-        match *v_term {
-            ITerm::Var(v, VarKind::Distinguished) => match theta[v as usize] {
+        match v_term.get() {
+            ITermView::Var(v, VarKind::Distinguished) => match theta[v as usize] {
                 Some(existing) if existing != *q_term => return false,
                 Some(_) => {}
                 None => theta[v as usize] = Some(*q_term),
             },
-            ITerm::Var(_, VarKind::Existential) => {}
-            ITerm::Const(c) => {
-                if *q_term != ITerm::Const(c) {
+            ITermView::Var(_, VarKind::Existential) => {}
+            ITermView::Const(_) => {
+                if q_term != v_term {
                     return false;
                 }
             }
@@ -217,20 +217,20 @@ pub fn interned_rewritable_from_single(query: QueryRef<'_>, view: QueryRef<'_>) 
     let mut fresh_for_view_var: Vec<Option<u32>> = vec![None; view.num_vars()];
     let mut terms: Vec<ITerm> = Vec::with_capacity(v_terms.len());
     for v_term in v_terms {
-        match *v_term {
-            ITerm::Var(v, VarKind::Distinguished) => {
+        match v_term.get() {
+            ITermView::Var(v, VarKind::Distinguished) => {
                 let bound =
                     theta[v as usize].expect("distinguished view variables occur in the view body");
                 terms.push(bound);
             }
-            ITerm::Var(v, VarKind::Existential) => {
+            ITermView::Var(v, VarKind::Existential) => {
                 let fresh = *fresh_for_view_var[v as usize].get_or_insert_with(|| {
                     kinds.push(VarKind::Existential);
                     (kinds.len() - 1) as u32
                 });
-                terms.push(ITerm::Var(fresh, VarKind::Existential));
+                terms.push(ITerm::var(fresh, VarKind::Existential));
             }
-            ITerm::Const(c) => terms.push(ITerm::Const(c)),
+            ITermView::Const(_) => terms.push(*v_term),
         }
     }
     let expansion_atom = IAtom {

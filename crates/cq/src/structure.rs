@@ -48,7 +48,7 @@
 //! so they fold into candidate generation.
 
 use crate::homomorphism::{interned_term_allowed, HeadPolicy};
-use crate::intern::{IAtom, ITerm, QueryRef};
+use crate::intern::{IAtom, ITerm, ITermView, QueryRef};
 
 /// Parent marker of the join-tree root (the last atom standing after GYO
 /// reduction).
@@ -202,13 +202,13 @@ pub fn semi_join_homomorphism_into(
             // variable appears its slot is exactly `image.len()`.
             let mut image: Vec<ITerm> = Vec::with_capacity(vs.len());
             for (src, dst) in source_terms.iter().zip(target_terms.iter()) {
-                match *src {
-                    ITerm::Const(c) => {
-                        if *dst != ITerm::Const(c) {
+                match src.get() {
+                    ITermView::Const(_) => {
+                        if dst != src {
                             continue 'targets;
                         }
                     }
-                    ITerm::Var(v, kind) => {
+                    ITermView::Var(v, kind) => {
                         if !interned_term_allowed(kind, *dst, v, policy) {
                             continue 'targets;
                         }
@@ -475,9 +475,9 @@ mod tests {
                 let arity = 1 + next(&mut state) % 5;
                 for _ in 0..arity {
                     terms.push(if next(&mut state).is_multiple_of(6) {
-                        ITerm::Const(ConstId(0))
+                        ITerm::constant(ConstId(0))
                     } else {
-                        ITerm::Var((next(&mut state) % pool) as u32, VarKind::Existential)
+                        ITerm::var((next(&mut state) % pool) as u32, VarKind::Existential)
                     });
                 }
                 atoms.push(IAtom {

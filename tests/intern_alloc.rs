@@ -21,8 +21,11 @@
 //!   shape has;
 //! * assembling a part for the rewriting check allocates its **2** buffers;
 //! * a first sight whose parts bit tests decide allocates **exactly its
-//!   entry** — the part vector and the label — plus that one block past 64
-//!   variables.
+//!   entry** — one block, its part slice (the label is read off the parts)
+//!   — plus that one block past 64 variables.
+//!
+//! And an interned term is pinned at 4 bytes: the arena's term buffer is
+//! most of what a cached shape costs.
 //!
 //! Counts are per thread, so the harness running tests in parallel does not
 //! disturb them.
@@ -31,7 +34,7 @@ use std::hint::black_box;
 
 use fdc::core::dissect::InternedDissection;
 use fdc::core::CachedLabeler;
-use fdc::cq::intern::QueryInterner;
+use fdc::cq::intern::{ITerm, QueryInterner};
 use fdc::cq::{Atom, ConjunctiveQuery, Term};
 use fdc::ecosystem::{facebook_catalog, Ecosystem};
 
@@ -192,9 +195,14 @@ fn first_sight_allocations(query: &ConjunctiveQuery) -> u64 {
 #[test]
 fn a_projection_style_first_sight_allocates_exactly_its_entry() {
     // Every part of these shapes is decided by bit tests against the
-    // Facebook views: the entry's part vector and its label, nothing else.
-    assert_eq!(first_sight_allocations(&user_join(10)), 2);
-    assert_eq!(first_sight_allocations(&user_join(30)), 2);
+    // Facebook views: the entry's part slice, nothing else.
+    assert_eq!(first_sight_allocations(&user_join(10)), 1);
+    assert_eq!(first_sight_allocations(&user_join(30)), 1);
     // Past 64 variables the join-variable set takes one block more.
-    assert_eq!(first_sight_allocations(&user_join(31)), 3);
+    assert_eq!(first_sight_allocations(&user_join(31)), 2);
+}
+
+#[test]
+fn an_interned_term_is_four_bytes() {
+    assert_eq!(std::mem::size_of::<ITerm>(), 4);
 }
