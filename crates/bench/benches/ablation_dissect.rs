@@ -8,7 +8,8 @@
 //! atoms that folding must remove) affects it — for the boxed reference
 //! (`dissect_only`) and for what the service runs when it first sees a shape
 //! (`interned_first_sight`: intern + the rigidity fold + every part's
-//! needed-position mask read off the interned query by
+//! shape — the positions a projection-style view must expose, and whether
+//! the part is simple — read off the interned query by
 //! `InternedDissection`, into an interner that has never seen the shape).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
@@ -77,7 +78,7 @@ fn ablation(c: &mut Criterion) {
                         let core = interner.cached_core(id).expect("recorded above");
                         let mut dissection = InternedDissection::new(interner.resolve(id), core);
                         for k in 0..dissection.len() {
-                            black_box(dissection.needs(k));
+                            black_box(dissection.shape(k));
                         }
                     }
                 })

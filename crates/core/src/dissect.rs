@@ -18,14 +18,16 @@
 //!
 //! [`dissect`] is the boxed reference: it materializes every part as a
 //! query of its own.  [`InternedDissection`] is what a first sight runs on
-//! an interned shape: it finds the join variables once, reads each part's
-//! needed-position mask off the core atom where it lies, and assembles a
-//! part only for a rewriting check that no bit test decides.
+//! an interned shape: it finds the join variables once and reads each
+//! part's [`Shape`], and the positional rule's verdict against a view
+//! ([`answers`]), off the core atom where it lies.
 
 use fdc_cq::bitset::BitSet;
 use fdc_cq::folding::fold;
-use fdc_cq::intern::{IAtom, ITerm, ITermView, QueryRef};
+use fdc_cq::intern::{ITerm, ITermView, QueryRef};
 use fdc_cq::{Atom, AtomRef, ConjunctiveQuery, RelId, Term, VarId, VarKind};
+
+use crate::answers::{self, Shape};
 
 /// Dissects a conjunctive query into single-atom queries.
 ///
@@ -101,11 +103,10 @@ fn single_atom_query(
 /// occurring in at least two core atoms, which `Dissect` promotes to
 /// distinguished — and keeps them as a [`BitSet`]: one word up to 64
 /// variables, one heap block past that (with two scratch sets), as the
-/// interner's first-occurrence numbering spills.  Each part's
-/// needed-position mask ([`needs`](Self::needs)) is then read straight off
-/// its atom, so labeling a part by bit tests assembles nothing.  Only a
-/// part that no bit test decides is assembled ([`part`](Self::part)), for
-/// the rewriting check.
+/// interner's first-occurrence numbering spills.  Each part's [`Shape`]
+/// ([`shape`](Self::shape)) and the rule's verdict against a view
+/// ([`answered_by`](Self::answered_by)) are then read straight off its
+/// atom: no part is ever assembled.
 ///
 /// [`fold_interned_indices`]: fdc_cq::folding::fold_interned_indices
 #[derive(Debug)]
@@ -118,11 +119,6 @@ pub struct InternedDissection<'q> {
     /// the join variables and two scratch sets; empty otherwise.
     spill: Vec<u64>,
     words: usize,
-    /// Which part `terms` and `kinds` hold, if any.
-    assembled: Option<usize>,
-    span: [IAtom; 1],
-    terms: Vec<ITerm>,
-    kinds: Vec<VarKind>,
 }
 
 impl<'q> InternedDissection<'q> {
@@ -145,14 +141,6 @@ impl<'q> InternedDissection<'q> {
             joins,
             spill,
             words,
-            assembled: None,
-            span: [IAtom {
-                relation: RelId(0),
-                term_start: 0,
-                term_len: 0,
-            }],
-            terms: Vec::new(),
-            kinds: Vec::new(),
         }
     }
 
@@ -171,89 +159,43 @@ impl<'q> InternedDissection<'q> {
         self.query.relation(self.core[k] as usize)
     }
 
-    /// The needed-position mask of part `k`: the positions a
-    /// projection-style view must expose to answer it — those holding a
-    /// constant, a distinguished variable or a join variable.  `None` if
-    /// the part has a repeated variable or more than 64 positions: no bit
-    /// test decides it, and it takes the rewriting check.
-    ///
-    /// Constants count because a selection such as `M(x, 'Cathy')` is
-    /// answerable from a projection view exactly when the constant's column
-    /// is exposed (the rewriting applies the selection on top of the view).
-    pub fn needs(&mut self, k: usize) -> Option<u64> {
-        let terms = self.query.atom_terms(self.core[k] as usize);
+    /// The [`Shape`] of part `k`, its join variables counted as
+    /// distinguished: what [`Shape::of`] reads off the same part of the
+    /// equivalent boxed query's [`dissect`].
+    pub fn shape(&mut self, k: usize) -> Shape {
+        let terms = self.terms(k);
         if terms.len() > 64 {
-            return None;
+            return Shape::WIDE;
         }
         if self.spill.is_empty() {
-            return part_needs(terms, &self.joins, &mut 0);
+            return part_shape(terms, &self.joins, &mut 0, &mut 0);
         }
         let (joins, scratch) = self.spill.split_at_mut(self.words);
-        let met = &mut scratch[..self.words];
+        let (met, twice) = scratch.split_at_mut(self.words);
         met.clear();
-        part_needs(terms, &*joins, met)
+        twice.clear();
+        part_shape(terms, &*joins, met, twice)
     }
 
-    /// Part `k` as a single-atom [`QueryRef`], assembled on first request
-    /// (and kept until another part is asked for).  It is in canonical
-    /// form — variables numbered by first occurrence, join variables
-    /// promoted to distinguished — and its constants are ids of the
-    /// interner the query was resolved from: structurally identical, up to
-    /// variable renaming, to part `k` of what [`dissect`] returns for the
-    /// equivalent boxed query.  A single-atom query is its own only part
-    /// and is handed over as it lies.
-    pub fn part(&mut self, k: usize) -> QueryRef<'_> {
-        if self.query.is_single_atom() {
-            return self.query;
-        }
-        if self.assembled != Some(k) {
-            let atom = self.core[k] as usize;
-            let source = self.query.atom_terms(atom);
-            self.terms.clear();
-            self.kinds.clear();
-            self.terms.reserve(source.len());
-            self.kinds.reserve(source.len());
-            for (i, term) in source.iter().enumerate() {
-                let ITermView::Var(v, kind) = term.get() else {
-                    self.terms.push(*term);
-                    continue;
-                };
-                // A repeated variable takes the index of its first position.
-                let term = match source[..i].iter().position(|t| t.var_index() == Some(v)) {
-                    Some(first) => self.terms[first],
-                    None => {
-                        let kind = if self.is_join(v) {
-                            VarKind::Distinguished
-                        } else {
-                            kind
-                        };
-                        self.kinds.push(kind);
-                        ITerm::var(self.kinds.len() as u32 - 1, kind)
-                    }
-                };
-                self.terms.push(term);
-            }
-            self.span = [IAtom {
-                relation: self.query.relation(atom),
-                term_start: 0,
-                term_len: self.terms.len() as u32,
-            }];
-            self.assembled = Some(k);
-        }
-        QueryRef {
-            atoms: &self.span,
-            terms: &self.terms,
-            kinds: &self.kinds,
-        }
-    }
-
-    /// Variable `v` occurs in at least two core atoms.
-    fn is_join(&self, v: u32) -> bool {
-        if self.spill.is_empty() {
-            self.joins.contains(v as usize)
+    /// Rules 1–4 ([`answers::by_terms`]): whether the view with terms
+    /// `view`, interned by the interner this query was resolved from,
+    /// answers part `k`.
+    pub fn answered_by(&self, k: usize, view: &[ITerm]) -> bool {
+        let joins = if self.spill.is_empty() {
+            std::slice::from_ref(&self.joins)
         } else {
-            BitSet::contains(&self.spill[..self.words], v as usize)
-        }
+            &self.spill[..self.words]
+        };
+        let pinned = |term: &ITerm| {
+            term.var_index()
+                .is_none_or(|v| term.is_distinguished() || BitSet::contains(joins, v as usize))
+        };
+        answers::by_terms(self.terms(k), pinned, view)
+    }
+
+    /// The terms of part `k`'s atom, as they lie in the query.
+    fn terms(&self, k: usize) -> &'q [ITerm] {
+        self.query.atom_terms(self.core[k] as usize)
     }
 }
 
@@ -280,26 +222,42 @@ fn join_variables<S: BitSet + ?Sized>(
     }
 }
 
-/// [`InternedDissection::needs`] of the part `terms`, with join variables
-/// `joins`; `met` is an empty scratch set.
-fn part_needs<S: BitSet + ?Sized>(terms: &[ITerm], joins: &S, met: &mut S) -> Option<u64> {
-    let mut needed = 0u64;
+/// [`InternedDissection::shape`] of the part `terms` (at most 64), with join
+/// variables `joins`; `met` and `twice` are empty scratch sets.
+fn part_shape<S: BitSet + ?Sized>(terms: &[ITerm], joins: &S, met: &mut S, twice: &mut S) -> Shape {
+    let (mut needs, mut constants, mut repeats) = (0u64, false, false);
     for (i, term) in terms.iter().enumerate() {
         match term.get() {
-            ITermView::Const(_) => needed |= 1 << i,
+            ITermView::Const(_) => {
+                needs |= 1 << i;
+                constants = true;
+            }
             ITermView::Var(v, kind) => {
                 let v = v as usize;
                 if met.contains(v) {
-                    return None;
+                    twice.insert(v);
+                    repeats = true;
                 }
                 met.insert(v);
                 if kind.is_distinguished() || joins.contains(v) {
-                    needed |= 1 << i;
+                    needs |= 1 << i;
                 }
             }
         }
     }
-    Some(needed)
+    if repeats {
+        // A repeated variable is needed at each of its positions, the
+        // first one included.
+        for (i, term) in terms.iter().enumerate() {
+            if term.var_index().is_some_and(|v| twice.contains(v as usize)) {
+                needs |= 1 << i;
+            }
+        }
+    }
+    Shape {
+        needs,
+        simple: !constants && !repeats,
+    }
 }
 
 #[cfg(test)]
@@ -430,33 +388,10 @@ mod tests {
         }
     }
 
-    /// A dissected part as a boxed query, its constants read back from the
-    /// interner the dissected query lives in.
-    fn boxed_part(interner: &QueryInterner, part: QueryRef<'_>) -> ConjunctiveQuery {
-        assert!(part.is_single_atom());
-        let terms = part
-            .atom_terms(0)
-            .iter()
-            .map(|term| match term.get() {
-                ITermView::Var(v, kind) => Term::Var(VarId(v), kind),
-                ITermView::Const(c) => Term::Const(interner.constant(c).clone()),
-            })
-            .collect();
-        ConjunctiveQuery::from_parts(
-            vec![Atom::new(part.relation(0), terms)],
-            part.kinds.to_vec(),
-            (0..part.num_vars()).map(|v| format!("x{v}")).collect(),
-        )
-        .expect("a dissected part is a valid single-atom query")
-    }
-
     #[test]
     fn interned_dissection_matches_boxed_dissection() {
         let c = catalog();
         let mut interner = QueryInterner::new();
-        // The visited parts are interned here, to see that a second
-        // dissection hands over the same canonical parts.
-        let mut parts = QueryInterner::new();
         let inputs = [
             "Q1(x) :- Meetings(x, 'Cathy')",
             "Q2(x) :- Meetings(x, y), Contacts(y, w, 'Intern')",
@@ -465,36 +400,22 @@ mod tests {
             "Q(x) :- Meetings(x, y), Contacts(y, w, p), Meetings(w, z)",
             "Q() :- Meetings(x, y), Meetings(y, z), Contacts(z, w, p)",
             "Q(x) :- Meetings(x, x), Meetings(x, y)",
+            "Q(x) :- Meetings(x, y), Contacts(y, z, z)",
+            "Q() :- Contacts(x, w, p), Meetings(p, p), Meetings(w, 'Cathy')",
         ];
         for text in inputs {
             let query = q(&c, text);
-            let boxed = dissect(&query);
+            let boxed: Vec<_> = dissect(&query)
+                .iter()
+                .map(|part| (part.atom(0).relation, Shape::of(part.atom(0))))
+                .collect();
             let id = interner.intern(&query);
             let core = interner.core_atom_indices(id).to_vec();
             let mut dissection = InternedDissection::new(interner.resolve(id), &core);
             let interned: Vec<_> = (0..dissection.len())
-                .map(|k| boxed_part(&interner, dissection.part(k)))
+                .map(|k| (dissection.relation(k), dissection.shape(k)))
                 .collect();
-            assert_eq!(boxed.len(), interned.len(), "part count differs on {text}");
-            for (part, back) in boxed.iter().zip(&interned) {
-                assert_eq!(
-                    part.atom(0).relation,
-                    back.atom(0).relation,
-                    "relation on {text}"
-                );
-                assert!(
-                    fdc_cq::canonical::structurally_identical(part, back),
-                    "part differs on {text}: {part:?} vs {back:?}"
-                );
-            }
-            let ids: Vec<_> = interned.iter().map(|part| parts.intern(part)).collect();
-            let before = parts.len();
-            let mut dissection = InternedDissection::new(interner.resolve(id), &core);
-            let again: Vec<_> = (0..dissection.len())
-                .map(|k| parts.intern(&boxed_part(&interner, dissection.part(k))))
-                .collect();
-            assert_eq!(again, ids, "a second dissection differs on {text}");
-            assert_eq!(parts.len(), before);
+            assert_eq!(boxed, interned, "parts differ on {text}");
         }
     }
 

@@ -12,9 +12,9 @@
 //!   relation in a hash table, so each atom is only checked against the
 //!   views of its own relation.
 //! * [`BitVectorLabeler`] — hash partitioning plus the packed bit-vector
-//!   `ℓ⁺` representation of Section 6.1; additionally caches the structural
-//!   shape of each security view so the per-candidate check avoids the
-//!   general rewriting machinery for the common projection-style views.
+//!   `ℓ⁺` representation of Section 6.1; each (atom, view) pair is decided
+//!   by one positional rule ([`answers`]) instead of the rewriting check —
+//!   a mask test for the common projection-style views.
 //!
 //! A fourth variant goes beyond the paper's measured configurations:
 //!
@@ -24,9 +24,9 @@
 //!   sharded slot vector (a hit skips folding, dissection and labeling
 //!   entirely — and for pre-interned callers, hashing too).  A miss
 //!   computes each core atom's `ℓ⁺` straight from the interned query
-//!   (`InternedDissection`): its needed-position mask is read off the atom
-//!   where it lies, and a part is assembled only for a view no bit test
-//!   decides.  The entry keeps, per part, what a later refresh needs.
+//!   (`InternedDissection`): its shape is read off the atom where it lies,
+//!   and no part is assembled.  The entry keeps, per part, what a later
+//!   refresh needs.
 //!   The cache is versioned with the registry's per-relation epochs, so
 //!   the view universe can change online
 //!   ([`CachedLabeler::add_view`]) without flushing: a stale entry is
@@ -50,10 +50,11 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 
 use fdc_cq::folding::fold_interned_indices;
-use fdc_cq::intern::{QueryId, QueryInterner};
-use fdc_cq::rewriting::{interned_rewritable_from_single, rewritable_from_single};
-use fdc_cq::{ConjunctiveQuery, RelId, Term, VarKind};
+use fdc_cq::intern::{ITerm, QueryId, QueryInterner};
+use fdc_cq::rewriting::rewritable_from_single;
+use fdc_cq::{AtomRef, ConjunctiveQuery, RelId};
 
+use crate::answers::{self, Shape};
 use crate::dissect::{dissect, InternedDissection};
 use crate::error::Result;
 use crate::label::{AtomLabel, DisclosureLabel, PackedLabel, ViewMask};
@@ -177,21 +178,18 @@ impl QueryLabeler for HashPartitionedLabeler {
 // Bit-vector: hash partitioning + precompiled view shapes + packed labels.
 // ---------------------------------------------------------------------------
 
-/// Pre-analyzed shape of a single-atom security view, used by
-/// [`BitVectorLabeler`] to answer `{atom} ⪯ {view}` with plain bit tests in
-/// the common case.
-///
-/// A *projection-style* view has no constants and no repeated variables: it
-/// is fully described by the bit mask of the positions it exposes
-/// (distinguished positions).  For such views, an atom query with exposed
-/// positions `E`, constant positions `C` and no repeated variables is
-/// answerable iff `E ∪ C ⊆ exposed(view)`.  Views or atoms that fall outside
-/// this shape fall back to the general rewriting check.
+/// A registered view as [`BitVectorLabeler`] decides `{atom} ⪯ {view}`
+/// with it: a *projection-style* view (no constant, no repeated term) is
+/// fully described by the positions it exposes, and an atom of [`Shape`]
+/// `s` is answerable from it iff `s.needs ⊆ exposed`.  Every other view is
+/// decided by the positional rule on the terms ([`answers`]), and only for
+/// an atom that is not simple.
 #[derive(Debug, Clone)]
 struct CompiledView {
     id: SecurityViewId,
     bit: u32,
-    /// Bit `i` set iff position `i` of the view is a distinguished variable.
+    /// Bit `i` set iff position `i` of the view is a distinguished
+    /// variable; `None` if the view is not projection-style.
     exposed_positions: Option<u64>,
 }
 
@@ -251,25 +249,19 @@ impl BitVectorLabeler {
         Ok(id)
     }
 
-    /// Computes `ℓ⁺` of one dissected single-atom query as a packed view
-    /// mask, using the compiled projection shapes where possible.
+    /// Computes `ℓ⁺` of one dissected part — the atom of a single-atom
+    /// query, its join variables promoted (multi-atom queries go through
+    /// `Dissect` first) — as a packed view mask, by the positional rule
+    /// ([`answers`]).
     ///
     /// This is the per-atom step of [`label_query`](QueryLabeler::label_query);
-    /// [`CachedLabeler`] runs the same bit tests on the interned parts it
-    /// dissects.  The query must be single-atom
-    /// (multi-atom queries go through `Dissect` first); debug builds assert
-    /// this, release builds would silently consider only the first atom.
-    pub fn atom_mask(&self, atom_query: &ConjunctiveQuery) -> ViewMask {
-        debug_assert!(
-            atom_query.is_single_atom(),
-            "atom_mask requires a dissected single-atom query"
-        );
-        let relation = atom_query.atom(0).relation;
-        part_bits(
-            atom_needs(atom_query),
-            self.candidates(relation),
-            |compiled| rewritable_from_single(atom_query, &self.views.view(compiled.id).query),
-        )
+    /// [`CachedLabeler`] runs the same rule on the interned parts it
+    /// dissects.
+    pub fn atom_mask(&self, atom: AtomRef<'_>) -> ViewMask {
+        part_bits(Shape::of(atom), self.candidates(atom.relation), |view| {
+            let view = self.views.view(view.id).query.atom(0);
+            answers::by_terms(atom.terms, |term| !term.is_existential(), view.terms)
+        })
     }
 
     /// The compiled candidate list of `relation`: its views in registration
@@ -291,76 +283,25 @@ fn compile(by_relation: &mut Vec<Vec<CompiledView>>, id: SecurityViewId, view: &
     by_relation[relation].push(CompiledView {
         id,
         bit: view.bit,
-        exposed_positions: projection_shape(&view.query),
+        exposed_positions: Shape::of(view.query.atom(0)).exposed(),
     });
 }
 
-/// The `ℓ⁺` bits `candidates` contribute to one dissected part whose
-/// needed-position mask is `needs` ([`atom_needs`] /
-/// [`InternedDissection::needs`]).  A projection-style part against a
-/// projection-style view is answerable iff every needed position is exposed
-/// by the view — a bit test; every other pair asks `general`, the rewriting
-/// check, and only those.  Over a relation's whole candidate list this is
-/// the part's mask; over the tail appended since a mask was computed it is
-/// what that mask lacks.
+/// The `ℓ⁺` bits `candidates` contribute to one dissected part of shape
+/// `part` ([`Shape::answered_by`]): a mask test against a projection-style
+/// view, and `by_terms` — rules 1–4 on the part's and the view's terms —
+/// only for a part that is not simple against a view that is not.  Over a
+/// relation's whole candidate list this is the part's mask; over the tail
+/// appended since a mask was computed it is what that mask lacks.
 fn part_bits(
-    needs: Option<u64>,
+    part: Shape,
     candidates: &[CompiledView],
-    mut general: impl FnMut(&CompiledView) -> bool,
+    mut by_terms: impl FnMut(&CompiledView) -> bool,
 ) -> ViewMask {
-    let mut mask: ViewMask = 0;
-    for compiled in candidates {
-        let answers = match (needs, compiled.exposed_positions) {
-            (Some(needed), Some(exposed)) => needed & !exposed == 0,
-            _ => general(compiled),
-        };
-        if answers {
-            mask |= 1u64 << compiled.bit;
-        }
-    }
-    mask
-}
-
-/// If the single-atom query is projection-style (no constants, no repeated
-/// variables), returns the bit mask of positions holding distinguished
-/// variables; otherwise `None`.
-fn projection_shape(query: &ConjunctiveQuery) -> Option<u64> {
-    let atom = query.atoms().next()?;
-    if atom.arity() > 64 || atom.has_constants() || atom.has_repeated_vars() {
-        return None;
-    }
-    let mut mask = 0u64;
-    for (i, term) in atom.terms.iter().enumerate() {
-        match term {
-            Term::Var(_, VarKind::Distinguished) => mask |= 1u64 << i,
-            Term::Var(_, VarKind::Existential) => {}
-            Term::Const(_) => return None,
-        }
-    }
-    Some(mask)
-}
-
-/// For a single-atom query without repeated variables, the mask of positions
-/// a projection-style view must expose to answer it: the positions holding
-/// distinguished variables or constants.  `None` if the atom has repeated
-/// variables (those need the general rewriting check).
-///
-/// Constants are included because a selection such as `M(x, 'Cathy')` is
-/// answerable from a projection view exactly when the constant's column is
-/// exposed (the rewriting applies the selection on top of the view).
-fn atom_needs(query: &ConjunctiveQuery) -> Option<u64> {
-    let atom = query.atoms().next()?;
-    if atom.arity() > 64 || atom.has_repeated_vars() {
-        return None;
-    }
-    let mut needed = 0u64;
-    for (i, term) in atom.terms.iter().enumerate() {
-        match term {
-            Term::Var(_, VarKind::Distinguished) | Term::Const(_) => needed |= 1u64 << i,
-            Term::Var(_, VarKind::Existential) => {}
-        }
-    }
-    Some(needed)
+    candidates
+        .iter()
+        .filter(|view| part.answered_by(view.exposed_positions, || by_terms(view)))
+        .fold(0, |mask, view| mask | 1 << view.bit)
 }
 
 /// The core of interned query `id`: its recorded fold, or — none on record
@@ -378,10 +319,9 @@ fn core_of(interner: &QueryInterner, id: QueryId) -> Cow<'_, [u32]> {
 impl QueryLabeler for BitVectorLabeler {
     fn label_query(&self, query: &ConjunctiveQuery) -> DisclosureLabel {
         let mut label = DisclosureLabel::bottom();
-        for atom_query in dissect(query) {
-            let relation = atom_query.atom(0).relation;
-            let mask = self.atom_mask(&atom_query);
-            label.push(AtomLabel::new(relation, mask));
+        for part in dissect(query) {
+            let atom = part.atom(0);
+            label.push(AtomLabel::new(atom.relation, self.atom_mask(atom)));
         }
         label
     }
@@ -508,11 +448,12 @@ fn bump(counter: &AtomicU64) {
 /// to date without dissecting again.
 ///
 /// A part's position in [`QueryEntry::parts`] is its index in the query's
-/// core, so a refresh that needs the part itself — for the general
-/// rewriting check — assembles just that part from the interner's
-/// recorded fold.  Every other refresh is bit tests on `needs`.  A refresh
-/// overwrites `epoch`, `covered` and `mask` where the part lies and, if a
-/// mask changed, sets every part's `survives` flag again ([`absorb`]).
+/// core, so a refresh that needs the part's terms — a part that is not
+/// simple against a new view that is not projection-style — reads them off
+/// that core atom through the interner's recorded fold.  Every other
+/// refresh is mask tests on `needs`.  A refresh overwrites `epoch`,
+/// `covered` and `mask` where the part lies and, if a mask changed, sets
+/// every part's `survives` flag again ([`absorb`]).
 ///
 /// 32 bytes (pinned by a test): a hit reads every part, for the freshness
 /// scan and for the label.
@@ -528,21 +469,16 @@ struct QueryPart {
     /// The part's atom label is one of the entry's label: it was not
     /// absorbed when the parts were pushed in order ([`absorb`]).
     survives: bool,
+    /// [`Shape::simple`] of the part.
+    simple: bool,
     /// Epoch of the part's relation when its mask was computed.
     epoch: u64,
     /// The part's `ℓ⁺` mask at that epoch.
     mask: ViewMask,
-    /// The positions a projection-style view must expose to answer the
-    /// part ([`InternedDissection::needs`]), or [`GENERAL`] if no bit test
-    /// decides it.
+    /// [`Shape::needs`] of the part: the positions a projection-style view
+    /// must expose to answer it.
     needs: u64,
 }
-
-/// [`QueryPart::needs`] of a part that takes the general rewriting check
-/// against every view.  A part needing all 64 positions of a 64-column
-/// atom reads the same and takes the general check too, whose verdicts the
-/// bit tests only reproduce.
-const GENERAL: u64 = u64::MAX;
 
 impl QueryPart {
     /// The part's atom label.
@@ -550,9 +486,12 @@ impl QueryPart {
         AtomLabel::new(self.relation, self.mask)
     }
 
-    /// The needed-position mask, `None` for the general check.
-    fn needs(&self) -> Option<u64> {
-        (self.needs != GENERAL).then_some(self.needs)
+    /// The part's [`Shape`], as [`InternedDissection::shape`] read it.
+    fn shape(&self) -> Shape {
+        Shape {
+            needs: self.needs,
+            simple: self.simple,
+        }
     }
 
     /// What of this part's mask still stands for a relation now at epoch
@@ -741,11 +680,11 @@ impl LabelTables {
     /// **Lock order**, for every path through these tables: a query stripe,
     /// then the interner (read).  Stripes lock in index order and no writer
     /// ever holds two; a refresh holds its one stripe's write lock while it
-    /// assembles a part through the interner's read lock
-    /// (`LabelCore::refresh_in_place`); nothing holds the interner while
-    /// asking for a stripe, and the interner's write lock (recording a new
-    /// shape's fold, `LabelCore::first_sight`) is taken with no table lock
-    /// held.
+    /// reads a part's and a new view's terms through the interner's read
+    /// lock, for a pair no mask test decides (`LabelCore::refresh_entry`);
+    /// nothing holds the interner while asking for a stripe, and the
+    /// interner's write lock (recording a new shape's fold,
+    /// `LabelCore::first_sight`) is taken with no table lock held.
     fn consistent_copy(&self) -> LabelTables {
         let stripes: Vec<_> = (0..QUERY_CACHE_SHARDS)
             .map(|shard| self.read_shard(shard))
@@ -814,8 +753,7 @@ struct LabelCore {
     /// per-relation candidate lists.
     inner: BitVectorLabeler,
     /// Interned definition of every registered security view, indexed by
-    /// [`SecurityViewId`] — the right-hand operand of the interned
-    /// rewriting fallback.
+    /// [`SecurityViewId`]: the terms rules 1–4 read, constants by id.
     view_qids: Vec<QueryId>,
     /// The query interner — the id authority every table is keyed by; see
     /// [`SharedQueryInterner`].
@@ -891,8 +829,7 @@ impl LabelCore {
     /// The parts of interned query `id` — the first sight of a shape: each
     /// core atom's mask over its relation's whole candidate list, decided
     /// where the atom lies in the interned query ([`InternedDissection`]).
-    /// A part is assembled only for a candidate no bit test decides.
-    /// Nothing is interned.
+    /// No part is assembled and nothing is interned.
     ///
     /// The parts come back flagged with the ones the label keeps
     /// ([`absorb`]), in the one block the entry stores.
@@ -928,9 +865,9 @@ impl LabelCore {
     }
 
     /// Part `k` at first sight: its mask over the whole candidate list of
-    /// its relation, by bit tests where they decide and the interned
-    /// rewriting check against the interned view definition where they do
-    /// not — the same bits [`BitVectorLabeler::atom_mask`] computes.
+    /// its relation by the positional rule, on the interned terms of the
+    /// part and of the view definitions — the same bits
+    /// [`BitVectorLabeler::atom_mask`] computes.
     fn first_part(
         &self,
         interner: &QueryInterner,
@@ -939,31 +876,26 @@ impl LabelCore {
     ) -> QueryPart {
         let relation = dissection.relation(k);
         let candidates = self.inner.candidates(relation);
-        let needs = dissection.needs(k);
-        let mask = part_bits(needs, candidates, |compiled| {
-            let view = interner.resolve(self.view_qids[compiled.id.index()]);
-            interned_rewritable_from_single(dissection.part(k), view)
+        let shape = dissection.shape(k);
+        let mask = part_bits(shape, candidates, |view| {
+            dissection.answered_by(k, self.view_terms(interner, view))
         });
         QueryPart {
             relation,
             covered: candidates.len() as u16,
             survives: false,
+            simple: shape.simple,
             epoch: self.epoch_of(relation),
             mask,
-            needs: needs.unwrap_or(GENERAL),
+            needs: shape.needs,
         }
     }
 
-    /// The general rewriting check of part `k` of query `id` against one
-    /// view, for a refresh: the part is assembled from the interner's
-    /// recorded fold (recomputed if none is on record) under the
-    /// interner's read lock.
-    fn general_verdict(&self, id: QueryId, k: usize, compiled: &CompiledView) -> bool {
-        let interner = self.read_interner();
-        let view = interner.resolve(self.view_qids[compiled.id.index()]);
-        let core = core_of(&interner, id);
-        let mut dissection = InternedDissection::new(interner.resolve(id), &core);
-        interned_rewritable_from_single(dissection.part(k), view)
+    /// The interned terms of `view`'s definition.
+    fn view_terms<'i>(&self, interner: &'i QueryInterner, view: &CompiledView) -> &'i [ITerm] {
+        interner
+            .resolve(self.view_qids[view.id.index()])
+            .atom_terms(0)
     }
 
     /// Brings the entry of query `id` up to the current epoch vector where
@@ -972,11 +904,11 @@ impl LabelCore {
     /// since are ORed in — and recomputed over the whole candidate list
     /// where it cannot ([`QueryPart::standing`]).  If some mask changed,
     /// every part's survivor flag is set again ([`absorb`]) — over all the
-    /// parts, because the label absorbs redundancy.  Folding
-    /// and dissection are skipped, and nothing is allocated, unless a part
-    /// or a new view needs the general check
-    /// ([`general_verdict`](Self::general_verdict)).  Returns whether any
-    /// part was stale.
+    /// parts, because the label absorbs redundancy.  Folding and dissection
+    /// are skipped.  Only a part that is not simple, against a new view
+    /// that is not projection-style, reads terms: its core atom's, under
+    /// the interner's read lock, from the recorded fold (recomputed if none
+    /// is on record).  Returns whether any part was stale.
     fn refresh_entry(&self, id: QueryId, entry: &mut QueryEntry) -> bool {
         let (mut stale, mut changed) = (false, false);
         for (k, part) in entry.parts.iter_mut().enumerate() {
@@ -987,8 +919,11 @@ impl LabelCore {
             let candidates = self.inner.candidates(part.relation);
             let (decided, undecided) = part.standing(current, candidates.len()).unwrap_or((0, 0));
             let mask = decided
-                | part_bits(part.needs(), &candidates[undecided..], |compiled| {
-                    self.general_verdict(id, k, compiled)
+                | part_bits(part.shape(), &candidates[undecided..], |view| {
+                    let interner = self.read_interner();
+                    let core = core_of(&interner, id);
+                    InternedDissection::new(interner.resolve(id), &core)
+                        .answered_by(k, self.view_terms(&interner, view))
                 });
             bump(&self.counters.atom_refreshes);
             changed |= mask != part.mask;
@@ -1016,7 +951,7 @@ impl LabelCore {
     /// locks — and the caller has to derive it anew.
     ///
     /// The stripe's write lock is held across the interner's read lock
-    /// whenever a part is assembled; see `LabelTables::consistent_copy`
+    /// whenever a refresh reads terms; see `LabelTables::consistent_copy`
     /// for the order.
     fn refresh_in_place<R>(
         &self,
@@ -1139,9 +1074,10 @@ impl LabelCore {
 /// block), a *stale*
 /// one (some part's relation epoch moved) or *none* (the pipeline runs:
 /// the shape's fold, then each core atom's `ℓ⁺` mask computed where the
-/// atom lies in the interned query — its needed-position mask against the
-/// relation's projection-style views by bit tests, and the interned
-/// rewriting check, on the part assembled for it, for the rest).
+/// atom lies in the interned query by the positional rule of
+/// [`answers`] — a mask test against each projection-style
+/// view, the terms read only for a part that is not simple against a view
+/// that is not).
 ///
 /// **The stale branch** keeps the entry and brings it up to date where it
 /// lies, so a refresh costs what changed and allocates nothing.  Under the
@@ -1149,10 +1085,10 @@ impl LabelCore {
 /// each part whose relation epoch moved takes its new mask and epoch; if
 /// some mask actually changed, the parts the label keeps are flagged again
 /// from all the parts; and the caller reads the label there.  Folding and
-/// dissection are skipped: each part keeps its needed-position mask, so
-/// the views added since are decided by bit tests.  Only a part or a view
-/// that no bit test decides has the part assembled, from the fold the
-/// interner recorded, for the rewriting check.  A stale entry found in a
+/// dissection are skipped: each part keeps its shape, so the views added
+/// since are decided by mask tests.  Only a part that is not simple, against
+/// a view that is not projection-style, has its terms read, off the core
+/// atom of the fold the interner recorded.  A stale entry found in a
 /// snapshot's read-only base is first copied into the lane's overlay and
 /// refreshed as that copy, by the same routine.
 ///
@@ -1349,10 +1285,9 @@ impl QueryLabeler for LabelerSnapshot {
 /// cache is a sharded slot vector indexed by id: a hit skips the whole
 /// pipeline including the NP-hard folding step of `Dissect`.  A miss runs
 /// the pipeline once: [`InternedDissection`] reads each core atom's
-/// needed-position mask off the interned query, and the part's `ℓ⁺` mask
-/// is computed from it — on the Section 7.2 registry a handful of bit
-/// tests per part, too cheap to memoize; no part is assembled unless a
-/// view needs the rewriting check.
+/// [`Shape`] off the interned query, and the part's `ℓ⁺` mask is computed
+/// from it — on the Section 7.2 registry a handful of mask tests per part,
+/// too cheap to memoize; no part is assembled.
 ///
 /// The labeler is a [`LabelerSnapshot`] with no lanes
 /// ([`as_snapshot`](Self::as_snapshot)) plus what only the owner may do:
@@ -1366,9 +1301,9 @@ impl QueryLabeler for LabelerSnapshot {
 /// [`label_interned`](Self::label_interned) /
 /// [`label_queries_interned`](Self::label_queries_interned) directly.
 ///
-/// Part masks are computed by the interned per-view check (projection bit
-/// tests with the interned rewriting fallback), which computes exactly
-/// what [`BitVectorLabeler`] computes; the labeler never produces a
+/// Part masks are computed by the positional rule on interned terms, which
+/// computes exactly what [`BitVectorLabeler`] computes; the labeler never
+/// produces a
 /// different label than the paper's three Figure 5 variants (asserted by
 /// the property tests).
 ///
@@ -1450,8 +1385,9 @@ impl CachedLabeler {
     /// Builds a caching labeler over a view registry and an interner that
     /// may be **pre-populated** — the recovery constructor.
     ///
-    /// Every registered security view is interned up front, so the interned
-    /// rewriting fallback never has to intern mid-labeling.  An empty
+    /// Every registered security view is interned up front, so the rule
+    /// reads a view's constants by id and never has to intern mid-labeling.
+    /// An empty
     /// interner hands the view queries ids `0, 1, …`; one restored from a
     /// checkpoint (`QueryInterner::decode_from`) already holds those
     /// shapes, interning them again finds their ids, and every `QueryId`
@@ -1623,20 +1559,20 @@ impl CachedLabeler {
 
     /// The parts a first sight of query `id` computes, in core order: each
     /// part's relation, its `ℓ⁺` mask over the relation's candidate list,
-    /// and its needed-position mask (`None` for a part only the rewriting
-    /// check decides).  The cache is neither read nor written and nothing
-    /// is counted; the fold is recorded as a first sight records it.
+    /// and its [`Shape`].  The cache is neither read nor written and
+    /// nothing is counted; the fold is recorded as a first sight records
+    /// it.
     ///
     /// # Panics
     ///
     /// Panics if `id` was not issued by this labeler's
     /// [`interner`](Self::interner).
-    pub fn first_sight_parts(&self, id: QueryId) -> Vec<(RelId, ViewMask, Option<u64>)> {
+    pub fn first_sight_parts(&self, id: QueryId) -> Vec<(RelId, ViewMask, Shape)> {
         self.live
             .core
             .first_sight(id)
             .iter()
-            .map(|part| (part.relation, part.mask, part.needs()))
+            .map(|part| (part.relation, part.mask, part.shape()))
             .collect()
     }
 
@@ -1897,8 +1833,9 @@ mod tests {
 
     #[test]
     fn constants_and_self_joins_use_the_general_fallback() {
-        // Register a selection view (not projection-style) and check the
-        // bit-vector labeler still gets it right via the fallback path.
+        // Register selection and diagonal views (not projection-style) and
+        // check the bit-vector labeler still gets them right: those pairs
+        // are decided on the terms, not by a mask test.
         let catalog = Catalog::paper_example();
         let mut registry = SecurityViews::new(&catalog);
         registry
@@ -2125,9 +2062,10 @@ mod tests {
             relation: RelId(0),
             covered: 2,
             survives: true,
+            simple: true,
             epoch: 5,
             mask: 0b01,
-            needs: GENERAL,
+            needs: 0,
         };
         // One epoch per appended candidate: the tail begins at `covered`.
         assert_eq!(entry.standing(6, 3), Some((0b01, 2)));
@@ -2174,9 +2112,10 @@ mod tests {
                     relation: RelId(next(2) as u32),
                     covered: 0,
                     survives: next(2) == 0,
+                    simple: true,
                     epoch: 0,
                     mask: next(8),
-                    needs: GENERAL,
+                    needs: 0,
                 })
                 .collect();
             absorb(&mut parts);
@@ -2258,6 +2197,8 @@ mod tests {
         repeated[39] = "v0".into();
         let mut late_repeat = distinct.clone();
         late_repeat[38] = "v37".into();
+        catalog.add_relation_with_arity("Wider", 70).unwrap();
+        let wider: Vec<String> = (0..70).map(|i| format!("v{i}")).collect();
         let texts = [
             "Q(x) :- Meetings(x, y)".to_owned(),
             "Q(x) :- Meetings(x, 'Cathy')".to_owned(),
@@ -2267,14 +2208,15 @@ mod tests {
             format!("Q(v0, v7) :- Wide({})", distinct.join(", ")),
             format!("Q(v3) :- Wide({})", repeated.join(", ")),
             format!("Q() :- Wide({})", late_repeat.join(", ")),
+            format!("Q(v1) :- Wider({})", wider.join(", ")),
         ];
         let mut interner = QueryInterner::new();
         for text in &texts {
             let query = q(&catalog, text);
             let id = interner.intern(&query);
             assert_eq!(
-                InternedDissection::new(interner.resolve(id), &[0]).needs(0),
-                atom_needs(&query),
+                InternedDissection::new(interner.resolve(id), &[0]).shape(0),
+                Shape::of(query.atom(0)),
                 "{text}"
             );
         }
@@ -2782,23 +2724,12 @@ mod tests {
     #[test]
     fn projection_shape_analysis() {
         let c = Catalog::paper_example();
-        assert_eq!(
-            projection_shape(&q(&c, "V(x, y) :- Meetings(x, y)")),
-            Some(0b11)
-        );
-        assert_eq!(
-            projection_shape(&q(&c, "V(x) :- Meetings(x, y)")),
-            Some(0b01)
-        );
-        assert_eq!(
-            projection_shape(&q(&c, "V(y) :- Meetings(x, y)")),
-            Some(0b10)
-        );
-        assert_eq!(projection_shape(&q(&c, "V() :- Meetings(x, y)")), Some(0));
-        assert_eq!(
-            projection_shape(&q(&c, "V(x) :- Meetings(x, 'Cathy')")),
-            None
-        );
-        assert_eq!(projection_shape(&q(&c, "V(x) :- Meetings(x, x)")), None);
+        let exposed = |text: &str| Shape::of(q(&c, text).atom(0)).exposed();
+        assert_eq!(exposed("V(x, y) :- Meetings(x, y)"), Some(0b11));
+        assert_eq!(exposed("V(x) :- Meetings(x, y)"), Some(0b01));
+        assert_eq!(exposed("V(y) :- Meetings(x, y)"), Some(0b10));
+        assert_eq!(exposed("V() :- Meetings(x, y)"), Some(0));
+        assert_eq!(exposed("V(x) :- Meetings(x, 'Cathy')"), None);
+        assert_eq!(exposed("V(x) :- Meetings(x, x)"), None);
     }
 }

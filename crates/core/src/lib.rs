@@ -17,7 +17,9 @@
 //!    into atoms, and promote join variables to distinguished.
 //! 3. For each dissected atom, the labelers compute
 //!    `ℓ⁺(V) = {Vi ∈ Fgen : {V} ⪯ {Vi}}`, the set of security views that can
-//!    answer it (Section 6.1).
+//!    answer it (Section 6.1).  The bit-vector and cached labelers decide
+//!    each (atom, view) pair by one positional rule ([`answers`]); the
+//!    baseline and hash-partitioned ones run the rewriting check.
 //! 4. The resulting [`DisclosureLabel`] supports the fast `⊇`-based
 //!    comparisons used for policy enforcement in `fdc-policy`.
 //!
@@ -52,6 +54,7 @@
 #![warn(missing_docs)]
 
 pub mod algorithms;
+pub mod answers;
 pub mod dissect;
 pub mod error;
 pub mod label;

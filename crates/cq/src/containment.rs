@@ -50,19 +50,8 @@ pub fn equivalent(q1: &ConjunctiveQuery, q2: &ConjunctiveQuery) -> bool {
 }
 
 // ---------------------------------------------------------------------------
-// The same comparisons over the interned flat representation.
+// Information containment over the interned flat representation.
 // ---------------------------------------------------------------------------
-
-/// [`contained_in_same_space`] over interned [`QueryRef`]s (both from one
-/// interner, sharing a variable space).
-pub fn interned_contained_in_same_space(q1: QueryRef<'_>, q2: QueryRef<'_>) -> bool {
-    interned_homomorphism_exists(q2, q1, HeadPolicy::Identity)
-}
-
-/// [`equivalent_same_space`] over interned [`QueryRef`]s.
-pub fn interned_equivalent_same_space(q1: QueryRef<'_>, q2: QueryRef<'_>) -> bool {
-    interned_contained_in_same_space(q1, q2) && interned_contained_in_same_space(q2, q1)
-}
 
 /// [`contained_in`] (information containment up to head permutation) over
 /// interned [`QueryRef`]s.

@@ -248,8 +248,7 @@ impl IAtom {
 /// index into, and `kinds` the per-variable tags (indexed by canonical
 /// variable index).  Interned queries borrow all three from the arena
 /// ([`QueryInterner::resolve`]); algorithms may also assemble temporary
-/// `QueryRef`s over local buffers (e.g. the expansion built by
-/// [`rewriting::interned_rewritable_from_single`](crate::rewriting::interned_rewritable_from_single)).
+/// `QueryRef`s over local buffers.
 #[derive(Debug, Clone, Copy)]
 pub struct QueryRef<'a> {
     /// The query's body atoms (spans into `terms`).

@@ -28,11 +28,13 @@
 //! when it is not rewritable from one of them — intersecting or joining
 //! lossy projections of the same relation cannot reconstruct information
 //! that none of them retains (this is the Figure 3 observation that
-//! `⇓{V2, V4}` sits strictly below `⇓{V1}`).  These two facts let the
-//! labeling layer treat [`rewritable_from_single`] as its only oracle.
+//! `⇓{V2, V4}` sits strictly below `⇓{V1}`).  These two facts make
+//! [`rewritable_from_single`] the whole single-atom order.  It is the
+//! reference the serving labelers' positional rule (`fdc_core::answers`) is
+//! checked against; the Figure 5 baseline and hash-partitioned labelers
+//! call it directly.
 
-use crate::containment::{equivalent_same_space, interned_equivalent_same_space};
-use crate::intern::{IAtom, ITerm, ITermView, QueryRef};
+use crate::containment::equivalent_same_space;
 use crate::query::{Body, ConjunctiveQuery, VarTable};
 use crate::term::{Term, VarId, VarKind};
 
@@ -157,95 +159,6 @@ fn single_view_expansion(
     ConjunctiveQuery::from_body(body, vars, false).ok()
 }
 
-/// [`rewritable_from_single`] over the interned flat representation.
-///
-/// `query` and `view` must resolve against the same
-/// [`QueryInterner`](crate::intern::QueryInterner) (constants are compared
-/// by interned id).  The candidate rewriting's expansion is assembled in two
-/// small local buffers and checked with the interned same-space equivalence
-/// — no boxed query is ever materialized, which is what makes this the
-/// fallback path of the interned labeler's per-atom `ℓ⁺` step.
-pub fn interned_rewritable_from_single(query: QueryRef<'_>, view: QueryRef<'_>) -> bool {
-    if !query.is_single_atom() || !view.is_single_atom() {
-        return false;
-    }
-    let q_atom = query.atoms[0];
-    let v_atom = view.atoms[0];
-    if q_atom.relation != v_atom.relation || q_atom.term_len != v_atom.term_len {
-        return false;
-    }
-    let q_terms = query.atom_terms(0);
-    let v_terms = view.atom_terms(0);
-
-    // Step 1: positional assignment θ from the view's distinguished
-    // variables to query terms; fail fast on irreproducible positions.
-    let mut theta: Vec<Option<ITerm>> = vec![None; view.num_vars()];
-    for (v_term, q_term) in v_terms.iter().zip(q_terms.iter()) {
-        match v_term.get() {
-            ITermView::Var(v, VarKind::Distinguished) => match theta[v as usize] {
-                Some(existing) if existing != *q_term => return false,
-                Some(_) => {}
-                None => theta[v as usize] = Some(*q_term),
-            },
-            ITermView::Var(_, VarKind::Existential) => {}
-            ITermView::Const(_) => {
-                if q_term != v_term {
-                    return false;
-                }
-            }
-        }
-    }
-
-    // Step 2: every distinguished variable of the query must be exposed by
-    // the view at some position.
-    for (q_var, kind) in query.kinds.iter().enumerate() {
-        if !kind.is_distinguished() {
-            continue;
-        }
-        let exposed = v_terms.iter().zip(q_terms.iter()).any(|(v_term, q_term)| {
-            v_term.is_distinguished() && q_term.var_index() == Some(q_var as u32)
-        });
-        if !exposed {
-            return false;
-        }
-    }
-
-    // Step 3: the expansion of the one-use candidate, in the query's
-    // variable space extended with fresh existential variables for the
-    // positions the view projects away.
-    let mut kinds: Vec<VarKind> = query.kinds.to_vec();
-    let mut fresh_for_view_var: Vec<Option<u32>> = vec![None; view.num_vars()];
-    let mut terms: Vec<ITerm> = Vec::with_capacity(v_terms.len());
-    for v_term in v_terms {
-        match v_term.get() {
-            ITermView::Var(v, VarKind::Distinguished) => {
-                let bound =
-                    theta[v as usize].expect("distinguished view variables occur in the view body");
-                terms.push(bound);
-            }
-            ITermView::Var(v, VarKind::Existential) => {
-                let fresh = *fresh_for_view_var[v as usize].get_or_insert_with(|| {
-                    kinds.push(VarKind::Existential);
-                    (kinds.len() - 1) as u32
-                });
-                terms.push(ITerm::var(fresh, VarKind::Existential));
-            }
-            ITermView::Const(_) => terms.push(*v_term),
-        }
-    }
-    let expansion_atom = IAtom {
-        relation: q_atom.relation,
-        term_start: 0,
-        term_len: terms.len() as u32,
-    };
-    let expansion = QueryRef {
-        atoms: std::slice::from_ref(&expansion_atom),
-        terms: &terms,
-        kinds: &kinds,
-    };
-    interned_equivalent_same_space(expansion, query)
-}
-
 /// Can the single-atom query be rewritten using *some* view in `views`?
 ///
 /// See the module documentation for why, for single-atom queries and
@@ -351,10 +264,10 @@ mod tests {
         let c = catalog();
         let v13 = q(&c, "V13() :- Meetings(9, 'Jim')");
         let v14 = q(&c, "V14() :- Meetings(x, y)");
-        // Knowing whether a specific tuple is present does not tell you
-        // whether the relation is nonempty ... wait, it does in one
-        // direction? No: V13 true implies V14 true, but equivalence requires
-        // both directions, so neither is an equivalent rewriting of the other.
+        // V13 true implies V14 true, but that is containment in one
+        // direction only: whether one tuple is present does not determine
+        // whether the relation is nonempty, nor the other way round.  So
+        // neither is an equivalent rewriting of the other.
         assert!(!rewritable_from_single(&v14, &v13));
         assert!(!rewritable_from_single(&v13, &v14));
     }
@@ -467,44 +380,6 @@ mod tests {
         let v1 = q(&c, "V1(x, y) :- Meetings(x, y)");
         assert!(!rewritable_from_single(&multi, &v1));
         assert!(!rewritable_from_single(&v1, &multi));
-    }
-
-    #[test]
-    fn interned_rewriting_check_agrees_with_the_boxed_one() {
-        use crate::intern::QueryInterner;
-        let c = catalog();
-        // Every single-atom shape from the tests above, queries and views
-        // alike — the check is symmetric in representation, so compare all
-        // ordered pairs.
-        let texts = [
-            "V1(x, y) :- Meetings(x, y)",
-            "V2(x) :- Meetings(x, y)",
-            "V4(y) :- Meetings(x, y)",
-            "V5() :- Meetings(x, y)",
-            "Q1(x) :- Meetings(x, 'Cathy')",
-            "Vc(x) :- Meetings(x, 'Cathy')",
-            "Q(x) :- Meetings(x, 'Bob')",
-            "V13() :- Meetings(9, 'Jim')",
-            "V15() :- Meetings(z, z)",
-            "Vd(x) :- Meetings(x, x)",
-            "V3(x, y, z) :- Contacts(x, y, z)",
-            "V6(x, y) :- Contacts(x, y, z)",
-            "V7(x, z) :- Contacts(x, y, z)",
-            "V9(x) :- Contacts(x, y, z)",
-            "V12() :- Contacts(x, y, z)",
-        ];
-        let mut interner = QueryInterner::new();
-        let queries: Vec<_> = texts.iter().map(|t| q(&c, t)).collect();
-        let ids: Vec<_> = queries.iter().map(|query| interner.intern(query)).collect();
-        for (qa, ia) in queries.iter().zip(&ids) {
-            for (qb, ib) in queries.iter().zip(&ids) {
-                assert_eq!(
-                    rewritable_from_single(qa, qb),
-                    interned_rewritable_from_single(interner.resolve(*ia), interner.resolve(*ib)),
-                    "disagreement on {qa:?} vs {qb:?}"
-                );
-            }
-        }
     }
 
     #[test]

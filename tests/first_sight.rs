@@ -2,33 +2,37 @@
 //! refreshes after it intern nothing but the shape itself.
 //!
 //! `CachedLabeler` computes each core atom's `ℓ⁺` mask straight from the
-//! interned query: the needed-position mask is read off the atom where it
-//! lies, and a part is assembled only for a view no bit test decides.  The
-//! entry keeps, per part, the needed-position mask a later refresh decides
-//! new views with.  Pinned here:
+//! interned query, by the positional rule of `fdc_core::answers`: the
+//! part's shape (needed positions, simple or not) is read off the atom where
+//! it lies, and its terms only for a view no mask test decides.  The entry
+//! keeps, per part, the shape a later refresh decides new views with.
+//! Pinned here:
 //!
 //! * **first sight equals the boxed reference** — for every part, the
-//!   relation, the `ℓ⁺` mask and the needed-position mask equal those of the
-//!   boxed `dissect` followed by `BitVectorLabeler::atom_mask` and the
-//!   needed positions of the boxed part: on generated small-schema queries
-//!   (repeated variables, constants, single atoms), on a 65-variable `User`
-//!   join, and against registries that grow selection and diagonal views
-//!   online, so parts are assembled for the rewriting check;
+//!   relation, the `ℓ⁺` mask and the shape equal those of the boxed
+//!   `dissect` followed by the rewriting check `rewritable_from_single`
+//!   against every registered view (what `BaselineLabeler` runs, sharing no
+//!   code with the rule) and the shape read off the boxed part here: on
+//!   generated small-schema queries (repeated variables, constants, single
+//!   atoms), on a 65-variable `User` join, and against registries that grow
+//!   selection and diagonal views online, so pairs are decided on terms;
 //! * **the arena holds submitted shapes and view definitions only** —
 //!   labeling N distinct Section 7.2 stress shapes grows the interner by
 //!   exactly N, and an online view registration plus a refresh of every
 //!   entry grows it by the view's definition alone;
-//! * **the general path refreshes correctly** — parts no bit test decides
-//!   (a repeated variable, `Meetings(x, x)`) and views no bit test decides
-//!   (a constant, added online) are re-assembled from the recorded fold for
-//!   the rewriting check, and every label equals a fresh
-//!   `BitVectorLabeler`'s.
+//! * **refreshes that read terms are correct** — parts that are not simple
+//!   (a repeated variable, `Meetings(x, x)`) meet views that are not
+//!   projection-style (a constant, a diagonal, added online), so the refresh
+//!   reads the part's core atom off the recorded fold, and every label
+//!   equals a fresh `BaselineLabeler`'s.
 
 use std::collections::HashSet;
 
+use fdc::core::answers::Shape;
 use fdc::core::dissect::dissect;
-use fdc::core::{BitVectorLabeler, CachedLabeler, QueryLabeler, SecurityViews, ViewMask};
+use fdc::core::{BaselineLabeler, CachedLabeler, QueryLabeler, SecurityViews, ViewMask};
 use fdc::cq::parser::parse_query;
+use fdc::cq::rewriting::rewritable_from_single;
 use fdc::cq::{Atom, Catalog, ConjunctiveQuery, RelId, Term, VarId, VarKind};
 use fdc::ecosystem::views::projection_view;
 use fdc::ecosystem::{Ecosystem, WorkloadConfig};
@@ -38,38 +42,43 @@ use proptest::prelude::*;
 mod user_join;
 use user_join::user_join;
 
-/// One part as first sight reports it: relation, `ℓ⁺` mask, needed
-/// positions (`None` for the rewriting check).
-type Part = (RelId, ViewMask, Option<u64>);
+/// One part as first sight reports it: relation, `ℓ⁺` mask, shape.
+type Part = (RelId, ViewMask, Shape);
 
-/// The positions of a boxed single-atom part a projection-style view must
-/// expose: its constants and distinguished variables; `None` if no bit test
-/// decides the part (a repeated variable, more than 64 positions).
-fn reference_needs(part: &ConjunctiveQuery) -> Option<u64> {
-    let atom = part.atom(0);
-    if atom.arity() > 64 || atom.has_repeated_vars() {
-        return None;
+/// The shape of a boxed single-atom part: the positions a projection-style
+/// view must expose — its constants, its distinguished variables and its
+/// repeated variables — and whether it has neither a constant nor a
+/// repeated variable.
+fn reference_shape(part: &ConjunctiveQuery) -> Shape {
+    let terms = part.atom(0).terms;
+    if terms.len() > 64 {
+        return Shape::WIDE;
     }
-    Some(
-        atom.terms
+    let repeated = |term: &Term| term.is_var() && terms.iter().filter(|t| *t == term).count() > 1;
+    Shape {
+        needs: terms
             .iter()
             .enumerate()
-            .filter(|(_, term)| term.is_const() || term.is_distinguished())
+            .filter(|(_, term)| term.is_const() || term.is_distinguished() || repeated(term))
             .fold(0, |needed, (i, _)| needed | 1 << i),
-    )
+        simple: !terms.iter().any(|term| term.is_const() || repeated(term)),
+    }
 }
 
-/// The boxed reference: `Dissect`, then each part's mask and needed
-/// positions over a fresh bit-vector labeler of the same registry.
-fn reference_parts(reference: &BitVectorLabeler, query: &ConjunctiveQuery) -> Vec<Part> {
+/// The boxed reference: `Dissect`, then each part's mask by the rewriting
+/// check against every registered view of its relation, and its shape.
+fn reference_parts(views: &SecurityViews, query: &ConjunctiveQuery) -> Vec<Part> {
     dissect(query)
         .iter()
         .map(|part| {
-            (
-                part.atom(0).relation,
-                reference.atom_mask(part),
-                reference_needs(part),
-            )
+            let relation = part.atom(0).relation;
+            let mask = views
+                .iter()
+                .filter(|(_, view)| {
+                    view.relation == relation && rewritable_from_single(part, &view.query)
+                })
+                .fold(0, |mask, (_, view)| mask | 1 << view.bit);
+            (relation, mask, reference_shape(part))
         })
         .collect()
 }
@@ -77,11 +86,10 @@ fn reference_parts(reference: &BitVectorLabeler, query: &ConjunctiveQuery) -> Ve
 /// Asserts that the first sight of `query` in `cached` computes the
 /// reference's parts.
 fn assert_first_sight_agrees(cached: &CachedLabeler, query: &ConjunctiveQuery) {
-    let reference = BitVectorLabeler::new(cached.security_views().clone());
     let id = cached.intern(query);
     assert_eq!(
         cached.first_sight_parts(id),
-        reference_parts(&reference, query),
+        reference_parts(cached.security_views(), query),
         "first sight differs on {query:?}"
     );
 }
@@ -151,7 +159,7 @@ fn query_strategy() -> impl Strategy<Value = ConjunctiveQuery> {
     })
 }
 
-/// The paper's registry plus selection and diagonal views, which no bit
+/// The paper's registry plus selection and diagonal views, which no mask
 /// test decides.
 fn tricky_registry() -> SecurityViews {
     let mut registry = SecurityViews::paper_example();
@@ -186,9 +194,9 @@ fn first_sight_of_a_65_variable_join_equals_the_boxed_reference() {
     for fresh in [10, 30, 31] {
         assert_first_sight_agrees(&cached, &user_join(fresh));
     }
-    // A selection and a diagonal view over `User`, added online: every
-    // part of the join now takes the rewriting check against them, on the
-    // part assembled for it.
+    // A selection and a diagonal view over `User`, added online: neither is
+    // projection-style, and no part of the join is simple, so every part is
+    // decided against them on its terms.
     let view = |third: Term| {
         let mut terms = vec![Term::dist(0), Term::exist(1), third];
         terms.extend((2..33).map(Term::exist));
@@ -206,7 +214,7 @@ fn first_sight_of_a_65_variable_join_equals_the_boxed_reference() {
     for fresh in [10, 30, 31] {
         let query = user_join(fresh);
         assert_first_sight_agrees(&cached, &query);
-        let fresh_labeler = BitVectorLabeler::new(cached.security_views().clone());
+        let fresh_labeler = BaselineLabeler::new(cached.security_views().clone());
         assert_eq!(
             cached.label_query(&query),
             fresh_labeler.label_query(&query)
@@ -279,7 +287,7 @@ fn cold_labeling_grows_the_arena_by_the_shapes_alone() {
     let grown = arena(&labeler);
     labeler.add_view("friend_anchors", view).unwrap();
     assert_eq!(arena(&labeler), grown + usize::from(definition_is_new));
-    let fresh = BitVectorLabeler::new(labeler.security_views().clone());
+    let fresh = BaselineLabeler::new(labeler.security_views().clone());
     let refreshed = labeler.stats();
     for query in &queries {
         assert_eq!(labeler.label_query(query), fresh.label_query(query));
@@ -307,12 +315,12 @@ fn general_path_refreshes_equal_a_fresh_labeler() {
     let queries: Vec<ConjunctiveQuery> = [
         "Q() :- Meetings(x, x)",
         "Q(x) :- Meetings(x, x)",
-        // The general part is the second one of its core.
+        // The part that is not simple is the second one of its core.
         "Q(x) :- Contacts(x, w, 'Intern'), Meetings(x, x)",
         "Q(x) :- Meetings(x, y), Meetings(y, y)",
         "Q(x) :- Meetings(x, 'Cathy'), Contacts(x, w, p)",
         "Q(x, y) :- Meetings(x, y)",
-        // General parts whose assembly promotes a join variable: the
+        // Parts that are not simple beside a promoted join variable: the
         // repeated `z` beside the promoted `y`, and a diagonal that is the
         // middle part of three.
         "Q(x) :- Meetings(x, y), Contacts(y, z, z)",
@@ -343,13 +351,13 @@ fn general_path_refreshes_equal_a_fresh_labeler() {
             }
             Step::Bump(relation) => cached.invalidate_relation(c.resolve(relation).unwrap()),
         }
-        let fresh = BitVectorLabeler::new(cached.security_views().clone());
+        let fresh = BaselineLabeler::new(cached.security_views().clone());
         let before = cached.stats();
         for (query, &id) in queries.iter().zip(&ids) {
             assert_eq!(cached.label_interned(id), fresh.label_query(query));
             assert_eq!(
                 cached.first_sight_parts(id),
-                reference_parts(&fresh, query),
+                reference_parts(cached.security_views(), query),
                 "{query:?}"
             );
         }

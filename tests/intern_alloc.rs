@@ -15,12 +15,11 @@
 //! The first sight of a shape is pinned the same way, once its fold is on
 //! record:
 //!
-//! * reading every part's needed-position mask off the interned query
+//! * reading every part's shape off the interned query
 //!   (`InternedDissection`) allocates **nothing** up to 64 variables and
-//!   **1** block past that (the join-variable set), however many atoms the
-//!   shape has;
-//! * assembling a part for the rewriting check allocates its **2** buffers;
-//! * a first sight whose parts bit tests decide allocates **exactly its
+//!   **1** block past that (the join-variable set and two scratch sets),
+//!   however many atoms the shape has;
+//! * a first sight whose parts mask tests decide allocates **exactly its
 //!   entry** — one block, its part slice (the label is read off the parts)
 //!   — plus that one block past 64 variables.
 //!
@@ -114,8 +113,8 @@ fn one_variable_past_the_capacity_costs_at_most_the_fallback_allocation() {
     assert!(intern <= 1, "intern allocated {intern} times");
 }
 
-/// What reading every part's needed-position mask of a shape whose fold
-/// is on record allocates, with the number of parts.
+/// What reading every part's shape of a shape whose fold is on record
+/// allocates, with the number of parts.
 fn part_mask_allocations(query: &ConjunctiveQuery) -> (usize, u64) {
     let mut interner = QueryInterner::new();
     let id = interner.intern(query);
@@ -126,7 +125,7 @@ fn part_mask_allocations(query: &ConjunctiveQuery) -> (usize, u64) {
         let mut dissection = InternedDissection::new(black_box(interner.resolve(id)), core);
         parts = dissection.len();
         for k in 0..parts {
-            black_box(dissection.needs(k));
+            black_box(dissection.shape(k));
         }
     });
     (parts, count)
@@ -139,17 +138,6 @@ fn dissecting_a_65_variable_shape_again_allocates_only_its_scratch() {
     // The join-variable set spills past 64 variables: one block.
     assert_eq!(part_mask_allocations(&query), (2, 1));
     assert_eq!(part_mask_allocations(&user_join(30)), (2, 0));
-
-    // Assembling a part for the rewriting check fills its two buffers.
-    let mut interner = QueryInterner::new();
-    let id = interner.intern(&query);
-    let core = interner.core_atom_indices(id).to_vec();
-    let mut dissection = InternedDissection::new(interner.resolve(id), &core);
-    let count = allocations(|| {
-        black_box(dissection.part(1));
-        black_box(dissection.part(1));
-    });
-    assert_eq!(count, 2);
 }
 
 #[test]
