@@ -16,6 +16,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Through
 use fdc_bench::labeling_workload;
 use fdc_core::dissect::{dissect, InternedDissection};
 use fdc_core::QueryLabeler;
+use fdc_cq::folding::fold_interned_indices;
 use fdc_cq::intern::QueryInterner;
 use fdc_cq::{Atom, AtomRef, ConjunctiveQuery};
 use std::hint::black_box;
@@ -74,9 +75,9 @@ fn ablation(c: &mut Criterion) {
                     let mut interner = QueryInterner::new();
                     for q in queries {
                         let id = interner.intern(q);
-                        interner.core_atom_indices(id);
-                        let core = interner.cached_core(id).expect("recorded above");
-                        let mut dissection = InternedDissection::new(interner.resolve(id), core);
+                        let core = fold_interned_indices(interner.resolve(id));
+                        interner.record_core(id, &core);
+                        let mut dissection = InternedDissection::new(interner.resolve(id), &core);
                         for k in 0..dissection.len() {
                             black_box(dissection.shape(k));
                         }

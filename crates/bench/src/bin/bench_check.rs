@@ -19,10 +19,8 @@
 //! Floors (committed mode):
 //!
 //! * fig5 — `min_speedup_interned_vs_cached` ≥ 1.5, and the high-atoms
-//!   structural block: `min_speedup_structural_vs_generic` ≥ 1.3 (join-tree
-//!   semi-join containment vs generic backtracking, worst sweep point) with
-//!   the kernel's `acyclic_queries` / `structural_checks` /
-//!   `backtrack_fallbacks` call counters all non-zero;
+//!   block's cold-labeling series `interned_cold` present and positive at
+//!   max_atoms 20 and 28;
 //! * fig6 — `interned` and `interned_packed` present at every sweep point
 //!   (`seed_store` present or `null`) and the packed headline
 //!   `min_speedup_interned_packed_vs_seed` ≥ 1.5;
@@ -318,11 +316,9 @@ fn check_fig5(path: &str, smoke: bool) -> Result<(), String> {
     check_fig5_high_atoms(&doc, path, smoke)
 }
 
-/// The high-atoms structural block of fig5: the sweep extends past the
-/// regular axis (max_atoms 20, plus 28 in committed runs), every series is
-/// present and positive, the kernel's call counters show it ran both the
-/// semi-join and the backtracking containment, and the semi-join
-/// containment headline clears its floor (1.3x committed, parity smoke).
+/// The high-atoms block of fig5: the sweep extends past the regular axis
+/// (max_atoms 20, plus 28 in committed runs) and its cold-labeling series
+/// is present and positive at every point.
 fn check_fig5_high_atoms(doc: &Json, path: &str, smoke: bool) -> Result<(), String> {
     let high = doc
         .get("high_atoms")
@@ -339,50 +335,17 @@ fn check_fig5_high_atoms(doc: &Json, path: &str, smoke: bool) -> Result<(), Stri
             .ok_or_else(|| {
                 format!("`{path}`: no `high_atoms` sweep point at max_atoms {expected}")
             })?;
-        for series in [
-            "interned_structural",
-            "containment_structural",
-            "containment_generic",
-        ] {
-            let value = point.get(series).and_then(Json::as_number).ok_or_else(|| {
-                format!("`{path}`: series `{series}` missing at max_atoms {expected}")
-            })?;
-            if value <= 0.0 {
-                return Err(format!(
-                    "`{path}`: non-positive throughput in `{series}` at max_atoms {expected}"
-                ));
-            }
-        }
-    }
-    // The call counters prove the kernel ran both searches: `gyo_reduce`
-    // accepted acyclic pool queries, the semi-join answered checks, and
-    // backtracking answered at least one containment (the cyclic one among
-    // them).
-    let counters = doc
-        .get("counters")
-        .ok_or_else(|| format!("`{path}`: missing `counters` block"))?;
-    for counter in [
-        "acyclic_queries",
-        "structural_checks",
-        "backtrack_fallbacks",
-    ] {
-        let value = counters
-            .get(counter)
+        let value = point
+            .get("interned_cold")
             .and_then(Json::as_number)
-            .ok_or_else(|| format!("`{path}`: missing counter `{counter}`"))?;
-        if value < 1.0 {
+            .ok_or_else(|| {
+                format!("`{path}`: series `interned_cold` missing at max_atoms {expected}")
+            })?;
+        if value <= 0.0 {
             return Err(format!(
-                "`{path}`: counter `{counter}` = {value} — the kernel never ran that search"
+                "`{path}`: non-positive throughput in `interned_cold` at max_atoms {expected}"
             ));
         }
-    }
-    let speedup = number(doc, path, "min_speedup_structural_vs_generic")?;
-    let floor = if smoke { 1.0 } else { 1.3 };
-    if speedup < floor {
-        return Err(format!(
-            "`{path}`: series `containment_structural` below its floor — \
-             min_speedup_structural_vs_generic = {speedup:.2} < {floor}"
-        ));
     }
     Ok(())
 }
@@ -757,28 +720,18 @@ mod tests {
         let dir = std::env::temp_dir().join("fdc_bench_check_fig5_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("fig5.json");
-        // The 20-atom point is what `fig5_json` writes; the 28-atom one
-        // still carries the committed file's retired `interned_generic`
-        // series, which is an extra key and not an error.
-        let render = |structural_speedup: f64, fallbacks: u64, axis_28: bool| {
+        let render = |interned_speedup: f64, cold_20: f64, axis_28: bool| {
             let point_28 = if axis_28 {
-                r#", {"max_atoms": 28, "interned_structural": 40000.0,
-                     "interned_generic": 39000.0, "containment_structural": 40000.0,
-                     "containment_generic": 2000.0}"#
+                r#", {"max_atoms": 28, "interned_cold": 40000.0}"#
             } else {
                 ""
             };
             format!(
                 r#"{{
-  "min_speedup_interned_vs_cached": 9.0,
-  "min_speedup_structural_vs_generic": {structural_speedup},
-  "counters": {{"acyclic_queries": 77, "structural_checks": 9600,
-                "backtrack_fallbacks": {fallbacks}}},
+  "min_speedup_interned_vs_cached": {interned_speedup},
   "high_atoms": {{
-    "containment_pairs_k": 40,
     "sweep": [
-      {{"max_atoms": 20, "interned_structural": 84000.0,
-        "containment_structural": 92000.0, "containment_generic": 64000.0}}{point_28}
+      {{"max_atoms": 20, "interned_cold": {cold_20}}}{point_28}
     ]
   }},
   "sweep": [
@@ -788,29 +741,28 @@ mod tests {
 }}"#
             )
         };
-        std::fs::write(&path, render(1.43, 1, true)).unwrap();
+        std::fs::write(&path, render(4.0, 84000.0, true)).unwrap();
         assert!(check_fig5(path.to_str().unwrap(), false).is_ok());
         // Below the committed floor, above the smoke floor.
-        std::fs::write(&path, render(1.1, 1, true)).unwrap();
+        std::fs::write(&path, render(1.2, 84000.0, true)).unwrap();
         let err = check_fig5(path.to_str().unwrap(), false).unwrap_err();
-        assert!(err.contains("`containment_structural`"), "{err}");
-        assert!(err.contains("1.3"), "{err}");
+        assert!(err.contains("`interned`"), "{err}");
+        assert!(err.contains("1.5"), "{err}");
         assert!(check_fig5(path.to_str().unwrap(), true).is_ok());
         // The committed sweep must reach max_atoms 28; smoke stops at 20.
-        std::fs::write(&path, render(1.43, 1, false)).unwrap();
+        std::fs::write(&path, render(4.0, 84000.0, false)).unwrap();
         let err = check_fig5(path.to_str().unwrap(), false).unwrap_err();
         assert!(err.contains("max_atoms 28"), "{err}");
         assert!(check_fig5(path.to_str().unwrap(), true).is_ok());
-        // A kernel that never ran the backtracking containment leaves a
-        // dead counter — the run did not exercise both searches.
-        std::fs::write(&path, render(1.43, 0, true)).unwrap();
-        let err = check_fig5(path.to_str().unwrap(), false).unwrap_err();
-        assert!(err.contains("`backtrack_fallbacks`"), "{err}");
+        // A cold series that measured nothing names itself.
+        std::fs::write(&path, render(4.0, 0.0, true)).unwrap();
+        let err = check_fig5(path.to_str().unwrap(), true).unwrap_err();
+        assert!(err.contains("`interned_cold` at max_atoms 20"), "{err}");
         // A missing series names itself, even in smoke mode.
-        let stripped = render(1.43, 1, true).replace(r#", "containment_generic": 64000.0"#, "");
+        let stripped = render(4.0, 84000.0, true).replace(r#", "interned_cold": 84000"#, "");
         std::fs::write(&path, stripped).unwrap();
         let err = check_fig5(path.to_str().unwrap(), true).unwrap_err();
-        assert!(err.contains("`containment_generic`"), "{err}");
+        assert!(err.contains("`interned_cold` missing"), "{err}");
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! canonical hashing, no label clone) — on the Figure 5 workload at
 //! `BATCH_SIZE` queries per batch, for each of the paper's max-atoms
 //! settings, and writes the queries/second trajectory to `BENCH_fig5.json`
-//! (or the path given as the first argument).
+//! (or the path given as the first argument).  A `high_atoms` block adds
+//! cold labeling (`interned_cold`: an empty cache, every shape first seen)
+//! at 20 and 28 atoms, past the paper's axis.
 //!
 //! ```text
 //! cargo run --release -p fdc-bench --bin fig5_json            # full run
@@ -20,10 +22,6 @@ use std::time::Instant;
 
 use fdc_bench::{labeling_workload, LabelingWorkload, BATCH_SIZE};
 use fdc_core::QueryLabeler;
-use fdc_cq::containment::interned_contained_in;
-use fdc_cq::homomorphism::HeadPolicy;
-use fdc_cq::structure::{gyo_reduce, semi_join_homomorphism_into, EarStep};
-use fdc_cq::{QueryId, QueryRef};
 
 /// One labeler's measurement at one max-atoms setting.
 struct Measurement {
@@ -37,15 +35,10 @@ struct SweepPoint {
     results: Vec<Measurement>,
 }
 
-/// The structural section at one high max-atoms setting: cold labeling
-/// throughput, and the containment microkernel (all ordered pairs over the
-/// first `pairs_k` shapes) through the join-tree semi-join vs. the
-/// backtracking search.
+/// Cold labeling throughput at one max-atoms setting past the paper's axis.
 struct HighAtomsPoint {
     max_atoms: usize,
-    interned_structural: f64,
-    containment_structural: f64,
-    containment_generic: f64,
+    interned_cold: f64,
 }
 
 fn main() {
@@ -102,110 +95,38 @@ fn main() {
         );
     }
 
-    // Structural section: the paper's sweep stops at 15 atoms, but the
-    // semi-join test is aimed exactly at the atom counts above that
-    // ceiling, so the high-atoms series extends the axis to 20 and 28.
-    let (high_sweep, high_repeats, pairs_k): (&[usize], usize, usize) = if smoke {
-        (&[20], 1, 24)
-    } else {
-        (&[20, 28], 3, 40)
-    };
-    println!("\nhigh atoms (semi-join vs backtracking): pairs_k={pairs_k} repeats={high_repeats}");
-    println!(
-        "{:>9} | {:>16} | {:>18} | {:>18}",
-        "max_atoms", "label_structural", "contain_structural", "contain_generic"
-    );
-    let mut high_points = Vec::new();
-    let mut calls = KernelCalls::default();
-    for &max_atoms in high_sweep {
-        let point = measure_high_point(max_atoms, high_repeats, pairs_k, &mut calls);
-        println!(
-            "{:>9} | {:>16.0} | {:>18.0} | {:>18.0}",
-            max_atoms,
-            point.interned_structural,
-            point.containment_structural,
-            point.containment_generic,
-        );
-        high_points.push(point);
-    }
-    let structural_speedup = high_points
+    // High-atoms section: the paper's sweep stops at 15 atoms; cold
+    // labeling (intern, fold, dissect, label from an empty cache) is also
+    // measured at 20 and 28 atoms, where the fold has the most to search.
+    let (high_sweep, high_repeats): (&[usize], usize) =
+        if smoke { (&[20], 1) } else { (&[20, 28], 3) };
+    println!("\nhigh atoms (cold labeling): repeats={high_repeats}");
+    println!("{:>9} | {:>13}", "max_atoms", "interned_cold");
+    let high_points: Vec<HighAtomsPoint> = high_sweep
         .iter()
-        .map(|p| {
-            if p.containment_generic > 0.0 {
-                p.containment_structural / p.containment_generic
-            } else {
-                f64::INFINITY
-            }
+        .map(|&max_atoms| {
+            let point = measure_high_point(max_atoms, high_repeats);
+            println!("{:>9} | {:>13.0}", max_atoms, point.interned_cold);
+            point
         })
-        .fold(f64::INFINITY, f64::min);
-    println!(
-        "containment via join-tree semi-joins vs generic backtracking: \
-         {structural_speedup:.1}x (worst point)"
-    );
-    // One deliberately cyclic shape: GYO gets stuck on the triangle, so
-    // only the backtracking search can answer for it.
-    exercise_cyclic_fallback(&mut calls);
-    println!(
-        "kernel calls: acyclic_queries={} structural_checks={} backtrack_fallbacks={}",
-        calls.acyclic_queries, calls.structural_checks, calls.backtrack_fallbacks
-    );
-    if smoke {
-        assert!(
-            structural_speedup >= 1.0,
-            "structural containment must not lose to generic backtracking \
-             (got {structural_speedup:.2}x)"
-        );
-    }
+        .collect();
 
-    let high = HighAtomsSection {
-        points: high_points,
-        pairs_k,
-        structural_speedup,
-        calls,
-    };
-    let json = render_json(&points, threads, smoke, speedup, interned_speedup, &high);
+    let json = render_json(
+        &points,
+        threads,
+        smoke,
+        speedup,
+        interned_speedup,
+        &high_points,
+    );
     std::fs::write(&out_path, json).expect("failed to write the benchmark JSON");
     println!("wrote {out_path}");
 }
 
-/// Everything the high-atoms structural section contributes to the JSON.
-struct HighAtomsSection {
-    points: Vec<HighAtomsPoint>,
-    pairs_k: usize,
-    structural_speedup: f64,
-    calls: KernelCalls,
-}
-
-/// What the high-atoms kernel ran, counted at its own call sites — the
-/// JSON's `counters` block.
-#[derive(Default)]
-struct KernelCalls {
-    /// Pool entries `gyo_reduce` accepted.
-    acyclic_queries: usize,
-    /// `semi_join_homomorphism_into` calls.
-    structural_checks: u64,
-    /// Backtracking containment calls (`interned_contained_in`), the
-    /// triangle's included.
-    backtrack_fallbacks: u64,
-}
-
-/// Measures one high max-atoms setting.
-///
-/// Cold labeling rebuilds the workload for every repeat so each timed run
-/// starts from an empty cache.  It runs no semi-join: labeling asks its
-/// homomorphism questions between single atoms and inside fold, so the
-/// `interned_structural` series is the cold pipeline at high atom counts.
-/// The containment kernel reduces each of `pairs_k` broom shapes once with
-/// `gyo_reduce` and times all ordered containment pairs — through the
-/// join-tree semi-join with that certificate and through the backtracking
-/// search of `interned_contained_in`.
-fn measure_high_point(
-    max_atoms: usize,
-    repeats: usize,
-    pairs_k: usize,
-    calls: &mut KernelCalls,
-) -> HighAtomsPoint {
-    let mut label_structural = f64::INFINITY;
+/// Measures cold labeling at one high max-atoms setting: the workload is
+/// rebuilt for every repeat so each timed run starts from an empty cache.
+fn measure_high_point(max_atoms: usize, repeats: usize) -> HighAtomsPoint {
+    let mut best = f64::INFINITY;
     for _ in 0..repeats.max(1) {
         let workload = labeling_workload(max_atoms, BATCH_SIZE);
         let start = Instant::now();
@@ -215,144 +136,12 @@ fn measure_high_point(
                 .cached
                 .label_queries_interned(&workload.interned),
         );
-        label_structural = label_structural.min(start.elapsed().as_secs_f64());
-    }
-
-    let (interner, ids) = tree_pattern_pool(pairs_k, max_atoms, 0x5713 + max_atoms as u64);
-    let refs: Vec<QueryRef<'_>> = ids.iter().map(|&id| interner.resolve(id)).collect();
-    let ears: Vec<Vec<EarStep>> = refs
-        .iter()
-        .map(|&q| gyo_reduce(q).expect("a broom is a tree"))
-        .collect();
-    calls.acyclic_queries += ears.len();
-    let pairs = refs.len() * refs.len();
-    let mut contain_structural = f64::INFINITY;
-    let mut contain_generic = f64::INFINITY;
-    for _ in 0..repeats.max(1) {
-        // `a ⊑ b` is a homomorphism from `b` into `a`.
-        let start = Instant::now();
-        for &a in &refs {
-            for (&b, b_ears) in refs.iter().zip(&ears) {
-                std::hint::black_box(semi_join_homomorphism_into(
-                    b,
-                    b_ears,
-                    a.atoms,
-                    a,
-                    HeadPolicy::DistinguishedToDistinguished,
-                ));
-            }
-        }
-        contain_structural = contain_structural.min(start.elapsed().as_secs_f64());
-
-        let start = Instant::now();
-        for &a in &refs {
-            for &b in &refs {
-                std::hint::black_box(interned_contained_in(a, b));
-            }
-        }
-        contain_generic = contain_generic.min(start.elapsed().as_secs_f64());
-        calls.structural_checks += pairs as u64;
-        calls.backtrack_fallbacks += pairs as u64;
+        best = best.min(start.elapsed().as_secs_f64());
     }
     HighAtomsPoint {
         max_atoms,
-        interned_structural: BATCH_SIZE as f64 / label_structural.max(f64::MIN_POSITIVE),
-        containment_structural: pairs as f64 / contain_structural.max(f64::MIN_POSITIVE),
-        containment_generic: pairs as f64 / contain_generic.max(f64::MIN_POSITIVE),
+        interned_cold: BATCH_SIZE as f64 / best.max(f64::MIN_POSITIVE),
     }
-}
-
-/// Builds the containment kernel's query pool: `count` deterministic
-/// **broom patterns** over a single ternary `Edge` relation — a
-/// distinguished root `v0` with `max_atoms / 3` independent depth-3 chains
-/// hanging off it, so every query has roughly `max_atoms` atoms and is a
-/// tree (hence acyclic).
-///
-/// Chain `c` is `Edge(v0, x_c, 'c0'), Edge(x_c, y_c, 'c<t2>'),
-/// Edge(y_c, z_c, 'c<t3>')` with `t2, t3` drawn from two constants, so
-/// each chain carries one of four *signatures* `(t2, t3)`.  A chain of the
-/// source query embeds exactly into the target chains that share its
-/// signature, and the mismatch is only discovered one or two hops below
-/// the root.  That is the regime the semi-join fast path exists for: when
-/// a late chain's signature is missing from the target, chronological
-/// backtracking re-enumerates every placement of the earlier chains
-/// (a product of their per-chain candidate counts) before concluding
-/// failure, while the join-tree pass retains each ear once and stays
-/// linear in the candidate lists.  (The stress workload's queries spread
-/// their atoms over many relations, so random containment pairs there
-/// fail on the first unmatched relation and measure nothing but call
-/// overhead.)
-fn tree_pattern_pool(
-    count: usize,
-    max_atoms: usize,
-    seed: u64,
-) -> (fdc_cq::QueryInterner, Vec<QueryId>) {
-    use std::fmt::Write as _;
-    let mut catalog = fdc_cq::Catalog::new();
-    catalog
-        .add_relation("Edge", &["src", "dst", "tag"])
-        .expect("fresh catalog accepts the relation");
-    // Splitmix-style LCG: deterministic across runs and hosts.
-    let mut state = seed;
-    let mut next = move |bound: usize| {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        ((state >> 33) as usize) % bound.max(1)
-    };
-    let mut interner = fdc_cq::QueryInterner::new();
-    let mut ids = Vec::with_capacity(count);
-    let chains = (max_atoms / 3).max(1);
-    for _ in 0..count {
-        let mut text = String::from("Q(v0) :- ");
-        for c in 0..chains {
-            if c > 0 {
-                text.push_str(", ");
-            }
-            // Skew the leaf tag: 'c1' leaves are rare, so a source chain
-            // ending in 'c1' frequently has no matching target chain (a
-            // failing pair), while the common 'c0'-leaf chains keep every
-            // preceding chain's placement count high — exactly the
-            // re-enumeration the backtracking search pays for and the
-            // join-tree pass avoids.  Few chains shrink that placement
-            // product, so below eight chains the mid tag is pinned too
-            // (every chain placement stays live until the leaf); with
-            // eight or more chains the product explodes on its own, so
-            // both tags go uniform there to keep the generic series'
-            // runtime bounded.
-            let (t2, t3) = if chains < 8 {
-                (0, usize::from(next(8) == 0))
-            } else {
-                (next(2), next(2))
-            };
-            write!(
-                text,
-                "Edge(v0, x{c}, 'c0'), Edge(x{c}, y{c}, 'c{t2}'), Edge(y{c}, z{c}, 'c{t3}')"
-            )
-            .expect("string write");
-        }
-        let query = fdc_cq::parser::parse_query(&catalog, &text).expect("generated broom parses");
-        ids.push(interner.intern(&query));
-    }
-    (interner, ids)
-}
-
-/// Runs one containment over a deliberately cyclic shape (the triangle):
-/// GYO reduction finds no ear, so only the backtracking search answers.
-fn exercise_cyclic_fallback(calls: &mut KernelCalls) {
-    let mut catalog = fdc_cq::Catalog::new();
-    catalog
-        .add_relation("Edge", &["src", "dst"])
-        .expect("fresh catalog accepts the relation");
-    let triangle =
-        fdc_cq::parser::parse_query(&catalog, "Q() :- Edge(x, y), Edge(y, z), Edge(z, x)")
-            .expect("the triangle parses");
-    let mut interner = fdc_cq::QueryInterner::new();
-    let id = interner.intern(&triangle);
-    let triangle = interner.resolve(id);
-    assert!(gyo_reduce(triangle).is_none(), "the triangle is cyclic");
-    std::hint::black_box(interned_contained_in(triangle, triangle));
-    calls.backtrack_fallbacks += 1;
 }
 
 /// Measures every labeler on one workload; order matches the table header.
@@ -444,7 +233,7 @@ fn render_json(
     smoke: bool,
     speedup: f64,
     interned_speedup: f64,
-    high: &HighAtomsSection,
+    high_points: &[HighAtomsPoint],
 ) -> String {
     let mut out = String::new();
     out.push_str("{\n");
@@ -459,47 +248,15 @@ fn render_json(
     out.push_str(&format!(
         "  \"min_speedup_interned_vs_cached\": {interned_speedup:.2},\n"
     ));
-    out.push_str(&format!(
-        "  \"min_speedup_structural_vs_generic\": {:.2},\n",
-        high.structural_speedup
-    ));
-    out.push_str("  \"counters\": {\n");
-    out.push_str(&format!(
-        "    \"acyclic_queries\": {},\n",
-        high.calls.acyclic_queries
-    ));
-    out.push_str(&format!(
-        "    \"structural_checks\": {},\n",
-        high.calls.structural_checks
-    ));
-    out.push_str(&format!(
-        "    \"backtrack_fallbacks\": {}\n",
-        high.calls.backtrack_fallbacks
-    ));
-    out.push_str("  },\n");
     out.push_str("  \"high_atoms\": {\n");
-    out.push_str(&format!("    \"containment_pairs_k\": {},\n", high.pairs_k));
     out.push_str("    \"sweep\": [\n");
-    for (i, p) in high.points.iter().enumerate() {
-        out.push_str("      {\n");
-        out.push_str(&format!("        \"max_atoms\": {},\n", p.max_atoms));
+    for (i, p) in high_points.iter().enumerate() {
         out.push_str(&format!(
-            "        \"interned_structural\": {:.1},\n",
-            p.interned_structural
+            "      {{ \"max_atoms\": {}, \"interned_cold\": {:.1} }}{}\n",
+            p.max_atoms,
+            p.interned_cold,
+            if i + 1 == high_points.len() { "" } else { "," }
         ));
-        out.push_str(&format!(
-            "        \"containment_structural\": {:.1},\n",
-            p.containment_structural
-        ));
-        out.push_str(&format!(
-            "        \"containment_generic\": {:.1}\n",
-            p.containment_generic
-        ));
-        out.push_str(if i + 1 == high.points.len() {
-            "      }\n"
-        } else {
-            "      },\n"
-        });
     }
     out.push_str("    ]\n");
     out.push_str("  },\n");

@@ -263,6 +263,7 @@ fn part_shape<S: BitSet + ?Sized>(terms: &[ITerm], joins: &S, met: &mut S, twice
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fdc_cq::folding::fold_interned_indices;
     use fdc_cq::intern::QueryInterner;
     use fdc_cq::{parser::parse_query, Catalog};
 
@@ -410,7 +411,7 @@ mod tests {
                 .map(|part| (part.atom(0).relation, Shape::of(part.atom(0))))
                 .collect();
             let id = interner.intern(&query);
-            let core = interner.core_atom_indices(id).to_vec();
+            let core = fold_interned_indices(interner.resolve(id));
             let mut dissection = InternedDissection::new(interner.resolve(id), &core);
             let interned: Vec<_> = (0..dissection.len())
                 .map(|k| (dissection.relation(k), dissection.shape(k)))

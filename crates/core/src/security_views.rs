@@ -693,4 +693,26 @@ mod tests {
         let err = views.add("overflow", q).unwrap_err();
         assert!(matches!(err, LabelError::TooManyViewsForRelation { .. }));
     }
+
+    #[test]
+    fn a_decoded_view_outside_the_catalog_is_refused() {
+        use fdc_durability::codec::{put_len, put_str, CodecError, Cursor};
+        // A registry image over the paper's two relations whose one view
+        // reads relation id 2: an error at the view, not a panic.
+        let mut wide = Catalog::paper_example();
+        wide.add_relation("Ghost", &["a"]).unwrap();
+        let mut image = Vec::new();
+        fdc_cq::wire::encode_catalog(&Catalog::paper_example(), &mut image);
+        put_len(&mut image, 1);
+        let at = image.len();
+        put_str(&mut image, "V");
+        fdc_cq::wire::encode_query(&parse_query(&wide, "V(a) :- Ghost(a)").unwrap(), &mut image);
+        put_len(&mut image, 0);
+        let err = SecurityViews::decode_from(&mut Cursor::new(&image)).unwrap_err();
+        assert!(
+            matches!(&err, CodecError::Invalid { offset, what }
+                if *offset == at && what.contains("not defined in the catalog")),
+            "{err}"
+        );
+    }
 }

@@ -96,8 +96,12 @@ impl<'a> AtomRef<'a> {
         false
     }
 
-    /// Checks that the atom's arity matches the catalog.
+    /// Checks that the atom's relation is in the catalog and its arity
+    /// matches the relation's.
     pub fn validate(self, catalog: &Catalog) -> Result<()> {
+        if self.relation.index() >= catalog.len() {
+            return Err(CqError::UnknownRelation(format!("#{}", self.relation.0)));
+        }
         let expected = catalog.arity(self.relation);
         if expected != self.arity() {
             return Err(CqError::ArityMismatch {

@@ -16,8 +16,7 @@
 //!   when it treats `V1(x, y) :- M(x, y)` and `V1'(y, x) :- M(x, y)` as
 //!   revealing the same information (Section 3.1).
 
-use crate::homomorphism::{homomorphism_exists, interned_homomorphism_exists, HeadPolicy};
-use crate::intern::QueryRef;
+use crate::homomorphism::{homomorphism_exists, HeadPolicy};
 use crate::query::ConjunctiveQuery;
 
 /// Classical containment `q1 ⊆ q2` for queries sharing a variable space.
@@ -47,16 +46,6 @@ pub fn contained_in(q1: &ConjunctiveQuery, q2: &ConjunctiveQuery) -> bool {
 /// Information equivalence up to head permutation (both-way containment).
 pub fn equivalent(q1: &ConjunctiveQuery, q2: &ConjunctiveQuery) -> bool {
     contained_in(q1, q2) && contained_in(q2, q1)
-}
-
-// ---------------------------------------------------------------------------
-// Information containment over the interned flat representation.
-// ---------------------------------------------------------------------------
-
-/// [`contained_in`] (information containment up to head permutation) over
-/// interned [`QueryRef`]s.
-pub fn interned_contained_in(q1: QueryRef<'_>, q2: QueryRef<'_>) -> bool {
-    interned_homomorphism_exists(q2, q1, HeadPolicy::DistinguishedToDistinguished)
 }
 
 #[cfg(test)]

@@ -67,10 +67,8 @@
 
 use crate::atom::AtomRef;
 use crate::bitset::BitSet;
-use crate::homomorphism::{
-    bind_atom, find_homomorphism_into, interned_search_prebound, unbind, HeadPolicy,
-};
-use crate::intern::{IAtom, ITerm, QueryRef};
+use crate::homomorphism::{find_homomorphism_into, HeadPolicy};
+use crate::intern::{IAtom, ITerm, ITermView, QueryRef};
 use crate::query::ConjunctiveQuery;
 
 /// Computes a folding (core) of the query: an equivalent query whose body is
@@ -187,7 +185,7 @@ fn fold_movable(query: QueryRef<'_>) -> (Vec<u32>, usize, usize) {
         // that cannot stay where it is.
         movable.swap(0, next);
         searches += 1;
-        let redundant = interned_search_prebound(query, &movable, &targets, &mut subst, &mut trail);
+        let redundant = search(query, &movable, &targets, &mut subst, &mut trail);
         movable.swap(0, next);
         if redundant {
             unbind(&mut subst, &mut trail, 0);
@@ -279,13 +277,7 @@ fn worklist<S: BitSet + ?Sized>(
                     return false;
                 }
                 binds += 1;
-                let fits = bind_atom(
-                    terms,
-                    peer.terms(query.terms),
-                    HeadPolicy::Identity,
-                    subst,
-                    trail,
-                );
+                let fits = bind_atom(terms, peer.terms(query.terms), subst, trail);
                 unbind(subst, trail, 0);
                 fits
             });
@@ -316,6 +308,86 @@ fn worklist<S: BitSet + ?Sized>(
         .filter(|&i| received.contains(i as usize))
         .collect();
     (movable, binds)
+}
+
+/// The backtracking search with the fixed variables already bound: true if
+/// the atoms of `query` listed in `order` map into `targets` (spans into
+/// `query`'s own term buffer), extending `subst` without contradicting
+/// what it already binds.
+///
+/// On `false`, `subst` is back to what the caller passed; on `true` it
+/// additionally holds the witness, and `trail` names the variables the
+/// search bound, so [`unbind`] restores the caller's bindings.
+fn search(
+    query: QueryRef<'_>,
+    order: &[u32],
+    targets: &[IAtom],
+    subst: &mut [Option<ITerm>],
+    trail: &mut Vec<u32>,
+) -> bool {
+    let Some((&atom_idx, rest)) = order.split_first() else {
+        return true;
+    };
+    let atom = query.atoms[atom_idx as usize];
+    let source_terms = atom.terms(query.terms);
+    let mark = trail.len();
+    for target in targets {
+        if target.relation != atom.relation || target.term_len != atom.term_len {
+            continue;
+        }
+        if bind_atom(source_terms, target.terms(query.terms), subst, trail)
+            && search(query, rest, targets, subst, trail)
+        {
+            return true;
+        }
+        unbind(subst, trail, mark);
+    }
+    false
+}
+
+/// Maps the source atom's terms onto the target atom's, term for term:
+/// constants equal, every variable bound consistently with `subst` (and
+/// with itself, when it repeats).  Distinguished variables arrive bound to
+/// themselves ([`fixed_head`]), so the binding check alone keeps them
+/// fixed.  Variables bound on the way are pushed on `trail` — also when the
+/// match fails half-way, so the caller [`unbind`]s back to its mark either
+/// way.
+#[inline]
+fn bind_atom(
+    source_terms: &[ITerm],
+    target_terms: &[ITerm],
+    subst: &mut [Option<ITerm>],
+    trail: &mut Vec<u32>,
+) -> bool {
+    for (src, dst) in source_terms.iter().zip(target_terms.iter()) {
+        match src.get() {
+            ITermView::Const(_) => {
+                if dst != src {
+                    return false;
+                }
+            }
+            ITermView::Var(v, kind) => {
+                debug_assert!(kind.is_existential() || subst[v as usize].is_some());
+                match subst[v as usize] {
+                    Some(bound) if bound != *dst => return false,
+                    Some(_) => {}
+                    None => {
+                        subst[v as usize] = Some(*dst);
+                        trail.push(v);
+                    }
+                }
+            }
+        }
+    }
+    true
+}
+
+/// Undoes every binding recorded on `trail` past `mark`.
+#[inline]
+fn unbind(subst: &mut [Option<ITerm>], trail: &mut Vec<u32>, mark: usize) {
+    for v in trail.drain(mark..) {
+        subst[v as usize] = None;
+    }
 }
 
 #[cfg(test)]
@@ -547,13 +619,7 @@ mod tests {
                     let fits = j != i as usize
                         && peer.relation == atom.relation
                         && peer.term_len == atom.term_len
-                        && bind_atom(
-                            terms,
-                            peer.terms(query.terms),
-                            HeadPolicy::Identity,
-                            &mut subst,
-                            &mut trail,
-                        );
+                        && bind_atom(terms, peer.terms(query.terms), &mut subst, &mut trail);
                     unbind(&mut subst, &mut trail, 0);
                     fits
                 });

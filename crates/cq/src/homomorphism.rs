@@ -20,12 +20,15 @@
 //!   "equivalence up to head permutation", the appropriate notion of
 //!   information equivalence for tagged queries (the paper's `V1` and `V1'`
 //!   example in Section 3.1).
+//!
+//! This is the search over boxed queries, the reference the labelers are
+//! checked against.  The interned fold runs its own search over the flat
+//! representation (see [`folding`](crate::folding)).
 
 use std::collections::HashMap;
 
 use crate::atom::AtomRef;
 use crate::catalog::RelId;
-use crate::intern::{IAtom, ITerm, ITermView, QueryRef};
 use crate::query::ConjunctiveQuery;
 use crate::substitution::Substitution;
 use crate::term::{Term, VarKind};
@@ -292,174 +295,6 @@ fn term_allowed(
     }
 }
 
-// ---------------------------------------------------------------------------
-// Homomorphisms over the interned flat representation.
-// ---------------------------------------------------------------------------
-
-/// True if a homomorphism exists between two interned queries under the
-/// given policy — the [`homomorphism_exists`] of the flat
-/// [`QueryRef`] representation, decided by backtracking search.
-///
-/// Both views must come from the same
-/// [`QueryInterner`](crate::intern::QueryInterner) (or buffers derived from
-/// it): constants are compared by interned id.  A caller holding an
-/// acyclic source's GYO certificate can ask
-/// [`semi_join_homomorphism_into`](crate::structure::semi_join_homomorphism_into)
-/// instead; it returns the same verdict without backtracking.
-///
-/// The target is always the whole body of `to` (containment, equivalence,
-/// rewriting).  Folding, the one caller that searches into a *subset* of a
-/// query's own atoms, has its own pre-bound entry into the backtracking
-/// search (see [`folding`](crate::folding)).
-pub fn interned_homomorphism_exists(
-    from: QueryRef<'_>,
-    to: QueryRef<'_>,
-    policy: HeadPolicy,
-) -> bool {
-    // Most-constrained-first atom order, as in the boxed search.
-    let mut order: Vec<u32> = (0..from.atoms.len() as u32).collect();
-    order.sort_by_key(|&i| {
-        let relation = from.atoms[i as usize].relation;
-        to.atoms.iter().filter(|a| a.relation == relation).count()
-    });
-    let mut subst: Vec<Option<ITerm>> = vec![None; from.num_vars()];
-    interned_search(
-        from,
-        &order,
-        to.atoms,
-        to.terms,
-        policy,
-        &mut subst,
-        &mut Vec::new(),
-    )
-}
-
-/// The backtracking search with the caller's bindings already in place:
-/// true if the atoms of `query` listed in `order` map into `targets` (spans
-/// into `query`'s own term buffer) under [`HeadPolicy::Identity`], extending
-/// `subst` without contradicting what it already binds.
-///
-/// This is folding's entry: it pre-binds every variable it has proved fixed
-/// and lists only the atoms that can move.  On `false`, `subst` is back to
-/// what the caller passed; on `true` it additionally holds the witness, and
-/// `trail` (which must come in empty) names the variables the search bound,
-/// so [`unbind`] restores the caller's bindings.
-pub(crate) fn interned_search_prebound(
-    query: QueryRef<'_>,
-    order: &[u32],
-    targets: &[IAtom],
-    subst: &mut [Option<ITerm>],
-    trail: &mut Vec<u32>,
-) -> bool {
-    debug_assert!(trail.is_empty());
-    interned_search(
-        query,
-        order,
-        targets,
-        query.terms,
-        HeadPolicy::Identity,
-        subst,
-        trail,
-    )
-}
-
-/// Maps the source atom's terms onto the target atom's, term for term:
-/// constants equal, head policy respected, every variable bound consistently
-/// with `subst` (and with itself, when it repeats).  Variables bound on the
-/// way are pushed on `trail` — also when the match fails half-way, so the
-/// caller [`unbind`]s back to its mark either way.
-#[inline]
-pub(crate) fn bind_atom(
-    source_terms: &[ITerm],
-    target_terms: &[ITerm],
-    policy: HeadPolicy,
-    subst: &mut [Option<ITerm>],
-    trail: &mut Vec<u32>,
-) -> bool {
-    for (src, dst) in source_terms.iter().zip(target_terms.iter()) {
-        match src.get() {
-            ITermView::Const(_) => {
-                if dst != src {
-                    return false;
-                }
-            }
-            ITermView::Var(v, kind) => {
-                if !interned_term_allowed(kind, *dst, v, policy) {
-                    return false;
-                }
-                match subst[v as usize] {
-                    Some(bound) if bound != *dst => return false,
-                    Some(_) => {}
-                    None => {
-                        subst[v as usize] = Some(*dst);
-                        trail.push(v);
-                    }
-                }
-            }
-        }
-    }
-    true
-}
-
-/// Undoes every binding recorded on `trail` past `mark`.
-#[inline]
-pub(crate) fn unbind(subst: &mut [Option<ITerm>], trail: &mut Vec<u32>, mark: usize) {
-    for v in trail.drain(mark..) {
-        subst[v as usize] = None;
-    }
-}
-
-fn interned_search(
-    from: QueryRef<'_>,
-    order: &[u32],
-    target_atoms: &[IAtom],
-    target_terms: &[ITerm],
-    policy: HeadPolicy,
-    subst: &mut [Option<ITerm>],
-    trail: &mut Vec<u32>,
-) -> bool {
-    let Some((&atom_idx, rest)) = order.split_first() else {
-        return true;
-    };
-    let atom = from.atoms[atom_idx as usize];
-    let source_terms = atom.terms(from.terms);
-    let mark = trail.len();
-    for target in target_atoms {
-        if target.relation != atom.relation || target.term_len != atom.term_len {
-            continue;
-        }
-        if bind_atom(
-            source_terms,
-            target.terms(target_terms),
-            policy,
-            subst,
-            trail,
-        ) && interned_search(from, rest, target_atoms, target_terms, policy, subst, trail)
-        {
-            return true;
-        }
-        unbind(subst, trail, mark);
-    }
-    false
-}
-
-#[inline]
-pub(crate) fn interned_term_allowed(
-    src_kind: VarKind,
-    dst: ITerm,
-    src_var: u32,
-    policy: HeadPolicy,
-) -> bool {
-    if src_kind.is_existential() {
-        return true;
-    }
-    match policy {
-        HeadPolicy::Free => true,
-        HeadPolicy::Identity => dst.get() == ITermView::Var(src_var, VarKind::Distinguished),
-        HeadPolicy::DistinguishedToDistinguished => dst.is_distinguished(),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -651,47 +486,5 @@ mod tests {
         let h = find_homomorphism(&small, &big, HeadPolicy::Free).unwrap();
         let image = h.apply_atom(small.atom(0));
         assert!(big.atoms().any(|atom| atom == image.as_atom_ref()));
-    }
-
-    #[test]
-    fn interned_search_agrees_with_the_boxed_search() {
-        use crate::intern::QueryInterner;
-        let c = catalog();
-        let texts = [
-            "Q(x) :- Meetings(x, y)",
-            "Q(y) :- Meetings(x, y)",
-            "Q() :- Meetings(x, y)",
-            "Q() :- Meetings(z, z)",
-            "Q() :- Meetings(9, 'Jim')",
-            "Q(x) :- Meetings(x, 'Cathy')",
-            "Q(x) :- Meetings(x, y), Contacts(y, w, 'Intern')",
-            "Q(x) :- Meetings(x, y), Meetings(x, z)",
-            "Q(x) :- Meetings(x, y), Contacts(y, w, 'Intern'), Contacts(y, u, 'Manager')",
-        ];
-        let mut interner = QueryInterner::new();
-        let queries: Vec<_> = texts.iter().map(|t| parse_query(&c, t).unwrap()).collect();
-        let ids: Vec<_> = queries.iter().map(|q| interner.intern(q)).collect();
-        for policy in [
-            HeadPolicy::Identity,
-            HeadPolicy::DistinguishedToDistinguished,
-            HeadPolicy::Free,
-        ] {
-            for (qa, ia) in queries.iter().zip(&ids) {
-                for (qb, ib) in queries.iter().zip(&ids) {
-                    // Identity only makes sense in a shared variable space,
-                    // but both implementations must still agree on whatever
-                    // they compute for it.
-                    assert_eq!(
-                        homomorphism_exists(qa, qb, policy),
-                        interned_homomorphism_exists(
-                            interner.resolve(*ia),
-                            interner.resolve(*ib),
-                            policy
-                        ),
-                        "disagreement under {policy:?} on {qa:?} -> {qb:?}"
-                    );
-                }
-            }
-        }
     }
 }

@@ -26,10 +26,11 @@
 //!   plain indexed vectors.
 //!
 //! [`QueryInterner::resolve`] returns a [`QueryRef`] — a zero-copy view of
-//! the flat representation that the reasoning algorithms
-//! ([`homomorphism`](crate::homomorphism), [`containment`](crate::containment),
-//! [`folding`](crate::folding), [`rewriting`](crate::rewriting)) operate on
-//! directly, without materializing a boxed query again.
+//! the flat representation.  Of the reasoning algorithms only the fold
+//! ([`folding::fold_interned_indices`](crate::folding::fold_interned_indices))
+//! runs on it, and the labeler's first-sight dissection reads its parts off
+//! it, neither materializing a boxed query again; containment and
+//! rewriting are decided on boxed queries.
 //!
 //! Interning is deliberately **syntactic** (like the canonical keys it
 //! replaces): semantically equivalent queries with reordered atoms intern to
@@ -559,7 +560,7 @@ pub struct QueryInterner {
     /// Fold side table, indexed by `QueryId`: spans into `fold_atoms`.
     shapes: Vec<ShapeInfo>,
     /// Arena of fold (core) results: indices of the surviving atoms, filled
-    /// lazily by [`core_atom_indices`](Self::core_atom_indices).
+    /// by [`record_core`](Self::record_core).
     fold_atoms: Vec<u32>,
 }
 
@@ -824,33 +825,8 @@ impl QueryInterner {
         self.span_ref(self.queries[id.index()])
     }
 
-    /// Indices of the atoms surviving folding — the query's core, in
-    /// original atom order.
-    ///
-    /// The fold (NP-hard in general) runs on the **first** request for each
-    /// query and is replayed from the side table on every later one, so
-    /// repeated dissections of one shape pay the search exactly once per
-    /// interner lifetime.
-    ///
-    /// Callers sharing the interner behind a lock should not pay for the
-    /// search under the write lock: check [`cached_core`](Self::cached_core)
-    /// and run [`fold_interned_indices`](crate::folding::fold_interned_indices)
-    /// under the read lock, then [`record_core`](Self::record_core).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id was not issued by this interner.
-    pub fn core_atom_indices(&mut self, id: QueryId) -> &[u32] {
-        if !self.shapes[id.index()].fold_cached {
-            let kept = crate::folding::fold_interned_indices(self.resolve(id));
-            self.record_core(id, &kept);
-        }
-        self.cached_core(id).expect("the core was just recorded")
-    }
-
     /// The query's core if its fold has already been computed and recorded,
-    /// `None` before the first [`core_atom_indices`](Self::core_atom_indices)
-    /// or [`record_core`](Self::record_core) for `id`.
+    /// `None` before the first [`record_core`](Self::record_core) for `id`.
     ///
     /// # Panics
     ///
@@ -1703,8 +1679,6 @@ mod tests {
         interner.record_core(id, &kept);
         assert_eq!(interner.fold_atoms, kept);
         assert_eq!(interner.cached_core(id), Some(&kept[..]));
-        assert_eq!(interner.core_atom_indices(id), &kept[..]);
-        assert_eq!(interner.fold_atoms, kept);
 
         // Two threads fold the same shape under the read lock; the second
         // to reach the write lock finds the first one's record and adds

@@ -21,11 +21,7 @@
 //!   the concrete disclosure order used by the paper's labelers.
 //! * [`intern`] — the interned query plane: an arena-backed flat CQ
 //!   representation with dense [`QueryId`]s and a zero-copy [`QueryRef`]
-//!   view that the reasoning algorithms above also operate on directly.
-//! * [`structure`] — GYO reduction (α-acyclicity and its join-tree
-//!   certificate) and the polynomial semi-join homomorphism test an acyclic
-//!   query's certificate unlocks.  Nothing dispatches to it: a caller that
-//!   wants the semi-join computes the certificate and brings it.
+//!   view, which the fold runs on directly.
 //!
 //! The crate has no dependencies and is deliberately self-contained so that
 //! the labeling layer (`fdc-core`) and the policy layer (`fdc-policy`) can be
@@ -64,7 +60,6 @@ pub mod intern;
 pub mod parser;
 pub mod query;
 pub mod rewriting;
-pub mod structure;
 pub mod substitution;
 pub mod term;
 pub mod wire;

@@ -675,7 +675,7 @@ impl ConjunctiveQuery {
         counts
     }
 
-    /// Validates every atom's arity against a catalog.
+    /// Validates every atom's relation and arity against a catalog.
     pub fn validate(&self, catalog: &Catalog) -> Result<()> {
         for atom in self.atoms() {
             atom.validate(catalog)?;
@@ -1291,6 +1291,19 @@ mod tests {
         b.atom(m, [x.into()]);
         let q = b.build().unwrap();
         assert!(matches!(q.validate(&c), Err(CqError::ArityMismatch { .. })));
+    }
+
+    #[test]
+    fn validate_rejects_a_relation_outside_the_catalog() {
+        let mut b = QueryBuilder::new();
+        let x = b.dvar("x");
+        b.atom(RelId(7), [x.into()]);
+        let q = b.build().unwrap();
+        let err = q.validate(&catalog()).unwrap_err();
+        assert!(
+            matches!(&err, CqError::UnknownRelation(name) if name == "#7"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1,0 +1,201 @@
+//! Property test: hostile bytes never panic a decoder.
+//!
+//! Every decoder that reads bytes from disk — the interner's arena image
+//! (`QueryInterner::decode_from`), a wire query and catalog
+//! (`fdc_cq::wire`), a security policy (`fdc_policy::wire::decode_policy`)
+//! and a WAL record payload (`durable::decode_wal_op`) — is fed mutations
+//! of valid encodings:
+//!
+//! * every single-bit flip;
+//! * every byte set to each of 0, 1, 0x7f, 0x80 and 0xff;
+//! * every truncation;
+//! * 20 000 seeded overwrites of 2 to 8 bytes at random positions.
+//!
+//! Each must return, not panic; an error names an offset inside the input
+//! (at most its length); and an interner that decodes resolves every id it
+//! holds back to a query, re-encodes, and decodes from its re-encoding to
+//! the same bytes.  A failure prints the mutation and the mutated bytes.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use fdc::core::SecurityViews;
+use fdc::cq::intern::{QueryId, QueryInterner};
+use fdc::cq::parser::parse_query;
+use fdc::cq::wire::{decode_catalog, decode_query, encode_catalog, encode_query};
+use fdc::cq::{Catalog, ConjunctiveQuery};
+use fdc::durability::codec::{CodecError, Cursor};
+use fdc::policy::wire::{decode_policy, encode_policy};
+use fdc::policy::{PolicyPartition, PrincipalId, SecurityPolicy};
+use fdc::service::durable::{
+    decode_wal_op, encode_add_view, encode_grant, encode_register, encode_replace_policy,
+    encode_revoke, encode_submit,
+};
+
+/// Seeded multi-byte overwrites per encoded input.
+const OVERWRITES: usize = 20_000;
+
+/// Calls `check` on every mutation of `bytes` listed in the module docs,
+/// each named by what it did and where (for the failure message).
+fn for_each_mutation(bytes: &[u8], seed: u64, mut check: impl FnMut((&str, usize), &[u8])) {
+    let mut buf = bytes.to_vec();
+    for byte in 0..bytes.len() {
+        for bit in 0..8 {
+            buf[byte] ^= 1 << bit;
+            check(("flipped bit", byte * 8 + bit), &buf);
+            buf[byte] ^= 1 << bit;
+        }
+        for value in [0, 1, 0x7f, 0x80, 0xff] {
+            if bytes[byte] != value {
+                buf[byte] = value;
+                check(("special value at byte", byte), &buf);
+                buf[byte] = bytes[byte];
+            }
+        }
+    }
+    for len in 0..bytes.len() {
+        check(("truncation to length", len), &bytes[..len]);
+    }
+    let mut state = seed | 1;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    for round in 0..OVERWRITES {
+        buf.copy_from_slice(bytes);
+        for _ in 0..2 + next() % 7 {
+            let at = (next() % bytes.len() as u64) as usize;
+            buf[at] = next() as u8;
+        }
+        check(("overwrite round", round), &buf);
+    }
+}
+
+/// Runs `decode` on every mutation of `bytes`: it must not panic, and an
+/// error must name an offset inside the input.
+fn assert_never_panics(
+    what: &str,
+    bytes: &[u8],
+    seed: u64,
+    decode: impl Fn(&[u8]) -> Result<(), CodecError>,
+) {
+    assert!(!bytes.is_empty(), "{what}: nothing to mutate");
+    for_each_mutation(bytes, seed, |(mutation, at), input| {
+        let outcome = catch_unwind(AssertUnwindSafe(|| decode(input)));
+        let failure = match outcome {
+            Err(_) => "panicked".to_owned(),
+            Ok(Err(CodecError::UnexpectedEof { offset } | CodecError::Invalid { offset, .. }))
+                if offset > input.len() =>
+            {
+                format!(
+                    "reported offset {offset} past the input's {} bytes",
+                    input.len()
+                )
+            }
+            Ok(_) => return,
+        };
+        panic!("{what}: {failure} on {mutation} {at}, input {input:02x?}");
+    });
+}
+
+/// Decodes an interner image; one that decodes must resolve every id to a
+/// query and survive its own re-encoding byte for byte.
+fn decode_interner(input: &[u8]) -> Result<(), CodecError> {
+    let interner = QueryInterner::decode_from(&mut Cursor::new(input))?;
+    let mut out = Vec::new();
+    for index in 0..interner.len() {
+        let query = interner.to_query(QueryId(index as u32));
+        assert_eq!(
+            query.num_atoms(),
+            interner.resolve(QueryId(index as u32)).num_atoms()
+        );
+        out.clear();
+        encode_query(&query, &mut out);
+    }
+    out.clear();
+    interner.encode_into(&mut out);
+    let again = QueryInterner::decode_from(&mut Cursor::new(&out))
+        .expect("a decoded interner re-encodes to a valid image");
+    let mut twice = Vec::new();
+    again.encode_into(&mut twice);
+    assert_eq!(out, twice, "re-encoding is not a fixpoint");
+    Ok(())
+}
+
+fn queries(catalog: &Catalog) -> Vec<ConjunctiveQuery> {
+    [
+        "Q(x) :- Meetings(x, y), Contacts(y, w, 'Intern')",
+        "Q(x) :- Meetings(x, x), Meetings(x, y)",
+        "Q() :- Meetings(9, 'a constant longer than fourteen bytes')",
+        "Q(x, z) :- Meetings(x, y), Meetings(y, z), Contacts(z, w, -3)",
+    ]
+    .iter()
+    .map(|text| parse_query(catalog, text).unwrap())
+    .collect()
+}
+
+/// A decoder under test, given the catalog WAL records resolve against.
+type Decode = fn(&Catalog, &[u8]) -> Result<(), CodecError>;
+
+#[test]
+fn hostile_bytes_never_panic_a_decoder() {
+    let registry = SecurityViews::paper_example();
+    let catalog = registry.catalog().clone();
+    let queries = queries(&catalog);
+    let [v1, v2, v3] = ["V1", "V2", "V3"].map(|name| registry.id_by_name(name).unwrap());
+    let policy = SecurityPolicy::chinese_wall([
+        PolicyPartition::from_views("meetings-side", &registry, [v1, v2]),
+        PolicyPartition::from_views("contacts-side", &registry, [v3]),
+    ]);
+    let interner: Decode = |_, input| decode_interner(input);
+    let query: Decode = |_, input| decode_query(&mut Cursor::new(input)).map(drop);
+    let wal: Decode = |catalog, input| decode_wal_op(catalog, input).map(drop);
+
+    let mut inputs: Vec<(String, Vec<u8>, Decode)> = Vec::new();
+    let mut encoded = |what: &str, decode: Decode, encode: &dyn Fn(&mut Vec<u8>)| {
+        let mut bytes = Vec::new();
+        encode(&mut bytes);
+        inputs.push((what.to_owned(), bytes, decode));
+    };
+    // The interner image, empty, then with one and with every query.
+    for count in [0, 1, queries.len()] {
+        let mut arena = QueryInterner::new();
+        for q in &queries[..count] {
+            arena.intern(q);
+        }
+        encoded(&format!("interner of {count}"), interner, &|out| {
+            arena.encode_into(out)
+        });
+    }
+    for (i, q) in queries.iter().enumerate() {
+        encoded(&format!("query {i}"), query, &|out| encode_query(q, out));
+    }
+    encoded(
+        "catalog",
+        |_, input| decode_catalog(&mut Cursor::new(input)).map(drop),
+        &|out| encode_catalog(&catalog, out),
+    );
+    encoded(
+        "policy",
+        |_, input| decode_policy(&mut Cursor::new(input)).map(drop),
+        &|out| encode_policy(&policy, out),
+    );
+    let p = PrincipalId(7);
+    let selection = parse_query(&catalog, "Vc(x) :- Meetings(x, 'Cathy')").unwrap();
+    encoded("register", wal, &|out| encode_register(&policy, out));
+    encoded("submit", wal, &|out| encode_submit(p, &queries[0], out));
+    encoded("grant", wal, &|out| encode_grant(p, "V2", out));
+    encoded("revoke", wal, &|out| encode_revoke(p, "V3", out));
+    encoded("add view", wal, &|out| {
+        encode_add_view("Vc", &selection, out)
+    });
+    encoded("replace", wal, &|out| {
+        encode_replace_policy(p, &policy, out)
+    });
+
+    for (i, (what, bytes, decode)) in inputs.iter().enumerate() {
+        let seed = 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i as u64 + 1);
+        assert_never_panics(what, bytes, seed, |input| decode(&catalog, input));
+    }
+}

@@ -16,7 +16,7 @@
 //! * hand-built families that each stress one rule of the fold.
 
 use fdc::core::{BitVectorLabeler, CachedLabeler, QueryLabeler, SecurityViews};
-use fdc::cq::folding::fold;
+use fdc::cq::folding::{fold, fold_interned_indices};
 use fdc::cq::parser::parse_query;
 use fdc::cq::{Atom, Catalog, ConjunctiveQuery, RelId, Term, VarId, VarKind};
 use fdc::ecosystem::{Ecosystem, WorkloadConfig};
@@ -44,12 +44,7 @@ fn surviving_positions(query: &ConjunctiveQuery, folded: &ConjunctiveQuery) -> V
 /// `query`: same surviving atom positions, same label.
 fn assert_agrees(cached: &CachedLabeler, reference: &BitVectorLabeler, query: &ConjunctiveQuery) {
     let id = cached.intern(query);
-    let core = cached
-        .interner()
-        .write()
-        .unwrap()
-        .core_atom_indices(id)
-        .to_vec();
+    let core = fold_interned_indices(cached.interner().read().unwrap().resolve(id));
     assert_eq!(
         core,
         surviving_positions(query, &fold(query)),
@@ -156,7 +151,7 @@ fn query_strategy() -> impl Strategy<Value = ConjunctiveQuery> {
 }
 
 /// The paper's registry plus a selection and a diagonal view, so the
-/// per-atom step takes its rewriting fallback as well as the bit test.
+/// per-atom step reads terms as well as testing masks.
 fn tricky_registry() -> SecurityViews {
     let mut registry = SecurityViews::new(&Catalog::paper_example());
     registry
@@ -203,12 +198,7 @@ fn check_family(texts: &[String]) -> Vec<Vec<u32>> {
             let query = parse_query(&catalog, text).unwrap_or_else(|e| panic!("{text}: {e}"));
             assert_agrees(&cached, &reference, &query);
             let id = cached.intern(&query);
-            let kept = cached
-                .interner()
-                .write()
-                .unwrap()
-                .core_atom_indices(id)
-                .to_vec();
+            let kept = fold_interned_indices(cached.interner().read().unwrap().resolve(id));
             kept
         })
         .collect()

@@ -33,6 +33,7 @@ use std::hint::black_box;
 
 use fdc::core::dissect::InternedDissection;
 use fdc::core::CachedLabeler;
+use fdc::cq::folding::fold_interned_indices;
 use fdc::cq::intern::{ITerm, QueryInterner};
 use fdc::cq::{Atom, ConjunctiveQuery, Term};
 use fdc::ecosystem::{facebook_catalog, Ecosystem};
@@ -118,7 +119,8 @@ fn one_variable_past_the_capacity_costs_at_most_the_fallback_allocation() {
 fn part_mask_allocations(query: &ConjunctiveQuery) -> (usize, u64) {
     let mut interner = QueryInterner::new();
     let id = interner.intern(query);
-    interner.core_atom_indices(id);
+    let kept = fold_interned_indices(interner.resolve(id));
+    interner.record_core(id, &kept);
     let core = interner.cached_core(id).expect("recorded above");
     let mut parts = 0;
     let count = allocations(|| {

@@ -17,14 +17,13 @@
 //! a hand-written shape pool covering constants, repeated variables and
 //! self-joins.
 //!
-//! Also pinned: a resolved query's GYO reduction (`structure::gyo_reduce`)
-//! is a property of the canonical query, not of interner history.
+//! Also pinned: what an id resolves to is a property of the canonical
+//! query, not of interner history.
 
 use fdc::cq::canonical::{rename_canonical, structurally_identical};
 use fdc::cq::containment::equivalent;
 use fdc::cq::intern::QueryInterner;
 use fdc::cq::parser::parse_query;
-use fdc::cq::structure::gyo_reduce;
 use fdc::cq::{Atom, Catalog, ConjunctiveQuery, Constant, RelId, Term, VarId, VarKind};
 use fdc::durability::codec::Cursor;
 use fdc::ecosystem::{Ecosystem, WorkloadConfig};
@@ -167,21 +166,21 @@ proptest! {
         prop_assert!(interner.len() >= texts.len() - 1);
     }
 
-    /// GYO reduction of a resolved query (acyclicity and ear ordering) is a
-    /// property of the canonical query, not of interner history: it must
-    /// not change with insertion order, re-interning the same query, or a
-    /// round trip through `to_query` into a fresh interner.
+    /// What an id resolves to is a property of the canonical query, not of
+    /// interner history: it must not change with insertion order,
+    /// re-interning the same query, or a round trip through `to_query` into
+    /// a fresh interner.
     #[test]
     fn classification_is_stable_across_insertion_order(shuffle_seed in 0u64..1_000_000) {
         let catalog = Catalog::paper_example();
         let texts = [
-            // Acyclic shapes: paths, stars, self-joins, constants.
+            // Paths, stars, self-joins, constants.
             "Q(x) :- Meetings(x, y)",
             "Q(x) :- Meetings(x, y), Contacts(y, w, 'Intern')",
             "Q() :- Meetings(x, y), Meetings(y, z)",
             "Q(x) :- Meetings(x, x)",
             "Q() :- Meetings(x, y), Meetings(x, z), Meetings(x, w)",
-            // Cyclic shapes: the triangle and a square, GYO finds no ear.
+            // Cycles: the triangle and a square.
             "Q() :- Meetings(x, y), Meetings(y, z), Meetings(z, x)",
             "Q() :- Meetings(x, y), Meetings(y, z), Meetings(z, w), Meetings(w, x)",
         ];
@@ -210,22 +209,30 @@ proptest! {
             let b = shuffled_ids[i].unwrap();
             // Re-interning is a no-op...
             prop_assert_eq!(natural.intern(&queries[i]), a);
-            let ears = gyo_reduce(natural.resolve(a));
-            prop_assert_eq!(
-                &ears,
-                &gyo_reduce(shuffled.resolve(b)),
-                "ear ordering changed with insertion order on {}",
+            prop_assert_eq!(shuffled.intern(&queries[i]), b);
+            // ...both orders resolve the query to the same shape and split
+            // the pool into the same classes...
+            let resolved = natural.to_query(a);
+            prop_assert!(
+                structurally_identical(&resolved, &shuffled.to_query(b)),
+                "the resolved query changed with insertion order on {}",
                 text
             );
-            // ...and a round trip through `to_query` re-derives the same
-            // reduction.
+            prop_assert!(structurally_identical(&queries[i], &resolved), "on {}", text);
+            for j in 0..texts.len() {
+                prop_assert_eq!(
+                    a == natural_ids[j],
+                    Some(b) == shuffled_ids[j],
+                    "{} and {} split differently",
+                    text,
+                    texts[j]
+                );
+            }
+            // ...and a round trip through `to_query` into a fresh interner
+            // resolves to the same shape again.
             let mut fresh = QueryInterner::new();
-            let again = fresh.intern(&natural.to_query(a));
-            prop_assert_eq!(&ears, &gyo_reduce(fresh.resolve(again)));
-            // The split is as constructed: the last two shapes are the
-            // cycles.
-            let cyclic = i >= texts.len() - 2;
-            prop_assert_eq!(ears.is_none(), cyclic, "on {}", text);
+            let again = fresh.intern(&resolved);
+            prop_assert!(structurally_identical(&resolved, &fresh.to_query(again)), "on {}", text);
         }
     }
 }

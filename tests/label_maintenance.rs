@@ -10,8 +10,9 @@
 //! suite drives seeded interleavings of everything that moves them:
 //!
 //! * `add_view` of projection views *and* of views with constants or
-//!   repeated variables (those take the rewriting fallback, not the bit
-//!   test), on a registry that starts empty or at the paper's three views;
+//!   repeated variables (those are decided by reading terms, not by the
+//!   mask test), on a registry that starts empty or at the paper's three
+//!   views;
 //! * `invalidate_relation`, the out-of-band bump an extension must not
 //!   cross;
 //! * `snapshot_with_lanes`, taken before a mutation, labelled through after

@@ -19,10 +19,12 @@ use fdc::core::{
     BaselineLabeler, BitVectorLabeler, CacheStats, CachedLabeler, HashPartitionedLabeler,
     LabelerSnapshot, QueryLabeler, SecurityViews,
 };
-use fdc::cq::{ConjunctiveQuery, RelId};
+use fdc::cq::parser::parse_query;
+use fdc::cq::{Catalog, ConjunctiveQuery, RelId};
 use fdc::ecosystem::views::projection_view;
 use fdc::ecosystem::{Ecosystem, WorkloadConfig};
 use proptest::prelude::*;
+use std::fmt::Write as _;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -61,9 +63,44 @@ proptest! {
         prop_assert_eq!(eco.label_batch_cached(&queries), eco.label_batch(&queries));
     }
 
+    /// Self-join-heavy trees and cycles over one ternary `Edge` relation,
+    /// against a projection and a selection view: every variant labels
+    /// them identically, cold, warm and by interned id.
+    #[test]
+    fn all_variants_agree_on_edge_trees_and_cycles(
+        seed in 0u64..1_000_000,
+        atoms in 1usize..10,
+        len in 3usize..7,
+    ) {
+        let catalog = edge_catalog();
+        let mut registry = SecurityViews::new(&catalog);
+        registry
+            .add_program("V1(s, d) :- Edge(s, d, t)\nV2(s) :- Edge(s, d, 'c0')")
+            .expect("the Edge views parse");
+        let baseline = BaselineLabeler::new(registry.clone());
+        let hashed = HashPartitionedLabeler::new(registry.clone());
+        let bitvec = BitVectorLabeler::new(registry.clone());
+        let cached = CachedLabeler::new(registry);
+        let pool = [
+            tree_query(&catalog, atoms, seed),
+            tree_query(&catalog, atoms, seed ^ 0xDEAD),
+            cycle_query(&catalog, len),
+        ];
+        for query in &pool {
+            let reference = baseline.label_query(query);
+            prop_assert_eq!(&reference, &hashed.label_query(query));
+            prop_assert_eq!(&reference, &bitvec.label_query(query));
+            // Cold, warm, and fully interned cache paths.
+            prop_assert_eq!(&reference, &cached.label_query(query));
+            prop_assert_eq!(&reference, &cached.label_query(query));
+            let id = cached.intern(query);
+            prop_assert_eq!(&reference, &cached.label_interned(id));
+        }
+    }
+
     /// Paper-schema registries: agreement also holds for registries with
-    /// selection and diagonal views, where the bit-vector fast path must
-    /// fall back to the general rewriting check.
+    /// selection and diagonal views, which the per-atom step decides by
+    /// reading terms rather than by the mask test.
     #[test]
     fn all_variants_agree_on_tricky_view_registries(seed in 0u64..1_000_000) {
         let registry = tricky_registry();
@@ -96,27 +133,26 @@ proptest! {
         ];
         for _ in 0..8 {
             let text = shapes[next(shapes.len())];
-            let query = fdc::cq::parser::parse_query(&catalog, text).unwrap();
+            let query = parse_query(&catalog, text).unwrap();
             let reference = baseline.label_query(&query);
             prop_assert_eq!(&reference, &hashed.label_query(&query), "hashed on {}", text);
             prop_assert_eq!(&reference, &bitvec.label_query(&query), "bitvec on {}", text);
             prop_assert_eq!(&reference, &cached.label_query(&query), "cached on {}", text);
-            // The selection and diagonal views force the interned per-atom
-            // step through its rewriting fallback as well.
+            // The selection and diagonal views make the interned per-atom
+            // step read terms as well as test masks.
             let id = cached.intern(&query);
             prop_assert_eq!(&reference, &cached.label_interned(id), "interned on {}", text);
         }
     }
 }
 
-/// Structural edge cases for the intern-time shape classification: heavy
-/// self-joins (one relation, many atoms) take the semi-join fast path in
-/// labeling's rewriting checks, and deliberately cyclic bodies must take
-/// the backtracking fallback — with identical labels either way.
+/// Structural edge cases: heavy self-joins (one relation, many atoms),
+/// where fold's search branches across every same-relation atom, and
+/// deliberately cyclic bodies — with identical labels from every variant.
 #[test]
 fn all_variants_agree_on_self_join_heavy_and_cyclic_shapes() {
     let registry = tricky_registry();
-    let catalog = fdc::cq::Catalog::paper_example();
+    let catalog = Catalog::paper_example();
     let baseline = BaselineLabeler::new(registry.clone());
     let hashed = HashPartitionedLabeler::new(registry.clone());
     let bitvec = BitVectorLabeler::new(registry.clone());
@@ -127,13 +163,12 @@ fn all_variants_agree_on_self_join_heavy_and_cyclic_shapes() {
          Meetings(x, e), Meetings(e, f)",
         // A long path, the easy acyclic case.
         "Q(x) :- Meetings(x, y), Meetings(y, z), Meetings(z, w), Meetings(w, u)",
-        // The triangle and the square: GYO classifies these cyclic, so
-        // every homomorphism question falls back to backtracking.
+        // The triangle and the square: cyclic bodies.
         "Q() :- Meetings(x, y), Meetings(y, z), Meetings(z, x)",
         "Q(x) :- Meetings(x, y), Meetings(y, z), Meetings(z, w), Meetings(w, x)",
     ];
     for text in shapes {
-        let query = fdc::cq::parser::parse_query(&catalog, text).unwrap();
+        let query = parse_query(&catalog, text).unwrap();
         let reference = baseline.label_query(&query);
         assert_eq!(reference, hashed.label_query(&query), "hashed on {text}");
         assert_eq!(reference, bitvec.label_query(&query), "bitvec on {text}");
@@ -143,10 +178,49 @@ fn all_variants_agree_on_self_join_heavy_and_cyclic_shapes() {
     }
 }
 
+/// A catalog of one relation, `Edge(src, dst, tag)`.
+fn edge_catalog() -> Catalog {
+    let mut catalog = Catalog::new();
+    catalog
+        .add_relation("Edge", &["src", "dst", "tag"])
+        .expect("fresh catalog accepts the relation");
+    catalog
+}
+
+/// A random tree over `Edge`: every atom hangs off an earlier variable, so
+/// trees with several atoms off one variable (brooms) come up often.
+fn tree_query(catalog: &Catalog, atoms: usize, seed: u64) -> ConjunctiveQuery {
+    let mut state = seed;
+    let mut next = move |bound: usize| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        ((state >> 33) as usize) % bound
+    };
+    let mut text = String::from("Q(v0) :- ");
+    for i in 1..=atoms {
+        if i > 1 {
+            text.push_str(", ");
+        }
+        let parent = next(i);
+        let tag = next(2);
+        write!(text, "Edge(v{parent}, v{i}, 'c{tag}')").expect("string write");
+    }
+    parse_query(catalog, &text).expect("generated tree parses")
+}
+
+/// A directed cycle of `len` `Edge` atoms.
+fn cycle_query(catalog: &Catalog, len: usize) -> ConjunctiveQuery {
+    let atoms: Vec<String> = (0..len)
+        .map(|i| format!("Edge(x{i}, x{}, 'c0')", (i + 1) % len))
+        .collect();
+    parse_query(catalog, &format!("Q(x0) :- {}", atoms.join(", "))).expect("generated cycle parses")
+}
+
 /// The paper's registry extended with non-projection views (a selection and
 /// a diagonal), so that every labeler code path is exercised.
 fn tricky_registry() -> SecurityViews {
-    let catalog = fdc::cq::Catalog::paper_example();
+    let catalog = Catalog::paper_example();
     let mut registry = SecurityViews::new(&catalog);
     registry
         .add_program(
