@@ -22,7 +22,9 @@
 //!   block's cold-labeling series `interned_cold` present and positive at
 //!   max_atoms 20 and 28;
 //! * fig6 — `interned` and `interned_packed` present at every sweep point
-//!   (`seed_store` present or `null`) and the packed headline
+//!   (`seed_store` present or `null`), as are the policy plane's
+//!   per-layer costs `register_ns_per_principal`, `grant_ns` and
+//!   `revoke_ns`, each positive (no floor yet), and the packed headline
 //!   `min_speedup_interned_packed_vs_seed` ≥ 1.5;
 //! * fig7 — `speedup_at_1pct` ≥ 2.0 (incremental vs flush-on-mutation —
 //!   PR 3's 3.0 bar predates the interned query plane, which made the
@@ -363,6 +365,16 @@ fn check_fig6(path: &str, smoke: bool) -> Result<(), String> {
                 return Err(format!(
                     "`{path}`: series `{required}` missing from a sweep point"
                 ));
+            }
+        }
+        for required in ["register_ns_per_principal", "grant_ns", "revoke_ns"] {
+            match point.get(required).and_then(Json::as_number) {
+                Some(ns) if ns > 0.0 => {}
+                _ => {
+                    return Err(format!(
+                        "`{path}`: `{required}` missing or not positive at a sweep point"
+                    ))
+                }
             }
         }
         // The seed baseline must be present but may be `null`: the
@@ -776,9 +788,11 @@ mod tests {
   "host_threads": 2,
   "min_speedup_interned_packed_vs_seed": {speedup},
   "sweep": [
-    {{"num_principals": 1000, "labels_per_sec": {{
+    {{"num_principals": 1000, "register_ns_per_principal": 250.0,
+      "grant_ns": 300.0, "revoke_ns": 280.0, "labels_per_sec": {{
       "seed_store": 1000.0, "interned": 40000.0, "interned_packed": 90000.0}}}},
-    {{"num_principals": 1000000, "labels_per_sec": {{
+    {{"num_principals": 1000000, "register_ns_per_principal": 250.0,
+      "grant_ns": 300.0, "revoke_ns": 280.0, "labels_per_sec": {{
       "seed_store": null, "interned": 40000.0, "interned_packed": 90000.0}}}}
   ]
 }}"#
@@ -800,6 +814,20 @@ mod tests {
             ("\"seed_store\": null, ", "`seed_store`"),
         ] {
             std::fs::write(&path, render(2.0).replacen(cut, "", 1)).unwrap();
+            let err = check_fig6(path.to_str().unwrap(), true).unwrap_err();
+            assert!(err.contains(name), "{err}");
+        }
+        // So does a per-layer cost that is missing or not positive.
+        for (from, to, name) in [
+            ("\"grant_ns\": 300.0, ", "", "`grant_ns`"),
+            ("\"revoke_ns\": 280.0", "\"revoke_ns\": 0.0", "`revoke_ns`"),
+            (
+                "\"register_ns_per_principal\": 250.0",
+                "\"register_ns_per_principal\": null",
+                "`register_ns_per_principal`",
+            ),
+        ] {
+            std::fs::write(&path, render(2.0).replacen(from, to, 1)).unwrap();
             let err = check_fig6(path.to_str().unwrap(), true).unwrap_err();
             assert!(err.contains(name), "{err}");
         }

@@ -16,6 +16,12 @@
 //! * `interned` — the compiled/interned store, unpacked labels.
 //! * `interned_packed` — the same store on the packed 64-bit path.
 //!
+//! Beside them every point records the policy plane's per-layer costs on
+//! the interned store: `register_ns_per_principal`, registration time per
+//! principal while the store was built (policy generation excluded), and
+//! `grant_ns` / `revoke_ns`, the median of a fixed seeded batch of grants
+//! and revokes on random principals and views of the built store.
+//!
 //! ```text
 //! cargo run --release -p fdc-bench --bin fig6_json            # full run
 //! FDC_BENCH_SMOKE=1 cargo run -p fdc-bench --bin fig6_json    # CI smoke
@@ -26,7 +32,10 @@
 
 use std::time::Instant;
 
-use fdc_bench::{fig6_principal_counts, policy_workload, seed_policy_store, FIG6_TEMPLATE_POOL};
+use fdc_bench::{
+    fig6_principal_counts, policy_mutation_ns, policy_workload, seed_policy_store,
+    FIG6_TEMPLATE_POOL,
+};
 use fdc_core::PackedLabel;
 use fdc_policy::PrincipalId;
 
@@ -35,6 +44,9 @@ const SERIES: [&str; 3] = ["seed_store", "interned", "interned_packed"];
 
 /// Principal counts at which the seed store is still reasonable to build.
 const SEED_STORE_LIMIT: usize = 50_000;
+
+/// Grants (and as many revokes) timed per grid point.
+const MUTATION_BATCH: usize = 2_000;
 
 /// One store generation's measurement at one grid point.
 struct Measurement {
@@ -49,6 +61,9 @@ struct SweepPoint {
     max_elements: usize,
     unique_policies: usize,
     state_bytes_per_principal: f64,
+    register_ns_per_principal: f64,
+    grant_ns: f64,
+    revoke_ns: f64,
     results: Vec<Measurement>,
 }
 
@@ -78,11 +93,14 @@ fn main() {
     );
     let header: Vec<String> = SERIES.iter().map(|name| format!("{name:>16}")).collect();
     println!(
-        "{:>10} {:>5} {:>9} | {}",
+        "{:>10} {:>5} {:>9} | {} | {:>8} {:>8} {:>8}",
         "principals",
         "way",
         "elements",
-        header.join(" | ")
+        header.join(" | "),
+        "reg_ns",
+        "grant_ns",
+        "revoke_ns"
     );
 
     let mut points = Vec::new();
@@ -101,11 +119,14 @@ fn main() {
                     .map(|name| format!("{:>16}", cell(&point, name)))
                     .collect();
                 println!(
-                    "{:>10} {:>5} {:>9} | {}",
+                    "{:>10} {:>5} {:>9} | {} | {:>8.0} {:>8.0} {:>8.0}",
                     num_principals,
                     max_partitions,
                     max_elements,
-                    cells.join(" | ")
+                    cells.join(" | "),
+                    point.register_ns_per_principal,
+                    point.grant_ns,
+                    point.revoke_ns
                 );
                 points.push(point);
             }
@@ -210,6 +231,7 @@ fn measure_point(
         })),
     });
 
+    let (grant_ns, revoke_ns) = policy_mutation_ns(&workload.store, MUTATION_BATCH);
     SweepPoint {
         num_principals,
         max_partitions,
@@ -217,6 +239,9 @@ fn measure_point(
         unique_policies: workload.store.unique_policies(),
         state_bytes_per_principal: workload.store.state_bytes() as f64
             / workload.store.len().max(1) as f64,
+        register_ns_per_principal: workload.register_ns_per_principal,
+        grant_ns,
+        revoke_ns,
         results,
     }
 }
@@ -356,6 +381,12 @@ fn render_json(
             "      \"state_bytes_per_principal\": {:.1},\n",
             point.state_bytes_per_principal
         ));
+        out.push_str(&format!(
+            "      \"register_ns_per_principal\": {:.1},\n",
+            point.register_ns_per_principal
+        ));
+        out.push_str(&format!("      \"grant_ns\": {:.1},\n", point.grant_ns));
+        out.push_str(&format!("      \"revoke_ns\": {:.1},\n", point.revoke_ns));
         out.push_str("      \"labels_per_sec\": {\n");
         for (j, m) in point.results.iter().enumerate() {
             let value = match m.labels_per_sec {

@@ -19,10 +19,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::time::Instant;
+
 use fdc_core::{DisclosureLabel, PackedLabel};
 use fdc_ecosystem::policies::PolicyGeneratorConfig;
 use fdc_ecosystem::{ChurnConfig, Ecosystem, WorkloadConfig};
-use fdc_policy::PolicyStore;
+use fdc_policy::{PolicyStore, PrincipalId};
 use fdc_service::{DisclosureService, Operation, Response, ServiceConfig};
 
 pub mod seed_store;
@@ -93,6 +95,9 @@ pub struct PolicyWorkload {
     pub packed: Vec<Vec<PackedLabel>>,
     /// Number of principals in the store.
     pub num_principals: usize,
+    /// Time [`PolicyStore::register`] took per principal while the store
+    /// was built (generation excluded), in nanoseconds.
+    pub register_ns_per_principal: f64,
 }
 
 /// The policy-generator configuration of one Figure 6 grid point.
@@ -125,7 +130,21 @@ pub fn policy_workload(
         max_partitions,
         max_elements_per_partition,
     ));
-    let store = policies.build_store(&ecosystem.views, num_principals);
+    // Generated a chunk at a time, so that only registration is timed and
+    // the pending policies stay few even at a million principals.
+    const CHUNK: usize = 4096;
+    let mut store = PolicyStore::new();
+    let mut register = std::time::Duration::ZERO;
+    let mut chunk = Vec::with_capacity(CHUNK);
+    while store.len() < num_principals {
+        let take = CHUNK.min(num_principals - store.len());
+        chunk.extend((0..take).map(|_| policies.next_policy(&ecosystem.views)));
+        let started = Instant::now();
+        for policy in chunk.drain(..) {
+            store.register(policy);
+        }
+        register += started.elapsed();
+    }
     let mut generator = ecosystem.workload(WorkloadConfig::base(0xF16F));
     let labels = ecosystem.label_batch_cached(&generator.batch(label_batch));
     let packed = labels.iter().map(DisclosureLabel::pack).collect();
@@ -134,7 +153,46 @@ pub fn policy_workload(
         labels,
         packed,
         num_principals,
+        register_ns_per_principal: register.as_nanos() as f64 / num_principals.max(1) as f64,
     }
+}
+
+/// Median nanoseconds per [`PolicyStore::grant_view`] and per
+/// [`PolicyStore::revoke_view`] over a fixed seeded batch of `batch` of
+/// each, alternating, on a copy of `store` — each on a random principal
+/// and a random view of the ecosystem registry, timed call by call (the
+/// timer's own cost included).
+pub fn policy_mutation_ns(store: &PolicyStore, batch: usize) -> (f64, f64) {
+    let registry = Ecosystem::new().views;
+    let views: Vec<_> = registry.iter().map(|(id, _)| id).collect();
+    let mut store = store.clone();
+    let mut state = 0x9E37_79B9_7F4A_7C15u64;
+    let mut next = move || {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        state
+    };
+    let (mut grants, mut revokes) = (Vec::with_capacity(batch), Vec::with_capacity(batch));
+    for _ in 0..batch {
+        for (grant, times) in [(true, &mut grants), (false, &mut revokes)] {
+            let roll = next();
+            let principal = PrincipalId((roll % store.len().max(1) as u64) as u32);
+            let view = views[(roll >> 32) as usize % views.len()];
+            let started = Instant::now();
+            if grant {
+                store.grant_view(principal, &registry, view);
+            } else {
+                store.revoke_view(principal, &registry, view);
+            }
+            times.push(started.elapsed().as_nanos() as f64);
+        }
+    }
+    let median = |times: &mut Vec<f64>| {
+        times.sort_by(f64::total_cmp);
+        times.get(times.len() / 2).copied().unwrap_or(0.0)
+    };
+    (median(&mut grants), median(&mut revokes))
 }
 
 /// Builds the seed revision's uncompiled store over the same policies as
@@ -177,8 +235,8 @@ pub fn fig7_service(num_principals: usize) -> DisclosureService {
 
 /// [`fig7_service`] with an explicit worker-pool width — the knob behind
 /// the `thread_scaling` series of `fig7_json` (`pipelined_x{1,2,4}`).
-/// `0` keeps the default (the host's available parallelism); `1` serves
-/// inline with no pool.
+/// `0` means the host's available parallelism; `1` serves inline with no
+/// pool.
 pub fn fig7_service_with_workers(num_principals: usize, workers: usize) -> DisclosureService {
     let ecosystem = Ecosystem::new();
     ecosystem.disclosure_service(

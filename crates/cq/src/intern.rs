@@ -705,10 +705,15 @@ impl QueryInterner {
     /// Walks the probe chain of the query's stored hash; a hash match alone
     /// is never a hit.
     fn probe(&self, query: &ConjunctiveQuery) -> Option<QueryId> {
+        self.find(query.shape_hash(), |id| self.equals(id, query))
+    }
+
+    /// The first indexed query on `hash`'s probe chain with that stored
+    /// hash for which `is` holds.
+    fn find(&self, hash: u32, is: impl Fn(QueryId) -> bool) -> Option<QueryId> {
         if self.table.is_empty() {
             return None;
         }
-        let hash = query.shape_hash();
         let mask = self.table.len() - 1;
         let mut slot = hash as usize & mask;
         loop {
@@ -717,11 +722,22 @@ impl QueryInterner {
                 return None;
             }
             let id = QueryId(occupant);
-            if self.hashes[id.index()] == hash && self.equals(id, query) {
+            if self.hashes[id.index()] == hash && is(id) {
                 return Some(id);
             }
             slot = (slot + 1) & mask;
         }
+    }
+
+    /// True if entries `a` and `b` hold the same span: relations, arities,
+    /// terms and variable kinds.  Constants are interned once, so equal
+    /// terms are equal words (and equal term slices equal arities).
+    fn same_entry(&self, a: QueryId, b: QueryId) -> bool {
+        let (a, b) = (self.resolve(a), self.resolve(b));
+        a.kinds == b.kinds
+            && a.atoms.len() == b.atoms.len()
+            && (0..a.atoms.len())
+                .all(|i| a.relation(i) == b.relation(i) && a.atom_terms(i) == b.atom_terms(i))
     }
 
     /// Enters the first query not yet indexed (the newest one, bar a
@@ -1029,8 +1045,13 @@ impl QueryInterner {
         for _ in 0..num_kinds {
             kinds.push(crate::wire::read_var_kind(cursor)?);
         }
+        interner.terms = terms;
+        interner.atoms = atoms;
+        interner.kinds = kinds;
         let num_queries = cursor.count(16)?;
-        let mut queries = Vec::with_capacity(num_queries);
+        interner.queries.reserve_exact(num_queries);
+        interner.hashes.reserve_exact(num_queries);
+        interner.shapes.reserve_exact(num_queries);
         for _ in 0..num_queries {
             let at = cursor.pos();
             let span = QuerySpan {
@@ -1039,18 +1060,16 @@ impl QueryInterner {
                 kind_start: cursor.u32()?,
                 num_vars: cursor.u32()?,
             };
-            if span.atom_start as u64 + span.atom_len as u64 > atoms.len() as u64
-                || span.kind_start as u64 + span.num_vars as u64 > kinds.len() as u64
+            if span.atom_start as u64 + span.atom_len as u64 > interner.atoms.len() as u64
+                || span.kind_start as u64 + span.num_vars as u64 > interner.kinds.len() as u64
             {
                 return Err(CodecError::invalid(at, "query span out of range"));
             }
             // Only a canonical entry can be found by its own lookup (anything
             // else would silently mint duplicates), and every search over a
             // resolved query indexes per-variable tables by these indices.
-            let query_atoms =
-                &atoms[span.atom_start as usize..(span.atom_start + span.atom_len) as usize];
-            let query_kinds =
-                &kinds[span.kind_start as usize..(span.kind_start + span.num_vars) as usize];
+            let query = interner.span_ref(span);
+            let (query_atoms, query_kinds) = (query.atoms, query.kinds);
             if query_atoms.is_empty() {
                 return Err(CodecError::invalid(at, "query without atoms"));
             }
@@ -1062,7 +1081,7 @@ impl QueryInterner {
                 return Err(CodecError::invalid(at, "atom term spans not consecutive"));
             }
             let mut seen = 0u32;
-            for term in query_atoms.iter().flat_map(|atom| atom.terms(&terms)) {
+            for term in query_atoms.iter().flat_map(|atom| atom.terms(query.terms)) {
                 let ITermView::Var(v, kind) = term.get() else {
                     continue;
                 };
@@ -1088,16 +1107,17 @@ impl QueryInterner {
             if seen != span.num_vars {
                 return Err(CodecError::invalid(at, "declared variable never occurs"));
             }
-            queries.push(span);
-        }
-        interner.terms = terms;
-        interner.atoms = atoms;
-        interner.kinds = kinds;
-        interner.queries = queries;
-        interner.hashes.reserve_exact(num_queries);
-        interner.shapes.reserve_exact(num_queries);
-        for index in 0..interner.queries.len() {
-            let hash = interner.shape_hash(QueryId(index as u32));
+            // Interning never mints a second id for a shape; neither may an
+            // image, or two ids would discriminate what structure does not.
+            interner.queries.push(span);
+            let id = QueryId(interner.queries.len() as u32 - 1);
+            let hash = interner.shape_hash(id);
+            if interner
+                .find(hash, |other| interner.same_entry(other, id))
+                .is_some()
+            {
+                return Err(CodecError::invalid(at, "query duplicates an earlier one"));
+            }
             interner.index_newest(hash);
         }
         Ok(interner)
@@ -1308,6 +1328,28 @@ mod tests {
         bytes[len - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
         let mut cursor = fdc_durability::codec::Cursor::new(&bytes);
         assert!(QueryInterner::decode_from(&mut cursor).is_err());
+    }
+
+    #[test]
+    fn decode_refuses_an_image_holding_one_shape_twice() {
+        // Regression: a one-query image with its 16-byte span duplicated and
+        // the query count set to 2 used to decode to two ids for one
+        // shape, `lookup(&to_query(QueryId(1)))` answering `QueryId(0)`.
+        let c = catalog();
+        let mut interner = QueryInterner::new();
+        interner.intern(&q(&c, "Q(x) :- Meetings(x, 'Cathy')"));
+        let mut bytes = Vec::new();
+        interner.encode_into(&mut bytes);
+        let span = bytes.len() - 16;
+        let count = span - 8;
+        assert_eq!(bytes[count..span], 1u64.to_le_bytes());
+        bytes[count..span].copy_from_slice(&2u64.to_le_bytes());
+        bytes.extend_from_within(span..);
+        // Refused at the second query's offset.
+        assert_eq!(
+            decode_error(&bytes),
+            (span + 16, "query duplicates an earlier one".to_owned())
+        );
     }
 
     /// The image of `Q(x) :- Meetings(x, 'Cathy')` — terms `[x, 'Cathy']` —

@@ -75,11 +75,7 @@ impl PolicyPartition {
     /// Permits one more security view.
     pub fn permit(&mut self, registry: &SecurityViews, id: SecurityViewId) {
         let view = registry.view(id);
-        let bit = 1u64 << view.bit;
-        match self.position(view.relation) {
-            Ok(i) => self.permitted[i].1 |= bit,
-            Err(i) => self.permitted.insert(i, (view.relation, bit)),
-        }
+        self.set(view.relation, 1 << view.bit, true);
     }
 
     /// Withdraws a previously permitted security view (a no-op if the view
@@ -87,11 +83,21 @@ impl PolicyPartition {
     /// [`permit`](Self::permit), used by `RevokeView` operations.
     pub fn revoke(&mut self, registry: &SecurityViews, id: SecurityViewId) {
         let view = registry.view(id);
-        if let Ok(i) = self.position(view.relation) {
-            self.permitted[i].1 &= !(1u64 << view.bit);
-            if self.permitted[i].1 == 0 {
-                self.permitted.remove(i);
+        self.set(view.relation, 1 << view.bit, false);
+    }
+
+    /// Sets (`permit`) or clears the view bits `bit` of `relation`.
+    pub(crate) fn set(&mut self, relation: RelId, bit: ViewMask, permit: bool) {
+        match self.position(relation) {
+            Ok(i) if permit => self.permitted[i].1 |= bit,
+            Err(i) if permit => self.permitted.insert(i, (relation, bit)),
+            Ok(i) => {
+                self.permitted[i].1 &= !bit;
+                if self.permitted[i].1 == 0 {
+                    self.permitted.remove(i);
+                }
             }
+            Err(_) => {}
         }
     }
 
@@ -160,6 +166,12 @@ impl PolicyPartition {
             permitted,
             name: name.into(),
         }
+    }
+
+    /// The partition's `(relation, permitted mask)` pairs as stored: sorted
+    /// by relation, one per relation, no zero mask.
+    pub(crate) fn pairs(&self) -> &[(RelId, ViewMask)] {
+        &self.permitted
     }
 
     /// The relations for which this partition permits at least one view,

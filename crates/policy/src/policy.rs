@@ -58,10 +58,10 @@ impl SecurityPolicy {
         &self.partitions
     }
 
-    /// Mutable access to the partitions — the grant/revoke mutation path of
-    /// the online stores rewrites permitted view sets in place (the
-    /// partition *count* must not change under an enforcement store; see
-    /// `PolicyStore::replace_policy`).
+    /// Mutable access to the partitions — how an uncompiled policy (the
+    /// reference monitor's, an arena source being built) takes a grant or
+    /// revoke, in place (the partition *count* must not change under an
+    /// enforcement store; see `PolicyStore::replace_policy`).
     pub fn partitions_mut(&mut self) -> &mut [PolicyPartition] {
         &mut self.partitions
     }
@@ -87,11 +87,15 @@ impl SecurityPolicy {
     /// below it.  A policy fits a catalog of `n` relations exactly when
     /// this is at most `n`; it is also the number of relation rows the
     /// policy [compiles](crate::compiled::compile) to.
+    ///
+    /// A partition keeps its pairs sorted by relation and holds no zero
+    /// mask, so its last pair names its highest relation: this reads one
+    /// pair per partition, O(partitions), whatever the policy permits.
     pub fn relation_bound(&self) -> usize {
         self.partitions
             .iter()
-            .flat_map(PolicyPartition::relations)
-            .map(|relation| relation.index() + 1)
+            .filter_map(|partition| partition.pairs().last())
+            .map(|&(relation, _)| relation.index() + 1)
             .max()
             .unwrap_or(0)
     }

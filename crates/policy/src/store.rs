@@ -10,8 +10,11 @@
 //! * **Compile once, intern everywhere.**  A policy is compiled into one
 //!   flat word span ([`crate::compiled`], the only compiled form) and
 //!   interned in a [`PolicyArena`]: each distinct policy is stored once,
-//!   however many principals share it, and registration, `replace_policy`,
-//!   grants and revokes all take that one path.
+//!   however many principals share it.  Registration, `replace_policy`,
+//!   grants and revokes all work on the compiled form, in a scratch span
+//!   the store owns: a grant or revoke is a bit flip on a copy of the
+//!   principal's span, and a mutation that lands on a known form hashes
+//!   once, probes once and allocates nothing.
 //! * **Cache-line-sized principals.**  Per-principal state is a 24-byte
 //!   record — a `u32` arena index, a `u64` consistency word and two `u32`
 //!   counters — in one dense `Vec`, so a policy decision touches the
@@ -75,6 +78,9 @@ struct PrincipalState {
 #[derive(Debug, Clone, Default)]
 pub struct PolicyStore {
     arena: std::sync::Arc<PolicyArena>,
+    /// Where every mutation builds the span it resolves — outside the
+    /// `Arc`, so resolving a known form writes nothing shared.
+    scratch: Vec<u64>,
     states: Vec<PrincipalState>,
     answered_total: u64,
     refused_total: u64,
@@ -101,7 +107,7 @@ impl PolicyStore {
         let id = PrincipalId(self.states.len() as u32);
         let consistent = initial_consistency_word(policy.len());
         self.states.push(PrincipalState {
-            policy: PolicyArena::intern(&mut self.arena, policy),
+            policy: PolicyArena::intern(&mut self.arena, &mut self.scratch, policy),
             answered: 0,
             refused: 0,
             consistent,
@@ -141,13 +147,22 @@ impl PolicyStore {
             "replace_policy must preserve the partition count \
              (the consistency word is carried over bit for bit)"
         );
-        state.policy = PolicyArena::intern(&mut self.arena, policy);
+        state.policy = PolicyArena::intern(&mut self.arena, &mut self.scratch, policy);
     }
 
     /// Grants one more security view to a principal: every partition of its
     /// policy gains the view, so whichever wall side the principal has
     /// committed to can use the new permission.  The consistency word and
     /// counters are preserved (see [`replace_policy`](Self::replace_policy)).
+    ///
+    /// The grant is made on the compiled form: the principal's span is
+    /// copied into the store's scratch and the view's bit set in its
+    /// relation's row for every partition — the table grows when the
+    /// relation lies past it — and the result is resolved against the
+    /// arena.  No boxed policy is cloned: a form the arena has never held
+    /// records the grant, and its source (the old one plus
+    /// [`permit`](crate::PolicyPartition::permit)) is built when
+    /// [`policy`](Self::policy) or a checkpoint first asks for it.
     ///
     /// # Panics
     ///
@@ -158,11 +173,7 @@ impl PolicyStore {
         registry: &SecurityViews,
         view: SecurityViewId,
     ) {
-        let mut policy = self.policy(principal).clone();
-        for partition in policy.partitions_mut() {
-            partition.permit(registry, view);
-        }
-        self.replace_policy(principal, policy);
+        self.edit_view(principal, registry, view, true);
     }
 
     /// Revokes a security view from a principal: every partition of its
@@ -170,6 +181,12 @@ impl PolicyStore {
     /// consistency word and counters are preserved (already answered
     /// disclosure cannot be taken back — see
     /// [`replace_policy`](Self::replace_policy)).
+    ///
+    /// Like [`grant_view`](Self::grant_view), a bit flip on a copy of the
+    /// principal's span: the bit is cleared in every partition's word, and
+    /// the table shrinks while its top row is empty, so the result is the
+    /// span of the same policy registered without the view.  Revoking a
+    /// view no partition holds keeps the principal's id.
     ///
     /// # Panics
     ///
@@ -180,11 +197,23 @@ impl PolicyStore {
         registry: &SecurityViews,
         view: SecurityViewId,
     ) {
-        let mut policy = self.policy(principal).clone();
-        for partition in policy.partitions_mut() {
-            partition.revoke(registry, view);
-        }
-        self.replace_policy(principal, policy);
+        self.edit_view(principal, registry, view, false);
+    }
+
+    /// [`grant_view`](Self::grant_view) (`grant`) or
+    /// [`revoke_view`](Self::revoke_view).
+    fn edit_view(
+        &mut self,
+        principal: PrincipalId,
+        registry: &SecurityViews,
+        view: SecurityViewId,
+        grant: bool,
+    ) {
+        let state = &mut self.states[principal.index()];
+        let view = registry.view(view);
+        let bit = (view.relation, 1 << view.bit);
+        state.policy =
+            PolicyArena::edit(&mut self.arena, &mut self.scratch, state.policy, bit, grant);
     }
 
     /// Number of registered principals.
@@ -381,7 +410,7 @@ impl PolicyStore {
                     "policy names a relation outside the catalog",
                 ));
             }
-            let index = PolicyArena::intern(&mut store.arena, policy);
+            let index = PolicyArena::intern(&mut store.arena, &mut store.scratch, policy);
             if index as usize != expected {
                 return Err(CodecError::invalid(
                     at,

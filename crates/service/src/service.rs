@@ -56,16 +56,17 @@ const CHECKPOINTS_KEPT: usize = 2;
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
     /// Number of shards the policy store lays principals out over
-    /// (round-robin).  `0` means "the host's available parallelism".  The
-    /// count is part of a durable service's on-disk layout and of nothing
-    /// else — decisions are made on the calling thread whatever it is — so
+    /// (round-robin).  `0` means "the host's available parallelism"; the
+    /// default is `1`, one store and one policy arena.  The count is part
+    /// of a durable service's on-disk layout and of nothing else —
+    /// decisions are made on the calling thread whatever it is — so
     /// recovery keeps the checkpoint's count.
     pub num_shards: usize,
     /// Number of persistent worker threads in the service's
     /// [`WorkerPool`] — the labeling fan-out width of
     /// [`run_pipelined`](DisclosureService::run_pipelined).  `0` means "the
-    /// host's available parallelism"; `1` serves every batch inline on the
-    /// calling thread with no pool at all.
+    /// host's available parallelism"; `1`, the default, serves every batch
+    /// inline on the calling thread with no pool at all.
     pub workers: usize,
     /// Per-principal cap on the observed-workload history that backs
     /// `AuditApp` (a bounded ring of the interned ids of recently submitted
@@ -85,8 +86,8 @@ pub struct ServiceConfig {
 impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
-            num_shards: 0,
-            workers: 0,
+            num_shards: 1,
+            workers: 1,
             history_cap: 1024,
             durability: DurabilityConfig::default(),
         }
@@ -172,11 +173,11 @@ impl Eq for ServiceStats {}
 ///   [`run_pipelined`](Self::run_pipelined) labels a batch's admissions on
 ///   the service's persistent [`WorkerPool`] over the shared cache;
 ///   decisions are made on the calling thread, in request order.
-/// * **Policy mutations** (`GrantView` / `RevokeView`) re-intern the
-///   principal's compiled policy while preserving its consistency word and
-///   counters; the label caches are untouched (labels do not depend on
-///   policies), so a grant is an O(policy size) operation however warm the
-///   cache is.
+/// * **Policy mutations** (`GrantView` / `RevokeView`) flip the view's bit
+///   in a copy of the principal's compiled policy and re-resolve it against
+///   the policy arena, preserving the consistency word and counters; the
+///   label caches are untouched (labels do not depend on policies), so a
+///   grant is an O(policy size) operation however warm the cache is.
 /// * **View-universe mutations** (`AddSecurityView`) register the view
 ///   online and bump only the affected relation's epoch: cached labels over
 ///   other relations keep hitting, and stale entries re-derive just their

@@ -13,8 +13,15 @@
 //!
 //! Each must return, not panic; an error names an offset inside the input
 //! (at most its length); and an interner that decodes resolves every id it
-//! holds back to a query, re-encodes, and decodes from its re-encoding to
-//! the same bytes.  A failure prints the mutation and the mutated bytes.
+//! holds back to a query that its own lookup finds under that id,
+//! re-encodes, and decodes from its re-encoding to the same bytes.  A
+//! failure prints the mutation and the mutated bytes.
+//!
+//! Semantic mutators edit a valid image so that every array stays in range
+//! and every query stays canonical, yet the image is not one construction
+//! can build; each must be refused at the offset of what it edited:
+//!
+//! * duplicate a query span (two ids for one shape).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -105,11 +112,10 @@ fn decode_interner(input: &[u8]) -> Result<(), CodecError> {
     let interner = QueryInterner::decode_from(&mut Cursor::new(input))?;
     let mut out = Vec::new();
     for index in 0..interner.len() {
-        let query = interner.to_query(QueryId(index as u32));
-        assert_eq!(
-            query.num_atoms(),
-            interner.resolve(QueryId(index as u32)).num_atoms()
-        );
+        let id = QueryId(index as u32);
+        let query = interner.to_query(id);
+        assert_eq!(query.num_atoms(), interner.resolve(id).num_atoms());
+        assert_eq!(interner.lookup(&query), Some(id), "an id its lookup misses");
         out.clear();
         encode_query(&query, &mut out);
     }
@@ -197,5 +203,36 @@ fn hostile_bytes_never_panic_a_decoder() {
     for (i, (what, bytes, decode)) in inputs.iter().enumerate() {
         let seed = 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(i as u64 + 1);
         assert_never_panics(what, bytes, seed, |input| decode(&catalog, input));
+    }
+}
+
+#[test]
+fn an_image_duplicating_a_query_span_is_refused() {
+    let catalog = SecurityViews::paper_example().catalog().clone();
+    let queries = queries(&catalog);
+    for count in [1, queries.len()] {
+        let mut arena = QueryInterner::new();
+        for q in &queries[..count] {
+            arena.intern(q);
+        }
+        let mut image = Vec::new();
+        arena.encode_into(&mut image);
+        // The image ends with the query table: a count, then a 16-byte
+        // span per query.
+        let table = image.len() - 16 * count;
+        for duplicated in 0..count {
+            let mut bytes = image.clone();
+            bytes[table - 8..table].copy_from_slice(&(count as u64 + 1).to_le_bytes());
+            let span = table + 16 * duplicated;
+            bytes.extend_from_within(span..span + 16);
+            match QueryInterner::decode_from(&mut Cursor::new(&bytes)) {
+                Err(CodecError::Invalid { offset, what }) => assert_eq!(
+                    (offset, what.as_str()),
+                    (image.len(), "query duplicates an earlier one"),
+                    "query {duplicated} of {count}"
+                ),
+                other => panic!("query {duplicated} of {count} duplicated: {other:?}"),
+            }
+        }
     }
 }

@@ -18,9 +18,19 @@
 //! Every decision, every consistency bit vector, every counter and every
 //! principal's policy must agree at every step.  A second property pins the
 //! identity the stores' interning arena gives a policy.
+//!
+//! A third pins the compiled-form mutations — a grant or revoke is a bit
+//! flip on a copy of the principal's span — against the boxed path they
+//! replaced: clone the principal's source policy, permit or revoke the view
+//! in every partition, compile the clone and intern it (`replace_policy`).
+//! Arena ids, spans, sources, consistency words, decisions and checkpoint
+//! bytes must be identical; named cases cover the table growing and
+//! shrinking, a revoke that changes nothing, a policy with no partitions
+//! and two principals converging on one form.
 
 use fdc::core::{AtomLabel, DisclosureLabel, SecurityViewId, SecurityViews, ViewMask};
 use fdc::cq::RelId;
+use fdc::policy::compiled::compile;
 use fdc::policy::{
     PolicyPartition, PolicyStore, PrincipalId, ReferenceMonitor, SecurityPolicy, ShardedPolicyStore,
 };
@@ -122,6 +132,47 @@ fn mask_lists(policy: &SecurityPolicy) -> Vec<Vec<(RelId, ViewMask)>> {
         .iter()
         .map(PolicyPartition::masks)
         .collect()
+}
+
+/// A grant (`grant`) or revoke the boxed way: the principal's source
+/// policy, cloned, the view permitted or revoked in every partition, and
+/// the clone compiled and interned by `replace_policy`.
+fn boxed_edit(
+    store: &mut PolicyStore,
+    p: PrincipalId,
+    registry: &SecurityViews,
+    view: SecurityViewId,
+    grant: bool,
+) {
+    let mut policy = store.policy(p).clone();
+    for partition in policy.partitions_mut() {
+        if grant {
+            partition.permit(registry, view);
+        } else {
+            partition.revoke(registry, view);
+        }
+    }
+    store.replace_policy(p, policy);
+}
+
+/// Panics unless the two stores hold the same arena — ids, spans, sources
+/// and hit counts — and encode to the same checkpoint bytes.
+fn assert_same_stores(compiled: &PolicyStore, boxed: &PolicyStore) {
+    let (a, b) = (compiled.arena(), boxed.arena());
+    assert_eq!((a.len(), a.hits()), (b.len(), b.hits()));
+    for id in 0..a.len() as u32 {
+        assert_eq!(a.span(id), b.span(id), "span of {id}");
+        assert_eq!(a.source(id), b.source(id), "source of {id}");
+        assert_eq!(
+            compile(a.source(id)),
+            a.span(id),
+            "{id}'s source compiles to its span"
+        );
+    }
+    let (mut x, mut y) = (Vec::new(), Vec::new());
+    compiled.encode_into(&mut x);
+    boxed.encode_into(&mut y);
+    assert_eq!(x, y, "checkpoint bytes");
 }
 
 fn registry() -> SecurityViews {
@@ -381,4 +432,224 @@ fn oversized_policies_are_rejected_by_every_surface() {
     let mut store = PolicyStore::new();
     let p = store.register(at_limit);
     assert_eq!(store.consistency_bits(p), u64::MAX);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn compiled_form_mutations_match_the_boxed_path(
+        policies in proptest::collection::vec(policy_strategy(), 1..=6),
+        ops in proptest::collection::vec(
+            (op_strategy(), 0u8..8, policy_strategy()),
+            1..=60,
+        ),
+    ) {
+        let registry = registry();
+        let views = view_ids(&registry);
+        let mut compiled = PolicyStore::new();
+        let mut boxed = PolicyStore::new();
+        for raw in &policies {
+            compiled.register(build_policy(&registry, raw));
+            boxed.register(build_policy(&registry, raw));
+        }
+        for (op, register, raw) in &ops {
+            // One op in eight registers a principal first.
+            if *register == 0 {
+                compiled.register(build_policy(&registry, raw));
+                boxed.register(build_policy(&registry, raw));
+            }
+            let (Op::Submit { who, .. }
+            | Op::Check { who, .. }
+            | Op::Grant { who, .. }
+            | Op::Revoke { who, .. }
+            | Op::Replace { who, .. }) = op;
+            let p = PrincipalId((who % compiled.len()) as u32);
+            match op {
+                Op::Submit { label, .. } => {
+                    let label = build_label(label);
+                    prop_assert_eq!(compiled.submit(p, &label), boxed.submit(p, &label));
+                }
+                Op::Check { label, .. } => {
+                    let label = build_label(label);
+                    prop_assert_eq!(compiled.check(p, &label), boxed.check(p, &label));
+                }
+                Op::Grant { view, .. } | Op::Revoke { view, .. } => {
+                    let view = views[view % views.len()];
+                    let grant = matches!(op, Op::Grant { .. });
+                    if grant {
+                        compiled.grant_view(p, &registry, view);
+                    } else {
+                        compiled.revoke_view(p, &registry, view);
+                    }
+                    boxed_edit(&mut boxed, p, &registry, view, grant);
+                }
+                Op::Replace { raw, .. } => {
+                    let parts: Vec<Vec<usize>> = (0..compiled.policy(p).len())
+                        .map(|i| raw.get(i).cloned().unwrap_or_default())
+                        .collect();
+                    compiled.replace_policy(p, build_policy(&registry, &parts));
+                    boxed.replace_policy(p, build_policy(&registry, &parts));
+                }
+            }
+            prop_assert_eq!(compiled.consistency_bits(p), boxed.consistency_bits(p));
+            prop_assert_eq!(compiled.policy(p), boxed.policy(p));
+        }
+        assert_same_stores(&compiled, &boxed);
+        prop_assert_eq!(compiled.totals(), boxed.totals());
+    }
+}
+
+/// The registry's views on its lowest and its highest relation.
+fn views_at_the_ends(registry: &SecurityViews) -> (SecurityViewId, SecurityViewId) {
+    let relation = |id: SecurityViewId| registry.view(id).relation;
+    let views = view_ids(registry);
+    let low = *views.iter().min_by_key(|&&id| relation(id)).unwrap();
+    let high = *views.iter().max_by_key(|&&id| relation(id)).unwrap();
+    assert!(relation(low) < relation(high));
+    (low, high)
+}
+
+#[test]
+fn a_grant_past_the_table_grows_it_to_the_policy_with_the_view() {
+    let registry = registry();
+    let (low, high) = views_at_the_ends(&registry);
+    let wall = |views: &[SecurityViewId]| {
+        SecurityPolicy::chinese_wall([
+            PolicyPartition::from_views("a", &registry, views.iter().copied()),
+            PolicyPartition::from_views("b", &registry, [low]),
+        ])
+    };
+    let mut compiled = PolicyStore::new();
+    let mut boxed = PolicyStore::new();
+    let p = compiled.register(wall(&[low]));
+    boxed.register(wall(&[low]));
+    let table = |store: &PolicyStore| store.arena().span(store.arena().len() as u32 - 1).len();
+    assert_eq!(
+        table(&compiled),
+        1 + 2 * (registry.view(low).relation.index() + 1)
+    );
+    compiled.grant_view(p, &registry, high);
+    boxed_edit(&mut boxed, p, &registry, high, true);
+    assert_eq!(
+        table(&compiled),
+        1 + 2 * (registry.view(high).relation.index() + 1)
+    );
+    assert_same_stores(&compiled, &boxed);
+    // The form is the one the policy registered with the view compiles to.
+    let q = compiled.register(SecurityPolicy::chinese_wall([
+        PolicyPartition::from_views("a", &registry, [low, high]),
+        PolicyPartition::from_views("b", &registry, [low, high]),
+    ]));
+    assert!(std::ptr::eq(compiled.policy(p), compiled.policy(q)));
+    assert_eq!(compiled.unique_policies(), 2);
+}
+
+#[test]
+fn a_revoke_that_empties_the_top_row_reaches_the_policy_without_the_view() {
+    let registry = registry();
+    let (low, high) = views_at_the_ends(&registry);
+    let without = SecurityPolicy::stateless(PolicyPartition::from_views("w", &registry, [low]));
+    let mut compiled = PolicyStore::new();
+    let mut boxed = PolicyStore::new();
+    let bare = compiled.register(without.clone());
+    boxed.register(without);
+    let with = SecurityPolicy::stateless(PolicyPartition::from_views("w", &registry, [low, high]));
+    let p = compiled.register(with.clone());
+    boxed.register(with);
+    compiled.revoke_view(p, &registry, high);
+    boxed_edit(&mut boxed, p, &registry, high, false);
+    assert!(std::ptr::eq(compiled.policy(p), compiled.policy(bare)));
+    assert_eq!(compiled.unique_policies(), 2);
+    assert_same_stores(&compiled, &boxed);
+    // Down to no view at all: the table shrinks to nothing.
+    compiled.revoke_view(p, &registry, low);
+    boxed_edit(&mut boxed, p, &registry, low, false);
+    let nothing = SecurityPolicy::stateless(PolicyPartition::new("w"));
+    assert_eq!(compile(compiled.policy(p)), compile(&nothing));
+    assert_eq!(compile(compiled.policy(p)), [1]);
+    assert_same_stores(&compiled, &boxed);
+}
+
+#[test]
+fn revoking_a_view_never_granted_keeps_the_id_and_appends_nothing() {
+    let registry = registry();
+    let (low, high) = views_at_the_ends(&registry);
+    let policy = SecurityPolicy::stateless(PolicyPartition::from_views("w", &registry, [low]));
+    let mut compiled = PolicyStore::new();
+    let mut boxed = PolicyStore::new();
+    let p = compiled.register(policy.clone());
+    boxed.register(policy);
+    let before: *const SecurityPolicy = compiled.policy(p);
+    let (forms, hits) = (compiled.unique_policies(), compiled.arena().hits());
+    // Past the table, and inside it on a view the partition lacks.
+    let beside = view_ids(&registry)
+        .into_iter()
+        .find(|&v| registry.view(v).relation == registry.view(low).relation && v != low)
+        .unwrap();
+    for view in [high, beside] {
+        compiled.revoke_view(p, &registry, view);
+        boxed_edit(&mut boxed, p, &registry, view, false);
+    }
+    assert!(std::ptr::eq(compiled.policy(p), before));
+    assert_eq!(compiled.unique_policies(), forms);
+    assert_eq!(compiled.arena().hits(), hits + 2);
+    assert_same_stores(&compiled, &boxed);
+}
+
+#[test]
+fn a_grant_to_a_policy_without_partitions_changes_nothing() {
+    let registry = registry();
+    let (low, high) = views_at_the_ends(&registry);
+    let mut compiled = PolicyStore::new();
+    let mut boxed = PolicyStore::new();
+    let p = compiled.register(SecurityPolicy::new());
+    boxed.register(SecurityPolicy::new());
+    for view in [low, high] {
+        compiled.grant_view(p, &registry, view);
+        boxed_edit(&mut boxed, p, &registry, view, true);
+    }
+    assert!(compiled.policy(p).is_empty());
+    assert_eq!(compiled.unique_policies(), 1);
+    assert_eq!(compiled.arena().span(0), [0]);
+    assert_same_stores(&compiled, &boxed);
+}
+
+#[test]
+fn two_principals_converge_on_one_form() {
+    let registry = registry();
+    let (low, high) = views_at_the_ends(&registry);
+    let both = |view: SecurityViewId, name: &str| {
+        SecurityPolicy::chinese_wall([
+            PolicyPartition::from_views(format!("{name}-0"), &registry, [view]),
+            PolicyPartition::from_views(format!("{name}-1"), &registry, [view]),
+        ])
+    };
+    let mut compiled = PolicyStore::new();
+    let mut boxed = PolicyStore::new();
+    let p = compiled.register(both(low, "p"));
+    let q = compiled.register(both(high, "q"));
+    boxed.register(both(low, "p"));
+    boxed.register(both(high, "q"));
+    let mut step = |who: PrincipalId, view: SecurityViewId, grant: bool| {
+        if grant {
+            compiled.grant_view(who, &registry, view);
+        } else {
+            compiled.revoke_view(who, &registry, view);
+        }
+        boxed_edit(&mut boxed, who, &registry, view, grant);
+        assert_same_stores(&compiled, &boxed);
+        (
+            compiled.unique_policies(),
+            compiled.policy(who).partitions()[0].name.clone(),
+        )
+    };
+    // Both gain the other's view: p's grant makes the form, q's lands on
+    // it and reads p's source.
+    assert_eq!(step(p, high, true), (3, "p-0".to_owned()));
+    assert_eq!(step(q, low, true), (3, "p-0".to_owned()));
+    // Both drop `low`: p lands on q's registered form.
+    assert_eq!(step(p, low, false), (3, "q-0".to_owned()));
+    assert_eq!(step(q, low, false), (3, "q-0".to_owned()));
+    assert!(std::ptr::eq(compiled.policy(p), compiled.policy(q)));
 }

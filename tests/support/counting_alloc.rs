@@ -1,8 +1,8 @@
 //! The per-thread counting global allocator of the allocation-pinning test
-//! binaries (`intern_alloc`, `request_alloc`, `query_alloc`), included by
-//! `#[path]` — each binary installs it for itself, which is why those suites
-//! are binaries of their own.  Counts are per thread, so the harness running tests in
-//! parallel does not disturb them.
+//! binaries (`intern_alloc`, `request_alloc`, `query_alloc`, `policy_alloc`),
+//! included by `#[path]` — each binary installs it for itself, which is why
+//! those suites are binaries of their own.  Counts are per thread, so the
+//! harness running tests in parallel does not disturb them.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
