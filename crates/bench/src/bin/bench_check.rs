@@ -18,9 +18,12 @@
 //!
 //! Floors (committed mode):
 //!
-//! * fig5 — `min_speedup_interned_vs_cached` ≥ 1.5, and the high-atoms
+//! * fig5 — `min_speedup_interned_vs_cached` ≥ 1.5, the high-atoms
 //!   block's cold-labeling series `interned_cold` present and positive at
-//!   max_atoms 20 and 28;
+//!   max_atoms 20 and 28, and at every sweep point the batch's mean
+//!   `query_heap_bytes` and `query_blocks` present and positive, with
+//!   `query_heap_bytes` at most its [`QUERY_HEAP_BYTES_CEILING`] (in smoke
+//!   mode too: the figure is exact per seed);
 //! * fig6 — `interned` and `interned_packed` present at every sweep point
 //!   (`seed_store` present or `null`), as are the policy plane's
 //!   per-layer costs `register_ns_per_principal`, `grant_ns` and
@@ -291,8 +294,24 @@ fn sweep<'a>(doc: &'a Json, path: &str) -> Result<&'a [Json], String> {
         .ok_or_else(|| format!("`{path}`: missing `sweep` array"))
 }
 
-/// Figure 5 gate: the interned series exists at every sweep point and its
-/// headline speedup over the cached baseline clears the floor.
+/// The most `query_heap_bytes` a Figure 5 batch's mean query may cost, per
+/// max-atoms setting: 5 % above the committed values (192.3, 266.3, 355.4,
+/// 434.3, 519.5 B) of the layout that stores a term in a 4-byte word and
+/// each distinct constant once; the 16-byte-term layout before it read
+/// 337.0, 473.5, 639.7, 788.8 and 948.3 B on the same batches.  The
+/// figure is exact per seed, so only a change of layout or of the
+/// generator moves it.
+const QUERY_HEAP_BYTES_CEILING: [(f64, f64); 5] = [
+    (3.0, 201.9),
+    (6.0, 279.6),
+    (9.0, 373.2),
+    (12.0, 456.0),
+    (15.0, 545.5),
+];
+
+/// Figure 5 gate: the interned series and the query footprint exist at
+/// every sweep point, the footprint stays under its ceiling, and the
+/// interned headline speedup over the cached baseline clears the floor.
 fn check_fig5(path: &str, smoke: bool) -> Result<(), String> {
     let doc = load(path)?;
     for point in sweep(&doc, path)? {
@@ -303,6 +322,40 @@ fn check_fig5(path: &str, smoke: bool) -> Result<(), String> {
             if series.get(required).and_then(Json::as_number).is_none() {
                 return Err(format!(
                     "`{path}`: series `{required}` missing from a sweep point"
+                ));
+            }
+        }
+        let max_atoms = point
+            .get("max_atoms")
+            .and_then(Json::as_number)
+            .ok_or_else(|| format!("`{path}`: sweep point without `max_atoms`"))?;
+        for required in ["query_heap_bytes", "query_blocks"] {
+            match point.get(required).and_then(Json::as_number) {
+                None => {
+                    return Err(format!(
+                        "`{path}`: `{required}` missing at max_atoms {max_atoms}"
+                    ))
+                }
+                Some(value) if value <= 0.0 => {
+                    return Err(format!(
+                        "`{path}`: non-positive `{required}` at max_atoms {max_atoms}"
+                    ))
+                }
+                Some(_) => {}
+            }
+        }
+        let bytes = point
+            .get("query_heap_bytes")
+            .and_then(Json::as_number)
+            .unwrap_or_default();
+        if let Some(&(_, ceiling)) = QUERY_HEAP_BYTES_CEILING
+            .iter()
+            .find(|(atoms, _)| *atoms == max_atoms)
+        {
+            if bytes > ceiling {
+                return Err(format!(
+                    "`{path}`: `query_heap_bytes` above its ceiling at max_atoms \
+                     {max_atoms} — {bytes:.1} > {ceiling:.1}"
                 ));
             }
         }
@@ -747,7 +800,8 @@ mod tests {
     ]
   }},
   "sweep": [
-    {{"max_atoms": 3, "queries_per_sec": {{"baseline": 100000.0,
+    {{"max_atoms": 3, "query_heap_bytes": 100.0, "query_blocks": 2.0,
+      "queries_per_sec": {{"baseline": 100000.0,
       "cached_sequential": 400000.0, "interned": 900000.0}}}}
   ]
 }}"#
@@ -775,6 +829,45 @@ mod tests {
         std::fs::write(&path, stripped).unwrap();
         let err = check_fig5(path.to_str().unwrap(), true).unwrap_err();
         assert!(err.contains("`interned_cold` missing"), "{err}");
+    }
+
+    #[test]
+    fn fig5_query_footprint_gate_names_the_offending_point() {
+        let dir = std::env::temp_dir().join("fdc_bench_check_fig5_bytes_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("fig5.json");
+        let ceiling_6 = QUERY_HEAP_BYTES_CEILING[1].1;
+        let render = |footprint: &str| {
+            format!(
+                r#"{{
+  "min_speedup_interned_vs_cached": 4.0,
+  "high_atoms": {{ "sweep": [{{"max_atoms": 20, "interned_cold": 1.0}},
+    {{"max_atoms": 28, "interned_cold": 1.0}}] }},
+  "sweep": [
+    {{"max_atoms": 6, {footprint}
+      "queries_per_sec": {{"baseline": 1.0, "cached_sequential": 1.0, "interned": 1.0}}}}
+  ]
+}}"#
+            )
+        };
+        let check = |footprint: &str| {
+            std::fs::write(&path, render(footprint)).unwrap();
+            check_fig5(path.to_str().unwrap(), true)
+        };
+        let at = |bytes: f64| format!(r#""query_heap_bytes": {bytes}, "query_blocks": 2.0,"#);
+        assert!(check(&at(ceiling_6)).is_ok());
+        let err = check(&at(ceiling_6 + 1.0)).unwrap_err();
+        assert!(
+            err.contains("`query_heap_bytes` above its ceiling at max_atoms 6"),
+            "{err}"
+        );
+        let err = check(r#""query_heap_bytes": 100.0,"#).unwrap_err();
+        assert!(
+            err.contains("`query_blocks` missing at max_atoms 6"),
+            "{err}"
+        );
+        let err = check(r#""query_heap_bytes": 0.0, "query_blocks": 2.0,"#).unwrap_err();
+        assert!(err.contains("non-positive `query_heap_bytes`"), "{err}");
     }
 
     #[test]

@@ -8,7 +8,11 @@
 //! settings, and writes the queries/second trajectory to `BENCH_fig5.json`
 //! (or the path given as the first argument).  A `high_atoms` block adds
 //! cold labeling (`interned_cold`: an empty cache, every shape first seen)
-//! at 20 and 28 atoms, past the paper's axis.
+//! at 20 and 28 atoms, past the paper's axis.  Each sweep point also
+//! records what its generated batch's queries cost in memory: the mean
+//! `query_heap_bytes` (the bytes of a query's two blocks, by their lengths)
+//! and `query_blocks` — exact per seed, so a layout change shows as a
+//! before/after pair.
 //!
 //! ```text
 //! cargo run --release -p fdc-bench --bin fig5_json            # full run
@@ -33,6 +37,20 @@ struct Measurement {
 struct SweepPoint {
     max_atoms: usize,
     results: Vec<Measurement>,
+    /// Mean `ConjunctiveQuery::heap_bytes` over the generated batch: the
+    /// bytes of a query's two blocks, by their lengths.  Exact per seed.
+    query_heap_bytes: f64,
+    /// Mean `ConjunctiveQuery::heap_blocks` over the generated batch.
+    query_blocks: f64,
+}
+
+/// The mean heap bytes and heap blocks of a batch's queries.
+fn query_footprint(workload: &LabelingWorkload) -> (f64, f64) {
+    let queries = &workload.queries;
+    let n = queries.len().max(1) as f64;
+    let bytes: usize = queries.iter().map(|q| q.heap_bytes()).sum();
+    let blocks: usize = queries.iter().map(|q| q.heap_blocks()).sum();
+    (bytes as f64 / n, blocks as f64 / n)
 }
 
 /// Cold labeling throughput at one max-atoms setting past the paper's axis.
@@ -58,24 +76,32 @@ fn main() {
 
     println!("fig5_json: batch={BATCH_SIZE} repeats={repeats} threads={threads} smoke={smoke}");
     println!(
-        "{:>9} | {:>12} | {:>12} | {:>12} | {:>12} | {:>12}",
-        "max_atoms", "baseline", "hashing", "bitvec", "cached_seq", "interned"
+        "{:>9} | {:>12} | {:>12} | {:>12} | {:>12} | {:>12} | {:>10} | {:>6}",
+        "max_atoms", "baseline", "hashing", "bitvec", "cached_seq", "interned", "query_B", "blocks"
     );
 
     let mut points = Vec::new();
     for &max_atoms in sweep {
         let workload = labeling_workload(max_atoms, BATCH_SIZE);
         let results = measure_point(&workload, repeats);
+        let (query_heap_bytes, query_blocks) = query_footprint(&workload);
         println!(
-            "{:>9} | {:>12.0} | {:>12.0} | {:>12.0} | {:>12.0} | {:>12.0}",
+            "{:>9} | {:>12.0} | {:>12.0} | {:>12.0} | {:>12.0} | {:>12.0} | {:>10.1} | {:>6.2}",
             max_atoms,
             results[0].queries_per_sec,
             results[1].queries_per_sec,
             results[2].queries_per_sec,
             results[3].queries_per_sec,
             results[4].queries_per_sec,
+            query_heap_bytes,
+            query_blocks,
         );
-        points.push(SweepPoint { max_atoms, results });
+        points.push(SweepPoint {
+            max_atoms,
+            results,
+            query_heap_bytes,
+            query_blocks,
+        });
     }
 
     let speedup = overall_speedup(&points, "cached_sequential", "baseline");
@@ -264,6 +290,14 @@ fn render_json(
     for (i, point) in points.iter().enumerate() {
         out.push_str("    {\n");
         out.push_str(&format!("      \"max_atoms\": {},\n", point.max_atoms));
+        out.push_str(&format!(
+            "      \"query_heap_bytes\": {:.1},\n",
+            point.query_heap_bytes
+        ));
+        out.push_str(&format!(
+            "      \"query_blocks\": {:.2},\n",
+            point.query_blocks
+        ));
         out.push_str("      \"queries_per_sec\": {\n");
         for (j, m) in point.results.iter().enumerate() {
             out.push_str(&format!(

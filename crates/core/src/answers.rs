@@ -13,8 +13,8 @@
 //! 4. where `v_i` is existential, every `j` with `q_j = q_i` has
 //!    `v_j = v_i`.
 //!
-//! [`by_terms`] is that rule, over the boxed [`Term`] and the interned
-//! [`ITerm`] alike.  Two consequences decide most pairs without reading a
+//! [`by_terms`] is that rule, over a boxed query's [`TermRef`]s and the
+//! interned [`ITerm`] alike.  Two consequences decide most pairs without reading a
 //! term; a [`Shape`] holds what they read:
 //!
 //! * a **projection-style** view (no constant, no repeated term, at most 64
@@ -34,7 +34,7 @@
 //! build).
 
 use fdc_cq::intern::ITerm;
-use fdc_cq::{AtomRef, Term};
+use fdc_cq::{AtomRef, TermRef, Terms};
 
 /// A term as [`by_terms`] reads it: a constant, or a variable that is
 /// existential or not.  Equal terms of one atom are one term.
@@ -45,13 +45,13 @@ pub trait RuleTerm: PartialEq {
     fn is_existential(&self) -> bool;
 }
 
-impl RuleTerm for Term {
+impl RuleTerm for TermRef<'_> {
     fn is_const(&self) -> bool {
-        Term::is_const(self)
+        TermRef::is_const(*self)
     }
 
     fn is_existential(&self) -> bool {
-        Term::is_existential(self)
+        TermRef::is_existential(*self)
     }
 }
 
@@ -65,19 +65,58 @@ impl RuleTerm for ITerm {
     }
 }
 
+/// An atom's terms as [`by_terms`] reads them: their number (the atom's
+/// arity), and each by position.  A slice of terms is one, and so are a
+/// boxed atom's borrowed [`Terms`], so neither side is copied out to be
+/// read.
+pub trait RuleTerms: Copy {
+    /// The term type.
+    type Term: RuleTerm;
+    /// Number of terms.
+    fn arity(self) -> usize;
+    /// Term `i`.
+    fn get(self, i: usize) -> Self::Term;
+}
+
+impl<T: RuleTerm + Copy> RuleTerms for &[T] {
+    type Term = T;
+
+    fn arity(self) -> usize {
+        self.len()
+    }
+
+    fn get(self, i: usize) -> T {
+        self[i]
+    }
+}
+
+impl<'a> RuleTerms for Terms<'a> {
+    type Term = TermRef<'a>;
+
+    fn arity(self) -> usize {
+        self.len()
+    }
+
+    fn get(self, i: usize) -> TermRef<'a> {
+        Terms::get(self, i)
+    }
+}
+
 /// Rules 1–4: whether the view with terms `view` answers the part with
 /// terms `part`, where `pinned` tells the part's constants and
 /// distinguished variables (join variables included) from the rest.  Both
 /// sides must be of one relation; their constants are compared by
 /// equality, so interned terms must come from one interner.
-pub fn by_terms<T: RuleTerm>(part: &[T], pinned: impl Fn(&T) -> bool, view: &[T]) -> bool {
-    part.len() == view.len()
-        && part.iter().zip(view).enumerate().all(|(i, (q, v))| {
+pub fn by_terms<L: RuleTerms>(part: L, pinned: impl Fn(&L::Term) -> bool, view: L) -> bool {
+    let n = view.arity();
+    part.arity() == n
+        && (0..n).all(|i| {
+            let (q, v) = (part.get(i), view.get(i));
             let rule_1 = !v.is_const() || q == v;
-            let rule_2 = !(v.is_existential() && pinned(q));
-            let rule_3 = (i + 1..view.len()).all(|j| view[j] != *v || part[j] == *q);
+            let rule_2 = !(v.is_existential() && pinned(&q));
+            let rule_3 = (i + 1..n).all(|j| view.get(j) != v || part.get(j) == q);
             let rule_4 =
-                !v.is_existential() || (0..part.len()).all(|j| part[j] != *q || view[j] == *v);
+                !v.is_existential() || (0..n).all(|j| part.get(j) != q || view.get(j) == v);
             rule_1 && rule_2 && rule_3 && rule_4
         })
 }
@@ -105,7 +144,7 @@ impl Shape {
     /// The shape of a boxed single atom, whose join variables, if it is a
     /// dissected part, are already distinguished.
     pub fn of(atom: AtomRef<'_>) -> Shape {
-        let terms = atom.terms;
+        let terms = atom.terms();
         if terms.len() > 64 {
             return Shape::WIDE;
         }

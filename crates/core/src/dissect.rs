@@ -25,7 +25,7 @@
 use fdc_cq::bitset::BitSet;
 use fdc_cq::folding::fold;
 use fdc_cq::intern::{ITerm, ITermView, QueryRef};
-use fdc_cq::{Atom, AtomRef, ConjunctiveQuery, RelId, Term, VarId, VarKind};
+use fdc_cq::{Atom, AtomRef, ConjunctiveQuery, RelId, Term, TermRef, VarId, VarKind};
 
 use crate::answers::{self, Shape};
 
@@ -67,24 +67,24 @@ fn single_atom_query(
     let mut mapping: std::collections::HashMap<VarId, VarId> = std::collections::HashMap::new();
 
     let terms: Vec<Term> = atom
-        .terms
+        .terms()
         .iter()
         .map(|t| match t {
-            Term::Var(v, _) => {
-                let kind = if promoted.contains(v) {
+            TermRef::Var(v, _) => {
+                let kind = if promoted.contains(&v) {
                     VarKind::Distinguished
                 } else {
-                    source.var_kind(*v)
+                    source.var_kind(v)
                 };
                 let next = VarId(mapping.len() as u32);
-                let new_id = *mapping.entry(*v).or_insert_with(|| {
+                let new_id = *mapping.entry(v).or_insert_with(|| {
                     var_kinds.push(kind);
-                    var_names.push(source.var_name(*v).to_owned());
+                    var_names.push(source.var_name(v).to_owned());
                     next
                 });
                 Term::Var(new_id, var_kinds[new_id.index()])
             }
-            Term::Const(c) => Term::Const(c.clone()),
+            TermRef::Const(c) => c.to_term(),
         })
         .collect();
 
@@ -367,7 +367,7 @@ mod tests {
         );
         let parts = dissect(&qc);
         assert!(parts[1].atom(0).has_constants());
-        assert_eq!(parts[1].atom(0).terms.len(), 3);
+        assert_eq!(parts[1].atom(0).arity(), 3);
     }
 
     #[test]

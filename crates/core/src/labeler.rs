@@ -259,8 +259,8 @@ impl BitVectorLabeler {
     /// dissects.
     pub fn atom_mask(&self, atom: AtomRef<'_>) -> ViewMask {
         part_bits(Shape::of(atom), self.candidates(atom.relation), |view| {
-            let view = self.views.view(view.id).query.atom(0);
-            answers::by_terms(atom.terms, |term| !term.is_existential(), view.terms)
+            let view = self.views.view(view.id).query.atom(0).terms();
+            answers::by_terms(atom.terms(), |term| !term.is_existential(), view)
         })
     }
 

@@ -17,7 +17,7 @@
 //! a *new* equality between two positions of one original atom when at least
 //! one of the two original terms was existential.
 
-use fdc_cq::{Atom, ConjunctiveQuery, Term, VarId, VarKind};
+use fdc_cq::{Atom, ConjunctiveQuery, ConstRef, Term, TermRef, VarId, VarKind};
 
 /// The outcome of a GLB computation on single-atom views.
 ///
@@ -127,16 +127,16 @@ impl Unifier {
 
     /// Binds a class to a constant; fails on clash or if the class contains
     /// an existential variable (rule 1).
-    fn bind_constant(&mut self, a: usize, c: &fdc_cq::Constant) -> bool {
+    fn bind_constant(&mut self, a: usize, c: ConstRef<'_>) -> bool {
         let ra = self.find(a);
         match &self.constant[ra] {
-            Some(existing) if existing != c => return false,
+            Some(existing) if *existing != c => return false,
             _ => {}
         }
         if self.has_existential[ra] {
             return false;
         }
-        self.constant[ra] = Some(c.clone());
+        self.constant[ra] = Some(c.to_constant());
         true
     }
 }
@@ -185,28 +185,28 @@ fn mgu_with_check(
 
     let mut unifier = Unifier::new(left, right);
 
-    for (l_term, r_term) in l_atom.terms.iter().zip(r_atom.terms.iter()) {
+    for (l_term, r_term) in l_atom.terms().iter().zip(r_atom.terms()) {
         match (l_term, r_term) {
-            (Term::Var(lv, _), Term::Var(rv, _)) => {
-                let a = unifier.node_index(Node::Left(*lv));
-                let b = unifier.node_index(Node::Right(*rv));
+            (TermRef::Var(lv, _), TermRef::Var(rv, _)) => {
+                let a = unifier.node_index(Node::Left(lv));
+                let b = unifier.node_index(Node::Right(rv));
                 if !unifier.union(a, b) {
                     return None;
                 }
             }
-            (Term::Var(lv, _), Term::Const(c)) => {
-                let a = unifier.node_index(Node::Left(*lv));
+            (TermRef::Var(lv, _), TermRef::Const(c)) => {
+                let a = unifier.node_index(Node::Left(lv));
                 if !unifier.bind_constant(a, c) {
                     return None;
                 }
             }
-            (Term::Const(c), Term::Var(rv, _)) => {
-                let b = unifier.node_index(Node::Right(*rv));
+            (TermRef::Const(c), TermRef::Var(rv, _)) => {
+                let b = unifier.node_index(Node::Right(rv));
                 if !unifier.bind_constant(b, c) {
                     return None;
                 }
             }
-            (Term::Const(c1), Term::Const(c2)) => {
+            (TermRef::Const(c1), TermRef::Const(c2)) => {
                 if c1 != c2 {
                     return None;
                 }
@@ -220,58 +220,61 @@ fn mgu_with_check(
         for (atom, side_is_left) in [(l_atom, true), (r_atom, false)] {
             for i in 0..atom.arity() {
                 for j in (i + 1)..atom.arity() {
-                    let ti = &atom.terms[i];
-                    let tj = &atom.terms[j];
+                    let ti = atom.term(i);
+                    let tj = atom.term(j);
                     if ti == tj {
                         continue; // the equality already existed
                     }
-                    let class_of =
-                        |unifier: &mut Unifier, term: &Term, other: &Term| -> Option<usize> {
-                            match term {
-                                Term::Var(v, _) => {
-                                    let node = if side_is_left {
-                                        Node::Left(*v)
-                                    } else {
-                                        Node::Right(*v)
-                                    };
-                                    let idx = unifier.node_index(node);
-                                    Some(unifier.find(idx))
-                                }
-                                Term::Const(c) => {
-                                    // A constant "class" only matters when the
-                                    // other side is a variable bound to the same
-                                    // constant; handled below via the constant
-                                    // binding of the variable's class.
-                                    let _ = (c, other);
-                                    None
-                                }
+                    let class_of = |unifier: &mut Unifier,
+                                    term: TermRef<'_>,
+                                    other: TermRef<'_>|
+                     -> Option<usize> {
+                        match term {
+                            TermRef::Var(v, _) => {
+                                let node = if side_is_left {
+                                    Node::Left(v)
+                                } else {
+                                    Node::Right(v)
+                                };
+                                let idx = unifier.node_index(node);
+                                Some(unifier.find(idx))
                             }
-                        };
+                            TermRef::Const(c) => {
+                                // A constant "class" only matters when the
+                                // other side is a variable bound to the same
+                                // constant; handled below via the constant
+                                // binding of the variable's class.
+                                let _ = (c, other);
+                                None
+                            }
+                        }
+                    };
                     let any_existential = ti.is_existential() || tj.is_existential();
                     if !any_existential {
                         continue;
                     }
                     match (ti, tj) {
-                        (Term::Var(_, _), Term::Var(_, _)) => {
+                        (TermRef::Var(_, _), TermRef::Var(_, _)) => {
                             let ci = class_of(&mut unifier, ti, tj);
                             let cj = class_of(&mut unifier, tj, ti);
                             if ci.is_some() && ci == cj {
                                 return None;
                             }
                         }
-                        (Term::Var(v, _), Term::Const(c)) | (Term::Const(c), Term::Var(v, _)) => {
+                        (TermRef::Var(v, _), TermRef::Const(c))
+                        | (TermRef::Const(c), TermRef::Var(v, _)) => {
                             let node = if side_is_left {
-                                Node::Left(*v)
+                                Node::Left(v)
                             } else {
-                                Node::Right(*v)
+                                Node::Right(v)
                             };
                             let idx = unifier.node_index(node);
                             let root = unifier.find(idx);
-                            if unifier.constant[root].as_ref() == Some(c) {
+                            if unifier.constant[root].as_ref().is_some_and(|k| *k == c) {
                                 return None;
                             }
                         }
-                        (Term::Const(_), Term::Const(_)) => {}
+                        (TermRef::Const(_), TermRef::Const(_)) => {}
                     }
                 }
             }
@@ -287,13 +290,13 @@ fn mgu_with_check(
     let mut var_names: Vec<String> = Vec::new();
     let mut result_terms: Vec<Term> = Vec::with_capacity(l_atom.arity());
 
-    for (l_term, r_term) in l_atom.terms.iter().zip(r_atom.terms.iter()) {
+    for (l_term, r_term) in l_atom.terms().iter().zip(r_atom.terms()) {
         // Locate the class for this position.
         let root = match (l_term, r_term) {
-            (Term::Var(lv, _), _) => Some(unifier.find(unifier.node_index(Node::Left(*lv)))),
-            (_, Term::Var(rv, _)) => Some(unifier.find(unifier.node_index(Node::Right(*rv)))),
-            (Term::Const(c), Term::Const(_)) => {
-                result_terms.push(Term::Const(c.clone()));
+            (TermRef::Var(lv, _), _) => Some(unifier.find(unifier.node_index(Node::Left(lv)))),
+            (_, TermRef::Var(rv, _)) => Some(unifier.find(unifier.node_index(Node::Right(rv)))),
+            (TermRef::Const(c), TermRef::Const(_)) => {
+                result_terms.push(c.to_term());
                 None
             }
         };

@@ -1,17 +1,28 @@
 //! Relational atoms: a relation symbol applied to a list of terms.
+//!
+//! An owned [`Atom`] keeps its terms as a boxed slice of [`Term`]s.  A
+//! [`ConjunctiveQuery`](crate::ConjunctiveQuery) keeps its atoms in its own
+//! layout — one 4-byte word per term and a per-query constant table — and
+//! lends each out as an [`AtomRef`], whose [`Terms`] decode a word into a
+//! [`TermRef`] as they are read.  An owned atom lends the same view
+//! ([`Atom::as_atom_ref`]), so a reader takes either alike.
 
+use std::cmp::Ordering;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 use crate::catalog::{Catalog, RelId};
 use crate::error::{CqError, Result};
-use crate::term::{Term, VarId};
+use crate::query::ConstTable;
+use crate::term::{Term, TermRef, VarId};
 
 /// A relational atom `R(t1, …, tn)` over the relations of a [`Catalog`],
 /// owning its terms: what a caller builds a query from
 /// ([`ConjunctiveQuery::from_atoms`](crate::ConjunctiveQuery::from_atoms))
 /// and what a substitution maps an atom to.  A query keeps its atoms in its
-/// own layout and lends each out as an [`AtomRef`].
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// own layout and lends each out as an [`AtomRef`].  `Hash` is that of
+/// [`as_atom_ref`](Self::as_atom_ref).
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Atom {
     /// The relation this atom refers to.
     pub relation: RelId,
@@ -33,8 +44,14 @@ impl Atom {
     pub fn as_atom_ref(&self) -> AtomRef<'_> {
         AtomRef {
             relation: self.relation,
-            terms: &self.terms,
+            terms: Terms(Repr::Owned(&self.terms)),
         }
+    }
+}
+
+impl Hash for Atom {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_atom_ref().hash(state);
     }
 }
 
@@ -44,18 +61,197 @@ impl fmt::Display for Atom {
     }
 }
 
-/// A relational atom `R(t1, …, tn)` as a query stores it: its relation and
-/// its terms, borrowed from the query's one term slice.  Ordered, compared
-/// and hashed exactly as the [`Atom`] with the same relation and terms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// The terms of an atom (or of a whole query body), borrowed from wherever
+/// they lie and lent out one [`TermRef`] at a time: [`get`](Self::get),
+/// [`iter`](Self::iter).  Compared, ordered and hashed as the sequence of
+/// terms, whatever backs it.
+#[derive(Clone, Copy)]
+pub struct Terms<'a>(Repr<'a>);
+
+/// What backs a [`Terms`].
+#[derive(Clone, Copy)]
+enum Repr<'a> {
+    /// An owned atom's terms.
+    Owned(&'a [Term]),
+    /// A query's words, read through its constant table.
+    Words(&'a [u32], ConstTable<'a>),
+}
+
+impl<'a> Terms<'a> {
+    /// A query's words, read through its constant table.
+    #[inline]
+    pub(crate) fn of_words(words: &'a [u32], consts: ConstTable<'a>) -> Self {
+        Terms(Repr::Words(words, consts))
+    }
+
+    /// Number of terms.
+    #[inline]
+    pub fn len(self) -> usize {
+        match self.0 {
+            Repr::Owned(terms) => terms.len(),
+            Repr::Words(words, _) => words.len(),
+        }
+    }
+
+    /// True if there are no terms.
+    #[inline]
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    /// Term `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if there are at most `i` terms.
+    #[inline]
+    pub fn get(self, i: usize) -> TermRef<'a> {
+        match self.0 {
+            Repr::Owned(terms) => terms[i].as_term_ref(),
+            Repr::Words(words, consts) => consts.term(words[i]),
+        }
+    }
+
+    /// The terms, in order.
+    #[inline]
+    pub fn iter(self) -> TermIter<'a> {
+        TermIter {
+            terms: self,
+            front: 0,
+            back: self.len(),
+        }
+    }
+
+    /// Owned copies of the terms.
+    pub fn to_vec(self) -> Vec<Term> {
+        self.iter().map(TermRef::to_term).collect()
+    }
+}
+
+impl<'a> IntoIterator for Terms<'a> {
+    type Item = TermRef<'a>;
+    type IntoIter = TermIter<'a>;
+
+    #[inline]
+    fn into_iter(self) -> TermIter<'a> {
+        self.iter()
+    }
+}
+
+impl PartialEq for Terms<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.len() == other.len() && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for Terms<'_> {}
+
+/// The order of the slices of the owned terms: lexicographic.
+impl Ord for Terms<'_> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.iter().cmp(other.iter())
+    }
+}
+
+impl PartialOrd for Terms<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+/// The count, then every term.
+impl Hash for Terms<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_usize(self.len());
+        for term in self.iter() {
+            term.hash(state);
+        }
+    }
+}
+
+/// A list of the terms, as a slice of them prints.
+impl fmt::Debug for Terms<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+/// The terms of a [`Terms`], in order: [`Terms::iter`].
+#[derive(Clone)]
+pub struct TermIter<'a> {
+    terms: Terms<'a>,
+    front: usize,
+    back: usize,
+}
+
+impl<'a> Iterator for TermIter<'a> {
+    type Item = TermRef<'a>;
+
+    #[inline]
+    fn next(&mut self) -> Option<TermRef<'a>> {
+        (self.front < self.back).then(|| {
+            self.front += 1;
+            self.terms.get(self.front - 1)
+        })
+    }
+
+    #[inline]
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let len = self.back - self.front;
+        (len, Some(len))
+    }
+}
+
+impl DoubleEndedIterator for TermIter<'_> {
+    #[inline]
+    fn next_back(&mut self) -> Option<Self::Item> {
+        (self.front < self.back).then(|| {
+            self.back -= 1;
+            self.terms.get(self.back)
+        })
+    }
+}
+
+impl ExactSizeIterator for TermIter<'_> {}
+
+/// A relational atom `R(t1, …, tn)` as a reader takes it: its relation and
+/// its [`Terms`], borrowed from a query's layout or from an owned [`Atom`].
+/// Ordered, compared and hashed exactly as the [`Atom`] with the same
+/// relation and terms, whatever backs it.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct AtomRef<'a> {
     /// The relation this atom refers to.
     pub relation: RelId,
-    /// Positional arguments.
-    pub terms: &'a [Term],
+    terms: Terms<'a>,
 }
 
 impl<'a> AtomRef<'a> {
+    /// The atom over `relation` whose terms are a query's `words`, read
+    /// through its constant table.
+    #[inline]
+    pub(crate) fn of_words(relation: RelId, words: &'a [u32], consts: ConstTable<'a>) -> Self {
+        AtomRef {
+            relation,
+            terms: Terms::of_words(words, consts),
+        }
+    }
+
+    /// Positional arguments.
+    #[inline]
+    pub fn terms(self) -> Terms<'a> {
+        self.terms
+    }
+
+    /// Argument `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the atom has at most `i` arguments.
+    #[inline]
+    pub fn term(self, i: usize) -> TermRef<'a> {
+        self.terms.get(i)
+    }
+
     /// An owned copy of the atom.
     pub fn to_atom(self) -> Atom {
         Atom::new(self.relation, self.terms.to_vec())
@@ -69,7 +265,7 @@ impl<'a> AtomRef<'a> {
 
     /// Iterates over the variable ids appearing in the atom (with repeats).
     pub fn variables(self) -> impl Iterator<Item = VarId> + 'a {
-        self.terms.iter().filter_map(Term::var_id)
+        self.terms.iter().filter_map(TermRef::var_id)
     }
 
     /// True if the atom contains the given variable.
@@ -79,7 +275,7 @@ impl<'a> AtomRef<'a> {
 
     /// True if any argument is a constant.
     pub fn has_constants(self) -> bool {
-        self.terms.iter().any(Term::is_const)
+        self.terms.iter().any(TermRef::is_const)
     }
 
     /// True if some variable occurs in more than one argument position.
@@ -133,8 +329,8 @@ impl<'a> AtomRef<'a> {
                         write!(f, ", ")?;
                     }
                     match t {
-                        Term::Var(v, _) => write!(f, "{}", (self.var_name)(*v))?,
-                        Term::Const(c) => write!(f, "{c}")?,
+                        TermRef::Var(v, _) => write!(f, "{}", (self.var_name)(v))?,
+                        TermRef::Const(c) => write!(f, "{c}")?,
                     }
                 }
                 write!(f, ")")
@@ -145,6 +341,16 @@ impl<'a> AtomRef<'a> {
             catalog,
             var_name,
         }
+    }
+}
+
+/// `AtomRef { relation: .., terms: [..] }`, as an [`Atom`] prints.
+impl fmt::Debug for AtomRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("AtomRef")
+            .field("relation", &self.relation)
+            .field("terms", &self.terms)
+            .finish()
     }
 }
 

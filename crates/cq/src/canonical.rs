@@ -18,7 +18,7 @@
 use std::collections::HashMap;
 
 use crate::query::{Body, ConjunctiveQuery, VarTable};
-use crate::term::{Term, VarId, VarKind};
+use crate::term::{TermRef, VarId, VarKind};
 
 /// Renumbers the variables of a query by order of first occurrence in the
 /// body and gives them synthetic names `x0, x1, …`.
@@ -28,18 +28,18 @@ pub fn rename_canonical(query: &ConjunctiveQuery) -> ConjunctiveQuery {
 
     let mut body = Body::with_capacity(query.num_atoms(), query.terms().len(), 0);
     for atom in query.atoms() {
-        for term in atom.terms {
-            body.push_term(match term {
-                Term::Var(v, kind) => {
+        for term in atom.terms() {
+            match term {
+                TermRef::Var(v, kind) => {
                     let next_id = VarId(mapping.len() as u32);
-                    let new_id = *mapping.entry(*v).or_insert_with(|| {
-                        kinds.push(*kind);
+                    let new_id = *mapping.entry(v).or_insert_with(|| {
+                        kinds.push(kind);
                         next_id
                     });
-                    Term::Var(new_id, *kind)
+                    body.push_var(new_id, kind);
                 }
-                Term::Const(c) => Term::Const(c.clone()),
-            });
+                TermRef::Const(c) => body.push_const(c),
+            }
         }
         body.end_atom(atom.relation);
     }

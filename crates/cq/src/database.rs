@@ -18,7 +18,7 @@ use std::collections::{BTreeSet, HashMap};
 use crate::catalog::{Catalog, RelId};
 use crate::error::{CqError, Result};
 use crate::query::ConjunctiveQuery;
-use crate::term::{Constant, Term, VarId};
+use crate::term::{Constant, TermRef, VarId};
 
 /// A tuple of constants.
 pub type Tuple = Vec<Constant>;
@@ -152,17 +152,17 @@ fn eval_rec(
             continue;
         }
         let mut newly_bound: Vec<VarId> = Vec::new();
-        for (term, value) in atom.terms.iter().zip(tuple.iter()) {
+        for (term, value) in atom.terms().iter().zip(tuple.iter()) {
             match term {
-                Term::Const(c) => {
-                    if c != value {
+                TermRef::Const(c) => {
+                    if c != *value {
                         for v in newly_bound.drain(..) {
                             binding.remove(&v);
                         }
                         continue 'tuples;
                     }
                 }
-                Term::Var(v, _) => match binding.get(v) {
+                TermRef::Var(v, _) => match binding.get(&v) {
                     Some(bound) if bound != value => {
                         for v in newly_bound.drain(..) {
                             binding.remove(&v);
@@ -171,8 +171,8 @@ fn eval_rec(
                     }
                     Some(_) => {}
                     None => {
-                        binding.insert(*v, value.clone());
-                        newly_bound.push(*v);
+                        binding.insert(v, value.clone());
+                        newly_bound.push(v);
                     }
                 },
             }

@@ -31,7 +31,7 @@ use crate::atom::AtomRef;
 use crate::catalog::RelId;
 use crate::query::ConjunctiveQuery;
 use crate::substitution::Substitution;
-use crate::term::{Term, VarKind};
+use crate::term::{TermRef, VarKind};
 
 /// A relation-indexed store over a set of target atoms.
 ///
@@ -58,7 +58,7 @@ pub struct AtomIndex<'a> {
 /// very wide atoms (the check below only ever tests subset-ness).
 fn constant_mask(atom: AtomRef<'_>) -> u64 {
     let mut mask = 0u64;
-    for (i, term) in atom.terms.iter().enumerate() {
+    for (i, term) in atom.terms().iter().enumerate() {
         if term.is_const() {
             mask |= 1u64 << i.min(63);
         }
@@ -227,26 +227,26 @@ fn search(
         let target = index.atoms()[target_idx as usize];
         let mut newly_bound = Vec::new();
         let mut ok = true;
-        for (src, dst) in atom.terms.iter().zip(target.terms) {
+        for (src, dst) in atom.terms().iter().zip(target.terms()) {
             match src {
-                Term::Const(c) => {
+                TermRef::Const(c) => {
                     if dst.as_const() != Some(c) {
                         ok = false;
                         break;
                     }
                 }
-                Term::Var(v, kind) => {
-                    if !term_allowed(*kind, dst, *v, from, to_space, policy) {
+                TermRef::Var(v, kind) => {
+                    if !term_allowed(kind, dst, v, from, to_space, policy) {
                         ok = false;
                         break;
                     }
-                    let was_bound = subst.get(*v).is_some();
-                    if !subst.bind(*v, dst.clone()) {
+                    let was_bound = subst.get(v).is_some();
+                    if !subst.bind(v, dst.to_term()) {
                         ok = false;
                         break;
                     }
                     if !was_bound {
-                        newly_bound.push(*v);
+                        newly_bound.push(v);
                     }
                 }
             }
@@ -274,7 +274,7 @@ fn search(
 
 fn term_allowed(
     src_kind: VarKind,
-    dst: &Term,
+    dst: TermRef<'_>,
     src_var: crate::term::VarId,
     _from: &ConjunctiveQuery,
     _to_space: &ConjunctiveQuery,
@@ -287,10 +287,10 @@ fn term_allowed(
     match policy {
         HeadPolicy::Free => true,
         HeadPolicy::Identity => {
-            matches!(dst, Term::Var(v, VarKind::Distinguished) if *v == src_var)
+            matches!(dst, TermRef::Var(v, VarKind::Distinguished) if v == src_var)
         }
         HeadPolicy::DistinguishedToDistinguished => {
-            matches!(dst, Term::Var(_, VarKind::Distinguished))
+            matches!(dst, TermRef::Var(_, VarKind::Distinguished))
         }
     }
 }

@@ -83,7 +83,8 @@
 use crate::catalog::RelId;
 use crate::error::Result;
 use crate::query::{Body, ConjunctiveQuery, VarTable};
-use crate::term::{Constant, Term, VarId, VarKind};
+use crate::term::word::{self, Word};
+use crate::term::{ConstRef, Constant, VarId, VarKind};
 
 /// Dense identifier of an interned query.
 ///
@@ -123,7 +124,9 @@ impl ConstId {
 /// bits 0–30; a variable keeps its kind in bit 30 (set for existential)
 /// and its 30-bit canonical index in bits 0–29.  Each term has exactly one
 /// encoding, so comparing two terms is comparing two words.  [`get`]
-/// returns the [`ITermView`] to match on.
+/// returns the [`ITermView`] to match on.  A [`ConjunctiveQuery`] stores
+/// its terms in the same layout, with its own variable ids and indices
+/// into its own constant table.
 ///
 /// [`get`]: ITerm::get
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
@@ -140,11 +143,11 @@ pub enum ITermView {
 
 impl ITerm {
     /// The largest variable index a term can hold (30 bits).
-    pub const MAX_VAR_INDEX: u32 = (1 << 30) - 1;
+    pub const MAX_VAR_INDEX: u32 = word::MAX_VAR;
     /// The largest constant id a term can hold (31 bits).
-    pub const MAX_CONST_ID: u32 = (1 << 31) - 1;
-    const CONST_BIT: u32 = 1 << 31;
-    const EXISTENTIAL_BIT: u32 = 1 << 30;
+    pub const MAX_CONST_ID: u32 = word::MAX_CONST;
+    const CONST_BIT: u32 = word::CONST_BIT;
+    const EXISTENTIAL_BIT: u32 = word::EXISTENTIAL_BIT;
 
     /// The variable with canonical index `index` and kind `kind`.
     ///
@@ -157,10 +160,7 @@ impl ITerm {
             index <= Self::MAX_VAR_INDEX,
             "variable index {index} is wider than 30 bits"
         );
-        match kind {
-            VarKind::Distinguished => ITerm(index),
-            VarKind::Existential => ITerm(index | Self::EXISTENTIAL_BIT),
-        }
+        ITerm(index | word::kind_bit(kind))
     }
 
     /// The constant with id `id`.
@@ -206,6 +206,12 @@ impl ITerm {
     #[inline]
     pub fn is_distinguished(self) -> bool {
         self.0 & (Self::CONST_BIT | Self::EXISTENTIAL_BIT) == 0
+    }
+
+    /// The constant id's bits, for a term known to be a constant.
+    #[inline]
+    fn const_index(self) -> usize {
+        (self.0 & Self::MAX_CONST_ID) as usize
     }
 }
 
@@ -337,8 +343,8 @@ const INLINE_VARS: usize = 64;
 
 const UNASSIGNED: u32 = u32::MAX;
 
-/// A vacant slot of the dedup table.
-const EMPTY_SLOT: u32 = u32::MAX;
+/// A vacant slot of an open-addressed table of ids.
+pub(crate) const EMPTY_SLOT: u32 = u32::MAX;
 
 /// First-occurrence numbering of a query's variables: query variable id →
 /// canonical index, assigned as a walk over the body meets each variable.
@@ -428,18 +434,35 @@ fn hash_finish(mut hash: u64) -> u32 {
 
 /// The first vacant slot of `hash`'s probe chain in an open-addressed
 /// table of ids with at least one [`EMPTY_SLOT`].
-fn vacant_slot(table: &[u32], hash: u32) -> usize {
+pub(crate) fn vacant_slot(table: &[u32], hash: u32) -> usize {
+    find_slot(table, hash, |_| false).expect_err("a chain of a table with a vacancy ends")
+}
+
+/// Walks `hash`'s probe chain in an open-addressed table of ids: the
+/// first id for which `is` holds, else the vacant slot the chain ends at
+/// (slot 0 of an empty table).
+pub(crate) fn find_slot(
+    table: &[u32],
+    hash: u32,
+    is: impl Fn(u32) -> bool,
+) -> std::result::Result<u32, usize> {
+    if table.is_empty() {
+        return Err(0);
+    }
     let mask = table.len() - 1;
     let mut slot = hash as usize & mask;
-    while table[slot] != EMPTY_SLOT {
-        slot = (slot + 1) & mask;
+    loop {
+        match table[slot] {
+            EMPTY_SLOT => return Err(slot),
+            id if is(id) => return Ok(id),
+            _ => slot = (slot + 1) & mask,
+        }
     }
-    slot
 }
 
 /// An open-addressed table of the ids `0..hashes.len()`, each under its
 /// hash: twice as many slots as ids, rounded up to a power of two.
-fn table_of(hashes: &[u32]) -> Vec<u32> {
+pub(crate) fn table_of(hashes: &[u32]) -> Vec<u32> {
     let mut table = vec![EMPTY_SLOT; (hashes.len() * 2).next_power_of_two()];
     for (id, &hash) in hashes.iter().enumerate() {
         let slot = vacant_slot(&table, hash);
@@ -448,10 +471,11 @@ fn table_of(hashes: &[u32]) -> Vec<u32> {
     table
 }
 
-/// The key of a constant in the interner's constant index: its value
-/// hashed as [`ShapeHasher::constant`] hashes it — a multiply per eight
-/// bytes, the same on every run.
-fn constant_hash(constant: &Constant) -> u32 {
+/// The key of a constant in the interner's constant index (and in a query
+/// constructor's): its value hashed as
+/// [`ShapeHasher::constant`] hashes it — a multiply per eight bytes, the
+/// same on every run.
+pub(crate) fn constant_hash(constant: ConstRef<'_>) -> u32 {
     let mut hasher = ShapeHasher(HASH_SEED);
     hasher.constant(constant);
     hasher.finish()
@@ -491,10 +515,10 @@ impl ShapeHasher {
 
     /// A constant term, by value, so `Int(1)` and `Str("1")` differ.
     #[inline]
-    pub(crate) fn constant(&mut self, constant: &Constant) {
+    pub(crate) fn constant(&mut self, constant: ConstRef<'_>) {
         self.0 = match constant {
-            Constant::Int(i) => hash_step(hash_step(self.0, 0x3_0000_0000), *i as u64),
-            Constant::Str(s) => {
+            ConstRef::Int(i) => hash_step(hash_step(self.0, 0x3_0000_0000), i as u64),
+            ConstRef::Str(s) => {
                 let bytes = s.as_bytes();
                 let mut hash = hash_step(hash_step(self.0, 0x4_0000_0000), bytes.len() as u64);
                 let mut chunks = bytes.chunks_exact(8);
@@ -511,15 +535,6 @@ impl ShapeHasher {
                 hash
             }
         };
-    }
-
-    /// A whole term, numbering a variable on first sight.
-    #[inline]
-    pub(crate) fn term(&mut self, term: &Term, numbering: &mut Numbering) {
-        match term {
-            Term::Var(v, kind) => self.var(numbering.number(v.0), *kind),
-            Term::Const(c) => self.constant(c),
-        }
     }
 
     /// The finished 32-bit hash.
@@ -606,7 +621,7 @@ impl QueryInterner {
     /// # Panics
     ///
     /// Panics on the 2³¹-th distinct constant: a term holds 31 bits of id.
-    fn const_id_mut(&mut self, c: &Constant) -> ConstId {
+    fn const_id_mut(&mut self, c: ConstRef<'_>) -> ConstId {
         let hash = constant_hash(c);
         let slot = match self.find_const(c, hash) {
             Ok(id) => return id,
@@ -617,7 +632,7 @@ impl QueryInterner {
             "the interner holds 2^31 distinct constants; a term cannot name another"
         );
         let id = ConstId(self.consts.len() as u32);
-        self.consts.push(c.clone());
+        self.consts.push(c.to_constant());
         self.const_hashes.push(hash);
         if self.consts.len() * 2 > self.const_table.len() {
             self.const_table = table_of(&self.const_hashes);
@@ -629,21 +644,11 @@ impl QueryInterner {
 
     /// Walks the probe chain of `hash`: the id of `c` if the table holds
     /// it, else the vacant slot the chain ends at.
-    fn find_const(&self, c: &Constant, hash: u32) -> std::result::Result<ConstId, usize> {
-        if self.const_table.is_empty() {
-            return Err(0);
-        }
-        let mask = self.const_table.len() - 1;
-        let mut slot = hash as usize & mask;
-        loop {
-            match self.const_table[slot] {
-                EMPTY_SLOT => return Err(slot),
-                id if self.const_hashes[id as usize] == hash && self.consts[id as usize] == *c => {
-                    return Ok(ConstId(id))
-                }
-                _ => slot = (slot + 1) & mask,
-            }
-        }
+    fn find_const(&self, c: ConstRef<'_>, hash: u32) -> std::result::Result<ConstId, usize> {
+        find_slot(&self.const_table, hash, |id| {
+            self.const_hashes[id as usize] == hash && self.consts[id as usize] == c
+        })
+        .map(ConstId)
     }
 
     /// The arena view of a query span.
@@ -683,21 +688,29 @@ impl QueryInterner {
         // Then one term slice against the other: a query's atoms hold
         // consecutive spans of the arena (`append` writes them so, and a
         // decode refuses anything else), and equal arities make the two
-        // slices equally long.
+        // slices equally long.  The operand's words share the arena's
+        // layout, so a variable's kind bit is compared in place; a
+        // constant is compared by value, through the operand's table.
         let first = stored.atoms[0].term_start as usize;
-        let operand = query.terms();
+        let operand = query.words();
+        let consts = query.consts();
         let mut numbering = Numbering::new(query.num_vars());
         let same = stored.terms[first..first + operand.len()]
             .iter()
             .zip(operand)
-            .all(|(stored, term)| match (term, stored.get()) {
-                (Term::Var(v, kind), ITermView::Var(index, stored_kind)) => {
-                    *kind == stored_kind && numbering.number(v.0) == index
+            .all(|(stored, &term)| {
+                if term & ITerm::CONST_BIT != 0 {
+                    stored.is_const()
+                        && consts.is(
+                            term & ITerm::MAX_CONST_ID,
+                            &self.consts[stored.const_index()],
+                        )
+                } else {
+                    !stored.is_const()
+                        && (stored.0 ^ term) & ITerm::EXISTENTIAL_BIT == 0
+                        && numbering.number(term & ITerm::MAX_VAR_INDEX)
+                            == stored.0 & ITerm::MAX_VAR_INDEX
                 }
-                (Term::Const(constant), ITermView::Const(stored_id)) => {
-                    self.consts[stored_id.index()] == *constant
-                }
-                _ => false,
             });
         same && numbering.assigned() == span.num_vars
     }
@@ -711,22 +724,11 @@ impl QueryInterner {
     /// The first indexed query on `hash`'s probe chain with that stored
     /// hash for which `is` holds.
     fn find(&self, hash: u32, is: impl Fn(QueryId) -> bool) -> Option<QueryId> {
-        if self.table.is_empty() {
-            return None;
-        }
-        let mask = self.table.len() - 1;
-        let mut slot = hash as usize & mask;
-        loop {
-            let occupant = self.table[slot];
-            if occupant == EMPTY_SLOT {
-                return None;
-            }
-            let id = QueryId(occupant);
-            if self.hashes[id.index()] == hash && is(id) {
-                return Some(id);
-            }
-            slot = (slot + 1) & mask;
-        }
+        find_slot(&self.table, hash, |id| {
+            self.hashes[id as usize] == hash && is(QueryId(id))
+        })
+        .ok()
+        .map(QueryId)
     }
 
     /// True if entries `a` and `b` hold the same span: relations, arities,
@@ -771,16 +773,17 @@ impl QueryInterner {
         let kind_start = self.kinds.len();
         let mut numbering = Numbering::new(query.num_vars());
         let mut term_start = self.terms.len() as u32;
-        for term in query.terms() {
-            let interned = match term {
-                Term::Var(v, kind) => {
+        let consts = query.consts();
+        for &term in query.words() {
+            let interned = match word::get(term) {
+                Word::Var(v, kind) => {
                     let index = numbering.number(v.0);
                     if index as usize == self.kinds.len() - kind_start {
-                        self.kinds.push(*kind);
+                        self.kinds.push(kind);
                     }
-                    ITerm::var(index, *kind)
+                    ITerm::var(index, kind)
                 }
-                Term::Const(constant) => ITerm::constant(self.const_id_mut(constant)),
+                Word::Const(index) => ITerm::constant(self.const_id_mut(consts.get(index))),
             };
             self.terms.push(interned);
         }
@@ -916,7 +919,7 @@ impl QueryInterner {
             for term in terms {
                 match term.get() {
                     ITermView::Var(index, kind) => hasher.var(index, kind),
-                    ITermView::Const(c) => hasher.constant(&self.consts[c.index()]),
+                    ITermView::Const(c) => hasher.constant(self.consts[c.index()].as_const_ref()),
                 }
             }
         }
@@ -998,9 +1001,9 @@ impl QueryInterner {
         };
         for _ in 0..num_consts {
             let at = cursor.pos();
-            let constant = crate::wire::read_constant(cursor)?;
+            let constant = crate::wire::read_const_ref(cursor)?;
             let minted = interner.consts.len();
-            if interner.const_id_mut(&constant).index() < minted {
+            if interner.const_id_mut(constant).index() < minted {
                 return Err(CodecError::invalid(at, "duplicate constant in table"));
             }
         }
@@ -1130,14 +1133,42 @@ impl QueryInterner {
         let mut body = Body::with_capacity(q.num_atoms(), num_terms, vars.block_len());
         for i in 0..q.num_atoms() {
             for term in q.atom_terms(i) {
-                body.push_term(match term.get() {
-                    ITermView::Var(v, kind) => Term::Var(VarId(v), kind),
-                    ITermView::Const(c) => Term::Const(self.consts[c.index()].clone()),
-                });
+                match term.get() {
+                    ITermView::Var(v, kind) => body.push_var(VarId(v), kind),
+                    ITermView::Const(c) => body.push_const(self.consts[c.index()].as_const_ref()),
+                }
             }
             body.end_atom(q.relation(i));
         }
         ConjunctiveQuery::from_body(body, vars, true)
+    }
+
+    /// Asserts what the dedup index promises of every entry: for every id
+    /// `i`, `lookup(&to_query(i)) == Some(i)`, and the hash stored for `i`
+    /// is the [`shape_hash`](ConjunctiveQuery::shape_hash) its
+    /// reconstructed query's constructor computes.  So an entry is found by
+    /// its own lookup, no two entries hold one shape, and the arena's hash
+    /// and the constructors' agree.  A check for tests and decoders; it
+    /// rebuilds every query.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the id, on the first entry that breaks either.
+    pub fn check_invariants(&self) {
+        for i in 0..self.len() as u32 {
+            let id = QueryId(i);
+            let query = self.to_query(id);
+            assert_eq!(
+                self.lookup(&query),
+                Some(id),
+                "interned query {i} is not found by its own lookup"
+            );
+            assert_eq!(
+                self.hashes[id.index()],
+                query.shape_hash(),
+                "interned query {i}'s stored hash is not its query's shape hash"
+            );
+        }
     }
 }
 
@@ -1148,6 +1179,7 @@ mod tests {
     use crate::canonical::structurally_identical;
     use crate::catalog::Catalog;
     use crate::parser::parse_query;
+    use crate::term::Term;
 
     fn catalog() -> Catalog {
         Catalog::paper_example()
@@ -1291,6 +1323,7 @@ mod tests {
         let mut cursor = fdc_durability::codec::Cursor::new(&bytes);
         let mut back = QueryInterner::decode_from(&mut cursor).unwrap();
         cursor.expect_end().unwrap();
+        back.check_invariants();
         assert_eq!(back.len(), interner.len());
         for (text, &id) in texts.iter().zip(&ids) {
             // Lookups land on the original ids (the dedup index is back)...
@@ -1490,7 +1523,9 @@ mod tests {
         interner.encode_into(&mut bytes);
         let mut back =
             QueryInterner::decode_from(&mut fdc_durability::codec::Cursor::new(&bytes)).unwrap();
+        back.check_invariants();
         for (i, constant) in interner.consts.iter().enumerate() {
+            let constant = constant.as_const_ref();
             let hash = constant_hash(constant);
             assert_eq!(interner.find_const(constant, hash), Ok(ConstId(i as u32)));
             assert_eq!(back.find_const(constant, hash), Ok(ConstId(i as u32)));
@@ -1693,6 +1728,7 @@ mod tests {
         let mut cursor = fdc_durability::codec::Cursor::new(&image);
         let mut back = QueryInterner::decode_from(&mut cursor).unwrap();
         cursor.expect_end().unwrap();
+        back.check_invariants();
         for (i, text) in texts.iter().enumerate() {
             assert_eq!(back.lookup(&q(&c, text)), Some(QueryId(i as u32)), "{text}");
             assert_eq!(back.intern(&q(&c, text)), QueryId(i as u32), "{text}");
@@ -1756,6 +1792,27 @@ mod tests {
         let interner = shared.into_inner().unwrap();
         assert_eq!(interner.fold_atoms, vec![0, 2, 1]);
         assert_eq!(interner.cached_core(other), Some(&[1u32][..]));
+    }
+
+    #[test]
+    fn check_invariants_holds_after_interning_and_names_a_forged_hash() {
+        let c = catalog();
+        let mut interner = QueryInterner::new();
+        for text in [
+            "Q(x) :- Meetings(x, 7), Meetings(x, '7'), Meetings(x, 7)",
+            "Q() :- Meetings(z, z)",
+            "Q(x) :- Meetings(x, 'a string constant past fourteen bytes')",
+        ] {
+            interner.intern(&q(&c, text));
+        }
+        interner.check_invariants();
+        interner.hashes[1] ^= 1;
+        let forged = std::panic::catch_unwind(|| interner.check_invariants());
+        let message = forged.expect_err("a forged hash breaks the invariants");
+        let message = message
+            .downcast_ref::<String>()
+            .expect("the assertion formats its message");
+        assert!(message.contains("interned query 1"), "{message}");
     }
 
     #[test]

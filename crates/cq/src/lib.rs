@@ -64,10 +64,10 @@ pub mod substitution;
 pub mod term;
 pub mod wire;
 
-pub use atom::{Atom, AtomRef};
+pub use atom::{Atom, AtomRef, Terms};
 pub use catalog::{Catalog, RelId, RelationSchema};
 pub use database::{evaluate, Database};
 pub use error::{CqError, Result};
 pub use intern::{QueryId, QueryInterner, QueryRef};
 pub use query::ConjunctiveQuery;
-pub use term::{Constant, SmallStr, Term, VarId, VarKind};
+pub use term::{ConstRef, Constant, SmallStr, Term, TermRef, VarId, VarKind};

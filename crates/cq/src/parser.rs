@@ -23,7 +23,7 @@
 use crate::catalog::Catalog;
 use crate::error::{CqError, Result};
 use crate::query::{Body, ConjunctiveQuery, VarTable};
-use crate::term::{Constant, Term, VarKind};
+use crate::term::{ConstRef, VarId, VarKind};
 
 /// Parses a conjunctive query in datalog notation against a catalog.
 ///
@@ -231,7 +231,7 @@ impl<'a> Parser<'a> {
 
         // ---- body -----------------------------------------------------
         let mut vars = VarTable::default();
-        let mut occurrence = |name: &str| -> Term {
+        let mut occurrence = |name: &str| -> (VarId, VarKind) {
             let id = vars.find(name).unwrap_or_else(|| {
                 let kind = if head_vars.contains(&name) {
                     VarKind::Distinguished
@@ -240,7 +240,7 @@ impl<'a> Parser<'a> {
                 };
                 vars.push(kind, name)
             });
-            Term::Var(id, vars.kind(id))
+            (id, vars.kind(id))
         };
 
         let mut body = Body::default();
@@ -254,10 +254,11 @@ impl<'a> Parser<'a> {
                 loop {
                     match self.next_token() {
                         Some(Token::Ident(v)) => {
-                            body.push_term(occurrence(v));
+                            let (id, kind) = occurrence(v);
+                            body.push_var(id, kind);
                         }
-                        Some(Token::Str(s)) => body.push_term(Term::Const(Constant::str(s))),
-                        Some(Token::Int(i)) => body.push_term(Term::Const(Constant::Int(i))),
+                        Some(Token::Str(s)) => body.push_const(ConstRef::Str(s)),
+                        Some(Token::Int(i)) => body.push_const(ConstRef::Int(i)),
                         Some(t) => return Err(self.err(format!("unexpected token {t:?} in atom"))),
                         None => return Err(self.err("unterminated atom")),
                     }
@@ -339,7 +340,7 @@ mod tests {
         assert!(v13.atom(0).has_constants());
 
         let neg = parse_query(&c, "V() :- Meetings(-3, y)").unwrap();
-        assert_eq!(neg.atom(0).terms[0], Term::Const(Constant::Int(-3)));
+        assert_eq!(neg.atom(0).term(0), ConstRef::Int(-3).to_term());
     }
 
     #[test]

@@ -8,26 +8,35 @@
 //!
 //! A query is a 40-byte header and two heap blocks:
 //!
-//! * the **term slice**: every atom's terms back to back, 16-byte [`Term`]s
-//!   that carry their variable's kind;
+//! * the **term slice**: every atom's terms back to back, one 4-byte word
+//!   each, laid out as the interner's [`ITerm`](crate::intern::ITerm): a
+//!   variable's word is its id and its kind bit, a constant's word its index
+//!   in the query's constant table;
 //! * the **meta block**: the atom count, then per atom its relation and the
 //!   end of its terms in the term slice (4 bytes little-endian each), then
 //!   the variable table — a kind byte per variable, each name's end offset,
-//!   and the names back to back.
+//!   and the names back to back — and last, if the query has constants, the
+//!   **constant table**: each distinct constant once, in first-occurrence
+//!   order, as a tag byte and the integer (8 bytes) or the UTF-8 text, then
+//!   each entry's end offset and the entry count (4 bytes each).
+//!
+//! A constant of any length thus costs no block of its own, and a repeated
+//! one is stored once.  So a query owns exactly two blocks, however many
+//! atoms, variables and constants it has, and a clone allocates exactly
+//! those two.  Every constructor writes the constant table the same way, so
+//! equal queries have equal blocks, which is what the derived `Eq` and
+//! `Hash` compare.
 //!
 //! [`atoms`](ConjunctiveQuery::atoms) lends each atom out as an
-//! [`AtomRef`]: its relation and a slice of the term slice.  A string
-//! constant of at most [`SmallStr::INLINE`](crate::SmallStr::INLINE) bytes
-//! lives inside its term; a longer one adds two blocks (a thin box and its
-//! text).  So a query whose string constants are all short owns exactly two
-//! blocks, however many atoms and variables it has, and a clone allocates
-//! exactly those two.
+//! [`AtomRef`]: its relation and its words, read through the constant table
+//! as [`TermRef`]s that carry each constant's *value*.  No index into a
+//! constant table ever leaves its query.
 //!
 //! Variable names are display text only, kept so a query pretty-prints in
 //! the familiar `Q(x) :- R(x, y)` notation.  No labeling, decision or
 //! interning step reads them.  The header holds the variable count, so the
-//! interner's front door reads the header, the atom table and the terms,
-//! and never the variable table.
+//! interner's front door reads the header, the atom table and the words
+//! (and the constant table for a constant), and never the variable table.
 //!
 //! A query never changes once built, so the header also carries its
 //! **canonical hash** ([`ConjunctiveQuery::shape_hash`]): the interner's hash
@@ -42,11 +51,12 @@
 use std::collections::HashMap;
 use std::fmt::{self, Write as _};
 
-use crate::atom::{Atom, AtomRef};
+use crate::atom::{Atom, AtomRef, Terms};
 use crate::catalog::{Catalog, RelId};
 use crate::error::{CqError, Result};
-use crate::intern::{Numbering, ShapeHasher};
-use crate::term::{Constant, Term, VarId, VarKind};
+use crate::intern::{constant_hash, find_slot, vacant_slot, Numbering, ShapeHasher, EMPTY_SLOT};
+use crate::term::word::{self, Word};
+use crate::term::{ConstRef, Constant, Term, TermRef, VarId, VarKind};
 
 /// Bytes of the meta block's atom count.
 const COUNT_BYTES: usize = 4;
@@ -55,12 +65,192 @@ const COUNT_BYTES: usize = 4;
 /// end of its terms.
 const ENTRY_BYTES: usize = 8;
 
+/// Set in the header's variable count when the meta block ends with a
+/// constant table.  A word holds a 30-bit variable id, so the count never
+/// reaches this bit.
+const HAS_CONSTS: u32 = 1 << 31;
+
+/// The constant table's tag bytes.
+const CONST_INT: u8 = 0;
+const CONST_STR: u8 = 1;
+
 /// The little-endian `u32` at `at`.
 #[inline]
 fn read_u32(bytes: &[u8], at: usize) -> u32 {
     let mut word = [0; 4];
     word.copy_from_slice(&bytes[at..at + 4]);
     u32::from_le_bytes(word)
+}
+
+/// The constant table entry of `constant`: its tag, then the integer's 8
+/// little-endian bytes or the text.
+fn put_entry(out: &mut Vec<u8>, constant: ConstRef<'_>) {
+    match constant {
+        ConstRef::Int(i) => {
+            out.push(CONST_INT);
+            out.extend_from_slice(&i.to_le_bytes());
+        }
+        ConstRef::Str(s) => {
+            out.push(CONST_STR);
+            out.extend_from_slice(s.as_bytes());
+        }
+    }
+}
+
+/// True if `entry` is the entry of `constant`, compared as bytes.
+fn entry_is(entry: &[u8], constant: ConstRef<'_>) -> bool {
+    match constant {
+        ConstRef::Int(i) => entry[0] == CONST_INT && entry[1..] == i.to_le_bytes(),
+        ConstRef::Str(s) => entry[0] == CONST_STR && &entry[1..] == s.as_bytes(),
+    }
+}
+
+/// A query's constant table, borrowed: the entries back to back, and each
+/// entry's end offset (little-endian `u32`s).  Empty for a query without
+/// constants.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct ConstTable<'a> {
+    entries: &'a [u8],
+    ends: &'a [u8],
+}
+
+impl<'a> ConstTable<'a> {
+    /// Number of distinct constants.
+    #[inline]
+    pub(crate) fn len(self) -> usize {
+        self.ends.len() / 4
+    }
+
+    /// The bytes of entry `index`: its tag, then its value.
+    #[inline]
+    fn entry(self, index: u32) -> &'a [u8] {
+        let k = index as usize;
+        let start = if k == 0 {
+            0
+        } else {
+            read_u32(self.ends, 4 * (k - 1)) as usize
+        };
+        &self.entries[start..read_u32(self.ends, 4 * k) as usize]
+    }
+
+    /// The constant at `index`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table holds no constant at `index`.
+    #[inline]
+    pub(crate) fn get(self, index: u32) -> ConstRef<'a> {
+        let entry = self.entry(index);
+        if entry[0] == CONST_INT {
+            ConstRef::Int(i64::from_le_bytes(
+                entry[1..]
+                    .try_into()
+                    .expect("an integer entry holds 8 bytes"),
+            ))
+        } else {
+            ConstRef::Str(std::str::from_utf8(&entry[1..]).expect("a string entry is UTF-8"))
+        }
+    }
+
+    /// True if the constant at `index` is `constant`, compared as bytes
+    /// (without `get`'s UTF-8 check).
+    #[inline]
+    pub(crate) fn is(self, index: u32, constant: &Constant) -> bool {
+        entry_is(self.entry(index), constant.as_const_ref())
+    }
+
+    /// The term a word of this table's query stands for.
+    #[inline]
+    pub(crate) fn term(self, word: u32) -> TermRef<'a> {
+        match word::get(word) {
+            Word::Var(v, kind) => TermRef::Var(v, kind),
+            Word::Const(index) => TermRef::Const(self.get(index)),
+        }
+    }
+}
+
+/// The constant table of a query under construction: its distinct
+/// constants in first-occurrence order, laid out as the finished query's
+/// meta block ends.
+#[derive(Debug, Default, Clone)]
+struct ConstTableBuilder {
+    entries: Vec<u8>,
+    ends: Vec<u8>,
+    /// An open-addressed table of the constants' indices under
+    /// [`constant_hash`], at most half full, so a body of many distinct
+    /// constants is laid out in linear time; empty before the first.
+    index: Vec<u32>,
+}
+
+impl ConstTableBuilder {
+    fn table(&self) -> ConstTable<'_> {
+        ConstTable {
+            entries: &self.entries,
+            ends: &self.ends,
+        }
+    }
+
+    /// Bytes of the packed table: entries, end offsets and count.
+    fn block_len(&self) -> usize {
+        if self.ends.is_empty() {
+            0
+        } else {
+            self.entries.len() + self.ends.len() + 4
+        }
+    }
+
+    /// Re-indexes the table's constants in an index of `slots` slots, a
+    /// power of two at least twice their number.
+    fn reindex(&mut self, slots: usize) {
+        let table = self.table();
+        let mut index = vec![EMPTY_SLOT; slots];
+        for k in 0..table.len() as u32 {
+            let slot = vacant_slot(&index, constant_hash(table.get(k)));
+            index[slot] = k;
+        }
+        self.index = index;
+    }
+
+    /// The index of `constant`, added to the table on first sight.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the 2³¹-th distinct constant, which no word can index,
+    /// and once the entries total 4 GiB.
+    fn add(&mut self, constant: ConstRef<'_>) -> u32 {
+        let table = self.table();
+        let hash = constant_hash(constant);
+        let slot = match find_slot(&self.index, hash, |k| entry_is(table.entry(k), constant)) {
+            Ok(index) => return index,
+            Err(slot) => slot,
+        };
+        let index = table.len();
+        assert!(
+            index <= word::MAX_CONST as usize,
+            "a query holds 2^31 distinct constants; a word cannot index another"
+        );
+        put_entry(&mut self.entries, constant);
+        let end = u32::try_from(self.entries.len()).expect("a query's constants fit in 4 GiB");
+        self.ends.extend_from_slice(&end.to_le_bytes());
+        let len = index + 1;
+        if len * 2 > self.index.len() {
+            self.reindex((len * 2).next_power_of_two());
+        } else {
+            self.index[slot] = index as u32;
+        }
+        index as u32
+    }
+
+    /// Appends the packed table: the entries, their end offsets, their
+    /// count.
+    fn write_block(&self, out: &mut Vec<u8>) {
+        if self.ends.is_empty() {
+            return;
+        }
+        out.extend_from_slice(&self.entries);
+        out.extend_from_slice(&self.ends);
+        out.extend_from_slice(&(self.table().len() as u32).to_le_bytes());
+    }
 }
 
 /// A conjunctive query: a list of body atoms with tagged variables.
@@ -74,26 +264,31 @@ fn read_u32(bytes: &[u8], at: usize) -> u32 {
 ///
 /// Two queries are equal when their atoms, kinds and the list of their
 /// variable names are equal.  The meta block is a function of the atoms'
-/// relations and arities and of that list — its end offsets mark where each
-/// name stops — so `["ab", "c"]` and `["a", "bc"]` differ.  The stored hash
-/// is a function of the atoms, so it changes nothing about equality; it is
-/// compared first, which settles most unequal pairs in one integer
-/// comparison.
+/// relations, arities and constants and of that list — its end offsets
+/// mark where each name stops — so `["ab", "c"]` and `["a", "bc"]` differ.
+/// The stored hash is a function of the atoms, so it changes nothing about
+/// equality; it is compared first, which settles most unequal pairs in one
+/// integer comparison.
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct ConjunctiveQuery {
     /// The canonical hash of the atoms, set by every constructor.
     shape_hash: u32,
-    num_vars: u32,
+    /// The variable count, with [`HAS_CONSTS`] set if the meta block ends
+    /// with a constant table.
+    vars: u32,
     /// The atom count, then per atom its relation and the end of its terms
     /// in `terms` (little-endian `u32`s), then the variable table: one kind
     /// byte per variable, then each name's end offset (little-endian, 2
     /// bytes, or 4 once the names total more than `u16::MAX` bytes — see
     /// [`offset_width`](Self::offset_width)), then every name back to back
     /// in id order.  Atom `i`'s terms start where `i - 1`'s end, and so do
-    /// variable `i`'s name bytes.
+    /// variable `i`'s name bytes.  Then, under [`HAS_CONSTS`], the constant
+    /// table: the entries back to back, each entry's end offset and the
+    /// entry count (little-endian `u32`s).
     meta: Box<[u8]>,
-    /// Every atom's terms, back to back in atom order.
-    terms: Box<[Term]>,
+    /// Every atom's terms, back to back in atom order, one word each
+    /// ([`word`]).
+    terms: Box<[u32]>,
 }
 
 /// A variable kind as the variable table stores it.
@@ -239,16 +434,18 @@ impl VarTable {
     }
 }
 
-/// A query body while its constructor lays it out, already in the finished
-/// query's two blocks: every term back to back, and the head of the meta
-/// block — the atom count, then per atom its relation and term end.  Sized
-/// up front ([`with_capacity`](Self::with_capacity)), a body becomes the
-/// query's blocks without a copy.
+/// A query body while its constructor lays it out, already as the finished
+/// query stores it: every term's word back to back, the head of the meta
+/// block — the atom count, then per atom its relation and term end — and
+/// the constant table.  Sized up front
+/// ([`with_capacity`](Self::with_capacity)), a body without constants
+/// becomes the query's blocks without a copy.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct Body {
-    terms: Vec<Term>,
+    terms: Vec<u32>,
     /// Empty until the first atom ends or a capacity is given.
     meta: Vec<u8>,
+    consts: ConstTableBuilder,
 }
 
 impl Body {
@@ -260,25 +457,66 @@ impl Body {
         Body {
             terms: Vec::with_capacity(num_terms),
             meta,
+            consts: ConstTableBuilder::default(),
         }
     }
 
-    /// `atoms` laid out, their terms moved rather than cloned, with room for
-    /// a variable table of `var_bytes` bytes.
-    pub(crate) fn of_atoms(atoms: Vec<Atom>, var_bytes: usize) -> Self {
+    /// Makes room in the constant table for up to `count` constants whose
+    /// values total `value_bytes` bytes, so entering them grows no buffer.
+    pub(crate) fn reserve_consts(&mut self, count: usize, value_bytes: usize) {
+        if count > 0 {
+            self.consts.entries.reserve_exact(count + value_bytes);
+            self.consts.ends.reserve_exact(4 * count);
+            self.consts.reindex((count * 2).next_power_of_two());
+        }
+    }
+
+    /// `atoms` laid out, with room for a variable table of `var_bytes`
+    /// bytes.  Fails on a variable id wider than a word holds.
+    pub(crate) fn of_atoms(atoms: &[Atom], var_bytes: usize) -> Result<Self> {
         let num_terms = atoms.iter().map(|atom| atom.terms.len()).sum();
         let mut body = Body::with_capacity(atoms.len(), num_terms, var_bytes);
         for atom in atoms {
-            body.terms.extend(Vec::from(atom.terms));
+            for term in atom.terms.iter() {
+                if let Term::Var(v, _) = term {
+                    if v.0 > word::MAX_VAR {
+                        return Err(CqError::ConflictingVariableKind(format!(
+                            "variable {v} is out of range"
+                        )));
+                    }
+                }
+                body.push_term(term.as_term_ref());
+            }
             body.end_atom(atom.relation);
         }
-        body
+        Ok(body)
+    }
+
+    /// Appends variable `v` of kind `kind` to the atom being laid out.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is wider than 30 bits.
+    #[inline]
+    pub(crate) fn push_var(&mut self, v: VarId, kind: VarKind) {
+        self.terms.push(word::var(v, kind));
+    }
+
+    /// Appends a constant to the atom being laid out, entering it into the
+    /// constant table on first sight.
+    #[inline]
+    pub(crate) fn push_const(&mut self, constant: ConstRef<'_>) {
+        let index = self.consts.add(constant);
+        self.terms.push(word::constant(index));
     }
 
     /// Appends a term to the atom being laid out.
     #[inline]
-    pub(crate) fn push_term(&mut self, term: Term) {
-        self.terms.push(term);
+    pub(crate) fn push_term(&mut self, term: TermRef<'_>) {
+        match term {
+            TermRef::Var(v, kind) => self.push_var(v, kind),
+            TermRef::Const(constant) => self.push_const(constant),
+        }
     }
 
     /// Ends the atom over `relation` whose terms are those pushed since the
@@ -293,10 +531,7 @@ impl Body {
         let end = u32::try_from(self.terms.len()).expect("a query has at most 2^32 terms");
         self.meta.extend_from_slice(&relation.0.to_le_bytes());
         self.meta.extend_from_slice(&end.to_le_bytes());
-        AtomRef {
-            relation,
-            terms: &self.terms[start..],
-        }
+        AtomRef::of_words(relation, &self.terms[start..], self.consts.table())
     }
 
     /// Where the last atom's terms end: where the next atom's start.
@@ -332,7 +567,7 @@ impl ConjunctiveQuery {
         for name in &var_names {
             vars.name_next(name);
         }
-        ConjunctiveQuery::from_table(atoms, vars)
+        ConjunctiveQuery::from_table(&atoms, vars)
     }
 
     /// Builds a query from atoms alone, inferring variable kinds from the
@@ -346,7 +581,7 @@ impl ConjunctiveQuery {
         let mut kinds: HashMap<VarId, VarKind> = HashMap::new();
         let mut max_var: Option<u32> = None;
         for atom in &atoms {
-            for term in &atom.terms {
+            for term in atom.terms.iter() {
                 if let Term::Var(v, kind) = term {
                     match kinds.entry(*v) {
                         std::collections::hash_map::Entry::Occupied(e) => {
@@ -371,13 +606,13 @@ impl ConjunctiveQuery {
             })?;
             var_kinds.push(kind);
         }
-        ConjunctiveQuery::from_table(atoms, VarTable::numbered(var_kinds))
+        ConjunctiveQuery::from_table(&atoms, VarTable::numbered(var_kinds))
     }
 
     /// Builds a query from atoms and the table its constructor declared the
     /// variables in, validating the invariants.
-    pub(crate) fn from_table(atoms: Vec<Atom>, vars: VarTable) -> Result<Self> {
-        let body = Body::of_atoms(atoms, vars.block_len());
+    pub(crate) fn from_table(atoms: &[Atom], vars: VarTable) -> Result<Self> {
+        let body = Body::of_atoms(atoms, vars.block_len())?;
         ConjunctiveQuery::from_body(body, vars, true)
     }
 
@@ -393,23 +628,39 @@ impl ConjunctiveQuery {
     }
 
     /// The query of `body` and a `var_len`-byte variable table of
-    /// `num_vars` variables, which `write_vars` appends to the meta block.
-    /// Its hash is not set yet.
+    /// `num_vars` variables, which `write_vars` appends to the meta block
+    /// before the body's constant table.  Its hash is not set yet.
     fn pack(
         body: Body,
         num_vars: usize,
         var_len: usize,
         write_vars: impl FnOnce(&mut Vec<u8>),
     ) -> Result<Self> {
-        let Body { terms, mut meta } = body;
+        let Body {
+            terms,
+            mut meta,
+            consts,
+        } = body;
         if meta.is_empty() || read_u32(&meta, 0) == 0 {
             return Err(CqError::EmptyBody);
         }
-        meta.reserve_exact(var_len);
+        let num_vars = u32::try_from(num_vars)
+            .ok()
+            .filter(|&n| n <= word::MAX_VAR + 1)
+            .ok_or_else(|| {
+                CqError::ConflictingVariableKind(format!("{num_vars} variables are out of range"))
+            })?;
+        meta.reserve_exact(var_len + consts.block_len());
         write_vars(&mut meta);
+        consts.write_block(&mut meta);
+        let has_consts = if consts.ends.is_empty() {
+            0
+        } else {
+            HAS_CONSTS
+        };
         Ok(ConjunctiveQuery {
             shape_hash: 0,
-            num_vars: u32::try_from(num_vars).expect("a query has at most 2^32 variables"),
+            vars: num_vars | has_consts,
             meta: meta.into_boxed_slice(),
             terms: terms.into_boxed_slice(),
         })
@@ -422,25 +673,32 @@ impl ConjunctiveQuery {
     /// numbering the hash needs is also the record of which declared
     /// variables occur.
     fn check(&self, every_var_used: bool) -> Result<u32> {
+        let consts = self.consts();
         let mut numbering = Numbering::new(self.num_vars());
         let mut hasher = ShapeHasher::new(self.num_atoms());
-        for atom in self.atoms() {
-            hasher.atom(atom.relation, atom.arity());
-            for term in atom.terms {
-                if let Term::Var(v, kind) = term {
-                    if v.index() >= self.num_vars() {
-                        return Err(CqError::ConflictingVariableKind(format!(
-                            "variable {v} is out of range"
-                        )));
+        let mut start = 0;
+        for entry in self.atom_table().chunks_exact(ENTRY_BYTES) {
+            let end = read_u32(entry, 4) as usize;
+            hasher.atom(RelId(read_u32(entry, 0)), end - start);
+            for &term in &self.terms[start..end] {
+                match word::get(term) {
+                    Word::Var(v, kind) => {
+                        if v.index() >= self.num_vars() {
+                            return Err(CqError::ConflictingVariableKind(format!(
+                                "variable {v} is out of range"
+                            )));
+                        }
+                        if self.var_kind(v) != kind {
+                            return Err(CqError::ConflictingVariableKind(
+                                self.var_name(v).to_owned(),
+                            ));
+                        }
+                        hasher.var(numbering.number(v.0), kind);
                     }
-                    if self.var_kind(*v) != *kind {
-                        return Err(CqError::ConflictingVariableKind(
-                            self.var_name(*v).to_owned(),
-                        ));
-                    }
+                    Word::Const(index) => hasher.constant(consts.get(index)),
                 }
-                hasher.term(term, &mut numbering);
             }
+            start = end;
         }
         if every_var_used && numbering.assigned() as usize != self.num_vars() {
             // A declared distinguished variable that never occurs in the body
@@ -457,6 +715,12 @@ impl ConjunctiveQuery {
         Ok(hasher.finish())
     }
 
+    /// The meta block's atom table: per atom its relation and term end.
+    #[inline]
+    fn atom_table(&self) -> &[u8] {
+        &self.meta[COUNT_BYTES..self.var_start()]
+    }
+
     /// Where the variable table starts in the meta block: past the atom
     /// count and the atom table.
     #[inline]
@@ -464,14 +728,49 @@ impl ConjunctiveQuery {
         COUNT_BYTES + ENTRY_BYTES * self.num_atoms()
     }
 
+    /// Where the variable table ends in the meta block: where the constant
+    /// table starts, or the block's end.
+    fn var_end(&self) -> usize {
+        if self.vars & HAS_CONSTS == 0 {
+            return self.meta.len();
+        }
+        let (entries_start, _) = self.const_layout();
+        entries_start
+    }
+
+    /// Where the constant table's entries and their end offsets start, for
+    /// a query with constants: the entry count is the block's last word,
+    /// the offsets precede it, and the last offset is the entries' length.
+    #[inline]
+    fn const_layout(&self) -> (usize, usize) {
+        let len = self.meta.len();
+        let count = read_u32(&self.meta, len - 4) as usize;
+        let ends_start = len - 4 - 4 * count;
+        let entries_len = read_u32(&self.meta, len - 8) as usize;
+        (ends_start - entries_len, ends_start)
+    }
+
+    /// The query's constant table; empty if it has no constants.
+    #[inline]
+    pub(crate) fn consts(&self) -> ConstTable<'_> {
+        if self.vars & HAS_CONSTS == 0 {
+            return ConstTable::default();
+        }
+        let (entries_start, ends_start) = self.const_layout();
+        ConstTable {
+            entries: &self.meta[entries_start..ends_start],
+            ends: &self.meta[ends_start..self.meta.len() - 4],
+        }
+    }
+
     /// The meta block's variable table.
     fn var_block(&self) -> &[u8] {
-        &self.meta[self.var_start()..]
+        &self.meta[self.var_start()..self.var_end()]
     }
 
     /// The variable table's kind bytes, one per variable.
     fn kind_bytes(&self) -> &[u8] {
-        &self.var_block()[..self.num_vars()]
+        &self.meta[self.var_start()..self.var_start() + self.num_vars()]
     }
 
     /// Bytes per end offset in the variable table, which follows from the
@@ -514,8 +813,9 @@ impl ConjunctiveQuery {
     #[inline]
     pub fn atoms(&self) -> Atoms<'_> {
         Atoms {
-            table: &self.meta[COUNT_BYTES..self.var_start()],
+            table: self.atom_table(),
             terms: &self.terms,
+            consts: self.consts(),
             start: 0,
         }
     }
@@ -538,15 +838,22 @@ impl ConjunctiveQuery {
         } else {
             read_u32(&self.meta, entry - 4) as usize
         };
-        AtomRef {
-            relation: RelId(read_u32(&self.meta, entry)),
-            terms: &self.terms[start..read_u32(&self.meta, entry + 4) as usize],
-        }
+        AtomRef::of_words(
+            RelId(read_u32(&self.meta, entry)),
+            &self.terms[start..read_u32(&self.meta, entry + 4) as usize],
+            self.consts(),
+        )
     }
 
     /// Every atom's terms, back to back in atom order.
     #[inline]
-    pub fn terms(&self) -> &[Term] {
+    pub fn terms(&self) -> Terms<'_> {
+        Terms::of_words(&self.terms, self.consts())
+    }
+
+    /// Every atom's terms as the query stores them: one [`word`] each.
+    #[inline]
+    pub(crate) fn words(&self) -> &[u32] {
         &self.terms
     }
 
@@ -559,7 +866,22 @@ impl ConjunctiveQuery {
     /// Number of variables.
     #[inline]
     pub fn num_vars(&self) -> usize {
-        self.num_vars as usize
+        (self.vars & !HAS_CONSTS) as usize
+    }
+
+    /// Bytes of the query's two heap blocks: the term slice (4 bytes a
+    /// term) and the meta block.  Computed from their lengths; the header
+    /// and the allocator's own rounding are not counted.
+    #[inline]
+    pub fn heap_bytes(&self) -> usize {
+        std::mem::size_of_val::<[u32]>(&self.terms) + self.meta.len()
+    }
+
+    /// Heap blocks the query owns: the meta block, and the term slice unless
+    /// every atom is nullary.  What a clone allocates.
+    #[inline]
+    pub fn heap_blocks(&self) -> usize {
+        1 + usize::from(!self.terms.is_empty())
     }
 
     /// The query's canonical hash: the body hashed with its variables
@@ -725,7 +1047,8 @@ impl ConjunctiveQuery {
     /// Returns a copy of the query with a different set of atoms but the same
     /// variable table, hashing the new atoms.  Intended for algorithms
     /// (folding) that drop atoms; the caller must ensure every surviving
-    /// variable still occurs in the body.
+    /// variable still occurs in the body.  The constant table is rebuilt
+    /// from the kept atoms, so a constant only dropped atoms held leaves it.
     ///
     /// # Panics
     ///
@@ -737,7 +1060,9 @@ impl ConjunctiveQuery {
     ) -> ConjunctiveQuery {
         let mut body = Body::default();
         for atom in atoms {
-            body.terms.extend_from_slice(atom.terms);
+            for term in atom.terms() {
+                body.push_term(term);
+            }
             body.end_atom(atom.relation);
         }
         let vars = self.var_block();
@@ -758,7 +1083,8 @@ impl ConjunctiveQuery {
 pub struct Atoms<'a> {
     /// The atom table entries not yet visited.
     table: &'a [u8],
-    terms: &'a [Term],
+    terms: &'a [u32],
+    consts: ConstTable<'a>,
     /// Where the front atom's terms start.
     start: usize,
 }
@@ -767,10 +1093,11 @@ impl<'a> Atoms<'a> {
     /// The atom of table entry `entry`, whose terms start at `start`.
     #[inline]
     fn atom(&self, entry: &[u8], start: usize) -> AtomRef<'a> {
-        AtomRef {
-            relation: RelId(read_u32(entry, 0)),
-            terms: &self.terms[start..read_u32(entry, 4) as usize],
-        }
+        AtomRef::of_words(
+            RelId(read_u32(entry, 0)),
+            &self.terms[start..read_u32(entry, 4) as usize],
+            self.consts,
+        )
     }
 }
 
@@ -968,10 +1295,10 @@ impl QueryBuilder {
         I: IntoIterator<Item = Arg>,
     {
         for arg in args {
-            self.body.push_term(match arg {
-                Arg::Var(v) => Term::Var(v, self.vars.kind(v)),
-                Arg::Const(c) => Term::Const(c),
-            });
+            match arg {
+                Arg::Var(v) => self.body.push_var(v, self.vars.kind(v)),
+                Arg::Const(c) => self.body.push_const(c.as_const_ref()),
+            }
         }
         self.body.end_atom(relation);
         self
@@ -1170,12 +1497,111 @@ mod tests {
         b.atom(r, ["a".into()]);
         let q = b.build().unwrap();
         assert_eq!((q.num_vars(), q.var_kinds().len()), (0, 0));
-        // The meta block is the atom count and the one atom's entry.
+        // The meta block is the atom count, the one atom's entry and the
+        // constant table: the entry (a tag and `a`), its end, the count.
         for copy in [&q, &q.clone()] {
             assert!(copy.var_block().is_empty(), "{:?}", copy.meta);
-            assert_eq!(copy.meta.len(), COUNT_BYTES + ENTRY_BYTES);
+            assert_eq!(copy.meta.len(), COUNT_BYTES + ENTRY_BYTES + 2 + 4 + 4);
+            assert_eq!(copy.consts().len(), 1);
         }
         assert_eq!(q.display_with(&c).to_string(), "Q() :- R('a')");
+    }
+
+    /// The words of `query`, decoded: a variable's id or a constant's
+    /// index in the query's table.
+    fn words(query: &ConjunctiveQuery) -> Vec<Word> {
+        query.words().iter().map(|&w| word::get(w)).collect()
+    }
+
+    #[test]
+    fn constant_table_stores_each_constant_once_in_first_occurrence_order() {
+        let c = catalog();
+        let q = crate::parser::parse_query(
+            &c,
+            "Q(x) :- Meetings(x, 7), Meetings(x, '7'), Meetings(x, 7), Meetings(x, '7')",
+        )
+        .unwrap();
+        let table = q.consts();
+        assert_eq!(table.len(), 2);
+        assert_eq!(
+            (table.get(0), table.get(1)),
+            (ConstRef::Int(7), ConstRef::Str("7"))
+        );
+        let x = Word::Var(VarId(0), VarKind::Distinguished);
+        assert_eq!(
+            words(&q),
+            [
+                x,
+                Word::Const(0),
+                x,
+                Word::Const(1),
+                x,
+                Word::Const(0),
+                x,
+                Word::Const(1)
+            ]
+        );
+        // A string of any length is one entry: a tag and its text.
+        let long = "a string constant well past fourteen bytes";
+        let q = crate::parser::parse_query(&c, &format!("Q(x) :- Meetings(x, '{long}')")).unwrap();
+        assert_eq!(q.consts().get(0), ConstRef::Str(long));
+        assert_eq!(
+            q.heap_bytes(),
+            2 * 4 + COUNT_BYTES + ENTRY_BYTES + 3 + 1 + 1 + long.len() + 8
+        );
+    }
+
+    #[test]
+    fn constant_table_of_a_subset_is_rebuilt_from_the_kept_atoms() {
+        let c = catalog();
+        let q = crate::parser::parse_query(
+            &c,
+            "Q(x) :- Meetings(x, 'dropped'), Meetings(x, 'b'), Meetings(x, 9), Meetings(x, 'b')",
+        )
+        .unwrap();
+        let kept = q.with_atoms_unchecked([q.atom(1), q.atom(2)]);
+        let model = ConjunctiveQuery::from_parts(
+            vec![q.atom(1).to_atom(), q.atom(2).to_atom()],
+            vec![VarKind::Distinguished],
+            vec!["x".to_owned()],
+        )
+        .unwrap();
+        // `'dropped'` leaves the table and `'b'` moves to its front.
+        assert_eq!(kept, model);
+        assert_eq!(kept.consts().len(), 2);
+        assert_eq!(kept.consts().get(0), ConstRef::Str("b"));
+        assert!(kept.heap_bytes() < q.heap_bytes());
+    }
+
+    #[test]
+    fn constant_table_of_many_constants_finds_every_constant_again() {
+        let c = catalog();
+        let m = c.resolve("Meetings").unwrap();
+        let distinct = 24;
+        let constant = |i: usize| {
+            if i.is_multiple_of(2) {
+                Term::constant(format!("c{i}").as_str())
+            } else {
+                Term::constant(i as i64)
+            }
+        };
+        // Each constant, then each again in reverse, then each once more.
+        let order = (0..distinct).chain((0..distinct).rev()).chain(0..distinct);
+        let atoms: Vec<Atom> = order
+            .map(|i| Atom::new(m, vec![Term::dist(0), constant(i)]))
+            .collect();
+        let q = ConjunctiveQuery::from_atoms(atoms.clone()).unwrap();
+        assert_eq!(q.consts().len(), distinct);
+        for (i, atom) in atoms.iter().enumerate() {
+            assert_eq!(q.atom(i), atom.as_atom_ref());
+        }
+        let indices: Vec<Word> = words(&q).into_iter().skip(1).step_by(2).collect();
+        let expected: Vec<Word> = (0..distinct)
+            .chain((0..distinct).rev())
+            .chain(0..distinct)
+            .map(|i| Word::Const(i as u32))
+            .collect();
+        assert_eq!(indices, expected);
     }
 
     #[test]

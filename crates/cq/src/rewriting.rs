@@ -36,7 +36,7 @@
 
 use crate::containment::equivalent_same_space;
 use crate::query::{Body, ConjunctiveQuery, VarTable};
-use crate::term::{Term, VarId, VarKind};
+use crate::term::{TermRef, VarId, VarKind};
 
 /// Can the single-atom query `query` be answered by an equivalent rewriting
 /// in terms of the single-atom view `view`?
@@ -80,20 +80,20 @@ fn single_view_expansion(
     // Step 1: build the positional assignment θ from the view's distinguished
     // variables to terms of the query, and fail fast on positions the view
     // cannot reproduce.
-    let mut theta: Vec<Option<Term>> = vec![None; view.num_vars()];
-    for (v_term, q_term) in v_atom.terms.iter().zip(q_atom.terms.iter()) {
+    let mut theta: Vec<Option<TermRef<'_>>> = vec![None; view.num_vars()];
+    for (v_term, q_term) in v_atom.terms().iter().zip(q_atom.terms()) {
         match v_term {
-            Term::Var(v, VarKind::Distinguished) => match &theta[v.index()] {
+            TermRef::Var(v, VarKind::Distinguished) => match theta[v.index()] {
                 Some(existing) if existing != q_term => return None,
                 Some(_) => {}
-                None => theta[v.index()] = Some(q_term.clone()),
+                None => theta[v.index()] = Some(q_term),
             },
-            Term::Var(_, VarKind::Existential) => {
+            TermRef::Var(_, VarKind::Existential) => {
                 // Projected away by the view; no constraint here.  If the
                 // query needs this position (e.g. exposes it), the expansion
                 // equivalence check below will fail.
             }
-            Term::Const(c) => {
+            TermRef::Const(c) => {
                 // The view pre-selects this constant.  The query must select
                 // the same constant, otherwise the rewriting either
                 // contradicts the query (different constant) or is more
@@ -109,9 +109,9 @@ fn single_view_expansion(
     // the view at some position (otherwise the rewriting would be unsafe).
     for q_var in query.distinguished_vars() {
         let exposed = v_atom
-            .terms
+            .terms()
             .iter()
-            .zip(q_atom.terms.iter())
+            .zip(q_atom.terms())
             .any(|(v_term, q_term)| {
                 v_term.var_kind() == Some(VarKind::Distinguished) && q_term.var_id() == Some(q_var)
             });
@@ -132,22 +132,21 @@ fn single_view_expansion(
     // body of `V15() :- M(z, z)` keep their equality constraint.
     let mut fresh_for_view_var: Vec<Option<VarId>> = vec![None; view.num_vars()];
     let mut body = Body::default();
-    for v_term in v_atom.terms {
+    for v_term in v_atom.terms() {
         match v_term {
-            Term::Var(v, VarKind::Distinguished) => {
-                let bound = theta[v.index()]
-                    .clone()
-                    .expect("distinguished view variables occur in the view body");
+            TermRef::Var(v, VarKind::Distinguished) => {
+                let bound =
+                    theta[v.index()].expect("distinguished view variables occur in the view body");
                 body.push_term(bound);
             }
-            Term::Var(v, VarKind::Existential) => {
+            TermRef::Var(v, VarKind::Existential) => {
                 let fresh = *fresh_for_view_var[v.index()].get_or_insert_with(|| {
                     let id = vars.len();
                     vars.push(VarKind::Existential, &format!("_fresh{id}"))
                 });
-                body.push_term(Term::Var(fresh, VarKind::Existential));
+                body.push_var(fresh, VarKind::Existential);
             }
-            Term::Const(c) => body.push_term(Term::Const(c.clone())),
+            TermRef::Const(c) => body.push_const(c),
         }
     }
 

@@ -7,7 +7,7 @@
 use std::collections::HashMap;
 
 use crate::atom::{Atom, AtomRef};
-use crate::term::{Term, VarId};
+use crate::term::{Term, TermRef, VarId};
 
 /// A partial map from variables to terms.
 ///
@@ -69,7 +69,13 @@ impl Substitution {
     pub fn apply_atom(&self, atom: AtomRef<'_>) -> Atom {
         Atom::new(
             atom.relation,
-            atom.terms.iter().map(|t| self.apply_term(t)).collect(),
+            atom.terms()
+                .iter()
+                .map(|t| match t {
+                    TermRef::Var(v, _) => self.map.get(&v).cloned().unwrap_or_else(|| t.to_term()),
+                    TermRef::Const(c) => c.to_term(),
+                })
+                .collect(),
         )
     }
 

@@ -4,6 +4,21 @@
 //! atoms whose variables carry a *distinguished* / *existential* tag instead
 //! of keeping an explicit head.  [`Term`] mirrors that representation: a term
 //! is either a tagged variable or a constant.
+//!
+//! A term comes in two forms:
+//!
+//! * the owned [`Term`] (16 bytes, a [`Constant`] inside it), which a caller
+//!   builds atoms from and which substitutions and unifiers carry between
+//!   queries;
+//! * the borrowed [`TermRef`], which a
+//!   [`ConjunctiveQuery`](crate::ConjunctiveQuery) lends out.  A query
+//!   stores each term as one 4-byte word and each distinct constant once,
+//!   in a per-query table; a `TermRef` carries the constant's *value*
+//!   ([`ConstRef`]), never its place in that table, so it means the same
+//!   thing in every query.
+//!
+//! A `TermRef` compares, orders and hashes exactly as the `Term` with the
+//! same value ([`Term::as_term_ref`], [`TermRef::to_term`]).
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -197,7 +212,10 @@ impl From<String> for SmallStr {
 /// `Display` writes a string in the parser's notation: `'…'`, or `"…"` when
 /// the text contains a `'`.  The grammar has no escapes, so a text
 /// containing both quote characters has no written form that parses back.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+///
+/// `Hash` is that of [`as_const_ref`](Self::as_const_ref), so a constant and
+/// the [`ConstRef`] of its value hash alike.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Constant {
     /// An integer constant such as `9`.
     Int(i64),
@@ -215,14 +233,92 @@ impl Constant {
     pub fn int(i: i64) -> Self {
         Constant::Int(i)
     }
+
+    /// The constant as the borrowed view a query lends out.
+    #[inline]
+    pub fn as_const_ref(&self) -> ConstRef<'_> {
+        match self {
+            Constant::Int(i) => ConstRef::Int(*i),
+            Constant::Str(s) => ConstRef::Str(s.as_str()),
+        }
+    }
+}
+
+impl Hash for Constant {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_const_ref().hash(state);
+    }
 }
 
 impl fmt::Display for Constant {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(&self.as_const_ref(), f)
+    }
+}
+
+/// A constant's value, borrowed: what a query lends out for a constant it
+/// stores in its constant table.  Ordered, compared (with another
+/// `ConstRef` or with a [`Constant`]), hashed and displayed exactly as the
+/// `Constant` with the same value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum ConstRef<'a> {
+    /// An integer constant such as `9`.
+    Int(i64),
+    /// A string constant such as `'Cathy'`.
+    Str(&'a str),
+}
+
+impl ConstRef<'_> {
+    /// An owned copy of the constant.
+    pub fn to_constant(self) -> Constant {
         match self {
-            Constant::Int(i) => write!(f, "{i}"),
-            Constant::Str(s) if s.contains('\'') => write!(f, "\"{s}\""),
-            Constant::Str(s) => write!(f, "'{s}'"),
+            ConstRef::Int(i) => Constant::Int(i),
+            ConstRef::Str(s) => Constant::str(s),
+        }
+    }
+
+    /// The constant as an owned term.
+    pub fn to_term(self) -> Term {
+        Term::Const(self.to_constant())
+    }
+}
+
+/// A tag, then the integer or the text's bytes and `0xff` (as `str` hashes
+/// them, and as [`SmallStr`] does).
+impl Hash for ConstRef<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        match self {
+            ConstRef::Int(i) => {
+                state.write_u8(0);
+                state.write_i64(*i);
+            }
+            ConstRef::Str(s) => {
+                state.write_u8(1);
+                state.write(s.as_bytes());
+                state.write_u8(0xff);
+            }
+        }
+    }
+}
+
+impl PartialEq<Constant> for ConstRef<'_> {
+    fn eq(&self, other: &Constant) -> bool {
+        *self == other.as_const_ref()
+    }
+}
+
+impl PartialEq<ConstRef<'_>> for Constant {
+    fn eq(&self, other: &ConstRef<'_>) -> bool {
+        self.as_const_ref() == *other
+    }
+}
+
+impl fmt::Display for ConstRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ConstRef::Int(i) => write!(f, "{i}"),
+            ConstRef::Str(s) if s.contains('\'') => write!(f, "\"{s}\""),
+            ConstRef::Str(s) => write!(f, "'{s}'"),
         }
     }
 }
@@ -246,8 +342,8 @@ impl From<String> for Constant {
 }
 
 /// A term in an atom: either a tagged variable or a constant — 16 bytes
-/// either way.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// either way.  `Hash` is that of [`as_term_ref`](Self::as_term_ref).
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Term {
     /// A variable together with its distinguished/existential tag.
     Var(VarId, VarKind),
@@ -324,13 +420,203 @@ impl Term {
             Term::Var(..) => None,
         }
     }
+
+    /// The term as the borrowed view a query lends out.
+    #[inline]
+    pub fn as_term_ref(&self) -> TermRef<'_> {
+        match self {
+            Term::Var(id, kind) => TermRef::Var(*id, *kind),
+            Term::Const(c) => TermRef::Const(c.as_const_ref()),
+        }
+    }
+}
+
+impl Hash for Term {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.as_term_ref().hash(state);
+    }
 }
 
 impl fmt::Display for Term {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Display::fmt(&self.as_term_ref(), f)
+    }
+}
+
+/// A term as a query lends it out: a tagged variable, or a constant's value
+/// borrowed from the query's constant table.  Ordered, compared (with
+/// another `TermRef` or with a [`Term`]), hashed and displayed exactly as
+/// the `Term` with the same value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum TermRef<'a> {
+    /// A variable together with its distinguished/existential tag.
+    Var(VarId, VarKind),
+    /// A constant.
+    Const(ConstRef<'a>),
+}
+
+impl<'a> TermRef<'a> {
+    /// An owned copy of the term.
+    pub fn to_term(self) -> Term {
         match self {
-            Term::Var(id, kind) => write!(f, "{id}{kind}"),
-            Term::Const(c) => write!(f, "{c}"),
+            TermRef::Var(id, kind) => Term::Var(id, kind),
+            TermRef::Const(c) => c.to_term(),
+        }
+    }
+
+    /// Returns the variable id if the term is a variable.
+    #[inline]
+    pub fn var_id(self) -> Option<VarId> {
+        match self {
+            TermRef::Var(id, _) => Some(id),
+            TermRef::Const(_) => None,
+        }
+    }
+
+    /// Returns the variable kind if the term is a variable.
+    #[inline]
+    pub fn var_kind(self) -> Option<VarKind> {
+        match self {
+            TermRef::Var(_, kind) => Some(kind),
+            TermRef::Const(_) => None,
+        }
+    }
+
+    /// True if the term is a variable (of either kind).
+    #[inline]
+    pub fn is_var(self) -> bool {
+        matches!(self, TermRef::Var(..))
+    }
+
+    /// True if the term is a distinguished variable.
+    #[inline]
+    pub fn is_distinguished(self) -> bool {
+        matches!(self, TermRef::Var(_, VarKind::Distinguished))
+    }
+
+    /// True if the term is an existential variable.
+    #[inline]
+    pub fn is_existential(self) -> bool {
+        matches!(self, TermRef::Var(_, VarKind::Existential))
+    }
+
+    /// True if the term is a constant.
+    #[inline]
+    pub fn is_const(self) -> bool {
+        matches!(self, TermRef::Const(_))
+    }
+
+    /// Returns the constant if the term is one.
+    #[inline]
+    pub fn as_const(self) -> Option<ConstRef<'a>> {
+        match self {
+            TermRef::Const(c) => Some(c),
+            TermRef::Var(..) => None,
+        }
+    }
+}
+
+/// A tag, then the variable's id and kind or the constant's value.
+impl Hash for TermRef<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        match self {
+            TermRef::Var(id, kind) => {
+                state.write_u8(0);
+                state.write_u32(id.0);
+                state.write_u8(u8::from(kind.is_existential()));
+            }
+            TermRef::Const(c) => {
+                state.write_u8(1);
+                c.hash(state);
+            }
+        }
+    }
+}
+
+impl PartialEq<Term> for TermRef<'_> {
+    fn eq(&self, other: &Term) -> bool {
+        *self == other.as_term_ref()
+    }
+}
+
+impl PartialEq<TermRef<'_>> for Term {
+    fn eq(&self, other: &TermRef<'_>) -> bool {
+        self.as_term_ref() == *other
+    }
+}
+
+impl fmt::Display for TermRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TermRef::Var(id, kind) => write!(f, "{id}{kind}"),
+            TermRef::Const(c) => write!(f, "{c}"),
+        }
+    }
+}
+
+/// A term as a query stores it: one `u32`, laid out as the interner's
+/// [`ITerm`](crate::intern::ITerm).  Bit 31 is the const bit.  A variable
+/// keeps its kind in bit 30 (set for existential) and its [`VarId`] in bits
+/// 0–29; a constant keeps in bits 0–30 its index in the query's constant
+/// table, which holds the query's distinct constants in first-occurrence
+/// order.  A query's words are only ever read together with that table.
+pub(crate) mod word {
+    use super::{VarId, VarKind};
+
+    /// Set in a constant's word.
+    pub(crate) const CONST_BIT: u32 = 1 << 31;
+    /// Set in an existential variable's word.
+    pub(crate) const EXISTENTIAL_BIT: u32 = 1 << 30;
+    /// The largest variable id a word holds (30 bits).
+    pub(crate) const MAX_VAR: u32 = EXISTENTIAL_BIT - 1;
+    /// The largest constant index a word holds (31 bits).
+    pub(crate) const MAX_CONST: u32 = CONST_BIT - 1;
+
+    /// The kind bit of a variable's word.
+    #[inline]
+    pub(crate) const fn kind_bit(kind: VarKind) -> u32 {
+        match kind {
+            VarKind::Distinguished => 0,
+            VarKind::Existential => EXISTENTIAL_BIT,
+        }
+    }
+
+    /// The word of variable `v` of kind `kind`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is wider than 30 bits.
+    #[inline]
+    pub(crate) fn var(v: VarId, kind: VarKind) -> u32 {
+        assert!(v.0 <= MAX_VAR, "variable {v} is wider than 30 bits");
+        v.0 | kind_bit(kind)
+    }
+
+    /// The word of the constant at `index` of the constant table.
+    #[inline]
+    pub(crate) fn constant(index: u32) -> u32 {
+        debug_assert!(index <= MAX_CONST);
+        index | CONST_BIT
+    }
+
+    /// What a word holds, to match on.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(crate) enum Word {
+        /// A variable and its kind.
+        Var(VarId, VarKind),
+        /// A constant, by its index in the query's constant table.
+        Const(u32),
+    }
+
+    /// What `word` holds.
+    #[inline]
+    pub(crate) fn get(word: u32) -> Word {
+        if word & CONST_BIT != 0 {
+            Word::Const(word & MAX_CONST)
+        } else if word & EXISTENTIAL_BIT != 0 {
+            Word::Var(VarId(word & MAX_VAR), VarKind::Existential)
+        } else {
+            Word::Var(VarId(word), VarKind::Distinguished)
         }
     }
 }
@@ -488,6 +774,79 @@ mod tests {
             assert_eq!(fed(&small), bytes, "{text:?}");
             assert_eq!(hash_of(&small), hash_of(&text.as_str()), "{text:?}");
         }
+    }
+
+    #[test]
+    fn term_refs_compare_order_and_hash_as_their_terms() {
+        let mut terms = vec![
+            Term::dist(0),
+            Term::dist(1),
+            Term::exist(0),
+            Term::exist(1),
+            Term::constant(7i64),
+            Term::constant(-7i64),
+            Term::constant("7"),
+            Term::constant(""),
+        ];
+        terms.extend(model_texts().iter().map(|t| Term::constant(t.as_str())));
+        for a in &terms {
+            let view = a.as_term_ref();
+            assert_eq!(view.to_term(), *a);
+            assert_eq!(view, *a);
+            assert_eq!(hash_of(&view), hash_of(a), "{a:?}");
+            assert_eq!(fed(&view), fed(a), "{a:?}");
+            assert_eq!(view.to_string(), a.to_string());
+            assert_eq!(format!("{view:?}"), format!("{a:?}"));
+            assert_eq!(view.is_const(), a.is_const());
+            assert_eq!(view.is_existential(), a.is_existential());
+            assert_eq!(view.is_distinguished(), a.is_distinguished());
+            assert_eq!(view.var_id(), a.var_id());
+            assert_eq!(view.var_kind(), a.var_kind());
+            if let Some(c) = a.as_const() {
+                assert_eq!(view.as_const(), Some(c.as_const_ref()));
+                assert_eq!(c.as_const_ref().to_constant(), *c);
+                assert_eq!(hash_of(&c.as_const_ref()), hash_of(c));
+                assert_eq!(c.as_const_ref().to_string(), c.to_string());
+            }
+            for b in &terms {
+                assert_eq!(view == b.as_term_ref(), a == b, "{a:?} vs {b:?}");
+                assert_eq!(view.cmp(&b.as_term_ref()), a.cmp(b), "{a:?} vs {b:?}");
+            }
+        }
+        // The integer 7 and the text "7" are different constants.
+        assert_ne!(ConstRef::Int(7), ConstRef::Str("7"));
+        assert_ne!(hash_of(&ConstRef::Int(7)), hash_of(&ConstRef::Str("7")));
+        // A variable's kind reaches the hasher.
+        assert_ne!(hash_of(&Term::dist(0)), hash_of(&Term::exist(0)));
+        assert_ne!(
+            hash_of(&Term::dist(0).as_term_ref()),
+            hash_of(&Term::exist(0).as_term_ref())
+        );
+    }
+
+    #[test]
+    fn a_word_holds_a_variable_or_a_constant_index() {
+        use word::Word;
+        for (v, kind) in [
+            (0, VarKind::Distinguished),
+            (0, VarKind::Existential),
+            (word::MAX_VAR, VarKind::Distinguished),
+            (word::MAX_VAR, VarKind::Existential),
+        ] {
+            assert_eq!(
+                word::get(word::var(VarId(v), kind)),
+                Word::Var(VarId(v), kind)
+            );
+        }
+        for index in [0, 1 << 30, word::MAX_CONST] {
+            assert_eq!(word::get(word::constant(index)), Word::Const(index));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "wider than 30 bits")]
+    fn a_word_refuses_a_variable_past_30_bits() {
+        word::var(VarId(1 << 30), VarKind::Distinguished);
     }
 
     #[test]

@@ -13,8 +13,9 @@ use fdc_durability::codec::put_len;
 use fdc_durability::codec::{put_i64, put_str, put_u32, put_u8, CodecError, Cursor};
 
 use crate::catalog::{Catalog, RelId};
+use crate::intern::ITerm;
 use crate::query::{Body, ConjunctiveQuery, VarTable};
-use crate::term::{Constant, Term, VarId, VarKind};
+use crate::term::{ConstRef, Constant, TermRef, VarId, VarKind};
 
 const CONST_INT: u8 = 0;
 const CONST_STR: u8 = 1;
@@ -25,12 +26,18 @@ const KIND_EXISTENTIAL: u8 = 1;
 
 /// Encodes one [`Constant`].
 pub fn put_constant(out: &mut Vec<u8>, constant: &Constant) {
+    put_const_ref(out, constant.as_const_ref());
+}
+
+/// Encodes one constant by value, as [`put_constant`] encodes the
+/// [`Constant`] holding it.
+fn put_const_ref(out: &mut Vec<u8>, constant: ConstRef<'_>) {
     match constant {
-        Constant::Int(i) => {
+        ConstRef::Int(i) => {
             put_u8(out, CONST_INT);
-            put_i64(out, *i);
+            put_i64(out, i);
         }
-        Constant::Str(s) => {
+        ConstRef::Str(s) => {
             put_u8(out, CONST_STR);
             put_str(out, s);
         }
@@ -39,10 +46,15 @@ pub fn put_constant(out: &mut Vec<u8>, constant: &Constant) {
 
 /// Decodes one [`Constant`].
 pub fn read_constant(cursor: &mut Cursor<'_>) -> Result<Constant, CodecError> {
+    read_const_ref(cursor).map(ConstRef::to_constant)
+}
+
+/// Decodes one constant by value, its text borrowed from the input.
+pub(crate) fn read_const_ref<'a>(cursor: &mut Cursor<'a>) -> Result<ConstRef<'a>, CodecError> {
     let at = cursor.pos();
     match cursor.u8()? {
-        CONST_INT => Ok(Constant::Int(cursor.i64()?)),
-        CONST_STR => Ok(Constant::Str(cursor.str()?.into())),
+        CONST_INT => Ok(ConstRef::Int(cursor.i64()?)),
+        CONST_STR => Ok(ConstRef::Str(cursor.str()?)),
         tag => Err(CodecError::invalid(
             at,
             format!("unknown constant tag {tag}"),
@@ -123,31 +135,32 @@ pub fn encode_query(query: &ConjunctiveQuery, out: &mut Vec<u8>) {
     for atom in query.atoms() {
         put_u32(out, atom.relation.0);
         put_len(out, atom.arity());
-        for term in atom.terms {
+        for term in atom.terms() {
             match term {
-                Term::Var(v, _) => {
+                TermRef::Var(v, _) => {
                     put_u8(out, TERM_VAR);
                     put_u32(out, v.0);
                 }
-                Term::Const(c) => {
+                TermRef::Const(c) => {
                     put_u8(out, TERM_CONST);
-                    put_constant(out, c);
+                    put_const_ref(out, c);
                 }
             }
         }
     }
 }
 
-/// Skips one encoded term; errors as [`decode_query`] reports them.
-fn skip_term(cursor: &mut Cursor<'_>) -> Result<(), CodecError> {
+/// Skips one encoded term; errors as [`decode_query`] reports them.  For a
+/// constant, returns the bytes of its value (8 for an integer).
+fn skip_term(cursor: &mut Cursor<'_>) -> Result<Option<usize>, CodecError> {
     let at = cursor.pos();
     match cursor.u8()? {
-        TERM_VAR => cursor.u32().map(drop),
+        TERM_VAR => cursor.u32().map(|_| None),
         TERM_CONST => {
             let at = cursor.pos();
             match cursor.u8()? {
-                CONST_INT => cursor.i64().map(drop),
-                CONST_STR => cursor.bytes().map(drop),
+                CONST_INT => cursor.i64().map(|_| Some(8)),
+                CONST_STR => cursor.bytes().map(|text| Some(text.len())),
                 tag => Err(CodecError::invalid(
                     at,
                     format!("unknown constant tag {tag}"),
@@ -165,6 +178,12 @@ fn skip_term(cursor: &mut Cursor<'_>) -> Result<(), CodecError> {
 pub fn decode_query(cursor: &mut Cursor<'_>) -> Result<ConjunctiveQuery, CodecError> {
     let start = cursor.pos();
     let num_vars = cursor.count(1)?;
+    if num_vars > ITerm::MAX_VAR_INDEX as usize + 1 {
+        return Err(CodecError::invalid(
+            start,
+            format!("{num_vars} variables: a query holds at most 2^30"),
+        ));
+    }
     let mut kinds = Vec::with_capacity(num_vars);
     for _ in 0..num_vars {
         kinds.push(read_var_kind(cursor)?);
@@ -185,16 +204,20 @@ pub fn decode_query(cursor: &mut Cursor<'_>) -> Result<ConjunctiveQuery, CodecEr
     }
     let num_atoms = cursor.count(12)?;
     let mut sizing = cursor.clone();
-    let mut num_terms = 0;
+    let (mut num_terms, mut num_consts, mut const_bytes) = (0, 0, 0);
     for _ in 0..num_atoms {
         sizing.u32()?;
         let arity = sizing.count(5)?;
         num_terms += arity;
         for _ in 0..arity {
-            skip_term(&mut sizing)?;
+            if let Some(bytes) = skip_term(&mut sizing)? {
+                num_consts += 1;
+                const_bytes += bytes;
+            }
         }
     }
     let mut body = Body::with_capacity(num_atoms, num_terms, vars.block_len());
+    body.reserve_consts(num_consts, const_bytes);
     for _ in 0..num_atoms {
         let relation = RelId(cursor.u32()?);
         let arity = cursor.count(5)?;
@@ -210,9 +233,9 @@ pub fn decode_query(cursor: &mut Cursor<'_>) -> Result<ConjunctiveQuery, CodecEr
                         ));
                     }
                     let v = VarId(v as u32);
-                    body.push_term(Term::Var(v, vars.kind(v)));
+                    body.push_var(v, vars.kind(v));
                 }
-                TERM_CONST => body.push_term(Term::Const(read_constant(cursor)?)),
+                TERM_CONST => body.push_const(read_const_ref(cursor)?),
                 tag => {
                     return Err(CodecError::invalid(at, format!("unknown term tag {tag}")));
                 }
@@ -229,6 +252,7 @@ mod tests {
     use super::*;
     use crate::atom::Atom;
     use crate::parser::parse_query;
+    use crate::term::Term;
 
     #[test]
     fn catalog_round_trips_with_identical_ids() {

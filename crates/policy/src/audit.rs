@@ -23,9 +23,12 @@ use crate::policy::SecurityPolicy;
 pub struct AuditReport {
     /// Permissions the app requested.
     pub requested: BTreeSet<SecurityViewId>,
-    /// Permissions that at least one observed query actually needs
-    /// (i.e. appears in some atom's `ℓ⁺` where it is the only requested
-    /// view able to answer that atom, or is the cheapest requested answer).
+    /// Requested permissions that appear in the `ℓ⁺` of some atom of some
+    /// observed query: every requested view able to answer an observed
+    /// atom, not only one a query could not do without.  A view that only
+    /// duplicates another requested answer therefore counts as used, so
+    /// over-privilege is under-reported until the audit computes the least
+    /// set of requested views that covers the workload.
     pub used: BTreeSet<SecurityViewId>,
     /// Requested permissions that no observed query needed.
     pub unused: BTreeSet<SecurityViewId>,

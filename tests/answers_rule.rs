@@ -18,7 +18,7 @@
 
 use fdc::core::answers::{self, Shape};
 use fdc::cq::rewriting::rewritable_from_single;
-use fdc::cq::{Atom, Catalog, ConjunctiveQuery, Term, VarId, VarKind};
+use fdc::cq::{Atom, Catalog, ConjunctiveQuery, Term, TermRef, VarId, VarKind};
 
 /// The terms a block of equal positions can hold.
 const BLOCK_TERMS: usize = 4;
@@ -80,11 +80,18 @@ fn sweep(max_arity: usize) -> (u64, u64) {
         catalog.add_relation_with_arity(&name, arity).unwrap();
         let atoms = atoms(&catalog, &name, arity);
         let shapes: Vec<Shape> = atoms.iter().map(|q| Shape::of(q.atom(0))).collect();
-        for (query, query_shape) in atoms.iter().zip(&shapes) {
-            let terms = query.atom(0).terms;
-            for (view, view_shape) in atoms.iter().zip(&shapes) {
+        let terms: Vec<Vec<TermRef>> = atoms
+            .iter()
+            .map(|q| q.atom(0).terms().iter().collect())
+            .collect();
+        for ((query, query_shape), query_terms) in atoms.iter().zip(&shapes).zip(&terms) {
+            for ((view, view_shape), view_terms) in atoms.iter().zip(&shapes).zip(&terms) {
                 let reference = rewritable_from_single(query, view);
-                let rule = answers::by_terms(terms, |t| !t.is_existential(), view.atom(0).terms);
+                let rule = answers::by_terms(
+                    query_terms.as_slice(),
+                    |t| !t.is_existential(),
+                    view_terms.as_slice(),
+                );
                 assert_eq!(rule, reference, "rules 1-4 on {query:?} from {view:?}");
                 match view_shape.exposed() {
                     Some(exposed) => assert_eq!(

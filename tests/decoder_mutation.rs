@@ -12,9 +12,11 @@
 //! * 20 000 seeded overwrites of 2 to 8 bytes at random positions.
 //!
 //! Each must return, not panic; an error names an offset inside the input
-//! (at most its length); and an interner that decodes resolves every id it
-//! holds back to a query that its own lookup finds under that id,
-//! re-encodes, and decodes from its re-encoding to the same bytes.  A
+//! (at most its length); and an interner that decodes passes
+//! `QueryInterner::check_invariants` (every id resolves back to a query
+//! that its own lookup finds under that id, and whose constructor's hash is
+//! the one stored for it), re-encodes, and decodes from its re-encoding to
+//! the same bytes.  A
 //! failure prints the mutation and the mutated bytes.
 //!
 //! Semantic mutators edit a valid image so that every array stays in range
@@ -106,16 +108,15 @@ fn assert_never_panics(
     });
 }
 
-/// Decodes an interner image; one that decodes must resolve every id to a
-/// query and survive its own re-encoding byte for byte.
+/// Decodes an interner image; one that decodes must keep the interner's
+/// invariants, encode every query it resolves, and survive its own
+/// re-encoding byte for byte.
 fn decode_interner(input: &[u8]) -> Result<(), CodecError> {
     let interner = QueryInterner::decode_from(&mut Cursor::new(input))?;
+    interner.check_invariants();
     let mut out = Vec::new();
     for index in 0..interner.len() {
-        let id = QueryId(index as u32);
-        let query = interner.to_query(id);
-        assert_eq!(query.num_atoms(), interner.resolve(id).num_atoms());
-        assert_eq!(interner.lookup(&query), Some(id), "an id its lookup misses");
+        let query = interner.to_query(QueryId(index as u32));
         out.clear();
         encode_query(&query, &mut out);
     }

@@ -33,7 +33,7 @@ use fdc::core::dissect::dissect;
 use fdc::core::{BaselineLabeler, CachedLabeler, QueryLabeler, SecurityViews, ViewMask};
 use fdc::cq::parser::parse_query;
 use fdc::cq::rewriting::rewritable_from_single;
-use fdc::cq::{Atom, Catalog, ConjunctiveQuery, RelId, Term, VarId, VarKind};
+use fdc::cq::{Atom, Catalog, ConjunctiveQuery, RelId, Term, TermRef, VarId, VarKind};
 use fdc::ecosystem::views::projection_view;
 use fdc::ecosystem::{Ecosystem, WorkloadConfig};
 use proptest::prelude::*;
@@ -50,16 +50,16 @@ type Part = (RelId, ViewMask, Shape);
 /// repeated variables — and whether it has neither a constant nor a
 /// repeated variable.
 fn reference_shape(part: &ConjunctiveQuery) -> Shape {
-    let terms = part.atom(0).terms;
+    let terms = part.atom(0).terms();
     if terms.len() > 64 {
         return Shape::WIDE;
     }
-    let repeated = |term: &Term| term.is_var() && terms.iter().filter(|t| *t == term).count() > 1;
+    let repeated = |term: TermRef| term.is_var() && terms.iter().filter(|&t| t == term).count() > 1;
     Shape {
         needs: terms
             .iter()
             .enumerate()
-            .filter(|(_, term)| term.is_const() || term.is_distinguished() || repeated(term))
+            .filter(|&(_, term)| term.is_const() || term.is_distinguished() || repeated(term))
             .fold(0, |needed, (i, _)| needed | 1 << i),
         simple: !terms.iter().any(|term| term.is_const() || repeated(term)),
     }

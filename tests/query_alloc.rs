@@ -1,25 +1,25 @@
-//! Pinned: a query is two heap blocks, and a short string constant costs
-//! none.
+//! Pinned: a query is two heap blocks, whatever its constants.
 //!
 //! A `ConjunctiveQuery` keeps every atom's terms back to back in one term
-//! slice, and everything else — the atom count, each atom's relation and
-//! term end, the variable table (kind bytes, name end offsets, the names
-//! back to back) — in one meta block.  A string constant of at most
-//! `SmallStr::INLINE` (14) bytes lives in its term; a longer one is a thin
-//! box around a boxed `str`.  This binary installs the counting global
+//! slice of 4-byte words, and everything else — the atom count, each atom's
+//! relation and term end, the variable table (kind bytes, name end offsets,
+//! the names back to back) and the constant table (each distinct constant
+//! once) — in one meta block.  This binary installs the counting global
 //! allocator of `intern_alloc` (which is why it is a test binary of its own)
 //! and asserts:
 //!
 //! * `clone()` of a query with 0, 1, 8 and 40 variables (1 to 40 atoms),
-//!   with a short and with a long string constant, allocates exactly `2 + 2
-//!   × long string constants` — the term slice, the meta block, two blocks
-//!   per long string constant — however many atoms and variables it has;
+//!   with a short and with a long string constant, and of a query with
+//!   many distinct constants, allocates exactly 2 blocks — the term slice
+//!   and the meta block — however many atoms, variables and constants it
+//!   has, and `heap_blocks()` says so;
 //! * `wire::decode_query` of the queries with 1, 8 and 40 variables
 //!   allocates exactly `DECODE_SCRATCH_BLOCKS` more than that — the
-//!   variable table builder's kinds, names and offsets — so no block per
-//!   atom, no string per name, none per short constant, and none for the
-//!   validation walk, whose first-occurrence numbering stays on the stack
-//!   up to 64 variables;
+//!   variable table builder's kinds, names and offsets, the constant table
+//!   builder's entries, offsets and hash index, and the meta block's
+//!   growth — so no block per atom, no string per name or constant, and
+//!   none for the validation walk, whose first-occurrence numbering stays
+//!   on the stack up to 64 variables;
 //! * a term and a constant are 16 bytes, an atom 24, a query 40, and an
 //!   `Operation` that carries one 64.
 //!
@@ -31,7 +31,7 @@ use std::mem::size_of;
 
 use fdc::cq::query::QueryBuilder;
 use fdc::cq::wire::{decode_query, encode_query};
-use fdc::cq::{Atom, Catalog, ConjunctiveQuery, Constant, SmallStr, Term};
+use fdc::cq::{Atom, Catalog, ConjunctiveQuery, Constant, Term};
 use fdc::durability::codec::Cursor;
 use fdc::service::Operation;
 
@@ -41,9 +41,11 @@ use counting_alloc::allocations;
 
 const VARIABLE_COUNTS: [usize; 4] = [0, 1, 8, 40];
 
-/// The blocks a decode allocates and frees again on top of the query it
-/// returns: the variable table builder's kinds, names and end offsets.
-const DECODE_SCRATCH_BLOCKS: u64 = 3;
+/// The blocks a decode allocates and frees (or grows) on top of the query
+/// it returns: the variable table builder's kinds, names and end offsets,
+/// the constant table builder's entries, end offsets and hash index, and
+/// the meta block growing to take the constant table.
+const DECODE_SCRATCH_BLOCKS: u64 = 7;
 
 /// A string constant past the inline capacity, and one well within it.
 const STRING_CONSTANTS: [&str; 2] = ["a string constant", "me"];
@@ -80,30 +82,31 @@ fn query_with_vars(n: usize, constant: &str) -> ConjunctiveQuery {
     query
 }
 
-/// The blocks a query owns: its term slice and its meta block, and two
-/// per string constant longer than `SmallStr::INLINE` bytes (its thin box
-/// and the text); a shorter one owns none.
-fn query_blocks(query: &ConjunctiveQuery) -> u64 {
-    let long_constants = query
-        .terms()
-        .iter()
-        .filter(|term| matches!(term, Term::Const(Constant::Str(s)) if s.len() > SmallStr::INLINE))
-        .count();
-    (2 + 2 * long_constants) as u64
+/// `R(c0, 0), R(c1, 1), …, R(c19, 19), R(c0, 0)`: 20 distinct long string
+/// constants and 20 integers, the first pair repeated once — enough to
+/// grow the constructors' hash index of their constant table.
+fn query_with_many_constants() -> ConjunctiveQuery {
+    let mut catalog = Catalog::new();
+    let r = catalog.add_relation("R", &["a", "b"]).unwrap();
+    let mut b = QueryBuilder::new();
+    for i in (0..20).chain([0]) {
+        let text = format!("a string constant number {i}");
+        b.atom(r, [text.as_str().into(), i64::from(i).into()]);
+    }
+    b.build().unwrap()
 }
 
 #[test]
 fn a_clone_copies_the_variables_in_a_constant_number_of_blocks() {
-    for (n, constant) in cases() {
-        let query = query_with_vars(n, constant);
+    let queries = cases()
+        .map(|(n, constant)| query_with_vars(n, constant))
+        .chain([query_with_many_constants()]);
+    for query in queries {
         let mut copy = None;
         let clone = allocations(|| copy = Some(black_box(&query).clone()));
         assert_eq!(copy.as_ref(), Some(&query));
-        assert_eq!(
-            clone,
-            query_blocks(&query),
-            "blocks per clone at {n} variables with {constant:?}"
-        );
+        assert_eq!(clone, 2, "blocks per clone of {query:?}");
+        assert_eq!(query.heap_blocks(), 2);
     }
 }
 
@@ -120,7 +123,7 @@ fn decoding_allocates_no_string_per_name() {
         assert_eq!(decoded.as_ref(), Some(&query));
         assert_eq!(
             decode,
-            query_blocks(&query) + DECODE_SCRATCH_BLOCKS,
+            2 + DECODE_SCRATCH_BLOCKS,
             "blocks per decode at {n} variables with {constant:?}"
         );
     }

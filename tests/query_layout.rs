@@ -7,10 +7,19 @@
 //! out itself: the builder, the parser, the wire decoder, `from_atoms`,
 //! `from_parts`, the fold (`with_atoms_unchecked`, which keeps a subset of
 //! the atoms) and `QueryInterner::to_query`.  For random bodies — 1 to 15
-//! atoms, arities 0 to 6, repeated variables, integer, short and long
-//! string constants or none at all, names past 64 KiB — each constructor's
-//! `atoms()` (forwards and backwards), `atom(i)`, `terms()`, kinds, names
-//! and `shape_hash` must equal the owned-`Atom` model it was given.
+//! atoms, arities 0 to 6, repeated variables, constants or none at all,
+//! names past 64 KiB — each constructor's `atoms()` (forwards and
+//! backwards), `atom(i)`, `terms()`, kinds, names and `shape_hash` must
+//! equal the owned-`Atom` model it was given.
+//!
+//! The constants are drawn to stress the per-query constant table: repeated
+//! constants, `Int(7)` next to `Str("7")`, strings of 13, 14, 15 and 40
+//! bytes (around and past the 14 bytes a `SmallStr` keeps inline), many
+//! distinct integers and short and long strings, and, in the fold case,
+//! constants whose first occurrence the fold drops.  Every constructor
+//! writes the table the same way, so queries of equal models are equal and
+//! hash alike, and a query's `AtomRef`s compare, order and hash exactly as
+//! the model's owned `Atom`s do.
 
 use fdc::cq::folding::fold;
 use fdc::cq::intern::QueryInterner;
@@ -20,6 +29,8 @@ use fdc::cq::wire::{decode_query, encode_query};
 use fdc::cq::{Atom, AtomRef, Catalog, ConjunctiveQuery, Constant, RelId, Term, VarId, VarKind};
 use fdc::durability::codec::Cursor;
 use proptest::prelude::*;
+use std::collections::hash_map::DefaultHasher;
+use std::hash::{Hash, Hasher};
 
 /// Arity of relation `Ri` in [`catalog`].
 const ARITIES: [usize; 6] = [0, 1, 2, 3, 4, 6];
@@ -48,6 +59,37 @@ impl Choices {
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         ((z ^ (z >> 31)) % bound as u64) as usize
     }
+}
+
+/// Texts around the 14 bytes a `SmallStr` keeps inline, and past them.
+const TEXT: &str = "abcdefghijklmnopqrstuvwxyz0123456789ABCD";
+
+/// A constant, two times in three from a small pool, so constants repeat:
+/// `Int(7)` and `Str("7")`, a few small integers, and strings of 1, 13,
+/// 14, 15 and 40 bytes, each length in two versions that differ in their
+/// last byte.  Otherwise from wide ranges — an integer in -500..500, a
+/// short or a long string out of 100 each — so a body also holds many
+/// distinct constants.
+fn constant(choose: &mut Choices) -> Constant {
+    match choose.below(9) {
+        0 => Constant::int(7),
+        1 => Constant::str("7"),
+        2 => Constant::int(choose.below(3) as i64 - 1),
+        3..=5 => {
+            let len = [1, 13, 14, 15, 40][choose.below(5)];
+            let last = ["~", "!"][choose.below(2)];
+            Constant::str(format!("{}{last}", &TEXT[..len - 1]))
+        }
+        6 => Constant::int(choose.below(1000) as i64 - 500),
+        7 => Constant::str(format!("s{}", choose.below(100))),
+        _ => Constant::str(format!("a long string constant {}", choose.below(100))),
+    }
+}
+
+fn hash_of(value: &impl Hash) -> u64 {
+    let mut hasher = DefaultHasher::new();
+    value.hash(&mut hasher);
+    hasher.finish()
 }
 
 /// A query as owned atoms, variables numbered by first occurrence (so the
@@ -94,12 +136,7 @@ impl Model {
                             });
                             Term::Var(VarId(id as u32), kind)
                         }
-                        3 => Term::Const(Constant::int(choose.below(1000) as i64 - 500)),
-                        4 => Term::Const(Constant::str(format!("s{}", choose.below(100)))),
-                        _ => Term::Const(Constant::str(format!(
-                            "a long string constant {}",
-                            choose.below(100)
-                        ))),
+                        _ => Term::Const(constant(&mut choose)),
                     })
                     .collect();
                 Atom::new(RelId(relation as u32), terms)
@@ -177,7 +214,51 @@ fn assert_layout(
         prop_assert_eq!(rest.len(), atoms.len() - i - 1, "{}", how);
     }
     let terms: Vec<Term> = atoms.iter().flat_map(|atom| atom.terms.to_vec()).collect();
-    prop_assert_eq!(query.terms(), &terms[..], "{}", how);
+    prop_assert_eq!(query.terms().len(), terms.len(), "{}", how);
+    prop_assert_eq!(query.terms().to_vec(), terms.clone(), "{}", how);
+    prop_assert!(
+        query
+            .terms()
+            .iter()
+            .rev()
+            .eq(terms.iter().rev().map(Term::as_term_ref)),
+        "{}",
+        how
+    );
+    // A query's atoms compare, order and hash as the owned atoms do.
+    for (i, a) in atoms.iter().enumerate() {
+        let lent = query.atom(i);
+        prop_assert_eq!(hash_of(&lent), hash_of(a), "{} atom {}", how, i);
+        prop_assert_eq!(
+            hash_of(&lent),
+            hash_of(&a.as_atom_ref()),
+            "{} atom {}",
+            how,
+            i
+        );
+        prop_assert_eq!(lent.to_atom(), a.clone(), "{} atom {}", how, i);
+        for (j, b) in atoms.iter().enumerate() {
+            let other = query.atom(j);
+            prop_assert_eq!(lent == other, a == b, "{} atoms {} {}", how, i, j);
+            prop_assert_eq!(lent.cmp(&other), a.cmp(b), "{} atoms {} {}", how, i, j);
+            prop_assert_eq!(
+                lent.cmp(&b.as_atom_ref()),
+                a.cmp(b),
+                "{} atoms {} {}",
+                how,
+                i,
+                j
+            );
+            for (k, term) in lent.terms().iter().enumerate() {
+                let model = &a.terms[k];
+                prop_assert_eq!(term, model.as_term_ref(), "{}", how);
+                prop_assert_eq!(hash_of(&term), hash_of(model), "{}", how);
+                if let Some(other) = b.terms.get(k) {
+                    prop_assert_eq!(term.cmp(&other.as_term_ref()), model.cmp(other), "{}", how);
+                }
+            }
+        }
+    }
     prop_assert_eq!(
         query.var_kinds().collect::<Vec<_>>(),
         kinds.to_vec(),
@@ -191,6 +272,16 @@ fn assert_layout(
     let clone = query.clone();
     prop_assert_eq!(&clone, query, "{}", how);
     prop_assert!(clone.atoms().eq(query.atoms()), "{}", how);
+    // The meta block, and the term slice unless every atom is nullary.
+    let blocks = if terms.is_empty() { 1 } else { 2 };
+    prop_assert_eq!(query.heap_blocks(), blocks, "{}", how);
+}
+
+/// Queries of equal models are equal, blocks and all, and hash alike.
+fn assert_same(how: &str, query: &ConjunctiveQuery, model: &ConjunctiveQuery) {
+    prop_assert_eq!(query, model, "{}", how);
+    prop_assert_eq!(hash_of(query), hash_of(model), "{}", how);
+    prop_assert_eq!(query.heap_bytes(), model.heap_bytes(), "{}", how);
 }
 
 proptest! {
@@ -205,15 +296,20 @@ proptest! {
 
         let built = model.built();
         assert_layout("builder", &built, atoms, kinds, names, hash);
-        assert_layout("from_parts", &model.parts(), atoms, kinds, names, hash);
+        let parts = model.parts();
+        assert_layout("from_parts", &parts, atoms, kinds, names, hash);
+        assert_same("from_parts", &parts, &built);
         let synthetic = model.synthetic_names();
+        let renamed =
+            ConjunctiveQuery::from_parts(atoms.clone(), kinds.clone(), synthetic.clone()).unwrap();
         let from_atoms = ConjunctiveQuery::from_atoms(atoms.clone()).unwrap();
         assert_layout("from_atoms", &from_atoms, atoms, kinds, &synthetic, hash);
+        assert_same("from_atoms", &from_atoms, &renamed);
 
         let text = built.display_with(&catalog).to_string();
         let parsed = parse_query(&catalog, &text).unwrap();
         assert_layout("parser", &parsed, atoms, kinds, names, hash);
-        prop_assert_eq!(&parsed, &built);
+        assert_same("parser", &parsed, &built);
 
         let mut bytes = Vec::new();
         encode_query(&built, &mut bytes);
@@ -221,18 +317,27 @@ proptest! {
         let decoded = decode_query(&mut cursor).unwrap();
         cursor.expect_end().unwrap();
         assert_layout("wire", &decoded, atoms, kinds, names, hash);
+        assert_same("wire", &decoded, &built);
 
         let mut interner = QueryInterner::new();
         let id = interner.intern(&built);
         prop_assert_eq!(interner.shape_hash(id), hash);
-        assert_layout("to_query", &interner.to_query(id), atoms, kinds, &synthetic, hash);
+        let to_query = interner.to_query(id);
+        // The model numbers its variables by first occurrence, as the
+        // interner does, so its canonical form is the model itself.
+        assert_layout("to_query", &to_query, atoms, kinds, &synthetic, hash);
+        assert_same("to_query", &to_query, &renamed);
         prop_assert_eq!(interner.lookup(&decoded), Some(id));
+        interner.check_invariants();
     }
 
     /// The fold keeps a subset of the atoms through `with_atoms_unchecked`.
     /// Give every atom a relation of its own and append a copy of atom `k`:
     /// exactly the first copy folds away, so the core is the other atoms,
-    /// then atom `k`, over the unchanged variable table.
+    /// then atom `k`, over the unchanged variable table.  The constants
+    /// atom `k` holds first occur at another place in the core, so the
+    /// core's constant table is rebuilt in a new order, exactly as
+    /// `from_parts` of the kept atoms writes it.
     #[test]
     fn a_folded_query_lays_out_the_atoms_it_kept(seed in 0u64..u64::MAX) {
         let model = Model::generate(seed);
@@ -252,5 +357,7 @@ proptest! {
         let hash = arena_hash(&atoms, &model.kinds);
         assert_layout("fold", &core, &atoms, &model.kinds, &model.names, hash);
         prop_assert_eq!(atoms.last(), Some(&duplicate));
+        let kept = ConjunctiveQuery::from_parts(atoms, model.kinds.clone(), model.names.clone());
+        assert_same("fold", &core, &kept.unwrap());
     }
 }
