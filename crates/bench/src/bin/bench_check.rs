@@ -31,10 +31,8 @@
 //!   `min_speedup_interned_packed_vs_seed` ≥ 1.5;
 //! * fig7 — `speedup_at_1pct` ≥ 2.0 (incremental vs flush-on-mutation —
 //!   PR 3's 3.0 bar predates the interned query plane, which made the
-//!   flush baseline's cold relabeling ~3x cheaper and compressed the gap)
-//!   and, when the committed run's `host_threads` > 1, the
-//!   `thread_scaling` series scaling `pipelined_x4` to ≥ 1.8×
-//!   `pipelined_x1`;
+//!   flush baseline's cold relabeling ~3x cheaper and compressed the gap),
+//!   with `host_threads` recorded;
 //! * recovery — `speedup_bulkload_vs_rebuild` ≥ 5.0 (checkpoint-bulkload
 //!   cold start vs from-generator rebuild; ≥ 1.0 in smoke mode).
 //!
@@ -463,11 +461,9 @@ fn strategy_throughput(point: &Json, path: &str, name: &str) -> Result<f64, Stri
         .ok_or_else(|| format!("`{path}`: series `{name}` missing from a sweep point"))
 }
 
-/// Figure 7 gate: both strategies exist at every sweep point and the
-/// `thread_scaling` series carries every pinned worker width; the
-/// committed floors are the incremental:flush speedup at 1% and — when the
-/// committed run had more than one host thread — `pipelined_x4` at 1.8x
-/// `pipelined_x1`.
+/// Figure 7 gate: both strategies exist at every sweep point and the run
+/// records its `host_threads`; the committed floor is the
+/// incremental:flush speedup at 1%.
 fn check_fig7(path: &str, smoke: bool) -> Result<(), String> {
     let doc = load(path)?;
     for point in sweep(&doc, path)? {
@@ -483,44 +479,11 @@ fn check_fig7(path: &str, smoke: bool) -> Result<(), String> {
             ));
         }
     }
-    // The thread-scaling series is part of the contract in both modes:
-    // every pinned worker width must be present and positive.
-    let scaling = doc
-        .get("thread_scaling")
-        .and_then(|block| block.get("series"))
-        .ok_or_else(|| format!("`{path}`: missing `thread_scaling.series`"))?;
-    let scaling_throughput = |name: &str| -> Result<f64, String> {
-        let ops = scaling
-            .get(name)
-            .and_then(Json::as_number)
-            .ok_or_else(|| format!("`{path}`: series `{name}` missing from `thread_scaling`"))?;
-        if ops <= 0.0 {
-            return Err(format!(
-                "`{path}`: non-positive throughput in `thread_scaling.{name}`"
-            ));
-        }
-        Ok(ops)
-    };
-    let x1 = scaling_throughput("pipelined_x1")?;
-    scaling_throughput("pipelined_x2")?;
-    let x4 = scaling_throughput("pipelined_x4")?;
+    number(&doc, path, "host_threads")?;
     if smoke {
         // A 5000-op single-shot smoke run cannot resolve few-percent
         // deltas; presence and positivity are the smoke bar.
         return Ok(());
-    }
-    // The scaling floor only engages when the committed run had real
-    // cores to scale onto: a single-core host runs every width inline,
-    // where x4 == x1 modulo noise.
-    let host_threads = number(&doc, path, "host_threads")?;
-    if host_threads > 1.0 {
-        let scale = x4 / x1;
-        if scale < 1.8 {
-            return Err(format!(
-                "`{path}`: series `pipelined_x4` below its scaling floor — \
-                 {scale:.2}x of `pipelined_x1` < 1.8 (host_threads = {host_threads})"
-            ));
-        }
     }
     let speedup = number(&doc, path, "speedup_at_1pct")?;
     if speedup < 2.0 {
@@ -931,15 +894,11 @@ mod tests {
         let dir = std::env::temp_dir().join("fdc_bench_check_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("fig7.json");
-        let render = |speedup_at_1pct: f64, host_threads: usize, x4: f64| {
+        let render = |speedup_at_1pct: f64| {
             format!(
                 r#"{{
   "speedup_at_1pct": {speedup_at_1pct},
-  "host_threads": {host_threads},
-  "thread_scaling": {{
-    "mutation_ratio": 0.01,
-    "series": {{"pipelined_x1": 100.0, "pipelined_x2": 150.0, "pipelined_x4": {x4}}}
-  }},
+  "host_threads": 2,
   "sweep": [
     {{"mutation_ratio": 0, "incremental": {{"ops_per_sec": 100.0}},
       "flush_on_mutation": {{"ops_per_sec": 100.0}}}},
@@ -949,27 +908,23 @@ mod tests {
 }}"#
             )
         };
-        std::fs::write(&path, render(4.0, 4, 250.0)).unwrap();
+        std::fs::write(&path, render(4.0)).unwrap();
         assert!(check_fig7(path.to_str().unwrap(), false).is_ok());
-        std::fs::write(&path, render(1.5, 4, 250.0)).unwrap();
+        std::fs::write(&path, render(1.5)).unwrap();
         let err = check_fig7(path.to_str().unwrap(), false).unwrap_err();
         assert!(err.contains("`incremental`"), "{err}");
         assert!(err.contains("speedup_at_1pct"), "{err}");
         // Smoke mode only checks structure.
         assert!(check_fig7(path.to_str().unwrap(), true).is_ok());
-        // The scaling floor engages on multi-core committed runs...
-        std::fs::write(&path, render(4.0, 4, 120.0)).unwrap();
-        let err = check_fig7(path.to_str().unwrap(), false).unwrap_err();
-        assert!(err.contains("`pipelined_x4`"), "{err}");
-        assert!(err.contains("scaling floor"), "{err}");
-        assert!(check_fig7(path.to_str().unwrap(), true).is_ok());
-        // ...but not on a single-core host, where every width runs inline.
-        std::fs::write(&path, render(4.0, 1, 101.0)).unwrap();
-        assert!(check_fig7(path.to_str().unwrap(), false).is_ok());
-        // A missing thread_scaling block fails even in smoke mode.
-        let stripped = render(4.0, 4, 250.0).replace("\"pipelined_x2\": 150.0, ", "");
+        // A run that does not record its host fails even in smoke mode.
+        let stripped = render(4.0).replace("\"host_threads\": 2,", "");
         std::fs::write(&path, stripped).unwrap();
         let err = check_fig7(path.to_str().unwrap(), true).unwrap_err();
-        assert!(err.contains("`pipelined_x2`"), "{err}");
+        assert!(err.contains("host_threads"), "{err}");
+        // As does a sweep point missing a strategy.
+        let stripped = render(4.0).replacen("\"incremental\"", "\"other\"", 1);
+        std::fs::write(&path, stripped).unwrap();
+        let err = check_fig7(path.to_str().unwrap(), true).unwrap_err();
+        assert!(err.contains("`incremental`"), "{err}");
     }
 }

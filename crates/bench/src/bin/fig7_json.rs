@@ -27,31 +27,19 @@
 //! ```
 //!
 //! The emitted `BENCH_fig7.json` records ops/second per ratio and strategy,
-//! the per-strategy cache counters (`CachedLabeler::stats()`), the
-//! worker-plane counters (`ServiceStats::parallel` — per-worker task
-//! counts, steals, queue stalls, snapshots reclaimed), a `thread_scaling`
-//! block (the incremental strategy at 1% churn with the worker pool pinned
-//! to 1, 2 and 4 workers), and the headline `speedup_at_1pct` (incremental
-//! vs flush, acceptance ≥ 2× — enforced by the `bench_check` binary in CI,
-//! which also floors `pipelined_x4` at 1.8× `pipelined_x1` on multi-core
-//! committed runs).
+//! the per-strategy cache counters (`CachedLabeler::stats()`), the host's
+//! thread count, and the headline `speedup_at_1pct` (incremental vs flush,
+//! acceptance ≥ 2× — enforced by the `bench_check` binary in CI).  Every
+//! request is served on the calling thread.
 
 use std::time::Instant;
 
-use fdc_bench::{fig7_service_with_workers, fig7_streams, run_flushing_on_mutation};
+use fdc_bench::{fig7_service, fig7_streams, run_flushing_on_mutation};
 use fdc_core::CacheStats;
 use fdc_service::{DisclosureService, Operation, ServiceStats};
 
 /// The swept mutation:query ratios.
 const RATIOS: [f64; 4] = [0.0, 0.001, 0.01, 0.1];
-
-/// The worker-pool widths of the `thread_scaling` series, measured on the
-/// incremental strategy at [`SCALING_RATIO`].
-const SCALING_WORKERS: [usize; 3] = [1, 2, 4];
-
-/// The mutation ratio the `thread_scaling` series is measured at: 1%
-/// churn, the headline regime (large segments, realistic mutation mix).
-const SCALING_RATIO: f64 = 0.01;
 
 /// One strategy's measurement at one ratio.
 #[derive(Clone)]
@@ -102,7 +90,7 @@ fn main() {
     );
 
     // Series name, and whether the harness flushes after every mutation.
-    let strategies = [INCREMENTAL, ("flush_on_mutation", true)];
+    let strategies = [("incremental", false), ("flush_on_mutation", true)];
     let mut points = Vec::new();
     for &ratio in &RATIOS {
         let (warmup, stream) = fig7_streams(num_principals, ratio, warmup_ops, stream_ops);
@@ -113,7 +101,7 @@ fn main() {
         let mut best: Vec<Option<Measurement>> = vec![None; strategies.len()];
         for _ in 0..repeats.max(1) {
             for (slot, &strategy) in strategies.iter().enumerate() {
-                let sample = measure_once(num_principals, strategy, 0, &warmup, &stream, batch_ops);
+                let sample = measure_once(num_principals, strategy, &warmup, &stream, batch_ops);
                 if best[slot]
                     .as_ref()
                     .is_none_or(|b| sample.ops_per_sec > b.ops_per_sec)
@@ -143,33 +131,8 @@ fn main() {
          (acceptance: >= 2x)"
     );
 
-    // The thread-scaling series: the incremental strategy at 1% churn with
-    // the worker pool pinned to 1, 2 and 4 workers on identical streams.
-    // Recorded at every host width (bench_check only floors the x4:x1
-    // ratio when the committed run had real cores to scale onto).
-    let (scaling_warmup, scaling_stream) =
-        fig7_streams(num_principals, SCALING_RATIO, warmup_ops, stream_ops);
-    let mut scaling: Vec<(usize, f64)> = SCALING_WORKERS.iter().map(|&w| (w, 0.0f64)).collect();
-    for _ in 0..repeats.max(1) {
-        for (slot, &workers) in SCALING_WORKERS.iter().enumerate() {
-            let sample = measure_once(
-                num_principals,
-                INCREMENTAL,
-                workers,
-                &scaling_warmup,
-                &scaling_stream,
-                batch_ops,
-            );
-            scaling[slot].1 = scaling[slot].1.max(sample.ops_per_sec);
-        }
-    }
-    for &(workers, ops_per_sec) in &scaling {
-        println!("thread_scaling pipelined_x{workers}: {ops_per_sec:.0} ops/s");
-    }
-
     let json = render_json(
         &points,
-        &scaling,
         num_principals,
         warmup_ops,
         stream_ops,
@@ -182,21 +145,17 @@ fn main() {
     println!("wrote {out_path}");
 }
 
-/// The strategy that serves the stream as it is.
-const INCREMENTAL: (&str, bool) = ("incremental", false);
-
 /// Measures one strategy once at one ratio: build a fresh service, run the
 /// warmup (pure admissions) untimed, then time the churn stream in
 /// serving-sized batches.
 fn measure_once(
     num_principals: usize,
     (mode, flush_on_mutation): (&'static str, bool),
-    workers: usize,
     warmup: &[Operation],
     stream: &[Operation],
     batch_ops: usize,
 ) -> Measurement {
-    let mut service = fig7_service_with_workers(num_principals, workers);
+    let mut service = fig7_service(num_principals);
     run_in_batches(&mut service, warmup, batch_ops, false);
     let start = Instant::now();
     let flushes = run_in_batches(&mut service, stream, batch_ops, flush_on_mutation);
@@ -246,7 +205,6 @@ fn speedup_at(points: &[SweepPoint], ratio: f64) -> f64 {
 #[allow(clippy::too_many_arguments)]
 fn render_json(
     points: &[SweepPoint],
-    scaling: &[(usize, f64)],
     num_principals: usize,
     warmup_ops: usize,
     stream_ops: usize,
@@ -279,22 +237,6 @@ fn render_json(
     // hashing), compressing the incremental:flush gap at every ratio; the
     // floor tracks the honest gap over the current pipeline.
     out.push_str("  \"min_speedup_required\": 2.0,\n");
-    // The incremental strategy at the scaling ratio with the worker pool
-    // pinned to each width — the series behind the bench_check scaling
-    // floor (pipelined_x4 vs pipelined_x1, multi-core committed runs).
-    out.push_str("  \"thread_scaling\": {\n");
-    out.push_str(&format!("    \"mutation_ratio\": {SCALING_RATIO},\n"));
-    out.push_str("    \"series\": {\n");
-    for (i, &(workers, ops_per_sec)) in scaling.iter().enumerate() {
-        out.push_str(&format!(
-            "      \"pipelined_x{}\": {:.1}{}\n",
-            workers,
-            ops_per_sec,
-            if i + 1 == scaling.len() { "" } else { "," }
-        ));
-    }
-    out.push_str("    }\n");
-    out.push_str("  },\n");
     out.push_str("  \"sweep\": [\n");
     for (i, point) in points.iter().enumerate() {
         out.push_str("    {\n");
@@ -330,38 +272,6 @@ fn render_json(
                 m.cache.batch_dedup_hits
             ));
             out.push_str(&format!("          \"entries\": {}\n", m.cache.entries));
-            out.push_str("        },\n");
-            // The worker-plane counters: how the pool executed this
-            // strategy's labeling fan-outs.
-            let p = &m.service.parallel;
-            out.push_str("        \"parallel\": {\n");
-            out.push_str(&format!("          \"workers\": {},\n", p.workers));
-            out.push_str(&format!(
-                "          \"segments_labeled\": {},\n",
-                p.segments_labeled
-            ));
-            let per_worker: Vec<String> = p.tasks_per_worker.iter().map(u64::to_string).collect();
-            out.push_str(&format!(
-                "          \"tasks_per_worker\": [{}],\n",
-                per_worker.join(", ")
-            ));
-            out.push_str(&format!(
-                "          \"tasks_inline\": {},\n",
-                p.tasks_inline
-            ));
-            out.push_str(&format!("          \"steals\": {},\n", p.steals));
-            out.push_str(&format!(
-                "          \"queue_full_stalls\": {},\n",
-                p.queue_full_stalls
-            ));
-            out.push_str(&format!(
-                "          \"queue_empty_stalls\": {},\n",
-                p.queue_empty_stalls
-            ));
-            out.push_str(&format!(
-                "          \"snapshots_reclaimed\": {}\n",
-                p.snapshots_reclaimed
-            ));
             out.push_str("        }\n");
             out.push_str(if j + 1 == point.results.len() {
                 "      }\n"

@@ -230,21 +230,12 @@ pub fn fig7_policy_config() -> PolicyGeneratorConfig {
 /// Audit history is disabled (the churn stream contains no audits), so the
 /// measured path is admissions + mutations only.
 pub fn fig7_service(num_principals: usize) -> DisclosureService {
-    fig7_service_with_workers(num_principals, 0)
-}
-
-/// [`fig7_service`] with an explicit worker-pool width — the knob behind
-/// the `thread_scaling` series of `fig7_json` (`pipelined_x{1,2,4}`).
-/// `0` means the host's available parallelism; `1` serves inline with no
-/// pool.
-pub fn fig7_service_with_workers(num_principals: usize, workers: usize) -> DisclosureService {
     let ecosystem = Ecosystem::new();
     ecosystem.disclosure_service(
         fig7_policy_config(),
         num_principals,
         ServiceConfig {
             history_cap: 0,
-            workers,
             ..ServiceConfig::default()
         },
     )

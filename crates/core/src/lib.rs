@@ -38,11 +38,9 @@
 //! whole-query labels by dense interned
 //! [`QueryId`](fdc_cq::intern::QueryId) (sharded slot vectors instead of
 //! hash maps); a miss computes each dissected part's `ℓ⁺` where the part
-//! lies, and keeps what a refresh of the part needs.  Callers holding pre-interned ids label through
-//! `CachedLabeler::label_interned` / `label_queries_interned` without
-//! touching a hash function at all; concurrent readers take a
-//! [`LabelerSnapshot`] and label through its private lanes on a
-//! [`WorkerPool`] of their own.
+//! lies, and keeps what a refresh of the part needs.  Callers holding
+//! pre-interned ids label through `CachedLabeler::label_interned` /
+//! `label_queries_interned` without touching a hash function at all.
 //!
 //! The GLB machinery of Section 5.1 ([`unify::gen_mgu`],
 //! [`unify::glb_singleton`]) and the generic labeling procedures of
@@ -55,22 +53,24 @@
 
 pub mod algorithms;
 pub mod answers;
+#[doc(hidden)]
+pub mod compat;
 pub mod dissect;
 pub mod error;
 pub mod label;
 pub mod labeler;
-pub mod pool;
 pub mod rewriting_order;
 pub mod security_views;
 pub mod unify;
 
+#[doc(hidden)]
+pub use compat::*;
 pub use error::{LabelError, Result};
 pub use label::{AtomLabel, DisclosureLabel, PackedLabel, ViewMask};
 pub use labeler::{
     BaselineLabeler, BitVectorLabeler, CacheStats, CachedLabeler, HashPartitionedLabeler,
-    LabelerSnapshot, QueryLabeler, SharedQueryInterner, DEFAULT_CACHE_CAPACITY,
+    QueryLabeler, SharedQueryInterner, DEFAULT_CACHE_CAPACITY,
 };
-pub use pool::{PendingBatch, PoolStats, WorkerContext, WorkerPool, WORKER_QUEUE_CAPACITY};
 pub use security_views::{
     SecurityViewId, SecurityViews, MAX_PACKED_VIEWS_PER_RELATION, MAX_VIEWS_PER_RELATION,
 };

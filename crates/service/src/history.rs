@@ -627,7 +627,6 @@ mod tests {
         let registry = SecurityViews::paper_example();
         let config = ServiceConfig {
             num_shards: 2,
-            workers: 1,
             history_cap: 3,
             ..ServiceConfig::default()
         };

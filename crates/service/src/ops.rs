@@ -87,7 +87,7 @@ pub enum Operation {
 
 impl Operation {
     /// True for the admission operations (`Submit` / `Check` and their
-    /// interned forms), which a batch labels on the worker pool.
+    /// interned forms).
     pub fn is_admission(&self) -> bool {
         matches!(
             self,

@@ -18,7 +18,7 @@
 //!
 //! It answers with the same [`Response`] and [`ServiceError`] values as
 //! [`DisclosureService`](crate::DisclosureService) and shares **no** code
-//! with it: no label cache, snapshot or interner, no packed labels, no
+//! with it: no label cache or interner, no packed labels, no
 //! compiled policy store, no id-ring audit log.  No served request reaches
 //! it: the suites under `tests/` apply the operations a service acknowledged
 //! to it and demand that service's answers and state equal its own.  It

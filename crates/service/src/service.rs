@@ -14,19 +14,17 @@
 //!
 //! An admission is labeled into the arena, the policy store decides the
 //! label where it lies, and a committed submission becomes one 8-byte
-//! append to the audit history's log (see the `history` module) — on the
-//! calling thread, at every worker count (`admit`; `pass_segment` for the
-//! labels pool workers hand back).  The arena belongs to the service
-//! between requests, so a warm one reuses its capacity.
+//! append to the audit history's log (see the `history` module) — the
+//! paper's three steps, on the calling thread (`admit`).  The arena belongs
+//! to the service between requests, so a warm one reuses its capacity.
 
 use std::io;
-use std::ops::Range;
 use std::path::Path;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use fdc_core::{
-    CachedLabeler, LabelerSnapshot, PackedLabel, PendingBatch, QueryLabeler, SecurityViews,
-    SharedQueryInterner, WorkerPool, DEFAULT_CACHE_CAPACITY, MAX_PACKED_VIEWS_PER_RELATION,
+    CachedLabeler, PackedLabel, QueryLabeler, SecurityViews, SharedQueryInterner,
+    DEFAULT_CACHE_CAPACITY, MAX_PACKED_VIEWS_PER_RELATION,
 };
 use fdc_cq::intern::{QueryId, QueryInterner};
 use fdc_cq::{ConjunctiveQuery, RelId};
@@ -62,11 +60,9 @@ pub struct ServiceConfig {
     /// decisions are made on the calling thread whatever it is — so
     /// recovery keeps the checkpoint's count.
     pub num_shards: usize,
-    /// Number of persistent worker threads in the service's
-    /// [`WorkerPool`] — the labeling fan-out width of
-    /// [`run_pipelined`](DisclosureService::run_pipelined).  `0` means "the
-    /// host's available parallelism"; `1`, the default, serves every batch
-    /// inline on the calling thread with no pool at all.
+    /// Ignored: every request is served on the calling thread.  Kept so
+    /// that `svc_bench`'s `Plan::service_config` compiles; delete with
+    /// ROADMAP item 1.
     pub workers: usize,
     /// Per-principal cap on the observed-workload history that backs
     /// `AuditApp` (a bounded ring of the interned ids of recently submitted
@@ -94,47 +90,9 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Worker-plane counters of a [`DisclosureService`]: what the persistent
-/// [`WorkerPool`] did on this service's behalf.  Pure observability — two
-/// services that served the same stream with different worker counts hold
-/// identical extensional state but different `ParallelStats`, which is why
-/// [`ServiceStats`] equality ignores this block.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ParallelStats {
-    /// Parallel width of the service's worker plane (1 = inline).
-    pub workers: usize,
-    /// Labeling batches dispatched to the pool (one per pipelined segment
-    /// or pooled admission run).
-    pub segments_labeled: u64,
-    /// Tasks executed by each pool worker, in worker order.  Empty until
-    /// the pool has been spun up (and on single-worker services).
-    pub tasks_per_worker: Vec<u64>,
-    /// Tasks the coordinating thread ran itself (single-worker services,
-    /// single-task batches, full-queue backpressure).
-    pub tasks_inline: u64,
-    /// Tasks a worker stole from a sibling's queue tail (skewed segments).
-    pub steals: u64,
-    /// Pushes that found a worker queue at capacity and spilled over.
-    pub queue_full_stalls: u64,
-    /// Times a pool worker found every queue empty and parked.
-    pub queue_empty_stalls: u64,
-    /// Serving snapshots whose cache work was drained back into the live
-    /// labeler, one per labeled segment, as soon as the segment's labeling
-    /// batch was joined.
-    pub snapshots_reclaimed: u64,
-}
-
 /// Service-level counters, complementing the labeler's
 /// [`CacheStats`](fdc_core::CacheStats).
-///
-/// Equality compares the **extensional** counters only — admissions,
-/// mutations, audits and durability health.  The
-/// [`parallel`](Self::parallel) block describes *how* the work was executed
-/// (worker tasks, steals, stalls, reclamations), which legitimately differs
-/// between services serving identical streams at different worker widths,
-/// so it is excluded from `==` (the property suite asserts stats equality
-/// between sequential `apply` and the batch executor at 1 and 4 workers).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Admissions served (submits + checks that reached a decision).
     pub admissions: u64,
@@ -145,20 +103,11 @@ pub struct ServiceStats {
     /// Durability health (WAL, checkpoint and serving-mode counters).
     /// All zeros on in-memory services.
     pub durability: DurabilityHealth,
-    /// Worker-plane counters (excluded from equality; see above).
-    pub parallel: ParallelStats,
+    /// Always zero; read by `svc_bench`'s `measure.rs`.  Delete with
+    /// ROADMAP item 1.
+    #[doc(hidden)]
+    pub parallel: crate::compat::ParallelStats,
 }
-
-impl PartialEq for ServiceStats {
-    fn eq(&self, other: &Self) -> bool {
-        self.admissions == other.admissions
-            && self.mutations == other.mutations
-            && self.audits == other.audits
-            && self.durability == other.durability
-    }
-}
-
-impl Eq for ServiceStats {}
 
 /// The single front door of the disclosure-control system.
 ///
@@ -169,10 +118,7 @@ impl Eq for ServiceStats {}
 /// mutations and audits:
 ///
 /// * **Admissions** (`Submit` / `Check`) run the fused hot path: canonical
-///   cache hit → packed label → bit-mask decision.
-///   [`run_pipelined`](Self::run_pipelined) labels a batch's admissions on
-///   the service's persistent [`WorkerPool`] over the shared cache;
-///   decisions are made on the calling thread, in request order.
+///   cache hit → packed label → bit-mask decision, on the calling thread.
 /// * **Policy mutations** (`GrantView` / `RevokeView`) flip the view's bit
 ///   in a copy of the principal's compiled policy and re-resolve it against
 ///   the policy arena, preserving the consistency word and counters; the
@@ -188,9 +134,8 @@ impl Eq for ServiceStats {}
 ///   overprivileged apps exactly as Section 2.2 envisions.
 ///
 /// Mutations take effect at their position in the stream: a grant between
-/// two submits is observed by the second and not the first, which is what
-/// makes the batch executor's segmenting equivalent to strictly sequential
-/// processing (asserted by the property tests).
+/// two submits is observed by the second and not the first, in a batch as
+/// in sequential processing (asserted by the property tests).
 #[derive(Debug)]
 pub struct DisclosureService {
     labeler: CachedLabeler,
@@ -207,8 +152,8 @@ pub struct DisclosureService {
     /// one append-only log (see [`History`]).  Empty rings when history is
     /// disabled.
     history: History,
-    /// The label arena of the request being served (see the module docs);
-    /// an executor takes it for the duration of its call and puts it back.
+    /// The label arena an admission labels into (see the module docs),
+    /// kept between requests so a warm one reuses its capacity.
     arena: Vec<PackedLabel>,
     config: ServiceConfig,
     stats: ServiceStats,
@@ -217,26 +162,11 @@ pub struct DisclosureService {
     /// replay too, which is what keeps replayed operations from being
     /// re-logged.
     durable: Option<DurableState>,
-    /// The worker plane: the lazily spawned per-service [`WorkerPool`]
-    /// plus the coordinator-side counters of [`ParallelStats`].
-    parallel: ParallelPlane,
-}
-
-/// The service's worker plane.  The pool is spawned on first parallel use
-/// (`config.workers` threads), so the many short-lived services the test
-/// and recovery paths build never pay thread spawns.
-#[derive(Debug, Default)]
-struct ParallelPlane {
-    pool: OnceLock<Arc<WorkerPool>>,
-    /// Labeling batches dispatched to the pool.
-    segments_labeled: u64,
-    /// Epoch snapshots drained back into the live labeler.
-    snapshots_reclaimed: u64,
 }
 
 /// The query operand of one admission: a borrowed boxed query or an
 /// interned id.  Operations arrive in either form; the front door
-/// ([`resolve`]) turns every operand it can into `Interned`, and
+/// (`DisclosureService::admit`) turns every operand it can into `Interned`, and
 /// everything after it — labeling, the audit history — works by id.  Past
 /// the front door `Plain` is the one shape that has no id: a never-seen
 /// query arriving after the labeler's arena budget is spent, which must
@@ -245,22 +175,6 @@ struct ParallelPlane {
 pub(crate) enum AdmissionQuery<'a> {
     Plain(&'a ConjunctiveQuery),
     Interned(QueryId),
-}
-
-/// [`AdmissionQuery`] by value: what a staged admission carries to a pool
-/// worker's `'static` task.
-enum OwnedQuery {
-    Plain(Box<ConjunctiveQuery>),
-    Interned(QueryId),
-}
-
-impl OwnedQuery {
-    fn borrowed(&self) -> AdmissionQuery<'_> {
-        match self {
-            OwnedQuery::Plain(query) => AdmissionQuery::Plain(query),
-            OwnedQuery::Interned(id) => AdmissionQuery::Interned(*id),
-        }
-    }
 }
 
 /// One operation in borrowed form — what an [`Operation`] of a batch and
@@ -328,46 +242,6 @@ impl<'a> From<&'a Operation> for Request<'a> {
     }
 }
 
-/// The front door of every admission, on the calling thread or on a pool
-/// worker: validates the principal and resolves the operand to the id
-/// everything downstream works by.  A plain query goes through the
-/// labeler's budgeted intern — the one canonicalisation of the admission —
-/// and stays `Plain` only when it has no id and may not get one (see
-/// [`AdmissionQuery`]); an interned operand is checked against the interner.
-fn resolve<'a>(
-    labeler: &LabelerSnapshot,
-    num_principals: usize,
-    principal: PrincipalId,
-    query: AdmissionQuery<'a>,
-) -> Result<AdmissionQuery<'a>, ServiceError> {
-    if principal.index() >= num_principals {
-        return Err(ServiceError::UnknownPrincipal(principal));
-    }
-    match query {
-        AdmissionQuery::Plain(q) => Ok(labeler
-            .intern_within_budget(q)
-            .map_or(query, AdmissionQuery::Interned)),
-        AdmissionQuery::Interned(id) if labeler.contains(id) => Ok(query),
-        AdmissionQuery::Interned(id) => Err(ServiceError::UnknownQuery(id)),
-    }
-}
-
-/// Labels a resolved operand through lane `lane` of `labeler` onto the end
-/// of `arena` — the one label entry point of every admission.
-fn label_into(
-    labeler: &LabelerSnapshot,
-    lane: usize,
-    query: AdmissionQuery<'_>,
-    arena: &mut Vec<PackedLabel>,
-) -> Range<usize> {
-    let start = arena.len();
-    match query {
-        AdmissionQuery::Plain(q) => labeler.append_packed_in(lane, q, arena),
-        AdmissionQuery::Interned(id) => labeler.append_packed_interned_in(lane, id, arena),
-    }
-    start..arena.len()
-}
-
 impl DisclosureService {
     /// Builds a service over a security-view registry.
     ///
@@ -401,8 +275,7 @@ impl DisclosureService {
 
     /// Puts a service together from its stateful parts, fresh or decoded.
     /// The store's shard count is the effective one (it is part of a
-    /// checkpoint's layout); the worker width is pure tuning and comes from
-    /// `config`.
+    /// checkpoint's layout).
     fn assemble(
         labeler: CachedLabeler,
         store: ShardedPolicyStore,
@@ -414,7 +287,6 @@ impl DisclosureService {
             labeler,
             config: ServiceConfig {
                 num_shards: store.num_shards(),
-                workers: width_or_host(config.workers),
                 ..config
             },
             store,
@@ -422,7 +294,6 @@ impl DisclosureService {
             arena: Vec::new(),
             stats: ServiceStats::default(),
             durable: None,
-            parallel: ParallelPlane::default(),
         }
     }
 
@@ -507,38 +378,7 @@ impl DisclosureService {
     pub fn stats(&self) -> ServiceStats {
         let mut stats = self.stats.clone();
         stats.durability = self.durability_health();
-        stats.parallel = self.parallel_stats();
         stats
-    }
-
-    /// The service's worker pool, spawned on first use with the resolved
-    /// `config.workers` width (a width of 1 spawns no threads; every batch
-    /// runs inline on the calling thread).
-    fn worker_pool(&self) -> &Arc<WorkerPool> {
-        self.parallel
-            .pool
-            .get_or_init(|| Arc::new(WorkerPool::new(self.config.workers)))
-    }
-
-    /// Materializes the worker-plane block of [`stats`](Self::stats) from
-    /// the coordinator counters plus the pool's own counters (zeros until
-    /// the pool has been spun up).
-    fn parallel_stats(&self) -> ParallelStats {
-        let mut parallel = ParallelStats {
-            workers: self.config.workers,
-            segments_labeled: self.parallel.segments_labeled,
-            snapshots_reclaimed: self.parallel.snapshots_reclaimed,
-            ..ParallelStats::default()
-        };
-        if let Some(pool) = self.parallel.pool.get() {
-            let pool_stats = pool.stats();
-            parallel.tasks_per_worker = pool_stats.tasks_per_worker;
-            parallel.tasks_inline = pool_stats.tasks_inline;
-            parallel.steals = pool_stats.steals;
-            parallel.queue_full_stalls = pool_stats.queue_full_stalls;
-            parallel.queue_empty_stalls = pool_stats.queue_empty_stalls;
-        }
-        parallel
     }
 
     /// The current serving mode.  In-memory services are always
@@ -877,19 +717,26 @@ impl DisclosureService {
     /// method and WAL replay: a request of one through the write-ahead
     /// step, then executed against the live state.  `Err` is a rejection.
     fn serve(&mut self, request: Request<'_>) -> Result<Response, ServiceError> {
+        let known = self.known_ids();
         let cut = Self::write_ahead(&mut self.durable, 1, |_, out| {
-            encode_loggable(request, &self.interner, out)
+            encode_loggable(request, &self.interner, known, out)
         });
-        self.execute(request, cut > 0, None)
+        self.execute(request, cut > 0, known)
+    }
+
+    /// The ids the interner has issued, `0..known_ids()` (ids are dense):
+    /// read when a request is logged, it is what the request's interned
+    /// operands are judged against.
+    fn known_ids(&self) -> usize {
+        self.interner
+            .read()
+            .unwrap_or_else(|e| e.into_inner())
+            .len()
     }
 
     /// Executes one operation at its stream position, after the write-ahead
     /// step; `logged` says whether the operation lies before its request's
-    /// cut.  The pooled batch executor's in-segment calls pass the serving
-    /// snapshot so view-name resolution and audit relabeling read the frozen
-    /// registry — which equals the live registry at the op's stream
-    /// position, because the only registry mutations are segment
-    /// boundaries; everyone else passes `None` and reads the live one.
+    /// cut, and `known` is [`known_ids`](Self::known_ids) at that step.
     ///
     /// This is where the service's durability rule lives, once: **a
     /// mutation whose record is not durable answers
@@ -901,14 +748,16 @@ impl DisclosureService {
         &mut self,
         request: Request<'_>,
         logged: bool,
-        serving: Option<&LabelerSnapshot>,
+        known: usize,
     ) -> Result<Response, ServiceError> {
         match request {
             Request::Admit {
                 principal,
                 query,
                 commit,
-            } => self.admit(principal, query, commit).map(Response::Decision),
+            } => self
+                .admit(principal, query, commit, known)
+                .map(Response::Decision),
             Request::SetView { .. } | Request::AddView { .. } if !logged => {
                 Err(ServiceError::DurabilityUnavailable)
             }
@@ -918,9 +767,7 @@ impl DisclosureService {
                 grant,
             } => {
                 self.validate_principal(principal)?;
-                let registry = serving
-                    .unwrap_or(self.labeler.as_snapshot())
-                    .security_views();
+                let registry = self.labeler.security_views();
                 let id = registry
                     .id_by_name(view)
                     .ok_or_else(|| ServiceError::UnknownView(view.to_owned()))?;
@@ -938,31 +785,45 @@ impl DisclosureService {
                 Ok(Response::ViewAdded(id))
             }
             Request::Audit { principal } => self
-                .audit(principal, serving)
+                .audit(principal)
                 .map(|report| Response::Audit(Box::new(report))),
         }
     }
 
-    /// Serves one admission against the live state: front door, label by
-    /// id, decide, and record a committed submission.
+    /// Serves one admission against the live state: the front door, then
+    /// label by id, decide, and record a committed submission.
+    ///
+    /// The front door validates the principal and resolves the operand to
+    /// the id everything downstream works by.  A plain query goes through
+    /// the labeler's budgeted intern — the one canonicalisation of the
+    /// admission — and stays `Plain` only when it has no id and may not get
+    /// one (see [`AdmissionQuery`]); an interned operand must be one of the
+    /// `known` ids its request was logged against.
     fn admit(
         &mut self,
         principal: PrincipalId,
         query: AdmissionQuery<'_>,
         commit: bool,
+        known: usize,
     ) -> Result<Decision, ServiceError> {
-        let query = resolve(
-            self.labeler.as_snapshot(),
-            self.store.len(),
-            principal,
-            query,
-        )?;
+        self.validate_principal(principal)?;
+        let query = match query {
+            AdmissionQuery::Plain(q) => self
+                .labeler
+                .intern_within_budget(q)
+                .map_or(query, AdmissionQuery::Interned),
+            AdmissionQuery::Interned(id) if id.index() < known => query,
+            AdmissionQuery::Interned(id) => return Err(ServiceError::UnknownQuery(id)),
+        };
         self.stats.admissions += 1;
         self.arena.clear();
-        let label = label_into(self.labeler.as_snapshot(), 0, query, &mut self.arena);
-        let decision = self
-            .store
-            .decide_packed(principal, &self.arena[label], commit);
+        match query {
+            AdmissionQuery::Plain(q) => self.labeler.append_packed(q, &mut self.arena),
+            AdmissionQuery::Interned(id) => {
+                self.labeler.append_packed_interned(id, &mut self.arena);
+            }
+        }
+        let decision = self.store.decide_packed(principal, &self.arena, commit);
         if commit {
             self.history.record(principal, query);
         }
@@ -970,20 +831,15 @@ impl DisclosureService {
     }
 
     /// The audit behind [`audit_app`](Self::audit_app) and `AuditApp`
-    /// operations, relabeling through `serving` as
-    /// [`execute`](Self::execute) describes.
-    fn audit(
-        &mut self,
-        principal: PrincipalId,
-        serving: Option<&LabelerSnapshot>,
-    ) -> Result<AuditReport, ServiceError> {
+    /// operations.
+    fn audit(&mut self, principal: PrincipalId) -> Result<AuditReport, ServiceError> {
         self.validate_principal(principal)?;
         if !self.history.enabled() {
             return Err(ServiceError::AuditingDisabled);
         }
         self.stats.audits += 1;
         let policy = self.store.policy(principal);
-        let labeler = serving.unwrap_or(self.labeler.as_snapshot());
+        let labeler = &self.labeler;
         // Ids label by id — cache hits for a workload the service has just
         // served, no query materialized — and the rare boxed entry through
         // `label_query`.
@@ -992,7 +848,7 @@ impl DisclosureService {
             .workload(principal)
             .into_iter()
             .map(|entry| match entry {
-                AdmissionQuery::Interned(id) => labeler.label_interned_in(0, id),
+                AdmissionQuery::Interned(id) => labeler.label_interned(id),
                 AdmissionQuery::Plain(query) => labeler.label_query(query),
             });
         let registry = labeler.security_views();
@@ -1420,360 +1276,34 @@ impl DisclosureService {
         Ok(Self::assemble(labeler, store, history, config))
     }
 
-    /// Freezes the service's read plane into a [`LabelerSnapshot`]: the
-    /// registry at its current epoch vector plus a read-only handle onto
-    /// the striped label caches — everything a **read** (an admission's
-    /// labeling, an audit's workload relabeling) depends on.  Any number of
-    /// threads label through it while the live service keeps mutating;
-    /// grants, revokes and even new security views never disturb it.
-    ///
-    /// What a snapshot deliberately does **not** freeze is per-principal
-    /// enforcement state (policies, consistency words, counters,
-    /// histories): decisions are order-sensitive, so
-    /// [`run_pipelined`](Self::run_pipelined) keeps applying them to the
-    /// live store at their stream position.  The split works because labels
-    /// depend only on the view universe — never on policies.
-    pub fn snapshot(&self) -> LabelerSnapshot {
-        self.labeler.snapshot()
-    }
-
-    /// [`snapshot`](Self::snapshot) with one private overlay lane per pool
-    /// worker (plus the coordinator's lane 0) — the form the batch executor
-    /// stages segments through, so concurrent workers never contend on a
-    /// shared overlay stripe lock.
-    fn serving_snapshot(&self) -> LabelerSnapshot {
-        self.labeler.snapshot_with_lanes(self.config.workers + 1)
-    }
-
     /// Serves a batch of operations, returning one response per operation
-    /// in request order — the service's batch executor, extensionally equal
-    /// to sequential [`apply`](Self::apply) processing (property-tested).
+    /// in request order — the service's batch executor: the whole batch
+    /// goes through the write-ahead step first — one commit — and then
+    /// every operation executes at its stream position against the live
+    /// state, as [`apply`](Self::apply) executes it.
     ///
-    /// The whole batch goes through the write-ahead step first — one
-    /// commit — and then every operation is answered at its stream
-    /// position.  With one worker that is a loop: each operation executes
-    /// against the live state as [`apply`](Self::apply) executes it, so the
-    /// cumulative [`CacheStats`](fdc_core::CacheStats) match sequential
-    /// processing's exactly.  With more, labeling is decoupled from the
-    /// mutation stream: the stream is partitioned only at *label-affecting*
-    /// boundaries — `AddSecurityView` operations (grants and revokes never
-    /// change a label) — and the segments are pipelined:
-    ///
-    /// * each segment's admissions are labeled **concurrently** on the
-    ///   persistent [`WorkerPool`] against the *previous*
-    ///   [`LabelerSnapshot`] (which is exactly the registry state at every
-    ///   position of the segment), while the main thread still walks the
-    ///   previous segment's decisions, policy mutations and audits in
-    ///   stream order;
-    /// * decisions, grants, revokes, history recording and audits apply to
-    ///   the live store **at their stream position**, on the calling
-    ///   thread;
-    /// * a segment's snapshot is reclaimed as soon as its labeling batch is
-    ///   joined — no worker reads it after that — by draining its cache
-    ///   work back into the shared striped tables
-    ///   (`CachedLabeler::retire_snapshot`), so warm state survives
-    ///   segment boundaries.  The cache counters are racy here, and cache
-    ///   work an audit performs through an already-reclaimed snapshot is
-    ///   discarded with it.
-    ///
-    /// Interned-id validity is judged against the shared interner, which
-    /// only grows: every id obtained through [`intern`](Self::intern) /
-    /// [`interner`](Self::interner) — the supported workflow — validates
-    /// exactly as under sequential [`apply`](Self::apply).  The one
-    /// under-specified corner is an interned op referencing an id that is
-    /// first *minted by a plain admission inside the same batch*:
-    /// sequential processing judges it at its stream position, and the
-    /// threaded pipeline may resolve it either way depending on
-    /// worker-chunk timing (a durable service never logs it: the batch is
-    /// logged before any of it runs).  No supported producer emits such
-    /// streams (generators intern through the service before constructing
-    /// operations).
+    /// The batch is one request, so its interned operands are judged
+    /// against the interner as it stood when the batch was logged: an id
+    /// first minted by a plain admission *inside* the batch is refused
+    /// ([`ServiceError::UnknownQuery`]), in memory as on a durable service,
+    /// whose log holds no record for it.  Sequential `apply` admits such an
+    /// id, each operation being a request of its own.
     pub fn run_pipelined(&mut self, ops: &[Operation]) -> Vec<Response> {
         if ops.is_empty() {
             return Vec::new();
         }
+        let known = self.known_ids();
         let cut = Self::write_ahead(&mut self.durable, ops.len(), |i, out| {
-            encode_loggable((&ops[i]).into(), &self.interner, out)
+            encode_loggable((&ops[i]).into(), &self.interner, known, out)
         });
-        if self.config.workers <= 1 {
-            return (0..ops.len())
-                .map(|i| self.execute_at(ops, i, cut, None))
-                .collect();
-        }
-        let segments = Self::segment_ops(ops);
-        let num_principals = self.store.len();
-        let mut responses = Vec::with_capacity(ops.len());
-        let mut arena = std::mem::take(&mut self.arena);
-        let pool = Arc::clone(self.worker_pool());
-        // Stages one segment's admissions onto the pool against a frozen
-        // snapshot: clone the admissions out of the stream (owned tasks —
-        // interned ids are 8-byte copies, the hot serving path), chunk
-        // them across the workers with more chunks than workers so
-        // stealing levels skewed segments.
-        let spawn_segment = |pool: &Arc<WorkerPool>,
-                             snap: &Arc<LabelerSnapshot>,
-                             range: Range<usize>|
-         -> PendingBatch<LabeledChunk> {
-            let staged = stage_admissions(&ops[range.clone()], range.start);
-            let chunk_len = staged
-                .len()
-                .div_ceil(pool.workers() * CHUNKS_PER_WORKER)
-                .max(1);
-            let inputs = chunk_owned(staged, chunk_len);
-            let snap = Arc::clone(snap);
-            pool.submit(inputs, move |chunk, ctx| {
-                label_chunk(&snap, snap.lane_for(ctx), chunk, num_principals)
+        ops.iter()
+            .enumerate()
+            .map(|(i, op)| {
+                self.execute(op.into(), i < cut, known)
+                    .unwrap_or_else(Response::Rejected)
             })
-        };
-        let mut snap = Arc::new(self.serving_snapshot());
-        let mut inflight = Some(spawn_segment(&pool, &snap, segments[0].range.clone()));
-        for s in 0..segments.len() {
-            let pending = inflight.take().expect("one labeling batch per segment");
-            arena.clear();
-            let labels = splice_chunks(pending.wait(), &mut arena);
-            // The join: no worker reads this segment's snapshot any more.
-            self.labeler.retire_snapshot(&snap);
-            self.parallel.snapshots_reclaimed += 1;
-            // The boundary (an AddSecurityView) applies early: nothing in
-            // the pass below reads the live registry — labels come from
-            // the snapshot, audits and view-name resolution use the
-            // snapshot's frozen registry, and the policy store does not
-            // depend on the registry.  Applying it now lets the next
-            // segment's labeling (which must see the new view) overlap
-            // this segment's pass; its response follows the segment's.
-            let boundary = segments[s]
-                .boundary
-                .map(|b| self.execute_at(ops, b, cut, None));
-            let serving = Arc::clone(&snap);
-            if let Some(next) = segments.get(s + 1) {
-                snap = Arc::new(self.serving_snapshot());
-                inflight = Some(spawn_segment(&pool, &snap, next.range.clone()));
-            }
-            self.pass_segment(
-                ops,
-                segments[s].range.clone(),
-                (&serving, labels),
-                cut,
-                &arena,
-                &mut responses,
-            );
-            responses.extend(boundary);
-        }
-        self.parallel.segments_labeled += segments.len() as u64;
-        self.arena = arena;
-        responses
+            .collect()
     }
-
-    /// Partitions the op stream at snapshot boundaries: the ops whose
-    /// application changes what a label *is* — `AddSecurityView`, the only
-    /// registry mutation.
-    fn segment_ops(ops: &[Operation]) -> Vec<Segment> {
-        let mut segments = Vec::new();
-        let mut start = 0;
-        for (i, op) in ops.iter().enumerate() {
-            if matches!(op, Operation::AddSecurityView { .. }) {
-                segments.push(Segment {
-                    range: start..i,
-                    boundary: Some(i),
-                });
-                start = i + 1;
-            }
-        }
-        segments.push(Segment {
-            range: start..ops.len(),
-            boundary: None,
-        });
-        segments
-    }
-
-    /// Walks one pooled segment's ops in stream order on the calling
-    /// thread, answering each where it stands: an admission takes the next
-    /// of the labels the workers handed back (`pooled`: the serving
-    /// snapshot and those labels, spliced into `arena`), is decided on the
-    /// live store and — committed — recorded in the audit history; a policy
-    /// mutation or audit executes against the snapshot's frozen registry.
-    /// `cut` is the batch's write-ahead cut.
-    fn pass_segment(
-        &mut self,
-        ops: &[Operation],
-        range: Range<usize>,
-        pooled: (&LabelerSnapshot, Vec<LabeledAdmission>),
-        cut: usize,
-        arena: &[PackedLabel],
-        responses: &mut Vec<Response>,
-    ) {
-        let (serving, labels) = pooled;
-        let mut labels = labels.into_iter();
-        for i in range {
-            let Request::Admit {
-                principal,
-                query,
-                commit,
-            } = (&ops[i]).into()
-            else {
-                debug_assert!(
-                    !matches!(ops[i], Operation::AddSecurityView { .. }),
-                    "AddSecurityView ops are segment boundaries, never segment members"
-                );
-                responses.push(self.execute_at(ops, i, cut, Some(serving)));
-                continue;
-            };
-            let labeled = labels.next().expect("one labeled entry per admission");
-            debug_assert_eq!(labeled.index, i, "labels arrive in stream order");
-            responses.push(match labeled.outcome {
-                Ok((id, label)) => {
-                    self.stats.admissions += 1;
-                    let decision = self.store.decide_packed(principal, &arena[label], commit);
-                    if commit {
-                        let query = id.map_or(query, AdmissionQuery::Interned);
-                        self.history.record(principal, query);
-                    }
-                    Response::Decision(decision)
-                }
-                Err(err) => Response::Rejected(err),
-            });
-        }
-    }
-
-    /// [`execute`](Self::execute) for op `i` of a batch whose write-ahead
-    /// cut is `cut`, answered as a [`Response`].
-    fn execute_at(
-        &mut self,
-        ops: &[Operation],
-        i: usize,
-        cut: usize,
-        serving: Option<&LabelerSnapshot>,
-    ) -> Response {
-        self.execute((&ops[i]).into(), i < cut, serving)
-            .unwrap_or_else(Response::Rejected)
-    }
-}
-
-/// One segment of a pipelined batch: a run of non-boundary ops plus the
-/// boundary op (if any) that terminates it.
-struct Segment {
-    range: Range<usize>,
-    boundary: Option<usize>,
-}
-
-/// Labeling batches are split into this many chunks per pool worker:
-/// more chunks than workers, so a worker that drew cache-cold or
-/// wide-query chunks sheds the tail to idle siblings through stealing.
-const CHUNKS_PER_WORKER: usize = 4;
-
-/// One admission cloned out of a segment for the pool hand-off.
-struct StagedAdmission {
-    /// Absolute index of the admission in the batch.
-    index: usize,
-    principal: PrincipalId,
-    query: OwnedQuery,
-}
-
-/// One admission as a pool worker hands it back: the id its operand
-/// resolved to (`None` for the over-budget shape that has none) and the
-/// packed label as a range of a label arena on success, the validation
-/// error otherwise.
-struct LabeledAdmission {
-    /// Absolute index of the admission in the batch.
-    index: usize,
-    outcome: Result<(Option<QueryId>, Range<usize>), ServiceError>,
-}
-
-/// One chunk of staged admissions, labeled into an arena of its own.
-struct LabeledChunk {
-    arena: Vec<PackedLabel>,
-    admissions: Vec<LabeledAdmission>,
-}
-
-/// Clones every admission of one segment out of the op stream into owned
-/// [`StagedAdmission`]s, in stream order — the hand-off unit the worker
-/// pool's `'static` tasks can carry.  On the hot serving path admissions
-/// arrive interned, so the clone is a four-byte id copy.
-fn stage_admissions(ops: &[Operation], base: usize) -> Vec<StagedAdmission> {
-    ops.iter()
-        .enumerate()
-        .filter_map(|(i, op)| {
-            let Request::Admit {
-                principal, query, ..
-            } = op.into()
-            else {
-                return None;
-            };
-            let query = match query {
-                AdmissionQuery::Plain(query) => OwnedQuery::Plain(Box::new(query.clone())),
-                AdmissionQuery::Interned(id) => OwnedQuery::Interned(id),
-            };
-            Some(StagedAdmission {
-                index: base + i,
-                principal,
-                query,
-            })
-        })
-        .collect()
-}
-
-/// The front door on a pool worker, for one chunk: resolves each staged
-/// admission at its stream position against the frozen snapshot (sharing
-/// the live labeler's arena budget) and labels it by id into the chunk's
-/// arena, writing cache work into the caller's private overlay `lane`.
-fn label_chunk(
-    labeler: &LabelerSnapshot,
-    lane: usize,
-    chunk: Vec<StagedAdmission>,
-    num_principals: usize,
-) -> LabeledChunk {
-    let mut arena = Vec::new();
-    let admissions = chunk
-        .into_iter()
-        .map(|staged| {
-            let query = staged.query.borrowed();
-            let outcome = resolve(labeler, num_principals, staged.principal, query).map(|query| {
-                let id = match query {
-                    AdmissionQuery::Interned(id) => Some(id),
-                    AdmissionQuery::Plain(_) => None,
-                };
-                (id, label_into(labeler, lane, query, &mut arena))
-            });
-            LabeledAdmission {
-                index: staged.index,
-                outcome,
-            }
-        })
-        .collect();
-    LabeledChunk { arena, admissions }
-}
-
-/// Splices the workers' chunk arenas onto the request's arena, in chunk
-/// (= stream) order, rebasing each admission's label range — after which a
-/// pooled admission is indistinguishable from one labeled inline.
-fn splice_chunks(chunks: Vec<LabeledChunk>, arena: &mut Vec<PackedLabel>) -> Vec<LabeledAdmission> {
-    let mut labeled = Vec::with_capacity(chunks.iter().map(|c| c.admissions.len()).sum());
-    for chunk in chunks {
-        let base = arena.len();
-        arena.extend_from_slice(&chunk.arena);
-        labeled.extend(chunk.admissions.into_iter().map(|mut admission| {
-            if let Ok((_, label)) = &mut admission.outcome {
-                *label = label.start + base..label.end + base;
-            }
-            admission
-        }));
-    }
-    labeled
-}
-
-/// Splits an owned vector into chunks of (at most) `chunk_len` without
-/// cloning the elements — the pool hand-off unit builder.
-fn chunk_owned<T>(items: Vec<T>, chunk_len: usize) -> Vec<Vec<T>> {
-    let mut inputs = Vec::with_capacity(items.len().div_ceil(chunk_len.max(1)));
-    let mut items = items.into_iter();
-    loop {
-        let chunk: Vec<T> = items.by_ref().take(chunk_len.max(1)).collect();
-        if chunk.is_empty() {
-            break;
-        }
-        inputs.push(chunk);
-    }
-    inputs
 }
 
 /// A configured width, `0` meaning the host's available parallelism (with
@@ -1787,8 +1317,8 @@ fn width_or_host(configured: usize) -> usize {
 
 /// Encodes the WAL record for `request` into `out`, returning whether the
 /// operation is loggable at all.  Checks and audits are read-only —
-/// nothing to recover — and an interned submit whose id the interner does
-/// not know changes no state either (admission will reject it), so none
+/// nothing to recover — and an interned submit whose id is not one of the
+/// `known` ids changes no state either (admission will reject it), so none
 /// of those produce a record.  Known interned submits are logged as their
 /// resolved canonical query: replay re-interns the same canonical form,
 /// so recovered ids stay stable.  Every mutation is loggable, which is what
@@ -1796,6 +1326,7 @@ fn width_or_host(configured: usize) -> usize {
 fn encode_loggable(
     request: Request<'_>,
     interner: &SharedQueryInterner,
+    known: usize,
     out: &mut Vec<u8>,
 ) -> bool {
     match request {
@@ -1810,10 +1341,10 @@ fn encode_loggable(
             query: AdmissionQuery::Interned(id),
             ..
         } => {
-            let guard = interner.read().unwrap_or_else(|e| e.into_inner());
-            if !guard.contains(id) {
+            if id.index() >= known {
                 return false;
             }
+            let guard = interner.read().unwrap_or_else(|e| e.into_inner());
             durable::encode_submit(principal, &guard.to_query(id), out);
         }
         Request::SetView {

@@ -1,0 +1,124 @@
+//! The compat surface stays a surface: the labeling fan-out's old API is
+//! kept, in one `compat.rs` module per crate, only so that the frozen
+//! end-to-end benchmark (`examples/svc_bench`) compiles.  No code under
+//! `crates/`, `src/` or `tests/` outside those modules may name it, and
+//! the modules stay small.
+
+use std::fs;
+use std::path::{Path, PathBuf};
+
+/// The compat modules, relative to the repository root.
+const COMPAT_MODULES: [&str; 2] = ["crates/core/src/compat.rs", "crates/service/src/compat.rs"];
+
+/// Their line budget, in total.
+const COMPAT_LINE_BUDGET: usize = 150;
+
+/// Identifiers only the compat modules may use.
+const FORBIDDEN: [&str; 13] = [
+    "WorkerPool",
+    "WorkerContext",
+    "LabelerSnapshot",
+    "snapshot_with_lanes",
+    "retire_snapshot",
+    "lane_for",
+    "label_interned_in",
+    "label_packed_in",
+    "label_packed_interned_in",
+    "append_packed_in",
+    "append_packed_interned_in",
+    "ParallelStats",
+    "ParallelPlane",
+];
+
+/// The one mention allowed elsewhere: the declaration of the
+/// `ServiceStats::parallel` field.
+const ALLOWED: (&str, &str) = (
+    "crates/service/src/service.rs",
+    "pub parallel: crate::compat::ParallelStats,",
+);
+
+fn root() -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+}
+
+/// Every `.rs` file under `dir`, recursively.
+fn sources(dir: &Path, out: &mut Vec<PathBuf>) {
+    for entry in fs::read_dir(dir).unwrap() {
+        let path = entry.unwrap().path();
+        if path.is_dir() {
+            sources(&path, out);
+        } else if path.extension().is_some_and(|ext| ext == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+/// Whether `line` uses `name` as a whole identifier.
+fn names(line: &str, name: &str) -> bool {
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    line.match_indices(name).any(|(at, _)| {
+        let before = line[..at].chars().next_back();
+        let after = line[at + name.len()..].chars().next();
+        !before.is_some_and(is_ident) && !after.is_some_and(is_ident)
+    })
+}
+
+#[test]
+fn only_the_compat_modules_name_the_compat_surface() {
+    let root = root();
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests"] {
+        sources(&root.join(dir), &mut files);
+    }
+    let this_file = root.join(file!());
+    let mut offenders = Vec::new();
+    for file in files {
+        let relative = file
+            .strip_prefix(&root)
+            .unwrap()
+            .to_string_lossy()
+            .into_owned();
+        if COMPAT_MODULES.contains(&relative.as_str()) || file == this_file {
+            continue;
+        }
+        let text = fs::read_to_string(&file).unwrap();
+        for (number, line) in text.lines().enumerate() {
+            if (relative.as_str(), line.trim()) == ALLOWED {
+                continue;
+            }
+            for name in FORBIDDEN.iter().filter(|name| names(line, name)) {
+                offenders.push(format!("{relative}:{}: `{name}`", number + 1));
+            }
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "the compat surface is named outside the compat modules:\n{}",
+        offenders.join("\n")
+    );
+}
+
+#[test]
+fn the_compat_modules_stay_within_their_budget() {
+    let lines: usize = COMPAT_MODULES
+        .iter()
+        .map(|module| {
+            fs::read_to_string(root().join(module))
+                .unwrap()
+                .lines()
+                .count()
+        })
+        .sum();
+    assert!(
+        lines <= COMPAT_LINE_BUDGET,
+        "{lines} compat lines > {COMPAT_LINE_BUDGET}"
+    );
+}
+
+#[test]
+fn the_identifier_match_is_whole_words() {
+    assert!(names("use fdc::core::WorkerPool;", "WorkerPool"));
+    assert!(names("x.label_packed_in(0, q)", "label_packed_in"));
+    assert!(!names("x.label_packed_interned(id)", "label_packed_in"));
+    assert!(!names("MyWorkerPoolish", "WorkerPool"));
+}

@@ -39,7 +39,7 @@ const SEED: u64 = 0xC4A5;
 /// The shared service configuration: an explicit shard count (the
 /// round-robin placement is part of the on-disk layout), fsync off.
 fn config(world: &World) -> ServiceConfig {
-    world.config(0, 2)
+    world.config(2)
 }
 
 /// The single WAL segment file of `dir` (these streams fit in one).

@@ -174,9 +174,7 @@ fn first_sight_allocations(query: &ConjunctiveQuery) -> u64 {
     labeler.clear_entries();
     let mut out = Vec::with_capacity(16);
     let count = allocations(|| {
-        labeler
-            .as_snapshot()
-            .append_packed_interned_in(0, black_box(id), &mut out);
+        labeler.append_packed_interned(black_box(id), &mut out);
     });
     assert_eq!(labeler.stats().misses, 2);
     count

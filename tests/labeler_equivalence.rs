@@ -9,15 +9,13 @@
 //! generator of the property suite and the paper's Section 7.2 ecosystem
 //! generator — and asserts label equality everywhere.
 //!
-//! The cached plane runs one lookup algorithm against different tables —
-//! the live labeler's shared ones, or a snapshot lane over them — so a
-//! seeded differential additionally labels one stream with interleaved
-//! view additions live, through a 1-lane snapshot and through a 3-lane
-//! snapshot, against a fresh `BitVectorLabeler` at every position.
+//! A seeded differential additionally labels one stream with interleaved
+//! view additions through the cached labeler, against a fresh
+//! `BitVectorLabeler` at every position.
 
 use fdc::core::{
-    BaselineLabeler, BitVectorLabeler, CacheStats, CachedLabeler, HashPartitionedLabeler,
-    LabelerSnapshot, QueryLabeler, SecurityViews,
+    BaselineLabeler, BitVectorLabeler, CachedLabeler, HashPartitionedLabeler, QueryLabeler,
+    SecurityViews,
 };
 use fdc::cq::parser::parse_query;
 use fdc::cq::{Catalog, ConjunctiveQuery, RelId};
@@ -237,88 +235,14 @@ fn tricky_registry() -> SecurityViews {
     registry
 }
 
-/// One labeler of the differential below, with the snapshot it currently
-/// serves through (`lanes == 0`: none, it labels live).
-struct Side {
-    labeler: CachedLabeler,
-    lanes: usize,
-    snapshot: Option<LabelerSnapshot>,
-}
-
-impl Side {
-    fn new(views: &SecurityViews, capacity: usize, lanes: usize) -> Side {
-        let labeler = CachedLabeler::with_capacity_limit(views.clone(), capacity);
-        let snapshot = (lanes > 0).then(|| labeler.snapshot_with_lanes(lanes));
-        Side {
-            labeler,
-            lanes,
-            snapshot,
-        }
-    }
-
-    /// What position `i` of the stream reads through, and the lane it
-    /// takes (round-robin over the snapshot's lanes).
-    fn reader(&self, i: usize) -> (&LabelerSnapshot, usize) {
-        match &self.snapshot {
-            Some(snapshot) => (snapshot, i % self.lanes),
-            None => (self.labeler.as_snapshot(), 0),
-        }
-    }
-
-    /// Retires the serving snapshot and registers the view — in either
-    /// order: an overlay merged after the registry moved on carries
-    /// honestly stale tags — then takes the next snapshot.
-    fn add_view(&mut self, name: &str, view: &ConjunctiveQuery, retire_first: bool) {
-        let retiring = self.snapshot.take();
-        if retire_first {
-            retiring
-                .iter()
-                .for_each(|s| self.labeler.retire_snapshot(s));
-        }
-        self.labeler.add_view(name, view.clone()).unwrap();
-        if !retire_first {
-            retiring
-                .iter()
-                .for_each(|s| self.labeler.retire_snapshot(s));
-        }
-        let entries = self.labeler.stats().entries;
-        assert!(
-            entries <= self.labeler.capacity_limit(),
-            "{entries} entries after a retire"
-        );
-        if self.lanes > 0 {
-            self.snapshot = Some(self.labeler.snapshot_with_lanes(self.lanes));
-        }
-    }
-
-    /// Cumulative query-plane counters: the labeler's own plus those the
-    /// serving snapshot has not handed back yet.
-    fn query_plane(&self) -> (u64, u64, u64, usize) {
-        let live = self.labeler.stats();
-        let pending = self
-            .snapshot
-            .as_ref()
-            .map_or_else(CacheStats::default, LabelerSnapshot::stats);
-        (
-            live.hits + pending.hits,
-            live.misses + pending.misses,
-            live.query_refreshes + pending.query_refreshes,
-            live.entries + pending.entries,
-        )
-    }
-}
-
-/// The live labeler, a 1-lane snapshot and a 3-lane snapshot with lanes
-/// taken round-robin run the same lookup algorithm against different
-/// tables.  On a stream drawn from a pool of stress-workload shapes (so
-/// shapes repeat: hits, and stale refreshes after every addition), with
-/// snapshots retired and retaken at every `add_view`, each must give at
-/// every position the label of a fresh `BitVectorLabeler` over the registry
-/// as it stands — by id and through the boxed door, unpacked and packed —
-/// and the live and 1-lane sides must agree on the cumulative query-plane
-/// counters.  Run with room for everything and with room for 8 entries.
+/// The cached labeler on a stream drawn from a pool of stress-workload
+/// shapes (so shapes repeat: hits, and stale refreshes after every
+/// addition), with a view added every 41 positions, must give at every
+/// position the label of a fresh `BitVectorLabeler` over the registry as it
+/// stands — by id and through the boxed door, unpacked and packed.  Run
+/// with room for everything and with room for 8 entries.
 #[test]
-fn live_and_lane_labeling_agree_across_view_additions() {
+fn live_labeling_agrees_across_view_additions() {
     let eco = Ecosystem::new();
     for (seed, capacity) in [(11u64, 1 << 20), (12, 1 << 20), (13, 8), (14, 8)] {
         let pool = eco.workload(WorkloadConfig::stress(3, seed)).batch(60);
@@ -329,11 +253,7 @@ fn live_and_lane_labeling_agree_across_view_additions() {
             state ^= state >> 27;
             (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as usize % bound
         };
-        let mut sides = [
-            Side::new(&eco.views, capacity, 0),
-            Side::new(&eco.views, capacity, 1),
-            Side::new(&eco.views, capacity, 3),
-        ];
+        let mut labeler = CachedLabeler::with_capacity_limit(eco.views.clone(), capacity);
         let mut reference = BitVectorLabeler::new(eco.views.clone());
         let mut views_added = 0;
         for i in 0..600 {
@@ -351,39 +271,33 @@ fn live_and_lane_labeling_agree_across_view_additions() {
                     .collect();
                 let view = projection_view(&eco.schema, relation, &exposed);
                 let name = format!("differential_view_{views_added}");
-                for side in &mut sides {
-                    side.add_view(&name, &view, views_added % 2 == 0);
-                }
+                labeler.add_view(&name, view).unwrap();
                 views_added += 1;
-                reference = BitVectorLabeler::new(sides[0].labeler.security_views().clone());
+                reference = BitVectorLabeler::new(labeler.security_views().clone());
             }
             let query = &pool[next(pool.len())];
             let expected = reference.label_query(query);
-            for (s, side) in sides.iter().enumerate() {
-                let (reader, lane) = side.reader(i);
-                let at = format!("seed {seed}, position {i}, side {s}");
-                if i % 2 == 0 {
-                    let id = side.labeler.intern(query);
-                    assert_eq!(reader.label_interned_in(lane, id), expected, "{at}");
-                    assert_eq!(
-                        reader.label_packed_interned_in(lane, id),
-                        expected.pack(),
-                        "{at}"
-                    );
-                } else {
-                    // The boxed door (which interns for itself while the
-                    // arena budget lasts); its unpacked form is lane 0's.
-                    assert_eq!(reader.label_query(query), expected, "{at}");
-                    assert_eq!(reader.label_packed_in(lane, query), expected.pack(), "{at}");
-                }
+            let at = format!("seed {seed}, position {i}");
+            if i % 2 == 0 {
+                let id = labeler.intern(query);
+                assert_eq!(labeler.label_interned(id), expected, "{at}");
+                assert_eq!(labeler.label_packed_interned(id), expected.pack(), "{at}");
+            } else {
+                // The boxed door, which interns for itself while the arena
+                // budget lasts.
+                assert_eq!(labeler.label_query(query), expected, "{at}");
+                assert_eq!(labeler.label_packed(query), expected.pack(), "{at}");
             }
-            assert_eq!(
-                sides[0].query_plane(),
-                sides[1].query_plane(),
-                "seed {seed}, position {i}: (hits, misses, query_refreshes, entries)"
+            let entries = labeler.stats().entries;
+            assert!(
+                entries <= labeler.capacity_limit(),
+                "{at}: {entries} entries"
             );
         }
-        let (hits, _, refreshes, _) = sides[0].query_plane();
-        assert!(hits > 0 && refreshes > 0, "the stream must repeat shapes");
+        let stats = labeler.stats();
+        assert!(
+            stats.hits > 0 && stats.query_refreshes > 0,
+            "the stream must repeat shapes"
+        );
     }
 }

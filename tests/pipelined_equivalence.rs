@@ -8,16 +8,16 @@
 //! applied to [`ReferenceService`](fdc::service::ReferenceService), the
 //! paper's three steps over the boxed reference algorithms, and served by
 //! every row of the executor matrix (`support/harness.rs`): `apply`; the
-//! typed methods; `run_pipelined` at 1 and 4 workers on 1 and 4 shards;
-//! durable `apply` and pooled `run_pipelined`, reopened from a checkpoint
-//! and from the log alone.  Every row must give the model's responses and end in the model's
+//! typed methods; `run_pipelined` on 1 and 4 shards; durable `apply` and
+//! `run_pipelined`, reopened from a checkpoint and from the log alone.
+//! Every row must give the model's responses and end in the model's
 //! state — totals, each principal's policy, consistency word, counters,
 //! audit and probe decisions, the registry's views and epochs, the label of
 //! every pool query.
 //!
-//! The one thing the model cannot state is pinned between the rows it
-//! concerns: at one worker the typed methods and `run_pipelined` leave the
-//! cumulative `CacheStats` equal to `apply`'s, every column.
+//! The one thing the model cannot state is pinned between the in-memory
+//! rows: the typed methods and `run_pipelined` leave the cumulative
+//! `CacheStats` equal to `apply`'s, every column.
 
 #[path = "support/harness.rs"]
 mod harness;

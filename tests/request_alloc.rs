@@ -45,14 +45,13 @@ const SHAPES: [&str; 5] = [
     "Q2(x) :- Meetings(x, y), Contacts(y, w, 'Intern')",
 ];
 
-/// An in-memory service at `workers: 1` with `principals` Chinese-Wall
+/// An in-memory service with `principals` Chinese-Wall
 /// principals, and the query shapes its streams draw from.
 fn build(principals: usize, history_cap: usize) -> (DisclosureService, Vec<ConjunctiveQuery>) {
     let registry = SecurityViews::paper_example();
     let mut service = DisclosureService::new(
         registry.clone(),
         ServiceConfig {
-            workers: 1,
             history_cap,
             ..ServiceConfig::default()
         },

@@ -202,15 +202,15 @@ impl World {
 
     /// A service configuration over this world; fsync off (crashes here are
     /// simulated, a scratch directory needs no power-loss safety).
-    pub fn config(&self, workers: usize, num_shards: usize) -> ServiceConfig {
+    pub fn config(&self, num_shards: usize) -> ServiceConfig {
         ServiceConfig {
             num_shards,
-            workers,
             history_cap: self.history_cap,
             durability: DurabilityConfig {
                 fsync: false,
                 ..DurabilityConfig::default()
             },
+            ..ServiceConfig::default()
         }
     }
 
@@ -620,50 +620,34 @@ pub fn run_matrix(what: &str, world: &World, ops: &[Operation]) {
     durable_rows(what, world, ops, &specified);
 }
 
-/// `apply`, the typed methods, then `run_pipelined` at `workers` {1, 4} ×
-/// `num_shards` {1, 4}.
+/// `apply`, the typed methods, then `run_pipelined`, on 1 and 4 shards.
 pub fn in_memory_rows(what: &str, world: &World, ops: &[Operation], specified: &Specified) {
     let mut sequential_cache = None;
-    for (executor, workers, num_shards) in [
-        (Executor::Apply, 1, 1),
-        (Executor::Typed, 1, 1),
-        (BATCHED, 1, 1),
-        (BATCHED, 4, 1),
-        (BATCHED, 1, 4),
-        (BATCHED, 4, 4),
+    for (executor, num_shards) in [
+        (Executor::Apply, 1),
+        (Executor::Typed, 1),
+        (BATCHED, 1),
+        (BATCHED, 4),
     ] {
-        let row = format!("{what}: {executor:?} x{workers} workers, {num_shards} shards");
-        let mut service = build_service(world, world.config(workers, num_shards));
+        let row = format!("{what}: {executor:?}, {num_shards} shards");
+        let mut service = build_service(world, world.config(num_shards));
         let answered = serve(&mut service, ops, executor);
-        // The one property the model cannot state: a single worker labels
-        // in stream order through the live labeler whatever the executor,
-        // so the cumulative cache counters agree in every column.
-        if workers == 1 && num_shards == 1 {
-            let cache = service.labeler().stats();
-            assert_eq!(*sequential_cache.get_or_insert(cache), cache, "{row}");
-        }
-        // A pooled run labels every segment through a snapshot and has
-        // reclaimed each by the time it returns.
-        let parallel = service.stats().parallel;
-        let pooled = workers > 1 && !ops.is_empty();
-        assert_eq!(parallel.workers, workers, "{row}");
-        assert_eq!(parallel.segments_labeled > 0, pooled, "{row}");
-        assert_eq!(
-            parallel.snapshots_reclaimed, parallel.segments_labeled,
-            "{row}"
-        );
+        // The one property the model cannot state: every executor labels
+        // in stream order through the one labeler, so the cumulative cache
+        // counters agree in every column.
+        let cache = service.labeler().stats();
+        assert_eq!(*sequential_cache.get_or_insert(cache), cache, "{row}");
         assert_served(&row, &mut service, &answered, specified, world);
     }
 }
 
-/// Durable `apply` and pooled `run_pipelined`, each then closed and
-/// reopened — from a checkpoint, and from the log alone.
+/// Durable `apply` and `run_pipelined`, each then closed and reopened —
+/// from a checkpoint, and from the log alone.
 pub fn durable_rows(what: &str, world: &World, ops: &[Operation], specified: &Specified) {
-    for (executor, workers, num_shards) in [(Executor::Apply, 1, 1), (BATCHED, 4, 4)] {
+    for (executor, num_shards) in [(Executor::Apply, 1), (BATCHED, 4)] {
         for checkpointed in [true, false] {
-            let row =
-                format!("{what}: durable {executor:?} x{workers}, checkpointed {checkpointed}");
-            let config = world.config(workers, num_shards);
+            let row = format!("{what}: durable {executor:?}, checkpointed {checkpointed}");
+            let config = world.config(num_shards);
             let dir = temp_dir("matrix");
             let (mut service, _) = reopen(world, config, &dir);
             populate(&mut service, world);
