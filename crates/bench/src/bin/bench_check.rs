@@ -22,8 +22,9 @@
 //!   block's cold-labeling series `interned_cold` present and positive at
 //!   max_atoms 20 and 28, and at every sweep point the batch's mean
 //!   `query_heap_bytes` and `query_blocks` present and positive, with
-//!   `query_heap_bytes` at most its [`QUERY_HEAP_BYTES_CEILING`] (in smoke
-//!   mode too: the figure is exact per seed);
+//!   `query_heap_bytes` at most its [`QUERY_HEAP_BYTES_CEILING`] and
+//!   `query_blocks` exactly 1 (in smoke mode too: the figures are exact per
+//!   seed);
 //! * fig6 — `interned` and `interned_packed` present at every sweep point
 //!   (`seed_store` present or `null`), as are the policy plane's
 //!   per-layer costs `register_ns_per_principal`, `grant_ns` and
@@ -293,23 +294,29 @@ fn sweep<'a>(doc: &'a Json, path: &str) -> Result<&'a [Json], String> {
 }
 
 /// The most `query_heap_bytes` a Figure 5 batch's mean query may cost, per
-/// max-atoms setting: 5 % above the committed values (192.3, 266.3, 355.4,
-/// 434.3, 519.5 B) of the layout that stores a term in a 4-byte word and
-/// each distinct constant once; the 16-byte-term layout before it read
-/// 337.0, 473.5, 639.7, 788.8 and 948.3 B on the same batches.  The
-/// figure is exact per seed, so only a change of layout or of the
-/// generator moves it.
+/// max-atoms setting: 5 % above the committed values (153.2, 218.1, 295.7,
+/// 366.6, 444.7 B) of the one-block layout, whose every number takes the
+/// narrowest width that holds it; the two-block layout before it read
+/// 192.3, 266.3, 355.4, 434.3 and 519.5 B on the same batches, and the
+/// 16-byte-term layout before that 337.0, 473.5, 639.7, 788.8 and
+/// 948.3 B.  The figure is exact per seed, so only a change of layout or of
+/// the generator moves it.
 const QUERY_HEAP_BYTES_CEILING: [(f64, f64); 5] = [
-    (3.0, 201.9),
-    (6.0, 279.6),
-    (9.0, 373.2),
-    (12.0, 456.0),
-    (15.0, 545.5),
+    (3.0, 160.9),
+    (6.0, 229.0),
+    (9.0, 310.5),
+    (12.0, 384.9),
+    (15.0, 466.9),
 ];
 
+/// The `query_blocks` every Figure 5 batch's mean query must own: a query
+/// is one block, whatever it holds.
+const QUERY_BLOCKS: f64 = 1.0;
+
 /// Figure 5 gate: the interned series and the query footprint exist at
-/// every sweep point, the footprint stays under its ceiling, and the
-/// interned headline speedup over the cached baseline clears the floor.
+/// every sweep point, the footprint stays under its ceiling at one block a
+/// query, and the interned headline speedup over the cached baseline
+/// clears the floor.
 fn check_fig5(path: &str, smoke: bool) -> Result<(), String> {
     let doc = load(path)?;
     for point in sweep(&doc, path)? {
@@ -346,6 +353,16 @@ fn check_fig5(path: &str, smoke: bool) -> Result<(), String> {
             .get("query_heap_bytes")
             .and_then(Json::as_number)
             .unwrap_or_default();
+        let blocks = point
+            .get("query_blocks")
+            .and_then(Json::as_number)
+            .unwrap_or_default();
+        if blocks != QUERY_BLOCKS {
+            return Err(format!(
+                "`{path}`: `query_blocks` is {blocks:.2} at max_atoms {max_atoms}, \
+                 not {QUERY_BLOCKS}: a query is one block"
+            ));
+        }
         if let Some(&(_, ceiling)) = QUERY_HEAP_BYTES_CEILING
             .iter()
             .find(|(atoms, _)| *atoms == max_atoms)
@@ -763,7 +780,7 @@ mod tests {
     ]
   }},
   "sweep": [
-    {{"max_atoms": 3, "query_heap_bytes": 100.0, "query_blocks": 2.0,
+    {{"max_atoms": 3, "query_heap_bytes": 100.0, "query_blocks": 1.0,
       "queries_per_sec": {{"baseline": 100000.0,
       "cached_sequential": 400000.0, "interned": 900000.0}}}}
   ]
@@ -817,7 +834,7 @@ mod tests {
             std::fs::write(&path, render(footprint)).unwrap();
             check_fig5(path.to_str().unwrap(), true)
         };
-        let at = |bytes: f64| format!(r#""query_heap_bytes": {bytes}, "query_blocks": 2.0,"#);
+        let at = |bytes: f64| format!(r#""query_heap_bytes": {bytes}, "query_blocks": 1.0,"#);
         assert!(check(&at(ceiling_6)).is_ok());
         let err = check(&at(ceiling_6 + 1.0)).unwrap_err();
         assert!(
@@ -829,8 +846,17 @@ mod tests {
             err.contains("`query_blocks` missing at max_atoms 6"),
             "{err}"
         );
-        let err = check(r#""query_heap_bytes": 0.0, "query_blocks": 2.0,"#).unwrap_err();
+        let err = check(r#""query_heap_bytes": 0.0, "query_blocks": 1.0,"#).unwrap_err();
         assert!(err.contains("non-positive `query_heap_bytes`"), "{err}");
+        // A query of two blocks, or a mean that is not whole, names itself.
+        for blocks in ["2.0", "1.01"] {
+            let footprint = format!(r#""query_heap_bytes": 100.0, "query_blocks": {blocks},"#);
+            let err = check(&footprint).unwrap_err();
+            assert!(
+                err.contains("`query_blocks` is") && err.contains("at max_atoms 6"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

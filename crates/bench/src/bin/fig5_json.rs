@@ -10,7 +10,7 @@
 //! cold labeling (`interned_cold`: an empty cache, every shape first seen)
 //! at 20 and 28 atoms, past the paper's axis.  Each sweep point also
 //! records what its generated batch's queries cost in memory: the mean
-//! `query_heap_bytes` (the bytes of a query's two blocks, by their lengths)
+//! `query_heap_bytes` (the bytes of a query's one block, by its length)
 //! and `query_blocks` — exact per seed, so a layout change shows as a
 //! before/after pair.
 //!
@@ -38,7 +38,7 @@ struct SweepPoint {
     max_atoms: usize,
     results: Vec<Measurement>,
     /// Mean `ConjunctiveQuery::heap_bytes` over the generated batch: the
-    /// bytes of a query's two blocks, by their lengths.  Exact per seed.
+    /// bytes of a query's one block, by its length.  Exact per seed.
     query_heap_bytes: f64,
     /// Mean `ConjunctiveQuery::heap_blocks` over the generated batch.
     query_blocks: f64,

@@ -13,7 +13,7 @@ use std::hash::{Hash, Hasher};
 
 use crate::catalog::{Catalog, RelId};
 use crate::error::{CqError, Result};
-use crate::query::ConstTable;
+use crate::query::{read_u32, ConstTable};
 use crate::term::{Term, TermRef, VarId};
 
 /// A relational atom `R(t1, …, tn)` over the relations of a [`Catalog`],
@@ -73,14 +73,15 @@ pub struct Terms<'a>(Repr<'a>);
 enum Repr<'a> {
     /// An owned atom's terms.
     Owned(&'a [Term]),
-    /// A query's words, read through its constant table.
-    Words(&'a [u32], ConstTable<'a>),
+    /// A query's words, 4 little-endian bytes each, read through its
+    /// constant table.
+    Words(&'a [u8], ConstTable<'a>),
 }
 
 impl<'a> Terms<'a> {
     /// A query's words, read through its constant table.
     #[inline]
-    pub(crate) fn of_words(words: &'a [u32], consts: ConstTable<'a>) -> Self {
+    pub(crate) fn of_words(words: &'a [u8], consts: ConstTable<'a>) -> Self {
         Terms(Repr::Words(words, consts))
     }
 
@@ -89,7 +90,7 @@ impl<'a> Terms<'a> {
     pub fn len(self) -> usize {
         match self.0 {
             Repr::Owned(terms) => terms.len(),
-            Repr::Words(words, _) => words.len(),
+            Repr::Words(words, _) => words.len() / 4,
         }
     }
 
@@ -108,7 +109,7 @@ impl<'a> Terms<'a> {
     pub fn get(self, i: usize) -> TermRef<'a> {
         match self.0 {
             Repr::Owned(terms) => terms[i].as_term_ref(),
-            Repr::Words(words, consts) => consts.term(words[i]),
+            Repr::Words(words, consts) => consts.term(read_u32(words, 4 * i)),
         }
     }
 
@@ -229,7 +230,7 @@ impl<'a> AtomRef<'a> {
     /// The atom over `relation` whose terms are a query's `words`, read
     /// through its constant table.
     #[inline]
-    pub(crate) fn of_words(relation: RelId, words: &'a [u32], consts: ConstTable<'a>) -> Self {
+    pub(crate) fn of_words(relation: RelId, words: &'a [u8], consts: ConstTable<'a>) -> Self {
         AtomRef {
             relation,
             terms: Terms::of_words(words, consts),
@@ -295,18 +296,7 @@ impl<'a> AtomRef<'a> {
     /// Checks that the atom's relation is in the catalog and its arity
     /// matches the relation's.
     pub fn validate(self, catalog: &Catalog) -> Result<()> {
-        if self.relation.index() >= catalog.len() {
-            return Err(CqError::UnknownRelation(format!("#{}", self.relation.0)));
-        }
-        let expected = catalog.arity(self.relation);
-        if expected != self.arity() {
-            return Err(CqError::ArityMismatch {
-                relation: catalog.name(self.relation).to_owned(),
-                expected,
-                found: self.arity(),
-            });
-        }
-        Ok(())
+        validate_atom(catalog, self.relation, self.arity())
     }
 
     /// Renders the atom using the catalog for the relation name and the
@@ -365,6 +355,23 @@ impl fmt::Display for AtomRef<'_> {
         }
         write!(f, ")")
     }
+}
+
+/// Fails unless `relation` is in `catalog` with arity `arity`: what
+/// [`AtomRef::validate`] checks of an atom.
+pub(crate) fn validate_atom(catalog: &Catalog, relation: RelId, arity: usize) -> Result<()> {
+    if relation.index() >= catalog.len() {
+        return Err(CqError::UnknownRelation(format!("#{}", relation.0)));
+    }
+    let expected = catalog.arity(relation);
+    if expected != arity {
+        return Err(CqError::ArityMismatch {
+            relation: catalog.name(relation).to_owned(),
+            expected,
+            found: arity,
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -26,7 +26,7 @@ pub fn rename_canonical(query: &ConjunctiveQuery) -> ConjunctiveQuery {
     let mut mapping: HashMap<VarId, VarId> = HashMap::new();
     let mut kinds: Vec<VarKind> = Vec::new();
 
-    let mut body = Body::with_capacity(query.num_atoms(), query.terms().len(), 0);
+    let mut body = Body::with_capacity(query.num_atoms(), query.terms().len());
     for atom in query.atoms() {
         for term in atom.terms() {
             match term {
@@ -38,7 +38,7 @@ pub fn rename_canonical(query: &ConjunctiveQuery) -> ConjunctiveQuery {
                     });
                     body.push_var(new_id, kind);
                 }
-                TermRef::Const(c) => body.push_const(c),
+                TermRef::Const(c) => body.push_const(c.as_const_bytes()),
             }
         }
         body.end_atom(atom.relation);

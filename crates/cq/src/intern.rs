@@ -4,8 +4,8 @@
 //! Every hot path of the disclosure-control stack — cached labeling, the
 //! service's admission loop, the benchmark workloads — repeatedly moves the
 //! *same* query shapes around.  The boxed [`ConjunctiveQuery`] representation
-//! (one term slice and one meta block per query) is convenient to build and
-//! display but a poor cache key: every query owns its own blocks and its
+//! (one block per query) is convenient to build and
+//! display but a poor cache key: every query owns its own block and its
 //! variable ids are arbitrary.
 //!
 //! [`QueryInterner`] fixes the representation the way `PolicyArena` fixed it
@@ -54,8 +54,8 @@
 //!    one integer comparison.
 //! 3. **Compare pass.**  A candidate whose stored hash matches is compared
 //!    with the operand against the arena: first the atom count and each
-//!    atom's relation and arity (the operand's atom table), then its one
-//!    term slice against the entry's, term by term, in one walk that
+//!    atom's relation and arity (the operand's atom table), then its
+//!    term words against the entry's, term by term, in one walk that
 //!    numbers the operand's variables as it goes: a variable's first
 //!    occurrence takes the next canonical index, and every occurrence's
 //!    index must be the stored one.  Each variable's kind, each constant's
@@ -84,7 +84,7 @@ use crate::catalog::RelId;
 use crate::error::Result;
 use crate::query::{Body, ConjunctiveQuery, VarTable};
 use crate::term::word::{self, Word};
-use crate::term::{ConstRef, Constant, VarId, VarKind};
+use crate::term::{ConstBytes, Constant, VarId, VarKind};
 
 /// Dense identifier of an interned query.
 ///
@@ -475,7 +475,7 @@ pub(crate) fn table_of(hashes: &[u32]) -> Vec<u32> {
 /// constructor's): its value hashed as
 /// [`ShapeHasher::constant`] hashes it — a multiply per eight bytes, the
 /// same on every run.
-pub(crate) fn constant_hash(constant: ConstRef<'_>) -> u32 {
+pub(crate) fn constant_hash(constant: ConstBytes<'_>) -> u32 {
     let mut hasher = ShapeHasher(HASH_SEED);
     hasher.constant(constant);
     hasher.finish()
@@ -515,11 +515,10 @@ impl ShapeHasher {
 
     /// A constant term, by value, so `Int(1)` and `Str("1")` differ.
     #[inline]
-    pub(crate) fn constant(&mut self, constant: ConstRef<'_>) {
+    pub(crate) fn constant(&mut self, constant: ConstBytes<'_>) {
         self.0 = match constant {
-            ConstRef::Int(i) => hash_step(hash_step(self.0, 0x3_0000_0000), i as u64),
-            ConstRef::Str(s) => {
-                let bytes = s.as_bytes();
+            ConstBytes::Int(i) => hash_step(hash_step(self.0, 0x3_0000_0000), i as u64),
+            ConstBytes::Str(bytes) => {
                 let mut hash = hash_step(hash_step(self.0, 0x4_0000_0000), bytes.len() as u64);
                 let mut chunks = bytes.chunks_exact(8);
                 for chunk in &mut chunks {
@@ -621,7 +620,7 @@ impl QueryInterner {
     /// # Panics
     ///
     /// Panics on the 2³¹-th distinct constant: a term holds 31 bits of id.
-    fn const_id_mut(&mut self, c: ConstRef<'_>) -> ConstId {
+    fn const_id_mut(&mut self, c: ConstBytes<'_>) -> ConstId {
         let hash = constant_hash(c);
         let slot = match self.find_const(c, hash) {
             Ok(id) => return id,
@@ -644,9 +643,9 @@ impl QueryInterner {
 
     /// Walks the probe chain of `hash`: the id of `c` if the table holds
     /// it, else the vacant slot the chain ends at.
-    fn find_const(&self, c: ConstRef<'_>, hash: u32) -> std::result::Result<ConstId, usize> {
+    fn find_const(&self, c: ConstBytes<'_>, hash: u32) -> std::result::Result<ConstId, usize> {
         find_slot(&self.const_table, hash, |id| {
-            self.const_hashes[id as usize] == hash && self.consts[id as usize] == c
+            self.const_hashes[id as usize] == hash && self.consts[id as usize].as_const_bytes() == c
         })
         .map(ConstId)
     }
@@ -664,41 +663,39 @@ impl QueryInterner {
 
     /// Compare pass: true if `query` is term for term the interned query
     /// `id`.  Checks the atom count and each atom's relation and arity,
-    /// then walks the operand's term slice once, numbering its variables as
+    /// then walks the operand's term words once, numbering its variables as
     /// it goes — a variable's first occurrence takes the next canonical
     /// index — and checks each variable's index and kind, each constant's
     /// value, and at the end the variable count.
     fn equals(&self, id: QueryId, query: &ConjunctiveQuery) -> bool {
         let span = self.queries[id.index()];
-        if span.atom_len as usize != query.num_atoms() {
+        let atoms = query.atoms();
+        if span.atom_len as usize != atoms.len() {
             return false;
         }
         let stored = self.span_ref(span);
         // The atom tables first: relations and arities.
-        if !stored
-            .atoms
-            .iter()
-            .zip(query.atoms())
-            .all(|(atom, operand)| {
-                atom.relation == operand.relation && atom.arity() == operand.arity()
-            })
-        {
-            return false;
+        let mut end = 0;
+        for (atom, (relation, atom_end)) in stored.atoms.iter().zip(atoms.spans()) {
+            if atom.relation != relation || atom.arity() != atom_end - end {
+                return false;
+            }
+            end = atom_end;
         }
-        // Then one term slice against the other: a query's atoms hold
+        // Then one run of terms against the other: a query's atoms hold
         // consecutive spans of the arena (`append` writes them so, and a
         // decode refuses anything else), and equal arities make the two
         // slices equally long.  The operand's words share the arena's
         // layout, so a variable's kind bit is compared in place; a
         // constant is compared by value, through the operand's table.
         let first = stored.atoms[0].term_start as usize;
-        let operand = query.words();
-        let consts = query.consts();
+        let operand = atoms.words_to(end);
+        let consts = atoms.consts();
         let mut numbering = Numbering::new(query.num_vars());
         let same = stored.terms[first..first + operand.len()]
             .iter()
             .zip(operand)
-            .all(|(stored, &term)| {
+            .all(|(stored, term)| {
                 if term & ITerm::CONST_BIT != 0 {
                     stored.is_const()
                         && consts.is(
@@ -772,9 +769,19 @@ impl QueryInterner {
         let atom_start = self.atoms.len() as u32;
         let kind_start = self.kinds.len();
         let mut numbering = Numbering::new(query.num_vars());
-        let mut term_start = self.terms.len() as u32;
-        let consts = query.consts();
-        for &term in query.words() {
+        let term_start = self.terms.len() as u32;
+        let atoms = query.atoms();
+        let mut end = 0;
+        for (relation, atom_end) in atoms.spans() {
+            self.atoms.push(IAtom {
+                relation,
+                term_start: term_start + end as u32,
+                term_len: (atom_end - end) as u32,
+            });
+            end = atom_end;
+        }
+        let consts = atoms.consts();
+        for term in atoms.words_to(end) {
             let interned = match word::get(term) {
                 Word::Var(v, kind) => {
                     let index = numbering.number(v.0);
@@ -783,22 +790,13 @@ impl QueryInterner {
                     }
                     ITerm::var(index, kind)
                 }
-                Word::Const(index) => ITerm::constant(self.const_id_mut(consts.get(index))),
+                Word::Const(index) => ITerm::constant(self.const_id_mut(consts.bytes(index))),
             };
             self.terms.push(interned);
         }
-        for atom in query.atoms() {
-            let term_len = atom.arity() as u32;
-            self.atoms.push(IAtom {
-                relation: atom.relation,
-                term_start,
-                term_len,
-            });
-            term_start += term_len;
-        }
         self.queries.push(QuerySpan {
             atom_start,
-            atom_len: query.num_atoms() as u32,
+            atom_len: self.atoms.len() as u32 - atom_start,
             kind_start: kind_start as u32,
             num_vars: numbering.assigned(),
         });
@@ -919,7 +917,7 @@ impl QueryInterner {
             for term in terms {
                 match term.get() {
                     ITermView::Var(index, kind) => hasher.var(index, kind),
-                    ITermView::Const(c) => hasher.constant(self.consts[c.index()].as_const_ref()),
+                    ITermView::Const(c) => hasher.constant(self.consts[c.index()].as_const_bytes()),
                 }
             }
         }
@@ -1003,7 +1001,7 @@ impl QueryInterner {
             let at = cursor.pos();
             let constant = crate::wire::read_const_ref(cursor)?;
             let minted = interner.consts.len();
-            if interner.const_id_mut(constant).index() < minted {
+            if interner.const_id_mut(constant.as_const_bytes()).index() < minted {
                 return Err(CodecError::invalid(at, "duplicate constant in table"));
             }
         }
@@ -1130,12 +1128,12 @@ impl QueryInterner {
         let q = self.resolve(id);
         let vars = VarTable::numbered(q.kinds.to_vec());
         let num_terms = q.atoms.iter().map(|atom| atom.arity()).sum();
-        let mut body = Body::with_capacity(q.num_atoms(), num_terms, vars.block_len());
+        let mut body = Body::with_capacity(q.num_atoms(), num_terms);
         for i in 0..q.num_atoms() {
             for term in q.atom_terms(i) {
                 match term.get() {
                     ITermView::Var(v, kind) => body.push_var(VarId(v), kind),
-                    ITermView::Const(c) => body.push_const(self.consts[c.index()].as_const_ref()),
+                    ITermView::Const(c) => body.push_const(self.consts[c.index()].as_const_bytes()),
                 }
             }
             body.end_atom(q.relation(i));
@@ -1525,7 +1523,7 @@ mod tests {
             QueryInterner::decode_from(&mut fdc_durability::codec::Cursor::new(&bytes)).unwrap();
         back.check_invariants();
         for (i, constant) in interner.consts.iter().enumerate() {
-            let constant = constant.as_const_ref();
+            let constant = constant.as_const_bytes();
             let hash = constant_hash(constant);
             assert_eq!(interner.find_const(constant, hash), Ok(ConstId(i as u32)));
             assert_eq!(back.find_const(constant, hash), Ok(ConstId(i as u32)));

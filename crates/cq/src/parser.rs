@@ -20,10 +20,11 @@
 //! * Bare identifiers are variables.
 //! * Relation names are resolved against a [`Catalog`]; arities are checked.
 
+use crate::atom::validate_atom;
 use crate::catalog::Catalog;
 use crate::error::{CqError, Result};
 use crate::query::{Body, ConjunctiveQuery, VarTable};
-use crate::term::{ConstRef, VarId, VarKind};
+use crate::term::{ConstBytes, VarId, VarKind};
 
 /// Parses a conjunctive query in datalog notation against a catalog.
 ///
@@ -238,7 +239,7 @@ impl<'a> Parser<'a> {
                 } else {
                     VarKind::Existential
                 };
-                vars.push(kind, name)
+                vars.declare(kind, name)
             });
             (id, vars.kind(id))
         };
@@ -257,8 +258,8 @@ impl<'a> Parser<'a> {
                             let (id, kind) = occurrence(v);
                             body.push_var(id, kind);
                         }
-                        Some(Token::Str(s)) => body.push_const(ConstRef::Str(s)),
-                        Some(Token::Int(i)) => body.push_const(ConstRef::Int(i)),
+                        Some(Token::Str(s)) => body.push_const(ConstBytes::Str(s.as_bytes())),
+                        Some(Token::Int(i)) => body.push_const(ConstBytes::Int(i)),
                         Some(t) => return Err(self.err(format!("unexpected token {t:?} in atom"))),
                         None => return Err(self.err("unterminated atom")),
                     }
@@ -271,7 +272,7 @@ impl<'a> Parser<'a> {
                 }
             }
             self.expect(Token::RParen, "`)` closing the atom")?;
-            body.end_atom(relation).validate(catalog)?;
+            validate_atom(catalog, relation, body.end_atom(relation))?;
 
             match self.peek() {
                 Some(Token::Comma) | Some(Token::And) => {
@@ -296,7 +297,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::term::{VarId, VarKind};
+    use crate::term::{ConstRef, VarId, VarKind};
 
     fn catalog() -> Catalog {
         Catalog::paper_example()

@@ -6,26 +6,35 @@
 //! *existential*.  [`ConjunctiveQuery`] is exactly that representation — the
 //! atoms plus one kind per variable — and what every algorithm reads.
 //!
-//! A query is a 40-byte header and two heap blocks:
+//! A query is a 24-byte header — its canonical hash, its variable count and
+//! a boxed byte slice — and **one heap block**.  Every number the block
+//! stores takes one per-query **width**, the narrowest of 1, 2 or 4 bytes
+//! that holds the largest of them.  The block holds, in this order:
 //!
-//! * the **term slice**: every atom's terms back to back, one 4-byte word
-//!   each, laid out as the interner's [`ITerm`](crate::intern::ITerm): a
-//!   variable's word is its id and its kind bit, a constant's word its index
-//!   in the query's constant table;
-//! * the **meta block**: the atom count, then per atom its relation and the
-//!   end of its terms in the term slice (4 bytes little-endian each), then
-//!   the variable table — a kind byte per variable, each name's end offset,
-//!   and the names back to back — and last, if the query has constants, the
-//!   **constant table**: each distinct constant once, in first-occurrence
-//!   order, as a tag byte and the integer (8 bytes) or the UTF-8 text, then
-//!   each entry's end offset and the entry count (4 bytes each).
+//! * the variable **kinds** as a bitset (a set bit is an existential
+//!   variable), one bit per variable of the header's count;
+//! * the width itself (one byte), the constant count and the atom count;
+//! * the **atom table**: per atom its relation and the end of its terms;
+//! * the **constant table**: each distinct constant once, in
+//!   first-occurrence order — first each entry's end offset, then the
+//!   entries back to back, a tag byte and the integer (8 bytes) or the
+//!   UTF-8 text;
+//! * the **term words**: every atom's terms back to back, one 4-byte
+//!   little-endian word each, laid out as the interner's
+//!   [`ITerm`](crate::intern::ITerm): a variable's word is its id and its
+//!   kind bit, a constant's word its index in the constant table;
+//! * the **names**: each name's end offset, then the names back to back to
+//!   the block's end.
 //!
-//! A constant of any length thus costs no block of its own, and a repeated
-//! one is stored once.  So a query owns exactly two blocks, however many
-//! atoms, variables and constants it has, and a clone allocates exactly
-//! those two.  Every constructor writes the constant table the same way, so
-//! equal queries have equal blocks, which is what the derived `Eq` and
-//! `Hash` compare.
+//! So a variable's kind is one bit at a fixed place, the interner's front
+//! door — counts, atom table, constants, words — reads one run, and the
+//! names, which only display reads, come last.  A constant of any length
+//! costs no block of its own, and a repeated one is stored once.  So a
+//! query owns exactly one block, however many atoms, variables and
+//! constants it has, and a clone allocates exactly that one.  Every
+//! constructor computes the width from the same numbers and writes the
+//! constant table the same way, so equal queries have equal blocks, which
+//! is what the derived `Eq` and `Hash` compare.
 //!
 //! [`atoms`](ConjunctiveQuery::atoms) lends each atom out as an
 //! [`AtomRef`]: its relation and its words, read through the constant table
@@ -56,19 +65,10 @@ use crate::catalog::{Catalog, RelId};
 use crate::error::{CqError, Result};
 use crate::intern::{constant_hash, find_slot, vacant_slot, Numbering, ShapeHasher, EMPTY_SLOT};
 use crate::term::word::{self, Word};
-use crate::term::{ConstRef, Constant, Term, TermRef, VarId, VarKind};
+use crate::term::{ConstBytes, ConstRef, Constant, Term, TermRef, VarId, VarKind};
 
-/// Bytes of the meta block's atom count.
-const COUNT_BYTES: usize = 4;
-
-/// Bytes per atom in the meta block's atom table: its relation, then the
-/// end of its terms.
-const ENTRY_BYTES: usize = 8;
-
-/// Set in the header's variable count when the meta block ends with a
-/// constant table.  A word holds a 30-bit variable id, so the count never
-/// reaches this bit.
-const HAS_CONSTS: u32 = 1 << 31;
+/// Bytes per term word.
+const WORD_BYTES: usize = 4;
 
 /// The constant table's tag bytes.
 const CONST_INT: u8 = 0;
@@ -76,61 +76,131 @@ const CONST_STR: u8 = 1;
 
 /// The little-endian `u32` at `at`.
 #[inline]
-fn read_u32(bytes: &[u8], at: usize) -> u32 {
-    let mut word = [0; 4];
-    word.copy_from_slice(&bytes[at..at + 4]);
-    u32::from_le_bytes(word)
+pub(crate) fn read_u32(bytes: &[u8], at: usize) -> u32 {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().expect("four bytes"))
 }
 
-/// The constant table entry of `constant`: its tag, then the integer's 8
-/// little-endian bytes or the text.
-fn put_entry(out: &mut Vec<u8>, constant: ConstRef<'_>) {
+/// The little-endian number of `width` (1, 2 or 4) bytes at `at`.
+#[inline]
+fn read(bytes: &[u8], at: usize, width: usize) -> usize {
+    match width {
+        1 => usize::from(bytes[at]),
+        2 => usize::from(u16::from_le_bytes(
+            bytes[at..at + 2].try_into().expect("two bytes"),
+        )),
+        _ => read_u32(bytes, at) as usize,
+    }
+}
+
+/// Writes `value` as `width` little-endian bytes at `at`.
+#[inline]
+fn write(bytes: &mut [u8], at: usize, width: usize, value: usize) {
+    debug_assert!(
+        width == 4 || value >> (8 * width) == 0,
+        "{value} fits in {width} bytes"
+    );
+    bytes[at..at + width].copy_from_slice(&(value as u32).to_le_bytes()[..width]);
+}
+
+/// The narrowest of 1, 2 and 4 bytes that holds `max`.
+fn width_of(max: usize) -> usize {
+    if max <= usize::from(u8::MAX) {
+        1
+    } else if max <= usize::from(u16::MAX) {
+        2
+    } else {
+        4
+    }
+}
+
+/// Bytes of the constant table entry of `constant`: its tag and value.
+pub(crate) fn entry_len(constant: ConstBytes<'_>) -> usize {
     match constant {
-        ConstRef::Int(i) => {
-            out.push(CONST_INT);
-            out.extend_from_slice(&i.to_le_bytes());
+        ConstBytes::Int(_) => 1 + 8,
+        ConstBytes::Str(text) => 1 + text.len(),
+    }
+}
+
+/// Writes the constant table entry of `constant` — its tag, then the
+/// integer's 8 little-endian bytes or the text — at the start of `out`.
+fn put_entry(out: &mut [u8], constant: ConstBytes<'_>) {
+    match constant {
+        ConstBytes::Int(i) => {
+            out[0] = CONST_INT;
+            out[1..9].copy_from_slice(&i.to_le_bytes());
         }
-        ConstRef::Str(s) => {
-            out.push(CONST_STR);
-            out.extend_from_slice(s.as_bytes());
+        ConstBytes::Str(text) => {
+            out[0] = CONST_STR;
+            out[1..1 + text.len()].copy_from_slice(text);
         }
     }
 }
 
 /// True if `entry` is the entry of `constant`, compared as bytes.
-fn entry_is(entry: &[u8], constant: ConstRef<'_>) -> bool {
+fn entry_is(entry: &[u8], constant: ConstBytes<'_>) -> bool {
     match constant {
-        ConstRef::Int(i) => entry[0] == CONST_INT && entry[1..] == i.to_le_bytes(),
-        ConstRef::Str(s) => entry[0] == CONST_STR && &entry[1..] == s.as_bytes(),
+        ConstBytes::Int(i) => entry[0] == CONST_INT && entry[1..] == i.to_le_bytes(),
+        ConstBytes::Str(text) => entry[0] == CONST_STR && &entry[1..] == text,
     }
 }
 
-/// A query's constant table, borrowed: the entries back to back, and each
-/// entry's end offset (little-endian `u32`s).  Empty for a query without
+/// The constant an entry holds, its text as bytes.
+#[inline]
+fn entry_bytes(entry: &[u8]) -> ConstBytes<'_> {
+    if entry[0] == CONST_INT {
+        ConstBytes::Int(i64::from_le_bytes(
+            entry[1..]
+                .try_into()
+                .expect("an integer entry holds 8 bytes"),
+        ))
+    } else {
+        ConstBytes::Str(&entry[1..])
+    }
+}
+
+/// A query's constant table, borrowed: each entry's end offset at the
+/// table's width, then the entries back to back.  Empty for a query without
 /// constants.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct ConstTable<'a> {
-    entries: &'a [u8],
-    ends: &'a [u8],
+    /// The end offsets, then the entries.
+    bytes: &'a [u8],
+    /// Bytes of the end offsets: where the entries start.
+    ends_len: u32,
+    /// Bytes per end offset.
+    width: u8,
 }
 
 impl<'a> ConstTable<'a> {
     /// Number of distinct constants.
-    #[inline]
+    #[cfg(test)]
     pub(crate) fn len(self) -> usize {
-        self.ends.len() / 4
+        self.ends_len as usize / usize::from(self.width)
+    }
+
+    /// Where entry `k` ends in the entries.
+    #[inline]
+    fn end(self, k: usize) -> usize {
+        let width = usize::from(self.width);
+        read(self.bytes, k * width, width)
     }
 
     /// The bytes of entry `index`: its tag, then its value.
     #[inline]
     fn entry(self, index: u32) -> &'a [u8] {
         let k = index as usize;
-        let start = if k == 0 {
-            0
-        } else {
-            read_u32(self.ends, 4 * (k - 1)) as usize
-        };
-        &self.entries[start..read_u32(self.ends, 4 * k) as usize]
+        let start = if k == 0 { 0 } else { self.end(k - 1) };
+        &self.bytes[self.ends_len as usize..][start..self.end(k)]
+    }
+
+    /// The constant at `index`, its text as bytes (no UTF-8 check).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table holds no constant at `index`.
+    #[inline]
+    pub(crate) fn bytes(self, index: u32) -> ConstBytes<'a> {
+        entry_bytes(self.entry(index))
     }
 
     /// The constant at `index`.
@@ -140,15 +210,11 @@ impl<'a> ConstTable<'a> {
     /// Panics if the table holds no constant at `index`.
     #[inline]
     pub(crate) fn get(self, index: u32) -> ConstRef<'a> {
-        let entry = self.entry(index);
-        if entry[0] == CONST_INT {
-            ConstRef::Int(i64::from_le_bytes(
-                entry[1..]
-                    .try_into()
-                    .expect("an integer entry holds 8 bytes"),
-            ))
-        } else {
-            ConstRef::Str(std::str::from_utf8(&entry[1..]).expect("a string entry is UTF-8"))
+        match self.bytes(index) {
+            ConstBytes::Int(i) => ConstRef::Int(i),
+            ConstBytes::Str(text) => {
+                ConstRef::Str(std::str::from_utf8(text).expect("a string entry is UTF-8"))
+            }
         }
     }
 
@@ -156,7 +222,7 @@ impl<'a> ConstTable<'a> {
     /// (without `get`'s UTF-8 check).
     #[inline]
     pub(crate) fn is(self, index: u32, constant: &Constant) -> bool {
-        entry_is(self.entry(index), constant.as_const_ref())
+        entry_is(self.entry(index), constant.as_const_bytes())
     }
 
     /// The term a word of this table's query stands for.
@@ -170,12 +236,12 @@ impl<'a> ConstTable<'a> {
 }
 
 /// The constant table of a query under construction: its distinct
-/// constants in first-occurrence order, laid out as the finished query's
-/// meta block ends.
+/// constants in first-occurrence order, the entries back to back and each
+/// entry's end offset.
 #[derive(Debug, Default, Clone)]
 struct ConstTableBuilder {
     entries: Vec<u8>,
-    ends: Vec<u8>,
+    ends: Vec<u32>,
     /// An open-addressed table of the constants' indices under
     /// [`constant_hash`], at most half full, so a body of many distinct
     /// constants is laid out in linear time; empty before the first.
@@ -183,30 +249,24 @@ struct ConstTableBuilder {
 }
 
 impl ConstTableBuilder {
-    fn table(&self) -> ConstTable<'_> {
-        ConstTable {
-            entries: &self.entries,
-            ends: &self.ends,
-        }
+    /// Number of distinct constants.
+    fn len(&self) -> usize {
+        self.ends.len()
     }
 
-    /// Bytes of the packed table: entries, end offsets and count.
-    fn block_len(&self) -> usize {
-        if self.ends.is_empty() {
-            0
-        } else {
-            self.entries.len() + self.ends.len() + 4
-        }
+    /// The bytes of entry `k`.
+    fn entry(&self, k: usize) -> &[u8] {
+        let start = if k == 0 { 0 } else { self.ends[k - 1] as usize };
+        &self.entries[start..self.ends[k] as usize]
     }
 
     /// Re-indexes the table's constants in an index of `slots` slots, a
     /// power of two at least twice their number.
     fn reindex(&mut self, slots: usize) {
-        let table = self.table();
         let mut index = vec![EMPTY_SLOT; slots];
-        for k in 0..table.len() as u32 {
-            let slot = vacant_slot(&index, constant_hash(table.get(k)));
-            index[slot] = k;
+        for k in 0..self.len() {
+            let slot = vacant_slot(&index, constant_hash(entry_bytes(self.entry(k))));
+            index[slot] = k as u32;
         }
         self.index = index;
     }
@@ -217,21 +277,24 @@ impl ConstTableBuilder {
     ///
     /// Panics on the 2³¹-th distinct constant, which no word can index,
     /// and once the entries total 4 GiB.
-    fn add(&mut self, constant: ConstRef<'_>) -> u32 {
-        let table = self.table();
+    fn add(&mut self, constant: ConstBytes<'_>) -> u32 {
         let hash = constant_hash(constant);
-        let slot = match find_slot(&self.index, hash, |k| entry_is(table.entry(k), constant)) {
+        let slot = match find_slot(&self.index, hash, |k| {
+            entry_is(self.entry(k as usize), constant)
+        }) {
             Ok(index) => return index,
             Err(slot) => slot,
         };
-        let index = table.len();
+        let index = self.len();
         assert!(
             index <= word::MAX_CONST as usize,
             "a query holds 2^31 distinct constants; a word cannot index another"
         );
-        put_entry(&mut self.entries, constant);
+        let at = self.entries.len();
+        self.entries.resize(at + entry_len(constant), 0);
+        put_entry(&mut self.entries[at..], constant);
         let end = u32::try_from(self.entries.len()).expect("a query's constants fit in 4 GiB");
-        self.ends.extend_from_slice(&end.to_le_bytes());
+        self.ends.push(end);
         let len = index + 1;
         if len * 2 > self.index.len() {
             self.reindex((len * 2).next_power_of_two());
@@ -241,15 +304,11 @@ impl ConstTableBuilder {
         index as u32
     }
 
-    /// Appends the packed table: the entries, their end offsets, their
-    /// count.
-    fn write_block(&self, out: &mut Vec<u8>) {
-        if self.ends.is_empty() {
-            return;
+    /// Writes the table into a block laid out for it.
+    fn write_into(&self, block: &mut BlockWriter) {
+        for k in 0..self.len() {
+            block.push_entry(self.entry(k));
         }
-        out.extend_from_slice(&self.entries);
-        out.extend_from_slice(&self.ends);
-        out.extend_from_slice(&(self.table().len() as u32).to_le_bytes());
     }
 }
 
@@ -263,7 +322,7 @@ impl ConstTableBuilder {
 /// * the body is non-empty.
 ///
 /// Two queries are equal when their atoms, kinds and the list of their
-/// variable names are equal.  The meta block is a function of the atoms'
+/// variable names are equal.  The block is a function of the atoms'
 /// relations, arities and constants and of that list — its end offsets
 /// mark where each name stops — so `["ab", "c"]` and `["a", "bc"]` differ.
 /// The stored hash is a function of the atoms, so it changes nothing about
@@ -273,35 +332,419 @@ impl ConstTableBuilder {
 pub struct ConjunctiveQuery {
     /// The canonical hash of the atoms, set by every constructor.
     shape_hash: u32,
-    /// The variable count, with [`HAS_CONSTS`] set if the meta block ends
-    /// with a constant table.
+    /// The number of variables.
     vars: u32,
-    /// The atom count, then per atom its relation and the end of its terms
-    /// in `terms` (little-endian `u32`s), then the variable table: one kind
-    /// byte per variable, then each name's end offset (little-endian, 2
-    /// bytes, or 4 once the names total more than `u16::MAX` bytes — see
-    /// [`offset_width`](Self::offset_width)), then every name back to back
-    /// in id order.  Atom `i`'s terms start where `i - 1`'s end, and so do
-    /// variable `i`'s name bytes.  Then, under [`HAS_CONSTS`], the constant
-    /// table: the entries back to back, each entry's end offset and the
-    /// entry count (little-endian `u32`s).
-    meta: Box<[u8]>,
-    /// Every atom's terms, back to back in atom order, one word each
-    /// ([`word`]).
-    terms: Box<[u32]>,
+    /// The query's one block ([`Layout`]): the kind bitset; the width
+    /// byte; then, every number at that width, the constant and atom
+    /// counts, per atom its relation and the end of its terms, each
+    /// constant's end offset and the constants' entries back to back; every
+    /// atom's terms back to back in atom order, one little-endian [`word`]
+    /// each; each name's end offset and the names back to back in id order.
+    /// Atom `i`'s terms start where `i - 1`'s end, and so do constant `i`'s
+    /// entry and variable `i`'s name bytes.
+    block: Box<[u8]>,
 }
 
-/// A variable kind as the variable table stores it.
-fn kind_byte(kind: VarKind) -> u8 {
-    match kind {
-        VarKind::Distinguished => 0,
-        VarKind::Existential => 1,
+/// Where each part of a query's block lies: the numbers the block is laid
+/// out from, and the width they fix.  The kind bitset comes first, so a
+/// variable's kind is read without reading anything else; then the parts
+/// come in the order the interner's front door reads them, one run: the
+/// width byte, the constant and atom counts, the atom table, the constant
+/// table (end offsets, then entries) and the term words; last the name end
+/// offsets and the names, which only display reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Layout {
+    /// Bytes per number the block stores: 1, 2 or 4.
+    width: usize,
+    /// Term words.
+    terms: usize,
+    atoms: usize,
+    vars: usize,
+    /// Bytes of the names.
+    name_bytes: usize,
+    /// Distinct constants.
+    consts: usize,
+    /// Bytes of the constant table's entries.
+    const_bytes: usize,
+}
+
+impl Layout {
+    /// The layout of a block of these parts, at the narrowest width that
+    /// holds every number it stores: the counts, the relations, and the
+    /// last (so largest) term, name and constant end.
+    fn new(
+        terms: usize,
+        atoms: usize,
+        vars: usize,
+        name_bytes: usize,
+        (consts, const_bytes): (usize, usize),
+        max_relation: u32,
+    ) -> Self {
+        let max = terms
+            .max(atoms)
+            .max(name_bytes)
+            .max(const_bytes)
+            .max(max_relation as usize);
+        Layout {
+            width: width_of(max),
+            terms,
+            atoms,
+            vars,
+            name_bytes,
+            consts,
+            const_bytes,
+        }
+    }
+
+    /// The layout of `block`, a query's of `vars` variables.
+    #[inline]
+    fn of(block: &[u8], vars: usize) -> Self {
+        let head = Head::of(block, vars);
+        let width = head.width;
+        let terms = if head.atoms == 0 {
+            0
+        } else {
+            read(block, head.const_table - width, width)
+        };
+        let mut layout = Layout {
+            width,
+            terms,
+            atoms: head.atoms,
+            vars,
+            name_bytes: 0,
+            consts: head.consts,
+            const_bytes: head.const_bytes,
+        };
+        layout.name_bytes = block.len() - layout.names();
+        layout
+    }
+
+    /// Where the width byte lies: past the kind bitset, which starts the
+    /// block.
+    #[inline]
+    fn width_at(&self) -> usize {
+        self.vars.div_ceil(8)
+    }
+
+    /// Where the atom table starts: past the width byte and the counts.
+    #[inline]
+    fn atom_table(&self) -> usize {
+        self.width_at() + 1 + 2 * self.width
+    }
+
+    /// Where the constant table starts: its end offsets, then its entries.
+    #[inline]
+    fn const_table(&self) -> usize {
+        self.atom_table() + 2 * self.width * self.atoms
+    }
+
+    /// Where the constant table's entries start.
+    #[inline]
+    fn entries(&self) -> usize {
+        self.const_table() + self.consts * self.width
+    }
+
+    /// Where the term words start: past the constant table.
+    #[inline]
+    fn words(&self) -> usize {
+        self.entries() + self.const_bytes
+    }
+
+    /// Where the name end offsets start: past the term words.
+    #[inline]
+    fn name_ends(&self) -> usize {
+        self.words() + WORD_BYTES * self.terms
+    }
+
+    /// Where the names start; they run to the block's end.
+    #[inline]
+    fn names(&self) -> usize {
+        self.name_ends() + self.vars * self.width
+    }
+
+    /// Bytes of the block.
+    #[inline]
+    fn len(&self) -> usize {
+        self.names() + self.name_bytes
     }
 }
 
-/// The kind a [`kind_byte`] stands for.
-fn byte_kind(byte: u8) -> VarKind {
-    if byte == 0 {
+/// The start of a query's block, what every reader reads first: the width,
+/// the two counts, and where the atom table, the constant table and the
+/// words lie.
+#[derive(Debug, Clone, Copy)]
+struct Head {
+    width: usize,
+    consts: usize,
+    atoms: usize,
+    /// Where the atom table starts: past the counts.
+    atom_table: usize,
+    /// Where the constant table starts: past the atom table.
+    const_table: usize,
+    /// Bytes of the constant table's entries.
+    const_bytes: usize,
+    /// Where the words start: past the constant table.
+    words: usize,
+}
+
+impl Head {
+    /// The head of `block`, a query's of `vars` variables: it starts past
+    /// their kind bitset.
+    #[inline]
+    fn of(block: &[u8], vars: usize) -> Self {
+        let at = vars.div_ceil(8);
+        let width = usize::from(block[at]);
+        let consts = read(block, at + 1, width);
+        let atoms = read(block, at + 1 + width, width);
+        let atom_table = at + 1 + 2 * width;
+        let const_table = atom_table + 2 * width * atoms;
+        let entries = const_table + consts * width;
+        let const_bytes = if consts == 0 {
+            0
+        } else {
+            read(block, entries - width, width)
+        };
+        Head {
+            width,
+            consts,
+            atoms,
+            atom_table,
+            const_table,
+            const_bytes,
+            words: entries + const_bytes,
+        }
+    }
+
+    /// The atom table of `block`: per atom its relation and term end.
+    #[inline]
+    fn atoms_of(self, block: &[u8]) -> &[u8] {
+        &block[self.atom_table..self.const_table]
+    }
+
+    /// The constant table of `block`.
+    #[inline]
+    fn consts_of(self, block: &[u8]) -> ConstTable<'_> {
+        ConstTable {
+            bytes: &block[self.const_table..self.words],
+            ends_len: (self.consts * self.width) as u32,
+            width: self.width as u8,
+        }
+    }
+}
+
+/// A query's block being written, every part at its [`Layout`]'s place:
+/// allocated once, at its final length, and handed to the query as is.
+pub(crate) struct BlockWriter {
+    block: Vec<u8>,
+    layout: Layout,
+    /// Words, names, name bytes, constants, constant bytes and atoms
+    /// written so far.
+    words: usize,
+    names: usize,
+    name_bytes: usize,
+    consts: usize,
+    const_bytes: usize,
+    atoms: usize,
+}
+
+impl BlockWriter {
+    /// A block of `layout`, its width and counts written.
+    fn new(layout: Layout) -> Self {
+        let mut block = vec![0; layout.len()];
+        let width = layout.width;
+        let at = layout.width_at();
+        block[at] = width as u8;
+        write(&mut block, at + 1, width, layout.consts);
+        write(&mut block, at + 1 + width, width, layout.atoms);
+        BlockWriter {
+            block,
+            layout,
+            words: 0,
+            names: 0,
+            name_bytes: 0,
+            consts: 0,
+            const_bytes: 0,
+            atoms: 0,
+        }
+    }
+
+    /// A block for a body of `terms` terms in `atoms` atoms over relations
+    /// up to `max_relation`, `vars` variables whose names total
+    /// `name_bytes` bytes and `consts` distinct constants whose entries
+    /// total `const_bytes` bytes, to fill in that order: kinds and names,
+    /// then each atom's terms and its end.  Fails on more variables than a
+    /// word can tell apart.
+    pub(crate) fn for_parts(
+        terms: usize,
+        atoms: usize,
+        vars: usize,
+        name_bytes: usize,
+        (consts, const_bytes): (usize, usize),
+        max_relation: u32,
+    ) -> Result<Self> {
+        check_var_count(vars)?;
+        let layout = Layout::new(
+            terms,
+            atoms,
+            vars,
+            name_bytes,
+            (consts, const_bytes),
+            max_relation,
+        );
+        Ok(BlockWriter::new(layout))
+    }
+
+    /// Appends variable `v` with the kind [`set_kind`](Self::set_kind)
+    /// recorded for it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is not one of the block's variables.
+    #[inline]
+    pub(crate) fn push_var(&mut self, v: VarId) {
+        self.push_word(word::var(v, self.kind(v.index())));
+    }
+
+    /// Appends the constant at `index` of the constant table, entering it
+    /// if `index` is the next one: constants are entered in
+    /// first-occurrence order.
+    #[inline]
+    pub(crate) fn push_constant(&mut self, index: u32, constant: ConstBytes<'_>) {
+        if index as usize == self.consts {
+            self.push_const(constant);
+        }
+        self.push_word(word::constant(index));
+    }
+
+    /// Ends the atom over `relation` whose terms are those pushed since the
+    /// previous atom ended.
+    #[inline]
+    pub(crate) fn end_atom(&mut self, relation: RelId) {
+        self.push_atom(relation, self.words);
+    }
+
+    /// The query of the filled block, validated as
+    /// [`ConjunctiveQuery::from_parts`] validates one.
+    pub(crate) fn build(self) -> Result<ConjunctiveQuery> {
+        if self.layout.atoms == 0 {
+            return Err(CqError::EmptyBody);
+        }
+        let mut query = self.finish();
+        query.shape_hash = query.check(true)?;
+        Ok(query)
+    }
+
+    /// Records variable `v`'s kind (the bitset starts all distinguished).
+    #[inline]
+    pub(crate) fn set_kind(&mut self, v: usize, kind: VarKind) {
+        if kind.is_existential() {
+            self.block[v / 8] |= 1 << (v % 8);
+        }
+    }
+
+    /// The kind recorded for variable `v`.
+    #[inline]
+    fn kind(&self, v: usize) -> VarKind {
+        kind_bit(&self.block, v)
+    }
+
+    /// Names the next variable.
+    pub(crate) fn push_name(&mut self, name: &[u8]) {
+        let at = self.layout.names() + self.name_bytes;
+        self.block[at..at + name.len()].copy_from_slice(name);
+        self.name_bytes += name.len();
+        let width = self.layout.width;
+        let end = self.layout.name_ends() + self.names * width;
+        write(&mut self.block, end, width, self.name_bytes);
+        self.names += 1;
+    }
+
+    /// Copies `query`'s variable kinds and names.
+    fn copy_vars(&mut self, query: &ConjunctiveQuery) {
+        let from = query.layout();
+        let kinds = from.width_at();
+        self.block[..kinds].copy_from_slice(&query.block[..kinds]);
+        let names = &query.block[from.names()..];
+        let mut start = 0;
+        for i in 0..from.vars {
+            let end = query.name_end(&from, i);
+            self.push_name(&names[start..end]);
+            start = end;
+        }
+    }
+
+    /// Appends a term word.
+    #[inline]
+    fn push_word(&mut self, word: u32) {
+        let at = self.layout.words() + WORD_BYTES * self.words;
+        self.block[at..at + WORD_BYTES].copy_from_slice(&word.to_le_bytes());
+        self.words += 1;
+    }
+
+    /// Appends words already laid out, 4 little-endian bytes each.
+    fn push_word_bytes(&mut self, words: &[u8]) {
+        let at = self.layout.words() + WORD_BYTES * self.words;
+        self.block[at..at + words.len()].copy_from_slice(words);
+        self.words += words.len() / WORD_BYTES;
+    }
+
+    /// Appends the next constant's entry, given as its bytes.
+    fn push_entry(&mut self, entry: &[u8]) {
+        let at = self.layout.entries() + self.const_bytes;
+        self.block[at..at + entry.len()].copy_from_slice(entry);
+        self.end_entry(entry.len());
+    }
+
+    /// Appends the next constant.
+    fn push_const(&mut self, constant: ConstBytes<'_>) {
+        let at = self.layout.entries() + self.const_bytes;
+        let len = entry_len(constant);
+        put_entry(&mut self.block[at..at + len], constant);
+        self.end_entry(len);
+    }
+
+    fn end_entry(&mut self, len: usize) {
+        self.const_bytes += len;
+        let width = self.layout.width;
+        let end = self.layout.const_table() + self.consts * width;
+        write(&mut self.block, end, width, self.const_bytes);
+        self.consts += 1;
+    }
+
+    /// Appends the atom over `relation` whose terms end at word `end`.
+    #[inline]
+    fn push_atom(&mut self, relation: RelId, end: usize) {
+        let width = self.layout.width;
+        let at = self.layout.atom_table() + 2 * width * self.atoms;
+        write(&mut self.block, at, width, relation.0 as usize);
+        write(&mut self.block, at + width, width, end);
+        self.atoms += 1;
+    }
+
+    /// The query of the written block, its hash not set yet.
+    fn finish(self) -> ConjunctiveQuery {
+        let layout = self.layout;
+        debug_assert_eq!(
+            (self.words, self.atoms, self.names, self.name_bytes),
+            (layout.terms, layout.atoms, layout.vars, layout.name_bytes),
+            "every part is written"
+        );
+        debug_assert_eq!(
+            (self.consts, self.const_bytes),
+            (layout.consts, layout.const_bytes)
+        );
+        ConjunctiveQuery {
+            shape_hash: 0,
+            vars: layout.vars as u32,
+            block: self.block.into_boxed_slice(),
+        }
+    }
+}
+
+/// The kind of variable `v` in a kind bitset.
+#[inline]
+fn kind_bit(kinds: &[u8], v: usize) -> VarKind {
+    if kinds[v / 8] & (1 << (v % 8)) == 0 {
         VarKind::Distinguished
     } else {
         VarKind::Existential
@@ -316,6 +759,10 @@ pub(crate) struct VarTable {
     kinds: Vec<VarKind>,
     names: String,
     ends: Vec<u32>,
+    /// An open-addressed table of the variables, under the hash of their
+    /// names, at most half full: what [`find`](Self::find) probes.  Kept by
+    /// [`declare`](Self::declare); empty in a table built otherwise.
+    index: Vec<u32>,
 }
 
 impl VarTable {
@@ -326,6 +773,7 @@ impl VarTable {
             names: String::with_capacity(name_bytes),
             ends: Vec::with_capacity(kinds.len()),
             kinds,
+            index: Vec::new(),
         }
     }
 
@@ -345,12 +793,14 @@ impl VarTable {
 
     /// A copy of `query`'s variables, to declare more after them.
     pub(crate) fn of(query: &ConjunctiveQuery) -> Self {
+        let layout = query.layout();
         VarTable {
             kinds: query.var_kinds().collect(),
             names: query.names().to_owned(),
             ends: (0..query.num_vars())
-                .map(|i| query.name_end(i) as u32)
+                .map(|i| query.name_end(&layout, i) as u32)
                 .collect(),
+            index: Vec::new(),
         }
     }
 
@@ -359,6 +809,32 @@ impl VarTable {
         self.kinds.push(kind);
         self.name_next(name);
         VarId(self.len() as u32 - 1)
+    }
+
+    /// Declares a new variable that [`find`](Self::find) finds by its
+    /// name; returns its id.  A table `find` reads declares every variable
+    /// this way.
+    pub(crate) fn declare(&mut self, kind: VarKind, name: &str) -> VarId {
+        let v = self.push(kind, name);
+        let len = self.len();
+        if len * 2 > self.index.len() {
+            self.reindex((len * 2).next_power_of_two());
+        } else {
+            let slot = vacant_slot(&self.index, name_hash(name));
+            self.index[slot] = v.0;
+        }
+        v
+    }
+
+    /// Indexes every variable in an index of `slots` slots, a power of two
+    /// at least twice their number.
+    fn reindex(&mut self, slots: usize) {
+        let mut index = vec![EMPTY_SLOT; slots];
+        for v in 0..self.len() as u32 {
+            let slot = vacant_slot(&index, name_hash(self.name(VarId(v))));
+            index[slot] = v;
+        }
+        self.index = index;
     }
 
     /// Names the first variable that has no name yet.
@@ -381,6 +857,10 @@ impl VarTable {
         self.kinds.len()
     }
 
+    fn is_empty(&self) -> bool {
+        self.kinds.is_empty()
+    }
+
     /// The kind declared for `v`.
     pub(crate) fn kind(&self, v: VarId) -> VarKind {
         self.kinds[v.index()]
@@ -392,90 +872,61 @@ impl VarTable {
         &self.names[start..self.ends[i] as usize]
     }
 
-    /// The variable declared as `name`, if any.  A linear scan: a query has
-    /// few variables, and their names sit in one buffer.
+    /// The variable [`declare`](Self::declare) declared as `name`, if any:
+    /// one probe of the name index, comparing names in the packed buffer.
     pub(crate) fn find(&self, name: &str) -> Option<VarId> {
-        (0..self.len() as u32)
-            .map(VarId)
-            .find(|&v| self.name(v) == name)
+        debug_assert!(
+            self.len() * 2 <= self.index.len() || self.is_empty(),
+            "find reads a table that declare built"
+        );
+        find_slot(&self.index, name_hash(name), |v| {
+            self.name(VarId(v)) == name
+        })
+        .ok()
+        .map(VarId)
     }
 
-    /// Bytes per name end offset once packed: 2 while the names fit in
-    /// `u16::MAX` bytes, 4 past that.
-    fn offset_width(&self) -> usize {
-        if self.names.len() > usize::from(u16::MAX) {
-            4
-        } else {
-            2
-        }
-    }
-
-    /// Bytes of the packed table: [`write_block`](Self::write_block)'s
-    /// output.
-    pub(crate) fn block_len(&self) -> usize {
-        self.len() * (1 + self.offset_width()) + self.names.len()
-    }
-
-    /// Appends the table as the meta block stores it: the kind bytes, the
-    /// name end offsets, the names.
-    fn write_block(&self, out: &mut Vec<u8>) {
+    /// Writes the kinds and names into a block laid out for them.
+    fn write_into(&self, block: &mut BlockWriter) {
         debug_assert_eq!(self.ends.len(), self.kinds.len(), "every variable is named");
-        out.extend(self.kinds.iter().map(|&kind| kind_byte(kind)));
-        let wide = self.offset_width() == 4;
-        for &end in &self.ends {
-            if wide {
-                out.extend_from_slice(&end.to_le_bytes());
-            } else {
-                let end = u16::try_from(end).expect("the names fit in u16::MAX bytes");
-                out.extend_from_slice(&end.to_le_bytes());
-            }
+        for (v, &kind) in self.kinds.iter().enumerate() {
+            block.set_kind(v, kind);
+            block.push_name(self.name(VarId(v as u32)).as_bytes());
         }
-        out.extend_from_slice(self.names.as_bytes());
     }
 }
 
-/// A query body while its constructor lays it out, already as the finished
-/// query stores it: every term's word back to back, the head of the meta
-/// block — the atom count, then per atom its relation and term end — and
-/// the constant table.  Sized up front
-/// ([`with_capacity`](Self::with_capacity)), a body without constants
-/// becomes the query's blocks without a copy.
+/// The key of a variable name in a [`VarTable`]'s index.
+fn name_hash(name: &str) -> u32 {
+    constant_hash(ConstBytes::Str(name.as_bytes()))
+}
+
+/// A query body while its constructor lays it out: every term's word back
+/// to back (4 little-endian bytes each, as the finished query stores them),
+/// per atom its relation and term end, and the constant table.  The query's
+/// block is written from it in one pass, at its final size.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct Body {
-    terms: Vec<u32>,
-    /// Empty until the first atom ends or a capacity is given.
-    meta: Vec<u8>,
+    words: Vec<u8>,
+    atoms: Vec<(RelId, u32)>,
     consts: ConstTableBuilder,
 }
 
 impl Body {
     /// An empty body with room for `num_atoms` atoms of `num_terms` terms in
-    /// all, followed by a variable table of `var_bytes` bytes.
-    pub(crate) fn with_capacity(num_atoms: usize, num_terms: usize, var_bytes: usize) -> Self {
-        let mut meta = Vec::with_capacity(COUNT_BYTES + ENTRY_BYTES * num_atoms + var_bytes);
-        meta.extend_from_slice(&0u32.to_le_bytes());
+    /// all.
+    pub(crate) fn with_capacity(num_atoms: usize, num_terms: usize) -> Self {
         Body {
-            terms: Vec::with_capacity(num_terms),
-            meta,
+            words: Vec::with_capacity(WORD_BYTES * num_terms),
+            atoms: Vec::with_capacity(num_atoms),
             consts: ConstTableBuilder::default(),
         }
     }
 
-    /// Makes room in the constant table for up to `count` constants whose
-    /// values total `value_bytes` bytes, so entering them grows no buffer.
-    pub(crate) fn reserve_consts(&mut self, count: usize, value_bytes: usize) {
-        if count > 0 {
-            self.consts.entries.reserve_exact(count + value_bytes);
-            self.consts.ends.reserve_exact(4 * count);
-            self.consts.reindex((count * 2).next_power_of_two());
-        }
-    }
-
-    /// `atoms` laid out, with room for a variable table of `var_bytes`
-    /// bytes.  Fails on a variable id wider than a word holds.
-    pub(crate) fn of_atoms(atoms: &[Atom], var_bytes: usize) -> Result<Self> {
+    /// `atoms` laid out.  Fails on a variable id wider than a word holds.
+    pub(crate) fn of_atoms(atoms: &[Atom]) -> Result<Self> {
         let num_terms = atoms.iter().map(|atom| atom.terms.len()).sum();
-        let mut body = Body::with_capacity(atoms.len(), num_terms, var_bytes);
+        let mut body = Body::with_capacity(atoms.len(), num_terms);
         for atom in atoms {
             for term in atom.terms.iter() {
                 if let Term::Var(v, _) = term {
@@ -492,6 +943,11 @@ impl Body {
         Ok(body)
     }
 
+    #[inline]
+    fn push_word(&mut self, word: u32) {
+        self.words.extend_from_slice(&word.to_le_bytes());
+    }
+
     /// Appends variable `v` of kind `kind` to the atom being laid out.
     ///
     /// # Panics
@@ -499,15 +955,15 @@ impl Body {
     /// Panics if `v` is wider than 30 bits.
     #[inline]
     pub(crate) fn push_var(&mut self, v: VarId, kind: VarKind) {
-        self.terms.push(word::var(v, kind));
+        self.push_word(word::var(v, kind));
     }
 
     /// Appends a constant to the atom being laid out, entering it into the
     /// constant table on first sight.
     #[inline]
-    pub(crate) fn push_const(&mut self, constant: ConstRef<'_>) {
+    pub(crate) fn push_const(&mut self, constant: ConstBytes<'_>) {
         let index = self.consts.add(constant);
-        self.terms.push(word::constant(index));
+        self.push_word(word::constant(index));
     }
 
     /// Appends a term to the atom being laid out.
@@ -515,32 +971,18 @@ impl Body {
     pub(crate) fn push_term(&mut self, term: TermRef<'_>) {
         match term {
             TermRef::Var(v, kind) => self.push_var(v, kind),
-            TermRef::Const(constant) => self.push_const(constant),
+            TermRef::Const(constant) => self.push_const(constant.as_const_bytes()),
         }
     }
 
     /// Ends the atom over `relation` whose terms are those pushed since the
-    /// previous atom ended, and returns it.
-    pub(crate) fn end_atom(&mut self, relation: RelId) -> AtomRef<'_> {
-        let start = self.last_end();
-        if self.meta.is_empty() {
-            self.meta.extend_from_slice(&0u32.to_le_bytes());
-        }
-        let count = read_u32(&self.meta, 0) + 1;
-        self.meta[..COUNT_BYTES].copy_from_slice(&count.to_le_bytes());
-        let end = u32::try_from(self.terms.len()).expect("a query has at most 2^32 terms");
-        self.meta.extend_from_slice(&relation.0.to_le_bytes());
-        self.meta.extend_from_slice(&end.to_le_bytes());
-        AtomRef::of_words(relation, &self.terms[start..], self.consts.table())
-    }
-
-    /// Where the last atom's terms end: where the next atom's start.
-    fn last_end(&self) -> usize {
-        if self.meta.len() > COUNT_BYTES {
-            read_u32(&self.meta, self.meta.len() - 4) as usize
-        } else {
-            0
-        }
+    /// previous atom ended, and returns its arity.
+    pub(crate) fn end_atom(&mut self, relation: RelId) -> usize {
+        let start = self.atoms.last().map_or(0, |&(_, end)| end as usize);
+        let end =
+            u32::try_from(self.words.len() / WORD_BYTES).expect("a query has at most 2^32 terms");
+        self.atoms.push((relation, end));
+        end as usize - start
     }
 }
 
@@ -612,58 +1054,67 @@ impl ConjunctiveQuery {
     /// Builds a query from atoms and the table its constructor declared the
     /// variables in, validating the invariants.
     pub(crate) fn from_table(atoms: &[Atom], vars: VarTable) -> Result<Self> {
-        let body = Body::of_atoms(atoms, vars.block_len())?;
-        ConjunctiveQuery::from_body(body, vars, true)
+        ConjunctiveQuery::from_body(Body::of_atoms(atoms)?, vars, true)
     }
 
     /// Builds a query from a laid-out body and its variable table,
     /// validating the invariants (all but "every declared variable occurs"
     /// when `every_var_used` is false).
     pub(crate) fn from_body(body: Body, vars: VarTable, every_var_used: bool) -> Result<Self> {
-        let mut query = ConjunctiveQuery::pack(body, vars.len(), vars.block_len(), |meta| {
-            vars.write_block(meta)
+        let mut query = ConjunctiveQuery::pack(&body, vars.len(), vars.names.len(), |block| {
+            vars.write_into(block)
         })?;
         query.shape_hash = query.check(every_var_used)?;
         Ok(query)
     }
 
-    /// The query of `body` and a `var_len`-byte variable table of
-    /// `num_vars` variables, which `write_vars` appends to the meta block
-    /// before the body's constant table.  Its hash is not set yet.
+    /// The query of `body` and `num_vars` variables whose names total
+    /// `name_bytes` bytes, which `write_vars` writes into the block.  Its
+    /// hash is not set yet.
     fn pack(
-        body: Body,
+        body: &Body,
         num_vars: usize,
-        var_len: usize,
-        write_vars: impl FnOnce(&mut Vec<u8>),
+        name_bytes: usize,
+        write_vars: impl FnOnce(&mut BlockWriter),
     ) -> Result<Self> {
-        let Body {
-            terms,
-            mut meta,
-            consts,
-        } = body;
-        if meta.is_empty() || read_u32(&meta, 0) == 0 {
+        if body.atoms.is_empty() {
             return Err(CqError::EmptyBody);
         }
-        let num_vars = u32::try_from(num_vars)
-            .ok()
-            .filter(|&n| n <= word::MAX_VAR + 1)
-            .ok_or_else(|| {
-                CqError::ConflictingVariableKind(format!("{num_vars} variables are out of range"))
-            })?;
-        meta.reserve_exact(var_len + consts.block_len());
-        write_vars(&mut meta);
-        consts.write_block(&mut meta);
-        let has_consts = if consts.ends.is_empty() {
-            0
-        } else {
-            HAS_CONSTS
-        };
-        Ok(ConjunctiveQuery {
-            shape_hash: 0,
-            vars: num_vars | has_consts,
-            meta: meta.into_boxed_slice(),
-            terms: terms.into_boxed_slice(),
-        })
+        check_var_count(num_vars)?;
+        let consts = &body.consts;
+        let layout = Layout::new(
+            body.words.len() / WORD_BYTES,
+            body.atoms.len(),
+            num_vars,
+            name_bytes,
+            (consts.len(), consts.entries.len()),
+            body.atoms
+                .iter()
+                .map(|&(relation, _)| relation.0)
+                .max()
+                .unwrap_or(0),
+        );
+        let mut block = BlockWriter::new(layout);
+        block.push_word_bytes(&body.words);
+        write_vars(&mut block);
+        consts.write_into(&mut block);
+        for &(relation, end) in &body.atoms {
+            block.push_atom(relation, end as usize);
+        }
+        Ok(block.finish())
+    }
+
+    /// The layout of the query's block.
+    #[inline]
+    fn layout(&self) -> Layout {
+        Layout::of(&self.block, self.num_vars())
+    }
+
+    /// The head of the query's block: its width, counts and the offsets
+    /// the front door and the kinds need.
+    #[inline]
+    fn head(&self) -> Head {
+        Head::of(&self.block, self.num_vars())
     }
 
     /// Checks the body against the variable table: variables declared with
@@ -673,14 +1124,18 @@ impl ConjunctiveQuery {
     /// numbering the hash needs is also the record of which declared
     /// variables occur.
     fn check(&self, every_var_used: bool) -> Result<u32> {
-        let consts = self.consts();
+        let layout = self.layout();
+        let consts = self.const_table(&layout);
+        let kinds = &self.block;
+        let words = &self.block[layout.words()..];
         let mut numbering = Numbering::new(self.num_vars());
-        let mut hasher = ShapeHasher::new(self.num_atoms());
+        let mut hasher = ShapeHasher::new(layout.atoms);
+        let width = layout.width;
         let mut start = 0;
-        for entry in self.atom_table().chunks_exact(ENTRY_BYTES) {
-            let end = read_u32(entry, 4) as usize;
-            hasher.atom(RelId(read_u32(entry, 0)), end - start);
-            for &term in &self.terms[start..end] {
+        for entry in self.atom_table(&layout).chunks_exact(2 * width) {
+            let end = read(entry, width, width);
+            hasher.atom(RelId(read(entry, 0, width) as u32), end - start);
+            for term in self::words(&words[WORD_BYTES * start..WORD_BYTES * end]) {
                 match word::get(term) {
                     Word::Var(v, kind) => {
                         if v.index() >= self.num_vars() {
@@ -688,14 +1143,14 @@ impl ConjunctiveQuery {
                                 "variable {v} is out of range"
                             )));
                         }
-                        if self.var_kind(v) != kind {
+                        if kind_bit(kinds, v.index()) != kind {
                             return Err(CqError::ConflictingVariableKind(
                                 self.var_name(v).to_owned(),
                             ));
                         }
                         hasher.var(numbering.number(v.0), kind);
                     }
-                    Word::Const(index) => hasher.constant(consts.get(index)),
+                    Word::Const(index) => hasher.constant(consts.bytes(index)),
                 }
             }
             start = end;
@@ -715,107 +1170,52 @@ impl ConjunctiveQuery {
         Ok(hasher.finish())
     }
 
-    /// The meta block's atom table: per atom its relation and term end.
+    /// The atom table: per atom its relation and term end.
     #[inline]
-    fn atom_table(&self) -> &[u8] {
-        &self.meta[COUNT_BYTES..self.var_start()]
-    }
-
-    /// Where the variable table starts in the meta block: past the atom
-    /// count and the atom table.
-    #[inline]
-    fn var_start(&self) -> usize {
-        COUNT_BYTES + ENTRY_BYTES * self.num_atoms()
-    }
-
-    /// Where the variable table ends in the meta block: where the constant
-    /// table starts, or the block's end.
-    fn var_end(&self) -> usize {
-        if self.vars & HAS_CONSTS == 0 {
-            return self.meta.len();
-        }
-        let (entries_start, _) = self.const_layout();
-        entries_start
-    }
-
-    /// Where the constant table's entries and their end offsets start, for
-    /// a query with constants: the entry count is the block's last word,
-    /// the offsets precede it, and the last offset is the entries' length.
-    #[inline]
-    fn const_layout(&self) -> (usize, usize) {
-        let len = self.meta.len();
-        let count = read_u32(&self.meta, len - 4) as usize;
-        let ends_start = len - 4 - 4 * count;
-        let entries_len = read_u32(&self.meta, len - 8) as usize;
-        (ends_start - entries_len, ends_start)
+    fn atom_table(&self, layout: &Layout) -> &[u8] {
+        &self.block[layout.atom_table()..layout.const_table()]
     }
 
     /// The query's constant table; empty if it has no constants.
     #[inline]
-    pub(crate) fn consts(&self) -> ConstTable<'_> {
-        if self.vars & HAS_CONSTS == 0 {
-            return ConstTable::default();
-        }
-        let (entries_start, ends_start) = self.const_layout();
+    fn const_table(&self, layout: &Layout) -> ConstTable<'_> {
         ConstTable {
-            entries: &self.meta[entries_start..ends_start],
-            ends: &self.meta[ends_start..self.meta.len() - 4],
+            bytes: &self.block[layout.const_table()..layout.words()],
+            ends_len: (layout.consts * layout.width) as u32,
+            width: layout.width as u8,
         }
     }
 
-    /// The meta block's variable table.
-    fn var_block(&self) -> &[u8] {
-        &self.meta[self.var_start()..self.var_end()]
-    }
-
-    /// The variable table's kind bytes, one per variable.
-    fn kind_bytes(&self) -> &[u8] {
-        &self.meta[self.var_start()..self.var_start() + self.num_vars()]
-    }
-
-    /// Bytes per end offset in the variable table, which follows from the
-    /// table's length: with 2-byte offsets the table is `3 n` bytes plus the
-    /// names, which total at most `u16::MAX` bytes; with 4-byte offsets it
-    /// is `3 n` bytes plus the names plus `2 n`, and the names alone total
-    /// more than that.
-    fn offset_width(&self) -> usize {
-        if self.var_block().len() - 3 * self.num_vars() > usize::from(u16::MAX) {
-            4
-        } else {
-            2
-        }
+    /// The query's constant table; empty if it has no constants.
+    #[cfg(test)]
+    pub(crate) fn consts(&self) -> ConstTable<'_> {
+        self.head().consts_of(&self.block)
     }
 
     /// Where variable `i`'s name ends, counted from the first name's start.
-    fn name_end(&self, i: usize) -> usize {
-        let width = self.offset_width();
-        let at = self.num_vars() + i * width;
-        let bytes = &self.var_block()[at..at + width];
-        if width == 4 {
-            u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]) as usize
-        } else {
-            usize::from(u16::from_le_bytes([bytes[0], bytes[1]]))
-        }
-    }
-
-    /// The variable table's name bytes: every name, back to back in id
-    /// order.
-    fn name_bytes(&self) -> &[u8] {
-        &self.var_block()[self.num_vars() * (1 + self.offset_width())..]
+    fn name_end(&self, layout: &Layout, i: usize) -> usize {
+        read(
+            &self.block,
+            layout.name_ends() + i * layout.width,
+            layout.width,
+        )
     }
 
     /// Every variable's name, back to back in id order.
     fn names(&self) -> &str {
-        std::str::from_utf8(self.name_bytes()).expect("variable names are UTF-8")
+        let layout = self.layout();
+        std::str::from_utf8(&self.block[layout.names()..]).expect("variable names are UTF-8")
     }
 
     /// The body atoms, in order.
     #[inline]
     pub fn atoms(&self) -> Atoms<'_> {
+        let head = self.head();
         Atoms {
-            table: self.atom_table(),
-            terms: &self.terms,
-            consts: self.consts(),
+            table: head.atoms_of(&self.block),
+            width: head.width,
+            words: &self.block[head.words..],
+            consts: head.consts_of(&self.block),
             start: 0,
         }
     }
@@ -827,61 +1227,69 @@ impl ConjunctiveQuery {
     /// Panics if the query has at most `i` atoms.
     #[inline]
     pub fn atom(&self, i: usize) -> AtomRef<'_> {
+        let head = self.head();
         assert!(
-            i < self.num_atoms(),
+            i < head.atoms,
             "atom {i} is not one of the query's {} atoms",
-            self.num_atoms()
+            head.atoms
         );
-        let entry = COUNT_BYTES + ENTRY_BYTES * i;
+        let width = head.width;
+        let entry = head.atom_table + 2 * width * i;
         let start = if i == 0 {
             0
         } else {
-            read_u32(&self.meta, entry - 4) as usize
+            read(&self.block, entry - width, width)
         };
+        let end = read(&self.block, entry + width, width);
         AtomRef::of_words(
-            RelId(read_u32(&self.meta, entry)),
-            &self.terms[start..read_u32(&self.meta, entry + 4) as usize],
-            self.consts(),
+            RelId(read(&self.block, entry, width) as u32),
+            &self.block[head.words + WORD_BYTES * start..head.words + WORD_BYTES * end],
+            head.consts_of(&self.block),
         )
     }
 
     /// Every atom's terms, back to back in atom order.
     #[inline]
     pub fn terms(&self) -> Terms<'_> {
-        Terms::of_words(&self.terms, self.consts())
+        let head = self.head();
+        let terms = read(&self.block, head.const_table - head.width, head.width);
+        Terms::of_words(
+            &self.block[head.words..head.words + WORD_BYTES * terms],
+            head.consts_of(&self.block),
+        )
     }
 
     /// Every atom's terms as the query stores them: one [`word`] each.
-    #[inline]
-    pub(crate) fn words(&self) -> &[u32] {
-        &self.terms
+    #[cfg(test)]
+    pub(crate) fn words(&self) -> impl ExactSizeIterator<Item = u32> + '_ {
+        let layout = self.layout();
+        words(&self.block[layout.words()..layout.name_ends()])
     }
 
     /// Number of body atoms.
     #[inline]
     pub fn num_atoms(&self) -> usize {
-        read_u32(&self.meta, 0) as usize
+        self.head().atoms
     }
 
     /// Number of variables.
     #[inline]
     pub fn num_vars(&self) -> usize {
-        (self.vars & !HAS_CONSTS) as usize
+        self.vars as usize
     }
 
-    /// Bytes of the query's two heap blocks: the term slice (4 bytes a
-    /// term) and the meta block.  Computed from their lengths; the header
+    /// Bytes of the query's heap block: the term words (4 bytes a term),
+    /// the atom, constant and variable tables and the counts.  The header
     /// and the allocator's own rounding are not counted.
     #[inline]
     pub fn heap_bytes(&self) -> usize {
-        std::mem::size_of_val::<[u32]>(&self.terms) + self.meta.len()
+        self.block.len()
     }
 
-    /// Heap blocks the query owns: the meta block, and the term slice unless
-    /// every atom is nullary.  What a clone allocates.
+    /// Heap blocks the query owns: one, its block.  What a clone allocates.
     #[inline]
     pub fn heap_blocks(&self) -> usize {
-        1 + usize::from(!self.terms.is_empty())
+        1
     }
 
     /// The query's canonical hash: the body hashed with its variables
@@ -912,7 +1320,12 @@ impl ConjunctiveQuery {
     /// Panics if the variable does not belong to this query.
     #[inline]
     pub fn var_kind(&self, v: VarId) -> VarKind {
-        byte_kind(self.kind_bytes()[v.index()])
+        assert!(
+            v.index() < self.num_vars(),
+            "variable {v} is not one of the query's {} variables",
+            self.num_vars()
+        );
+        kind_bit(&self.block, v.index())
     }
 
     /// The name of a variable (used only for display).
@@ -928,15 +1341,22 @@ impl ConjunctiveQuery {
             "variable {v} is not one of the query's {} variables",
             self.num_vars()
         );
-        let start = if i == 0 { 0 } else { self.name_end(i - 1) };
-        std::str::from_utf8(&self.name_bytes()[start..self.name_end(i)])
+        let layout = self.layout();
+        let start = if i == 0 {
+            0
+        } else {
+            self.name_end(&layout, i - 1)
+        };
+        let names = layout.names();
+        std::str::from_utf8(&self.block[names + start..names + self.name_end(&layout, i)])
             .expect("a variable name is UTF-8")
     }
 
     /// All variable kinds, in variable id order.
     #[inline]
     pub fn var_kinds(&self) -> impl ExactSizeIterator<Item = VarKind> + '_ {
-        self.kind_bytes().iter().map(|&byte| byte_kind(byte))
+        let kinds = &self.block;
+        (0..self.num_vars()).map(move |v| kind_bit(kinds, v))
     }
 
     /// Iterates over the distinguished variables in id order.
@@ -1065,16 +1485,34 @@ impl ConjunctiveQuery {
             }
             body.end_atom(atom.relation);
         }
-        let vars = self.var_block();
-        let mut query = ConjunctiveQuery::pack(body, self.num_vars(), vars.len(), |meta| {
-            meta.extend_from_slice(vars)
-        })
-        .expect("a query keeps at least one atom");
+        let layout = self.layout();
+        let mut query =
+            ConjunctiveQuery::pack(&body, self.num_vars(), layout.name_bytes, |block| {
+                block.copy_vars(self)
+            })
+            .expect("a query keeps at least one atom");
         query.shape_hash = query
             .check(false)
             .expect("atoms of a valid query agree with its variable table");
         query
     }
+}
+
+/// Fails unless a word can hold every id of `num_vars` variables.
+fn check_var_count(num_vars: usize) -> Result<()> {
+    if num_vars > word::MAX_VAR as usize + 1 {
+        return Err(CqError::ConflictingVariableKind(format!(
+            "{num_vars} variables are out of range"
+        )));
+    }
+    Ok(())
+}
+
+/// The words laid out in `bytes`, 4 little-endian bytes each.
+#[inline]
+pub(crate) fn words(bytes: &[u8]) -> impl ExactSizeIterator<Item = u32> + Clone + '_ {
+    let (words, _) = bytes.as_chunks::<WORD_BYTES>();
+    words.iter().map(|&word| u32::from_le_bytes(word))
 }
 
 /// The body atoms of a [`ConjunctiveQuery`], in order:
@@ -1083,19 +1521,48 @@ impl ConjunctiveQuery {
 pub struct Atoms<'a> {
     /// The atom table entries not yet visited.
     table: &'a [u8],
-    terms: &'a [u32],
+    /// Bytes per relation and per term end.
+    width: usize,
+    words: &'a [u8],
     consts: ConstTable<'a>,
     /// Where the front atom's terms start.
     start: usize,
 }
 
 impl<'a> Atoms<'a> {
+    /// The remaining atoms' relations and term ends, read raw.
+    #[inline]
+    pub(crate) fn spans(&self) -> impl Iterator<Item = (RelId, usize)> + 'a {
+        let width = self.width;
+        self.table.chunks_exact(2 * width).map(move |entry| {
+            (
+                RelId(read(entry, 0, width) as u32),
+                read(entry, width, width),
+            )
+        })
+    }
+
+    /// The words of the atoms ending at word `end`, laid out as the query
+    /// stores them.
+    #[inline]
+    pub(crate) fn words_to(&self, end: usize) -> impl ExactSizeIterator<Item = u32> + 'a {
+        words(&self.words[WORD_BYTES * self.start..WORD_BYTES * end])
+    }
+
+    /// The query's constant table.
+    #[inline]
+    pub(crate) fn consts(&self) -> ConstTable<'a> {
+        self.consts
+    }
+
     /// The atom of table entry `entry`, whose terms start at `start`.
     #[inline]
     fn atom(&self, entry: &[u8], start: usize) -> AtomRef<'a> {
+        let width = self.width;
+        let end = read(entry, width, width);
         AtomRef::of_words(
-            RelId(read_u32(entry, 0)),
-            &self.terms[start..read_u32(entry, 4) as usize],
+            RelId(read(entry, 0, width) as u32),
+            &self.words[WORD_BYTES * start..WORD_BYTES * end],
             self.consts,
         )
     }
@@ -1106,7 +1573,10 @@ impl<'a> Iterator for Atoms<'a> {
 
     #[inline]
     fn next(&mut self) -> Option<AtomRef<'a>> {
-        let (entry, rest) = self.table.split_first_chunk::<ENTRY_BYTES>()?;
+        if self.table.is_empty() {
+            return None;
+        }
+        let (entry, rest) = self.table.split_at(2 * self.width);
         self.table = rest;
         let atom = self.atom(entry, self.start);
         self.start += atom.arity();
@@ -1115,7 +1585,7 @@ impl<'a> Iterator for Atoms<'a> {
 
     #[inline]
     fn size_hint(&self) -> (usize, Option<usize>) {
-        let len = self.table.len() / ENTRY_BYTES;
+        let len = self.table.len() / (2 * self.width);
         (len, Some(len))
     }
 }
@@ -1123,12 +1593,16 @@ impl<'a> Iterator for Atoms<'a> {
 impl DoubleEndedIterator for Atoms<'_> {
     #[inline]
     fn next_back(&mut self) -> Option<Self::Item> {
-        let (rest, entry) = self.table.split_last_chunk::<ENTRY_BYTES>()?;
+        if self.table.is_empty() {
+            return None;
+        }
+        let width = self.width;
+        let (rest, entry) = self.table.split_at(self.table.len() - 2 * width);
         self.table = rest;
         let start = if rest.is_empty() {
             self.start
         } else {
-            read_u32(rest, rest.len() - 4) as usize
+            read(rest, rest.len() - width, width)
         };
         Some(self.atom(entry, start))
     }
@@ -1136,7 +1610,7 @@ impl DoubleEndedIterator for Atoms<'_> {
 
 impl ExactSizeIterator for Atoms<'_> {}
 
-/// Prints the atoms, kinds and names as lists, not as the two blocks:
+/// Prints the atoms, kinds and names as lists, not as the block:
 /// `ConjunctiveQuery { atoms: [..], var_kinds: [..], var_names: [..] }`.
 impl fmt::Debug for ConjunctiveQuery {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -1270,7 +1744,7 @@ impl QueryBuilder {
                 }
                 existing
             }
-            None => self.vars.push(kind, name),
+            None => self.vars.declare(kind, name),
         }
     }
 
@@ -1297,7 +1771,7 @@ impl QueryBuilder {
         for arg in args {
             match arg {
                 Arg::Var(v) => self.body.push_var(v, self.vars.kind(v)),
-                Arg::Const(c) => self.body.push_const(c.as_const_ref()),
+                Arg::Const(c) => self.body.push_const(c.as_const_bytes()),
             }
         }
         self.body.end_atom(relation);
@@ -1366,6 +1840,44 @@ mod tests {
     }
 
     #[test]
+    fn builder_finds_thousands_of_names_again() {
+        let c = catalog();
+        let m = c.resolve("Meetings").unwrap();
+        let name = |i: usize| {
+            if i == 0 {
+                String::new()
+            } else {
+                format!("v{i}")
+            }
+        };
+        let declare = |b: &mut QueryBuilder, i: usize| {
+            if i.is_multiple_of(2) {
+                b.dvar(&name(i))
+            } else {
+                b.evar(&name(i))
+            }
+        };
+        let n = 6_000;
+        let mut b = QueryBuilder::new();
+        let ids: Vec<VarId> = (0..n).map(|i| declare(&mut b, i)).collect();
+        assert_eq!(ids, (0..n as u32).map(VarId).collect::<Vec<_>>());
+        // Re-declaring every name, backwards, finds its variable (`v1` is
+        // not `v10`, the empty name is a name) and declares nothing.
+        for i in (0..n).rev() {
+            assert_eq!(declare(&mut b, i), ids[i], "{:?}", name(i));
+        }
+        for pair in ids.chunks(2) {
+            b.atom(m, [pair[0].into(), pair[1].into()]);
+        }
+        let q = b.build().unwrap();
+        assert_eq!(q.num_vars(), n);
+        for (i, &v) in ids.iter().enumerate() {
+            assert_eq!(q.var_name(v), name(i));
+            assert_eq!(q.var_kind(v).is_existential(), i % 2 == 1);
+        }
+    }
+
+    #[test]
     fn builder_rejects_a_conflicting_redeclaration() {
         let c = catalog();
         let m = c.resolve("Meetings").unwrap();
@@ -1407,12 +1919,17 @@ mod tests {
             )
             .unwrap()
         };
-        // The padding takes the names past 64 KiB: both offset widths.
-        for (pad, width) in [(String::new(), 2), ("z".repeat(1 << 16), 4)] {
+        // The padding takes the names past 255 bytes and past 64 KiB: every
+        // width.
+        for (pad, width) in [
+            (String::new(), 1),
+            ("z".repeat(300), 2),
+            ("z".repeat(1 << 16), 4),
+        ] {
             for ((a1, b1), (a2, b2)) in [(("ab", "c"), ("a", "bc")), (("", "a"), ("a", ""))] {
                 let (b1, b2) = (format!("{b1}{pad}"), format!("{b2}{pad}"));
                 let (p, q) = (named(a1, &b1), named(a2, &b2));
-                assert_eq!((p.offset_width(), q.offset_width()), (width, width));
+                assert_eq!((p.layout().width, q.layout().width), (width, width));
                 assert_ne!(p, q, "{a1:?},{b1:?} vs {a2:?},{b2:?}");
                 assert_ne!(hash(&p), hash(&q));
                 assert_eq!((p.var_name(VarId(0)), p.var_name(VarId(1))), (a1, &*b1));
@@ -1451,11 +1968,12 @@ mod tests {
 
         let c = catalog();
         let long = "é".repeat(20_000) + "ß";
-        // The offset width follows from the block length: 2 bytes up to
-        // exactly `u16::MAX` name bytes, 4 from one byte past that.
+        // The width follows from the largest number the block stores, here
+        // the names' total: 1 byte up to 255 name bytes, 2 up to exactly
+        // `u16::MAX`, 4 from one byte past that.
         let max = usize::from(u16::MAX);
         let cases: [(Vec<String>, usize); 5] = [
-            (vec!["né".into(), "日本".into(), "x🦀".into(), "".into()], 2),
+            (vec!["né".into(), "日本".into(), "x🦀".into(), "".into()], 1),
             (vec![long.clone(), "y".into(), "z".into(), long.clone()], 4),
             (vec!["a".repeat(max), "".into()], 2),
             (vec!["a".repeat(max - 1), "é".into()], 4),
@@ -1463,7 +1981,7 @@ mod tests {
         ];
         for (names, width) in cases {
             let q = query_named(&names);
-            assert_eq!(q.offset_width(), width, "{} name bytes", q.names().len());
+            assert_eq!(q.layout().width, width, "{} name bytes", q.names().len());
             for (i, name) in names.iter().enumerate() {
                 assert_eq!(q.var_name(VarId(i as u32)), name);
             }
@@ -1497,11 +2015,13 @@ mod tests {
         b.atom(r, ["a".into()]);
         let q = b.build().unwrap();
         assert_eq!((q.num_vars(), q.var_kinds().len()), (0, 0));
-        // The meta block is the atom count, the one atom's entry and the
-        // constant table: the entry (a tag and `a`), its end, the count.
+        // The block is the one word, the constant table — the entry (a
+        // tag and `a`) and its end — the atom's relation and term end, the
+        // two counts and the width: no kind, name end or name byte.
         for copy in [&q, &q.clone()] {
-            assert!(copy.var_block().is_empty(), "{:?}", copy.meta);
-            assert_eq!(copy.meta.len(), COUNT_BYTES + ENTRY_BYTES + 2 + 4 + 4);
+            let layout = copy.layout();
+            assert_eq!((layout.vars, layout.name_bytes, layout.width), (0, 0, 1));
+            assert_eq!(copy.heap_bytes(), 4 + 2 + 1 + 2 + 2 + 1, "{:?}", copy.block);
             assert_eq!(copy.consts().len(), 1);
         }
         assert_eq!(q.display_with(&c).to_string(), "Q() :- R('a')");
@@ -1510,7 +2030,7 @@ mod tests {
     /// The words of `query`, decoded: a variable's id or a constant's
     /// index in the query's table.
     fn words(query: &ConjunctiveQuery) -> Vec<Word> {
-        query.words().iter().map(|&w| word::get(w)).collect()
+        query.words().map(word::get).collect()
     }
 
     #[test]
@@ -1541,13 +2061,16 @@ mod tests {
                 Word::Const(1)
             ]
         );
-        // A string of any length is one entry: a tag and its text.
+        // A string of any length is one entry: a tag and its text.  The
+        // block is two words, the kind byte, `x`'s end and name, the entry
+        // and its end, the atom's relation and term end, the two counts
+        // and the width.
         let long = "a string constant well past fourteen bytes";
         let q = crate::parser::parse_query(&c, &format!("Q(x) :- Meetings(x, '{long}')")).unwrap();
         assert_eq!(q.consts().get(0), ConstRef::Str(long));
         assert_eq!(
             q.heap_bytes(),
-            2 * 4 + COUNT_BYTES + ENTRY_BYTES + 3 + 1 + 1 + long.len() + 8
+            2 * 4 + 1 + 1 + 1 + (1 + long.len()) + 1 + 2 + 2 + 1
         );
     }
 

@@ -146,7 +146,7 @@ fn single_view_expansion(
                 });
                 body.push_var(fresh, VarKind::Existential);
             }
-            TermRef::Const(c) => body.push_const(c),
+            TermRef::Const(c) => body.push_const(c.as_const_bytes()),
         }
     }
 

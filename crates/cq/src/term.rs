@@ -242,6 +242,38 @@ impl Constant {
             Constant::Str(s) => ConstRef::Str(s.as_str()),
         }
     }
+
+    /// The constant's value as bytes, without `as_str`'s UTF-8 check.
+    #[inline]
+    pub(crate) fn as_const_bytes(&self) -> ConstBytes<'_> {
+        match self {
+            Constant::Int(i) => ConstBytes::Int(*i),
+            Constant::Str(s) => ConstBytes::Str(s.as_bytes()),
+        }
+    }
+}
+
+/// A constant's value with a string's text as its UTF-8 bytes: what the
+/// constant tables hash and compare, so a lookup never re-checks the
+/// UTF-8 of text that was checked when it was stored.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ConstBytes<'a> {
+    /// An integer constant.
+    Int(i64),
+    /// A string constant's text, known to be UTF-8.
+    Str(&'a [u8]),
+}
+
+impl ConstBytes<'_> {
+    /// An owned copy of the constant.
+    pub(crate) fn to_constant(self) -> Constant {
+        match self {
+            ConstBytes::Int(i) => Constant::Int(i),
+            ConstBytes::Str(bytes) => {
+                Constant::str(std::str::from_utf8(bytes).expect("a string constant is UTF-8"))
+            }
+        }
+    }
 }
 
 impl Hash for Constant {
@@ -268,7 +300,16 @@ pub enum ConstRef<'a> {
     Str(&'a str),
 }
 
-impl ConstRef<'_> {
+impl<'a> ConstRef<'a> {
+    /// The constant's value as bytes.
+    #[inline]
+    pub(crate) fn as_const_bytes(self) -> ConstBytes<'a> {
+        match self {
+            ConstRef::Int(i) => ConstBytes::Int(i),
+            ConstRef::Str(s) => ConstBytes::Str(s.as_bytes()),
+        }
+    }
+
     /// An owned copy of the constant.
     pub fn to_constant(self) -> Constant {
         match self {

@@ -13,9 +13,9 @@ use fdc_durability::codec::put_len;
 use fdc_durability::codec::{put_i64, put_str, put_u32, put_u8, CodecError, Cursor};
 
 use crate::catalog::{Catalog, RelId};
-use crate::intern::ITerm;
-use crate::query::{Body, ConjunctiveQuery, VarTable};
-use crate::term::{ConstRef, Constant, TermRef, VarId, VarKind};
+use crate::intern::{constant_hash, find_slot, table_of, ITerm};
+use crate::query::{entry_len, BlockWriter, ConjunctiveQuery};
+use crate::term::{ConstBytes, ConstRef, Constant, TermRef, VarId, VarKind};
 
 const CONST_INT: u8 = 0;
 const CONST_STR: u8 = 1;
@@ -150,31 +150,86 @@ pub fn encode_query(query: &ConjunctiveQuery, out: &mut Vec<u8>) {
     }
 }
 
-/// Skips one encoded term; errors as [`decode_query`] reports them.  For a
-/// constant, returns the bytes of its value (8 for an integer).
-fn skip_term(cursor: &mut Cursor<'_>) -> Result<Option<usize>, CodecError> {
-    let at = cursor.pos();
-    match cursor.u8()? {
-        TERM_VAR => cursor.u32().map(|_| None),
-        TERM_CONST => {
-            let at = cursor.pos();
-            match cursor.u8()? {
-                CONST_INT => cursor.i64().map(|_| Some(8)),
-                CONST_STR => cursor.bytes().map(|text| Some(text.len())),
-                tag => Err(CodecError::invalid(
-                    at,
-                    format!("unknown constant tag {tag}"),
-                )),
+/// The distinct constants of a body being decoded, in first-occurrence
+/// order, borrowed from the input: up to [`Distinct::INLINE`] of them on
+/// the stack, more in a vector found again through an open-addressed
+/// index.
+struct Distinct<'a> {
+    inline: [ConstBytes<'a>; Distinct::INLINE],
+    /// Every constant once there are more than `INLINE`; empty before.
+    spill: Vec<ConstBytes<'a>>,
+    /// The spilled constants' indices under [`constant_hash`], at most
+    /// half full.
+    index: Vec<u32>,
+    len: usize,
+    /// Bytes of the constants' entries in a query's constant table.
+    entry_bytes: usize,
+}
+
+impl<'a> Distinct<'a> {
+    /// Constants found by a linear scan before the table spills.
+    const INLINE: usize = 8;
+
+    fn new() -> Self {
+        Distinct {
+            inline: [ConstBytes::Int(0); Distinct::INLINE],
+            spill: Vec::new(),
+            index: Vec::new(),
+            len: 0,
+            entry_bytes: 0,
+        }
+    }
+
+    /// The index of `constant`, added on first sight.
+    fn add(&mut self, constant: ConstBytes<'a>) -> u32 {
+        if self.len <= Self::INLINE {
+            if let Some(k) = self.inline[..self.len].iter().position(|&c| c == constant) {
+                return k as u32;
+            }
+            if self.len < Self::INLINE {
+                self.inline[self.len] = constant;
+                return self.enter(constant);
+            }
+            self.spill = self.inline.to_vec();
+            self.reindex();
+        }
+        let hash = constant_hash(constant);
+        match find_slot(&self.index, hash, |k| self.spill[k as usize] == constant) {
+            Ok(k) => k,
+            Err(slot) => {
+                self.spill.push(constant);
+                let k = self.enter(constant);
+                if self.spill.len() * 2 > self.index.len() {
+                    self.reindex();
+                } else {
+                    self.index[slot] = k;
+                }
+                k
             }
         }
-        tag => Err(CodecError::invalid(at, format!("unknown term tag {tag}"))),
+    }
+
+    /// Counts a constant just added; returns its index.
+    fn enter(&mut self, constant: ConstBytes<'a>) -> u32 {
+        self.entry_bytes += entry_len(constant);
+        self.len += 1;
+        self.len as u32 - 1
+    }
+
+    /// Indexes the spilled constants in twice as many slots, rounded up to
+    /// a power of two.
+    fn reindex(&mut self) {
+        let hashes: Vec<u32> = self.spill.iter().map(|&c| constant_hash(c)).collect();
+        self.index = table_of(&hashes);
     }
 }
 
 /// Decodes a [`ConjunctiveQuery`], re-validating it as
-/// [`ConjunctiveQuery::from_parts`] does.  The terms and the atom table go
-/// straight into the query's two blocks, each sized by a first pass over
-/// the bytes.
+/// [`ConjunctiveQuery::from_parts`] does.  A first pass over the bytes
+/// checks them and counts the terms, the name bytes and the distinct
+/// constants; the second writes the query's one block, allocated at its
+/// final size, and allocates nothing else while the query has at most 8
+/// distinct constants and 64 variables.
 pub fn decode_query(cursor: &mut Cursor<'_>) -> Result<ConjunctiveQuery, CodecError> {
     let start = cursor.pos();
     let num_vars = cursor.count(1)?;
@@ -184,43 +239,25 @@ pub fn decode_query(cursor: &mut Cursor<'_>) -> Result<ConjunctiveQuery, CodecEr
             format!("{num_vars} variables: a query holds at most 2^30"),
         ));
     }
-    let mut kinds = Vec::with_capacity(num_vars);
+    let mut vars = cursor.clone();
     for _ in 0..num_vars {
-        kinds.push(read_var_kind(cursor)?);
+        read_var_kind(cursor)?;
     }
-    // The names go straight into the query's packed table, sized by a first
-    // pass over their lengths.
-    let mut lengths = cursor.clone();
     let mut name_bytes = 0;
     for _ in 0..num_vars {
-        name_bytes += lengths.bytes()?.len();
+        name_bytes += cursor.str()?.len();
     }
     if u32::try_from(name_bytes).is_err() {
         return Err(CodecError::invalid(start, "variable names exceed 4 GiB"));
     }
-    let mut vars = VarTable::unnamed(kinds, name_bytes);
-    for _ in 0..num_vars {
-        vars.name_next(cursor.str()?);
-    }
     let num_atoms = cursor.count(12)?;
-    let mut sizing = cursor.clone();
-    let (mut num_terms, mut num_consts, mut const_bytes) = (0, 0, 0);
+    let mut body = cursor.clone();
+    let (mut num_terms, mut max_relation) = (0usize, 0);
+    let mut consts = Distinct::new();
     for _ in 0..num_atoms {
-        sizing.u32()?;
-        let arity = sizing.count(5)?;
-        num_terms += arity;
-        for _ in 0..arity {
-            if let Some(bytes) = skip_term(&mut sizing)? {
-                num_consts += 1;
-                const_bytes += bytes;
-            }
-        }
-    }
-    let mut body = Body::with_capacity(num_atoms, num_terms, vars.block_len());
-    body.reserve_consts(num_consts, const_bytes);
-    for _ in 0..num_atoms {
-        let relation = RelId(cursor.u32()?);
+        max_relation = max_relation.max(cursor.u32()?);
         let arity = cursor.count(5)?;
+        num_terms += arity;
         for _ in 0..arity {
             let at = cursor.pos();
             match cursor.u8()? {
@@ -232,19 +269,53 @@ pub fn decode_query(cursor: &mut Cursor<'_>) -> Result<ConjunctiveQuery, CodecEr
                             format!("variable index {v} out of range ({num_vars} vars)"),
                         ));
                     }
-                    let v = VarId(v as u32);
-                    body.push_var(v, vars.kind(v));
                 }
-                TERM_CONST => body.push_const(read_const_ref(cursor)?),
+                TERM_CONST => {
+                    consts.add(read_const_ref(cursor)?.as_const_bytes());
+                }
                 tag => {
                     return Err(CodecError::invalid(at, format!("unknown term tag {tag}")));
                 }
             }
         }
-        body.end_atom(relation);
     }
-    ConjunctiveQuery::from_body(body, vars, true)
-        .map_err(|err| CodecError::invalid(start, format!("invalid query: {err}")))
+    let invalid = |err| CodecError::invalid(start, format!("invalid query: {err}"));
+    if u32::try_from(num_terms).is_err() || u32::try_from(consts.entry_bytes).is_err() {
+        return Err(CodecError::invalid(start, "a query's terms exceed 4 GiB"));
+    }
+    let mut block = BlockWriter::for_parts(
+        num_terms,
+        num_atoms,
+        num_vars,
+        name_bytes,
+        (consts.len, consts.entry_bytes),
+        max_relation,
+    )
+    .map_err(invalid)?;
+    // The second pass reads bytes the first one checked.
+    for v in 0..num_vars {
+        block.set_kind(v, read_var_kind(&mut vars)?);
+    }
+    for _ in 0..num_vars {
+        block.push_name(vars.bytes()?);
+    }
+    for _ in 0..num_atoms {
+        let relation = RelId(body.u32()?);
+        for _ in 0..body.count(5)? {
+            if body.u8()? == TERM_VAR {
+                block.push_var(VarId(body.u32()?));
+            } else {
+                let constant = if body.u8()? == CONST_INT {
+                    ConstBytes::Int(body.i64()?)
+                } else {
+                    ConstBytes::Str(body.bytes()?)
+                };
+                block.push_constant(consts.add(constant), constant);
+            }
+        }
+        block.end_atom(relation);
+    }
+    block.build().map_err(invalid)
 }
 
 #[cfg(test)]

@@ -1,27 +1,27 @@
-//! Pinned: a query is two heap blocks, whatever its constants.
+//! Pinned: a query is one heap block, whatever its constants.
 //!
-//! A `ConjunctiveQuery` keeps every atom's terms back to back in one term
-//! slice of 4-byte words, and everything else — the atom count, each atom's
-//! relation and term end, the variable table (kind bytes, name end offsets,
-//! the names back to back) and the constant table (each distinct constant
-//! once) — in one meta block.  This binary installs the counting global
-//! allocator of `intern_alloc` (which is why it is a test binary of its own)
-//! and asserts:
+//! A `ConjunctiveQuery` keeps every atom's terms back to back as 4-byte
+//! words and, after them in the same block, the meta table — the kind
+//! bitset, the name end offsets and the names, the constant table (each
+//! distinct constant once), each atom's relation and term end, and the
+//! counts.  This binary installs the counting global allocator of
+//! `intern_alloc` (which is why it is a test binary of its own) and
+//! asserts:
 //!
 //! * `clone()` of a query with 0, 1, 8 and 40 variables (1 to 40 atoms),
 //!   with a short and with a long string constant, and of a query with
-//!   many distinct constants, allocates exactly 2 blocks — the term slice
-//!   and the meta block — however many atoms, variables and constants it
-//!   has, and `heap_blocks()` says so;
+//!   many distinct constants, allocates exactly 1 block however many
+//!   atoms, variables and constants it has, and `heap_blocks()` says so;
+//! * so does a clone of what every public constructor returns — the
+//!   builder, the parser, `from_parts`, `from_atoms`, `rename_canonical`,
+//!   the fold, `QueryInterner::to_query` and the wire decoder;
 //! * `wire::decode_query` of the queries with 1, 8 and 40 variables
-//!   allocates exactly `DECODE_SCRATCH_BLOCKS` more than that — the
-//!   variable table builder's kinds, names and offsets, the constant table
-//!   builder's entries, offsets and hash index, and the meta block's
-//!   growth — so no block per atom, no string per name or constant, and
-//!   none for the validation walk, whose first-occurrence numbering stays
-//!   on the stack up to 64 variables;
-//! * a term and a constant are 16 bytes, an atom 24, a query 40, and an
-//!   `Operation` that carries one 64.
+//!   allocates exactly the query's block (`DECODE_SCRATCH_BLOCKS` is 0):
+//!   no block per atom, no string per name or constant, no scratch table,
+//!   and none for the validation walk, whose first-occurrence numbering
+//!   stays on the stack up to 64 variables;
+//! * a term and a constant are 16 bytes, an atom 24, a query 24, and an
+//!   `Operation` that carries one 48.
 //!
 //! Counts are per thread, so the harness running tests in parallel does not
 //! disturb them.
@@ -29,9 +29,13 @@
 use std::hint::black_box;
 use std::mem::size_of;
 
+use fdc::cq::canonical::rename_canonical;
+use fdc::cq::folding::fold;
+use fdc::cq::intern::QueryInterner;
+use fdc::cq::parser::parse_query;
 use fdc::cq::query::QueryBuilder;
 use fdc::cq::wire::{decode_query, encode_query};
-use fdc::cq::{Atom, Catalog, ConjunctiveQuery, Constant, Term};
+use fdc::cq::{Atom, Catalog, ConjunctiveQuery, Constant, Term, VarKind};
 use fdc::durability::codec::Cursor;
 use fdc::service::Operation;
 
@@ -42,10 +46,9 @@ use counting_alloc::allocations;
 const VARIABLE_COUNTS: [usize; 4] = [0, 1, 8, 40];
 
 /// The blocks a decode allocates and frees (or grows) on top of the query
-/// it returns: the variable table builder's kinds, names and end offsets,
-/// the constant table builder's entries, end offsets and hash index, and
-/// the meta block growing to take the constant table.
-const DECODE_SCRATCH_BLOCKS: u64 = 7;
+/// it returns: none.  The first pass over the bytes sizes the block and
+/// finds the distinct constants on the stack; the second writes the block.
+const DECODE_SCRATCH_BLOCKS: u64 = 0;
 
 /// A string constant past the inline capacity, and one well within it.
 const STRING_CONSTANTS: [&str; 2] = ["a string constant", "me"];
@@ -105,8 +108,42 @@ fn a_clone_copies_the_variables_in_a_constant_number_of_blocks() {
         let mut copy = None;
         let clone = allocations(|| copy = Some(black_box(&query).clone()));
         assert_eq!(copy.as_ref(), Some(&query));
-        assert_eq!(clone, 2, "blocks per clone of {query:?}");
-        assert_eq!(query.heap_blocks(), 2);
+        assert_eq!(clone, 1, "blocks per clone of {query:?}");
+        assert_eq!(query.heap_blocks(), 1);
+    }
+}
+
+#[test]
+fn every_constructor_returns_one_block() {
+    let catalog = Catalog::paper_example();
+    let text = "Q(x) :- Meetings(x, y), Contacts(y, w, 'Intern'), Meetings(x, y)";
+    let parsed = parse_query(&catalog, text).unwrap();
+    let atoms: Vec<Atom> = parsed.atoms().map(|atom| atom.to_atom()).collect();
+    let kinds: Vec<VarKind> = parsed.var_kinds().collect();
+    let names = vec!["x".to_owned(), "y".to_owned(), "w".to_owned()];
+    let mut bytes = Vec::new();
+    encode_query(&parsed, &mut bytes);
+    let mut interner = QueryInterner::new();
+    let id = interner.intern(&parsed);
+    let built = query_with_vars(8, "me");
+    let constructed = [
+        ("builder", built),
+        ("parser", parsed.clone()),
+        (
+            "from_parts",
+            ConjunctiveQuery::from_parts(atoms.clone(), kinds, names).unwrap(),
+        ),
+        ("from_atoms", ConjunctiveQuery::from_atoms(atoms).unwrap()),
+        ("rename_canonical", rename_canonical(&parsed)),
+        ("fold", fold(&parsed)),
+        ("to_query", interner.to_query(id)),
+        ("decode", decode_query(&mut Cursor::new(&bytes)).unwrap()),
+    ];
+    for (how, query) in constructed {
+        let mut copy = None;
+        let clone = allocations(|| copy = Some(black_box(&query).clone()));
+        assert_eq!(copy.as_ref(), Some(&query), "{how}");
+        assert_eq!((clone, query.heap_blocks()), (1, 1), "{how}");
     }
 }
 
@@ -123,7 +160,7 @@ fn decoding_allocates_no_string_per_name() {
         assert_eq!(decoded.as_ref(), Some(&query));
         assert_eq!(
             decode,
-            2 + DECODE_SCRATCH_BLOCKS,
+            1 + DECODE_SCRATCH_BLOCKS,
             "blocks per decode at {n} variables with {constant:?}"
         );
     }
@@ -131,8 +168,8 @@ fn decoding_allocates_no_string_per_name() {
 
 #[test]
 fn a_query_and_an_operation_do_not_grow() {
-    assert_eq!(size_of::<ConjunctiveQuery>(), 40);
-    assert_eq!(size_of::<Operation>(), 64);
+    assert_eq!(size_of::<ConjunctiveQuery>(), 24);
+    assert_eq!(size_of::<Operation>(), 48);
 }
 
 #[test]

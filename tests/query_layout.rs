@@ -272,9 +272,9 @@ fn assert_layout(
     let clone = query.clone();
     prop_assert_eq!(&clone, query, "{}", how);
     prop_assert!(clone.atoms().eq(query.atoms()), "{}", how);
-    // The meta block, and the term slice unless every atom is nullary.
-    let blocks = if terms.is_empty() { 1 } else { 2 };
-    prop_assert_eq!(query.heap_blocks(), blocks, "{}", how);
+    // One block, the words and the meta table, even with every atom
+    // nullary.
+    prop_assert_eq!(query.heap_blocks(), 1, "{}", how);
 }
 
 /// Queries of equal models are equal, blocks and all, and hash alike.
@@ -359,5 +359,197 @@ proptest! {
         prop_assert_eq!(atoms.last(), Some(&duplicate));
         let kept = ConjunctiveQuery::from_parts(atoms, model.kinds.clone(), model.names.clone());
         assert_same("fold", &core, &kept.unwrap());
+    }
+}
+
+/// The edges of the block's width rule: 255 and 65 535 are the largest
+/// numbers 1 and 2 bytes hold, one more needs the next width.
+const WIDTH_EDGES: [usize; 4] = [255, 256, 65_535, 65_536];
+
+/// Bytes of a constant's entry in a query's constant table: a tag, then
+/// the integer's 8 bytes or the text.
+fn entry_bytes(constant: &Constant) -> usize {
+    match constant {
+        Constant::Int(_) => 1 + 8,
+        Constant::Str(text) => 1 + text.len(),
+    }
+}
+
+impl Model {
+    /// The distinct constants, in first-occurrence order.
+    fn constants(&self) -> Vec<&Constant> {
+        let mut distinct: Vec<&Constant> = Vec::new();
+        for atom in &self.atoms {
+            for term in atom.terms.iter() {
+                if let Term::Const(c) = term {
+                    if !distinct.contains(&c) {
+                        distinct.push(c);
+                    }
+                }
+            }
+        }
+        distinct
+    }
+
+    /// Pads the last name so the names total exactly `total` bytes; false
+    /// if there is no name or they are already longer.
+    fn pad_names(&mut self, total: usize) -> bool {
+        let len: usize = self.names.iter().map(String::len).sum();
+        match self.names.last_mut() {
+            Some(last) if len <= total => {
+                last.push_str(&"n".repeat(total - len));
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Appends atoms of `Int(7)` until the body holds exactly `total`
+    /// terms, six at a time over `R5` and then one at a time over `R1`.
+    fn pad_terms(&mut self, total: usize) -> bool {
+        let mut len: usize = self.atoms.iter().map(|atom| atom.terms.len()).sum();
+        if len > total {
+            return false;
+        }
+        for (relation, arity) in [(5, 6), (1, 1)] {
+            while len + arity <= total {
+                self.atoms
+                    .push(Atom::new(RelId(relation), vec![Term::constant(7); arity]));
+                len += arity;
+            }
+        }
+        true
+    }
+
+    /// Appends an atom over `R1` holding one new string constant sized so
+    /// the constant table's entries total exactly `total` bytes.
+    fn pad_constants(&mut self, total: usize) -> bool {
+        let len: usize = self.constants().into_iter().map(entry_bytes).sum();
+        if len + 1 > total {
+            return false;
+        }
+        let text = "#".repeat(total - len - 1);
+        self.atoms
+            .push(Atom::new(RelId(1), vec![Term::constant(text.as_str())]));
+        true
+    }
+
+    /// The query's wire encoding, written from the model by the documented
+    /// format: the variable count, a kind byte per variable, each name;
+    /// the atom count, then per atom its relation, arity and tagged terms.
+    /// Counts and lengths are 8 bytes, relations and variable ids 4, all
+    /// little-endian.
+    fn wire(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        let len = |out: &mut Vec<u8>, n: usize| out.extend_from_slice(&(n as u64).to_le_bytes());
+        len(&mut out, self.kinds.len());
+        out.extend(
+            self.kinds
+                .iter()
+                .map(|kind| u8::from(kind.is_existential())),
+        );
+        for name in &self.names {
+            len(&mut out, name.len());
+            out.extend_from_slice(name.as_bytes());
+        }
+        len(&mut out, self.atoms.len());
+        for atom in &self.atoms {
+            out.extend_from_slice(&atom.relation.0.to_le_bytes());
+            len(&mut out, atom.terms.len());
+            for term in atom.terms.iter() {
+                match term {
+                    Term::Var(v, _) => {
+                        out.push(0);
+                        out.extend_from_slice(&v.0.to_le_bytes());
+                    }
+                    Term::Const(Constant::Int(i)) => {
+                        out.extend_from_slice(&[1, 0]);
+                        out.extend_from_slice(&i.to_le_bytes());
+                    }
+                    Term::Const(Constant::Str(text)) => {
+                        out.extend_from_slice(&[1, 1]);
+                        len(&mut out, text.len());
+                        out.extend_from_slice(text.as_bytes());
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// The query in datalog notation: the distinguished variables in order
+    /// of first occurrence, then every atom.
+    fn display(&self, catalog: &Catalog) -> String {
+        let mut head: Vec<&str> = Vec::new();
+        let atoms: Vec<String> = self
+            .atoms
+            .iter()
+            .map(|atom| {
+                let terms: Vec<String> = atom
+                    .terms
+                    .iter()
+                    .map(|term| match term {
+                        Term::Var(v, kind) => {
+                            let name = self.names[v.index()].as_str();
+                            if kind.is_distinguished() && !head.contains(&name) {
+                                head.push(name);
+                            }
+                            name.to_owned()
+                        }
+                        Term::Const(c) => c.to_string(),
+                    })
+                    .collect();
+                format!("{}({})", catalog.name(atom.relation), terms.join(", "))
+            })
+            .collect();
+        format!("Q({}) :- {}", head.join(", "), atoms.join(", "))
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// At each edge of the width rule — names totalling 255/256 and
+    /// 65 535/65 536 bytes, 255/256 terms, constant entries totalling
+    /// 255/256 and 65 535/65 536 bytes — every accessor, the display, the
+    /// canonical hash, `Eq` / `Hash` against a `from_parts` rebuild and the
+    /// wire encoding (byte for byte, against the model's) and round trip
+    /// read the model back.
+    #[test]
+    fn every_width_edge_reads_back_the_model(
+        seed in 0u64..u64::MAX,
+        edge in 0usize..WIDTH_EDGES.len(),
+        part in 0usize..3,
+    ) {
+        let catalog = catalog();
+        let mut model = Model::generate(seed);
+        let total = WIDTH_EDGES[edge];
+        let padded = match part {
+            0 => model.pad_names(total),
+            1 => total < 65_535 && model.pad_terms(total),
+            _ => model.pad_constants(total),
+        };
+        if !padded {
+            // No name to pad, or the model already lies past the edge.
+            return;
+        }
+        let (atoms, kinds, names) = (&model.atoms, &model.kinds, &model.names);
+        let hash = arena_hash(atoms, kinds);
+        let built = model.built();
+        assert_layout("edge builder", &built, atoms, kinds, names, hash);
+        let parts = model.parts();
+        assert_same("edge from_parts", &parts, &built);
+        prop_assert_eq!(built.display_with(&catalog).to_string(), model.display(&catalog));
+        let parsed = parse_query(&catalog, &model.display(&catalog)).unwrap();
+        assert_same("edge parser", &parsed, &built);
+
+        let mut bytes = Vec::new();
+        encode_query(&built, &mut bytes);
+        prop_assert!(bytes == model.wire(), "the wire bytes are the model's");
+        let mut cursor = Cursor::new(&bytes);
+        let decoded = decode_query(&mut cursor).unwrap();
+        cursor.expect_end().unwrap();
+        assert_layout("edge wire", &decoded, atoms, kinds, names, hash);
+        assert_same("edge wire", &decoded, &built);
     }
 }
