@@ -8,8 +8,7 @@
 //! packed submission path.  The full grid (including the 1M-principal axis,
 //! now the default) runs under `cargo bench`; under `cargo test` the sweep
 //! shrinks to its smallest point so the measurement path stays a fast smoke
-//! test.  For the sharded series and the seed-store baseline see the
-//! `fig6_json` binary.
+//! test.  For the seed-store baseline see the `fig6_json` binary.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use fdc_bench::{fig6_principal_counts, policy_workload};

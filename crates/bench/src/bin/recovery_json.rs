@@ -13,7 +13,7 @@
 //!   churn slice through `run_pipelined`.
 //! * `bulkload` — `DisclosureService::open_durable` against a directory
 //!   holding a fresh checkpoint: one sequential read, one whole-file CRC,
-//!   arena-level decodes of the registry / interner / sharded store, zero
+//!   arena-level decodes of the registry / interner / policy store, zero
 //!   WAL records to replay.
 //!
 //! Both paths are driven to the bit-identical store (asserted before

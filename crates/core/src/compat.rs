@@ -1,21 +1,18 @@
 //! The labeling fan-out's old surface, kept only so that the frozen
-//! end-to-end benchmark (`examples/svc_bench`) compiles: every request is
-//! labeled inline on the calling thread through the live tables.  Nothing
-//! else may call it (`tests/compat_surface.rs`).  Delete with ROADMAP
-//! item 1.
+//! end-to-end benchmark (`examples/svc_bench`) compiles; every request is
+//! labeled inline.  Nothing else may call it (`tests/compat_surface.rs`).
+//! Delete with ROADMAP item 1.
 
 use fdc_cq::intern::QueryId;
 
 use crate::{CachedLabeler, PackedLabel};
 
-/// An executor of one worker, the calling thread.  Called by `svc_bench`'s
-/// `ladder.rs` (`WorkerPool::new`, `workers`, `run`, and the
-/// `core.pool.roundtrip_ns` rung).  Delete with ROADMAP item 1.
+/// An executor of one worker, the calling thread, for `svc_bench`'s
+/// `ladder.rs` (`new`, `workers`, `run`).  Delete with ROADMAP item 1.
 pub struct WorkerPool;
 
 impl WorkerPool {
-    /// An inline executor, whatever `workers` asks for.  Delete with
-    /// ROADMAP item 1.
+    /// An inline executor whatever `workers` is; delete with ROADMAP item 1.
     pub fn new(_workers: usize) -> WorkerPool {
         WorkerPool
     }
@@ -59,17 +56,15 @@ impl LabelerSnapshot<'_> {
     }
 }
 
-/// Nothing to release.  `svc_bench`'s `run.rs` drops the handle by hand,
-/// which clippy refuses for a type without drop glue.  Delete with ROADMAP
-/// item 1.
+/// Nothing to release; `svc_bench`'s `run.rs` drops the handle by hand,
+/// which clippy refuses without drop glue.  Delete with ROADMAP item 1.
 impl Drop for LabelerSnapshot<'_> {
     fn drop(&mut self) {}
 }
 
 impl CachedLabeler {
-    /// A handle onto this labeler; `lanes` is ignored.  Called by
-    /// `svc_bench`'s `ladder.rs` and `measure.rs`.  Delete with ROADMAP
-    /// item 1.
+    /// A handle onto this labeler (`lanes` is ignored), for `svc_bench`'s
+    /// `ladder.rs` and `measure.rs`.  Delete with ROADMAP item 1.
     pub fn snapshot_with_lanes(&self, _lanes: usize) -> LabelerSnapshot<'_> {
         LabelerSnapshot(self)
     }

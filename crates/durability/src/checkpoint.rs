@@ -12,7 +12,7 @@
 //!
 //! ```text
 //! magic    b"FDCCKPT1"       8 bytes
-//! version  u32 LE  (= 3)     4 bytes
+//! version  u32 LE  (= 4)     4 bytes
 //! seq      u64 LE            8 bytes   (last WAL seq the payload covers)
 //! len      u64 LE            8 bytes   (payload length)
 //! payload                    len bytes
@@ -20,10 +20,10 @@
 //! ```
 //!
 //! The version numbers the *payload's* layout, which this crate never
-//! looks inside.  Version 3 is the disclosure service's image whose sharded
-//! policy store is its shard count, its principal count and its shards
-//! (version 2 carried a third word between the counts and the shards, a
-//! fan-out threshold nothing reads any more; version 1 stored every
+//! looks inside.  Version 4 is the disclosure service's image whose policy
+//! store section is one store's image and nothing else (version 3 put a
+//! shard count and a principal count before one image per shard; version 2
+//! carried a fan-out threshold after those counts; version 1 stored every
 //! recorded query of the audit history in full).  There is one reader: a
 //! file of any other version fails the version check, by number, like any
 //! other invalid file.
@@ -35,9 +35,10 @@
 //! temp file (swept by [`sweep_stale_temps`] on the next open), never a
 //! half-written checkpoint under the real name.  The whole-file CRC
 //! catches the remaining failure modes (partial rename targets on
-//! non-atomic filesystems, bit rot), and [`latest_checkpoint`] simply
-//! skips invalid files and falls back to the next-newest, so
-//! checkpointing can never make recovery *worse*.
+//! non-atomic filesystems, bit rot), and [`latest_checkpoint`] skips
+//! invalid files, naming each with its reason, and falls back to the
+//! next-newest; its caller refuses a log that does not continue the image
+//! it fell back to.
 //!
 //! All I/O goes through the caller's [`Vfs`], so the fault-injection
 //! suites can exercise fsync failures and failed renames on the
@@ -51,8 +52,8 @@ use crate::vfs::Vfs;
 
 /// Checkpoint file magic: "FDC checkpoint format 1".
 pub const CHECKPOINT_MAGIC: &[u8; 8] = b"FDCCKPT1";
-/// Checkpoint format version (see the module docs for what 3 changed).
-pub const CHECKPOINT_VERSION: u32 = 3;
+/// Checkpoint format version (see the module docs for what 4 changed).
+pub const CHECKPOINT_VERSION: u32 = 4;
 /// Fixed bytes before the payload.
 pub const CHECKPOINT_HEADER_LEN: usize = 28;
 
@@ -150,21 +151,31 @@ fn load_checkpoint(vfs: &dyn Vfs, path: &Path) -> io::Result<(u64, Vec<u8>)> {
     Ok((seq, bytes))
 }
 
+/// A checkpoint's `(covered_seq, payload)`.
+pub type Checkpoint = (u64, Vec<u8>);
+
 /// Loads the newest checkpoint in `dir` that validates (magic, version,
-/// length, whole-file CRC), returning `(covered_seq, payload)`.
-/// Invalid or half-written files are skipped, not fatal; `None` means
-/// no valid checkpoint exists and recovery must replay the log from the
-/// beginning.
-pub fn latest_checkpoint(vfs: &dyn Vfs, dir: &Path) -> io::Result<Option<(u64, Vec<u8>)>> {
+/// length, whole-file CRC), returning it beside one line per newer file
+/// skipped, newest first: `checkpoint <seq>: <reason>`.  Invalid or
+/// half-written files are skipped, not fatal; `None` means no valid
+/// checkpoint exists and recovery must replay the log from the beginning
+/// — which only holds the beginning if nothing was pruned past a skipped
+/// file, so the caller checks that the log continues the image.
+pub fn latest_checkpoint(
+    vfs: &dyn Vfs,
+    dir: &Path,
+) -> io::Result<(Option<Checkpoint>, Vec<String>)> {
+    let mut skipped = Vec::new();
     if !vfs.exists(dir) {
-        return Ok(None);
+        return Ok((None, skipped));
     }
-    for (_, path) in list_checkpoints(vfs, dir)?.into_iter().rev() {
-        if let Ok(loaded) = load_checkpoint(vfs, &path) {
-            return Ok(Some(loaded));
+    for (seq, path) in list_checkpoints(vfs, dir)?.into_iter().rev() {
+        match load_checkpoint(vfs, &path) {
+            Ok(loaded) => return Ok((Some(loaded), skipped)),
+            Err(err) => skipped.push(format!("checkpoint {seq}: {err}")),
         }
     }
-    Ok(None)
+    Ok((None, skipped))
 }
 
 /// Sequence numbers of the checkpoint files currently in `dir`,
@@ -235,7 +246,7 @@ mod tests {
     fn round_trips_payload_and_seq() {
         let dir = temp_dir("round_trip");
         write_checkpoint(&StdVfs, &dir, 17, b"state bytes", false).unwrap();
-        let (seq, payload) = latest_checkpoint(&StdVfs, &dir).unwrap().unwrap();
+        let (seq, payload) = latest_checkpoint(&StdVfs, &dir).unwrap().0.unwrap();
         assert_eq!(seq, 17);
         assert_eq!(payload, b"state bytes");
         fs::remove_dir_all(&dir).unwrap();
@@ -250,7 +261,7 @@ mod tests {
         let len = bytes.len();
         bytes[len - 10] ^= 0x55;
         fs::write(&newer, &bytes).unwrap();
-        let (seq, payload) = latest_checkpoint(&StdVfs, &dir).unwrap().unwrap();
+        let (seq, payload) = latest_checkpoint(&StdVfs, &dir).unwrap().0.unwrap();
         assert_eq!(seq, 5);
         assert_eq!(payload, b"old good");
         fs::remove_dir_all(&dir).unwrap();
@@ -263,7 +274,7 @@ mod tests {
         let newer = write_checkpoint(&StdVfs, &dir, 8, b"will be cut", false).unwrap();
         let bytes = fs::read(&newer).unwrap();
         fs::write(&newer, &bytes[..bytes.len() / 2]).unwrap();
-        let (seq, _) = latest_checkpoint(&StdVfs, &dir).unwrap().unwrap();
+        let (seq, _) = latest_checkpoint(&StdVfs, &dir).unwrap().0.unwrap();
         assert_eq!(seq, 3);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -286,7 +297,10 @@ mod tests {
             err.to_string(),
             format!("unsupported checkpoint version {version}")
         );
-        assert!(latest_checkpoint(&StdVfs, &dir).unwrap().is_none());
+        assert_eq!(
+            latest_checkpoint(&StdVfs, &dir).unwrap(),
+            (None, vec![format!("checkpoint 6: {err}")])
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -301,11 +315,16 @@ mod tests {
     }
 
     #[test]
+    fn a_version_3_image_is_refused() {
+        assert_version_is_refused(3);
+    }
+
+    #[test]
     fn empty_or_missing_directory_yields_none() {
         let dir = temp_dir("empty");
-        assert!(latest_checkpoint(&StdVfs, &dir).unwrap().is_none());
+        assert!(latest_checkpoint(&StdVfs, &dir).unwrap().0.is_none());
         fs::remove_dir_all(&dir).unwrap();
-        assert!(latest_checkpoint(&StdVfs, &dir).unwrap().is_none());
+        assert!(latest_checkpoint(&StdVfs, &dir).unwrap().0.is_none());
     }
 
     #[test]
@@ -317,7 +336,7 @@ mod tests {
         fs::write(dir.join("ckpt-00000000000000000099.ck.tmp"), b"stray").unwrap();
         let removed = prune_checkpoints(&StdVfs, &dir, 2).unwrap();
         assert_eq!(removed, 3);
-        let (seq, _) = latest_checkpoint(&StdVfs, &dir).unwrap().unwrap();
+        let (seq, _) = latest_checkpoint(&StdVfs, &dir).unwrap().0.unwrap();
         assert_eq!(seq, 12);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -361,7 +380,7 @@ mod tests {
         // still sees the old checkpoint, and the sweep clears the stray.
         // (The quiet re-install of ckpt-4 reused — and so consumed — the
         // first failed attempt's temp file, leaving exactly one stray.)
-        let (seq, payload) = latest_checkpoint(&StdVfs, &dir).unwrap().unwrap();
+        let (seq, payload) = latest_checkpoint(&StdVfs, &dir).unwrap().0.unwrap();
         assert_eq!(seq, 4);
         assert_eq!(payload, b"old good");
         assert!(dir.join("ckpt-00000000000000000009.ck.tmp").exists());

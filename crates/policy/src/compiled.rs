@@ -28,8 +28,7 @@
 //! permission presets — so per-principal state is an id, a consistency word
 //! and two counters, which is what makes the paper's 1,000,000-principal
 //! axis (Figure 6) cheap enough to run by default.  Every decision of
-//! [`PolicyStore`](crate::PolicyStore) and
-//! [`ShardedPolicyStore`](crate::ShardedPolicyStore) is one call of
+//! [`PolicyStore`](crate::PolicyStore) is one call of
 //! `PolicyArena::surviving_bits`, the crate's single decide loop;
 //! [`ReferenceMonitor`](crate::ReferenceMonitor) deliberately does *not*
 //! use it — it is the uncompiled specification the loop is tested against.

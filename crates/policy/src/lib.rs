@@ -20,14 +20,13 @@
 //!   operations per query.  This is the representation benchmarked in the
 //!   paper's Figure 6.
 //!
-//! The stores that serve traffic — the flat multi-principal
-//! [`PolicyStore`] and the [`ShardedPolicyStore`] that lays principals out
-//! over several of them (the checkpoint layout; it routes, it does not fan
-//! out) — further *compile and intern* the compact representation ([`compiled`]): a policy
-//! becomes one flat span of words, the only compiled form there is,
-//! deduplicated across principals by the [`PolicyArena`] so per-principal
-//! state is 24 bytes and the paper's million-principal axis runs by
-//! default, and every decision is one loop over that span.  The
+//! The store that serves traffic, the multi-principal [`PolicyStore`],
+//! further *compiles and interns* the compact representation
+//! ([`compiled`]): a policy becomes one flat span of words, the only
+//! compiled form there is, deduplicated across principals by the
+//! [`PolicyArena`] so per-principal state is 24 bytes and the paper's
+//! million-principal axis runs by default, and every decision is one loop
+//! over that span.  The
 //! single-principal [`ReferenceMonitor`] compiles nothing: it is Section
 //! 6.2 as written, the specification that loop is tested against.
 
@@ -35,19 +34,21 @@
 #![warn(missing_docs)]
 
 pub mod audit;
+#[doc(hidden)]
+pub mod compat;
 pub mod compiled;
 pub mod lattice_policy;
 pub mod monitor;
 pub mod partition;
 pub mod policy;
-pub mod shard;
 pub mod store;
 pub mod wire;
 
 pub use audit::{audit_app, audit_labels, requested_views, AuditReport};
+#[doc(hidden)]
+pub use compat::*;
 pub use compiled::{initial_consistency_word, PolicyArena, MAX_PARTITIONS};
 pub use monitor::{Decision, ReferenceMonitor};
 pub use partition::PolicyPartition;
 pub use policy::SecurityPolicy;
-pub use shard::ShardedPolicyStore;
 pub use store::{PolicyStore, PrincipalId};

@@ -27,10 +27,6 @@
 //!   (Section 6.1) as they are, so labeler output flows to a decision
 //!   without unpacking.  What the loop must compute is written down,
 //!   uncompiled, in [`ReferenceMonitor`](crate::ReferenceMonitor).
-//!
-//! [`ShardedPolicyStore`](crate::ShardedPolicyStore) places principals
-//! round-robin over several of these stores — the layout a checkpoint
-//! writes — and routes each request to the one that holds its principal.
 
 use fdc_core::{DisclosureLabel, PackedLabel, SecurityViewId, SecurityViews, ViewMask};
 use fdc_cq::{Catalog, RelId};
@@ -353,7 +349,7 @@ impl PolicyStore {
 
     /// Serializes the store — the arena's source policies in interning
     /// order, the raw 24-byte principal records, the store totals — into
-    /// `out` (one shard's slice of a checkpoint).
+    /// `out` (a checkpoint's whole store section).
     ///
     /// The arena's compiled spans are *not* written: [`PolicyArena::intern`]
     /// is deterministic over the source policies in order, so decoding
@@ -386,9 +382,11 @@ impl PolicyStore {
     ///
     /// Every policy must fit `catalog` (a policy compiles to a table with
     /// one row per relation id up to the highest it names, so a relation id
-    /// from hostile bytes would size an allocation); like every other
-    /// defect of the input, one that does not is a [`CodecError`] carrying
-    /// its offset, never a panic.
+    /// from hostile bytes would size an allocation), and every consistency
+    /// word must be one construction can produce: no bit at or past its
+    /// policy's partition count, and not `0` for a policy that has
+    /// partitions.  Like every other defect of the input, one that breaks
+    /// either is a [`CodecError`] carrying its offset, never a panic.
     ///
     /// [`CodecError`]: fdc_durability::codec::CodecError
     pub fn decode_from(
@@ -430,6 +428,22 @@ impl PolicyStore {
                 return Err(CodecError::invalid(
                     at,
                     "principal policy index out of range",
+                ));
+            }
+            // Construction starts every word at one bit per partition and a
+            // submit only clears bits, never the last one (a label no
+            // partition survives is refused and leaves the word as it was).
+            let partitions = store.arena.num_partitions(policy);
+            if consistent & !initial_consistency_word(partitions) != 0 {
+                return Err(CodecError::invalid(
+                    at + 12,
+                    "consistency word sets a bit past its policy's partitions",
+                ));
+            }
+            if partitions > 0 && consistent == 0 {
+                return Err(CodecError::invalid(
+                    at + 12,
+                    "consistency word is 0 for a policy with partitions",
                 ));
             }
             store.states.push(PrincipalState {

@@ -626,7 +626,6 @@ mod tests {
     fn fixed_stream_service() -> (DisclosureService, ServiceConfig) {
         let registry = SecurityViews::paper_example();
         let config = ServiceConfig {
-            num_shards: 2,
             history_cap: 3,
             ..ServiceConfig::default()
         };
@@ -682,7 +681,7 @@ mod tests {
     }
 
     /// The checkpoint image of the fixed stream is byte for byte what the
-    /// build that introduced image version 3 wrote (the length and hash
+    /// build that introduced image version 4 wrote (the length and hash
     /// were taken from it), and decoding it is the inverse of encoding it.
     #[test]
     fn the_checkpoint_image_of_a_fixed_stream_is_unchanged() {
@@ -690,19 +689,20 @@ mod tests {
         let image = service.freeze(0, true).encode();
         assert_eq!(
             (image.len(), fnv1a(&image)),
-            (1_243, 12_687_038_698_957_181_842)
+            (1_115, 1_696_248_341_321_253_659)
         );
         let recovered = DisclosureService::decode_state(&image, config).unwrap();
         assert_eq!(recovered.freeze(0, true).encode(), image);
     }
 
-    /// Version 3 is version 2 minus one word and nothing else moved: the
-    /// sharded store's section used to carry a fan-out threshold (32, the
-    /// default) after its shard and principal counts, and putting it back
-    /// reproduces the version-2 image this stream was pinned to since the
-    /// ring-per-principal service wrote it.
+    /// Version 4 is the one-shard version-3 image minus two words and
+    /// nothing else moved: the store's section used to open with a shard
+    /// count (1) and a principal count (4) before the one store's image,
+    /// and putting them back reproduces what the last version-3 build
+    /// wrote for this stream on one shard (the length and hash were taken
+    /// from it).
     #[test]
-    fn the_version_3_image_is_the_version_2_image_minus_the_threshold_word() {
+    fn the_version_4_image_is_the_one_shard_version_3_image_minus_its_count_words() {
         let (service, _) = fixed_stream_service();
         let mut image = service.freeze(0, true).encode();
         let mut store = Vec::new();
@@ -711,11 +711,11 @@ mod tests {
             .windows(store.len())
             .position(|window| window == store)
             .expect("the image holds the store's section");
-        let threshold_at = store_at + 16;
-        image.splice(threshold_at..threshold_at, 32u64.to_le_bytes());
+        let counts = [1u64, 4].map(u64::to_le_bytes).concat();
+        image.splice(store_at..store_at, counts);
         assert_eq!(
             (image.len(), fnv1a(&image)),
-            (1_251, 13_972_289_761_036_353_554)
+            (1_131, 17_389_320_741_288_089_432)
         );
     }
 }

@@ -583,7 +583,6 @@ mod tests {
     /// A test config with fsync off (scratch dirs need no crash safety).
     fn durable_config() -> ServiceConfig {
         ServiceConfig {
-            num_shards: 2,
             durability: DurabilityConfig {
                 fsync: false,
                 ..DurabilityConfig::default()
@@ -650,6 +649,71 @@ mod tests {
             recovered.store().consistency_bits(p),
             service_bits(&dir, &registry, p)
         );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// A durable home that registered 13 principals and checkpointed after
+    /// the 5th and the 13th: the log keeps only the records past the older
+    /// checkpoint (seqs 6 to 13).
+    fn two_checkpoint_home(tag: &str) -> (std::path::PathBuf, SecurityViews) {
+        let dir = temp_dir(tag);
+        let registry = SecurityViews::paper_example();
+        let (mut service, _) =
+            DisclosureService::open_durable(registry.clone(), durable_config(), &dir).unwrap();
+        for count in [5, 8] {
+            for _ in 0..count {
+                service.register_principal(wall(&registry));
+            }
+            service.checkpoint().unwrap();
+        }
+        service.close().unwrap();
+        (dir, registry)
+    }
+
+    /// Rewrites the version in checkpoint `seq`'s header and re-seals its
+    /// checksum, so the version is all that refuses the file.
+    fn patch_checkpoint_version(dir: &std::path::Path, seq: u64, version: u32) {
+        let path = dir.join(fdc_durability::checkpoint::checkpoint_file_name(seq));
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes[8..12].copy_from_slice(&version.to_le_bytes());
+        let body_end = bytes.len() - 4;
+        let crc = fdc_durability::crc::crc32(&bytes[..body_end]);
+        bytes[body_end..].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&path, bytes).unwrap();
+    }
+
+    #[test]
+    fn recovery_refuses_a_log_that_does_not_continue_its_image() {
+        // Regression: with neither checkpoint loading, the 8 records the
+        // log kept replayed onto the initial registry, and the open
+        // returned 8 principals — the first 5 lost, every later id shifted.
+        let (dir, registry) = two_checkpoint_home("gap");
+        for seq in [5, 13] {
+            patch_checkpoint_version(&dir, seq, 3);
+        }
+        let err = DisclosureService::open_durable(registry, durable_config(), &dir).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(
+            err.to_string(),
+            "the log resumes at seq 6, past the image at seq 0; skipped: \
+             checkpoint 13: unsupported checkpoint version 3; \
+             checkpoint 5: unsupported checkpoint version 3"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn recovery_falls_back_to_the_older_checkpoint_when_the_newest_is_damaged() {
+        let (dir, registry) = two_checkpoint_home("fallback");
+        // A payload byte flipped: the newest file fails its checksum.
+        let newest = dir.join(fdc_durability::checkpoint::checkpoint_file_name(13));
+        let mut bytes = std::fs::read(&newest).unwrap();
+        bytes[30] ^= 0xff;
+        std::fs::write(&newest, bytes).unwrap();
+        let (recovered, report) =
+            DisclosureService::open_durable(registry, durable_config(), &dir).unwrap();
+        assert_eq!((report.checkpoint_seq, report.records_replayed), (5, 8));
+        assert_eq!(recovered.num_principals(), 13);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -35,8 +35,8 @@ use fdc_durability::{
     WalStats, WalWriter,
 };
 use fdc_policy::{
-    audit_labels, requested_views, AuditReport, Decision, PrincipalId, SecurityPolicy,
-    ShardedPolicyStore, MAX_PARTITIONS,
+    audit_labels, requested_views, AuditReport, Decision, PolicyStore, PrincipalId, SecurityPolicy,
+    MAX_PARTITIONS,
 };
 
 use crate::durable::{self, DurableState, RecoveryReport, WalOp};
@@ -53,12 +53,8 @@ const CHECKPOINTS_KEPT: usize = 2;
 /// Configuration of a [`DisclosureService`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
-    /// Number of shards the policy store lays principals out over
-    /// (round-robin).  `0` means "the host's available parallelism"; the
-    /// default is `1`, one store and one policy arena.  The count is part
-    /// of a durable service's on-disk layout and of nothing else —
-    /// decisions are made on the calling thread whatever it is — so
-    /// recovery keeps the checkpoint's count.
+    /// Ignored: the service holds one policy store.  Kept so that
+    /// `svc_bench`'s `run.rs` compiles; delete with ROADMAP item 1.
     pub num_shards: usize,
     /// Ignored: every request is served on the calling thread.  Kept so
     /// that `svc_bench`'s `Plan::service_config` compiles; delete with
@@ -113,7 +109,7 @@ pub struct ServiceStats {
 ///
 /// A `DisclosureService` owns the three moving parts the static pipeline of
 /// PR 2 kept frozen — the [`SecurityViews`] registry (inside the labeler),
-/// the epoch-aware [`CachedLabeler`] and the [`ShardedPolicyStore`] — and
+/// the epoch-aware [`CachedLabeler`] and the [`PolicyStore`] — and
 /// serves a mixed stream of admissions, policy mutations, view-universe
 /// mutations and audits:
 ///
@@ -145,7 +141,7 @@ pub struct DisclosureService {
     /// through [`intern`](Self::intern) (or this handle) and the service
     /// validates them at admission time.
     interner: SharedQueryInterner,
-    store: ShardedPolicyStore,
+    store: PolicyStore,
     /// Per-principal ring of recently submitted queries (capped at
     /// `config.history_cap`), the observed workload `AuditApp` audits
     /// against — held as the interned ids the admissions resolved to, in
@@ -269,26 +265,21 @@ impl DisclosureService {
     /// tests size the labeler's arena budget down to reach the
     /// over-budget admission path).
     pub(crate) fn with_labeler(labeler: CachedLabeler, config: ServiceConfig) -> Self {
-        let store = ShardedPolicyStore::new(width_or_host(config.num_shards));
-        Self::assemble(labeler, store, History::new(config.history_cap), config)
+        let history = History::new(config.history_cap);
+        Self::assemble(labeler, PolicyStore::new(), history, config)
     }
 
     /// Puts a service together from its stateful parts, fresh or decoded.
-    /// The store's shard count is the effective one (it is part of a
-    /// checkpoint's layout).
     fn assemble(
         labeler: CachedLabeler,
-        store: ShardedPolicyStore,
+        store: PolicyStore,
         history: History,
         config: ServiceConfig,
     ) -> Self {
         DisclosureService {
             interner: labeler.interner(),
             labeler,
-            config: ServiceConfig {
-                num_shards: store.num_shards(),
-                ..config
-            },
+            config,
             store,
             history,
             arena: Vec::new(),
@@ -364,11 +355,11 @@ impl DisclosureService {
     }
 
     /// The enforcement stage.
-    pub fn store(&self) -> &ShardedPolicyStore {
+    pub fn store(&self) -> &PolicyStore {
         &self.store
     }
 
-    /// The effective configuration (with `num_shards` resolved).
+    /// The configuration the service was built with.
     pub fn config(&self) -> ServiceConfig {
         self.config
     }
@@ -878,9 +869,12 @@ impl DisclosureService {
     /// callers must pass the same initial registry on every open, since a
     /// zero-checkpoint recovery replays the log against it.  Once a
     /// checkpoint exists, the registry (and the interner, policies,
-    /// per-principal state and audit histories) come from disk, and the
-    /// checkpoint's shard count overrides `config.num_shards` — the
-    /// round-robin principal placement is part of the on-disk layout.
+    /// per-principal state and audit histories) come from disk.  A
+    /// checkpoint that does not load (another version, a bad checksum) is
+    /// skipped for the next-newest, but only while the log still holds
+    /// every record past the image that loads; otherwise the open fails
+    /// with [`io::ErrorKind::InvalidData`], naming the seq the log resumes
+    /// at, the image's seq and why each skipped file was refused.
     ///
     /// The audit history is bounded by the *current*
     /// [`ServiceConfig::history_cap`]: a recovered history longer than
@@ -915,7 +909,8 @@ impl DisclosureService {
         // they can never accumulate (the rename-failure regression test
         // in `fdc-durability` covers the stranding itself).
         let temps_swept = sweep_stale_temps(vfs.as_ref(), dir)? as u64;
-        let (mut service, checkpoint_seq) = match latest_checkpoint(vfs.as_ref(), dir)? {
+        let (loaded, skipped) = latest_checkpoint(vfs.as_ref(), dir)?;
+        let (mut service, checkpoint_seq) = match loaded {
             Some((seq, payload)) => (
                 Self::decode_state(&payload, config).map_err(invalid_data)?,
                 seq,
@@ -923,6 +918,26 @@ impl DisclosureService {
             None => (DisclosureService::new(views, config), 0),
         };
         let contents = read_log(vfs.as_ref(), dir)?;
+        // The log must continue the image.  When the newest checkpoints do
+        // not load (another version, a bad checksum), the log was pruned up
+        // to them: replaying what is left onto an older image, or onto the
+        // initial registry, would drop every record in between.
+        let resumes_at = contents
+            .records
+            .iter()
+            .map(|record| record.seq)
+            .find(|&seq| seq > checkpoint_seq)
+            .unwrap_or(contents.tail.next_seq);
+        if resumes_at > checkpoint_seq + 1 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "the log resumes at seq {resumes_at}, past the image at seq \
+                     {checkpoint_seq}; skipped: {}",
+                    skipped.join("; ")
+                ),
+            ));
+        }
         let mut replayed = 0u64;
         let catalog = service.registry().catalog().clone();
         for record in &contents.records {
@@ -977,7 +992,7 @@ impl DisclosureService {
     }
 
     /// Writes a checkpoint of the full service state — registry (with
-    /// epochs), interner, sharded policy store, audit histories — at the
+    /// epochs), interner, policy store, audit histories — at the
     /// current log position, then prunes: only the newest two checkpoint
     /// files are kept (the predecessor survives as a fallback should the
     /// newest be damaged in place), and WAL segments wholly covered by
@@ -1247,7 +1262,7 @@ impl DisclosureService {
                 ));
             }
         }
-        let store = ShardedPolicyStore::decode_from(&mut cursor, views.catalog())?;
+        let store = PolicyStore::decode_from(&mut cursor, views.catalog())?;
         // The recovered history obeys the *current* cap.
         let history = History::decode_from(
             &mut cursor,
@@ -1270,8 +1285,6 @@ impl DisclosureService {
                 ));
             }
         }
-        // The checkpoint's shard count wins over the config's (see
-        // `assemble`).
         let labeler = CachedLabeler::with_interner(views, interner, DEFAULT_CACHE_CAPACITY);
         Ok(Self::assemble(labeler, store, history, config))
     }
@@ -1303,15 +1316,6 @@ impl DisclosureService {
                     .unwrap_or_else(Response::Rejected)
             })
             .collect()
-    }
-}
-
-/// A configured width, `0` meaning the host's available parallelism (with
-/// a serial fallback).
-fn width_or_host(configured: usize) -> usize {
-    match configured {
-        0 => std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
-        width => width,
     }
 }
 
@@ -1388,7 +1392,7 @@ pub struct PendingCheckpoint {
     /// shared read-write handle workload generators clone, so its bytes
     /// are fixed eagerly instead of racing concurrent interning.
     interner: Vec<u8>,
-    store: ShardedPolicyStore,
+    store: PolicyStore,
     history: History,
 }
 

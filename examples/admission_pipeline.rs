@@ -1,7 +1,7 @@
 //! The fused admission path end to end, served by the `DisclosureService`
 //! front door: parsed queries go in, policy decisions come out, and the
 //! label never leaves the packed 64-bit form between the caching labeler
-//! and the sharded, interned policy store.
+//! and the interned policy store.
 //!
 //! The third pass shows the interned query plane: the workload's query
 //! shapes are interned **once** through the service's `QueryInterner`, and
@@ -38,10 +38,9 @@ fn main() {
     );
     let store = service.store();
     println!(
-        "  {} principals over {} policy shards, {} distinct compiled policies, \
+        "  {} principals, {} distinct compiled policies, \
          {} bytes of per-principal state ({} bytes each)\n",
         store.len(),
-        store.num_shards(),
         store.unique_policies(),
         store.state_bytes(),
         store.state_bytes() / store.len().max(1),
@@ -60,7 +59,7 @@ fn main() {
         })
         .collect();
 
-    println!("Admitting {batch_size} requests (label → packed check, all cores)…");
+    println!("Admitting {batch_size} requests (label → packed check, on the calling thread)…");
     let start = Instant::now();
     let responses = service.run_pipelined(&ops);
     let elapsed = start.elapsed();

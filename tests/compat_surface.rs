@@ -1,20 +1,25 @@
-//! The compat surface stays a surface: the labeling fan-out's old API is
-//! kept, in one `compat.rs` module per crate, only so that the frozen
-//! end-to-end benchmark (`examples/svc_bench`) compiles.  No code under
-//! `crates/`, `src/` or `tests/` outside those modules may name it, and
-//! the modules stay small.
+//! The compat surface stays a surface: the labeling fan-out's and the
+//! sharded policy store's old API is kept, in one `compat.rs` module per
+//! crate, and two ignored `ServiceConfig` fields are kept beside it, only
+//! so that the frozen end-to-end benchmark (`examples/svc_bench`)
+//! compiles.  No code under `crates/`, `src/` or `tests/` outside those
+//! modules may name it, and the modules stay small.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 /// The compat modules, relative to the repository root.
-const COMPAT_MODULES: [&str; 2] = ["crates/core/src/compat.rs", "crates/service/src/compat.rs"];
+const COMPAT_MODULES: [&str; 3] = [
+    "crates/core/src/compat.rs",
+    "crates/policy/src/compat.rs",
+    "crates/service/src/compat.rs",
+];
 
 /// Their line budget, in total.
 const COMPAT_LINE_BUDGET: usize = 150;
 
 /// Identifiers only the compat modules may use.
-const FORBIDDEN: [&str; 13] = [
+const FORBIDDEN: [&str; 16] = [
     "WorkerPool",
     "WorkerContext",
     "LabelerSnapshot",
@@ -28,14 +33,21 @@ const FORBIDDEN: [&str; 13] = [
     "append_packed_interned_in",
     "ParallelStats",
     "ParallelPlane",
+    "ShardedPolicyStore",
+    "num_shards",
+    "workers",
 ];
 
-/// The one mention allowed elsewhere: the declaration of the
-/// `ServiceStats::parallel` field.
-const ALLOWED: (&str, &str) = (
-    "crates/service/src/service.rs",
+/// The mentions allowed elsewhere, all in `crates/service/src/service.rs`:
+/// the declarations of the `ServiceStats::parallel` field and of the two
+/// ignored `ServiceConfig` fields, and those fields' `Default` lines.
+const ALLOWED: [&str; 5] = [
     "pub parallel: crate::compat::ParallelStats,",
-);
+    "pub num_shards: usize,",
+    "pub workers: usize,",
+    "num_shards: 1,",
+    "workers: 1,",
+];
 
 fn root() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -83,7 +95,7 @@ fn only_the_compat_modules_name_the_compat_surface() {
         }
         let text = fs::read_to_string(&file).unwrap();
         for (number, line) in text.lines().enumerate() {
-            if (relative.as_str(), line.trim()) == ALLOWED {
+            if relative == "crates/service/src/service.rs" && ALLOWED.contains(&line.trim()) {
                 continue;
             }
             for name in FORBIDDEN.iter().filter(|name| names(line, name)) {

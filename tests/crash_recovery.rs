@@ -36,10 +36,9 @@ use harness::{
 const OPS: usize = 64;
 const SEED: u64 = 0xC4A5;
 
-/// The shared service configuration: an explicit shard count (the
-/// round-robin placement is part of the on-disk layout), fsync off.
+/// The shared service configuration: fsync off.
 fn config(world: &World) -> ServiceConfig {
-    world.config(2)
+    world.config()
 }
 
 /// The single WAL segment file of `dir` (these streams fit in one).

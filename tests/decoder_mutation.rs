@@ -2,9 +2,10 @@
 //!
 //! Every decoder that reads bytes from disk — the interner's arena image
 //! (`QueryInterner::decode_from`), a wire query and catalog
-//! (`fdc_cq::wire`), a security policy (`fdc_policy::wire::decode_policy`)
-//! and a WAL record payload (`durable::decode_wal_op`) — is fed mutations
-//! of valid encodings:
+//! (`fdc_cq::wire`), a security policy (`fdc_policy::wire::decode_policy`),
+//! the policy store's image (`PolicyStore::decode_from`, a checkpoint's
+//! whole store section) and a WAL record payload (`durable::decode_wal_op`)
+//! — is fed mutations of valid encodings:
 //!
 //! * every single-bit flip;
 //! * every byte set to each of 0, 1, 0x7f, 0x80 and 0xff;
@@ -23,18 +24,21 @@
 //! and every query stays canonical, yet the image is not one construction
 //! can build; each must be refused at the offset of what it edited:
 //!
-//! * duplicate a query span (two ids for one shape).
+//! * duplicate a query span (two ids for one shape);
+//! * set a principal's consistency bit at or past its policy's partition
+//!   count;
+//! * zero the consistency word of a principal whose policy has partitions.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use fdc::core::SecurityViews;
+use fdc::core::{BaselineLabeler, QueryLabeler, SecurityViews};
 use fdc::cq::intern::{QueryId, QueryInterner};
 use fdc::cq::parser::parse_query;
 use fdc::cq::wire::{decode_catalog, decode_query, encode_catalog, encode_query};
 use fdc::cq::{Catalog, ConjunctiveQuery};
 use fdc::durability::codec::{CodecError, Cursor};
 use fdc::policy::wire::{decode_policy, encode_policy};
-use fdc::policy::{PolicyPartition, PrincipalId, SecurityPolicy};
+use fdc::policy::{PolicyPartition, PolicyStore, PrincipalId, SecurityPolicy};
 use fdc::service::durable::{
     decode_wal_op, encode_add_view, encode_grant, encode_register, encode_replace_policy,
     encode_revoke, encode_submit,
@@ -142,6 +146,19 @@ fn queries(catalog: &Catalog) -> Vec<ConjunctiveQuery> {
     .collect()
 }
 
+/// A store of two principals under `policy`, one of them committed to a
+/// side by a submit, and one under the empty policy (no partitions).
+fn policy_store(registry: &SecurityViews, policy: &SecurityPolicy) -> PolicyStore {
+    let mut store = PolicyStore::new();
+    let committed = store.register(policy.clone());
+    store.register(policy.clone());
+    store.register(SecurityPolicy::new());
+    let query = parse_query(registry.catalog(), "Q(x, y) :- Meetings(x, y)").unwrap();
+    let label = BaselineLabeler::new(registry.clone()).label_query(&query);
+    assert!(store.submit(committed, &label).is_allow());
+    store
+}
+
 /// A decoder under test, given the catalog WAL records resolve against.
 type Decode = fn(&Catalog, &[u8]) -> Result<(), CodecError>;
 
@@ -188,6 +205,12 @@ fn hostile_bytes_never_panic_a_decoder() {
         |_, input| decode_policy(&mut Cursor::new(input)).map(drop),
         &|out| encode_policy(&policy, out),
     );
+    let store = policy_store(&registry, &policy);
+    encoded(
+        "policy store",
+        |catalog, input| PolicyStore::decode_from(&mut Cursor::new(input), catalog).map(drop),
+        &|out| store.encode_into(out),
+    );
     let p = PrincipalId(7);
     let selection = parse_query(&catalog, "Vc(x) :- Meetings(x, 'Cathy')").unwrap();
     encoded("register", wal, &|out| encode_register(&policy, out));
@@ -233,6 +256,47 @@ fn an_image_duplicating_a_query_span_is_refused() {
                     "query {duplicated} of {count}"
                 ),
                 other => panic!("query {duplicated} of {count} duplicated: {other:?}"),
+            }
+        }
+    }
+}
+
+#[test]
+fn an_image_holding_a_consistency_word_no_construction_makes_is_refused() {
+    let registry = SecurityViews::paper_example();
+    let [v1, v3] = ["V1", "V3"].map(|name| registry.id_by_name(name).unwrap());
+    let policy = SecurityPolicy::chinese_wall([
+        PolicyPartition::from_views("meetings", &registry, [v1]),
+        PolicyPartition::from_views("contacts", &registry, [v3]),
+    ]);
+    let store = policy_store(&registry, &policy);
+    let mut image = Vec::new();
+    store.encode_into(&mut image);
+    let decode =
+        |bytes: &[u8]| PolicyStore::decode_from(&mut Cursor::new(bytes), registry.catalog());
+    assert!(decode(&image).is_ok());
+    // The image ends with the principal records (a policy id, two
+    // counters, then the word: 20 bytes each) and the two 8-byte totals.
+    let records = image.len() - 16 - 20 * store.len();
+    let past = "consistency word sets a bit past its policy's partitions";
+    for principal in 0..store.len() {
+        let partitions = store.policy(PrincipalId(principal as u32)).len();
+        let word_at = records + 20 * principal + 12;
+        let word = u64::from_le_bytes(image[word_at..word_at + 8].try_into().unwrap());
+        let mut hostile = vec![(word | 1 << partitions, past), (word | 1 << 63, past)];
+        if partitions > 0 {
+            hostile.push((0, "consistency word is 0 for a policy with partitions"));
+        }
+        for (edited, refusal) in hostile {
+            let mut bytes = image.clone();
+            bytes[word_at..word_at + 8].copy_from_slice(&edited.to_le_bytes());
+            match decode(&bytes) {
+                Err(CodecError::Invalid { offset, what }) => assert_eq!(
+                    (offset, what.as_str()),
+                    (word_at, refusal),
+                    "principal {principal}, word {edited:#b}"
+                ),
+                other => panic!("principal {principal}, word {edited:#b}: {other:?}"),
             }
         }
     }

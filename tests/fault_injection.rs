@@ -45,7 +45,7 @@ const OPS: usize = 64;
 /// no real disk flushes happen on the quiet paths of these tests
 /// beyond what the scratch tmpfs absorbs).
 fn config(world: &World) -> ServiceConfig {
-    let mut config = world.config(2);
+    let mut config = world.config();
     config.durability.fsync = true;
     config
 }

@@ -8,7 +8,7 @@
 //! applied to [`ReferenceService`](fdc::service::ReferenceService), the
 //! paper's three steps over the boxed reference algorithms, and served by
 //! every row of the executor matrix (`support/harness.rs`): `apply`; the
-//! typed methods; `run_pipelined` on 1 and 4 shards; durable `apply` and
+//! typed methods; `run_pipelined`; durable `apply` and
 //! `run_pipelined`, reopened from a checkpoint and from the log alone.
 //! Every row must give the model's responses and end in the model's
 //! state — totals, each principal's policy, consistency word, counters,

@@ -7,8 +7,6 @@
 //!
 //! * a flat [`PolicyStore`] on unpacked labels,
 //! * a second [`PolicyStore`] on the packed 64-bit path,
-//! * a [`ShardedPolicyStore`] on unpacked labels,
-//! * a second [`ShardedPolicyStore`] on the packed path,
 //! * and one [`ReferenceMonitor`] per principal — the specification: it
 //!   holds the policy as written, decides with [`PolicyPartition::allows`]
 //!   and takes a grant or revoke as [`PolicyPartition::permit`] /
@@ -31,9 +29,7 @@
 use fdc::core::{AtomLabel, DisclosureLabel, SecurityViewId, SecurityViews, ViewMask};
 use fdc::cq::RelId;
 use fdc::policy::compiled::compile;
-use fdc::policy::{
-    PolicyPartition, PolicyStore, PrincipalId, ReferenceMonitor, SecurityPolicy, ShardedPolicyStore,
-};
+use fdc::policy::{PolicyPartition, PolicyStore, PrincipalId, ReferenceMonitor, SecurityPolicy};
 use proptest::prelude::*;
 
 /// Strategy: one random policy as partition view-index lists (0..=3
@@ -188,21 +184,16 @@ proptest! {
     fn all_enforcement_surfaces_agree(
         policies in proptest::collection::vec(policy_strategy(), 1..=10),
         ops in proptest::collection::vec(op_strategy(), 1..=60),
-        num_shards in 1usize..6,
     ) {
         let registry = registry();
         let views = view_ids(&registry);
         let mut flat = PolicyStore::new();
         let mut flat_packed = PolicyStore::new();
-        let mut sharded = ShardedPolicyStore::new(num_shards);
-        let mut sharded_packed = ShardedPolicyStore::new(num_shards);
         let mut monitors = Vec::new();
         for raw in &policies {
             let policy = build_policy(&registry, raw);
             flat.register(policy.clone());
             flat_packed.register(policy.clone());
-            sharded.register(policy.clone());
-            sharded_packed.register(policy.clone());
             monitors.push(ReferenceMonitor::new(policy));
         }
 
@@ -221,8 +212,6 @@ proptest! {
                     let expected = monitor.submit(&label);
                     prop_assert_eq!(flat.submit(p, &label), expected);
                     prop_assert_eq!(flat_packed.submit_packed(p, &packed), expected);
-                    prop_assert_eq!(sharded.submit(p, &label), expected);
-                    prop_assert_eq!(sharded_packed.submit_packed(p, &packed), expected);
                 }
                 Op::Check { label, .. } => {
                     let label = build_label(label);
@@ -230,8 +219,6 @@ proptest! {
                     let expected = monitor.check(&label);
                     prop_assert_eq!(flat.check(p, &label), expected);
                     prop_assert_eq!(flat_packed.check_packed(p, &packed), expected);
-                    prop_assert_eq!(sharded.check(p, &label), expected);
-                    prop_assert_eq!(sharded_packed.check_packed(p, &packed), expected);
                 }
                 Op::Grant { view, .. } | Op::Revoke { view, .. } => {
                     let view = views[view % views.len()];
@@ -250,13 +237,9 @@ proptest! {
                     if grant {
                         flat.grant_view(p, &registry, view);
                         flat_packed.grant_view(p, &registry, view);
-                        sharded.grant_view(p, &registry, view);
-                        sharded_packed.grant_view(p, &registry, view);
                     } else {
                         flat.revoke_view(p, &registry, view);
                         flat_packed.revoke_view(p, &registry, view);
-                        sharded.revoke_view(p, &registry, view);
-                        sharded_packed.revoke_view(p, &registry, view);
                     }
                 }
                 Op::Replace { raw, .. } => {
@@ -266,8 +249,6 @@ proptest! {
                     let policy = build_policy(&registry, &parts);
                     flat.replace_policy(p, policy.clone());
                     flat_packed.replace_policy(p, policy.clone());
-                    sharded.replace_policy(p, policy.clone());
-                    sharded_packed.replace_policy(p, policy.clone());
                     monitor.replace_policy(policy);
                 }
             }
@@ -276,11 +257,9 @@ proptest! {
             let bits = monitor.consistency_bits();
             prop_assert_eq!(flat.consistency_bits(p), bits);
             prop_assert_eq!(flat_packed.consistency_bits(p), bits);
-            prop_assert_eq!(sharded.consistency_bits(p), bits);
-            prop_assert_eq!(sharded_packed.consistency_bits(p), bits);
             let masks = mask_lists(monitor.policy());
             prop_assert_eq!(mask_lists(flat.policy(p)), masks.clone());
-            prop_assert_eq!(mask_lists(sharded_packed.policy(p)), masks);
+            prop_assert_eq!(mask_lists(flat_packed.policy(p)), masks);
         }
 
         // Per-principal counters and O(1) totals match the monitors.
@@ -291,13 +270,10 @@ proptest! {
             let expected = (monitor.answered(), monitor.refused());
             prop_assert_eq!(flat.stats(p), expected);
             prop_assert_eq!(flat_packed.stats(p), expected);
-            prop_assert_eq!(sharded.stats(p), expected);
-            prop_assert_eq!(sharded_packed.stats(p), expected);
             answered += expected.0;
             refused += expected.1;
         }
         prop_assert_eq!(flat.totals(), (answered, refused));
-        prop_assert_eq!(sharded.totals(), (answered, refused));
     }
 
     #[test]
@@ -415,10 +391,6 @@ fn oversized_policies_are_rejected_by_every_surface() {
     }
     let for_store = policy.clone();
     assert!(std::panic::catch_unwind(move || PolicyStore::new().register(for_store)).is_err());
-    let for_sharded = policy.clone();
-    assert!(
-        std::panic::catch_unwind(move || ShardedPolicyStore::new(2).register(for_sharded)).is_err()
-    );
     assert!(std::panic::catch_unwind(move || ReferenceMonitor::new(policy)).is_err());
     // Exactly MAX_PARTITIONS partitions remain valid.
     let mut at_limit = SecurityPolicy::new();

@@ -202,9 +202,8 @@ impl World {
 
     /// A service configuration over this world; fsync off (crashes here are
     /// simulated, a scratch directory needs no power-loss safety).
-    pub fn config(&self, num_shards: usize) -> ServiceConfig {
+    pub fn config(&self) -> ServiceConfig {
         ServiceConfig {
-            num_shards,
             history_cap: self.history_cap,
             durability: DurabilityConfig {
                 fsync: false,
@@ -620,17 +619,12 @@ pub fn run_matrix(what: &str, world: &World, ops: &[Operation]) {
     durable_rows(what, world, ops, &specified);
 }
 
-/// `apply`, the typed methods, then `run_pipelined`, on 1 and 4 shards.
+/// `apply`, the typed methods, then `run_pipelined`.
 pub fn in_memory_rows(what: &str, world: &World, ops: &[Operation], specified: &Specified) {
     let mut sequential_cache = None;
-    for (executor, num_shards) in [
-        (Executor::Apply, 1),
-        (Executor::Typed, 1),
-        (BATCHED, 1),
-        (BATCHED, 4),
-    ] {
-        let row = format!("{what}: {executor:?}, {num_shards} shards");
-        let mut service = build_service(world, world.config(num_shards));
+    for executor in [Executor::Apply, Executor::Typed, BATCHED] {
+        let row = format!("{what}: {executor:?}");
+        let mut service = build_service(world, world.config());
         let answered = serve(&mut service, ops, executor);
         // The one property the model cannot state: every executor labels
         // in stream order through the one labeler, so the cumulative cache
@@ -644,10 +638,10 @@ pub fn in_memory_rows(what: &str, world: &World, ops: &[Operation], specified: &
 /// Durable `apply` and `run_pipelined`, each then closed and reopened —
 /// from a checkpoint, and from the log alone.
 pub fn durable_rows(what: &str, world: &World, ops: &[Operation], specified: &Specified) {
-    for (executor, num_shards) in [(Executor::Apply, 1), (BATCHED, 4)] {
+    for executor in [Executor::Apply, BATCHED] {
         for checkpointed in [true, false] {
             let row = format!("{what}: durable {executor:?}, checkpointed {checkpointed}");
-            let config = world.config(num_shards);
+            let config = world.config();
             let dir = temp_dir("matrix");
             let (mut service, _) = reopen(world, config, &dir);
             populate(&mut service, world);
