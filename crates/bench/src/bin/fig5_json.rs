@@ -204,7 +204,7 @@ fn measure_point(workload: &LabelingWorkload, repeats: usize) -> Vec<Measurement
             }),
         },
         // The interned serving path: the batch was interned once at setup
-        // (dense `QueryId`s), so each lookup is a lock-striped slot index
+        // (dense `QueryId`s), so each lookup is a slot index
         // and an in-place lattice fold — no canonical hashing at all.
         Measurement {
             name: "interned",

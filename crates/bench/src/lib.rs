@@ -72,11 +72,7 @@ pub fn labeling_workload(max_atoms: usize, batch: usize) -> LabelingWorkload {
         0xF15 + max_atoms as u64,
     ));
     let queries = generator.batch(batch);
-    let interner = ecosystem.cached.interner();
-    let interned = {
-        let mut interner = interner.write().unwrap_or_else(|e| e.into_inner());
-        queries.iter().map(|q| interner.intern(q)).collect()
-    };
+    let interned = queries.iter().map(|q| ecosystem.cached.intern(q)).collect();
     LabelingWorkload {
         ecosystem,
         queries,

@@ -21,9 +21,9 @@
 //! * [`CachedLabeler`] — a [`BitVectorLabeler`] plus an id-keyed label
 //!   cache over the **interned query plane** (`fdc_cq::intern`): queries
 //!   intern to dense canonical [`QueryId`]s, so the whole-query cache is a
-//!   sharded slot vector (a hit skips folding, dissection and labeling
-//!   entirely — and for pre-interned callers, hashing too).  A miss
-//!   computes each core atom's `ℓ⁺` straight from the interned query
+//!   slot vector indexed by id (a hit skips folding, dissection and
+//!   labeling entirely — and for pre-interned callers, hashing too).  A
+//!   miss computes each core atom's `ℓ⁺` straight from the interned query
 //!   (`InternedDissection`): its shape is read off the atom where it lies,
 //!   and no part is assembled.  The entry keeps, per part, what a later
 //!   refresh needs.
@@ -34,18 +34,17 @@
 //!   added since; the lookup algorithm is described on the type.  The
 //!   packed entry points **append** to a buffer the caller owns
 //!   ([`CachedLabeler::append_packed_interned`]): a hit packs the
-//!   entry's surviving parts under its stripe's read lock straight onto the
-//!   end of a request's label arena (diagram: `fdc_service::service`), so labeling
-//!   a batch allocates per batch, not per label; the `label_packed*`
-//!   forms are the same call into a vector of their own.
+//!   entry's surviving parts straight onto the end of a request's label
+//!   arena (diagram: `fdc_service::service`), so labeling a batch
+//!   allocates per batch, not per label; the `label_packed*` forms are the
+//!   same call into a vector of their own.
 //!
 //! All variants produce identical [`DisclosureLabel`]s; the equivalence is
 //! asserted by the test suite and exercised again by the Figure 5 benchmark.
 
 use std::borrow::Cow;
+use std::cell::{Cell, Ref, RefCell};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
 
 use fdc_cq::folding::fold_interned_indices;
 use fdc_cq::intern::{ITerm, QueryId, QueryInterner};
@@ -57,13 +56,6 @@ use crate::dissect::{dissect, InternedDissection};
 use crate::error::Result;
 use crate::label::{AtomLabel, DisclosureLabel, PackedLabel, ViewMask};
 use crate::security_views::{SecurityView, SecurityViewId, SecurityViews};
-
-/// The shared handle to a [`QueryInterner`]: one interner per serving stack,
-/// shared between the [`CachedLabeler`] that owns it, the
-/// `DisclosureService` front door, and any workload generator that pre-
-/// interns its query pool.  The interner only grows, so sharing the handle
-/// never invalidates an issued [`QueryId`].
-pub type SharedQueryInterner = Arc<RwLock<QueryInterner>>;
 
 /// A disclosure labeler for conjunctive queries.
 pub trait QueryLabeler {
@@ -382,54 +374,36 @@ impl CacheStats {
 }
 
 /// The counters behind [`CacheStats`].
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct LabelCounters {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    atom_misses: AtomicU64,
-    query_refreshes: AtomicU64,
-    atom_refreshes: AtomicU64,
-    invalidations: AtomicU64,
-    batch_dedup_hits: AtomicU64,
+    hits: Cell<u64>,
+    misses: Cell<u64>,
+    atom_misses: Cell<u64>,
+    query_refreshes: Cell<u64>,
+    atom_refreshes: Cell<u64>,
+    invalidations: Cell<u64>,
+    batch_dedup_hits: Cell<u64>,
 }
 
 impl LabelCounters {
-    fn all(&self) -> [&AtomicU64; 7] {
-        [
-            &self.hits,
-            &self.misses,
-            &self.atom_misses,
-            &self.query_refreshes,
-            &self.atom_refreshes,
-            &self.invalidations,
-            &self.batch_dedup_hits,
-        ]
-    }
-
     fn stats(&self, entries: usize) -> CacheStats {
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
+            hits: self.hits.get(),
+            misses: self.misses.get(),
             entries,
             atom_hits: 0,
-            atom_misses: self.atom_misses.load(Ordering::Relaxed),
+            atom_misses: self.atom_misses.get(),
             atom_entries: 0,
-            query_refreshes: self.query_refreshes.load(Ordering::Relaxed),
-            atom_refreshes: self.atom_refreshes.load(Ordering::Relaxed),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            batch_dedup_hits: self.batch_dedup_hits.load(Ordering::Relaxed),
-        }
-    }
-
-    fn reset(&self) {
-        for counter in self.all() {
-            counter.store(0, Ordering::Relaxed);
+            query_refreshes: self.query_refreshes.get(),
+            atom_refreshes: self.atom_refreshes.get(),
+            invalidations: self.invalidations.get(),
+            batch_dedup_hits: self.batch_dedup_hits.get(),
         }
     }
 }
 
-fn bump(counter: &AtomicU64) {
-    counter.fetch_add(1, Ordering::Relaxed);
+fn bump(counter: &Cell<u64>) {
+    counter.set(counter.get() + 1);
 }
 
 /// One dissected part of a cached query entry: its `ℓ⁺` mask, whether the
@@ -555,127 +529,27 @@ impl Iterator for Survivors<'_> {
     }
 }
 
-/// Number of independent locks the query-level slot cache is striped over.
-/// Query `id` lives in shard `id % QUERY_CACHE_SHARDS` at slot
-/// `id / QUERY_CACHE_SHARDS` ([`stripe_of`]), so consecutive ids (the
-/// common case for a workload interned in arrival order) spread across all
-/// stripes.
-const QUERY_CACHE_SHARDS: usize = 16;
-
-/// The stripe and slot of query `id`.
-fn stripe_of(id: QueryId) -> (usize, usize) {
-    (
-        id.index() % QUERY_CACHE_SHARDS,
-        id.index() / QUERY_CACHE_SHARDS,
-    )
-}
-
-/// One stripe of the query-level cache: a plain slot vector indexed by
-/// `QueryId / QUERY_CACHE_SHARDS`.  Dense ids make a `Vec` strictly better
-/// than a hash map here: no hashing, no probing, and the lock is held for a
-/// bounds check plus an index.  A slot is 16 bytes (pinned by a test): the
-/// entry's one pointer and length.
+/// The query-level cache: a slot vector indexed by [`QueryId`] and its
+/// occupancy count.  Dense ids make a `Vec` strictly better than a hash map
+/// here: no hashing, no probing, a bounds check plus an index.  A slot is
+/// 16 bytes (pinned by a test): the entry's one pointer and length.
 #[derive(Debug, Clone, Default)]
-struct QueryCacheShard {
-    slots: Vec<Option<QueryEntry>>,
-}
-
-impl QueryCacheShard {
-    /// The cell of `slot`, growing the slot vector to cover it.
-    fn slot_mut(&mut self, slot: usize) -> &mut Option<QueryEntry> {
-        if slot >= self.slots.len() {
-            self.slots.resize_with(slot + 1, || None);
-        }
-        &mut self.slots[slot]
-    }
-}
-
-/// The query-level cache: the slot stripes and their occupancy gauge.
-#[derive(Debug)]
 struct LabelTables {
-    query_shards: Vec<RwLock<QueryCacheShard>>,
-    /// Occupied query slots across all stripes (capacity accounting).
-    query_entries: AtomicUsize,
+    slots: Vec<Option<QueryEntry>>,
+    /// Occupied slots (capacity accounting).
+    occupied: usize,
 }
 
 impl LabelTables {
-    fn new() -> Self {
-        LabelTables {
-            query_shards: (0..QUERY_CACHE_SHARDS)
-                .map(|_| RwLock::new(QueryCacheShard::default()))
-                .collect(),
-            query_entries: AtomicUsize::new(0),
+    /// Fills the slot of `id`, growing the slot vector to cover it, and
+    /// counts it if it was empty.
+    fn store(&mut self, id: QueryId, entry: QueryEntry) {
+        if id.index() >= self.slots.len() {
+            self.slots.resize_with(id.index() + 1, || None);
         }
-    }
-
-    fn read_shard(&self, shard: usize) -> std::sync::RwLockReadGuard<'_, QueryCacheShard> {
-        self.query_shards[shard]
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn write_shard(&self, shard: usize) -> std::sync::RwLockWriteGuard<'_, QueryCacheShard> {
-        self.query_shards[shard]
-            .write()
-            .unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Fills a query slot, growing the stripe's slot vector to cover it,
-    /// and counts it in the occupancy gauge if it was empty — decided under
-    /// the stripe's write lock, so two racing first sightings count once.
-    fn store_query(&self, shard_idx: usize, slot: usize, entry: QueryEntry) {
-        let mut shard = self.write_shard(shard_idx);
-        let cell = shard.slot_mut(slot);
-        if cell.is_none() {
-            self.query_entries.fetch_add(1, Ordering::Relaxed);
-        }
-        *cell = Some(entry);
-    }
-
-    /// Drops every cached entry (gauge included); the labeler's counters
-    /// are untouched.
-    fn clear(&self) {
-        for shard in 0..QUERY_CACHE_SHARDS {
-            self.write_shard(shard).slots.clear();
-        }
-        self.query_entries.store(0, Ordering::Relaxed);
-    }
-
-    /// A copy of these tables taken under every stripe's read lock **at
-    /// once** — one consistent cut, its gauge recounted from the copied
-    /// slots rather than read from an atomic a concurrent insertion may be
-    /// moving.
-    ///
-    /// **Lock order**, for every path through these tables: a query stripe,
-    /// then the interner (read).  Stripes lock in index order and no writer
-    /// ever holds two; a refresh holds its one stripe's write lock while it
-    /// reads a part's and a new view's terms through the interner's read
-    /// lock, for a pair no mask test decides
-    /// (`CachedLabeler::refresh_entry`); nothing holds the interner while
-    /// asking for a stripe, and the interner's write lock (recording a new
-    /// shape's fold, `CachedLabeler::first_sight`) is taken with no table
-    /// lock held.
-    fn consistent_copy(&self) -> LabelTables {
-        let stripes: Vec<_> = (0..QUERY_CACHE_SHARDS)
-            .map(|shard| self.read_shard(shard))
-            .collect();
-        let query_entries = stripes
-            .iter()
-            .flat_map(|stripe| &stripe.slots)
-            .filter(|slot| slot.is_some())
-            .count();
-        LabelTables {
-            query_entries: AtomicUsize::new(query_entries),
-            query_shards: stripes
-                .iter()
-                .map(|stripe| RwLock::new(QueryCacheShard::clone(stripe)))
-                .collect(),
-        }
-    }
-
-    /// Occupied query slots (capacity accounting).
-    fn occupied(&self) -> usize {
-        self.query_entries.load(Ordering::Relaxed)
+        let slot = &mut self.slots[id.index()];
+        self.occupied += usize::from(slot.is_none());
+        *slot = Some(entry);
     }
 }
 
@@ -685,12 +559,12 @@ impl LabelTables {
 /// renaming — the atoms, the constants, the variable-equality pattern and
 /// the distinguished/existential tags.  The [`QueryInterner`] canonicalizes
 /// exactly that, so `QueryId` equality *is* canonical-form equality and the
-/// cache is a sharded slot vector indexed by id: a hit skips the whole
-/// pipeline including the NP-hard folding step of `Dissect`.  A miss runs
-/// the pipeline once: [`InternedDissection`] reads each core atom's
-/// [`Shape`] off the interned query, and the part's `ℓ⁺` mask is computed
-/// from it — on the Section 7.2 registry a handful of mask tests per part,
-/// too cheap to memoize; no part is assembled.
+/// cache is a slot vector indexed by id: a hit skips the whole pipeline
+/// including the NP-hard folding step of `Dissect`.  A miss runs the
+/// pipeline once: [`InternedDissection`] reads each core atom's [`Shape`]
+/// off the interned query, and the part's `ℓ⁺` mask is computed from it —
+/// on the Section 7.2 registry a handful of mask tests per part, too cheap
+/// to memoize; no part is assembled.
 ///
 /// Queries arriving as boxed [`ConjunctiveQuery`]s are interned on first
 /// sight ([`intern`](Self::intern) / [`label_query`](QueryLabeler::label_query));
@@ -707,26 +581,24 @@ impl LabelTables {
 /// # The algorithm
 ///
 /// A query-level lookup by interned id finds a *fresh* entry (a hit: a
-/// lock-striped `Vec` index to the entry's one block of parts, one array
-/// read of the registry's epoch vector per part to know it is fresh, and
-/// the parts flagged as the label's handed to the caller from the same
-/// block), a *stale* one (some part's relation epoch moved) or *none* (the
-/// pipeline runs: the shape's fold, then each core atom's `ℓ⁺` mask
-/// computed where the atom lies in the interned query by the positional
-/// rule of [`answers`] — a mask test against each projection-style view,
-/// the terms read only for a part that is not simple against a view that
-/// is not).
+/// `Vec` index to the entry's one block of parts, one array read of the
+/// registry's epoch vector per part to know it is fresh, and the parts
+/// flagged as the label's handed to the caller from the same block), a
+/// *stale* one (some part's relation epoch moved) or *none* (the pipeline
+/// runs: the shape's fold, then each core atom's `ℓ⁺` mask computed where
+/// the atom lies in the interned query by the positional rule of
+/// [`answers`] — a mask test against each projection-style view, the terms
+/// read only for a part that is not simple against a view that is not).
 ///
 /// **The stale branch** keeps the entry and brings it up to date where it
-/// lies, so a refresh costs what changed and allocates nothing.  Under the
-/// write lock of the entry's stripe each part whose relation epoch moved
-/// takes its new mask and epoch; if some mask actually changed, the parts
-/// the label keeps are flagged again from all the parts; and the caller
-/// reads the label there.  Folding and dissection are skipped: each part
-/// keeps its shape, so the views added since are decided by mask tests.
-/// Only a part that is not simple, against a view that is not
-/// projection-style, has its terms read, off the core atom of the fold the
-/// interner recorded.
+/// lies, so a refresh costs what changed and allocates nothing.  Each part
+/// whose relation epoch moved takes its new mask and epoch; if some mask
+/// actually changed, the parts the label keeps are flagged again from all
+/// the parts; and the caller reads the label there.  Folding and dissection
+/// are skipped: each part keeps its shape, so the views added since are
+/// decided by mask tests.  Only a part that is not simple, against a view
+/// that is not projection-style, has its terms read, off the core atom of
+/// the fold the interner recorded.
 ///
 /// **A stale part's mask is extended where it can be, recomputed where it
 /// cannot.**  Views are only ever appended to a relation's candidate list,
@@ -738,14 +610,10 @@ impl LabelTables {
 /// [`invalidate_relation`](Self::invalidate_relation) (the epoch moved
 /// further than the list grew) it is recomputed over the whole list.
 ///
-/// **Lock order:** a query stripe, then the interner (read).  The refresh
-/// holds its stripe's write lock across the interner's read lock; nothing
-/// asks for a stripe while holding the interner, and the interner's write
-/// lock (recording the fold of a shape seen for the first time) is taken
-/// with no table lock held.
-///
-/// The cache is internally synchronized: labeling takes `&self`, so one
-/// `CachedLabeler` can be shared across threads.
+/// The labeler is the one owner of its interner, its cache and its
+/// counters, and serves one thread: labeling takes `&self` and updates
+/// them through [`RefCell`] and [`Cell`].  A clone is an independent deep
+/// copy.
 ///
 /// Memory is bounded: the cache stops admitting new entries once it holds
 /// [`capacity_limit`](Self::capacity_limit) canonical forms (lookups and
@@ -765,7 +633,7 @@ impl LabelTables {
 /// exactly the stale parts on their next lookup, while entries over other
 /// relations keep hitting.  This is what lets a long-running service absorb
 /// policy/view churn without flushing (and re-warming) the whole cache.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct CachedLabeler {
     /// The registry (with its per-relation epoch vector) and the compiled
     /// per-relation candidate lists.
@@ -773,16 +641,15 @@ pub struct CachedLabeler {
     /// Interned definition of every registered security view, indexed by
     /// [`SecurityViewId`]: the terms rules 1–4 read, constants by id.
     view_qids: Vec<QueryId>,
-    /// The query interner — the id authority the tables are keyed by; see
-    /// [`SharedQueryInterner`].
-    interner: SharedQueryInterner,
+    /// The query interner — the id authority the cache is keyed by.
+    pub(crate) interner: RefCell<QueryInterner>,
     /// Shapes interned by the implicit `label_query` path — the arena
     /// budget (explicit `intern` calls are exempt, as are the view
     /// definitions).
-    implicit_interns: AtomicUsize,
+    implicit_interns: Cell<usize>,
     capacity: usize,
     counters: LabelCounters,
-    tables: LabelTables,
+    tables: RefCell<LabelTables>,
 }
 
 /// Default per-cache entry limit of a [`CachedLabeler`].
@@ -792,32 +659,6 @@ pub struct CachedLabeler {
 /// megabytes in the worst case while comfortably holding every shape a
 /// realistic workload produces.
 pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 20;
-
-impl Clone for CachedLabeler {
-    /// Cloning copies the cached entries and resets the counters.  The
-    /// interner handle is **shared**, not copied — it only grows, so ids
-    /// stay aligned between the original and the clone (which is what lets
-    /// a clone keep answering warmed shapes).
-    ///
-    /// The copy is one **consistent** cut of the tables, so a clone taken
-    /// while other threads label through the original can never disagree
-    /// with its own occupancy gauges.  (Epoch bumps require `&mut self` and
-    /// therefore cannot overlap a clone at all; concurrently inserted
-    /// entries carry honest epoch tags either way, so a stale-tagged entry
-    /// is always re-derived on lookup, never served — asserted by
-    /// `concurrent_clones_are_internally_consistent`.)
-    fn clone(&self) -> Self {
-        CachedLabeler {
-            inner: self.inner.clone(),
-            view_qids: self.view_qids.clone(),
-            interner: Arc::clone(&self.interner),
-            implicit_interns: AtomicUsize::new(self.implicit_interns.load(Ordering::Relaxed)),
-            capacity: self.capacity,
-            counters: LabelCounters::default(),
-            tables: self.tables.consistent_copy(),
-        }
-    }
-}
 
 impl CachedLabeler {
     /// Builds a caching labeler over a view registry with the
@@ -837,12 +678,12 @@ impl CachedLabeler {
     ///
     /// Every registered security view is interned up front, so the rule
     /// reads a view's constants by id and never has to intern mid-labeling.
-    /// An empty
-    /// interner hands the view queries ids `0, 1, …`; one restored from a
-    /// checkpoint (`QueryInterner::decode_from`) already holds those
+    /// An empty interner hands the view queries ids `0, 1, …`; one restored
+    /// from a checkpoint (`QueryInterner::decode_from`) already holds those
     /// shapes, interning them again finds their ids, and every `QueryId`
-    /// minted before the checkpoint stays valid — the property that makes
-    /// interned admissions replayable across restarts.
+    /// the checkpointed interner held stays valid.  An id minted after the
+    /// checkpoint is another matter: it survives only if a logged record
+    /// re-interns its shape in minting order (ROADMAP item 27).
     pub fn with_interner(
         views: SecurityViews,
         mut interner: QueryInterner,
@@ -856,11 +697,11 @@ impl CachedLabeler {
         CachedLabeler {
             inner: BitVectorLabeler::new(views),
             view_qids,
-            interner: Arc::new(RwLock::new(interner)),
-            implicit_interns: AtomicUsize::new(0),
+            interner: RefCell::new(interner),
+            implicit_interns: Cell::new(0),
             capacity: capacity.max(1),
             counters: LabelCounters::default(),
-            tables: LabelTables::new(),
+            tables: RefCell::default(),
         }
     }
 
@@ -869,20 +710,17 @@ impl CachedLabeler {
         self.capacity
     }
 
-    /// The shared query-interner handle.
-    ///
-    /// Clone the handle to intern workload pools into this labeler's id
-    /// space (see `fdc_ecosystem::ChurnGenerator::attach_interner`), or
-    /// lock it read-only to resolve ids back to queries.
-    pub fn interner(&self) -> SharedQueryInterner {
-        Arc::clone(&self.interner)
+    /// The query interner, borrowed read-only: to resolve ids back to
+    /// queries, look shapes up or count them.  Mint ids through
+    /// [`intern`](Self::intern).  Release the borrow before the next call
+    /// that interns or labels: a first sight records its fold in the
+    /// interner, and a `RefCell` refuses that while a borrow is out.
+    pub fn query_interner(&self) -> Ref<'_, QueryInterner> {
+        self.interner.borrow()
     }
 
     /// Interns a query into this labeler's id space, returning its dense
     /// [`QueryId`].
-    ///
-    /// Already-interned shapes (including alpha-variants) take only the
-    /// interner's read lock; genuinely new shapes take the write lock once.
     ///
     /// Explicit interning is exempt from the
     /// [`capacity_limit`](Self::capacity_limit) arena budget that bounds
@@ -890,13 +728,7 @@ impl CachedLabeler {
     /// caller asking for an id is sizing its own pool and gets one
     /// unconditionally.
     pub fn intern(&self, query: &ConjunctiveQuery) -> QueryId {
-        if let Some(id) = self.read_interner().lookup(query) {
-            return id;
-        }
-        self.interner
-            .write()
-            .unwrap_or_else(|e| e.into_inner())
-            .intern(query)
+        self.interner.borrow_mut().intern(query)
     }
 
     /// Registers one more security view online.
@@ -907,15 +739,11 @@ impl CachedLabeler {
     /// their stale parts.  This is the incremental-relabeling path a
     /// dynamic service uses for `AddSecurityView` operations.
     pub fn add_view(&mut self, name: &str, query: ConjunctiveQuery) -> Result<SecurityViewId> {
-        let view_qid = self
-            .interner
-            .write()
-            .unwrap_or_else(|e| e.into_inner())
-            .intern(&query);
+        let view_qid = self.interner.get_mut().intern(&query);
         let id = self.inner.add_view(name, query)?;
         debug_assert_eq!(id.index(), self.view_qids.len(), "view ids are dense");
         self.view_qids.push(view_qid);
-        *self.counters.invalidations.get_mut() += 1;
+        bump(&self.counters.invalidations);
         Ok(id)
     }
 
@@ -927,12 +755,12 @@ impl CachedLabeler {
     /// out of band; [`add_view`](Self::add_view) invalidates automatically.
     pub fn invalidate_relation(&mut self, relation: RelId) {
         self.inner.views.bump_epoch(relation);
-        *self.counters.invalidations.get_mut() += 1;
+        bump(&self.counters.invalidations);
     }
 
     /// Current hit/miss/invalidation counters and cache sizes.
     pub fn stats(&self) -> CacheStats {
-        self.counters.stats(self.tables.occupied())
+        self.counters.stats(self.tables.borrow().occupied)
     }
 
     /// Drops every cached entry while keeping the hit/miss/refresh
@@ -943,7 +771,9 @@ impl CachedLabeler {
     /// the counters cumulative is what makes the baseline's cost visible:
     /// every post-flush relabeling still counts as a miss.
     pub fn clear_entries(&self) {
-        self.tables.clear();
+        let mut tables = self.tables.borrow_mut();
+        tables.slots.clear();
+        tables.occupied = 0;
     }
 
     /// Drops every cached entry **and** resets the counters (e.g. to
@@ -952,13 +782,24 @@ impl CachedLabeler {
     /// cumulative statistics.
     pub fn clear(&self) {
         self.clear_entries();
-        self.counters.reset();
+        let counters = &self.counters;
+        for counter in [
+            &counters.hits,
+            &counters.misses,
+            &counters.atom_misses,
+            &counters.query_refreshes,
+            &counters.atom_refreshes,
+            &counters.invalidations,
+            &counters.batch_dedup_hits,
+        ] {
+            counter.set(0);
+        }
     }
 
     /// Resolves `query` to its interned id through the **budgeted** intern
     /// [`label_query`](QueryLabeler::label_query) performs: known shapes
-    /// (alpha-variants included) answer under the interner's read lock,
-    /// unknown ones are interned while the implicit-intern arena budget
+    /// (alpha-variants included) are looked up, unknown ones are interned
+    /// while the implicit-intern arena budget
     /// ([`capacity_limit`](Self::capacity_limit)) has room.  `None` means
     /// the budget is spent and the shape was never seen: it has no id and
     /// must not get one (the arena bound would be lost) — label it with
@@ -969,15 +810,16 @@ impl CachedLabeler {
     pub fn intern_within_budget(&self, query: &ConjunctiveQuery) -> Option<QueryId> {
         // The arena budget counts the shapes the implicit path has interned —
         // view definitions and explicitly interned pools do not consume it.
-        // The unsynchronized load can overshoot by a few entries under
-        // concurrent first sightings; the bound stays O(capacity).
-        if let Some(id) = self.read_interner().lookup(query) {
+        let mut interner = self.interner.borrow_mut();
+        if let Some(id) = interner.lookup(query) {
             return Some(id);
         }
-        if self.implicit_interns.load(Ordering::Relaxed) >= self.capacity {
+        let charged = self.implicit_interns.get();
+        if charged >= self.capacity {
             return None;
         }
-        Some(self.intern_missed(query))
+        self.implicit_interns.set(charged + 1);
+        Some(interner.intern(query))
     }
 
     /// Labels one query and **appends** the packed 64-bit representation
@@ -1000,27 +842,25 @@ impl CachedLabeler {
 
     /// Labels an already-interned query — the hot path for callers that
     /// hold dense [`QueryId`]s (the service's admission loop, pre-interned
-    /// workload pools).  A warm lookup is a lock-striped `Vec` index: no
-    /// canonical hashing, no key allocation.
+    /// workload pools).  A warm lookup is a `Vec` index: no canonical
+    /// hashing, no key allocation.
     ///
     /// # Panics
     ///
-    /// Panics if `id` was not issued by this labeler's
-    /// [`interner`](Self::interner).
+    /// Panics if `id` was not issued by this labeler's interner.
     pub fn label_interned(&self, id: QueryId) -> DisclosureLabel {
         self.label_with(id, |atoms| atoms.collect()).0
     }
 
     /// Labels one pre-interned query and **appends** the packed
     /// representation to `out`.  A cache hit packs the entry's surviving
-    /// parts under the stripe's read lock, straight from the cached block
-    /// into the caller's buffer: a request that labels all its admissions
-    /// into one arena allocates nothing per label.
+    /// parts straight from the cached block into the caller's buffer: a
+    /// request that labels all its admissions into one arena allocates
+    /// nothing per label.
     ///
     /// # Panics
     ///
-    /// Panics if `id` was not issued by this labeler's
-    /// [`interner`](Self::interner).
+    /// Panics if `id` was not issued by this labeler's interner.
     pub fn append_packed_interned(&self, id: QueryId, out: &mut Vec<PackedLabel>) {
         self.label_with(id, |atoms| out.extend(atoms.map(|atom| atom.pack())));
     }
@@ -1041,8 +881,7 @@ impl CachedLabeler {
     ///
     /// # Panics
     ///
-    /// Panics if `id` was not issued by this labeler's
-    /// [`interner`](Self::interner).
+    /// Panics if `id` was not issued by this labeler's interner.
     pub fn first_sight_parts(&self, id: QueryId) -> Vec<(RelId, ViewMask, Shape)> {
         self.first_sight(id)
             .iter()
@@ -1055,9 +894,9 @@ impl CachedLabeler {
     /// [`label_queries`](QueryLabeler::label_queries), and the series the
     /// Figure 5 benchmark reports as `interned`.
     ///
-    /// Fresh hits combine straight out of the cache under the shard's read
-    /// lock, so the steady state does one `Vec` index and one in-place
-    /// lattice fold per query — no hashing, no label clone.
+    /// Fresh hits combine straight out of the cache, so the steady state
+    /// does one `Vec` index and one in-place lattice fold per query — no
+    /// hashing, no label clone.
     ///
     /// Within one batch each distinct id runs the labeling pipeline at most
     /// once, even when the cache is at capacity and does not admit it: a
@@ -1095,42 +934,17 @@ impl CachedLabeler {
         self.inner.views.epoch(relation)
     }
 
-    fn read_interner(&self) -> std::sync::RwLockReadGuard<'_, QueryInterner> {
-        self.interner.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// The write-locked half of [`intern_within_budget`](Self::intern_within_budget):
-    /// interns the shape its read-locked lookup missed.  Another thread may
-    /// have interned the shape between the two locks — `intern` re-probes
-    /// under the query's stored hash and returns that id — so only the call
-    /// that grew the arena is charged.
-    fn intern_missed(&self, query: &ConjunctiveQuery) -> QueryId {
-        let mut guard = self.interner.write().unwrap_or_else(|e| e.into_inner());
-        let before = guard.len();
-        let id = guard.intern(query);
-        if guard.len() > before {
-            self.implicit_interns.fetch_add(1, Ordering::Relaxed);
-        }
-        id
-    }
-
     /// The parts of interned query `id` — the first sight of a shape: each
     /// core atom's mask over its relation's whole candidate list, decided
     /// where the atom lies in the interned query ([`InternedDissection`]).
     /// No part is assembled and nothing is interned.
     ///
     /// The parts come back flagged with the ones the label keeps
-    /// ([`absorb`]), in the one block the entry stores.
-    ///
-    /// Everything is read under the interner's **read** lock, including the
-    /// fold of a shape whose core is not on record yet — it is a pure
-    /// function of the resolved query, and one hard shape must not stall
-    /// every other thread's front-door lookup.  The write lock is taken
-    /// afterwards, and only to record such a fold (idempotent, should
-    /// another thread have recorded it in between).
+    /// ([`absorb`]), in the one block the entry stores.  A fold computed
+    /// here (none was on record) is recorded once the parts are read.
     fn first_sight(&self, id: QueryId) -> Box<[QueryPart]> {
         let (parts, unrecorded) = {
-            let interner = self.read_interner();
+            let interner = self.interner.borrow();
             let core = core_of(&interner, id);
             let mut dissection = InternedDissection::new(interner.resolve(id), &core);
             let mut parts: Box<[QueryPart]> = (0..dissection.len())
@@ -1144,10 +958,7 @@ impl CachedLabeler {
             }
         };
         if let Some(kept) = unrecorded {
-            self.interner
-                .write()
-                .unwrap_or_else(|e| e.into_inner())
-                .record_core(id, &kept);
+            self.interner.borrow_mut().record_core(id, &kept);
         }
         parts
     }
@@ -1194,9 +1005,9 @@ impl CachedLabeler {
     /// every part's survivor flag is set again ([`absorb`]) — over all the
     /// parts, because the label absorbs redundancy.  Folding and dissection
     /// are skipped.  Only a part that is not simple, against a new view
-    /// that is not projection-style, reads terms: its core atom's, under
-    /// the interner's read lock, from the recorded fold (recomputed if none
-    /// is on record).  Returns whether any part was stale.
+    /// that is not projection-style, reads terms: its core atom's, from the
+    /// recorded fold (recomputed if none is on record).  Returns whether
+    /// any part was stale.
     fn refresh_entry(&self, id: QueryId, entry: &mut QueryEntry) -> bool {
         let (mut stale, mut changed) = (false, false);
         for (k, part) in entry.parts.iter_mut().enumerate() {
@@ -1208,7 +1019,7 @@ impl CachedLabeler {
             let (decided, undecided) = part.standing(current, candidates.len()).unwrap_or((0, 0));
             let mask = decided
                 | part_bits(part.shape(), &candidates[undecided..], |view| {
-                    let interner = self.read_interner();
+                    let interner = self.interner.borrow();
                     let core = core_of(&interner, id);
                     InternedDissection::new(interner.resolve(id), &core)
                         .answered_by(k, self.view_terms(&interner, view))
@@ -1229,85 +1040,47 @@ impl CachedLabeler {
         stale
     }
 
-    /// The stale branch of [`label_with`](Self::label_with): refreshes the
-    /// entry of `id` under its stripe's write lock and hands its label's
-    /// atoms to `use_label` there.  `None` if the entry is gone — flushed
-    /// between the two locks — and the caller has to derive it anew.
-    ///
-    /// The stripe's write lock is held across the interner's read lock
-    /// whenever a refresh reads terms; see `LabelTables::consistent_copy`
-    /// for the order.
-    fn refresh_in_place<R>(
-        &self,
-        id: QueryId,
-        use_label: impl FnOnce(Survivors<'_>) -> R,
-    ) -> Option<R> {
-        let (shard_idx, slot) = stripe_of(id);
-        let mut shard = self.tables.write_shard(shard_idx);
-        let entry = shard.slots.get_mut(slot)?.as_mut()?;
-        // Another caller may have refreshed the entry between the two locks.
-        bump(if self.refresh_entry(id, entry) {
-            &self.counters.query_refreshes
-        } else {
-            &self.counters.hits
-        });
-        Some(use_label(entry.survivors()))
-    }
-
     /// Labels an interned query and hands the label's atoms ([`Survivors`],
     /// read off the entry) to `use_label`, so a caller that packs, folds or
     /// collects pays for exactly that.
     ///
     /// A **fresh** entry is a hit: one pass over its parts checks their
-    /// epochs, and `use_label` reads the surviving ones from the same block
-    /// under the stripe's read lock.  A **stale** entry is refreshed where
-    /// it lies ([`refresh_in_place`](Self::refresh_in_place)) and read
-    /// under the stripe's write lock.  An **absent** id runs the pipeline
-    /// ([`first_sight`](Self::first_sight)) and is stored, charged, if the
-    /// capacity has room; if not, the entry the cache did not keep is
-    /// returned next to the result (always `None` otherwise).
+    /// epochs, and `use_label` reads the surviving ones from the same
+    /// block.  A **stale** entry is refreshed where it lies
+    /// ([`refresh_entry`](Self::refresh_entry)) and read there.  An
+    /// **absent** id runs the pipeline ([`first_sight`](Self::first_sight))
+    /// and is stored, charged, if the capacity has room; if not, the entry
+    /// the cache did not keep is returned next to the result (always `None`
+    /// otherwise).
     ///
     /// # Panics
     ///
-    /// Panics if `id` was not issued by the shared interner.
+    /// Panics if `id` was not issued by this labeler's interner.
     fn label_with<R>(
         &self,
         id: QueryId,
-        mut use_label: impl FnMut(Survivors<'_>) -> R,
+        use_label: impl FnOnce(Survivors<'_>) -> R,
     ) -> (R, Option<QueryEntry>) {
-        let (shard_idx, slot) = stripe_of(id);
-        let held = {
-            let shard = self.tables.read_shard(shard_idx);
-            match shard.slots.get(slot).and_then(Option::as_ref) {
-                Some(entry)
-                    if entry
-                        .parts
-                        .iter()
-                        .all(|part| part.epoch == self.epoch_of(part.relation)) =>
-                {
-                    bump(&self.counters.hits);
-                    return (use_label(entry.survivors()), None);
-                }
-                held => held.is_some(),
-            }
-        };
-        if held {
-            if let Some(out) = self.refresh_in_place(id, &mut use_label) {
-                return (out, None);
-            }
+        let mut tables = self.tables.borrow_mut();
+        if let Some(entry) = tables.slots.get_mut(id.index()).and_then(Option::as_mut) {
+            bump(if self.refresh_entry(id, entry) {
+                &self.counters.query_refreshes
+            } else {
+                &self.counters.hits
+            });
+            return (use_label(entry.survivors()), None);
         }
         let entry = QueryEntry {
             parts: self.first_sight(id),
         };
         bump(&self.counters.misses);
-        self.counters
-            .atom_misses
-            .fetch_add(entry.parts.len() as u64, Ordering::Relaxed);
+        let atom_misses = &self.counters.atom_misses;
+        atom_misses.set(atom_misses.get() + entry.parts.len() as u64);
         let out = use_label(entry.survivors());
-        if self.tables.occupied() >= self.capacity {
+        if tables.occupied >= self.capacity {
             return (out, Some(entry));
         }
-        self.tables.store_query(shard_idx, slot, entry);
+        tables.store(id, entry);
         (out, None)
     }
 
@@ -1319,7 +1092,7 @@ impl CachedLabeler {
     fn label_query_with<R>(
         &self,
         query: &ConjunctiveQuery,
-        use_label: impl FnMut(Survivors<'_>) -> R,
+        use_label: impl FnOnce(Survivors<'_>) -> R,
     ) -> std::result::Result<R, DisclosureLabel> {
         match self.intern_within_budget(query) {
             Some(id) => Ok(self.label_with(id, use_label).0),
@@ -1332,7 +1105,7 @@ impl CachedLabeler {
 }
 
 impl QueryLabeler for CachedLabeler {
-    /// Interns the query (a read-locked lookup for known shapes, including
+    /// Interns the query (a lookup for known shapes, including
     /// alpha-variants) and labels it through the id-keyed caches; see
     /// [`intern_within_budget`](Self::intern_within_budget) for what
     /// happens once [`capacity_limit`](Self::capacity_limit) distinct
@@ -1608,17 +1381,37 @@ mod tests {
     }
 
     #[test]
-    fn cloning_keeps_entries_but_resets_counters() {
+    fn cloning_copies_entries_and_counters() {
         let (c, _, _, _) = paper_labelers();
         let cached = CachedLabeler::new(SecurityViews::paper_example());
         cached.label_query(&q(&c, "Q(x) :- Meetings(x, y)"));
         let copy = cached.clone();
-        assert_eq!(copy.stats().entries, 1);
-        assert_eq!(copy.stats().misses, 0);
-        // The clone answers the warmed shape without a miss.
+        assert_eq!(copy.stats(), cached.stats());
+        assert_eq!((copy.stats().entries, copy.stats().misses), (1, 1));
+        // The clone answers the warmed shape without a miss, and counts
+        // the hit on its own side only.
         copy.label_query(&q(&c, "Q(z) :- Meetings(z, w)"));
-        assert_eq!(copy.stats().misses, 0);
-        assert_eq!(copy.stats().hits, 1);
+        assert_eq!((copy.stats().misses, copy.stats().hits), (1, 1));
+        assert_eq!(cached.stats().hits, 0);
+    }
+
+    #[test]
+    fn a_clone_is_an_independent_copy() {
+        let (c, _, _, _) = paper_labelers();
+        let cached = CachedLabeler::new(SecurityViews::paper_example());
+        let id = cached.intern(&q(&c, "Q(x) :- Meetings(x, y)"));
+        let copy = cached.clone();
+        // Ids issued before the clone agree on both sides…
+        assert_eq!(copy.intern(&q(&c, "Q(a) :- Meetings(a, b)")), id);
+        // …and a shape interned on one side afterwards is unknown to the
+        // other, whose next id is its own.
+        let late = q(&c, "Q(x) :- Meetings(x, y), Meetings(y, x)");
+        let minted = copy.intern(&late);
+        assert_eq!(cached.query_interner().lookup(&late), None);
+        assert_eq!(cached.query_interner().len(), minted.index());
+        let other = q(&c, "Q(x) :- Contacts(x, y, z), Meetings(z, y)");
+        assert_eq!(cached.intern(&other), minted);
+        assert_eq!(copy.query_interner().lookup(&other), None);
     }
 
     #[test]
@@ -1782,9 +1575,10 @@ mod tests {
 
     /// The one part of query `id`'s entry in the labeler's tables.
     fn only_part(cached: &CachedLabeler, id: QueryId) -> QueryPart {
-        let (shard, slot) = stripe_of(id);
-        let stripe = cached.tables.read_shard(shard);
-        let entry = stripe.slots[slot].as_ref().expect("the query was labeled");
+        let tables = cached.tables.borrow();
+        let entry = tables.slots[id.index()]
+            .as_ref()
+            .expect("the query was labeled");
         assert_eq!(entry.parts.len(), 1);
         entry.parts[0]
     }
@@ -1828,12 +1622,11 @@ mod tests {
         let id = cached.intern(&query);
         let honest = cached.label_interned(id);
         let part = only_part(&cached, id);
-        {
-            let (shard, slot) = stripe_of(id);
-            let mut stripe = cached.tables.write_shard(shard);
-            let entry = stripe.slots[slot].as_mut().expect("labeled above");
-            entry.parts[0].mask ^= 0b11;
-        }
+        cached.tables.get_mut().slots[id.index()]
+            .as_mut()
+            .expect("labeled above")
+            .parts[0]
+            .mask ^= 0b11;
         cached.invalidate_relation(c.resolve("Meetings").unwrap());
         assert_eq!(cached.label_interned(id), honest);
         assert_eq!(only_part(&cached, id).mask, part.mask);
@@ -2006,7 +1799,7 @@ mod tests {
         }
         // The arena stopped growing at the budget (capacity + interned view
         // definitions), however many never-repeating shapes keep arriving.
-        let after_sweep = tiny.interner().read().unwrap().len();
+        let after_sweep = tiny.query_interner().len();
         assert!(
             after_sweep <= 2 + num_views,
             "arena grew past its budget: {after_sweep} ids"
@@ -2014,40 +1807,14 @@ mod tests {
         for text in texts.iter().cycle().take(50) {
             tiny.label_query(&q(&c, text));
         }
-        assert_eq!(tiny.interner().read().unwrap().len(), after_sweep);
+        assert_eq!(tiny.query_interner().len(), after_sweep);
         // Uncached shapes still count as misses, and explicit interning
         // remains exempt from the budget.
         let before = tiny.stats();
         tiny.label_query(&q(&c, "Q(x, z) :- Contacts(x, y, z)"));
         assert_eq!(tiny.stats().misses, before.misses + 1);
         let explicit = tiny.intern(&q(&c, "Q(y, z) :- Contacts(x, y, z)"));
-        assert!(tiny.interner().read().unwrap().contains(explicit));
-    }
-
-    #[test]
-    fn a_shape_interned_between_the_two_locks_is_found_not_minted_or_charged() {
-        let (c, _, _, _) = paper_labelers();
-        let cached = CachedLabeler::new(SecurityViews::paper_example());
-        let arena = || cached.read_interner().len();
-        let charged = || cached.implicit_interns.load(Ordering::Relaxed);
-        // The budgeted intern's read-locked half misses…
-        let query = q(&c, "Q(x) :- Meetings(x, y), Contacts(y, w, 'Intern')");
-        assert_eq!(cached.read_interner().lookup(&query), None);
-        // …another caller interns the shape (an alpha variant) before the
-        // write-locked half runs…
-        let existing = cached.intern(&q(&c, "Q(t) :- Meetings(t, p), Contacts(p, e, 'Intern')"));
-        let (len, budget) = (arena(), charged());
-        // …which finds that id under the query's stored hash: nothing is
-        // minted and nothing is charged.
-        assert_eq!(cached.intern_missed(&query), existing);
-        assert_eq!((arena(), charged()), (len, budget));
-
-        // Unraced, the same two halves mint the shape and charge it once.
-        let fresh = q(&c, "Q() :- Meetings(x, y), Meetings(y, z)");
-        assert_eq!(cached.read_interner().lookup(&fresh), None);
-        let id = cached.intern_missed(&fresh);
-        assert_eq!((arena(), charged()), (len + 1, budget + 1));
-        assert_eq!(cached.intern(&fresh), id);
+        assert!(tiny.query_interner().contains(explicit));
     }
 
     #[test]
@@ -2074,137 +1841,8 @@ mod tests {
     }
 
     #[test]
-    fn shared_interner_aligns_ids_across_clones() {
-        let (c, _, _, _) = paper_labelers();
-        let cached = CachedLabeler::new(SecurityViews::paper_example());
-        let id = cached.intern(&q(&c, "Q(x) :- Meetings(x, y)"));
-        let copy = cached.clone();
-        // The clone shares the interner, so ids issued by either side agree.
-        assert_eq!(copy.intern(&q(&c, "Q(a) :- Meetings(a, b)")), id);
-        let late = copy.intern(&q(&c, "Q(x, y) :- Meetings(x, y)"));
-        assert_eq!(cached.intern(&q(&c, "Q(p, r) :- Meetings(p, r)")), late);
-        let handle = cached.interner();
-        assert!(handle.read().unwrap().contains(late));
-    }
-
-    #[test]
-    fn concurrent_clones_are_internally_consistent() {
-        // Regression: Clone used to copy one
-        // stripe at a time and carry the racing occupancy gauge over, so a
-        // clone taken mid-labeling could disagree with its own slots.  The
-        // consistent clone holds every stripe lock at once and recounts.
-        let (c, baseline, _, _) = paper_labelers();
-        let cached = std::sync::Arc::new(CachedLabeler::new(SecurityViews::paper_example()));
-        let texts = [
-            "Q(x) :- Meetings(x, y)",
-            "Q(x, y) :- Meetings(x, y)",
-            "Q(y) :- Meetings(x, y)",
-            "Q() :- Meetings(x, y)",
-            "Q(x) :- Meetings(x, 'Cathy')",
-            "Q(x, y, z) :- Contacts(x, y, z)",
-            "Q(z) :- Contacts(x, y, z)",
-            "Q(x, z) :- Contacts(x, y, z)",
-        ];
-        let queries: Vec<ConjunctiveQuery> = texts.iter().map(|t| q(&c, t)).collect();
-        let clones = std::thread::scope(|scope| {
-            let labeler = std::sync::Arc::clone(&cached);
-            let writer = scope.spawn(move || {
-                for query in queries.iter().cycle().take(400) {
-                    labeler.label_query(query);
-                }
-            });
-            let mut clones = Vec::new();
-            for _ in 0..20 {
-                clones.push(CachedLabeler::clone(&cached));
-            }
-            writer.join().expect("writer panicked");
-            clones
-        });
-        for clone in clones {
-            // The gauges equal the actual occupied slots of the cut…
-            let stats = clone.stats();
-            for text in texts {
-                let query = q(&c, text);
-                // …and every captured entry (fresh-tagged by construction —
-                // no epoch moved) answers correctly without re-deriving.
-                assert_eq!(clone.label_query(&query), baseline.label_query(&query));
-            }
-            // Shapes missing from the cut count as misses, so the captured
-            // occupancy plus the clone's fresh misses must cover the
-            // sweep exactly — a drifted gauge breaks this equality.
-            let after = clone.stats();
-            assert_eq!(
-                stats.entries + (after.misses as usize),
-                texts.len(),
-                "clone gauge disagrees with its captured entries: {stats:?} then {after:?}"
-            );
-            assert_eq!(after.query_refreshes, 0, "no stale entries were served");
-        }
-    }
-
-    #[test]
-    fn racing_refreshes_of_the_same_entries_agree() {
-        // Every thread finds the same entries stale at once and refreshes
-        // them where they lie, while the main thread takes consistent
-        // copies across all stripes: each entry is refreshed at least once,
-        // a caller that lost the race to the write lock reads a hit, and
-        // every label is the fresh labeler's.
-        let mut cached = CachedLabeler::new(SecurityViews::paper_example());
-        let c = cached.security_views().catalog().clone();
-        let texts = [
-            "Q(x) :- Meetings(x, y)",
-            "Q(x, y) :- Meetings(x, y)",
-            "Q(x) :- Meetings(x, 'Cathy')",
-            "Q(x) :- Meetings(x, x)",
-            "Q2(x) :- Meetings(x, y), Contacts(y, w, 'Intern')",
-            "Q(x, z) :- Meetings(x, y), Meetings(y, z)",
-        ];
-        let queries: Vec<ConjunctiveQuery> = texts.iter().map(|t| q(&c, t)).collect();
-        let ids: Vec<QueryId> = queries.iter().map(|query| cached.intern(query)).collect();
-        const THREADS: usize = 4;
-        for round in 0..20 {
-            for &id in &ids {
-                cached.label_interned(id);
-            }
-            let view = ["W(x) :- Meetings(x, y)", "W(x) :- Meetings(x, x)"][round % 2];
-            cached.add_view(&format!("W{round}"), q(&c, view)).unwrap();
-            let fresh = BitVectorLabeler::new(cached.security_views().clone());
-            let expected: Vec<DisclosureLabel> = queries
-                .iter()
-                .map(|query| fresh.label_query(query))
-                .collect();
-            let before = cached.stats();
-            let start = std::sync::Barrier::new(THREADS + 1);
-            std::thread::scope(|scope| {
-                for _ in 0..THREADS {
-                    scope.spawn(|| {
-                        start.wait();
-                        for (&id, expected) in ids.iter().zip(&expected) {
-                            assert_eq!(&cached.label_interned(id), expected);
-                        }
-                    });
-                }
-                start.wait();
-                for _ in 0..4 {
-                    let copy = cached.clone();
-                    for (&id, expected) in ids.iter().zip(&expected) {
-                        assert_eq!(&copy.label_interned(id), expected);
-                    }
-                }
-            });
-            let after = cached.stats();
-            let refreshes = after.query_refreshes - before.query_refreshes;
-            let hits = after.hits - before.hits;
-            assert_eq!(refreshes + hits, (THREADS * ids.len()) as u64);
-            assert!(refreshes >= ids.len() as u64, "{refreshes} refreshes");
-            assert_eq!(after.misses, before.misses);
-        }
-    }
-
-    #[test]
     fn stale_tagged_entries_in_a_clone_rederive_never_serve() {
-        // The documented epoch contract behind the consistent clone: an
-        // entry whose tag trails the clone's registry is re-derived on
+        // An entry whose tag trails the clone's registry is re-derived on
         // lookup, never served stale.
         let mut cached = CachedLabeler::new(SecurityViews::paper_example());
         let c = cached.security_views().catalog().clone();

@@ -67,18 +67,18 @@
 //! Only a miss touches anything else: `intern` then appends to the arena
 //! straight from the operand, numbering its variables as it copies them and
 //! minting [`ConstId`]s for constants it has not seen.  A caller that looks
-//! up under a read lock and inserts under a write lock simply calls
-//! `lookup`, then `intern`: the hash travels inside the query, and `intern`
-//! re-probes with it, finding a shape another writer added in between.
+//! a shape up and interns it only on a miss calls `lookup`, then `intern`:
+//! the hash travels inside the query, so the second probe costs no hashing.
 //! [`QueryInterner::shape_hash`] hashes the arena's own entries — the same
 //! hash, bit for bit — when a decode rebuilds the index.
 //!
 //! # Who owns the interner?
 //!
-//! One interner per serving stack: `fdc_core::CachedLabeler` owns a shared
-//! handle and `fdc_service::DisclosureService` exposes it, so queries are
-//! interned once at the front door and every layer below trades in
-//! `QueryId`s.  Ids from one interner are meaningless to another.
+//! One interner per serving stack: `fdc_core::CachedLabeler` owns it by
+//! value and `fdc_service::DisclosureService` mints ids through it, so
+//! queries are interned once at the front door and every layer below trades
+//! in `QueryId`s.  Ids from one interner are meaningless to another (a
+//! cloned labeler's interner included, once either side mints).
 
 use crate::catalog::RelId;
 use crate::error::Result;
@@ -548,7 +548,7 @@ impl ShapeHasher {
 /// See the [module documentation](self) for the representation and the
 /// canonicalization contract.  The interner only ever grows; `QueryId`s and
 /// [`QueryRef`]s therefore stay valid for its whole lifetime.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct QueryInterner {
     terms: Vec<ITerm>,
     atoms: Vec<IAtom>,
@@ -813,10 +813,7 @@ impl QueryInterner {
     ///
     /// Alpha-equivalent queries share one id (and one copy of the flat
     /// representation).  A known shape is recognised in place, without
-    /// allocating; only a new shape is copied into the arena.  A caller that
-    /// [`lookup`](Self::lookup)s under a read lock and interns under a write
-    /// lock gets the same id: this probe finds a shape another holder of the
-    /// interner added in between.
+    /// allocating; only a new shape is copied into the arena.
     pub fn intern(&mut self, query: &ConjunctiveQuery) -> QueryId {
         match self.probe(query) {
             Some(id) => id,
@@ -859,9 +856,8 @@ impl QueryInterner {
     /// Records `kept` — the result of
     /// [`fold_interned_indices`](crate::folding::fold_interned_indices) on
     /// `resolve(id)` — as the query's core.  Idempotent: the fold is a pure
-    /// function of the query, so once a core is on record (this caller's or
-    /// another thread's, computed between two locks) later calls change
-    /// nothing.
+    /// function of the query, so once a core is on record later calls
+    /// change nothing.
     ///
     /// # Panics
     ///
@@ -1737,7 +1733,6 @@ mod tests {
     #[test]
     fn a_core_is_recorded_once_however_often_and_by_whomever_it_is_offered() {
         use crate::folding::fold_interned_indices;
-        use std::sync::{mpsc, RwLock};
 
         let c = catalog();
         let mut interner = QueryInterner::new();
@@ -1745,7 +1740,6 @@ mod tests {
             &c,
             "Q(x) :- Meetings(x, y), Meetings(x, z), Contacts(y, w, 'Intern')",
         ));
-        let other = interner.intern(&q(&c, "Q() :- Meetings(a, b), Meetings(c, d)"));
         assert_eq!(interner.cached_core(id), None);
 
         // Recording the same core twice leaves one span.
@@ -1755,41 +1749,6 @@ mod tests {
         interner.record_core(id, &kept);
         assert_eq!(interner.fold_atoms, kept);
         assert_eq!(interner.cached_core(id), Some(&kept[..]));
-
-        // Two threads fold the same shape under the read lock; the second
-        // to reach the write lock finds the first one's record and adds
-        // nothing.  The channels force that order: the main thread folds,
-        // lets the helper fold *and* record, and only then records itself.
-        let shared = RwLock::new(interner);
-        let (folded_tx, folded_rx) = mpsc::channel::<()>();
-        let (recorded_tx, recorded_rx) = mpsc::channel::<()>();
-        let shared_ref = &shared;
-        std::thread::scope(|scope| {
-            scope.spawn(move || {
-                let shared = shared_ref;
-                folded_rx.recv().expect("main thread folds first");
-                let mine = {
-                    let guard = shared.read().unwrap();
-                    assert_eq!(guard.cached_core(other), None);
-                    fold_interned_indices(guard.resolve(other))
-                };
-                shared.write().unwrap().record_core(other, &mine);
-                recorded_tx.send(()).unwrap();
-            });
-            let mine = {
-                let guard = shared.read().unwrap();
-                assert_eq!(guard.cached_core(other), None);
-                fold_interned_indices(guard.resolve(other))
-            };
-            folded_tx.send(()).unwrap();
-            recorded_rx.recv().expect("helper records in between");
-            let mut guard = shared.write().unwrap();
-            assert_eq!(guard.cached_core(other), Some(&[1u32][..]));
-            guard.record_core(other, &mine);
-        });
-        let interner = shared.into_inner().unwrap();
-        assert_eq!(interner.fold_atoms, vec![0, 2, 1]);
-        assert_eq!(interner.cached_core(other), Some(&[1u32][..]));
     }
 
     #[test]

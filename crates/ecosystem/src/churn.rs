@@ -14,11 +14,15 @@
 //! The Figure 7 benchmark (`fig7_json`) drives two identically seeded
 //! streams through an incremental service and a flush-on-mutation service
 //! to measure the payoff of epoch-based invalidation.
+//!
+//! Admissions are emitted boxed (`Submit` / `Check`); a caller that wants
+//! the 8-byte interned forms maps the stream through
+//! [`Operation::interned`] with the target service's
+//! [`intern`](fdc_service::DisclosureService::intern).
 
 use fdc_core::security_views::MAX_PACKED_VIEWS_PER_RELATION;
-use fdc_core::{SecurityViews, SharedQueryInterner};
-use fdc_cq::intern::QueryId;
-use fdc_cq::RelId;
+use fdc_core::SecurityViews;
+use fdc_cq::{ConjunctiveQuery, RelId};
 use fdc_service::Operation;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -72,13 +76,6 @@ impl Default for ChurnConfig {
     }
 }
 
-/// One admission draw from the template pool or the fresh generator: the
-/// bare interned id when an interner is attached, the boxed query otherwise.
-enum AdmissionDraw {
-    Boxed(fdc_cq::ConjunctiveQuery),
-    Interned(QueryId),
-}
-
 /// Generates the mixed operation stream of the Figure 7 experiment.
 ///
 /// The generator tracks the view universe it has grown so far (names and
@@ -98,13 +95,8 @@ pub struct ChurnGenerator {
     view_counts: Vec<usize>,
     /// Number of views added by this generator (for unique naming).
     added: usize,
-    /// The query template pool (see [`ChurnConfig::query_pool`]), each entry
-    /// paired with its interned id once an interner is attached.
-    pool: Vec<(fdc_cq::ConjunctiveQuery, Option<QueryId>)>,
-    /// The target service's interner, once attached — admissions then carry
-    /// 8-byte `QueryId`s (`SubmitInterned` / `CheckInterned`) instead of
-    /// boxed queries.
-    interner: Option<SharedQueryInterner>,
+    /// The query template pool (see [`ChurnConfig::query_pool`]).
+    pool: Vec<ConjunctiveQuery>,
 }
 
 impl ChurnGenerator {
@@ -125,38 +117,12 @@ impl ChurnGenerator {
             view_counts,
             added: 0,
             pool: Vec::new(),
-            interner: None,
         }
     }
 
     /// The generator's configuration.
     pub fn config(&self) -> ChurnConfig {
         self.config
-    }
-
-    /// Attaches the target service's interner
-    /// ([`DisclosureService::interner`](fdc_service::DisclosureService::interner)):
-    /// the template pool is **interned once** — entries seeded so far
-    /// immediately, later ones as they are generated — and every subsequent
-    /// admission is emitted as `SubmitInterned` / `CheckInterned` carrying a
-    /// dense [`QueryId`] instead of a boxed query.
-    ///
-    /// The interned stream decides identically to the boxed stream on the
-    /// same service (asserted by the test suite); it just skips the
-    /// per-operation canonicalization at the service boundary.
-    ///
-    /// Re-attaching (e.g. pointing the same generator at a second service)
-    /// re-interns the whole pool through the **new** interner — ids from a
-    /// previously attached interner are never carried over, since they
-    /// would silently resolve to unrelated queries there.
-    pub fn attach_interner(&mut self, interner: SharedQueryInterner) {
-        {
-            let mut guard = interner.write().unwrap_or_else(|e| e.into_inner());
-            for (query, id) in &mut self.pool {
-                *id = Some(guard.intern(query));
-            }
-        }
-        self.interner = Some(interner);
     }
 
     /// Number of `AddSecurityView` operations generated so far.
@@ -177,43 +143,18 @@ impl ChurnGenerator {
         fdc_policy::PrincipalId(self.rng.gen_range(0..self.config.num_principals.max(1)) as u32)
     }
 
-    /// Interns a freshly generated query, if an interner is attached.
-    fn intern_now(&self, query: &fdc_cq::ConjunctiveQuery) -> Option<QueryId> {
-        self.interner.as_ref().map(|handle| {
-            handle
-                .write()
-                .unwrap_or_else(|e| e.into_inner())
-                .intern(query)
-        })
-    }
-
     /// The next admission query: fresh from the Section 7.2 generator, or
-    /// resampled from the template pool once it is seeded.  With an
-    /// interner attached the draw is the bare 8-byte id — pooled boxed
-    /// queries are never cloned onto the stream.
-    fn next_admission_query(&mut self) -> AdmissionDraw {
+    /// resampled from the template pool once it is seeded.
+    fn next_admission_query(&mut self) -> ConjunctiveQuery {
         if self.config.query_pool == 0 {
-            let query = self.queries.next_query();
-            return match self.intern_now(&query) {
-                Some(id) => AdmissionDraw::Interned(id),
-                None => AdmissionDraw::Boxed(query),
-            };
+            return self.queries.next_query();
         }
         if self.pool.len() < self.config.query_pool {
             let query = self.queries.next_query();
-            let id = self.intern_now(&query);
-            let draw = match id {
-                Some(id) => AdmissionDraw::Interned(id),
-                None => AdmissionDraw::Boxed(query.clone()),
-            };
-            self.pool.push((query, id));
-            return draw;
+            self.pool.push(query.clone());
+            return query;
         }
-        let (query, id) = &self.pool[self.rng.gen_range(0..self.pool.len())];
-        match id {
-            Some(id) => AdmissionDraw::Interned(*id),
-            None => AdmissionDraw::Boxed(query.clone()),
-        }
+        self.pool[self.rng.gen_range(0..self.pool.len())].clone()
     }
 
     /// Generates one pure admission operation (no mutation draw) — used to
@@ -221,15 +162,11 @@ impl ChurnGenerator {
     /// before a measured churn stream begins.
     pub fn next_admission(&mut self) -> Operation {
         let principal = self.random_principal();
-        let draw = self.next_admission_query();
-        let check = self.draw(self.config.check_share);
-        match (draw, check) {
-            (AdmissionDraw::Interned(query), true) => Operation::CheckInterned { principal, query },
-            (AdmissionDraw::Interned(query), false) => {
-                Operation::SubmitInterned { principal, query }
-            }
-            (AdmissionDraw::Boxed(query), true) => Operation::Check { principal, query },
-            (AdmissionDraw::Boxed(query), false) => Operation::Submit { principal, query },
+        let query = self.next_admission_query();
+        if self.draw(self.config.check_share) {
+            Operation::Check { principal, query }
+        } else {
+            Operation::Submit { principal, query }
         }
     }
 
@@ -446,10 +383,8 @@ mod tests {
             let mut pipelined_churn = ChurnGenerator::new(schema.clone(), &registry, config);
             let mut sequential = build_service(&registry, 12);
             let mut pipelined = build_service(&registry, 12);
-            pipelined_churn.attach_interner(pipelined.interner());
-            sequential_churn.attach_interner(sequential.interner());
-            let ops = sequential_churn.ops(700);
-            let pipelined_ops = pipelined_churn.ops(700);
+            let ops = interned(sequential_churn.ops(700), &sequential);
+            let pipelined_ops = interned(pipelined_churn.ops(700), &pipelined);
             let sequential_responses: Vec<_> = ops.iter().map(|op| sequential.apply(op)).collect();
             assert_eq!(
                 sequential_responses,
@@ -486,12 +421,11 @@ mod tests {
         let mut boxed_service = build_service(&registry, 15);
         let boxed_ops = boxed_churn.ops(600);
         let boxed_responses = boxed_service.run_pipelined(&boxed_ops);
-        // Same seed, but attached to the target service's interner: the
-        // pool is interned once and admissions stream as 8-byte ids.
+        // Same seed, mapped through the target service's interner: each
+        // pooled shape is interned once and admissions stream as 8-byte ids.
         let mut interned_churn = ChurnGenerator::new(schema, &registry, config);
         let mut interned_service = build_service(&registry, 15);
-        interned_churn.attach_interner(interned_service.interner());
-        let interned_ops = interned_churn.ops(600);
+        let interned_ops = interned(interned_churn.ops(600), &interned_service);
         assert!(interned_ops
             .iter()
             .all(|op| !matches!(op, Operation::Submit { .. } | Operation::Check { .. })));
@@ -501,21 +435,18 @@ mod tests {
         let interned_responses = interned_service.run_pipelined(&interned_ops);
         assert_eq!(boxed_responses, interned_responses);
         assert_eq!(boxed_service.totals(), interned_service.totals());
-        // Attaching mid-stream interns the already-seeded pool exactly once.
-        let pool_size = interned_service.interner().read().unwrap().len();
+        let pool_size = interned_service.interner().len();
         assert!(
             pool_size >= 12,
             "the pool was interned ({pool_size} shapes)"
         );
 
-        // Re-attaching to a *different* service re-interns the pool through
-        // the new interner — stale ids from the first service must never
-        // leak into the second (they would resolve to unrelated queries).
+        // The same generator's later ops, mapped through a *different*
+        // service, carry that service's ids for the pooled shapes.
         let mut boxed_third = build_service(&registry, 15);
         let mut interned_third = build_service(&registry, 15);
-        interned_churn.attach_interner(interned_third.interner());
         let boxed_more = boxed_churn.ops(150);
-        let interned_more = interned_churn.ops(150);
+        let interned_more = interned(interned_churn.ops(150), &interned_third);
         assert_eq!(
             boxed_third.run_pipelined(&boxed_more),
             interned_third.run_pipelined(&interned_more)
@@ -559,6 +490,13 @@ mod tests {
             round_tripped += 1;
         }
         assert!(round_tripped > 100, "only {round_tripped} loggable ops");
+    }
+
+    /// `ops` with every admission interned into `service`'s id space.
+    fn interned(ops: Vec<Operation>, service: &fdc_service::DisclosureService) -> Vec<Operation> {
+        ops.into_iter()
+            .map(|op| op.interned(|query| service.intern(query)))
+            .collect()
     }
 
     /// Tiny helper namespace so the test above reads naturally.

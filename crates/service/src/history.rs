@@ -670,7 +670,6 @@ mod tests {
         }
         let has_id: Vec<bool> = {
             let interner = service.interner();
-            let interner = interner.read().unwrap();
             queries
                 .iter()
                 .map(|q| interner.lookup(q).is_some())

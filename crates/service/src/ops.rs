@@ -35,9 +35,9 @@ pub enum Operation {
     /// [`Submit`](Operation::Submit) by pre-interned query id — the
     /// zero-parse, zero-hash admission path for callers that interned their
     /// query pool once through the service's
-    /// [`interner`](crate::DisclosureService::interner) (e.g.
-    /// `fdc_ecosystem::ChurnGenerator::attach_interner`).  An op is 8 bytes
-    /// of query instead of a boxed CQ clone.
+    /// [`intern`](crate::DisclosureService::intern) (e.g. a boxed stream
+    /// mapped through [`Operation::interned`]).  An op is 8 bytes of query
+    /// instead of a boxed CQ clone.
     SubmitInterned {
         /// The querying principal.
         principal: PrincipalId,
@@ -96,6 +96,25 @@ impl Operation {
                 | Operation::SubmitInterned { .. }
                 | Operation::CheckInterned { .. }
         )
+    }
+
+    /// The interned form of an admission: `Submit` / `Check` carry the id
+    /// `intern` gives their query (`SubmitInterned` / `CheckInterned`);
+    /// every other operation is returned as it is.  Mapping a stream
+    /// through it interns each shape at its first appearance, in stream
+    /// order.
+    pub fn interned(self, mut intern: impl FnMut(&ConjunctiveQuery) -> QueryId) -> Operation {
+        match self {
+            Operation::Submit { principal, query } => Operation::SubmitInterned {
+                principal,
+                query: intern(&query),
+            },
+            Operation::Check { principal, query } => Operation::CheckInterned {
+                principal,
+                query: intern(&query),
+            },
+            op => op,
+        }
     }
 
     /// True for the operations that mutate policies or the view universe.

@@ -1,4 +1,4 @@
-//! The concurrent disclosure-control front door.
+//! The disclosure-control front door.
 //!
 //! A request — one `apply` or one `run_pipelined` call — is the unit: one
 //! write-ahead commit, then every operation answered at its stream
@@ -9,7 +9,7 @@
 //!  responses    [ D ][ D ][ P ][ V ][ D ] …   one per operation, pushed in
 //!                                             request order
 //!  label arena  ▒▒▒│▒│▒▒▒▒│▒▒│ …   a label packed end to end, copied from
-//!               the cache under its stripe lock (`label_into`)
+//!               its cache entry (`label_into`)
 //! ```
 //!
 //! An admission is labeled into the arena, the policy store decides the
@@ -18,13 +18,14 @@
 //! paper's three steps, on the calling thread (`admit`).  The arena belongs
 //! to the service between requests, so a warm one reuses its capacity.
 
+use std::cell::Ref;
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
 
 use fdc_core::{
-    CachedLabeler, PackedLabel, QueryLabeler, SecurityViews, SharedQueryInterner,
-    DEFAULT_CACHE_CAPACITY, MAX_PACKED_VIEWS_PER_RELATION,
+    CachedLabeler, PackedLabel, QueryLabeler, SecurityViews, DEFAULT_CACHE_CAPACITY,
+    MAX_PACKED_VIEWS_PER_RELATION,
 };
 use fdc_cq::intern::{QueryId, QueryInterner};
 use fdc_cq::{ConjunctiveQuery, RelId};
@@ -134,13 +135,11 @@ pub struct ServiceStats {
 /// in sequential processing (asserted by the property tests).
 #[derive(Debug)]
 pub struct DisclosureService {
+    /// The labeling stage, and the owner of the query interner — the id
+    /// authority behind every `SubmitInterned` / `CheckInterned`
+    /// operation: callers obtain ids through [`intern`](Self::intern) and
+    /// the service validates them at admission time.
     labeler: CachedLabeler,
-    /// Handle to the labeler's query interner — the id authority behind
-    /// every `SubmitInterned` / `CheckInterned` operation.  The service
-    /// *owns* the interner in the architectural sense: callers obtain ids
-    /// through [`intern`](Self::intern) (or this handle) and the service
-    /// validates them at admission time.
-    interner: SharedQueryInterner,
     store: PolicyStore,
     /// Per-principal ring of recently submitted queries (capped at
     /// `config.history_cap`), the observed workload `AuditApp` audits
@@ -277,7 +276,6 @@ impl DisclosureService {
         config: ServiceConfig,
     ) -> Self {
         DisclosureService {
-            interner: labeler.interner(),
             labeler,
             config,
             store,
@@ -336,14 +334,14 @@ impl DisclosureService {
         &self.labeler
     }
 
-    /// The service's shared query-interner handle — the id authority behind
-    /// interned admissions.
-    ///
-    /// Workload generators clone this handle to intern their query pools
-    /// once (see `fdc_ecosystem::ChurnGenerator::attach_interner`) and then
-    /// stream 8-byte [`QueryId`]s instead of boxed queries.
-    pub fn interner(&self) -> SharedQueryInterner {
-        self.labeler.interner()
+    /// The service's query interner — the id authority behind interned
+    /// admissions — borrowed read-only, to resolve or look up ids (release
+    /// it before the next serving call).  Mint ids with
+    /// [`intern`](Self::intern); a stream of boxed admissions
+    /// becomes an interned one through
+    /// [`Operation::interned`](crate::Operation::interned).
+    pub fn interner(&self) -> Ref<'_, QueryInterner> {
+        self.labeler.query_interner()
     }
 
     /// Interns a query into the service's id space, returning the dense
@@ -710,7 +708,7 @@ impl DisclosureService {
     fn serve(&mut self, request: Request<'_>) -> Result<Response, ServiceError> {
         let known = self.known_ids();
         let cut = Self::write_ahead(&mut self.durable, 1, |_, out| {
-            encode_loggable(request, &self.interner, known, out)
+            encode_loggable(request, &self.labeler, known, out)
         });
         self.execute(request, cut > 0, known)
     }
@@ -719,10 +717,7 @@ impl DisclosureService {
     /// read when a request is logged, it is what the request's interned
     /// operands are judged against.
     fn known_ids(&self) -> usize {
-        self.interner
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .len()
+        self.interner().len()
     }
 
     /// Executes one operation at its stream position, after the write-ahead
@@ -1079,10 +1074,7 @@ impl DisclosureService {
     /// resolved against that same interner).
     pub(crate) fn freeze(&self, seq: u64, healthy: bool) -> PendingCheckpoint {
         let mut interner = Vec::new();
-        self.interner
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .encode_into(&mut interner);
+        self.interner().encode_into(&mut interner);
         PendingCheckpoint {
             seq,
             healthy,
@@ -1307,7 +1299,7 @@ impl DisclosureService {
         }
         let known = self.known_ids();
         let cut = Self::write_ahead(&mut self.durable, ops.len(), |i, out| {
-            encode_loggable((&ops[i]).into(), &self.interner, known, out)
+            encode_loggable((&ops[i]).into(), &self.labeler, known, out)
         });
         ops.iter()
             .enumerate()
@@ -1324,12 +1316,15 @@ impl DisclosureService {
 /// nothing to recover — and an interned submit whose id is not one of the
 /// `known` ids changes no state either (admission will reject it), so none
 /// of those produce a record.  Known interned submits are logged as their
-/// resolved canonical query: replay re-interns the same canonical form,
-/// so recovered ids stay stable.  Every mutation is loggable, which is what
-/// lets one cut index stand for a request's coverage.
+/// resolved canonical query, which replay re-interns.  That keeps an id
+/// stable only if every id minted before it was logged too: an id minted
+/// without a record (an explicit `intern`, a check's first sight, a shed
+/// admission) is renumbered by a recovery from the log alone — ROADMAP
+/// item 27.  Every mutation is loggable, which is what lets one cut index
+/// stand for a request's coverage.
 fn encode_loggable(
     request: Request<'_>,
-    interner: &SharedQueryInterner,
+    labeler: &CachedLabeler,
     known: usize,
     out: &mut Vec<u8>,
 ) -> bool {
@@ -1348,8 +1343,8 @@ fn encode_loggable(
             if id.index() >= known {
                 return false;
             }
-            let guard = interner.read().unwrap_or_else(|e| e.into_inner());
-            durable::encode_submit(principal, &guard.to_query(id), out);
+            let query = labeler.query_interner().to_query(id);
+            durable::encode_submit(principal, &query, out);
         }
         Request::SetView {
             principal,
@@ -1388,9 +1383,8 @@ pub struct PendingCheckpoint {
     /// [`DisclosureService::complete_checkpoint`]).
     healthy: bool,
     views: SecurityViews,
-    /// The interner, pre-encoded under the lock: it lives behind the
-    /// shared read-write handle workload generators clone, so its bytes
-    /// are fixed eagerly instead of racing concurrent interning.
+    /// The interner, pre-encoded at `begin`: one pass over the labeler's
+    /// arena, where a structural clone would copy every side table too.
     interner: Vec<u8>,
     store: PolicyStore,
     history: History,

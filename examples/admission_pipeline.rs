@@ -103,7 +103,7 @@ fn main() {
             query: service.intern(query),
         })
         .collect();
-    let distinct = service.interner().read().unwrap().len();
+    let distinct = service.interner().len();
     let start = Instant::now();
     let interned_responses = service.run_pipelined(&interned_ops);
     let interned = start.elapsed();

@@ -3,7 +3,8 @@
 //! crate, and two ignored `ServiceConfig` fields are kept beside it, only
 //! so that the frozen end-to-end benchmark (`examples/svc_bench`)
 //! compiles.  No code under `crates/`, `src/` or `tests/` outside those
-//! modules may name it, and the modules stay small.
+//! modules may name it, and the modules stay small.  The single-threaded
+//! core (labeler, interner, churn generator, service) names no lock either.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -19,7 +20,7 @@ const COMPAT_MODULES: [&str; 3] = [
 const COMPAT_LINE_BUDGET: usize = 150;
 
 /// Identifiers only the compat modules may use.
-const FORBIDDEN: [&str; 16] = [
+const FORBIDDEN: [&str; 17] = [
     "WorkerPool",
     "WorkerContext",
     "LabelerSnapshot",
@@ -34,8 +35,32 @@ const FORBIDDEN: [&str; 16] = [
     "ParallelStats",
     "ParallelPlane",
     "ShardedPolicyStore",
+    "InternerHandle",
     "num_shards",
     "workers",
+];
+
+/// Text only the compat modules may contain: the labeler's interner taken
+/// through the old lock handle (elsewhere it is `query_interner()` to read
+/// and `intern` to mint).
+const FORBIDDEN_TEXT: &str = "interner().write()";
+
+/// The single-threaded core: files that must name no lock, no atomic and no
+/// shared interner handle.
+const LOCK_FREE: [&str; 4] = [
+    "crates/core/src/labeler.rs",
+    "crates/cq/src/intern.rs",
+    "crates/ecosystem/src/churn.rs",
+    "crates/service/src/service.rs",
+];
+
+/// What [`LOCK_FREE`] files may not name.
+const LOCKS: [&str; 5] = [
+    "RwLock",
+    "Mutex",
+    "AtomicU64",
+    "AtomicUsize",
+    "SharedQueryInterner",
 ];
 
 /// The mentions allowed elsewhere, all in `crates/service/src/service.rs`:
@@ -101,6 +126,9 @@ fn only_the_compat_modules_name_the_compat_surface() {
             for name in FORBIDDEN.iter().filter(|name| names(line, name)) {
                 offenders.push(format!("{relative}:{}: `{name}`", number + 1));
             }
+            if line.contains(FORBIDDEN_TEXT) {
+                offenders.push(format!("{relative}:{}: `{FORBIDDEN_TEXT}`", number + 1));
+            }
         }
     }
     assert!(
@@ -124,6 +152,24 @@ fn the_compat_modules_stay_within_their_budget() {
     assert!(
         lines <= COMPAT_LINE_BUDGET,
         "{lines} compat lines > {COMPAT_LINE_BUDGET}"
+    );
+}
+
+#[test]
+fn the_single_threaded_core_names_no_lock() {
+    let mut offenders = Vec::new();
+    for file in LOCK_FREE {
+        let text = fs::read_to_string(root().join(file)).unwrap();
+        for (number, line) in text.lines().enumerate() {
+            for name in LOCKS.iter().filter(|name| names(line, name)) {
+                offenders.push(format!("{file}:{}: `{name}`", number + 1));
+            }
+        }
+    }
+    assert!(
+        offenders.is_empty(),
+        "a lock or atomic is named in the single-threaded core:\n{}",
+        offenders.join("\n")
     );
 }
 

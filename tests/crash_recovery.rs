@@ -260,8 +260,11 @@ fn interned_query_ids_stay_stable_across_checkpointed_recovery() {
             workload: WorkloadConfig::base(0x1D5),
         },
     );
-    churn.attach_interner(durable.interner());
-    let ops = churn.ops(OPS);
+    let ops: Vec<Operation> = churn
+        .ops(OPS)
+        .into_iter()
+        .map(|op| op.interned(|query| durable.intern(query)))
+        .collect();
     assert!(
         ops.iter()
             .any(|op| matches!(op, Operation::SubmitInterned { .. })),
@@ -272,8 +275,7 @@ fn interned_query_ids_stay_stable_across_checkpointed_recovery() {
     durable.checkpoint().unwrap();
     // Record every pooled query and its id from the live interner.
     let live: Vec<(fdc::cq::intern::QueryId, fdc::cq::ConjunctiveQuery)> = {
-        let handle = durable.interner();
-        let guard = handle.read().unwrap();
+        let guard = durable.interner();
         (0..guard.len())
             .map(|i| {
                 let id = fdc::cq::intern::QueryId(i as u32);
@@ -287,14 +289,10 @@ fn interned_query_ids_stay_stable_across_checkpointed_recovery() {
     // Every pre-crash id resolves to the identical query, and re-interning
     // the query yields the same id — ids are stable currency across
     // restarts.
-    {
-        let handle = recovered.interner();
-        let mut guard = handle.write().unwrap();
-        for (id, query) in &live {
-            assert!(guard.contains(*id));
-            assert_eq!(&guard.to_query(*id), query);
-            assert_eq!(guard.intern(query), *id);
-        }
+    for (id, query) in &live {
+        assert!(recovered.interner().contains(*id));
+        assert_eq!(&recovered.interner().to_query(*id), query);
+        assert_eq!(recovered.intern(query), *id);
     }
     // And the recovered service serves the same interned stream with the
     // same responses (minus the stateful consistency evolution already

@@ -260,7 +260,7 @@ fn cold_labeling_grows_the_arena_by_the_shapes_alone() {
     let eco = Ecosystem::new();
     let queries = eco.workload(WorkloadConfig::stress(5, 34)).batch(400);
     let mut labeler = CachedLabeler::new(eco.views.clone());
-    let arena = |labeler: &CachedLabeler| labeler.interner().read().unwrap().len();
+    let arena = |labeler: &CachedLabeler| labeler.query_interner().len();
     let before = arena(&labeler);
     for query in &queries {
         labeler.label_query(query);
@@ -283,7 +283,7 @@ fn cold_labeling_grows_the_arena_by_the_shapes_alone() {
             attributes[info.is_friend_column].as_str(),
         ],
     );
-    let definition_is_new = labeler.interner().read().unwrap().lookup(&view).is_none();
+    let definition_is_new = labeler.query_interner().lookup(&view).is_none();
     let grown = arena(&labeler);
     labeler.add_view("friend_anchors", view).unwrap();
     assert_eq!(arena(&labeler), grown + usize::from(definition_is_new));

@@ -44,7 +44,7 @@ fn surviving_positions(query: &ConjunctiveQuery, folded: &ConjunctiveQuery) -> V
 /// `query`: same surviving atom positions, same label.
 fn assert_agrees(cached: &CachedLabeler, reference: &BitVectorLabeler, query: &ConjunctiveQuery) {
     let id = cached.intern(query);
-    let core = fold_interned_indices(cached.interner().read().unwrap().resolve(id));
+    let core = fold_interned_indices(cached.query_interner().resolve(id));
     assert_eq!(
         core,
         surviving_positions(query, &fold(query)),
@@ -198,7 +198,7 @@ fn check_family(texts: &[String]) -> Vec<Vec<u32>> {
             let query = parse_query(&catalog, text).unwrap_or_else(|e| panic!("{text}: {e}"));
             assert_agrees(&cached, &reference, &query);
             let id = cached.intern(&query);
-            let kept = fold_interned_indices(cached.interner().read().unwrap().resolve(id));
+            let kept = fold_interned_indices(cached.query_interner().resolve(id));
             kept
         })
         .collect()

@@ -169,7 +169,7 @@ fn first_sight_allocations(query: &ConjunctiveQuery) -> u64 {
     let labeler = CachedLabeler::new(Ecosystem::new().views);
     let id = labeler.intern(query);
     labeler.label_interned(id);
-    // Flushing keeps the stripe's slot vector, so storing the entry again
+    // Flushing keeps the slot vector's capacity, so storing the entry again
     // does not grow it.
     labeler.clear_entries();
     let mut out = Vec::with_capacity(16);

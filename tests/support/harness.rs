@@ -635,8 +635,17 @@ pub fn in_memory_rows(what: &str, world: &World, ops: &[Operation], specified: &
     }
 }
 
-/// Durable `apply` and `run_pipelined`, each then closed and reopened —
-/// from a checkpoint, and from the log alone.
+/// Durable `apply` and `run_pipelined`, each closed and reopened from a
+/// checkpoint halfway through the stream, then from the log alone at its
+/// end.
+///
+/// A checkpointed row serves the first half, checkpoints, closes and
+/// reopens, and serves the second half on the recovered service: the
+/// answers of both halves and the final state are the specification's.  A
+/// log-only row is only reopened once the stream is served, because a
+/// reopen from the log alone renumbers the ids `populate` minted without a
+/// record (ROADMAP item 27), so interned operands served after it would
+/// name other queries.
 pub fn durable_rows(what: &str, world: &World, ops: &[Operation], specified: &Specified) {
     for executor in [Executor::Apply, BATCHED] {
         for checkpointed in [true, false] {
@@ -645,25 +654,31 @@ pub fn durable_rows(what: &str, world: &World, ops: &[Operation], specified: &Sp
             let dir = temp_dir("matrix");
             let (mut service, _) = reopen(world, config, &dir);
             populate(&mut service, world);
-            let answered = serve(&mut service, ops, executor);
-            assert_served(&row, &mut service, &answered, specified, world);
-            if checkpointed {
+            let mut recovered = if checkpointed {
+                let (first, rest) = ops.split_at(ops.len() / 2);
+                let mut answered = serve(&mut service, first, executor);
                 service.checkpoint().unwrap();
-            }
-            service.close().unwrap();
-            let (mut recovered, report) = reopen(world, config, &dir);
-            if checkpointed {
+                service.close().unwrap();
+                let (mut recovered, report) = reopen(world, config, &dir);
                 assert_eq!(
                     report.records_replayed, 0,
                     "{row}: the image covers the log"
                 );
+                answered.extend(serve(&mut recovered, rest, executor));
+                assert_eq!(answered, specified.responses, "{row}: the answers");
+                recovered
             } else {
+                let answered = serve(&mut service, ops, executor);
+                assert_served(&row, &mut service, &answered, specified, world);
+                service.close().unwrap();
+                let (recovered, report) = reopen(world, config, &dir);
                 assert_eq!(report.checkpoint_seq, 0, "{row}: recovery is replay alone");
                 assert!(
                     report.records_replayed as usize >= world.policies.len(),
                     "{row}"
                 );
-            }
+                recovered
+            };
             assert_print(&row, &mut recovered, &specified.print, world);
             recovered.close().unwrap();
             fs::remove_dir_all(&dir).unwrap();
