@@ -728,21 +728,9 @@ impl QueryInterner {
         .map(QueryId)
     }
 
-    /// True if entries `a` and `b` hold the same span: relations, arities,
-    /// terms and variable kinds.  Constants are interned once, so equal
-    /// terms are equal words (and equal term slices equal arities).
-    fn same_entry(&self, a: QueryId, b: QueryId) -> bool {
-        let (a, b) = (self.resolve(a), self.resolve(b));
-        a.kinds == b.kinds
-            && a.atoms.len() == b.atoms.len()
-            && (0..a.atoms.len())
-                .all(|i| a.relation(i) == b.relation(i) && a.atom_terms(i) == b.atom_terms(i))
-    }
-
-    /// Enters the first query not yet indexed (the newest one, bar a
-    /// decode) into every derived index: its `hash` into the dedup table
-    /// (doubled first if that would fill it past half) and a fresh fold
-    /// entry.
+    /// Enters the newest query into every derived index: its `hash` into
+    /// the dedup table (doubled first if that would fill it past half) and
+    /// a fresh fold entry.
     fn index_newest(&mut self, hash: u32) {
         let id = QueryId(self.hashes.len() as u32);
         self.hashes.push(hash);
@@ -897,9 +885,8 @@ impl QueryInterner {
 
     /// The canonical hash of interned query `id`, computed from the arena:
     /// the [`shape_hash`](ConjunctiveQuery::shape_hash) of every query that
-    /// interns to `id`.  Used to rebuild the dedup index after
-    /// [`decode_from`](Self::decode_from), whose entries are in canonical
-    /// form already, so no numbering is needed.
+    /// interns to `id`.  The arena holds the query in canonical form
+    /// already, so no numbering is needed.
     ///
     /// # Panics
     ///
@@ -968,46 +955,41 @@ impl QueryInterner {
         }
     }
 
-    /// Deserializes an arena written by [`encode_into`](Self::encode_into),
-    /// rebuilding every derived index (constant index, dedup table, an
-    /// empty fold side table) as
-    /// [`intern`](Self::intern) would leave it.  A term whose variable
-    /// index or constant id is wider than an [`ITerm`] holds is refused
-    /// before it is packed, all spans are
-    /// bounds-checked and every query is checked to be in canonical form
-    /// (variable indices in range, tags agreeing with the kind buffer,
-    /// first-occurrence numbering), so a corrupt checkpoint yields a
-    /// [`CodecError`], never a panicking interner or one that cannot find
-    /// its own entries.  Query ids issued before the encode resolve to the
-    /// identical flat representation after the decode — the property
-    /// that keeps `QueryId`s stable across restarts.
+    /// Deserializes an arena written by [`encode_into`](Self::encode_into)
+    /// by building it again: each decoded query is interned, in id order,
+    /// into a fresh interner, which rebuilds every derived index (constant
+    /// index, dedup table, an empty fold side table) as construction leaves
+    /// it.  The image is accepted only if construction reproduces it: query
+    /// `i` must intern to `QueryId(i)`, and the rebuilt interner must
+    /// encode to the image byte for byte.  So a duplicated shape, a
+    /// non-canonical numbering, a constant no query uses or any other
+    /// arena that [`intern`](Self::intern) cannot write is refused, and
+    /// query ids issued before the encode resolve to the identical flat
+    /// representation after the decode — the property that keeps
+    /// `QueryId`s stable across restarts.
+    ///
+    /// Before anything is built, a term wider than an [`ITerm`] holds, a
+    /// constant id past the table and a span out of range are refused, and
+    /// so is a query whose atoms claim more terms than the image holds; the
+    /// rebuild stops as soon as its arena outgrows the image's.  So a
+    /// corrupt checkpoint yields a [`CodecError`], never a panic or an
+    /// allocation the image's size does not bound.
     ///
     /// [`CodecError`]: fdc_durability::codec::CodecError
     pub fn decode_from(
         cursor: &mut fdc_durability::codec::Cursor<'_>,
     ) -> std::result::Result<Self, fdc_durability::codec::CodecError> {
         use fdc_durability::codec::CodecError;
-        let num_consts = cursor.count(2)?;
-        let mut interner = QueryInterner {
-            consts: Vec::with_capacity(num_consts),
-            const_hashes: Vec::with_capacity(num_consts),
-            ..QueryInterner::default()
-        };
-        for _ in 0..num_consts {
-            let at = cursor.pos();
-            let constant = crate::wire::read_const_ref(cursor)?;
-            let minted = interner.consts.len();
-            if interner.const_id_mut(constant.as_const_bytes()).index() < minted {
-                return Err(CodecError::invalid(at, "duplicate constant in table"));
-            }
+        let mut section = cursor.clone();
+        let mut image = QueryInterner::default();
+        for _ in 0..cursor.count(2)? {
+            image.consts.push(crate::wire::read_constant(cursor)?);
         }
-        let num_terms = cursor.count(5)?;
-        let mut terms = Vec::with_capacity(num_terms);
-        for _ in 0..num_terms {
+        for _ in 0..cursor.count(5)? {
             let at = cursor.pos();
             let tag = cursor.u8()?;
             let value = cursor.u32()?;
-            terms.push(match tag {
+            image.terms.push(match tag {
                 0 | 1 if value > ITerm::MAX_VAR_INDEX => {
                     return Err(CodecError::invalid(at, "variable index wider than 30 bits"));
                 }
@@ -1016,40 +998,30 @@ impl QueryInterner {
                 2 if value > ITerm::MAX_CONST_ID => {
                     return Err(CodecError::invalid(at, "constant id wider than 31 bits"));
                 }
-                2 if value as usize >= interner.consts.len() => {
+                2 if value as usize >= image.consts.len() => {
                     return Err(CodecError::invalid(at, "constant id out of range"));
                 }
                 2 => ITerm::constant(ConstId(value)),
                 _ => return Err(CodecError::invalid(at, format!("unknown term tag {tag}"))),
             });
         }
-        let num_atoms = cursor.count(12)?;
-        let mut atoms = Vec::with_capacity(num_atoms);
-        for _ in 0..num_atoms {
+        for _ in 0..cursor.count(12)? {
             let at = cursor.pos();
             let atom = IAtom {
                 relation: RelId(cursor.u32()?),
                 term_start: cursor.u32()?,
                 term_len: cursor.u32()?,
             };
-            if atom.term_start as u64 + atom.term_len as u64 > terms.len() as u64 {
+            if atom.term_start as u64 + atom.term_len as u64 > image.terms.len() as u64 {
                 return Err(CodecError::invalid(at, "atom term span out of range"));
             }
-            atoms.push(atom);
+            image.atoms.push(atom);
         }
-        let num_kinds = cursor.count(1)?;
-        let mut kinds = Vec::with_capacity(num_kinds);
-        for _ in 0..num_kinds {
-            kinds.push(crate::wire::read_var_kind(cursor)?);
+        for _ in 0..cursor.count(1)? {
+            image.kinds.push(crate::wire::read_var_kind(cursor)?);
         }
-        interner.terms = terms;
-        interner.atoms = atoms;
-        interner.kinds = kinds;
-        let num_queries = cursor.count(16)?;
-        interner.queries.reserve_exact(num_queries);
-        interner.hashes.reserve_exact(num_queries);
-        interner.shapes.reserve_exact(num_queries);
-        for _ in 0..num_queries {
+        let mut interner = QueryInterner::default();
+        for i in 0..cursor.count(16)? {
             let at = cursor.pos();
             let span = QuerySpan {
                 atom_start: cursor.u32()?,
@@ -1057,65 +1029,50 @@ impl QueryInterner {
                 kind_start: cursor.u32()?,
                 num_vars: cursor.u32()?,
             };
-            if span.atom_start as u64 + span.atom_len as u64 > interner.atoms.len() as u64
-                || span.kind_start as u64 + span.num_vars as u64 > interner.kinds.len() as u64
+            if span.atom_start as u64 + span.atom_len as u64 > image.atoms.len() as u64
+                || span.kind_start as u64 + span.num_vars as u64 > image.kinds.len() as u64
             {
                 return Err(CodecError::invalid(at, "query span out of range"));
             }
-            // Only a canonical entry can be found by its own lookup (anything
-            // else would silently mint duplicates), and every search over a
-            // resolved query indexes per-variable tables by these indices.
-            let query = interner.span_ref(span);
-            let (query_atoms, query_kinds) = (query.atoms, query.kinds);
-            if query_atoms.is_empty() {
-                return Err(CodecError::invalid(at, "query without atoms"));
+            // Atoms may share terms in a hostile image; a query that would
+            // be built from more terms than the image holds is refused
+            // before it is built.
+            let atoms = &image.atoms[span.atom_start as usize..][..span.atom_len as usize];
+            let terms: u64 = atoms.iter().map(|atom| u64::from(atom.term_len)).sum();
+            if terms > image.terms.len() as u64 {
+                return Err(CodecError::invalid(
+                    at,
+                    "query holds more terms than the image",
+                ));
             }
-            // The compare pass reads a query's terms as one slice.
-            if query_atoms.windows(2).any(|pair| {
-                u64::from(pair[0].term_start) + u64::from(pair[0].term_len)
-                    != u64::from(pair[1].term_start)
-            }) {
-                return Err(CodecError::invalid(at, "atom term spans not consecutive"));
+            image.queries.push(span);
+            let query = image.try_to_query(QueryId(i as u32)).map_err(|error| {
+                CodecError::invalid(at, format!("query does not build: {error}"))
+            })?;
+            let id = interner.intern(&query);
+            if id.index() != i {
+                return Err(CodecError::invalid(
+                    at,
+                    format!("query {i} interns as query {}", id.0),
+                ));
             }
-            let mut seen = 0u32;
-            for term in query_atoms.iter().flat_map(|atom| atom.terms(query.terms)) {
-                let ITermView::Var(v, kind) = term.get() else {
-                    continue;
-                };
-                if v >= span.num_vars {
-                    return Err(CodecError::invalid(at, "variable index out of range"));
-                }
-                if query_kinds[v as usize] != kind {
-                    return Err(CodecError::invalid(
-                        at,
-                        "variable tag disagrees with its kind",
-                    ));
-                }
-                if v > seen {
-                    return Err(CodecError::invalid(
-                        at,
-                        "variables not numbered by first occurrence",
-                    ));
-                }
-                if v == seen {
-                    seen += 1;
-                }
-            }
-            if seen != span.num_vars {
-                return Err(CodecError::invalid(at, "declared variable never occurs"));
-            }
-            // Interning never mints a second id for a shape; neither may an
-            // image, or two ids would discriminate what structure does not.
-            interner.queries.push(span);
-            let id = QueryId(interner.queries.len() as u32 - 1);
-            let hash = interner.shape_hash(id);
-            if interner
-                .find(hash, |other| interner.same_entry(other, id))
-                .is_some()
+            // What construction reproduces is no larger than the image, so
+            // the rebuilt arena stops growing as soon as it outgrows it.
+            if interner.atoms.len() > image.atoms.len() || interner.terms.len() > image.terms.len()
             {
-                return Err(CodecError::invalid(at, "query duplicates an earlier one"));
+                return Err(CodecError::invalid(at, "query outgrows the image's arena"));
             }
-            interner.index_newest(hash);
+        }
+        let start = section.pos();
+        let bytes = section.take(cursor.pos() - start)?;
+        let mut rebuilt = Vec::with_capacity(bytes.len());
+        interner.encode_into(&mut rebuilt);
+        if rebuilt != bytes {
+            let same = bytes.iter().zip(&rebuilt).take_while(|(a, b)| a == b);
+            return Err(CodecError::invalid(
+                start + same.count(),
+                "image differs from the arena its queries build",
+            ));
         }
         Ok(interner)
     }
@@ -1142,8 +1099,9 @@ impl QueryInterner {
     /// is the [`shape_hash`](ConjunctiveQuery::shape_hash) its
     /// reconstructed query's constructor computes.  So an entry is found by
     /// its own lookup, no two entries hold one shape, and the arena's hash
-    /// and the constructors' agree.  A check for tests and decoders; it
-    /// rebuilds every query.
+    /// and the constructors' agree.  A check for tests (a decode holds it
+    /// by construction, since it interns every query again); it rebuilds
+    /// every query.
     ///
     /// # Panics
     ///
@@ -1372,10 +1330,10 @@ mod tests {
         assert_eq!(bytes[count..span], 1u64.to_le_bytes());
         bytes[count..span].copy_from_slice(&2u64.to_le_bytes());
         bytes.extend_from_within(span..);
-        // Refused at the second query's offset.
+        // Refused at the second query's offset: it interns to the first id.
         assert_eq!(
             decode_error(&bytes),
-            (span + 16, "query duplicates an earlier one".to_owned())
+            (span + 16, "query 1 interns as query 0".to_owned())
         );
     }
 
@@ -1527,12 +1485,22 @@ mod tests {
         // Interning a known constant again mints nothing.
         back.intern(&q(&c, "Q() :- Meetings(x, 'c7'), Meetings(x, 7)"));
         assert_eq!(back.consts.len(), 70);
-        // A duplicate in the image is refused.
+        // A duplicate in the image is refused: construction stores one copy,
+        // so the constant count is the first byte it does not reproduce.
+        let mut one = QueryInterner::new();
+        one.intern(&q(&c, "Q() :- Meetings(x, 7)"));
         let mut twice = Vec::new();
-        fdc_durability::codec::put_len(&mut twice, 2);
-        crate::wire::put_constant(&mut twice, &Constant::Int(7));
-        crate::wire::put_constant(&mut twice, &Constant::Int(7));
-        assert!(decode_error(&twice).1.contains("duplicate constant"));
+        one.encode_into(&mut twice);
+        twice[..8].copy_from_slice(&2u64.to_le_bytes());
+        // An integer constant is a tag byte and an i64.
+        twice.splice(8..8, twice[8..17].to_vec());
+        assert_eq!(
+            decode_error(&twice),
+            (
+                0,
+                "image differs from the arena its queries build".to_owned()
+            )
+        );
     }
 
     #[test]
@@ -1554,36 +1522,48 @@ mod tests {
             (bytes.len(), decoded)
         };
         assert!(reencode(&pristine()).1.is_ok());
+        // The query span is the image's last 16 bytes; a query that does
+        // not build is refused there.  One that builds but is numbered
+        // otherwise than construction numbers it is refused at the first
+        // byte construction does not reproduce: the value of term 0, after
+        // the two empty-table and term counts and the term's tag.
         type Corrupt = fn(&mut QueryInterner);
-        let cases: [(&str, Corrupt); 6] = [
-            ("out of range", |i| {
+        // The offset refused, from the image's length.
+        type At = fn(usize) -> usize;
+        let span = |len: usize| len - 16;
+        let cases: [(&str, At, Corrupt); 6] = [
+            ("out of range", span, |i| {
                 i.terms[1] = ITerm::var(7, VarKind::Existential)
             }),
-            ("disagrees with its kind", |i| {
+            // A tag that disagrees with its variable's kind.
+            ("both as distinguished and as existential", span, |i| {
                 i.terms[0] = ITerm::var(0, VarKind::Existential)
             }),
-            ("first occurrence", |i| i.terms.swap(0, 1)),
-            ("never occurs", |i| {
+            // Not numbered by first occurrence.
+            ("image differs", |_| 17, |i| i.terms.swap(0, 1)),
+            // A declared variable that never occurs.
+            ("does not appear in the query body", span, |i| {
                 i.terms[1] = ITerm::var(0, VarKind::Distinguished)
             }),
-            ("without atoms", |i| i.queries[0].atom_len = 0),
-            // A second atom over the first one's terms: in range and
-            // canonical, but the compare pass reads a query's terms as one
-            // slice.
-            ("not consecutive", |i| {
+            // A query without atoms.
+            ("at least one body atom", span, |i| {
+                i.queries[0].atom_len = 0
+            }),
+            // A second atom over the first one's terms: the query holds
+            // more terms than the image.
+            ("more terms than the image", span, |i| {
                 let first = i.atoms[0];
                 i.atoms.push(first);
                 i.queries[0].atom_len = 2;
             }),
         ];
-        for (expected, corrupt) in cases {
+        for (expected, at, corrupt) in cases {
             let mut interner = pristine();
             corrupt(&mut interner);
-            // The query span is the image's last 16 bytes; the error names it.
             match reencode(&interner) {
                 (len, Err(CodecError::Invalid { offset, what })) => {
                     assert!(what.contains(expected), "{expected}: got {what}");
-                    assert_eq!(offset, len - 16, "{expected}");
+                    assert_eq!(offset, at(len), "{expected}");
                 }
                 (_, other) => panic!("{expected}: decoded to {other:?}"),
             }

@@ -64,7 +64,7 @@ mod tests {
     use fdc_cq::intern::QueryId;
     use fdc_cq::parser::parse_query;
     use fdc_cq::ConjunctiveQuery;
-    use fdc_policy::{Decision, PolicyPartition, PrincipalId, SecurityPolicy};
+    use fdc_policy::{AuditReport, Decision, PolicyPartition, PrincipalId, SecurityPolicy};
 
     fn wall(registry: &SecurityViews) -> SecurityPolicy {
         let v1 = registry.id_by_name("V1").unwrap();
@@ -792,6 +792,89 @@ mod tests {
         assert!(service.checkpoint().is_err());
         assert!(!service.is_durable());
         service.close().unwrap();
+    }
+
+    /// What one principal of `service` looks like from outside: its
+    /// counters, consistency word and audit (taken on a copy, since an
+    /// audit counts), and the service's counters.
+    fn principal_print(
+        service: &DisclosureService,
+        p: PrincipalId,
+    ) -> (
+        (u64, u64),
+        u64,
+        ServiceStats,
+        Result<AuditReport, ServiceError>,
+    ) {
+        let audit = service.clone().audit_app(p);
+        let store = service.store();
+        (
+            store.stats(p),
+            store.consistency_bits(p),
+            service.stats(),
+            audit,
+        )
+    }
+
+    #[test]
+    fn a_clone_serves_apart_from_its_original() {
+        let mut original = service(1);
+        let p = PrincipalId(0);
+        let meetings = q(&original, "Q(x, y) :- Meetings(x, y)");
+        let contacts = q(&original, "Q(x, y, z) :- Contacts(x, y, z)");
+        let before = principal_print(&original, p);
+        let mut clone = original.clone();
+        assert_eq!(principal_print(&clone, p), before);
+        // The clone commits to the meetings side and is granted V2...
+        assert_eq!(clone.submit(p, &meetings), Ok(Decision::Allow));
+        clone.grant_view(p, "V2").unwrap();
+        assert_ne!(principal_print(&clone, p), before);
+        assert_eq!(principal_print(&original, p), before);
+        // ...while the original, untouched, commits to the other side.
+        let cloned = principal_print(&clone, p);
+        assert_eq!(original.submit(p, &contacts), Ok(Decision::Allow));
+        original.grant_view(p, "V2").unwrap();
+        assert_ne!(principal_print(&original, p), before);
+        assert_eq!(principal_print(&clone, p), cloned);
+        assert_eq!(original.check(p, &meetings), Ok(Decision::Deny));
+        assert_eq!(clone.check(p, &meetings), Ok(Decision::Allow));
+    }
+
+    #[test]
+    fn a_clone_of_a_durable_service_logs_nothing() {
+        let dir = temp_dir("clone");
+        let registry = SecurityViews::paper_example();
+        let (mut service, _) =
+            DisclosureService::open_durable(registry.clone(), durable_config(), &dir).unwrap();
+        let p = service.register_principal(wall(&registry));
+        service.checkpoint().unwrap();
+        let meetings = q(&service, "Q(x, y) :- Meetings(x, y)");
+        assert_eq!(service.submit(p, &meetings), Ok(Decision::Allow));
+        // Every file of the home and its bytes, by name.
+        let home = || {
+            let mut files: Vec<_> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|entry| {
+                    let path = entry.unwrap().path();
+                    let bytes = std::fs::read(&path).unwrap();
+                    (path, bytes)
+                })
+                .collect();
+            files.sort();
+            files
+        };
+        let before = home();
+        let mut clone = service.clone();
+        assert!(service.is_durable());
+        assert!(!clone.is_durable());
+        clone.register_principal(wall(&registry));
+        assert_eq!(clone.submit(p, &meetings), Ok(Decision::Allow));
+        clone.grant_view(p, "V2").unwrap();
+        assert!(clone.checkpoint().is_err());
+        clone.close().unwrap();
+        assert_eq!(home(), before);
+        service.close().unwrap();
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     /// A two-partition policy whose second partition names relation `id`.

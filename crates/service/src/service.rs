@@ -9,7 +9,7 @@
 //!  responses    [ D ][ D ][ P ][ V ][ D ] …   one per operation, pushed in
 //!                                             request order
 //!  label arena  ▒▒▒│▒│▒▒▒▒│▒▒│ …   a label packed end to end, copied from
-//!               its cache entry (`label_into`)
+//!               its cache entry (`append_packed_interned`)
 //! ```
 //!
 //! An admission is labeled into the arena, the policy store decides the
@@ -50,6 +50,14 @@ use crate::ops::{Operation, PolicyBound, Response, ServiceError};
 /// predecessor, so a checkpoint file corrupted in place (partial write,
 /// bit rot) still leaves a valid older image to recover from.
 const CHECKPOINTS_KEPT: usize = 2;
+
+/// The first relation of `views` with more views than a packed label holds
+/// ([`MAX_PACKED_VIEWS_PER_RELATION`]), if any.
+fn over_packed_budget(views: &SecurityViews) -> Option<RelId> {
+    (0..views.catalog().len() as u32)
+        .map(RelId)
+        .find(|&relation| views.views_for_relation(relation).len() > MAX_PACKED_VIEWS_PER_RELATION)
+}
 
 /// Configuration of a [`DisclosureService`].
 #[derive(Debug, Clone, Copy)]
@@ -237,6 +245,26 @@ impl<'a> From<&'a Operation> for Request<'a> {
     }
 }
 
+/// A deep copy of the service's state: the labeler (with its registry,
+/// interner and label cache), the policy store, the audit history, the
+/// configuration and the counters.  The copy and the original serve
+/// independently from then on.  A clone of a durable service is an
+/// in-memory copy: it holds no write-ahead log, so it logs nothing and
+/// serving on it changes nothing on disk.
+impl Clone for DisclosureService {
+    fn clone(&self) -> Self {
+        DisclosureService {
+            stats: self.stats.clone(),
+            ..Self::assemble(
+                self.labeler.clone(),
+                self.store.clone(),
+                self.history.clone(),
+                self.config,
+            )
+        }
+    }
+}
+
 impl DisclosureService {
     /// Builds a service over a security-view registry.
     ///
@@ -248,10 +276,8 @@ impl DisclosureService {
     /// packed 64-bit label path end to end, where wider masks would
     /// silently truncate.
     pub fn new(views: SecurityViews, config: ServiceConfig) -> Self {
-        for r in 0..views.catalog().len() {
-            let relation = RelId(r as u32);
-            assert!(
-                views.views_for_relation(relation).len() <= MAX_PACKED_VIEWS_PER_RELATION,
+        if let Some(relation) = over_packed_budget(&views) {
+            panic!(
                 "relation `{}` exceeds the {MAX_PACKED_VIEWS_PER_RELATION}-view packed budget; \
                  wide registries must stay on the unpacked labelers",
                 views.catalog().name(relation)
@@ -1265,17 +1291,14 @@ impl DisclosureService {
         )?;
         cursor.expect_end()?;
         // The packed-budget invariant `new` asserts, as a decode error.
-        for r in 0..views.catalog().len() {
-            let relation = RelId(r as u32);
-            if views.views_for_relation(relation).len() > MAX_PACKED_VIEWS_PER_RELATION {
-                return Err(CodecError::invalid(
-                    0,
-                    format!(
-                        "relation `{}` exceeds the packed view budget",
-                        views.catalog().name(relation)
-                    ),
-                ));
-            }
+        if let Some(relation) = over_packed_budget(&views) {
+            return Err(CodecError::invalid(
+                0,
+                format!(
+                    "relation `{}` exceeds the packed view budget",
+                    views.catalog().name(relation)
+                ),
+            ));
         }
         let labeler = CachedLabeler::with_interner(views, interner, DEFAULT_CACHE_CAPACITY);
         Ok(Self::assemble(labeler, store, history, config))

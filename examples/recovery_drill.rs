@@ -115,7 +115,7 @@ fn main() -> ExitCode {
     let mut logged = 0usize;
     let mut failures = 0usize;
     for (at, image) in &images {
-        let (mut recovered, report) =
+        let (recovered, report) =
             DisclosureService::open_durable(ecosystem.views.clone(), config, image)
                 .expect("crash-image recovery failed");
         let replayed_ops = report.last_seq as usize - PRINCIPALS;
@@ -124,7 +124,7 @@ fn main() -> ExitCode {
             logged += usize::from(is_logged(op));
             model.apply(op);
         }
-        let got = fingerprint(&mut recovered, &world);
+        let got = fingerprint(&recovered, &world);
         let want = Fingerprint::of_model(&model, &world);
         let verdict = if got == want { "OK" } else { "MISMATCH" };
         println!(

@@ -127,7 +127,7 @@ fn truncation_at_every_byte_recovers_a_consistent_prefix() {
             assert!(recovered.is_err(), "cut at {cut} must be rejected");
             continue;
         }
-        let (mut recovered, report) =
+        let (recovered, report) =
             recovered.unwrap_or_else(|err| panic!("recovery failed at cut {cut}: {err}"));
         assert_eq!(report.checkpoint_seq, 0);
         let r = report.records_replayed as usize;
@@ -138,7 +138,7 @@ fn truncation_at_every_byte_recovers_a_consistent_prefix() {
             by_records.len() - 1
         );
         let what = format!("cut {cut} ({r} records)");
-        assert_print(&what, &mut recovered, &by_records[r], &world);
+        assert_print(&what, &recovered, &by_records[r], &world);
         seen_counts.insert(r);
         drop(recovered); // also exercises the Drop commit path
     }
@@ -173,10 +173,10 @@ fn a_resumed_log_continues_the_stream_after_a_torn_tail() {
     assert_eq!(resumed.apply(&grant), Response::PolicyUpdated);
     assert_eq!(model.apply(&grant), Response::PolicyUpdated);
     resumed.close().unwrap();
-    let (mut recovered, second) = reopen(&world, config(&world), &dir);
+    let (recovered, second) = reopen(&world, config(&world), &dir);
     assert_eq!(second.records_replayed, first.records_replayed + 1);
     assert_eq!(second.last_seq, first.last_seq + 1);
-    assert_agrees("resumed", &mut recovered, &model, &world);
+    assert_agrees("resumed", &recovered, &model, &world);
     fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -209,19 +209,19 @@ fn a_checkpoint_at_every_segment_boundary_recovers_exactly() {
             // Recovery from the live directory (the durable handle keeps
             // appending afterwards — recovery is read-only apart from
             // tail truncation, and there is no torn tail here).
-            let (mut recovered, report) = reopen(&world, tiny_segments, &dir);
+            let (recovered, report) = reopen(&world, tiny_segments, &dir);
             assert_eq!(report.checkpoint_seq, seq);
             assert_eq!(report.records_replayed, 0, "checkpoint covers the log");
             let what = format!("after checkpoint {seq}");
-            assert_agrees(&what, &mut recovered, &model, &world);
+            assert_agrees(&what, &recovered, &model, &world);
         }
     }
     durable.close().unwrap();
     // Final recovery: checkpoint + the records appended after it.
-    let (mut recovered, report) = reopen(&world, tiny_segments, &dir);
+    let (recovered, report) = reopen(&world, tiny_segments, &dir);
     assert_eq!(report.checkpoint_seq, last_checkpoint);
     assert!(report.last_seq >= last_checkpoint);
-    assert_agrees("final", &mut recovered, &model, &world);
+    assert_agrees("final", &recovered, &model, &world);
     // Pruning kept the directory bounded: segments before the oldest
     // retained checkpoint are gone.
     let segments = fs::read_dir(&dir)
@@ -358,13 +358,13 @@ fn mutations_admitted_mid_encode_survive_an_off_lock_checkpoint() {
     durable.close().unwrap();
     // Recovery bulkloads the image at the pre-encode horizon, then
     // replays every record admitted during and after the encode.
-    let (mut recovered, report) = reopen(&world, config(&world), &dir);
+    let (recovered, report) = reopen(&world, config(&world), &dir);
     assert_eq!(report.checkpoint_seq, horizon);
     assert!(
         report.records_replayed > 0,
         "mid-encode mutations must replay from the surviving log"
     );
-    assert_agrees("off-lock checkpoint", &mut recovered, &model, &world);
+    assert_agrees("off-lock checkpoint", &recovered, &model, &world);
     fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -374,14 +374,14 @@ fn pure_replay_without_any_checkpoint_rebuilds_the_full_stream() {
     let ops = churn_ops(&world, SEED, 2 * OPS);
     let (dir, _, by_records) = record_stream(&world, &ops);
     let model = by_records.last().unwrap();
-    let (mut recovered, report) = reopen(&world, config(&world), &dir);
+    let (recovered, report) = reopen(&world, config(&world), &dir);
     assert_eq!(report.checkpoint_seq, 0, "no checkpoint was ever taken");
     assert_eq!(report.records_replayed as usize, by_records.len() - 1);
-    assert_agrees("pure replay", &mut recovered, model, &world);
+    assert_agrees("pure replay", &recovered, model, &world);
     recovered.close().unwrap();
     // Recovery is idempotent: a second open replays to the same state.
-    let (mut again, _) = reopen(&world, config(&world), &dir);
-    assert_agrees("second open", &mut again, model, &world);
+    let (again, _) = reopen(&world, config(&world), &dir);
+    assert_agrees("second open", &again, model, &world);
     fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -410,9 +410,9 @@ fn a_request_commits_and_fsyncs_exactly_once() {
     );
     assert_eq!(after.wal_max_commit_records, records);
     let specified = specify(&world, &ops);
-    assert_served("one commit", &mut service, &responses, &specified, &world);
+    assert_served("one commit", &service, &responses, &specified, &world);
     drop(service); // crash: no close
-    let (mut recovered, _) = reopen(&world, fsynced, &dir);
-    assert_agrees("recovered", &mut recovered, &specified.model, &world);
+    let (recovered, _) = reopen(&world, fsynced, &dir);
+    assert_agrees("recovered", &recovered, &specified.model, &world);
     fs::remove_dir_all(&dir).unwrap();
 }

@@ -16,15 +16,23 @@
 //! (at most its length); and an interner that decodes passes
 //! `QueryInterner::check_invariants` (every id resolves back to a query
 //! that its own lookup finds under that id, and whose constructor's hash is
-//! the one stored for it), re-encodes, and decodes from its re-encoding to
-//! the same bytes.  A
-//! failure prints the mutation and the mutated bytes.
+//! the one stored for it) and re-encodes to the input it was decoded from,
+//! byte for byte.  A failure prints the mutation and the mutated bytes.
 //!
-//! Semantic mutators edit a valid image so that every array stays in range
-//! and every query stays canonical, yet the image is not one construction
-//! can build; each must be refused at the offset of what it edited:
+//! Semantic mutators edit a valid image so that every array stays in range,
+//! yet the image is not one construction can build; each must be refused
+//! at the offset of what it edited, or, for an interner image, at the first
+//! byte that building its queries again does not reproduce:
 //!
-//! * duplicate a query span (two ids for one shape);
+//! * duplicate a query span (two ids for one shape): refused at the
+//!   duplicate, which interns to the first one's id;
+//! * swap the first occurrences of two variables of one query, every index
+//!   and tag still in range (a numbering construction never writes):
+//!   refused at the first swapped term's value;
+//! * append a constant that no query uses to the constant table: refused
+//!   at the constant count, the field it edited;
+//! * append a query span over two queries' atoms: refused at that span, as
+//!   soon as the rebuilt arena outgrows the image's;
 //! * set a principal's consistency bit at or past its policy's partition
 //!   count;
 //! * zero the consistency word of a principal whose policy has partitions.
@@ -34,8 +42,10 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use fdc::core::{BaselineLabeler, QueryLabeler, SecurityViews};
 use fdc::cq::intern::{QueryId, QueryInterner};
 use fdc::cq::parser::parse_query;
-use fdc::cq::wire::{decode_catalog, decode_query, encode_catalog, encode_query};
-use fdc::cq::{Catalog, ConjunctiveQuery};
+use fdc::cq::wire::{
+    decode_catalog, decode_query, encode_catalog, encode_query, put_constant, read_constant,
+};
+use fdc::cq::{Catalog, ConjunctiveQuery, Constant};
 use fdc::durability::codec::{CodecError, Cursor};
 use fdc::policy::wire::{decode_policy, encode_policy};
 use fdc::policy::{PolicyPartition, PolicyStore, PrincipalId, SecurityPolicy};
@@ -113,10 +123,11 @@ fn assert_never_panics(
 }
 
 /// Decodes an interner image; one that decodes must keep the interner's
-/// invariants, encode every query it resolves, and survive its own
-/// re-encoding byte for byte.
+/// invariants, encode every query it resolves, and be what its interner
+/// encodes, byte for byte.
 fn decode_interner(input: &[u8]) -> Result<(), CodecError> {
-    let interner = QueryInterner::decode_from(&mut Cursor::new(input))?;
+    let mut cursor = Cursor::new(input);
+    let interner = QueryInterner::decode_from(&mut cursor)?;
     interner.check_invariants();
     let mut out = Vec::new();
     for index in 0..interner.len() {
@@ -126,11 +137,11 @@ fn decode_interner(input: &[u8]) -> Result<(), CodecError> {
     }
     out.clear();
     interner.encode_into(&mut out);
-    let again = QueryInterner::decode_from(&mut Cursor::new(&out))
-        .expect("a decoded interner re-encodes to a valid image");
-    let mut twice = Vec::new();
-    again.encode_into(&mut twice);
-    assert_eq!(out, twice, "re-encoding is not a fixpoint");
+    assert_eq!(
+        out,
+        input[..cursor.pos()],
+        "an accepted image is not what its interner encodes"
+    );
     Ok(())
 }
 
@@ -249,16 +260,117 @@ fn an_image_duplicating_a_query_span_is_refused() {
             bytes[table - 8..table].copy_from_slice(&(count as u64 + 1).to_le_bytes());
             let span = table + 16 * duplicated;
             bytes.extend_from_within(span..span + 16);
-            match QueryInterner::decode_from(&mut Cursor::new(&bytes)) {
-                Err(CodecError::Invalid { offset, what }) => assert_eq!(
-                    (offset, what.as_str()),
-                    (image.len(), "query duplicates an earlier one"),
-                    "query {duplicated} of {count}"
+            assert_eq!(
+                refusal(&bytes),
+                (
+                    image.len(),
+                    format!("query {count} interns as query {duplicated}")
                 ),
-                other => panic!("query {duplicated} of {count} duplicated: {other:?}"),
-            }
+                "query {duplicated} of {count}"
+            );
         }
     }
+}
+
+/// The image of an interner holding every query of [`queries`], and the
+/// offset of its term array: past the constant table and the term count.
+fn interner_image(catalog: &Catalog) -> (QueryInterner, Vec<u8>, usize) {
+    let mut arena = QueryInterner::new();
+    for q in &queries(catalog) {
+        arena.intern(q);
+    }
+    let mut image = Vec::new();
+    arena.encode_into(&mut image);
+    let mut cursor = Cursor::new(&image);
+    for _ in 0..cursor.count(2).unwrap() {
+        read_constant(&mut cursor).unwrap();
+    }
+    cursor.count(5).unwrap();
+    let terms = cursor.pos();
+    (arena, image, terms)
+}
+
+/// Where and why an interner image is refused.
+fn refusal(bytes: &[u8]) -> (usize, String) {
+    match QueryInterner::decode_from(&mut Cursor::new(bytes)) {
+        Err(CodecError::Invalid { offset, what }) => (offset, what),
+        other => panic!("{other:?}"),
+    }
+}
+
+/// What construction says of an image it does not reproduce.
+const NOT_REPRODUCED: &str = "image differs from the arena its queries build";
+
+#[test]
+fn an_image_numbering_a_query_otherwise_than_construction_is_refused() {
+    let catalog = SecurityViews::paper_example().catalog().clone();
+    let (arena, image, terms) = interner_image(&catalog);
+    let mut swapped = 0;
+    for index in 0..arena.len() {
+        let query = arena.resolve(QueryId(index as u32));
+        // A query's terms are consecutive in the term array, 5 bytes each.
+        let first = query.atoms[0].term_start as usize;
+        let flat: Vec<_> = (0..query.num_atoms())
+            .flat_map(|atom| query.atom_terms(atom))
+            .collect();
+        let occurrence = |v| flat.iter().position(|term| term.var_index() == Some(v));
+        let (Some(zero), Some(one)) = (occurrence(0), occurrence(1)) else {
+            continue;
+        };
+        // Swapped whole, each term keeps a tag that agrees with its
+        // variable's kind; variable 1 now occurs first.
+        let [zero, one] = [zero, one].map(|position| terms + 5 * (first + position));
+        let mut bytes = image.clone();
+        for k in 0..5 {
+            bytes.swap(zero + k, one + k);
+        }
+        assert_eq!(
+            refusal(&bytes),
+            (zero + 1, NOT_REPRODUCED.to_owned()),
+            "query {index}"
+        );
+        swapped += 1;
+    }
+    assert!(swapped >= 3, "only {swapped} queries have two variables");
+}
+
+#[test]
+fn an_image_holding_a_constant_no_query_uses_is_refused() {
+    let catalog = SecurityViews::paper_example().catalog().clone();
+    let (_, image, terms) = interner_image(&catalog);
+    let table = terms - 8;
+    let count = u64::from_le_bytes(image[..8].try_into().unwrap());
+    let mut bytes = (count + 1).to_le_bytes().to_vec();
+    bytes.extend_from_slice(&image[8..table]);
+    put_constant(&mut bytes, &Constant::Int(4242));
+    bytes.extend_from_slice(&image[table..]);
+    assert_eq!(refusal(&bytes), (0, NOT_REPRODUCED.to_owned()));
+}
+
+#[test]
+fn a_rebuild_that_outgrows_the_image_is_refused_before_it_grows_further() {
+    // Two one-atom queries, then a third span over both atoms (and the
+    // second query's kinds): a query that builds and is new, but whose
+    // atoms the rebuilt arena would hold twice.  Spans like it, one per
+    // suffix of a long atom table, would otherwise rebuild an arena
+    // quadratic in the image.
+    let catalog = SecurityViews::paper_example().catalog().clone();
+    let mut arena = QueryInterner::new();
+    for text in ["Q() :- Meetings(x, y)", "Q() :- Contacts(x, y, z)"] {
+        arena.intern(&parse_query(&catalog, text).unwrap());
+    }
+    let mut bytes = Vec::new();
+    arena.encode_into(&mut bytes);
+    let span = bytes.len();
+    let count = span - 8 - 2 * 16;
+    bytes[count..count + 8].copy_from_slice(&3u64.to_le_bytes());
+    for field in [0u32, 2, 2, 3] {
+        bytes.extend_from_slice(&field.to_le_bytes());
+    }
+    assert_eq!(
+        refusal(&bytes),
+        (span, "query outgrows the image's arena".to_owned())
+    );
 }
 
 #[test]

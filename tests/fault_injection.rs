@@ -134,7 +134,7 @@ fn acked_mutations_survive(
             }
         }
     }
-    assert_agrees(&format!("{tag}: running"), &mut service, &live, &world);
+    assert_agrees(&format!("{tag}: running"), &service, &live, &world);
     let degraded = service.is_degraded();
     let faults = vfs.counters();
     drop(service); // crash: no close
@@ -142,12 +142,12 @@ fn acked_mutations_survive(
     // Storage comes back; recovery sees exactly the committed records.
     vfs.heal();
     vfs.set_schedule(FaultSchedule::quiet(schedule.seed));
-    let (mut recovered, report) = open_faulted(&world, config(&world), &dir, &vfs).unwrap();
+    let (recovered, report) = open_faulted(&world, config(&world), &dir, &vfs).unwrap();
     let what = format!(
         "{tag}: recovered state diverged from the acknowledged stream \
          (schedule {schedule:?}, faults {faults:?}, report {report:?})"
     );
-    assert_agrees(&what, &mut recovered, &durable, &world);
+    assert_agrees(&what, &recovered, &durable, &world);
     fs::remove_dir_all(&dir).unwrap();
     (degraded, positions_matter)
 }
@@ -422,10 +422,10 @@ fn successful_checkpoint_promotes_degraded_service_back_to_healthy() {
     // degraded window's admissions) plus the fresh log reproduce the
     // full acknowledged stream.
     drop(service);
-    let (mut recovered, report) = open_faulted(&world, config(&world), &dir, &vfs).unwrap();
+    let (recovered, report) = open_faulted(&world, config(&world), &dir, &vfs).unwrap();
     assert_eq!(report.checkpoint_seq, seq);
     let what = "promotion lost part of the acknowledged stream";
-    assert_agrees(what, &mut recovered, &model, &world);
+    assert_agrees(what, &recovered, &model, &world);
     fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -478,15 +478,10 @@ fn a_promotion_cut_short_mid_header_reopens_from_its_checkpoint() {
         let seq = landed.unwrap();
         drop(service);
         vfs.set_schedule(FaultSchedule::quiet(seed));
-        let (mut recovered, report) = open_faulted(&world, config(&world), &dir, &vfs)
+        let (recovered, report) = open_faulted(&world, config(&world), &dir, &vfs)
             .expect("an intact checkpoint behind a torn header must reopen");
         assert_eq!((report.checkpoint_seq, report.records_replayed), (seq, 0));
-        assert_agrees(
-            "reopened behind a torn header",
-            &mut recovered,
-            &model,
-            &world,
-        );
+        assert_agrees("reopened behind a torn header", &recovered, &model, &world);
         fs::remove_dir_all(&dir).unwrap();
         return;
     }

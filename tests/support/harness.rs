@@ -385,9 +385,11 @@ fn registry_print(registry: &SecurityViews) -> (Vec<String>, Vec<u64>) {
     (views, epochs)
 }
 
-/// The fingerprint of a service.  Audits and probes go through its front
-/// door, so its counters move: read those first.
-pub fn fingerprint(service: &mut DisclosureService, world: &World) -> Fingerprint {
+/// The fingerprint of a service, taken on a copy as
+/// [`Fingerprint::of_model`] takes it (an audit or a probe counts as an
+/// operation).
+pub fn fingerprint(service: &DisclosureService, world: &World) -> Fingerprint {
+    let mut scratch = service.clone();
     let principals = (0..service.num_principals())
         .map(|i| {
             let p = PrincipalId(i as u32);
@@ -395,11 +397,11 @@ pub fn fingerprint(service: &mut DisclosureService, world: &World) -> Fingerprin
                 policy: service.store().policy(p).clone(),
                 consistency_word: service.store().consistency_bits(p),
                 counters: service.store().stats(p),
-                audit: service.audit_app(p),
+                audit: scratch.audit_app(p),
                 probes: world
                     .pool
                     .iter()
-                    .map(|query| service.check(p, query).unwrap())
+                    .map(|query| scratch.check(p, query).unwrap())
                     .collect(),
             }
         })
@@ -465,7 +467,7 @@ impl Fingerprint {
 /// The service is in the state the specification prescribes.
 pub fn assert_agrees(
     what: &str,
-    service: &mut DisclosureService,
+    service: &DisclosureService,
     model: &ReferenceService,
     world: &World,
 ) {
@@ -475,7 +477,7 @@ pub fn assert_agrees(
 /// [`assert_agrees`] against a fingerprint of the model taken earlier.
 pub fn assert_print(
     what: &str,
-    service: &mut DisclosureService,
+    service: &DisclosureService,
     specified: &Fingerprint,
     world: &World,
 ) {
@@ -521,7 +523,7 @@ pub fn specify(world: &World, ops: &[Operation]) -> Specified {
 /// it counts, and ended in its state.
 pub fn assert_served(
     what: &str,
-    service: &mut DisclosureService,
+    service: &DisclosureService,
     answered: &[Response],
     specified: &Specified,
     world: &World,
@@ -619,19 +621,21 @@ pub fn run_matrix(what: &str, world: &World, ops: &[Operation]) {
     durable_rows(what, world, ops, &specified);
 }
 
-/// `apply`, the typed methods, then `run_pipelined`.
+/// `apply`, the typed methods, then `run_pipelined`, each on its own copy
+/// of one service in the world's initial state.
 pub fn in_memory_rows(what: &str, world: &World, ops: &[Operation], specified: &Specified) {
+    let initial = build_service(world, world.config());
     let mut sequential_cache = None;
     for executor in [Executor::Apply, Executor::Typed, BATCHED] {
         let row = format!("{what}: {executor:?}");
-        let mut service = build_service(world, world.config());
+        let mut service = initial.clone();
         let answered = serve(&mut service, ops, executor);
         // The one property the model cannot state: every executor labels
         // in stream order through the one labeler, so the cumulative cache
         // counters agree in every column.
         let cache = service.labeler().stats();
         assert_eq!(*sequential_cache.get_or_insert(cache), cache, "{row}");
-        assert_served(&row, &mut service, &answered, specified, world);
+        assert_served(&row, &service, &answered, specified, world);
     }
 }
 
@@ -654,7 +658,7 @@ pub fn durable_rows(what: &str, world: &World, ops: &[Operation], specified: &Sp
             let dir = temp_dir("matrix");
             let (mut service, _) = reopen(world, config, &dir);
             populate(&mut service, world);
-            let mut recovered = if checkpointed {
+            let recovered = if checkpointed {
                 let (first, rest) = ops.split_at(ops.len() / 2);
                 let mut answered = serve(&mut service, first, executor);
                 service.checkpoint().unwrap();
@@ -669,7 +673,7 @@ pub fn durable_rows(what: &str, world: &World, ops: &[Operation], specified: &Sp
                 recovered
             } else {
                 let answered = serve(&mut service, ops, executor);
-                assert_served(&row, &mut service, &answered, specified, world);
+                assert_served(&row, &service, &answered, specified, world);
                 service.close().unwrap();
                 let (recovered, report) = reopen(world, config, &dir);
                 assert_eq!(report.checkpoint_seq, 0, "{row}: recovery is replay alone");
@@ -679,7 +683,7 @@ pub fn durable_rows(what: &str, world: &World, ops: &[Operation], specified: &Sp
                 );
                 recovered
             };
-            assert_print(&row, &mut recovered, &specified.print, world);
+            assert_print(&row, &recovered, &specified.print, world);
             recovered.close().unwrap();
             fs::remove_dir_all(&dir).unwrap();
         }
