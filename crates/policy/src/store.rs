@@ -65,8 +65,8 @@ struct PrincipalState {
 /// [`PolicyArena`].
 ///
 /// The arena lives behind an `Arc` so that cloning a store — what a
-/// checkpoint's freeze does under the service lock — pins the
-/// compiled-policy universe without copying it.  Mutations go
+/// checkpoint's freeze does — pins the compiled-policy universe without
+/// copying it.  Mutations go
 /// copy-on-write ([`PolicyArena::intern`]): the steady-state churn outcome
 /// (a grant or revoke landing on a known compiled form) resolves through
 /// the shared pointer and never clones; only a genuinely new compiled form

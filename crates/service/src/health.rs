@@ -23,12 +23,13 @@
 //!   and checks) keep serving from memory — their per-principal counters
 //!   become durable again with the next successful checkpoint.
 //!
-//! Promotion back to healthy is driven by
-//! [`checkpoint`](crate::DisclosureService::checkpoint) — typically from
-//! the [`BackgroundCheckpointer`](crate::BackgroundCheckpointer)
-//! maintenance thread: once a full state image lands on (recovered)
-//! storage, the old segments are removed, a fresh WAL segment starts at
-//! the image's sequence horizon, and logging resumes.
+//! Promotion back to healthy is the caller's next
+//! [`checkpoint`](crate::DisclosureService::checkpoint): the service owns
+//! no thread and retries nothing on its own.  Once a full state image
+//! lands on (recovered) storage, the old segments are removed, a fresh
+//! WAL segment starts at the image's sequence horizon, and logging
+//! resumes; until then each attempt fails and counts in
+//! [`DurabilityHealth::checkpoint_failures`].
 
 /// How a durable service is currently serving.  In-memory services
 /// (built with [`new`](crate::DisclosureService::new)) always report

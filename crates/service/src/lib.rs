@@ -44,7 +44,6 @@ pub mod compat;
 pub mod durable;
 pub mod health;
 mod history;
-pub mod maintenance;
 pub mod ops;
 pub mod reference;
 pub mod service;
@@ -52,7 +51,6 @@ pub mod service;
 pub use durable::{RecoveryReport, WalOp};
 pub use fdc_durability::DurabilityConfig;
 pub use health::{DegradedMode, DurabilityHealth, ServiceMode};
-pub use maintenance::BackgroundCheckpointer;
 pub use ops::{Operation, PolicyBound, Response, ServiceError};
 pub use reference::ReferenceService;
 pub use service::{DisclosureService, PendingCheckpoint, ServiceConfig, ServiceStats};
@@ -65,6 +63,15 @@ mod tests {
     use fdc_cq::parser::parse_query;
     use fdc_cq::ConjunctiveQuery;
     use fdc_policy::{AuditReport, Decision, PolicyPartition, PrincipalId, SecurityPolicy};
+
+    // The service owns no thread, but a caller may move it, or a pending
+    // checkpoint, to one of its own (to encode an image off its serving
+    // thread, say).
+    const _: () = {
+        const fn send<T: Send>() {}
+        send::<DisclosureService>();
+        send::<PendingCheckpoint>();
+    };
 
     fn wall(registry: &SecurityViews) -> SecurityPolicy {
         let v1 = registry.id_by_name("V1").unwrap();

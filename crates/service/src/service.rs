@@ -1037,8 +1037,10 @@ impl DisclosureService {
     /// is promoted back to [`ServiceMode::Healthy`]; if storage is
     /// still failing, the attempt counts in
     /// [`DurabilityHealth::checkpoint_failures`] and the service stays
-    /// degraded for the next attempt (see
-    /// [`BackgroundCheckpointer`](crate::BackgroundCheckpointer)).
+    /// degraded until the caller's next attempt.  The service schedules
+    /// no checkpoint itself: a caller checkpoints when
+    /// [`DurabilityHealth::log_since_checkpoint`] (the replay debt)
+    /// passes its own budget, or while [`is_degraded`](Self::is_degraded).
     ///
     /// # Errors
     ///
@@ -1052,14 +1054,13 @@ impl DisclosureService {
 
     /// First half of a [`checkpoint`](Self::checkpoint): commits the WAL,
     /// fixes the sequence number the image will cover, and freezes the
-    /// state to serialize — all under the service lock, all cheap
-    /// (structural clones, no serialization except the append-only
-    /// interner).  The returned [`PendingCheckpoint`] owns everything the
-    /// expensive [`encode`](PendingCheckpoint::encode) step needs, so the
-    /// caller can release the service lock — as
-    /// [`BackgroundCheckpointer`](crate::BackgroundCheckpointer) does on
-    /// the thread it owns — and keep admitting mutations while the image
-    /// is serialized;
+    /// state to serialize — all cheap (structural clones, no
+    /// serialization except the append-only interner).  The returned
+    /// [`PendingCheckpoint`] owns everything the expensive
+    /// [`encode`](PendingCheckpoint::encode) step needs and borrows
+    /// nothing from the service, so the caller can keep serving
+    /// mutations between the halves, or move the pending checkpoint to a
+    /// thread of its own and encode there;
     /// [`complete_checkpoint`](Self::complete_checkpoint) finishes the
     /// job.  Mutations admitted between `begin` and `complete` are covered
     /// by their WAL records past the pending sequence number, which the
@@ -1169,13 +1170,13 @@ impl DisclosureService {
                 .unwrap_or(seq);
             prune_segments(vfs.as_ref(), &dir, horizon)?;
         } else if pending.healthy {
-            // The service was healthy at `begin` but degraded while the
-            // payload was encoded off-lock: the old segments hold
-            // acknowledged records *past* `seq` that the image does not
-            // cover, so the promotion path's delete-and-replace below
-            // would destroy durable state.  The image landed (and
-            // counted); promotion waits for a checkpoint begun on the
-            // frozen degraded horizon.
+            // The service was healthy at `begin` but degraded between the
+            // halves (a mutation served meanwhile failed to log): the old
+            // segments hold acknowledged records *past* `seq` that the
+            // image does not cover, so the promotion path's
+            // delete-and-replace below would destroy durable state.  The
+            // image landed (and counted); promotion waits for a checkpoint
+            // begun on the frozen degraded horizon.
         } else {
             // Degraded promotion.  The image at `seq` shadows every
             // record the old segments hold — including any torn bytes a
@@ -1392,9 +1393,8 @@ fn invalid_data(err: CodecError) -> io::Error {
 /// [`DisclosureService::begin_checkpoint`] and
 /// [`DisclosureService::complete_checkpoint`]: the service state frozen at
 /// the pending sequence number, *owned*, so the expensive serialization
-/// runs without the service lock.  See
-/// [`BackgroundCheckpointer`](crate::BackgroundCheckpointer) for the
-/// intended use.
+/// needs no access to the service: the caller may serve between the
+/// halves, or send this to a thread of its own to encode.
 #[derive(Debug)]
 pub struct PendingCheckpoint {
     /// The WAL sequence number the image will cover (last acknowledged
@@ -1420,8 +1420,9 @@ impl PendingCheckpoint {
     }
 
     /// Serializes the frozen state into the checkpoint payload — the
-    /// expensive half of a checkpoint, safe to run without the service
-    /// lock, and the inverse of `DisclosureService::decode_state`.
+    /// expensive half of a checkpoint, which reads nothing of the service
+    /// (so it may run on another thread), and the inverse of
+    /// `DisclosureService::decode_state`.
     ///
     /// Layout: registry, interner, policy store, then the audit history
     /// (`History::encode_into`: the rings oldest first, ids into the

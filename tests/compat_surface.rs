@@ -4,7 +4,8 @@
 //! so that the frozen end-to-end benchmark (`examples/svc_bench`)
 //! compiles.  No code under `crates/`, `src/` or `tests/` outside those
 //! modules may name it, and the modules stay small.  The single-threaded
-//! core (labeler, interner, churn generator, service) names no lock either.
+//! core (labeler, interner, churn generator, and every service source but
+//! its compat module) names no lock, atomic or thread either.
 
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -45,21 +46,27 @@ const FORBIDDEN: [&str; 17] = [
 /// and `intern` to mint).
 const FORBIDDEN_TEXT: &str = "interner().write()";
 
-/// The single-threaded core: files that must name no lock, no atomic and no
-/// shared interner handle.
-const LOCK_FREE: [&str; 4] = [
+/// The single-threaded core: files that must name no lock, no atomic, no
+/// thread and no shared interner handle.  Every `.rs` file under
+/// [`LOCK_FREE_SERVICE`] is one too, but for its compat module.
+const LOCK_FREE: [&str; 3] = [
     "crates/core/src/labeler.rs",
     "crates/cq/src/intern.rs",
     "crates/ecosystem/src/churn.rs",
-    "crates/service/src/service.rs",
 ];
 
-/// What [`LOCK_FREE`] files may not name.
-const LOCKS: [&str; 5] = [
+/// The service crate's sources, all of them in the single-threaded core.
+const LOCK_FREE_SERVICE: &str = "crates/service/src";
+
+/// What the single-threaded core may not name.
+const LOCKS: [&str; 8] = [
     "RwLock",
     "Mutex",
     "AtomicU64",
     "AtomicUsize",
+    "AtomicBool",
+    "JoinHandle",
+    "spawn",
     "SharedQueryInterner",
 ];
 
@@ -157,12 +164,17 @@ fn the_compat_modules_stay_within_their_budget() {
 
 #[test]
 fn the_single_threaded_core_names_no_lock() {
+    let root = root();
+    let mut files: Vec<PathBuf> = LOCK_FREE.iter().map(|file| root.join(file)).collect();
+    sources(&root.join(LOCK_FREE_SERVICE), &mut files);
+    let compat = root.join(LOCK_FREE_SERVICE).join("compat.rs");
     let mut offenders = Vec::new();
-    for file in LOCK_FREE {
-        let text = fs::read_to_string(root().join(file)).unwrap();
+    for file in files.iter().filter(|file| **file != compat) {
+        let relative = file.strip_prefix(&root).unwrap().display();
+        let text = fs::read_to_string(file).unwrap();
         for (number, line) in text.lines().enumerate() {
             for name in LOCKS.iter().filter(|name| names(line, name)) {
-                offenders.push(format!("{file}:{}: `{name}`", number + 1));
+                offenders.push(format!("{relative}:{}: `{name}`", number + 1));
             }
         }
     }

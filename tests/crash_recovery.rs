@@ -209,18 +209,22 @@ fn a_checkpoint_at_every_segment_boundary_recovers_exactly() {
             // Recovery from the live directory (the durable handle keeps
             // appending afterwards — recovery is read-only apart from
             // tail truncation, and there is no torn tail here).
+            let debt = durable.stats().durability.log_since_checkpoint;
             let (recovered, report) = reopen(&world, tiny_segments, &dir);
             assert_eq!(report.checkpoint_seq, seq);
             assert_eq!(report.records_replayed, 0, "checkpoint covers the log");
+            assert_eq!(debt, report.records_replayed);
             let what = format!("after checkpoint {seq}");
             assert_agrees(&what, &recovered, &model, &world);
         }
     }
+    let debt = durable.stats().durability.log_since_checkpoint;
     durable.close().unwrap();
     // Final recovery: checkpoint + the records appended after it.
     let (recovered, report) = reopen(&world, tiny_segments, &dir);
     assert_eq!(report.checkpoint_seq, last_checkpoint);
     assert!(report.last_seq >= last_checkpoint);
+    assert_eq!(debt, report.records_replayed);
     assert_agrees("final", &recovered, &model, &world);
     // Pruning kept the directory bounded: segments before the oldest
     // retained checkpoint are gone.
@@ -322,9 +326,9 @@ fn interned_query_ids_stay_stable_across_checkpointed_recovery() {
 #[test]
 fn mutations_admitted_mid_encode_survive_an_off_lock_checkpoint() {
     // The split checkpoint path: `begin_checkpoint` fixes the image's
-    // horizon under the lock, the payload encodes while the service keeps
-    // admitting mutations, and `complete_checkpoint` lands the image
-    // without pruning the records acknowledged in between.
+    // horizon, the service keeps admitting mutations before and after the
+    // payload encodes, and `complete_checkpoint` lands the image without
+    // pruning the records acknowledged in between.
     let world = World::facebook();
     let ops = churn_ops(&world, SEED, 2 * OPS);
     let (before, rest) = ops.split_at(OPS);
@@ -338,9 +342,9 @@ fn mutations_admitted_mid_encode_survive_an_off_lock_checkpoint() {
     }
     let pending = durable.begin_checkpoint().unwrap();
     let horizon = pending.seq();
-    // Mutations admitted while the payload is encoding (the service lock
-    // is free between begin and complete): every one is acknowledged and
-    // logged past `horizon`, and none of them may leak into the image.
+    // Mutations admitted between begin and complete: every one is
+    // acknowledged and logged past `horizon`, and none of them may leak
+    // into the image.
     for op in mid_encode {
         assert_eq!(durable.apply(op), model.apply(op));
     }
@@ -364,7 +368,8 @@ fn mutations_admitted_mid_encode_survive_an_off_lock_checkpoint() {
         report.records_replayed > 0,
         "mid-encode mutations must replay from the surviving log"
     );
-    assert_agrees("off-lock checkpoint", &recovered, &model, &world);
+    assert_eq!(health.log_since_checkpoint, report.records_replayed);
+    assert_agrees("split checkpoint", &recovered, &model, &world);
     fs::remove_dir_all(&dir).unwrap();
 }
 

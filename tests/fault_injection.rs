@@ -11,28 +11,31 @@
 //! recovered service must be in the state of the specification
 //! (`ReferenceService`, through `support/harness.rs`) applied to it.
 //!
-//! Also covered, deterministically: a permanent storage failure
+//! Also covered, deterministically (the service owns no thread, so each
+//! test drives every checkpoint itself): a permanent storage failure
 //! degrades the service to read-only instead of panicking; admissions
-//! and checks keep serving while degraded; a successful checkpoint on
-//! healed storage promotes the service back to healthy (and makes the
-//! degraded window's in-memory admissions durable); a checkpoint
-//! attempt on still-dead storage fails cleanly and leaves the service
-//! serving; orphaned checkpoint temporaries are swept at open; and a
-//! garbage log tail is counted in the [`RecoveryReport`] rather than
-//! silently dropped.
+//! and checks keep serving while degraded; checkpoint attempts on
+//! still-dead storage fail cleanly, each counted, and leave the service
+//! serving, and the first one on healed storage promotes it back to
+//! healthy (and makes the degraded window's in-memory admissions
+//! durable); a split checkpoint begun healthy and completed degraded
+//! writes its image but retires no segment and does not promote; the
+//! replay debt a service reports is what its reopen replays; orphaned
+//! checkpoint temporaries are swept at open; and a garbage log tail is
+//! counted in the [`RecoveryReport`] rather than silently dropped.
 
 #[path = "support/harness.rs"]
 mod harness;
 
+use std::collections::BTreeSet;
 use std::fs;
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::path::Path;
+use std::sync::Arc;
 
 use fdc::durability::{FaultSchedule, FaultVfs, InstantClock};
 use fdc::policy::PrincipalId;
 use fdc::service::{
-    BackgroundCheckpointer, DegradedMode, DisclosureService, Operation, Response, ServiceConfig,
-    ServiceError, ServiceMode,
+    DegradedMode, DisclosureService, Operation, Response, ServiceConfig, ServiceError, ServiceMode,
 };
 use harness::{
     assert_agrees, churn_ops, is_logged, populate, serve, temp_dir, Executor, World, NEVER_MINTED,
@@ -357,16 +360,103 @@ fn checkpoint_on_dead_storage_fails_cleanly_and_keeps_serving() {
     assert!(service.is_degraded());
 
     // Checkpointing while the disk is still dead fails with an error —
-    // counted, retried later, never fatal.
-    assert!(service.checkpoint().is_err());
-    assert!(service.is_degraded(), "a failed checkpoint cannot promote");
-    let health = service.stats().durability;
-    assert!(health.checkpoint_failures >= 1);
-    assert_eq!(health.checkpoints, 0);
+    // counted, never fatal, and the same on every further attempt.
+    const ATTEMPTS: u64 = 3;
+    for attempt in 1..=ATTEMPTS {
+        assert!(service.checkpoint().is_err());
+        assert!(service.is_degraded(), "a failed checkpoint cannot promote");
+        let health = service.stats().durability;
+        assert_eq!(health.checkpoint_failures, attempt);
+        assert_eq!(health.checkpoints, 0);
+    }
 
     // And the service is still up: admissions serve in memory.
     let admission = ops.iter().find(|op| op.is_admission()).unwrap();
     assert!(!service.apply(admission).is_rejected());
+
+    // The disk comes back: the caller's next checkpoint is the
+    // self-healing step.
+    vfs.heal();
+    service.checkpoint().unwrap();
+    assert!(!service.is_degraded());
+    let health = service.stats().durability;
+    assert_eq!(health.mode_transitions, 2, "degrade + promote");
+    assert_eq!(health.checkpoints, 1);
+    assert_eq!(health.checkpoint_failures, ATTEMPTS, "success counted");
+    assert_eq!(health.log_since_checkpoint, 0);
+
+    // The mutation refused while degraded is accepted, and logged, again.
+    assert_ne!(
+        service.apply(mutation),
+        Response::Rejected(ServiceError::DurabilityUnavailable)
+    );
+    assert_eq!(service.stats().durability.log_since_checkpoint, 1);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// The names of the WAL segments in `dir`.
+fn wal_segments(dir: &Path) -> BTreeSet<String> {
+    fs::read_dir(dir)
+        .unwrap()
+        .map(|entry| entry.unwrap().file_name().to_string_lossy().into_owned())
+        .filter(|name| name.starts_with("wal-"))
+        .collect()
+}
+
+#[test]
+fn a_checkpoint_begun_healthy_and_completed_degraded_retires_no_segment() {
+    // The split checkpoint path with a degradation between its halves:
+    // the segments hold acknowledged records past the image, so the
+    // completion writes the image but neither prunes nor promotes.
+    let world = World::facebook();
+    let ops = churn_ops(&world, 0xC0DE, OPS);
+    let (healthy, rest) = ops.split_at(OPS / 2);
+    let (between, after) = rest.split_at(OPS / 4);
+    let dir = temp_dir("begun_healthy");
+    let vfs = FaultVfs::over_std(FaultSchedule::quiet(29));
+    let (mut service, _) = open_faulted(&world, config(&world), &dir, &vfs).unwrap();
+    populate(&mut service, &world);
+    let mut model = world.model();
+    for op in healthy {
+        assert_eq!(service.apply(op), model.apply(op));
+    }
+    let pending = service.begin_checkpoint().unwrap();
+    let horizon = pending.seq();
+    // Acknowledged between the halves: logged past `horizon`.
+    for op in between {
+        assert_eq!(service.apply(op), model.apply(op));
+    }
+    let before = wal_segments(&dir);
+
+    // The disk dies under the next mutation, which degrades the service.
+    vfs.fail_permanently();
+    let mutation = after.iter().find(|op| op.is_mutation()).unwrap();
+    assert_eq!(
+        service.apply(mutation),
+        Response::Rejected(ServiceError::DurabilityUnavailable)
+    );
+    assert!(service.is_degraded());
+
+    // Storage heals, and the pending checkpoint completes.
+    vfs.heal();
+    let payload = pending.encode();
+    assert_eq!(
+        service.complete_checkpoint(&pending, &payload).unwrap(),
+        horizon
+    );
+    let health = service.stats().durability;
+    assert_eq!(health.checkpoints, 1);
+    assert!(service.is_degraded(), "completion must not promote");
+    assert_eq!(health.mode_transitions, 1);
+    assert_eq!(wal_segments(&dir), before, "a segment retired");
+
+    drop(service);
+    let (recovered, report) = open_faulted(&world, config(&world), &dir, &vfs).unwrap();
+    assert_eq!(report.checkpoint_seq, horizon);
+    assert!(report.records_replayed > 0, "nothing replayed");
+    assert_eq!(health.log_since_checkpoint, report.records_replayed);
+    let what = "a checkpoint completed degraded lost an acknowledged record";
+    assert_agrees(what, &recovered, &model, &world);
     fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -421,9 +511,11 @@ fn successful_checkpoint_promotes_degraded_service_back_to_healthy() {
     // Crash after promotion: the checkpoint image (which covers the
     // degraded window's admissions) plus the fresh log reproduce the
     // full acknowledged stream.
+    let debt = service.stats().durability.log_since_checkpoint;
     drop(service);
     let (recovered, report) = open_faulted(&world, config(&world), &dir, &vfs).unwrap();
     assert_eq!(report.checkpoint_seq, seq);
+    assert_eq!(debt, report.records_replayed);
     let what = "promotion lost part of the acknowledged stream";
     assert_agrees(what, &recovered, &model, &world);
     fs::remove_dir_all(&dir).unwrap();
@@ -476,68 +568,18 @@ fn a_promotion_cut_short_mid_header_reopens_from_its_checkpoint() {
         }
         assert_eq!(segments, [0], "the lone segment is the header-less one");
         let seq = landed.unwrap();
+        let debt = service.stats().durability.log_since_checkpoint;
         drop(service);
         vfs.set_schedule(FaultSchedule::quiet(seed));
         let (recovered, report) = open_faulted(&world, config(&world), &dir, &vfs)
             .expect("an intact checkpoint behind a torn header must reopen");
         assert_eq!((report.checkpoint_seq, report.records_replayed), (seq, 0));
+        assert_eq!(debt, report.records_replayed);
         assert_agrees("reopened behind a torn header", &recovered, &model, &world);
         fs::remove_dir_all(&dir).unwrap();
         return;
     }
     panic!("no seed cut the fresh segment's header after the image landed");
-}
-
-#[test]
-fn background_checkpointer_promotes_a_degraded_service() {
-    let world = World::facebook();
-    let ops = churn_ops(&world, 0xB66, 32);
-    let dir = temp_dir("bg_promote");
-    let vfs = FaultVfs::over_std(FaultSchedule::quiet(23));
-    let (mut service, _) = open_faulted(&world, config(&world), &dir, &vfs).unwrap();
-    populate(&mut service, &world);
-    for op in &ops[..8] {
-        service.apply(op);
-    }
-    vfs.fail_permanently();
-    let mutation = ops.iter().find(|op| op.is_mutation()).unwrap().clone();
-    assert!(service.apply(&mutation).is_rejected());
-    assert!(service.is_degraded());
-
-    // The maintenance thread ticks against the dead disk: its attempts
-    // fail (counted), the service stays degraded and keeps serving.
-    let service = Arc::new(Mutex::new(service));
-    let checkpointer =
-        BackgroundCheckpointer::spawn(Arc::clone(&service), Duration::from_millis(5));
-    std::thread::sleep(Duration::from_millis(40));
-    {
-        let service = service.lock().unwrap();
-        assert!(service.is_degraded(), "a dead disk cannot promote");
-        assert!(service.stats().durability.checkpoint_failures >= 1);
-    }
-
-    // The disk comes back; the next tick lands a checkpoint and
-    // promotes the service — no one calls `checkpoint()` by hand.
-    vfs.heal();
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while service.lock().unwrap().is_degraded() {
-        assert!(
-            Instant::now() < deadline,
-            "the background checkpointer never promoted the service"
-        );
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    checkpointer.stop();
-    let mut service = Arc::try_unwrap(service).unwrap().into_inner().unwrap();
-    let health = service.stats().durability;
-    assert_eq!(health.mode_transitions, 2, "degrade + background promote");
-    assert!(health.checkpoints >= 1);
-    // Mutations flow (and are logged) again.
-    assert_ne!(
-        service.apply(&mutation),
-        Response::Rejected(ServiceError::DurabilityUnavailable)
-    );
-    fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
