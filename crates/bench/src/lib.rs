@@ -256,7 +256,7 @@ pub fn run_flushing_on_mutation(
         responses.extend(service.run_pipelined(run));
         let applied = responses.last().is_some_and(|r| !r.is_rejected());
         if run.last().is_some_and(Operation::is_mutation) && applied {
-            service.labeler().clear_entries();
+            service.flush_label_cache();
             flushes += 1;
         }
     }

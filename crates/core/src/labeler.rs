@@ -682,8 +682,9 @@ impl CachedLabeler {
     /// from a checkpoint (`QueryInterner::decode_from`) already holds those
     /// shapes, interning them again finds their ids, and every `QueryId`
     /// the checkpointed interner held stays valid.  An id minted after the
-    /// checkpoint is another matter: it survives only if a logged record
-    /// re-interns its shape in minting order (ROADMAP item 27).
+    /// checkpoint survives because the service logs every mint (a
+    /// `Define`, a boxed submit or check, a view addition) and replay
+    /// re-interns those shapes in minting order.
     pub fn with_interner(
         views: SecurityViews,
         mut interner: QueryInterner,
@@ -764,36 +765,16 @@ impl CachedLabeler {
     }
 
     /// Drops every cached entry while keeping the hit/miss/refresh
-    /// counters — the flush-on-mutation strategy the epoch machinery
-    /// exists to avoid, kept as the Figure 7 baseline
-    /// (`fdc_bench::run_flushing_on_mutation` calls this after every
-    /// mutation it serves).  Keeping
-    /// the counters cumulative is what makes the baseline's cost visible:
-    /// every post-flush relabeling still counts as a miss.
-    pub fn clear_entries(&self) {
-        let mut tables = self.tables.borrow_mut();
+    /// counters and the interner — the flush-on-mutation strategy the
+    /// epoch machinery exists to avoid, kept as the Figure 7 baseline
+    /// (`fdc_bench::run_flushing_on_mutation` flushes after every
+    /// mutation it serves, through the service's `flush_label_cache`).
+    /// Keeping the counters cumulative is what makes the baseline's cost
+    /// visible: every post-flush relabeling still counts as a miss.
+    pub fn clear_entries(&mut self) {
+        let tables = self.tables.get_mut();
         tables.slots.clear();
         tables.occupied = 0;
-    }
-
-    /// Drops every cached entry **and** resets the counters (e.g. to
-    /// isolate a fresh measurement window); see
-    /// [`clear_entries`](Self::clear_entries) to flush without losing the
-    /// cumulative statistics.
-    pub fn clear(&self) {
-        self.clear_entries();
-        let counters = &self.counters;
-        for counter in [
-            &counters.hits,
-            &counters.misses,
-            &counters.atom_misses,
-            &counters.query_refreshes,
-            &counters.atom_refreshes,
-            &counters.invalidations,
-            &counters.batch_dedup_hits,
-        ] {
-            counter.set(0);
-        }
     }
 
     /// Resolves `query` to its interned id through the **budgeted** intern
@@ -1324,7 +1305,7 @@ mod tests {
     #[test]
     fn cache_hits_on_alpha_renamed_queries() {
         let (c, _, _, _) = paper_labelers();
-        let cached = CachedLabeler::new(SecurityViews::paper_example());
+        let mut cached = CachedLabeler::new(SecurityViews::paper_example());
         cached.label_query(&q(&c, "Q(x) :- Meetings(x, y)"));
         let stats = cached.stats();
         assert_eq!((stats.hits, stats.misses), (0, 1));
@@ -1333,18 +1314,21 @@ mod tests {
         let stats = cached.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         assert_eq!(stats.entries, 1);
-        // clear_entries drops the tables but keeps the counters…
+        // clear_entries empties the table, and nothing else: every counter
+        // and every id is kept…
+        let ids = cached.query_interner().len();
         cached.clear_entries();
-        let kept = cached.stats();
-        assert_eq!(kept.entries, 0);
-        assert_eq!(kept.atom_entries, 0);
-        assert_eq!((kept.hits, kept.misses), (1, 1));
+        assert_eq!(
+            cached.stats(),
+            CacheStats {
+                entries: 0,
+                ..stats
+            }
+        );
+        assert_eq!(cached.query_interner().len(), ids);
         // …and the next lookup of the flushed shape is a (counted) miss.
         cached.label_query(&q(&c, "Q(x) :- Meetings(x, y)"));
         assert_eq!(cached.stats().misses, 2);
-        // Full clearing also resets the counters.
-        cached.clear();
-        assert_eq!(cached.stats(), CacheStats::default());
     }
 
     #[test]

@@ -383,8 +383,8 @@ mod tests {
             let mut pipelined_churn = ChurnGenerator::new(schema.clone(), &registry, config);
             let mut sequential = build_service(&registry, 12);
             let mut pipelined = build_service(&registry, 12);
-            let ops = interned(sequential_churn.ops(700), &sequential);
-            let pipelined_ops = interned(pipelined_churn.ops(700), &pipelined);
+            let ops = interned(sequential_churn.ops(700), &mut sequential);
+            let pipelined_ops = interned(pipelined_churn.ops(700), &mut pipelined);
             let sequential_responses: Vec<_> = ops.iter().map(|op| sequential.apply(op)).collect();
             assert_eq!(
                 sequential_responses,
@@ -425,7 +425,7 @@ mod tests {
         // pooled shape is interned once and admissions stream as 8-byte ids.
         let mut interned_churn = ChurnGenerator::new(schema, &registry, config);
         let mut interned_service = build_service(&registry, 15);
-        let interned_ops = interned(interned_churn.ops(600), &interned_service);
+        let interned_ops = interned(interned_churn.ops(600), &mut interned_service);
         assert!(interned_ops
             .iter()
             .all(|op| !matches!(op, Operation::Submit { .. } | Operation::Check { .. })));
@@ -446,7 +446,7 @@ mod tests {
         let mut boxed_third = build_service(&registry, 15);
         let mut interned_third = build_service(&registry, 15);
         let boxed_more = boxed_churn.ops(150);
-        let interned_more = interned(interned_churn.ops(150), &interned_third);
+        let interned_more = interned(interned_churn.ops(150), &mut interned_third);
         assert_eq!(
             boxed_third.run_pipelined(&boxed_more),
             interned_third.run_pipelined(&interned_more)
@@ -457,8 +457,8 @@ mod tests {
     #[test]
     fn every_loggable_churn_op_round_trips_through_the_wal_codec() {
         // The durable service logs churn streams verbatim; every loggable
-        // operation the generator can emit — submits over generated
-        // queries, grants/revokes on registry and churn-added view names,
+        // operation the generator can emit — submits and boxed checks over
+        // generated queries, grants/revokes on registry and churn-added view names,
         // view additions with fresh projection definitions — must encode
         // to a WAL payload that decodes back to the identical [`WalOp`]
         // against the same catalog.
@@ -469,13 +469,18 @@ mod tests {
         let mut churn = generator(ChurnConfig {
             mutation_ratio: 0.4,
             add_view_share: 0.4,
+            check_share: 0.3,
             num_principals: 10,
             ..ChurnConfig::default()
         });
-        let mut round_tripped = 0;
+        let (mut round_tripped, mut checks) = (0, 0);
         for op in churn.ops(400) {
             let wal_op = match op {
                 Operation::Submit { principal, query } => WalOp::Submit { principal, query },
+                Operation::Check { principal, query } => {
+                    checks += 1;
+                    WalOp::Check { principal, query }
+                }
                 Operation::GrantView { principal, view } => WalOp::GrantView { principal, view },
                 Operation::RevokeView { principal, view } => WalOp::RevokeView { principal, view },
                 Operation::AddSecurityView { name, query } => {
@@ -490,12 +495,16 @@ mod tests {
             round_tripped += 1;
         }
         assert!(round_tripped > 100, "only {round_tripped} loggable ops");
+        assert!(checks > 20, "only {checks} boxed checks");
     }
 
     /// `ops` with every admission interned into `service`'s id space.
-    fn interned(ops: Vec<Operation>, service: &fdc_service::DisclosureService) -> Vec<Operation> {
+    fn interned(
+        ops: Vec<Operation>,
+        service: &mut fdc_service::DisclosureService,
+    ) -> Vec<Operation> {
         ops.into_iter()
-            .map(|op| op.interned(|query| service.intern(query)))
+            .map(|op| op.interned(|query| service.intern(query).unwrap()))
             .collect()
     }
 

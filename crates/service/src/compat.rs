@@ -34,6 +34,6 @@ impl DisclosureService {
     /// tables.  Timed by `svc_bench`'s `run.rs` (the
     /// `service.snapshot.build_ns` rung).  Delete with ROADMAP item 1.
     pub fn snapshot(&self) -> LabelerSnapshot<'_> {
-        self.labeler().snapshot_with_lanes(1)
+        self.labeler.snapshot_with_lanes(1)
     }
 }

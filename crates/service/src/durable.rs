@@ -10,21 +10,27 @@
 //!
 //! # What gets logged
 //!
-//! Exactly the state-changing operations, as [`WalOp`]s:
+//! Every operation that changes the state — the id space included — as
+//! [`WalOp`]s:
 //!
 //! * principal registration ([`WalOp::RegisterPrincipal`]),
 //! * committed admissions ([`WalOp::Submit`] — submits move the
 //!   per-principal consistency word and counters, so they are part of
-//!   the durable state; checks and audits are read-only and are *not*
-//!   logged),
+//!   the durable state),
+//! * checks of a boxed query ([`WalOp::Check`]) — the first sight of a
+//!   shape mints its id, so a boxed check is logged like a boxed submit;
+//!   interned checks and audits are read-only and are *not* logged,
+//! * explicit interns of a new shape ([`WalOp::Define`], the id the
+//!   caller was handed and its query),
 //! * policy mutations ([`WalOp::GrantView`] / [`WalOp::RevokeView`] /
 //!   [`WalOp::ReplacePolicy`]),
 //! * view-universe mutations ([`WalOp::AddSecurityView`]).
 //!
 //! Interned submissions (`SubmitInterned`) are logged as their resolved
 //! canonical query: replay goes through the plain-query path and
-//! re-interns the same canonical form, so the recovered interner issues
-//! identical [`QueryId`](fdc_cq::intern::QueryId)s.
+//! re-interns the same canonical form.  Every id is minted by one of these
+//! records, in minting order, so replay mints the same [`QueryId`]s; a
+//! `Define` that re-interns to another id fails the open.
 //!
 //! Replay applies the decoded operations through the same internal entry
 //! points the live service uses, so a rejected operation (unknown
@@ -34,6 +40,7 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
+use fdc_cq::intern::QueryId;
 use fdc_cq::{wire, Catalog, ConjunctiveQuery};
 use fdc_durability::codec::{put_str, put_u32, put_u8, CodecError, Cursor};
 use fdc_durability::{Clock, Vfs, WalStats, WalWriter};
@@ -53,6 +60,10 @@ const TAG_REVOKE: u8 = 4;
 const TAG_ADD_VIEW: u8 = 5;
 /// WAL record tag: a wholesale policy replacement.
 const TAG_REPLACE_POLICY: u8 = 6;
+/// WAL record tag: a check of a boxed query.
+const TAG_CHECK: u8 = 7;
+/// WAL record tag: an explicitly interned new shape.
+const TAG_DEFINE: u8 = 8;
 
 /// One state-changing operation, as recorded in (and decoded from) the
 /// write-ahead log.
@@ -100,6 +111,21 @@ pub enum WalOp {
         /// The replacement policy.
         policy: SecurityPolicy,
     },
+    /// A boxed query was checked (not committed) on behalf of a principal.
+    Check {
+        /// The checking principal.
+        principal: PrincipalId,
+        /// The checked query.
+        query: ConjunctiveQuery,
+    },
+    /// [`DisclosureService::intern`](crate::DisclosureService::intern)
+    /// minted `id` for a new shape.
+    Define {
+        /// The id the caller was handed.
+        id: QueryId,
+        /// The interned query.
+        query: ConjunctiveQuery,
+    },
 }
 
 /// Encodes a [`WalOp::RegisterPrincipal`] payload.
@@ -143,6 +169,20 @@ pub fn encode_replace_policy(principal: PrincipalId, policy: &SecurityPolicy, ou
     fdc_policy::wire::encode_policy(policy, out);
 }
 
+/// Encodes a [`WalOp::Check`] payload.
+pub fn encode_check(principal: PrincipalId, query: &ConjunctiveQuery, out: &mut Vec<u8>) {
+    put_u8(out, TAG_CHECK);
+    put_u32(out, principal.0);
+    wire::encode_query(query, out);
+}
+
+/// Encodes a [`WalOp::Define`] payload.
+pub fn encode_define(id: QueryId, query: &ConjunctiveQuery, out: &mut Vec<u8>) {
+    put_u8(out, TAG_DEFINE);
+    put_u32(out, id.0);
+    wire::encode_query(query, out);
+}
+
 impl WalOp {
     /// Encodes this operation as one WAL record payload — the inverse of
     /// [`decode_wal_op`].
@@ -156,6 +196,8 @@ impl WalOp {
             WalOp::ReplacePolicy { principal, policy } => {
                 encode_replace_policy(*principal, policy, out)
             }
+            WalOp::Check { principal, query } => encode_check(*principal, query, out),
+            WalOp::Define { id, query } => encode_define(*id, query, out),
         }
     }
 }
@@ -172,11 +214,21 @@ pub fn decode_wal_op(catalog: &Catalog, payload: &[u8]) -> Result<WalOp, CodecEr
         TAG_REGISTER => WalOp::RegisterPrincipal {
             policy: fdc_policy::wire::decode_policy(&mut cursor)?,
         },
-        TAG_SUBMIT => {
+        TAG_SUBMIT | TAG_CHECK => {
             let principal = PrincipalId(cursor.u32()?);
             let query = wire::decode_query(&mut cursor)?;
             validate_query(catalog, &query, cursor.pos())?;
-            WalOp::Submit { principal, query }
+            if tag == TAG_SUBMIT {
+                WalOp::Submit { principal, query }
+            } else {
+                WalOp::Check { principal, query }
+            }
+        }
+        TAG_DEFINE => {
+            let id = QueryId(cursor.u32()?);
+            let query = wire::decode_query(&mut cursor)?;
+            validate_query(catalog, &query, cursor.pos())?;
+            WalOp::Define { id, query }
         }
         TAG_GRANT => WalOp::GrantView {
             principal: PrincipalId(cursor.u32()?),
@@ -354,6 +406,14 @@ mod tests {
                 principal: PrincipalId(1),
                 policy,
             },
+            WalOp::Check {
+                principal: PrincipalId(2),
+                query: parse_query(catalog, "Q(x) :- Meetings(x, 'Cathy')").unwrap(),
+            },
+            WalOp::Define {
+                id: QueryId(5),
+                query: parse_query(catalog, "Q(z) :- Contacts(x, y, z)").unwrap(),
+            },
         ]
     }
 
@@ -385,7 +445,11 @@ mod tests {
             padded.push(0xAB);
             assert!(decode_wal_op(&catalog, &padded).is_err());
         }
-        assert!(decode_wal_op(&catalog, &[99]).is_err(), "unknown tag");
+        for tag in [0, TAG_DEFINE + 1, 99] {
+            let err = decode_wal_op(&catalog, &[tag]).unwrap_err();
+            let expected = format!("unknown WAL operation tag {tag}");
+            assert!(err.to_string().contains(&expected), "{err}");
+        }
     }
 
     #[test]

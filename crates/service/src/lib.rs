@@ -53,7 +53,7 @@ pub use fdc_durability::DurabilityConfig;
 pub use health::{DegradedMode, DurabilityHealth, ServiceMode};
 pub use ops::{Operation, PolicyBound, Response, ServiceError};
 pub use reference::ReferenceService;
-pub use service::{DisclosureService, PendingCheckpoint, ServiceConfig, ServiceStats};
+pub use service::{DisclosureService, LabelerView, PendingCheckpoint, ServiceConfig, ServiceStats};
 
 #[cfg(test)]
 mod tests {
@@ -185,7 +185,7 @@ mod tests {
         let fresh = BitVectorLabeler::new(service.registry().clone());
         let incremental = {
             use fdc_core::QueryLabeler as _;
-            service.labeler().label_query(&contacts_pair)
+            service.labeler.label_query(&contacts_pair)
         };
         assert_eq!(incremental, fresh.label_query(&contacts_pair));
         assert!(incremental.atoms()[0]
@@ -241,7 +241,7 @@ mod tests {
         // Every label mask still packs faithfully (bit < 32).
         let label = {
             use fdc_core::QueryLabeler as _;
-            service.labeler().label_query(&probe)
+            service.labeler.label_query(&probe)
         };
         assert!(label.atoms()[0].mask <= u64::from(u32::MAX));
     }
@@ -769,7 +769,7 @@ mod tests {
                     Response::Rejected(ServiceError::UnknownQuery(minted)),
                 ]
             );
-            assert_eq!(service.intern(&diagonal), minted);
+            assert_eq!(service.intern(&diagonal).unwrap(), minted);
             assert_eq!(service.store().consistency_bits(p1), 0b11);
             assert_eq!(service.check(p1, &contacts), Ok(Decision::Allow));
             if service.is_durable() {
@@ -777,7 +777,10 @@ mod tests {
                 let (recovered, report) =
                     DisclosureService::open_durable(registry.clone(), durable_config(), &dir)
                         .unwrap();
-                assert_eq!(report.records_replayed, 3, "2 registrations + p0's submit");
+                assert_eq!(
+                    report.records_replayed, 4,
+                    "2 registrations, p0's submit and p1's boxed check"
+                );
                 assert_eq!(recovered.store().consistency_bits(p0), 0b01);
                 assert_eq!(recovered.store().consistency_bits(p1), 0b11);
             }
@@ -1132,7 +1135,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// Mints two ids with `intern` (no record), submits the second, checks
+    /// Mints two ids with `intern` (each logged as a `Define`), submits the second, checks
     /// the first — a Chinese wall committed to `meetings` denies it — and
     /// reopens, from a checkpoint or from the log alone.  Returns what the
     /// recovered service answers for the first id.
@@ -1144,7 +1147,10 @@ mod tests {
         let p = service.register_principal(wall(&registry));
         let contacts = q(&service, "Q(x, y) :- Contacts(x, y, 'Intern')");
         let meetings = q(&service, "Q(x) :- Meetings(x, 'Cathy')");
-        let ids = (service.intern(&contacts), service.intern(&meetings));
+        let ids = (
+            service.intern(&contacts).unwrap(),
+            service.intern(&meetings).unwrap(),
+        );
         assert_eq!(ids, (QueryId(3), QueryId(4)));
         assert_eq!(service.submit_interned(p, ids.1), Ok(Decision::Allow));
         assert_eq!(service.check_interned(p, ids.0), Ok(Decision::Deny));
@@ -1154,7 +1160,7 @@ mod tests {
         service.close().unwrap();
         let (mut recovered, report) =
             DisclosureService::open_durable(registry, durable_config(), &dir).unwrap();
-        assert_eq!(report.records_replayed, if checkpoint { 0 } else { 2 });
+        assert_eq!(report.records_replayed, if checkpoint { 0 } else { 4 });
         assert_eq!(recovered.check(p, &contacts), Ok(Decision::Deny));
         let answer = recovered.check_interned(p, ids.0);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -1168,11 +1174,68 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "ROADMAP item 27: a reopen from the log alone renumbers ids minted without a record"]
     fn ids_minted_without_a_record_survive_a_log_only_reopen() {
         // Replay re-interns only the submitted shape, so it takes the first
         // id: the id the live service denied now names `meetings`.
         let answer = check_after_unlogged_mints("unlogged_mints_log_only", false);
         assert_eq!(answer, Ok(Decision::Deny));
+    }
+
+    #[test]
+    fn a_define_naming_another_id_fails_the_open() {
+        let registry = SecurityViews::paper_example();
+        let cathy = parse_query(registry.catalog(), "Q(x) :- Meetings(x, 'Cathy')").unwrap();
+        let v1 = registry.by_name("V1").unwrap().query.clone();
+        // The paper registry's views hold ids 0 to 2, so a new shape's
+        // first id is 3, and V1's query already has id 0.
+        for (query, named, opens) in [
+            (&cathy, 3, true),
+            (&cathy, 4, false),
+            (&cathy, 0, false),
+            (&v1, 3, false),
+        ] {
+            let dir = temp_dir(&format!("define_{named}_{opens}"));
+            let mut log =
+                fdc_durability::WalWriter::create(&dir, durable_config().durability, 1).unwrap();
+            let mut payload = Vec::new();
+            durable::encode_define(QueryId(named), query, &mut payload);
+            log.append(&payload).unwrap();
+            log.commit().unwrap();
+            drop(log);
+            match DisclosureService::open_durable(registry.clone(), durable_config(), &dir) {
+                Ok((service, _)) => {
+                    assert!(opens, "a Define of {query:?} as id {named} opened");
+                    assert_eq!(service.interner().lookup(query), Some(QueryId(named)));
+                }
+                Err(err) => {
+                    assert!(!opens, "{err}");
+                    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+                }
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn a_check_of_a_new_shape_keeps_later_ids_across_a_log_only_reopen() {
+        // A check's first sight mints: unlogged, replay handed the next
+        // shape its id, and the client's id answered `UnknownQuery`.
+        let dir = temp_dir("check_mints");
+        let registry = SecurityViews::paper_example();
+        let (mut service, _) =
+            DisclosureService::open_durable(registry.clone(), durable_config(), &dir).unwrap();
+        let p = service.register_principal(wall(&registry));
+        let contacts = q(&service, "Q(x, y) :- Contacts(x, y, 'Intern')");
+        let meetings = q(&service, "Q(x) :- Meetings(x, 'Cathy')");
+        assert_eq!(service.check(p, &contacts), Ok(Decision::Allow));
+        assert_eq!(service.submit(p, &meetings), Ok(Decision::Allow));
+        let id = service.intern(&meetings).unwrap();
+        assert_eq!(id, QueryId(4));
+        service.close().unwrap();
+        let (mut recovered, report) =
+            DisclosureService::open_durable(registry, durable_config(), &dir).unwrap();
+        assert_eq!(report.records_replayed, 3, "register, check, submit");
+        assert_eq!(recovered.check_interned(p, id), Ok(Decision::Allow));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

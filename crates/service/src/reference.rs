@@ -96,6 +96,11 @@ impl ReferenceService {
         self.queries.insert(id, query);
     }
 
+    /// The query `id` was [`define`](Self::define)d to mean, if any.
+    pub fn query(&self, id: QueryId) -> Option<&ConjunctiveQuery> {
+        self.queries.get(&id)
+    }
+
     /// Registers a principal, refusing a policy the service refuses.
     pub fn register_principal(&mut self, policy: SecurityPolicy) -> Answer<PrincipalId> {
         self.fits(&policy)?;

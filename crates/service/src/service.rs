@@ -24,7 +24,7 @@ use std::path::Path;
 use std::sync::Arc;
 
 use fdc_core::{
-    CachedLabeler, PackedLabel, QueryLabeler, SecurityViews, DEFAULT_CACHE_CAPACITY,
+    CacheStats, CachedLabeler, PackedLabel, QueryLabeler, SecurityViews, DEFAULT_CACHE_CAPACITY,
     MAX_PACKED_VIEWS_PER_RELATION,
 };
 use fdc_cq::intern::{QueryId, QueryInterner};
@@ -96,7 +96,7 @@ impl Default for ServiceConfig {
 }
 
 /// Service-level counters, complementing the labeler's
-/// [`CacheStats`](fdc_core::CacheStats).
+/// [`CacheStats`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ServiceStats {
     /// Admissions served (submits + checks that reached a decision).
@@ -146,8 +146,9 @@ pub struct DisclosureService {
     /// The labeling stage, and the owner of the query interner — the id
     /// authority behind every `SubmitInterned` / `CheckInterned`
     /// operation: callers obtain ids through [`intern`](Self::intern) and
-    /// the service validates them at admission time.
-    labeler: CachedLabeler,
+    /// the service validates them at admission time.  Outside this
+    /// crate it is lent only as a [`LabelerView`], which cannot mint.
+    pub(crate) labeler: CachedLabeler,
     store: PolicyStore,
     /// Per-principal ring of recently submitted queries (capped at
     /// `config.history_cap`), the observed workload `AuditApp` audits
@@ -355,17 +356,42 @@ impl DisclosureService {
         self.labeler.security_views()
     }
 
-    /// The labeling stage, for cache statistics and direct labeling.
-    pub fn labeler(&self) -> &CachedLabeler {
-        &self.labeler
+    /// The labeling stage, read-only: its cache statistics.
+    pub fn labeler(&self) -> LabelerView<'_> {
+        LabelerView(&self.labeler)
+    }
+
+    /// Drops every cached label while keeping the cache counters — the
+    /// flush-on-mutation strategy the epoch machinery exists to avoid,
+    /// kept as the Figure 7 baseline (`fdc_bench::run_flushing_on_mutation`
+    /// flushes after every mutation it serves).  Ids and the registry are
+    /// untouched.
+    pub fn flush_label_cache(&mut self) {
+        self.labeler.clear_entries();
     }
 
     /// The service's query interner — the id authority behind interned
-    /// admissions — borrowed read-only, to resolve or look up ids (release
-    /// it before the next serving call).  Mint ids with
-    /// [`intern`](Self::intern); a stream of boxed admissions
+    /// admissions — borrowed read-only, to resolve or look up ids.  Mint
+    /// ids with [`intern`](Self::intern); a stream of boxed admissions
     /// becomes an interned one through
     /// [`Operation::interned`](crate::Operation::interned).
+    ///
+    /// Every method that can mint takes `&mut self`, so a borrow of the
+    /// interner cannot meet a mint:
+    ///
+    /// ```compile_fail,E0502
+    /// # use fdc_core::SecurityViews;
+    /// # use fdc_service::DisclosureService;
+    /// let mut service = DisclosureService::with_defaults(SecurityViews::paper_example());
+    /// let query = fdc_cq::parser::parse_query(
+    ///     service.registry().catalog(),
+    ///     "Q(x) :- Meetings(x, 'Cathy')",
+    /// )
+    /// .unwrap();
+    /// let interner = service.interner();
+    /// service.intern(&query).unwrap(); // `service` is borrowed by `interner`
+    /// drop(interner);
+    /// ```
     pub fn interner(&self) -> Ref<'_, QueryInterner> {
         self.labeler.query_interner()
     }
@@ -374,8 +400,25 @@ impl DisclosureService {
     /// [`QueryId`] that [`submit_interned`](Self::submit_interned) /
     /// [`check_interned`](Self::check_interned) and the
     /// `SubmitInterned` / `CheckInterned` operations accept.
-    pub fn intern(&self, query: &ConjunctiveQuery) -> QueryId {
-        self.labeler.intern(query)
+    ///
+    /// A new shape is a mutation of the id space: a durable service logs
+    /// it as a [`WalOp::Define`] before the id is returned, so a reopen
+    /// from the log alone hands the query the same id.  Refused with
+    /// [`ServiceError::DurabilityUnavailable`] while the service serves
+    /// degraded (for a known shape too, as every mutation is), or if the
+    /// record does not land.
+    pub fn intern(&mut self, query: &ConjunctiveQuery) -> Result<QueryId, ServiceError> {
+        if self.is_degraded() {
+            return Err(ServiceError::DurabilityUnavailable);
+        }
+        if let Some(id) = self.interner().lookup(query) {
+            return Ok(id);
+        }
+        let id = QueryId(self.known_ids() as u32);
+        self.log_record(|out| durable::encode_define(id, query, out))?;
+        let minted = self.labeler.intern(query);
+        debug_assert_eq!(minted, id, "ids are dense");
+        Ok(minted)
     }
 
     /// The enforcement stage.
@@ -576,7 +619,10 @@ impl DisclosureService {
         self.decide(principal, AdmissionQuery::Plain(query), true)
     }
 
-    /// Pure check: would this query be admitted right now?
+    /// Pure check: would this query be admitted right now?  It commits
+    /// nothing, but the first sight of a shape mints its id, so a durable
+    /// service logs a boxed check (as a [`WalOp::Check`]) as it logs a
+    /// boxed submit.
     pub fn check(
         &mut self,
         principal: PrincipalId,
@@ -901,8 +947,8 @@ impl DisclosureService {
     /// [`ServiceConfig::history_cap`]: a recovered history longer than
     /// the cap drops its oldest entries, and a zero cap drops it
     /// entirely.  [`ServiceStats`] counters restart at zero — they are
-    /// observability counters, not durable state (checks and audits are
-    /// never logged).
+    /// observability counters, not durable state (interned checks and
+    /// audits are never logged).
     pub fn open_durable(
         views: SecurityViews,
         config: ServiceConfig,
@@ -969,7 +1015,12 @@ impl DisclosureService {
                 continue;
             }
             let op = durable::decode_wal_op(&catalog, &record.payload).map_err(invalid_data)?;
-            service.replay(op);
+            service.replay(op).map_err(|err| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("WAL record {}: {err}", record.seq),
+                )
+            })?;
             replayed += 1;
         }
         let writer = WalWriter::resume(
@@ -1226,8 +1277,10 @@ impl DisclosureService {
     /// step is a no-op.  Rejections (unknown principal, duplicate view
     /// name, …) are deliberately ignored: the live service logged the
     /// operation before validating it, and a rejected operation changed no
-    /// state then either.
-    fn replay(&mut self, op: WalOp) {
+    /// state then either.  The one refusal is a `Define` whose query
+    /// re-interns to another id than the record names: the log does not
+    /// describe this service's id space.
+    fn replay(&mut self, op: WalOp) -> Result<(), String> {
         debug_assert!(self.durable.is_none(), "replay must never re-log");
         match op {
             WalOp::RegisterPrincipal { policy } => {
@@ -1239,6 +1292,18 @@ impl DisclosureService {
             }
             WalOp::Submit { principal, query } => {
                 let _ = self.submit(principal, &query);
+            }
+            WalOp::Check { principal, query } => {
+                let _ = self.check(principal, &query);
+            }
+            WalOp::Define { id, query } => {
+                let replayed = self.intern(&query);
+                if replayed != Ok(id) {
+                    return Err(format!(
+                        "a Define of id {} re-interns as {replayed:?}",
+                        id.0
+                    ));
+                }
             }
             WalOp::GrantView { principal, view } => {
                 let _ = self.grant_view(principal, &view);
@@ -1253,6 +1318,7 @@ impl DisclosureService {
                 let _ = self.replace_policy(principal, policy);
             }
         }
+        Ok(())
     }
 
     /// Rebuilds a service from a checkpoint payload.  Every length,
@@ -1336,16 +1402,16 @@ impl DisclosureService {
 }
 
 /// Encodes the WAL record for `request` into `out`, returning whether the
-/// operation is loggable at all.  Checks and audits are read-only —
-/// nothing to recover — and an interned submit whose id is not one of the
-/// `known` ids changes no state either (admission will reject it), so none
-/// of those produce a record.  Known interned submits are logged as their
-/// resolved canonical query, which replay re-interns.  That keeps an id
-/// stable only if every id minted before it was logged too: an id minted
-/// without a record (an explicit `intern`, a check's first sight, a shed
-/// admission) is renumbered by a recovery from the log alone — ROADMAP
-/// item 27.  Every mutation is loggable, which is what lets one cut index
-/// stand for a request's coverage.
+/// operation is loggable at all.  Every operation that may mint an id is
+/// logged — a boxed submit or check, whose first sight interns its shape,
+/// and a view addition, which interns the view's definition — so replay
+/// mints the ids in the order the live service did.  Interned checks and
+/// audits neither mint nor change state, and an interned submit whose id
+/// is not one of the `known` ids changes none either (admission will
+/// reject it), so none of those produce a record.  Known interned submits
+/// are logged as their resolved canonical query, which replay re-interns.
+/// Every mutation is loggable, which is what lets one cut index stand for
+/// a request's coverage.
 fn encode_loggable(
     request: Request<'_>,
     labeler: &CachedLabeler,
@@ -1353,12 +1419,19 @@ fn encode_loggable(
     out: &mut Vec<u8>,
 ) -> bool {
     match request {
-        Request::Admit { commit: false, .. } | Request::Audit { .. } => return false,
         Request::Admit {
             principal,
             query: AdmissionQuery::Plain(query),
-            ..
-        } => durable::encode_submit(principal, query, out),
+            commit,
+        } => {
+            let encode = if commit {
+                durable::encode_submit
+            } else {
+                durable::encode_check
+            };
+            encode(principal, query, out);
+        }
+        Request::Admit { commit: false, .. } | Request::Audit { .. } => return false,
         Request::Admit {
             principal,
             query: AdmissionQuery::Interned(id),
@@ -1434,5 +1507,18 @@ impl PendingCheckpoint {
         self.store.encode_into(&mut payload);
         self.history.encode_into(&mut payload);
         payload
+    }
+}
+
+/// The service's labeling stage, lent read-only by
+/// [`DisclosureService::labeler`]: it reads the cache counters, and can
+/// neither mint an id nor fill a cache slot.
+#[derive(Debug, Clone, Copy)]
+pub struct LabelerView<'a>(&'a CachedLabeler);
+
+impl LabelerView<'_> {
+    /// The labeler's hit/miss/invalidation counters and cache sizes.
+    pub fn stats(&self) -> CacheStats {
+        self.0.stats()
     }
 }

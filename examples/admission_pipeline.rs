@@ -100,7 +100,7 @@ fn main() {
         .enumerate()
         .map(|(i, query)| Operation::SubmitInterned {
             principal: PrincipalId((i % num_principals) as u32),
-            query: service.intern(query),
+            query: service.intern(query).unwrap(),
         })
         .collect();
     let distinct = service.interner().len();

@@ -68,7 +68,7 @@ fn main() {
                 for run in chunk.chunk_by(|before, _| !before.is_mutation()) {
                     service.run_pipelined(run);
                     if run[run.len() - 1].is_mutation() {
-                        service.labeler().clear_entries();
+                        service.flush_label_cache();
                         flushes += 1;
                     }
                 }

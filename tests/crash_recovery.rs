@@ -12,7 +12,8 @@
 //! Also covered: checkpoints taken exactly at segment boundaries (every
 //! append rotates), recovery with no checkpoint at all (pure replay),
 //! resuming a truncated log and continuing the stream, and interned
-//! `QueryId` stability across checkpointed recovery.
+//! `QueryId` stability across recovery, from a checkpoint or from the log
+//! alone.
 
 #[path = "support/harness.rs"]
 mod harness;
@@ -60,7 +61,7 @@ fn single_segment(dir: &Path) -> PathBuf {
 /// Drives the churn stream through a durable service op by op — every
 /// answer must be the model's — and returns the WAL bytes and, for every
 /// record count `r`, the model after exactly the first `r` logged
-/// operations (registrations included).
+/// operations (registrations and the pool's `Define`s included).
 fn record_stream(world: &World, ops: &[Operation]) -> (PathBuf, Vec<u8>, Vec<ReferenceService>) {
     let dir = temp_dir("crash_recovery");
     let (mut durable, report) = reopen(world, config(world), &dir);
@@ -75,14 +76,27 @@ fn record_stream(world: &World, ops: &[Operation]) -> (PathBuf, Vec<u8>, Vec<Ref
             temps_swept: 0,
         }
     );
+    // Pool shapes the registry's views already hold have their ids before
+    // any record; every other pool id is minted by a `Define`.
+    let mut minted = durable.interner().len();
     populate(&mut durable, world);
     let mut model = ReferenceService::new(world.registry.clone(), world.history_cap);
-    world.define_pool(&mut model);
+    let pool = || world.ids.iter().zip(&world.pool);
+    for (id, query) in pool().filter(|(id, _)| id.index() < minted) {
+        model.define(*id, query.clone());
+    }
     // Indexed by surviving record count: entry 0 is the freshly opened state.
     let mut by_records = vec![model.clone()];
     for policy in &world.policies {
         model.register_principal(policy.clone()).unwrap();
         by_records.push(model.clone());
+    }
+    for (id, query) in pool() {
+        model.define(*id, query.clone());
+        if id.index() == minted {
+            minted += 1;
+            by_records.push(model.clone());
+        }
     }
     for op in ops {
         assert_eq!(durable.apply(op), model.apply(op), "{op:?}");
@@ -246,7 +260,16 @@ fn a_checkpoint_at_every_segment_boundary_recovers_exactly() {
 }
 
 #[test]
-fn interned_query_ids_stay_stable_across_checkpointed_recovery() {
+fn interned_query_ids_stay_stable_across_checkpointed_and_log_only_recovery() {
+    for checkpointed in [true, false] {
+        interned_query_ids_stay_stable(checkpointed);
+    }
+}
+
+/// Serves a churn stream interned into a durable service, closes it —
+/// after a checkpoint, or with the log alone — and demands that every id
+/// the live interner held names the same query after the reopen.
+fn interned_query_ids_stay_stable(checkpointed: bool) {
     let world = World::facebook();
     let dir = temp_dir("interned_ids");
     let (mut durable, _) = reopen(&world, config(&world), &dir);
@@ -267,7 +290,7 @@ fn interned_query_ids_stay_stable_across_checkpointed_recovery() {
     let ops: Vec<Operation> = churn
         .ops(OPS)
         .into_iter()
-        .map(|op| op.interned(|query| durable.intern(query)))
+        .map(|op| op.interned(|query| durable.intern(query).unwrap()))
         .collect();
     assert!(
         ops.iter()
@@ -276,7 +299,10 @@ fn interned_query_ids_stay_stable_across_checkpointed_recovery() {
     );
     let responses = durable.run_pipelined(&ops);
     assert_eq!(responses.len(), ops.len());
-    durable.checkpoint().unwrap();
+    if checkpointed {
+        durable.checkpoint().unwrap();
+    }
+    let logged = durable.stats().durability.wal_records_committed;
     // Record every pooled query and its id from the live interner.
     let live: Vec<(fdc::cq::intern::QueryId, fdc::cq::ConjunctiveQuery)> = {
         let guard = durable.interner();
@@ -289,14 +315,18 @@ fn interned_query_ids_stay_stable_across_checkpointed_recovery() {
     };
     durable.close().unwrap();
     let (mut recovered, report) = reopen(&world, config(&world), &dir);
-    assert_eq!(report.records_replayed, 0);
+    let replayed = if checkpointed { 0 } else { logged };
+    assert_eq!(
+        report.records_replayed, replayed,
+        "checkpointed {checkpointed}"
+    );
     // Every pre-crash id resolves to the identical query, and re-interning
     // the query yields the same id — ids are stable currency across
     // restarts.
     for (id, query) in &live {
         assert!(recovered.interner().contains(*id));
         assert_eq!(&recovered.interner().to_query(*id), query);
-        assert_eq!(recovered.intern(query), *id);
+        assert_eq!(recovered.intern(query).unwrap(), *id);
     }
     // And the recovered service serves the same interned stream with the
     // same responses (minus the stateful consistency evolution already

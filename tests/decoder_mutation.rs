@@ -50,8 +50,8 @@ use fdc::durability::codec::{CodecError, Cursor};
 use fdc::policy::wire::{decode_policy, encode_policy};
 use fdc::policy::{PolicyPartition, PolicyStore, PrincipalId, SecurityPolicy};
 use fdc::service::durable::{
-    decode_wal_op, encode_add_view, encode_grant, encode_register, encode_replace_policy,
-    encode_revoke, encode_submit,
+    decode_wal_op, encode_add_view, encode_check, encode_define, encode_grant, encode_register,
+    encode_replace_policy, encode_revoke, encode_submit,
 };
 
 /// Seeded multi-byte overwrites per encoded input.
@@ -226,6 +226,10 @@ fn hostile_bytes_never_panic_a_decoder() {
     let selection = parse_query(&catalog, "Vc(x) :- Meetings(x, 'Cathy')").unwrap();
     encoded("register", wal, &|out| encode_register(&policy, out));
     encoded("submit", wal, &|out| encode_submit(p, &queries[0], out));
+    encoded("check", wal, &|out| encode_check(p, &queries[1], out));
+    encoded("define", wal, &|out| {
+        encode_define(QueryId(9), &queries[2], out)
+    });
     encoded("grant", wal, &|out| encode_grant(p, "V2", out));
     encoded("revoke", wal, &|out| encode_revoke(p, "V3", out));
     encoded("add view", wal, &|out| {

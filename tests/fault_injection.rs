@@ -14,7 +14,9 @@
 //! Also covered, deterministically (the service owns no thread, so each
 //! test drives every checkpoint itself): a permanent storage failure
 //! degrades the service to read-only instead of panicking; admissions
-//! and checks keep serving while degraded; checkpoint attempts on
+//! and checks keep serving while degraded, and `intern` is refused like
+//! every mutation, then answers again after the promotion with every id
+//! it handed out intact across a reopen; checkpoint attempts on
 //! still-dead storage fail cleanly, each counted, and leave the service
 //! serving, and the first one on healed storage promotes it back to
 //! healthy (and makes the degraded window's in-memory admissions
@@ -32,7 +34,10 @@ use std::fs;
 use std::path::Path;
 use std::sync::Arc;
 
+use fdc::cq::intern::QueryId;
+use fdc::cq::ConjunctiveQuery;
 use fdc::durability::{FaultSchedule, FaultVfs, InstantClock};
+use fdc::ecosystem::{facebook_catalog, WorkloadConfig, WorkloadGenerator};
 use fdc::policy::PrincipalId;
 use fdc::service::{
     DegradedMode, DisclosureService, Operation, Response, ServiceConfig, ServiceError, ServiceMode,
@@ -230,7 +235,7 @@ fn batched_mutations_respect_the_durable_prefix() {
     // over a log that rotates — and so commits — at every record, so a
     // request's durable prefix can end mid-request: a cut counted in records
     // instead of op positions refuses a durable mutation there.
-    let probe = world.pool[0].clone();
+    let probe = world.ids[0];
     let mixed: Vec<Operation> = ops
         .iter()
         .enumerate()
@@ -242,9 +247,9 @@ fn batched_mutations_respect_the_durable_prefix() {
                     principal,
                     query: NEVER_MINTED,
                 },
-                _ => Operation::Check {
+                _ => Operation::CheckInterned {
                     principal,
-                    query: probe.clone(),
+                    query: probe,
                 },
             };
             [unlogged, op.clone()]
@@ -340,6 +345,83 @@ fn permanent_failure_degrades_to_read_only_instead_of_panicking() {
     }
     // Degrading is idempotent: still a single transition.
     assert_eq!(service.stats().durability.mode_transitions, 1);
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+/// `n` generated queries of distinct shapes that `service` has not seen.
+fn unseen_shapes(service: &DisclosureService, n: usize) -> Vec<ConjunctiveQuery> {
+    let mut probe = service.clone();
+    let mut generator = WorkloadGenerator::new(facebook_catalog(), WorkloadConfig::base(0x1D));
+    let mut shapes = Vec::new();
+    while shapes.len() < n {
+        let query = generator.batch(1).remove(0);
+        if probe.interner().lookup(&query).is_none() {
+            probe.intern(&query).unwrap();
+            shapes.push(query);
+        }
+    }
+    shapes
+}
+
+#[test]
+fn intern_is_refused_while_degraded_and_every_handed_out_id_survives_promotion() {
+    let world = World::facebook();
+    let dir = temp_dir("intern_degraded");
+    let vfs = FaultVfs::over_std(FaultSchedule::quiet(23));
+    let (mut service, _) = open_faulted(&world, config(&world), &dir, &vfs).unwrap();
+    populate(&mut service, &world);
+    let [healthy, refused, submitted, checked, promoted] =
+        <[ConjunctiveQuery; 5]>::try_from(unseen_shapes(&service, 5)).unwrap();
+    let mut handed: Vec<(QueryId, ConjunctiveQuery)> = world
+        .ids
+        .iter()
+        .copied()
+        .zip(world.pool.iter().cloned())
+        .collect();
+    handed.push((service.intern(&healthy).unwrap(), healthy));
+
+    // On dead storage the new shape's `Define` does not land: refused, and
+    // the service degrades with nothing minted.  A known shape is refused
+    // too, as every mutation is while degraded.
+    vfs.fail_permanently();
+    assert_eq!(
+        service.intern(&refused),
+        Err(ServiceError::DurabilityUnavailable)
+    );
+    assert!(service.is_degraded());
+    assert_eq!(service.interner().lookup(&refused), None);
+    assert_eq!(
+        service.intern(&world.pool[0]),
+        Err(ServiceError::DurabilityUnavailable)
+    );
+    // Boxed admissions keep serving from memory (and mint, unlogged).
+    let p = PrincipalId(0);
+    assert!(service.submit(p, &submitted).is_ok());
+    assert!(service.check(p, &checked).is_ok());
+    assert!(service.checkpoint().is_err());
+    assert_eq!(
+        service.intern(&checked),
+        Err(ServiceError::DurabilityUnavailable)
+    );
+
+    // Storage heals and a checkpoint promotes: the image holds the degraded
+    // window's ids, and `intern` answers again, for them and for new shapes.
+    vfs.heal();
+    service.checkpoint().unwrap();
+    assert!(!service.is_degraded());
+    for query in [submitted, checked, promoted] {
+        handed.push((service.intern(&query).unwrap(), query));
+    }
+    drop(service);
+
+    let (recovered, report) = open_faulted(&world, config(&world), &dir, &vfs).unwrap();
+    assert_eq!(report.records_replayed, 1, "the promoted shape's Define");
+    let interner = recovered.interner();
+    for (id, query) in &handed {
+        assert_eq!(interner.lookup(query), Some(*id), "{query:?}");
+    }
+    assert_eq!(interner.lookup(&refused), None);
+    drop(interner);
     fs::remove_dir_all(&dir).unwrap();
 }
 

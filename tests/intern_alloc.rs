@@ -166,7 +166,7 @@ fn dissection_scratch_does_not_grow_with_the_number_of_parts() {
 /// What the first sight of `query` allocates once its fold is on record:
 /// labeled, flushed, then labeled again into a buffer with room.
 fn first_sight_allocations(query: &ConjunctiveQuery) -> u64 {
-    let labeler = CachedLabeler::new(Ecosystem::new().views);
+    let mut labeler = CachedLabeler::new(Ecosystem::new().views);
     let id = labeler.intern(query);
     labeler.label_interned(id);
     // Flushing keeps the slot vector's capacity, so storing the entry again

@@ -16,6 +16,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use fdc::core::{BaselineLabeler, DisclosureLabel, LabelError, QueryLabeler, SecurityViews};
+use fdc::cq::canonical::rename_canonical;
 use fdc::cq::intern::QueryId;
 use fdc::cq::parser::parse_query;
 use fdc::cq::{ConjunctiveQuery, RelId};
@@ -159,9 +160,12 @@ impl World {
         pool: Vec<ConjunctiveQuery>,
         history_cap: usize,
     ) -> World {
-        let fresh = DisclosureService::with_defaults(registry.clone());
+        let mut fresh = DisclosureService::with_defaults(registry.clone());
         World {
-            ids: pool.iter().map(|query| fresh.intern(query)).collect(),
+            ids: pool
+                .iter()
+                .map(|query| fresh.intern(query).unwrap())
+                .collect(),
             registry,
             policies,
             pool,
@@ -315,12 +319,12 @@ pub fn churn_ops(world: &World, seed: u64, n: usize) -> Vec<Operation> {
 }
 
 /// Whether `op` produces a WAL record (the write-ahead set: everything but
-/// reads and submits the front door is bound to reject).
+/// interned checks, audits and submits the front door is bound to reject —
+/// a boxed check is logged, since its first sight mints an id).
 pub fn is_logged(op: &Operation) -> bool {
     !matches!(
         op,
-        Operation::Check { .. }
-            | Operation::CheckInterned { .. }
+        Operation::CheckInterned { .. }
             | Operation::AuditApp { .. }
             | Operation::SubmitInterned {
                 query: NEVER_MINTED,
@@ -331,9 +335,9 @@ pub fn is_logged(op: &Operation) -> bool {
 
 /// Interns the world's pool into a service, in pool order, and checks the
 /// ids are the ones [`World::define_pool`] declares to the model.
-pub fn intern_pool(service: &DisclosureService, world: &World) {
+pub fn intern_pool(service: &mut DisclosureService, world: &World) {
     for (id, query) in world.ids.iter().zip(&world.pool) {
-        assert_eq!(service.intern(query), *id);
+        assert_eq!(service.intern(query), Ok(*id));
     }
 }
 
@@ -366,8 +370,9 @@ struct PrincipalPrint {
 }
 
 /// Everything two equal systems must agree on: per-principal state, audits
-/// and probe decisions, the totals, the registry's views and epochs, and
-/// the label of every pool query.
+/// and probe decisions, the totals, the registry's views and epochs, the
+/// label of every pool query, and the shape each of the world's ids names
+/// (in canonical form; `None` for an id not issued).
 #[derive(Debug, PartialEq, Eq)]
 pub struct Fingerprint {
     principals: Vec<PrincipalPrint>,
@@ -375,6 +380,7 @@ pub struct Fingerprint {
     views: Vec<String>,
     epochs: Vec<u64>,
     labels: Vec<DisclosureLabel>,
+    ids: Vec<Option<ConjunctiveQuery>>,
 }
 
 fn registry_print(registry: &SecurityViews) -> (Vec<String>, Vec<u64>) {
@@ -407,15 +413,22 @@ pub fn fingerprint(service: &DisclosureService, world: &World) -> Fingerprint {
         })
         .collect();
     let (views, epochs) = registry_print(service.registry());
+    let labeler = BaselineLabeler::new(service.registry().clone());
+    let interner = service.interner();
     Fingerprint {
         principals,
         totals: service.totals(),
         views,
         epochs,
-        labels: world
-            .pool
+        labels: world.pool.iter().map(|q| labeler.label_query(q)).collect(),
+        ids: world
+            .ids
             .iter()
-            .map(|query| service.labeler().label_query(query))
+            .map(|&id| {
+                interner
+                    .contains(id)
+                    .then(|| rename_canonical(&interner.to_query(id)))
+            })
             .collect(),
     }
 }
@@ -460,6 +473,11 @@ impl Fingerprint {
             views,
             epochs,
             labels: world.pool.iter().map(|q| labeler.label_query(q)).collect(),
+            ids: world
+                .ids
+                .iter()
+                .map(|&id| model.query(id).map(rename_canonical))
+                .collect(),
         }
     }
 }
@@ -639,17 +657,12 @@ pub fn in_memory_rows(what: &str, world: &World, ops: &[Operation], specified: &
     }
 }
 
-/// Durable `apply` and `run_pipelined`, each closed and reopened from a
-/// checkpoint halfway through the stream, then from the log alone at its
-/// end.
-///
-/// A checkpointed row serves the first half, checkpoints, closes and
-/// reopens, and serves the second half on the recovered service: the
-/// answers of both halves and the final state are the specification's.  A
-/// log-only row is only reopened once the stream is served, because a
-/// reopen from the log alone renumbers the ids `populate` minted without a
-/// record (ROADMAP item 27), so interned operands served after it would
-/// name other queries.
+/// Durable `apply` and `run_pipelined`, each serving the first half of the
+/// stream, closing — after a checkpoint, or with the log alone — and
+/// reopening, then serving the second half on the recovered service: the
+/// answers of both halves and the final state are the specification's.
+/// Interned operands of the second half name the ids `populate` minted
+/// before the reopen, so a row passes only if recovery keeps every id.
 pub fn durable_rows(what: &str, world: &World, ops: &[Operation], specified: &Specified) {
     for executor in [Executor::Apply, BATCHED] {
         for checkpointed in [true, false] {
@@ -658,31 +671,18 @@ pub fn durable_rows(what: &str, world: &World, ops: &[Operation], specified: &Sp
             let dir = temp_dir("matrix");
             let (mut service, _) = reopen(world, config, &dir);
             populate(&mut service, world);
-            let recovered = if checkpointed {
-                let (first, rest) = ops.split_at(ops.len() / 2);
-                let mut answered = serve(&mut service, first, executor);
+            let (first, rest) = ops.split_at(ops.len() / 2);
+            let mut answered = serve(&mut service, first, executor);
+            if checkpointed {
                 service.checkpoint().unwrap();
-                service.close().unwrap();
-                let (mut recovered, report) = reopen(world, config, &dir);
-                assert_eq!(
-                    report.records_replayed, 0,
-                    "{row}: the image covers the log"
-                );
-                answered.extend(serve(&mut recovered, rest, executor));
-                assert_eq!(answered, specified.responses, "{row}: the answers");
-                recovered
-            } else {
-                let answered = serve(&mut service, ops, executor);
-                assert_served(&row, &service, &answered, specified, world);
-                service.close().unwrap();
-                let (recovered, report) = reopen(world, config, &dir);
-                assert_eq!(report.checkpoint_seq, 0, "{row}: recovery is replay alone");
-                assert!(
-                    report.records_replayed as usize >= world.policies.len(),
-                    "{row}"
-                );
-                recovered
-            };
+            }
+            let logged = service.stats().durability.wal_records_committed;
+            service.close().unwrap();
+            let (mut recovered, report) = reopen(world, config, &dir);
+            let replayed = if checkpointed { 0 } else { logged };
+            assert_eq!(report.records_replayed, replayed, "{row}: the replay");
+            answered.extend(serve(&mut recovered, rest, executor));
+            assert_eq!(answered, specified.responses, "{row}: the answers");
             assert_print(&row, &recovered, &specified.print, world);
             recovered.close().unwrap();
             fs::remove_dir_all(&dir).unwrap();
