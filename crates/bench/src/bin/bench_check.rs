@@ -35,7 +35,12 @@
 //!   flush baseline's cold relabeling ~3x cheaper and compressed the gap),
 //!   with `host_threads` recorded;
 //! * recovery — `speedup_bulkload_vs_rebuild` ≥ 5.0 (checkpoint-bulkload
-//!   cold start vs from-generator rebuild; ≥ 1.0 in smoke mode).
+//!   cold start vs from-generator rebuild; ≥ 1.0 in smoke mode);
+//! * pairs (`--pairs`, repeatable: the `pairs` binary's before/after
+//!   evidence) — both revisions and `host_threads` recorded, ≥ 10 pairs
+//!   (≥ 1 in smoke mode), and for each end-to-end metric both sides'
+//!   median and IQR, a median ratio inside its 95 % interval and at most
+//!   `pairs` wins.  No verdict is gated: the file is the evidence.
 //!
 //! Malformed input — an empty file, a truncation mid-token, trailing
 //! garbage, nesting past [`MAX_DEPTH`] — fails with the file named and
@@ -573,6 +578,62 @@ fn check_recovery(path: &str, smoke: bool) -> Result<(), String> {
     Ok(())
 }
 
+/// One file's gate: the file's path and whether it is a smoke run.
+type CheckFn = fn(&str, bool) -> Result<(), String>;
+
+/// Pairs gate: the evidence a before/after claim cites is complete and
+/// consistent (see the module documentation).
+fn check_pairs(path: &str, smoke: bool) -> Result<(), String> {
+    let doc = load(path)?;
+    let pairs = number(&doc, path, "pairs")?;
+    let floor = if smoke { 1.0 } else { 10.0 };
+    if pairs < floor {
+        return Err(format!("`{path}`: {pairs} pairs < {floor}"));
+    }
+    number(&doc, path, "host_threads")?;
+    for side in ["a", "b"] {
+        match doc.get(side).and_then(|side| side.get("revision")) {
+            Some(Json::String(revision)) if !revision.is_empty() => {}
+            _ => return Err(format!("`{path}`: side `{side}` records no revision")),
+        }
+    }
+    let metrics = doc
+        .get("metrics")
+        .ok_or_else(|| format!("`{path}`: missing `metrics`"))?;
+    for name in ["setup_s", "ops_per_s", "req_p50_us", "peak_rss_mb"] {
+        let metric = metrics
+            .get(name)
+            .ok_or_else(|| format!("`{path}`: missing metric `{name}`"))?;
+        let field = |json: &Json, key: &str| {
+            json.get(key)
+                .and_then(Json::as_number)
+                .ok_or_else(|| format!("`{path}`: `{name}` lacks `{key}`"))
+        };
+        for side in ["a", "b"] {
+            let side = metric
+                .get(side)
+                .ok_or_else(|| format!("`{path}`: `{name}` lacks side `{side}`"))?;
+            field(side, "median")?;
+            field(side, "iqr")?;
+        }
+        let median = field(metric, "ratio_median")?;
+        let interval = metric
+            .get("ratio_ci95")
+            .and_then(Json::as_array)
+            .and_then(|bounds| Some((bounds.first()?.as_number()?, bounds.get(1)?.as_number()?)))
+            .ok_or_else(|| format!("`{path}`: `{name}` lacks `ratio_ci95`"))?;
+        if !(interval.0 <= median && median <= interval.1) {
+            return Err(format!(
+                "`{path}`: `{name}` ratio median {median} outside its interval {interval:?}"
+            ));
+        }
+        if field(metric, "wins")? > pairs {
+            return Err(format!("`{path}`: `{name}` wins more pairs than were run"));
+        }
+    }
+    Ok(())
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut smoke = false;
@@ -580,6 +641,7 @@ fn main() -> ExitCode {
     let mut fig6 = None;
     let mut fig7 = None;
     let mut recovery = None;
+    let mut pairs = Vec::new();
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
@@ -588,32 +650,36 @@ fn main() -> ExitCode {
             "--fig6" => fig6 = iter.next().cloned(),
             "--fig7" => fig7 = iter.next().cloned(),
             "--recovery" => recovery = iter.next().cloned(),
+            "--pairs" => pairs.extend(iter.next().cloned().map(Some)),
             other => {
                 eprintln!("bench_check: unknown argument `{other}`");
                 eprintln!(
                     "usage: bench_check [--smoke] [--fig5 <path>] [--fig6 <path>] \
-                     [--fig7 <path>] [--recovery <path>]"
+                     [--fig7 <path>] [--recovery <path>] [--pairs <path>]…"
                 );
                 return ExitCode::FAILURE;
             }
         }
     }
-    if fig5.is_none() && fig6.is_none() && fig7.is_none() && recovery.is_none() {
-        eprintln!("bench_check: nothing to check (pass --fig5/--fig6/--fig7/--recovery)");
+    if fig5.is_none() && fig6.is_none() && fig7.is_none() && recovery.is_none() && pairs.is_empty()
+    {
+        eprintln!("bench_check: nothing to check (pass --fig5/--fig6/--fig7/--recovery/--pairs)");
         return ExitCode::FAILURE;
     }
     let mode = if smoke { "smoke" } else { "committed" };
     let mut failed = false;
+    let pairs = pairs
+        .iter()
+        .map(|path| ("pairs", path, check_pairs as CheckFn));
     for (name, path, check) in [
-        (
-            "fig5",
-            &fig5,
-            check_fig5 as fn(&str, bool) -> Result<(), String>,
-        ),
+        ("fig5", &fig5, check_fig5 as CheckFn),
         ("fig6", &fig6, check_fig6),
         ("fig7", &fig7, check_fig7),
         ("recovery", &recovery, check_recovery),
-    ] {
+    ]
+    .into_iter()
+    .chain(pairs)
+    {
         if let Some(path) = path {
             match check(path, smoke) {
                 Ok(()) => println!("bench_check [{mode}] {name}: OK ({path})"),
@@ -912,6 +978,44 @@ mod tests {
             std::fs::write(&path, render(2.0).replacen(from, to, 1)).unwrap();
             let err = check_fig6(path.to_str().unwrap(), true).unwrap_err();
             assert!(err.contains(name), "{err}");
+        }
+    }
+
+    #[test]
+    fn the_pairs_gate_names_what_the_evidence_lacks() {
+        let dir = std::env::temp_dir().join("fdc_bench_check_pairs_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("pairs.json");
+        let side = r#"{ "median": 1.0, "q1": 0.9, "q3": 1.1, "iqr": 0.2, "runs": [1.0] }"#;
+        let metric = format!(
+            r#"{{ "better": "lower", "a": {side}, "b": {side}, "ratio_median": 1.0,
+              "ratio_ci95": [0.9, 1.1], "wins": 2 }}"#
+        );
+        let render = |pairs: usize| {
+            format!(
+                r#"{{ "pairs": {pairs}, "host_threads": 2,
+  "a": {{ "revision": "0123abc" }}, "b": {{ "revision": "4567def" }},
+  "metrics": {{ "setup_s": {metric}, "ops_per_s": {metric},
+    "req_p50_us": {metric}, "peak_rss_mb": {metric} }} }}"#
+            )
+        };
+        let check = |text: &str, smoke: bool| {
+            std::fs::write(&path, text).unwrap();
+            check_pairs(path.to_str().unwrap(), smoke)
+        };
+        assert!(check(&render(10), false).is_ok());
+        let err = check(&render(3), false).unwrap_err();
+        assert!(err.contains("3 pairs < 10"), "{err}");
+        assert!(check(&render(3), true).is_ok());
+        for (from, to, named) in [
+            ("\"4567def\"", "\"\"", "side `b` records no revision"),
+            ("\"host_threads\": 2,", "", "`host_threads`"),
+            ("\"wins\": 2", "\"wins\": 11", "wins more pairs"),
+            ("[0.9, 1.1]", "[1.05, 1.1]", "outside its interval"),
+            ("\"peak_rss_mb\"", "\"rss\"", "missing metric `peak_rss_mb`"),
+        ] {
+            let err = check(&render(10).replacen(from, to, 1), false).unwrap_err();
+            assert!(err.contains(named), "{from}: {err}");
         }
     }
 

@@ -72,9 +72,11 @@ fn main() {
     } else {
         (&[3, 6, 9, 12, 15], 3)
     };
-    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
 
-    println!("fig5_json: batch={BATCH_SIZE} repeats={repeats} threads={threads} smoke={smoke}");
+    println!(
+        "fig5_json: batch={BATCH_SIZE} repeats={repeats} host_threads={host_threads} smoke={smoke}"
+    );
     println!(
         "{:>9} | {:>12} | {:>12} | {:>12} | {:>12} | {:>12} | {:>10} | {:>6}",
         "max_atoms", "baseline", "hashing", "bitvec", "cached_seq", "interned", "query_B", "blocks"
@@ -139,7 +141,7 @@ fn main() {
 
     let json = render_json(
         &points,
-        threads,
+        host_threads,
         smoke,
         speedup,
         interned_speedup,
@@ -255,7 +257,7 @@ fn series(point: &SweepPoint, name: &str) -> f64 {
 /// serde; the structure is flat enough that manual rendering stays simple).
 fn render_json(
     points: &[SweepPoint],
-    threads: usize,
+    host_threads: usize,
     smoke: bool,
     speedup: f64,
     interned_speedup: f64,
@@ -266,7 +268,7 @@ fn render_json(
     out.push_str("  \"figure\": \"fig5_labeler_throughput\",\n");
     out.push_str("  \"unit\": \"queries_per_second\",\n");
     out.push_str(&format!("  \"batch_size\": {BATCH_SIZE},\n"));
-    out.push_str(&format!("  \"threads\": {threads},\n"));
+    out.push_str(&format!("  \"host_threads\": {host_threads},\n"));
     out.push_str(&format!("  \"smoke\": {smoke},\n"));
     out.push_str(&format!(
         "  \"min_speedup_cached_vs_baseline\": {speedup:.2},\n"

@@ -15,6 +15,8 @@
 //!
 //! The `fig5_json` / `fig6_json` binaries emit the same measurements as
 //! machine-readable trajectories (`BENCH_fig5.json` / `BENCH_fig6.json`).
+//! The `pairs` binary runs two `svc_bench` builds in alternating pairs and
+//! judges them by [`paired`]'s statistic.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -27,6 +29,7 @@ use fdc_ecosystem::{ChurnConfig, Ecosystem, WorkloadConfig};
 use fdc_policy::{PolicyStore, PrincipalId};
 use fdc_service::{DisclosureService, Operation, Response, ServiceConfig};
 
+pub mod paired;
 pub mod seed_store;
 
 pub use seed_store::SeedPolicyStore;

@@ -47,7 +47,7 @@ use std::cell::{Cell, Ref, RefCell};
 use std::collections::HashMap;
 
 use fdc_cq::folding::fold_interned_indices;
-use fdc_cq::intern::{ITerm, QueryId, QueryInterner};
+use fdc_cq::intern::{ITerm, QueryId, QueryInterner, Recognised};
 use fdc_cq::rewriting::rewritable_from_single;
 use fdc_cq::{AtomRef, ConjunctiveQuery, RelId};
 
@@ -100,9 +100,10 @@ impl QueryLabeler for BaselineLabeler {
             let relation = atom_query.atom(0).relation;
             let mut mask: ViewMask = 0;
             // Deliberately scan the whole registry (no partitioning): this is
-            // the "baseline" curve of Figure 5.
+            // the "baseline" curve of Figure 5.  The rewriting check refuses
+            // a view over another relation itself.
             for (_, view) in self.views.iter() {
-                if view.relation == relation && rewritable_from_single(&atom_query, &view.query) {
+                if rewritable_from_single(&atom_query, &view.query) {
                     mask |= 1u64 << view.bit;
                 }
             }
@@ -373,7 +374,23 @@ impl CacheStats {
     }
 }
 
-/// The counters behind [`CacheStats`].
+/// How the front door of a [`CachedLabeler`]
+/// ([`intern_within_budget`](CachedLabeler::intern_within_budget)) resolved
+/// each boxed operand it was handed: exactly one counter moves per call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct DoorStats {
+    /// Operands recognised by one byte comparison against their id's
+    /// exemplar ([`Recognised::Bytes`]).
+    pub byte_hits: u64,
+    /// Operands recognised by the compare pass ([`Recognised::Compared`]).
+    pub compare_hits: u64,
+    /// Never-seen shapes, interned within the arena budget.
+    pub misses: u64,
+    /// Never-seen shapes refused an id: the arena budget was spent.
+    pub over_budget: u64,
+}
+
+/// The counters behind [`CacheStats`] and [`DoorStats`].
 #[derive(Debug, Clone, Default)]
 struct LabelCounters {
     hits: Cell<u64>,
@@ -383,6 +400,10 @@ struct LabelCounters {
     atom_refreshes: Cell<u64>,
     invalidations: Cell<u64>,
     batch_dedup_hits: Cell<u64>,
+    door_byte_hits: Cell<u64>,
+    door_compare_hits: Cell<u64>,
+    door_misses: Cell<u64>,
+    door_over_budget: Cell<u64>,
 }
 
 impl LabelCounters {
@@ -764,6 +785,17 @@ impl CachedLabeler {
         self.counters.stats(self.tables.borrow().occupied)
     }
 
+    /// How the front door has resolved the boxed operands it was handed.
+    pub fn door_stats(&self) -> DoorStats {
+        let counters = &self.counters;
+        DoorStats {
+            byte_hits: counters.door_byte_hits.get(),
+            compare_hits: counters.door_compare_hits.get(),
+            misses: counters.door_misses.get(),
+            over_budget: counters.door_over_budget.get(),
+        }
+    }
+
     /// Drops every cached entry while keeping the hit/miss/refresh
     /// counters and the interner — the flush-on-mutation strategy the
     /// epoch machinery exists to avoid, kept as the Figure 7 baseline
@@ -784,22 +816,33 @@ impl CachedLabeler {
     /// ([`capacity_limit`](Self::capacity_limit)) has room.  `None` means
     /// the budget is spent and the shape was never seen: it has no id and
     /// must not get one (the arena bound would be lost) — label it with
-    /// [`label_packed`](Self::label_packed), which serves it uncached.
+    /// [`append_packed_uncached`](Self::append_packed_uncached).
     ///
     /// This is the service's front door: an admission resolves its operand
-    /// once here, then labels, dedups and records by id.
+    /// once here, then labels, dedups and records by id.  A known shape is
+    /// recognised by [`QueryInterner::recognise`], which records the
+    /// operand as its id's exemplar on the shape's second sight, so a
+    /// resent operand costs one byte comparison.
+    /// [`door_stats`](Self::door_stats) counts how each call was resolved.
     pub fn intern_within_budget(&self, query: &ConjunctiveQuery) -> Option<QueryId> {
         // The arena budget counts the shapes the implicit path has interned —
         // view definitions and explicitly interned pools do not consume it.
         let mut interner = self.interner.borrow_mut();
-        if let Some(id) = interner.lookup(query) {
-            return Some(id);
+        let counters = &self.counters;
+        if let Some(found) = interner.recognise(query) {
+            bump(match found {
+                Recognised::Bytes(_) => &counters.door_byte_hits,
+                Recognised::Compared(_) => &counters.door_compare_hits,
+            });
+            return Some(found.id());
         }
         let charged = self.implicit_interns.get();
         if charged >= self.capacity {
+            bump(&counters.door_over_budget);
             return None;
         }
         self.implicit_interns.set(charged + 1);
+        bump(&counters.door_misses);
         Some(interner.intern(query))
     }
 
@@ -812,6 +855,15 @@ impl CachedLabeler {
         if let Err(uncached) = self.label_query_with(query, pack) {
             uncached.pack_into(out);
         }
+    }
+
+    /// Labels a shape the front door refused an id (past the arena budget,
+    /// [`intern_within_budget`](Self::intern_within_budget) returned
+    /// `None`) through the uncached pipeline and **appends** the packed
+    /// label to `out`, counted as a miss, without asking the door again.
+    pub fn append_packed_uncached(&self, query: &ConjunctiveQuery, out: &mut Vec<PackedLabel>) {
+        bump(&self.counters.misses);
+        self.inner.label_query(query).pack_into(out);
     }
 
     /// [`append_packed`](Self::append_packed) into a vector of its own.

@@ -68,8 +68,8 @@ pub use compat::*;
 pub use error::{LabelError, Result};
 pub use label::{AtomLabel, DisclosureLabel, PackedLabel, ViewMask};
 pub use labeler::{
-    BaselineLabeler, BitVectorLabeler, CacheStats, CachedLabeler, HashPartitionedLabeler,
-    QueryLabeler, DEFAULT_CACHE_CAPACITY,
+    BaselineLabeler, BitVectorLabeler, CacheStats, CachedLabeler, DoorStats,
+    HashPartitionedLabeler, QueryLabeler, DEFAULT_CACHE_CAPACITY,
 };
 pub use security_views::{
     SecurityViewId, SecurityViews, MAX_PACKED_VIEWS_PER_RELATION, MAX_VIEWS_PER_RELATION,

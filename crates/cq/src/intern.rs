@@ -37,7 +37,7 @@
 //! different ids and simply occupy two cache slots.  Semantic comparisons
 //! remain the job of [`containment`](crate::containment).
 //!
-//! # Recognising a known query: read the hash, probe, compare
+//! # Recognising a known query: read the hash, probe, compare bytes, compare
 //!
 //! The front door asks "have I seen this query?" once per admission, so the
 //! lookup ([`QueryInterner::lookup`], and [`QueryInterner::intern`] of a known
@@ -52,7 +52,16 @@
 //!    `QueryId`s (linear probing); each interned query keeps its 32-bit
 //!    hash, so a probe rejects almost every other occupant of a chain with
 //!    one integer comparison.
-//! 3. **Compare pass.**  A candidate whose stored hash matches is compared
+//! 3. **Compare bytes.**  An id may keep an **exemplar**: the structure of
+//!    one operand the compare pass matched to it — the query's block up to
+//!    its names (kind bits, width, counts, atom table, constant table, term
+//!    words) — and that operand's variable count.  A candidate whose
+//!    exemplar equals the operand's structure and variable count is a hit
+//!    after one `memcmp`: equal bytes are the same body, variable ids
+//!    included, so the same canonical form.  Apps resend the very query
+//!    they sent before, so a repeat is almost always recognised here.
+//! 4. **Compare pass.**  A candidate whose stored hash matches and whose
+//!    exemplar does not (or that has none) is compared
 //!    with the operand against the arena: first the atom count and each
 //!    atom's relation and arity (the operand's atom table), then its
 //!    term words against the entry's, term by term, in one walk that
@@ -63,6 +72,15 @@
 //!    hit is never trusted on
 //!    its own — the id decides which label an admission gets — so a 32-bit
 //!    hash only changes how often a probe meets a false candidate.
+//!
+//! Exemplars are recorded by the front door's own lookup,
+//! [`QueryInterner::recognise`] (`&mut`): when the compare pass matches an
+//! id that has no exemplar, the operand becomes it.  A shape's first sight
+//! mints, its second records, and from its third on a resent operand costs
+//! a `memcmp`; a shape seen once stores nothing.  `lookup` and `intern`
+//! read exemplars and never record one.  Like the dedup table, exemplars
+//! are derived: a checkpoint does not hold them, a decode starts without
+//! them, and they change no id.
 //!
 //! Only a miss touches anything else: `intern` then appends to the arena
 //! straight from the operand, numbering its variables as it copies them and
@@ -80,9 +98,11 @@
 //! in `QueryId`s.  Ids from one interner are meaningless to another (a
 //! cloned labeler's interner included, once either side mints).
 
+use std::cell::Cell;
+
 use crate::catalog::RelId;
 use crate::error::Result;
-use crate::query::{Body, ConjunctiveQuery, VarTable};
+use crate::query::{atoms_of, Atoms, Body, ConjunctiveQuery, VarTable};
 use crate::term::word::{self, Word};
 use crate::term::{ConstBytes, Constant, VarId, VarKind};
 
@@ -313,13 +333,22 @@ struct QuerySpan {
     num_vars: u32,
 }
 
-/// The span of one interned query's lazily computed fold (core) within the
-/// `fold_atoms` arena.
+/// What the interner derives of one interned query after the fact: the
+/// span of its lazily computed fold (core) within the `fold_atoms` arena,
+/// and the span of its exemplar within the `exemplars` arena.
 #[derive(Debug, Clone, Copy)]
 struct ShapeInfo {
     fold_start: u32,
     fold_len: u32,
     fold_cached: bool,
+    /// The [`structure`](ConjunctiveQuery::structure) of one operand the
+    /// compare pass matched to this id; empty (`exemplar_len` 0) until
+    /// [`QueryInterner::recognise`] records one.  A structure is never
+    /// empty, so an empty span matches no operand.
+    exemplar_start: u32,
+    exemplar_len: u32,
+    /// That operand's variable count.
+    exemplar_vars: u32,
 }
 
 impl ShapeInfo {
@@ -328,7 +357,31 @@ impl ShapeInfo {
         fold_start: 0,
         fold_len: 0,
         fold_cached: false,
+        exemplar_start: 0,
+        exemplar_len: 0,
+        exemplar_vars: 0,
     };
+}
+
+/// How [`QueryInterner::recognise`] (and every lookup) found a known
+/// query.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Recognised {
+    /// The operand's structure and variable count equal its id's
+    /// exemplar's: one byte comparison.
+    Bytes(QueryId),
+    /// The compare pass matched the operand against the arena.
+    Compared(QueryId),
+}
+
+impl Recognised {
+    /// The id the operand interns to.
+    #[inline]
+    pub fn id(self) -> QueryId {
+        match self {
+            Recognised::Bytes(id) | Recognised::Compared(id) => id,
+        }
+    }
 }
 
 /// Variables a query may have before its first-occurrence numbering leaves
@@ -576,6 +629,10 @@ pub struct QueryInterner {
     /// Arena of fold (core) results: indices of the surviving atoms, filled
     /// by [`record_core`](Self::record_core).
     fold_atoms: Vec<u32>,
+    /// Arena of exemplars: per id at most one operand's structure, filled
+    /// by [`recognise`](Self::recognise).  A derived cache like the dedup
+    /// table: not encoded, empty after a decode.
+    exemplars: Vec<u8>,
 }
 
 impl QueryInterner {
@@ -661,15 +718,15 @@ impl QueryInterner {
         }
     }
 
-    /// Compare pass: true if `query` is term for term the interned query
-    /// `id`.  Checks the atom count and each atom's relation and arity,
-    /// then walks the operand's term words once, numbering its variables as
-    /// it goes — a variable's first occurrence takes the next canonical
-    /// index — and checks each variable's index and kind, each constant's
-    /// value, and at the end the variable count.
-    fn equals(&self, id: QueryId, query: &ConjunctiveQuery) -> bool {
+    /// Compare pass: true if `atoms`, the body of a query of `num_vars`
+    /// variables, is term for term the interned query `id`.  Checks the
+    /// atom count and each atom's relation and arity, then walks the
+    /// operand's term words once, numbering its variables as it goes — a
+    /// variable's first occurrence takes the next canonical index — and
+    /// checks each variable's index and kind, each constant's value, and at
+    /// the end the variable count.
+    fn equals(&self, id: QueryId, atoms: Atoms<'_>, num_vars: usize) -> bool {
         let span = self.queries[id.index()];
-        let atoms = query.atoms();
         if span.atom_len as usize != atoms.len() {
             return false;
         }
@@ -691,7 +748,7 @@ impl QueryInterner {
         let first = stored.atoms[0].term_start as usize;
         let operand = atoms.words_to(end);
         let consts = atoms.consts();
-        let mut numbering = Numbering::new(query.num_vars());
+        let mut numbering = Numbering::new(num_vars);
         let same = stored.terms[first..first + operand.len()]
             .iter()
             .zip(operand)
@@ -712,10 +769,47 @@ impl QueryInterner {
         same && numbering.assigned() == span.num_vars
     }
 
-    /// Walks the probe chain of the query's stored hash; a hash match alone
-    /// is never a hit.
-    fn probe(&self, query: &ConjunctiveQuery) -> Option<QueryId> {
-        self.find(query.shape_hash(), |id| self.equals(id, query))
+    /// Walks the probe chain of the query's stored hash once.  A candidate
+    /// whose stored hash matches is a hit if its exemplar has the query's
+    /// structure and variable count, else if the compare pass matches it.
+    /// A hash match alone is never a hit.
+    fn probe(&self, query: &ConjunctiveQuery) -> Option<Recognised> {
+        let by_bytes = Cell::new(false);
+        let id = self.find(query.shape_hash(), |id| {
+            by_bytes.set(self.is_exemplar(id, query));
+            by_bytes.get() || self.equals(id, query.atoms(), query.num_vars())
+        })?;
+        Some(if by_bytes.get() {
+            Recognised::Bytes(id)
+        } else {
+            Recognised::Compared(id)
+        })
+    }
+
+    /// The exemplar of `id` has `query`'s structure and variable count.
+    #[inline]
+    fn is_exemplar(&self, id: QueryId, query: &ConjunctiveQuery) -> bool {
+        let shape = &self.shapes[id.index()];
+        shape.exemplar_vars as usize == query.num_vars()
+            && self.exemplars[shape.exemplar_start as usize..][..shape.exemplar_len as usize]
+                == *query.structure()
+    }
+
+    /// Records `query`, which the compare pass matched to `id`, as the
+    /// exemplar of an id that has none.  Past 4 GiB of exemplars nothing
+    /// more is recorded: an exemplar only spares a compare pass.
+    fn record_exemplar(&mut self, id: QueryId, query: &ConjunctiveQuery) {
+        let structure = query.structure();
+        let start = self.exemplars.len();
+        if u32::try_from(start + structure.len()).is_err() {
+            return;
+        }
+        let shape = &mut self.shapes[id.index()];
+        debug_assert_eq!(shape.exemplar_len, 0, "an id records one exemplar");
+        shape.exemplar_start = start as u32;
+        shape.exemplar_len = structure.len() as u32;
+        shape.exemplar_vars = query.num_vars() as u32;
+        self.exemplars.extend_from_slice(structure);
     }
 
     /// The first indexed query on `hash`'s probe chain with that stored
@@ -804,7 +898,7 @@ impl QueryInterner {
     /// allocating; only a new shape is copied into the arena.
     pub fn intern(&mut self, query: &ConjunctiveQuery) -> QueryId {
         match self.probe(query) {
-            Some(id) => id,
+            Some(found) => found.id(),
             None => self.append(query),
         }
     }
@@ -814,7 +908,26 @@ impl QueryInterner {
     /// Returns the id the query *would* intern to, or `None` if its
     /// canonical form (or any of its constants) has never been interned.
     pub fn lookup(&self, query: &ConjunctiveQuery) -> Option<QueryId> {
-        self.probe(query)
+        self.probe(query).map(Recognised::id)
+    }
+
+    /// The front door's lookup: [`lookup`](Self::lookup), saying how the
+    /// query was recognised, and recording it as its id's exemplar when
+    /// the compare pass matched it and the id has none yet.  So the second
+    /// sight of a shape pays the compare pass once more, and every later
+    /// operand with the exemplar's structure is recognised by one byte
+    /// comparison.  Beyond what `lookup` allocates, it allocates only the
+    /// exemplar arena's amortised growth, when it records.
+    /// [`lookup`](Self::lookup) and
+    /// [`intern`](Self::intern) read exemplars but never record one.
+    pub fn recognise(&mut self, query: &ConjunctiveQuery) -> Option<Recognised> {
+        let found = self.probe(query)?;
+        if let Recognised::Compared(id) = found {
+            if self.shapes[id.index()].exemplar_len == 0 {
+                self.record_exemplar(id, query);
+            }
+        }
+        Some(found)
     }
 
     /// Resolves an id to its zero-copy [`QueryRef`] view.
@@ -1099,13 +1212,14 @@ impl QueryInterner {
     /// is the [`shape_hash`](ConjunctiveQuery::shape_hash) its
     /// reconstructed query's constructor computes.  So an entry is found by
     /// its own lookup, no two entries hold one shape, and the arena's hash
-    /// and the constructors' agree.  A check for tests (a decode holds it
-    /// by construction, since it interns every query again); it rebuilds
-    /// every query.
+    /// and the constructors' agree.  And every recorded exemplar, read as
+    /// a body, is term for term its id's arena entry.  A check for tests (a
+    /// decode holds it by construction, since it interns every query
+    /// again); it rebuilds every query.
     ///
     /// # Panics
     ///
-    /// Panics, naming the id, on the first entry that breaks either.
+    /// Panics, naming the id, on the first entry that breaks any of them.
     pub fn check_invariants(&self) {
         for i in 0..self.len() as u32 {
             let id = QueryId(i);
@@ -1120,6 +1234,16 @@ impl QueryInterner {
                 query.shape_hash(),
                 "interned query {i}'s stored hash is not its query's shape hash"
             );
+            let shape = self.shapes[id.index()];
+            if shape.exemplar_len != 0 {
+                let structure =
+                    &self.exemplars[shape.exemplar_start as usize..][..shape.exemplar_len as usize];
+                let vars = shape.exemplar_vars as usize;
+                assert!(
+                    self.equals(id, atoms_of(structure, vars), vars),
+                    "interned query {i}'s exemplar is not its arena entry"
+                );
+            }
         }
     }
 }
@@ -1637,6 +1761,23 @@ mod tests {
         // A stranger walks the whole chain and still misses.
         let stranger = q(&c, "Q() :- Meetings(z, z)").with_shape_hash(forged);
         assert_eq!(interner.lookup(&stranger), None);
+        // With every shape's exemplar on the one chain, each is recognised
+        // by its own bytes, and the stranger matches none of them.
+        for (shape, &id) in shapes.iter().zip(&ids) {
+            let forged_shape = shape.clone().with_shape_hash(forged);
+            assert_eq!(
+                interner.recognise(&forged_shape),
+                Some(Recognised::Compared(id))
+            );
+        }
+        for (shape, &id) in shapes.iter().zip(&ids) {
+            let forged_shape = shape.clone().with_shape_hash(forged);
+            assert_eq!(
+                interner.recognise(&forged_shape),
+                Some(Recognised::Bytes(id))
+            );
+        }
+        assert_eq!(interner.recognise(&stranger), None);
 
         // The numbering is injective both ways: two operand variables never
         // share a stored index, and one operand variable never takes two.
@@ -1750,6 +1891,91 @@ mod tests {
             .downcast_ref::<String>()
             .expect("the assertion formats its message");
         assert!(message.contains("interned query 1"), "{message}");
+    }
+
+    #[test]
+    fn check_invariants_names_an_exemplar_that_is_not_its_entry() {
+        let c = catalog();
+        let mut interner = QueryInterner::new();
+        for text in ["Q(x) :- Meetings(x, y)", "Q(x, y) :- Meetings(x, y)"] {
+            let query = q(&c, text);
+            interner.intern(&query);
+            interner.recognise(&query);
+        }
+        interner.check_invariants();
+        // Swap the two exemplars: each is a valid structure, of the other id.
+        let (first, second) = (interner.shapes[0], interner.shapes[1]);
+        interner.shapes[0].exemplar_start = second.exemplar_start;
+        interner.shapes[1].exemplar_start = first.exemplar_start;
+        let forged = std::panic::catch_unwind(|| interner.check_invariants());
+        let message = forged.expect_err("a swapped exemplar breaks the invariants");
+        let message = message
+            .downcast_ref::<String>()
+            .expect("the assertion formats its message");
+        assert!(message.contains("interned query 0's exemplar"), "{message}");
+    }
+
+    #[test]
+    fn a_resent_operand_is_recognised_by_its_bytes_from_its_third_sight() {
+        let c = catalog();
+        let mut interner = QueryInterner::new();
+        let query = q(&c, "Q(x) :- Meetings(x, y), Contacts(y, w, 'Intern')");
+        assert_eq!(interner.recognise(&query), None);
+        let id = interner.intern(&query);
+        // `intern` and `lookup` never record.
+        assert_eq!(interner.intern(&query), id);
+        assert_eq!(interner.lookup(&query), Some(id));
+        assert!(interner.exemplars.is_empty());
+        // The second sight through the front door records; the third is a
+        // byte hit, and so is a clone.
+        assert_eq!(interner.recognise(&query), Some(Recognised::Compared(id)));
+        let recorded = interner.exemplars.len();
+        assert_eq!(recorded, query.structure().len());
+        assert_eq!(interner.recognise(&query), Some(Recognised::Bytes(id)));
+        assert_eq!(
+            interner.recognise(&query.clone()),
+            Some(Recognised::Bytes(id))
+        );
+        // Names of the same lengths leave the structure as it is; other
+        // variable ids do not, and a recorded id records nothing more.
+        let renamed = q(&c, "Q(a) :- Meetings(a, b), Contacts(b, d, 'Intern')");
+        assert_eq!(interner.recognise(&renamed), Some(Recognised::Bytes(id)));
+        let permuted = ConjunctiveQuery::from_parts(
+            query
+                .atoms()
+                .map(|atom| {
+                    let terms = atom.terms().iter().map(|term| match term.to_term() {
+                        Term::Var(v, kind) => Term::Var(VarId(2 - v.0), kind),
+                        constant => constant,
+                    });
+                    Atom::new(atom.relation, terms.collect())
+                })
+                .collect(),
+            vec![
+                VarKind::Existential,
+                VarKind::Existential,
+                VarKind::Distinguished,
+            ],
+            vec!["w".into(), "y".into(), "x".into()],
+        )
+        .unwrap();
+        assert_eq!(
+            interner.recognise(&permuted),
+            Some(Recognised::Compared(id))
+        );
+        assert_eq!(interner.exemplars.len(), recorded);
+        interner.check_invariants();
+        // A clone keeps its exemplars; a decode starts without them.
+        assert_eq!(
+            interner.clone().recognise(&query),
+            Some(Recognised::Bytes(id))
+        );
+        let mut bytes = Vec::new();
+        interner.encode_into(&mut bytes);
+        let mut back =
+            QueryInterner::decode_from(&mut fdc_durability::codec::Cursor::new(&bytes)).unwrap();
+        assert!(back.exemplars.is_empty());
+        assert_eq!(back.recognise(&query), Some(Recognised::Compared(id)));
     }
 
     #[test]

@@ -1210,14 +1210,17 @@ impl ConjunctiveQuery {
     /// The body atoms, in order.
     #[inline]
     pub fn atoms(&self) -> Atoms<'_> {
-        let head = self.head();
-        Atoms {
-            table: head.atoms_of(&self.block),
-            width: head.width,
-            words: &self.block[head.words..],
-            consts: head.consts_of(&self.block),
-            start: 0,
-        }
+        atoms_of(&self.block, self.num_vars())
+    }
+
+    /// The query's structure: its block up to the name end offsets — the
+    /// kind bitset, the width byte, the counts, the atom table, the
+    /// constant table and the term words; everything but the names.  Two
+    /// queries of equal structure and equal variable count have the same
+    /// body, variable ids included, so they intern to one id.
+    #[inline]
+    pub(crate) fn structure(&self) -> &[u8] {
+        &self.block[..self.layout().name_ends()]
     }
 
     /// Body atom `i`.
@@ -1513,6 +1516,21 @@ fn check_var_count(num_vars: usize) -> Result<()> {
 pub(crate) fn words(bytes: &[u8]) -> impl ExactSizeIterator<Item = u32> + Clone + '_ {
     let (words, _) = bytes.as_chunks::<WORD_BYTES>();
     words.iter().map(|&word| u32::from_le_bytes(word))
+}
+
+/// The body atoms laid out in `block`, the block or the
+/// [`structure`](ConjunctiveQuery::structure) of a query of `vars`
+/// variables: only the structure is read.
+#[inline]
+pub(crate) fn atoms_of(block: &[u8], vars: usize) -> Atoms<'_> {
+    let head = Head::of(block, vars);
+    Atoms {
+        table: head.atoms_of(block),
+        width: head.width,
+        words: &block[head.words..],
+        consts: head.consts_of(block),
+        start: 0,
+    }
 }
 
 /// The body atoms of a [`ConjunctiveQuery`], in order:

@@ -24,8 +24,8 @@ use std::path::Path;
 use std::sync::Arc;
 
 use fdc_core::{
-    CacheStats, CachedLabeler, PackedLabel, QueryLabeler, SecurityViews, DEFAULT_CACHE_CAPACITY,
-    MAX_PACKED_VIEWS_PER_RELATION,
+    CacheStats, CachedLabeler, DoorStats, PackedLabel, QueryLabeler, SecurityViews,
+    DEFAULT_CACHE_CAPACITY, MAX_PACKED_VIEWS_PER_RELATION,
 };
 use fdc_cq::intern::{QueryId, QueryInterner};
 use fdc_cq::{ConjunctiveQuery, RelId};
@@ -876,7 +876,7 @@ impl DisclosureService {
         self.stats.admissions += 1;
         self.arena.clear();
         match query {
-            AdmissionQuery::Plain(q) => self.labeler.append_packed(q, &mut self.arena),
+            AdmissionQuery::Plain(q) => self.labeler.append_packed_uncached(q, &mut self.arena),
             AdmissionQuery::Interned(id) => {
                 self.labeler.append_packed_interned(id, &mut self.arena);
             }
@@ -1520,5 +1520,10 @@ impl LabelerView<'_> {
     /// The labeler's hit/miss/invalidation counters and cache sizes.
     pub fn stats(&self) -> CacheStats {
         self.0.stats()
+    }
+
+    /// How the front door has resolved the boxed operands it was handed.
+    pub fn door_stats(&self) -> DoorStats {
+        self.0.door_stats()
     }
 }

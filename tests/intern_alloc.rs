@@ -12,6 +12,14 @@
 //! * **at most 1** for a known shape one variable past that capacity (the
 //!   heap fallback of the numbering).
 //!
+//! The front door's own lookup, `QueryInterner::recognise`, is pinned too:
+//!
+//! * **0** allocations for a repeat recognised by its bytes (its id's
+//!   exemplar), at any variable count — the byte step numbers nothing;
+//! * **at most 1** for the call that records an exemplar (the exemplar
+//!   arena's amortised growth), plus the numbering's fallback past 64
+//!   variables.
+//!
 //! The first sight of a shape is pinned the same way, once its fold is on
 //! record:
 //!
@@ -34,7 +42,7 @@ use std::hint::black_box;
 use fdc::core::dissect::InternedDissection;
 use fdc::core::CachedLabeler;
 use fdc::cq::folding::fold_interned_indices;
-use fdc::cq::intern::{ITerm, QueryInterner};
+use fdc::cq::intern::{ITerm, QueryInterner, Recognised};
 use fdc::cq::{Atom, ConjunctiveQuery, Term};
 use fdc::ecosystem::{facebook_catalog, Ecosystem};
 
@@ -112,6 +120,69 @@ fn one_variable_past_the_capacity_costs_at_most_the_fallback_allocation() {
     let (lookup, intern) = hit_path_allocations(&query);
     assert!(lookup <= 1, "lookup allocated {lookup} times");
     assert!(intern <= 1, "intern allocated {intern} times");
+}
+
+/// Interns `query`, then counts what the front door's recording call and
+/// a byte-recognised repeat cost.
+fn front_door_allocations(query: &ConjunctiveQuery) -> (u64, u64) {
+    let mut interner = QueryInterner::new();
+    for fresh in [1, 2, 3] {
+        interner.intern(&user_join(fresh));
+    }
+    let id = interner.intern(query);
+    let record = allocations(|| {
+        assert_eq!(
+            black_box(interner.recognise(black_box(query))),
+            Some(Recognised::Compared(id))
+        );
+    });
+    let repeat = allocations(|| {
+        assert_eq!(
+            black_box(interner.recognise(black_box(query))),
+            Some(Recognised::Bytes(id))
+        );
+    });
+    (record, repeat)
+}
+
+#[test]
+fn a_repeat_recognised_by_its_bytes_allocates_nothing() {
+    for joined in [10, 30, 31] {
+        let (record, repeat) = front_door_allocations(&user_join(joined));
+        assert_eq!(repeat, 0, "a byte hit on user_join({joined}) allocated");
+        // The first exemplar grows the empty arena: one block.  Past 64
+        // variables the compare pass's numbering takes one more.
+        let fallback = u64::from(user_join(joined).num_vars() > 64);
+        assert_eq!(record, 1 + fallback, "recording user_join({joined})");
+    }
+}
+
+#[test]
+fn recording_exemplars_allocates_at_most_the_arenas_amortised_growth() {
+    // Many shapes recorded one after another: each recording call costs
+    // at most one block (the arena's growth), and the blocks grow
+    // geometrically, so most calls cost none.
+    let mut interner = QueryInterner::new();
+    let shapes: Vec<ConjunctiveQuery> = (1..=30).map(user_join).collect();
+    for shape in &shapes {
+        interner.intern(shape);
+    }
+    let mut total = 0;
+    for shape in &shapes {
+        let count = allocations(|| {
+            black_box(interner.recognise(black_box(shape)));
+        });
+        assert!(count <= 1, "one recording call allocated {count} times");
+        total += count;
+    }
+    assert!(total <= 8, "30 recordings allocated {total} times");
+    for shape in &shapes {
+        let count = allocations(|| {
+            let found = black_box(interner.recognise(black_box(shape)));
+            assert!(matches!(found, Some(Recognised::Bytes(_))));
+        });
+        assert_eq!(count, 0);
+    }
 }
 
 /// What reading every part's shape of a shape whose fold is on record

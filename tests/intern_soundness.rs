@@ -18,15 +18,21 @@
 //! self-joins.
 //!
 //! Also pinned: what an id resolves to is a property of the canonical
-//! query, not of interner history.
+//! query, not of interner history; and the front door's byte step
+//! (`QueryInterner::recognise`) answers exactly what `lookup` answers,
+//! whatever exemplar an id holds.
+
+use std::collections::{HashMap, HashSet};
 
 use fdc::cq::canonical::{rename_canonical, structurally_identical};
 use fdc::cq::containment::equivalent;
-use fdc::cq::intern::QueryInterner;
+use fdc::cq::intern::{QueryId, QueryInterner, Recognised};
 use fdc::cq::parser::parse_query;
 use fdc::cq::{Atom, Catalog, ConjunctiveQuery, Constant, RelId, Term, VarId, VarKind};
 use fdc::durability::codec::Cursor;
-use fdc::ecosystem::{Ecosystem, WorkloadConfig};
+use fdc::ecosystem::policies::PolicyGeneratorConfig;
+use fdc::ecosystem::{ChurnConfig, Ecosystem, WorkloadConfig};
+use fdc::service::{Operation, ServiceConfig};
 use proptest::prelude::*;
 
 /// One shared soundness check: interning `query` twice (once as given, once
@@ -714,4 +720,255 @@ fn random_queries_keep_their_ids_across_an_encode_and_decode() {
     }
     assert_eq!(back.len(), interner.len());
     assert_eq!(image(&back), bytes);
+}
+
+// ---------------------------------------------------------------------
+// The front door's byte step: an id may keep one operand's structure (its
+// exemplar), and `recognise` accepts an operand whose structure and
+// variable count equal it without the compare pass.  Whatever exemplar an
+// id holds, `recognise` must answer what `lookup` answers and what an
+// interner built by `intern` alone answers.
+// ---------------------------------------------------------------------
+
+/// `query` with every variable renamed — same ids, same kinds — to a name
+/// of `len + 1` bytes.
+fn renamed(query: &ConjunctiveQuery, len: usize) -> ConjunctiveQuery {
+    let names = (0..query.num_vars())
+        .map(|v| format!("v{v:_>len$}"))
+        .collect();
+    ConjunctiveQuery::from_parts(
+        query.atoms().map(|atom| atom.to_atom()).collect(),
+        query.var_kinds().collect(),
+        names,
+    )
+    .unwrap()
+}
+
+/// `query` with its variable ids permuted at random, each variable keeping
+/// its kind and name: an alpha-variant with other term words.
+fn permuted(query: &ConjunctiveQuery, state: &mut u64) -> ConjunctiveQuery {
+    let n = query.num_vars();
+    let mut perm: Vec<u32> = (0..n as u32).collect();
+    for i in (1..n).rev() {
+        perm.swap(i, (next(state) % (i as u64 + 1)) as usize);
+    }
+    let atoms = query
+        .atoms()
+        .map(|atom| {
+            let terms = atom.terms().iter().map(|term| match term.to_term() {
+                Term::Var(v, kind) => Term::Var(VarId(perm[v.index()]), kind),
+                constant => constant,
+            });
+            Atom::new(atom.relation, terms.collect())
+        })
+        .collect();
+    let mut kinds = vec![VarKind::Existential; n];
+    let mut names = vec![String::new(); n];
+    for v in 0..n {
+        kinds[perm[v] as usize] = query.var_kind(VarId(v as u32));
+        names[perm[v] as usize] = query.var_name(VarId(v as u32)).to_owned();
+    }
+    ConjunctiveQuery::from_parts(atoms, kinds, names).unwrap()
+}
+
+/// Interns the first half of `pool` (rounded up) into two interners, then
+/// puts five variants of every pool query — itself, a clone, renamed with
+/// 3-byte and with 301-byte names (the latter widen the block), and
+/// permuted — through `recognise` on one of them, three times over: before
+/// any exemplar, as the first one records, and after.  Every answer must
+/// be `lookup`'s and the other interner's, which only ever `intern`s; a
+/// query of the second half stays unknown to both.  An id's exemplar is
+/// the first variant the compare pass matched, so that variant and its
+/// clone are byte hits from then on.
+fn assert_front_door_is_exact(pool: &[ConjunctiveQuery], seed: u64) {
+    let mut door = QueryInterner::new();
+    let mut plain = QueryInterner::new();
+    for query in &pool[..pool.len().div_ceil(2)] {
+        prop_assert_eq!(door.intern(query), plain.intern(query));
+    }
+    let mut state = seed | 1;
+    let mut recorded: HashSet<QueryId> = HashSet::new();
+    for query in pool {
+        let variants = [
+            query.clone(),
+            query.clone(),
+            renamed(query, 2),
+            renamed(query, 300),
+            permuted(query, &mut state),
+        ];
+        let first_record = plain.lookup(query).filter(|&id| !recorded.contains(&id));
+        for _ in 0..3 {
+            for variant in &variants {
+                let expected = plain.lookup(variant);
+                if let Some(id) = expected {
+                    prop_assert_eq!(plain.intern(variant), id);
+                    recorded.insert(id);
+                }
+                prop_assert_eq!(door.lookup(variant), expected, "{:?}", variant);
+                prop_assert_eq!(
+                    door.recognise(variant).map(Recognised::id),
+                    expected,
+                    "{:?}",
+                    variant
+                );
+            }
+        }
+        if let Some(id) = first_record {
+            prop_assert_eq!(door.recognise(&variants[0]), Some(Recognised::Bytes(id)));
+            prop_assert_eq!(door.recognise(&variants[1]), Some(Recognised::Bytes(id)));
+        }
+    }
+    prop_assert_eq!(door.len(), plain.len());
+    door.check_invariants();
+}
+
+/// The hand-written pool: constants, repeated variables, self-joins and
+/// permuted heads over the paper's schema.
+fn hand_pool() -> Vec<ConjunctiveQuery> {
+    let catalog = Catalog::paper_example();
+    [
+        "Q(x) :- Meetings(x, y)",
+        "Q(y) :- Meetings(x, y)",
+        "Q(x, y) :- Meetings(x, y)",
+        "Q() :- Meetings(z, z)",
+        "Q(x) :- Meetings(x, 'Cathy')",
+        "Q() :- Meetings(9, 'Jim')",
+        "Q(x) :- Meetings(x, y), Contacts(y, w, 'Intern')",
+        "Q() :- Contacts(p, r, s), Meetings(x, y)",
+        "Q() :- Meetings(x, y), Meetings(y, z), Meetings(z, x)",
+        "Q(a) :- Meetings(a, b)",
+        "Q(x) :- Meetings(x, 'Bob')",
+        "Q(x) :- Meetings(x, y), Contacts(y, w, 'Manager')",
+        "Q() :- Meetings(x, y), Meetings(x, z), Meetings(x, w)",
+        "Q(x) :- Meetings(x, x)",
+    ]
+    .iter()
+    .map(|text| parse_query(&catalog, text).unwrap())
+    .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Section 7.2 streams: 40 generated queries, half of them interned.
+    #[test]
+    fn the_front_door_answers_what_lookup_answers_on_ecosystem_workloads(
+        seed in 0u64..1_000_000,
+        max_subqueries in 1usize..5,
+    ) {
+        let eco = Ecosystem::new();
+        let queries = eco.workload(WorkloadConfig::stress(max_subqueries, seed)).batch(40);
+        assert_front_door_is_exact(&queries, seed);
+    }
+
+    /// The hand-written pool, in a seed-dependent order.
+    #[test]
+    fn the_front_door_answers_what_lookup_answers_on_tricky_shapes(seed in 0u64..1_000_000) {
+        let mut pool = hand_pool();
+        let mut state = seed | 1;
+        for i in (1..pool.len()).rev() {
+            pool.swap(i, (next(&mut state) % (i as u64 + 1)) as usize);
+        }
+        assert_front_door_is_exact(&pool, seed);
+    }
+}
+
+/// The door's counters on a seeded hot stream (a 300-query pool, 1 %
+/// grants and revokes, 10 % checks) served twice through `run_pipelined`.
+/// Each admission moves exactly one counter; the first pass mints each
+/// shape once.  The expected byte hits are counted by a model of the
+/// recording rule that tells operands apart by `==` (equal queries have
+/// equal blocks): an id's exemplar is the first operand the compare pass
+/// matched, and an operand equal to it is a byte hit.  Different operands
+/// of one structure (other names, same widths) are byte hits the model
+/// does not count, so the model bounds byte hits from below and compare
+/// hits from above.  After the warm pass, compare hits stay within the
+/// number of distinct shapes, and every resent operand is a byte hit.
+#[test]
+fn a_warm_hot_stream_is_recognised_by_its_bytes() {
+    let eco = Ecosystem::new();
+    let mut service = eco.disclosure_service(
+        PolicyGeneratorConfig::default(),
+        200,
+        ServiceConfig::default(),
+    );
+    let ops = eco
+        .churn(ChurnConfig {
+            mutation_ratio: 0.01,
+            add_view_share: 0.0,
+            check_share: 0.1,
+            query_pool: 300,
+            num_principals: 200,
+            seed: 7,
+            workload: WorkloadConfig::stress(2, 7),
+        })
+        .ops(6_000);
+    let operands: Vec<&ConjunctiveQuery> = ops
+        .iter()
+        .filter_map(|op| match op {
+            Operation::Submit { query, .. } | Operation::Check { query, .. } => Some(query),
+            _ => None,
+        })
+        .collect();
+    // The model, over both passes.  `ids` is filled by the service's own
+    // interner after the first pass: the model only needs to know which
+    // operands share an id.
+    let mut passes = Vec::new();
+    let mut before = service.labeler().door_stats();
+    for _ in 0..2 {
+        service.run_pipelined(&ops);
+        let after = service.labeler().door_stats();
+        passes.push((
+            after.byte_hits - before.byte_hits,
+            after.compare_hits - before.compare_hits,
+            after.misses - before.misses,
+            after.over_budget - before.over_budget,
+        ));
+        before = after;
+    }
+    let interner = service.interner();
+    interner.check_invariants();
+    let ids: Vec<QueryId> = operands
+        .iter()
+        .map(|query| interner.lookup(query).expect("every operand was minted"))
+        .collect();
+    let shapes = ids.iter().collect::<HashSet<_>>().len() as u64;
+    let mut exemplars: HashMap<QueryId, &ConjunctiveQuery> = HashMap::new();
+    let mut seen: HashSet<QueryId> = HashSet::new();
+    let mut model = [(0u64, 0u64); 2];
+    for (pass, counts) in model.iter_mut().enumerate() {
+        for (&query, &id) in operands.iter().zip(&ids) {
+            if seen.insert(id) {
+                assert_eq!(pass, 0, "a shape is first seen in the first pass");
+            } else if exemplars
+                .get(&id)
+                .is_some_and(|&exemplar| exemplar == query)
+            {
+                counts.0 += 1;
+            } else {
+                exemplars.entry(id).or_insert(query);
+                counts.1 += 1;
+            }
+        }
+    }
+    let admissions = operands.len() as u64;
+    for (pass, (&(byte_hits, compare_hits, misses, over_budget), &(model_bytes, model_compared))) in
+        passes.iter().zip(&model).enumerate()
+    {
+        assert_eq!(over_budget, 0, "pass {pass}");
+        assert_eq!(misses, if pass == 0 { shapes } else { 0 }, "pass {pass}");
+        assert_eq!(byte_hits + compare_hits + misses, admissions, "pass {pass}");
+        assert!(
+            byte_hits >= model_bytes,
+            "pass {pass}: {byte_hits} < {model_bytes}"
+        );
+        assert!(compare_hits <= model_compared, "pass {pass}");
+    }
+    let (byte_hits, compare_hits, _, _) = passes[1];
+    assert!(
+        compare_hits <= shapes,
+        "{compare_hits} compare hits, {shapes} shapes"
+    );
+    assert!(byte_hits >= admissions - shapes);
+    assert!(byte_hits > 0 && model[1].0 > 0);
 }
