@@ -318,10 +318,19 @@ const QUERY_HEAP_BYTES_CEILING: [(f64, f64); 5] = [
 /// is one block, whatever it holds.
 const QUERY_BLOCKS: f64 = 1.0;
 
+/// The paper's Figure 5 order, `(faster, slower, floor)`: at every sweep
+/// point of a full run `faster / slower >= floor` (the committed file
+/// reads 1.09–1.14 and 1.62–2.64).  A smoke run's one repeat is too noisy
+/// to gate.
+const FIG5_ORDER: [(&str, &str, f64); 2] = [
+    ("hashing_only", "baseline", 1.0),
+    ("bitvectors_hashing", "hashing_only", 1.25),
+];
+
 /// Figure 5 gate: the interned series and the query footprint exist at
 /// every sweep point, the footprint stays under its ceiling at one block a
-/// query, and the interned headline speedup over the cached baseline
-/// clears the floor.
+/// query, a full run keeps the paper's order ([`FIG5_ORDER`]), and the
+/// interned headline speedup over the cached baseline clears the floor.
 fn check_fig5(path: &str, smoke: bool) -> Result<(), String> {
     let doc = load(path)?;
     for point in sweep(&doc, path)? {
@@ -376,6 +385,20 @@ fn check_fig5(path: &str, smoke: bool) -> Result<(), String> {
                 return Err(format!(
                     "`{path}`: `query_heap_bytes` above its ceiling at max_atoms \
                      {max_atoms} — {bytes:.1} > {ceiling:.1}"
+                ));
+            }
+        }
+        for &(faster, slower, floor) in FIG5_ORDER.iter().filter(|_| !smoke) {
+            let rate = |name| {
+                series.get(name).and_then(Json::as_number).ok_or_else(|| {
+                    format!("`{path}`: series `{name}` missing at max_atoms {max_atoms}")
+                })
+            };
+            let ratio = rate(faster)? / rate(slower)?;
+            if ratio.is_nan() || ratio < floor {
+                return Err(format!(
+                    "`{path}`: `{faster}` / `{slower}` = {ratio:.2} < {floor} at max_atoms \
+                     {max_atoms}"
                 ));
             }
         }
@@ -847,7 +870,8 @@ mod tests {
   }},
   "sweep": [
     {{"max_atoms": 3, "query_heap_bytes": 100.0, "query_blocks": 1.0,
-      "queries_per_sec": {{"baseline": 100000.0,
+      "queries_per_sec": {{"baseline": 100000.0, "hashing_only": 110000.0,
+      "bitvectors_hashing": 200000.0,
       "cached_sequential": 400000.0, "interned": 900000.0}}}}
   ]
 }}"#
@@ -875,6 +899,52 @@ mod tests {
         std::fs::write(&path, stripped).unwrap();
         let err = check_fig5(path.to_str().unwrap(), true).unwrap_err();
         assert!(err.contains("`interned_cold` missing"), "{err}");
+    }
+
+    #[test]
+    fn fig5_order_gate_names_the_offending_point() {
+        let dir = std::env::temp_dir().join("fdc_bench_check_fig5_order_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("fig5.json");
+        let point = |atoms: u32, hashing: u32, bitvectors: u32| {
+            format!(
+                r#"{{"max_atoms": {atoms}, "query_heap_bytes": 1, "query_blocks": 1, "queries_per_sec":
+                {{"baseline": 100, "hashing_only": {hashing}, "bitvectors_hashing": {bitvectors},
+                "cached_sequential": 1, "interned": 1}}}}"#
+            )
+        };
+        let check = |last: String, smoke: bool| {
+            let doc = format!(
+                r#"{{"min_speedup_interned_vs_cached": 4, "high_atoms": {{"sweep": [{{"max_atoms": 20,
+                "interned_cold": 1}}, {{"max_atoms": 28, "interned_cold": 1}}]}}, "sweep": [{}, {last}]}}"#,
+                point(3, 110, 200)
+            );
+            std::fs::write(&path, doc).unwrap();
+            check_fig5(path.to_str().unwrap(), smoke)
+                .err()
+                .unwrap_or_default()
+        };
+        // Both floors met exactly; a smoke run is not held to them.
+        assert_eq!(check(point(6, 100, 125), false), "");
+        assert_eq!(check(point(6, 99, 100), true), "");
+        let err = check(point(6, 99, 200), false);
+        assert!(
+            err.contains("`hashing_only` / `baseline` = 0.99 < 1 at max_atoms 6"),
+            "{err}"
+        );
+        let err = check(point(6, 110, 120), false);
+        assert!(
+            err.contains("`hashing_only` = 1.09 < 1.25 at max_atoms 6"),
+            "{err}"
+        );
+        let err = check(
+            point(6, 110, 200).replace(r#""hashing_only": 110,"#, ""),
+            false,
+        );
+        assert!(
+            err.contains("series `hashing_only` missing at max_atoms 6"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -267,10 +267,6 @@ fn render_json(
                 "          \"invalidations\": {},\n",
                 m.cache.invalidations
             ));
-            out.push_str(&format!(
-                "          \"batch_dedup_hits\": {},\n",
-                m.cache.batch_dedup_hits
-            ));
             out.push_str(&format!("          \"entries\": {}\n", m.cache.entries));
             out.push_str("        }\n");
             out.push_str(if j + 1 == point.results.len() {

@@ -354,11 +354,9 @@ pub struct CacheStats {
     /// View-universe invalidations applied to this labeler
     /// ([`CachedLabeler::add_view`] / [`CachedLabeler::invalidate_relation`]).
     pub invalidations: u64,
-    /// Whole-query labelings answered by batch-level dedup: a duplicate of
-    /// a query already labeled earlier in the *same batch* reused that
-    /// label instead of re-entering the pipeline.  Every dedup hit is also
-    /// counted in [`hits`](Self::hits), so the other counters match what a
-    /// sequential run of the same batch would report.
+    /// Always 0: every labeled id keeps its entry in its own slot, so a
+    /// repeat within a batch is an ordinary [`hit`](Self::hits).  Kept, as
+    /// [`atom_hits`](Self::atom_hits) is.
     pub batch_dedup_hits: u64,
 }
 
@@ -399,7 +397,6 @@ struct LabelCounters {
     query_refreshes: Cell<u64>,
     atom_refreshes: Cell<u64>,
     invalidations: Cell<u64>,
-    batch_dedup_hits: Cell<u64>,
     door_byte_hits: Cell<u64>,
     door_compare_hits: Cell<u64>,
     door_misses: Cell<u64>,
@@ -418,7 +415,7 @@ impl LabelCounters {
             query_refreshes: self.query_refreshes.get(),
             atom_refreshes: self.atom_refreshes.get(),
             invalidations: self.invalidations.get(),
-            batch_dedup_hits: self.batch_dedup_hits.get(),
+            batch_dedup_hits: 0,
         }
     }
 }
@@ -550,30 +547,6 @@ impl Iterator for Survivors<'_> {
     }
 }
 
-/// The query-level cache: a slot vector indexed by [`QueryId`] and its
-/// occupancy count.  Dense ids make a `Vec` strictly better than a hash map
-/// here: no hashing, no probing, a bounds check plus an index.  A slot is
-/// 16 bytes (pinned by a test): the entry's one pointer and length.
-#[derive(Debug, Clone, Default)]
-struct LabelTables {
-    slots: Vec<Option<QueryEntry>>,
-    /// Occupied slots (capacity accounting).
-    occupied: usize,
-}
-
-impl LabelTables {
-    /// Fills the slot of `id`, growing the slot vector to cover it, and
-    /// counts it if it was empty.
-    fn store(&mut self, id: QueryId, entry: QueryEntry) {
-        if id.index() >= self.slots.len() {
-            self.slots.resize_with(id.index() + 1, || None);
-        }
-        let slot = &mut self.slots[id.index()];
-        self.occupied += usize::from(slot.is_none());
-        *slot = Some(entry);
-    }
-}
-
 /// A labeler that memoizes labeling by **interned query id**.
 ///
 /// A disclosure label depends only on the query's structure up to variable
@@ -636,14 +609,12 @@ impl LabelTables {
 /// them through [`RefCell`] and [`Cell`].  A clone is an independent deep
 /// copy.
 ///
-/// Memory is bounded: the cache stops admitting new entries once it holds
-/// [`capacity_limit`](Self::capacity_limit) canonical forms (lookups and
-/// the computed results are unaffected — over-limit shapes are simply
-/// recomputed), and the implicit path stops interning unknown shapes at
-/// the same limit ([`intern_within_budget`](Self::intern_within_budget)),
-/// so a high-cardinality or adversarial stream of never-repeating shapes
-/// cannot grow the table or the arena without bound.  Only a lookup that
-/// found *nothing* charges the capacity; a refresh keeps its slot.
+/// Memory is bounded by the id space: an entry lives in its id's slot, and
+/// the front door ([`intern_within_budget`](Self::intern_within_budget))
+/// mints no id past the [`intern_budget`](Self::intern_budget), so a stream
+/// of never-repeating shapes cannot grow the arena or the cache without
+/// bound.  The budget left is read off the interner, so a decoded or
+/// replayed interner brings it back exactly.
 ///
 /// The labeler is **epoch-aware**: every cached mask and label records the
 /// per-relation epoch of the [`SecurityViews`] registry it was computed
@@ -664,34 +635,37 @@ pub struct CachedLabeler {
     view_qids: Vec<QueryId>,
     /// The query interner — the id authority the cache is keyed by.
     pub(crate) interner: RefCell<QueryInterner>,
-    /// Shapes interned by the implicit `label_query` path — the arena
-    /// budget (explicit `intern` calls are exempt, as are the view
-    /// definitions).
-    implicit_interns: Cell<usize>,
-    capacity: usize,
+    /// How many ids beyond the view definitions the front door may mint
+    /// ([`intern_budget`](Self::intern_budget)).
+    budget: usize,
     counters: LabelCounters,
-    tables: RefCell<LabelTables>,
+    /// The query-level cache: one slot per [`QueryId`], so the ids bound
+    /// it.  Dense ids make a `Vec` strictly better than a hash map here: no
+    /// hashing, no probing, a bounds check plus an index.  A slot is 16
+    /// bytes (pinned by a test): the entry's one pointer and length.
+    slots: RefCell<Vec<Option<QueryEntry>>>,
 }
 
-/// Default per-cache entry limit of a [`CachedLabeler`].
+/// Default intern budget of a [`CachedLabeler`]: the ids beyond the view
+/// definitions its front door may mint.
 ///
-/// Entries are a canonical key plus a small label (tens to a few hundred
-/// bytes each), so the default bounds each table to the low hundreds of
+/// An id costs its arena entry and at most one cache entry (tens to a few
+/// hundred bytes each), so the default bounds both to the low hundreds of
 /// megabytes in the worst case while comfortably holding every shape a
 /// realistic workload produces.
-pub const DEFAULT_CACHE_CAPACITY: usize = 1 << 20;
+pub const DEFAULT_INTERN_BUDGET: usize = 1 << 20;
 
 impl CachedLabeler {
     /// Builds a caching labeler over a view registry with the
-    /// [default capacity limit](DEFAULT_CACHE_CAPACITY).
+    /// [default intern budget](DEFAULT_INTERN_BUDGET).
     pub fn new(views: SecurityViews) -> Self {
-        Self::with_capacity_limit(views, DEFAULT_CACHE_CAPACITY)
+        Self::with_intern_budget(views, DEFAULT_INTERN_BUDGET)
     }
 
-    /// Builds a caching labeler whose cache admits at most `capacity`
-    /// entries (at least 1).
-    pub fn with_capacity_limit(views: SecurityViews, capacity: usize) -> Self {
-        Self::with_interner(views, QueryInterner::new(), capacity)
+    /// Builds a caching labeler whose front door mints at most `budget`
+    /// ids beyond the view definitions.
+    pub fn with_intern_budget(views: SecurityViews, budget: usize) -> Self {
+        Self::with_interner(views, QueryInterner::new(), budget)
     }
 
     /// Builds a caching labeler over a view registry and an interner that
@@ -705,12 +679,9 @@ impl CachedLabeler {
     /// the checkpointed interner held stays valid.  An id minted after the
     /// checkpoint survives because the service logs every mint (a
     /// `Define`, a boxed submit or check, a view addition) and replay
-    /// re-interns those shapes in minting order.
-    pub fn with_interner(
-        views: SecurityViews,
-        mut interner: QueryInterner,
-        capacity: usize,
-    ) -> Self {
+    /// re-interns those shapes in minting order.  What is left of `budget`
+    /// is read off the interner, so it survives the same way.
+    pub fn with_interner(views: SecurityViews, mut interner: QueryInterner, budget: usize) -> Self {
         let mut view_qids = Vec::with_capacity(views.len());
         for (id, view) in views.iter() {
             debug_assert_eq!(id.index(), view_qids.len(), "view ids are dense");
@@ -720,16 +691,15 @@ impl CachedLabeler {
             inner: BitVectorLabeler::new(views),
             view_qids,
             interner: RefCell::new(interner),
-            implicit_interns: Cell::new(0),
-            capacity: capacity.max(1),
+            budget,
             counters: LabelCounters::default(),
-            tables: RefCell::default(),
+            slots: RefCell::default(),
         }
     }
 
-    /// The per-cache entry limit.
-    pub fn capacity_limit(&self) -> usize {
-        self.capacity
+    /// How many ids beyond the view definitions the front door may mint.
+    pub fn intern_budget(&self) -> usize {
+        self.budget
     }
 
     /// The query interner, borrowed read-only: to resolve ids back to
@@ -744,11 +714,11 @@ impl CachedLabeler {
     /// Interns a query into this labeler's id space, returning its dense
     /// [`QueryId`].
     ///
-    /// Explicit interning is exempt from the
-    /// [`capacity_limit`](Self::capacity_limit) arena budget that bounds
-    /// the implicit [`label_query`](QueryLabeler::label_query) path: a
-    /// caller asking for an id is sizing its own pool and gets one
-    /// unconditionally.
+    /// An explicit intern always mints: a caller asking for an id is
+    /// sizing its own pool and gets one unconditionally.  The id counts
+    /// toward the [`intern_budget`](Self::intern_budget), so it leaves the
+    /// front door ([`intern_within_budget`](Self::intern_within_budget))
+    /// one fewer id to mint.
     pub fn intern(&self, query: &ConjunctiveQuery) -> QueryId {
         self.interner.borrow_mut().intern(query)
     }
@@ -780,9 +750,11 @@ impl CachedLabeler {
         bump(&self.counters.invalidations);
     }
 
-    /// Current hit/miss/invalidation counters and cache sizes.
+    /// Current hit/miss/invalidation counters and cache sizes (the
+    /// entries counted by one pass over the slots).
     pub fn stats(&self) -> CacheStats {
-        self.counters.stats(self.tables.borrow().occupied)
+        self.counters
+            .stats(self.slots.borrow().iter().flatten().count())
     }
 
     /// How the front door has resolved the boxed operands it was handed.
@@ -804,19 +776,17 @@ impl CachedLabeler {
     /// Keeping the counters cumulative is what makes the baseline's cost
     /// visible: every post-flush relabeling still counts as a miss.
     pub fn clear_entries(&mut self) {
-        let tables = self.tables.get_mut();
-        tables.slots.clear();
-        tables.occupied = 0;
+        self.slots.get_mut().clear();
     }
 
     /// Resolves `query` to its interned id through the **budgeted** intern
     /// [`label_query`](QueryLabeler::label_query) performs: known shapes
     /// (alpha-variants included) are looked up, unknown ones are interned
-    /// while the implicit-intern arena budget
-    /// ([`capacity_limit`](Self::capacity_limit)) has room.  `None` means
-    /// the budget is spent and the shape was never seen: it has no id and
-    /// must not get one (the arena bound would be lost) — label it with
-    /// [`append_packed_uncached`](Self::append_packed_uncached).
+    /// while the interner holds fewer than
+    /// [`intern_budget`](Self::intern_budget) ids beyond the view
+    /// definitions.  `None` means the budget is spent and the shape was
+    /// never seen: it has no id and must not get one (the arena bound would
+    /// be lost) — label it with [`label_uncached`](Self::label_uncached).
     ///
     /// This is the service's front door: an admission resolves its operand
     /// once here, then labels, dedups and records by id.  A known shape is
@@ -825,8 +795,6 @@ impl CachedLabeler {
     /// resent operand costs one byte comparison.
     /// [`door_stats`](Self::door_stats) counts how each call was resolved.
     pub fn intern_within_budget(&self, query: &ConjunctiveQuery) -> Option<QueryId> {
-        // The arena budget counts the shapes the implicit path has interned —
-        // view definitions and explicitly interned pools do not consume it.
         let mut interner = self.interner.borrow_mut();
         let counters = &self.counters;
         if let Some(found) = interner.recognise(query) {
@@ -836,41 +804,23 @@ impl CachedLabeler {
             });
             return Some(found.id());
         }
-        let charged = self.implicit_interns.get();
-        if charged >= self.capacity {
+        if interner.len().saturating_sub(self.view_qids.len()) >= self.budget {
             bump(&counters.door_over_budget);
             return None;
         }
-        self.implicit_interns.set(charged + 1);
         bump(&counters.door_misses);
         Some(interner.intern(query))
     }
 
-    /// Labels one query and **appends** the packed 64-bit representation
-    /// (Section 6.1) — the form the policy stores consume directly — to
-    /// `out`: interned within the arena budget and labeled by id, or — past
-    /// the budget — served through the uncached pipeline.
-    pub fn append_packed(&self, query: &ConjunctiveQuery, out: &mut Vec<PackedLabel>) {
-        let pack = |atoms: Survivors<'_>| out.extend(atoms.map(|atom| atom.pack()));
-        if let Err(uncached) = self.label_query_with(query, pack) {
-            uncached.pack_into(out);
-        }
-    }
-
-    /// Labels a shape the front door refused an id (past the arena budget,
-    /// [`intern_within_budget`](Self::intern_within_budget) returned
-    /// `None`) through the uncached pipeline and **appends** the packed
-    /// label to `out`, counted as a miss, without asking the door again.
-    pub fn append_packed_uncached(&self, query: &ConjunctiveQuery, out: &mut Vec<PackedLabel>) {
+    /// Labels `query` through the uncached [`BitVectorLabeler`] pipeline
+    /// (identical label), counted as a miss.  Nothing is looked up, minted
+    /// or stored: this serves a shape the front door refused an id
+    /// ([`intern_within_budget`](Self::intern_within_budget) returned
+    /// `None`), and an audit relabeling one, without asking the door
+    /// again.
+    pub fn label_uncached(&self, query: &ConjunctiveQuery) -> DisclosureLabel {
         bump(&self.counters.misses);
-        self.inner.label_query(query).pack_into(out);
-    }
-
-    /// [`append_packed`](Self::append_packed) into a vector of its own.
-    pub fn label_packed(&self, query: &ConjunctiveQuery) -> Vec<PackedLabel> {
-        let mut packed = Vec::new();
-        self.append_packed(query, &mut packed);
-        packed
+        self.inner.label_query(query)
     }
 
     /// Labels an already-interned query — the hot path for callers that
@@ -882,7 +832,7 @@ impl CachedLabeler {
     ///
     /// Panics if `id` was not issued by this labeler's interner.
     pub fn label_interned(&self, id: QueryId) -> DisclosureLabel {
-        self.label_with(id, |atoms| atoms.collect()).0
+        self.label_with(id, |atoms| atoms.collect())
     }
 
     /// Labels one pre-interned query and **appends** the packed
@@ -929,32 +879,13 @@ impl CachedLabeler {
     ///
     /// Fresh hits combine straight out of the cache, so the steady state
     /// does one `Vec` index and one in-place lattice fold per query — no
-    /// hashing, no label clone.
-    ///
-    /// Within one batch each distinct id runs the labeling pipeline at most
-    /// once, even when the cache is at capacity and does not admit it: a
-    /// repeat of such an id reuses the label computed earlier in the batch
-    /// and is credited as a [`hit`](CacheStats::hits) plus a
-    /// [`batch_dedup_hit`](CacheStats::batch_dedup_hits).
+    /// hashing, no label clone.  Each distinct id runs the labeling
+    /// pipeline at most once: its first sight is stored in its slot, and a
+    /// repeat is a hit.
     pub fn label_queries_interned(&self, ids: &[QueryId]) -> DisclosureLabel {
         let mut out = DisclosureLabel::bottom();
-        // Entries the full cache did not keep, by id.  An admitted id is a
-        // fresh hit next time, so below capacity this stays empty and a
-        // lookup in it costs nothing.
-        let mut unkept: HashMap<QueryId, QueryEntry> = HashMap::new();
         for &id in ids {
-            if let Some(entry) = unkept.get(&id) {
-                entry.survivors().for_each(|atom| out.push(atom));
-                // Counted as a regular hit *as well*, so every other
-                // column matches what labeling the repeat would report.
-                bump(&self.counters.hits);
-                bump(&self.counters.batch_dedup_hits);
-                continue;
-            }
-            let fold = |atoms: Survivors<'_>| atoms.for_each(|atom| out.push(atom));
-            if let ((), Some(entry)) = self.label_with(id, fold) {
-                unkept.insert(id, entry);
-            }
+            self.label_with(id, |atoms| atoms.for_each(|atom| out.push(atom)));
         }
         out
     }
@@ -1082,26 +1013,20 @@ impl CachedLabeler {
     /// block.  A **stale** entry is refreshed where it lies
     /// ([`refresh_entry`](Self::refresh_entry)) and read there.  An
     /// **absent** id runs the pipeline ([`first_sight`](Self::first_sight))
-    /// and is stored, charged, if the capacity has room; if not, the entry
-    /// the cache did not keep is returned next to the result (always `None`
-    /// otherwise).
+    /// and is stored in its slot.
     ///
     /// # Panics
     ///
     /// Panics if `id` was not issued by this labeler's interner.
-    fn label_with<R>(
-        &self,
-        id: QueryId,
-        use_label: impl FnOnce(Survivors<'_>) -> R,
-    ) -> (R, Option<QueryEntry>) {
-        let mut tables = self.tables.borrow_mut();
-        if let Some(entry) = tables.slots.get_mut(id.index()).and_then(Option::as_mut) {
+    fn label_with<R>(&self, id: QueryId, use_label: impl FnOnce(Survivors<'_>) -> R) -> R {
+        let mut slots = self.slots.borrow_mut();
+        if let Some(entry) = slots.get_mut(id.index()).and_then(Option::as_mut) {
             bump(if self.refresh_entry(id, entry) {
                 &self.counters.query_refreshes
             } else {
                 &self.counters.hits
             });
-            return (use_label(entry.survivors()), None);
+            return use_label(entry.survivors());
         }
         let entry = QueryEntry {
             parts: self.first_sight(id),
@@ -1110,42 +1035,25 @@ impl CachedLabeler {
         let atom_misses = &self.counters.atom_misses;
         atom_misses.set(atom_misses.get() + entry.parts.len() as u64);
         let out = use_label(entry.survivors());
-        if tables.occupied >= self.capacity {
-            return (out, Some(entry));
+        if id.index() >= slots.len() {
+            slots.resize_with(id.index() + 1, || None);
         }
-        tables.store(id, entry);
-        (out, None)
-    }
-
-    /// The boxed door: interns `query` within the arena budget and labels
-    /// it by id; past the budget an unknown shape is **not** interned and
-    /// labels through the uncached [`BitVectorLabeler`] pipeline instead
-    /// (identical label, counted as a miss) — the `Err` — so an adversarial
-    /// stream of never-repeating shapes cannot grow the arena without bound.
-    fn label_query_with<R>(
-        &self,
-        query: &ConjunctiveQuery,
-        use_label: impl FnOnce(Survivors<'_>) -> R,
-    ) -> std::result::Result<R, DisclosureLabel> {
-        match self.intern_within_budget(query) {
-            Some(id) => Ok(self.label_with(id, use_label).0),
-            None => {
-                bump(&self.counters.misses);
-                Err(self.inner.label_query(query))
-            }
-        }
+        slots[id.index()] = Some(entry);
+        out
     }
 }
 
 impl QueryLabeler for CachedLabeler {
-    /// Interns the query (a lookup for known shapes, including
-    /// alpha-variants) and labels it through the id-keyed caches; see
-    /// [`intern_within_budget`](Self::intern_within_budget) for what
-    /// happens once [`capacity_limit`](Self::capacity_limit) distinct
-    /// shapes have been interned this way.
+    /// The boxed door: resolves the query through the budgeted intern
+    /// ([`intern_within_budget`](Self::intern_within_budget); a lookup for
+    /// known shapes, alpha-variants included) and labels it by id, or —
+    /// a never-seen shape past the [`intern_budget`](Self::intern_budget)
+    /// — through [`label_uncached`](Self::label_uncached).
     fn label_query(&self, query: &ConjunctiveQuery) -> DisclosureLabel {
-        self.label_query_with(query, |atoms| atoms.collect())
-            .unwrap_or_else(|uncached| uncached)
+        match self.intern_within_budget(query) {
+            Some(id) => self.label_interned(id),
+            None => self.label_uncached(query),
+        }
     }
 
     fn security_views(&self) -> &SecurityViews {
@@ -1385,9 +1293,11 @@ mod tests {
 
     #[test]
     fn cache_capacity_bounds_both_tables() {
+        // The ids bound both tables: the front door stops minting at the
+        // intern budget, and an entry lives in its id's slot.
         let (c, baseline, _, _) = paper_labelers();
-        let tiny = CachedLabeler::with_capacity_limit(SecurityViews::paper_example(), 2);
-        assert_eq!(tiny.capacity_limit(), 2);
+        let tiny = CachedLabeler::with_intern_budget(SecurityViews::paper_example(), 2);
+        assert_eq!(tiny.intern_budget(), 2);
         let texts = [
             "Q(x) :- Meetings(x, y)",
             "Q(x, y) :- Meetings(x, y)",
@@ -1397,23 +1307,21 @@ mod tests {
         ];
         for text in texts {
             let query = q(&c, text);
-            // Labels stay correct even once the tables are full.
+            // Labels stay correct on both sides of the budget.
             assert_eq!(tiny.label_query(&query), baseline.label_query(&query));
         }
         let stats = tiny.stats();
-        assert!(
-            stats.entries <= 2,
-            "query cache exceeded its cap: {stats:?}"
-        );
-        // Over-limit shapes are recomputed (a miss), never admitted.
+        let ids = tiny.query_interner().len();
+        assert!(stats.entries <= ids, "{stats:?} with {ids} ids");
+        // A refused shape is recomputed (a miss), never admitted.
         let before = tiny.stats();
         tiny.label_query(&q(&c, "Q(x) :- Meetings(x, 'Cathy')"));
         let after = tiny.stats();
         assert_eq!(after.misses, before.misses + 1);
         assert_eq!(after.entries, before.entries);
-        // The default constructor uses the documented limit.
+        // The default constructor uses the documented budget.
         let default = CachedLabeler::new(SecurityViews::paper_example());
-        assert_eq!(default.capacity_limit(), DEFAULT_CACHE_CAPACITY);
+        assert_eq!(default.intern_budget(), DEFAULT_INTERN_BUDGET);
     }
 
     #[test]
@@ -1609,12 +1517,10 @@ mod tests {
         }
     }
 
-    /// The one part of query `id`'s entry in the labeler's tables.
+    /// The one part of query `id`'s entry in the labeler's slots.
     fn only_part(cached: &CachedLabeler, id: QueryId) -> QueryPart {
-        let tables = cached.tables.borrow();
-        let entry = tables.slots[id.index()]
-            .as_ref()
-            .expect("the query was labeled");
+        let slots = cached.slots.borrow();
+        let entry = slots[id.index()].as_ref().expect("the query was labeled");
         assert_eq!(entry.parts.len(), 1);
         entry.parts[0]
     }
@@ -1658,7 +1564,7 @@ mod tests {
         let id = cached.intern(&query);
         let honest = cached.label_interned(id);
         let part = only_part(&cached, id);
-        cached.tables.get_mut().slots[id.index()]
+        cached.slots.get_mut()[id.index()]
             .as_mut()
             .expect("labeled above")
             .parts[0]
@@ -1737,7 +1643,7 @@ mod tests {
         assert_eq!(cached.security_views().len(), MAX_PACKED_VIEWS_PER_RELATION);
         assert_eq!(cached.stats().invalidations, stats_before.invalidations);
         assert_eq!(cached.label_query(&probe), before);
-        for packed in cached.label_packed(&probe) {
+        for packed in cached.label_packed_interned(cached.intern(&probe)) {
             assert_eq!(u64::from(packed.mask()), before.atoms()[0].mask);
         }
     }
@@ -1818,7 +1724,7 @@ mod tests {
     #[test]
     fn the_arena_budget_bounds_implicit_interning() {
         let (c, baseline, _, _) = paper_labelers();
-        let tiny = CachedLabeler::with_capacity_limit(SecurityViews::paper_example(), 2);
+        let tiny = CachedLabeler::with_intern_budget(SecurityViews::paper_example(), 2);
         let num_views = tiny.security_views().len();
         let texts = [
             "Q(x) :- Meetings(x, y)",
@@ -1833,7 +1739,7 @@ mod tests {
             // Labels stay correct on both sides of the arena budget.
             assert_eq!(tiny.label_query(&query), baseline.label_query(&query));
         }
-        // The arena stopped growing at the budget (capacity + interned view
+        // The arena stopped growing at the budget (plus the interned view
         // definitions), however many never-repeating shapes keep arriving.
         let after_sweep = tiny.query_interner().len();
         assert!(
@@ -1844,13 +1750,43 @@ mod tests {
             tiny.label_query(&q(&c, text));
         }
         assert_eq!(tiny.query_interner().len(), after_sweep);
-        // Uncached shapes still count as misses, and explicit interning
-        // remains exempt from the budget.
+        // Uncached shapes still count as misses, and an explicit intern
+        // still mints past the budget…
         let before = tiny.stats();
         tiny.label_query(&q(&c, "Q(x, z) :- Contacts(x, y, z)"));
         assert_eq!(tiny.stats().misses, before.misses + 1);
         let explicit = tiny.intern(&q(&c, "Q(y, z) :- Contacts(x, y, z)"));
         assert!(tiny.query_interner().contains(explicit));
+        // …but its ids count toward it.
+        let pooled = CachedLabeler::with_intern_budget(SecurityViews::paper_example(), 1);
+        pooled.intern(&q(&c, "Q(y) :- Meetings(x, y)"));
+        assert_eq!(
+            pooled.intern_within_budget(&q(&c, "Q() :- Meetings(x, y)")),
+            None
+        );
+    }
+
+    #[test]
+    fn the_arena_budget_bounds_a_rebuilt_labeler() {
+        // A labeler rebuilt from a spent one's interner (a checkpointed
+        // reopen) refuses the shape the spent one refused.
+        let (c, _, _, _) = paper_labelers();
+        let views = SecurityViews::paper_example();
+        let spent = CachedLabeler::with_intern_budget(views.clone(), 2);
+        for text in ["Q(y) :- Meetings(x, y)", "Q() :- Meetings(x, y)"] {
+            assert!(spent.intern_within_budget(&q(&c, text)).is_some());
+        }
+        let refused = q(&c, "Q(x) :- Meetings(x, 'Cathy')");
+        assert_eq!(spent.intern_within_budget(&refused), None);
+        let interner = spent.query_interner().clone();
+        let rebuilt = CachedLabeler::with_interner(views, interner.clone(), 2);
+        assert_eq!(rebuilt.intern_within_budget(&refused), None);
+        assert_eq!(rebuilt.query_interner().len(), interner.len());
+        let known = q(&c, "Q(b) :- Meetings(a, b)");
+        assert_eq!(
+            rebuilt.intern_within_budget(&known),
+            interner.lookup(&known)
+        );
     }
 
     #[test]
@@ -1901,10 +1837,10 @@ mod tests {
 
     #[test]
     fn refreshes_do_not_consume_new_entry_capacity() {
-        // A refresh patches its entry where it lies and keeps its slot, so
-        // a refresh-heavy labeler near capacity still admits brand-new
-        // shapes: only a lookup that found nothing is charged.
-        let mut cached = CachedLabeler::with_capacity_limit(SecurityViews::paper_example(), 4);
+        // A refresh patches its entry where it lies: it keeps its slot and
+        // mints no id, so a refresh-heavy labeler near its intern budget
+        // still admits a brand-new shape.
+        let mut cached = CachedLabeler::with_intern_budget(SecurityViews::paper_example(), 2);
         let c = cached.security_views().catalog().clone();
         let warm = [
             "Q(x) :- Meetings(x, y)",
@@ -1915,6 +1851,7 @@ mod tests {
             cached.label_query(&q(&c, text));
         }
         assert_eq!(cached.stats().entries, 3);
+        let ids = cached.query_interner().len();
         cached.invalidate_relation(c.resolve("Meetings").unwrap());
         for text in warm {
             cached.label_query(&q(&c, text));
@@ -1922,11 +1859,13 @@ mod tests {
         let refreshed = cached.stats();
         assert_eq!(refreshed.query_refreshes, 3);
         assert_eq!(refreshed.entries, 3, "refreshes are not new slots");
-        // The fourth slot is still free for a brand-new shape…
-        let fresh = q(&c, "Q(x, y, z) :- Contacts(x, y, z)");
+        assert_eq!(cached.query_interner().len(), ids, "refreshes mint no id");
+        // The budget's last id is still free for a brand-new shape…
+        let fresh = q(&c, "Q(x) :- Contacts(x, y, z)");
         cached.label_query(&fresh);
         let before = cached.stats();
         assert_eq!(before.entries, 4, "the new shape was admitted");
+        assert_eq!(cached.query_interner().len(), ids + 1);
         // …which then hits.
         cached.label_query(&fresh);
         let after = cached.stats();
@@ -1944,28 +1883,15 @@ mod tests {
         ];
         let queries: Vec<ConjunctiveQuery> = texts.iter().map(|t| q(&c, t)).collect();
         let expected = baseline.label_queries(&queries);
-        // Capacity 1: the first shape is admitted, the other two are not,
-        // so their repeats can only be answered from the batch itself.
-        let tiny = CachedLabeler::with_capacity_limit(SecurityViews::paper_example(), 1);
-        let ids: Vec<_> = queries.iter().map(|query| tiny.intern(query)).collect();
+        // Every id has a slot, so a cold batch stores each id at its first
+        // sight: each distinct id runs the pipeline once, and every repeat
+        // is an ordinary hit.
+        let cached = CachedLabeler::new(SecurityViews::paper_example());
+        let ids: Vec<_> = queries.iter().map(|query| cached.intern(query)).collect();
         let batch = [ids[0], ids[1], ids[2], ids[1], ids[0], ids[2], ids[1]];
-        assert_eq!(tiny.label_queries_interned(&batch), expected);
-        let stats = tiny.stats();
-        assert_eq!(stats.misses, 3, "each distinct id ran the pipeline once");
-        assert_eq!(stats.batch_dedup_hits, 3);
-        assert_eq!(stats.hits, 4, "one fresh hit plus the three dedup hits");
-        assert_eq!(stats.entries, 1);
-        // The list does not outlive the batch: the next one misses again.
-        tiny.label_queries_interned(&[ids[1]]);
-        assert_eq!(tiny.stats().misses, 4);
-        // With room for every shape a cold batch admits each id at first
-        // sight, and every repeat is an ordinary hit.
-        let roomy = CachedLabeler::new(SecurityViews::paper_example());
-        let ids: Vec<_> = queries.iter().map(|query| roomy.intern(query)).collect();
-        let batch = [ids[0], ids[1], ids[2], ids[1], ids[0], ids[2], ids[1]];
-        assert_eq!(roomy.label_queries_interned(&batch), expected);
-        let stats = roomy.stats();
-        assert_eq!((stats.misses, stats.hits), (3, 4));
+        assert_eq!(cached.label_queries_interned(&batch), expected);
+        let stats = cached.stats();
+        assert_eq!((stats.misses, stats.hits, stats.entries), (3, 4, 3));
         assert_eq!(stats.batch_dedup_hits, 0);
     }
 

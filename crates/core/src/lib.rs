@@ -69,7 +69,7 @@ pub use error::{LabelError, Result};
 pub use label::{AtomLabel, DisclosureLabel, PackedLabel, ViewMask};
 pub use labeler::{
     BaselineLabeler, BitVectorLabeler, CacheStats, CachedLabeler, DoorStats,
-    HashPartitionedLabeler, QueryLabeler, DEFAULT_CACHE_CAPACITY,
+    HashPartitionedLabeler, QueryLabeler, DEFAULT_INTERN_BUDGET,
 };
 pub use security_views::{
     SecurityViewId, SecurityViews, MAX_PACKED_VIEWS_PER_RELATION, MAX_VIEWS_PER_RELATION,

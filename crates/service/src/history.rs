@@ -630,7 +630,7 @@ mod tests {
             ..ServiceConfig::default()
         };
         let mut service = DisclosureService::with_labeler(
-            CachedLabeler::with_capacity_limit(registry.clone(), 2),
+            CachedLabeler::with_intern_budget(registry.clone(), 2),
             config,
         );
         let v1 = registry.id_by_name("V1").unwrap();

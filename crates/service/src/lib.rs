@@ -400,8 +400,8 @@ mod tests {
     fn over_budget_submits_are_audited_without_growing_the_arena() {
         use fdc_core::CachedLabeler;
         use fdc_policy::{audit_app, requested_views};
-        // An arena budget of two implicit interns: the first two shapes get
-        // ids, every never-seen shape after them must be served — and
+        // An intern budget of two ids beyond the views: the first two shapes
+        // get ids, every never-seen shape after them must be served — and
         // recorded — without one, while known shapes keep resolving.
         let texts = [
             "Q(y) :- Meetings(x, y)",
@@ -423,7 +423,7 @@ mod tests {
         for (what, execute) in executors {
             let config = ServiceConfig::default();
             let mut service = DisclosureService::with_labeler(
-                CachedLabeler::with_capacity_limit(registry.clone(), 2),
+                CachedLabeler::with_intern_budget(registry.clone(), 2),
                 config,
             );
             let v2 = registry.id_by_name("V2").unwrap();
@@ -457,11 +457,15 @@ mod tests {
             // The boxed entries travel through the checkpoint image.
             let image = service.freeze(0, true).encode();
             let mut recovered = DisclosureService::decode_state(&image, config).unwrap();
+            let restored = arena_len(&recovered);
             assert_eq!(
                 recovered.audit_app(p).unwrap(),
                 expected,
                 "{what}, recovered"
             );
+            // An audit relabels the boxed entries without minting: an id
+            // it minted would have no record for a later reopen to replay.
+            assert_eq!(arena_len(&recovered), restored, "{what}: the audit minted");
         }
     }
 

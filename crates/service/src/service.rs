@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use fdc_core::{
     CacheStats, CachedLabeler, DoorStats, PackedLabel, QueryLabeler, SecurityViews,
-    DEFAULT_CACHE_CAPACITY, MAX_PACKED_VIEWS_PER_RELATION,
+    DEFAULT_INTERN_BUDGET, MAX_PACKED_VIEWS_PER_RELATION,
 };
 use fdc_cq::intern::{QueryId, QueryInterner};
 use fdc_cq::{ConjunctiveQuery, RelId};
@@ -876,7 +876,7 @@ impl DisclosureService {
         self.stats.admissions += 1;
         self.arena.clear();
         match query {
-            AdmissionQuery::Plain(q) => self.labeler.append_packed_uncached(q, &mut self.arena),
+            AdmissionQuery::Plain(q) => self.labeler.label_uncached(q).pack_into(&mut self.arena),
             AdmissionQuery::Interned(id) => {
                 self.labeler.append_packed_interned(id, &mut self.arena);
             }
@@ -900,14 +900,15 @@ impl DisclosureService {
         let labeler = &self.labeler;
         // Ids label by id — cache hits for a workload the service has just
         // served, no query materialized — and the rare boxed entry through
-        // `label_query`.
+        // the uncached pipeline: an audit mints nothing, so it has nothing
+        // to log.
         let labels = self
             .history
             .workload(principal)
             .into_iter()
             .map(|entry| match entry {
                 AdmissionQuery::Interned(id) => labeler.label_interned(id),
-                AdmissionQuery::Plain(query) => labeler.label_query(query),
+                AdmissionQuery::Plain(query) => labeler.label_uncached(query),
             });
         let registry = labeler.security_views();
         Ok(audit_labels(
@@ -1367,7 +1368,7 @@ impl DisclosureService {
                 ),
             ));
         }
-        let labeler = CachedLabeler::with_interner(views, interner, DEFAULT_CACHE_CAPACITY);
+        let labeler = CachedLabeler::with_interner(views, interner, DEFAULT_INTERN_BUDGET);
         Ok(Self::assemble(labeler, store, history, config))
     }
 

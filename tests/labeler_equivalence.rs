@@ -239,12 +239,13 @@ fn tricky_registry() -> SecurityViews {
 /// shapes (so shapes repeat: hits, and stale refreshes after every
 /// addition), with a view added every 41 positions, must give at every
 /// position the label of a fresh `BitVectorLabeler` over the registry as it
-/// stands — by id and through the boxed door, unpacked and packed.  Run
-/// with room for everything and with room for 8 entries.
+/// stands — by id (unpacked and packed) and through the boxed door.  Run
+/// with room for everything and with an intern budget of 8 ids, which the
+/// explicit interns spend: past it the boxed door mints nothing.
 #[test]
 fn live_labeling_agrees_across_view_additions() {
     let eco = Ecosystem::new();
-    for (seed, capacity) in [(11u64, 1 << 20), (12, 1 << 20), (13, 8), (14, 8)] {
+    for (seed, budget) in [(11u64, 1 << 20), (12, 1 << 20), (13, 8), (14, 8)] {
         let pool = eco.workload(WorkloadConfig::stress(3, seed)).batch(60);
         let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         let mut next = move |bound: usize| {
@@ -253,7 +254,7 @@ fn live_labeling_agrees_across_view_additions() {
             state ^= state >> 27;
             (state.wrapping_mul(0x2545_F491_4F6C_DD1D) >> 33) as usize % bound
         };
-        let mut labeler = CachedLabeler::with_capacity_limit(eco.views.clone(), capacity);
+        let mut labeler = CachedLabeler::with_intern_budget(eco.views.clone(), budget);
         let mut reference = BitVectorLabeler::new(eco.views.clone());
         let mut views_added = 0;
         for i in 0..600 {
@@ -283,21 +284,26 @@ fn live_labeling_agrees_across_view_additions() {
                 assert_eq!(labeler.label_interned(id), expected, "{at}");
                 assert_eq!(labeler.label_packed_interned(id), expected.pack(), "{at}");
             } else {
-                // The boxed door, which interns for itself while the arena
+                // The boxed door, which interns for itself while the intern
                 // budget lasts.
+                let ids = labeler.query_interner().len();
+                let spent = ids.saturating_sub(labeler.security_views().len()) >= budget;
                 assert_eq!(labeler.label_query(query), expected, "{at}");
-                assert_eq!(labeler.label_packed(query), expected.pack(), "{at}");
+                if spent {
+                    assert_eq!(labeler.query_interner().len(), ids, "{at}: minted");
+                }
             }
-            let entries = labeler.stats().entries;
-            assert!(
-                entries <= labeler.capacity_limit(),
-                "{at}: {entries} entries"
-            );
+            let (entries, ids) = (labeler.stats().entries, labeler.query_interner().len());
+            assert!(entries <= ids, "{at}: {entries} entries, {ids} ids");
         }
         let stats = labeler.stats();
         assert!(
             stats.hits > 0 && stats.query_refreshes > 0,
             "the stream must repeat shapes"
+        );
+        assert!(
+            budget > 8 || labeler.door_stats().over_budget > 0,
+            "seed {seed}: the boxed door never met a spent budget"
         );
     }
 }
